@@ -15,6 +15,7 @@ import (
 	"strings"
 	"testing"
 
+	"xydiff/internal/alert"
 	"xydiff/internal/baseline"
 	"xydiff/internal/bench"
 	"xydiff/internal/changesim"
@@ -23,9 +24,11 @@ import (
 	"xydiff/internal/dom"
 	"xydiff/internal/index"
 	"xydiff/internal/server"
+	"xydiff/internal/stats"
 	"xydiff/internal/store"
 	"xydiff/internal/textdiff"
 	"xydiff/internal/xid"
+	"xydiff/internal/xpathlite"
 )
 
 // preparePair builds a (old, new) document pair of roughly the given
@@ -463,4 +466,42 @@ func BenchmarkDeltaCompose(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkPutTail is everything a PUT does once BULD has finished, on
+// a pair shaped like the end-to-end benchmark's ingest_large workload
+// (~150 KB catalog, 10% churn, its eight subscriptions): encode the
+// delta once, resolve its operations once, then the statistics
+// collector and the alerter.
+func BenchmarkPutTail(b *testing.B) {
+	oldDoc, newDoc := preparePair(b, 130_000, 1)
+	r, err := diff.DiffDetailed(oldDoc, newDoc, diff.Options{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	a := alert.New(
+		alert.Subscription{ID: "k-insert", Kinds: []delta.Kind{delta.KindInsert}},
+		alert.Subscription{ID: "k-delete", Kinds: []delta.Kind{delta.KindDelete}},
+		alert.Subscription{ID: "k-update", Kinds: []delta.Kind{delta.KindUpdate}},
+		alert.Subscription{ID: "k-move", Kinds: []delta.Kind{delta.KindMove}},
+		alert.Subscription{ID: "p-0", Path: "Category/Product"},
+		alert.Subscription{ID: "p-1", Path: "Product/Price"},
+		alert.Subscription{ID: "q-0", Query: xpathlite.MustCompile(`//Product[Price>500]`), Kinds: []delta.Kind{delta.KindUpdateAttr}},
+		alert.Subscription{ID: "q-1", Query: xpathlite.MustCompile(`//Product[@status='sale']`), Kinds: []delta.Kind{delta.KindInsertAttr}},
+	)
+	c := stats.NewCollector()
+	alerts, size := 0, 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body, err := r.Delta.MarshalText()
+		if err != nil {
+			b.Fatal(err)
+		}
+		t := delta.Resolve(r.Delta, oldDoc, newDoc)
+		c.ObserveResolved(t, len(body))
+		alerts, size = len(a.NotifyResolved("catalog", 2, t)), len(body)
+	}
+	b.ReportMetric(float64(len(r.Delta.Ops)), "ops")
+	b.ReportMetric(float64(alerts), "alerts")
+	b.ReportMetric(float64(size), "delta-bytes")
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"xydiff/internal/delta"
 	"xydiff/internal/dom"
@@ -58,48 +59,114 @@ func (a Alert) String() string {
 // Alerter evaluates subscriptions against deltas. It is safe for
 // concurrent use.
 type Alerter struct {
-	mu    sync.RWMutex
-	subs  []Subscription
-	sinks []Notifier
+	mu    sync.Mutex               // serializes Subscribe/Unsubscribe/Attach/Detach
+	state atomic.Pointer[snapshot] // what Notify reads; replaced, never modified
+}
+
+// snapshot is the alerter's configuration at one instant, in the form
+// Notify evaluates: published copy-on-write, so a Notify in flight
+// keeps the list it started with while writers install the next one.
+type snapshot struct {
+	subs  []Subscription // registration order
+	plans []plan         // plans[i] compiles subs[i]
+	// byKind[k] lists, in registration order, the plans whose Kinds
+	// admit operation kind k; a kind beyond the table is admitted only
+	// by the plans with no kind filter, anyKind.
+	byKind  [][]*plan
+	anyKind []*plan
+	queries int // how many plans carry a Query
+	sinks   []Notifier
+}
+
+// plan is one subscription compiled for evaluation.
+type plan struct {
+	id, docID, contains string
+	// segs is Path split into labels (position predicates dropped);
+	// anchored says the pattern began with "/" and must match the whole
+	// label path rather than a suffix. Meaningful when hasPath.
+	hasPath  bool
+	anchored bool
+	segs     []string
+	// query replaces the path filter; queryIdx numbers the plans with a
+	// query, for the per-Notify table of evaluated node sets.
+	query    *xpathlite.Expr
+	queryIdx int
+}
+
+// numKinds is how many operation kinds package delta defines.
+const numKinds = int(delta.KindUpdateAttr) + 1
+
+func compile(subs []Subscription, sinks []Notifier) *snapshot {
+	c := &snapshot{subs: subs, plans: make([]plan, len(subs)), sinks: sinks}
+	kinds := numKinds
+	for _, s := range subs {
+		for _, k := range s.Kinds {
+			kinds = max(kinds, int(k)+1)
+		}
+	}
+	c.byKind = make([][]*plan, kinds)
+	for i, s := range subs {
+		p := &c.plans[i]
+		*p = plan{
+			id: s.ID, docID: s.DocID, contains: s.Contains,
+			hasPath: s.Path != "", anchored: strings.HasPrefix(s.Path, "/"), segs: segments(s.Path),
+			query: s.Query,
+		}
+		if s.Query != nil {
+			p.queryIdx = c.queries
+			c.queries++
+		}
+		if len(s.Kinds) == 0 {
+			c.anyKind = append(c.anyKind, p)
+		}
+		for k := range c.byKind {
+			if kindMatches(s.Kinds, delta.Kind(k)) {
+				c.byKind[k] = append(c.byKind[k], p)
+			}
+		}
+	}
+	return c
 }
 
 // New returns an Alerter with the given initial subscriptions.
 func New(subs ...Subscription) *Alerter {
-	return &Alerter{subs: subs}
+	a := &Alerter{}
+	a.state.Store(compile(append([]Subscription(nil), subs...), nil))
+	return a
 }
 
 // Subscribe adds a subscription.
 func (a *Alerter) Subscribe(s Subscription) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.subs = append(a.subs, s)
+	cur := a.state.Load()
+	subs := append(append(make([]Subscription, 0, len(cur.subs)+1), cur.subs...), s)
+	a.state.Store(compile(subs, cur.sinks))
 }
 
 // Unsubscribe removes all subscriptions with the given ID, reporting
-// whether any existed.
+// whether any existed. A Notify that starts after Unsubscribe returns
+// raises no alert for them.
 func (a *Alerter) Unsubscribe(id string) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	kept := a.subs[:0]
-	removed := false
-	for _, s := range a.subs {
-		if s.ID == id {
-			removed = true
-			continue
+	cur := a.state.Load()
+	kept := make([]Subscription, 0, len(cur.subs))
+	for _, s := range cur.subs {
+		if s.ID != id {
+			kept = append(kept, s)
 		}
-		kept = append(kept, s)
 	}
-	a.subs = kept
-	return removed
+	if len(kept) == len(cur.subs) {
+		return false
+	}
+	a.state.Store(compile(kept, cur.sinks))
+	return true
 }
 
 // Subscriptions returns a snapshot of the registered subscriptions.
 func (a *Alerter) Subscriptions() []Subscription {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	out := make([]Subscription, len(a.subs))
-	copy(out, a.subs)
-	return out
+	return append([]Subscription(nil), a.state.Load().subs...)
 }
 
 // Notify evaluates every subscription against the delta that produced
@@ -109,89 +176,87 @@ func (a *Alerter) Subscriptions() []Subscription {
 // case for documents coming out of diff.Diff or store.Store). Matches
 // are returned and also fanned out to any attached Notifier sinks.
 func (a *Alerter) Notify(docID string, newVersion int, oldDoc, newDoc *dom.Node, d *delta.Delta) []Alert {
-	if d.Empty() {
+	if d.Empty() || len(a.state.Load().subs) == 0 {
 		return nil
 	}
-	a.mu.RLock()
-	subs := a.subs
-	a.mu.RUnlock()
-	if len(subs) == 0 {
+	return a.NotifyResolved(docID, newVersion, delta.Resolve(d, oldDoc, newDoc))
+}
+
+// NotifyResolved is Notify for a caller that has already resolved the
+// delta against its two versions (the server's store observer shares
+// one resolution between the statistics collector and the alerter).
+func (a *Alerter) NotifyResolved(docID string, newVersion int, t *delta.Targets) []Alert {
+	c := a.state.Load()
+	if t.Delta.Empty() || len(c.subs) == 0 {
 		return nil
 	}
-	oldIdx := indexXIDs(oldDoc)
-	newIdx := indexXIDs(newDoc)
+	// sets[q] holds plan q's query evaluated against the old and the
+	// new version, each built when the first operation needs it.
+	var sets [][2]*xpathlite.MatchSet
 	var alerts []Alert
-	for _, op := range d.Ops {
-		node, path := locate(op, oldIdx, newIdx)
-		for _, s := range subs {
-			if s.DocID != "" && s.DocID != docID {
+	for i, op := range t.Delta.Ops {
+		plans := c.anyKind
+		if k := int(op.Kind()); k < len(c.byKind) {
+			plans = c.byKind[k]
+		}
+		if len(plans) == 0 {
+			continue
+		}
+		// The operation is about a node of the new version when it
+		// still exists there; deletes are about the old version.
+		node, side, doc := t.New[i], 1, t.NewDoc
+		if node == nil || op.Kind() == delta.KindDelete {
+			node, side, doc = t.Old[i], 0, t.OldDoc
+		}
+		// A text node's value belongs, for subscribers, to its element:
+		// an update of <Price>'s character data should match
+		// "Product/Price".
+		at := node
+		if node != nil && node.Type == dom.Text && node.Parent != nil {
+			at = node.Parent
+		}
+		path, havePath := "", false
+		for _, p := range plans {
+			if p.docID != "" && p.docID != docID {
 				continue
 			}
-			if !kindMatches(s.Kinds, op.Kind()) {
-				continue
-			}
-			if s.Query != nil {
-				if node == nil || !queryMatches(s.Query, node) {
+			if p.query != nil {
+				if node == nil {
 					continue
 				}
-			} else if s.Path != "" && !pathMatches(s.Path, path) {
+				if sets == nil {
+					sets = make([][2]*xpathlite.MatchSet, c.queries)
+				}
+				set := sets[p.queryIdx][side]
+				if set == nil {
+					set = p.query.MatchSet(doc)
+					sets[p.queryIdx][side] = set
+				}
+				// at is node, or its element when node is text.
+				if !set.Matches(node) && !(at != node && set.Matches(at)) {
+					continue
+				}
+			} else if p.hasPath && !p.pathMatches(at) {
 				continue
 			}
-			if s.Contains != "" && !contentContains(op, node, s.Contains) {
+			if p.contains != "" && !contentContains(op, node, p.contains) {
 				continue
 			}
-			alerts = append(alerts, Alert{SubID: s.ID, DocID: docID, Version: newVersion, Op: op, Path: path})
+			if !havePath {
+				path, havePath = at.Path(), true
+			}
+			if alerts == nil {
+				alerts = make([]Alert, 0, len(t.Delta.Ops)-i)
+			}
+			alerts = append(alerts, Alert{SubID: p.id, DocID: docID, Version: newVersion, Op: op, Path: path})
 		}
 	}
-	a.dispatch(alerts)
+	if len(alerts) > 0 {
+		for _, s := range c.sinks {
+			s.Alerts(alerts)
+		}
+	}
 	return alerts
-}
-
-func indexXIDs(doc *dom.Node) map[int64]*dom.Node {
-	idx := make(map[int64]*dom.Node)
-	if doc == nil {
-		return idx
-	}
-	dom.WalkPre(doc, func(n *dom.Node) bool {
-		if n.XID != 0 {
-			idx[n.XID] = n
-		}
-		return true
-	})
-	return idx
-}
-
-// locate resolves the node an operation is about, preferring the new
-// version (deletes resolve in the old version).
-func locate(op delta.Op, oldIdx, newIdx map[int64]*dom.Node) (*dom.Node, string) {
-	var n *dom.Node
-	if op.Kind() == delta.KindDelete {
-		n = oldIdx[op.TargetXID()]
-	} else {
-		n = newIdx[op.TargetXID()]
-		if n == nil {
-			n = oldIdx[op.TargetXID()]
-		}
-	}
-	if n == nil {
-		return nil, ""
-	}
-	// A text node's value belongs, for subscribers, to its element: an
-	// update of <Price>'s character data should match "Product/Price".
-	if n.Type == dom.Text && n.Parent != nil {
-		return n, n.Parent.Path()
-	}
-	return n, n.Path()
-}
-
-// queryMatches applies an xpathlite expression to the affected node,
-// falling back to the parent element for text nodes (an update of
-// <Price>'s character data should match //Price).
-func queryMatches(q *xpathlite.Expr, n *dom.Node) bool {
-	if q.Matches(n) {
-		return true
-	}
-	return n.Type == dom.Text && n.Parent != nil && q.Matches(n.Parent)
 }
 
 func kindMatches(kinds []delta.Kind, k delta.Kind) bool {
@@ -206,40 +271,43 @@ func kindMatches(kinds []delta.Kind, k delta.Kind) bool {
 	return false
 }
 
-// pathMatches compares a subscription pattern against a node path.
-// Both are segmented on "/" with position predicates stripped; an
-// anchored pattern (leading "/") must match the full path, otherwise a
-// suffix match suffices. "*" matches any single segment.
-func pathMatches(pattern, path string) bool {
-	if path == "" {
+// pathMatches compares the subscription's label pattern against the
+// label path of n, read off n's ancestors (no path string is built):
+// an anchored pattern must match the full path, otherwise a suffix
+// suffices; "*" matches any single label. A nil n matches nothing.
+func (p *plan) pathMatches(n *dom.Node) bool {
+	if n == nil {
 		return false
 	}
-	p := segments(pattern)
-	n := segments(path)
-	if len(p) == 0 {
-		return true
-	}
-	if strings.HasPrefix(pattern, "/") {
-		if len(p) != len(n) {
+	for i := len(p.segs) - 1; i >= 0; i-- {
+		if n == nil || n.Type == dom.Document {
+			return false // the pattern is longer than the path
+		}
+		if p.segs[i] != "*" && p.segs[i] != pathLabel(n) {
 			return false
 		}
-		return segsMatch(p, n)
+		n = n.Parent
 	}
-	if len(p) > len(n) {
-		return false
-	}
-	return segsMatch(p, n[len(n)-len(p):])
+	return !p.anchored || len(p.segs) == 0 || n == nil || n.Type == dom.Document
 }
 
-func segsMatch(pattern, path []string) bool {
-	for i := range pattern {
-		if pattern[i] != "*" && pattern[i] != path[i] {
-			return false
-		}
+// pathLabel is n's step in dom.Node.Path, without the position
+// predicate.
+func pathLabel(n *dom.Node) string {
+	switch n.Type {
+	case dom.Text:
+		return "text()"
+	case dom.Comment:
+		return "comment()"
+	case dom.ProcInst:
+		return "processing-instruction()"
+	default:
+		return n.Name
 	}
-	return true
 }
 
+// segments splits a label path on "/", dropping empty steps and
+// position predicates.
 func segments(p string) []string {
 	var out []string
 	for _, s := range strings.Split(p, "/") {

@@ -1,9 +1,14 @@
 package alert
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"xydiff/internal/changesim"
 	"xydiff/internal/delta"
 	"xydiff/internal/diff"
 	"xydiff/internal/dom"
@@ -216,3 +221,407 @@ func TestQuerySubscriptionTextUpdateFallsBackToParent(t *testing.T) {
 		t.Fatalf("alerts = %v", alerts)
 	}
 }
+
+// ---------------------------------------------------------------------------
+// Reference evaluator. notifyReference is Notify as it was before the
+// compiled, set-based evaluation: one XID index of each whole tree, a
+// Path string per operation, patterns and paths re-split per
+// subscription, a full xpathlite Select per operation and query. It is
+// kept here, sharing nothing with Notify but contentContains and
+// kindMatches, so the tests below can hold the fast path to its exact
+// output (order, Path and Op included).
+
+func notifyReference(subs []Subscription, docID string, newVersion int, oldDoc, newDoc *dom.Node, d *delta.Delta) []Alert {
+	if d.Empty() || len(subs) == 0 {
+		return nil
+	}
+	oldIdx := indexXIDs(oldDoc)
+	newIdx := indexXIDs(newDoc)
+	var alerts []Alert
+	for _, op := range d.Ops {
+		node, path := locate(op, oldIdx, newIdx)
+		for _, s := range subs {
+			if s.DocID != "" && s.DocID != docID {
+				continue
+			}
+			if !kindMatches(s.Kinds, op.Kind()) {
+				continue
+			}
+			if s.Query != nil {
+				if node == nil || !queryMatches(s.Query, node) {
+					continue
+				}
+			} else if s.Path != "" && !pathMatches(s.Path, path) {
+				continue
+			}
+			if s.Contains != "" && !contentContains(op, node, s.Contains) {
+				continue
+			}
+			alerts = append(alerts, Alert{SubID: s.ID, DocID: docID, Version: newVersion, Op: op, Path: path})
+		}
+	}
+	return alerts
+}
+
+func indexXIDs(doc *dom.Node) map[int64]*dom.Node {
+	idx := make(map[int64]*dom.Node)
+	if doc == nil {
+		return idx
+	}
+	dom.WalkPre(doc, func(n *dom.Node) bool {
+		if n.XID != 0 {
+			idx[n.XID] = n
+		}
+		return true
+	})
+	return idx
+}
+
+// locate resolves the node an operation is about, preferring the new
+// version (deletes resolve in the old version).
+func locate(op delta.Op, oldIdx, newIdx map[int64]*dom.Node) (*dom.Node, string) {
+	var n *dom.Node
+	if op.Kind() == delta.KindDelete {
+		n = oldIdx[op.TargetXID()]
+	} else {
+		n = newIdx[op.TargetXID()]
+		if n == nil {
+			n = oldIdx[op.TargetXID()]
+		}
+	}
+	if n == nil {
+		return nil, ""
+	}
+	if n.Type == dom.Text && n.Parent != nil {
+		return n, n.Parent.Path()
+	}
+	return n, n.Path()
+}
+
+func queryMatches(q *xpathlite.Expr, n *dom.Node) bool {
+	if q.Matches(n) {
+		return true
+	}
+	return n.Type == dom.Text && n.Parent != nil && q.Matches(n.Parent)
+}
+
+// pathMatches compares a subscription pattern against a node path.
+// Both are segmented on "/" with position predicates stripped; an
+// anchored pattern (leading "/") must match the full path, otherwise a
+// suffix match suffices. "*" matches any single segment.
+func pathMatches(pattern, path string) bool {
+	if path == "" {
+		return false
+	}
+	p := segments(pattern)
+	n := segments(path)
+	if len(p) == 0 {
+		return true
+	}
+	if strings.HasPrefix(pattern, "/") {
+		if len(p) != len(n) {
+			return false
+		}
+		return segsMatch(p, n)
+	}
+	if len(p) > len(n) {
+		return false
+	}
+	return segsMatch(p, n[len(n)-len(p):])
+}
+
+func segsMatch(pattern, path []string) bool {
+	for i := range pattern {
+		if pattern[i] != "*" && pattern[i] != path[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPlanPathMatchesAgreesWithStrings holds the parent-walking matcher
+// to the string matcher on every node of a document with repeated
+// labels, text, a comment and a processing instruction.
+func TestPlanPathMatchesAgreesWithStrings(t *testing.T) {
+	doc, err := dom.ParseWithOptions(strings.NewReader(
+		`<?xml version="1.0"?><a><?pi x?><b><c>t</c><c>u<!--k--></c></b><b><d/></b><c><b><c>v</c></b></c></a>`),
+		dom.ParseOptions{KeepComments: true, KeepProcInsts: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	patterns := []string{
+		"/", "//", "a", "/a", "b", "/b", "a/b", "/a/b", "b/c", "/a/b/c", "a/b/c/d", "/a/b/c/d",
+		"*", "/*", "*/c", "/*/*/c", "/*/*/*/*/*", "c/text()", "text()", "b[2]/c", "c[1]", "/a[1]/b[2]/d",
+		"comment()", "c/comment()", "processing-instruction()", "/a/processing-instruction()", "x", "b//c",
+	}
+	nodes := dom.Preorder(doc)
+	if len(nodes) < 15 {
+		t.Fatalf("parsed only %d nodes", len(nodes))
+	}
+	for _, pat := range patterns {
+		p := compile([]Subscription{{ID: "s", Path: pat}}, nil).plans[0]
+		for _, n := range nodes {
+			if got, want := p.pathMatches(n), pathMatches(pat, n.Path()); got != want {
+				t.Errorf("pattern %q on %s: plan says %v, strings say %v", pat, n.Path(), got, want)
+			}
+		}
+		if p.pathMatches(nil) {
+			t.Errorf("pattern %q matches a nil node", pat)
+		}
+	}
+}
+
+// simPair returns a changesim version pair and the delta the given
+// matcher computes between them, XIDs consistent.
+func simPair(t testing.TB, html bool, seed int64, size int, matcher diff.Matcher) (*dom.Node, *dom.Node, *delta.Delta) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	var oldDoc, newDoc *dom.Node
+	if html {
+		oldDoc = changesim.HTMLPage(rng, size)
+		res, err := changesim.SimulateHTML(oldDoc, changesim.UniformHTML(0.12, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		newDoc = res.New
+	} else {
+		oldDoc = changesim.CatalogOfSize(rng, size)
+		res, err := changesim.Simulate(oldDoc, changesim.Uniform(0.10, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		newDoc = res.New
+	}
+	// Fresh trees: the simulators leave their own XIDs behind.
+	oldDoc, newDoc = reparse(t, oldDoc), reparse(t, newDoc)
+	d, err := diff.Diff(oldDoc, newDoc, diff.Options{Matcher: matcher})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return oldDoc, newDoc, d
+}
+
+func reparse(t testing.TB, doc *dom.Node) *dom.Node {
+	t.Helper()
+	out, err := dom.ParseString(doc.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// generatedSubs draws a subscription set from the vocabulary of the two
+// corpora: every filter the alerter has, alone and combined.
+func generatedSubs(rng *rand.Rand, docID string) []Subscription {
+	paths := []string{
+		"", "Product", "Category/Product", "Product/Price", "/Catalog/Category/Product/Name", "/Catalog/*/Product",
+		"*/Description", "Price/text()", "ul/li", "div/h2", "/html/body", "li", "nosuch/path", "/",
+	}
+	queries := []string{
+		`//Product[Price>500]`, `//Product[@status='sale']`, `//Product/Price`, `//Price`, `/Catalog/Category/Product`,
+		`Product | //Category/Title`, `Name | Price`, `.`, `..`, `//Product[Price>500] | //Manufacturer`,
+		`/html/head/title`, `//li`, `//div/h2 | p`, `//text()`, `//*[@class]`, `//nosuch`,
+	}
+	contains := []string{"", "", "", "a", "$1", "sale", "the", "zzzz"}
+	allKinds := []delta.Kind{
+		delta.KindInsert, delta.KindDelete, delta.KindUpdate, delta.KindMove,
+		delta.KindInsertAttr, delta.KindDeleteAttr, delta.KindUpdateAttr,
+	}
+	subs := []Subscription{{ID: "everything"}}
+	for i := 0; i < 24; i++ {
+		s := Subscription{ID: fmt.Sprintf("s%d", i), Contains: contains[rng.Intn(len(contains))]}
+		if rng.Intn(2) == 0 {
+			s.Query = xpathlite.MustCompile(queries[rng.Intn(len(queries))])
+		} else {
+			s.Path = paths[rng.Intn(len(paths))]
+		}
+		for _, k := range allKinds {
+			if rng.Intn(3) == 0 {
+				s.Kinds = append(s.Kinds, k)
+			}
+		}
+		switch rng.Intn(5) {
+		case 0:
+			s.DocID = docID
+		case 1:
+			s.DocID = "another-document"
+		}
+		subs = append(subs, s)
+	}
+	// Two subscriptions sharing an ID are legal.
+	subs = append(subs, Subscription{ID: "s0", Kinds: []delta.Kind{delta.KindDelete}})
+	return subs
+}
+
+func equalAlerts(a, b []Alert) error {
+	if len(a) != len(b) {
+		return fmt.Errorf("%d alerts, reference has %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i].SubID != b[i].SubID || a[i].DocID != b[i].DocID || a[i].Version != b[i].Version ||
+			a[i].Path != b[i].Path || !reflect.DeepEqual(a[i].Op, b[i].Op) {
+			return fmt.Errorf("alert %d is %v (op %v), reference has %v (op %v)", i, a[i], a[i].Op, b[i], b[i].Op)
+		}
+	}
+	return nil
+}
+
+// TestNotifyMatchesReference runs Notify and the reference evaluator
+// over catalog and HTML version pairs, under both matchers, with
+// generated subscription sets, and requires identical alert lists.
+func TestNotifyMatchesReference(t *testing.T) {
+	total := 0
+	for _, html := range []bool{false, true} {
+		for _, matcher := range []diff.Matcher{diff.MatcherBULD, diff.MatcherSFTM} {
+			for seed := int64(1); seed <= 4; seed++ {
+				size := 12000
+				if html {
+					size = 12
+				}
+				oldDoc, newDoc, d := simPair(t, html, seed, size, matcher)
+				if d.Count().Deletes == 0 || d.Count().Updates == 0 {
+					t.Fatalf("html=%v %s seed %d: delta too plain to test with: %s", html, matcher, seed, d.Count())
+				}
+				subs := generatedSubs(rand.New(rand.NewSource(seed)), "doc")
+				want := notifyReference(subs, "doc", 7, oldDoc, newDoc, d)
+				got := New(subs...).Notify("doc", 7, oldDoc, newDoc, d)
+				if err := equalAlerts(got, want); err != nil {
+					t.Errorf("html=%v %s seed %d: %v", html, matcher, seed, err)
+				}
+				total += len(want)
+			}
+		}
+	}
+	if total < 1000 {
+		t.Errorf("only %d alerts compared; the generated subscriptions match too little", total)
+	}
+}
+
+// TestNotifyReferenceCases pins the named behaviours on hand-written
+// pairs, each against the reference: an unrestricted predicate query, a
+// relative query, a union, Contains, DocID filters, the text-node →
+// parent fallback, and deletes resolved in the old tree.
+func TestNotifyReferenceCases(t *testing.T) {
+	oldXML := `<Catalog><Category><Title>tools</Title>` +
+		`<Product status="sale"><Name>saw</Name><Price>$900</Price></Product>` +
+		`<Product><Name>axe</Name><Price>$40</Price></Product>` +
+		`<Product><Name>gone</Name><Price>$700</Price><Note>last one</Note></Product></Category></Catalog>`
+	newXML := `<Catalog><Category><Title>tools</Title>` +
+		`<Product status="new"><Name>saw</Name><Price>$950</Price></Product>` +
+		`<Product><Name>axe</Name><Price>$45</Price></Product></Category>` +
+		`<Category><Title>machines</Title><Product><Name>lathe</Name><Price>$2000</Price></Product></Category></Catalog>`
+	oldDoc, newDoc, d := diffPair(t, oldXML, newXML)
+	cases := []struct {
+		name string
+		sub  Subscription
+		min  int
+	}{
+		{"unrestricted predicate", Subscription{Query: xpathlite.MustCompile(`//Product[Price>500]`)}, 1},
+		{"relative query", Subscription{Query: xpathlite.MustCompile(`Price`)}, 0},
+		{"self query", Subscription{Query: xpathlite.MustCompile(`.`)}, 1},
+		{"union", Subscription{Query: xpathlite.MustCompile(`//Name | //Product[@status]`)}, 1},
+		{"contains", Subscription{Contains: "lathe"}, 1},
+		{"doc filter hit", Subscription{DocID: "doc"}, 1},
+		{"doc filter miss", Subscription{DocID: "other"}, 0},
+		{"text falls back to parent, path", Subscription{Path: "Product/Price", Kinds: []delta.Kind{delta.KindUpdate}}, 1},
+		{"text falls back to parent, query", Subscription{Query: xpathlite.MustCompile(`//Product/Price`), Kinds: []delta.Kind{delta.KindUpdate}}, 1},
+		{"delete resolves in the old tree", Subscription{Path: "/Catalog/Category/Product", Kinds: []delta.Kind{delta.KindDelete}}, 1},
+		{"delete by old-tree query", Subscription{Query: xpathlite.MustCompile(`//Product[Price>500]`), Kinds: []delta.Kind{delta.KindDelete}}, 1},
+	}
+	for _, c := range cases {
+		c.sub.ID = c.name
+		want := notifyReference([]Subscription{c.sub}, "doc", 2, oldDoc, newDoc, d)
+		got := New(c.sub).Notify("doc", 2, oldDoc, newDoc, d)
+		if err := equalAlerts(got, want); err != nil {
+			t.Errorf("%s: %v\ndelta:\n%s", c.name, err, d)
+		}
+		if len(want) < c.min {
+			t.Errorf("%s: reference raised %d alerts, the case wants at least %d\ndelta:\n%s", c.name, len(want), c.min, d)
+		}
+	}
+}
+
+// TestNotifyConcurrentWithSubscriptionChanges runs Notify against a
+// stream of Subscribe/Unsubscribe/Attach/Detach (the race detector
+// watches the shared lists) and checks the contract Unsubscribe gives:
+// a Notify that starts after it returned raises nothing for that ID.
+func TestNotifyConcurrentWithSubscriptionChanges(t *testing.T) {
+	oldDoc, newDoc, d := diffPair(t,
+		`<r><a><v>1</v></a><b><v>2</v></b></r>`,
+		`<r><a><v>9</v></a><b><v>3</v></b><c/></r>`)
+	countSub := func(alerts []Alert, id string) int {
+		n := 0
+		for _, al := range alerts {
+			if al.SubID == id {
+				n++
+			}
+		}
+		return n
+	}
+	a := New(Subscription{ID: "keep"})
+	stop := make(chan struct{})
+	var readers, writers sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// Whatever list this Notify started with, each of its
+				// subscriptions fires once per operation: "keep" does.
+				if n := countSub(a.Notify("doc", 2, oldDoc, newDoc, d), "keep"); n != len(d.Ops) {
+					t.Errorf("keep fired %d times for %d ops", n, len(d.Ops))
+					return
+				}
+			}
+		}()
+	}
+	for g := 0; g < 2; g++ {
+		writers.Add(1)
+		go func(g int) {
+			defer writers.Done()
+			sink := NewChanNotifier(1)
+			for i := 0; i < 300; i++ {
+				id := fmt.Sprintf("tmp-%d-%d", g, i)
+				a.Subscribe(Subscription{ID: id})
+				a.Attach(sink)
+				if n := countSub(a.Notify("doc", 2, oldDoc, newDoc, d), id); n != len(d.Ops) {
+					t.Errorf("%s fired %d times while subscribed, want %d", id, n, len(d.Ops))
+				}
+				if !a.Unsubscribe(id) {
+					t.Errorf("Unsubscribe(%s) found nothing", id)
+				}
+				a.Detach(sink)
+				if n := countSub(a.Notify("doc", 2, oldDoc, newDoc, d), id); n != 0 {
+					t.Errorf("%s fired %d times after Unsubscribe returned", id, n)
+				}
+			}
+		}(g)
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	if got := a.Subscriptions(); len(got) != 1 || got[0].ID != "keep" {
+		t.Errorf("subscriptions left = %v, want only keep", got)
+	}
+}
+
+// BenchmarkNotifyUnrestrictedXPath is the case the end-to-end benchmark
+// had to avoid: one //Product[Price>500] subscription with no kind
+// filter on a ~340 KB catalog PUT (10% churn, ~1700 operations).
+func BenchmarkNotifyUnrestrictedXPath(b *testing.B) {
+	oldDoc, newDoc, d := simPair(b, false, 1, 340000, diff.MatcherBULD)
+	a := New(Subscription{ID: "expensive", Query: xpathlite.MustCompile(`//Product[Price>500]`)})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchAlerts = a.Notify("catalog", 2, oldDoc, newDoc, d)
+	}
+	b.ReportMetric(float64(len(d.Ops)), "ops")
+	b.ReportMetric(float64(len(benchAlerts)), "alerts")
+}
+
+var benchAlerts []Alert

@@ -14,7 +14,9 @@ type Notifier interface {
 func (a *Alerter) Attach(n Notifier) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.sinks = append(a.sinks, n)
+	cur := a.state.Load()
+	sinks := append(append(make([]Notifier, 0, len(cur.sinks)+1), cur.sinks...), n)
+	a.state.Store(cur.withSinks(sinks))
 }
 
 // Detach removes a previously attached sink, reporting whether it was
@@ -22,27 +24,23 @@ func (a *Alerter) Attach(n Notifier) {
 func (a *Alerter) Detach(n Notifier) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for i, s := range a.sinks {
+	cur := a.state.Load()
+	for i, s := range cur.sinks {
 		if s == n {
-			a.sinks = append(a.sinks[:i], a.sinks[i+1:]...)
+			sinks := append(append(make([]Notifier, 0, len(cur.sinks)-1), cur.sinks[:i]...), cur.sinks[i+1:]...)
+			a.state.Store(cur.withSinks(sinks))
 			return true
 		}
 	}
 	return false
 }
 
-// dispatch fans a batch out to the attached sinks.
-func (a *Alerter) dispatch(alerts []Alert) {
-	if len(alerts) == 0 {
-		return
-	}
-	a.mu.RLock()
-	sinks := make([]Notifier, len(a.sinks))
-	copy(sinks, a.sinks)
-	a.mu.RUnlock()
-	for _, s := range sinks {
-		s.Alerts(alerts)
-	}
+// withSinks returns a copy of the snapshot with another sink list; the
+// compiled subscriptions, which are never modified, are shared.
+func (c *snapshot) withSinks(sinks []Notifier) *snapshot {
+	next := *c
+	next.sinks = sinks
+	return &next
 }
 
 // ChanNotifier is a channel-backed in-process Notifier: alerts are

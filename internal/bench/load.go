@@ -175,7 +175,7 @@ func RunLoad(cfg LoadConfig) (*Bench6Report, error) {
 	// The observer stands in for the subscription path: every versioning
 	// diff notifies it, like the daemon's alerter.
 	var notifications atomic.Int64
-	st.SetObserver(func(string, int, *dom.Node, *dom.Node, *diff.Result) {
+	st.SetObserver(func(store.Observation) {
 		notifications.Add(1)
 	})
 

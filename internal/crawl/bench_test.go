@@ -97,8 +97,8 @@ func BenchmarkCrawlIngest(b *testing.B) {
 
 	st := store.New(diff.Options{})
 	alerter := alert.New(alert.Subscription{ID: "bench", Path: "Product"})
-	st.SetObserver(func(id string, version int, oldDoc, newDoc *dom.Node, r *diff.Result) {
-		alerter.Notify(id, version, oldDoc, newDoc, r.Delta)
+	st.SetObserver(func(o store.Observation) {
+		alerter.Notify(o.ID, o.Version, o.Old, o.New, o.Result.Delta)
 	})
 	ingest := func(ctx context.Context, id string, body []byte) (bool, error) {
 		doc, err := dom.Parse(bytes.NewReader(body))

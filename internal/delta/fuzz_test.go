@@ -50,3 +50,32 @@ func FuzzParse(f *testing.F) {
 		}
 	})
 }
+
+// FuzzMarshalIdentical: for every delta that parses, the streaming
+// encoder and the document-building encoder it replaced produce the
+// same bytes, and Size counts them.
+func FuzzMarshalIdentical(f *testing.F) {
+	seeds := []string{
+		`<delta/>`,
+		`<delta nextxid="12"/>`,
+		`<delta nextxid="9"><update xid="1"><old>a &amp; b</old><new>&lt;c&gt;</new></update></delta>`,
+		`<delta><update xid="1"><old/><new> </new></update></delta>`,
+		`<delta><move from-parent="2" from-pos="1" to-parent="3" to-pos="2" xid="1"/></delta>`,
+		`<delta><insert parent="1" pos="1" xid="5" xidmap="(3-5)"><e z="1" a="&quot;q&quot;&#10;"><f/>t&amp;t</e></insert></delta>`,
+		`<delta><insert parent="1" pos="2" xid="6" xidmap="(6)"><!--note--></insert></delta>`,
+		`<delta><insert parent="1" pos="2" xid="6" xidmap="(6)"><?target body?></insert></delta>`,
+		`<delta><delete parent="1" pos="1" xid="5" xidmap="(5)">text only</delete></delta>`,
+		`<delta><insert-attribute name="k" value="a&#9;b" xid="3"/><delete-attribute name="k" old="&lt;" xid="4"/>` +
+			`<update-attribute name="n:k" new="" old="x" xid="5"/></delta>`,
+	}
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		d, err := ParseString(src)
+		if err != nil {
+			return
+		}
+		checkEncoding(t, d)
+	})
+}

@@ -15,8 +15,10 @@ import (
 // serialized 1-based, as in the paper's examples; in-memory ops use
 // 0-based positions.
 
-// ToDoc renders the delta as an XML document tree. It errors on an
-// operation type the package does not know instead of panicking.
+// ToDoc renders the delta as an XML document tree, for a caller that
+// wants to query or edit the delta as a document; WriteTo encodes the
+// same bytes without building it. It errors on an operation type the
+// package does not know instead of panicking.
 func (d *Delta) ToDoc() (*dom.Node, error) {
 	doc := dom.NewDocument()
 	root := dom.NewElement("delta")
@@ -32,31 +34,6 @@ func (d *Delta) ToDoc() (*dom.Node, error) {
 		root.Append(e)
 	}
 	return doc, nil
-}
-
-// WriteTo serializes the delta as XML.
-func (d *Delta) WriteTo(w io.Writer) (int64, error) {
-	doc, err := d.ToDoc()
-	if err != nil {
-		return 0, err
-	}
-	return doc.WriteTo(w)
-}
-
-// MarshalText renders the delta as XML bytes.
-func (d *Delta) MarshalText() ([]byte, error) {
-	var b strings.Builder
-	if _, err := d.WriteTo(&b); err != nil {
-		return nil, err
-	}
-	return []byte(b.String()), nil
-}
-
-// Size returns the size in bytes of the delta's XML serialization, the
-// quality measure used throughout the paper's Section 6.
-func (d *Delta) Size() int {
-	b, _ := d.MarshalText()
-	return len(b)
 }
 
 func opToElement(op Op) (*dom.Node, error) {

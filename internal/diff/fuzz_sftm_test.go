@@ -68,6 +68,7 @@ func FuzzSFTMApply(f *testing.F) {
 		if err != nil {
 			t.Fatalf("MarshalText: %v", err)
 		}
+		checkEncoderIdentical(t, d, text)
 		d2, err := delta.Parse(strings.NewReader(string(text)))
 		if err != nil {
 			t.Fatalf("reparsing own delta: %v\n%s", err, text)

@@ -80,6 +80,7 @@ func FuzzDiffApply(f *testing.F) {
 		if err != nil {
 			t.Fatalf("MarshalText: %v", err)
 		}
+		checkEncoderIdentical(t, d, text)
 		d2, err := delta.Parse(strings.NewReader(string(text)))
 		if err != nil {
 			t.Fatalf("reparsing own delta: %v\n%s", err, text)
@@ -99,6 +100,24 @@ func FuzzDiffApply(f *testing.F) {
 			t.Fatalf("reparsed delta produced a different document")
 		}
 	})
+}
+
+// checkEncoderIdentical holds the streaming delta encoder, whose output
+// text is, to the encoder it replaced: build the delta's document,
+// serialize the tree. Both fuzzers call it, so both committed corpora
+// run through it on every go test.
+func checkEncoderIdentical(t *testing.T, d *delta.Delta, text []byte) {
+	t.Helper()
+	doc, err := d.ToDoc()
+	if err != nil {
+		t.Fatalf("ToDoc: %v", err)
+	}
+	if want := doc.String(); string(text) != want {
+		t.Fatalf("streaming encoder differs from ToDoc().WriteTo\n got: %s\nwant: %s", text, want)
+	}
+	if d.Size() != len(text) {
+		t.Fatalf("Size() = %d, the encoding has %d bytes", d.Size(), len(text))
+	}
 }
 
 // applyScript interprets script bytes as a bounded edit sequence over

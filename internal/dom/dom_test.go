@@ -2,6 +2,7 @@ package dom
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -379,6 +380,36 @@ func TestPath(t *testing.T) {
 	}
 	if got := doc.Path(); got != "/" {
 		t.Errorf("document Path = %q", got)
+	}
+	if got := (*Node)(nil).Path(); got != "" {
+		t.Errorf("nil Path = %q", got)
+	}
+	mixed, err := ParseWithOptions(strings.NewReader(`<a>x<!--c--><b/>y<?p q?><!--d--></a>`),
+		ParseOptions{KeepComments: true, KeepProcInsts: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"/a/text()[1]", "/a/comment()[1]", "/a/b", "/a/text()[2]", "/a/processing-instruction()", "/a/comment()[2]"}
+	for i, c := range mixed.Root().Children {
+		if got := c.Path(); got != want[i] {
+			t.Errorf("child %d Path = %q, want %q", i, got, want[i])
+		}
+	}
+	// Deeper than the ancestor stack Path starts with, detached at the
+	// top: no leading document, twelve siblings at the leaf.
+	top := NewElement("n0")
+	cur := top
+	for i := 1; i < 40; i++ {
+		next := NewElement(fmt.Sprintf("n%d", i))
+		cur.Append(next)
+		cur = next
+	}
+	for i := 0; i < 12; i++ {
+		cur.Append(NewElement("leaf"))
+	}
+	got := cur.Children[11].Path()
+	if !strings.HasPrefix(got, "/n0/n1/n2/") || !strings.HasSuffix(got, "/n38/n39/leaf[12]") || strings.Count(got, "/") != 41 {
+		t.Errorf("deep Path = %q", got)
 	}
 }
 

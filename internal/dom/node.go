@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -272,18 +273,27 @@ func (n *Node) Path() string {
 	if n.Type == Document {
 		return "/"
 	}
-	var parts []string
+	// Ancestors first, then one buffer: a path is built per delta
+	// operation on the alert path, so it costs one allocation.
+	var stack [16]*Node
+	chain := stack[:0]
 	for cur := n; cur != nil && cur.Type != Document; cur = cur.Parent {
-		parts = append(parts, cur.step())
+		chain = append(chain, cur)
 	}
-	// Reverse.
-	for i, j := 0, len(parts)-1; i < j; i, j = i+1, j-1 {
-		parts[i], parts[j] = parts[j], parts[i]
+	var arr [96]byte
+	buf := arr[:0]
+	for i := len(chain) - 1; i >= 0; i-- {
+		buf = append(buf, '/')
+		buf = chain[i].appendStep(buf)
 	}
-	return "/" + strings.Join(parts, "/")
+	return string(buf)
 }
 
-func (n *Node) step() string {
+func (n *Node) step() string { return string(n.appendStep(nil)) }
+
+// appendStep appends n's location step: its label, plus a 1-based
+// [index] among same-label siblings when there is more than one.
+func (n *Node) appendStep(buf []byte) []byte {
 	label := n.Name
 	switch n.Type {
 	case Text:
@@ -293,8 +303,9 @@ func (n *Node) step() string {
 	case ProcInst:
 		label = "processing-instruction()"
 	}
+	buf = append(buf, label...)
 	if n.Parent == nil {
-		return label
+		return buf
 	}
 	same, pos := 0, 0
 	for _, s := range n.Parent.Children {
@@ -306,15 +317,24 @@ func (n *Node) step() string {
 		}
 	}
 	if same > 1 {
-		return fmt.Sprintf("%s[%d]", label, pos)
+		buf = append(buf, '[')
+		buf = strconv.AppendInt(buf, int64(pos), 10)
+		buf = append(buf, ']')
 	}
-	return label
+	return buf
 }
 
 // sortedAttrs returns the attributes sorted by name. Used by equality,
 // hashing and canonical serialization so attribute order never matters.
 func (n *Node) sortedAttrs() []Attr {
-	if len(n.Attrs) < 2 {
+	sorted := true
+	for i := 1; i < len(n.Attrs); i++ {
+		if n.Attrs[i-1].Name > n.Attrs[i].Name {
+			sorted = false
+			break
+		}
+	}
+	if sorted {
 		return n.Attrs
 	}
 	s := make([]Attr, len(n.Attrs))

@@ -1,7 +1,6 @@
 package dom
 
 import (
-	"bufio"
 	"io"
 	"strings"
 )
@@ -11,35 +10,144 @@ import (
 // no insignificant whitespace is added, so two Equal trees serialize to
 // identical bytes.
 func (n *Node) WriteTo(w io.Writer) (int64, error) {
-	cw := &countWriter{w: bufio.NewWriter(w)}
-	writeNode(cw, n)
-	if cw.err == nil {
-		cw.err = cw.w.(*bufio.Writer).Flush()
-	}
-	return cw.n, cw.err
+	e := NewEncoder(w)
+	e.Node(n)
+	return e.Flush()
 }
 
 // String serializes the subtree rooted at n as XML.
 func (n *Node) String() string {
 	var b strings.Builder
-	cw := &countWriter{w: &b}
-	writeNode(cw, n)
+	e := NewEncoder(&b)
+	e.Node(n)
+	e.cw.flush() // a Builder cannot fail
 	return b.String()
 }
 
+// Encoder writes canonical XML piece by piece — the primitives WriteTo
+// is built from — for a caller that serializes a document it never
+// holds as a tree (package delta encodes its operations this way).
+// Output is buffered; write errors are sticky and reported by Flush.
+type Encoder struct{ cw countWriter }
+
+// NewEncoder returns an encoder writing to w.
+func NewEncoder(w io.Writer) *Encoder {
+	return &Encoder{cw: countWriter{w: w, buf: make([]byte, 0, flushSize)}}
+}
+
+// StartElement writes a start tag, or a whole empty element when empty
+// is set. The attributes are written in the order given: the caller
+// passes them sorted by name, as WriteTo does.
+func (e *Encoder) StartElement(name string, attrs []Attr, empty bool) {
+	writeStart(&e.cw, name, attrs, empty)
+}
+
+// EndElement writes an end tag.
+func (e *Encoder) EndElement(name string) { writeEnd(&e.cw, name) }
+
+// Text writes escaped character data.
+func (e *Encoder) Text(s string) { e.cw.writeEscaped(s, false) }
+
+// Node writes the subtree rooted at n.
+func (e *Encoder) Node(n *Node) { writeNode(&e.cw, n) }
+
+// Flush writes out anything buffered and returns the bytes written so
+// far and the first error met.
+func (e *Encoder) Flush() (int64, error) {
+	e.cw.flush()
+	return e.cw.n, e.cw.err
+}
+
+// flushSize is how much output a countWriter gathers per Write.
+const flushSize = 4096
+
+// countWriter gathers output in buf, whose capacity is flushSize, and
+// hands it to w one full buffer at a time, counting what w accepted.
 type countWriter struct {
 	w   io.Writer
+	buf []byte
 	n   int64
 	err error
 }
 
 func (cw *countWriter) writeString(s string) {
-	if cw.err != nil {
+	for len(s) > cap(cw.buf)-len(cw.buf) {
+		n := copy(cw.buf[len(cw.buf):cap(cw.buf)], s)
+		cw.buf = cw.buf[:len(cw.buf)+n]
+		cw.flush()
+		s = s[n:]
+	}
+	cw.buf = append(cw.buf, s...)
+}
+
+func (cw *countWriter) flush() {
+	if cw.err == nil && len(cw.buf) > 0 {
+		n, err := cw.w.Write(cw.buf)
+		cw.n += int64(n)
+		cw.err = err
+	}
+	cw.buf = cw.buf[:0]
+}
+
+// writeEscaped writes character data (attr false) or a double-quoted
+// attribute value (attr true) with the characters XML reserves there
+// replaced by references. Unescaped runs are written as they are, so
+// nothing is allocated.
+func (cw *countWriter) writeEscaped(s string, attr bool) {
+	last := 0
+	for i := 0; i < len(s); i++ {
+		var esc string
+		switch s[i] {
+		case '&':
+			esc = "&amp;"
+		case '<':
+			esc = "&lt;"
+		case '>':
+			esc = "&gt;"
+		case '"':
+			if attr {
+				esc = "&quot;"
+			}
+		case '\n':
+			if attr {
+				esc = "&#10;"
+			}
+		case '\t':
+			if attr {
+				esc = "&#9;"
+			}
+		}
+		if esc == "" {
+			continue
+		}
+		cw.writeString(s[last:i])
+		cw.writeString(esc)
+		last = i + 1
+	}
+	cw.writeString(s[last:])
+}
+
+func writeStart(cw *countWriter, name string, attrs []Attr, empty bool) {
+	cw.writeString("<")
+	cw.writeString(name)
+	for _, a := range attrs {
+		cw.writeString(" ")
+		cw.writeString(a.Name)
+		cw.writeString(`="`)
+		cw.writeEscaped(a.Value, true)
+		cw.writeString(`"`)
+	}
+	if empty {
+		cw.writeString("/>")
 		return
 	}
-	n, err := io.WriteString(cw.w, s)
-	cw.n += int64(n)
-	cw.err = err
+	cw.writeString(">")
+}
+
+func writeEnd(cw *countWriter, name string) {
+	cw.writeString("</")
+	cw.writeString(name)
+	cw.writeString(">")
 }
 
 func writeNode(cw *countWriter, n *Node) {
@@ -49,28 +157,16 @@ func writeNode(cw *countWriter, n *Node) {
 			writeNode(cw, c)
 		}
 	case Element:
-		cw.writeString("<")
-		cw.writeString(n.Name)
-		for _, a := range n.sortedAttrs() {
-			cw.writeString(" ")
-			cw.writeString(a.Name)
-			cw.writeString(`="`)
-			cw.writeString(escapeAttr(a.Value))
-			cw.writeString(`"`)
-		}
+		writeStart(cw, n.Name, n.sortedAttrs(), len(n.Children) == 0)
 		if len(n.Children) == 0 {
-			cw.writeString("/>")
 			return
 		}
-		cw.writeString(">")
 		for _, c := range n.Children {
 			writeNode(cw, c)
 		}
-		cw.writeString("</")
-		cw.writeString(n.Name)
-		cw.writeString(">")
+		writeEnd(cw, n.Name)
 	case Text:
-		cw.writeString(escapeText(n.Value))
+		cw.writeEscaped(n.Value, false)
 	case Comment:
 		cw.writeString("<!--")
 		cw.writeString(n.Value)
@@ -84,54 +180,4 @@ func writeNode(cw *countWriter, n *Node) {
 		}
 		cw.writeString("?>")
 	}
-}
-
-// escapeText escapes character data for element content.
-func escapeText(s string) string {
-	if !strings.ContainsAny(s, "&<>") {
-		return s
-	}
-	var b strings.Builder
-	b.Grow(len(s) + 8)
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '&':
-			b.WriteString("&amp;")
-		case '<':
-			b.WriteString("&lt;")
-		case '>':
-			b.WriteString("&gt;")
-		default:
-			b.WriteByte(s[i])
-		}
-	}
-	return b.String()
-}
-
-// escapeAttr escapes an attribute value for a double-quoted attribute.
-func escapeAttr(s string) string {
-	if !strings.ContainsAny(s, "&<>\"\n\t") {
-		return s
-	}
-	var b strings.Builder
-	b.Grow(len(s) + 8)
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '&':
-			b.WriteString("&amp;")
-		case '<':
-			b.WriteString("&lt;")
-		case '>':
-			b.WriteString("&gt;")
-		case '"':
-			b.WriteString("&quot;")
-		case '\n':
-			b.WriteString("&#10;")
-		case '\t':
-			b.WriteString("&#9;")
-		default:
-			b.WriteByte(s[i])
-		}
-	}
-	return b.String()
 }

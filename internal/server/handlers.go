@@ -309,9 +309,8 @@ func (s *Server) handleListDocs(w http.ResponseWriter, r *http.Request) {
 }
 
 type putResult struct {
-	version int
-	delta   *delta.Delta
-	err     error
+	store.PutResult
+	err error
 }
 
 // parseOptions are the hardened parse options applied to uploaded
@@ -368,8 +367,8 @@ func (s *Server) handlePutDoc(w http.ResponseWriter, r *http.Request) {
 	done := make(chan putResult, 1)
 	ctx := r.Context()
 	submitErr := s.pool.submit(func() {
-		v, d, err := s.store.PutMatcherContext(ctx, id, doc, matcher)
-		done <- putResult{version: v, delta: d, err: err}
+		res, err := s.store.PutDetailed(ctx, id, doc, matcher)
+		done <- putResult{PutResult: res, err: err}
 	})
 	if submitErr != nil {
 		s.shedLoad(w, submitErr.Error())
@@ -390,16 +389,14 @@ func (s *Server) handlePutDoc(w http.ResponseWriter, r *http.Request) {
 		}
 		// The hint resets once a Put makes it through end to end.
 		s.shedBackoff.Reset()
-		resp := map[string]any{"id": id, "version": res.version}
-		if res.delta != nil {
-			resp["deltaOps"] = res.delta.Count().Total()
-			resp["deltaBytes"] = res.delta.Size()
-		} else {
-			resp["deltaOps"] = 0
-			resp["deltaBytes"] = 0
+		// deltaBytes is the length of the record body the store wrote,
+		// the same bytes GET /docs/{id}/deltas/{n} serves.
+		resp := map[string]any{"id": id, "version": res.Version, "deltaOps": 0, "deltaBytes": res.DeltaBytes}
+		if res.Delta != nil {
+			resp["deltaOps"] = len(res.Delta.Ops)
 		}
 		code := http.StatusOK
-		if res.version == 1 {
+		if res.Version == 1 {
 			code = http.StatusCreated
 		}
 		writeJSON(w, code, resp)

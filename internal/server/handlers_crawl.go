@@ -33,8 +33,8 @@ func (s *Server) crawlIngest(ctx context.Context, id string, body []byte) (bool,
 	}
 	done := make(chan putResult, 1)
 	if err := s.pool.submit(func() {
-		v, d, err := s.store.PutMatcherContext(ctx, id, doc, matcher)
-		done <- putResult{version: v, delta: d, err: err}
+		res, err := s.store.PutDetailed(ctx, id, doc, matcher)
+		done <- putResult{PutResult: res, err: err}
 	}); err != nil {
 		return false, err
 	}
@@ -43,7 +43,7 @@ func (s *Server) crawlIngest(ctx context.Context, id string, body []byte) (bool,
 		if res.err != nil {
 			return false, res.err
 		}
-		changed := res.version == 1 || (res.delta != nil && !res.delta.Empty())
+		changed := res.Version == 1 || !res.Delta.Empty()
 		return changed, nil
 	case <-ctx.Done():
 		return false, ctx.Err()

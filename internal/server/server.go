@@ -36,8 +36,7 @@ import (
 // commit, version cache) is picked up through the optional
 // storageStatser capability.
 type Store interface {
-	PutContext(ctx context.Context, id string, doc *dom.Node) (int, *delta.Delta, error)
-	PutMatcherContext(ctx context.Context, id string, doc *dom.Node, matcher diff.Matcher) (int, *delta.Delta, error)
+	PutDetailed(ctx context.Context, id string, doc *dom.Node, matcher diff.Matcher) (store.PutResult, error)
 	Latest(id string) (*dom.Node, int, error)
 	Version(id string, n int) (*dom.Node, error)
 	Versions(id string) int
@@ -186,14 +185,22 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 // stopped accepting requests.
 func (s *Server) Close() { s.pool.close() }
 
-// observe is the store's observer hook: it runs under the document's
-// write lock, in version order, once per successful versioning diff.
-func (s *Server) observe(id string, version int, oldDoc, newDoc *dom.Node, r *diff.Result) {
+// observe is the store's observer hook: it runs on the PUT's worker
+// goroutine under the document's write lock, in version order, once
+// per successful versioning diff, after the version is durable. The
+// store has encoded the delta already (o.DeltaBytes); here its ops are
+// resolved against the two versions once, for the statistics collector
+// and the alerter both. Nothing pointing into the trees outlives the
+// call: the collector keeps counts, the alert log keeps ops and path
+// strings.
+func (s *Server) observe(o store.Observation) {
+	r := o.Result
 	s.metrics.observeDiff(r.Matcher, [5]time.Duration{
 		r.Timings.Phase1, r.Timings.Phase2, r.Timings.Phase3, r.Timings.Phase4, r.Timings.Phase5,
 	})
-	s.collector.Observe(oldDoc, newDoc, r.Delta)
-	alerts := s.alerter.Notify(id, version, oldDoc, newDoc, r.Delta)
+	t := delta.Resolve(r.Delta, o.Old, o.New)
+	s.collector.ObserveResolved(t, o.DeltaBytes)
+	alerts := s.alerter.NotifyResolved(o.ID, o.Version, t)
 	if len(alerts) > 0 {
 		s.alertLog.add(alerts)
 		s.metrics.addAlerts(len(alerts))

@@ -39,6 +39,12 @@ func (w *gatedWriter) WriteHeader(code int) {
 	}
 }
 
+func (w *gatedWriter) status() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.code
+}
+
 func (w *gatedWriter) Write(p []byte) (int, error) {
 	w.attempts.Add(1)
 	<-w.gate
@@ -87,6 +93,14 @@ func TestAlertStreamSlowConsumer(t *testing.T) {
 		defer close(streamDone)
 		s.Handler().ServeHTTP(w, req)
 	}()
+
+	// The handler attaches its sink on its own goroutine, then answers
+	// 200; an alert raised before that reaches nobody.
+	for start := time.Now(); w.status() == 0; time.Sleep(time.Millisecond) {
+		if time.Since(start) > 5*time.Second {
+			t.Fatal("stream handler never started")
+		}
+	}
 
 	// Version 1 raises nothing; each later PUT appends one product and
 	// raises exactly one insert alert.

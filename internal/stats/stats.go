@@ -120,91 +120,118 @@ func (c *Collector) ChangeRate(docID string) (rate float64, visits int) {
 
 // Observe records one version transition. oldDoc is the version the
 // delta applies to and newDoc its result; XIDs must be consistent with
-// the delta (as produced by diff.Diff or store.Put).
+// the delta (as produced by diff.Diff or store.Put). A caller that has
+// already resolved the delta or knows its encoded size — the server's
+// store observer has both — calls ObserveResolved instead.
 func (c *Collector) Observe(oldDoc, newDoc *dom.Node, d *delta.Delta) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.versions++
+	size := 0
+	if !d.Empty() {
+		size = d.Size()
+	}
+	c.ObserveResolved(delta.Resolve(d, oldDoc, newDoc), size)
+}
+
+// ObserveResolved records the version transition t describes, whose
+// delta encodes to deltaBytes bytes of XML. The transition is tallied
+// without the collector's lock, which is held only to merge the tally:
+// concurrent Puts do not queue behind each other's document walks.
+func (c *Collector) ObserveResolved(t *delta.Targets, deltaBytes int) {
 	// Occurrences: count elements of the new version (the population at
 	// risk for the next change).
-	dom.WalkPre(newDoc, func(n *dom.Node) bool {
+	tally := make(map[string]*LabelStats)
+	label := func(name string) *LabelStats {
+		ls := tally[name]
+		if ls == nil {
+			ls = &LabelStats{}
+			tally[name] = ls
+		}
+		return ls
+	}
+	dom.WalkPre(t.NewDoc, func(n *dom.Node) bool {
 		if n.Type == dom.Element {
-			c.label(n.Name).Occurrences++
+			label(n.Name).Occurrences++
 		}
 		return true
 	})
+	d := t.Delta
+	var cnt delta.Counts
+	var docBytes int64
+	if !d.Empty() {
+		cnt = d.Count()
+		// The new version's size, from a counting sink.
+		docBytes, _ = t.NewDoc.WriteTo(io.Discard) // io.Discard cannot fail
+		for i, op := range d.Ops {
+			if n := changedElement(t, i); n != nil {
+				label(n.Name).count(op.Kind())
+			}
+		}
+	}
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.versions++
+	for name, add := range tally {
+		ls := c.labels[name]
+		if ls == nil {
+			ls = &LabelStats{Label: name}
+			c.labels[name] = ls
+		}
+		ls.Occurrences += add.Occurrences
+		ls.Updates += add.Updates
+		ls.Inserts += add.Inserts
+		ls.Deletes += add.Deletes
+		ls.Moves += add.Moves
+		ls.AttrChanges += add.AttrChanges
+	}
 	if d.Empty() {
 		return
 	}
-	cnt := d.Count()
 	c.ops.Inserts += cnt.Inserts
 	c.ops.Deletes += cnt.Deletes
 	c.ops.Updates += cnt.Updates
 	c.ops.Moves += cnt.Moves
 	c.ops.AttrOps += cnt.AttrOps
-	c.deltaSize += int64(d.Size())
-	c.docSize += int64(len(newDoc.String()))
-
-	oldIdx := indexXIDs(oldDoc)
-	newIdx := indexXIDs(newDoc)
-	labelOf := func(xid int64, preferOld bool) string {
-		var n *dom.Node
-		if preferOld {
-			n = oldIdx[xid]
-			if n == nil {
-				n = newIdx[xid]
-			}
-		} else {
-			n = newIdx[xid]
-			if n == nil {
-				n = oldIdx[xid]
-			}
-		}
-		if n == nil {
-			return ""
-		}
-		if n.Type != dom.Element && n.Parent != nil {
-			n = n.Parent // attribute updates to text map to the element
-		}
-		if n.Type != dom.Element {
-			return ""
-		}
-		return n.Name
-	}
-	for _, op := range d.Ops {
-		var label string
-		switch op.Kind() {
-		case delta.KindDelete:
-			label = labelOf(op.TargetXID(), true)
-		default:
-			label = labelOf(op.TargetXID(), false)
-		}
-		if label == "" {
-			continue
-		}
-		ls := c.label(label)
-		switch op.Kind() {
-		case delta.KindUpdate:
-			ls.Updates++
-		case delta.KindInsert:
-			ls.Inserts++
-		case delta.KindDelete:
-			ls.Deletes++
-		case delta.KindMove:
-			ls.Moves++
-		default:
-			ls.AttrChanges++
-		}
-	}
+	c.deltaSize += int64(deltaBytes)
+	c.docSize += docBytes
 }
 
-func (c *Collector) label(name string) *LabelStats {
-	ls := c.labels[name]
-	if ls == nil {
-		ls = &LabelStats{Label: name}
-		c.labels[name] = ls
+// changedElement returns the element operation i of t counts against:
+// deletes are about the old version, everything else about the new
+// one, either falling back to the other side; a change to a text node
+// counts against its element. nil means there is no such element.
+func changedElement(t *delta.Targets, i int) *dom.Node {
+	n, other := t.New[i], t.Old[i]
+	if t.Delta.Ops[i].Kind() == delta.KindDelete {
+		n, other = other, n
 	}
-	return ls
+	if n == nil {
+		n = other
+	}
+	if n == nil {
+		return nil
+	}
+	if n.Type != dom.Element && n.Parent != nil {
+		n = n.Parent
+	}
+	if n.Type != dom.Element || n.Name == "" {
+		return nil
+	}
+	return n
+}
+
+func (l *LabelStats) count(k delta.Kind) {
+	switch k {
+	case delta.KindUpdate:
+		l.Updates++
+	case delta.KindInsert:
+		l.Inserts++
+	case delta.KindDelete:
+		l.Deletes++
+	case delta.KindMove:
+		l.Moves++
+	default:
+		l.AttrChanges++
+	}
 }
 
 // Report is a snapshot of the accumulated statistics.
@@ -254,15 +281,4 @@ func (r Report) WriteTable(w io.Writer) {
 		fmt.Fprintf(w, "%-16s %8d %8d %8d %8d %8d %8d %8.4f\n",
 			l.Label, l.Occurrences, l.Updates, l.Inserts, l.Deletes, l.Moves, l.AttrChanges, l.Rate())
 	}
-}
-
-func indexXIDs(doc *dom.Node) map[int64]*dom.Node {
-	idx := make(map[int64]*dom.Node)
-	dom.WalkPre(doc, func(n *dom.Node) bool {
-		if n.XID != 0 {
-			idx[n.XID] = n
-		}
-		return true
-	})
-	return idx
 }

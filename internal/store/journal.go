@@ -267,27 +267,28 @@ func (s *Store) journalFor(id string) (*journalWriter, error) {
 
 // journalAppend serializes content (a *dom.Node base document or a
 // *delta.Delta) into a record for version and appends it to id's
-// journal, honouring the store's sync policy. Called from Put under
-// the document's write lock, before the in-memory commit.
-func (s *Store) journalAppend(id string, version int, kind byte, content io.WriterTo) error {
+// journal, honouring the store's sync policy; it returns the length of
+// the serialized body. Called from Put under the document's write
+// lock, before the in-memory commit.
+func (s *Store) journalAppend(id string, version int, kind byte, content io.WriterTo) (int, error) {
 	var body bytes.Buffer
 	if _, err := content.WriteTo(&body); err != nil {
-		return fmt.Errorf("store: serialize journal record for %s version %d: %w", id, version, err)
+		return 0, fmt.Errorf("store: serialize journal record for %s version %d: %w", id, version, err)
 	}
 	w, err := s.journalFor(id)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	rec := encodeRecord(kind, version, body.Bytes())
 	n, err := w.append(rec, s.policy == SyncAlways)
 	if err != nil {
-		return fmt.Errorf("store: journal %s version %d: %w", id, version, err)
+		return 0, fmt.Errorf("store: journal %s version %d: %w", id, version, err)
 	}
 	s.stats.addAppend(n)
 	if s.policy == SyncAlways {
 		s.stats.addSync()
 	}
-	return nil
+	return body.Len(), nil
 }
 
 // journalRetire removes a document's journal file after a checkpoint

@@ -32,14 +32,42 @@ import (
 	"xydiff/internal/xid"
 )
 
-// Observer receives the detailed result of every successful non-initial
-// Put: the version number the delta produced, the store's previous and
-// new latest documents, and the diff result (delta plus phase timings).
-// It is invoked synchronously under the document's lock, so per-document
-// call order matches version order; it must not call back into the
-// store for the same document and must not retain or mutate the
-// document trees past its return.
-type Observer func(id string, version int, oldDoc, newDoc *dom.Node, r *diff.Result)
+// Observation is what an Observer is told about one successful
+// non-initial Put.
+type Observation struct {
+	ID      string
+	Version int // the version the delta produced
+	// Old and New are the store's previous and new latest documents,
+	// with the XIDs the delta refers to.
+	Old, New *dom.Node
+	// Result is the diff result: the delta plus phase timings.
+	Result *diff.Result
+	// DeltaBytes is the length of the delta's XML encoding. The store
+	// encodes each delta once, for its journal record; an observer that
+	// wants the size reads it here instead of encoding the delta again.
+	DeltaBytes int
+}
+
+// Observer receives every successful non-initial Put. It is invoked
+// synchronously under the document's lock, so per-document call order
+// matches version order; it must not call back into the store for the
+// same document, must not mutate the document trees, and must not
+// retain them — or anything pointing into them, such as a
+// delta.Targets — past its return. (The delta's ops are immutable and
+// may be kept.)
+type Observer func(Observation)
+
+// PutResult is what PutDetailed reports about an installed version.
+type PutResult struct {
+	Version int
+	// Delta leads from the previous version to this one; nil for the
+	// first version.
+	Delta *delta.Delta
+	// DeltaBytes is the length of Delta's XML encoding — of the bytes
+	// the journal record carries and Delta(id, Version-1) serializes to
+	// — or 0 for the first version.
+	DeltaBytes int
+}
 
 // Store is a versioned XML repository. All methods are safe for
 // concurrent use; writes to different documents diff in parallel,
@@ -110,7 +138,7 @@ func (s *Store) Put(id string, doc *dom.Node) (int, *delta.Delta, error) {
 // write failure leaves the in-memory history untouched and returns the
 // error, so the version is neither acknowledged nor half-installed.
 func (s *Store) PutContext(ctx context.Context, id string, doc *dom.Node) (int, *delta.Delta, error) {
-	return s.putContext(ctx, id, doc, "")
+	return s.PutMatcherContext(ctx, id, doc, "")
 }
 
 // PutMatcherContext is PutContext with a per-call matcher override: a
@@ -118,12 +146,15 @@ func (s *Store) PutContext(ctx context.Context, id string, doc *dom.Node) (int, 
 // for this version's diff only. The stored delta format is identical
 // for every matcher, so histories may freely mix them.
 func (s *Store) PutMatcherContext(ctx context.Context, id string, doc *dom.Node, matcher diff.Matcher) (int, *delta.Delta, error) {
-	return s.putContext(ctx, id, doc, matcher)
+	r, err := s.PutDetailed(ctx, id, doc, matcher)
+	return r.Version, r.Delta, err
 }
 
-func (s *Store) putContext(ctx context.Context, id string, doc *dom.Node, matcher diff.Matcher) (int, *delta.Delta, error) {
+// PutDetailed is PutMatcherContext reporting, besides the version and
+// the delta, the size of the delta's encoding.
+func (s *Store) PutDetailed(ctx context.Context, id string, doc *dom.Node, matcher diff.Matcher) (PutResult, error) {
 	if doc == nil || doc.Type != dom.Document {
-		return 0, nil, fmt.Errorf("store: need a Document node")
+		return PutResult{}, fmt.Errorf("store: need a Document node")
 	}
 	opts := s.opts
 	if matcher != "" {
@@ -143,32 +174,37 @@ func (s *Store) putContext(ctx context.Context, id string, doc *dom.Node, matche
 		first := doc.Clone()
 		xid.Assign(first)
 		if s.journaling() {
-			if err := s.journalAppend(id, 1, recordBase, first); err != nil {
-				return 0, nil, err
+			if _, err := s.journalAppend(id, 1, recordBase, first); err != nil {
+				return PutResult{}, err
 			}
 		}
 		h.latest = first
 		h.versions = 1
-		return 1, nil, nil
+		return PutResult{Version: 1}, nil
 	}
 	next := doc.Clone()
 	r, err := diff.DiffDetailedContext(ctx, h.latest, next, opts)
 	if err != nil {
-		return 0, nil, fmt.Errorf("store: diff %s: %w", id, err)
+		return PutResult{}, fmt.Errorf("store: diff %s: %w", id, err)
 	}
+	// The delta is encoded once: into the journal record, or, with no
+	// journal, into a counting sink.
+	var deltaBytes int
 	if s.journaling() {
-		if err := s.journalAppend(id, h.versions+1, recordDelta, r.Delta); err != nil {
-			return 0, nil, err
+		if deltaBytes, err = s.journalAppend(id, h.versions+1, recordDelta, r.Delta); err != nil {
+			return PutResult{}, err
 		}
+	} else {
+		deltaBytes = r.Delta.Size()
 	}
 	old := h.latest
 	h.deltas = append(h.deltas, r.Delta)
 	h.latest = next
 	h.versions++
 	if s.obs != nil {
-		s.obs(id, h.versions, old, next, r)
+		s.obs(Observation{ID: id, Version: h.versions, Old: old, New: next, Result: r, DeltaBytes: deltaBytes})
 	}
-	return h.versions, r.Delta, nil
+	return PutResult{Version: h.versions, Delta: r.Delta, DeltaBytes: deltaBytes}, nil
 }
 
 // reading returns id's history read-locked, or an error when the

@@ -150,19 +150,18 @@ func (s *Store) ChangesMatching(id string, from, to int, pattern *xpathlite.Expr
 		if err != nil {
 			return nil, err
 		}
-		oldIdx := indexXIDs(doc)
 		next := doc.Clone()
 		if err := delta.Apply(next, d); err != nil {
 			return nil, fmt.Errorf("vstore: replay %s delta %d: %w", id, v, err)
 		}
-		newIdx := indexXIDs(next)
-		for _, op := range d.Ops {
+		t := delta.Resolve(d, doc, next)
+		for i, op := range d.Ops {
 			if !kindOK(op.Kind()) {
 				continue
 			}
-			node := newIdx[op.TargetXID()]
+			node := t.New[i]
 			if node == nil || op.Kind() == delta.KindDelete {
-				node = oldIdx[op.TargetXID()]
+				node = t.Old[i]
 			}
 			if node == nil || !matchesWithTextParent(pattern, node) {
 				continue
@@ -185,17 +184,6 @@ func matchesWithTextParent(pattern *xpathlite.Expr, n *dom.Node) bool {
 		return true
 	}
 	return n.Type == dom.Text && n.Parent != nil && pattern.Matches(n.Parent)
-}
-
-func indexXIDs(doc *dom.Node) map[int64]*dom.Node {
-	idx := make(map[int64]*dom.Node)
-	dom.WalkPre(doc, func(n *dom.Node) bool {
-		if n.XID != 0 {
-			idx[n.XID] = n
-		}
-		return true
-	})
-	return idx
 }
 
 // Aggregate returns one delta with the combined effect of the chain

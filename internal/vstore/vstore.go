@@ -280,7 +280,7 @@ func (s *Store) Put(id string, doc *dom.Node) (int, *delta.Delta, error) {
 // group-commit queue is saturated the Put fails fast with ErrBusy
 // instead of blocking, so callers can shed load.
 func (s *Store) PutContext(ctx context.Context, id string, doc *dom.Node) (int, *delta.Delta, error) {
-	return s.putContext(ctx, id, doc, "")
+	return s.PutMatcherContext(ctx, id, doc, "")
 }
 
 // PutMatcherContext is PutContext with a per-call matcher override: a
@@ -288,12 +288,17 @@ func (s *Store) PutContext(ctx context.Context, id string, doc *dom.Node) (int, 
 // for this version's diff only. The stored delta format is identical
 // for every matcher, so histories may freely mix them.
 func (s *Store) PutMatcherContext(ctx context.Context, id string, doc *dom.Node, matcher diff.Matcher) (int, *delta.Delta, error) {
-	return s.putContext(ctx, id, doc, matcher)
+	r, err := s.PutDetailed(ctx, id, doc, matcher)
+	return r.Version, r.Delta, err
 }
 
-func (s *Store) putContext(ctx context.Context, id string, doc *dom.Node, matcher diff.Matcher) (int, *delta.Delta, error) {
+// PutDetailed is PutMatcherContext reporting, besides the version and
+// the delta, the size of the delta's encoding. The store encodes a
+// delta exactly once, into the body of its segment record; that
+// body's length is what the observer and the caller are given.
+func (s *Store) PutDetailed(ctx context.Context, id string, doc *dom.Node, matcher diff.Matcher) (store.PutResult, error) {
 	if doc == nil || doc.Type != dom.Document {
-		return 0, nil, fmt.Errorf("vstore: need a Document node")
+		return store.PutResult{}, fmt.Errorf("vstore: need a Document node")
 	}
 	opts := s.opts
 	if matcher != "" {
@@ -308,39 +313,39 @@ func (s *Store) putContext(ctx context.Context, id string, doc *dom.Node, matche
 		xid.Assign(first)
 		body, err := serializeTree(first)
 		if err != nil {
-			return 0, nil, fmt.Errorf("vstore: serialize %s version 1: %w", id, err)
+			return store.PutResult{}, fmt.Errorf("vstore: serialize %s version 1: %w", id, err)
 		}
 		if err := s.appendDurable(sh, encodeRecord(recordBase, id, 1, body)); err != nil {
-			return 0, nil, err
+			return store.PutResult{}, err
 		}
 		st.base = body
 		st.versions = 1
 		s.cache.put(id, first, 1)
-		return 1, nil, nil
+		return store.PutResult{Version: 1}, nil
 	}
 	old, err := s.materializeLocked(id, st)
 	if err != nil {
-		return 0, nil, err
+		return store.PutResult{}, err
 	}
 	next := doc.Clone()
 	r, err := diff.DiffDetailedContext(ctx, old, next, opts)
 	if err != nil {
-		return 0, nil, fmt.Errorf("vstore: diff %s: %w", id, err)
+		return store.PutResult{}, fmt.Errorf("vstore: diff %s: %w", id, err)
 	}
-	body, err := serializeDelta(r.Delta)
+	body, err := r.Delta.MarshalText()
 	if err != nil {
-		return 0, nil, fmt.Errorf("vstore: serialize %s delta %d: %w", id, st.versions, err)
+		return store.PutResult{}, fmt.Errorf("vstore: serialize %s delta %d: %w", id, st.versions, err)
 	}
 	if err := s.appendDurable(sh, encodeRecord(recordDelta, id, st.versions+1, body)); err != nil {
-		return 0, nil, err
+		return store.PutResult{}, err
 	}
 	st.deltas = append(st.deltas, body)
 	st.versions++
 	s.cache.put(id, next, st.versions)
 	if s.obs != nil {
-		s.obs(id, st.versions, old, next, r)
+		s.obs(store.Observation{ID: id, Version: st.versions, Old: old, New: next, Result: r, DeltaBytes: len(body)})
 	}
-	return st.versions, r.Delta, nil
+	return store.PutResult{Version: st.versions, Delta: r.Delta, DeltaBytes: len(body)}, nil
 }
 
 // materializeLocked returns the document's latest version as a tree
@@ -597,15 +602,6 @@ func (s *Store) SyncPolicy() store.SyncPolicy { return s.cfg.Sync }
 func serializeTree(doc *dom.Node) ([]byte, error) {
 	var buf bytes.Buffer
 	if _, err := doc.WriteTo(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// serializeDelta renders a delta for a record body or snapshot file.
-func serializeDelta(d *delta.Delta) ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := d.WriteTo(&buf); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

@@ -399,9 +399,9 @@ func TestObserverSeesEveryVersion(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var calls []obsCall
-	s.SetObserver(func(id string, version int, oldDoc, newDoc *dom.Node, r *diff.Result) {
+	s.SetObserver(func(o store.Observation) {
 		mu.Lock()
-		calls = append(calls, obsCall{id, version})
+		calls = append(calls, obsCall{o.ID, o.Version})
 		mu.Unlock()
 	})
 	for v := 1; v <= 3; v++ {

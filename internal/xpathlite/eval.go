@@ -119,6 +119,61 @@ func (e *Expr) Matches(n *dom.Node) bool {
 	return false
 }
 
+// MatchSet is an expression evaluated against one tree for testing
+// many of its nodes: Matches(n) answers what e.Matches(n) would, but
+// the expression's absolute alternatives — whose result is the same
+// for every node of the tree — are selected once, when the set is
+// built, instead of once per node tested. It is valid for as long as
+// the tree is not modified.
+type MatchSet struct {
+	e   *Expr
+	abs map[*dom.Node]struct{}
+}
+
+// MatchSet evaluates the absolute alternatives of e from n's root.
+func (e *Expr) MatchSet(n *dom.Node) *MatchSet {
+	m := &MatchSet{e: e}
+	if n == nil {
+		return m
+	}
+	for _, alt := range e.alts {
+		if !alt.absolute {
+			continue
+		}
+		got := selectAlt(n, alt)
+		if m.abs == nil {
+			m.abs = make(map[*dom.Node]struct{}, len(got))
+		}
+		for _, g := range got {
+			m.abs[g] = struct{}{}
+		}
+	}
+	return m
+}
+
+// Matches reports whether the expression selects n, a node of the tree
+// the set was built on. A relative alternative selects relative to the
+// node tested, so it is still evaluated per node.
+func (m *MatchSet) Matches(n *dom.Node) bool {
+	if n == nil {
+		return false
+	}
+	if _, ok := m.abs[n]; ok {
+		return true
+	}
+	for _, alt := range m.e.alts {
+		if alt.absolute {
+			continue
+		}
+		for _, got := range selectAlt(n, alt) {
+			if got == n {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // Value evaluates the expression and returns the text content of the
 // first match ("" when nothing matches).
 func (e *Expr) Value(n *dom.Node) string {
@@ -129,48 +184,65 @@ func (e *Expr) Value(n *dom.Node) string {
 	return first.TextContent()
 }
 
+// applyStep takes one step from every node of ctx, which holds no node
+// twice, and returns the nodes reached, each once.
 func applyStep(ctx []*dom.Node, s step) []*dom.Node {
 	var out []*dom.Node
-	seen := make(map[*dom.Node]bool)
+	// Two context nodes reach the same node only by going up, or down
+	// more than one level: the children (and selves) of distinct nodes
+	// are distinct. So only those axes, from more than one context
+	// node, pay for a seen-set.
+	var seen map[*dom.Node]bool
+	if len(ctx) > 1 && (s.axis == axisParent || s.axis == axisDescendantOrSelf) {
+		seen = make(map[*dom.Node]bool)
+	}
+	// Candidates per axis, then node test, then predicates. The node
+	// set for predicates with positions is the per-context list of
+	// candidates passing the node test, matching XPath's semantics of
+	// [n] applying within each context node's children.
 	add := func(n *dom.Node) {
-		if !seen[n] {
+		if seen != nil {
+			if seen[n] {
+				return
+			}
 			seen[n] = true
-			out = append(out, n)
 		}
+		out = append(out, n)
+	}
+	var matched []*dom.Node
+	test := func(cand *dom.Node) bool {
+		switch {
+		case !nodeTestOK(cand, s):
+		case len(s.preds) == 0:
+			add(cand)
+		default:
+			matched = append(matched, cand)
+		}
+		return true
 	}
 	for _, c := range ctx {
-		// Candidates per axis, then node test, then predicates. The
-		// node set for predicates with positions is the per-context
-		// candidate list, matching XPath's semantics of [n] applying
-		// within each context node's children.
-		var cands []*dom.Node
 		switch s.axis {
 		case axisSelf:
-			cands = []*dom.Node{c}
+			test(c)
 		case axisParent:
 			if c.Parent != nil {
-				cands = []*dom.Node{c.Parent}
+				test(c.Parent)
 			}
 		case axisChild:
-			cands = c.Children
-		case axisDescendantOrSelf:
-			dom.WalkPre(c, func(x *dom.Node) bool {
-				cands = append(cands, x)
-				return true
-			})
-		}
-		var matched []*dom.Node
-		for _, cand := range cands {
-			if nodeTestOK(cand, s) {
-				matched = append(matched, cand)
+			for _, ch := range c.Children {
+				test(ch)
 			}
+		case axisDescendantOrSelf:
+			dom.WalkPre(c, test)
 		}
+		selected := matched
 		for _, p := range s.preds {
-			matched = filterPred(matched, p)
+			selected = filterPred(selected, p)
 		}
-		for _, m := range matched {
+		for _, m := range selected {
 			add(m)
 		}
+		matched = matched[:0]
 	}
 	return out
 }

@@ -363,3 +363,37 @@ func TestSelectDocumentOrder(t *testing.T) {
 		t.Errorf("union order = %q, want %q", got, "b x")
 	}
 }
+
+// TestMatchSetAgreesWithMatches: a MatchSet built once on the tree (from
+// the document or from any node of it) answers for every node what
+// Matches computes with a full Select per node — absolute, relative,
+// mixed unions, parent and self steps, positional predicates.
+func TestMatchSetAgreesWithMatches(t *testing.T) {
+	d := doc(t)
+	nodes := dom.Preorder(d)
+	exprs := []string{
+		`//Product[Price>500]`, `//Product`, `/Catalog/Category/Product`, `/`, `//text()`, `//comment()`,
+		`Product`, `Price`, `.`, `..`, `../..`, `Name | Price`, `//Title | Product`, `//Product/..`,
+		`//Category[2]/Product[1]`, `Product[1]`, `//Product[last()]`, `//*[@status='new'] | Title`, `//nosuch`, `nosuch`,
+	}
+	for _, src := range exprs {
+		e, err := Compile(src)
+		if err != nil {
+			t.Fatalf("Compile(%q): %v", src, err)
+		}
+		for _, from := range []*dom.Node{d, d.Root().Children[0], nodes[len(nodes)-1]} {
+			set := e.MatchSet(from)
+			for _, n := range nodes {
+				if got, want := set.Matches(n), e.Matches(n); got != want {
+					t.Errorf("%q on %s: MatchSet says %v, Matches says %v", src, n.Path(), got, want)
+				}
+			}
+			if set.Matches(nil) {
+				t.Errorf("%q: MatchSet matches nil", src)
+			}
+		}
+		if e.MatchSet(nil).Matches(nil) {
+			t.Errorf("%q: a MatchSet of no tree matches nil", src)
+		}
+	}
+}
