@@ -123,6 +123,7 @@ FUZZTIME ?= 10s
 
 fuzz-smoke:
 	$(GO) test ./internal/dom -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/dom -run '^$$' -fuzz '^FuzzParseDifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/htmlize -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/xpathlite -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/delta -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)

@@ -3,9 +3,9 @@
 // no panics escaping library code, balanced lock and pool usage,
 // context propagation, wrapped errors, durable-write ordering,
 // goroutine and timer lifecycles, and the architecture boundaries
-// (the diff core never imports os/syscall/net, storage never imports
-// the server, commands never import each other) — checked mechanically
-// instead of by review. Packages are analyzed in parallel on up to
+// (the diff core never imports os/syscall/net or encoding/xml, storage
+// never imports the server, commands never import each other) —
+// checked mechanically instead of by review. Packages are analyzed in parallel on up to
 // GOMAXPROCS goroutines; output order is deterministic regardless.
 //
 // Usage:

@@ -1,6 +1,8 @@
 package delta
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -422,5 +424,89 @@ func TestOpTargetXIDs(t *testing.T) {
 		if d.TargetXID() == 0 {
 			t.Errorf("op %v has zero target XID", d.Kind())
 		}
+	}
+}
+
+// TestParseDetachesSubtrees pins that decoding hands the subtrees of
+// inserts and deletes over from the parse tree, which Parse is about
+// to drop, instead of copying them. On a golden delta each op's
+// subtree is the very node the parser built; and on a delta whose two
+// subtrees hold 201 nodes each, what ParseBytes allocates beyond
+// dom.ParseBytes of the same bytes stays below one allocation per
+// subtree node, which a copy costs at the least.
+func TestParseDetachesSubtrees(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "golden", "attributes.delta.xml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := dom.ParseBytes(raw, parseOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var built []*dom.Node
+	for _, e := range doc.Root().Children {
+		built = append(built, e.Children[0])
+	}
+	d, err := FromDoc(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Ops) != 4 || len(built) != 4 {
+		t.Fatalf("golden delta has %d ops over %d subtrees, want 4 and 4", len(d.Ops), len(built))
+	}
+	for i, op := range d.Ops {
+		var sub *dom.Node
+		switch op := op.(type) {
+		case Insert:
+			sub = op.Subtree
+		case Delete:
+			sub = op.Subtree
+		}
+		if sub != built[i] {
+			t.Errorf("op %d (%v): subtree is a copy of the parsed node", i, op.Kind())
+		}
+		if sub != nil && sub.Parent != nil {
+			t.Errorf("op %d (%v): subtree is still attached to the parse tree", i, op.Kind())
+		}
+	}
+	if got := checkEncoding(t, d); string(got)+"\n" != string(raw) {
+		t.Errorf("decoded delta encodes differently:\n%s\n%s", got, raw)
+	}
+
+	var list strings.Builder
+	list.WriteString("<list>")
+	for i := 0; i < 100; i++ {
+		list.WriteString(`<item k="v">text</item>`)
+	}
+	list.WriteString("</list>")
+	subtree := func() *dom.Node {
+		sub, err := dom.ParseString(list.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sub.Root()
+	}
+	delMap, _ := xid.ParseMap("(1-201)")
+	insMap, _ := xid.ParseMap("(301-501)")
+	big := &Delta{Ops: []Op{
+		Delete{XID: 201, XIDMap: delMap, Parent: 202, Pos: 0, Subtree: subtree()},
+		Insert{XID: 501, XIDMap: insMap, Parent: 202, Pos: 0, Subtree: subtree()},
+	}, NextXID: 502}
+	text, err := big.MarshalText()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := testing.AllocsPerRun(20, func() {
+		if _, err := ParseBytes(text); err != nil {
+			t.Fatal(err)
+		}
+	})
+	parse := testing.AllocsPerRun(20, func() {
+		if _, err := dom.ParseBytes(text, parseOptions()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if nodes := 2 * 201.0; decode-parse >= nodes {
+		t.Errorf("decoding allocates %.0f times on top of the parse's %.0f: the %.0f subtree nodes are copied", decode-parse, parse, nodes)
 	}
 }

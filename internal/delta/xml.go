@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 
 	"xydiff/internal/dom"
 	"xydiff/internal/xid"
@@ -115,10 +114,18 @@ func stripXIDs(n *dom.Node) *dom.Node {
 
 // Parse reads a delta from its XML serialization.
 func Parse(r io.Reader) (*Delta, error) {
-	// Whitespace must be preserved: update values and text subtrees may
-	// legitimately contain (or be) whitespace. Deltas serialized by this
-	// package add no indentation, so nothing spurious appears.
-	doc, err := dom.ParseWithOptions(r, dom.ParseOptions{KeepWhitespace: true, KeepComments: true, KeepProcInsts: true})
+	doc, err := dom.ParseWithOptions(r, parseOptions())
+	if err != nil {
+		return nil, err
+	}
+	return FromDoc(doc)
+}
+
+// ParseBytes reads a delta from a serialization the caller already
+// holds — a stored record, a response body — without the copy a reader
+// costs. src is not retained.
+func ParseBytes(src []byte) (*Delta, error) {
+	doc, err := dom.ParseBytes(src, parseOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -126,9 +133,20 @@ func Parse(r io.Reader) (*Delta, error) {
 }
 
 // ParseString reads a delta from a string.
-func ParseString(s string) (*Delta, error) { return Parse(strings.NewReader(s)) }
+func ParseString(s string) (*Delta, error) { return ParseBytes([]byte(s)) }
 
-// FromDoc decodes a delta document produced by ToDoc.
+// parseOptions keep everything. Whitespace must be preserved: update
+// values and text subtrees may legitimately contain (or be)
+// whitespace. Deltas serialized by this package add no indentation, so
+// nothing spurious appears.
+func parseOptions() dom.ParseOptions {
+	return dom.ParseOptions{KeepWhitespace: true, KeepComments: true, KeepProcInsts: true}
+}
+
+// FromDoc decodes a delta document produced by ToDoc. It consumes doc:
+// the subtrees of inserts and deletes are detached from it, not
+// copied, since Parse, which built the tree, is about to drop it. A
+// caller that wants its tree afterwards passes a Clone.
 func FromDoc(doc *dom.Node) (*Delta, error) {
 	root := doc.Root()
 	if root == nil || root.Name != "delta" {
@@ -266,15 +284,11 @@ func subtreeOpFields(e *dom.Node) (x int64, m xid.Map, parent int64, pos int, su
 	if pos, err = posAttr(e, "pos"); err != nil {
 		return
 	}
-	var content []*dom.Node
-	for _, c := range e.Children {
-		content = append(content, c)
-	}
-	if len(content) != 1 {
-		err = fmt.Errorf("delta: <%s> %d: expected exactly one content node, got %d", e.Name, x, len(content))
+	if len(e.Children) != 1 {
+		err = fmt.Errorf("delta: <%s> %d: expected exactly one content node, got %d", e.Name, x, len(e.Children))
 		return
 	}
-	sub = content[0].Clone()
+	sub = e.RemoveAt(0)
 	if applyErr := m.ApplyTo(sub); applyErr != nil {
 		err = fmt.Errorf("delta: <%s> %d: %w", e.Name, x, applyErr)
 		return

@@ -12,12 +12,11 @@ import (
 // same effect: applying the result to base equals applying the chain
 // in order. This is the paper's delta aggregation ("we can aggregate
 // and inverse deltas"), implemented through the persistent
-// identification: the chain is replayed on a scratch copy, the XIDs
-// shared between the base and the final version define the matching,
-// and the standard delta constructor (with exact move minimization)
-// emits the aggregate. Intermediate churn — a node inserted by one
-// delta and deleted by a later one, a value updated twice, a subtree
-// moved repeatedly — collapses away.
+// identification: the chain is replayed on a scratch copy and
+// ComposeVersions turns the two end points into the aggregate.
+// Intermediate churn — a node inserted by one delta and deleted by a
+// later one, a value updated twice, a subtree moved repeatedly —
+// collapses away.
 //
 // base must be the document the first delta applies to (XIDs
 // consistent with it); base itself is not modified.
@@ -34,8 +33,19 @@ func Compose(base *dom.Node, deltas ...*delta.Delta) (*delta.Delta, error) {
 			return nil, fmt.Errorf("diff: compose: delta %d: %w", i+1, err)
 		}
 	}
-	// Matching by persistent identity: a node survives the chain iff
-	// its XID appears in the final version.
+	return ComposeVersions(base, final)
+}
+
+// ComposeVersions is the second half of Compose, for a caller that
+// already holds both ends of the chain: base and final are two
+// versions of one document, every node carrying the XID the chain
+// between them gave it. The XIDs the versions share define the
+// matching — a node survives the chain iff its XID appears in final —
+// and the standard delta constructor (with exact move minimization)
+// emits the aggregate. XIDs in final are rewritten with the values
+// they already have, so final must not be a tree another goroutine is
+// reading.
+func ComposeVersions(base, final *dom.Node) (*delta.Delta, error) {
 	byXID := make(map[int64]*dom.Node, final.Size())
 	dom.WalkPre(final, func(n *dom.Node) bool {
 		if n.XID != 0 {

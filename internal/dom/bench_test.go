@@ -24,13 +24,36 @@ func benchDoc(depth, fanout int) string {
 }
 
 func BenchmarkParse(b *testing.B) {
-	src := benchDoc(5, 4) // ~1400 nodes
+	src := benchDoc(5, 4) // 2389 nodes
 	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ParseString(src); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestParseAllocationsPerNode keeps a per-token copy from creeping
+// back into the parser: a node costs its struct, its value or its
+// attributes, and a share of its parent's child slice — under three
+// allocations. (Over encoding/xml tokens it was 6.7.) A count, not a
+// timing, so it can gate go test.
+func TestParseAllocationsPerNode(t *testing.T) {
+	src := []byte(benchDoc(5, 4))
+	doc, err := ParseBytes(src, DefaultParseOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := doc.Size() - 1 // the Document is not the input's
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := ParseBytes(src, DefaultParseOptions()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perNode := allocs / float64(nodes); perNode > 3.0 {
+		t.Errorf("%.0f allocations for %d nodes: %.2f per node, want at most 3.0", allocs, nodes, perNode)
 	}
 }
 

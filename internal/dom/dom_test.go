@@ -243,18 +243,23 @@ func TestInsertAtBounds(t *testing.T) {
 	}
 }
 
-// TestNamespaceLexicalRoundTrip pins the lexical-form reconstruction
-// of namespaced names: declared prefixes are restored, default-namespace
-// names stay unprefixed, and an undeclared prefix — which encoding/xml
-// reports verbatim in Space — is kept, so the canonical output always
-// reparses (a fuzzer-found `<A:0/>` once serialized as the invalid
-// `<0/>`).
+// TestNamespaceLexicalRoundTrip pins that names stay in the spelling
+// they were written in, whatever namespaces they resolve to: declared
+// and undeclared prefixes, the default namespace, the never-declared
+// xml: prefix, and two prefixes (or a prefix and the default) bound to
+// one URI all serialize back to the source text, which reparses to an
+// Equal tree. A parser that names nodes from resolved URIs cannot do
+// the last three: it stored xml:lang as a URI that does not reparse,
+// and rewrote <p:x/> to <q:x/>.
 func TestNamespaceLexicalRoundTrip(t *testing.T) {
 	for _, src := range []string{
 		`<A:0/>`,
 		`<e A:0="x"/>`,
 		`<a xmlns="u"><b/></a>`,
 		`<p:a xmlns:p="u"><p:b q="1"/></p:a>`,
+		`<html xml:lang="en" xml:space="preserve"><p xml:lang="fr">x</p></html>`,
+		`<a xmlns:p="u" xmlns:q="u"><p:x/><q:y p:k="1" q:k="2"/></a>`,
+		`<a xmlns="u" xmlns:p="u"><b/><p:b/></a>`,
 	} {
 		doc, err := ParseString(src)
 		if err != nil {
@@ -262,6 +267,9 @@ func TestNamespaceLexicalRoundTrip(t *testing.T) {
 			continue
 		}
 		out := doc.String()
+		if out != src {
+			t.Errorf("%s: serialized as %s", src, out)
+		}
 		re, err := ParseString(out)
 		if err != nil {
 			t.Errorf("%s: canonical output %q does not reparse: %v", src, out, err)
@@ -270,6 +278,35 @@ func TestNamespaceLexicalRoundTrip(t *testing.T) {
 		if !Equal(doc, re) {
 			t.Errorf("%s: reparse of %q differs: %s", src, out, re.String())
 		}
+	}
+}
+
+// TestCarriageReturnRoundTrip: a carriage return in a tree — from a
+// &#13; reference, or put there by a caller building nodes by hand —
+// is written as a reference, since a parser reads a literal one as a
+// line feed. Written raw, the stored copy of a document came back
+// different from the one that was served before it was evicted.
+func TestCarriageReturnRoundTrip(t *testing.T) {
+	const src = `<a k="1&#13;&#10;2">x&#13;y&#13;
+z</a>`
+	doc, err := ParseString(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := doc.Root()
+	if got, _ := root.Attribute("k"); got != "1\r\n2" || root.Children[0].Value != "x\ry\r\nz" {
+		t.Fatalf("parsed %q and %q", got, root.Children[0].Value)
+	}
+	out := doc.String()
+	if out != src {
+		t.Errorf("serialized as %q", out)
+	}
+	re, err := ParseString(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !Equal(doc, re) {
+		t.Errorf("reparse differs: %s", Diagnose(doc, re))
 	}
 }
 

@@ -3,7 +3,6 @@ package dom
 import (
 	"errors"
 	"fmt"
-	"io"
 )
 
 // ErrLimit reports that parsing stopped because the input exceeded a
@@ -40,35 +39,4 @@ type ParseLimits struct {
 	// MaxTokens caps the number of XML tokens (elements, text runs,
 	// comments, ...) — a bound on node count independent of byte size.
 	MaxTokens int64
-}
-
-// limitReader counts bytes handed to the XML decoder and cuts the
-// stream off once MaxBytes is exceeded. The decoder may wrap or
-// replace the reader's error, so the parser also checks the exceeded
-// flag after any token error.
-type limitReader struct {
-	r        io.Reader
-	remain   int64
-	limit    int64
-	exceeded bool
-}
-
-func (l *limitReader) Read(p []byte) (int, error) {
-	if l.remain <= 0 {
-		// Only exceeded if more input actually exists — an input that
-		// fits the limit exactly still ends in a clean EOF probe here.
-		var probe [1]byte
-		n, err := l.r.Read(probe[:])
-		if n == 0 {
-			return 0, err
-		}
-		l.exceeded = true
-		return 0, &LimitError{What: "bytes", Limit: l.limit}
-	}
-	if int64(len(p)) > l.remain {
-		p = p[:l.remain]
-	}
-	n, err := l.r.Read(p)
-	l.remain -= int64(n)
-	return n, err
 }

@@ -91,8 +91,11 @@ func (cw *countWriter) flush() {
 
 // writeEscaped writes character data (attr false) or a double-quoted
 // attribute value (attr true) with the characters XML reserves there
-// replaced by references. Unescaped runs are written as they are, so
-// nothing is allocated.
+// replaced by references, and with them the characters a parser would
+// not give back as written: it reads a literal carriage return as a
+// line feed everywhere, and tabs and line feeds inside a value are
+// kept out of reach of attribute-value normalisation. Unescaped runs
+// are written as they are, so nothing is allocated.
 func (cw *countWriter) writeEscaped(s string, attr bool) {
 	last := 0
 	for i := 0; i < len(s); i++ {
@@ -116,6 +119,8 @@ func (cw *countWriter) writeEscaped(s string, attr bool) {
 			if attr {
 				esc = "&#9;"
 			}
+		case '\r':
+			esc = "&#13;"
 		}
 		if esc == "" {
 			continue

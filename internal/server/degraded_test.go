@@ -180,3 +180,42 @@ func TestDegradedMissingVersionIs410(t *testing.T) {
 		t.Fatalf("degraded payload = %v", payload)
 	}
 }
+
+// TestXMLPrefixDocumentSurvivesRestart: an XHTML-style document (xml:
+// attributes) PUT over HTTP must still be served after the daemon
+// restarts and rebuilds it from stored bytes. It used to answer 500:
+// the stored text named the attribute by its namespace URI and did not
+// reparse.
+func TestXMLPrefixDocumentSurvivesRestart(t *testing.T) {
+	const page = `<html xml:lang="en"><body xml:space="preserve"><p>hello</p></body></html>`
+	dir := t.TempDir()
+	serve := func() (*httptest.Server, func()) {
+		st, err := vstore.Open(dir, diff.Options{}, vstore.Config{Shards: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := New(st, Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+		ts := httptest.NewServer(s.Handler())
+		return ts, func() {
+			ts.Close()
+			s.Close()
+			if err := st.Checkpoint(); err != nil {
+				t.Error(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	ts, stop := serve()
+	if code, _, body := doReq(t, http.MethodPut, ts.URL+"/docs/page", page); code != http.StatusCreated {
+		t.Fatalf("PUT = %d %s", code, body)
+	}
+	stop()
+	ts, stop = serve()
+	defer stop()
+	code, _, body := doReq(t, http.MethodGet, ts.URL+"/docs/page/versions/1", "")
+	if code != http.StatusOK || body != page {
+		t.Fatalf("GET after restart = %d %s", code, body)
+	}
+}

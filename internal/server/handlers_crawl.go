@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -20,7 +19,7 @@ import (
 // budget. A full queue surfaces as a transient error the crawler
 // retries on its backoff schedule.
 func (s *Server) crawlIngest(ctx context.Context, id string, body []byte) (bool, error) {
-	doc, err := dom.ParseWithOptions(bytes.NewReader(body), s.parseOptions())
+	doc, err := dom.ParseBytes(body, s.parseOptions())
 	if err != nil {
 		return false, fmt.Errorf("parse %s: %w", id, err)
 	}

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -149,7 +148,7 @@ func loadSnapshot(fsys faultfs.FS, sub, id string) (*history, int, error) {
 	if err != nil {
 		return nil, 0, corruptf(v1Path, -1, err, "unreadable base version")
 	}
-	doc, err := dom.ParseWithOptions(bytes.NewReader(v1Raw), snapshotLoadOptions())
+	doc, err := dom.ParseBytes(v1Raw, snapshotLoadOptions())
 	if err != nil {
 		return nil, 0, corruptf(v1Path, -1, err, "unparseable base version")
 	}
@@ -161,7 +160,7 @@ func loadSnapshot(fsys faultfs.FS, sub, id string) (*history, int, error) {
 		if err != nil {
 			return nil, 0, corruptf(dPath, -1, err, "unreadable delta %d", v)
 		}
-		d, err := delta.Parse(bytes.NewReader(dRaw))
+		d, err := delta.ParseBytes(dRaw)
 		if err != nil {
 			return nil, 0, corruptf(dPath, -1, err, "unparseable delta %d", v)
 		}
@@ -247,7 +246,7 @@ func (s *Store) applyRecord(h **history, id, path string, off int64, kind byte, 
 			s.recovery.JournalSkipped++
 			return nil
 		}
-		doc, err := dom.ParseWithOptions(bytes.NewReader(body), snapshotLoadOptions())
+		doc, err := dom.ParseBytes(body, snapshotLoadOptions())
 		if err != nil {
 			return corruptf(path, off, err, "unparseable base document")
 		}
@@ -266,7 +265,7 @@ func (s *Store) applyRecord(h **history, id, path string, off int64, kind byte, 
 		if version != (*h).versions+1 {
 			return corruptf(path, off, nil, "record jumps to version %d after %d", version, (*h).versions)
 		}
-		d, err := delta.Parse(bytes.NewReader(body))
+		d, err := delta.ParseBytes(body)
 		if err != nil {
 			return corruptf(path, off, err, "unparseable delta record for version %d", version)
 		}

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"path/filepath"
@@ -198,7 +197,7 @@ func scrubLatestCopy(fsys faultfs.FS, sub string, h *history, repair bool, rep *
 		reason = fmt.Sprintf("latest.xml unreadable: %v", err)
 	} else {
 		rep.BytesScanned += int64(len(raw))
-		doc, perr := dom.ParseWithOptions(bytes.NewReader(raw), snapshotLoadOptions())
+		doc, perr := dom.ParseBytes(raw, snapshotLoadOptions())
 		if perr != nil {
 			reason = fmt.Sprintf("latest.xml unparseable: %v", perr)
 		} else if doc.String() != h.latest.String() {

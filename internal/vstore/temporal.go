@@ -188,24 +188,25 @@ func matchesWithTextParent(pattern *xpathlite.Expr, n *dom.Node) bool {
 
 // Aggregate returns one delta with the combined effect of the chain
 // from version from to version to. from > to yields the inverted
-// aggregate.
+// aggregate. Each stored delta between the latest version and the
+// older end is decoded once: the walk back from the latest version
+// passes through the newer end on its way to the older one, and those
+// two trees are all diff.ComposeVersions needs.
 func (s *Store) Aggregate(id string, from, to int) (*delta.Delta, error) {
 	if from == to {
 		return &delta.Delta{}, nil
 	}
-	lo, hi := from, to
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	base, err := s.Version(id, lo)
+	lo, hi := min(from, to), max(from, to)
+	st, err := s.reading(id)
 	if err != nil {
 		return nil, err
 	}
-	chain, err := s.DeltasBetween(id, lo, hi)
+	older, newer, err := s.endpoints(id, st, lo, hi)
+	st.mu.RUnlock() // the trees are private copies: matching them needs no lock
 	if err != nil {
 		return nil, err
 	}
-	d, err := diff.Compose(base, chain...)
+	d, err := diff.ComposeVersions(older, newer)
 	if err != nil {
 		return nil, err
 	}
@@ -215,4 +216,30 @@ func (s *Store) Aggregate(id string, from, to int) (*delta.Delta, error) {
 		}
 	}
 	return d, nil
+}
+
+// endpoints reconstructs versions lo and hi (lo < hi) of the document
+// in one walk back from the latest version. The answers for versions
+// that cannot be served are the ones Version(lo) and then
+// DeltasBetween(lo, hi) give. The caller holds the state lock.
+func (s *Store) endpoints(id string, st *docState, lo, hi int) (older, newer *dom.Node, err error) {
+	if err := st.checkVersion(id, lo); err != nil {
+		return nil, nil, err
+	}
+	if err := st.checkRange(id, lo, hi); err != nil {
+		return nil, nil, err
+	}
+	latest, err := s.materializeLocked(id, st)
+	if err != nil {
+		return nil, nil, err
+	}
+	older = latest.Clone()
+	if err := st.rewind(older, st.versions, hi); err != nil {
+		return nil, nil, fmt.Errorf("vstore: reconstruct %s version %d: %w", id, hi, err)
+	}
+	newer = older.Clone()
+	if err := st.rewind(older, hi, lo); err != nil {
+		return nil, nil, fmt.Errorf("vstore: reconstruct %s version %d: %w", id, lo, err)
+	}
+	return older, newer, nil
 }

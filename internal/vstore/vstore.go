@@ -359,13 +359,13 @@ func (s *Store) materializeLocked(id string, st *docState) (*dom.Node, error) {
 		return doc, nil
 	}
 	s.stats.cacheMisses.Add(1)
-	doc, err := dom.ParseWithOptions(bytes.NewReader(st.base), snapshotLoadOptions())
+	doc, err := dom.ParseBytes(st.base, snapshotLoadOptions())
 	if err != nil {
 		return nil, fmt.Errorf("vstore: materialize %s base: %w", id, err)
 	}
 	xid.Assign(doc)
 	for i, raw := range st.deltas {
-		d, err := delta.Parse(bytes.NewReader(raw))
+		d, err := delta.ParseBytes(raw)
 		if err != nil {
 			return nil, fmt.Errorf("vstore: materialize %s delta %d: %w", id, i+1, err)
 		}
@@ -456,27 +456,59 @@ func (s *Store) Version(id string, n int) (*dom.Node, error) {
 		return nil, err
 	}
 	defer st.mu.RUnlock()
-	if n > st.versions && st.degraded {
-		return nil, &DegradedError{ID: id, Reason: st.degradedReason, Intact: st.versions}
-	}
-	if n < 1 || n > st.versions {
-		return nil, fmt.Errorf("vstore: %s has versions 1..%d, not %d: %w", id, st.versions, n, store.ErrNoSuchVersion)
+	if err := st.checkVersion(id, n); err != nil {
+		return nil, err
 	}
 	latest, err := s.materializeLocked(id, st)
 	if err != nil {
 		return nil, err
 	}
 	doc := latest.Clone()
-	for v := st.versions; v > n; v-- {
-		d, err := st.parseDelta(v - 2)
-		if err != nil {
-			return nil, fmt.Errorf("vstore: reconstruct %s version %d: %w", id, n, err)
-		}
-		if err := applyInverse(doc, d); err != nil {
-			return nil, fmt.Errorf("vstore: reconstruct %s version %d: %w", id, n, err)
-		}
+	if err := st.rewind(doc, st.versions, n); err != nil {
+		return nil, fmt.Errorf("vstore: reconstruct %s version %d: %w", id, n, err)
 	}
 	return doc, nil
+}
+
+// rewind takes doc, which holds version from, back to version to
+// (from >= to) by applying the inverses of the stored deltas between
+// them, newest first. The caller holds the state lock.
+func (st *docState) rewind(doc *dom.Node, from, to int) error {
+	for v := from; v > to; v-- {
+		d, err := st.parseDelta(v - 2)
+		if err != nil {
+			return err
+		}
+		if err := applyInverse(doc, d); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkVersion is Version's answer for a version that cannot be
+// served: past the end of a degraded document the history was there
+// and is quarantined, anywhere else outside 1..versions it never
+// existed. The caller holds the state lock.
+func (st *docState) checkVersion(id string, n int) error {
+	if n > st.versions && st.degraded {
+		return &DegradedError{ID: id, Reason: st.degradedReason, Intact: st.versions}
+	}
+	if n < 1 || n > st.versions {
+		return fmt.Errorf("vstore: %s has versions 1..%d, not %d: %w", id, st.versions, n, store.ErrNoSuchVersion)
+	}
+	return nil
+}
+
+// checkRange is checkVersion for both ends of a delta range.
+func (st *docState) checkRange(id string, from, to int) error {
+	if (from > st.versions || to > st.versions) && st.degraded {
+		return &DegradedError{ID: id, Reason: st.degradedReason, Intact: st.versions}
+	}
+	if from < 1 || from > st.versions || to < 1 || to > st.versions {
+		return fmt.Errorf("vstore: version range %d..%d outside 1..%d: %w", from, to, st.versions, store.ErrNoSuchVersion)
+	}
+	return nil
 }
 
 // Delta returns the stored delta that transforms version n into n+1.
@@ -504,11 +536,8 @@ func (s *Store) DeltasBetween(id string, from, to int) ([]*delta.Delta, error) {
 		return nil, err
 	}
 	defer st.mu.RUnlock()
-	if (from > st.versions || to > st.versions) && st.degraded {
-		return nil, &DegradedError{ID: id, Reason: st.degradedReason, Intact: st.versions}
-	}
-	if from < 1 || from > st.versions || to < 1 || to > st.versions {
-		return nil, fmt.Errorf("vstore: version range %d..%d outside 1..%d: %w", from, to, st.versions, store.ErrNoSuchVersion)
+	if err := st.checkRange(id, from, to); err != nil {
+		return nil, err
 	}
 	var out []*delta.Delta
 	switch {
@@ -539,7 +568,7 @@ func (s *Store) DeltasBetween(id string, from, to int) ([]*delta.Delta, error) {
 // parseDelta decodes the i-th stored delta (0-based); the caller holds
 // the state lock.
 func (st *docState) parseDelta(i int) (*delta.Delta, error) {
-	d, err := delta.Parse(bytes.NewReader(st.deltas[i]))
+	d, err := delta.ParseBytes(st.deltas[i])
 	if err != nil {
 		return nil, fmt.Errorf("vstore: parse stored delta %d: %w", i+1, err)
 	}

@@ -416,3 +416,73 @@ func TestObserverSeesEveryVersion(t *testing.T) {
 		t.Fatalf("observer calls = %+v", calls)
 	}
 }
+
+// TestXMLPrefixSurvivesEvictionAndReopen: a document using the xml:
+// prefix (any XHTML page) must come back byte-identical once its tree
+// is rebuilt from stored bytes — after the cache evicts it, and after
+// a restart. When names were rebuilt from resolved URIs the stored
+// text held the namespace URI in place of the prefix and did not
+// reparse, so both reads failed.
+func TestXMLPrefixSurvivesEvictionAndReopen(t *testing.T) {
+	checkSurvivesEvictionAndReopen(t,
+		`<html xml:lang="en"><body xml:space="preserve"><p>one</p></body></html>`,
+		`<html xml:lang="en"><body xml:space="preserve"><p>two</p><p xml:lang="fr">deux</p></body></html>`)
+}
+
+// TestCarriageReturnSurvivesEvictionAndReopen: a carriage return in a
+// text or attribute value (from a &#13; reference, or an HTML page
+// with CRLF line ends, which htmlize keeps) is stored as a reference.
+// Stored raw it was read back as a line feed, so the version served
+// from stored bytes differed from the one acknowledged.
+func TestCarriageReturnSurvivesEvictionAndReopen(t *testing.T) {
+	checkSurvivesEvictionAndReopen(t,
+		`<pre k="a&#13;&#10;b">one&#13;
+two</pre>`,
+		`<pre k="a&#13;b">one&#13;
+three&#13;</pre>`)
+}
+
+// checkSurvivesEvictionAndReopen stores v1 and v2, both in canonical
+// form, as two versions of one document and reads v1 back after the
+// cache has evicted it and v2 after a checkpoint and restart.
+func checkSurvivesEvictionAndReopen(t *testing.T, v1, v2 string) {
+	t.Helper()
+	dir := t.TempDir()
+	s, err := Open(dir, diff.Options{}, Config{Shards: 1, CacheSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range []string{v1, v2} {
+		if _, _, err := s.Put("page", parse(t, body)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := s.Put("other", parse(t, `<a/>`)); err != nil { // evicts page
+		t.Fatal(err)
+	}
+	got, err := s.Version("page", 1)
+	if err != nil {
+		t.Fatalf("Version(1) after eviction: %v", err)
+	}
+	if got.String() != v1 {
+		t.Fatalf("Version(1) after eviction = %s", got)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(dir, diff.Options{}, Config{Shards: 1, CacheSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	got, err = s.Version("page", 2)
+	if err != nil {
+		t.Fatalf("Version(2) after reopen: %v", err)
+	}
+	if got.String() != v2 {
+		t.Fatalf("Version(2) after reopen = %s", got)
+	}
+}
