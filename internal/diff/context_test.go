@@ -34,8 +34,10 @@ func TestDiffContextCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already canceled: the first phase boundary must abort
-	if _, err := diff.DiffContext(ctx, oldDoc.Clone(), sim.New.Clone(), diff.Options{}); err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	for _, matcher := range diff.Matchers() {
+		if _, err := diff.DiffContext(ctx, oldDoc.Clone(), sim.New.Clone(), diff.Options{Matcher: matcher}); err != context.Canceled {
+			t.Fatalf("%s: err = %v, want context.Canceled", matcher, err)
+		}
 	}
 }
 
@@ -48,7 +50,9 @@ func TestDiffDetailedContextDeadline(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := diff.DiffDetailedContext(ctx, oldDoc, sim.New, diff.Options{}); err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled (the internal sentinel must not leak)", err)
+	for _, matcher := range diff.Matchers() {
+		if _, err := diff.DiffDetailedContext(ctx, oldDoc, sim.New, diff.Options{Matcher: matcher}); err != context.Canceled {
+			t.Fatalf("%s: err = %v, want context.Canceled (the internal sentinel must not leak)", matcher, err)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package diff
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -15,8 +16,9 @@ import (
 // storage behave identically for both matchers.
 //
 // Timings map onto the BULD phases: Phase2 is tree annotation, Phase3
-// the SFTM pipeline (tokenize/index/propagate/greedy), Phase5 delta
-// construction. Phases 1 and 4 have no SFTM counterpart and stay zero.
+// the SFTM pipeline (tokenize/index/propagate/greedy) plus committing
+// its index arrays to the matcher, Phase5 delta construction. Phases 1
+// and 4 have no SFTM counterpart and stay zero.
 //
 // The SFTM pipeline itself is sequential: Workers only parallelizes
 // tree annotation, which never changes what is computed, so the delta
@@ -48,25 +50,8 @@ func diffSFTM(oldDoc, newDoc *dom.Node, opts Options) (*Result, error) {
 	}
 
 	start = time.Now()
-	pairs, err := sftm.Match(oldDoc, newDoc, sftm.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("diff: sftm matcher: %w", err)
-	}
-	m.setMatch(oldT.root(), newT.root())
-	oldIdx := indexOf(oldT)
-	newIdx := indexOf(newT)
-	for o, n := range pairs {
-		oi, ok := oldIdx[o]
-		if !ok {
-			return nil, fmt.Errorf("diff: sftm matching references a node outside the old document")
-		}
-		ni, ok := newIdx[n]
-		if !ok {
-			return nil, fmt.Errorf("diff: sftm matching references a node outside the new document")
-		}
-		if m.compatible(oi, ni) {
-			m.setMatch(oi, ni)
-		}
+	if err := m.matchSFTM(); err != nil {
+		return nil, err
 	}
 	r.Timings.Phase3 = time.Since(start)
 	if opts.canceled() {
@@ -86,6 +71,51 @@ func diffSFTM(oldDoc, newDoc *dom.Node, opts Options) (*Result, error) {
 	return &r, nil
 }
 
+// runSFTM is sftm.Match with the diff package's error conventions: the
+// one place both SFTM arms (diffSFTM and Matching) enter the matcher.
+func runSFTM(oldDoc, newDoc *dom.Node, done <-chan struct{}) (*sftm.Result, error) {
+	res, err := sftm.Match(oldDoc, newDoc, done)
+	if errors.Is(err, sftm.ErrCanceled) {
+		return nil, errCanceled
+	}
+	if err != nil {
+		return nil, fmt.Errorf("diff: sftm matcher: %w", err)
+	}
+	return res, nil
+}
+
+// matchSFTM commits the sftm matching of the two trees' documents to
+// m. sftm numbers nodes in pre-order, document first; postOfPre
+// translates to the trees' post-order. The documents arrive as the
+// pair (0, 0) like any other.
+func (m *matcher) matchSFTM() error {
+	res, err := runSFTM(m.old.doc, m.new.doc, m.opts.done)
+	if err != nil {
+		return err
+	}
+	oldPost, newPost := postOfPre(m.old), postOfPre(m.new)
+	for oi, ni := range res.OldToNew {
+		if ni < 0 {
+			continue
+		}
+		if o, n := int(oldPost[oi]), int(newPost[ni]); m.compatible(o, n) {
+			m.setMatch(o, n)
+		}
+	}
+	return nil
+}
+
+// postOfPre maps pre-order positions (document first, as package sftm
+// numbers nodes) to t's post-order indexes.
+func postOfPre(t *tree) []int32 {
+	post := make([]int32, 0, t.len())
+	t.walkPre(t.root(), func(i int) bool {
+		post = append(post, int32(i))
+		return true
+	})
+	return post
+}
+
 // Matching runs only the matching stage of the selected matcher and
 // returns the old→new node pairs, documents excluded. The bench7
 // match-quality harness uses it to score precision/recall against
@@ -100,7 +130,17 @@ func Matching(oldDoc, newDoc *dom.Node, opts Options) (map[*dom.Node]*dom.Node, 
 	}
 	switch opts.matcher() {
 	case MatcherSFTM:
-		return sftm.Match(oldDoc, newDoc, sftm.Options{})
+		res, err := runSFTM(oldDoc, newDoc, opts.done)
+		if err != nil {
+			return nil, err
+		}
+		pairs := make(map[*dom.Node]*dom.Node, len(res.New))
+		for oi, ni := range res.OldToNew {
+			if oi > 0 && ni >= 0 {
+				pairs[res.Old[oi]] = res.New[ni]
+			}
+		}
+		return pairs, nil
 	case MatcherBULD:
 	default:
 		return nil, fmt.Errorf("diff: unknown matcher %q", opts.Matcher)

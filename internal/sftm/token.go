@@ -1,18 +1,20 @@
 package sftm
 
 import (
-	"sort"
-	"strings"
+	"slices"
 	"unicode"
+	"unicode/utf8"
 
 	"xydiff/internal/dom"
 )
 
 // Tokens are FNV-1a hashes of namespaced strings ("t:" tag, "a:"
 // attribute name, "v:" attribute name=value, "c:" class token, "w:"
-// text word, "s:" word bigram shingle). Hashing keeps the index
-// allocation-free per lookup; a collision merely nudges one similarity
-// score, which a heuristic matcher tolerates by construction.
+// text word, "s:" word bigram shingle, "k:" word of a direct text
+// child, "d:" tag of an element child). A collision merely nudges one
+// similarity score, which a heuristic matcher tolerates by
+// construction. The hashes live only as long as one node's scratch
+// slice: the matcher interns them into dense ids (matcher.tokenize).
 
 const (
 	fnvOffset = 14695981039346656037
@@ -45,7 +47,7 @@ var (
 	seedValue = hashSeed("v:")
 	seedClass = hashSeed("c:")
 	seedWord  = hashSeed("w:")
-	seedPair  = hashSeed("s:")
+	seedPair  = hashByte(hashSeed("s:"), 0)
 	seedKid   = hashSeed("k:")
 	seedChild = hashSeed("d:")
 )
@@ -90,16 +92,8 @@ func tokenizeNode(n *dom.Node, dst []uint64) []uint64 {
 		dst = append(dst, hashString(seedTag, n.Name))
 		dst = appendWords(dst, seedWord, n.Value, false)
 	}
-	sort.Slice(dst, func(i, j int) bool { return dst[i] < dst[j] })
-	out := dst[:0]
-	var prev uint64
-	for i, h := range dst {
-		if i == 0 || h != prev {
-			out = append(out, h)
-			prev = h
-		}
-	}
-	return out
+	slices.Sort(dst)
+	return slices.Compact(dst)
 }
 
 // appendWords splits s on spaces/punctuation and appends one token per
@@ -107,30 +101,41 @@ func tokenizeNode(n *dom.Node, dst []uint64) []uint64 {
 // With shingles, consecutive-word bigrams are added too: they preserve
 // enough ordering signal to tell two short text nodes apart when their
 // vocabularies overlap.
+//
+// A rune contributes the low two bytes of its lower-case form to the
+// word's hash. ASCII bytes are classified inline; only bytes ≥ 0x80
+// are decoded and go through package unicode.
 func appendWords(dst []uint64, seed uint64, s string, shingles bool) []uint64 {
 	var prev uint64
 	hasPrev := false
-	for len(s) > 0 {
-		start := strings.IndexFunc(s, isWordRune)
-		if start < 0 {
-			break
+	h, inWord := seed, false
+	// One position past the end is scanned too, as a separator that
+	// closes a word running to the end of s.
+	for i := 0; i <= len(s); {
+		lower, size := rune(-1), 1 // -1: not a word rune
+		if i < len(s) {
+			switch c := s[i]; {
+			case 'a' <= c && c <= 'z', '0' <= c && c <= '9':
+				lower = rune(c)
+			case 'A' <= c && c <= 'Z':
+				lower = rune(c) + 'a' - 'A'
+			case c >= utf8.RuneSelf:
+				lower, size = lowerWordRune(s[i:])
+			}
 		}
-		s = s[start:]
-		end := strings.IndexFunc(s, func(r rune) bool { return !isWordRune(r) })
-		if end < 0 {
-			end = len(s)
+		i += size
+		if lower >= 0 {
+			h = hashByte(hashByte(h, byte(lower)), byte(lower>>8))
+			inWord = true
+			continue
 		}
-		word := s[:end]
-		s = s[end:]
-		h := seed
-		for _, r := range word {
-			h = hashByte(h, byte(unicode.ToLower(r)))
-			h = hashByte(h, byte(unicode.ToLower(r)>>8))
+		if !inWord {
+			continue
 		}
 		dst = append(dst, h)
 		if shingles {
 			if hasPrev {
-				p := hashByte(seedPair, 0)
+				p := seedPair
 				p ^= prev
 				p *= fnvPrime
 				p ^= h
@@ -139,10 +144,18 @@ func appendWords(dst []uint64, seed uint64, s string, shingles bool) []uint64 {
 			}
 			prev, hasPrev = h, true
 		}
+		h, inWord = seed, false
 	}
 	return dst
 }
 
-func isWordRune(r rune) bool {
-	return unicode.IsLetter(r) || unicode.IsDigit(r)
+// lowerWordRune decodes the first rune of s and returns its lower-case
+// form if it is a letter or digit, -1 otherwise (an invalid byte
+// decodes as U+FFFD, width 1, which is neither).
+func lowerWordRune(s string) (lower rune, size int) {
+	r, size := utf8.DecodeRuneInString(s)
+	if !unicode.IsLetter(r) && !unicode.IsDigit(r) {
+		return -1, size
+	}
+	return unicode.ToLower(r), size
 }

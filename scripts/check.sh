@@ -58,6 +58,7 @@ $GO test ./internal/delta -run '^$' -fuzz '^FuzzApply$' -fuzztime "$FUZZTIME"
 $GO test ./internal/delta -run '^$' -fuzz '^FuzzMarshalIdentical$' -fuzztime "$FUZZTIME"
 $GO test ./internal/diff -run '^$' -fuzz '^FuzzDiffApply$' -fuzztime "$FUZZTIME"
 $GO test ./internal/diff -run '^$' -fuzz '^FuzzSFTMApply$' -fuzztime "$FUZZTIME"
+$GO test ./internal/sftm -run '^$' -fuzz '^FuzzMatchDifferential$' -fuzztime "$FUZZTIME"
 $GO test ./internal/xptest -run '^$' -fuzz '^FuzzXPathDifferential$' -fuzztime "$FUZZTIME"
 $GO test ./internal/xptest -run '^$' -fuzz '^FuzzXPathDifferentialRaw$' -fuzztime "$FUZZTIME"
 $GO test ./internal/optdelta -run '^$' -fuzz '^FuzzOptDeltaSound$' -fuzztime "$FUZZTIME"
