@@ -63,9 +63,9 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 # Regenerate the committed benchmark baselines for the diff core:
-# BENCH_5.json (per-workload ns/op + B/op, delta-quality ratios, the
-# Workers sweep) and BENCH_7.json (the matcher comparison, via the
-# bench-json7 prerequisite).
+# BENCH_5.json (per-workload ns/op + B/op, delta-quality ratios) and
+# BENCH_7.json (the matcher comparison, via the bench-json7
+# prerequisite).
 bench-json: bench-json7
 	$(GO) run ./cmd/xybench -json BENCH_5.json bench5
 
@@ -81,8 +81,8 @@ match-smoke:
 	$(GO) test ./internal/changesim -run '^TestSFTMQualityOnHTMLCorpus$$' -count=1 -v
 
 # Regenerate the committed matcher baseline (BENCH_7.json): SFTM vs
-# BULD-without-IDs precision/recall on the id-less HTML corpus, delta
-# sizes vs the perfect delta, and the SFTM worker sweep.
+# BULD-without-IDs precision/recall on the id-less HTML corpus and
+# delta sizes vs the perfect delta.
 bench-json7:
 	$(GO) run ./cmd/xybench -json BENCH_7.json bench7
 

@@ -475,7 +475,7 @@ func BenchmarkDeltaCompose(b *testing.B) {
 // collector and the alerter.
 func BenchmarkPutTail(b *testing.B) {
 	oldDoc, newDoc := preparePair(b, 130_000, 1)
-	r, err := diff.DiffDetailed(oldDoc, newDoc, diff.Options{Workers: 1})
+	r, err := diff.DiffDetailed(oldDoc, newDoc, diff.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

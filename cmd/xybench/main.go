@@ -17,13 +17,13 @@
 //	ablation    design-choice ablations
 //	stats       per-label change-frequency statistics (paper §7)
 //	bench5      machine-readable perf record: ns/op + B/op per workload,
-//	            quality ratios, Workers sweep (see -json / -compare)
+//	            quality ratios (see -json / -compare)
 //	bench6      machine-readable storage-engine record: group-commit
 //	            fsync amortization, Put/reconstruct latency, cache hit
 //	            ratio, recovery time (see -json / -compare)
 //	bench7      machine-readable matcher comparison on the id-less HTML
 //	            corpus: SFTM vs BULD precision/recall, delta sizes,
-//	            diff time, SFTM worker sweep (see -json / -compare)
+//	            diff time (see -json / -compare)
 //	bench8      machine-readable optimality-ratio record: BULD, SFTM and
 //	            changesim's perfect delta vs the exact optimum on small
 //	            trees (optdelta oracle, see -json / -compare)
@@ -34,7 +34,6 @@
 //	-full        run the full-size workloads (several minutes); the default
 //	             quick mode keeps every experiment under a few seconds
 //	-seed n      random seed (default 1)
-//	-workers n   diff.Options.Workers for fig4/site (0 = GOMAXPROCS)
 //	-quick       bench5–bench8: smaller workload (the check.sh smoke)
 //	-json path   bench5–bench8: write the report to path (- for stdout)
 //	-compare p   bench5–bench8: gate the fresh report against a
@@ -48,13 +47,11 @@ import (
 	"os"
 
 	"xydiff/internal/bench"
-	"xydiff/internal/diff"
 )
 
 type benchConfig struct {
 	full    bool
 	seed    int64
-	workers int
 	quick   bool
 	json    string
 	compare string
@@ -64,7 +61,6 @@ func main() {
 	var cfg benchConfig
 	flag.BoolVar(&cfg.full, "full", false, "run full-size workloads")
 	flag.Int64Var(&cfg.seed, "seed", 1, "random `seed`")
-	flag.IntVar(&cfg.workers, "workers", 0, "diff `goroutines` for fig4/site (0 = GOMAXPROCS)")
 	flag.BoolVar(&cfg.quick, "quick", false, "bench5-bench8: smaller workload")
 	flag.StringVar(&cfg.json, "json", "", "bench5-bench8: write report to `path` (- for stdout)")
 	flag.StringVar(&cfg.compare, "compare", "", "bench5-bench8: compare against baseline report at `path`")
@@ -285,7 +281,6 @@ func runBench8(w io.Writer, cfg benchConfig) error {
 
 func run(w io.Writer, experiment string, cfg benchConfig) error {
 	full, seed := cfg.full, cfg.seed
-	opts := diff.Options{Workers: cfg.workers}
 	runOne := func(name string) error {
 		switch name {
 		case "fig4":
@@ -293,7 +288,7 @@ func run(w io.Writer, experiment string, cfg benchConfig) error {
 			if full {
 				sizes = append(sizes, 2_000_000, 5_000_000)
 			}
-			points, err := bench.Fig4Opts(sizes, seed, opts)
+			points, err := bench.Fig4(sizes, seed)
 			if err != nil {
 				return err
 			}
@@ -324,7 +319,7 @@ func run(w io.Writer, experiment string, cfg benchConfig) error {
 			if full {
 				pages = 14_000 // the paper's www.inria.fr scale
 			}
-			r, err := bench.SiteOpts(pages, seed, opts)
+			r, err := bench.Site(pages, seed)
 			if err != nil {
 				return err
 			}

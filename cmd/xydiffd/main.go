@@ -81,7 +81,6 @@ type config struct {
 	server       server.Config
 	logger       *slog.Logger
 
-	diffWorkers  int
 	diffMatcher  string
 	storeShards  int
 	fsyncBatch   int
@@ -104,7 +103,6 @@ func main() {
 	flag.StringVar(&cfg.addr, "addr", ":8427", "listen `address`")
 	flag.StringVar(&cfg.dir, "dir", "xydiffd-data", "data `directory` (loaded on start, flushed on shutdown)")
 	flag.IntVar(&cfg.server.Workers, "workers", 0, "diff worker pool size (0 = GOMAXPROCS)")
-	flag.IntVar(&cfg.diffWorkers, "diff-workers", 1, "goroutines per diff (0 = GOMAXPROCS, 1 = sequential; raise only when the pool is not already saturating the CPUs)")
 	flag.StringVar(&cfg.diffMatcher, "matcher", "", "default diff `matcher`: buld (the paper's, default) or sftm (similarity-based, for real-web HTML); overridable per PUT with ?matcher= and per crawl source")
 	flag.IntVar(&cfg.server.QueueDepth, "queue", 0, "max queued diffs before shedding (0 = default 64)")
 	flag.DurationVar(&cfg.server.RequestTimeout, "timeout", 0, "per-request `deadline` (0 = default 30s)")
@@ -152,7 +150,7 @@ func run(ctx context.Context, cfg config, ready func(addr string)) error {
 	if err != nil {
 		return err
 	}
-	st, err := vstore.Open(cfg.dir, diff.Options{Workers: cfg.diffWorkers, Matcher: matcher}, vstore.Config{
+	st, err := vstore.Open(cfg.dir, diff.Options{Matcher: matcher}, vstore.Config{
 		Shards:       cfg.storeShards,
 		Sync:         policy,
 		SyncInterval: cfg.syncInterval,

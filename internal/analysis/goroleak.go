@@ -9,7 +9,7 @@ import (
 
 // GoroLeak enforces the daemon's goroutine lifecycle invariant: every
 // goroutine the stack spawns — group-commit writers, sync/compaction/
-// scrub loops, crawl workers, diff fan-out — must provably terminate,
+// scrub loops, crawl workers — must provably terminate,
 // or the daemon accumulates runners that outlive their owner and hold
 // segments, documents, and sockets forever.
 //

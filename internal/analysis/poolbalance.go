@@ -16,9 +16,8 @@ import (
 // The analysis is interprocedural within a package. First it
 // classifies helper functions:
 //
-//   - a *source* returns a pooled value to its caller (`treeFromPool`,
-//     `newTree`, `matcherFromPool` — directly or through other
-//     sources);
+//   - a *source* returns a pooled value to its caller (`newTree`,
+//     `newMatcher` — directly or through other sources);
 //   - a *sink* returns its parameter or receiver to a pool
 //     (`(*tree).release`, `(*matcher).release`).
 //
@@ -132,8 +131,8 @@ func (pb *poolBalance) sinksOrSources(call *ast.CallExpr, set map[types.Object]b
 }
 
 // classify finds the package's sources and sinks, iterating sources to
-// a fixpoint so wrappers of wrappers (newTree over treeFromPool) are
-// recognized.
+// a fixpoint so wrappers of wrappers (a helper returning newTree's
+// result) are recognized.
 func (pb *poolBalance) classify() {
 	// Sinks need one pass: a Put whose argument resolves to a parameter
 	// or the receiver.

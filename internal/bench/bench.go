@@ -40,12 +40,6 @@ type Fig4Point struct {
 // target byte sizes of the old document; the change simulator runs at
 // the paper's 10% probabilities.
 func Fig4(sizes []int, seed int64) ([]Fig4Point, error) {
-	return Fig4Opts(sizes, seed, diff.Options{})
-}
-
-// Fig4Opts is Fig4 with explicit diff options (the xybench -workers
-// flag threads through here).
-func Fig4Opts(sizes []int, seed int64, opts diff.Options) ([]Fig4Point, error) {
 	rng := rand.New(rand.NewSource(seed))
 	var out []Fig4Point
 	for _, size := range sizes {
@@ -56,7 +50,7 @@ func Fig4Opts(sizes []int, seed int64, opts diff.Options) ([]Fig4Point, error) {
 		}
 		oldBytes := len(oldDoc.String())
 		newBytes := len(sim.New.String())
-		r, err := diff.DiffDetailed(oldDoc.Clone(), sim.New.Clone(), opts)
+		r, err := diff.DiffDetailed(oldDoc.Clone(), sim.New.Clone(), diff.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -252,17 +246,12 @@ type SiteResult struct {
 // Site diffs two synthetic snapshots of a web site with the given page
 // count (the paper's www.inria.fr had about fourteen thousand pages).
 func Site(pages int, seed int64) (SiteResult, error) {
-	return SiteOpts(pages, seed, diff.Options{})
-}
-
-// SiteOpts is Site with explicit diff options.
-func SiteOpts(pages int, seed int64, opts diff.Options) (SiteResult, error) {
 	oldDoc, newDoc, err := changesim.SiteSnapshotPair(seed, pages)
 	if err != nil {
 		return SiteResult{}, err
 	}
 	size := len(oldDoc.String())
-	r, err := diff.DiffDetailed(oldDoc, newDoc, opts)
+	r, err := diff.DiffDetailed(oldDoc, newDoc, diff.Options{})
 	if err != nil {
 		return SiteResult{}, err
 	}

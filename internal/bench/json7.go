@@ -17,10 +17,10 @@ import (
 // matcher comparison on the id-less HTML corpus. For SFTM and
 // BULD-without-IDs it records match precision/recall against the
 // change simulator's ground-truth correspondences, the resulting delta
-// sizes relative to the perfect delta, and diff time — plus the SFTM
-// worker sweep with its byte-identical-delta and Apply round-trip
-// verdicts. The regression gate (scripts/benchdiff.sh) holds SFTM to
-// beating BULD on the corpus it was built for.
+// sizes relative to the perfect delta, diff time, and whether every
+// SFTM delta survived the Apply round trip. The regression gate
+// (scripts/benchdiff.sh) holds SFTM to beating BULD on the corpus it
+// was built for.
 type Bench7Report struct {
 	Schema     int    `json:"schema"`
 	Mode       string `json:"mode"` // "quick" or "full"
@@ -42,12 +42,6 @@ type Bench7Report struct {
 	// Entries records diff time per matcher on the headline corpus.
 	Entries []BenchEntry `json:"entries"`
 
-	// Parallel is the SFTM Workers sweep on one corpus pair.
-	Parallel []ParallelEntry `json:"parallel"`
-
-	// DeltasIdentical is true when every worker count produced
-	// byte-identical SFTM delta XML.
-	DeltasIdentical bool `json:"deltasIdentical"`
 	// RoundTrips is true when every SFTM delta in the run applied back
 	// onto the old document and reproduced the new one exactly.
 	RoundTrips bool `json:"roundTrips"`
@@ -74,9 +68,6 @@ type MatchQualityEntry struct {
 var bench7Churns = []float64{0.08, 0.12, 0.18, 0.25}
 
 const bench7CorpusChurn = 0.12
-
-// bench7Workers is the SFTM determinism sweep.
-var bench7Workers = []int{1, 2, 4, 8}
 
 // Bench7 measures the matcher-comparison report. Quick mode uses fewer
 // corpus seeds and smaller pages (a couple of seconds total) and is
@@ -177,11 +168,9 @@ func Bench7(quick bool, seed int64) (*Bench7Report, error) {
 		return nil, err
 	}
 	for _, m := range matchers {
-		opts := m.opts
-		opts.Workers = 1
 		var diffErr error
 		ns, bytesOp, allocs := measure(reps, func() {
-			if _, err2 := diff.Diff(timeDoc.Clone(), timeSim.New.Clone(), opts); err2 != nil {
+			if _, err2 := diff.Diff(timeDoc.Clone(), timeSim.New.Clone(), m.opts); err2 != nil {
 				diffErr = err2
 			}
 		})
@@ -196,51 +185,18 @@ func Bench7(quick bool, seed int64) (*Bench7Report, error) {
 		})
 	}
 
-	// SFTM Workers sweep: the matching is sequential by design, so the
-	// deltas must stay byte-identical while the parallel tree phases
-	// scale — and each one must survive the Apply round trip.
-	r.DeltasIdentical = true
-	var refDelta string
-	var baseNs int64
-	for _, w := range bench7Workers {
-		opts := diff.Options{Matcher: diff.MatcherSFTM, Workers: w}
-		var deltaXML string
-		var diffErr error
-		ns, _, _ := measure(reps, func() {
-			d, err2 := diff.Diff(timeDoc.Clone(), timeSim.New.Clone(), opts)
-			if err2 != nil {
-				diffErr = err2
-				return
-			}
-			b, err2 := d.MarshalText()
-			if err2 != nil {
-				diffErr = err2
-				return
-			}
-			deltaXML = string(b)
-		})
-		if diffErr != nil {
-			return nil, diffErr
-		}
-		if refDelta == "" {
-			refDelta = deltaXML
-			baseNs = ns
-		} else if deltaXML != refDelta {
-			r.DeltasIdentical = false
-		}
-		if err := bench7RoundTrip(timeDoc, timeSim.New, deltaXML); err != nil {
-			r.RoundTrips = false
-		}
-		speedup := 0.0
-		if ns > 0 {
-			speedup = float64(baseNs) / float64(ns)
-		}
-		r.Parallel = append(r.Parallel, ParallelEntry{
-			Workers: w,
-			NsPerOp: ns,
-			Speedup: speedup,
-			DeltaB:  len(deltaXML),
-		})
+	// The timing pair is four times the corpus page size; its SFTM
+	// delta must survive the Apply round trip too.
+	d, err := diff.Diff(timeDoc.Clone(), timeSim.New.Clone(), diff.Options{Matcher: diff.MatcherSFTM})
+	if err != nil {
+		return nil, err
+	}
+	dXML, err := d.MarshalText()
+	if err != nil {
+		return nil, err
+	}
+	if err := bench7RoundTrip(timeDoc, timeSim.New, string(dXML)); err != nil {
+		r.RoundTrips = false
 	}
 	return r, nil
 }
@@ -280,15 +236,12 @@ func ReadBench7(r io.Reader) (*Bench7Report, error) {
 }
 
 // Compare checks a fresh report against a committed baseline and
-// returns one message per violated gate. The hard invariants
-// (byte-identical deltas, Apply round trips, SFTM beating BULD at the
-// corpus churn) are absolute; times may grow 3x, and precision/recall
-// may drop at most 0.03 below the baseline at each swept churn level.
+// returns one message per violated gate. The hard invariants (Apply
+// round trips, SFTM beating BULD at the corpus churn) are absolute;
+// times may grow 3x, and precision/recall may drop at most 0.03 below
+// the baseline at each swept churn level.
 func (r *Bench7Report) Compare(baseline *Bench7Report) []string {
 	var bad []string
-	if !r.DeltasIdentical {
-		bad = append(bad, "sftm worker sweep produced non-identical deltas")
-	}
 	if !r.RoundTrips {
 		bad = append(bad, "an sftm delta failed the Apply round trip")
 	}
@@ -334,11 +287,6 @@ func PrintBench7(w io.Writer, r *Bench7Report) {
 	for _, e := range r.Entries {
 		fmt.Fprintf(w, "%-24s %14d %14d %12d\n", e.Name, e.NsPerOp, e.BytesPerOp, e.AllocsPerOp)
 	}
-	fmt.Fprintf(w, "%-24s %14s %10s %12s\n", "parallel (sftm)", "ns/op", "speedup", "delta(B)")
-	for _, p := range r.Parallel {
-		fmt.Fprintf(w, "workers=%-16d %14d %9.2fx %12d\n", p.Workers, p.NsPerOp, p.Speedup, p.DeltaB)
-	}
-	fmt.Fprintf(w, "deltas identical across workers: %v\n", r.DeltasIdentical)
 	fmt.Fprintf(w, "apply round trips: %v\n", r.RoundTrips)
 	fmt.Fprintf(w, "sftm beats buld at churn %.2f: %v\n", r.CorpusChurn, r.Wins)
 }

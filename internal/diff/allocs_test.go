@@ -1,0 +1,75 @@
+package diff_test
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"xydiff/internal/changesim"
+	"xydiff/internal/diff"
+	"xydiff/internal/dom"
+)
+
+// TestComposeVersionsAllocations pins what a range read pays for its
+// composition: two annotations, the XID pairing and the delta, no
+// signature index and no fan-out (1 541 allocations on this chain when
+// it built both; 842 without). ComposeVersions rewrites XIDs in
+// final, so every run gets its own pre-made clone.
+func TestComposeVersionsAllocations(t *testing.T) {
+	base, final, _ := catalogChain(t, 7, 7000, 3, 0.10)
+	const runs = 10
+	finals := make([]*dom.Node, runs+1) // AllocsPerRun warms up with one extra call
+	for i := range finals {
+		finals[i] = final.Clone()
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := diff.ComposeVersions(base, finals[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	t.Logf("%.0f allocations per ComposeVersions of %d and %d nodes", allocs, base.Size(), final.Size())
+	if allocs > 1000 {
+		t.Errorf("%.0f allocations per ComposeVersions, want at most 1000", allocs)
+	}
+}
+
+// TestSFTMDiffAllocations pins the same for the SFTM arm, which scores
+// tokens and never reads a subtree signature: 2 495 allocations per
+// diff of this page pair when it built the index anyway, 1 078
+// without.
+func TestSFTMDiffAllocations(t *testing.T) {
+	oldDoc := changesim.HTMLPage(rand.New(rand.NewSource(7)), 40)
+	sim, err := changesim.SimulateHTML(oldDoc, changesim.UniformHTML(0.12, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := diff.Diff(oldDoc, sim.New, diff.Options{Matcher: diff.MatcherSFTM}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations per SFTM diff of %d and %d nodes", allocs, oldDoc.Size(), sim.New.Size())
+	if allocs > 1400 {
+		t.Errorf("%.0f allocations per SFTM diff, want at most 1400", allocs)
+	}
+}
+
+// BenchmarkComposeVersions is the composition behind a range GET, on a
+// history_mix-sized chain and an ingest_large-sized one.
+func BenchmarkComposeVersions(b *testing.B) {
+	for _, bytes := range []int{7_000, 150_000} {
+		b.Run(fmt.Sprintf("bytes=%d", bytes), func(b *testing.B) {
+			base, final, _ := catalogChain(b, 7, bytes, 3, 0.10)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// final keeps the XIDs it has, so it can be reused.
+				if _, err := diff.ComposeVersions(base, final); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -12,7 +12,7 @@ import (
 // mirroring the decomposition of the paper's Figure 4.
 type PhaseTimings struct {
 	Phase1 time.Duration // ID attribute matching + propagation
-	Phase2 time.Duration // tree annotation: signatures, weights, indexes
+	Phase2 time.Duration // tree annotation (signatures, weights) and BULD's signature indexes
 	Phase3 time.Duration // BULD matching loop
 	Phase4 time.Duration // bottom-up / top-down propagation
 	Phase5 time.Duration // delta construction
@@ -70,28 +70,12 @@ func DiffDetailed(oldDoc, newDoc *dom.Node, opts Options) (*Result, error) {
 	var r Result
 	r.Matcher = MatcherBULD
 
-	// Phase 2 first in execution order: the annotation arrays are the
-	// substrate every other phase works on. With more than one worker
-	// the two documents annotate concurrently, each side fanning out
-	// over its decomposition blocks with its share of the budget.
-	workers := opts.workers()
+	// Phase 2 first in execution order: the annotation arrays and the
+	// signature indexes are the substrate every other phase works on.
 	start := time.Now()
-	var oldT, newT *tree
-	if workers > 1 {
-		trees := [2]**tree{&oldT, &newT}
-		docs := [2]*dom.Node{oldDoc, newDoc}
-		share := [2]int{(workers + 1) / 2, workers / 2}
-		runParallel(2, 2, func(k int) {
-			*trees[k] = newTree(docs[k], share[k], opts.done)
-		})
-	} else {
-		oldT = newTree(oldDoc, 1, opts.done)
-		newT = newTree(newDoc, 1, opts.done)
-	}
-	defer oldT.release()
-	defer newT.release()
-	m := matcherFromPool(oldT, newT, opts, workers)
+	m := newMatcher(oldDoc, newDoc, opts)
 	defer m.release()
+	m.indexSignatures()
 	r.Timings.Phase2 = time.Since(start)
 	if opts.canceled() {
 		return nil, errCanceled
@@ -122,7 +106,7 @@ func DiffDetailed(oldDoc, newDoc *dom.Node, opts Options) (*Result, error) {
 	r.Delta = m.buildDelta()
 	r.Timings.Phase5 = time.Since(start)
 
-	r.OldNodes, r.NewNodes = oldT.len(), newT.len()
+	r.OldNodes, r.NewNodes = m.old.len(), m.new.len()
 	for _, ni := range m.oldToNew {
 		if ni >= 0 {
 			r.MatchedNodes++

@@ -1,17 +1,21 @@
 package diff_test
 
-// These tests pin the tentpole invariant of the parallel diff core:
-// Options.Workers changes scheduling, never the delta. They live in an
-// external test package so they can drive changesim (which imports
-// diff) as the corpus generator.
+// These tests pin the deltas themselves: a seeded corpus whose delta
+// XML must not move, and the shared pools under concurrent use. They
+// live in an external test package so they can drive changesim (which
+// imports diff) as the corpus generator.
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"xydiff/internal/changesim"
+	"xydiff/internal/delta"
 	"xydiff/internal/diff"
 	"xydiff/internal/dom"
 )
@@ -36,15 +40,61 @@ func corpusPair(t *testing.T, seed int64, bytes int, rate float64) (*dom.Node, *
 	return oldDoc, sim.New
 }
 
-// TestDeltaIdenticalAcrossWorkerCounts diffs a seeded changesim corpus
-// at Workers ∈ {1,2,4,8} and requires byte-identical delta XML, for
-// both matchers: BULD's parallel phases and SFTM's (whose matching is
-// sequential by design, so any divergence means a tree phase leaked
-// scheduling order into the result). The sizes straddle
-// minParallelNodes so both the parallel build and its sequential
-// fallback are exercised; SFTM runs the smaller cases to keep the
-// suite quick.
-func TestDeltaIdenticalAcrossWorkerCounts(t *testing.T) {
+// catalogChain builds a catalog of about bytes bytes and steps
+// successive versions of it (Uniform(rate) each), diffing every step.
+// base and final carry the XIDs the chain assigned, which is what
+// Compose and ComposeVersions match on.
+func catalogChain(tb testing.TB, seed int64, bytes, steps int, rate float64) (base, final *dom.Node, chain []*delta.Delta) {
+	tb.Helper()
+	base = changesim.CatalogOfSize(rand.New(rand.NewSource(seed)), bytes)
+	cur := base
+	for step := 0; step < steps; step++ {
+		sim, err := changesim.Simulate(cur, changesim.Uniform(rate, seed+int64(step)))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		d, err := diff.Diff(cur, sim.New, diff.Options{})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		chain = append(chain, d)
+		cur = sim.New
+	}
+	return base, cur, chain
+}
+
+// pinnedDeltas holds the SHA-256 of each case's delta XML, recorded at
+// the last commit that still had the intra-document parallel diff, on its
+// sequential path. A digest that moves means the matching or the delta
+// construction chose differently; that is never a refactoring.
+var pinnedDeltas = map[string]string{
+	"seed1-4000B-buld":   "e989125f5145edf87cd454bff49060663ad861dd5d12fdb7aafc189465c59327",
+	"seed1-4000B-sftm":   "3d9fc2f30920bf1974f3df08cc162b8db89d58c7cdacd00810c7f4534f24448a",
+	"seed2-60000B-buld":  "96e65977331cf804bc63ab0edb67226d0129b4843828f1541f67bea20c12889c",
+	"seed2-60000B-sftm":  "e785870c314838b66123413d4900ea52833bad8557f931d67589b1c1e92c5b70",
+	"seed3-120000B-buld": "2a006290c99b733c365bccca0df842fef35ff4f13572094872dbd570c1c2186a",
+	"seed4-200000B-buld": "b6dd9ac825a21d11314938d63bedb491386b919fed2fcf05cad35250d0574630",
+	"seed5-250000B-buld": "51651e1f71974bf81aea456253ba41bcac9cb3c2465affa56021fd5b11898eb6",
+	"compose-forward":    "8cfab9c556b3f6d1e8642f850ae39d9f274b34faeefb777fade2d3bf681a77b3",
+	"compose-inverted":   "44fa10258ac1db50d11eb3d9c15255691719ad21e5bf577227db18f43f5c9d5f",
+}
+
+// TestCorpusDeltasPinned diffs a seeded changesim corpus with both
+// matchers (SFTM on the smaller cases, to keep the suite quick) and
+// composes one three-step chain forward and inverted, and requires the
+// delta XML of each to hash to its pinned digest.
+func TestCorpusDeltasPinned(t *testing.T) {
+	check := func(t *testing.T, name string, d *delta.Delta) {
+		t.Helper()
+		text, err := d.MarshalText()
+		if err != nil {
+			t.Fatalf("marshal: %v", err)
+		}
+		sum := sha256.Sum256(text)
+		if got := hex.EncodeToString(sum[:]); got != pinnedDeltas[name] {
+			t.Errorf("%s: delta digest %s, pinned %s (%d bytes)", name, got, pinnedDeltas[name], len(text))
+		}
+	}
 	for _, tc := range []struct {
 		seed  int64
 		bytes int
@@ -62,38 +112,38 @@ func TestDeltaIdenticalAcrossWorkerCounts(t *testing.T) {
 			matchers = append(matchers, diff.MatcherSFTM)
 		}
 		for _, matcher := range matchers {
-			t.Run(fmt.Sprintf("seed%d-%dB-%s", tc.seed, tc.bytes, matcher), func(t *testing.T) {
+			name := fmt.Sprintf("seed%d-%dB-%s", tc.seed, tc.bytes, matcher)
+			t.Run(name, func(t *testing.T) {
 				oldDoc, newDoc := corpusPair(t, tc.seed, tc.bytes, tc.rate)
-				var ref string
-				for _, workers := range []int{1, 2, 4, 8} {
-					d, err := diff.Diff(oldDoc.Clone(), newDoc.Clone(), diff.Options{Matcher: matcher, Workers: workers})
-					if err != nil {
-						t.Fatalf("Workers=%d: %v", workers, err)
-					}
-					text, err := d.MarshalText()
-					if err != nil {
-						t.Fatalf("Workers=%d: marshal: %v", workers, err)
-					}
-					if workers == 1 {
-						ref = string(text)
-						continue
-					}
-					if string(text) != ref {
-						t.Fatalf("Workers=%d delta differs from Workers=1\nw1: %s\nw%d: %s",
-							workers, ref, workers, text)
-					}
+				d, err := diff.Diff(oldDoc, newDoc, diff.Options{Matcher: matcher})
+				if err != nil {
+					t.Fatal(err)
 				}
+				check(t, name, d)
 			})
 		}
 	}
+	t.Run("compose", func(t *testing.T) {
+		base, _, chain := catalogChain(t, 7, 7000, 3, 0.10)
+		d, err := diff.Compose(base, chain...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, "compose-forward", d)
+		inv, err := d.Invert()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, "compose-inverted", inv)
+	})
 }
 
 // TestConcurrentDiffsSharePools runs many parallel Diff calls through
 // the shared tree/matcher/lcs pools (this is the server's steady
 // state). Under -race — the repo's race gate runs the whole package —
-// it doubles as the data-race check on the pools and on the worker
-// fan-out; functionally it asserts every goroutine still gets the
-// deterministic delta for its input.
+// it doubles as the data-race check on the pools; functionally it
+// asserts every goroutine still gets the deterministic delta for its
+// input.
 func TestConcurrentDiffsSharePools(t *testing.T) {
 	type job struct {
 		oldDoc, newDoc *dom.Node
@@ -102,7 +152,7 @@ func TestConcurrentDiffsSharePools(t *testing.T) {
 	jobs := make([]job, 4)
 	for i := range jobs {
 		oldDoc, newDoc := corpusPair(t, int64(i), 30_000+10_000*i, 0.10)
-		d, err := diff.Diff(oldDoc.Clone(), newDoc.Clone(), diff.Options{Workers: 1})
+		d, err := diff.Diff(oldDoc.Clone(), newDoc.Clone(), diff.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,9 +167,9 @@ func TestConcurrentDiffsSharePools(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		for i := range jobs {
 			wg.Add(1)
-			go func(j job, workers int) {
+			go func(j job) {
 				defer wg.Done()
-				d, err := diff.Diff(j.oldDoc.Clone(), j.newDoc.Clone(), diff.Options{Workers: workers})
+				d, err := diff.Diff(j.oldDoc.Clone(), j.newDoc.Clone(), diff.Options{})
 				if err != nil {
 					errs <- err
 					return
@@ -130,9 +180,9 @@ func TestConcurrentDiffsSharePools(t *testing.T) {
 					return
 				}
 				if string(text) != j.want {
-					errs <- fmt.Errorf("concurrent diff (Workers=%d) produced a different delta", workers)
+					errs <- errors.New("concurrent diff produced a different delta")
 				}
-			}(jobs[i], 1+(round+i)%4)
+			}(jobs[i])
 		}
 	}
 	wg.Wait()

@@ -323,7 +323,6 @@ func TestDiffOptionsVariants(t *testing.T) {
 		{LISWindow: 2},
 		{PropagationPasses: 3},
 		{MaxAncestorDepth: 5},
-		{MaxCandidates: 1},
 	} {
 		roundTrip(t, oldXML, newXML, opts)
 	}
@@ -485,7 +484,7 @@ func contains(root, n *dom.Node) bool {
 
 func TestTreeAnnotation(t *testing.T) {
 	doc := parse(t, `<a><b>text</b><c/></a>`)
-	tr := newTree(doc, 1, nil)
+	tr := newTree(doc, nil)
 	if tr.len() != 5 {
 		t.Fatalf("len = %d, want 5", tr.len())
 	}
@@ -504,20 +503,20 @@ func TestTreeAnnotation(t *testing.T) {
 	}
 	// Identical subtrees share a signature; different ones do not.
 	doc2 := parse(t, `<a><b>text</b><c/></a>`)
-	tr2 := newTree(doc2, 1, nil)
+	tr2 := newTree(doc2, nil)
 	if tr.sig[tr.root()] != tr2.sig[tr2.root()] {
 		t.Error("identical documents must share signatures")
 	}
 	doc3 := parse(t, `<a><b>texx</b><c/></a>`)
-	tr3 := newTree(doc3, 1, nil)
+	tr3 := newTree(doc3, nil)
 	if tr.sig[tr.root()] == tr3.sig[tr3.root()] {
 		t.Error("different documents share root signature")
 	}
 }
 
 func TestSignatureAttrOrderInsensitive(t *testing.T) {
-	a := newTree(parse(t, `<e x="1" y="2"/>`), 1, nil)
-	b := newTree(parse(t, `<e y="2" x="1"/>`), 1, nil)
+	a := newTree(parse(t, `<e x="1" y="2"/>`), nil)
+	b := newTree(parse(t, `<e y="2" x="1"/>`), nil)
 	if a.sig[a.root()] != b.sig[b.root()] {
 		t.Error("attribute order changed the signature")
 	}
@@ -525,8 +524,8 @@ func TestSignatureAttrOrderInsensitive(t *testing.T) {
 
 func TestSignatureConcatenationAmbiguity(t *testing.T) {
 	// "ab"+"" vs "a"+"b" style ambiguities must not collide.
-	a := newTree(parse(t, `<r><e n="ab"/></r>`), 1, nil)
-	b := newTree(parse(t, `<r><e n="a" m="b"/></r>`), 1, nil)
+	a := newTree(parse(t, `<r><e n="ab"/></r>`), nil)
+	b := newTree(parse(t, `<r><e n="a" m="b"/></r>`), nil)
 	if a.sig[a.root()] == b.sig[b.root()] {
 		t.Error("attribute concatenation collision")
 	}
@@ -534,17 +533,16 @@ func TestSignatureConcatenationAmbiguity(t *testing.T) {
 
 func TestDepthBoundGrowsWithWeight(t *testing.T) {
 	doc := parse(t, strings.Repeat("<a>", 1)+"<b><c><d/></c></b>"+strings.Repeat("</a>", 1))
-	tr := newTree(doc, 1, nil)
-	m := matcherFromPool(tr, tr, Options{}, 1)
+	m := newMatcher(doc, doc, Options{})
 	small := m.depthBound(0.001)
-	big := m.depthBound(tr.totalWeight)
+	big := m.depthBound(m.old.totalWeight)
 	if small < 1 {
 		t.Errorf("depth bound must be >= 1, got %d", small)
 	}
 	if big <= small {
 		t.Errorf("heavier subtrees must see further: small=%d big=%d", small, big)
 	}
-	m2 := matcherFromPool(tr, tr, Options{MaxAncestorDepth: 7}, 1)
+	m2 := newMatcher(doc, doc, Options{MaxAncestorDepth: 7})
 	if m2.depthBound(0.5) != 7 {
 		t.Error("MaxAncestorDepth override ignored")
 	}

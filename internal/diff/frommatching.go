@@ -23,18 +23,13 @@ func FromMatching(oldDoc, newDoc *dom.Node, pairs map[*dom.Node]*dom.Node, opts 
 	if oldDoc.Type != dom.Document || newDoc.Type != dom.Document {
 		return nil, fmt.Errorf("diff: arguments must be Document nodes")
 	}
-	workers := opts.workers()
-	oldT := newTree(oldDoc, workers, nil)
-	defer oldT.release()
-	newT := newTree(newDoc, workers, nil)
-	defer newT.release()
-	m := matcherFromPool(oldT, newT, opts, workers)
+	m := newMatcher(oldDoc, newDoc, opts)
 	defer m.release()
-	m.setMatch(oldT.root(), newT.root())
+	m.setMatch(m.old.root(), m.new.root())
 	// The external pairs address dom nodes; the annotation no longer
 	// keeps a node→index map, so build one per side for this call.
-	oldIdx := indexOf(oldT)
-	newIdx := indexOf(newT)
+	oldIdx := indexOf(m.old)
+	newIdx := indexOf(m.new)
 	for o, n := range pairs {
 		oi, ok := oldIdx[o]
 		if !ok {

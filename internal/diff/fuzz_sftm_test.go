@@ -51,8 +51,7 @@ func FuzzSFTMApply(f *testing.F) {
 		mergeAdjacentText(newDoc)
 		want := newDoc.String()
 
-		workers := 1 + len(script)%4
-		d, err := diff.Diff(oldDoc, newDoc, diff.Options{Matcher: diff.MatcherSFTM, Workers: workers})
+		d, err := diff.Diff(oldDoc, newDoc, diff.Options{Matcher: diff.MatcherSFTM})
 		if err != nil {
 			t.Fatalf("Diff(sftm): %v", err)
 		}

@@ -19,8 +19,7 @@ import (
 // an arbitrary well-formed document and an arbitrary mutation script,
 // Diff followed by Apply must reproduce the mutated serialization
 // byte-for-byte, and the delta must survive an XML serialize/parse
-// round-trip unchanged. The worker count is drawn from the script so
-// the fuzzer also exercises the parallel annotation paths.
+// round-trip unchanged.
 func FuzzDiffApply(f *testing.F) {
 	// Corpus: changesim generator outputs at small sizes, each paired
 	// with scripts that cover every mutation opcode.
@@ -60,8 +59,7 @@ func FuzzDiffApply(f *testing.F) {
 		mergeAdjacentText(newDoc)
 		want := newDoc.String()
 
-		workers := 1 + len(script)%4
-		d, err := diff.Diff(oldDoc, newDoc, diff.Options{Workers: workers})
+		d, err := diff.Diff(oldDoc, newDoc, diff.Options{})
 		if err != nil {
 			t.Fatalf("Diff: %v", err)
 		}

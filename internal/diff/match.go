@@ -9,16 +9,6 @@ import (
 	"xydiff/internal/lcs"
 )
 
-// sigShards is the fixed fan-out of the signature indexes. Sharding by
-// low signature bits lets the index build run on several goroutines
-// while keeping every bucket's content — and therefore candidate
-// order — independent of the worker count. The constant is a power of
-// two and deliberately NOT tied to Options.Workers: the shard a
-// signature lands in must never change, only who builds it.
-const sigShards = 8
-
-func sigShard(sig uint64) int { return int(sig & (sigShards - 1)) }
-
 // matcher holds the matching state between the old and new trees.
 type matcher struct {
 	old, new *tree
@@ -36,19 +26,20 @@ type matcher struct {
 	// bySig indexes unconsumed old nodes by subtree signature; the
 	// secondary index bySigParent finds, in O(1), a candidate whose
 	// parent is a given old node (Section 5.3's answer to d -> 0).
-	bySig       [sigShards]map[uint64][]int32
-	bySigParent [sigShards]map[sigParent][]int32
+	// Buckets hold post-order indexes in ascending order. Only the BULD
+	// arms build them (indexSignatures); Phase 3 is their only reader.
+	bySig       map[uint64][]int32
+	bySigParent map[sigParent][]int32
 
 	// dupSig marks signatures that occur more than once across the two
 	// documents. A unique signature is strong evidence by itself (the
 	// paper's "very unlikely that there is more than one large subtree
 	// with the same signature"); a duplicated one is not — repeated
 	// dates or prices would otherwise weld unrelated parents together
-	// once the candidate bucket drains to one live entry.
-	dupSig [sigShards]map[uint64]bool
-
-	// seen is shard-build scratch (new-document signature occurrence).
-	seen [sigShards]map[uint64]bool
+	// once the candidate bucket drains to one live entry. A key stored
+	// as false is index-build scratch: seen once so far in the new
+	// document, not (yet) a duplicate.
+	dupSig map[uint64]bool
 
 	// q is the Phase 3 priority queue, retained across pooled reuses.
 	q maxQueue
@@ -75,9 +66,9 @@ type sigParent struct {
 	parent int32
 }
 
-// reset prepares a (possibly pooled) matcher for one diff, building the
-// signature indexes with at most workers goroutines.
-func (m *matcher) reset(oldT, newT *tree, opts Options, workers int) {
+// reset prepares a (possibly pooled) matcher for one diff of the two
+// trees: nothing matched, nothing excluded.
+func (m *matcher) reset(oldT, newT *tree, opts Options) {
 	m.old, m.new, m.opts = oldT, newT, opts
 	m.logN = math.Log2(float64(oldT.len() + newT.len() + 2))
 
@@ -94,67 +85,45 @@ func (m *matcher) reset(oldT, newT *tree, opts Options, workers int) {
 	m.newExcluded = growSlice(m.newExcluded, newT.len())
 	clear(m.newExcluded)
 
-	for s := 0; s < sigShards; s++ {
-		if m.bySig[s] == nil {
-			m.bySig[s] = make(map[uint64][]int32, oldT.len()/sigShards+1)
-			m.bySigParent[s] = make(map[sigParent][]int32, oldT.len()/sigShards+1)
-			m.dupSig[s] = make(map[uint64]bool)
-			m.seen[s] = make(map[uint64]bool)
-		} else {
-			clear(m.bySig[s])
-			clear(m.bySigParent[s])
-			clear(m.dupSig[s])
-			clear(m.seen[s])
-		}
-	}
 	if m.ukOld == nil {
 		m.ukOld = make(map[childKey]int)
 		m.ukNew = make(map[childKey]int)
 		m.wbp = make(map[int]float64)
 		m.liStay = make(map[int]bool)
 	}
+}
 
-	// Each shard task owns shard s of every index, scanning both trees
-	// once. Buckets fill in ascending post-order regardless of how the
-	// shards are spread over goroutines, so the candidate order — and
-	// the delta — is identical for every worker count.
-	runParallel(workers, sigShards, func(s int) {
-		bySig, byPar := m.bySig[s], m.bySigParent[s]
-		oldRoot := oldT.root()
-		for i := 0; i < oldT.len(); i++ {
-			if i == oldRoot {
-				continue // the document node is matched structurally
-			}
-			sg := oldT.sig[i]
-			if sigShard(sg) != s {
-				continue
-			}
-			bySig[sg] = append(bySig[sg], int32(i))
-			key := sigParent{sg, oldT.parent[i]}
-			byPar[key] = append(byPar[key], int32(i))
+// indexSignatures builds the signature indexes Phase 3 reads, in one
+// scan of each tree. Only the BULD arms call it: SFTM scores tokens and
+// FromMatching is handed its pairs, so neither looks at a signature.
+func (m *matcher) indexSignatures() {
+	oldT, newT := m.old, m.new
+	if m.bySig == nil {
+		m.bySig = make(map[uint64][]int32, oldT.len())
+		m.bySigParent = make(map[sigParent][]int32, oldT.len())
+		m.dupSig = make(map[uint64]bool)
+	} else {
+		clear(m.bySig)
+		clear(m.bySigParent)
+		clear(m.dupSig)
+	}
+	oldRoot := oldT.root()
+	for i := 0; i < oldRoot; i++ { // the document node is matched structurally
+		sg := oldT.sig[i]
+		bucket := append(m.bySig[sg], int32(i))
+		m.bySig[sg] = bucket
+		if len(bucket) == 2 {
+			m.dupSig[sg] = true
 		}
-		dup := m.dupSig[s]
-		for sg, bucket := range bySig {
-			if len(bucket) > 1 {
-				dup[sg] = true
-			}
-		}
-		seen := m.seen[s]
-		newRoot := newT.root()
-		for i := 0; i < newT.len(); i++ {
-			if i == newRoot {
-				continue
-			}
-			sg := newT.sig[i]
-			if sigShard(sg) != s {
-				continue
-			}
-			if seen[sg] {
-				dup[sg] = true
-			}
-			seen[sg] = true
-		}
-	})
+		key := sigParent{sg, oldT.parent[i]}
+		m.bySigParent[key] = append(m.bySigParent[key], int32(i))
+	}
+	newRoot := newT.root()
+	for i := 0; i < newRoot; i++ {
+		sg := newT.sig[i]
+		_, seen := m.dupSig[sg]
+		m.dupSig[sg] = seen
+	}
 }
 
 func (m *matcher) setMatch(oldIdx, newIdx int) {
@@ -202,12 +171,7 @@ func (m *matcher) phase1IDs() {
 	if len(ids) == 0 {
 		return
 	}
-	var oldIDs, newIDs map[idKey]int
-	trees := [2]*tree{m.old, m.new}
-	out := [2]*map[idKey]int{&oldIDs, &newIDs}
-	runParallel(m.opts.workers(), 2, func(k int) {
-		*out[k] = idIndex(trees[k], ids)
-	})
+	oldIDs, newIDs := idIndex(m.old, ids), idIndex(m.new, ids)
 	for key, oi := range oldIDs {
 		if oi < 0 {
 			continue // duplicated ID value: ignore entirely
@@ -374,6 +338,11 @@ func (m *matcher) phase3BULD() {
 	m.q = q // hand the grown backing array back for pooled reuse
 }
 
+// maxCandidates caps how many equal-signature candidates bestCandidate
+// scans per ancestor level before giving up (the secondary index still
+// finds parent-supported candidates in O(1)).
+const maxCandidates = 64
+
 // bestCandidate returns the old node to match the new subtree y with,
 // or -1. It implements the paper's candidate selection: unique
 // candidates are accepted directly; among several, one whose ancestor
@@ -390,7 +359,7 @@ func (m *matcher) bestCandidate(y int) int {
 	// A duplicated one needs contextual support below, even when only
 	// one live candidate remains: "live uniqueness" is an artifact of
 	// consumption order, not evidence.
-	if len(cands) == 1 && !m.dupSig[sigShard(sig)][sig] {
+	if len(cands) == 1 && !m.dupSig[sig] {
 		if m.acceptable(int(cands[0]), y) {
 			return int(cands[0])
 		}
@@ -406,9 +375,8 @@ func (m *matcher) bestCandidate(y int) int {
 		}
 	}
 	// Higher levels: scan candidates, nearest ancestors first.
-	cap := m.opts.maxCandidates()
-	if len(cands) > cap {
-		cands = cands[:cap]
+	if len(cands) > maxCandidates {
+		cands = cands[:maxCandidates]
 	}
 	for level := 2; level <= d; level++ {
 		ya := m.new.ancestor(y, level)
@@ -446,8 +414,7 @@ func (m *matcher) bestCandidate(y int) int {
 // liveCandidates filters the signature bucket down to still-unmatched
 // nodes, compacting the bucket in place so repeated queries stay cheap.
 func (m *matcher) liveCandidates(sig uint64) []int32 {
-	shard := m.bySig[sigShard(sig)]
-	bucket := shard[sig]
+	bucket := m.bySig[sig]
 	if len(bucket) == 0 {
 		return nil
 	}
@@ -458,17 +425,17 @@ func (m *matcher) liveCandidates(sig uint64) []int32 {
 		}
 	}
 	if len(live) == 0 {
-		delete(shard, sig)
+		delete(m.bySig, sig)
 		return nil
 	}
-	shard[sig] = live
+	m.bySig[sig] = live
 	return live
 }
 
 // pickByParent returns an acceptable candidate with the given old
 // parent, preferring the one whose sibling position is closest to y's.
 func (m *matcher) pickByParent(sig uint64, oldParent, y int) int {
-	bucket := m.bySigParent[sigShard(sig)][sigParent{sig, int32(oldParent)}]
+	bucket := m.bySigParent[sigParent{sig, int32(oldParent)}]
 	bestIdx, bestDist := -1, 1<<30
 	for _, c32 := range bucket {
 		c := int(c32)

@@ -103,16 +103,7 @@ type Options struct {
 	// and for bottom-up ancestor matching. 0 keeps the formula.
 	MaxAncestorDepth int
 
-	// MaxCandidates caps how many equal-signature candidates are
-	// scanned per ancestor level before giving up (the secondary index
-	// still finds parent-supported candidates in O(1)). 0 selects 64.
-	MaxCandidates int
-
-	// Workers bounds the goroutines used for the parallel parts of a
-	// diff (tree annotation, signature indexing). 0 selects
-	// runtime.GOMAXPROCS(0); 1 forces the sequential path. The delta is
-	// bit-identical for every value: parallelism changes who computes an
-	// annotation, never what is computed.
+	// Deprecated: ignored — every diff is sequential. Kept only until benchmark/ stops setting it.
 	Workers int
 
 	// keepNewXIDs makes delta construction retain non-zero XIDs already
@@ -145,20 +136,9 @@ func (o Options) passes() int {
 	return o.PropagationPasses
 }
 
-func (o Options) workers() int {
-	return defaultWorkers(o.Workers)
-}
-
 func (o Options) matcher() Matcher {
 	if o.Matcher == "" {
 		return MatcherBULD
 	}
 	return o.Matcher
-}
-
-func (o Options) maxCandidates() int {
-	if o.MaxCandidates <= 0 {
-		return 64
-	}
-	return o.MaxCandidates
 }

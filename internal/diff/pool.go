@@ -1,6 +1,10 @@
 package diff
 
-import "sync"
+import (
+	"sync"
+
+	"xydiff/internal/dom"
+)
 
 // The server's worker pool runs diffs back to back; the annotation
 // arrays and matcher maps dominated its allocation profile. Both are
@@ -12,37 +16,33 @@ var treePool = sync.Pool{New: func() any { return new(tree) }}
 
 var matcherPool = sync.Pool{New: func() any { return new(matcher) }}
 
-func treeFromPool() *tree {
-	return treePool.Get().(*tree)
-}
-
 // release returns the tree's arrays to the pool. The nodes slice is
 // cleared so the pool does not pin an entire released document in
 // memory; the numeric arrays keep their capacity warm.
 func (t *tree) release() {
-	if t == nil {
-		return
-	}
 	t.doc = nil
 	clear(t.nodes)
 	t.nodes = t.nodes[:0]
 	treePool.Put(t)
 }
 
-func matcherFromPool(oldT, newT *tree, opts Options, workers int) *matcher {
+// newMatcher annotates both documents and returns a pooled matcher over
+// the two trees with nothing matched yet: the start of every arm (BULD,
+// SFTM, FromMatching). The arms that read the signature indexes call
+// indexSignatures next.
+func newMatcher(oldDoc, newDoc *dom.Node, opts Options) *matcher {
 	m := matcherPool.Get().(*matcher)
-	m.reset(oldT, newT, opts, workers)
+	m.reset(newTree(oldDoc, opts.done), newTree(newDoc, opts.done), opts)
 	return m
 }
 
-// release detaches the matcher from the documents and returns it to the
-// pool. Map scratch is cleared on the next reset, not here: a released
-// matcher holds only indexes and signatures, no document pointers —
-// except the queue and unique-child scratch, which are emptied now.
+// release returns the matcher and its two trees to the pools. Map
+// scratch is cleared on its next use, not here: a released matcher
+// holds only indexes and signatures, no document pointers — except the
+// queue and unique-child scratch, which are emptied now.
 func (m *matcher) release() {
-	if m == nil {
-		return
-	}
+	m.old.release()
+	m.new.release()
 	m.old, m.new = nil, nil
 	m.q = m.q[:0]
 	clear(m.ukOld)

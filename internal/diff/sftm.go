@@ -19,30 +19,11 @@ import (
 // the SFTM pipeline (tokenize/index/propagate/greedy) plus committing
 // its index arrays to the matcher, Phase5 delta construction. Phases 1
 // and 4 have no SFTM counterpart and stay zero.
-//
-// The SFTM pipeline itself is sequential: Workers only parallelizes
-// tree annotation, which never changes what is computed, so the delta
-// is bit-identical for every worker count — same invariant as BULD.
 func diffSFTM(oldDoc, newDoc *dom.Node, opts Options) (*Result, error) {
 	r := Result{Matcher: MatcherSFTM}
-	workers := opts.workers()
 
 	start := time.Now()
-	var oldT, newT *tree
-	if workers > 1 {
-		trees := [2]**tree{&oldT, &newT}
-		docs := [2]*dom.Node{oldDoc, newDoc}
-		share := [2]int{(workers + 1) / 2, workers / 2}
-		runParallel(2, 2, func(k int) {
-			*trees[k] = newTree(docs[k], share[k], opts.done)
-		})
-	} else {
-		oldT = newTree(oldDoc, 1, opts.done)
-		newT = newTree(newDoc, 1, opts.done)
-	}
-	defer oldT.release()
-	defer newT.release()
-	m := matcherFromPool(oldT, newT, opts, workers)
+	m := newMatcher(oldDoc, newDoc, opts)
 	defer m.release()
 	r.Timings.Phase2 = time.Since(start)
 	if opts.canceled() {
@@ -62,7 +43,7 @@ func diffSFTM(oldDoc, newDoc *dom.Node, opts Options) (*Result, error) {
 	r.Delta = m.buildDelta()
 	r.Timings.Phase5 = time.Since(start)
 
-	r.OldNodes, r.NewNodes = oldT.len(), newT.len()
+	r.OldNodes, r.NewNodes = m.old.len(), m.new.len()
 	for _, ni := range m.oldToNew {
 		if ni >= 0 {
 			r.MatchedNodes++
@@ -146,25 +127,21 @@ func Matching(oldDoc, newDoc *dom.Node, opts Options) (map[*dom.Node]*dom.Node, 
 		return nil, fmt.Errorf("diff: unknown matcher %q", opts.Matcher)
 	}
 
-	workers := opts.workers()
-	oldT := newTree(oldDoc, workers, opts.done)
-	defer oldT.release()
-	newT := newTree(newDoc, workers, opts.done)
-	defer newT.release()
-	m := matcherFromPool(oldT, newT, opts, workers)
+	m := newMatcher(oldDoc, newDoc, opts)
 	defer m.release()
+	m.indexSignatures()
 	m.phase1IDs()
 	m.phase3BULD()
 	m.phase4Propagate()
 	if opts.canceled() {
 		return nil, errCanceled
 	}
-	pairs := make(map[*dom.Node]*dom.Node, newT.len())
+	pairs := make(map[*dom.Node]*dom.Node, m.new.len())
 	for oi, ni := range m.oldToNew {
 		if ni < 0 {
 			continue
 		}
-		o, n := oldT.nodes[oi], newT.nodes[ni]
+		o, n := m.old.nodes[oi], m.new.nodes[ni]
 		if o.Type == dom.Document {
 			continue
 		}

@@ -35,10 +35,9 @@ func TestSFTMPreOrderSeam(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			oldT := newTree(oldDoc, 1, nil)
-			defer oldT.release()
-			newT := newTree(newDoc, 1, nil)
-			defer newT.release()
+			m := newMatcher(oldDoc, newDoc, Options{Matcher: MatcherSFTM})
+			defer m.release()
+			oldT, newT := m.old, m.new
 			for side, c := range map[string]struct {
 				t   *tree
 				pre []*dom.Node
@@ -57,8 +56,6 @@ func TestSFTMPreOrderSeam(t *testing.T) {
 				}
 			}
 
-			m := matcherFromPool(oldT, newT, Options{Matcher: MatcherSFTM}, 1)
-			defer m.release()
 			if err := m.matchSFTM(); err != nil {
 				t.Fatal(err)
 			}

@@ -11,11 +11,9 @@ import (
 // weights and signatures. Keeping these out of dom.Node keeps the hot
 // loops cache-friendly and the DOM clean.
 //
-// Node identity is the post-order index. The former node→index map is
-// gone: child lookups go through the flattened kids/kidStart arrays,
-// which cost one slice read instead of a map probe and let the
-// annotation build fan out over subtrees without a serialized map
-// insert per node.
+// Node identity is the post-order index. Child lookups go through the
+// flattened kids/kidStart arrays, which cost one slice read instead of
+// a map probe.
 type tree struct {
 	doc   *dom.Node
 	nodes []*dom.Node // post-order
@@ -30,25 +28,18 @@ type tree struct {
 	totalWeight float64
 }
 
-// newTree annotates doc using at most workers goroutines. done, when
-// non-nil, aborts the build early (the caller notices through
-// Options.canceled and discards the partial tree).
-func newTree(doc *dom.Node, workers int, done <-chan struct{}) *tree {
-	t := treeFromPool()
+// newTree annotates doc in one post-order walk. done, when non-nil,
+// aborts the build early (the caller notices through Options.canceled
+// and discards the partial tree).
+func newTree(doc *dom.Node, done <-chan struct{}) *tree {
+	t := treePool.Get().(*tree)
 	t.doc = doc
-	if workers > 1 && len(doc.Children) > 0 {
-		if t.buildParallel(workers, done) {
-			return t
-		}
-		// Decomposition found no parallelism (tiny or degenerate
-		// document): fall through to the sequential path.
-	}
 	n := doc.Size()
 	t.grow(n)
 	b := builder{t: t, done: done}
 	b.build(doc, 0, 0, 0)
 	t.parent[n-1] = -1
-	t.finish()
+	t.totalWeight = t.weight[t.root()]
 	return t
 }
 
@@ -66,10 +57,6 @@ func (t *tree) grow(n int) {
 	} else {
 		t.kids = t.kids[:0]
 	}
-}
-
-func (t *tree) finish() {
-	t.totalWeight = t.weight[t.root()]
 }
 
 func growSlice[T any](s []T, n int) []T {
@@ -109,11 +96,7 @@ func (t *tree) walkPre(i int, v func(i int) bool) {
 	}
 }
 
-// builder fills one contiguous region of the annotation arrays. The
-// sequential path uses a single builder over the whole document; the
-// parallel path runs one per decomposition block, each writing a
-// disjoint index range, so no synchronization is needed beyond the
-// final join.
+// builder fills the annotation arrays of one tree.
 type builder struct {
 	t     *tree
 	attrs []dom.Attr // scratch for attribute sorting

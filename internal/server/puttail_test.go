@@ -166,7 +166,7 @@ func observeFixture(t testing.TB, categories int) (*Server, store.Observation) {
 	added := dom.NewElement("Product")
 	added.Append(dom.NewElement("Name").Append(dom.NewText("d")), dom.NewElement("Price").Append(dom.NewText("$2000")))
 	nh.Append(added) // insert
-	r, err := diff.DiffDetailed(oldDoc, newDoc, diff.Options{Workers: 1})
+	r, err := diff.DiffDetailed(oldDoc, newDoc, diff.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

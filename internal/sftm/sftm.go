@@ -34,7 +34,7 @@
 //
 // Everything is deterministic: no map iteration order reaches the
 // result, so the same inputs produce the same matching — and therefore
-// the same delta — on every run and worker count.
+// the same delta — on every run.
 package sftm
 
 import (

@@ -6,15 +6,14 @@
 # compares each fresh report against its committed baseline
 # (BENCH_5.json … BENCH_8.json). The tolerances live in internal/bench
 # (Bench5Report.Compare … Bench8Report.Compare) and are deliberately
-# coarse — 3x on time, 1.5x on allocation rates, +0.15 on
-# delta-quality and optimality ratios, byte-identical deltas across
-# worker counts, 3x on fsyncs-per-Put with an absolute
-# never-one-fsync-per-Put floor, -0.03 on match precision/recall with
-# the absolute requirement that SFTM beats BULD-without-IDs on the
-# id-less HTML corpus, and the absolute requirement that no computed
-# delta ever costs less than the optdelta oracle's proven optimum — so
-# the gate catches gross regressions on any hardware without flaking
-# on load noise.
+# coarse — 3x on time, 1.5x on allocation counts, +0.15 on
+# delta-quality and optimality ratios, 3x on fsyncs-per-Put with an
+# absolute never-one-fsync-per-Put floor, -0.03 on match
+# precision/recall with the absolute requirement that SFTM beats
+# BULD-without-IDs on the id-less HTML corpus, and the absolute
+# requirement that no computed delta ever costs less than the optdelta
+# oracle's proven optimum — so the gate catches gross regressions on
+# any hardware without flaking on load noise.
 #
 # Usage:
 #   scripts/benchdiff.sh           full-size runs against the baselines

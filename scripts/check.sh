@@ -24,9 +24,9 @@
 #  10. bench smoke quick bench5–bench8 runs compared against the
 #                  committed BENCH_5.json … BENCH_8.json with coarse
 #                  tolerances (3x time, 1.5x allocations, +0.15
-#                  quality/optimality ratio, identical deltas, 3x
-#                  fsyncs-per-Put, -0.03 match precision/recall, and
-#                  no delta ever under the proven optimum)
+#                  quality/optimality ratio, 3x fsyncs-per-Put,
+#                  -0.03 match precision/recall, and no delta ever
+#                  under the proven optimum)
 #
 # Exits nonzero on the first failing step.
 set -eu
