@@ -1,8 +1,9 @@
 package delta
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"xydiff/internal/dom"
 	"xydiff/internal/xid"
@@ -31,7 +32,67 @@ import (
 // network, so beyond the explicit validation below any residual panic
 // (e.g. an out-of-range tree mutation a corrupt delta slips past the
 // checks) is converted into an error.
-func Apply(doc *dom.Node, d *Delta) (err error) {
+func Apply(doc *dom.Node, d *Delta) error {
+	a := applier{doc: doc, clone: true}
+	return a.apply(d, false)
+}
+
+// ApplyClone applies the delta to a deep copy of doc and returns it;
+// doc itself is never modified, even on error.
+func ApplyClone(doc *dom.Node, d *Delta) (*dom.Node, error) {
+	clone := doc.Clone()
+	if err := Apply(clone, d); err != nil {
+		return nil, err
+	}
+	return clone, nil
+}
+
+// A Replay steps one document through a chain of deltas — forward, or
+// backward through their inverses — the way a store rebuilds a version
+// from stored deltas. Each step makes every check Apply makes, and
+// costs less than Apply(doc, d) or Apply(doc, d.Invert()):
+//
+//   - one XID index serves every step: each step keeps it current as it
+//     detaches and attaches, where Apply rebuilds it from the whole
+//     document;
+//   - the deltas are the Replay's to consume: a subtree a step attaches
+//     is the op's own, not a clone of it, so a delta must not be used
+//     again once stepped through (decode it afresh);
+//   - a backward step reads each op inverted where it stands, with no
+//     inverted delta built and none sorted — Apply does not depend on
+//     the order of the ops.
+//
+// After an error the document may be partly changed and the Replay
+// must be dropped.
+type Replay struct {
+	a applier
+}
+
+// NewReplay returns a Replay positioned at doc, the Document node of
+// a version with its XIDs. doc is changed in place by every step.
+func NewReplay(doc *dom.Node) *Replay {
+	return &Replay{a: applier{doc: doc}}
+}
+
+// Forward applies d, taking doc to the version after it. d is consumed.
+func (r *Replay) Forward(d *Delta) error { return r.a.apply(d, false) }
+
+// Backward applies the inverse of d, taking doc to the version before
+// it. d is consumed.
+func (r *Replay) Backward(d *Delta) error { return r.a.apply(d, true) }
+
+// applier is the engine behind Apply and Replay: a document, its XID
+// index (built on first use), and whether attached subtrees are cloned
+// from the ops or taken from them.
+type applier struct {
+	doc   *dom.Node
+	index map[int64]*dom.Node
+	clone bool
+}
+
+// apply applies d to a.doc, or its inverse when backward, in the five
+// phases Apply documents.
+func (a *applier) apply(d *Delta, backward bool) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("delta: apply: internal panic on corrupt delta: %v", r)
@@ -40,11 +101,14 @@ func Apply(doc *dom.Node, d *Delta) (err error) {
 	if d.Empty() {
 		return nil
 	}
-	index := buildIndex(doc)
+	if a.index == nil {
+		a.index = buildIndex(a.doc)
+	}
+	index := a.index
 
 	// Phase 1: updates and attribute ops.
 	for _, op := range d.Ops {
-		if err := applyValueOp(index, op); err != nil {
+		if err := applyValueOp(index, op, backward); err != nil {
 			return err
 		}
 	}
@@ -60,6 +124,9 @@ func Apply(doc *dom.Node, d *Delta) (err error) {
 		if !ok {
 			continue
 		}
+		if backward {
+			mv = Move{XID: mv.XID, FromParent: mv.ToParent, FromPos: mv.ToPos, ToParent: mv.FromParent, ToPos: mv.FromPos}
+		}
 		n := index[mv.XID]
 		if n == nil {
 			return fmt.Errorf("delta: move: no node with XID %d", mv.XID)
@@ -73,8 +140,8 @@ func Apply(doc *dom.Node, d *Delta) (err error) {
 
 	// Phase 3: detach deleted subtrees.
 	for _, op := range d.Ops {
-		del, ok := op.(Delete)
-		if !ok {
+		del, attach, ok := structural(op, backward)
+		if !ok || attach {
 			continue
 		}
 		n := index[del.XID]
@@ -99,14 +166,17 @@ func Apply(doc *dom.Node, d *Delta) (err error) {
 
 	// Phase 4: prepare insertions.
 	for _, op := range d.Ops {
-		ins, ok := op.(Insert)
-		if !ok {
+		ins, attach, ok := structural(op, backward)
+		if !ok || !attach {
 			continue
 		}
 		if ins.Subtree == nil {
 			return fmt.Errorf("delta: insert %d: missing subtree content", ins.XID)
 		}
-		sub := ins.Subtree.Clone()
+		sub := ins.Subtree
+		if a.clone {
+			sub = sub.Clone()
+		}
 		if ins.XIDMap.Len() > 0 {
 			if err := ins.XIDMap.ApplyTo(sub); err != nil {
 				return fmt.Errorf("delta: insert %d: %w", ins.XID, err)
@@ -126,12 +196,12 @@ func Apply(doc *dom.Node, d *Delta) (err error) {
 		if len(parents) == 0 {
 			return fmt.Errorf("delta: %d attachment group(s) reference unknown parents", len(pending))
 		}
-		sort.Slice(parents, func(i, j int) bool { return parents[i] < parents[j] })
+		slices.Sort(parents)
 		for _, p := range parents {
 			parent := index[p]
 			group := pending[p]
 			delete(pending, p)
-			sort.SliceStable(group, func(i, j int) bool { return group[i].pos < group[j].pos })
+			slices.SortStableFunc(group, func(x, y attachment) int { return cmp.Compare(x.pos, y.pos) })
 			for _, at := range group {
 				if err := parent.InsertAt(at.pos, at.node); err != nil {
 					return fmt.Errorf("delta: attach at %d[%d]: %w", p, at.pos, err)
@@ -150,19 +220,27 @@ func Apply(doc *dom.Node, d *Delta) (err error) {
 	return nil
 }
 
-// ApplyClone applies the delta to a deep copy of doc and returns it;
-// doc itself is never modified, even on error.
-func ApplyClone(doc *dom.Node, d *Delta) (*dom.Node, error) {
-	clone := doc.Clone()
-	if err := Apply(clone, d); err != nil {
-		return nil, err
+// structural returns an insert or a delete as an Insert's fields and
+// whether, in the direction applied, it attaches its subtree (an
+// insert, or a delete undone) rather than detaching it.
+func structural(op Op, backward bool) (s Insert, attach, ok bool) {
+	switch o := op.(type) {
+	case Insert:
+		return o, !backward, true
+	case Delete:
+		return Insert(o), backward, true
 	}
-	return clone, nil
+	return Insert{}, false, false
 }
 
-func applyValueOp(index map[int64]*dom.Node, op Op) error {
+// applyValueOp applies an update or an attribute op, or its inverse
+// when backward; other ops are left to the later phases.
+func applyValueOp(index map[int64]*dom.Node, op Op, backward bool) error {
 	switch o := op.(type) {
 	case Update:
+		if backward {
+			o.Old, o.New = o.New, o.Old
+		}
 		n := index[o.XID]
 		if n == nil {
 			return fmt.Errorf("delta: update: no node with XID %d", o.XID)
@@ -172,26 +250,19 @@ func applyValueOp(index map[int64]*dom.Node, op Op) error {
 		}
 		n.Value = o.New
 	case InsertAttr:
-		n := index[o.XID]
-		if n == nil {
-			return fmt.Errorf("delta: insert-attribute: no node with XID %d", o.XID)
+		if backward {
+			return deleteAttr(index, o.XID, o.Name, o.Value)
 		}
-		if _, exists := n.Attribute(o.Name); exists {
-			return fmt.Errorf("delta: insert-attribute %d: %s already present", o.XID, o.Name)
-		}
-		n.SetAttribute(o.Name, o.Value)
+		return insertAttr(index, o.XID, o.Name, o.Value)
 	case DeleteAttr:
-		n := index[o.XID]
-		if n == nil {
-			return fmt.Errorf("delta: delete-attribute: no node with XID %d", o.XID)
+		if backward {
+			return insertAttr(index, o.XID, o.Name, o.Old)
 		}
-		if v, exists := n.Attribute(o.Name); !exists {
-			return fmt.Errorf("delta: delete-attribute %d: %s absent", o.XID, o.Name)
-		} else if v != o.Old {
-			return fmt.Errorf("delta: delete-attribute %d: %s=%q, op says %q", o.XID, o.Name, v, o.Old)
-		}
-		n.RemoveAttribute(o.Name)
+		return deleteAttr(index, o.XID, o.Name, o.Old)
 	case UpdateAttr:
+		if backward {
+			o.Old, o.New = o.New, o.Old
+		}
 		n := index[o.XID]
 		if n == nil {
 			return fmt.Errorf("delta: update-attribute: no node with XID %d", o.XID)
@@ -203,6 +274,32 @@ func applyValueOp(index map[int64]*dom.Node, op Op) error {
 		}
 		n.SetAttribute(o.Name, o.New)
 	}
+	return nil
+}
+
+func insertAttr(index map[int64]*dom.Node, x int64, name, value string) error {
+	n := index[x]
+	if n == nil {
+		return fmt.Errorf("delta: insert-attribute: no node with XID %d", x)
+	}
+	if _, exists := n.Attribute(name); exists {
+		return fmt.Errorf("delta: insert-attribute %d: %s already present", x, name)
+	}
+	n.SetAttribute(name, value)
+	return nil
+}
+
+func deleteAttr(index map[int64]*dom.Node, x int64, name, old string) error {
+	n := index[x]
+	if n == nil {
+		return fmt.Errorf("delta: delete-attribute: no node with XID %d", x)
+	}
+	if v, exists := n.Attribute(name); !exists {
+		return fmt.Errorf("delta: delete-attribute %d: %s absent", x, name)
+	} else if v != old {
+		return fmt.Errorf("delta: delete-attribute %d: %s=%q, op says %q", x, name, v, old)
+	}
+	n.RemoveAttribute(name)
 	return nil
 }
 

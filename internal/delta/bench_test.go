@@ -1,7 +1,6 @@
 package delta_test
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
@@ -10,29 +9,53 @@ import (
 	"xydiff/internal/diff"
 )
 
-// BenchmarkDeltaParse decodes a stored delta of the kind every read of
-// an old version pays for: a ~150 KB catalog changed at 10% churn,
-// diffed, and serialized as the store would keep it.
-func BenchmarkDeltaParse(b *testing.B) {
+// storedDelta is a stored delta of the kind every read of an old
+// version decodes: a ~150 KB catalog changed at 10% churn, diffed, and
+// serialized as the store keeps it (~124 KB).
+func storedDelta(tb testing.TB) []byte {
 	old := changesim.CatalogOfSize(rand.New(rand.NewSource(1)), 130000)
 	res, err := changesim.Simulate(old, changesim.Uniform(0.10, 2))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	d, err := diff.Diff(old, res.New, diff.Options{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	raw, err := d.MarshalText()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return raw
+}
+
+// BenchmarkDeltaParse decodes storedDelta from the bytes, as the store
+// does.
+func BenchmarkDeltaParse(b *testing.B) {
+	raw := storedDelta(b)
 	b.SetBytes(int64(len(raw)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := delta.Parse(bytes.NewReader(raw)); err != nil {
+		if _, err := delta.ParseBytes(raw); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestDeltaDecodeAllocations keeps the delta document from being built
+// again: decoding storedDelta allocates for the content of its inserts
+// and deletes and for its ops, not for the op elements around them.
+// (Building the document and walking it cost 15 941.) A count, not a
+// timing, so it can gate go test.
+func TestDeltaDecodeAllocations(t *testing.T) {
+	raw := storedDelta(t)
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := delta.ParseBytes(raw); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 8000 {
+		t.Errorf("decoding a %d-byte delta allocates %.0f times, want at most 8000", len(raw), allocs)
 	}
 }

@@ -1,8 +1,9 @@
 package delta
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -80,27 +81,28 @@ func (d *Delta) Invert() (*Delta, error) {
 // target XID. Apply's semantics do not depend on this order; it only
 // makes deltas stable and diffable.
 func (d *Delta) sort() {
-	rank := func(k Kind) int {
-		switch k {
-		case KindDelete:
-			return 0
-		case KindInsert:
-			return 1
-		case KindMove:
-			return 2
-		case KindUpdate:
-			return 3
-		default:
-			return 4
+	slices.SortStableFunc(d.Ops, func(a, b Op) int {
+		if c := cmp.Compare(sortRank(a.Kind()), sortRank(b.Kind())); c != 0 {
+			return c
 		}
-	}
-	sort.SliceStable(d.Ops, func(i, j int) bool {
-		ri, rj := rank(d.Ops[i].Kind()), rank(d.Ops[j].Kind())
-		if ri != rj {
-			return ri < rj
-		}
-		return d.Ops[i].TargetXID() < d.Ops[j].TargetXID()
+		return cmp.Compare(a.TargetXID(), b.TargetXID())
 	})
+}
+
+// sortRank places a kind in the canonical order.
+func sortRank(k Kind) int {
+	switch k {
+	case KindDelete:
+		return 0
+	case KindInsert:
+		return 1
+	case KindMove:
+		return 2
+	case KindUpdate:
+		return 3
+	default:
+		return 4
+	}
 }
 
 // Normalize sorts the operations canonically and returns the delta.

@@ -1,8 +1,13 @@
 package delta
 
 import (
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -427,47 +432,44 @@ func TestOpTargetXIDs(t *testing.T) {
 	}
 }
 
-// TestParseDetachesSubtrees pins that decoding hands the subtrees of
-// inserts and deletes over from the parse tree, which Parse is about
-// to drop, instead of copying them. On a golden delta each op's
-// subtree is the very node the parser built; and on a delta whose two
-// subtrees hold 201 nodes each, what ParseBytes allocates beyond
-// dom.ParseBytes of the same bytes stays below one allocation per
-// subtree node, which a copy costs at the least.
+// TestParseDetachesSubtrees pins that decoding builds the subtrees of
+// inserts and deletes once, as free-standing trees carrying their
+// xidmap's XIDs, and nothing else. On a golden delta each op's subtree
+// has no parent and its XIDs in post-order are its map's; and on a
+// delta whose two subtrees hold 201 nodes each, what ParseBytes
+// allocates beyond dom.ParseBytes of the same bytes stays below one
+// allocation per subtree node, which a copy costs at the least.
 func TestParseDetachesSubtrees(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "golden", "attributes.delta.xml"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc, err := dom.ParseBytes(raw, parseOptions())
+	d, err := ParseBytes(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var built []*dom.Node
-	for _, e := range doc.Root().Children {
-		built = append(built, e.Children[0])
-	}
-	d, err := FromDoc(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Ops) != 4 || len(built) != 4 {
-		t.Fatalf("golden delta has %d ops over %d subtrees, want 4 and 4", len(d.Ops), len(built))
-	}
+	subtrees := 0
 	for i, op := range d.Ops {
 		var sub *dom.Node
+		var m xid.Map
 		switch op := op.(type) {
 		case Insert:
-			sub = op.Subtree
+			sub, m = op.Subtree, op.XIDMap
 		case Delete:
-			sub = op.Subtree
+			sub, m = op.Subtree, op.XIDMap
+		default:
+			continue
 		}
-		if sub != built[i] {
-			t.Errorf("op %d (%v): subtree is a copy of the parsed node", i, op.Kind())
+		subtrees++
+		if sub.Parent != nil {
+			t.Errorf("op %d (%v): subtree has a parent", i, op.Kind())
 		}
-		if sub != nil && sub.Parent != nil {
-			t.Errorf("op %d (%v): subtree is still attached to the parse tree", i, op.Kind())
+		if got := xid.Of(sub).String(); got != m.String() {
+			t.Errorf("op %d (%v): subtree XIDs %s, map %s", i, op.Kind(), got, m)
 		}
+	}
+	if len(d.Ops) != 4 || subtrees != 4 {
+		t.Fatalf("golden delta has %d ops over %d subtrees, want 4 and 4", len(d.Ops), subtrees)
 	}
 	if got := checkEncoding(t, d); string(got)+"\n" != string(raw) {
 		t.Errorf("decoded delta encodes differently:\n%s\n%s", got, raw)
@@ -508,5 +510,142 @@ func TestParseDetachesSubtrees(t *testing.T) {
 	})
 	if nodes := 2 * 201.0; decode-parse >= nodes {
 		t.Errorf("decoding allocates %.0f times on top of the parse's %.0f: the %.0f subtree nodes are copied", decode-parse, parse, nodes)
+	}
+}
+
+// sortReference is Delta.sort before it moved to slices.SortStableFunc.
+func sortReference(d *Delta) {
+	rank := func(k Kind) int {
+		switch k {
+		case KindDelete:
+			return 0
+		case KindInsert:
+			return 1
+		case KindMove:
+			return 2
+		case KindUpdate:
+			return 3
+		default:
+			return 4
+		}
+	}
+	sort.SliceStable(d.Ops, func(i, j int) bool {
+		ri, rj := rank(d.Ops[i].Kind()), rank(d.Ops[j].Kind())
+		if ri != rj {
+			return ri < rj
+		}
+		return d.Ops[i].TargetXID() < d.Ops[j].TargetXID()
+	})
+}
+
+// TestSortMatchesReference: the canonical order is the same
+// permutation as before on shuffled ops whose keys tie — every kind on
+// a handful of XIDs, each op told apart by a serial number — so ties
+// keep their input order in both.
+func TestSortMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(25))
+	for round := 0; round < 200; round++ {
+		var ops []Op
+		for i, n := 0, r.Intn(40); i < n; i++ {
+			x, serial := int64(r.Intn(4)), strconv.Itoa(i)
+			ops = append(ops, []Op{
+				Insert{XID: x, Pos: i}, Delete{XID: x, Pos: i}, Update{XID: x, Old: serial},
+				Move{XID: x, FromPos: i}, InsertAttr{XID: x, Name: serial},
+				DeleteAttr{XID: x, Name: serial}, UpdateAttr{XID: x, Name: serial},
+			}[r.Intn(7)])
+		}
+		got, want := &Delta{Ops: slices.Clone(ops)}, &Delta{Ops: slices.Clone(ops)}
+		got.Normalize()
+		sortReference(want)
+		if !reflect.DeepEqual(got.Ops, want.Ops) {
+			t.Fatalf("round %d: order differs\n got: %v\nwant: %v", round, got.Ops, want.Ops)
+		}
+	}
+}
+
+// TestReplayMatchesApply: a Replay step forward is Apply, a step
+// backward is Apply of the inverse — on the paper's example and the
+// attribute and move cases above, one Replay through the chain there
+// and back — and it fails where Apply fails.
+func TestReplayMatchesApply(t *testing.T) {
+	type step struct {
+		doc func() *dom.Node
+		d   func() *Delta
+	}
+	parse := func(s string) func() *dom.Node {
+		return func() *dom.Node {
+			doc, err := dom.ParseString(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			xid.Assign(doc)
+			return doc
+		}
+	}
+	cases := []step{
+		{func() *dom.Node { return buildCatalog(t) }, func() *Delta { return paperDelta(t) }},
+		{parse(`<a x="1"><b y="2"/></a>`), func() *Delta {
+			return &Delta{Ops: []Op{
+				InsertAttr{XID: 1, Name: "z", Value: "3"},
+				UpdateAttr{XID: 1, Name: "y", Old: "2", New: "22"},
+				DeleteAttr{XID: 2, Name: "x", Old: "1"},
+			}}
+		}},
+		{parse(`<r><keep/><mv/></r>`), func() *Delta {
+			wrap, _ := dom.ParseString(`<wrap/>`)
+			m, _ := xid.ParseMap("(5)")
+			return &Delta{Ops: []Op{
+				Insert{XID: 5, XIDMap: m, Parent: 3, Pos: 1, Subtree: wrap.Root()},
+				Move{XID: 2, FromParent: 3, FromPos: 1, ToParent: 5, ToPos: 0},
+			}}
+		}},
+	}
+	for i, c := range cases {
+		want := c.doc()
+		if err := Apply(want, c.d()); err != nil {
+			t.Fatal(err)
+		}
+		doc := c.doc()
+		r := NewReplay(doc)
+		if err := r.Forward(c.d()); err != nil {
+			t.Fatalf("case %d forward: %v", i, err)
+		}
+		if doc.String() != want.String() || xid.Of(doc).String() != xid.Of(want).String() {
+			t.Fatalf("case %d forward: %s, Apply gives %s", i, doc, want)
+		}
+		if err := Apply(want, mustInvert(t, c.d())); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Backward(c.d()); err != nil {
+			t.Fatalf("case %d backward: %v", i, err)
+		}
+		if orig := c.doc(); doc.String() != orig.String() || xid.Of(doc).String() != xid.Of(want).String() {
+			t.Fatalf("case %d backward: %s, want %s", i, doc, orig)
+		}
+	}
+	sub, _ := dom.ParseString(`<x/>`)
+	for _, d := range []*Delta{
+		{Ops: []Op{Update{XID: 1, Old: "WRONG", New: "b"}}},
+		{Ops: []Op{Delete{XID: 7, Parent: 8, Pos: 0, Subtree: sub.Root()}}},
+		{Ops: []Op{Move{XID: 2, FromParent: 99, ToParent: 16, ToPos: 0}}},
+	} {
+		if err := NewReplay(buildCatalog(t)).Forward(d); err == nil {
+			t.Errorf("Forward(%v) succeeded where Apply fails", d.Ops)
+		}
+		if err := NewReplay(buildCatalog(t)).Backward(mustInvert(t, d)); err == nil {
+			t.Errorf("Backward of the inverse of %v succeeded where Apply fails", d.Ops)
+		}
+	}
+}
+
+// TestParseRefusesAnXIDMapLongerThanItsSubtree: an xidmap is counted
+// against its subtree, not expanded first. Expanding "(0-9223372036854775807)"
+// asked for a negative-length slice, and decoding the delta panicked.
+func TestParseRefusesAnXIDMapLongerThanItsSubtree(t *testing.T) {
+	for _, m := range []string{"(0-9223372036854775807)", "(1-99999999999)", "(1-2)"} {
+		src := `<delta><insert parent="1" pos="1" xid="5" xidmap="` + m + `"><a/></insert></delta>`
+		if _, err := ParseString(src); err == nil {
+			t.Errorf("xidmap %s accepted for one node", m)
+		}
 	}
 }

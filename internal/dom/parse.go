@@ -69,11 +69,25 @@ func ParseWithOptions(r io.Reader, opts ParseOptions) (*Node, error) {
 // they were written in, so serialized output always reparses to an
 // Equal tree.
 func ParseBytes(src []byte, opts ParseOptions) (*Node, error) {
-	if max := opts.Limits.MaxBytes; max > 0 && int64(len(src)) > max {
-		return nil, &LimitError{What: "bytes", Limit: max}
+	p := parser{src: src, opts: opts}
+	p.checkSize()
+	doc := NewDocument()
+	kids, err := p.content(doc, nil)
+	if err != nil {
+		return nil, err
 	}
-	p := parser{src: src, opts: opts, names: make(map[string]string)}
-	return p.parse()
+	if len(kids) > 0 {
+		doc.Children = append([]*Node(nil), kids...)
+	}
+	return doc, nil
+}
+
+// checkSize refuses, as the parse's first error, an input longer than
+// Limits.MaxBytes.
+func (p *parser) checkSize() {
+	if max := p.opts.Limits.MaxBytes; max > 0 && int64(len(p.src)) > max {
+		p.err = &LimitError{What: "bytes", Limit: max}
+	}
 }
 
 // readInput reads r to its end, or to limit+1 bytes when limit is

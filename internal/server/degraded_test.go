@@ -179,6 +179,15 @@ func TestDegradedMissingVersionIs410(t *testing.T) {
 	if payload["degraded"] != true || payload["intactVersions"].(float64) != 3 {
 		t.Fatalf("degraded payload = %v", payload)
 	}
+
+	// A one-version range past the intact end is the same missing
+	// version; one inside it is an empty delta.
+	if code, _, body := doReq(t, "GET", ts.URL+"/docs/doc/deltas/9..9", ""); code != http.StatusGone {
+		t.Fatalf("delta range 9..9 on a degraded doc = %d: %s", code, body)
+	}
+	if code, _, body := doReq(t, "GET", ts.URL+"/docs/doc/deltas/2..2", ""); code != http.StatusOK || body != "<delta/>" {
+		t.Fatalf("delta range 2..2 = %d: %s", code, body)
+	}
 }
 
 // TestXMLPrefixDocumentSurvivesRestart: an XHTML-style document (xml:

@@ -212,6 +212,11 @@ func TestNotFoundAndBadRequests(t *testing.T) {
 		{"GET", "/docs/d/versions/9", "", http.StatusNotFound},
 		{"GET", "/docs/d/versions/x", "", http.StatusBadRequest},
 		{"GET", "/docs/d/deltas/1", "", http.StatusNotFound}, // only one version
+		{"GET", "/docs/ghost/deltas/1..2", "", http.StatusNotFound},
+		{"GET", "/docs/ghost/deltas/3..3", "", http.StatusNotFound},
+		{"GET", "/docs/d/deltas/9..9", "", http.StatusNotFound},
+		{"GET", "/docs/d/deltas/0..0", "", http.StatusNotFound},
+		{"GET", "/docs/d/deltas/1..1", "", http.StatusOK},
 		{"GET", "/docs/d/deltas/x..y", "", http.StatusBadRequest},
 		{"GET", "/docs/d/deltas/bogus", "", http.StatusBadRequest},
 		{"PUT", "/docs/d", "not xml", http.StatusBadRequest},

@@ -191,9 +191,18 @@ func matchesWithTextParent(pattern *xpathlite.Expr, n *dom.Node) bool {
 
 // Aggregate returns one delta with the combined effect of the chain
 // from version from to version to (the paper's delta aggregation).
-// from > to yields the inverted aggregate.
+// from > to yields the inverted aggregate, from == to an empty delta —
+// for a version Version would serve; the others get Version's error.
 func (s *Store) Aggregate(id string, from, to int) (*delta.Delta, error) {
 	if from == to {
+		h, err := s.reading(id)
+		if err != nil {
+			return nil, err
+		}
+		defer h.mu.RUnlock()
+		if from < 1 || from > h.versions {
+			return nil, fmt.Errorf("store: %s has versions 1..%d, not %d: %w", id, h.versions, from, ErrNoSuchVersion)
+		}
 		return &delta.Delta{}, nil
 	}
 	base, err := s.Version(id, min(from, to))

@@ -250,4 +250,15 @@ func TestAggregate(t *testing.T) {
 	if _, err := s.Aggregate("ghost", 1, 2); err == nil {
 		t.Error("unknown doc accepted")
 	}
+	// An empty range answers as its version does: it used to be empty
+	// for any document and any version.
+	for _, r := range []struct {
+		id string
+		v  int
+	}{{"ghost", 3}, {"cat", 9}, {"cat", 0}} {
+		_, wantErr := s.Version(r.id, r.v)
+		if _, err := s.Aggregate(r.id, r.v, r.v); err == nil || wantErr == nil || err.Error() != wantErr.Error() {
+			t.Errorf("Aggregate(%s, %d, %d) = %v, Version says %v", r.id, r.v, r.v, err, wantErr)
+		}
+	}
 }

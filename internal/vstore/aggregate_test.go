@@ -150,3 +150,45 @@ func TestAggregateAllPairsMatchComposition(t *testing.T) {
 		t.Errorf("unknown document: got %v, want %v", gotErr, wantErr)
 	}
 }
+
+// TestAggregateOfOneVersionAnswersLikeVersion: Aggregate(id, a, a) has
+// nothing to compose, but it must look the document and the version up
+// as Version(id, a) does — it used to answer an empty delta for any
+// document and any a, where a..a+1 answered "no such document".
+func TestAggregateOfOneVersionAnswersLikeVersion(t *testing.T) {
+	s, err := Open(t.TempDir(), diff.Options{}, Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, body := range []string{`<r><a>1</a></r>`, `<r><a>2</a></r>`, `<r><a>3</a></r>`} {
+		doc, err := dom.ParseString(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.Put("doc", doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(id string, v int, kind error) {
+		t.Helper()
+		_, wantErr := s.Version(id, v)
+		got, err := s.Aggregate(id, v, v)
+		switch {
+		case kind == nil && (err != nil || wantErr != nil || !got.Empty()):
+			t.Errorf("Aggregate(%s, %d, %d) = %v, %v; Version says %v", id, v, v, got, err, wantErr)
+		case kind != nil && (err == nil || wantErr == nil || err.Error() != wantErr.Error() || !errors.Is(err, kind)):
+			t.Errorf("Aggregate(%s, %d, %d) = %v; Version says %v, want %v", id, v, v, err, wantErr, kind)
+		}
+	}
+	check("doc", 2, nil)
+	check("ghost", 3, store.ErrUnknownDocument)
+	check("doc", 0, store.ErrNoSuchVersion)
+	check("doc", 4, store.ErrNoSuchVersion)
+	st := s.shardFor("doc").lookup("doc")
+	st.mu.Lock()
+	st.degraded, st.degradedReason = true, "marked by the test"
+	st.mu.Unlock()
+	check("doc", 4, ErrDegraded)
+	check("doc", 3, nil)
+}

@@ -1,0 +1,264 @@
+package vstore
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"xydiff/internal/changesim"
+	"xydiff/internal/delta"
+	"xydiff/internal/diff"
+	"xydiff/internal/dom"
+	"xydiff/internal/xid"
+	"xydiff/internal/xpathlite"
+)
+
+// renderWithXIDs is a version's bytes followed by its XIDs in document
+// order: two versions render the same iff they are the same tree with
+// the same identifiers.
+func renderWithXIDs(doc *dom.Node) string {
+	var b strings.Builder
+	b.WriteString(doc.String())
+	dom.WalkPre(doc, func(n *dom.Node) bool {
+		fmt.Fprintf(&b, " %d", n.XID)
+		return true
+	})
+	return b.String()
+}
+
+// stepwise takes doc from version from to version to one delta at a
+// time, as every replay did before Replay: a fresh decode, an inverted
+// copy on the way back, and Apply with its own index and clones.
+func stepwise(t *testing.T, st *docState, doc *dom.Node, from, to int) {
+	t.Helper()
+	for v := from; v != to; {
+		next := v + 1
+		i := v - 1 // the delta from v to v+1
+		if to < from {
+			next, i = v-1, v-2
+		}
+		d, err := delta.ParseBytes(st.deltas[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if to < from {
+			if d, err = d.Invert(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := delta.Apply(doc, d); err != nil {
+			t.Fatalf("stepwise %d -> %d: %v", v, next, err)
+		}
+		v = next
+	}
+}
+
+// putChains stores a versions-long BULD catalog chain under "buld" and
+// an SFTM page chain under "sftm".
+func putChains(t *testing.T, s *Store, versions int) []string {
+	t.Helper()
+	rng := rand.New(rand.NewSource(25))
+	chains := []struct {
+		matcher diff.Matcher
+		next    func(cur *dom.Node) (*dom.Node, error)
+	}{
+		{diff.MatcherBULD, func(cur *dom.Node) (*dom.Node, error) {
+			if cur == nil {
+				return changesim.Catalog(rng, 3, 4), nil
+			}
+			res, err := changesim.Simulate(cur, changesim.Uniform(0.12, rng.Int63()))
+			if err != nil {
+				return nil, err
+			}
+			return res.New, nil
+		}},
+		{diff.MatcherSFTM, func(cur *dom.Node) (*dom.Node, error) {
+			if cur == nil {
+				return changesim.HTMLPage(rng, 4), nil
+			}
+			res, err := changesim.SimulateHTML(cur, changesim.UniformHTML(0.08, rng.Int63()))
+			if err != nil {
+				return nil, err
+			}
+			return res.New, nil
+		}},
+	}
+	var ids []string
+	for _, c := range chains {
+		var cur *dom.Node
+		for v := 1; v <= versions; v++ {
+			var err error
+			if cur, err = c.next(cur); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := s.PutMatcherContext(context.Background(), string(c.matcher), cur, c.matcher); err != nil {
+				t.Fatalf("%s v%d: %v", c.matcher, v, err)
+			}
+		}
+		ids = append(ids, string(c.matcher))
+	}
+	return ids
+}
+
+// TestReplayMatchesStepwise: for a seven-version chain under each
+// matcher, going from any version to any other through one Replay —
+// forward, or backward through the inverses — gives byte for byte and
+// XID for XID the version that stepping one Apply(Invert(ParseBytes))
+// at a time gives; so do the store's own Version, Timeline and
+// NodeHistory, which replay. Live and after the store comes back from
+// its files with a one-document cache, so materialising replays too.
+func TestReplayMatchesStepwise(t *testing.T) {
+	const versions = 7
+	dir := t.TempDir()
+	s, err := Open(dir, diff.Options{}, Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := putChains(t, s, versions)
+	check := func(s *Store, label string) {
+		t.Helper()
+		for _, id := range ids {
+			st := s.shardFor(id).lookup(id)
+			base, err := dom.ParseBytes(st.base, snapshotLoadOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			xid.Assign(base)
+			want := make([]string, versions+1)
+			for v := 1; v <= versions; v++ {
+				doc := base.Clone()
+				stepwise(t, st, doc, 1, v)
+				want[v] = renderWithXIDs(doc)
+				got, err := s.Version(id, v)
+				if err != nil {
+					t.Fatalf("%s: %s Version(%d): %v", label, id, v, err)
+				}
+				if renderWithXIDs(got) != want[v] {
+					t.Fatalf("%s: %s Version(%d) differs from the stepwise replay", label, id, v)
+				}
+			}
+			for from := 1; from <= versions; from++ {
+				for to := 1; to <= versions; to++ {
+					doc := base.Clone()
+					stepwise(t, st, doc, 1, from)
+					r := delta.NewReplay(doc)
+					for v := from; v != to; {
+						var err error
+						if to > from {
+							var d *delta.Delta
+							if d, err = delta.ParseBytes(st.deltas[v-1]); err == nil {
+								err = r.Forward(d)
+							}
+							v++
+						} else {
+							err = st.rewind(r, v, v-1)
+							v--
+						}
+						if err != nil {
+							t.Fatalf("%s: %s replay %d..%d: %v", label, id, from, to, err)
+						}
+					}
+					if renderWithXIDs(doc) != want[to] {
+						t.Fatalf("%s: %s replay %d..%d differs from the stepwise replay", label, id, from, to)
+					}
+				}
+			}
+			history, err := s.NodeHistory(id, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			expr := xpathlite.MustCompile("/*")
+			timeline, err := s.Timeline(id, expr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v, ns := range history {
+				doc, err := s.Version(id, v+1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := dom.FindByXID(doc, 2); (n != nil) != ns.Present || n != nil && n.Path() != ns.Path {
+					t.Fatalf("%s: %s NodeHistory at version %d: %+v", label, id, v+1, ns)
+				}
+				if got := timeline[v]; !got.Found || got.Value != expr.SelectFirst(doc).TextContent() {
+					t.Fatalf("%s: %s Timeline at version %d: %+v", label, id, v+1, got)
+				}
+			}
+		}
+	}
+	check(s, "live")
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := Open(dir, diff.Options{}, Config{Shards: 2, CacheSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	check(reopened, "reopened")
+}
+
+// rewindStore holds a document of four 10%-churn steps after a catalog
+// of about size bytes, under "doc".
+func rewindStore(tb testing.TB, size int) *Store {
+	s, err := Open(tb.TempDir(), diff.Options{}, Config{Shards: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cur := changesim.CatalogOfSize(rand.New(rand.NewSource(7)), size)
+	for v := 1; v <= 5; v++ {
+		if v > 1 {
+			res, err := changesim.Simulate(cur, changesim.Uniform(0.10, int64(v)))
+			if err != nil {
+				tb.Fatal(err)
+			}
+			cur = res.New
+		}
+		if _, _, err := s.Put("doc", cur); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return s
+}
+
+// TestRewindAllocations keeps a read of an old version at what one
+// replay costs: the copy of the cached latest version, the content of
+// four deltas' inserts and deletes, and their ops — no delta document,
+// no inverted copy, no per-step index, no subtree clones. (With those,
+// once per step, this read took 5 157 allocations; with the Replay and
+// the token decoder, 1 979.) A count, not a timing, so it can gate go
+// test.
+func TestRewindAllocations(t *testing.T) {
+	s := rewindStore(t, 7000)
+	defer s.Close()
+	if _, err := s.Version("doc", 1); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := s.Version("doc", 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3000 {
+		t.Errorf("rewinding four steps allocates %.0f times, want at most 3000", allocs)
+	}
+}
+
+// BenchmarkRewind reads the oldest of five versions of a ~150 KB
+// catalog: a clone of the cached latest and four replay steps back.
+func BenchmarkRewind(b *testing.B) {
+	s := rewindStore(b, 130000)
+	defer s.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Version("doc", 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -49,6 +49,7 @@ func (s *Store) Timeline(id string, expr *xpathlite.Expr) ([]store.VersionValue,
 	}
 	out := make([]store.VersionValue, st.versions)
 	doc := latest.Clone()
+	r := delta.NewReplay(doc)
 	for v := st.versions; v >= 1; v-- {
 		first := expr.SelectFirst(doc)
 		out[v-1] = store.VersionValue{Version: v, Found: first != nil}
@@ -56,11 +57,7 @@ func (s *Store) Timeline(id string, expr *xpathlite.Expr) ([]store.VersionValue,
 			out[v-1].Value = first.TextContent()
 		}
 		if v > 1 {
-			d, err := st.parseDelta(v - 2)
-			if err != nil {
-				return nil, fmt.Errorf("vstore: timeline %s at version %d: %w", id, v-1, err)
-			}
-			if err := applyInverse(doc, d); err != nil {
+			if err := st.rewind(r, v, v-1); err != nil {
 				return nil, fmt.Errorf("vstore: timeline %s at version %d: %w", id, v-1, err)
 			}
 		}
@@ -82,6 +79,7 @@ func (s *Store) NodeHistory(id string, xid int64) ([]store.NodeState, error) {
 	}
 	out := make([]store.NodeState, st.versions)
 	doc := latest.Clone()
+	r := delta.NewReplay(doc)
 	for v := st.versions; v >= 1; v-- {
 		ns := store.NodeState{Version: v}
 		if n := dom.FindByXID(doc, xid); n != nil {
@@ -91,11 +89,7 @@ func (s *Store) NodeHistory(id string, xid int64) ([]store.NodeState, error) {
 		}
 		out[v-1] = ns
 		if v > 1 {
-			d, err := st.parseDelta(v - 2)
-			if err != nil {
-				return nil, fmt.Errorf("vstore: history %s at version %d: %w", id, v-1, err)
-			}
-			if err := applyInverse(doc, d); err != nil {
+			if err := st.rewind(r, v, v-1); err != nil {
 				return nil, fmt.Errorf("vstore: history %s at version %d: %w", id, v-1, err)
 			}
 		}
@@ -135,14 +129,8 @@ func (s *Store) ChangesMatching(id string, from, to int, pattern *xpathlite.Expr
 	// forward, inspecting each delta against the version before and
 	// after it.
 	doc := latest.Clone()
-	for v := st.versions; v > from; v-- {
-		d, err := st.parseDelta(v - 2)
-		if err != nil {
-			return nil, err
-		}
-		if err := applyInverse(doc, d); err != nil {
-			return nil, fmt.Errorf("vstore: reconstruct %s version %d: %w", id, from, err)
-		}
+	if err := st.rewind(delta.NewReplay(doc), st.versions, from); err != nil {
+		return nil, fmt.Errorf("vstore: reconstruct %s version %d: %w", id, from, err)
 	}
 	var hits []store.ChangeHit
 	for v := from; v < to; v++ {
@@ -188,19 +176,25 @@ func matchesWithTextParent(pattern *xpathlite.Expr, n *dom.Node) bool {
 
 // Aggregate returns one delta with the combined effect of the chain
 // from version from to version to. from > to yields the inverted
-// aggregate. Each stored delta between the latest version and the
+// aggregate, from == to an empty delta — for a version Version would
+// serve; the others get Version's error. Each stored delta between the latest version and the
 // older end is decoded once: the walk back from the latest version
 // passes through the newer end on its way to the older one, and those
 // two trees are all diff.ComposeVersions needs.
 func (s *Store) Aggregate(id string, from, to int) (*delta.Delta, error) {
-	if from == to {
-		return &delta.Delta{}, nil
-	}
-	lo, hi := min(from, to), max(from, to)
 	st, err := s.reading(id)
 	if err != nil {
 		return nil, err
 	}
+	if from == to {
+		err := st.checkVersion(id, from)
+		st.mu.RUnlock()
+		if err != nil {
+			return nil, err
+		}
+		return &delta.Delta{}, nil
+	}
+	lo, hi := min(from, to), max(from, to)
 	older, newer, err := s.endpoints(id, st, lo, hi)
 	st.mu.RUnlock() // the trees are private copies: matching them needs no lock
 	if err != nil {
@@ -234,11 +228,12 @@ func (s *Store) endpoints(id string, st *docState, lo, hi int) (older, newer *do
 		return nil, nil, err
 	}
 	older = latest.Clone()
-	if err := st.rewind(older, st.versions, hi); err != nil {
+	r := delta.NewReplay(older)
+	if err := st.rewind(r, st.versions, hi); err != nil {
 		return nil, nil, fmt.Errorf("vstore: reconstruct %s version %d: %w", id, hi, err)
 	}
 	newer = older.Clone()
-	if err := st.rewind(older, hi, lo); err != nil {
+	if err := st.rewind(r, hi, lo); err != nil {
 		return nil, nil, fmt.Errorf("vstore: reconstruct %s version %d: %w", id, lo, err)
 	}
 	return older, newer, nil

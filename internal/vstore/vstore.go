@@ -364,12 +364,13 @@ func (s *Store) materializeLocked(id string, st *docState) (*dom.Node, error) {
 		return nil, fmt.Errorf("vstore: materialize %s base: %w", id, err)
 	}
 	xid.Assign(doc)
+	r := delta.NewReplay(doc)
 	for i, raw := range st.deltas {
 		d, err := delta.ParseBytes(raw)
 		if err != nil {
 			return nil, fmt.Errorf("vstore: materialize %s delta %d: %w", id, i+1, err)
 		}
-		if err := delta.Apply(doc, d); err != nil {
+		if err := r.Forward(d); err != nil {
 			return nil, fmt.Errorf("vstore: materialize %s: delta %d does not apply: %w", id, i+1, err)
 		}
 	}
@@ -464,22 +465,22 @@ func (s *Store) Version(id string, n int) (*dom.Node, error) {
 		return nil, err
 	}
 	doc := latest.Clone()
-	if err := st.rewind(doc, st.versions, n); err != nil {
+	if err := st.rewind(delta.NewReplay(doc), st.versions, n); err != nil {
 		return nil, fmt.Errorf("vstore: reconstruct %s version %d: %w", id, n, err)
 	}
 	return doc, nil
 }
 
-// rewind takes doc, which holds version from, back to version to
-// (from >= to) by applying the inverses of the stored deltas between
-// them, newest first. The caller holds the state lock.
-func (st *docState) rewind(doc *dom.Node, from, to int) error {
+// rewind takes r's document, which holds version from, back to version
+// to (from >= to) through the stored deltas between them, newest
+// first, each decoded for the step. The caller holds the state lock.
+func (st *docState) rewind(r *delta.Replay, from, to int) error {
 	for v := from; v > to; v-- {
 		d, err := st.parseDelta(v - 2)
 		if err != nil {
 			return err
 		}
-		if err := applyInverse(doc, d); err != nil {
+		if err := r.Backward(d); err != nil {
 			return err
 		}
 	}
@@ -573,15 +574,6 @@ func (st *docState) parseDelta(i int) (*delta.Delta, error) {
 		return nil, fmt.Errorf("vstore: parse stored delta %d: %w", i+1, err)
 	}
 	return d, nil
-}
-
-// applyInverse applies the inverse of d to doc.
-func applyInverse(doc *dom.Node, d *delta.Delta) error {
-	inv, err := d.Invert()
-	if err != nil {
-		return err
-	}
-	return delta.Apply(doc, inv)
 }
 
 // Close stops the background loops and the per-shard group-commit

@@ -162,20 +162,60 @@ func (m Map) String() string {
 
 // ParseMap parses the "(3-5;9;12-14)" syntax produced by String.
 func ParseMap(s string) (Map, error) {
+	m, _, err := parseMap(s, nil, 0)
+	return m, err
+}
+
+// Spans is storage that the maps of one decode share, so a map costs
+// no allocation of its own. A map parsed into it stays valid when more
+// are: its ranges are never written again.
+type Spans struct{ buf []span }
+
+// ParseMap is xid.ParseMap for a map held in bytes, such as an attribute
+// value a tokenizer hands over, its ranges kept in s; b is not retained.
+func (s *Spans) ParseMap(b []byte) (Map, error) {
+	m, rest, err := parseMap(b, s.buf, 64)
+	s.buf = rest
+	return m, err
+}
+
+// parseMap parses s into ranges taken from the front of buf, or from a
+// new buffer with room for chunk ranges more when buf is too short, and
+// returns what is left of it.
+func parseMap[T string | []byte](s T, buf []span, chunk int) (Map, []span, error) {
 	var m Map
-	s = strings.TrimSpace(s)
 	if len(s) < 2 || s[0] != '(' || s[len(s)-1] != ')' {
-		return m, fmt.Errorf("xid: map %q must be parenthesized", s)
+		// Surrounding white space is all that may still make it a map.
+		t := strings.TrimSpace(string(s))
+		if len(t) < 2 || t[0] != '(' || t[len(t)-1] != ')' {
+			return m, buf, fmt.Errorf("xid: map %q must be parenthesized", t)
+		}
+		s = T(t)
 	}
 	body := s[1 : len(s)-1]
-	if body == "" {
-		return m, nil
+	if len(body) == 0 {
+		return m, buf, nil
 	}
-	for _, part := range strings.Split(body, ";") {
-		lo, hi, err := parseSpan(part)
-		if err != nil {
-			return Map{}, err
+	parts := 1
+	for i := 0; i < len(body); i++ {
+		if body[i] == ';' {
+			parts++
 		}
+	}
+	if cap(buf) < parts {
+		buf = make([]span, 0, parts+chunk)
+	}
+	m.ranges = buf[:0:parts]
+	buf = buf[parts:cap(buf)]
+	for start, i := 0, 0; i <= len(body); i++ {
+		if i < len(body) && body[i] != ';' {
+			continue
+		}
+		lo, hi, err := parseSpan(body[start:i])
+		if err != nil {
+			return Map{}, buf, err
+		}
+		start = i + 1
 		if k := len(m.ranges); k > 0 && m.ranges[k-1].hi+1 == lo {
 			// Normalize: merge ranges a caller wrote as "(1-2;3)".
 			m.ranges[k-1].hi = hi
@@ -183,16 +223,20 @@ func ParseMap(s string) (Map, error) {
 		}
 		m.ranges = append(m.ranges, span{lo, hi})
 	}
-	return m, nil
+	return m, buf, nil
 }
 
-func parseSpan(s string) (lo, hi int64, err error) {
-	if dash := strings.IndexByte(s, '-'); dash >= 0 {
-		lo, err = strconv.ParseInt(s[:dash], 10, 64)
+func parseSpan[T string | []byte](s T) (lo, hi int64, err error) {
+	dash := 0
+	for dash < len(s) && s[dash] != '-' {
+		dash++
+	}
+	if dash < len(s) {
+		lo, err = parseInt(s[:dash])
 		if err != nil {
 			return 0, 0, fmt.Errorf("xid: bad range %q: %w", s, err)
 		}
-		hi, err = strconv.ParseInt(s[dash+1:], 10, 64)
+		hi, err = parseInt(s[dash+1:])
 		if err != nil {
 			return 0, 0, fmt.Errorf("xid: bad range %q: %w", s, err)
 		}
@@ -201,31 +245,82 @@ func parseSpan(s string) (lo, hi int64, err error) {
 		}
 		return lo, hi, nil
 	}
-	lo, err = strconv.ParseInt(s, 10, 64)
+	lo, err = parseInt(s)
 	if err != nil {
 		return 0, 0, fmt.Errorf("xid: bad id %q: %w", s, err)
 	}
 	return lo, lo, nil
 }
 
+// parseInt is strconv.ParseInt(string(s), 10, 64), its loop written
+// out for the plain digits String writes.
+func parseInt[T string | []byte](s T) (int64, error) {
+	if len(s) == 0 || len(s) > 18 {
+		return strconv.ParseInt(string(s), 10, 64)
+	}
+	var v int64
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return strconv.ParseInt(string(s), 10, 64)
+		}
+		v = v*10 + int64(s[i]-'0')
+	}
+	return v, nil
+}
+
 // ApplyTo writes the map's XIDs onto the subtree rooted at n in
 // post-order. It returns an error when the node count differs from the
 // map length.
 func (m Map) ApplyTo(n *dom.Node) error {
-	xids := m.XIDs()
-	i := 0
-	var overflow bool
+	c := m.Stamper()
 	dom.WalkPost(n, func(x *dom.Node) bool {
-		if i >= len(xids) {
-			overflow = true
-			return true
-		}
-		x.XID = xids[i]
-		i++
+		c.Stamp(x)
 		return true
 	})
-	if overflow || i != len(xids) {
-		return fmt.Errorf("xid: map has %d ids but subtree has %d nodes", len(xids), n.Size())
+	return c.Done(n)
+}
+
+// A Stamper writes a map's XIDs onto nodes one at a time, in the order
+// it is handed them — post-order, for the subtree the map describes —
+// without expanding the map.
+type Stamper struct {
+	ranges []span
+	next   int64 // the XID the next node gets, in ranges[0]
+	size   int   // the map's length
+	extra  bool  // a node arrived after the last XID was given
+}
+
+// Stamper returns a Stamper positioned at the map's first XID.
+func (m Map) Stamper() Stamper {
+	s := Stamper{ranges: m.ranges, size: m.Len()}
+	if len(m.ranges) > 0 {
+		s.next = m.ranges[0].lo
+	}
+	return s
+}
+
+// Stamp gives n the next XID. Nodes beyond the map's length are left
+// alone and make Done fail.
+func (s *Stamper) Stamp(n *dom.Node) {
+	if len(s.ranges) == 0 {
+		s.extra = true
+		return
+	}
+	n.XID = s.next
+	if s.next < s.ranges[0].hi {
+		s.next++
+		return
+	}
+	if s.ranges = s.ranges[1:]; len(s.ranges) > 0 {
+		s.next = s.ranges[0].lo
+	}
+}
+
+// Done reports whether exactly the map's XIDs were handed out; root is
+// the subtree they went to, for the error message.
+func (s *Stamper) Done(root *dom.Node) error {
+	if s.extra || len(s.ranges) > 0 {
+		return fmt.Errorf("xid: map has %d ids but subtree has %d nodes", s.size, root.Size())
 	}
 	return nil
 }
