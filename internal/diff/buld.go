@@ -73,9 +73,8 @@ func DiffDetailed(oldDoc, newDoc *dom.Node, opts Options) (*Result, error) {
 	// Phase 2 first in execution order: the annotation arrays and the
 	// signature indexes are the substrate every other phase works on.
 	start := time.Now()
-	m := newMatcher(oldDoc, newDoc, opts)
+	m := newMatcher(oldDoc, newDoc, opts, true)
 	defer m.release()
-	m.indexSignatures()
 	r.Timings.Phase2 = time.Since(start)
 	if opts.canceled() {
 		return nil, errCanceled

@@ -46,22 +46,25 @@ func Compose(base *dom.Node, deltas ...*delta.Delta) (*delta.Delta, error) {
 // they already have, so final must not be a tree another goroutine is
 // reading.
 func ComposeVersions(base, final *dom.Node) (*delta.Delta, error) {
-	byXID := make(map[int64]*dom.Node, final.Size())
-	dom.WalkPre(final, func(n *dom.Node) bool {
-		if n.XID != 0 {
-			byXID[n.XID] = n
-		}
-		return true
-	})
-	pairs := make(map[*dom.Node]*dom.Node)
-	dom.WalkPre(base, func(o *dom.Node) bool {
-		if n := byXID[o.XID]; n != nil {
-			pairs[o] = n
-		}
-		return true
-	})
+	if err := checkDocuments(base, final); err != nil {
+		return nil, err
+	}
 	// Exact intra-parent move minimization: the aggregate should be at
 	// least as small as the chain it replaces. keepNewXIDs makes the
 	// aggregate assign the same identifiers the chain did.
-	return FromMatching(base, final, pairs, Options{LISWindow: -1, DisableIDAttributes: true, keepNewXIDs: true})
+	m := newMatcher(base, final, Options{LISWindow: -1, DisableIDAttributes: true, keepNewXIDs: true}, false)
+	defer m.release()
+	m.setMatch(m.old.root(), m.new.root())
+	at := make(map[int64]int32, m.new.len()) // XID -> index in final
+	for i, n := range m.new.nodes {
+		if n.XID != 0 {
+			at[n.XID] = int32(i)
+		}
+	}
+	for oi, o := range m.old.nodes {
+		if ni, ok := at[o.XID]; ok && m.compatible(oi, int(ni)) {
+			m.setMatch(oi, int(ni))
+		}
+	}
+	return m.buildDelta(), nil
 }

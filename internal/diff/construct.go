@@ -166,12 +166,15 @@ func (m *matcher) buildDelta() *delta.Delta {
 	return d.Normalize()
 }
 
-// diffAttributes emits attribute operations for a matched element pair.
+// diffAttributes emits attribute operations for a matched element pair,
+// in attribute-name order: the order of a node's attribute slice
+// depends on how the tree was built (an upload keeps its order, a
+// replayed insert-attribute appends), and the delta must not.
 func (m *matcher) diffAttributes(d *delta.Delta, o, n *dom.Node) {
 	if len(o.Attrs) == 0 && len(n.Attrs) == 0 {
 		return
 	}
-	for _, a := range o.Attrs {
+	for _, a := range o.SortedAttrs() {
 		nv, ok := n.Attribute(a.Name)
 		switch {
 		case !ok:
@@ -180,7 +183,7 @@ func (m *matcher) diffAttributes(d *delta.Delta, o, n *dom.Node) {
 			d.Ops = append(d.Ops, delta.UpdateAttr{XID: o.XID, Name: a.Name, Old: a.Value, New: nv})
 		}
 	}
-	for _, a := range n.Attrs {
+	for _, a := range n.SortedAttrs() {
 		if _, ok := o.Attribute(a.Name); !ok {
 			d.Ops = append(d.Ops, delta.InsertAttr{XID: o.XID, Name: a.Name, Value: a.Value})
 		}

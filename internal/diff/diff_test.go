@@ -3,6 +3,7 @@ package diff
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -484,7 +485,7 @@ func contains(root, n *dom.Node) bool {
 
 func TestTreeAnnotation(t *testing.T) {
 	doc := parse(t, `<a><b>text</b><c/></a>`)
-	tr := newTree(doc, nil)
+	tr := newTree(doc, true, nil)
 	if tr.len() != 5 {
 		t.Fatalf("len = %d, want 5", tr.len())
 	}
@@ -496,27 +497,26 @@ func TestTreeAnnotation(t *testing.T) {
 		t.Error("document weight below root element weight")
 	}
 	// text "text": weight 1 + log2(5) > 3.3 -> element b > that.
-	idx := indexOf(tr)
-	bIdx := idx[doc.Root().Children[0]]
-	if tr.weight[bIdx] <= tr.weight[idx[doc.Root().Children[0].Children[0]]] {
+	b := doc.Root().Children[0]
+	if tr.weight[slices.Index(tr.nodes, b)] <= tr.weight[slices.Index(tr.nodes, b.Children[0])] {
 		t.Error("element weight must exceed its child's")
 	}
 	// Identical subtrees share a signature; different ones do not.
 	doc2 := parse(t, `<a><b>text</b><c/></a>`)
-	tr2 := newTree(doc2, nil)
+	tr2 := newTree(doc2, true, nil)
 	if tr.sig[tr.root()] != tr2.sig[tr2.root()] {
 		t.Error("identical documents must share signatures")
 	}
 	doc3 := parse(t, `<a><b>texx</b><c/></a>`)
-	tr3 := newTree(doc3, nil)
+	tr3 := newTree(doc3, true, nil)
 	if tr.sig[tr.root()] == tr3.sig[tr3.root()] {
 		t.Error("different documents share root signature")
 	}
 }
 
 func TestSignatureAttrOrderInsensitive(t *testing.T) {
-	a := newTree(parse(t, `<e x="1" y="2"/>`), nil)
-	b := newTree(parse(t, `<e y="2" x="1"/>`), nil)
+	a := newTree(parse(t, `<e x="1" y="2"/>`), true, nil)
+	b := newTree(parse(t, `<e y="2" x="1"/>`), true, nil)
 	if a.sig[a.root()] != b.sig[b.root()] {
 		t.Error("attribute order changed the signature")
 	}
@@ -524,8 +524,8 @@ func TestSignatureAttrOrderInsensitive(t *testing.T) {
 
 func TestSignatureConcatenationAmbiguity(t *testing.T) {
 	// "ab"+"" vs "a"+"b" style ambiguities must not collide.
-	a := newTree(parse(t, `<r><e n="ab"/></r>`), nil)
-	b := newTree(parse(t, `<r><e n="a" m="b"/></r>`), nil)
+	a := newTree(parse(t, `<r><e n="ab"/></r>`), true, nil)
+	b := newTree(parse(t, `<r><e n="a" m="b"/></r>`), true, nil)
 	if a.sig[a.root()] == b.sig[b.root()] {
 		t.Error("attribute concatenation collision")
 	}
@@ -533,7 +533,7 @@ func TestSignatureConcatenationAmbiguity(t *testing.T) {
 
 func TestDepthBoundGrowsWithWeight(t *testing.T) {
 	doc := parse(t, strings.Repeat("<a>", 1)+"<b><c><d/></c></b>"+strings.Repeat("</a>", 1))
-	m := newMatcher(doc, doc, Options{})
+	m := newMatcher(doc, doc, Options{}, false)
 	small := m.depthBound(0.001)
 	big := m.depthBound(m.old.totalWeight)
 	if small < 1 {
@@ -542,7 +542,7 @@ func TestDepthBoundGrowsWithWeight(t *testing.T) {
 	if big <= small {
 		t.Errorf("heavier subtrees must see further: small=%d big=%d", small, big)
 	}
-	m2 := newMatcher(doc, doc, Options{MaxAncestorDepth: 7})
+	m2 := newMatcher(doc, doc, Options{MaxAncestorDepth: 7}, false)
 	if m2.depthBound(0.5) != 7 {
 		t.Error("MaxAncestorDepth override ignored")
 	}

@@ -17,24 +17,25 @@ import (
 // labels, either side already used) are silently dropped; the document
 // nodes are always matched. The same XID side effects as Diff apply.
 func FromMatching(oldDoc, newDoc *dom.Node, pairs map[*dom.Node]*dom.Node, opts Options) (*delta.Delta, error) {
-	if oldDoc == nil || newDoc == nil {
-		return nil, fmt.Errorf("diff: nil document")
+	if err := checkDocuments(oldDoc, newDoc); err != nil {
+		return nil, err
 	}
-	if oldDoc.Type != dom.Document || newDoc.Type != dom.Document {
-		return nil, fmt.Errorf("diff: arguments must be Document nodes")
-	}
-	m := newMatcher(oldDoc, newDoc, opts)
+	m := newMatcher(oldDoc, newDoc, opts, false)
 	defer m.release()
 	m.setMatch(m.old.root(), m.new.root())
-	// The external pairs address dom nodes; the annotation no longer
-	// keeps a node→index map, so build one per side for this call.
-	oldIdx := indexOf(m.old)
-	newIdx := indexOf(m.new)
-	for o, n := range pairs {
-		oi, ok := oldIdx[o]
+	// The pairs address dom nodes; the annotation keeps no node→index
+	// map, so build one for the new side and walk the old side's nodes.
+	newIdx := make(map[*dom.Node]int, m.new.len())
+	for i, n := range m.new.nodes {
+		newIdx[n] = i
+	}
+	found := 0
+	for oi, o := range m.old.nodes {
+		n, ok := pairs[o]
 		if !ok {
-			return nil, fmt.Errorf("diff: matching references a node outside the old document")
+			continue
 		}
+		found++
 		ni, ok := newIdx[n]
 		if !ok {
 			return nil, fmt.Errorf("diff: matching references a node outside the new document")
@@ -43,13 +44,20 @@ func FromMatching(oldDoc, newDoc *dom.Node, pairs map[*dom.Node]*dom.Node, opts 
 			m.setMatch(oi, ni)
 		}
 	}
+	if found != len(pairs) {
+		return nil, fmt.Errorf("diff: matching references a node outside the old document")
+	}
 	return m.buildDelta(), nil
 }
 
-func indexOf(t *tree) map[*dom.Node]int {
-	idx := make(map[*dom.Node]int, t.len())
-	for i, n := range t.nodes {
-		idx[n] = i
+// checkDocuments is the argument check of every entry point that takes
+// two versions.
+func checkDocuments(oldDoc, newDoc *dom.Node) error {
+	if oldDoc == nil || newDoc == nil {
+		return fmt.Errorf("diff: nil document")
 	}
-	return idx
+	if oldDoc.Type != dom.Document || newDoc.Type != dom.Document {
+		return fmt.Errorf("diff: arguments must be Document nodes")
+	}
+	return nil
 }

@@ -28,11 +28,14 @@ func (t *tree) release() {
 
 // newMatcher annotates both documents and returns a pooled matcher over
 // the two trees with nothing matched yet: the start of every arm (BULD,
-// SFTM, FromMatching). The arms that read the signature indexes call
-// indexSignatures next.
-func newMatcher(oldDoc, newDoc *dom.Node, opts Options) *matcher {
+// SFTM, FromMatching, ComposeVersions). With sigs — the BULD arms, the
+// only readers — it also hashes subtree signatures and indexes them.
+func newMatcher(oldDoc, newDoc *dom.Node, opts Options, sigs bool) *matcher {
 	m := matcherPool.Get().(*matcher)
-	m.reset(newTree(oldDoc, opts.done), newTree(newDoc, opts.done), opts)
+	m.reset(newTree(oldDoc, sigs, opts.done), newTree(newDoc, sigs, opts.done), opts)
+	if sigs {
+		m.indexSignatures()
+	}
 	return m
 }
 

@@ -23,7 +23,7 @@ func diffSFTM(oldDoc, newDoc *dom.Node, opts Options) (*Result, error) {
 	r := Result{Matcher: MatcherSFTM}
 
 	start := time.Now()
-	m := newMatcher(oldDoc, newDoc, opts)
+	m := newMatcher(oldDoc, newDoc, opts, false)
 	defer m.release()
 	r.Timings.Phase2 = time.Since(start)
 	if opts.canceled() {
@@ -103,11 +103,8 @@ func postOfPre(t *tree) []int32 {
 // changesim's ground-truth correspondences without going through delta
 // construction.
 func Matching(oldDoc, newDoc *dom.Node, opts Options) (map[*dom.Node]*dom.Node, error) {
-	if oldDoc == nil || newDoc == nil {
-		return nil, fmt.Errorf("diff: nil document")
-	}
-	if oldDoc.Type != dom.Document || newDoc.Type != dom.Document {
-		return nil, fmt.Errorf("diff: arguments must be Document nodes")
+	if err := checkDocuments(oldDoc, newDoc); err != nil {
+		return nil, err
 	}
 	switch opts.matcher() {
 	case MatcherSFTM:
@@ -127,9 +124,8 @@ func Matching(oldDoc, newDoc *dom.Node, opts Options) (map[*dom.Node]*dom.Node, 
 		return nil, fmt.Errorf("diff: unknown matcher %q", opts.Matcher)
 	}
 
-	m := newMatcher(oldDoc, newDoc, opts)
+	m := newMatcher(oldDoc, newDoc, opts, true)
 	defer m.release()
-	m.indexSignatures()
 	m.phase1IDs()
 	m.phase3BULD()
 	m.phase4Propagate()

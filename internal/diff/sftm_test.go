@@ -35,7 +35,7 @@ func TestSFTMPreOrderSeam(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m := newMatcher(oldDoc, newDoc, Options{Matcher: MatcherSFTM})
+			m := newMatcher(oldDoc, newDoc, Options{Matcher: MatcherSFTM}, false)
 			defer m.release()
 			oldT, newT := m.old, m.new
 			for side, c := range map[string]struct {

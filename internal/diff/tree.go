@@ -28,30 +28,36 @@ type tree struct {
 	totalWeight float64
 }
 
-// newTree annotates doc in one post-order walk. done, when non-nil,
-// aborts the build early (the caller notices through Options.canceled
-// and discards the partial tree).
-func newTree(doc *dom.Node, done <-chan struct{}) *tree {
+// newTree annotates doc in one post-order walk, hashing subtree
+// signatures only when sigs is set: BULD's Phase 3 is their one reader.
+// done, when non-nil, aborts the build early (the caller notices
+// through Options.canceled and discards the partial tree).
+func newTree(doc *dom.Node, sigs bool, done <-chan struct{}) *tree {
 	t := treePool.Get().(*tree)
 	t.doc = doc
 	n := doc.Size()
-	t.grow(n)
-	b := builder{t: t, done: done}
+	t.grow(n, sigs)
+	b := builder{t: t, sigs: sigs, done: done}
 	b.build(doc, 0, 0, 0)
 	t.parent[n-1] = -1
 	t.totalWeight = t.weight[t.root()]
 	return t
 }
 
-// grow sizes the arrays for n nodes, reusing pooled capacity. Every
-// element is written during the build, so no zeroing is needed.
-func (t *tree) grow(n int) {
+// grow sizes the arrays for n nodes, reusing pooled capacity; sig is
+// emptied when signatures are not wanted. Every element is written
+// during the build, so no zeroing is needed.
+func (t *tree) grow(n int, sigs bool) {
 	t.nodes = growSlice(t.nodes, n)
 	t.parent = growSlice(t.parent, n)
 	t.childPos = growSlice(t.childPos, n)
 	t.kidStart = growSlice(t.kidStart, n)
 	t.weight = growSlice(t.weight, n)
-	t.sig = growSlice(t.sig, n)
+	if sigs {
+		t.sig = growSlice(t.sig, n)
+	} else {
+		t.sig = t.sig[:0]
+	}
 	if n > 0 {
 		t.kids = growSlice(t.kids, n-1)
 	} else {
@@ -99,6 +105,7 @@ func (t *tree) walkPre(i int, v func(i int) bool) {
 // builder fills the annotation arrays of one tree.
 type builder struct {
 	t     *tree
+	sigs  bool       // hash subtree signatures
 	attrs []dom.Attr // scratch for attribute sorting
 	done  <-chan struct{}
 	steps int
@@ -129,25 +136,32 @@ func (b *builder) build(x *dom.Node, idx, off, pos int32) (int32, int32, int32) 
 	t.childPos[self] = pos
 	t.kidStart[self] = r
 
-	// Annotation: streaming byte hash of the node's own content, then
-	// the children's signatures in order (so the signature represents
-	// the entire subtree), and the Section 5.2 weights.
+	// Annotation: the Section 5.2 weights and, when wanted, a streaming
+	// byte hash of the node's own content followed by the children's
+	// signatures in order (so the signature represents the entire
+	// subtree).
 	h := dom.NewHash64()
-	b.attrs = h.HashNodeScratch(x, b.attrs)
+	if b.sigs {
+		b.attrs = h.HashNodeScratch(x, b.attrs)
+	}
 	switch x.Type {
 	case dom.Element, dom.Document:
 		w := 1.0
 		for j := range x.Children {
 			ci := t.kids[r+int32(j)]
 			t.parent[ci] = self
-			h.MixUint64(t.sig[ci])
+			if b.sigs {
+				h.MixUint64(t.sig[ci])
+			}
 			w += t.weight[ci]
 		}
 		t.weight[self] = w
 	default: // Text, Comment, ProcInst
 		t.weight[self] = 1 + math.Log2(float64(1+len(x.Value)))
 	}
-	t.sig[self] = h.Sum()
+	if b.sigs {
+		t.sig[self] = h.Sum()
+	}
 
 	if b.steps++; b.steps&0x03ff == 0 && b.canceled() {
 		b.stop = true

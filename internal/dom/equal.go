@@ -37,7 +37,7 @@ func attrsEqual(a, b *Node) bool {
 	if len(a.Attrs) == 0 {
 		return true
 	}
-	sa, sb := a.sortedAttrs(), b.sortedAttrs()
+	sa, sb := a.SortedAttrs(), b.SortedAttrs()
 	for i := range sa {
 		if sa[i] != sb[i] {
 			return false
@@ -67,7 +67,7 @@ func diagnose(a, b *Node, at string) string {
 		return fmt.Sprintf("%s: value %q vs %q", at, clip(a.Value), clip(b.Value))
 	}
 	if !attrsEqual(a, b) {
-		return fmt.Sprintf("%s: attributes %v vs %v", at, a.sortedAttrs(), b.sortedAttrs())
+		return fmt.Sprintf("%s: attributes %v vs %v", at, a.SortedAttrs(), b.SortedAttrs())
 	}
 	if len(a.Children) != len(b.Children) {
 		return fmt.Sprintf("%s: %d children vs %d", at, len(a.Children), len(b.Children))

@@ -324,9 +324,10 @@ func (n *Node) appendStep(buf []byte) []byte {
 	return buf
 }
 
-// sortedAttrs returns the attributes sorted by name. Used by equality,
-// hashing and canonical serialization so attribute order never matters.
-func (n *Node) sortedAttrs() []Attr {
+// SortedAttrs returns the attributes sorted by name. Used by equality,
+// canonical serialization and delta construction so attribute order
+// never matters. The result may be n.Attrs itself: do not modify it.
+func (n *Node) SortedAttrs() []Attr {
 	sorted := true
 	for i := 1; i < len(n.Attrs); i++ {
 		if n.Attrs[i-1].Name > n.Attrs[i].Name {

@@ -162,7 +162,7 @@ func writeNode(cw *countWriter, n *Node) {
 			writeNode(cw, c)
 		}
 	case Element:
-		writeStart(cw, n.Name, n.sortedAttrs(), len(n.Children) == 0)
+		writeStart(cw, n.Name, n.SortedAttrs(), len(n.Children) == 0)
 		if len(n.Children) == 0 {
 			return
 		}

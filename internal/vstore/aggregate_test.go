@@ -151,6 +151,66 @@ func TestAggregateAllPairsMatchComposition(t *testing.T) {
 	}
 }
 
+// attributeChain is three versions of one element whose attributes are
+// uploaded in name order, while a replayed insert-attribute appends: a
+// tree rebuilt from the stored chain holds them as a, c, b, the tree
+// the Put kept as a, b, c.
+var attributeChain = []string{
+	`<r><e a="1" c="1">t</e><f/></r>`,
+	`<r><e a="1" b="1" c="1">t</e><f/></r>`,
+	`<r><e a="1" b="2" c="2">t</e><f/></r>`,
+}
+
+// putStrings stores bodies as consecutive versions of id.
+func putStrings(t *testing.T, s *Store, id string, bodies []string) {
+	t.Helper()
+	for _, body := range bodies {
+		doc, err := dom.ParseString(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.Put(id, doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestAggregateBytesDoNotDependOnTheCache: an aggregate is a function
+// of the stored chain, not of how the trees behind it were built. The
+// two attribute updates of attributeChain's last step used to come out
+// as "b, c" from the trees a Put left in the cache and as "c, b" from
+// trees replayed after a reopen.
+func TestAggregateBytesDoNotDependOnTheCache(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, diff.Options{}, Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	putStrings(t, s, "doc", attributeChain)
+	live, err := s.Aggregate("doc", 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := Open(dir, diff.Options{}, Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	replayed, err := reopened.Aggregate("doc", 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := renderDelta(t, replayed), renderDelta(t, live); g != w {
+		t.Errorf("Aggregate(2, 3) after a reopen:\n%s\nlive:\n%s", g, w)
+	}
+}
+
 // TestAggregateOfOneVersionAnswersLikeVersion: Aggregate(id, a, a) has
 // nothing to compose, but it must look the document and the version up
 // as Version(id, a) does — it used to answer an empty delta for any
@@ -161,15 +221,7 @@ func TestAggregateOfOneVersionAnswersLikeVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	for _, body := range []string{`<r><a>1</a></r>`, `<r><a>2</a></r>`, `<r><a>3</a></r>`} {
-		doc, err := dom.ParseString(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := s.Put("doc", doc); err != nil {
-			t.Fatal(err)
-		}
-	}
+	putStrings(t, s, "doc", []string{`<r><a>1</a></r>`, `<r><a>2</a></r>`, `<r><a>3</a></r>`})
 	check := func(id string, v int, kind error) {
 		t.Helper()
 		_, wantErr := s.Version(id, v)

@@ -35,32 +35,25 @@ func (s *Store) ValueAt(id string, version int, expr *xpathlite.Expr) (string, e
 }
 
 // Timeline evaluates the expression at every version, oldest first.
-// Versions are reconstructed incrementally (one delta apply per step),
-// not from scratch per version.
+// One read walk visits every version, one delta step apiece, not one
+// reconstruction per version.
 func (s *Store) Timeline(id string, expr *xpathlite.Expr) ([]store.VersionValue, error) {
 	st, err := s.reading(id)
 	if err != nil {
 		return nil, err
 	}
 	defer st.mu.RUnlock()
-	latest, err := s.materializeLocked(id, st)
-	if err != nil {
-		return nil, err
-	}
 	out := make([]store.VersionValue, st.versions)
-	doc := latest.Clone()
-	r := delta.NewReplay(doc)
-	for v := st.versions; v >= 1; v-- {
+	_, err = s.read(id, st, allVersions(st), func(v int, doc *dom.Node, _ bool) error {
 		first := expr.SelectFirst(doc)
 		out[v-1] = store.VersionValue{Version: v, Found: first != nil}
 		if first != nil {
 			out[v-1].Value = first.TextContent()
 		}
-		if v > 1 {
-			if err := st.rewind(r, v, v-1); err != nil {
-				return nil, fmt.Errorf("vstore: timeline %s at version %d: %w", id, v-1, err)
-			}
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -73,14 +66,8 @@ func (s *Store) NodeHistory(id string, xid int64) ([]store.NodeState, error) {
 		return nil, err
 	}
 	defer st.mu.RUnlock()
-	latest, err := s.materializeLocked(id, st)
-	if err != nil {
-		return nil, err
-	}
 	out := make([]store.NodeState, st.versions)
-	doc := latest.Clone()
-	r := delta.NewReplay(doc)
-	for v := st.versions; v >= 1; v-- {
+	_, err = s.read(id, st, allVersions(st), func(v int, doc *dom.Node, _ bool) error {
 		ns := store.NodeState{Version: v}
 		if n := dom.FindByXID(doc, xid); n != nil {
 			ns.Present = true
@@ -88,13 +75,21 @@ func (s *Store) NodeHistory(id string, xid int64) ([]store.NodeState, error) {
 			ns.Value = n.TextContent()
 		}
 		out[v-1] = ns
-		if v > 1 {
-			if err := st.rewind(r, v, v-1); err != nil {
-				return nil, fmt.Errorf("vstore: history %s at version %d: %w", id, v-1, err)
-			}
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// allVersions is every version of the document, as read walk targets.
+func allVersions(st *docState) []int {
+	vs := make([]int, st.versions)
+	for i := range vs {
+		vs[i] = i + 1
+	}
+	return vs
 }
 
 // ChangesMatching scans the deltas between versions from and to
@@ -121,16 +116,14 @@ func (s *Store) ChangesMatching(id string, from, to int, pattern *xpathlite.Expr
 		}
 		return false
 	}
-	latest, err := s.materializeLocked(id, st)
-	if err != nil {
+	// Reconstruct version `from` by the read walk, then replay forward,
+	// inspecting each delta against the version before and after it.
+	var doc *dom.Node
+	if _, err := s.read(id, st, []int{from}, func(_ int, d *dom.Node, own bool) error {
+		doc = private(d, own)
+		return nil
+	}); err != nil {
 		return nil, err
-	}
-	// Reconstruct version `from` backward from latest, then replay
-	// forward, inspecting each delta against the version before and
-	// after it.
-	doc := latest.Clone()
-	if err := st.rewind(delta.NewReplay(doc), st.versions, from); err != nil {
-		return nil, fmt.Errorf("vstore: reconstruct %s version %d: %w", id, from, err)
 	}
 	var hits []store.ChangeHit
 	for v := from; v < to; v++ {
@@ -177,10 +170,8 @@ func matchesWithTextParent(pattern *xpathlite.Expr, n *dom.Node) bool {
 // Aggregate returns one delta with the combined effect of the chain
 // from version from to version to. from > to yields the inverted
 // aggregate, from == to an empty delta — for a version Version would
-// serve; the others get Version's error. Each stored delta between the latest version and the
-// older end is decoded once: the walk back from the latest version
-// passes through the newer end on its way to the older one, and those
-// two trees are all diff.ComposeVersions needs.
+// serve; the others get Version's error. One read walk reconstructs
+// both ends, and those two trees are all diff.ComposeVersions needs.
 func (s *Store) Aggregate(id string, from, to int) (*delta.Delta, error) {
 	st, err := s.reading(id)
 	if err != nil {
@@ -195,46 +186,40 @@ func (s *Store) Aggregate(id string, from, to int) (*delta.Delta, error) {
 		return &delta.Delta{}, nil
 	}
 	lo, hi := min(from, to), max(from, to)
-	older, newer, err := s.endpoints(id, st, lo, hi)
+	// The answers for versions that cannot be served are the ones
+	// Version(lo) and then DeltasBetween(lo, hi) give.
+	err = st.checkVersion(id, lo)
+	if err == nil {
+		err = st.checkRange(id, lo, hi)
+	}
+	var older, newer *dom.Node
+	if err == nil {
+		_, err = s.read(id, st, []int{lo, hi}, func(v int, d *dom.Node, own bool) error {
+			if v == lo {
+				older = private(d, own)
+			} else {
+				newer = private(d, own)
+			}
+			return nil
+		})
+	}
 	st.mu.RUnlock() // the trees are private copies: matching them needs no lock
 	if err != nil {
 		return nil, err
 	}
-	d, err := diff.ComposeVersions(older, newer)
+	d, err := compose(older, newer, from > to)
 	if err != nil {
-		return nil, err
-	}
-	if from > to {
-		if d, err = d.Invert(); err != nil {
-			return nil, fmt.Errorf("vstore: aggregate %s %d..%d: %w", id, from, to, err)
-		}
+		return nil, fmt.Errorf("vstore: aggregate %s %d..%d: %w", id, from, to, err)
 	}
 	return d, nil
 }
 
-// endpoints reconstructs versions lo and hi (lo < hi) of the document
-// in one walk back from the latest version. The answers for versions
-// that cannot be served are the ones Version(lo) and then
-// DeltasBetween(lo, hi) give. The caller holds the state lock.
-func (s *Store) endpoints(id string, st *docState, lo, hi int) (older, newer *dom.Node, err error) {
-	if err := st.checkVersion(id, lo); err != nil {
-		return nil, nil, err
+// compose is the aggregate of the chain between two private versions
+// of a document, older first, inverted when asked.
+func compose(older, newer *dom.Node, inverted bool) (*delta.Delta, error) {
+	d, err := diff.ComposeVersions(older, newer)
+	if err != nil || !inverted {
+		return d, err
 	}
-	if err := st.checkRange(id, lo, hi); err != nil {
-		return nil, nil, err
-	}
-	latest, err := s.materializeLocked(id, st)
-	if err != nil {
-		return nil, nil, err
-	}
-	older = latest.Clone()
-	r := delta.NewReplay(older)
-	if err := st.rewind(r, st.versions, hi); err != nil {
-		return nil, nil, fmt.Errorf("vstore: reconstruct %s version %d: %w", id, hi, err)
-	}
-	newer = older.Clone()
-	if err := st.rewind(r, hi, lo); err != nil {
-		return nil, nil, fmt.Errorf("vstore: reconstruct %s version %d: %w", id, lo, err)
-	}
-	return older, newer, nil
+	return d.Invert()
 }

@@ -350,32 +350,11 @@ func (s *Store) PutDetailed(ctx context.Context, id string, doc *dom.Node, match
 
 // materializeLocked returns the document's latest version as a tree
 // with replay-canonical XIDs, from the LRU when resident and by
-// replaying base + deltas otherwise. The caller holds st.mu (read or
-// write); the returned tree is the cache's copy — callers that hand it
-// out must Clone.
+// replaying base + deltas otherwise: a read walk with no targets. The
+// caller holds st.mu (read or write); the returned tree is the cache's
+// copy — callers that hand it out must Clone.
 func (s *Store) materializeLocked(id string, st *docState) (*dom.Node, error) {
-	if doc := s.cache.get(id, st.versions); doc != nil {
-		s.stats.cacheHits.Add(1)
-		return doc, nil
-	}
-	s.stats.cacheMisses.Add(1)
-	doc, err := dom.ParseBytes(st.base, snapshotLoadOptions())
-	if err != nil {
-		return nil, fmt.Errorf("vstore: materialize %s base: %w", id, err)
-	}
-	xid.Assign(doc)
-	r := delta.NewReplay(doc)
-	for i, raw := range st.deltas {
-		d, err := delta.ParseBytes(raw)
-		if err != nil {
-			return nil, fmt.Errorf("vstore: materialize %s delta %d: %w", id, i+1, err)
-		}
-		if err := r.Forward(d); err != nil {
-			return nil, fmt.Errorf("vstore: materialize %s: delta %d does not apply: %w", id, i+1, err)
-		}
-	}
-	s.cache.put(id, doc, st.versions)
-	return doc, nil
+	return s.read(id, st, nil, nil)
 }
 
 // reading returns id's state read-locked, or an error when the
@@ -449,8 +428,9 @@ func (s *Store) IDs() []string {
 	return out
 }
 
-// Version reconstructs version n (1-based) of the document by applying
-// inverted deltas backward from the materialized latest version.
+// Version reconstructs version n (1-based) of the document by the read
+// walk: forward from the stored base or backward from the latest
+// version, whichever decodes fewer stored bytes.
 func (s *Store) Version(id string, n int) (*dom.Node, error) {
 	st, err := s.reading(id)
 	if err != nil {
@@ -460,31 +440,12 @@ func (s *Store) Version(id string, n int) (*dom.Node, error) {
 	if err := st.checkVersion(id, n); err != nil {
 		return nil, err
 	}
-	latest, err := s.materializeLocked(id, st)
-	if err != nil {
-		return nil, err
-	}
-	doc := latest.Clone()
-	if err := st.rewind(delta.NewReplay(doc), st.versions, n); err != nil {
-		return nil, fmt.Errorf("vstore: reconstruct %s version %d: %w", id, n, err)
-	}
-	return doc, nil
-}
-
-// rewind takes r's document, which holds version from, back to version
-// to (from >= to) through the stored deltas between them, newest
-// first, each decoded for the step. The caller holds the state lock.
-func (st *docState) rewind(r *delta.Replay, from, to int) error {
-	for v := from; v > to; v-- {
-		d, err := st.parseDelta(v - 2)
-		if err != nil {
-			return err
-		}
-		if err := r.Backward(d); err != nil {
-			return err
-		}
-	}
-	return nil
+	var doc *dom.Node
+	_, err = s.read(id, st, []int{n}, func(_ int, d *dom.Node, own bool) error {
+		doc = private(d, own)
+		return nil
+	})
+	return doc, err
 }
 
 // checkVersion is Version's answer for a version that cannot be
