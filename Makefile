@@ -133,6 +133,7 @@ fuzz-smoke:
 	$(GO) test ./internal/vstore -run '^$$' -fuzz '^FuzzReadWalks$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/diff -run '^$$' -fuzz '^FuzzDiffApply$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/diff -run '^$$' -fuzz '^FuzzSFTMApply$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/diff -run '^$$' -fuzz '^FuzzBULDMatchingDifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sftm -run '^$$' -fuzz '^FuzzMatchDifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/xptest -run '^$$' -fuzz '^FuzzXPathDifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/xptest -run '^$$' -fuzz '^FuzzXPathDifferentialRaw$$' -fuzztime $(FUZZTIME)

@@ -1,8 +1,9 @@
 package diff
 
 import (
-	"container/heap"
+	"cmp"
 	"math"
+	"slices"
 
 	"xydiff/internal/dom"
 	"xydiff/internal/dtd"
@@ -23,23 +24,36 @@ type matcher struct {
 	oldExcluded []bool
 	newExcluded []bool
 
-	// bySig indexes unconsumed old nodes by subtree signature; the
-	// secondary index bySigParent finds, in O(1), a candidate whose
-	// parent is a given old node (Section 5.3's answer to d -> 0).
-	// Buckets hold post-order indexes in ascending order. Only the BULD
-	// arms build them (indexSignatures); Phase 3 is their only reader.
-	bySig       map[uint64][]int32
-	bySigParent map[sigParent][]int32
+	// The signature index Phase 3 reads (Section 5.3's hash table of
+	// old subtrees), on flat arrays. sigID gives each old signature a
+	// dense id; bucket id is byIdx[sigOff[id]:sigOff[id+1]], its old
+	// nodes in ascending post-order, of which the first sigLive[id] may
+	// still be unconsumed (liveCandidates compacts the run). byPar holds
+	// the same buckets ordered by (old parent, post-order), so
+	// pickByParent finds, by binary search, the candidates whose parent
+	// is a given old node (Section 5.3's answer to d -> 0). newSig is
+	// each new node's id, -1 when the old document lacks its signature.
+	// Only the BULD arms build them (indexSignatures).
+	sigID   map[uint64]int32
+	sigOff  []int32
+	sigLive []int32
+	byIdx   []int32
+	byPar   []int32
+	newSig  []int32
 
-	// dupSig marks signatures that occur more than once across the two
-	// documents. A unique signature is strong evidence by itself (the
-	// paper's "very unlikely that there is more than one large subtree
-	// with the same signature"); a duplicated one is not — repeated
-	// dates or prices would otherwise weld unrelated parents together
-	// once the candidate bucket drains to one live entry. A key stored
-	// as false is index-build scratch: seen once so far in the new
-	// document, not (yet) a duplicate.
-	dupSig map[uint64]bool
+	// dupSig marks, per id, a signature that occurs at least twice in
+	// one of the documents; once in each is unique. A unique signature
+	// is strong evidence by itself (the paper's "very unlikely that
+	// there is more than one large subtree with the same signature"); a
+	// duplicated one is not — repeated dates or prices would otherwise
+	// weld unrelated parents together once the candidate bucket drains
+	// to one live entry.
+	dupSig []bool
+
+	// oldSig and newSeen are indexSignatures scratch: each old node's
+	// id, and which ids the new document has shown once.
+	oldSig  []int32
+	newSeen []bool
 
 	// q is the Phase 3 priority queue, retained across pooled reuses.
 	q maxQueue
@@ -59,11 +73,6 @@ type matcher struct {
 	liStay  map[int]bool
 
 	logN float64
-}
-
-type sigParent struct {
-	sig    uint64
-	parent int32
 }
 
 // reset prepares a (possibly pooled) matcher for one diff of the two
@@ -93,36 +102,80 @@ func (m *matcher) reset(oldT, newT *tree, opts Options) {
 	}
 }
 
-// indexSignatures builds the signature indexes Phase 3 reads, in one
-// scan of each tree. Only the BULD arms call it: SFTM scores tokens and
-// FromMatching is handed its pairs, so neither looks at a signature.
+// indexSignatures builds the signature index Phase 3 reads, with one
+// map lookup per node of each tree. Only the BULD arms call it: SFTM
+// scores tokens and FromMatching is handed its pairs, so neither looks
+// at a signature.
 func (m *matcher) indexSignatures() {
 	oldT, newT := m.old, m.new
-	if m.bySig == nil {
-		m.bySig = make(map[uint64][]int32, oldT.len())
-		m.bySigParent = make(map[sigParent][]int32, oldT.len())
-		m.dupSig = make(map[uint64]bool)
+	if m.sigID == nil {
+		m.sigID = make(map[uint64]int32, oldT.len())
 	} else {
-		clear(m.bySig)
-		clear(m.bySigParent)
-		clear(m.dupSig)
+		clear(m.sigID)
 	}
+	// Dense ids, and each bucket's size counted in sigLive. The
+	// document node is matched structurally and indexed nowhere.
 	oldRoot := oldT.root()
-	for i := 0; i < oldRoot; i++ { // the document node is matched structurally
-		sg := oldT.sig[i]
-		bucket := append(m.bySig[sg], int32(i))
-		m.bySig[sg] = bucket
-		if len(bucket) == 2 {
-			m.dupSig[sg] = true
+	m.oldSig = growSlice(m.oldSig, oldRoot)
+	m.sigLive = m.sigLive[:0]
+	for i, sg := range oldT.sig[:oldRoot] {
+		id, ok := m.sigID[sg]
+		if !ok {
+			id = int32(len(m.sigLive))
+			m.sigID[sg] = id
+			m.sigLive = append(m.sigLive, 0)
 		}
-		key := sigParent{sg, oldT.parent[i]}
-		m.bySigParent[key] = append(m.bySigParent[key], int32(i))
+		m.sigLive[id]++
+		m.oldSig[i] = id
 	}
+	ids := len(m.sigLive)
+	m.sigOff = growSlice(m.sigOff, ids+1)
+	m.dupSig = growSlice(m.dupSig, ids)
+	off := int32(0)
+	for id, n := range m.sigLive {
+		m.sigOff[id] = off
+		m.dupSig[id] = n >= 2
+		off += n
+	}
+	m.sigOff[ids] = off
+
 	newRoot := newT.root()
-	for i := 0; i < newRoot; i++ {
-		sg := newT.sig[i]
-		_, seen := m.dupSig[sg]
-		m.dupSig[sg] = seen
+	m.newSig = growSlice(m.newSig, newRoot)
+	m.newSeen = growSlice(m.newSeen, ids)
+	clear(m.newSeen)
+	for i, sg := range newT.sig[:newRoot] {
+		id, ok := m.sigID[sg]
+		if !ok {
+			m.newSig[i] = -1
+			continue
+		}
+		m.newSig[i] = id
+		if m.newSeen[id] {
+			m.dupSig[id] = true
+		}
+		m.newSeen[id] = true
+	}
+
+	// Fill both bucket arrays, sigLive serving as each bucket's cursor
+	// (it ends back at the bucket's size). byIdx in ascending
+	// post-order; byPar parent by parent in post-order, each parent's
+	// children in order — ascending post-order again — so every byPar
+	// bucket comes out sorted by (parent, post-order) without a sort.
+	m.byIdx = growSlice(m.byIdx, oldRoot)
+	clear(m.sigLive)
+	for i, id := range m.oldSig[:oldRoot] {
+		m.byIdx[m.sigOff[id]+m.sigLive[id]] = int32(i)
+		m.sigLive[id]++
+	}
+	m.byPar = growSlice(m.byPar, oldRoot)
+	clear(m.sigLive)
+	for p := 0; p <= oldRoot; p++ {
+		kids := oldT.kids[oldT.kidStart[p]:][:len(oldT.nodes[p].Children)]
+		for _, c := range kids {
+			id := m.oldSig[c]
+			m.byPar[m.sigOff[id]+m.sigLive[id]] = c
+			m.sigLive[id]++
+		}
 	}
 }
 
@@ -258,28 +311,61 @@ func idIndex(t *tree, ids dtd.IDAttrs) map[idKey]int {
 // queueItem orders new-document subtrees by weight; FIFO on ties, as
 // the paper specifies.
 type queueItem struct {
-	idx    int
 	weight float64
-	seq    int
+	idx    int32
+	seq    int32
 }
 
+// maxQueue is a binary max-heap of queue items. less is a total order
+// (seq is unique), so the pop order does not depend on the heap's
+// shape.
 type maxQueue []queueItem
 
-func (q maxQueue) Len() int { return len(q) }
-func (q maxQueue) Less(i, j int) bool {
+func (q maxQueue) less(i, j int) bool {
 	if q[i].weight != q[j].weight {
 		return q[i].weight > q[j].weight
 	}
 	return q[i].seq < q[j].seq
 }
-func (q maxQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *maxQueue) Push(x any)   { *q = append(*q, x.(queueItem)) }
-func (q *maxQueue) Pop() any {
-	old := *q
-	n := len(old)
-	item := old[n-1]
-	*q = old[:n-1]
-	return item
+
+func (q *maxQueue) push(it queueItem) {
+	*q = append(*q, it)
+	h := *q
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (q *maxQueue) pop() queueItem {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	h[:n].down(0)
+	*q = h[:n]
+	return h[n]
+}
+
+// down sifts item i towards the leaves until the heap holds again.
+func (q maxQueue) down(i int) {
+	for {
+		j := 2*i + 1
+		if j >= len(q) {
+			return
+		}
+		if j2 := j + 1; j2 < len(q) && q.less(j2, j) {
+			j = j2
+		}
+		if !q.less(j, i) {
+			return
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
 }
 
 // phase3BULD runs the core matching loop.
@@ -288,24 +374,25 @@ func (m *matcher) phase3BULD() {
 	// items of the new version.
 	m.setMatch(m.old.root(), m.new.root())
 	q := m.q[:0]
-	seq := 0
+	seq := int32(0)
 	root := m.new.root()
 	for pos := range m.new.doc.Children {
 		ci := m.new.child(root, pos)
-		q = append(q, queueItem{idx: ci, weight: m.new.weight[ci], seq: seq})
+		q = append(q, queueItem{weight: m.new.weight[ci], idx: int32(ci), seq: seq})
 		seq++
 	}
-	heap.Init(&q)
+	for i := len(q)/2 - 1; i >= 0; i-- {
+		q.down(i)
+	}
 	pops := 0
-	for q.Len() > 0 {
+	for len(q) > 0 {
 		// Large documents spend most of their diff here; honour
 		// cancellation without paying a channel poll per pop.
 		if pops++; pops&0x0fff == 0 && m.opts.canceled() {
 			m.q = q
 			return
 		}
-		item := heap.Pop(&q).(queueItem)
-		y := item.idx
+		y := int(q.pop().idx)
 		if m.newToOld[y] >= 0 {
 			continue // matched meanwhile (subtree or propagation)
 		}
@@ -314,7 +401,7 @@ func (m *matcher) phase3BULD() {
 				for pos := range m.new.nodes[y].Children {
 					ci := m.new.child(y, pos)
 					if m.newToOld[ci] < 0 {
-						heap.Push(&q, queueItem{idx: ci, weight: m.new.weight[ci], seq: seq})
+						q.push(queueItem{weight: m.new.weight[ci], idx: int32(ci), seq: seq})
 						seq++
 					}
 				}
@@ -339,19 +426,23 @@ func (m *matcher) phase3BULD() {
 }
 
 // maxCandidates caps how many equal-signature candidates bestCandidate
-// scans per ancestor level before giving up (the secondary index still
-// finds parent-supported candidates in O(1)).
+// scans per ancestor level before giving up (byPar still finds
+// parent-supported candidates among all of them).
 const maxCandidates = 64
 
 // bestCandidate returns the old node to match the new subtree y with,
 // or -1. It implements the paper's candidate selection: unique
 // candidates are accepted directly; among several, one whose ancestor
 // at some level <= depthBound matches y's same-level ancestor wins,
-// with sibling-position distance as a tie-break. The (sig, parent)
-// secondary index resolves the common case in constant time.
+// with sibling-position distance as a tie-break. The byPar buckets
+// resolve the common case, support by the parent, with one binary
+// search.
 func (m *matcher) bestCandidate(y int) int {
-	sig := m.new.sig[y]
-	cands := m.liveCandidates(sig)
+	id := m.newSig[y]
+	if id < 0 {
+		return -1
+	}
+	cands := m.liveCandidates(id)
 	if len(cands) == 0 {
 		return -1
 	}
@@ -359,17 +450,17 @@ func (m *matcher) bestCandidate(y int) int {
 	// A duplicated one needs contextual support below, even when only
 	// one live candidate remains: "live uniqueness" is an artifact of
 	// consumption order, not evidence.
-	if len(cands) == 1 && !m.dupSig[sig] {
+	if len(cands) == 1 && !m.dupSig[id] {
 		if m.acceptable(int(cands[0]), y) {
 			return int(cands[0])
 		}
 		return -1
 	}
 	d := m.depthBound(m.new.weight[y])
-	// Level 1 via the secondary index.
+	// Level 1 via byPar.
 	if p := int(m.new.parent[y]); p >= 0 {
 		if po := m.newToOld[p]; po >= 0 {
-			if c := m.pickByParent(sig, po, y); c >= 0 {
+			if c := m.pickByParent(id, po, y); c >= 0 {
 				return c
 			}
 		}
@@ -411,34 +502,36 @@ func (m *matcher) bestCandidate(y int) int {
 	return -1
 }
 
-// liveCandidates filters the signature bucket down to still-unmatched
-// nodes, compacting the bucket in place so repeated queries stay cheap.
-func (m *matcher) liveCandidates(sig uint64) []int32 {
-	bucket := m.bySig[sig]
-	if len(bucket) == 0 {
-		return nil
-	}
+// liveCandidates filters bucket id down to still-unmatched nodes,
+// compacting its byIdx run in place so repeated queries stay cheap.
+func (m *matcher) liveCandidates(id int32) []int32 {
+	off := m.sigOff[id]
+	bucket := m.byIdx[off : off+m.sigLive[id]]
 	live := bucket[:0]
 	for _, c := range bucket {
 		if m.oldToNew[c] < 0 && !m.oldExcluded[c] {
 			live = append(live, c)
 		}
 	}
-	if len(live) == 0 {
-		delete(m.bySig, sig)
-		return nil
-	}
-	m.bySig[sig] = live
+	m.sigLive[id] = int32(len(live))
 	return live
 }
 
-// pickByParent returns an acceptable candidate with the given old
-// parent, preferring the one whose sibling position is closest to y's.
-func (m *matcher) pickByParent(sig uint64, oldParent, y int) int {
-	bucket := m.bySigParent[sigParent{sig, int32(oldParent)}]
+// pickByParent returns an acceptable candidate of bucket id with the
+// given old parent, preferring the one whose sibling position is
+// closest to y's; on equal distance, the first in post-order.
+func (m *matcher) pickByParent(id int32, oldParent, y int) int {
+	parent := m.old.parent
+	run := m.byPar[m.sigOff[id]:m.sigOff[id+1]]
+	first, _ := slices.BinarySearchFunc(run, int32(oldParent), func(c, p int32) int {
+		return cmp.Compare(parent[c], p)
+	})
 	bestIdx, bestDist := -1, 1<<30
-	for _, c32 := range bucket {
+	for _, c32 := range run[first:] {
 		c := int(c32)
+		if int(parent[c]) != oldParent {
+			break
+		}
 		if m.oldToNew[c] >= 0 || m.oldExcluded[c] || !m.acceptable(c, y) {
 			continue
 		}
