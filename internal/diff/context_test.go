@@ -56,3 +56,23 @@ func TestDiffDetailedContextDeadline(t *testing.T) {
 		}
 	}
 }
+
+// TestDiffContextCanceledLargeDocument cancels a diff whose documents
+// are past the tree builder's 1024-node cancellation check, so the
+// build stops with both trees part-built. Every matcher must report
+// context.Canceled rather than index or match the partial trees.
+func TestDiffContextCanceledLargeDocument(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	oldDoc := changesim.CatalogOfSize(rng, 150000)
+	sim, err := changesim.Simulate(oldDoc, changesim.Uniform(0.1, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, matcher := range diff.Matchers() {
+		if _, err := diff.DiffContext(ctx, oldDoc, sim.New, diff.Options{Matcher: matcher}); err != context.Canceled {
+			t.Fatalf("%s: err = %v, want context.Canceled", matcher, err)
+		}
+	}
+}

@@ -126,6 +126,9 @@ func Matching(oldDoc, newDoc *dom.Node, opts Options) (map[*dom.Node]*dom.Node, 
 
 	m := newMatcher(oldDoc, newDoc, opts, true)
 	defer m.release()
+	if opts.canceled() {
+		return nil, errCanceled
+	}
 	m.phase1IDs()
 	m.phase3BULD()
 	m.phase4Propagate()
