@@ -4,8 +4,8 @@
 #   1. fmt        — gofmt, no-op diff required
 #   2. vet        — `go vet` then `xyvet`, the repo's own analyzer suite
 #                   (internal/analysis: nopanic, lockbalance, ctxflow,
-#                   errwrap, syncorder, segorder, goroleak, poolbalance,
-#                   timerleak, depbound, staleallow); any diagnostic
+#                   errwrap, segorder, goroleak, poolbalance, timerleak,
+#                   depbound, staleallow); any diagnostic
 #                   fails the gate
 #   3. build      — every package compiles
 #   4. race       — the whole test suite under the race detector,

@@ -27,6 +27,7 @@ import (
 	"xydiff/internal/stats"
 	"xydiff/internal/store"
 	"xydiff/internal/textdiff"
+	"xydiff/internal/vstore"
 	"xydiff/internal/xid"
 	"xydiff/internal/xpathlite"
 )
@@ -334,7 +335,12 @@ func BenchmarkIndexMaintenance(b *testing.B) {
 // HTTP PUT through the handler stack, worker pool, store, diff, and
 // delta storage, using a changesim-generated version chain as the
 // workload. ns/op is the full per-version install cost as a client
-// would see it against a local listener.
+// would see it against a local listener. The sub-benchmarks run a store
+// without a directory, then durable stores under the three fsync
+// policies — always (an acknowledged version survives power loss),
+// interval (bounded loss window, amortized fsyncs) and off (OS-paced
+// flushing) — so the durability tax on ingest throughput is a measured
+// number, not a guess.
 func BenchmarkServerPut(b *testing.B) {
 	// Pre-generate a chain of versions so the loop measures only the
 	// server, not the simulator.
@@ -350,94 +356,47 @@ func BenchmarkServerPut(b *testing.B) {
 		versions = append(versions, doc.String())
 	}
 
-	srv := server.New(store.New(diff.Options{}), server.Config{
-		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
-	})
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	client := ts.Client()
-
-	b.SetBytes(int64(len(versions[0])))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		body := versions[i%len(versions)]
-		req, err := http.NewRequest("PUT", ts.URL+"/docs/bench", strings.NewReader(body))
+	run := func(b *testing.B, dir string, policy store.SyncPolicy) {
+		st, err := vstore.Open(dir, diff.Options{}, vstore.Config{Sync: policy})
 		if err != nil {
 			b.Fatal(err)
 		}
-		resp, err := client.Do(req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode >= 300 {
-			b.Fatalf("PUT: %d", resp.StatusCode)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(srv.Metrics().DiffCount())/float64(b.N), "diffs/op")
-}
+		defer st.Close()
+		srv := server.New(st, server.Config{
+			Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
+		})
+		defer srv.Close()
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		client := ts.Client()
 
-// BenchmarkServerPutJournaled is BenchmarkServerPut against a durable
-// store: every acknowledged PUT has reached the write-ahead journal
-// first. The sub-benchmarks compare the three fsync policies — always
-// (an acknowledged version survives power loss), interval (bounded
-// loss window, amortized fsyncs) and off (OS-paced flushing) — so the
-// durability tax on ingest throughput is a measured number, not a
-// guess.
-func BenchmarkServerPutJournaled(b *testing.B) {
-	rng := rand.New(rand.NewSource(13))
-	doc := changesim.CatalogOfSize(rng, 20_000)
-	versions := []string{doc.String()}
-	for step := 0; step < 8; step++ {
-		sim, err := changesim.Simulate(doc, changesim.Uniform(0.10, int64(step)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		doc = sim.New
-		versions = append(versions, doc.String())
-	}
-
-	for _, policy := range []store.SyncPolicy{store.SyncAlways, store.SyncInterval, store.SyncOff} {
-		b.Run(policy.String(), func(b *testing.B) {
-			st, err := store.Open(b.TempDir(), diff.Options{}, store.Durability{Sync: policy})
+		b.SetBytes(int64(len(versions[0])))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			body := versions[i%len(versions)]
+			req, err := http.NewRequest("PUT", ts.URL+"/docs/bench", strings.NewReader(body))
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer st.Close()
-			srv := server.New(st, server.Config{
-				Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
-			})
-			defer srv.Close()
-			ts := httptest.NewServer(srv.Handler())
-			defer ts.Close()
-			client := ts.Client()
-
-			b.SetBytes(int64(len(versions[0])))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				body := versions[i%len(versions)]
-				req, err := http.NewRequest("PUT", ts.URL+"/docs/bench", strings.NewReader(body))
-				if err != nil {
-					b.Fatal(err)
-				}
-				resp, err := client.Do(req)
-				if err != nil {
-					b.Fatal(err)
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode >= 300 {
-					b.Fatalf("PUT: %d", resp.StatusCode)
-				}
+			resp, err := client.Do(req)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.StopTimer()
-			ds := st.DurabilityStats()
-			b.ReportMetric(float64(ds.Syncs)/float64(b.N), "fsyncs/op")
-			b.ReportMetric(float64(ds.AppendedBytes)/float64(b.N), "journalB/op")
-		})
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode >= 300 {
+				b.Fatalf("PUT: %d", resp.StatusCode)
+			}
+		}
+		b.StopTimer()
+		ds := st.DurabilityStats()
+		b.ReportMetric(float64(srv.Metrics().DiffCount())/float64(b.N), "diffs/op")
+		b.ReportMetric(float64(ds.Syncs)/float64(b.N), "fsyncs/op")
+		b.ReportMetric(float64(ds.AppendedBytes)/float64(b.N), "journalB/op")
+	}
+	b.Run("memory", func(b *testing.B) { run(b, "", store.SyncAlways) })
+	for _, policy := range []store.SyncPolicy{store.SyncAlways, store.SyncInterval, store.SyncOff} {
+		b.Run(policy.String(), func(b *testing.B) { run(b, b.TempDir(), policy) })
 	}
 }
 

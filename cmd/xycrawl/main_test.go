@@ -15,7 +15,7 @@ import (
 	"xydiff/internal/crawl"
 	"xydiff/internal/diff"
 	"xydiff/internal/server"
-	"xydiff/internal/store"
+	"xydiff/internal/vstore"
 )
 
 // TestRunCrawlsIntoDaemon is the two-process pipeline end to end: a
@@ -33,7 +33,11 @@ func TestRunCrawlsIntoDaemon(t *testing.T) {
 	paths := origin.Paths()
 
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-	daemon := server.New(store.New(diff.Options{}), server.Config{Logger: quiet})
+	st, err := vstore.Open("", diff.Options{}, vstore.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	daemon := server.New(st, server.Config{Logger: quiet})
 	daemonSrv := httptest.NewServer(daemon.Handler())
 	defer func() {
 		daemonSrv.Close()

@@ -4,11 +4,11 @@
 // any past version is reconstructible, and the delta chain is
 // queryable.
 //
-// The CLI is engine-agnostic: a directory in the sharded segment-log
-// layout (MANIFEST.json) opens through internal/vstore, a directory in
-// the older per-document layout opens through internal/store, and a
-// fresh directory is created sharded. `migrate` converts an old
-// directory in place (the original is kept as DIR.pre-migrate).
+// The warehouse is an internal/vstore directory (MANIFEST.json plus
+// sharded segment logs); a fresh directory is created that way. A
+// directory in the older per-document layout is refused by every
+// command except `migrate`, which converts it in place (the original
+// is kept as DIR.pre-migrate).
 //
 // Usage:
 //
@@ -38,12 +38,9 @@ import (
 	"strconv"
 	"time"
 
-	"xydiff/internal/delta"
 	"xydiff/internal/diff"
-	"xydiff/internal/dom"
 	"xydiff/internal/dom/domio"
 	"xydiff/internal/scrub"
-	"xydiff/internal/store"
 	"xydiff/internal/vstore"
 	"xydiff/internal/xpathlite"
 )
@@ -51,7 +48,7 @@ import (
 func main() {
 	dir := flag.String("dir", "xystore-data", "warehouse `directory`")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: xystore -dir DIR put|ids|log|cat|delta|aggregate|value|grep|inspect|compact|migrate ...\n")
+		fmt.Fprintf(os.Stderr, "usage: xystore -dir DIR put|ids|log|cat|delta|aggregate|value|grep|inspect|compact|migrate|scrub ...\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -65,62 +62,11 @@ func main() {
 	}
 }
 
-// engine is the warehouse surface both storage engines provide. The
-// sharded engine (*vstore.Store) satisfies it directly; the old
-// per-document engine is adapted by oldEngine, which persists on Close.
-type engine interface {
-	Put(id string, doc *dom.Node) (int, *delta.Delta, error)
-	IDs() []string
-	Versions(id string) int
-	Version(id string, n int) (*dom.Node, error)
-	Delta(id string, n int) (*delta.Delta, error)
-	Aggregate(id string, from, to int) (*delta.Delta, error)
-	Timeline(id string, expr *xpathlite.Expr) ([]store.VersionValue, error)
-	ChangesMatching(id string, from, to int, pattern *xpathlite.Expr, kinds ...delta.Kind) ([]store.ChangeHit, error)
-	Close() error
-}
-
-// oldEngine adapts the per-document store: reads are pass-through and
-// a dirty store is saved back to dir on Close, mirroring the engine's
-// original save-after-put behavior.
-type oldEngine struct {
-	*store.Store
-	dir   string
-	dirty bool
-}
-
-func (e *oldEngine) Put(id string, doc *dom.Node) (int, *delta.Delta, error) {
-	v, d, err := e.Store.Put(id, doc)
-	if err == nil {
-		e.dirty = true
-	}
-	return v, d, err
-}
-
-func (e *oldEngine) Close() error {
-	if !e.dirty {
-		return nil
-	}
-	e.dirty = false
-	return e.Store.Save(e.dir)
-}
-
-// loadOrEmpty opens dir with whichever engine owns its layout: sharded
-// directories (and fresh ones) through vstore, old per-document
-// directories through the legacy store.
-func loadOrEmpty(dir string) (engine, error) {
-	s, err := vstore.Open(dir, diff.Options{}, vstore.Config{})
-	if err == nil {
-		return s, nil
-	}
-	if !errors.Is(err, vstore.ErrNeedsMigration) {
-		return nil, err
-	}
-	old, err := store.Load(dir, diff.Options{})
-	if err != nil {
-		return nil, err
-	}
-	return &oldEngine{Store: old, dir: dir}, nil
+// loadOrEmpty opens the warehouse at dir, creating it when absent. A
+// directory in the old per-document layout is refused with
+// vstore.ErrNeedsMigration, whose message names `xystore migrate`.
+func loadOrEmpty(dir string) (*vstore.Store, error) {
+	return vstore.Open(dir, diff.Options{}, vstore.Config{})
 }
 
 func run(dir string, args []string) error {
@@ -130,8 +76,8 @@ func run(dir string, args []string) error {
 	if cmd == "migrate" {
 		return runMigrate(dir, rest)
 	}
-	// scrub needs engine-specific integrity plumbing (and, for the old
-	// layout, exclusive offline access), so it also bypasses exec.
+	// scrub opens the directory its own way (tolerating the damage it
+	// exists to handle), so it also bypasses exec.
 	if cmd == "scrub" {
 		return runScrub(dir, rest)
 	}
@@ -140,15 +86,15 @@ func run(dir string, args []string) error {
 		return err
 	}
 	err = exec(s, cmd, rest)
-	// Close flushes whatever the command wrote (the old engine saves its
-	// directory here), so its error is part of the command's outcome.
+	// Close flushes whatever the command wrote, so its error is part of
+	// the command's outcome.
 	if cerr := s.Close(); err == nil {
 		err = cerr
 	}
 	return err
 }
 
-func exec(s engine, cmd string, rest []string) error {
+func exec(s *vstore.Store, cmd string, rest []string) error {
 	switch cmd {
 	case "put":
 		if len(rest) != 2 {
@@ -295,15 +241,11 @@ func exec(s engine, cmd string, rest []string) error {
 	case "inspect":
 		return runInspect(s)
 	case "compact":
-		vs, ok := s.(*vstore.Store)
-		if !ok {
-			return fmt.Errorf("compact needs the sharded layout; run `xystore -dir DIR migrate` first")
-		}
-		before := vs.StorageStats()
-		if err := vs.Checkpoint(); err != nil {
+		before := s.StorageStats()
+		if err := s.Checkpoint(); err != nil {
 			return err
 		}
-		after := vs.StorageStats()
+		after := s.StorageStats()
 		fmt.Printf("compacted %d shards: %d segments -> %d, %d documents snapshotted\n",
 			after.Shards, before.Segments, after.Segments, after.Documents)
 		return nil
@@ -312,18 +254,10 @@ func exec(s engine, cmd string, rest []string) error {
 	}
 }
 
-// runInspect prints the storage summary for either engine; for the
-// sharded engine that is the shard / segment / group-commit / cache
-// breakdown the daemon exports on /healthz.
-func runInspect(s engine) error {
-	vs, ok := s.(*vstore.Store)
-	if !ok {
-		fmt.Printf("layout\tper-document (pre-shard)\n")
-		fmt.Printf("documents\t%d\n", len(s.IDs()))
-		fmt.Printf("hint\trun `xystore -dir DIR migrate` to convert to the sharded layout\n")
-		return nil
-	}
-	ss := vs.StorageStats()
+// runInspect prints the storage summary: the shard / segment /
+// group-commit / cache breakdown the daemon exports on /healthz.
+func runInspect(s *vstore.Store) error {
+	ss := s.StorageStats()
 	fmt.Printf("layout\tsharded segment logs (vstore-v1)\n")
 	fmt.Printf("shards\t%d\n", ss.Shards)
 	fmt.Printf("documents\t%d\n", ss.Documents)
@@ -342,8 +276,7 @@ func runInspect(s engine) error {
 // default with -once, otherwise a pass every -interval until
 // interrupted. Damage is quarantined (renamed aside, never deleted);
 // -repair additionally rewrites whatever the surviving redundancy
-// covers. Works on both layouts: the sharded engine scrubs through
-// its live scrubber, the old per-document layout is scanned offline.
+// covers.
 func runScrub(dir string, rest []string) error {
 	fs := flag.NewFlagSet("scrub", flag.ContinueOnError)
 	once := fs.Bool("once", false, "run exactly one pass and exit")
@@ -359,7 +292,6 @@ func runScrub(dir string, rest []string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	var pass scrub.PassFunc
 	// OpenDegraded: a scrub run must not be refused by the very
 	// corruption it exists to handle. Damage found during recovery is
 	// quarantined and reported below; live repair from resident chains
@@ -368,24 +300,16 @@ func runScrub(dir string, rest []string) error {
 		OpenDegraded: true,
 		Scrub:        vstore.ScrubConfig{Throttle: *throttle, NoRepair: !*repair},
 	})
-	switch {
-	case err == nil:
-		defer vs.Close()
-		if rec := vs.RecoveryStats(); rec.Quarantined > 0 {
-			fmt.Printf("scrub: recovery quarantined %d corrupt files; %d documents serve degraded\n",
-				rec.Quarantined, rec.DegradedDocs)
-		}
-		pass = vs.ScrubPass
-	case errors.Is(err, vstore.ErrNeedsMigration):
-		cfg := scrub.Config{Throttle: *throttle, Repair: *repair}
-		pass = func(ctx context.Context) (scrub.Report, error) {
-			return store.ScrubDir(ctx, nil, dir, cfg)
-		}
-	default:
+	if err != nil {
 		return err
 	}
+	defer vs.Close()
+	if rec := vs.RecoveryStats(); rec.Quarantined > 0 {
+		fmt.Printf("scrub: recovery quarantined %d corrupt files; %d documents serve degraded\n",
+			rec.Quarantined, rec.DegradedDocs)
+	}
 	for {
-		rep, err := pass(ctx)
+		rep, err := vs.ScrubPass(ctx)
 		printScrubReport(rep)
 		if err != nil && !errors.Is(err, context.Canceled) {
 			return err

@@ -1,15 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"xydiff/internal/diff"
-	"xydiff/internal/dom"
 	"xydiff/internal/faultfs"
 	"xydiff/internal/scrub"
-	"xydiff/internal/store"
 	"xydiff/internal/vstore"
 )
 
@@ -121,36 +122,46 @@ func TestInspectAndCompact(t *testing.T) {
 	}
 }
 
+// legacyFixture copies one of the old per-document directories kept
+// with the migration tests and returns the copy's path.
+func legacyFixture(t *testing.T, name string) string {
+	t.Helper()
+	src := filepath.Join("..", "..", "internal", "vstore", "testdata", "legacy", name)
+	dst := filepath.Join(t.TempDir(), "warehouse")
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), b, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
 // TestMigrateCommand drives an old per-document directory through the
 // CLI's migrate and verifies the converted warehouse serves the same
 // versions (the engine-level equivalence lives in internal/vstore).
 func TestMigrateCommand(t *testing.T) {
-	root := t.TempDir()
-	wh := filepath.Join(root, "warehouse")
-	old, err := store.Open(wh, diff.Options{}, store.Durability{Sync: store.SyncOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, xml := range []string{`<r><a>1</a></r>`, `<r><a>2</a></r>`, `<r><a>2</a><b/></r>`} {
-		doc, err := dom.ParseString(xml)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := old.Put("d", doc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := old.Close(); err != nil {
-		t.Fatal(err)
-	}
+	wh := legacyFixture(t, "mixed")
 
-	// Old layout: inspect works through the legacy engine, compact
-	// refuses with a pointer at migrate.
-	if err := run(wh, []string{"inspect"}); err != nil {
-		t.Fatalf("inspect on old layout: %v", err)
-	}
-	if err := run(wh, []string{"compact"}); err == nil {
-		t.Fatal("compact on old layout succeeded, want migrate hint")
+	// Old layout: every other command refuses with the migrate hint.
+	for _, args := range [][]string{{"ids"}, {"inspect"}, {"compact"}, {"cat", "stock", "1"}} {
+		if err := run(wh, args); !errors.Is(err, vstore.ErrNeedsMigration) {
+			t.Fatalf("%v on old layout = %v, want the migrate hint", args, err)
+		}
 	}
 
 	if err := run(wh, []string{"migrate", "4"}); err != nil {
@@ -161,8 +172,8 @@ func TestMigrateCommand(t *testing.T) {
 	}
 	for _, args := range [][]string{
 		{"ids"},
-		{"log", "d"},
-		{"cat", "d", "1"},
+		{"log", "stock"},
+		{"cat", "stock", "1"},
 		{"inspect"},
 		{"compact"},
 	} {
@@ -175,8 +186,8 @@ func TestMigrateCommand(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if got := s.Versions("d"); got != 3 {
-		t.Fatalf("d has %d versions after migrate, want 3", got)
+	if got := s.Versions("stock"); got != 5 {
+		t.Fatalf("stock has %d versions after migrate, want 5", got)
 	}
 	// Bad migrate invocations fail loudly.
 	if err := run(wh, []string{"migrate"}); err == nil {
@@ -229,57 +240,29 @@ func TestScrubCommandShardedLayout(t *testing.T) {
 	}
 }
 
+// TestScrubCommandOldLayout: scrub, like every command but migrate,
+// refuses an old per-document directory with the migrate hint and
+// leaves it as it was.
 func TestScrubCommandOldLayout(t *testing.T) {
-	dir := t.TempDir()
-	wh := filepath.Join(dir, "old")
-	s, err := store.Open(wh, diff.Options{}, store.Durability{Sync: store.SyncAlways})
+	wh := legacyFixture(t, "torn")
+	journal := filepath.Join(wh, "journal-news.log")
+	before, err := os.ReadFile(journal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc, err := dom.ParseString(`<r><a>1</a></r>`)
+	for _, args := range [][]string{{"scrub", "-once"}, {"scrub", "-once", "-repair"}} {
+		if err := run(wh, args); !errors.Is(err, vstore.ErrNeedsMigration) {
+			t.Fatalf("%v on old layout = %v, want the migrate hint", args, err)
+		}
+	}
+	after, err := os.ReadFile(journal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Put("d", doc); err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(before, after) {
+		t.Fatal("scrub changed the old directory's torn journal")
 	}
-	if err := s.Save(wh); err != nil { // snapshot alongside the journal
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(wh, []string{"scrub", "-once"}); err != nil {
-		t.Fatalf("old-layout scrub: %v", err)
-	}
-	// A diverged latest.xml is derived state: -repair rewrites it from
-	// the reconstructed chain.
-	latest := filepath.Join(wh, "d", "latest.xml")
-	if err := os.WriteFile(latest, []byte(`<r><a>wrong</a></r>`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(wh, []string{"scrub", "-once", "-repair"}); err != nil {
-		t.Fatalf("old-layout repair: %v", err)
-	}
-	fixed, err := os.ReadFile(latest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(fixed) == `<r><a>wrong</a></r>` {
-		t.Fatal("latest.xml not rewritten")
-	}
-	// Damage the journal: scrub must quarantine, not delete.
-	j, _ := filepath.Glob(filepath.Join(wh, "journal-*.log"))
-	if len(j) != 1 {
-		t.Fatalf("journals = %v", j)
-	}
-	if err := faultfs.FlipBit(faultfs.OS{}, j[0], 10, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(wh, []string{"scrub", "-once"}); err != nil {
-		t.Fatalf("scrub with damage: %v", err)
-	}
-	if _, err := os.Stat(j[0] + scrub.QuarantineSuffix); err != nil {
-		t.Fatalf("journal not quarantined: %v", err)
+	if entries, err := os.ReadDir(wh); err != nil || len(entries) != 1 {
+		t.Fatalf("old directory now holds %d entries (%v), want its one journal", len(entries), err)
 	}
 }

@@ -15,7 +15,7 @@ import (
 	"xydiff/internal/alert"
 	"xydiff/internal/delta"
 	"xydiff/internal/diff"
-	"xydiff/internal/store"
+	"xydiff/internal/vstore"
 )
 
 var versions = []string{
@@ -43,7 +43,10 @@ var versions = []string{
 }
 
 func main() {
-	repo := store.New(diff.Options{})
+	repo, err := vstore.Open("", diff.Options{}, vstore.Config{}) // in memory
+	if err != nil {
+		log.Fatal(err)
+	}
 	alerter := alert.New(
 		alert.Subscription{
 			ID:    "new-products",
@@ -97,5 +100,5 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nversion 1 reconstructed from the latest version and the inverted deltas:\n%s\n", v1)
+	fmt.Printf("\nversion 1 reconstructed from the stored delta chain:\n%s\n", v1)
 }

@@ -30,7 +30,7 @@ import (
 	"xydiff/internal/diff"
 	"xydiff/internal/dom"
 	"xydiff/internal/stats"
-	"xydiff/internal/store"
+	"xydiff/internal/vstore"
 )
 
 func main() {
@@ -47,9 +47,12 @@ func main() {
 	defer ts.Close()
 	paths := origin.Paths()
 
-	// The repository: an in-memory versioned store; every new version
-	// is diffed against its predecessor.
-	st := store.New(diff.Options{})
+	// The repository: a versioned store kept in memory (no directory);
+	// every new version is diffed against its predecessor.
+	st, err := vstore.Open("", diff.Options{}, vstore.Config{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	ingest := func(ctx context.Context, id string, body []byte) (bool, error) {
 		doc, err := dom.Parse(bytes.NewReader(body))
 		if err != nil {

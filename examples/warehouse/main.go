@@ -1,8 +1,8 @@
 // Warehouse: versions and querying the past (Section 2 of the paper).
 // A document accumulates simulated weekly changes in a version store;
 // the example reconstructs old versions, extracts the delta chain
-// between two arbitrary versions, and persists the whole warehouse to
-// disk and back.
+// between two arbitrary versions, and reopens the warehouse from its
+// directory.
 //
 //	go run ./examples/warehouse
 package main
@@ -17,13 +17,21 @@ import (
 	"xydiff/internal/delta"
 	"xydiff/internal/diff"
 	"xydiff/internal/dom"
-	"xydiff/internal/store"
+	"xydiff/internal/vstore"
 	"xydiff/internal/xpathlite"
 )
 
 func main() {
 	rng := rand.New(rand.NewSource(2002))
-	repo := store.New(diff.Options{})
+	dir, err := os.MkdirTemp("", "xydiff-warehouse-")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	repo, err := vstore.Open(dir, diff.Options{}, vstore.Config{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	const docID = "inria/catalog.xml"
 
 	// Week 0: the first crawl of the document.
@@ -100,23 +108,20 @@ func main() {
 	}
 	fmt.Printf("aggregated delta v1->v6: %d bytes (%s)\n", agg.Size(), agg.Count())
 
-	// Persist the warehouse and load it back.
-	dir, err := os.MkdirTemp("", "xydiff-warehouse-")
+	// Every acknowledged version is on disk: close the warehouse and
+	// open its directory again.
+	if err := repo.Close(); err != nil {
+		log.Fatal(err)
+	}
+	reopened, err := vstore.Open(dir, diff.Options{}, vstore.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer os.RemoveAll(dir)
-	if err := repo.Save(dir); err != nil {
-		log.Fatal(err)
-	}
-	loaded, err := store.Load(dir, diff.Options{})
+	defer reopened.Close()
+	check, err := reopened.Version(docID, 3)
 	if err != nil {
 		log.Fatal(err)
 	}
-	check, err := loaded.Version(docID, 3)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nsaved to %s and reloaded: version 3 identical: %v\n",
+	fmt.Printf("\nclosed %s and reopened: version 3 identical: %v\n",
 		dir, dom.Equal(check, v3))
 }

@@ -173,7 +173,7 @@ func (a *Alerter) Subscriptions() []Subscription {
 // version newVersion of document docID. oldDoc and newDoc are the
 // versions before and after; they are used to resolve the paths of
 // affected nodes (XIDs must be consistent with the delta, which is the
-// case for documents coming out of diff.Diff or store.Store). Matches
+// case for documents coming out of diff.Diff or vstore.Store). Matches
 // are returned and also fanned out to any attached Notifier sinks.
 func (a *Alerter) Notify(docID string, newVersion int, oldDoc, newDoc *dom.Node, d *delta.Delta) []Alert {
 	if d.Empty() || len(a.state.Load().subs) == 0 {

@@ -4,8 +4,8 @@
 // panics escaping library packages, balanced per-document lock usage in
 // the store, context propagation through the diff and the server,
 // errors wrapped as they cross package boundaries, and the durable-write
-// ordering of the journal (append + fsync happens-before the in-memory
-// commit and the snapshot rename).
+// ordering of the segment journals (append + fsync happens-before the
+// in-memory commit and the snapshot rename).
 //
 // The suite is built only on the standard toolchain packages (go/ast,
 // go/parser, go/token, go/types) — no external analysis framework — and
@@ -343,7 +343,6 @@ func All() []*Analyzer {
 		LockBalance,
 		CtxFlow,
 		ErrWrap,
-		SyncOrder,
 		SegOrder,
 		GoroLeak,
 		PoolBalance,

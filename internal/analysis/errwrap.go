@@ -7,9 +7,10 @@ import (
 	"strings"
 )
 
-// ErrWrap enforces the error discipline of the store's typed-error
-// surface (internal/store/errors.go): errors crossing a package
-// boundary keep their chain, and no error is dropped on the floor.
+// ErrWrap enforces the error discipline the repository's typed errors
+// (declared in internal/store/errors.go, returned by internal/vstore)
+// depend on: errors crossing a package boundary keep their chain, and
+// no error is dropped on the floor.
 // Concretely:
 //
 //   - a call whose (last) result is an error must not appear as a bare

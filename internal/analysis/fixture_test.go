@@ -24,7 +24,6 @@ func TestNoPanicFixture(t *testing.T)     { runFixture(t, NoPanic) }
 func TestLockBalanceFixture(t *testing.T) { runFixture(t, LockBalance) }
 func TestCtxFlowFixture(t *testing.T)     { runFixture(t, CtxFlow) }
 func TestErrWrapFixture(t *testing.T)     { runFixture(t, ErrWrap) }
-func TestSyncOrderFixture(t *testing.T)   { runFixture(t, SyncOrder) }
 func TestSegOrderFixture(t *testing.T)    { runFixture(t, SegOrder) }
 func TestGoroLeakFixture(t *testing.T)    { runFixture(t, GoroLeak) }
 func TestPoolBalanceFixture(t *testing.T) { runFixture(t, PoolBalance) }

@@ -15,7 +15,7 @@ import (
 
 // Package is one loaded, type-checked package.
 type Package struct {
-	// Path is the import path ("xydiff/internal/store").
+	// Path is the import path ("xydiff/internal/vstore").
 	Path string
 	// Mod is the module path the package belongs to ("xydiff");
 	// analyzers use it to express module-relative layer rules.

@@ -122,6 +122,18 @@ func checkSegOrder(pass *Pass, fn *ast.FuncDecl) {
 	}
 }
 
+// calleeName extracts the bare called-function name: f(...) -> "f",
+// x.f(...) -> "f".
+func calleeName(call *ast.CallExpr) string {
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		return fun.Name
+	case *ast.SelectorExpr:
+		return fun.Sel.Name
+	}
+	return ""
+}
+
 // isDocStateField matches selector targets of the in-memory commit:
 // <expr>.base, <expr>.versions and <expr>.deltas (the docState fields
 // a Put publishes).

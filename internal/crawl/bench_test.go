@@ -16,6 +16,7 @@ import (
 	"xydiff/internal/dom"
 	"xydiff/internal/stats"
 	"xydiff/internal/store"
+	"xydiff/internal/vstore"
 )
 
 // versionRing captures successive versions of one corpus document and
@@ -95,7 +96,10 @@ func BenchmarkCrawlIngest(b *testing.B) {
 	ts := httptest.NewServer(ring)
 	defer ts.Close()
 
-	st := store.New(diff.Options{})
+	st, err := vstore.Open("", diff.Options{}, vstore.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	alerter := alert.New(alert.Subscription{ID: "bench", Path: "Product"})
 	st.SetObserver(func(o store.Observation) {
 		alerter.Notify(o.ID, o.Version, o.Old, o.New, o.Result.Delta)

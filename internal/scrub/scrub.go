@@ -1,8 +1,8 @@
-// Package scrub is the engine-agnostic core of the self-healing
+// Package scrub is the layout-independent core of the self-healing
 // storage layer: the pieces of background integrity checking that do
-// not depend on any one on-disk layout. A storage engine (the sharded
-// internal/vstore, the legacy per-document internal/store) supplies a
-// pass function that walks its own files; this package supplies
+// not depend on any one on-disk layout. The storage engine
+// (internal/vstore) supplies a pass function that walks its own files;
+// this package supplies
 //
 //   - the background Runner that invokes the pass on a timer, one
 //     cycle at a time, with clean shutdown;
@@ -12,7 +12,7 @@
 //     length-prefixed CRC32-C journal in the repo;
 //   - Quarantine, the rename-aside-never-delete discipline for files
 //     that failed verification and cannot be repaired;
-//   - the Report/Finding vocabulary the engines, the HTTP layer and
+//   - the Report/Finding vocabulary the engine, the HTTP layer and
 //     the CLI all speak.
 //
 // The design follows the differential-testing discipline the repo
@@ -28,23 +28,9 @@ import (
 	"time"
 )
 
-// Config tunes a background scrubber.
-type Config struct {
-	// Interval is the pause between the end of one cycle and the start
-	// of the next; 0 or negative disables background scrubbing.
-	Interval time.Duration
-	// Throttle caps scrub reads in bytes per second; 0 picks the
-	// DefaultThrottle, negative disables pacing entirely.
-	Throttle int64
-	// Repair, when true, lets the engine rewrite damage it can cover
-	// from redundant data; when false every finding is quarantined (or
-	// merely reported) instead.
-	Repair bool
-}
-
-// DefaultThrottle is the scrub read budget when Config.Throttle is 0:
-// 8 MiB/s, slow enough to hide under foreground traffic, fast enough
-// to cover tens of gigabytes per day.
+// DefaultThrottle is the scrub read budget when a configured throttle
+// is 0: 8 MiB/s, slow enough to hide under foreground traffic, fast
+// enough to cover tens of gigabytes per day.
 const DefaultThrottle int64 = 8 << 20
 
 // Action says what the scrubber did about one finding.

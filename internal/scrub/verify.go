@@ -7,16 +7,17 @@ import (
 	"os"
 )
 
-// Every write-ahead log in this repo — the legacy per-document journal
-// and the sharded segment logs — shares one frame: a length-prefixed,
-// CRC32-C-checksummed payload, integers big-endian:
+// Every write-ahead log in this repo — the sharded segment logs, and
+// the per-document journals of the old layout that migration reads —
+// shares one frame: a length-prefixed, CRC32-C-checksummed payload,
+// integers big-endian:
 //
 //	+0  uint32  payload length
 //	+4  uint32  CRC32-C (Castagnoli) of the payload
 //	+8  payload
 //
-// WalkLog verifies that frame so both engines scrub through the same
-// code the recovery paths trust.
+// WalkLog verifies that frame, so the scrubber and the migration reader
+// walk logs through one piece of code.
 
 const (
 	// headerLen is the fixed frame header: length + checksum.

@@ -72,21 +72,12 @@ func storeError(w http.ResponseWriter, err error) {
 	}
 }
 
-// degradedStatser is the optional capability the sharded engine adds
-// for degraded-mode serving: reads of a document whose history is
-// partly quarantined succeed with a Warning header instead of failing.
-type degradedStatser interface {
-	Degraded(id string) (bool, string)
-}
-
 // warnDegraded stamps the Warning header when the document serves
-// degraded; must run before the response body starts.
+// degraded — reads of a document whose history is partly quarantined
+// succeed with a warning instead of failing; must run before the
+// response body starts.
 func (s *Server) warnDegraded(w http.ResponseWriter, id string) {
-	ds, ok := s.store.(degradedStatser)
-	if !ok {
-		return
-	}
-	if deg, reason := ds.Degraded(id); deg {
+	if deg, reason := s.store.Degraded(id); deg {
 		w.Header().Set("Warning", fmt.Sprintf("110 xydiffd %q", "degraded: "+reason))
 	}
 }
@@ -117,47 +108,45 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			"notModified":  cs.NotModified,
 		}
 	}
-	if eng, ok := s.store.(storageStatser); ok {
-		ss := eng.StorageStats()
-		perShard := make([]map[string]any, 0, len(ss.PerShard))
-		for _, sh := range ss.PerShard {
-			perShard = append(perShard, map[string]any{
-				"shard":           sh.Shard,
-				"sealedSegments":  sh.SealedSegments,
-				"lastCompactUnix": sh.LastCompactUnix,
-				"quarantined":     sh.Quarantined,
-				"degradedDocs":    sh.DegradedDocs,
-			})
-		}
-		body["storage"] = map[string]any{
-			"engine":            "vstore",
-			"shards":            ss.Shards,
-			"documents":         ss.Documents,
-			"segments":          ss.Segments,
-			"sealedSegments":    ss.SealedSegments,
-			"fsyncTotal":        ss.FsyncTotal,
-			"meanFsyncBatch":    ss.MeanBatch(),
-			"maxFsyncBatch":     ss.MaxBatch,
-			"rejected":          ss.Rejected,
-			"cacheHitRatio":     ss.CacheHitRatio(),
-			"cacheLen":          ss.CacheLen,
-			"cacheCap":          ss.CacheCap,
-			"compactions":       ss.Compactions,
-			"compactionSeconds": ss.CompactionSeconds,
-			"degradedDocs":      ss.DegradedDocs,
-			"quarantined":       ss.Quarantined,
-			"scrub": map[string]any{
-				"cycles":           ss.Scrub.Cycles,
-				"bytesScanned":     ss.Scrub.BytesScanned,
-				"recordsVerified":  ss.Scrub.RecordsVerified,
-				"found":            ss.Scrub.Found,
-				"repaired":         ss.Scrub.Repaired,
-				"quarantined":      ss.Scrub.Quarantined,
-				"lastCycleUnix":    ss.Scrub.LastUnix,
-				"lastCycleSeconds": ss.Scrub.LastSeconds,
-			},
-			"perShard": perShard,
-		}
+	ss := s.store.StorageStats()
+	perShard := make([]map[string]any, 0, len(ss.PerShard))
+	for _, sh := range ss.PerShard {
+		perShard = append(perShard, map[string]any{
+			"shard":           sh.Shard,
+			"sealedSegments":  sh.SealedSegments,
+			"lastCompactUnix": sh.LastCompactUnix,
+			"quarantined":     sh.Quarantined,
+			"degradedDocs":    sh.DegradedDocs,
+		})
+	}
+	body["storage"] = map[string]any{
+		"engine":            "vstore",
+		"shards":            ss.Shards,
+		"documents":         ss.Documents,
+		"segments":          ss.Segments,
+		"sealedSegments":    ss.SealedSegments,
+		"fsyncTotal":        ss.FsyncTotal,
+		"meanFsyncBatch":    ss.MeanBatch(),
+		"maxFsyncBatch":     ss.MaxBatch,
+		"rejected":          ss.Rejected,
+		"cacheHitRatio":     ss.CacheHitRatio(),
+		"cacheLen":          ss.CacheLen,
+		"cacheCap":          ss.CacheCap,
+		"compactions":       ss.Compactions,
+		"compactionSeconds": ss.CompactionSeconds,
+		"degradedDocs":      ss.DegradedDocs,
+		"quarantined":       ss.Quarantined,
+		"scrub": map[string]any{
+			"cycles":           ss.Scrub.Cycles,
+			"bytesScanned":     ss.Scrub.BytesScanned,
+			"recordsVerified":  ss.Scrub.RecordsVerified,
+			"found":            ss.Scrub.Found,
+			"repaired":         ss.Scrub.Repaired,
+			"quarantined":      ss.Scrub.Quarantined,
+			"lastCycleUnix":    ss.Scrub.LastUnix,
+			"lastCycleSeconds": ss.Scrub.LastSeconds,
+		},
+		"perShard": perShard,
 	}
 	writeJSON(w, http.StatusOK, body)
 }
@@ -166,8 +155,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.metrics.WritePrometheus(w)
 
-	// Journal durability counters from the store (all zero for a pure
-	// in-memory store).
+	// Journal durability counters from the store (all zero for a store
+	// without a directory).
 	ds := s.store.DurabilityStats()
 	rec := s.store.RecoveryStats()
 	fmt.Fprintln(w, "# HELP xydiffd_journal_appends_total Journal records appended.")
@@ -215,11 +204,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s.crawler.Metrics().WritePrometheus(w, "xydiffd_crawl")
 	}
 
-	// Sharded-engine counters: group-commit effectiveness, version
-	// cache and compaction, overall and per shard.
-	if eng, ok := s.store.(storageStatser); ok {
-		writeStorageMetrics(w, eng.StorageStats())
-	}
+	// Engine counters: group-commit effectiveness, version cache and
+	// compaction, overall and per shard.
+	writeStorageMetrics(w, s.store.StorageStats())
 }
 
 // writeStorageMetrics renders the sharded engine's counters in

@@ -23,7 +23,8 @@ import (
 
 // TestDeltaBytesIsTheStoredBody pins the one number three places
 // report: deltaBytes in the PUT answer, the length of the body GET
-// /docs/{id}/deltas/{n} serves, and Delta.Size() — on both engines.
+// /docs/{id}/deltas/{n} serves, and Delta.Size() — with and without a
+// directory.
 func TestDeltaBytesIsTheStoredBody(t *testing.T) {
 	_, memory := newTestServer(t, Config{})
 	st, _, sharded := newVstoreServer(t, vstore.Config{Sync: store.SyncOff})
@@ -129,7 +130,7 @@ func TestAlertLogBatchEqualsOneByOne(t *testing.T) {
 // size of the rest.
 func observeFixture(t testing.TB, categories int) (*Server, store.Observation) {
 	t.Helper()
-	s := New(store.New(diff.Options{}), Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	s := New(memoryStore(t), Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 	t.Cleanup(s.Close)
 	for _, sub := range []alert.Subscription{
 		{ID: "k-insert", Kinds: []delta.Kind{delta.KindInsert}},

@@ -12,7 +12,6 @@
 package server
 
 import (
-	"context"
 	"log/slog"
 	"net/http"
 	"runtime"
@@ -21,40 +20,11 @@ import (
 	"xydiff/internal/alert"
 	"xydiff/internal/crawl"
 	"xydiff/internal/delta"
-	"xydiff/internal/diff"
-	"xydiff/internal/dom"
 	"xydiff/internal/retry"
 	"xydiff/internal/stats"
 	"xydiff/internal/store"
 	"xydiff/internal/vstore"
 )
-
-// Store is the versioned repository the server serves: the method set
-// shared by the per-document engine (*store.Store) and the sharded,
-// group-committed engine (*vstore.Store). The HTTP layer is
-// engine-agnostic; engine-specific observability (per-shard group
-// commit, version cache) is picked up through the optional
-// storageStatser capability.
-type Store interface {
-	PutDetailed(ctx context.Context, id string, doc *dom.Node, matcher diff.Matcher) (store.PutResult, error)
-	Latest(id string) (*dom.Node, int, error)
-	Version(id string, n int) (*dom.Node, error)
-	Versions(id string) int
-	IDs() []string
-	Delta(id string, n int) (*delta.Delta, error)
-	Aggregate(id string, from, to int) (*delta.Delta, error)
-	SetObserver(store.Observer)
-	SyncPolicy() store.SyncPolicy
-	DurabilityStats() store.DurabilityStats
-	RecoveryStats() store.RecoveryStats
-}
-
-// storageStatser is the optional capability the sharded engine adds:
-// when the store implements it, /healthz grows a storage block and
-// /metrics per-shard group-commit, compaction and cache series.
-type storageStatser interface {
-	StorageStats() vstore.StorageStats
-}
 
 // Config tunes the server. The zero value picks production defaults.
 type Config struct {
@@ -121,7 +91,7 @@ func (c Config) withDefaults() Config {
 // Server is the xydiffd HTTP service over one store.
 type Server struct {
 	cfg       Config
-	store     Store
+	store     *vstore.Store
 	alerter   *alert.Alerter
 	collector *stats.Collector
 	metrics   *Metrics
@@ -143,10 +113,11 @@ type Server struct {
 	crawlReg *crawl.Registry
 }
 
-// New wires a server around st. It installs the store's observer hook,
-// so st must not have another observer; the server should be the only
-// writer-side consumer of the store from here on.
-func New(st Store, cfg Config) *Server {
+// New wires a server around st, which may be a store without a
+// directory. It installs the store's observer hook, so st must not have
+// another observer; the server should be the only writer-side consumer
+// of the store from here on.
+func New(st *vstore.Store, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:       cfg,

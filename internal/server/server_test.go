@@ -17,7 +17,7 @@ import (
 	"xydiff/internal/delta"
 	"xydiff/internal/diff"
 	"xydiff/internal/dom"
-	"xydiff/internal/store"
+	"xydiff/internal/vstore"
 	"xydiff/internal/xid"
 )
 
@@ -26,13 +26,23 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	s := New(store.New(diff.Options{}), cfg)
+	s := New(memoryStore(t), cfg)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
 		s.Close()
 	})
 	return s, ts
+}
+
+// memoryStore opens a store without a directory.
+func memoryStore(t testing.TB) *vstore.Store {
+	t.Helper()
+	st, err := vstore.Open("", diff.Options{}, vstore.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 func doReq(t *testing.T, method, url, body string) (int, http.Header, string) {
@@ -282,20 +292,25 @@ func TestBackpressure(t *testing.T) {
 		t.Error("missing Retry-After")
 	}
 	unblock()
-	// The pool drains and service resumes.
+	// The pool drains and service resumes. A retry can still find the
+	// queued job in its slot and be shed too; each one it sees counts.
 	deadline := time.Now().Add(5 * time.Second)
+	retried := 0
 	for {
 		code, _, _ = doReq(t, "PUT", ts.URL+"/docs/d", `<r/>`)
 		if code == http.StatusCreated || time.Now().After(deadline) {
 			break
+		}
+		if code == http.StatusServiceUnavailable {
+			retried++
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 	if code != http.StatusCreated {
 		t.Fatalf("PUT after drain = %d", code)
 	}
-	if !strings.Contains(metricsText(t, ts), "xydiffd_queue_rejected_total 1") {
-		t.Error("rejected counter not incremented")
+	if want := fmt.Sprintf("xydiffd_queue_rejected_total %d\n", 1+retried); !strings.Contains(metricsText(t, ts), want) {
+		t.Errorf("metrics lack %q", strings.TrimSpace(want))
 	}
 }
 

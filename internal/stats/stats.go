@@ -6,7 +6,7 @@
 // price node is more likely to change than a description node."
 //
 // A Collector observes (oldDoc, newDoc, delta) triples — typically at
-// store.Put time — and accumulates per-element-label change frequencies
+// the time a store Put installs a version — and accumulates per-element-label change frequencies
 // and per-version delta size ratios.
 package stats
 
@@ -120,7 +120,7 @@ func (c *Collector) ChangeRate(docID string) (rate float64, visits int) {
 
 // Observe records one version transition. oldDoc is the version the
 // delta applies to and newDoc its result; XIDs must be consistent with
-// the delta (as produced by diff.Diff or store.Put). A caller that has
+// the delta (as produced by diff.Diff or a vstore Put). A caller that has
 // already resolved the delta or knows its encoded size — the server's
 // store observer has both — calls ObserveResolved instead.
 func (c *Collector) Observe(oldDoc, newDoc *dom.Node, d *delta.Delta) {

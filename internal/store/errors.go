@@ -56,9 +56,3 @@ func (e *CorruptError) Is(target error) bool { return target == ErrCorrupt }
 
 // Unwrap exposes the underlying error to errors.Is/As chains.
 func (e *CorruptError) Unwrap() error { return e.Err }
-
-// corruptf builds a CorruptError for file at offset (use -1 for
-// whole-file failures).
-func corruptf(file string, offset int64, err error, format string, args ...any) *CorruptError {
-	return &CorruptError{File: file, Offset: offset, Reason: fmt.Sprintf(format, args...), Err: err}
-}

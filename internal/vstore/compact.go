@@ -16,8 +16,7 @@ import (
 
 // Compaction folds a shard's sealed segments into per-document
 // snapshots and deletes the segments, bounding both recovery replay
-// and disk growth. The crash-safety discipline is the same as the
-// per-document engine's checkpoint, applied per shard:
+// and disk growth. The crash-safety discipline, per shard:
 //
 //  1. seal the active segment, so every on-disk segment is frozen;
 //  2. snapshot every document whose snapshot is behind, each file
@@ -33,8 +32,12 @@ import (
 
 // Checkpoint compacts every shard: after it returns, the snapshots
 // alone reconstruct every version, and the segment journals hold only
-// versions installed after the checkpoint began.
+// versions installed after the checkpoint began. A store without a
+// directory has nothing to compact.
 func (s *Store) Checkpoint() error {
+	if s.dir == "" {
+		return nil
+	}
 	start := time.Now()
 	for _, sh := range s.shards {
 		if err := s.compactShard(sh); err != nil {

@@ -10,14 +10,15 @@ import (
 	"xydiff/internal/delta"
 	"xydiff/internal/diff"
 	"xydiff/internal/dom"
-	"xydiff/internal/store"
+	"xydiff/internal/xid"
 )
 
-// The sharded engine must be observationally identical to the
-// per-document engine: same deltas, same reconstructions, byte for
-// byte, over a changesim-driven golden corpus — including after a
-// checkpoint and a reopen, where vstore's lazily-materialized trees
-// come from replay instead of from the diff that created them.
+// The engine must be observationally identical to the repository's
+// definition: same deltas, same reconstructions, byte for byte, over a
+// changesim-driven golden corpus — including after a checkpoint and a
+// reopen, where vstore's lazily-materialized trees come from replay
+// instead of from the diff that created them. The oracle, model, is a
+// deliberately small independent implementation, not a second engine.
 
 func renderDelta(t *testing.T, d *delta.Delta) string {
 	t.Helper()
@@ -28,15 +29,63 @@ func renderDelta(t *testing.T, d *delta.Delta) string {
 	return buf.String()
 }
 
-func TestDifferentialAgainstPerDocumentStore(t *testing.T) {
+// model keeps each document as its first version plus the deltas
+// diff.Diff computed between consecutive versions; version n is the
+// first version with n-1 deltas applied.
+type model map[string]*modelDoc
+
+type modelDoc struct {
+	base, latest *dom.Node // XIDs assigned
+	deltas       []*delta.Delta
+}
+
+func (m model) Put(id string, doc *dom.Node) (int, *delta.Delta, error) {
+	md := m[id]
+	if md == nil {
+		base := doc.Clone()
+		xid.Assign(base)
+		m[id] = &modelDoc{base: base, latest: base.Clone()}
+		return 1, nil, nil
+	}
+	next := doc.Clone()
+	d, err := diff.Diff(md.latest, next, diff.Options{})
+	if err != nil {
+		return 0, nil, err
+	}
+	md.deltas = append(md.deltas, d)
+	md.latest = next
+	return len(md.deltas) + 1, d, nil
+}
+
+func (m model) Version(id string, n int) (*dom.Node, error) {
+	doc := m[id].base.Clone()
+	for _, d := range m[id].deltas[:n-1] {
+		if err := delta.Apply(doc, d); err != nil {
+			return nil, err
+		}
+	}
+	return doc, nil
+}
+
+func (m model) Delta(id string, n int) (*delta.Delta, error) { return m[id].deltas[n-1], nil }
+
+func (m model) Aggregate(id string, from, to int) (*delta.Delta, error) {
+	base, err := m.Version(id, from)
+	if err != nil {
+		return nil, err
+	}
+	return diff.Compose(base, m[id].deltas[from-1:to-1]...)
+}
+
+func TestDifferentialAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	oldEngine := store.New(diff.Options{})
+	oracle := model{}
 	dir := t.TempDir()
-	newEngine, err := Open(dir, diff.Options{}, Config{Shards: 4})
+	engine, err := Open(dir, diff.Options{}, Config{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer newEngine.Close()
+	defer engine.Close()
 
 	type docRun struct {
 		id       string
@@ -49,20 +98,20 @@ func TestDifferentialAgainstPerDocumentStore(t *testing.T) {
 		cur := doc
 		const versions = 5
 		for v := 0; v < versions; v++ {
-			vOld, dOld, errOld := oldEngine.Put(id, cur)
-			vNew, dNew, errNew := newEngine.Put(id, cur)
-			if (errOld == nil) != (errNew == nil) {
-				t.Fatalf("%s v%d: old err=%v new err=%v", id, v+1, errOld, errNew)
+			vWant, dWant, errWant := oracle.Put(id, cur)
+			vGot, dGot, errGot := engine.Put(id, cur)
+			if (errWant == nil) != (errGot == nil) {
+				t.Fatalf("%s v%d: model err=%v engine err=%v", id, v+1, errWant, errGot)
 			}
-			if vOld != vNew {
-				t.Fatalf("%s: version numbers diverge (%d vs %d)", id, vOld, vNew)
+			if vWant != vGot {
+				t.Fatalf("%s: version numbers diverge (%d vs %d)", id, vWant, vGot)
 			}
-			if (dOld == nil) != (dNew == nil) {
+			if (dWant == nil) != (dGot == nil) {
 				t.Fatalf("%s v%d: delta nilness diverges", id, v+1)
 			}
-			if dOld != nil && renderDelta(t, dOld) != renderDelta(t, dNew) {
-				t.Fatalf("%s v%d: deltas differ:\nold %s\nnew %s",
-					id, v+1, renderDelta(t, dOld), renderDelta(t, dNew))
+			if dWant != nil && renderDelta(t, dWant) != renderDelta(t, dGot) {
+				t.Fatalf("%s v%d: deltas differ:\nmodel  %s\nengine %s",
+					id, v+1, renderDelta(t, dWant), renderDelta(t, dGot))
 			}
 			res, err := changesim.Simulate(cur, changesim.Uniform(0.12, rng.Int63()))
 			if err != nil {
@@ -77,7 +126,7 @@ func TestDifferentialAgainstPerDocumentStore(t *testing.T) {
 		t.Helper()
 		for _, run := range runs {
 			for v := 1; v <= run.versions; v++ {
-				wantDoc, err := oldEngine.Version(run.id, v)
+				wantDoc, err := oracle.Version(run.id, v)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -89,7 +138,7 @@ func TestDifferentialAgainstPerDocumentStore(t *testing.T) {
 					t.Fatalf("%s: %s v%d reconstruction differs", label, run.id, v)
 				}
 				if v < run.versions {
-					wantD, err := oldEngine.Delta(run.id, v)
+					wantD, err := oracle.Delta(run.id, v)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -102,7 +151,7 @@ func TestDifferentialAgainstPerDocumentStore(t *testing.T) {
 					}
 				}
 			}
-			wantAgg, err := oldEngine.Aggregate(run.id, 1, run.versions)
+			wantAgg, err := oracle.Aggregate(run.id, 1, run.versions)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,18 +164,18 @@ func TestDifferentialAgainstPerDocumentStore(t *testing.T) {
 			}
 		}
 	}
-	compare(newEngine, "live")
+	compare(engine, "live")
 
 	// A checkpoint folds everything into snapshots; correctness must
 	// not depend on where the bytes live.
-	if err := newEngine.Checkpoint(); err != nil {
+	if err := engine.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	compare(newEngine, "after checkpoint")
+	compare(engine, "after checkpoint")
 
 	// Reopen: trees now come from replaying persisted bytes, and the
-	// version chains must still match the old engine exactly.
-	if err := newEngine.Close(); err != nil {
+	// version chains must still match the model exactly.
+	if err := engine.Close(); err != nil {
 		t.Fatal(err)
 	}
 	reopened, err := Open(dir, diff.Options{}, Config{Shards: 4})
@@ -139,22 +188,22 @@ func TestDifferentialAgainstPerDocumentStore(t *testing.T) {
 	// And diffs taken AFTER a reopen must still match: the replayed
 	// latest tree carries the same XIDs the diff-produced tree had.
 	for _, run := range runs {
-		nextOld, err := oldEngine.Version(run.id, run.versions)
+		latest, err := oracle.Version(run.id, run.versions)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mut, err := changesim.Simulate(nextOld, changesim.Uniform(0.15, 7))
+		mut, err := changesim.Simulate(latest, changesim.Uniform(0.15, 7))
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, dOld, errOld := oldEngine.Put(run.id, mut.New)
-		_, dNew, errNew := reopened.Put(run.id, mut.New)
-		if errOld != nil || errNew != nil {
-			t.Fatalf("%s post-reopen put: old=%v new=%v", run.id, errOld, errNew)
+		_, dWant, errWant := oracle.Put(run.id, mut.New)
+		_, dGot, errGot := reopened.Put(run.id, mut.New)
+		if errWant != nil || errGot != nil {
+			t.Fatalf("%s post-reopen put: model=%v engine=%v", run.id, errWant, errGot)
 		}
-		if renderDelta(t, dOld) != renderDelta(t, dNew) {
-			t.Fatalf("%s: post-reopen deltas differ:\nold %s\nnew %s",
-				run.id, renderDelta(t, dOld), renderDelta(t, dNew))
+		if renderDelta(t, dWant) != renderDelta(t, dGot) {
+			t.Fatalf("%s: post-reopen deltas differ:\nmodel  %s\nengine %s",
+				run.id, renderDelta(t, dWant), renderDelta(t, dGot))
 		}
 	}
 }

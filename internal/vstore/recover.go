@@ -49,17 +49,15 @@ func shardDirName(idx int) string { return fmt.Sprintf(shardDirFmt, idx) }
 // refuses to open with an error matching store.ErrCorrupt naming the
 // file and offset. A directory in the old per-document layout is
 // refused with ErrNeedsMigration.
+//
+// An empty dir opens a store whose chains live in memory only: no
+// manifest, no recovery, no segments and no background goroutines, so
+// it holds nothing that Close must release. Every other path is the
+// engine's usual one; only the durable append, Checkpoint, ScrubPass
+// and Close skip the disk.
 func Open(dir string, opts diff.Options, cfg Config) (*Store, error) {
 	cfg = cfg.withDefaults()
 	fsys := cfg.FS
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("vstore: open %s: %w", dir, err)
-	}
-	m, err := loadOrCreateManifest(fsys, dir, cfg.Shards)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Shards = m.Shards
 	s := &Store{
 		opts:  opts,
 		cfg:   cfg,
@@ -67,7 +65,25 @@ func Open(dir string, opts diff.Options, cfg Config) (*Store, error) {
 		fs:    fsys,
 		cache: newVersionCache(cfg.CacheSize),
 	}
-	for i := 0; i < cfg.Shards; i++ {
+	if dir == "" {
+		for i := 0; i < cfg.Shards; i++ {
+			s.shards = append(s.shards, &shard{
+				idx:  i,
+				docs: make(map[string]*docState),
+				seg:  newSegmentWriter(fsys, "", 1, cfg.SegmentBytes), // never opened
+			})
+		}
+		return s, nil
+	}
+	if err := fsys.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("vstore: open %s: %w", dir, err)
+	}
+	m, err := loadOrCreateManifest(fsys, dir, cfg.Shards)
+	if err != nil {
+		return nil, err
+	}
+	s.cfg.Shards = m.Shards
+	for i := 0; i < m.Shards; i++ {
 		sh := &shard{
 			idx:        i,
 			dir:        filepath.Join(dir, shardDirName(i)),
@@ -145,34 +161,13 @@ func loadOrCreateManifest(fsys faultfs.FS, dir string, shards int) (*manifest, e
 		m := &manifest{Format: manifestFormat, Shards: shards}
 		blob, _ := json.MarshalIndent(m, "", "  ")
 		blob = append(blob, '\n')
-		write := func(w io.Writer) (int64, error) {
-			n, werr := w.Write(blob)
-			return int64(n), werr
-		}
-		if werr := writeAtomic(fsys, path, write); werr != nil {
+		if werr := writeAtomic(fsys, path, writeBytes(blob)); werr != nil {
 			return nil, fmt.Errorf("vstore: write manifest: %w", werr)
 		}
 		return m, nil
 	default:
 		return nil, fmt.Errorf("vstore: read manifest: %w", err)
 	}
-}
-
-// oldLayout recognizes a per-document store directory: journal-*.log
-// files at the root, or document subdirectories carrying a "versions"
-// counter.
-func oldLayout(fsys faultfs.FS, dir string, entries []os.DirEntry) bool {
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasPrefix(e.Name(), "journal-") && strings.HasSuffix(e.Name(), ".log") {
-			return true
-		}
-		if e.IsDir() {
-			if _, err := fsys.Stat(filepath.Join(dir, e.Name(), "versions")); err == nil {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // recoverShard rebuilds one shard's documents: snapshots first (raw

@@ -35,8 +35,12 @@ import (
 // manifests. Reads are paced by Config.Scrub.Throttle. Damage is
 // repaired or quarantined per Config.Scrub.NoRepair. Safe to call
 // concurrently with Puts and reads; a canceled ctx ends the pass early
-// (the partial report is still returned and counted).
+// (the partial report is still returned and counted). A store without a
+// directory has no files to verify.
 func (s *Store) ScrubPass(ctx context.Context) (scrub.Report, error) {
+	if s.dir == "" {
+		return scrub.Report{}, ctx.Err()
+	}
 	start := time.Now()
 	th := scrub.NewThrottle(s.scrubRate())
 	var rep scrub.Report

@@ -15,10 +15,10 @@ import (
 
 // Each shard's write-ahead log is a sequence of segment files shared
 // by every document in the shard, instead of one journal per document.
-// Records carry the document id so replay can demultiplex them. The
-// framing is the same as the per-document journal — length-prefixed,
-// CRC32-C checksummed, torn tails truncated — so crash recovery keeps
-// the same failure taxonomy.
+// Records carry the document id so replay can demultiplex them. Every
+// record is length-prefixed and CRC32-C checksummed, so crash recovery
+// tells a torn tail (truncated) from mid-log damage (refused). The
+// framing is the one the old per-document journals used (migrate.go).
 //
 // On-disk record layout, all integers big-endian:
 //
@@ -38,7 +38,7 @@ import (
 // so a crash leaves at most one torn tail in the highest-numbered
 // segment.
 
-// Record kinds (same values as the per-document journal).
+// Record kinds (the old per-document journals used the same values).
 const (
 	recordBase  byte = 1 // full document, always version 1
 	recordDelta byte = 2 // completed delta producing its version
@@ -54,8 +54,7 @@ const (
 	maxRecordLen = 1 << 30
 )
 
-// castagnoli is the CRC32-C table used by the segments (same
-// polynomial as the per-document journal).
+// castagnoli is the CRC32-C table used by the segments.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // segName renders a segment file name for a sequence number.
@@ -254,9 +253,9 @@ func (w *segmentWriter) close() error {
 	return syncErr
 }
 
-// escapeID makes a document identifier safe as a directory name (same
-// escaping as the per-document engine, so migrated snapshots keep
-// their names).
+// escapeID makes a document identifier safe as a directory name (the
+// old per-document layout escaped the same way, so migrated snapshots
+// keep their names).
 func escapeID(id string) string {
 	var b strings.Builder
 	for i := 0; i < len(id); i++ {

@@ -38,9 +38,8 @@ type shardCounters struct {
 	degraded      atomic.Int64 // documents currently serving degraded
 }
 
-// DurabilityStats aggregates every shard's counters into the same
-// shape the per-document engine reports, so the HTTP layer and CLI
-// work against either engine.
+// DurabilityStats aggregates every shard's counters: the journal
+// activity the daemon exports as xydiffd_journal_* metrics.
 func (s *Store) DurabilityStats() store.DurabilityStats {
 	var out store.DurabilityStats
 	for _, sh := range s.shards {

@@ -10,10 +10,12 @@ import (
 	"xydiff/internal/xpathlite"
 )
 
-// "Querying the past" over the sharded engine: the same API as the
-// per-document store, with deltas parsed on demand from their stored
-// bytes. Result types (store.VersionValue, store.NodeState,
-// store.ChangeHit) are shared so callers are engine-agnostic.
+// "Querying the past" (PAPER.md §2): because any version is
+// reconstructible and deltas are ordinary XML, temporal questions
+// reduce to path queries over reconstructed versions and over the
+// stored delta chain, with deltas parsed on demand from their stored
+// bytes. The result types (store.VersionValue, store.NodeState,
+// store.ChangeHit) live in package store.
 
 // Query evaluates a path expression against version n of the document.
 func (s *Store) Query(id string, version int, expr *xpathlite.Expr) ([]*dom.Node, error) {

@@ -1,9 +1,10 @@
-// Package vstore is the sharded, group-committed storage engine that
-// scales the change-centric repository of package store to millions of
-// documents. It keeps the same contract — each document is its chain of
-// completed deltas, every acknowledged version survives a crash, any
-// past version reconstructs byte-identically — but changes the shape of
-// the durability layer:
+// Package vstore is the change-centric version repository the diff
+// serves in the Xyleme architecture (the paper's Figure 1 and Section
+// 2): each document is kept as its chain of completed deltas, so any
+// past version reconstructs byte-identically and "queries about the
+// past" are queries over stored delta documents. It is a sharded,
+// group-committed engine sized for millions of documents; every
+// acknowledged version survives a crash:
 //
 //   - Documents are hashed across N shards. Each shard owns ONE
 //     append-only segment journal shared by every document in the
@@ -31,9 +32,12 @@
 //	shard-000/docs/<escaped id>/     per-document snapshot
 //	    v1.xml delta-0001.xml ... versions
 //
-// A directory in the old per-document layout (package store) is
+// Open("") keeps the chains in memory only, for callers that need no
+// durability. A directory in the old per-document layout
+// (journal-<id>.log files plus one snapshot directory per document) is
 // refused with ErrNeedsMigration; `xystore migrate` converts it in
-// place with a backup.
+// place with a backup, and Migrate is the only code that reads it.
+// Package store keeps the types shared with the server and the CLIs.
 package vstore
 
 import (
@@ -63,9 +67,8 @@ type Config struct {
 	// directory creation and recorded in the manifest; reopening uses
 	// the recorded count regardless of this field (default 16).
 	Shards int
-	// Sync is the segment fsync policy, with exactly the semantics of
-	// the per-document journal: SyncAlways means no Put is acknowledged
-	// before its batch is durable.
+	// Sync is the segment fsync policy: SyncAlways means no Put is
+	// acknowledged before its batch is durable.
 	Sync store.SyncPolicy
 	// SyncInterval is the flush period under store.SyncInterval
 	// (default 100ms).
@@ -539,8 +542,12 @@ func (st *docState) parseDelta(i int) (*delta.Delta, error) {
 
 // Close stops the background loops and the per-shard group-commit
 // writers: queued records are flushed and fsynced, segment files
-// closed. The store stays readable; writes after Close fail.
+// closed. The store stays readable; writes after Close fail, except in
+// a store without a directory, which has nothing to stop.
 func (s *Store) Close() error {
+	if s.dir == "" {
+		return nil
+	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -589,9 +596,10 @@ func serializeTree(doc *dom.Node) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// snapshotLoadOptions parse persisted XML with full fidelity, exactly
-// as the per-document engine does: whitespace-only text in a record is
-// genuine content and must survive the round-trip for XIDs to line up.
+// snapshotLoadOptions parse persisted XML with full fidelity: the
+// serializer adds no indentation, so whitespace-only text in a record
+// is genuine content and must survive the round-trip for XIDs to line
+// up.
 func snapshotLoadOptions() dom.ParseOptions {
 	return dom.ParseOptions{KeepWhitespace: true, KeepComments: true, KeepProcInsts: true}
 }

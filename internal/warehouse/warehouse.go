@@ -17,6 +17,7 @@ import (
 	"xydiff/internal/index"
 	"xydiff/internal/stats"
 	"xydiff/internal/store"
+	"xydiff/internal/vstore"
 	"xydiff/internal/xpathlite"
 )
 
@@ -25,16 +26,19 @@ import (
 // pipeline holds no cross-component lock, so two concurrent Loads of
 // the *same* document should be serialized by the caller).
 type Warehouse struct {
-	store   *store.Store
+	store   *vstore.Store
 	alerter *alert.Alerter
 	index   *index.Index
 	stats   *stats.Collector
 }
 
-// New returns an empty warehouse whose diffs run with opts.
+// New returns an empty warehouse whose diffs run with opts. Its
+// repository keeps the version chains in memory (a vstore opened without
+// a directory), so the warehouse holds nothing that needs closing.
 func New(opts diff.Options) *Warehouse {
+	repo, _ := vstore.Open("", opts, vstore.Config{}) // touches no file, cannot fail
 	return &Warehouse{
-		store:   store.New(opts),
+		store:   repo,
 		alerter: alert.New(),
 		index:   index.New(),
 		stats:   stats.NewCollector(),
@@ -123,5 +127,5 @@ func (w *Warehouse) Aggregate(docID string, from, to int) (*delta.Delta, error) 
 // Stats snapshots the accumulated change statistics.
 func (w *Warehouse) Stats() stats.Report { return w.stats.Report() }
 
-// Store exposes the underlying repository (e.g. for Save/Load to disk).
-func (w *Warehouse) Store() *store.Store { return w.store }
+// Store exposes the underlying repository.
+func (w *Warehouse) Store() *vstore.Store { return w.store }

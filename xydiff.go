@@ -18,9 +18,10 @@
 //
 // The facade re-exports the building blocks; richer APIs live in the
 // internal packages: internal/diff (the BULD algorithm and options),
-// internal/delta (the change model), internal/store (a versioned
-// repository), internal/alert (delta subscriptions), and
-// internal/changesim (the paper's change simulator).
+// internal/delta (the change model), internal/vstore (the versioned
+// repository, in memory or on disk), internal/alert (delta
+// subscriptions), and internal/changesim (the paper's change
+// simulator).
 package xydiff
 
 import (
