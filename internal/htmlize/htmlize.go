@@ -212,11 +212,8 @@ func (p *parser) next() (tok, bool) {
 // startTag scans "<name attr=... >" handling quoted values containing
 // '>' correctly.
 func (p *parser) startTag() (tok, bool) {
-	i := p.pos + 1
-	start := i
-	for i < len(p.src) && isNameByte(p.src[i]) {
-		i++
-	}
+	start := p.pos + 1
+	i := nameEnd(p.src, start)
 	if i == start || !isNameStartByte(p.src[start]) {
 		// "<" followed by junk or a non-name: literal text.
 		p.pos++
@@ -256,9 +253,7 @@ func (p *parser) startTag() (tok, bool) {
 		// Attribute name: keep only XML-safe name characters so the
 		// serialized output stays well-formed.
 		nameStart := i
-		for i < len(p.src) && isNameByte(p.src[i]) {
-			i++
-		}
+		i = nameEnd(p.src, i)
 		name := strings.ToLower(p.src[nameStart:i])
 		if name == "" {
 			i++ // junk byte: skip it
@@ -508,6 +503,22 @@ func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\
 
 func isNameByte(c byte) bool {
 	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '-' || c == '_' || c == ':'
+}
+
+// nameEnd returns the end of the run of name bytes starting at src[i],
+// stopped before a second colon: the XML reader takes a name with one
+// colon as qualified and refuses a name with more.
+func nameEnd(src string, i int) int {
+	colon := false
+	for ; i < len(src) && isNameByte(src[i]); i++ {
+		if src[i] == ':' {
+			if colon {
+				break
+			}
+			colon = true
+		}
+	}
+	return i
 }
 
 func isNameStartByte(c byte) bool {

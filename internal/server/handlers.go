@@ -130,8 +130,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"maxFsyncBatch":     ss.MaxBatch,
 		"rejected":          ss.Rejected,
 		"cacheHitRatio":     ss.CacheHitRatio(),
+		"cacheHits":         ss.CacheHits,
+		"cacheMisses":       ss.CacheMisses,
 		"cacheLen":          ss.CacheLen,
 		"cacheCap":          ss.CacheCap,
+		"keyframeRestores":  ss.KeyframeRestores,
+		"keyframeFallbacks": ss.KeyframeFallbacks,
+		"keyframeBytes":     ss.KeyframeBytes,
+		"deltasDecoded":     ss.DeltasDecoded,
 		"compactions":       ss.Compactions,
 		"compactionSeconds": ss.CompactionSeconds,
 		"degradedDocs":      ss.DegradedDocs,
@@ -236,9 +242,27 @@ func writeStorageMetrics(w io.Writer, ss vstore.StorageStats) {
 	fmt.Fprintln(w, "# HELP xydiffd_store_cache_hit_ratio Version-cache hit ratio since start.")
 	fmt.Fprintln(w, "# TYPE xydiffd_store_cache_hit_ratio gauge")
 	fmt.Fprintf(w, "xydiffd_store_cache_hit_ratio %g\n", ss.CacheHitRatio())
+	fmt.Fprintln(w, "# HELP xydiffd_store_cache_hits_total Reads that found the latest version's tree in the version cache.")
+	fmt.Fprintln(w, "# TYPE xydiffd_store_cache_hits_total counter")
+	fmt.Fprintf(w, "xydiffd_store_cache_hits_total %d\n", ss.CacheHits)
+	fmt.Fprintln(w, "# HELP xydiffd_store_cache_misses_total Reads that did not find the latest version's tree in the version cache.")
+	fmt.Fprintln(w, "# TYPE xydiffd_store_cache_misses_total counter")
+	fmt.Fprintf(w, "xydiffd_store_cache_misses_total %d\n", ss.CacheMisses)
 	fmt.Fprintln(w, "# HELP xydiffd_store_cache_resident Materialized document trees resident in the version cache.")
 	fmt.Fprintln(w, "# TYPE xydiffd_store_cache_resident gauge")
 	fmt.Fprintf(w, "xydiffd_store_cache_resident %d\n", ss.CacheLen)
+	fmt.Fprintln(w, "# HELP xydiffd_store_keyframe_restores_total Cache misses served by restoring the latest version from its in-memory keyframe.")
+	fmt.Fprintln(w, "# TYPE xydiffd_store_keyframe_restores_total counter")
+	fmt.Fprintf(w, "xydiffd_store_keyframe_restores_total %d\n", ss.KeyframeRestores)
+	fmt.Fprintln(w, "# HELP xydiffd_store_keyframe_fallbacks_total Keyframes that did not restore, so the miss replayed the delta chain.")
+	fmt.Fprintln(w, "# TYPE xydiffd_store_keyframe_fallbacks_total counter")
+	fmt.Fprintf(w, "xydiffd_store_keyframe_fallbacks_total %d\n", ss.KeyframeFallbacks)
+	fmt.Fprintln(w, "# HELP xydiffd_store_keyframe_bytes Serialized bytes held by resident keyframes.")
+	fmt.Fprintln(w, "# TYPE xydiffd_store_keyframe_bytes gauge")
+	fmt.Fprintf(w, "xydiffd_store_keyframe_bytes %d\n", ss.KeyframeBytes)
+	fmt.Fprintln(w, "# HELP xydiffd_store_deltas_decoded_total Stored deltas decoded by reads and by Puts.")
+	fmt.Fprintln(w, "# TYPE xydiffd_store_deltas_decoded_total counter")
+	fmt.Fprintf(w, "xydiffd_store_deltas_decoded_total %d\n", ss.DeltasDecoded)
 	fmt.Fprintln(w, "# HELP xydiffd_store_degraded_docs Documents serving degraded (part of their history quarantined).")
 	fmt.Fprintln(w, "# TYPE xydiffd_store_degraded_docs gauge")
 	fmt.Fprintf(w, "xydiffd_store_degraded_docs %d\n", ss.DegradedDocs)

@@ -3,25 +3,37 @@ package vstore
 import (
 	"container/list"
 	"sync"
+	"sync/atomic"
 
 	"xydiff/internal/dom"
+	"xydiff/internal/xid"
 )
 
-// versionCache is the bounded LRU of materialized current versions.
-// Documents outside it keep only serialized bytes in their docState;
-// a cache miss replays base + deltas once and re-inserts the tree, so
-// hot documents pay reconstruction once per residency instead of once
-// per read. Entries are keyed by document id and validated against the
-// version count, so a stale tree can never be served.
+// versionCache holds each document's latest version in one of two
+// forms, never both. The bounded LRU keeps materialized trees, so hot
+// documents pay reconstruction once per residency instead of once per
+// read. A tree the LRU evicts leaves a keyframe behind: the version's
+// canonical serialization, written as a stored base is, with its XIDs
+// in post-order. A miss restores the tree from the keyframe with one
+// parse instead of replaying base + deltas; only a document with no
+// current keyframe (not evicted since the store opened) or one whose
+// keyframe does not restore replays its chain. Trees and keyframes are
+// keyed by document id and validated against the version count, so a
+// stale one is never served. Keyframes live in memory only.
 //
 // The cached tree is shared between the store and readers that Clone
 // it; PutContext hands the cached old version to the diff, which never
-// mutates its left input.
+// mutates its left input. mu guards the list and the maps alone:
+// serializing an evicted tree and parsing a keyframe run outside it.
 type versionCache struct {
-	mu    sync.Mutex
-	max   int
-	ll    *list.List // front = most recently used
-	items map[string]*list.Element
+	mu         sync.Mutex
+	max        int
+	ll         *list.List // front = most recently used
+	items      map[string]*list.Element
+	frames     map[string]keyframe
+	frameBytes int64 // serialized bytes the frames hold
+
+	restores, fallbacks atomic.Int64
 }
 
 type cacheEntry struct {
@@ -30,8 +42,16 @@ type cacheEntry struct {
 	versions int
 }
 
+// keyframe is an evicted latest version: what a restore parses and the
+// XIDs it stamps back.
+type keyframe struct {
+	body     []byte
+	xids     xid.Map
+	versions int
+}
+
 func newVersionCache(max int) *versionCache {
-	return &versionCache{max: max, ll: list.New(), items: make(map[string]*list.Element)}
+	return &versionCache{max: max, ll: list.New(), items: make(map[string]*list.Element), frames: make(map[string]keyframe)}
 }
 
 // get returns the cached tree for id when it is current at the given
@@ -55,25 +75,98 @@ func (c *versionCache) get(id string, versions int) *dom.Node {
 }
 
 // put installs (or refreshes) the tree for id at the given version
-// count, evicting least-recently-used entries beyond the cap.
+// count, dropping id's keyframe, and turns the least-recently-used
+// trees beyond the cap into keyframes.
 func (c *versionCache) put(id string, doc *dom.Node, versions int) {
+	for _, ent := range c.insert(id, doc, versions) {
+		c.keep(ent)
+	}
+}
+
+// insert is put's work under the lock; it returns the evicted entries.
+func (c *versionCache) insert(id string, doc *dom.Node, versions int) []*cacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e := c.items[id]; e != nil {
 		ent := e.Value.(*cacheEntry)
 		if versions < ent.versions {
-			return // never replace a newer tree with an older one
+			return nil // never replace a newer tree with an older one
 		}
 		ent.doc, ent.versions = doc, versions
 		c.ll.MoveToFront(e)
-		return
+		return nil
 	}
+	c.dropFrame(id)
 	c.items[id] = c.ll.PushFront(&cacheEntry{id: id, doc: doc, versions: versions})
+	var evicted []*cacheEntry
 	for c.ll.Len() > c.max {
 		back := c.ll.Back()
 		c.ll.Remove(back)
-		delete(c.items, back.Value.(*cacheEntry).id)
+		ent := back.Value.(*cacheEntry)
+		delete(c.items, ent.id)
+		evicted = append(evicted, ent)
 	}
+	return evicted
+}
+
+// keep makes an evicted tree its document's keyframe, unless the tree
+// came back into the LRU meanwhile or a newer keyframe is already kept.
+func (c *versionCache) keep(ent *cacheEntry) {
+	body, err := serializeTree(ent.doc)
+	if err != nil {
+		return // without a keyframe the next miss replays the chain
+	}
+	f := keyframe{body: body, xids: xid.Of(ent.doc), versions: ent.versions}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.items[ent.id] != nil {
+		return
+	}
+	if old, ok := c.frames[ent.id]; ok {
+		if old.versions >= f.versions {
+			return
+		}
+		c.dropFrame(ent.id)
+	}
+	c.frames[ent.id] = f
+	c.frameBytes += int64(len(f.body))
+}
+
+// dropFrame forgets id's keyframe; the caller holds mu.
+func (c *versionCache) dropFrame(id string) {
+	if f, ok := c.frames[id]; ok {
+		c.frameBytes -= int64(len(f.body))
+		delete(c.frames, id)
+	}
+}
+
+// restore rebuilds id's latest version from its keyframe when one is
+// current at the given version count; a stale keyframe is dropped. A
+// keyframe that does not parse back into a tree its XIDs fit is counted
+// as a fallback and never served. restore returns nil whenever the
+// caller must replay the chain instead; the tree it returns is not in
+// the LRU yet.
+func (c *versionCache) restore(id string, versions int) *dom.Node {
+	c.mu.Lock()
+	f, ok := c.frames[id]
+	if ok && f.versions != versions {
+		c.dropFrame(id)
+		ok = false
+	}
+	c.mu.Unlock()
+	if !ok {
+		return nil
+	}
+	doc, err := dom.ParseBytes(f.body, snapshotLoadOptions())
+	if err == nil {
+		err = f.xids.ApplyTo(doc)
+	}
+	if err != nil {
+		c.fallbacks.Add(1)
+		return nil
+	}
+	c.restores.Add(1)
+	return doc
 }
 
 // len reports how many trees are resident.
@@ -81,4 +174,11 @@ func (c *versionCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
+}
+
+// keyframeBytes reports the serialized size of the resident keyframes.
+func (c *versionCache) keyframeBytes() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.frameBytes
 }

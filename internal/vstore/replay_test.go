@@ -271,7 +271,7 @@ func TestRewindAllocations(t *testing.T) {
 		{"forward from version 1 to 5", 5, 1},
 	} {
 		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := st.walk(latest, []int{c.target}, c.fwd, func(int, *dom.Node, bool) error { return nil }); err != nil {
+			if _, _, err := st.walk(latest, []int{c.target}, c.fwd, func(int, *dom.Node, bool) error { return nil }); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -9,6 +9,7 @@ import (
 // engineCounters are the store-wide lock-free counters.
 type engineCounters struct {
 	cacheHits, cacheMisses atomic.Int64
+	deltasDecoded          atomic.Int64
 	checkpoints            atomic.Int64
 	compactions            atomic.Int64
 	compactNanos           atomic.Int64
@@ -128,13 +129,23 @@ type StorageStats struct {
 	MaxBatch int64
 	// Rejected is how many Puts were shed with ErrBusy.
 	Rejected int64
-	// CacheHits/CacheMisses count materializations served from /
-	// missing the version LRU; CacheLen and CacheCap are its current
-	// and maximum residency.
+	// CacheHits/CacheMisses count reads served from / missing the
+	// version LRU of trees; CacheLen and CacheCap are its current and
+	// maximum residency.
 	CacheHits   int64
 	CacheMisses int64
 	CacheLen    int
 	CacheCap    int
+	// KeyframeRestores counts misses that restored the latest version
+	// from its keyframe; KeyframeFallbacks keyframes that did not
+	// restore, so the miss replayed the chain; KeyframeBytes is the
+	// serialized size of the keyframes resident now.
+	KeyframeRestores  int64
+	KeyframeFallbacks int64
+	KeyframeBytes     int64
+	// DeltasDecoded counts stored deltas decoded, by read walks (Puts'
+	// included) and by reads that return stored deltas.
+	DeltasDecoded int64
 	// Compactions counts completed compaction passes (checkpoints
 	// included); CompactionSeconds is their cumulative duration.
 	Compactions       int64
@@ -180,6 +191,10 @@ func (s *Store) StorageStats() StorageStats {
 		CacheMisses:       s.stats.cacheMisses.Load(),
 		CacheLen:          s.cache.len(),
 		CacheCap:          s.cfg.CacheSize,
+		KeyframeRestores:  s.cache.restores.Load(),
+		KeyframeFallbacks: s.cache.fallbacks.Load(),
+		KeyframeBytes:     s.cache.keyframeBytes(),
+		DeltasDecoded:     s.stats.deltasDecoded.Load(),
 		Compactions:       s.stats.compactions.Load(),
 		CompactionSeconds: float64(s.stats.compactNanos.Load()) / 1e9,
 		Scrub: ScrubStats{

@@ -129,7 +129,7 @@ func (s *Store) ChangesMatching(id string, from, to int, pattern *xpathlite.Expr
 	}
 	var hits []store.ChangeHit
 	for v := from; v < to; v++ {
-		d, err := st.parseDelta(v - 1)
+		d, err := s.decodeDelta(st, v-1)
 		if err != nil {
 			return nil, err
 		}

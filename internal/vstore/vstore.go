@@ -20,10 +20,12 @@
 //     snapshots and retires them, in strict write → fsync → rename →
 //     retire order (the xyvet segorder analyzer enforces the ordering
 //     in this package's source).
-//   - Materialized current versions live in a bounded LRU; documents
-//     outside it keep only their serialized base + delta chain in
-//     memory and are re-materialized on demand, so reconstruction cost
-//     is paid once per cache residency, not once per read.
+//   - Materialized current versions live in a bounded LRU, so
+//     reconstruction cost is paid once per cache residency, not once
+//     per read. A tree the LRU evicts is kept as a keyframe, its
+//     canonical bytes and XIDs, so a miss restores the latest version
+//     with one parse; only a document with no current keyframe replays
+//     its serialized base + delta chain. Keyframes are never written.
 //
 // The on-disk layout under dir/:
 //
@@ -85,7 +87,9 @@ type Config struct {
 	// caller can shed load instead of blocking (default 1024).
 	QueueDepth int
 	// CacheSize bounds the LRU of materialized current versions
-	// (default 4096 documents).
+	// (default 4096 documents). An evicted document keeps its latest
+	// version as an in-memory keyframe, which a miss restores instead of
+	// replaying the chain; keyframes are not counted here.
 	CacheSize int
 	// SegmentBytes rotates the active segment once it grows past this
 	// size (default 64 MiB).
@@ -183,8 +187,8 @@ type Store struct {
 
 // docState is one document's resident state: the version count plus
 // the serialized base version and delta chain. Trees are NOT held
-// here — the materialized latest lives in the store's LRU and is
-// rebuilt from these bytes on a miss.
+// here — the materialized latest lives in the store's version cache,
+// and is rebuilt from these bytes on a miss the cache cannot restore.
 type docState struct {
 	mu       sync.RWMutex
 	versions int
@@ -352,10 +356,11 @@ func (s *Store) PutDetailed(ctx context.Context, id string, doc *dom.Node, match
 }
 
 // materializeLocked returns the document's latest version as a tree
-// with replay-canonical XIDs, from the LRU when resident and by
-// replaying base + deltas otherwise: a read walk with no targets. The
-// caller holds st.mu (read or write); the returned tree is the cache's
-// copy — callers that hand it out must Clone.
+// with replay-canonical XIDs, from the LRU when resident, from its
+// keyframe when one is current, and by replaying base + deltas
+// otherwise: a read walk with no targets. The caller holds st.mu (read
+// or write); the returned tree is the cache's copy — callers that hand
+// it out must Clone.
 func (s *Store) materializeLocked(id string, st *docState) (*dom.Node, error) {
 	return s.read(id, st, nil, nil)
 }
@@ -489,7 +494,7 @@ func (s *Store) Delta(id string, n int) (*delta.Delta, error) {
 	if n < 1 || n >= st.versions {
 		return nil, fmt.Errorf("vstore: %s has deltas 1..%d, not %d: %w", id, st.versions-1, n, store.ErrNoSuchVersion)
 	}
-	return st.parseDelta(n - 1)
+	return s.decodeDelta(st, n-1)
 }
 
 // DeltasBetween returns the delta sequence transforming version from
@@ -508,7 +513,7 @@ func (s *Store) DeltasBetween(id string, from, to int) ([]*delta.Delta, error) {
 	switch {
 	case from < to:
 		for v := from; v < to; v++ {
-			d, err := st.parseDelta(v - 1)
+			d, err := s.decodeDelta(st, v-1)
 			if err != nil {
 				return nil, err
 			}
@@ -516,7 +521,7 @@ func (s *Store) DeltasBetween(id string, from, to int) ([]*delta.Delta, error) {
 		}
 	case from > to:
 		for v := from; v > to; v-- {
-			d, err := st.parseDelta(v - 2)
+			d, err := s.decodeDelta(st, v-2)
 			if err != nil {
 				return nil, err
 			}
@@ -528,6 +533,13 @@ func (s *Store) DeltasBetween(id string, from, to int) ([]*delta.Delta, error) {
 		}
 	}
 	return out, nil
+}
+
+// decodeDelta is st.parseDelta(i) counted in the store's statistics, for
+// reads that hand out stored deltas rather than walk through them.
+func (s *Store) decodeDelta(st *docState, i int) (*delta.Delta, error) {
+	s.stats.deltasDecoded.Add(1)
+	return st.parseDelta(i)
 }
 
 // parseDelta decodes the i-th stored delta (0-based); the caller holds

@@ -32,20 +32,27 @@ func private(doc *dom.Node, own bool) *dom.Node {
 
 // read runs one read's walk over targets (ascending, within
 // 1..st.versions) and returns the latest version, the cache's tree. It
-// looks that tree up — one cache hit or one miss per read — and plans
-// the walk on a hit. On a miss it replays the whole chain forward,
-// visiting the targets on the way, and caches the latest version. The
-// caller holds the state lock.
+// looks that tree up — one cache hit or one miss per read. A miss
+// restores the tree from the document's keyframe when one is current.
+// With the latest version in hand the walk is planned; without it the
+// walk replays the whole chain forward, visiting the targets on the
+// way. A miss caches the latest version. The caller holds the state
+// lock.
 func (s *Store) read(id string, st *docState, targets []int, visit visitor) (*dom.Node, error) {
 	latest := s.cache.get(id, st.versions)
-	fwd := len(targets)
-	if latest != nil {
+	cached := latest != nil
+	if cached {
 		s.stats.cacheHits.Add(1)
-		fwd = st.plan(targets)
 	} else {
 		s.stats.cacheMisses.Add(1)
+		latest = s.cache.restore(id, st.versions)
 	}
-	doc, err := st.walk(latest, targets, fwd, visit)
+	fwd := len(targets)
+	if latest != nil {
+		fwd = st.plan(targets)
+	}
+	doc, decoded, err := st.walk(latest, targets, fwd, visit)
+	s.stats.deltasDecoded.Add(int64(decoded))
 	if err != nil {
 		switch len(targets) {
 		case 0:
@@ -55,7 +62,7 @@ func (s *Store) read(id string, st *docState, targets []int, visit visitor) (*do
 		}
 		return nil, fmt.Errorf("vstore: reconstruct %s versions %d..%d: %w", id, targets[0], targets[len(targets)-1], err)
 	}
-	if latest == nil {
+	if !cached {
 		s.cache.put(id, doc, st.versions)
 	}
 	return doc, nil
@@ -102,38 +109,43 @@ func (st *docState) plan(targets []int) int {
 // the base, oldest first, and targets[fwd:] backward from latest,
 // newest first, calling visit at each. latest is the cached latest
 // version, which the walk copies and never changes. With latest nil —
-// a cache miss — every target is reached forward whatever fwd says,
-// and the walk goes on to the latest version and returns it. The
-// caller holds the state lock.
-func (st *docState) walk(latest *dom.Node, targets []int, fwd int, visit visitor) (*dom.Node, error) {
+// a cache miss with no keyframe to restore — every target is reached
+// forward whatever fwd says, and the walk goes on to the latest version
+// and returns it. decoded is how many stored deltas the walk decoded.
+// The caller holds the state lock.
+func (st *docState) walk(latest *dom.Node, targets []int, fwd int, visit visitor) (_ *dom.Node, decoded int, _ error) {
+	step := func(r *delta.Replay, n int, backward bool) error {
+		decoded++
+		return st.step(r, n, backward)
+	}
 	if latest == nil {
 		fwd = len(targets)
 	}
 	if fwd > 0 || latest == nil {
 		doc, err := dom.ParseBytes(st.base, snapshotLoadOptions())
 		if err != nil {
-			return nil, fmt.Errorf("base: %w", err)
+			return nil, decoded, fmt.Errorf("base: %w", err)
 		}
 		xid.Assign(doc)
 		r := delta.NewReplay(doc)
 		v := 1
 		for k, t := range targets[:fwd] {
 			for ; v < t; v++ {
-				if err := st.step(r, v, false); err != nil {
-					return nil, err
+				if err := step(r, v, false); err != nil {
+					return nil, decoded, err
 				}
 			}
 			if err := visit(t, doc, latest != nil && k == fwd-1); err != nil {
-				return nil, err
+				return nil, decoded, err
 			}
 		}
 		if latest == nil {
 			for ; v < st.versions; v++ {
-				if err := st.step(r, v, false); err != nil {
-					return nil, err
+				if err := step(r, v, false); err != nil {
+					return nil, decoded, err
 				}
 			}
-			return doc, nil
+			return doc, decoded, nil
 		}
 	}
 	if fwd < len(targets) {
@@ -142,16 +154,16 @@ func (st *docState) walk(latest *dom.Node, targets []int, fwd int, visit visitor
 		v := st.versions
 		for k := len(targets) - 1; k >= fwd; k-- {
 			for ; v > targets[k]; v-- {
-				if err := st.step(r, v-1, true); err != nil {
-					return nil, err
+				if err := step(r, v-1, true); err != nil {
+					return nil, decoded, err
 				}
 			}
 			if err := visit(targets[k], doc, k == fwd); err != nil {
-				return nil, err
+				return nil, decoded, err
 			}
 		}
 	}
-	return latest, nil
+	return latest, decoded, nil
 }
 
 // step decodes stored delta n, the one from version n to n+1, and

@@ -1,7 +1,10 @@
 package vstore
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -32,7 +35,7 @@ func walkPlans(t *testing.T, st *docState, latest *dom.Node, targets []int) [][]
 			from = nil // a cache miss
 		}
 		got := make([]*dom.Node, len(targets))
-		end, err := st.walk(from, targets, fwd, func(v int, doc *dom.Node, own bool) error {
+		end, _, err := st.walk(from, targets, fwd, func(v int, doc *dom.Node, own bool) error {
 			got[slices.Index(targets, v)] = private(doc, own)
 			return nil
 		})
@@ -50,6 +53,23 @@ func walkPlans(t *testing.T, st *docState, latest *dom.Node, targets []int) [][]
 	return plans
 }
 
+// stepwiseVersions is every version of st's chain, indexed by version
+// number, built from the stored base by step-by-step Apply.
+func stepwiseVersions(t *testing.T, st *docState) []*dom.Node {
+	t.Helper()
+	want := make([]*dom.Node, st.versions+1)
+	var err error
+	if want[1], err = dom.ParseBytes(st.base, snapshotLoadOptions()); err != nil {
+		t.Fatal(err)
+	}
+	xid.Assign(want[1])
+	for v := 2; v <= st.versions; v++ {
+		want[v] = want[v-1].Clone()
+		stepwise(t, st, want[v], v-1, v)
+	}
+	return want
+}
+
 // checkWalks holds every plan of the read walk over id, and the store's
 // own Version and Aggregate, to step-by-step Apply: each version byte
 // for byte and XID for XID, and the aggregate of each ordered pair of
@@ -62,15 +82,7 @@ func checkWalks(t *testing.T, s *Store, id string) {
 		t.Fatal(err)
 	}
 	n := st.versions
-	want := make([]*dom.Node, n+1)
-	if want[1], err = dom.ParseBytes(st.base, snapshotLoadOptions()); err != nil {
-		t.Fatal(err)
-	}
-	xid.Assign(want[1])
-	for v := 2; v <= n; v++ {
-		want[v] = want[v-1].Clone()
-		stepwise(t, st, want[v], v-1, v)
-	}
+	want := stepwiseVersions(t, st)
 	for v := 1; v <= n; v++ {
 		w := renderWithXIDs(want[v])
 		for p, got := range walkPlans(t, st, latest, []int{v}) {
@@ -192,16 +204,22 @@ func TestReadWalksAgree(t *testing.T) {
 // TestReadErrorsNameTheirVersions: when a stored delta cannot be
 // decoded, each read's error names the document and the versions that
 // read asked for, so a log says which read failed — whichever deltas
-// its walk happened to cross.
+// its walk happened to cross. A Put after eviction restores the latest
+// version from its keyframe and decodes no delta, so it succeeds; on a
+// store just reopened there is no keyframe, and its replay fails naming
+// the materialization.
 func TestReadErrorsNameTheirVersions(t *testing.T) {
 	s := chainStore(t, Config{Shards: 1, CacheSize: 1}, flipChain(t, 2000, 5), "doc", "other")
 	defer s.Close()
-	st := s.shardFor("doc").lookup("doc")
-	st.mu.Lock()
-	for i := range st.deltas {
-		st.deltas[i] = []byte("<unreadable")
+	unreadable := func(s *Store) {
+		st := s.shardFor("doc").lookup("doc")
+		st.mu.Lock()
+		for i := range st.deltas {
+			st.deltas[i] = []byte("<unreadable")
+		}
+		st.mu.Unlock()
 	}
-	st.mu.Unlock()
+	unreadable(s)
 	wantErr := func(err error, want string) {
 		t.Helper()
 		if err == nil || !strings.Contains(err.Error(), want) {
@@ -214,17 +232,31 @@ func TestReadErrorsNameTheirVersions(t *testing.T) {
 	wantErr(err, "reconstruct doc versions 2..4:")
 	_, err = s.Timeline("doc", xpathlite.MustCompile("//Product"))
 	wantErr(err, "reconstruct doc versions 1..5:")
-	if _, err := s.Version("other", 1); err != nil { // evicts doc
+	decoded := s.StorageStats().DeltasDecoded
+	if _, _, err := s.Put("doc", flipChain(t, 2000, 1)[0]); err != nil {
+		t.Fatalf("Put after eviction: %v", err)
+	}
+	if got := s.StorageStats().DeltasDecoded - decoded; got != 0 {
+		t.Errorf("Put after eviction decoded %d deltas, want 0", got)
+	}
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = s.Put("doc", flipChain(t, 2000, 1)[0])
+
+	reopened, err := Open(s.dir, diff.Options{}, Config{Shards: 1, CacheSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	unreadable(reopened)
+	_, _, err = reopened.Put("doc", flipChain(t, 2000, 1)[0])
 	wantErr(err, "materialize doc:")
 }
 
 // TestConcurrentReadWalks: readers of two documents behind a
 // one-document cache, so their walks start from a shared cached tree
-// or replay and cache one concurrently, all get what a lone reader
-// gets. Run under -race.
+// or restore one from its keyframe while another read evicts it, all
+// get what step-by-step Apply gives. Run under -race.
 func TestConcurrentReadWalks(t *testing.T) {
 	const versions = 6
 	s := chainStore(t, Config{Shards: 1, CacheSize: 1}, flipChain(t, 3000, versions), "a", "b")
@@ -233,12 +265,8 @@ func TestConcurrentReadWalks(t *testing.T) {
 	want := map[string][]string{}
 	for _, id := range ids {
 		want[id] = make([]string, versions+1)
-		for v := 1; v <= versions; v++ {
-			doc, err := s.Version(id, v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[id][v] = renderWithXIDs(doc)
+		for v, doc := range stepwiseVersions(t, s.shardFor(id).lookup(id))[1:] {
+			want[id][v+1] = renderWithXIDs(doc)
 		}
 	}
 	var wg sync.WaitGroup
@@ -254,7 +282,7 @@ func TestConcurrentReadWalks(t *testing.T) {
 					return
 				}
 				if renderWithXIDs(doc) != want[id][v] {
-					t.Errorf("reader %d: %s version %d differs from a lone read", r, id, v)
+					t.Errorf("reader %d: %s version %d differs from the stepwise replay", r, id, v)
 				}
 				if _, err := s.Aggregate(id, v, 1+(v+r)%versions); err != nil {
 					t.Error(err)
@@ -263,6 +291,9 @@ func TestConcurrentReadWalks(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
+	if ss := s.StorageStats(); ss.KeyframeRestores == 0 {
+		t.Errorf("no read restored a keyframe (%d misses, %d fallbacks)", ss.CacheMisses, ss.KeyframeFallbacks)
+	}
 }
 
 // TestReadWalkAllocations pins what the walk saves, in counts so it can
@@ -270,27 +301,41 @@ func TestConcurrentReadWalks(t *testing.T) {
 // twelve costs about what reading version 11 does; when every read
 // walked back from the latest, version 2 decoded ten deltas where
 // version 11 decodes one (5 276 allocations against 999; now 1 255).
-// On a cache miss a read costs the replay that caches the latest
-// version and one copy, not a further walk back from it (version 1:
-// 11 746 allocations then, 6 608 now).
+// On a miss the latest version comes back from its keyframe and the
+// read walks as a hit does: a restore (about 690 allocations, with the
+// keyframe the restore's eviction leaves) plus the hit's walk. With no
+// keyframe, on a store just reopened, a miss costs the replay that
+// caches the latest version (about 6 600) and one copy, not a further
+// walk back from it.
 func TestReadWalkAllocations(t *testing.T) {
-	s := chainStore(t, Config{Shards: 1}, flipChain(t, 7000, 12), "doc")
+	chain := flipChain(t, 7000, 12)
+	s := chainStore(t, Config{Shards: 1}, chain, "doc")
 	defer s.Close()
-	version := func(n int) float64 {
+	hit := func(n int) float64 {
 		return testing.AllocsPerRun(10, func() {
 			if _, err := s.Version("doc", n); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	near, far := version(11), version(2)
+	near, far := hit(11), hit(2)
 	t.Logf("Version(11): %.0f allocations, Version(2): %.0f", near, far)
 	if far > 2*near {
 		t.Errorf("Version(2) allocates %.0f times, more than twice Version(11)'s %.0f", far, near)
 	}
+	materialize := func(s *Store) func(id string) error {
+		return func(id string) error {
+			st := s.shardFor(id).lookup(id)
+			st.mu.RLock()
+			defer st.mu.RUnlock()
+			_, err := s.materializeLocked(id, st)
+			return err
+		}
+	}
 
-	// Two documents through a one-document cache: every read misses.
-	cold := chainStore(t, Config{Shards: 1, CacheSize: 1}, flipChain(t, 7000, 12), "a", "b")
+	// Two documents through a one-document cache: every read misses
+	// and restores from the keyframe the other read left.
+	cold := chainStore(t, Config{Shards: 1, CacheSize: 1}, chain, "a", "b")
 	defer cold.Close()
 	misses := func(read func(id string) error) float64 {
 		return testing.AllocsPerRun(10, func() {
@@ -301,26 +346,61 @@ func TestReadWalkAllocations(t *testing.T) {
 			}
 		}) / 2
 	}
-	materialize := misses(func(id string) error {
-		st := cold.shardFor(id).lookup(id)
-		st.mu.RLock()
-		defer st.mu.RUnlock()
-		_, err := cold.materializeLocked(id, st)
-		return err
-	})
+	restore := misses(materialize(cold))
 	for _, n := range []int{1, 6, 12} {
-		doc, err := cold.Version("a", n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		clone := testing.AllocsPerRun(10, func() { doc.Clone() })
+		walk := hit(n)
 		got := misses(func(id string) error {
 			_, err := cold.Version(id, n)
 			return err
 		})
-		t.Logf("Version(%d) on a miss: %.0f allocations; materialize %.0f, clone %.0f", n, got, materialize, clone)
-		if got > materialize+clone+8 {
-			t.Errorf("Version(%d) on a miss allocates %.0f times, more than a materialization (%.0f) and a copy (%.0f)", n, got, materialize, clone)
+		t.Logf("Version(%d) on a miss: %.0f allocations; restore %.0f, walk on a hit %.0f", n, got, restore, walk)
+		if got > restore+walk+8 {
+			t.Errorf("Version(%d) on a miss allocates %.0f times, more than a restore (%.0f) and a hit's walk (%.0f)", n, got, restore, walk)
+		}
+	}
+
+	// A store just reopened has no keyframe, so each document's first
+	// miss replays its chain. Every read below is some document's first.
+	ids := make([]string, 20)
+	for i := range ids {
+		ids[i] = fmt.Sprint("d", i)
+	}
+	written := chainStore(t, Config{Shards: 1}, chain, ids...)
+	if err := written.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := Open(written.dir, diff.Options{}, Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	firstMiss := func(read func(id string) error) float64 {
+		return testing.AllocsPerRun(4, func() { // five reads, five documents
+			id := ids[0]
+			ids = ids[1:]
+			if err := read(id); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	replay := firstMiss(materialize(reopened))
+	t.Logf("materialize on a miss: %.0f allocations from a keyframe, %.0f replaying the chain", restore, replay)
+	if 4*restore > replay {
+		t.Errorf("a keyframe restore allocates %.0f times, more than a quarter of a chain replay's %.0f", restore, replay)
+	}
+	for _, n := range []int{1, 6, 12} {
+		doc, err := reopened.Version("d0", n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clone := testing.AllocsPerRun(10, func() { doc.Clone() })
+		got := firstMiss(func(id string) error {
+			_, err := reopened.Version(id, n)
+			return err
+		})
+		t.Logf("Version(%d) replaying on a miss: %.0f allocations; replay %.0f, clone %.0f", n, got, replay, clone)
+		if got > replay+clone+8 {
+			t.Errorf("Version(%d) replaying on a miss allocates %.0f times, more than a replay (%.0f) and a copy (%.0f)", n, got, replay, clone)
 		}
 	}
 }
@@ -328,7 +408,11 @@ func TestReadWalkAllocations(t *testing.T) {
 // FuzzReadWalks drives checkWalks with tape-built chains: a changesim
 // catalog or page, changed step by step by its simulator or by an
 // attribute insert, delete or reorder on a tape-chosen element, each
-// version stored with a tape-chosen matcher.
+// version stored with a tape-chosen matcher. The same chain also goes
+// under two documents behind a one-slot cache, where every Put and
+// every read of one document restores it from its keyframe: the deltas
+// stored there must be the same bytes, and checkRestores holds the
+// reads to step-by-step Apply.
 func FuzzReadWalks(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 7, 0, 4, 0, 0, 1, 3, 0, 2, 0, 1, 1})
@@ -350,6 +434,8 @@ func FuzzReadWalks(f *testing.F) {
 		}
 		defer s.Close()
 		versions := 2 + tape.Intn(5)
+		var chain []*dom.Node
+		var matchers []diff.Matcher
 		for v := 1; v <= versions; v++ {
 			if v > 1 {
 				if cur, err = nextVersion(tape, cur, html); err != nil {
@@ -363,6 +449,7 @@ func FuzzReadWalks(f *testing.F) {
 			if _, _, err := s.PutMatcherContext(context.Background(), "doc", cur, matcher); err != nil {
 				t.Fatal(err)
 			}
+			chain, matchers = append(chain, cur), append(matchers, matcher)
 		}
 		st := s.shardFor("doc").lookup("doc")
 		for i, raw := range st.deltas {
@@ -374,7 +461,84 @@ func FuzzReadWalks(f *testing.F) {
 			}
 		}
 		checkWalks(t, s, "doc")
+
+		evicting, err := Open("", diff.Options{}, Config{Shards: 1, CacheSize: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v, doc := range chain {
+			for _, id := range []string{"doc", "other"} {
+				if _, _, err := evicting.PutMatcherContext(context.Background(), id, doc, matchers[v]); err != nil {
+					t.Fatalf("%s version %d behind a one-slot cache: %v", id, v+1, err)
+				}
+			}
+		}
+		for i, raw := range evicting.shardFor("doc").lookup("doc").deltas {
+			if !bytes.Equal(raw, st.deltas[i]) {
+				t.Fatalf("delta %d behind a one-slot cache:\n got %s\nwant %s", i+1, raw, st.deltas[i])
+			}
+		}
+		checkRestores(t, evicting)
 	})
+}
+
+// checkRestores reads every version of "doc", and the aggregate of each
+// ordered pair of its versions, each right after a read of "other" has
+// evicted it from a one-slot cache. Each read therefore finds a current
+// keyframe, and must either restore from it or fall back to the chain;
+// either way it answers what step-by-step Apply gives.
+func checkRestores(t *testing.T, s *Store) {
+	t.Helper()
+	st := s.shardFor("doc").lookup("doc")
+	want := stepwiseVersions(t, st)
+	n := st.versions
+	// evicted runs read right after evicting "doc", and fails unless
+	// the read met exactly one current keyframe.
+	evicted := func(what string, read func() error) {
+		t.Helper()
+		if _, err := s.Version("other", 1); err != nil {
+			t.Fatal(err)
+		}
+		ss := s.StorageStats()
+		met := ss.KeyframeRestores + ss.KeyframeFallbacks
+		if err := read(); err != nil {
+			t.Fatalf("%s after eviction: %v", what, err)
+		}
+		ss = s.StorageStats()
+		if got := ss.KeyframeRestores + ss.KeyframeFallbacks - met; got != 1 {
+			t.Fatalf("%s after eviction met %d keyframes, want 1", what, got)
+		}
+	}
+	for v := 1; v <= n; v++ {
+		w := renderWithXIDs(want[v])
+		evicted(fmt.Sprintf("Version(%d)", v), func() error {
+			got, err := s.Version("doc", v)
+			if err == nil && renderWithXIDs(got) != w {
+				err = errors.New("differs from the stepwise replay")
+			}
+			return err
+		})
+	}
+	for from := 1; from <= n; from++ {
+		for to := 1; to <= n; to++ {
+			if from == to {
+				continue
+			}
+			lo, hi := min(from, to), max(from, to)
+			ref, err := compose(want[lo].Clone(), want[hi].Clone(), from > to)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := renderDelta(t, ref)
+			evicted(fmt.Sprintf("Aggregate(%d, %d)", from, to), func() error {
+				d, err := s.Aggregate("doc", from, to)
+				if err == nil && renderDelta(t, d) != w {
+					err = fmt.Errorf("\n got %s\nwant %s", renderDelta(t, d), w)
+				}
+				return err
+			})
+		}
+	}
 }
 
 // nextVersion is cur changed by one tape-chosen edit: a simulator step,
