@@ -20,8 +20,8 @@
 //	xystore -dir DIR aggregate ID A B   print the combined delta A -> B
 //	xystore -dir DIR value ID EXPR      xpathlite value, every version
 //	xystore -dir DIR grep ID A B EXPR   ops between A and B matching EXPR
-//	xystore -dir DIR inspect            shard / segment / cache summary
-//	xystore -dir DIR compact            fold segment logs into snapshots
+//	xystore -dir DIR inspect            shard / segment / snapshot / cache summary
+//	xystore -dir DIR compact            fold segment logs into compressed snapshots
 //	xystore -dir DIR migrate [SHARDS]   convert an old layout in place
 //	xystore -dir DIR scrub [-once] [-repair]
 //	                                    verify every checksum; quarantine
@@ -33,6 +33,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -239,7 +240,7 @@ func exec(s *vstore.Store, cmd string, rest []string) error {
 		}
 		return nil
 	case "inspect":
-		return runInspect(s)
+		return runInspect(os.Stdout, s)
 	case "compact":
 		before := s.StorageStats()
 		if err := s.Checkpoint(); err != nil {
@@ -255,18 +256,24 @@ func exec(s *vstore.Store, cmd string, rest []string) error {
 }
 
 // runInspect prints the storage summary: the shard / segment /
-// group-commit / cache breakdown the daemon exports on /healthz.
-func runInspect(s *vstore.Store) error {
+// snapshot / group-commit / cache breakdown the daemon exports on
+// /healthz.
+func runInspect(w io.Writer, s *vstore.Store) error {
 	ss := s.StorageStats()
-	fmt.Printf("layout\tsharded segment logs (vstore-v1)\n")
-	fmt.Printf("shards\t%d\n", ss.Shards)
-	fmt.Printf("documents\t%d\n", ss.Documents)
-	fmt.Printf("segments\t%d\n", ss.Segments)
-	fmt.Printf("fsyncs\t%d (mean batch %.2f, max %d)\n", ss.FsyncTotal, ss.MeanBatch(), ss.MaxBatch)
-	fmt.Printf("cache\t%d/%d resident, hit ratio %.3f\n", ss.CacheLen, ss.CacheCap, ss.CacheHitRatio())
-	fmt.Printf("compactions\t%d (%.3fs total)\n", ss.Compactions, ss.CompactionSeconds)
+	fmt.Fprintf(w, "layout\tsharded segment logs (%s)\n", ss.Format)
+	fmt.Fprintf(w, "shards\t%d\n", ss.Shards)
+	fmt.Fprintf(w, "documents\t%d\n", ss.Documents)
+	fmt.Fprintf(w, "segments\t%d\n", ss.Segments)
+	ratio := 0.0
+	if ss.SnapshotRawBytes > 0 {
+		ratio = float64(ss.SnapshotStoredBytes) / float64(ss.SnapshotRawBytes)
+	}
+	fmt.Fprintf(w, "snapshots\t%d bytes stored, %d raw (%.3f)\n", ss.SnapshotStoredBytes, ss.SnapshotRawBytes, ratio)
+	fmt.Fprintf(w, "fsyncs\t%d (mean batch %.2f, max %d)\n", ss.FsyncTotal, ss.MeanBatch(), ss.MaxBatch)
+	fmt.Fprintf(w, "cache\t%d/%d resident, hit ratio %.3f\n", ss.CacheLen, ss.CacheCap, ss.CacheHitRatio())
+	fmt.Fprintf(w, "compactions\t%d (%.3fs total)\n", ss.Compactions, ss.CompactionSeconds)
 	for _, sh := range ss.PerShard {
-		fmt.Printf("shard %03d\t%d docs\t%d segments\t%d appends\t%d fsyncs\t%d rejected\n",
+		fmt.Fprintf(w, "shard %03d\t%d docs\t%d segments\t%d appends\t%d fsyncs\t%d rejected\n",
 			sh.Shard, sh.Docs, sh.Segments, sh.Appends, sh.Syncs, sh.Rejected)
 	}
 	return nil

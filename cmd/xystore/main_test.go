@@ -3,9 +3,11 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"xydiff/internal/diff"
@@ -119,6 +121,24 @@ func TestInspectAndCompact(t *testing.T) {
 	}
 	if rec := s.RecoveryStats(); rec.SnapshotVersions != 2 {
 		t.Fatalf("compact left %d snapshot versions, want 2", rec.SnapshotVersions)
+	}
+	// inspect reports the compacted snapshot: its format, and the bytes
+	// its content files take on disk against the raw bytes they hold.
+	var out bytes.Buffer
+	if err := runInspect(&out, s); err != nil {
+		t.Fatal(err)
+	}
+	ss := s.StorageStats()
+	for _, want := range []string{
+		"layout\tsharded segment logs (vstore-v2)\n",
+		fmt.Sprintf("snapshots\t%d bytes stored, %d raw (", ss.SnapshotStoredBytes, ss.SnapshotRawBytes),
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("inspect output lacks %q:\n%s", want, out.String())
+		}
+	}
+	if ss.SnapshotStoredBytes == 0 || ss.SnapshotRawBytes == 0 {
+		t.Errorf("snapshot bytes after compact: %d stored, %d raw", ss.SnapshotStoredBytes, ss.SnapshotRawBytes)
 	}
 }
 

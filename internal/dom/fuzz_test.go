@@ -1,8 +1,12 @@
 package dom
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -262,6 +266,54 @@ func checkDifferential(t *testing.T, src string) {
 		shape(&wb, want)
 		if gb.String() != wb.String() {
 			t.Fatalf("%s: shapes differ:\nnew       %s\nreference %s\nsource:   %q", o.name, gb.String(), wb.String(), src)
+		}
+	}
+}
+
+// fuzzCorpus returns the parser's fuzz inputs: the seeds both targets
+// add, and every string entry committed under testdata/fuzz.
+func fuzzCorpus(t *testing.T) []string {
+	t.Helper()
+	inputs := append(append([]string(nil), parseSeeds...), differentialSeeds...)
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "*", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range files {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(string(raw), "\n") {
+			if arg, ok := strings.CutPrefix(line, "string("); ok {
+				s, err := strconv.Unquote(strings.TrimSuffix(arg, ")"))
+				if err != nil {
+					t.Fatalf("%s: %v", path, err)
+				}
+				inputs = append(inputs, s)
+			}
+		}
+	}
+	return inputs
+}
+
+// TestEncodedLenMatchesWriteTo: the count-only walk agrees with the
+// bytes WriteTo writes, on every fuzz input under every option set.
+func TestEncodedLenMatchesWriteTo(t *testing.T) {
+	for _, src := range fuzzCorpus(t) {
+		for _, o := range differentialOptions {
+			doc, err := ParseWithOptions(strings.NewReader(src), o.opts)
+			if err != nil {
+				continue
+			}
+			var buf bytes.Buffer
+			n, err := doc.WriteTo(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := doc.EncodedLen(); got != n || n != int64(buf.Len()) {
+				t.Fatalf("%s: EncodedLen %d, WriteTo %d (%d buffered)\nsource: %q", o.name, got, n, buf.Len(), src)
+			}
 		}
 	}
 }

@@ -24,6 +24,14 @@ func (n *Node) String() string {
 	return b.String()
 }
 
+// EncodedLen returns how many bytes WriteTo writes for the subtree
+// rooted at n, counted by the same walk with nothing copied.
+func (n *Node) EncodedLen() int64 {
+	var cw countWriter // no writer: count only
+	writeNode(&cw, n)
+	return cw.n
+}
+
 // Encoder writes canonical XML piece by piece — the primitives WriteTo
 // is built from — for a caller that serializes a document it never
 // holds as a tree (package delta encodes its operations this way).
@@ -63,6 +71,7 @@ const flushSize = 4096
 
 // countWriter gathers output in buf, whose capacity is flushSize, and
 // hands it to w one full buffer at a time, counting what w accepted.
+// Without a w it only counts.
 type countWriter struct {
 	w   io.Writer
 	buf []byte
@@ -71,6 +80,10 @@ type countWriter struct {
 }
 
 func (cw *countWriter) writeString(s string) {
+	if cw.w == nil {
+		cw.n += int64(len(s))
+		return
+	}
 	for len(s) > cap(cw.buf)-len(cw.buf) {
 		n := copy(cw.buf[len(cw.buf):cap(cw.buf)], s)
 		cw.buf = cw.buf[:len(cw.buf)+n]

@@ -142,6 +142,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"compactionSeconds": ss.CompactionSeconds,
 		"degradedDocs":      ss.DegradedDocs,
 		"quarantined":       ss.Quarantined,
+		"format":            ss.Format,
+		"snapshotBytes":     ss.SnapshotStoredBytes,
+		"snapshotRawBytes":  ss.SnapshotRawBytes,
 		"scrub": map[string]any{
 			"cycles":           ss.Scrub.Cycles,
 			"bytesScanned":     ss.Scrub.BytesScanned,
@@ -266,6 +269,10 @@ func writeStorageMetrics(w io.Writer, ss vstore.StorageStats) {
 	fmt.Fprintln(w, "# HELP xydiffd_store_degraded_docs Documents serving degraded (part of their history quarantined).")
 	fmt.Fprintln(w, "# TYPE xydiffd_store_degraded_docs gauge")
 	fmt.Fprintf(w, "xydiffd_store_degraded_docs %d\n", ss.DegradedDocs)
+	fmt.Fprintln(w, "# HELP xydiffd_store_snapshot_bytes Snapshot content files: bytes stored on disk, and the raw bytes they decode to.")
+	fmt.Fprintln(w, "# TYPE xydiffd_store_snapshot_bytes gauge")
+	fmt.Fprintf(w, "xydiffd_store_snapshot_bytes{form=\"stored\"} %d\n", ss.SnapshotStoredBytes)
+	fmt.Fprintf(w, "xydiffd_store_snapshot_bytes{form=\"raw\"} %d\n", ss.SnapshotRawBytes)
 	fmt.Fprintln(w, "# HELP xydiffd_scrub_cycles_total Integrity scrub passes completed.")
 	fmt.Fprintln(w, "# TYPE xydiffd_scrub_cycles_total counter")
 	fmt.Fprintf(w, "xydiffd_scrub_cycles_total %d\n", ss.Scrub.Cycles)

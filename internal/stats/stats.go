@@ -158,8 +158,8 @@ func (c *Collector) ObserveResolved(t *delta.Targets, deltaBytes int) {
 	var docBytes int64
 	if !d.Empty() {
 		cnt = d.Count()
-		// The new version's size, from a counting sink.
-		docBytes, _ = t.NewDoc.WriteTo(io.Discard) // io.Discard cannot fail
+		// The new version's size, counted without serializing it.
+		docBytes = t.NewDoc.EncodedLen()
 		for i, op := range d.Ops {
 			if n := changedElement(t, i); n != nil {
 				label(n.Name).count(op.Kind())

@@ -1,6 +1,7 @@
 package vstore
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -14,13 +15,14 @@ import (
 )
 
 // The bit-rot chaos harness: every fault class the scrubber claims to
-// handle (bit flip, torn record, truncated snapshot, read IO error) is
-// injected against both targets (sealed segments, snapshots), in both
-// repair and quarantine-only mode, and the outcome is byte-compared
-// against the pre-corruption corpus. The invariant under test is the
-// strongest one the ISSUE states: a read NEVER returns corrupt bytes —
-// every version is either byte-identical to what was acknowledged or
-// refused with a typed error.
+// handle (bit flip, torn record, truncated snapshot, zeroed range, read
+// IO error) is injected against both targets (sealed segments,
+// compressed snapshots), in both repair and quarantine-only mode, and
+// the outcome is byte-compared against the pre-corruption corpus. The
+// invariant under test is the strongest one the scrubber promises: a
+// read NEVER returns corrupt bytes — every version is either
+// byte-identical to what was acknowledged or refused with a typed
+// error.
 
 var errChaosRead = errors.New("chaos: injected read error")
 
@@ -105,10 +107,15 @@ func TestScrubChaosMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		{"zeroed/snapshot-delta", true, func(t *testing.T, dir string, _ *faultfs.Fault) {
+			if err := faultfs.ZeroRange(faultfs.OS{}, snapshotFile(t, dir, "delta-*.xml"), 12, 6); err != nil {
+				t.Fatal(err)
+			}
+		}},
 		{"read-error/snapshot", true, func(t *testing.T, dir string, armed *faultfs.Fault) {
-			// Second ReadFile of the pass: the first is the version
-			// counter, the second is v1.xml.
-			armed.Countdown = 2
+			// Third ReadFile of the pass: the first two are the version
+			// counter and the checksum manifest, the third is v1.xml.
+			armed.Countdown = 3
 		}},
 	}
 
@@ -155,6 +162,11 @@ func TestScrubChaosMatrix(t *testing.T) {
 					if s.DegradedDocs() == 0 {
 						t.Fatal("no document degraded after quarantine")
 					}
+					// A snapshot is one document's: quarantining it
+					// degrades that document alone.
+					if sc.snapshots && s.DegradedDocs() != 1 {
+						t.Fatalf("%d documents degraded by one quarantined snapshot", s.DegradedDocs())
+					}
 				} else {
 					if rep.Repaired == 0 || rep.Quarantined != 0 {
 						t.Fatalf("repair mode outcome = %+v", rep)
@@ -162,7 +174,14 @@ func TestScrubChaosMatrix(t *testing.T) {
 					if s.DegradedDocs() != 0 {
 						t.Fatal("repair left documents degraded")
 					}
+					// Repair rewrites snapshots as compaction writes them.
+					for _, path := range contentFiles(t, dir) {
+						if data, err := os.ReadFile(path); err != nil || !bytes.HasPrefix(data, gzipHeader) {
+							t.Fatalf("%s after repair is not compressed (%v)", path, err)
+						}
+					}
 				}
+				checkSnapshotBytes(t, s, dir)
 				// While open the resident chains keep serving everything,
 				// and never with corrupt bytes.
 				if lost := verifyNoCorruptBytes(t, s, ground, sc.name+" open"); lost != 0 {

@@ -1,17 +1,14 @@
 package vstore
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"path/filepath"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"xydiff/internal/faultfs"
-	"xydiff/internal/scrub"
 )
 
 // Compaction folds a shard's sealed segments into per-document
@@ -20,8 +17,9 @@ import (
 //
 //  1. seal the active segment, so every on-disk segment is frozen;
 //  2. snapshot every document whose snapshot is behind, each file
-//     written to a temp name, fsynced, and renamed into place, with
-//     the version counter renamed last;
+//     (content files gzip-compressed, snapfile.go) written to a temp
+//     name, fsynced, and renamed into place, with the version counter
+//     renamed last;
 //  3. only then retire (delete) the sealed segments.
 //
 // A crash at any point leaves either the segments (snapshot not yet
@@ -163,88 +161,83 @@ func (s *Store) compactShard(sh *shard) error {
 // last — the version counter, each fsynced and renamed into place.
 // With full set, every file is rewritten from the resident chain even
 // when the counter says it is current: that is the scrubber's repair
-// path for a snapshot whose on-disk bytes rotted. The document's lock
-// blocks Puts for the duration, so the snapshot is a consistent cut at
-// or after the seal point (covering makes sealed records redundant;
-// covering more is harmless, replay skips them).
+// path for a snapshot whose on-disk bytes rotted.
+//
+// The cut is taken under the document's read lock: stored parts never
+// change once appended, so compressing them and summing the chain run
+// with no lock held, and Puts and reads never wait on either. The
+// write lock is taken only to write the files, so the counter and
+// snapVersions move together. The cut is at or after the seal point
+// (covering makes sealed records redundant; covering more is harmless,
+// replay skips them). The caller holds sh.compactMu, as every writer of
+// snapVersions does, so the snapshot point read with the cut is still
+// current when the files go down.
 func (s *Store) snapshotDoc(sh *shard, id string, st *docState, full bool) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.versions == 0 || (!full && st.versions == st.snapVersions) {
+	st.mu.RLock()
+	versions, prev := st.versions, st.snapVersions
+	base, deltas := st.base, st.deltas[:max(versions-1, 0)]
+	st.mu.RUnlock()
+	if versions == 0 || (!full && versions == prev) {
 		return nil // nothing new to fold
 	}
+	// whole rewrites every content file; otherwise only the deltas the
+	// previous snapshot lacks are added.
+	whole := full || prev == 0
+	type file struct {
+		name   string
+		stored []byte
+		raw    int
+	}
+	var files []file
+	from := prev
+	if whole {
+		from = 1
+		files = append(files, file{"v1.xml", compressSnapshot(base), len(base)})
+	}
+	for v := from; v < versions; v++ {
+		files = append(files, file{deltaFile(v), compressSnapshot(deltas[v-1]), len(deltas[v-1])})
+	}
+	sums := snapshotSums(base, deltas)
+	if err := s.markCompressed(); err != nil {
+		return err
+	}
+
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	sub := filepath.Join(sh.dir, docsDirName, escapeID(id))
 	if err := s.fs.MkdirAll(sub, 0o755); err != nil {
 		return err
 	}
-	if full || st.snapVersions == 0 {
-		if err := writeAtomic(s.fs, filepath.Join(sub, "v1.xml"), writeBytes(st.base)); err != nil {
-			return err
-		}
-	}
-	from := st.snapVersions
-	if full || from < 1 {
-		from = 1
-	}
-	for v := from; v < st.versions; v++ {
-		if err := writeAtomic(s.fs, filepath.Join(sub, deltaFile(v)), writeBytes(st.deltas[v-1])); err != nil {
-			return err
-		}
-	}
-	// The checksum manifest goes down after the content files and
-	// before the counter: a counter that points at files always points
-	// at verifiable ones. Content rewrites reproduce the originally
-	// acknowledged bytes, so existing entries stay valid across repair.
-	if err := writeAtomic(s.fs, filepath.Join(sub, sumsName), writeBytes(snapshotSums(st))); err != nil {
+	// The checksum manifest goes down first. Its entries describe
+	// decoded parts, which never change, so it is valid for every file
+	// already there, raw or compressed, and for each new one the moment
+	// it is renamed into place: a crash anywhere in the pass leaves the
+	// files the counter points at verifiable. The counter goes last.
+	if err := writeAtomic(s.fs, filepath.Join(sub, sumsName), writeBytes(sums)); err != nil {
 		return err
 	}
+	var stored, raw int64
+	for _, f := range files {
+		if err := writeAtomic(s.fs, filepath.Join(sub, f.name), writeBytes(f.stored)); err != nil {
+			return err
+		}
+		stored += int64(len(f.stored))
+		raw += int64(f.raw)
+	}
 	counter := func(w io.Writer) (int64, error) {
-		n, err := io.WriteString(w, strconv.Itoa(st.versions))
+		n, err := io.WriteString(w, strconv.Itoa(versions))
 		return int64(n), err
 	}
 	if err := writeAtomic(s.fs, filepath.Join(sub, "versions"), counter); err != nil {
 		return err
 	}
-	st.snapVersions = st.versions
+	st.snapVersions = versions
+	if !whole {
+		stored += st.snapStored
+		raw += st.snapRaw
+	}
+	sh.setSnapshotBytes(st, stored, raw)
 	return nil
-}
-
-// sumsName is the snapshot checksum manifest: one "<file> <crc32c>"
-// line per snapshot content file. Recovery and the scrubber verify
-// against it; its absence is tolerated (snapshots written before the
-// manifest existed, migrated layouts).
-const sumsName = "sums"
-
-// snapshotSums renders the manifest for the resident chain; the caller
-// holds st.mu.
-func snapshotSums(st *docState) []byte {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "v1.xml %08x\n", scrub.Checksum(st.base))
-	for v := 1; v < st.versions; v++ {
-		fmt.Fprintf(&b, "%s %08x\n", deltaFile(v), scrub.Checksum(st.deltas[v-1]))
-	}
-	return b.Bytes()
-}
-
-// parseSums decodes a checksum manifest into file → CRC32-C.
-func parseSums(raw []byte) (map[string]uint32, error) {
-	out := make(map[string]uint32)
-	for _, line := range strings.Split(string(raw), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		name, sum, ok := strings.Cut(line, " ")
-		if !ok {
-			return nil, fmt.Errorf("bad sums line %q", line)
-		}
-		v, err := strconv.ParseUint(sum, 16, 32)
-		if err != nil {
-			return nil, fmt.Errorf("bad sums line %q: %w", line, err)
-		}
-		out[name] = uint32(v)
-	}
-	return out, nil
 }
 
 // retireSegments deletes sealed segment files whose content the

@@ -3,6 +3,7 @@ package vstore
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -134,6 +135,71 @@ func TestCrashMatrix(t *testing.T) {
 			fsys := faultfs.Wrap(faultfs.OS{}, &faultfs.Fault{Op: op, Countdown: k, Crash: true})
 			acked := crashWorkload(t, dir, fsys)
 			verifyAcked(t, dir, acked, scenario)
+		}
+	}
+}
+
+// TestCrashCompressingV1Directory crashes the filesystem at every
+// write, sync, rename, remove and open while a vstore-v1 directory
+// (raw snapshots, segment tails) gets its first compressed files, in
+// both orders: a checkpoint that rewrites the manifest and folds the
+// tails, and a full rewrite of every snapshot, the scrubber's repair
+// path, which turns raw files into compressed ones in place. Whatever
+// point the crash hits, a strict reopen serves every version
+// byte-identically: the manifest goes v2 before any compressed file
+// exists, and the checksum manifest, with lengths, lands before the
+// files it describes.
+func TestCrashCompressingV1Directory(t *testing.T) {
+	want := v1Digests(t)
+	rewrite := func(s *Store) error {
+		for _, sh := range s.shards {
+			for id, st := range sh.docs {
+				sh.compactMu.Lock()
+				err := s.snapshotDoc(sh, id, st, true)
+				sh.compactMu.Unlock()
+				if err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	checkpoint := func(s *Store) error { return s.Checkpoint() }
+	ops := []faultfs.Op{faultfs.OpWrite, faultfs.OpSync, faultfs.OpRename, faultfs.OpRemove, faultfs.OpOpen}
+	for _, steps := range [][]func(*Store) error{{checkpoint, rewrite}, {rewrite, checkpoint}} {
+		workload := func(dir string, fsys faultfs.FS, arm func()) {
+			s, err := Open(dir, diff.Options{}, Config{CompactSegments: -1, FS: fsys})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			arm()
+			for _, step := range steps {
+				if step(s) != nil {
+					return
+				}
+			}
+		}
+		clean := faultfs.Wrap(faultfs.OS{})
+		before := map[faultfs.Op]int{}
+		workload(copyDir(t, filepath.Join("testdata", "v1", "store")), clean, func() {
+			for _, op := range ops {
+				before[op] = clean.Count(op)
+			}
+		})
+		for _, op := range ops {
+			total := clean.Count(op) - before[op]
+			for k := 1; k <= total; k++ {
+				dir := copyDir(t, filepath.Join("testdata", "v1", "store"))
+				fault := &faultfs.Fault{Op: op, Crash: true} // armed once open
+				workload(dir, faultfs.Wrap(faultfs.OS{}, fault), func() { fault.Countdown = k })
+				s, err := Open(dir, diff.Options{}, Config{CompactSegments: -1})
+				if err != nil {
+					t.Fatalf("crash at %s #%d/%d: reopen: %v", op, k, total, err)
+				}
+				checkServes(t, s, want)
+				s.Close()
+			}
 		}
 	}
 }

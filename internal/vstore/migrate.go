@@ -287,7 +287,9 @@ func (c *legacyChain) verify() error {
 // importChain installs a document wholesale: serialized base version
 // plus delta chain, written straight to the document's snapshot (no
 // segment records, no re-diffing), so a migrated chain carries over
-// byte-identically. The store keeps the slices.
+// byte-identically — the snapshot files are compressed as compaction
+// writes them, and decode to the parts read. The store keeps the
+// slices.
 func (s *Store) importChain(id string, base []byte, deltas [][]byte) error {
 	sh := s.shardFor(id)
 	st := sh.state(id)
@@ -296,6 +298,8 @@ func (s *Store) importChain(id string, base []byte, deltas [][]byte) error {
 	st.deltas = deltas
 	st.versions = 1 + len(deltas)
 	st.mu.Unlock()
+	sh.compactMu.Lock()
+	defer sh.compactMu.Unlock()
 	if err := s.snapshotDoc(sh, id, st, false); err != nil {
 		return fmt.Errorf("vstore: import %s: %w", id, err)
 	}

@@ -2,6 +2,7 @@ package vstore
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -33,8 +34,15 @@ func fixturePath(name string) string { return filepath.Join("testdata", "legacy"
 // room for the .pre-migrate backup) and returns the copy's path.
 func copyFixture(t *testing.T, name string) string {
 	t.Helper()
+	return copyDir(t, fixturePath(name))
+}
+
+// copyDir copies the tree under src to a fresh directory and returns
+// the copy's path.
+func copyDir(t testing.TB, src string) string {
+	t.Helper()
 	dir := filepath.Join(t.TempDir(), "data")
-	for rel, b := range treeFiles(t, fixturePath(name)) {
+	for rel, b := range treeFiles(t, src) {
 		path := filepath.Join(dir, rel)
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -48,7 +56,7 @@ func copyFixture(t *testing.T, name string) string {
 
 // treeFiles maps every file under root, by slash-separated relative
 // path, to its content.
-func treeFiles(t *testing.T, root string) map[string][]byte {
+func treeFiles(t testing.TB, root string) map[string][]byte {
 	t.Helper()
 	files := make(map[string][]byte)
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -109,13 +117,58 @@ func pinnedDigests(t *testing.T) map[string]map[string]string {
 	return out
 }
 
+// decodedView is a migrated file in the terms digests.txt was recorded
+// in, before snapshot content files were compressed: a content file's
+// decoded XML (which must be stored compressed), a checksum manifest
+// without its length column, and the engine marker with the format it
+// had then (which must now be vstore-v2). Every other file is as it
+// is. So the pins prove the conversion carries the same content, and
+// only its encoding on disk changed.
+func decodedView(t *testing.T, dir, rel string, b []byte) []byte {
+	t.Helper()
+	name := filepath.Base(rel)
+	switch {
+	case name == manifestName:
+		v1 := bytes.Replace(b, []byte(`"`+manifestFormat+`"`), []byte(`"`+manifestFormatRaw+`"`), 1)
+		if bytes.Equal(v1, b) {
+			t.Fatalf("%s does not say %s: %s", rel, manifestFormat, b)
+		}
+		return v1
+	case name == sumsName:
+		var out []byte
+		for _, line := range strings.SplitAfter(string(b), "\n") {
+			if f := strings.Fields(line); len(f) == 3 {
+				line = f[0] + " " + f[1] + "\n"
+			}
+			out = append(out, line...)
+		}
+		return out
+	case name == "v1.xml" || strings.HasPrefix(name, "delta-"):
+		if !isCompressed(b) {
+			t.Fatalf("%s is not compressed", rel)
+		}
+		sub := filepath.Dir(filepath.Join(dir, filepath.FromSlash(rel)))
+		sums, err := readSums(faultfs.OS{}, sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		part, err := decodeContent(sub, name, b, sums)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return part
+	}
+	return b
+}
+
 // migratedDigests is digests.txt's view of a migrated directory: every
-// file, then every version and delta as the opened store serves them.
+// file's decoded view, then every version and delta as the opened store
+// serves them.
 func migratedDigests(t *testing.T, dir string) map[string]string {
 	t.Helper()
 	out := make(map[string]string)
 	for rel, b := range treeFiles(t, dir) {
-		out["file "+rel] = sha(b)
+		out["file "+rel] = sha(decodedView(t, dir, rel, b))
 	}
 	s, err := Open(dir, diff.Options{}, Config{})
 	if err != nil {

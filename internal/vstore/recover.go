@@ -26,10 +26,15 @@ import (
 var ErrNeedsMigration = errors.New("vstore: directory uses the per-document store layout; run `xystore migrate`")
 
 const (
-	manifestName   = "MANIFEST.json"
-	manifestFormat = "vstore-v1"
-	shardDirFmt    = "shard-%03d"
-	docsDirName    = "docs"
+	manifestName = "MANIFEST.json"
+	// manifestFormat marks a directory whose snapshot content files may
+	// be compressed; manifestFormatRaw one whose files are all raw XML,
+	// written before compression. Open accepts both and rewrites the
+	// latter to the former before the first compressed file is written.
+	manifestFormat    = "vstore-v2"
+	manifestFormatRaw = "vstore-v1"
+	shardDirFmt       = "shard-%03d"
+	docsDirName       = "docs"
 )
 
 // manifest is the engine marker at the directory root. The shard count
@@ -43,7 +48,8 @@ type manifest struct {
 func shardDirName(idx int) string { return fmt.Sprintf(shardDirFmt, idx) }
 
 // Open loads (or creates) a sharded store under dir: per-document
-// snapshots are read as raw bytes, segment journals are replayed on
+// snapshots are read and inflated into raw parts, checked against
+// their checksum manifests, segment journals are replayed on
 // top in sequence order, torn segment tails are truncated, and the
 // per-shard group-commit writers start accepting Puts. Mid-log damage
 // refuses to open with an error matching store.ErrCorrupt naming the
@@ -83,6 +89,7 @@ func Open(dir string, opts diff.Options, cfg Config) (*Store, error) {
 		return nil, err
 	}
 	s.cfg.Shards = m.Shards
+	s.format = m.Format
 	for i := 0; i < m.Shards; i++ {
 		sh := &shard{
 			idx:        i,
@@ -139,7 +146,7 @@ func loadOrCreateManifest(fsys faultfs.FS, dir string, shards int) (*manifest, e
 		if jerr := json.Unmarshal(raw, &m); jerr != nil {
 			return nil, corruptf(path, -1, jerr, "unparseable manifest")
 		}
-		if m.Format != manifestFormat || m.Shards < 1 {
+		if m.Format != manifestFormat && m.Format != manifestFormatRaw || m.Shards < 1 {
 			return nil, corruptf(path, -1, nil, "unsupported manifest (format %q, %d shards)", m.Format, m.Shards)
 		}
 		return &m, nil
@@ -159,10 +166,8 @@ func loadOrCreateManifest(fsys faultfs.FS, dir string, shards int) (*manifest, e
 			}
 		}
 		m := &manifest{Format: manifestFormat, Shards: shards}
-		blob, _ := json.MarshalIndent(m, "", "  ")
-		blob = append(blob, '\n')
-		if werr := writeAtomic(fsys, path, writeBytes(blob)); werr != nil {
-			return nil, fmt.Errorf("vstore: write manifest: %w", werr)
+		if werr := writeManifest(fsys, dir, m); werr != nil {
+			return nil, werr
 		}
 		return m, nil
 	default:
@@ -170,8 +175,36 @@ func loadOrCreateManifest(fsys faultfs.FS, dir string, shards int) (*manifest, e
 	}
 }
 
+// writeManifest puts the engine marker in place atomically.
+func writeManifest(fsys faultfs.FS, dir string, m *manifest) error {
+	blob, _ := json.MarshalIndent(m, "", "  ") // a manifest always marshals
+	blob = append(blob, '\n')
+	if err := writeAtomic(fsys, filepath.Join(dir, manifestName), writeBytes(blob)); err != nil {
+		return fmt.Errorf("vstore: write manifest: %w", err)
+	}
+	return nil
+}
+
+// markCompressed rewrites a vstore-v1 manifest to vstore-v2; compaction
+// calls it before writing a compressed file. A build that reads only
+// raw snapshots then refuses the directory as an unsupported format,
+// instead of taking every compressed file for bit rot (and, opened
+// degraded, quarantining them).
+func (s *Store) markCompressed() error {
+	s.formatMu.Lock()
+	defer s.formatMu.Unlock()
+	if s.format == manifestFormat {
+		return nil
+	}
+	if err := writeManifest(s.fs, s.dir, &manifest{Format: manifestFormat, Shards: len(s.shards)}); err != nil {
+		return err
+	}
+	s.format = manifestFormat
+	return nil
+}
+
 // recoverShard rebuilds one shard's documents: snapshots first (raw
-// bytes, no parsing — trees materialize lazily through the LRU), then
+// parts, no parsing — trees materialize lazily through the LRU), then
 // the segment journals replayed in sequence order on top.
 func (s *Store) recoverShard(sh *shard) error {
 	docsDir := filepath.Join(sh.dir, docsDirName)
@@ -203,6 +236,8 @@ func (s *Store) recoverShard(sh *shard) error {
 			}
 			if st != nil {
 				sh.docs[id] = st
+				sh.stats.snapStored.Add(st.snapStored)
+				sh.stats.snapRaw.Add(st.snapRaw)
 				s.recovery.SnapshotVersions += st.versions
 			}
 		}
@@ -254,11 +289,14 @@ func (s *Store) recoverShard(sh *shard) error {
 	return nil
 }
 
-// loadSnapshot reads one document's snapshot directory as raw bytes.
-// A directory without a versions counter is not corrupt — it is a
-// snapshot whose final rename never happened (crash mid-compaction);
-// the segments still carry the document, so the half-snapshot is
-// ignored.
+// loadSnapshot reads one document's snapshot directory into a chain of
+// raw parts: compressed content files are inflated, and every part is
+// checked against the checksum manifest when there is one, so bit rot
+// in a snapshot is caught at open, before a reader can be handed a
+// version built from it. Nothing is parsed. A directory without a
+// versions counter is not corrupt — it is a snapshot whose final
+// rename never happened (crash mid-compaction); the segments still
+// carry the document, so the half-snapshot is ignored.
 func loadSnapshot(fsys faultfs.FS, sub string) (*docState, error) {
 	counterPath := filepath.Join(sub, "versions")
 	raw, err := fsys.ReadFile(counterPath)
@@ -272,64 +310,36 @@ func loadSnapshot(fsys faultfs.FS, sub string) (*docState, error) {
 	if err != nil || versions < 1 {
 		return nil, corruptf(counterPath, -1, nil, "bad version counter %q", raw)
 	}
-	v1Path := filepath.Join(sub, "v1.xml")
-	base, err := fsys.ReadFile(v1Path)
+	sums, err := readSums(fsys, sub)
 	if err != nil {
-		return nil, corruptf(v1Path, -1, err, "unreadable base version")
-	}
-	st := &docState{versions: versions, base: base, snapVersions: versions}
-	for v := 1; v < versions; v++ {
-		dPath := filepath.Join(sub, deltaFile(v))
-		dRaw, err := fsys.ReadFile(dPath)
-		if err != nil {
-			return nil, corruptf(dPath, -1, err, "unreadable delta %d", v)
-		}
-		st.deltas = append(st.deltas, dRaw)
-	}
-	if err := verifySums(fsys, sub, st); err != nil {
 		return nil, err
 	}
+	st := &docState{versions: versions, snapVersions: versions}
+	load := func(name, what string) ([]byte, error) {
+		path := filepath.Join(sub, name)
+		data, err := fsys.ReadFile(path)
+		if err != nil {
+			return nil, corruptf(path, -1, err, "unreadable %s", what)
+		}
+		part, err := decodeContent(sub, name, data, sums)
+		if err != nil {
+			return nil, err
+		}
+		st.snapStored += int64(len(data))
+		st.snapRaw += int64(len(part))
+		return part, nil
+	}
+	if st.base, err = load("v1.xml", "base version"); err != nil {
+		return nil, err
+	}
+	for v := 1; v < versions; v++ {
+		d, err := load(deltaFile(v), fmt.Sprintf("delta %d", v))
+		if err != nil {
+			return nil, err
+		}
+		st.deltas = append(st.deltas, d)
+	}
 	return st, nil
-}
-
-// verifySums checks the loaded snapshot bytes against the checksum
-// manifest, when one exists. The bytes are already in hand, so the
-// check costs one CRC pass — bit rot in a snapshot is caught at open,
-// before a reader can be handed a version built from it. Snapshots
-// written before the manifest existed (or migrated from the
-// per-document layout) have no sums file and are accepted as before.
-func verifySums(fsys faultfs.FS, sub string, st *docState) error {
-	sumsPath := filepath.Join(sub, sumsName)
-	raw, err := fsys.ReadFile(sumsPath)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return corruptf(sumsPath, -1, err, "unreadable checksum manifest")
-	}
-	sums, err := parseSums(raw)
-	if err != nil {
-		return corruptf(sumsPath, -1, err, "bad checksum manifest")
-	}
-	check := func(name string, b []byte) error {
-		want, ok := sums[name]
-		if !ok {
-			return corruptf(sumsPath, -1, nil, "manifest has no entry for %s", name)
-		}
-		if got := scrub.Checksum(b); got != want {
-			return corruptf(filepath.Join(sub, name), -1, nil, "checksum mismatch (manifest %08x, computed %08x)", want, got)
-		}
-		return nil
-	}
-	if err := check("v1.xml", st.base); err != nil {
-		return err
-	}
-	for v := 1; v < st.versions; v++ {
-		if err := check(deltaFile(v), st.deltas[v-1]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // replaySegment folds one segment's records into the shard's document

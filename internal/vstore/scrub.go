@@ -221,10 +221,11 @@ func (s *Store) scrubSnapshots(ctx context.Context, sh *shard, th *scrub.Throttl
 // verifySnapshot checks one document's on-disk snapshot under the
 // document's read lock (which excludes a concurrent rewrite): the
 // counter must match the resident snapshot point, every content file
-// must byte-match the resident chain — the chain that reconstructs
-// every version — and the checksum manifest, when present, must agree
-// with the files so recovery can keep trusting it. Returns ok=true
-// when intact; otherwise a damage reason ("" for a canceled pass).
+// must decode as recovery decodes it — through the checksum manifest,
+// when present, so recovery can keep trusting it — and byte-match the
+// resident chain, the chain that reconstructs every version. Returns
+// ok=true when intact; otherwise a damage reason ("" for a canceled
+// pass).
 func (s *Store) verifySnapshot(ctx context.Context, st *docState, sub string, th *scrub.Throttle, rep *scrub.Report) (string, bool) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
@@ -261,41 +262,31 @@ func (s *Store) verifySnapshot(ctx context.Context, st *docState, sub string, th
 	if c != st.snapVersions {
 		return fmt.Sprintf("version counter reads %d, resident snapshot point is %d", c, st.snapVersions), false
 	}
-	files := make(map[string][]byte, c)
-	base, bad := read("v1.xml")
-	if base == nil {
-		return bad, false
+	sums, err := readSums(s.fs, sub)
+	if err != nil {
+		return err.Error(), false
 	}
-	if !bytes.Equal(base, st.base) {
-		return "v1.xml diverges from the resident version chain", false
-	}
-	files["v1.xml"] = base
-	for v := 1; v < c; v++ {
-		d, bad := read(deltaFile(v))
-		if d == nil {
+	check := func(name string, want []byte) (string, bool) {
+		data, bad := read(name)
+		if data == nil {
 			return bad, false
 		}
-		if !bytes.Equal(d, st.deltas[v-1]) {
-			return fmt.Sprintf("%s diverges from the resident version chain", deltaFile(v)), false
+		part, err := decodeContent(sub, name, data, sums)
+		if err != nil {
+			return err.Error(), false
 		}
-		files[deltaFile(v)] = d
+		if !bytes.Equal(part, want) {
+			return fmt.Sprintf("%s diverges from the resident version chain", name), false
+		}
+		return "", true
 	}
-	if raw, err := s.fs.ReadFile(filepath.Join(sub, sumsName)); err == nil {
-		sums, perr := parseSums(raw)
-		if perr != nil {
-			return fmt.Sprintf("bad checksum manifest: %v", perr), false
+	if bad, ok := check("v1.xml", st.base); !ok {
+		return bad, false
+	}
+	for v := 1; v < c; v++ {
+		if bad, ok := check(deltaFile(v), st.deltas[v-1]); !ok {
+			return bad, false
 		}
-		for name, b := range files {
-			want, okSum := sums[name]
-			if !okSum {
-				return fmt.Sprintf("checksum manifest has no entry for %s", name), false
-			}
-			if got := scrub.Checksum(b); got != want {
-				return fmt.Sprintf("%s checksum mismatch (manifest %08x, computed %08x)", name, want, got), false
-			}
-		}
-	} else if !os.IsNotExist(err) {
-		return fmt.Sprintf("checksum manifest unreadable: %v", err), false
 	}
 	rep.SnapshotsScanned++
 	return "", true
@@ -323,7 +314,6 @@ func (s *Store) snapshotDamage(sh *shard, id string, st *docState, sub string, r
 			sh.stats.quarantined.Add(1)
 		}
 	}
-	sh.compactMu.Unlock()
 	st.mu.Lock()
 	if s.markDegradedLocked(sh, st, fmt.Sprintf("snapshot quarantined: %s", reason)) {
 		rep.Degraded++
@@ -331,6 +321,8 @@ func (s *Store) snapshotDamage(sh *shard, id string, st *docState, sub string, r
 	// No snapshot on disk anymore: the next compaction pass writes a
 	// fresh full one from the resident chain.
 	st.snapVersions = 0
+	sh.setSnapshotBytes(st, 0, 0)
 	st.mu.Unlock()
+	sh.compactMu.Unlock()
 	rep.Note(f)
 }

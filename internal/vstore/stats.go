@@ -37,6 +37,17 @@ type shardCounters struct {
 	rejected      atomic.Int64 // Puts shed with ErrBusy
 	quarantined   atomic.Int64 // files the scrubber (or recovery) set aside
 	degraded      atomic.Int64 // documents currently serving degraded
+	snapStored    atomic.Int64 // snapshot content file bytes on disk
+	snapRaw       atomic.Int64 // bytes those files decode to
+}
+
+// setSnapshotBytes records st's snapshot content file sizes, moving
+// the shard's totals by the difference; the caller holds st.mu
+// (write).
+func (sh *shard) setSnapshotBytes(st *docState, stored, raw int64) {
+	sh.stats.snapStored.Add(stored - st.snapStored)
+	sh.stats.snapRaw.Add(raw - st.snapRaw)
+	st.snapStored, st.snapRaw = stored, raw
 }
 
 // DurabilityStats aggregates every shard's counters: the journal
@@ -157,6 +168,13 @@ type StorageStats struct {
 	// Quarantined how many corrupt files are set aside on disk.
 	DegradedDocs int64
 	Quarantined  int64
+	// Format is the manifest's format marker ("" without a directory).
+	Format string
+	// SnapshotStoredBytes is the size on disk of every snapshot content
+	// file (v1.xml, delta-NNNN.xml), compressed or raw;
+	// SnapshotRawBytes what they decode to.
+	SnapshotStoredBytes int64
+	SnapshotRawBytes    int64
 	// Scrub is the integrity scrubber's cumulative accounting.
 	Scrub ScrubStats
 	// PerShard has one entry per shard, in shard order.
@@ -185,8 +203,12 @@ func (st StorageStats) CacheHitRatio() float64 {
 // StorageStats snapshots the engine counters. Segment counts come from
 // a directory listing, so the call does a little I/O per shard.
 func (s *Store) StorageStats() StorageStats {
+	s.formatMu.Lock()
+	format := s.format
+	s.formatMu.Unlock()
 	out := StorageStats{
 		Shards:            len(s.shards),
+		Format:            format,
 		CacheHits:         s.stats.cacheHits.Load(),
 		CacheMisses:       s.stats.cacheMisses.Load(),
 		CacheLen:          s.cache.len(),
@@ -237,6 +259,8 @@ func (s *Store) StorageStats() StorageStats {
 		out.SealedSegments += ss.SealedSegments
 		out.DegradedDocs += ss.DegradedDocs
 		out.Quarantined += ss.Quarantined
+		out.SnapshotStoredBytes += sh.stats.snapStored.Load()
+		out.SnapshotRawBytes += sh.stats.snapRaw.Load()
 		if ss.MaxBatch > out.MaxBatch {
 			out.MaxBatch = ss.MaxBatch
 		}

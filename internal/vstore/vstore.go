@@ -19,7 +19,10 @@
 //   - Background compaction folds sealed segments into per-document
 //     snapshots and retires them, in strict write → fsync → rename →
 //     retire order (the xyvet segorder analyzer enforces the ordering
-//     in this package's source).
+//     in this package's source). Compaction gzips each snapshot content
+//     file it writes; the segment journal, the Put path and the
+//     resident chains stay raw, so only recovery and the scrubber ever
+//     inflate (snapfile.go).
 //   - Materialized current versions live in a bounded LRU, so
 //     reconstruction cost is paid once per cache residency, not once
 //     per read. A tree the LRU evicts is kept as a keyframe, its
@@ -30,9 +33,20 @@
 // The on-disk layout under dir/:
 //
 //	MANIFEST.json                    engine marker: format + shard count
-//	shard-000/seg-00000001.log       segment journal (many documents)
-//	shard-000/docs/<escaped id>/     per-document snapshot
-//	    v1.xml delta-0001.xml ... versions
+//	shard-000/seg-00000001.log       segment journal (many documents), raw
+//	shard-000/docs/<escaped id>/     per-document snapshot:
+//	    v1.xml                       version 1, one gzip member
+//	    delta-0001.xml ...           delta n → n+1, one gzip member each
+//	    sums                         "<file> <crc32c> <length>" of the
+//	                                 decoded parts, per content file
+//	    versions                     version counter, renamed last
+//
+// The format marker is "vstore-v2". A "vstore-v1" directory, whose
+// content files are all raw XML, opens as it is; the marker is
+// rewritten to v2 before the first compressed file lands, so a build
+// that cannot inflate refuses the directory instead of reading gzip as
+// bit rot. Raw and compressed content files mix freely: the loader
+// tells them apart by the gzip magic.
 //
 // Open("") keeps the chains in memory only, for callers that need no
 // durability. A directory in the old per-document layout
@@ -173,6 +187,9 @@ type Store struct {
 	mu     sync.Mutex // guards closed and the lifecycle channels
 	closed bool
 
+	formatMu sync.Mutex // guards format and the manifest rewrite
+	format   string     // the manifest's format marker
+
 	stopSync chan struct{}
 	syncDone chan struct{}
 
@@ -197,6 +214,9 @@ type docState struct {
 	// snapVersions is how many versions the on-disk snapshot covers
 	// (0 when the document has never been compacted).
 	snapVersions int
+	// snapStored and snapRaw are the bytes of the snapshot's content
+	// files on disk and of the parts they decode to.
+	snapStored, snapRaw int64
 	// degraded marks a document with a quarantined slice of history:
 	// versions 1..versions are intact and keep serving, anything beyond
 	// answers with ErrDegraded instead of a 404 or a 500. Puts keep
@@ -295,7 +315,7 @@ func (s *Store) PutContext(ctx context.Context, id string, doc *dom.Node) (int, 
 // for this version's diff only. The stored delta format is identical
 // for every matcher, so histories may freely mix them.
 func (s *Store) PutMatcherContext(ctx context.Context, id string, doc *dom.Node, matcher diff.Matcher) (int, *delta.Delta, error) {
-	r, err := s.PutDetailed(ctx, id, doc, matcher)
+	r, err := s.PutDetailed(ctx, id, doc.Clone(), matcher)
 	return r.Version, r.Delta, err
 }
 
@@ -303,6 +323,11 @@ func (s *Store) PutMatcherContext(ctx context.Context, id string, doc *dom.Node,
 // the delta, the size of the delta's encoding. The store encodes a
 // delta exactly once, into the body of its segment record; that
 // body's length is what the observer and the caller are given.
+//
+// Unlike Put, PutDetailed takes ownership of doc: the store stamps it
+// with XIDs and keeps it as the cached latest version, so the caller
+// must not read or change it afterwards, whether or not the Put
+// succeeded.
 func (s *Store) PutDetailed(ctx context.Context, id string, doc *dom.Node, matcher diff.Matcher) (store.PutResult, error) {
 	if doc == nil || doc.Type != dom.Document {
 		return store.PutResult{}, fmt.Errorf("vstore: need a Document node")
@@ -316,9 +341,8 @@ func (s *Store) PutDetailed(ctx context.Context, id string, doc *dom.Node, match
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.versions == 0 {
-		first := doc.Clone()
-		xid.Assign(first)
-		body, err := serializeTree(first)
+		xid.Assign(doc)
+		body, err := serializeTree(doc)
 		if err != nil {
 			return store.PutResult{}, fmt.Errorf("vstore: serialize %s version 1: %w", id, err)
 		}
@@ -327,15 +351,14 @@ func (s *Store) PutDetailed(ctx context.Context, id string, doc *dom.Node, match
 		}
 		st.base = body
 		st.versions = 1
-		s.cache.put(id, first, 1)
+		s.cache.put(id, doc, 1)
 		return store.PutResult{Version: 1}, nil
 	}
 	old, err := s.materializeLocked(id, st)
 	if err != nil {
 		return store.PutResult{}, err
 	}
-	next := doc.Clone()
-	r, err := diff.DiffDetailedContext(ctx, old, next, opts)
+	r, err := diff.DiffDetailedContext(ctx, old, doc, opts)
 	if err != nil {
 		return store.PutResult{}, fmt.Errorf("vstore: diff %s: %w", id, err)
 	}
@@ -348,9 +371,9 @@ func (s *Store) PutDetailed(ctx context.Context, id string, doc *dom.Node, match
 	}
 	st.deltas = append(st.deltas, body)
 	st.versions++
-	s.cache.put(id, next, st.versions)
+	s.cache.put(id, doc, st.versions)
 	if s.obs != nil {
-		s.obs(store.Observation{ID: id, Version: st.versions, Old: old, New: next, Result: r, DeltaBytes: len(body)})
+		s.obs(store.Observation{ID: id, Version: st.versions, Old: old, New: doc, Result: r, DeltaBytes: len(body)})
 	}
 	return store.PutResult{Version: st.versions, Delta: r.Delta, DeltaBytes: len(body)}, nil
 }

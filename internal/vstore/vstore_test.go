@@ -1,6 +1,7 @@
 package vstore
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -71,6 +72,89 @@ func testPutAndLatest(t *testing.T, s *Store) {
 	}
 	if _, err := s.Version("doc", 9); !errors.Is(err, store.ErrNoSuchVersion) {
 		t.Fatalf("Version(doc,9) = %v, want ErrNoSuchVersion", err)
+	}
+}
+
+// TestPutLeavesCallerTreeUnstamped: Put keeps a copy of what it is
+// handed, so the caller's tree carries no XIDs afterwards, for the
+// first version and for the diffed ones.
+func TestPutLeavesCallerTreeUnstamped(t *testing.T) {
+	forEachStore(t, func(t *testing.T, s *Store) {
+		for _, body := range []string{`<r><a>1</a></r>`, `<r><a>2</a><b/></r>`, `<r><b/><c>3</c></r>`} {
+			doc := parse(t, body)
+			if _, _, err := s.Put("d", doc); err != nil {
+				t.Fatal(err)
+			}
+			dom.WalkPre(doc, func(n *dom.Node) bool {
+				if n.XID != 0 {
+					t.Fatalf("Put stamped the caller's %s node with XID %d", n.Type, n.XID)
+				}
+				return true
+			})
+		}
+	})
+}
+
+// TestPutDetailedAllocations: PutDetailed keeps the tree it is handed
+// instead of copying it, so on a 7 KB catalog it allocates what its
+// diff and delta encoding allocate plus a fixed few. One copy of the
+// version would cost hundreds more.
+func TestPutDetailedAllocations(t *testing.T) {
+	const runs = 10
+	pair := catalogChain(t, 7000, 2)
+	copies := func() []*dom.Node {
+		out := make([]*dom.Node, 2*(runs+1))
+		for i := range out {
+			out[i] = pair[(i+1)%2].Clone()
+		}
+		return out
+	}
+	s, err := Open("", diff.Options{}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Put("d", pair[0]); err != nil {
+		t.Fatal(err)
+	}
+	docs, next := copies(), 0
+	put := testing.AllocsPerRun(runs, func() {
+		for k := 0; k < 2; k++ {
+			if _, err := s.PutDetailed(context.Background(), "d", docs[next], ""); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+	}) / 2
+
+	// The same two steps outside the store: versions 1 and 2 as the
+	// store labelled them, diffed against fresh copies and encoded.
+	var olds [2]*dom.Node
+	for i := range olds {
+		if olds[i], err = s.Version("d", i+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	docs, next = copies(), 0
+	work := testing.AllocsPerRun(runs, func() {
+		for k := 0; k < 2; k++ {
+			r, err := diff.DiffDetailedContext(context.Background(), olds[k], docs[next], diff.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.Delta.MarshalText(); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+	}) / 2
+	clone := testing.AllocsPerRun(runs, func() { pair[0].Clone() })
+	t.Logf("PutDetailed: %.0f allocations; its diff and encoding: %.0f; one copy of the version: %.0f", put, work, clone)
+	const overhead = 64
+	if clone <= overhead {
+		t.Fatalf("a copy of the version costs %.0f allocations, too few for this guard", clone)
+	}
+	if put > work+overhead {
+		t.Errorf("PutDetailed allocates %.0f times, more than its diff and encoding (%.0f) plus %d", put, work, overhead)
 	}
 }
 

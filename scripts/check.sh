@@ -58,6 +58,7 @@ $GO test ./internal/delta -run '^$' -fuzz '^FuzzApply$' -fuzztime "$FUZZTIME"
 $GO test ./internal/delta -run '^$' -fuzz '^FuzzMarshalIdentical$' -fuzztime "$FUZZTIME"
 $GO test ./internal/delta -run '^$' -fuzz '^FuzzDeltaDecodeDifferential$' -fuzztime "$FUZZTIME"
 $GO test ./internal/vstore -run '^$' -fuzz '^FuzzReadWalks$' -fuzztime "$FUZZTIME"
+$GO test ./internal/vstore -run '^$' -fuzz '^FuzzSnapshotLoad$' -fuzztime "$FUZZTIME"
 $GO test ./internal/diff -run '^$' -fuzz '^FuzzDiffApply$' -fuzztime "$FUZZTIME"
 $GO test ./internal/diff -run '^$' -fuzz '^FuzzSFTMApply$' -fuzztime "$FUZZTIME"
 $GO test ./internal/diff -run '^$' -fuzz '^FuzzBULDMatchingDifferential$' -fuzztime "$FUZZTIME"
