@@ -16,28 +16,17 @@
 //	moves       move-detection quality sweep
 //	ablation    design-choice ablations
 //	stats       per-label change-frequency statistics (paper §7)
-//	bench5      machine-readable perf record: ns/op + B/op per workload,
-//	            quality ratios (see -json / -compare)
-//	bench6      machine-readable storage-engine record: group-commit
-//	            fsync amortization, Put/reconstruct latency, cache hit
-//	            ratio, recovery time (see -json / -compare)
-//	bench7      machine-readable matcher comparison on the id-less HTML
-//	            corpus: SFTM vs BULD precision/recall, delta sizes,
-//	            diff time (see -json / -compare)
-//	bench8      machine-readable optimality-ratio record: BULD, SFTM and
-//	            changesim's perfect delta vs the exact optimum on small
-//	            trees (optdelta oracle, see -json / -compare)
-//	all         everything above except bench5, bench6, bench7 and bench8
+//	all         everything above
 //
 // Flags:
 //
 //	-full        run the full-size workloads (several minutes); the default
 //	             quick mode keeps every experiment under a few seconds
 //	-seed n      random seed (default 1)
-//	-quick       bench5–bench8: smaller workload (the check.sh smoke)
-//	-json path   bench5–bench8: write the report to path (- for stdout)
-//	-compare p   bench5–bench8: gate the fresh report against a
-//	             committed baseline; exit 1 when a tolerance is violated
+//
+// The count-like quality numbers (Figure 5's ratios at two rates, the
+// SFTM/BULD matcher sweep, the optimality record) are pinned by the
+// TestQualityPinned test in internal/bench, not printed here.
 package main
 
 import (
@@ -50,22 +39,16 @@ import (
 )
 
 type benchConfig struct {
-	full    bool
-	seed    int64
-	quick   bool
-	json    string
-	compare string
+	full bool
+	seed int64
 }
 
 func main() {
 	var cfg benchConfig
 	flag.BoolVar(&cfg.full, "full", false, "run full-size workloads")
 	flag.Int64Var(&cfg.seed, "seed", 1, "random `seed`")
-	flag.BoolVar(&cfg.quick, "quick", false, "bench5-bench8: smaller workload")
-	flag.StringVar(&cfg.json, "json", "", "bench5-bench8: write report to `path` (- for stdout)")
-	flag.StringVar(&cfg.compare, "compare", "", "bench5-bench8: compare against baseline report at `path`")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: xybench [flags] fig4|fig5|fig6|site|baselines|moves|ablation|stats|bench5|bench6|bench7|bench8|all\n")
+		fmt.Fprintf(os.Stderr, "usage: xybench [flags] fig4|fig5|fig6|site|baselines|moves|ablation|stats|all\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -77,206 +60,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "xybench:", err)
 		os.Exit(1)
 	}
-}
-
-// runBench5 measures the report, optionally writes it, optionally gates
-// it against a committed baseline.
-func runBench5(w io.Writer, cfg benchConfig) error {
-	r, err := bench.Bench5(cfg.quick, cfg.seed)
-	if err != nil {
-		return err
-	}
-	bench.PrintBench5(w, r)
-	if cfg.json != "" {
-		if cfg.json == "-" {
-			if err := r.WriteJSON(w); err != nil {
-				return err
-			}
-		} else {
-			f, err := os.Create(cfg.json)
-			if err != nil {
-				return err
-			}
-			if err := r.WriteJSON(f); err != nil {
-				_ = f.Close() // the write error is the one worth reporting
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-		}
-	}
-	if cfg.compare != "" {
-		f, err := os.Open(cfg.compare)
-		if err != nil {
-			return err
-		}
-		baseline, err := bench.ReadBench5(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		if bad := r.Compare(baseline); len(bad) > 0 {
-			for _, msg := range bad {
-				fmt.Fprintln(os.Stderr, "bench regression:", msg)
-			}
-			return fmt.Errorf("%d benchmark gate(s) violated (baseline %s)", len(bad), cfg.compare)
-		}
-		fmt.Fprintf(w, "bench gate: ok against %s\n", cfg.compare)
-	}
-	return nil
-}
-
-// runBench6 runs the storage-engine load harness, optionally writes
-// the report, optionally gates it against a committed baseline.
-func runBench6(w io.Writer, cfg benchConfig) error {
-	r, err := bench.Bench6(cfg.quick, cfg.seed)
-	if err != nil {
-		return err
-	}
-	bench.PrintBench6(w, r)
-	if cfg.json != "" {
-		if cfg.json == "-" {
-			if err := r.WriteJSON(w); err != nil {
-				return err
-			}
-		} else {
-			f, err := os.Create(cfg.json)
-			if err != nil {
-				return err
-			}
-			if err := r.WriteJSON(f); err != nil {
-				_ = f.Close() // the write error is the one worth reporting
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-		}
-	}
-	if cfg.compare != "" {
-		f, err := os.Open(cfg.compare)
-		if err != nil {
-			return err
-		}
-		baseline, err := bench.ReadBench6(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		if bad := r.Compare(baseline); len(bad) > 0 {
-			for _, msg := range bad {
-				fmt.Fprintln(os.Stderr, "storage bench regression:", msg)
-			}
-			return fmt.Errorf("%d storage benchmark gate(s) violated (baseline %s)", len(bad), cfg.compare)
-		}
-		fmt.Fprintf(w, "storage bench gate: ok against %s\n", cfg.compare)
-	}
-	return nil
-}
-
-// runBench7 runs the matcher-comparison experiment, optionally writes
-// the report, optionally gates it against a committed baseline.
-func runBench7(w io.Writer, cfg benchConfig) error {
-	r, err := bench.Bench7(cfg.quick, cfg.seed)
-	if err != nil {
-		return err
-	}
-	bench.PrintBench7(w, r)
-	if cfg.json != "" {
-		if cfg.json == "-" {
-			if err := r.WriteJSON(w); err != nil {
-				return err
-			}
-		} else {
-			f, err := os.Create(cfg.json)
-			if err != nil {
-				return err
-			}
-			if err := r.WriteJSON(f); err != nil {
-				_ = f.Close() // the write error is the one worth reporting
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-		}
-	}
-	if cfg.compare != "" {
-		f, err := os.Open(cfg.compare)
-		if err != nil {
-			return err
-		}
-		baseline, err := bench.ReadBench7(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		if bad := r.Compare(baseline); len(bad) > 0 {
-			for _, msg := range bad {
-				fmt.Fprintln(os.Stderr, "matcher bench regression:", msg)
-			}
-			return fmt.Errorf("%d matcher benchmark gate(s) violated (baseline %s)", len(bad), cfg.compare)
-		}
-		fmt.Fprintf(w, "matcher bench gate: ok against %s\n", cfg.compare)
-	}
-	return nil
-}
-
-// runBench8 runs the optimality-ratio experiment, optionally writes
-// the report, optionally gates it against a committed baseline.
-func runBench8(w io.Writer, cfg benchConfig) error {
-	r, err := bench.Bench8(cfg.quick, cfg.seed)
-	if err != nil {
-		return err
-	}
-	bench.PrintBench8(w, r)
-	if cfg.json != "" {
-		if cfg.json == "-" {
-			if err := r.WriteJSON(w); err != nil {
-				return err
-			}
-		} else {
-			f, err := os.Create(cfg.json)
-			if err != nil {
-				return err
-			}
-			if err := r.WriteJSON(f); err != nil {
-				_ = f.Close() // the write error is the one worth reporting
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-		}
-	}
-	if cfg.compare != "" {
-		f, err := os.Open(cfg.compare)
-		if err != nil {
-			return err
-		}
-		baseline, err := bench.ReadBench8(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		if bad := r.Compare(baseline); len(bad) > 0 {
-			for _, msg := range bad {
-				fmt.Fprintln(os.Stderr, "optimality bench regression:", msg)
-			}
-			return fmt.Errorf("%d optimality benchmark gate(s) violated (baseline %s)", len(bad), cfg.compare)
-		}
-		fmt.Fprintf(w, "optimality bench gate: ok against %s\n", cfg.compare)
-	}
-	return nil
 }
 
 func run(w io.Writer, experiment string, cfg benchConfig) error {
@@ -366,14 +149,6 @@ func run(w io.Writer, experiment string, cfg benchConfig) error {
 				return err
 			}
 			report.WriteTable(w)
-		case "bench5":
-			return runBench5(w, cfg)
-		case "bench6":
-			return runBench6(w, cfg)
-		case "bench7":
-			return runBench7(w, cfg)
-		case "bench8":
-			return runBench8(w, cfg)
 		default:
 			return fmt.Errorf("unknown experiment %q", name)
 		}

@@ -9,8 +9,8 @@
 //
 // The suite is built only on the standard toolchain packages (go/ast,
 // go/parser, go/token, go/types) — no external analysis framework — and
-// is driven by cmd/xyvet, which `make vet` and `make check` run over
-// the whole module.
+// is driven by cmd/xyvet, which `make xyvet` and the vet stage of
+// `make check` run over the whole module.
 //
 // A finding can be suppressed at a specific line with a directive
 // comment on that line or the line directly above it:

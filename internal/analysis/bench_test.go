@@ -4,7 +4,7 @@ import "testing"
 
 // BenchmarkXyvet measures the full xyvet pipeline over the repo's own
 // module — parse, type-check and run every analyzer from a cold cache.
-// This is the cost `make vet` pays per invocation.
+// This is the cost `make xyvet` pays per invocation.
 func BenchmarkXyvet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		loader, err := LoaderForDir(".")

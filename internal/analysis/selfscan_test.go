@@ -1,11 +1,11 @@
 package analysis
 
 // The self-scan is the suite's own regression gate: the whole module,
-// every analyzer, zero findings. It is what `make vet` enforces in CI,
-// pinned as a unit test so a change to an analyzer (or to the code it
-// audits) that introduces a finding — including a newly stale
-// //xyvet:allow directive — fails here first, with the finding in the
-// failure message.
+// every analyzer, zero findings. It is what the vet stage of `make
+// check` enforces in CI, pinned as a unit test so a change to an
+// analyzer (or to the code it audits) that introduces a finding —
+// including a newly stale //xyvet:allow directive — fails here first,
+// with the finding in the failure message.
 
 import (
 	"path/filepath"

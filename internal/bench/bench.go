@@ -2,7 +2,9 @@
 // paper's tables and figures (Section 6). Each experiment is a pure
 // function from parameters to result rows, shared by the xybench CLI
 // and the root-level testing.B benchmarks; EXPERIMENTS.md records the
-// measured outcomes next to the paper's claims.
+// measured outcomes next to the paper's claims. The count-like quality
+// numbers (Figure 5's ratios, the matcher sweep, the optimality record)
+// are pinned by TestQualityPinned against testdata/quality.json.
 package bench
 
 import (
@@ -15,7 +17,6 @@ import (
 	"xydiff/internal/changesim"
 	"xydiff/internal/delta"
 	"xydiff/internal/diff"
-	"xydiff/internal/dom"
 	"xydiff/internal/stats"
 	"xydiff/internal/textdiff"
 )
@@ -458,25 +459,6 @@ func PrintAblations(w io.Writer, points []AblationPoint) {
 	for _, p := range points {
 		fmt.Fprintf(w, "%-16s %10d %12d %8d\n", p.Name, p.Time.Microseconds(), p.DeltaSize, p.Ops)
 	}
-}
-
-// VerifyDoc diffs and round-trips one document pair, returning an error
-// if the delta is not faithful. The harness runs it under the hood so
-// experiment numbers are never reported off a broken delta.
-func VerifyDoc(oldDoc, newDoc *dom.Node, opts diff.Options) error {
-	o := oldDoc.Clone()
-	d, err := diff.Diff(o, newDoc.Clone(), opts)
-	if err != nil {
-		return err
-	}
-	got, err := delta.ApplyClone(o, d)
-	if err != nil {
-		return err
-	}
-	if !dom.Equal(got, newDoc) {
-		return fmt.Errorf("bench: delta does not reproduce the new version")
-	}
-	return nil
 }
 
 // ChangeStats runs a multi-week change process over a corpus and

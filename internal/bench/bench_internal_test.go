@@ -3,10 +3,6 @@ package bench
 import (
 	"strings"
 	"testing"
-
-	"math/rand"
-	"xydiff/internal/changesim"
-	"xydiff/internal/diff"
 )
 
 func TestFig4SmallSweep(t *testing.T) {
@@ -157,18 +153,6 @@ func TestAblationsRun(t *testing.T) {
 	PrintAblations(&b, points)
 	if !strings.Contains(b.String(), "paper-default") {
 		t.Error("PrintAblations output missing configs")
-	}
-}
-
-func TestVerifyDoc(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	oldDoc := changesim.Catalog(rng, 2, 4)
-	sim, err := changesim.Simulate(oldDoc, changesim.Uniform(0.15, 9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyDoc(oldDoc, sim.New, diff.Options{}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 // actually change between crawls — attribute churn from re-rendered
 // templates, wrapper divs from layout refactors, reordered id-less
 // blocks, rewritten copy — while tracking the ground-truth node
-// correspondences. The bench7 experiment scores a matcher's precision
-// and recall against exactly these pairs.
+// correspondences. TestQualityPinned (internal/bench) scores a
+// matcher's precision and recall against exactly these pairs.
 
 // htmlWords is the HTML corpus vocabulary. It is deliberately much
 // richer than the XML generator's 23-word list: real page copy has low

@@ -86,8 +86,8 @@ func matchQuality(truth, got map[*dom.Node]*dom.Node) (precision, recall float64
 // TestSFTMQualityOnHTMLCorpus is the match-quality smoke in tier-1: on
 // the id-less HTML corpus SFTM must stay above an absolute precision
 // and recall floor, and must beat BULD-without-IDs on both — the
-// regime this PR exists for. The full sweep with delta sizes and
-// timings is the bench7 experiment.
+// regime SFTM exists for. The full sweep, with delta sizes, is pinned
+// by internal/bench's TestQualityPinned.
 func TestSFTMQualityOnHTMLCorpus(t *testing.T) {
 	var sftmP, sftmR, buldP, buldR float64
 	const runs = 5

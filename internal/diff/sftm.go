@@ -98,10 +98,10 @@ func postOfPre(t *tree) []int32 {
 }
 
 // Matching runs only the matching stage of the selected matcher and
-// returns the old→new node pairs, documents excluded. The bench7
-// match-quality harness uses it to score precision/recall against
-// changesim's ground-truth correspondences without going through delta
-// construction.
+// returns the old→new node pairs, documents excluded. The matcher sweep
+// of internal/bench's TestQualityPinned uses it to score precision and
+// recall against changesim's ground-truth correspondences without going
+// through delta construction.
 func Matching(oldDoc, newDoc *dom.Node, opts Options) (map[*dom.Node]*dom.Node, error) {
 	if err := checkDocuments(oldDoc, newDoc); err != nil {
 		return nil, err

@@ -8,7 +8,7 @@ import "xydiff/internal/delta"
 // and attribute operations pay one each (a move never carries its
 // subtree). With this alignment, Optimal(...).Cost ≤ ScriptCost(d)
 // holds for every correct delta d over the same pair of documents —
-// the soundness invariant bench8 and FuzzOptDeltaSound enforce.
+// the soundness invariant TestQualityPinned and FuzzOptDeltaSound hold.
 func ScriptCost(d *delta.Delta) int {
 	if d == nil {
 		return 0

@@ -22,7 +22,7 @@ import (
 // sftm.go
 
 // Options tune the matcher. The zero value selects the defaults the
-// bench7 experiment was calibrated with.
+// matcher sweep (TestQualityPinned) was calibrated with.
 type Options struct {
 	// TopK bounds the candidates kept per new node (default 16).
 	TopK int

@@ -45,8 +45,8 @@ import (
 	"xydiff/internal/dom"
 )
 
-// The matcher's parameters, the values the bench7 experiment was
-// calibrated with.
+// The matcher's parameters, the values the matcher sweep was calibrated
+// with; internal/bench's TestQualityPinned pins what they produce.
 const (
 	// topK bounds the candidates kept per new node. A power of two, so
 	// a candidate's arena index splits into node and rank by a shift.

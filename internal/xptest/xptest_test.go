@@ -99,7 +99,8 @@ func TestDifferentialRegressions(t *testing.T) {
 // TestXPathDifferentialSeeded is the deterministic bulk of the
 // differential harness: 600 generated documents with 10 queries each,
 // i.e. 6000 query×document pairs, every one evaluated from multiple
-// context nodes by both evaluators. Runs in the xpath-smoke gate.
+// context nodes by both evaluators. Runs in tier 1 and in the gate's
+// race stage.
 func TestXPathDifferentialSeeded(t *testing.T) {
 	const cases = 600
 	pairs := 0
