@@ -268,7 +268,11 @@ func runInspect(w io.Writer, s *vstore.Store) error {
 	if ss.SnapshotRawBytes > 0 {
 		ratio = float64(ss.SnapshotStoredBytes) / float64(ss.SnapshotRawBytes)
 	}
-	fmt.Fprintf(w, "snapshots\t%d bytes stored, %d raw (%.3f)\n", ss.SnapshotStoredBytes, ss.SnapshotRawBytes, ratio)
+	fmt.Fprintf(w, "snapshots\t%d bytes stored, %d raw (%.3f)", ss.SnapshotStoredBytes, ss.SnapshotRawBytes, ratio)
+	for _, e := range ss.SnapshotEncodings {
+		fmt.Fprintf(w, "; %s %d files %d bytes", e.Name, e.Files, e.Bytes)
+	}
+	fmt.Fprintln(w)
 	fmt.Fprintf(w, "fsyncs\t%d (mean batch %.2f, max %d)\n", ss.FsyncTotal, ss.MeanBatch(), ss.MaxBatch)
 	fmt.Fprintf(w, "cache\t%d/%d resident, hit ratio %.3f\n", ss.CacheLen, ss.CacheCap, ss.CacheHitRatio())
 	fmt.Fprintf(w, "compactions\t%d (%.3fs total)\n", ss.Compactions, ss.CompactionSeconds)

@@ -122,16 +122,19 @@ func TestInspectAndCompact(t *testing.T) {
 	if rec := s.RecoveryStats(); rec.SnapshotVersions != 2 {
 		t.Fatalf("compact left %d snapshot versions, want 2", rec.SnapshotVersions)
 	}
-	// inspect reports the compacted snapshot: its format, and the bytes
-	// its content files take on disk against the raw bytes they hold.
+	// inspect reports the compacted snapshot: its format, the bytes its
+	// content files take on disk against the raw bytes they hold, and
+	// the files and bytes of each encoding: v1.xml and the delta are
+	// both dictionary streams.
 	var out bytes.Buffer
 	if err := runInspect(&out, s); err != nil {
 		t.Fatal(err)
 	}
 	ss := s.StorageStats()
 	for _, want := range []string{
-		"layout\tsharded segment logs (vstore-v2)\n",
+		"layout\tsharded segment logs (vstore-v3)\n",
 		fmt.Sprintf("snapshots\t%d bytes stored, %d raw (", ss.SnapshotStoredBytes, ss.SnapshotRawBytes),
+		fmt.Sprintf("; raw 0 files 0 bytes; gzip 0 files 0 bytes; dictionary 2 files %d bytes\n", ss.SnapshotStoredBytes),
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("inspect output lacks %q:\n%s", want, out.String())

@@ -68,3 +68,16 @@ func ComposeVersions(base, final *dom.Node) (*delta.Delta, error) {
 	}
 	return m.buildDelta(), nil
 }
+
+// needsXIDs reports whether any node of doc lacks an XID.
+func needsXIDs(doc *dom.Node) bool {
+	missing := false
+	dom.WalkPre(doc, func(n *dom.Node) bool {
+		if n.XID == 0 {
+			missing = true
+			return false
+		}
+		return true
+	})
+	return missing
+}

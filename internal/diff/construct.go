@@ -11,11 +11,15 @@ import (
 // delta. XIDs are assigned here: the old document keeps (or receives)
 // its post-order XIDs, matched new nodes inherit them, and unmatched
 // new nodes draw fresh identifiers from the allocator in post-order.
+// Whether the old document has XIDs, and its largest, were recorded
+// when its tree was built, so neither costs a walk here.
 func (m *matcher) buildDelta() *delta.Delta {
-	if needsXIDs(m.old.doc) {
-		xid.Assign(m.old.doc)
+	var alloc *xid.Allocator
+	if m.old.missingXID {
+		alloc = xid.Assign(m.old.doc)
+	} else {
+		alloc = xid.NewAllocator(m.old.maxXID + 1)
 	}
-	alloc := xid.AllocatorFor(m.old.doc)
 
 	// Transfer / allocate identifiers for the new version.
 	var maxXID int64
@@ -139,11 +143,12 @@ func (m *matcher) buildDelta() *delta.Delta {
 			continue
 		}
 		stay := lcs.WindowedIncreasing(items, window)
-		inStay := m.liStay
+		inStay := growSlice(m.liStay, len(kept))
 		clear(inStay)
 		for _, s := range stay {
 			inStay[s] = true
 		}
+		m.liStay = inStay
 		for k, ci := range kept {
 			if inStay[k] {
 				continue
@@ -227,16 +232,4 @@ func (m *matcher) pruneNew(ni int) *dom.Node {
 		c.Append(m.pruneNew(ci))
 	}
 	return c
-}
-
-func needsXIDs(doc *dom.Node) bool {
-	missing := false
-	dom.WalkPre(doc, func(n *dom.Node) bool {
-		if n.XID == 0 {
-			missing = true
-			return false
-		}
-		return true
-	})
-	return missing
 }

@@ -514,6 +514,54 @@ func TestTreeAnnotation(t *testing.T) {
 	}
 }
 
+// TestTreeRecordsXIDFacts: the build records Phase 5's two facts about
+// a document, its largest XID and whether any node has none, in the
+// walk it already makes; a zero anywhere counts, not only at the root.
+func TestTreeRecordsXIDFacts(t *testing.T) {
+	doc := parse(t, `<a><b>text</b><c/></a>`)
+	facts := func() (int64, bool) {
+		tr := newTree(doc, false, nil)
+		defer tr.release()
+		return tr.maxXID, tr.missingXID
+	}
+	if max, missing := facts(); max != 0 || !missing {
+		t.Fatalf("unstamped: max %d, missing %v", max, missing)
+	}
+	xid.Assign(doc)
+	if max, missing := facts(); max != 5 || missing {
+		t.Fatalf("stamped: max %d, missing %v; want 5, false", max, missing)
+	}
+	c := doc.Root().Children[1]
+	c.XID = 99
+	if max, missing := facts(); max != 99 || missing {
+		t.Fatalf("a leaf at 99: max %d, missing %v; want 99, false", max, missing)
+	}
+	c.XID = 0
+	if _, missing := facts(); !missing {
+		t.Fatal("a leaf without an XID is not counted as missing")
+	}
+}
+
+// TestDiffAssignsXIDsWhenAnyIsMissing: an old document with one node
+// unstamped gets fresh post-order XIDs, as one with none does.
+func TestDiffAssignsXIDsWhenAnyIsMissing(t *testing.T) {
+	oldDoc := parse(t, `<r><a>1</a><b>2</b></r>`)
+	xid.Assign(oldDoc)
+	dom.Select(oldDoc.Root(), "a")[0].XID = 0
+	dom.Select(oldDoc.Root(), "b")[0].XID = 40
+	if _, err := Diff(oldDoc, parse(t, `<r><a>1</a><b>3</b></r>`), Options{}); err != nil {
+		t.Fatal(err)
+	}
+	next := int64(1)
+	dom.WalkPost(oldDoc, func(n *dom.Node) bool {
+		if n.XID != next {
+			t.Fatalf("old node %s has XID %d, want %d in post-order", n.Name, n.XID, next)
+		}
+		next++
+		return true
+	})
+}
+
 func TestSignatureAttrOrderInsensitive(t *testing.T) {
 	a := newTree(parse(t, `<e x="1" y="2"/>`), true, nil)
 	b := newTree(parse(t, `<e y="2" x="1"/>`), true, nil)

@@ -67,10 +67,11 @@ type matcher struct {
 	wbp map[int]float64
 
 	// liItems/liKept/liStay are buildDelta's intra-parent move scratch,
-	// reused across all matched parent pairs of one diff.
+	// reused across all matched parent pairs of one diff; liStay is
+	// indexed by position in liKept.
 	liItems []lcs.Item
 	liKept  []int
-	liStay  map[int]bool
+	liStay  []bool
 
 	logN float64
 }
@@ -98,7 +99,6 @@ func (m *matcher) reset(oldT, newT *tree, opts Options) {
 		m.ukOld = make(map[childKey]int)
 		m.ukNew = make(map[childKey]int)
 		m.wbp = make(map[int]float64)
-		m.liStay = make(map[int]bool)
 	}
 }
 

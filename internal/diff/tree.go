@@ -26,6 +26,12 @@ type tree struct {
 	sig      []uint64  // subtree content signature
 
 	totalWeight float64
+
+	// maxXID is the largest XID in the document and missingXID whether
+	// any node has none (XID 0): Phase 5's two facts about the old
+	// side, recorded by the walk that builds the arrays.
+	maxXID     int64
+	missingXID bool
 }
 
 // newTree annotates doc in one post-order walk, hashing subtree
@@ -35,6 +41,7 @@ type tree struct {
 func newTree(doc *dom.Node, sigs bool, done <-chan struct{}) *tree {
 	t := treePool.Get().(*tree)
 	t.doc = doc
+	t.maxXID, t.missingXID = 0, false
 	n := doc.Size()
 	t.grow(n, sigs)
 	b := builder{t: t, sigs: sigs, done: done}
@@ -135,6 +142,8 @@ func (b *builder) build(x *dom.Node, idx, off, pos int32) (int32, int32, int32) 
 	t.nodes[self] = x
 	t.childPos[self] = pos
 	t.kidStart[self] = r
+	t.maxXID = max(t.maxXID, x.XID)
+	t.missingXID = t.missingXID || x.XID == 0
 
 	// Annotation: the Section 5.2 weights and, when wanted, a streaming
 	// byte hash of the node's own content followed by the children's

@@ -93,19 +93,34 @@ func (p *parser) checkSize() {
 // readInput reads r to its end, or to limit+1 bytes when limit is
 // positive — one byte more than allowed, so ParseBytes can tell an
 // input that fills the limit from one that exceeds it. A reader that
-// knows its length (bytes.Reader, strings.Reader, bytes.Buffer) gets a
-// buffer of that size instead of a grown one.
+// knows its length (bytes.Reader, strings.Reader, bytes.Buffer), or
+// reports a size hint as Len (the server's PUT body), gets a buffer of
+// that size instead of a grown one; past it the buffer grows as usual.
+// The buffer is sized only once the first byte has arrived: a hint may
+// be a claim (a request's declared length), and input that never comes
+// must not cost it.
 func readInput(r io.Reader, limit int64) ([]byte, error) {
-	var buf bytes.Buffer
+	n := 0
 	if sized, ok := r.(interface{ Len() int }); ok {
-		n := int64(sized.Len())
-		if limit > 0 && n > limit+1 {
-			n = limit + 1
+		n = sized.Len()
+		if limit > 0 && int64(n) > limit+1 {
+			n = int(limit + 1)
 		}
-		buf.Grow(int(n) + bytes.MinRead)
 	}
 	if limit > 0 {
 		r = io.LimitReader(r, limit+1)
+	}
+	var buf bytes.Buffer
+	if n > 0 {
+		var first [1]byte
+		if _, err := io.ReadFull(r, first[:]); err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return nil, err
+		}
+		buf.Grow(n + bytes.MinRead)
+		buf.WriteByte(first[0])
 	}
 	_, err := buf.ReadFrom(r)
 	return buf.Bytes(), err

@@ -4,6 +4,7 @@ import (
 	"encoding/xml"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -70,5 +71,42 @@ func TestParseReadsOnceUpToTheLimit(t *testing.T) {
 	var rf *readerFailure
 	if _, err := ParseWithOptions(failing, DefaultParseOptions()); !errors.As(err, &rf) || rf.at != 10 {
 		t.Errorf("reader error did not reach the caller: %v", err)
+	}
+}
+
+// hinted is a reader that claims n bytes as Len, whatever it holds.
+type hinted struct {
+	io.Reader
+	n int
+}
+
+func (h hinted) Len() int { return h.n }
+
+// TestReadInputSizesArrivingInput: a size hint sizes the buffer only
+// once input arrives. A reader claiming 64 MiB that ends, or fails,
+// before its first byte costs a few bytes; a hint shorter or longer
+// than the input reads exactly the input.
+func TestReadInputSizesArrivingInput(t *testing.T) {
+	const claim = 64 << 20
+	for _, r := range []io.Reader{strings.NewReader(""), iotest.ErrReader(&readerFailure{})} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		src, err := readInput(hinted{r, claim}, 0)
+		runtime.ReadMemStats(&after)
+		if len(src) != 0 {
+			t.Fatalf("read %d bytes from an empty reader", len(src))
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<10 {
+			t.Fatalf("a reader claiming %d bytes and holding none (error %v) allocated %d bytes", claim, err, grew)
+		}
+	}
+	const src = `<r><p>hello</p></r>`
+	for _, n := range []int{1, len(src) - 1, len(src), len(src) + 1, claim} {
+		for _, limit := range []int64{0, int64(len(src))} {
+			got, err := readInput(hinted{iotest.OneByteReader(strings.NewReader(src)), n}, limit)
+			if err != nil || string(got) != src {
+				t.Errorf("hint %d, limit %d: read %q, %v", n, limit, got, err)
+			}
+		}
 	}
 }

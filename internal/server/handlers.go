@@ -345,6 +345,31 @@ func (s *Server) parseOptions() dom.ParseOptions {
 	return opts
 }
 
+// maxBodyPrealloc caps the buffer a PUT body is read into once its
+// first byte has arrived: room for a large catalog (~150 KB) in one
+// allocation. A larger body grows the buffer as it comes.
+const maxBodyPrealloc = 256 << 10
+
+// bodySizeHint is how large a buffer to read a PUT body into: its
+// declared length, but never more than limit or maxBodyPrealloc. The
+// reader sizes the buffer only after the body's first byte arrives, so
+// a client that declares a large body and sends none costs the daemon
+// nothing, and one that sends a byte and stalls at most the cap. A
+// chunked or missing length (-1) gives no hint.
+func bodySizeHint(contentLength, limit int64) int {
+	return int(max(min(contentLength, limit, maxBodyPrealloc), 0))
+}
+
+// sizedBody is a request body that reports a size hint as Len, which
+// dom's reader sizes its buffer by; a hint that is wrong costs only the
+// growth a body without one gets.
+type sizedBody struct {
+	io.Reader
+	n int
+}
+
+func (b sizedBody) Len() int { return b.n }
+
 func (s *Server) handlePutDoc(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	// ?matcher= overrides the store's configured matcher for this PUT
@@ -355,7 +380,11 @@ func (s *Server) handlePutDoc(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	doc, err := dom.ParseWithOptions(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), s.parseOptions())
+	body := sizedBody{
+		Reader: http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes),
+		n:      bodySizeHint(r.ContentLength, s.cfg.MaxBodyBytes),
+	}
+	doc, err := dom.ParseWithOptions(body, s.parseOptions())
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -412,6 +414,140 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 	if h.quantile(0.99) < q {
 		t.Error("quantiles not monotone")
+	}
+}
+
+// TestBodySizeHint: the buffer a PUT body starts in is its declared
+// length, capped by the body limit and maxBodyPrealloc; a chunked body
+// (length -1) gets none.
+func TestBodySizeHint(t *testing.T) {
+	for _, tc := range []struct {
+		length, limit int64
+		want          int
+	}{
+		{150_000, 16 << 20, 150_000},
+		{0, 16 << 20, 0},
+		{-1, 16 << 20, 0},
+		{1 << 30, 16 << 20, maxBodyPrealloc},
+		{8192, 4096, 4096},
+	} {
+		if got := bodySizeHint(tc.length, tc.limit); got != tc.want {
+			t.Errorf("bodySizeHint(%d, %d) = %d, want %d", tc.length, tc.limit, got, tc.want)
+		}
+	}
+}
+
+// rawPut sends one PUT over a fresh connection as the bytes given after
+// the request line and Host header, half-closing it after them when
+// short is set (the body is shorter than declared), and returns the
+// response's status and body. A complete request is not half-closed:
+// the server takes end of input after a body for a client that left,
+// and cancels the request.
+func rawPut(t *testing.T, ts *httptest.Server, path, rest string, short bool) (int, string) {
+	t.Helper()
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "PUT "+path+" HTTP/1.1\r\nHost: test\r\nConnection: close\r\n"+rest); err != nil {
+		t.Fatal(err)
+	}
+	if short {
+		if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(b)
+}
+
+// TestPutBodyLengths: a body read by its declared length behaves as one
+// read without it. An exact body is stored; a body shorter than
+// declared is a 400; a longer one is cut at the declared length, which
+// is all the server reads; a chunked one is stored; a length the limit
+// cannot hold is a 413.
+func TestPutBodyLengths(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxBodyBytes: 4096})
+	doc := catalogV1
+	for _, tc := range []struct {
+		name, path, rest string
+		code             int
+		stored           string
+	}{
+		{"exact", "/docs/exact", fmt.Sprintf("Content-Length: %d\r\n\r\n%s", len(doc), doc), http.StatusCreated, doc},
+		{"shorter", "/docs/shorter", fmt.Sprintf("Content-Length: %d\r\n\r\n%s", len(doc)+100, doc), http.StatusBadRequest, ""},
+		{"longer", "/docs/longer", fmt.Sprintf("Content-Length: %d\r\n\r\n%s<extra/>", len(doc), doc), http.StatusCreated, doc},
+		{"chunked", "/docs/chunked", fmt.Sprintf("Transfer-Encoding: chunked\r\n\r\n%x\r\n%s\r\n%x\r\n%s\r\n0\r\n\r\n",
+			len(doc[:20]), doc[:20], len(doc[20:]), doc[20:]), http.StatusCreated, doc},
+		{"declared huge, sent little", "/docs/huge", fmt.Sprintf("Content-Length: %d\r\n\r\n%s", 1<<30, doc), http.StatusBadRequest, ""},
+		{"past the limit", "/docs/big", fmt.Sprintf("Content-Length: 5000\r\n\r\n<r>%s</r>", strings.Repeat("a", 5000-7)), http.StatusRequestEntityTooLarge, ""},
+	} {
+		code, body := rawPut(t, ts, tc.path, tc.rest, tc.code == http.StatusBadRequest)
+		if code != tc.code {
+			t.Fatalf("%s: status %d (%s), want %d", tc.name, code, body, tc.code)
+		}
+		if tc.stored == "" {
+			continue
+		}
+		if code, _, got := doReq(t, "GET", ts.URL+tc.path+"/versions/1", ""); code != http.StatusOK || got != tc.stored {
+			t.Fatalf("%s: stored %d %q, want %q", tc.name, code, got, tc.stored)
+		}
+	}
+}
+
+// TestPutBodyPreallocation: a PUT whose headers declare a 1 GiB body
+// and which then sends nothing makes the server hold no buffer for it;
+// once one byte arrives the buffer is at most maxBodyPrealloc, and when
+// the client gives up the request is a 400.
+func TestPutBodyPreallocation(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// The live heap, not bytes allocated: a race build allocates a grown
+	// buffer twice.
+	live := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := live()
+	if _, err := fmt.Fprintf(conn, "PUT /docs/huge HTTP/1.1\r\nHost: test\r\nContent-Length: %d\r\n\r\n", 1<<30); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(200 * time.Millisecond) // the handler waits for the body
+	if grew := live() - before; grew > maxBodyPrealloc/4 {
+		t.Fatalf("headers declaring 1 GiB and no body hold %d bytes", grew)
+	}
+	if _, err := io.WriteString(conn, "<"); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(200 * time.Millisecond)
+	if grew := live() - before; grew > maxBodyPrealloc+maxBodyPrealloc/4 {
+		t.Fatalf("one byte of a declared 1 GiB body holds %d bytes", grew)
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want %d", resp.StatusCode, http.StatusBadRequest)
 	}
 }
 

@@ -162,7 +162,7 @@ func TestSnapshotBytesMetrics(t *testing.T) {
 			t.Errorf("/healthz storage.%s = %v, want %d", key, h.Storage[key], v)
 		}
 	}
-	if h.Storage["format"] != "vstore-v2" {
-		t.Errorf("/healthz storage.format = %v, want vstore-v2", h.Storage["format"])
+	if h.Storage["format"] != "vstore-v3" {
+		t.Errorf("/healthz storage.format = %v, want vstore-v3", h.Storage["format"])
 	}
 }

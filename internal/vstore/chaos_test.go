@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"xydiff/internal/diff"
@@ -117,6 +118,14 @@ func TestScrubChaosMatrix(t *testing.T) {
 			// counter and the checksum manifest, the third is v1.xml.
 			armed.Countdown = 3
 		}},
+		{"bit-flip/snapshot-earlier-delta", true, func(t *testing.T, dir string, _ *faultfs.Fault) {
+			// alpha's first delta: its second is written against a chain
+			// that holds it, so it must be refused with it, never decoded.
+			path := filepath.Join(dir, shardDirName(0), docsDirName, "alpha", deltaFile(1))
+			if err := faultfs.FlipBit(faultfs.OS{}, path, 8, 3); err != nil {
+				t.Fatal(err)
+			}
+		}},
 	}
 
 	for _, sc := range scenarios {
@@ -155,6 +164,15 @@ func TestScrubChaosMatrix(t *testing.T) {
 				if rep.Found == 0 {
 					t.Fatalf("damage not detected in one cycle: %+v", rep)
 				}
+				if sc.name == "bit-flip/snapshot-earlier-delta" {
+					// The chain walk stops at the damaged part: the part
+					// after it is refused with it, never decoded.
+					for _, f := range rep.Findings {
+						if !strings.Contains(f.Reason, deltaFile(1)) || strings.Contains(f.Reason, deltaFile(2)) {
+							t.Fatalf("finding %q does not name the damaged %s alone", f.Reason, deltaFile(1))
+						}
+					}
+				}
 				if noRepair {
 					if rep.Quarantined == 0 || rep.Repaired != 0 {
 						t.Fatalf("quarantine mode outcome = %+v", rep)
@@ -176,8 +194,8 @@ func TestScrubChaosMatrix(t *testing.T) {
 					}
 					// Repair rewrites snapshots as compaction writes them.
 					for _, path := range contentFiles(t, dir) {
-						if data, err := os.ReadFile(path); err != nil || !bytes.HasPrefix(data, gzipHeader) {
-							t.Fatalf("%s after repair is not compressed (%v)", path, err)
+						if data, err := os.ReadFile(path); err != nil || !bytes.HasPrefix(data, dictHeader) {
+							t.Fatalf("%s after repair is not compressed as compaction writes it (%v)", path, err)
 						}
 					}
 				}

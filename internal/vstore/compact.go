@@ -17,9 +17,9 @@ import (
 //
 //  1. seal the active segment, so every on-disk segment is frozen;
 //  2. snapshot every document whose snapshot is behind, each file
-//     (content files gzip-compressed, snapfile.go) written to a temp
-//     name, fsynced, and renamed into place, with the version counter
-//     renamed last;
+//     (each content file compressed against the chain before it,
+//     snapfile.go) written to a temp name, fsynced, and renamed into
+//     place, with the version counter renamed last;
 //  3. only then retire (delete) the sealed segments.
 //
 // A crash at any point leaves either the segments (snapshot not yet
@@ -164,14 +164,15 @@ func (s *Store) compactShard(sh *shard) error {
 // path for a snapshot whose on-disk bytes rotted.
 //
 // The cut is taken under the document's read lock: stored parts never
-// change once appended, so compressing them and summing the chain run
-// with no lock held, and Puts and reads never wait on either. The
-// write lock is taken only to write the files, so the counter and
-// snapVersions move together. The cut is at or after the seal point
-// (covering makes sealed records redundant; covering more is harmless,
-// replay skips them). The caller holds sh.compactMu, as every writer of
-// snapVersions does, so the snapshot point read with the cut is still
-// current when the files go down.
+// change once appended, so compressing them (each delta's dictionary is
+// the cut's own chain) and summing the chain run with no lock held, and
+// Puts and reads never wait on either. The write lock is taken only to
+// write the files, so the counter and snapVersions move together. The
+// cut is at or after the seal point (covering makes sealed records
+// redundant; covering more is harmless, replay skips them). The caller
+// holds sh.compactMu, as every writer of snapVersions does, so the
+// snapshot point read with the cut is still current when the files go
+// down.
 func (s *Store) snapshotDoc(sh *shard, id string, st *docState, full bool) error {
 	st.mu.RLock()
 	versions, prev := st.versions, st.snapVersions
@@ -181,7 +182,8 @@ func (s *Store) snapshotDoc(sh *shard, id string, st *docState, full bool) error
 		return nil // nothing new to fold
 	}
 	// whole rewrites every content file; otherwise only the deltas the
-	// previous snapshot lacks are added.
+	// previous snapshot lacks are added. Each part is compressed against
+	// the chain before it, which the resident chain holds.
 	whole := full || prev == 0
 	type file struct {
 		name   string
@@ -189,16 +191,20 @@ func (s *Store) snapshotDoc(sh *shard, id string, st *docState, full bool) error
 		raw    int
 	}
 	var files []file
+	var tail chainTail
 	from := prev
 	if whole {
 		from = 1
-		files = append(files, file{"v1.xml", compressSnapshot(base), len(base)})
+		files = append(files, file{"v1.xml", compressPart(base, tail.b), len(base)})
 	}
+	tail.pushChain(base, deltas[:from-1])
 	for v := from; v < versions; v++ {
-		files = append(files, file{deltaFile(v), compressSnapshot(deltas[v-1]), len(deltas[v-1])})
+		d := deltas[v-1]
+		files = append(files, file{deltaFile(v), compressPart(d, tail.b), len(d)})
+		tail.push(d)
 	}
 	sums := snapshotSums(base, deltas)
-	if err := s.markCompressed(); err != nil {
+	if err := s.markFormat(); err != nil {
 		return err
 	}
 
@@ -216,13 +222,15 @@ func (s *Store) snapshotDoc(sh *shard, id string, st *docState, full bool) error
 	if err := writeAtomic(s.fs, filepath.Join(sub, sumsName), writeBytes(sums)); err != nil {
 		return err
 	}
-	var stored, raw int64
+	var counts snapBytes
+	if !whole {
+		counts = st.snap
+	}
 	for _, f := range files {
 		if err := writeAtomic(s.fs, filepath.Join(sub, f.name), writeBytes(f.stored)); err != nil {
 			return err
 		}
-		stored += int64(len(f.stored))
-		raw += int64(f.raw)
+		counts.add(encDict, len(f.stored), f.raw)
 	}
 	counter := func(w io.Writer) (int64, error) {
 		n, err := io.WriteString(w, strconv.Itoa(versions))
@@ -232,11 +240,7 @@ func (s *Store) snapshotDoc(sh *shard, id string, st *docState, full bool) error
 		return err
 	}
 	st.snapVersions = versions
-	if !whole {
-		stored += st.snapStored
-		raw += st.snapRaw
-	}
-	sh.setSnapshotBytes(st, stored, raw)
+	sh.setSnapshotBytes(st, counts)
 	return nil
 }
 

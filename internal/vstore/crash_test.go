@@ -141,16 +141,24 @@ func TestCrashMatrix(t *testing.T) {
 
 // TestCrashCompressingV1Directory crashes the filesystem at every
 // write, sync, rename, remove and open while a vstore-v1 directory
-// (raw snapshots, segment tails) gets its first compressed files, in
-// both orders: a checkpoint that rewrites the manifest and folds the
-// tails, and a full rewrite of every snapshot, the scrubber's repair
-// path, which turns raw files into compressed ones in place. Whatever
-// point the crash hits, a strict reopen serves every version
-// byte-identically: the manifest goes v2 before any compressed file
-// exists, and the checksum manifest, with lengths, lands before the
-// files it describes.
+// (raw snapshots, segment tails) gets its first compressed files, and
+// while a vstore-v2 one (gzip members, segment tails) gets its first
+// dictionary files, in both orders: a checkpoint that rewrites the
+// manifest and folds the tails, and a full rewrite of every snapshot,
+// the scrubber's repair path, which turns raw or gzip files into the
+// current encodings in place. Whatever point the crash hits, a strict
+// reopen serves every version (and every delta the fixture pins)
+// byte-identically: the manifest goes v3 before any new file exists,
+// and the checksum manifest, with lengths, lands before the files it
+// describes.
 func TestCrashCompressingV1Directory(t *testing.T) {
-	want := v1Digests(t)
+	for _, fixture := range []string{"v1", "v2"} {
+		crashCompressing(t, fixture)
+	}
+}
+
+func crashCompressing(t *testing.T, fixture string) {
+	want, deltas := fixtureDigests(t, fixture)
 	rewrite := func(s *Store) error {
 		for _, sh := range s.shards {
 			for id, st := range sh.docs {
@@ -182,7 +190,7 @@ func TestCrashCompressingV1Directory(t *testing.T) {
 		}
 		clean := faultfs.Wrap(faultfs.OS{})
 		before := map[faultfs.Op]int{}
-		workload(copyDir(t, filepath.Join("testdata", "v1", "store")), clean, func() {
+		workload(copyDir(t, filepath.Join("testdata", fixture, "store")), clean, func() {
 			for _, op := range ops {
 				before[op] = clean.Count(op)
 			}
@@ -190,14 +198,14 @@ func TestCrashCompressingV1Directory(t *testing.T) {
 		for _, op := range ops {
 			total := clean.Count(op) - before[op]
 			for k := 1; k <= total; k++ {
-				dir := copyDir(t, filepath.Join("testdata", "v1", "store"))
+				dir := copyDir(t, filepath.Join("testdata", fixture, "store"))
 				fault := &faultfs.Fault{Op: op, Crash: true} // armed once open
 				workload(dir, faultfs.Wrap(faultfs.OS{}, fault), func() { fault.Countdown = k })
 				s, err := Open(dir, diff.Options{}, Config{CompactSegments: -1})
 				if err != nil {
-					t.Fatalf("crash at %s #%d/%d: reopen: %v", op, k, total, err)
+					t.Fatalf("%s: crash at %s #%d/%d: reopen: %v", fixture, op, k, total, err)
 				}
-				checkServes(t, s, want)
+				checkServes(t, s, want, deltas)
 				s.Close()
 			}
 		}

@@ -119,11 +119,12 @@ func pinnedDigests(t *testing.T) map[string]map[string]string {
 
 // decodedView is a migrated file in the terms digests.txt was recorded
 // in, before snapshot content files were compressed: a content file's
-// decoded XML (which must be stored compressed), a checksum manifest
-// without its length column, and the engine marker with the format it
-// had then (which must now be vstore-v2). Every other file is as it
-// is. So the pins prove the conversion carries the same content, and
-// only its encoding on disk changed.
+// decoded XML (which must be stored compressed, and is decoded with the
+// rest of its chain, in chain order), a checksum manifest without its
+// length column, and the engine marker with the format it had then
+// (which must now be vstore-v3). Every other file is as it is. So the
+// pins prove the conversion carries the same content, and only its
+// encoding on disk changed.
 func decodedView(t *testing.T, dir, rel string, b []byte) []byte {
 	t.Helper()
 	name := filepath.Base(rel)
@@ -147,16 +148,19 @@ func decodedView(t *testing.T, dir, rel string, b []byte) []byte {
 		if !isCompressed(b) {
 			t.Fatalf("%s is not compressed", rel)
 		}
-		sub := filepath.Dir(filepath.Join(dir, filepath.FromSlash(rel)))
-		sums, err := readSums(faultfs.OS{}, sub)
+		st, err := loadSnapshot(faultfs.OS{}, filepath.Dir(filepath.Join(dir, filepath.FromSlash(rel))))
 		if err != nil {
 			t.Fatal(err)
 		}
-		part, err := decodeContent(sub, name, b, sums)
-		if err != nil {
-			t.Fatal(err)
+		if name == "v1.xml" {
+			return st.base
 		}
-		return part
+		for v, d := range st.deltas {
+			if deltaFile(v+1) == name {
+				return d
+			}
+		}
+		t.Fatalf("%s is not a part of its snapshot's chain", rel)
 	}
 	return b
 }

@@ -27,14 +27,17 @@ var ErrNeedsMigration = errors.New("vstore: directory uses the per-document stor
 
 const (
 	manifestName = "MANIFEST.json"
-	// manifestFormat marks a directory whose snapshot content files may
-	// be compressed; manifestFormatRaw one whose files are all raw XML,
-	// written before compression. Open accepts both and rewrites the
-	// latter to the former before the first compressed file is written.
-	manifestFormat    = "vstore-v2"
-	manifestFormatRaw = "vstore-v1"
-	shardDirFmt       = "shard-%03d"
-	docsDirName       = "docs"
+	// manifestFormat marks a directory whose delta files may be coded
+	// against the chain before them; manifestFormatGzip one whose
+	// content files are raw XML or gzip members, and manifestFormatRaw
+	// one whose files are all raw XML. Open accepts all three and
+	// rewrites an older marker to manifestFormat before compaction
+	// writes its first file.
+	manifestFormat     = "vstore-v3"
+	manifestFormatGzip = "vstore-v2"
+	manifestFormatRaw  = "vstore-v1"
+	shardDirFmt        = "shard-%03d"
+	docsDirName        = "docs"
 )
 
 // manifest is the engine marker at the directory root. The shard count
@@ -146,7 +149,8 @@ func loadOrCreateManifest(fsys faultfs.FS, dir string, shards int) (*manifest, e
 		if jerr := json.Unmarshal(raw, &m); jerr != nil {
 			return nil, corruptf(path, -1, jerr, "unparseable manifest")
 		}
-		if m.Format != manifestFormat && m.Format != manifestFormatRaw || m.Shards < 1 {
+		known := m.Format == manifestFormat || m.Format == manifestFormatGzip || m.Format == manifestFormatRaw
+		if !known || m.Shards < 1 {
 			return nil, corruptf(path, -1, nil, "unsupported manifest (format %q, %d shards)", m.Format, m.Shards)
 		}
 		return &m, nil
@@ -185,12 +189,12 @@ func writeManifest(fsys faultfs.FS, dir string, m *manifest) error {
 	return nil
 }
 
-// markCompressed rewrites a vstore-v1 manifest to vstore-v2; compaction
-// calls it before writing a compressed file. A build that reads only
-// raw snapshots then refuses the directory as an unsupported format,
-// instead of taking every compressed file for bit rot (and, opened
-// degraded, quarantining them).
-func (s *Store) markCompressed() error {
+// markFormat rewrites a vstore-v1 or vstore-v2 manifest to vstore-v3;
+// compaction calls it before writing a content file. A build that
+// cannot decode the files then refuses the directory as an unsupported
+// format, instead of taking them for bit rot (and, opened degraded,
+// quarantining them).
+func (s *Store) markFormat() error {
 	s.formatMu.Lock()
 	defer s.formatMu.Unlock()
 	if s.format == manifestFormat {
@@ -236,8 +240,7 @@ func (s *Store) recoverShard(sh *shard) error {
 			}
 			if st != nil {
 				sh.docs[id] = st
-				sh.stats.snapStored.Add(st.snapStored)
-				sh.stats.snapRaw.Add(st.snapRaw)
+				sh.stats.addSnapshot(st.snap, snapBytes{})
 				s.recovery.SnapshotVersions += st.versions
 			}
 		}
@@ -290,13 +293,15 @@ func (s *Store) recoverShard(sh *shard) error {
 }
 
 // loadSnapshot reads one document's snapshot directory into a chain of
-// raw parts: compressed content files are inflated, and every part is
-// checked against the checksum manifest when there is one, so bit rot
-// in a snapshot is caught at open, before a reader can be handed a
-// version built from it. Nothing is parsed. A directory without a
-// versions counter is not corrupt — it is a snapshot whose final
-// rename never happened (crash mid-compaction); the segments still
-// carry the document, so the half-snapshot is ignored.
+// raw parts: compressed content files are inflated in chain order, each
+// delta against the tail of the parts decoded before it, and every part
+// is checked against the checksum manifest when there is one, so bit
+// rot in a snapshot is caught at open, before a reader can be handed a
+// version built from it. The first bad part refuses the snapshot, so a
+// part after it is never decoded. Nothing is parsed. A directory
+// without a versions counter is not corrupt — it is a snapshot whose
+// final rename never happened (crash mid-compaction); the segments
+// still carry the document, so the half-snapshot is ignored.
 func loadSnapshot(fsys faultfs.FS, sub string) (*docState, error) {
 	counterPath := filepath.Join(sub, "versions")
 	raw, err := fsys.ReadFile(counterPath)
@@ -315,29 +320,32 @@ func loadSnapshot(fsys faultfs.FS, sub string) (*docState, error) {
 		return nil, err
 	}
 	st := &docState{versions: versions, snapVersions: versions}
+	var tail chainTail
 	load := func(name, what string) ([]byte, error) {
 		path := filepath.Join(sub, name)
 		data, err := fsys.ReadFile(path)
 		if err != nil {
 			return nil, corruptf(path, -1, err, "unreadable %s", what)
 		}
-		part, err := decodeContent(sub, name, data, sums)
+		part, err := decodeContent(sub, name, data, sums, tail.b)
 		if err != nil {
 			return nil, err
 		}
-		st.snapStored += int64(len(data))
-		st.snapRaw += int64(len(part))
+		st.snap.add(encodingOf(data), len(data), len(part))
 		return part, nil
 	}
 	if st.base, err = load("v1.xml", "base version"); err != nil {
 		return nil, err
 	}
+	prev := st.base
 	for v := 1; v < versions; v++ {
+		tail.push(prev)
 		d, err := load(deltaFile(v), fmt.Sprintf("delta %d", v))
 		if err != nil {
 			return nil, err
 		}
 		st.deltas = append(st.deltas, d)
+		prev = d
 	}
 	return st, nil
 }

@@ -266,12 +266,15 @@ func (s *Store) verifySnapshot(ctx context.Context, st *docState, sub string, th
 	if err != nil {
 		return err.Error(), false
 	}
+	// Each part's dictionary is the resident chain before it; the first
+	// bad part ends the check, so no later part is decoded.
+	var tail chainTail
 	check := func(name string, want []byte) (string, bool) {
 		data, bad := read(name)
 		if data == nil {
 			return bad, false
 		}
-		part, err := decodeContent(sub, name, data, sums)
+		part, err := decodeContent(sub, name, data, sums, tail.b)
 		if err != nil {
 			return err.Error(), false
 		}
@@ -283,8 +286,11 @@ func (s *Store) verifySnapshot(ctx context.Context, st *docState, sub string, th
 	if bad, ok := check("v1.xml", st.base); !ok {
 		return bad, false
 	}
+	prev := st.base
 	for v := 1; v < c; v++ {
-		if bad, ok := check(deltaFile(v), st.deltas[v-1]); !ok {
+		tail.push(prev)
+		prev = st.deltas[v-1]
+		if bad, ok := check(deltaFile(v), prev); !ok {
 			return bad, false
 		}
 	}
@@ -321,7 +327,7 @@ func (s *Store) snapshotDamage(sh *shard, id string, st *docState, sub string, r
 	// No snapshot on disk anymore: the next compaction pass writes a
 	// fresh full one from the resident chain.
 	st.snapVersions = 0
-	sh.setSnapshotBytes(st, 0, 0)
+	sh.setSnapshotBytes(st, snapBytes{})
 	st.mu.Unlock()
 	sh.compactMu.Unlock()
 	rep.Note(f)

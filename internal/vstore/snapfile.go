@@ -3,6 +3,7 @@ package vstore
 import (
 	"bytes"
 	"compress/gzip"
+	"compress/zlib"
 	"errors"
 	"fmt"
 	"io"
@@ -17,19 +18,36 @@ import (
 )
 
 // A snapshot content file (v1.xml, delta-NNNN.xml) holds one stored
-// part of a document's chain: raw XML as a snapshot written before
-// compression, or one gzip member as compaction writes it now. The
-// loader tells them apart by the gzip magic (1f 8b), which no XML
-// document can start with, so old and new files mix freely in one
-// directory. Only the files are compressed: the segment journal and
-// the resident chain stay raw, so the request path never inflates.
+// part of a document's chain in one of three encodings:
+//
+//   - raw XML, as snapshots were written before compression (vstore-v1)
+//     and as Migrate's legacy layout holds them;
+//   - one gzip member (RFC 1952), as compaction wrote every file under
+//     vstore-v2;
+//   - one zlib stream (RFC 1950) with a preset dictionary, as compaction
+//     writes every file now. The dictionary is the last dictSize bytes
+//     of the chain before the part: the decoded base and the deltas
+//     before it, concatenated, so empty for v1.xml. A document's small
+//     deltas repeat the vocabulary of its base and of one another,
+//     which a part compressed alone cannot refer back to.
+//
+// The loader tells them apart by the exact header compaction writes
+// or wrote (1f 8b for gzip, 78 bb for zlib with a dictionary at the
+// default level); no XML document starts with either, so the three
+// mix freely in one directory. A dictionary part decodes only after
+// every part before it, so loadSnapshot and the scrubber walk a chain
+// in order; that costs nothing, since a snapshot with any bad part is
+// refused whole. Only the files are compressed: the segment journal
+// and the resident chain stay raw, so the request path never inflates.
 //
 // The checksum manifest (sums) holds, per content file, the CRC-32C of
 // the decoded XML and its length. The CRC is the one snapshots carried
 // before compression, so an existing manifest stays valid for its raw
 // files; the length bounds decoding, so a damaged or hostile file can
 // never make the loader allocate more than the part's recorded size. A
-// compressed file without a recorded length is corrupt.
+// compressed file without a recorded length is corrupt. zlib's DICTID
+// and Adler-32 are checked on top, so a part met with a chain other
+// than the one it was written against is refused, never misread.
 
 // sumsName is the snapshot checksum manifest: one "<file> <crc32c>
 // <length>" line per snapshot content file. Recovery and the scrubber
@@ -38,16 +56,62 @@ import (
 // without a length come from before compression.
 const sumsName = "sums"
 
-// gzipHeader is the member header compressSnapshot writes: deflate, no
-// flags, no modification time, unknown OS. A compressed file must start
-// with exactly these bytes, so a flipped bit in a header field gzip
-// itself does not check is still found.
+// gzipHeader is the member header vstore-v2 compaction wrote: deflate,
+// no flags, no modification time, unknown OS. A gzip file must start with
+// exactly these bytes, so a flipped bit in a header field gzip itself
+// does not check is still found.
 var gzipHeader = []byte{0x1f, 0x8b, 8, 0, 0, 0, 0, 0, 0, 0xff}
+
+// dictHeader is the zlib header compressPart writes: deflate with a
+// 32 KiB window, a preset dictionary (FDICT) and the default level. Its
+// four-byte DICTID, the dictionary's Adler-32, follows.
+var dictHeader = []byte{0x78, 0xbb}
+
+// dictSize is how much of the chain before a part its preset
+// dictionary holds: deflate's whole window.
+const dictSize = 32 << 10
 
 // maxDeflateRatio bounds how many bytes one byte of deflate stream can
 // decode to (258-byte matches at one bit each, rounded up); a recorded
 // length beyond it cannot be the file's content.
 const maxDeflateRatio = 1032
+
+// encoding is how a content file stores its part.
+type encoding int
+
+const (
+	encRaw  encoding = iota // raw XML
+	encGzip                 // one gzip member
+	encDict                 // one zlib stream with the chain's preset dictionary
+	numEncodings
+)
+
+// encodingNames name the encodings in StorageStats and xystore inspect.
+var encodingNames = [numEncodings]string{"raw", "gzip", "dictionary"}
+
+// encodingOf tells a content file's encoding by its first two bytes.
+func encodingOf(data []byte) encoding {
+	switch {
+	case len(data) >= 2 && data[0] == gzipHeader[0] && data[1] == gzipHeader[1]:
+		return encGzip
+	case bytes.HasPrefix(data, dictHeader):
+		return encDict
+	}
+	return encRaw
+}
+
+// snapBytes counts a snapshot's content files: per encoding, how many
+// there are and their bytes on disk, and the bytes they all decode to.
+type snapBytes struct {
+	files, stored [numEncodings]int64
+	raw           int64
+}
+
+func (b *snapBytes) add(enc encoding, stored, raw int) {
+	b.files[enc]++
+	b.stored[enc] += int64(stored)
+	b.raw += int64(raw)
+}
 
 // sumEntry is one manifest line: the decoded content's CRC-32C and
 // length (-1 on a line written before the length was recorded).
@@ -57,46 +121,81 @@ type sumEntry struct {
 }
 
 var (
-	gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
 	gzipReaders = sync.Pool{New: func() any { return new(gzip.Reader) }}
+	dictReaders = sync.Pool{New: func() any { return new(dictReader) }}
 )
 
-// compressSnapshot encodes one content file at gzip's default level,
-// chosen by measurement over BestSpeed: a smaller output that also
-// inflates faster at reopen.
-func compressSnapshot(raw []byte) []byte {
-	zw := gzipWriters.Get().(*gzip.Writer)
-	defer gzipWriters.Put(zw)
+// compressPart encodes one content file as a zlib stream at the default
+// level whose preset dictionary is dict, the chain's tail before the
+// part (empty for the base). A flate writer keeps the dictionary it was
+// made with across Reset, so each part gets its own writer; compaction
+// runs off the request path.
+func compressPart(raw, dict []byte) []byte {
+	if dict == nil {
+		dict = []byte{} // nil would drop FDICT, and with it the header the loader requires
+	}
 	var buf bytes.Buffer
-	zw.Reset(&buf)
-	_, _ = zw.Write(raw) // a bytes.Buffer cannot fail
+	zw, _ := zlib.NewWriterLevelDict(&buf, zlib.DefaultCompression, dict) // only a bad level fails
+	_, _ = zw.Write(raw)                                                  // a bytes.Buffer cannot fail
 	_ = zw.Close()
 	return buf.Bytes()
 }
 
-// isCompressed reports whether a content file is a gzip member.
-func isCompressed(data []byte) bool {
-	return len(data) >= 2 && data[0] == gzipHeader[0] && data[1] == gzipHeader[1]
+// isCompressed reports whether a content file is a gzip member or a
+// dictionary stream.
+func isCompressed(data []byte) bool { return encodingOf(data) != encRaw }
+
+// dictReader is a pooled zlib decoder; r is nil until its first use,
+// since zlib has no way to make one without a stream to read.
+type dictReader struct{ r io.ReadCloser }
+
+func (d *dictReader) reset(src io.Reader, dict []byte) error {
+	if d.r == nil {
+		r, err := zlib.NewReaderDict(src, dict)
+		if err != nil {
+			return err
+		}
+		d.r = r
+		return nil
+	}
+	return d.r.(zlib.Resetter).Reset(src, dict)
 }
 
 // inflate decodes a compressed content file that must hold exactly size
-// bytes: it never decodes past size, and it refuses a header other than
-// the one compaction writes, a failed gzip trailer check and any bytes
-// after the member.
-func inflate(data []byte, size int64) ([]byte, error) {
-	if !bytes.HasPrefix(data, gzipHeader) {
-		return nil, errors.New("not the gzip header compaction writes")
+// bytes: a gzip member, or a zlib stream whose preset dictionary must
+// be dict. It never decodes past size, and it refuses a header other
+// than the ones compaction writes or wrote, a failed trailer check
+// (gzip's CRC-32 and length, zlib's Adler-32), a dictionary other than
+// dict, and any bytes after the stream.
+func inflate(data []byte, size int64, dict []byte) ([]byte, error) {
+	gz := bytes.HasPrefix(data, gzipHeader)
+	if !gz && !bytes.HasPrefix(data, dictHeader) {
+		return nil, errors.New("not a header compaction writes")
 	}
 	if size > maxDeflateRatio*int64(len(data)) {
 		return nil, fmt.Errorf("recorded length %d is more than %d compressed bytes can hold", size, len(data))
 	}
 	br := bytes.NewReader(data)
-	zr := gzipReaders.Get().(*gzip.Reader)
-	defer gzipReaders.Put(zr)
-	if err := zr.Reset(br); err != nil {
-		return nil, err
+	var zr io.Reader
+	if gz {
+		gr := gzipReaders.Get().(*gzip.Reader)
+		defer gzipReaders.Put(gr)
+		if err := gr.Reset(br); err != nil {
+			return nil, err
+		}
+		gr.Multistream(false)
+		zr = gr
+	} else {
+		dr := dictReaders.Get().(*dictReader)
+		defer dictReaders.Put(dr)
+		if err := dr.reset(br, dict); err != nil {
+			if errors.Is(err, zlib.ErrDictionary) {
+				return nil, fmt.Errorf("written against another chain: its dictionary is not the %d bytes before it", len(dict))
+			}
+			return nil, err
+		}
+		zr = dr.r
 	}
-	zr.Multistream(false)
 	out := make([]byte, size)
 	if _, err := io.ReadFull(zr, out); err != nil {
 		return nil, fmt.Errorf("reading the %d bytes recorded: %w", size, err)
@@ -114,8 +213,10 @@ func inflate(data []byte, size int64) ([]byte, error) {
 }
 
 // decodeContent returns the stored part a content file holds, verified
-// against the manifest: sums is nil when the snapshot has none.
-func decodeContent(sub, name string, data []byte, sums map[string]sumEntry) ([]byte, error) {
+// against the manifest: sums is nil when the snapshot has none, and
+// dict is the chain's tail before the part (chainTail), which a
+// dictionary part must have been written against.
+func decodeContent(sub, name string, data []byte, sums map[string]sumEntry, dict []byte) ([]byte, error) {
 	path := filepath.Join(sub, name)
 	e, listed := sums[name]
 	if sums != nil && !listed {
@@ -128,7 +229,7 @@ func decodeContent(sub, name string, data []byte, sums map[string]sumEntry) ([]b
 			return nil, corruptf(path, -1, nil, "compressed, but the checksum manifest records no length for it")
 		}
 		var err error
-		if content, err = inflate(data, e.size); err != nil {
+		if content, err = inflate(data, e.size, dict); err != nil {
 			return nil, corruptf(path, -1, err, "undecodable compressed content")
 		}
 	case listed && e.size >= 0 && int64(len(data)) != e.size:
@@ -140,6 +241,38 @@ func decodeContent(sub, name string, data []byte, sums map[string]sumEntry) ([]b
 		}
 	}
 	return content, nil
+}
+
+// chainTail keeps in b the last dictSize bytes of the chain parts
+// pushed into it, in order: the preset dictionary of the next delta
+// part. The decoders copy it, so it may move on once a part is coded.
+type chainTail struct{ b []byte }
+
+// push appends one part to the tail.
+func (t *chainTail) push(part []byte) {
+	if len(part) >= dictSize {
+		t.b = append(t.b[:0], part[len(part)-dictSize:]...)
+		return
+	}
+	if keep := dictSize - len(part); len(t.b) > keep {
+		t.b = t.b[:copy(t.b, t.b[len(t.b)-keep:])]
+	}
+	t.b = append(t.b, part...)
+}
+
+// pushChain pushes base and deltas, skipping the parts that end before
+// the tail's window.
+func (t *chainTail) pushChain(base []byte, deltas [][]byte) {
+	first, n := len(deltas), 0
+	for ; first > 0 && n < dictSize; first-- {
+		n += len(deltas[first-1])
+	}
+	if first == 0 && n < dictSize {
+		t.push(base)
+	}
+	for _, d := range deltas[first:] {
+		t.push(d)
+	}
 }
 
 // snapshotSums renders the manifest for base and deltas, the first

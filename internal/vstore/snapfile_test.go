@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"compress/gzip"
+	"compress/zlib"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -92,10 +94,12 @@ func servedVersions(t *testing.T, s *Store, ids ...string) map[string][]string {
 }
 
 // TestCheckpointCompressesSnapshots: every content file a checkpoint
-// writes is one gzip member with the fixed header, its manifest line
-// records the decoded length, the storage stats count the files'
-// bytes on disk and the parts they decode to, and after a reopen every
-// version reads back byte-identically and a scrub pass is clean.
+// writes is one zlib stream with the fixed header whose dictionary is
+// the chain before it — empty for v1.xml, whose DICTID is adler32("") —
+// its manifest line records the decoded length, the storage stats count
+// the files per encoding, their bytes on disk and the parts they decode
+// to, and after a reopen every version reads back byte-identically and
+// a scrub pass is clean.
 func TestCheckpointCompressesSnapshots(t *testing.T) {
 	ids := []string{"a", "b"}
 	s := chainStore(t, Config{Shards: 2}, catalogChain(t, 7000, 6), ids...)
@@ -117,14 +121,21 @@ func TestCheckpointCompressesSnapshots(t *testing.T) {
 		t.Fatalf("%d content files, want 12", len(files))
 	}
 	var stored int64
+	var byEnc [numEncodings]SnapshotEncoding
 	for _, path := range files {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.HasPrefix(data, gzipHeader) {
-			t.Fatalf("%s is not a gzip member with the fixed header: % x", path, data[:min(len(data), 10)])
+		header := dictHeader
+		if filepath.Base(path) == "v1.xml" {
+			header = append(bytes.Clone(dictHeader), 0, 0, 0, 1)
 		}
+		if !bytes.HasPrefix(data, header) {
+			t.Fatalf("%s does not start with the fixed header % x: % x", path, header, data[:min(len(data), 10)])
+		}
+		byEnc[encDict].Files++
+		byEnc[encDict].Bytes += int64(len(data))
 		stored += int64(len(data))
 		sums, err := os.ReadFile(filepath.Join(filepath.Dir(path), sumsName))
 		if err != nil {
@@ -140,6 +151,11 @@ func TestCheckpointCompressesSnapshots(t *testing.T) {
 	if ss.SnapshotStoredBytes != stored || ss.SnapshotRawBytes != raw {
 		t.Fatalf("stats say %d stored / %d raw; the files hold %d and decode to %d",
 			ss.SnapshotStoredBytes, ss.SnapshotRawBytes, stored, raw)
+	}
+	for enc, e := range ss.SnapshotEncodings {
+		if want := byEnc[enc]; e.Name != encodingNames[enc] || e.Files != want.Files || e.Bytes != want.Bytes {
+			t.Fatalf("stats count %+v, the files on disk %d files of %d bytes", e, want.Files, want.Bytes)
+		}
 	}
 	if stored*3 > raw {
 		t.Fatalf("%d raw bytes compressed only to %d", raw, stored)
@@ -159,77 +175,205 @@ func TestCheckpointCompressesSnapshots(t *testing.T) {
 	if got := servedVersions(t, s2, ids...); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatal("versions differ after checkpoint and reopen")
 	}
-	if ss2 := s2.StorageStats(); ss2.SnapshotStoredBytes != stored || ss2.SnapshotRawBytes != raw {
-		t.Fatalf("after reopen stats say %d stored / %d raw, want %d / %d",
-			ss2.SnapshotStoredBytes, ss2.SnapshotRawBytes, stored, raw)
+	if ss2 := s2.StorageStats(); ss2.SnapshotStoredBytes != stored || ss2.SnapshotRawBytes != raw ||
+		fmt.Sprint(ss2.SnapshotEncodings) != fmt.Sprint(ss.SnapshotEncodings) {
+		t.Fatalf("after reopen stats say %d stored / %d raw %v, want %d / %d %v",
+			ss2.SnapshotStoredBytes, ss2.SnapshotRawBytes, ss2.SnapshotEncodings, stored, raw, ss.SnapshotEncodings)
 	}
 	if rep, err := s2.ScrubPass(context.Background()); err != nil || rep.Found != 0 || rep.SnapshotsScanned != 2 {
 		t.Fatalf("scrub after reopen: %+v, %v", rep, err)
 	}
 }
 
-// TestInflateRefusesDamage: damage anywhere in a compressed file —
-// header fields gzip does not check included — and a recorded length
-// that disagrees with the content are refused.
+// TestInflateRefusesDamage: damage anywhere in a compressed file of
+// either kind — header fields gzip does not check included — a recorded
+// length that disagrees with the content, and a dictionary part met
+// with any dictionary but the one it was written against are refused.
 func TestInflateRefusesDamage(t *testing.T) {
 	raw := []byte(strings.Repeat("<item><name>x</name><price>$1</price></item>", 50))
-	good := compressSnapshot(raw)
+	dict := []byte(strings.Repeat("<catalog><item><name>y</name></item>", 40))
 	n := int64(len(raw))
-	if got, err := inflate(good, n); err != nil || !bytes.Equal(got, raw) {
-		t.Fatalf("inflate(good) = %d bytes, %v", len(got), err)
-	}
-	edit := func(mut func(b []byte) []byte) []byte { return mut(bytes.Clone(good)) }
-	flip := func(at int) []byte {
-		return edit(func(b []byte) []byte {
-			b[at] ^= 0x04
-			return b
-		})
-	}
-	for _, tc := range []struct {
+	type damage struct {
 		name string
 		data []byte
 		size int64
+		dict []byte
+	}
+	for _, kind := range []struct {
+		name    string
+		good    []byte
+		special func(good []byte, flip func(int) []byte) []damage
 	}{
-		{"torn tail", good[:len(good)-5], n},
-		{"torn mid-stream", good[:len(good)/2], n},
-		{"trailing byte", append(bytes.Clone(good), 0), n},
-		{"second member", append(bytes.Clone(good), good...), n},
-		{"modification time set", flip(4), n},
-		{"text flag set", flip(3), n},
-		{"os byte changed", flip(9), n},
-		{"deflate stream bit flip", flip(len(good) / 2), n},
-		{"trailer crc bit flip", flip(len(good) - 6), n},
-		{"trailer length bit flip", flip(len(good) - 2), n},
-		{"zeroed range", edit(func(b []byte) []byte {
-			copy(b[12:20], make([]byte, 8))
-			return b
-		}), n},
-		{"recorded length short", good, n - 1},
-		{"recorded length long", good, n + 1},
-		{"recorded length impossible", good, maxDeflateRatio*int64(len(good)) + 1},
+		{"gzip", gzipMember(raw), func(_ []byte, flip func(int) []byte) []damage {
+			return []damage{
+				{"modification time set", flip(4), n, dict},
+				{"text flag set", flip(3), n, dict},
+				{"os byte changed", flip(9), n, dict},
+			}
+		}},
+		{"dictionary", compressPart(raw, dict), func(good []byte, flip func(int) []byte) []damage {
+			return []damage{
+				{"another dictionary", good, n, []byte("<other/>")},
+				{"dictionary one byte short", good, n, dict[1:]},
+				{"no dictionary", good, n, nil},
+				{"level bits changed", flip(1), n, dict},
+				// FLEVEL 3 with FDICT and a check that holds: zlib accepts it.
+				{"another level's valid header", append([]byte{0x78, 0xf9}, good[2:]...), n, dict},
+				{"dictid bit flip", flip(3), n, dict},
+			}
+		}},
 	} {
-		if got, err := inflate(tc.data, tc.size); err == nil {
-			t.Errorf("%s: inflate returned %d bytes and no error", tc.name, len(got))
+		good := kind.good
+		if got, err := inflate(good, n, dict); err != nil || !bytes.Equal(got, raw) {
+			t.Fatalf("%s: inflate(good) = %d bytes, %v", kind.name, len(got), err)
+		}
+		edit := func(mut func(b []byte) []byte) []byte { return mut(bytes.Clone(good)) }
+		flip := func(at int) []byte {
+			return edit(func(b []byte) []byte {
+				b[at] ^= 0x04
+				return b
+			})
+		}
+		cases := []damage{
+			{"torn tail", good[:len(good)-5], n, dict},
+			{"torn mid-stream", good[:len(good)/2], n, dict},
+			{"trailing byte", append(bytes.Clone(good), 0), n, dict},
+			{"second stream", append(bytes.Clone(good), good...), n, dict},
+			{"deflate stream bit flip", flip(len(good) / 2), n, dict},
+			{"trailer bit flip", flip(len(good) - 2), n, dict},
+			{"bit flip six bytes from the end", flip(len(good) - 6), n, dict},
+			{"zeroed range", edit(func(b []byte) []byte {
+				copy(b[12:20], make([]byte, 8))
+				return b
+			}), n, dict},
+			{"recorded length short", good, n - 1, dict},
+			{"recorded length long", good, n + 1, dict},
+			{"recorded length impossible", good, maxDeflateRatio*int64(len(good)) + 1, dict},
+		}
+		for _, tc := range append(cases, kind.special(good, flip)...) {
+			if got, err := inflate(tc.data, tc.size, tc.dict); err == nil {
+				t.Errorf("%s, %s: inflate returned %d bytes and no error", kind.name, tc.name, len(got))
+			}
 		}
 	}
 }
 
-// TestInflateNeverDecodesPastRecordedLength: a small file inflating to
-// megabytes, whose manifest line claims a short length, is refused
-// having allocated about that length, not the bomb's size.
+// TestInflateNeverDecodesPastRecordedLength: a small file of either
+// kind inflating to megabytes, whose manifest line claims a short
+// length, is refused having allocated about that length, not the
+// bomb's size.
 func TestInflateNeverDecodesPastRecordedLength(t *testing.T) {
 	const bombSize = 8 << 20
-	bomb := compressSnapshot(make([]byte, bombSize))
-	inflate(compressSnapshot([]byte("<warm/>")), 7) // the reader pool holds one decoder
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := inflate(bomb, 1000)
-	runtime.ReadMemStats(&after)
-	if err == nil {
-		t.Fatal("an 8 MiB stream recorded as 1000 bytes inflated")
+	dict := []byte("<warm/>")
+	for _, compress := range []func([]byte) []byte{
+		gzipMember,
+		func(raw []byte) []byte { return compressPart(raw, dict) },
+	} {
+		bomb := compress(make([]byte, bombSize))
+		inflate(compress(dict), 7, dict) // the reader pool holds one decoder
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := inflate(bomb, 1000, dict)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatal("an 8 MiB stream recorded as 1000 bytes inflated")
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > bombSize/16 {
+			t.Fatalf("refusing the bomb (% x) allocated %d bytes", bomb[:2], grew)
+		}
 	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > bombSize/16 {
-		t.Fatalf("refusing the bomb allocated %d bytes", grew)
+}
+
+// TestChainTail: the tail after pushing parts one by one, or a whole
+// chain at once, is the last dictSize bytes of their concatenation.
+func TestChainTail(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		base := make([]byte, rng.Intn(3*dictSize))
+		rng.Read(base)
+		var deltas [][]byte
+		all := bytes.Clone(base)
+		for i := rng.Intn(6); i > 0; i-- {
+			d := make([]byte, rng.Intn([]int{10, 3000, 2 * dictSize}[rng.Intn(3)]))
+			rng.Read(d)
+			deltas = append(deltas, d)
+			all = append(all, d...)
+		}
+		want := all[max(len(all)-dictSize, 0):]
+		var one, whole chainTail
+		one.push(base)
+		for _, d := range deltas {
+			one.push(d)
+		}
+		whole.pushChain(base, deltas)
+		if !bytes.Equal(one.b, want) || !bytes.Equal(whole.b, want) {
+			t.Fatalf("trial %d: tails of %d and %d bytes, want the last %d of %d", trial, len(one.b), len(whole.b), len(want), len(all))
+		}
+	}
+}
+
+// TestDictionaryPartNeedsItsChain: a delta file moved, with its
+// manifest line, into another document's snapshot is refused as corrupt
+// naming it — its dictionary id is another chain's — strictly at open,
+// and quarantined with the document degraded when opened degraded.
+func TestDictionaryPartNeedsItsChain(t *testing.T) {
+	s, dir := openTest(t, Config{Shards: 1})
+	seedDoc(t, s, "a", 3)
+	if _, _, err := s.Put("b", parse(t, `<other><x>1</x></other>`)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Put("b", parse(t, `<other><x>2</x></other>`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	docs := filepath.Join(dir, shardDirName(0), docsDirName)
+	from, to := filepath.Join(docs, "b"), filepath.Join(docs, "a")
+	moved, err := os.ReadFile(filepath.Join(from, deltaFile(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(to, deltaFile(1)), moved, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fromSums, err := readSums(faultfs.OS{}, from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	toSums, err := os.ReadFile(filepath.Join(to, sumsName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	for _, line := range strings.Split(strings.TrimSpace(string(toSums)), "\n") {
+		if strings.HasPrefix(line, deltaFile(1)+" ") {
+			e := fromSums[deltaFile(1)]
+			line = fmt.Sprintf("%s %08x %d", deltaFile(1), e.crc, e.size)
+		}
+		lines = append(lines, line)
+	}
+	if err := os.WriteFile(filepath.Join(to, sumsName), []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(dir, diff.Options{}, Config{})
+	var ce *store.CorruptError
+	if !errors.As(err, &ce) || ce.File != filepath.Join(to, deltaFile(1)) || !strings.Contains(err.Error(), "another chain") {
+		t.Fatalf("Open = %v, want ErrCorrupt naming a's %s as written against another chain", err, deltaFile(1))
+	}
+	s2, err := Open(dir, diff.Options{}, Config{OpenDegraded: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if _, err := s2.Version("a", 1); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("Version after quarantine = %v, want ErrDegraded", err)
+	}
+	if n := s2.Versions("b"); n != 2 {
+		t.Fatalf("b has %d versions after a's snapshot was quarantined, want 2", n)
 	}
 }
 
@@ -326,15 +470,18 @@ func TestCheckpointDuringPuts(t *testing.T) {
 	}
 }
 
-// v1Digests reads testdata/v1/digests.txt: document → version → SHA-256.
-func v1Digests(t *testing.T) map[string][]string {
+// fixtureDigests reads testdata/<fixture>/digests.txt: document →
+// version → SHA-256 of the version as Version serializes it, and of the
+// delta from it to the next as MarshalText renders it ("" where the
+// fixture pins no delta).
+func fixtureDigests(t *testing.T, fixture string) (versions, deltas map[string][]string) {
 	t.Helper()
-	f, err := os.Open(filepath.Join("testdata", "v1", "digests.txt"))
+	f, err := os.Open(filepath.Join("testdata", fixture, "digests.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	out := make(map[string][]string)
+	versions, deltas = make(map[string][]string), make(map[string][]string)
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
@@ -342,20 +489,24 @@ func v1Digests(t *testing.T) map[string][]string {
 			continue
 		}
 		id := unescapeID(fields[0])
-		if v, err := strconv.Atoi(fields[1]); err != nil || v != len(out[id])+1 {
+		if v, err := strconv.Atoi(fields[1]); err != nil || v != len(versions[id])+1 || len(fields) > 4 {
 			t.Fatalf("bad digests line %q", sc.Text())
 		}
-		out[id] = append(out[id], fields[2])
+		versions[id] = append(versions[id], fields[2])
+		if len(fields) == 4 {
+			deltas[id] = append(deltas[id], fields[3])
+		}
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	return out
+	return versions, deltas
 }
 
 // checkServes fails unless s holds exactly the documents of want and
-// serves each version with the pinned digest.
-func checkServes(t *testing.T, s *Store, want map[string][]string) {
+// serves each version, and each delta in deltas, with the pinned
+// digest.
+func checkServes(t *testing.T, s *Store, want, deltas map[string][]string) {
 	t.Helper()
 	if len(s.IDs()) != len(want) {
 		t.Fatalf("store holds %v, want %d documents", s.IDs(), len(want))
@@ -374,6 +525,21 @@ func checkServes(t *testing.T, s *Store, want map[string][]string) {
 			}
 		}
 	}
+	for id, digests := range deltas {
+		for v, d := range digests {
+			dl, err := s.Delta(id, v+1)
+			if err != nil {
+				t.Fatalf("%s delta %d: %v", id, v+1, err)
+			}
+			body, err := dl.MarshalText()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := sha(body); got != d {
+				t.Fatalf("%s delta %d serves %s, pinned %s", id, v+1, got, d)
+			}
+		}
+	}
 }
 
 // checkScrubClean runs one scrub pass and fails on any finding.
@@ -389,18 +555,18 @@ func checkScrubClean(t *testing.T, s *Store) {
 // snapshot files were compressed (testdata/v1: raw snapshots, a
 // vstore-v1 manifest and a segment tail per shard) opens, serves every
 // version byte-identically and scrubs clean. Its manifest says
-// vstore-v2 once the first compressed file is written, and after one
+// vstore-v3 once the first compressed file is written, and after one
 // more Put and checkpoint it holds raw and compressed files side by
 // side and still reopens.
 func TestOpenVstoreV1Directory(t *testing.T) {
-	want := v1Digests(t)
+	want, _ := fixtureDigests(t, "v1")
 	dir := copyDir(t, filepath.Join("testdata", "v1", "store"))
 	cfg := Config{CompactSegments: -1}
 	s, err := Open(dir, diff.Options{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkServes(t, s, want)
+	checkServes(t, s, want, nil)
 	checkScrubClean(t, s)
 	if got := diskFormat(t, dir); got != manifestFormatRaw || s.StorageStats().Format != manifestFormatRaw {
 		t.Fatalf("before any compressed write the manifest says %q", got)
@@ -449,29 +615,142 @@ func TestOpenVstoreV1Directory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	checkServes(t, s2, want)
+	checkServes(t, s2, want, nil)
 	checkScrubClean(t, s2)
 }
 
-// FuzzSnapshotLoad opens a directory whose only snapshot content file
-// holds arbitrary bytes, with or without a manifest line recording a
-// fuzzed length (and the CRC of what the bytes hold). Open must succeed
-// or refuse with an ErrCorrupt naming that file, never panic, and a
-// compressed file that loads must decode to exactly the recorded
-// length.
+// TestOpenVstoreV2Directory: a directory the engine wrote with gzip
+// members only (testdata/v2: a vstore-v2 manifest, gzip snapshots and a
+// segment tail per shard) opens, serves every version and delta
+// byte-identically and scrubs clean. One checkpoint folds the tails
+// into dictionary files beside the gzip ones and re-marks the manifest
+// vstore-v3; the mixed directory still reconstructs, scrubs clean and
+// reopens.
+func TestOpenVstoreV2Directory(t *testing.T) {
+	want, deltas := fixtureDigests(t, "v2")
+	dir := copyDir(t, filepath.Join("testdata", "v2", "store"))
+	cfg := Config{CompactSegments: -1}
+	s, err := Open(dir, diff.Options{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkServes(t, s, want, deltas)
+	checkScrubClean(t, s)
+	if got := diskFormat(t, dir); got != manifestFormatGzip || s.StorageStats().Format != manifestFormatGzip {
+		t.Fatalf("before any write the manifest says %q", got)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := diskFormat(t, dir); got != manifestFormat {
+		t.Fatalf("after a checkpoint the manifest says %q", got)
+	}
+	checkServes(t, s, want, deltas)
+	checkScrubClean(t, s)
+	encs := s.StorageStats().SnapshotEncodings
+	if encs[encRaw].Files != 0 || encs[encGzip].Files == 0 || encs[encDict].Files == 0 {
+		t.Fatalf("snapshot files by encoding %v, want gzip and dictionary side by side", encs)
+	}
+	checkSnapshotBytes(t, s, dir)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir, diff.Options{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	checkServes(t, s2, want, deltas)
+	checkScrubClean(t, s2)
+	if got := s2.StorageStats().SnapshotEncodings; fmt.Sprint(got) != fmt.Sprint(encs) {
+		t.Fatalf("after reopen snapshot files by encoding %v, before %v", got, encs)
+	}
+}
+
+// gzipMember encodes raw as one gzip member with the header vstore-v2
+// compaction wrote, as a fixture for the gzip reader.
+func gzipMember(raw []byte) []byte {
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	_, _ = zw.Write(raw) // a bytes.Buffer cannot fail
+	_ = zw.Close()
+	return buf.Bytes()
+}
+
+// stdDecode is what a content file holds, read by the standard library
+// with no check of gzip's header fields and a generous bound: a gzip
+// member, a zlib stream with dict as its dictionary, or else the bytes
+// themselves.
+func stdDecode(data, dict []byte) []byte {
+	var zr io.Reader
+	switch encodingOf(data) {
+	case encGzip:
+		gr, err := gzip.NewReader(bytes.NewReader(data))
+		if err != nil {
+			return data
+		}
+		gr.Multistream(false)
+		zr = gr
+	case encDict:
+		r, err := zlib.NewReaderDict(bytes.NewReader(data), dict)
+		if err != nil {
+			return data
+		}
+		zr = r
+	default:
+		return data
+	}
+	b, err := io.ReadAll(io.LimitReader(zr, 1<<20))
+	if err != nil {
+		return data
+	}
+	return b
+}
+
+// FuzzSnapshotLoad opens a directory whose snapshot holds arbitrary
+// bytes in v1.xml and, when part is not empty, in delta-0001.xml, with
+// or without a manifest recording fuzzed lengths (and the CRC of what
+// each file holds, the delta read with the last 32 KiB of what v1.xml
+// holds as its dictionary). Open must succeed or refuse with an
+// ErrCorrupt naming one of the two files, never panic; it names the
+// delta only when v1.xml alone decodes. A compressed file that loads
+// must decode to exactly its recorded length and to what it holds.
 func FuzzSnapshotLoad(f *testing.F) {
 	raw := []byte(`<doc><rev>1</rev><body>payload 1</body></doc>`)
-	z := compressSnapshot(raw)
-	f.Add(z, true, uint32(len(raw)))
-	f.Add(z, false, uint32(len(raw)))
-	f.Add(z, true, uint32(len(raw)+1))
-	f.Add(z[:len(z)-3], true, uint32(len(raw)))
-	f.Add(append(bytes.Clone(z), z...), true, uint32(len(raw)))
-	f.Add(raw, true, uint32(len(raw)))
-	f.Add(raw, false, uint32(0))
-	f.Add(compressSnapshot(nil), false, uint32(0))
-	f.Add(compressSnapshot(make([]byte, 1<<16)), true, uint32(64))
-	f.Fuzz(func(t *testing.T, data []byte, withSums bool, size uint32) {
+	z, gz := compressPart(raw, nil), gzipMember(raw)
+	none := []byte{}
+	for _, base := range [][]byte{z, gz} {
+		f.Add(base, true, uint32(len(raw)), none, uint32(0))
+		f.Add(base, false, uint32(len(raw)), none, uint32(0))
+		f.Add(base, true, uint32(len(raw)+1), none, uint32(0))
+		f.Add(base[:len(base)-3], true, uint32(len(raw)), none, uint32(0))
+		f.Add(append(bytes.Clone(base), base...), true, uint32(len(raw)), none, uint32(0))
+	}
+	f.Add(raw, true, uint32(len(raw)), none, uint32(0))
+	f.Add(raw, false, uint32(0), none, uint32(0))
+	f.Add(compressPart(nil, nil), false, uint32(0), none, uint32(0))
+	f.Add(gzipMember(make([]byte, 1<<16)), true, uint32(64), none, uint32(0))
+	f.Add(compressPart(make([]byte, 1<<16), nil), true, uint32(64), none, uint32(0))
+	f.Add(compressPart(raw, []byte(`<other/>`)), true, uint32(len(raw)), none, uint32(0))
+	// Dictionary parts: a good one after a raw, a gzip and a dictionary
+	// base, one written against another chain (wrong DICTID), one after a
+	// damaged base, bytes after the stream, a recorded length the stream
+	// cannot hold, no manifest, and a base longer than the dictionary.
+	d := []byte(`<delta><update xid="3"><old>payload 1</old><new>payload 2</new></update></delta>`)
+	dz := compressPart(d, raw)
+	damaged := bytes.Clone(z)
+	damaged[len(damaged)/2] ^= 0x10
+	big := []byte(strings.Repeat(`<item><rev>1</rev><body>payload 1</body></item>`, 1000))
+	f.Add(raw, true, uint32(len(raw)), dz, uint32(len(d)))
+	f.Add(gz, true, uint32(len(raw)), dz, uint32(len(d)))
+	f.Add(z, true, uint32(len(raw)), dz, uint32(len(d)))
+	f.Add(z, true, uint32(len(raw)), compressPart(d, []byte(`<other/>`)), uint32(len(d)))
+	f.Add(damaged, true, uint32(len(raw)), dz, uint32(len(d)))
+	f.Add(z, true, uint32(len(raw)), append(bytes.Clone(dz), 0), uint32(len(d)))
+	f.Add(z, true, uint32(len(raw)), dz, uint32(maxDeflateRatio*len(dz)+1))
+	f.Add(z, false, uint32(len(raw)), dz, uint32(len(d)))
+	f.Add(compressPart(big, nil), true, uint32(len(big)), compressPart(d, big[len(big)-dictSize:]), uint32(len(d)))
+	f.Fuzz(func(t *testing.T, data []byte, withSums bool, size uint32, part []byte, partSize uint32) {
 		dir := t.TempDir()
 		sub := filepath.Join(dir, shardDirName(0), docsDirName, "doc")
 		if err := os.MkdirAll(sub, 0o755); err != nil {
@@ -480,20 +759,18 @@ func FuzzSnapshotLoad(f *testing.F) {
 		if err := writeManifest(faultfs.OS{}, dir, &manifest{Format: manifestFormat, Shards: 1}); err != nil {
 			t.Fatal(err)
 		}
-		// What the file holds, read by the standard library with no
-		// header check and a generous bound.
-		holds := data
-		if isCompressed(data) {
-			if zr, err := gzip.NewReader(bytes.NewReader(data)); err == nil {
-				zr.Multistream(false)
-				if b, err := io.ReadAll(io.LimitReader(zr, 1<<20)); err == nil {
-					holds = b
-				}
-			}
-		}
+		holds := stdDecode(data, nil)
 		files := map[string]string{"versions": "1", "v1.xml": string(data)}
+		sums := fmt.Sprintf("v1.xml %08x %d\n", scrub.Checksum(holds), size)
+		var partHolds []byte
+		if len(part) > 0 {
+			partHolds = stdDecode(part, holds[max(len(holds)-dictSize, 0):])
+			files["versions"] = "2"
+			files[deltaFile(1)] = string(part)
+			sums += fmt.Sprintf("%s %08x %d\n", deltaFile(1), scrub.Checksum(partHolds), partSize)
+		}
 		if withSums {
-			files[sumsName] = fmt.Sprintf("v1.xml %08x %d\n", scrub.Checksum(holds), size)
+			files[sumsName] = sums
 		}
 		for name, content := range files {
 			if err := os.WriteFile(filepath.Join(sub, name), []byte(content), 0o644); err != nil {
@@ -503,22 +780,41 @@ func FuzzSnapshotLoad(f *testing.F) {
 		s, err := Open(dir, diff.Options{}, Config{Shards: 1, CompactSegments: -1})
 		if err != nil {
 			var ce *store.CorruptError
-			if !errors.As(err, &ce) || ce.File != filepath.Join(sub, "v1.xml") {
-				t.Fatalf("Open = %v, want ErrCorrupt naming v1.xml", err)
+			switch {
+			case !errors.As(err, &ce):
+				t.Fatalf("Open = %v, want ErrCorrupt", err)
+			case ce.File == filepath.Join(sub, "v1.xml"):
+			case ce.File == filepath.Join(sub, deltaFile(1)) && len(part) > 0:
+				// The delta is refused only after v1.xml decoded.
+				parsed, _ := parseSums([]byte(sums))
+				if !withSums {
+					parsed = nil
+				}
+				if _, berr := decodeContent(sub, "v1.xml", data, parsed, nil); berr != nil {
+					t.Fatalf("Open refused %s, but v1.xml before it does not decode: %v", deltaFile(1), berr)
+				}
+			default:
+				t.Fatalf("Open = %v, want ErrCorrupt naming v1.xml or %s", err, deltaFile(1))
 			}
 			return
 		}
 		defer s.Close()
-		base := s.shards[0].docs["doc"].base
-		switch {
-		case !isCompressed(data):
-			if !bytes.Equal(base, data) {
-				t.Fatal("a raw file loaded as different bytes")
+		st := s.shards[0].docs["doc"]
+		check := func(name string, got, data, holds []byte, size uint32) {
+			switch {
+			case !isCompressed(data):
+				if !bytes.Equal(got, data) {
+					t.Fatalf("raw %s loaded as different bytes", name)
+				}
+			case !withSums:
+				t.Fatalf("compressed %s with no recorded length loaded", name)
+			case int64(len(got)) != int64(size) || !bytes.Equal(got, holds):
+				t.Fatalf("%s loaded %d bytes, recorded length %d", name, len(got), size)
 			}
-		case !withSums:
-			t.Fatal("a compressed file with no recorded length loaded")
-		case int64(len(base)) != int64(size) || !bytes.Equal(base, holds):
-			t.Fatalf("loaded %d bytes, recorded length %d", len(base), size)
+		}
+		check("v1.xml", st.base, data, holds, size)
+		if len(part) > 0 {
+			check(deltaFile(1), st.deltas[0], part, partHolds, partSize)
 		}
 	})
 }

@@ -37,17 +37,29 @@ type shardCounters struct {
 	rejected      atomic.Int64 // Puts shed with ErrBusy
 	quarantined   atomic.Int64 // files the scrubber (or recovery) set aside
 	degraded      atomic.Int64 // documents currently serving degraded
-	snapStored    atomic.Int64 // snapshot content file bytes on disk
-	snapRaw       atomic.Int64 // bytes those files decode to
+	// Snapshot content files per encoding, their bytes on disk, and the
+	// bytes they all decode to.
+	snapFiles, snapStored [numEncodings]atomic.Int64
+	snapRaw               atomic.Int64
 }
 
-// setSnapshotBytes records st's snapshot content file sizes, moving
-// the shard's totals by the difference; the caller holds st.mu
+// addSnapshot moves the shard's snapshot totals by b minus old, one Add
+// per counter, so a concurrent reader never sees a total drop by a
+// snapshot that is being replaced.
+func (c *shardCounters) addSnapshot(b, old snapBytes) {
+	for enc := range numEncodings {
+		c.snapFiles[enc].Add(b.files[enc] - old.files[enc])
+		c.snapStored[enc].Add(b.stored[enc] - old.stored[enc])
+	}
+	c.snapRaw.Add(b.raw - old.raw)
+}
+
+// setSnapshotBytes records what st's snapshot content files hold,
+// moving the shard's totals by the difference; the caller holds st.mu
 // (write).
-func (sh *shard) setSnapshotBytes(st *docState, stored, raw int64) {
-	sh.stats.snapStored.Add(stored - st.snapStored)
-	sh.stats.snapRaw.Add(raw - st.snapRaw)
-	st.snapStored, st.snapRaw = stored, raw
+func (sh *shard) setSnapshotBytes(st *docState, b snapBytes) {
+	sh.stats.addSnapshot(b, st.snap)
+	st.snap = b
 }
 
 // DurabilityStats aggregates every shard's counters: the journal
@@ -172,13 +184,26 @@ type StorageStats struct {
 	Format string
 	// SnapshotStoredBytes is the size on disk of every snapshot content
 	// file (v1.xml, delta-NNNN.xml), compressed or raw;
-	// SnapshotRawBytes what they decode to.
+	// SnapshotRawBytes what they decode to. SnapshotEncodings splits the
+	// files and their bytes on disk by encoding: raw, gzip and
+	// dictionary, in that order.
 	SnapshotStoredBytes int64
 	SnapshotRawBytes    int64
+	SnapshotEncodings   []SnapshotEncoding
 	// Scrub is the integrity scrubber's cumulative accounting.
 	Scrub ScrubStats
 	// PerShard has one entry per shard, in shard order.
 	PerShard []ShardStats
+}
+
+// SnapshotEncoding counts the snapshot content files of one encoding.
+type SnapshotEncoding struct {
+	// Name is "raw" (XML as is), "gzip" (one gzip member) or
+	// "dictionary" (one zlib stream whose preset dictionary is the
+	// chain before the part).
+	Name string
+	// Files is how many content files use it; Bytes their size on disk.
+	Files, Bytes int64
 }
 
 // MeanBatch returns the mean records per group commit (0 when none
@@ -230,6 +255,9 @@ func (s *Store) StorageStats() StorageStats {
 			LastSeconds:     float64(s.stats.scrubLastNanos.Load()) / 1e9,
 		},
 	}
+	for _, name := range encodingNames {
+		out.SnapshotEncodings = append(out.SnapshotEncodings, SnapshotEncoding{Name: name})
+	}
 	for _, sh := range s.shards {
 		sh.mu.RLock()
 		docs := len(sh.docs)
@@ -259,7 +287,12 @@ func (s *Store) StorageStats() StorageStats {
 		out.SealedSegments += ss.SealedSegments
 		out.DegradedDocs += ss.DegradedDocs
 		out.Quarantined += ss.Quarantined
-		out.SnapshotStoredBytes += sh.stats.snapStored.Load()
+		for enc := range numEncodings {
+			e, stored := &out.SnapshotEncodings[enc], sh.stats.snapStored[enc].Load()
+			e.Files += sh.stats.snapFiles[enc].Load()
+			e.Bytes += stored
+			out.SnapshotStoredBytes += stored
+		}
 		out.SnapshotRawBytes += sh.stats.snapRaw.Load()
 		if ss.MaxBatch > out.MaxBatch {
 			out.MaxBatch = ss.MaxBatch

@@ -19,10 +19,10 @@
 //   - Background compaction folds sealed segments into per-document
 //     snapshots and retires them, in strict write → fsync → rename →
 //     retire order (the xyvet segorder analyzer enforces the ordering
-//     in this package's source). Compaction gzips each snapshot content
-//     file it writes; the segment journal, the Put path and the
-//     resident chains stay raw, so only recovery and the scrubber ever
-//     inflate (snapfile.go).
+//     in this package's source). Compaction compresses each snapshot
+//     content file it writes against the chain before it;
+//     the segment journal, the Put path and the resident chains stay
+//     raw, so only recovery and the scrubber ever inflate (snapfile.go).
 //   - Materialized current versions live in a bounded LRU, so
 //     reconstruction cost is paid once per cache residency, not once
 //     per read. A tree the LRU evicts is kept as a keyframe, its
@@ -35,18 +35,21 @@
 //	MANIFEST.json                    engine marker: format + shard count
 //	shard-000/seg-00000001.log       segment journal (many documents), raw
 //	shard-000/docs/<escaped id>/     per-document snapshot:
-//	    v1.xml                       version 1, one gzip member
-//	    delta-0001.xml ...           delta n → n+1, one gzip member each
+//	    v1.xml                       version 1, one zlib stream with
+//	                                 an empty preset dictionary
+//	    delta-0001.xml ...           delta n → n+1, one zlib stream each,
+//	                                 its preset dictionary the last
+//	                                 32 KiB of the chain before it
 //	    sums                         "<file> <crc32c> <length>" of the
 //	                                 decoded parts, per content file
 //	    versions                     version counter, renamed last
 //
-// The format marker is "vstore-v2". A "vstore-v1" directory, whose
-// content files are all raw XML, opens as it is; the marker is
-// rewritten to v2 before the first compressed file lands, so a build
-// that cannot inflate refuses the directory instead of reading gzip as
-// bit rot. Raw and compressed content files mix freely: the loader
-// tells them apart by the gzip magic.
+// The format marker is "vstore-v3". A "vstore-v1" directory (content
+// files all raw XML) or "vstore-v2" one (gzip members) opens as it is;
+// the marker is rewritten to v3 before the first file compaction
+// writes lands, so a build that cannot decode the newer files refuses
+// the directory instead of reading them as bit rot. Every encoding
+// mixes freely: the loader tells them apart by their headers.
 //
 // Open("") keeps the chains in memory only, for callers that need no
 // durability. A directory in the old per-document layout
@@ -214,9 +217,9 @@ type docState struct {
 	// snapVersions is how many versions the on-disk snapshot covers
 	// (0 when the document has never been compacted).
 	snapVersions int
-	// snapStored and snapRaw are the bytes of the snapshot's content
-	// files on disk and of the parts they decode to.
-	snapStored, snapRaw int64
+	// snap counts the snapshot's content files, their bytes on disk and
+	// the bytes of the parts they decode to.
+	snap snapBytes
 	// degraded marks a document with a quarantined slice of history:
 	// versions 1..versions are intact and keep serving, anything beyond
 	// answers with ErrDegraded instead of a 404 or a 500. Puts keep

@@ -46,19 +46,6 @@ func NewAllocator(next int64) *Allocator {
 	return &Allocator{next: next}
 }
 
-// AllocatorFor returns an allocator positioned after the largest XID
-// present in the document.
-func AllocatorFor(doc *dom.Node) *Allocator {
-	var max int64
-	dom.WalkPre(doc, func(n *dom.Node) bool {
-		if n.XID > max {
-			max = n.XID
-		}
-		return true
-	})
-	return &Allocator{next: max + 1}
-}
-
 // Next returns a fresh XID.
 func (a *Allocator) Next() int64 {
 	x := a.next

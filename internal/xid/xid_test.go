@@ -45,11 +45,6 @@ func TestAllocator(t *testing.T) {
 	if NewAllocator(-3).Next() != 1 {
 		t.Error("allocator should clamp to 1")
 	}
-	d := doc(t, `<a><b/></a>`)
-	Assign(d)
-	if got := AllocatorFor(d).Next(); got != 4 {
-		t.Errorf("AllocatorFor next = %d, want 4", got)
-	}
 }
 
 func TestOfContiguous(t *testing.T) {
