@@ -41,19 +41,28 @@ type Subscription struct {
 	Contains string
 }
 
-// Alert reports that one delta operation matched one subscription.
+// Alert reports that one delta operation matched one subscription. It
+// names the operation rather than holding it: the op is Ops[OpIndex] of
+// the delta that produced Version (stored delta Version-1), of kind Kind
+// about node XID. So an alert, however long it is kept, pins no subtree
+// of the delta; a caller that wants the op's content reads that delta.
 type Alert struct {
 	SubID   string
 	DocID   string
 	Version int
-	Op      delta.Op
+	Kind    delta.Kind
+	// OpIndex is the operation's position in the delta's Ops. An int32
+	// fits beside Kind, so naming the op exactly costs an alert no bytes.
+	OpIndex int32
+	// XID is the operation's target, delta.Op.TargetXID.
+	XID int64
 	// Path locates the affected node (in the new version when it still
 	// exists, in the old version for deletions).
 	Path string
 }
 
 func (a Alert) String() string {
-	return fmt.Sprintf("[%s] %s v%d: %s at %s", a.SubID, a.DocID, a.Version, a.Op.Kind(), a.Path)
+	return fmt.Sprintf("[%s] %s v%d: %s at %s", a.SubID, a.DocID, a.Version, a.Kind, a.Path)
 }
 
 // Alerter evaluates subscriptions against deltas. It is safe for
@@ -195,9 +204,10 @@ func (a *Alerter) NotifyResolved(docID string, newVersion int, t *delta.Targets)
 	var sets [][2]*xpathlite.MatchSet
 	var alerts []Alert
 	for i, op := range t.Delta.Ops {
+		kind := op.Kind()
 		plans := c.anyKind
-		if k := int(op.Kind()); k < len(c.byKind) {
-			plans = c.byKind[k]
+		if int(kind) < len(c.byKind) {
+			plans = c.byKind[kind]
 		}
 		if len(plans) == 0 {
 			continue
@@ -205,7 +215,7 @@ func (a *Alerter) NotifyResolved(docID string, newVersion int, t *delta.Targets)
 		// The operation is about a node of the new version when it
 		// still exists there; deletes are about the old version.
 		node, side, doc := t.New[i], 1, t.NewDoc
-		if node == nil || op.Kind() == delta.KindDelete {
+		if node == nil || kind == delta.KindDelete {
 			node, side, doc = t.Old[i], 0, t.OldDoc
 		}
 		// A text node's value belongs, for subscribers, to its element:
@@ -248,7 +258,7 @@ func (a *Alerter) NotifyResolved(docID string, newVersion int, t *delta.Targets)
 			if alerts == nil {
 				alerts = make([]Alert, 0, len(t.Delta.Ops)-i)
 			}
-			alerts = append(alerts, Alert{SubID: p.id, DocID: docID, Version: newVersion, Op: op, Path: path})
+			alerts = append(alerts, Alert{SubID: p.id, DocID: docID, Version: newVersion, Kind: kind, XID: op.TargetXID(), OpIndex: int32(i), Path: path})
 		}
 	}
 	if len(alerts) > 0 {

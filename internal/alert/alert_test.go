@@ -3,13 +3,14 @@ package alert
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"xydiff/internal/changesim"
 	"xydiff/internal/delta"
+	"xydiff/internal/delta/deltatest"
 	"xydiff/internal/diff"
 	"xydiff/internal/dom"
 	"xydiff/internal/xpathlite"
@@ -48,7 +49,7 @@ func TestNotifyNewProductSubscription(t *testing.T) {
 		t.Fatalf("alerts = %v, want 1", alerts)
 	}
 	al := alerts[0]
-	if al.SubID != "new-products" || al.Op.Kind() != delta.KindInsert {
+	if al.SubID != "new-products" || al.Kind != delta.KindInsert {
 		t.Errorf("unexpected alert %v", al)
 	}
 	if !strings.Contains(al.Path, "Product") {
@@ -229,7 +230,7 @@ func TestQuerySubscriptionTextUpdateFallsBackToParent(t *testing.T) {
 // subscription, a full xpathlite Select per operation and query. It is
 // kept here, sharing nothing with Notify but contentContains and
 // kindMatches, so the tests below can hold the fast path to its exact
-// output (order, Path and Op included).
+// output (order, Path, Kind, XID and OpIndex included).
 
 func notifyReference(subs []Subscription, docID string, newVersion int, oldDoc, newDoc *dom.Node, d *delta.Delta) []Alert {
 	if d.Empty() || len(subs) == 0 {
@@ -238,7 +239,7 @@ func notifyReference(subs []Subscription, docID string, newVersion int, oldDoc, 
 	oldIdx := indexXIDs(oldDoc)
 	newIdx := indexXIDs(newDoc)
 	var alerts []Alert
-	for _, op := range d.Ops {
+	for i, op := range d.Ops {
 		node, path := locate(op, oldIdx, newIdx)
 		for _, s := range subs {
 			if s.DocID != "" && s.DocID != docID {
@@ -257,7 +258,7 @@ func notifyReference(subs []Subscription, docID string, newVersion int, oldDoc, 
 			if s.Contains != "" && !contentContains(op, node, s.Contains) {
 				continue
 			}
-			alerts = append(alerts, Alert{SubID: s.ID, DocID: docID, Version: newVersion, Op: op, Path: path})
+			alerts = append(alerts, Alert{SubID: s.ID, DocID: docID, Version: newVersion, Kind: op.Kind(), XID: op.TargetXID(), OpIndex: int32(i), Path: path})
 		}
 	}
 	return alerts
@@ -458,9 +459,8 @@ func equalAlerts(a, b []Alert) error {
 		return fmt.Errorf("%d alerts, reference has %d", len(a), len(b))
 	}
 	for i := range a {
-		if a[i].SubID != b[i].SubID || a[i].DocID != b[i].DocID || a[i].Version != b[i].Version ||
-			a[i].Path != b[i].Path || !reflect.DeepEqual(a[i].Op, b[i].Op) {
-			return fmt.Errorf("alert %d is %v (op %v), reference has %v (op %v)", i, a[i], a[i].Op, b[i], b[i].Op)
+		if a[i] != b[i] {
+			return fmt.Errorf("alert %d is %+v, reference has %+v", i, a[i], b[i])
 		}
 	}
 	return nil
@@ -584,7 +584,7 @@ func TestNotifyConcurrentWithSubscriptionChanges(t *testing.T) {
 		writers.Add(1)
 		go func(g int) {
 			defer writers.Done()
-			sink := NewChanNotifier(1)
+			sink := NewChanNotifier("doc", 1)
 			for i := 0; i < 300; i++ {
 				id := fmt.Sprintf("tmp-%d-%d", g, i)
 				a.Subscribe(Subscription{ID: id})
@@ -625,3 +625,68 @@ func BenchmarkNotifyUnrestrictedXPath(b *testing.B) {
 }
 
 var benchAlerts []Alert
+
+// TestAlertsPinNoSubtree: an alert names its operation and holds none of
+// it, so once the delta is dropped every subtree its inserts and deletes
+// carried can be collected while the alerts are still in use.
+func TestAlertsPinNoSubtree(t *testing.T) {
+	var w *deltatest.Subtrees
+	alerts, ops := func() ([]Alert, int) {
+		oldDoc, newDoc, d := diffPair(t,
+			`<Catalog><Category><Product sku="1"><Name>saw</Name><Price>$9</Price></Product>`+
+				`<Product sku="2"><Name>axe</Name><Price>$4</Price></Product></Category></Catalog>`,
+			`<Catalog><Category><Product sku="1"><Name>saw</Name><Price>$9</Price></Product></Category>`+
+				`<Category name="machines"><Product sku="3"><Name>lathe</Name><Price>$2000</Price></Product></Category></Catalog>`)
+		w = deltatest.WatchSubtrees(t, d)
+		return New(Subscription{ID: "all"}).Notify("doc", 2, oldDoc, newDoc, d), len(d.Ops)
+	}()
+	if len(alerts) != ops {
+		t.Fatalf("%d alerts for %d ops, want one each", len(alerts), ops)
+	}
+	if freed, watched := w.Collected(); freed != watched {
+		t.Errorf("%d of %d insert and delete subtrees were collected; the alerts keep the rest reachable", freed, watched)
+	}
+	runtime.KeepAlive(alerts)
+}
+
+// TestAlertNamesItsOpInTheStoredDelta: an alert's OpIndex, Kind and XID
+// point at its op in the delta as stored — serialized and parsed back —
+// and tell apart two ops of one kind on one element.
+func TestAlertNamesItsOpInTheStoredDelta(t *testing.T) {
+	oldDoc, newDoc, d := diffPair(t,
+		`<r><e a="1" b="2" c="3"><v>old</v></e><gone k="x"/></r>`,
+		`<r><e a="9" b="8"><v>new</v></e><added k="y"/></r>`)
+	var buf strings.Builder
+	if _, err := d.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	stored, err := delta.ParseString(buf.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	alerts := New(Subscription{ID: "all"}).Notify("doc", 2, oldDoc, newDoc, d)
+	if len(alerts) != len(stored.Ops) {
+		t.Fatalf("%d alerts for %d ops, want one each", len(alerts), len(stored.Ops))
+	}
+	attrUpdates := map[int64]int{}
+	for i, a := range alerts {
+		if int(a.OpIndex) != i {
+			t.Errorf("alert %d names op %d", i, a.OpIndex)
+		}
+		op := stored.Ops[a.OpIndex]
+		if op.Kind() != a.Kind || op.TargetXID() != a.XID {
+			t.Errorf("alert %v names op %d, which is %s on xid %d", a, a.OpIndex, op.Kind(), op.TargetXID())
+		}
+		if a.Kind == delta.KindUpdateAttr {
+			attrUpdates[a.XID]++
+		}
+	}
+	if len(attrUpdates) != 1 {
+		t.Fatalf("update-attribute alerts on %d elements, want 2 on one: %v", len(attrUpdates), alerts)
+	}
+	for _, n := range attrUpdates {
+		if n != 2 {
+			t.Fatalf("%d update-attribute alerts on one element, want 2: %v", n, alerts)
+		}
+	}
+}

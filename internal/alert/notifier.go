@@ -47,9 +47,12 @@ func (c *snapshot) withSinks(sinks []Notifier) *snapshot {
 // delivered one by one on C without ever blocking the alerter — when
 // the buffer is full, alerts are counted as dropped instead. This is
 // what lets a server stream matches to a subscriber instead of having
-// it poll.
+// it poll. A notifier takes in only its own document's alerts, so
+// another document's traffic neither fills its buffer nor counts as its
+// loss.
 type ChanNotifier struct {
-	ch chan Alert
+	ch    chan Alert
+	docID string
 
 	mu      sync.Mutex
 	dropped int
@@ -57,26 +60,30 @@ type ChanNotifier struct {
 }
 
 // NewChanNotifier returns a notifier buffering up to buf alerts
-// (minimum 1).
-func NewChanNotifier(buf int) *ChanNotifier {
+// (minimum 1) about document docID.
+func NewChanNotifier(docID string, buf int) *ChanNotifier {
 	if buf < 1 {
 		buf = 1
 	}
-	return &ChanNotifier{ch: make(chan Alert, buf)}
+	return &ChanNotifier{ch: make(chan Alert, buf), docID: docID}
 }
 
 // C is the delivery channel. It is closed by Close.
 func (c *ChanNotifier) C() <-chan Alert { return c.ch }
 
-// Alerts implements Notifier with a non-blocking send per alert.
+// Alerts implements Notifier with a non-blocking send per alert about
+// the notifier's document; alerts about other documents are skipped.
 func (c *ChanNotifier) Alerts(alerts []Alert) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		c.dropped += len(alerts)
-		return
-	}
 	for _, a := range alerts {
+		if a.DocID != c.docID {
+			continue
+		}
+		if c.closed {
+			c.dropped++
+			continue
+		}
 		select {
 		case c.ch <- a:
 		default:
@@ -85,8 +92,8 @@ func (c *ChanNotifier) Alerts(alerts []Alert) {
 	}
 }
 
-// Dropped returns how many alerts were discarded because the buffer was
-// full (or the notifier closed).
+// Dropped returns how many of its document's alerts the notifier
+// discarded because the buffer was full (or the notifier closed).
 func (c *ChanNotifier) Dropped() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -632,7 +632,7 @@ type alertJSON struct {
 func toAlertJSON(a alert.Alert) alertJSON {
 	return alertJSON{
 		Sub: a.SubID, Doc: a.DocID, Version: a.Version,
-		Kind: a.Op.Kind().String(), Path: a.Path, Detail: a.String(),
+		Kind: a.Kind.String(), Path: a.Path, Detail: a.String(),
 	}
 }
 
@@ -667,11 +667,12 @@ func (s *Server) handleGetAlerts(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The per-stream buffer is bounded (Config.StreamBuffer): a consumer
-	// that reads slower than alerts arrive loses the excess, and the
-	// loss is accounted in xydiffd_alert_stream_dropped_total rather
-	// than stalling the diff path or growing memory.
-	n := alert.NewChanNotifier(s.cfg.StreamBuffer)
+	// The per-stream buffer is bounded (Config.StreamBuffer) and holds
+	// only this document's alerts: a consumer that reads slower than they
+	// arrive loses the excess, and the loss is accounted in
+	// xydiffd_alert_stream_dropped_total rather than stalling the diff
+	// path or growing memory.
+	n := alert.NewChanNotifier(id, s.cfg.StreamBuffer)
 	s.alerter.Attach(n)
 	defer func() {
 		s.alerter.Detach(n)
@@ -691,9 +692,6 @@ func (s *Server) handleGetAlerts(w http.ResponseWriter, r *http.Request) {
 	for {
 		select {
 		case a := <-n.C():
-			if a.DocID != id {
-				continue
-			}
 			if err := enc.Encode(toAlertJSON(a)); err != nil {
 				return
 			}

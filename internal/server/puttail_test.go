@@ -9,11 +9,13 @@ import (
 	"math/rand"
 	"net/http"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"xydiff/internal/alert"
 	"xydiff/internal/changesim"
 	"xydiff/internal/delta"
+	"xydiff/internal/delta/deltatest"
 	"xydiff/internal/diff"
 	"xydiff/internal/dom"
 	"xydiff/internal/store"
@@ -151,7 +153,7 @@ func observeFixture(t testing.TB, categories int) (*Server, store.Observation) {
 	head, err := dom.ParseString(`<Category><Title>head</Title>` +
 		`<Product><Name>a</Name><Price>$900</Price></Product>` +
 		`<Product status="new"><Name>b</Name><Price>$40</Price></Product>` +
-		`<Product><Name>c</Name><Price>$700</Price></Product></Category>`)
+		`<Product sku="c"><Name>c</Name><Price>$700</Price></Product></Category>`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +166,10 @@ func observeFixture(t testing.TB, categories int) (*Server, store.Observation) {
 	nh.Children[1].Children[1].Children[0].Value = "$950" // update
 	nh.Children[2].SetAttribute("status", "sale")         // update-attribute
 	nh.RemoveAt(3)                                        // delete
-	added := dom.NewElement("Product")
+	// A new label, so the diff cannot take the insert for an update of
+	// the deleted product.
+	added := dom.NewElement("Bundle")
+	added.SetAttribute("sku", "d")
 	added.Append(dom.NewElement("Name").Append(dom.NewText("d")), dom.NewElement("Price").Append(dom.NewText("$2000")))
 	nh.Append(added) // insert
 	r, err := diff.DiffDetailed(oldDoc, newDoc, diff.Options{})
@@ -203,4 +208,23 @@ func TestObserveAllocationsFollowTheDeltaNotTheDocument(t *testing.T) {
 		t.Errorf("observe allocates %.0f times on %d nodes but %.0f on %d for the same delta: "+
 			"something on the PUT tail allocates per document node again", large, largeNodes, small, smallNodes)
 	}
+}
+
+// TestAlertLogPinsNoSubtree: once the observer has run, the alert log
+// holds the PUT's alerts and none of its delta's subtrees.
+func TestAlertLogPinsNoSubtree(t *testing.T) {
+	var w *deltatest.Subtrees
+	s := func() *Server {
+		s, o := observeFixture(t, 4)
+		w = deltatest.WatchSubtrees(t, o.Result.Delta)
+		s.observe(o)
+		return s
+	}()
+	if got := len(s.alertLog.forDoc("doc")); got < 6 {
+		t.Fatalf("only %d alerts logged; the fixture exercises too little", got)
+	}
+	if freed, watched := w.Collected(); freed != watched {
+		t.Errorf("%d of %d insert and delete subtrees were collected; the alert log keeps the rest reachable", freed, watched)
+	}
+	runtime.KeepAlive(s)
 }

@@ -161,9 +161,10 @@ func (s *Server) Close() { s.pool.close() }
 // per successful versioning diff, after the version is durable. The
 // store has encoded the delta already (o.DeltaBytes); here its ops are
 // resolved against the two versions once, for the statistics collector
-// and the alerter both. Nothing pointing into the trees outlives the
-// call: the collector keeps counts, the alert log keeps ops and path
-// strings.
+// and the alerter both. Nothing pointing into the trees or the delta
+// outlives the call: the collector keeps counts, and the alert log keeps
+// alerts, which name their op by version, kind and XID and carry a path
+// string.
 func (s *Server) observe(o store.Observation) {
 	r := o.Result
 	s.metrics.observeDiff(r.Matcher, [5]time.Duration{

@@ -1,6 +1,7 @@
 package vstore
 
 import (
+	"bytes"
 	"container/list"
 	"sync"
 	"sync/atomic"
@@ -112,11 +113,13 @@ func (c *versionCache) insert(id string, doc *dom.Node, versions int) []*cacheEn
 // keep makes an evicted tree its document's keyframe, unless the tree
 // came back into the LRU meanwhile or a newer keyframe is already kept.
 func (c *versionCache) keep(ent *cacheEntry) {
-	body, err := serializeTree(ent.doc)
-	if err != nil {
+	// The body stays resident, so its buffer is sized to it: the bytes
+	// are counted first, with nothing copied.
+	buf := bytes.NewBuffer(make([]byte, 0, ent.doc.EncodedLen()))
+	if _, err := ent.doc.WriteTo(buf); err != nil {
 		return // without a keyframe the next miss replays the chain
 	}
-	f := keyframe{body: body, xids: xid.Of(ent.doc), versions: ent.versions}
+	f := keyframe{body: buf.Bytes(), xids: xid.Of(ent.doc), versions: ent.versions}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.items[ent.id] != nil {

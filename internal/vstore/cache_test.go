@@ -1,6 +1,12 @@
 package vstore
 
-import "testing"
+import (
+	"encoding/binary"
+	"runtime"
+	"testing"
+
+	"xydiff/internal/diff"
+)
 
 // evictedDoc stores the same chain of versions under "doc" and "other"
 // behind a one-slot cache, so "doc"'s latest version is a keyframe.
@@ -120,4 +126,119 @@ func TestKeyframeNeverStale(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestResidentBytesAreExact: the bytes a Put keeps resident — the base,
+// each delta and each keyframe — hold allocations of their own length,
+// up to the allocator's size class (a Put's base and deltas live in their
+// segment record, whose header, id and version add a few bytes), as
+// recovery's copies do; an encoder's growth buffer would hold up to twice
+// that. The same store reopened, from its journal and then from a
+// compacted snapshot, holds the same bytes within the same bound.
+func TestResidentBytesAreExact(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Shards: 1, CacheSize: 1}
+	open := func() *Store {
+		s, err := Open(dir, diff.Options{}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	closeStore := func(s *Store) {
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := open()
+	// Two documents and room for one tree: each Put turns the other
+	// document's tree into a keyframe.
+	ids := []string{"a", "b"}
+	for _, doc := range catalogChain(t, 130000, 4) {
+		for _, id := range ids {
+			if _, _, err := s.Put(id, doc); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// residentBytes lets go of what it measures, so each store is closed
+	// first and reopened for the next step.
+	closeStore(s)
+	live := residentBytes(t, s, ids, true)
+	s = open()
+	closeStore(s)
+	if got := residentBytes(t, s, ids, false); got != live {
+		t.Errorf("reopened from its journal, the store holds %d bytes of base and deltas; live it held %d", got, live)
+	}
+	s = open()
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	closeStore(s)
+	s = open()
+	closeStore(s)
+	if got := residentBytes(t, s, ids, false); got != live {
+		t.Errorf("reopened from its snapshot, the store holds %d bytes of base and deltas; live it held %d", got, live)
+	}
+}
+
+// residentBytes returns Σlen of ids' bases and deltas in the closed store
+// s, after measuring what they and the resident keyframes (at least one
+// when keyframes is set) keep alive: the live heap must fall by at least
+// their Σlen when s lets go of them, and by no more than the size classes
+// of the allocations encodeRecord makes for them. It leaves s without
+// them.
+func residentBytes(t *testing.T, s *Store, ids []string, keyframes bool) int {
+	t.Helper()
+	const noise = 4 << 10 // the chains' slice arrays, and what the heap may move by between two reads
+	roundUp := func(n int) int { return cap(append([]byte(nil), make([]byte, n)...)) }
+	chain, bound := 0, 0
+	for _, id := range ids {
+		st := s.shardFor(id).lookup(id)
+		record := segHeaderLen + 1 + 2*binary.MaxVarintLen64 + len(id) // encodeRecord's bytes besides the body
+		for _, p := range append([][]byte{st.base}, st.deltas...) {
+			chain += len(p)
+			bound += roundUp(record + len(p))
+		}
+	}
+	sumLen := chain
+	for _, f := range s.cache.frames {
+		sumLen += len(f.body)
+		bound += roundUp(len(f.body))
+	}
+	frames := len(s.cache.frames)
+	if keyframes && frames == 0 {
+		t.Fatal("no keyframe is resident; the check would miss them")
+	}
+	before := liveHeap()
+	for _, id := range ids {
+		st := s.shardFor(id).lookup(id)
+		st.base, st.deltas = nil, nil
+	}
+	for id, f := range s.cache.frames {
+		f.body = nil
+		s.cache.frames[id] = f
+	}
+	held := before - liveHeap()
+	runtime.KeepAlive(s) // the rest of the store is not what is measured
+	t.Logf("%d keyframes: Σlen %d, heap held %d, bound %d", frames, sumLen, held, bound)
+	if held < sumLen-noise {
+		t.Fatalf("dropping %d resident bytes freed only %d: something else keeps them, and the check would miss slack", sumLen, held)
+	}
+	if held > bound+noise {
+		t.Errorf("resident parts of Σlen %d hold %d heap bytes (%.2f×); their size classes allow %d",
+			sumLen, held, float64(held)/float64(sumLen), bound)
+	}
+	return chain
+}
+
+// liveHeap returns the bytes in use on the heap after two collections:
+// the first only moves sync.Pool contents to the pools' victim caches,
+// the second frees them.
+func liveHeap() int {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int(ms.HeapAlloc)
 }

@@ -74,18 +74,22 @@ func parseSegName(name string) (seq int, ok bool) {
 	return n, true
 }
 
-// encodeRecord renders one segment record: header plus payload.
-func encodeRecord(kind byte, id string, version int, body []byte) []byte {
-	payload := make([]byte, 0, 1+2*binary.MaxVarintLen64+len(id)+len(body))
-	payload = append(payload, kind)
-	payload = binary.AppendUvarint(payload, uint64(len(id)))
-	payload = append(payload, id...)
-	payload = binary.AppendUvarint(payload, uint64(version))
-	payload = append(payload, body...)
-	rec := make([]byte, segHeaderLen, segHeaderLen+len(payload))
+// encodeRecord renders one segment record, header plus payload, into
+// one allocation, and returns with it the record's copy of body, capped
+// at its length. That copy is the one a Put keeps resident: the encoder
+// buffer body came in is left for the collector, and no second copy is
+// made.
+func encodeRecord(kind byte, id string, version int, body []byte) (rec, kept []byte) {
+	rec = make([]byte, segHeaderLen, segHeaderLen+1+2*binary.MaxVarintLen64+len(id)+len(body))
+	rec = append(rec, kind)
+	rec = binary.AppendUvarint(rec, uint64(len(id)))
+	rec = append(rec, id...)
+	rec = binary.AppendUvarint(rec, uint64(version))
+	rec = append(rec, body...)
+	payload := rec[segHeaderLen:]
 	binary.BigEndian.PutUint32(rec[0:4], uint32(len(payload)))
 	binary.BigEndian.PutUint32(rec[4:8], crc32.Checksum(payload, castagnoli))
-	return append(rec, payload...)
+	return rec, rec[len(rec)-len(body) : len(rec) : len(rec)]
 }
 
 // decodePayload splits a verified payload into kind, document id,

@@ -206,9 +206,11 @@ type Store struct {
 }
 
 // docState is one document's resident state: the version count plus
-// the serialized base version and delta chain. Trees are NOT held
-// here — the materialized latest lives in the store's version cache,
-// and is rebuilt from these bytes on a miss the cache cannot restore.
+// the serialized base version and delta chain, each a slice of its own
+// length (a Put keeps its record's copy, recovery and snapshot loads
+// copy or decode to size). Trees are NOT held here — the materialized
+// latest lives in the store's version cache, and is rebuilt from these
+// bytes on a miss the cache cannot restore.
 type docState struct {
 	mu       sync.RWMutex
 	versions int
@@ -349,10 +351,11 @@ func (s *Store) PutDetailed(ctx context.Context, id string, doc *dom.Node, match
 		if err != nil {
 			return store.PutResult{}, fmt.Errorf("vstore: serialize %s version 1: %w", id, err)
 		}
-		if err := s.appendDurable(sh, encodeRecord(recordBase, id, 1, body)); err != nil {
+		rec, kept := encodeRecord(recordBase, id, 1, body)
+		if err := s.appendDurable(sh, rec); err != nil {
 			return store.PutResult{}, err
 		}
-		st.base = body
+		st.base = kept
 		st.versions = 1
 		s.cache.put(id, doc, 1)
 		return store.PutResult{Version: 1}, nil
@@ -369,10 +372,11 @@ func (s *Store) PutDetailed(ctx context.Context, id string, doc *dom.Node, match
 	if err != nil {
 		return store.PutResult{}, fmt.Errorf("vstore: serialize %s delta %d: %w", id, st.versions, err)
 	}
-	if err := s.appendDurable(sh, encodeRecord(recordDelta, id, st.versions+1, body)); err != nil {
+	rec, kept := encodeRecord(recordDelta, id, st.versions+1, body)
+	if err := s.appendDurable(sh, rec); err != nil {
 		return store.PutResult{}, err
 	}
-	st.deltas = append(st.deltas, body)
+	st.deltas = append(st.deltas, kept)
 	st.versions++
 	s.cache.put(id, doc, st.versions)
 	if s.obs != nil {
@@ -625,7 +629,7 @@ func (s *Store) Close() error {
 // SyncPolicy returns the segment fsync policy.
 func (s *Store) SyncPolicy() store.SyncPolicy { return s.cfg.Sync }
 
-// serializeTree renders a document for a record body or snapshot file.
+// serializeTree renders a document for a record body.
 func serializeTree(doc *dom.Node) ([]byte, error) {
 	var buf bytes.Buffer
 	if _, err := doc.WriteTo(&buf); err != nil {

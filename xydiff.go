@@ -136,7 +136,10 @@ func NewWarehouse(opts ...Options) *Warehouse { return warehouse.New(first(opts)
 // warehouse's alerter.
 type Subscription = alert.Subscription
 
-// Alert reports a delta operation matching a subscription.
+// Alert reports a delta operation matching a subscription. It names the
+// operation by the version it produced and its index in that version's
+// delta, with its kind and target XID; the operation itself is in that
+// delta, which Warehouse.Load returns beside the alerts.
 type Alert = alert.Alert
 
 // Query is a compiled path expression (an XPath subset) usable against
