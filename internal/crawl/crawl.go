@@ -171,7 +171,7 @@ func New(reg *Registry, ingest Ingester, rates *stats.Collector, cfg Config) *Cr
 	return c
 }
 
-// Metrics exposes the crawler's registry for /metrics embedding.
+// Metrics exposes the crawler's counters and gauges.
 func (c *Crawler) Metrics() *Metrics { return c.metrics }
 
 // Registry exposes the source registry (for status endpoints).

@@ -1,15 +1,10 @@
 package crawl
 
-import (
-	"fmt"
-	"io"
-	"sync"
-)
+import "sync"
 
-// Metrics is the crawler's observability surface, rendered into the
-// embedding service's /metrics (Prometheus text format) under a caller
-// -chosen prefix so the daemon (xydiffd_crawl) and the standalone
-// crawler (xycrawl) expose the same series.
+// Metrics is the crawler's counters and gauges. Snapshot copies them:
+// xydiffd renders the copy on its /metrics as the xydiffd_crawl_*
+// families and in /healthz, and xycrawl logs it.
 type Metrics struct {
 	mu           sync.Mutex
 	fetches      int64 // completed fetch cycles (200 or 304)
@@ -62,8 +57,8 @@ func (m *Metrics) addCircuitOpen() {
 	m.circuitOpens++
 }
 
-// Snapshot is a point-in-time copy of the counters, for tests and
-// status logs.
+// Snapshot is a point-in-time copy of the counters, for /metrics,
+// /healthz, tests and status logs.
 type Snapshot struct {
 	Fetches      int64
 	NotModified  int64
@@ -104,43 +99,4 @@ func (m *Metrics) Snapshot() Snapshot {
 		s.OpenCircuits = openCircuits()
 	}
 	return s
-}
-
-// WritePrometheus renders the registry with the given metric prefix
-// (e.g. "xydiffd_crawl" or "xycrawl").
-func (m *Metrics) WritePrometheus(w io.Writer, prefix string) {
-	s := m.Snapshot()
-	fmt.Fprintf(w, "# HELP %s_fetches_total Completed fetch cycles (200 or 304).\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_fetches_total counter\n", prefix)
-	fmt.Fprintf(w, "%s_fetches_total %d\n", prefix, s.Fetches)
-	fmt.Fprintf(w, "# HELP %s_not_modified_total Conditional GETs answered 304 (parse/diff skipped).\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_not_modified_total counter\n", prefix)
-	fmt.Fprintf(w, "%s_not_modified_total %d\n", prefix, s.NotModified)
-	fmt.Fprintf(w, "# HELP %s_ingests_total Fetches that installed a new version.\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_ingests_total counter\n", prefix)
-	fmt.Fprintf(w, "%s_ingests_total %d\n", prefix, s.Ingests)
-	fmt.Fprintf(w, "# HELP %s_unchanged_total 200 responses whose content matched the stored version.\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_unchanged_total counter\n", prefix)
-	fmt.Fprintf(w, "%s_unchanged_total %d\n", prefix, s.Unchanged)
-	fmt.Fprintf(w, "# HELP %s_retries_total In-cycle HTTP re-attempts.\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_retries_total counter\n", prefix)
-	fmt.Fprintf(w, "%s_retries_total %d\n", prefix, s.Retries)
-	fmt.Fprintf(w, "# HELP %s_failures_total Fetch cycles that exhausted their attempts.\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_failures_total counter\n", prefix)
-	fmt.Fprintf(w, "%s_failures_total %d\n", prefix, s.Failures)
-	fmt.Fprintf(w, "# HELP %s_circuit_opens_total Times a source's circuit opened.\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_circuit_opens_total counter\n", prefix)
-	fmt.Fprintf(w, "%s_circuit_opens_total %d\n", prefix, s.CircuitOpens)
-	fmt.Fprintf(w, "# HELP %s_fetched_bytes_total Body bytes downloaded.\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_fetched_bytes_total counter\n", prefix)
-	fmt.Fprintf(w, "%s_fetched_bytes_total %d\n", prefix, s.FetchedBytes)
-	fmt.Fprintf(w, "# HELP %s_open_circuits Sources whose circuit is currently open.\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_open_circuits gauge\n", prefix)
-	fmt.Fprintf(w, "%s_open_circuits %d\n", prefix, s.OpenCircuits)
-	fmt.Fprintf(w, "# HELP %s_queue_depth Sources waiting for their due time.\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_queue_depth gauge\n", prefix)
-	fmt.Fprintf(w, "%s_queue_depth %d\n", prefix, s.QueueDepth)
-	fmt.Fprintf(w, "# HELP %s_sources Registered sources.\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_sources gauge\n", prefix)
-	fmt.Fprintf(w, "%s_sources %d\n", prefix, s.Sources)
 }

@@ -20,7 +20,7 @@ import (
 	"time"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden alert files")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 // goldenVersions is the PUT sequence of document "g": an update of a
 // price's text, every attribute operation, an insert, a delete and a

@@ -160,160 +160,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.WritePrometheus(w)
-
-	// Journal durability counters from the store (all zero for a store
-	// without a directory).
-	ds := s.store.DurabilityStats()
-	rec := s.store.RecoveryStats()
-	fmt.Fprintln(w, "# HELP xydiffd_journal_appends_total Journal records appended.")
-	fmt.Fprintln(w, "# TYPE xydiffd_journal_appends_total counter")
-	fmt.Fprintf(w, "xydiffd_journal_appends_total %d\n", ds.Appends)
-	fmt.Fprintln(w, "# HELP xydiffd_journal_appended_bytes_total Bytes appended to journals.")
-	fmt.Fprintln(w, "# TYPE xydiffd_journal_appended_bytes_total counter")
-	fmt.Fprintf(w, "xydiffd_journal_appended_bytes_total %d\n", ds.AppendedBytes)
-	fmt.Fprintln(w, "# HELP xydiffd_journal_syncs_total Journal fsyncs completed.")
-	fmt.Fprintln(w, "# TYPE xydiffd_journal_syncs_total counter")
-	fmt.Fprintf(w, "xydiffd_journal_syncs_total %d\n", ds.Syncs)
-	fmt.Fprintln(w, "# HELP xydiffd_journal_checkpoints_total Snapshot+compaction cycles completed.")
-	fmt.Fprintln(w, "# TYPE xydiffd_journal_checkpoints_total counter")
-	fmt.Fprintf(w, "xydiffd_journal_checkpoints_total %d\n", ds.Checkpoints)
-	fmt.Fprintln(w, "# HELP xydiffd_recovery_journal_records Journal records replayed at startup.")
-	fmt.Fprintln(w, "# TYPE xydiffd_recovery_journal_records gauge")
-	fmt.Fprintf(w, "xydiffd_recovery_journal_records %d\n", rec.JournalRecords)
-	fmt.Fprintln(w, "# HELP xydiffd_recovery_torn_tails Torn journal tails truncated at startup.")
-	fmt.Fprintln(w, "# TYPE xydiffd_recovery_torn_tails gauge")
-	fmt.Fprintf(w, "xydiffd_recovery_torn_tails %d\n", rec.TornTails)
-
-	// Change statistics from the stats collector (the paper's
-	// measurement program), aggregated over every versioning diff.
-	rep := s.collector.Report()
-	fmt.Fprintln(w, "# HELP xydiffd_change_versions_observed Version transitions measured.")
-	fmt.Fprintln(w, "# TYPE xydiffd_change_versions_observed counter")
-	fmt.Fprintf(w, "xydiffd_change_versions_observed %d\n", rep.Versions)
-	fmt.Fprintln(w, "# TYPE xydiffd_change_ops_total counter")
-	for _, kv := range []struct {
-		kind string
-		n    int
-	}{
-		{"insert", rep.Ops.Inserts}, {"delete", rep.Ops.Deletes},
-		{"update", rep.Ops.Updates}, {"move", rep.Ops.Moves}, {"attr", rep.Ops.AttrOps},
-	} {
-		fmt.Fprintf(w, "xydiffd_change_ops_total{kind=%q} %d\n", kv.kind, kv.n)
-	}
-	fmt.Fprintln(w, "# TYPE xydiffd_change_delta_doc_ratio gauge")
-	fmt.Fprintf(w, "xydiffd_change_delta_doc_ratio %g\n", rep.DeltaRatio())
-	fmt.Fprintln(w, "# TYPE xydiffd_store_documents gauge")
-	fmt.Fprintf(w, "xydiffd_store_documents %d\n", len(s.store.IDs()))
-
-	// Acquisition-layer counters, present whenever crawling is enabled.
-	if s.crawler != nil {
-		s.crawler.Metrics().WritePrometheus(w, "xydiffd_crawl")
-	}
-
-	// Engine counters: group-commit effectiveness, version cache and
-	// compaction, overall and per shard.
-	writeStorageMetrics(w, s.store.StorageStats())
-}
-
-// writeStorageMetrics renders the sharded engine's counters in
-// Prometheus text format.
-func writeStorageMetrics(w io.Writer, ss vstore.StorageStats) {
-	fmt.Fprintln(w, "# HELP xydiffd_store_shards Hash shards in the storage engine.")
-	fmt.Fprintln(w, "# TYPE xydiffd_store_shards gauge")
-	fmt.Fprintf(w, "xydiffd_store_shards %d\n", ss.Shards)
-	fmt.Fprintln(w, "# HELP xydiffd_store_fsync_total Segment fsyncs performed by group commit.")
-	fmt.Fprintln(w, "# TYPE xydiffd_store_fsync_total counter")
-	fmt.Fprintf(w, "xydiffd_store_fsync_total %d\n", ss.FsyncTotal)
-	fmt.Fprintln(w, "# HELP xydiffd_store_fsync_batch_size Mean records acknowledged per group-commit fsync.")
-	fmt.Fprintln(w, "# TYPE xydiffd_store_fsync_batch_size gauge")
-	fmt.Fprintf(w, "xydiffd_store_fsync_batch_size %g\n", ss.MeanBatch())
-	fmt.Fprintln(w, "# HELP xydiffd_store_fsync_batch_max Largest group-commit batch so far.")
-	fmt.Fprintln(w, "# TYPE xydiffd_store_fsync_batch_max gauge")
-	fmt.Fprintf(w, "xydiffd_store_fsync_batch_max %d\n", ss.MaxBatch)
-	fmt.Fprintln(w, "# HELP xydiffd_store_busy_rejected_total Puts shed because a shard's group-commit queue was saturated.")
-	fmt.Fprintln(w, "# TYPE xydiffd_store_busy_rejected_total counter")
-	fmt.Fprintf(w, "xydiffd_store_busy_rejected_total %d\n", ss.Rejected)
-	fmt.Fprintln(w, "# HELP xydiffd_store_compaction_seconds Cumulative time spent compacting segments into snapshots.")
-	fmt.Fprintln(w, "# TYPE xydiffd_store_compaction_seconds counter")
-	fmt.Fprintf(w, "xydiffd_store_compaction_seconds %g\n", ss.CompactionSeconds)
-	fmt.Fprintln(w, "# HELP xydiffd_store_compactions_total Compaction passes completed.")
-	fmt.Fprintln(w, "# TYPE xydiffd_store_compactions_total counter")
-	fmt.Fprintf(w, "xydiffd_store_compactions_total %d\n", ss.Compactions)
-	fmt.Fprintln(w, "# HELP xydiffd_store_cache_hit_ratio Version-cache hit ratio since start.")
-	fmt.Fprintln(w, "# TYPE xydiffd_store_cache_hit_ratio gauge")
-	fmt.Fprintf(w, "xydiffd_store_cache_hit_ratio %g\n", ss.CacheHitRatio())
-	fmt.Fprintln(w, "# HELP xydiffd_store_cache_hits_total Reads that found the latest version's tree in the version cache.")
-	fmt.Fprintln(w, "# TYPE xydiffd_store_cache_hits_total counter")
-	fmt.Fprintf(w, "xydiffd_store_cache_hits_total %d\n", ss.CacheHits)
-	fmt.Fprintln(w, "# HELP xydiffd_store_cache_misses_total Reads that did not find the latest version's tree in the version cache.")
-	fmt.Fprintln(w, "# TYPE xydiffd_store_cache_misses_total counter")
-	fmt.Fprintf(w, "xydiffd_store_cache_misses_total %d\n", ss.CacheMisses)
-	fmt.Fprintln(w, "# HELP xydiffd_store_cache_resident Materialized document trees resident in the version cache.")
-	fmt.Fprintln(w, "# TYPE xydiffd_store_cache_resident gauge")
-	fmt.Fprintf(w, "xydiffd_store_cache_resident %d\n", ss.CacheLen)
-	fmt.Fprintln(w, "# HELP xydiffd_store_keyframe_restores_total Cache misses served by restoring the latest version from its in-memory keyframe.")
-	fmt.Fprintln(w, "# TYPE xydiffd_store_keyframe_restores_total counter")
-	fmt.Fprintf(w, "xydiffd_store_keyframe_restores_total %d\n", ss.KeyframeRestores)
-	fmt.Fprintln(w, "# HELP xydiffd_store_keyframe_fallbacks_total Keyframes that did not restore, so the miss replayed the delta chain.")
-	fmt.Fprintln(w, "# TYPE xydiffd_store_keyframe_fallbacks_total counter")
-	fmt.Fprintf(w, "xydiffd_store_keyframe_fallbacks_total %d\n", ss.KeyframeFallbacks)
-	fmt.Fprintln(w, "# HELP xydiffd_store_keyframe_bytes Serialized bytes held by resident keyframes.")
-	fmt.Fprintln(w, "# TYPE xydiffd_store_keyframe_bytes gauge")
-	fmt.Fprintf(w, "xydiffd_store_keyframe_bytes %d\n", ss.KeyframeBytes)
-	fmt.Fprintln(w, "# HELP xydiffd_store_deltas_decoded_total Stored deltas decoded by reads and by Puts.")
-	fmt.Fprintln(w, "# TYPE xydiffd_store_deltas_decoded_total counter")
-	fmt.Fprintf(w, "xydiffd_store_deltas_decoded_total %d\n", ss.DeltasDecoded)
-	fmt.Fprintln(w, "# HELP xydiffd_store_degraded_docs Documents serving degraded (part of their history quarantined).")
-	fmt.Fprintln(w, "# TYPE xydiffd_store_degraded_docs gauge")
-	fmt.Fprintf(w, "xydiffd_store_degraded_docs %d\n", ss.DegradedDocs)
-	fmt.Fprintln(w, "# HELP xydiffd_store_snapshot_bytes Snapshot content files: bytes stored on disk, and the raw bytes they decode to.")
-	fmt.Fprintln(w, "# TYPE xydiffd_store_snapshot_bytes gauge")
-	fmt.Fprintf(w, "xydiffd_store_snapshot_bytes{form=\"stored\"} %d\n", ss.SnapshotStoredBytes)
-	fmt.Fprintf(w, "xydiffd_store_snapshot_bytes{form=\"raw\"} %d\n", ss.SnapshotRawBytes)
-	fmt.Fprintln(w, "# HELP xydiffd_scrub_cycles_total Integrity scrub passes completed.")
-	fmt.Fprintln(w, "# TYPE xydiffd_scrub_cycles_total counter")
-	fmt.Fprintf(w, "xydiffd_scrub_cycles_total %d\n", ss.Scrub.Cycles)
-	fmt.Fprintln(w, "# HELP xydiffd_scrub_scanned_bytes_total Bytes read and CRC-verified by the scrubber.")
-	fmt.Fprintln(w, "# TYPE xydiffd_scrub_scanned_bytes_total counter")
-	fmt.Fprintf(w, "xydiffd_scrub_scanned_bytes_total %d\n", ss.Scrub.BytesScanned)
-	fmt.Fprintln(w, "# HELP xydiffd_scrub_records_verified_total Segment records whose checksum and decoding the scrubber verified.")
-	fmt.Fprintln(w, "# TYPE xydiffd_scrub_records_verified_total counter")
-	fmt.Fprintf(w, "xydiffd_scrub_records_verified_total %d\n", ss.Scrub.RecordsVerified)
-	fmt.Fprintln(w, "# HELP xydiffd_scrub_corruptions_found_total Corruptions the scrubber detected.")
-	fmt.Fprintln(w, "# TYPE xydiffd_scrub_corruptions_found_total counter")
-	fmt.Fprintf(w, "xydiffd_scrub_corruptions_found_total %d\n", ss.Scrub.Found)
-	fmt.Fprintln(w, "# HELP xydiffd_scrub_repaired_total Corruptions repaired by rewriting from resident data.")
-	fmt.Fprintln(w, "# TYPE xydiffd_scrub_repaired_total counter")
-	fmt.Fprintf(w, "xydiffd_scrub_repaired_total %d\n", ss.Scrub.Repaired)
-	fmt.Fprintln(w, "# HELP xydiffd_scrub_quarantined_total Corrupt files renamed aside (never deleted).")
-	fmt.Fprintln(w, "# TYPE xydiffd_scrub_quarantined_total counter")
-	fmt.Fprintf(w, "xydiffd_scrub_quarantined_total %d\n", ss.Scrub.Quarantined)
-	fmt.Fprintln(w, "# HELP xydiffd_scrub_last_cycle_seconds Duration of the most recent scrub pass.")
-	fmt.Fprintln(w, "# TYPE xydiffd_scrub_last_cycle_seconds gauge")
-	fmt.Fprintf(w, "xydiffd_scrub_last_cycle_seconds %g\n", ss.Scrub.LastSeconds)
-	fmt.Fprintln(w, "# HELP xydiffd_scrub_last_cycle_unixtime When the most recent scrub pass finished (0 = none yet).")
-	fmt.Fprintln(w, "# TYPE xydiffd_scrub_last_cycle_unixtime gauge")
-	fmt.Fprintf(w, "xydiffd_scrub_last_cycle_unixtime %d\n", ss.Scrub.LastUnix)
-	fmt.Fprintln(w, "# HELP xydiffd_store_segments Segment files on disk.")
-	fmt.Fprintln(w, "# TYPE xydiffd_store_segments gauge")
-	fmt.Fprintln(w, "# HELP xydiffd_store_shard_fsync_total Segment fsyncs per shard.")
-	fmt.Fprintln(w, "# TYPE xydiffd_store_shard_fsync_total counter")
-	for _, sh := range ss.PerShard {
-		fmt.Fprintf(w, "xydiffd_store_segments{shard=\"%d\"} %d\n", sh.Shard, sh.Segments)
-		fmt.Fprintf(w, "xydiffd_store_shard_fsync_total{shard=\"%d\"} %d\n", sh.Shard, sh.Syncs)
-		fmt.Fprintf(w, "xydiffd_store_shard_docs{shard=\"%d\"} %d\n", sh.Shard, sh.Docs)
-		fmt.Fprintf(w, "xydiffd_store_shard_batch_records_total{shard=\"%d\"} %d\n", sh.Shard, sh.BatchRecords)
-		fmt.Fprintf(w, "xydiffd_store_shard_rejected_total{shard=\"%d\"} %d\n", sh.Shard, sh.Rejected)
-		fmt.Fprintf(w, "xydiffd_store_shard_sealed_segments{shard=\"%d\"} %d\n", sh.Shard, sh.SealedSegments)
-		fmt.Fprintf(w, "xydiffd_store_shard_last_compact_unixtime{shard=\"%d\"} %d\n", sh.Shard, sh.LastCompactUnix)
-		fmt.Fprintf(w, "xydiffd_store_shard_quarantined_total{shard=\"%d\"} %d\n", sh.Shard, sh.Quarantined)
-		fmt.Fprintf(w, "xydiffd_store_shard_degraded_docs{shard=\"%d\"} %d\n", sh.Shard, sh.DegradedDocs)
-	}
-}
-
 func (s *Server) handleListDocs(w http.ResponseWriter, r *http.Request) {
 	type docInfo struct {
 		ID       string `json:"id"`

@@ -30,6 +30,30 @@ func TestPutMatcherOverride(t *testing.T) {
 	if n := s.Metrics().DiffCountByMatcher(diff.MatcherBULD); n != 0 {
 		t.Fatalf("buld diff count = %d, want 0", n)
 	}
+	// Its phase time is SFTM's too: every BULD phase sample stays 0.
+	fams, _ := parseExposition(metricsText(t, ts))
+	var buld, sftm int
+	var sftmSeconds float64
+	for _, f := range fams {
+		if f.name != "xydiffd_diff_phase_seconds_total" {
+			continue
+		}
+		for _, smp := range f.samples {
+			switch smp.labels["matcher"] {
+			case "buld":
+				buld++
+				if smp.value != 0 {
+					t.Errorf("phase %s under matcher=buld = %g after one sftm diff, want 0", smp.labels["phase"], smp.value)
+				}
+			case "sftm":
+				sftm++
+				sftmSeconds += smp.value
+			}
+		}
+	}
+	if buld != 5 || sftm != 5 || sftmSeconds == 0 {
+		t.Errorf("phase samples: %d under matcher=buld, %d under matcher=sftm summing to %gs; want 5 each, sftm's nonzero", buld, sftm, sftmSeconds)
+	}
 
 	// The sftm-produced delta must reconstruct version 1 like any other.
 	code, _, v1 := doReq(t, "GET", ts.URL+"/docs/page/versions/1", "")

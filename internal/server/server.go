@@ -133,9 +133,6 @@ func New(st *vstore.Store, cfg Config) *Server {
 			Base: time.Second, Max: 30 * time.Second, Multiplier: 2,
 		}, time.Now().UnixNano()),
 	}
-	s.metrics.queueDepth = s.pool.depth
-	s.metrics.queueCapacity = cfg.QueueDepth
-	s.metrics.workers = cfg.Workers
 	st.SetObserver(s.observe)
 	s.handler = s.routes()
 	return s
@@ -148,7 +145,8 @@ func (s *Server) Handler() http.Handler { return s.handler }
 // own sinks alongside the HTTP endpoints).
 func (s *Server) Alerter() *alert.Alerter { return s.alerter }
 
-// Metrics exposes the registry (used by tests and the daemon).
+// Metrics exposes the server's own counters to in-process callers such
+// as tests and benchmarks; /metrics renders them.
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Close drains the diff worker pool: queued jobs run to completion and

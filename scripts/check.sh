@@ -10,7 +10,9 @@
 #                  depbound, staleallow); any diagnostic fails the gate
 #   3. build       every package compiles
 #   4. race        the whole test suite under the race detector. Among
-#                  it: the concurrent Put/Diff/Subscribe stress test, the
+#                  it: TestMetricsExposition, the format gate that parses
+#                  /metrics as the Prometheus text format; the
+#                  concurrent Put/Diff/Subscribe stress test, the
 #                  scrub repair round trips, the differential XPath
 #                  harness, SFTM's match-quality floors, and
 #                  TestQualityPinned, which holds Figure 5's ratios, the
