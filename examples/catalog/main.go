@@ -1,5 +1,5 @@
 // Catalog monitoring: the paper's subscription scenario (Section 2).
-// A product catalog evolves through versions in a version store; an
+// A product catalog evolves through versions in a warehouse, whose
 // alerter watches the deltas for interesting changes — new products,
 // price updates, disappearing items — exactly what the Xyleme
 // subscription system did.
@@ -12,10 +12,7 @@ import (
 	"log"
 
 	"xydiff"
-	"xydiff/internal/alert"
 	"xydiff/internal/delta"
-	"xydiff/internal/diff"
-	"xydiff/internal/vstore"
 )
 
 var versions = []string{
@@ -43,60 +40,40 @@ var versions = []string{
 }
 
 func main() {
-	repo, err := vstore.Open("", diff.Options{}, vstore.Config{}) // in memory
-	if err != nil {
-		log.Fatal(err)
+	w := xydiff.NewWarehouse() // in memory
+	for _, sub := range []xydiff.Subscription{
+		{ID: "new-products", Path: "Category/Product", Kinds: []delta.Kind{delta.KindInsert}},
+		{ID: "price-changes", Path: "Product/Price", Kinds: []delta.Kind{delta.KindUpdate}},
+		{ID: "discontinued", Path: "Category/Product", Kinds: []delta.Kind{delta.KindDelete}},
+	} {
+		w.Subscribe(sub)
 	}
-	alerter := alert.New(
-		alert.Subscription{
-			ID:    "new-products",
-			Path:  "Category/Product",
-			Kinds: []delta.Kind{delta.KindInsert},
-		},
-		alert.Subscription{
-			ID:    "price-changes",
-			Path:  "Product/Price",
-			Kinds: []delta.Kind{delta.KindUpdate},
-		},
-		alert.Subscription{
-			ID:    "discontinued",
-			Path:  "Category/Product",
-			Kinds: []delta.Kind{delta.KindDelete},
-		},
-	)
 
 	const docID = "shop/catalog.xml"
-	var prev *xydiff.Node
-	for i, src := range versions {
+	for _, src := range versions {
 		doc, err := xydiff.ParseString(src)
 		if err != nil {
 			log.Fatal(err)
 		}
-		// Keep the exact stored version (XIDs included) for alerting.
-		version, d, err := repo.Put(docID, doc)
+		// One Load stores the version, diffs it against the previous
+		// one and evaluates the subscriptions against the delta.
+		res, err := w.Load(docID, doc)
 		if err != nil {
 			log.Fatal(err)
 		}
-		cur, _, err := repo.Latest(docID)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("== installed version %d ==\n", version)
-		if d == nil {
+		fmt.Printf("== installed version %d ==\n", res.Version)
+		if res.Delta == nil {
 			fmt.Println("  (first version: nothing to compare)")
-			prev = cur
 			continue
 		}
-		fmt.Printf("  delta: %s\n", d.Count())
-		for _, a := range alerter.Notify(docID, version, prev, cur, d) {
+		fmt.Printf("  delta: %s\n", res.Delta.Count())
+		for _, a := range res.Alerts {
 			fmt.Printf("  ALERT %s\n", a)
 		}
-		prev = cur
-		_ = i
 	}
 
 	// The past stays queryable: what did the catalog look like at v1?
-	v1, err := repo.Version(docID, 1)
+	v1, err := w.Version(docID, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -184,6 +184,8 @@ func (a *Alerter) Subscriptions() []Subscription {
 // affected nodes (XIDs must be consistent with the delta, which is the
 // case for documents coming out of diff.Diff or vstore.Store). Matches
 // are returned and also fanned out to any attached Notifier sinks.
+// Stored versions reach the alerter through warehouse.Pipeline instead;
+// Notify serves callers that hold two versions outside any store.
 func (a *Alerter) Notify(docID string, newVersion int, oldDoc, newDoc *dom.Node, d *delta.Delta) []Alert {
 	if d.Empty() || len(a.state.Load().subs) == 0 {
 		return nil
@@ -192,8 +194,8 @@ func (a *Alerter) Notify(docID string, newVersion int, oldDoc, newDoc *dom.Node,
 }
 
 // NotifyResolved is Notify for a caller that has already resolved the
-// delta against its two versions (the server's store observer shares
-// one resolution between the statistics collector and the alerter).
+// delta against its two versions (warehouse.Pipeline shares one
+// resolution between the statistics collector and the alerter).
 func (a *Alerter) NotifyResolved(docID string, newVersion int, t *delta.Targets) []Alert {
 	c := a.state.Load()
 	if t.Delta.Empty() || len(c.subs) == 0 {

@@ -17,6 +17,7 @@ import (
 	"xydiff/internal/stats"
 	"xydiff/internal/store"
 	"xydiff/internal/vstore"
+	"xydiff/internal/warehouse"
 )
 
 // versionRing captures successive versions of one corpus document and
@@ -88,9 +89,9 @@ func (r *versionRing) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 
 // BenchmarkCrawlIngest measures a full acquisition round trip — HTTP
 // fetch of a mutated document, parse, versioning diff in the store, and
-// alert evaluation — i.e. the per-document cost of one crawler visit
-// when the document HAS changed (the expensive path; unchanged visits
-// are a single conditional GET).
+// the consumer pipeline (statistics and alerts) — i.e. the
+// per-document cost of one crawler visit when the document HAS changed
+// (the expensive path; unchanged visits are a single conditional GET).
 func BenchmarkCrawlIngest(b *testing.B) {
 	ring := newVersionRing(b, 7, 16)
 	ts := httptest.NewServer(ring)
@@ -100,10 +101,11 @@ func BenchmarkCrawlIngest(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	alerter := alert.New(alert.Subscription{ID: "bench", Path: "Product"})
-	st.SetObserver(func(o store.Observation) {
-		alerter.Notify(o.ID, o.Version, o.Old, o.New, o.Result.Delta)
-	})
+	pipeline := warehouse.Pipeline{
+		Alerter: alert.New(alert.Subscription{ID: "bench", Path: "Product"}),
+		Stats:   stats.NewCollector(),
+	}
+	st.SetObserver(func(o store.Observation) { pipeline.Observe(o) })
 	ingest := func(ctx context.Context, id string, body []byte) (bool, error) {
 		doc, err := dom.Parse(bytes.NewReader(body))
 		if err != nil {

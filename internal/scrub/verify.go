@@ -16,15 +16,16 @@ import (
 //	+4  uint32  CRC32-C (Castagnoli) of the payload
 //	+8  payload
 //
-// WalkLog verifies that frame, so the scrubber and the migration reader
-// walk logs through one piece of code.
+// WalkLog verifies that frame, so recovery, the scrubber and the
+// migration reader walk logs through one piece of code.
 
 const (
 	// headerLen is the fixed frame header: length + checksum.
 	headerLen = 8
 	// maxRecordLen bounds one record; a length field beyond it is
-	// corruption, not a legitimately huge record (matches the engines'
-	// own recovery limit).
+	// corruption, not a legitimately huge record (a random length from
+	// zeroed or flipped bytes would otherwise make a walk read
+	// gigabytes).
 	maxRecordLen = 1 << 30
 )
 

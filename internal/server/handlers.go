@@ -439,13 +439,13 @@ func (s *Server) handleCreateSubscription(w http.ResponseWriter, r *http.Request
 		}
 		sub.Kinds = append(sub.Kinds, k)
 	}
-	s.alerter.Subscribe(sub)
+	s.pipeline.Alerter.Subscribe(sub)
 	writeJSON(w, http.StatusCreated, req)
 }
 
 func (s *Server) handleListSubscriptions(w http.ResponseWriter, r *http.Request) {
 	out := []subscriptionJSON{}
-	for _, sub := range s.alerter.Subscriptions() {
+	for _, sub := range s.pipeline.Alerter.Subscriptions() {
 		j := subscriptionJSON{ID: sub.ID, Doc: sub.DocID, Path: sub.Path, Contains: sub.Contains}
 		if sub.Query != nil {
 			j.Query = sub.Query.String()
@@ -459,7 +459,7 @@ func (s *Server) handleListSubscriptions(w http.ResponseWriter, r *http.Request)
 }
 
 func (s *Server) handleDeleteSubscription(w http.ResponseWriter, r *http.Request) {
-	if !s.alerter.Unsubscribe(r.PathValue("id")) {
+	if !s.pipeline.Alerter.Unsubscribe(r.PathValue("id")) {
 		writeError(w, http.StatusNotFound, "no such subscription")
 		return
 	}
@@ -519,9 +519,9 @@ func (s *Server) handleGetAlerts(w http.ResponseWriter, r *http.Request) {
 	// xydiffd_alert_stream_dropped_total rather than stalling the diff
 	// path or growing memory.
 	n := alert.NewChanNotifier(id, s.cfg.StreamBuffer)
-	s.alerter.Attach(n)
+	s.pipeline.Alerter.Attach(n)
 	defer func() {
-		s.alerter.Detach(n)
+		s.pipeline.Alerter.Detach(n)
 		n.Close()
 		if d := n.Dropped(); d > 0 {
 			s.metrics.addStreamDropped(d)

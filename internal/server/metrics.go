@@ -278,7 +278,7 @@ func (s *Server) metricFamilies() []family {
 		}
 	}
 
-	ds, rec, rep := s.store.DurabilityStats(), s.store.RecoveryStats(), s.collector.Report()
+	ds, rec, rep := s.store.DurabilityStats(), s.store.RecoveryStats(), s.pipeline.Stats.Report()
 	ops := family{name: "xydiffd_change_ops_total", typ: "counter", help: "Delta operations measured, by kind.", keys: []string{"kind"}}
 	for _, kv := range []struct {
 		kind string

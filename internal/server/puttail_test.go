@@ -148,7 +148,7 @@ func observeFixture(t testing.TB, categories int) (*Server, store.Observation) {
 		// A relative query is evaluated per operation.
 		{ID: "q-1", Query: xpathlite.MustCompile(`. | Price`)},
 	} {
-		s.alerter.Subscribe(sub)
+		s.pipeline.Alerter.Subscribe(sub)
 	}
 	head, err := dom.ParseString(`<Category><Title>head</Title>` +
 		`<Product><Name>a</Name><Price>$900</Price></Product>` +

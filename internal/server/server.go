@@ -19,11 +19,11 @@ import (
 
 	"xydiff/internal/alert"
 	"xydiff/internal/crawl"
-	"xydiff/internal/delta"
 	"xydiff/internal/retry"
 	"xydiff/internal/stats"
 	"xydiff/internal/store"
 	"xydiff/internal/vstore"
+	"xydiff/internal/warehouse"
 )
 
 // Config tunes the server. The zero value picks production defaults.
@@ -90,16 +90,15 @@ func (c Config) withDefaults() Config {
 
 // Server is the xydiffd HTTP service over one store.
 type Server struct {
-	cfg       Config
-	store     *vstore.Store
-	alerter   *alert.Alerter
-	collector *stats.Collector
-	metrics   *Metrics
-	pool      *pool
-	alertLog  *alertLog
-	log       *slog.Logger
-	handler   http.Handler
-	started   time.Time
+	cfg      Config
+	store    *vstore.Store
+	pipeline warehouse.Pipeline // statistics and alerter; the index is the library's
+	metrics  *Metrics
+	pool     *pool
+	alertLog *alertLog
+	log      *slog.Logger
+	handler  http.Handler
+	started  time.Time
 
 	// shedBackoff grows the Retry-After hint while the diff queue keeps
 	// rejecting submissions and resets once one gets through, so a
@@ -120,15 +119,14 @@ type Server struct {
 func New(st *vstore.Store, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:       cfg,
-		store:     st,
-		alerter:   alert.New(),
-		collector: stats.NewCollector(),
-		metrics:   newMetrics(),
-		pool:      newPool(cfg.Workers, cfg.QueueDepth),
-		alertLog:  newAlertLog(cfg.AlertLogSize),
-		log:       cfg.Logger,
-		started:   time.Now(),
+		cfg:      cfg,
+		store:    st,
+		pipeline: warehouse.Pipeline{Alerter: alert.New(), Stats: stats.NewCollector()},
+		metrics:  newMetrics(),
+		pool:     newPool(cfg.Workers, cfg.QueueDepth),
+		alertLog: newAlertLog(cfg.AlertLogSize),
+		log:      cfg.Logger,
+		started:  time.Now(),
 		shedBackoff: retry.New(retry.Policy{
 			Base: time.Second, Max: 30 * time.Second, Multiplier: 2,
 		}, time.Now().UnixNano()),
@@ -143,7 +141,7 @@ func (s *Server) Handler() http.Handler { return s.handler }
 
 // Alerter exposes the subscription system (for callers wiring their
 // own sinks alongside the HTTP endpoints).
-func (s *Server) Alerter() *alert.Alerter { return s.alerter }
+func (s *Server) Alerter() *alert.Alerter { return s.pipeline.Alerter }
 
 // Metrics exposes the server's own counters to in-process callers such
 // as tests and benchmarks; /metrics renders them.
@@ -156,21 +154,17 @@ func (s *Server) Close() { s.pool.close() }
 
 // observe is the store's observer hook: it runs on the PUT's worker
 // goroutine under the document's write lock, in version order, once
-// per successful versioning diff, after the version is durable. The
-// store has encoded the delta already (o.DeltaBytes); here its ops are
-// resolved against the two versions once, for the statistics collector
-// and the alerter both. Nothing pointing into the trees or the delta
-// outlives the call: the collector keeps counts, and the alert log keeps
-// alerts, which name their op by version, kind and XID and carry a path
-// string.
+// per successful versioning diff, after the version is durable. It
+// records the diff's phase times, hands the version to the pipeline
+// (statistics, then alerts) and logs the alerts raised. Alerts name
+// their op by version, kind and XID, so the log pins nothing of the
+// trees or the delta.
 func (s *Server) observe(o store.Observation) {
 	r := o.Result
 	s.metrics.observeDiff(r.Matcher, [5]time.Duration{
 		r.Timings.Phase1, r.Timings.Phase2, r.Timings.Phase3, r.Timings.Phase4, r.Timings.Phase5,
 	})
-	t := delta.Resolve(r.Delta, o.Old, o.New)
-	s.collector.ObserveResolved(t, o.DeltaBytes)
-	alerts := s.alerter.NotifyResolved(o.ID, o.Version, t)
+	alerts := s.pipeline.Observe(o)
 	if len(alerts) > 0 {
 		s.alertLog.add(alerts)
 		s.metrics.addAlerts(len(alerts))
@@ -211,6 +205,6 @@ func (s *Server) EnableCrawl(reg *crawl.Registry, cfg crawl.Config) *crawl.Crawl
 		cfg.Logger = s.log
 	}
 	s.crawlReg = reg
-	s.crawler = crawl.New(reg, s.crawlIngest, s.collector, cfg)
+	s.crawler = crawl.New(reg, s.crawlIngest, s.pipeline.Stats, cfg)
 	return s.crawler
 }

@@ -120,9 +120,9 @@ func (c *Collector) ChangeRate(docID string) (rate float64, visits int) {
 
 // Observe records one version transition. oldDoc is the version the
 // delta applies to and newDoc its result; XIDs must be consistent with
-// the delta (as produced by diff.Diff or a vstore Put). A caller that has
-// already resolved the delta or knows its encoded size — the server's
-// store observer has both — calls ObserveResolved instead.
+// the delta (as produced by diff.Diff or a vstore Put). Stored versions
+// reach the collector through warehouse.Pipeline, which has resolved
+// the delta and knows its encoded size, and calls ObserveResolved.
 func (c *Collector) Observe(oldDoc, newDoc *dom.Node, d *delta.Delta) {
 	size := 0
 	if !d.Empty() {

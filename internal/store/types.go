@@ -76,13 +76,15 @@ type Observation struct {
 	DeltaBytes int
 }
 
-// Observer receives every successful non-initial Put. It is invoked
-// synchronously under the document's lock, so per-document call order
-// matches version order; it must not call back into the store for the
-// same document, must not mutate the document trees, and must not
-// retain them — or anything pointing into them, such as a
-// delta.Targets — past its return. (The delta's ops are immutable and
-// may be kept.)
+// Observer receives every successful non-initial Put: a first version
+// is not a transition and is not observed. It is invoked synchronously
+// under the document's lock, so per-document call order matches
+// version order; it must not call back into the store for the same
+// document, must not mutate the document trees, and must not retain
+// them — or anything pointing into them, such as a delta.Targets — past
+// its return. (The delta's ops are immutable and may be kept.) The
+// consumers of Figure 1 hang off this hook as one warehouse.Pipeline:
+// the server's observer and the library warehouse's both call it.
 type Observer func(Observation)
 
 // PutResult is what a detailed Put reports about an installed version.

@@ -2,11 +2,9 @@ package vstore
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -353,7 +351,9 @@ func loadSnapshot(fsys faultfs.FS, sub string) (*docState, error) {
 // replaySegment folds one segment's records into the shard's document
 // states. Bodies stay serialized; only framing, checksums and version
 // sequencing are validated here, so reopening a million-document store
-// parses nothing. A partial record at the tail is truncated away
+// parses nothing. The framing is walked by scrub.WalkLog, as the
+// scrubber and Migrate walk it. A partial record at the tail is
+// truncated away
 // (TornTails); damage anywhere else refuses recovery with an error
 // matching store.ErrCorrupt naming the file and offset.
 func (s *Store) replaySegment(sh *shard, path string) error {
@@ -362,40 +362,25 @@ func (s *Store) replaySegment(sh *shard, path string) error {
 		return corruptf(path, -1, err, "unreadable segment")
 	}
 	s.recovery.JournalBytes += int64(len(data))
-	off := int64(0)
-	for int(off) < len(data) {
-		rem := int64(len(data)) - off
-		if rem < segHeaderLen {
-			if err := s.truncateTorn(path, off); err != nil {
-				return err
-			}
-			break
-		}
-		length := int64(binary.BigEndian.Uint32(data[off : off+4]))
-		if length == 0 || length > maxRecordLen {
-			return corruptf(path, off, nil, "invalid record length %d", length)
-		}
-		if rem-segHeaderLen < length {
-			if err := s.truncateTorn(path, off); err != nil {
-				return err
-			}
-			break
-		}
-		wantCRC := binary.BigEndian.Uint32(data[off+4 : off+8])
-		payload := data[off+segHeaderLen : off+segHeaderLen+length]
-		if got := crc32.Checksum(payload, castagnoli); got != wantCRC {
-			return corruptf(path, off, nil, "checksum mismatch (stored %08x, computed %08x)", wantCRC, got)
-		}
+	var refused error
+	damage := scrub.WalkLog(data, func(off int64, payload []byte) error {
 		kind, id, version, body, err := decodePayload(payload)
 		if err != nil {
-			return corruptf(path, off, err, "undecodable record")
+			refused = corruptf(path, off, err, "undecodable record")
+		} else {
+			refused = s.applyRecord(sh, path, off, kind, id, version, body)
 		}
-		if err := s.applyRecord(sh, path, off, kind, id, version, body); err != nil {
-			return err
-		}
-		off += segHeaderLen + length
+		return refused
+	})
+	switch {
+	case refused != nil:
+		return refused
+	case damage == nil:
+		return nil
+	case damage.Torn:
+		return s.truncateTorn(path, damage.Offset)
 	}
-	return nil
+	return corruptf(path, damage.Offset, nil, "%s", damage.Reason)
 }
 
 // truncateTorn cuts a segment back to the end of its last complete

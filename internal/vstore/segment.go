@@ -3,7 +3,6 @@ package vstore
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -11,6 +10,7 @@ import (
 	"sync"
 
 	"xydiff/internal/faultfs"
+	"xydiff/internal/scrub"
 )
 
 // Each shard's write-ahead log is a sequence of segment files shared
@@ -18,7 +18,8 @@ import (
 // Records carry the document id so replay can demultiplex them. Every
 // record is length-prefixed and CRC32-C checksummed, so crash recovery
 // tells a torn tail (truncated) from mid-log damage (refused). The
-// framing is the one the old per-document journals used (migrate.go).
+// framing is the one the old per-document journals used (migrate.go),
+// and scrub.WalkLog is its one reader.
 //
 // On-disk record layout, all integers big-endian:
 //
@@ -48,14 +49,7 @@ const (
 	segHeaderLen = 8
 	segPrefix    = "seg-"
 	segSuffix    = ".log"
-	// maxRecordLen bounds a single record; anything larger is treated
-	// as corruption (a random length field from zeroed or flipped bytes
-	// would otherwise make recovery read gigabytes).
-	maxRecordLen = 1 << 30
 )
-
-// castagnoli is the CRC32-C table used by the segments.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // segName renders a segment file name for a sequence number.
 func segName(seq int) string { return fmt.Sprintf("%s%08d%s", segPrefix, seq, segSuffix) }
@@ -88,7 +82,7 @@ func encodeRecord(kind byte, id string, version int, body []byte) (rec, kept []b
 	rec = append(rec, body...)
 	payload := rec[segHeaderLen:]
 	binary.BigEndian.PutUint32(rec[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(rec[4:8], crc32.Checksum(payload, castagnoli))
+	binary.BigEndian.PutUint32(rec[4:8], scrub.Checksum(payload))
 	return rec, rec[len(rec)-len(body) : len(rec) : len(rec)]
 }
 

@@ -1,7 +1,10 @@
 package warehouse
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"xydiff/internal/alert"
@@ -56,8 +59,9 @@ func TestLoadPipeline(t *testing.T) {
 	if docs := w.Search("brandnew"); len(docs) != 1 {
 		t.Fatalf("search after update = %v", docs)
 	}
-	// Stats accumulated.
-	if st := w.Stats(); st.Versions != 2 || st.Ops.Inserts == 0 {
+	// Stats accumulated over the one transition; a first version is
+	// not one.
+	if st := w.Stats(); st.Versions != 1 || st.Ops.Inserts == 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 	// The past is queryable.
@@ -73,41 +77,129 @@ func TestLoadPipeline(t *testing.T) {
 	}
 }
 
+// TestIndexStaysConsistentOverHistory: after every Load, of any of
+// several documents, the incrementally maintained index equals a full
+// rebuild from each document's stored latest version.
 func TestIndexStaysConsistentOverHistory(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	w := New(diff.Options{})
-	cur := changesim.Catalog(rng, 2, 8)
-	if _, err := w.Load("doc", cur); err != nil {
-		t.Fatal(err)
+	ids := []string{"a", "b", "c"}
+	cur := map[string]*dom.Node{}
+	check := func(step string) {
+		t.Helper()
+		rebuilt := index.New()
+		for _, id := range ids {
+			if w.Versions(id) == 0 {
+				continue
+			}
+			latest, _, err := w.Latest(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rebuilt.AddDocument(id, latest)
+		}
+		if !index.Equal(w.pipeline.Index, rebuilt) {
+			t.Fatalf("%s: incremental index differs from a rebuild", step)
+		}
+	}
+	for _, id := range ids {
+		cur[id] = changesim.Catalog(rng, 2, 8)
+		if _, err := w.Load(id, cur[id]); err != nil {
+			t.Fatal(err)
+		}
+		check(id + " v1")
 	}
 	for week := 0; week < 5; week++ {
-		sim, err := changesim.Simulate(cur, changesim.Uniform(0.1, int64(week)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := w.Load("doc", sim.New); err != nil {
-			t.Fatal(err)
-		}
-		cur = sim.New
-	}
-	// The incrementally maintained index must equal a rebuild from the
-	// stored latest version.
-	latest, _, err := w.Latest("doc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rebuilt := index.New()
-	rebuilt.AddDocument("doc", latest)
-	for _, word := range []string{"warehouse", "quick", "xml", "nonexistent-word"} {
-		a, b := w.SearchPostings(word), rebuilt.Search(word)
-		if len(a) != len(b) {
-			t.Fatalf("postings for %q diverge: %d vs %d", word, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("posting %d for %q: %+v vs %+v", i, word, a[i], b[i])
+		for i, id := range ids {
+			sim, err := changesim.Simulate(cur[id], changesim.Uniform(0.1, int64(10*week+i)))
+			if err != nil {
+				t.Fatal(err)
 			}
+			if _, err := w.Load(id, sim.New); err != nil {
+				t.Fatal(err)
+			}
+			cur[id] = sim.New
+			check(fmt.Sprintf("%s week %d", id, week))
 		}
+	}
+	if docs := w.Search("warehouse"); len(docs) == 0 {
+		t.Error("no document found by a generator word; the check compared empty indexes")
+	}
+}
+
+// TestConcurrentLoadsReturnTheirOwnAlerts: Loads of distinct documents
+// running at once each return exactly the alerts a sequential run
+// raises for that document and version, never another Load's.
+func TestConcurrentLoadsReturnTheirOwnAlerts(t *testing.T) {
+	const docs, steps = 6, 5
+	histories := make([][]*dom.Node, docs)
+	for d := range histories {
+		doc := changesim.Catalog(rand.New(rand.NewSource(int64(d))), 2, 6)
+		histories[d] = append(histories[d], doc)
+		for s := 0; s < steps; s++ {
+			sim, err := changesim.Simulate(doc, changesim.Uniform(0.15, int64(100*d+s)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			doc = sim.New
+			histories[d] = append(histories[d], doc)
+		}
+	}
+	subscribed := func() *Warehouse {
+		w := New(diff.Options{})
+		w.Subscribe(alert.Subscription{ID: "all"})
+		w.Subscribe(alert.Subscription{ID: "ins", Kinds: []delta.Kind{delta.KindInsert}})
+		return w
+	}
+	load := func(w *Warehouse, d int) ([][]alert.Alert, error) {
+		var got [][]alert.Alert
+		for _, doc := range histories[d] {
+			res, err := w.Load(fmt.Sprint("doc-", d), doc)
+			if err != nil {
+				return nil, err
+			}
+			got = append(got, res.Alerts)
+		}
+		return got, nil
+	}
+
+	seq := subscribed()
+	want := make([][][]alert.Alert, docs)
+	for d := range want {
+		var err error
+		if want[d], err = load(seq, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conc := subscribed()
+	got := make([][][]alert.Alert, docs)
+	errs := make([]error, docs)
+	var wg sync.WaitGroup
+	for d := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[d], errs[d] = load(conc, d)
+		}()
+	}
+	wg.Wait()
+	total := 0
+	for d := range got {
+		if errs[d] != nil {
+			t.Fatal(errs[d])
+		}
+		if !reflect.DeepEqual(got[d], want[d]) {
+			t.Errorf("doc-%d: concurrent Loads returned %v, sequential %v", d, got[d], want[d])
+		}
+		for _, alerts := range got[d] {
+			total += len(alerts)
+		}
+	}
+	if total == 0 {
+		t.Fatal("no alerts raised; the test compared nothing")
+	}
+	if len(conc.raised) != 0 {
+		t.Errorf("%d alert slots left uncollected", len(conc.raised))
 	}
 }
 
@@ -140,9 +232,6 @@ func TestTemporalDelegation(t *testing.T) {
 	if !w.Unsubscribe("nope") {
 		// Unsubscribe of unknown id returns false; both branches fine.
 		_ = struct{}{}
-	}
-	if w.Store() == nil {
-		t.Fatal("store accessor nil")
 	}
 }
 
