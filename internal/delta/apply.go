@@ -82,12 +82,33 @@ func (r *Replay) Forward(d *Delta) error { return r.a.apply(d, false) }
 func (r *Replay) Backward(d *Delta) error { return r.a.apply(d, true) }
 
 // applier is the engine behind Apply and Replay: a document, its XID
-// index (built on first use), and whether attached subtrees are cloned
-// from the ops or taken from them.
+// index (built on first use), whether attached subtrees are cloned from
+// the ops or taken from them, and the attachment list the steps reuse.
 type applier struct {
-	doc   *dom.Node
-	index map[int64]*dom.Node
-	clone bool
+	doc     *dom.Node
+	index   *xid.Table[*dom.Node]
+	clone   bool
+	pending []attachment
+}
+
+// attachment is a subtree waiting to be attached at pos under the node
+// with XID parent; ready, on the first of a group, marks the group for
+// the current pass.
+type attachment struct {
+	parent int64
+	pos    int
+	node   *dom.Node
+	ready  bool
+}
+
+// groupEnd returns the end of the group of attachments (one parent)
+// that starts at i.
+func groupEnd(pending []attachment, i int) int {
+	j := i + 1
+	for j < len(pending) && pending[j].parent == pending[i].parent {
+		j++
+	}
+	return j
 }
 
 // apply applies d to a.doc, or its inverse when backward, in the five
@@ -114,11 +135,7 @@ func (a *applier) apply(d *Delta, backward bool) (err error) {
 	}
 
 	// Phase 2: detach moved subtrees.
-	type attachment struct {
-		pos  int
-		node *dom.Node
-	}
-	pending := make(map[int64][]attachment) // target parent XID -> items
+	pending := a.pending[:0]
 	for _, op := range d.Ops {
 		mv, ok := op.(Move)
 		if !ok {
@@ -127,7 +144,7 @@ func (a *applier) apply(d *Delta, backward bool) (err error) {
 		if backward {
 			mv = Move{XID: mv.XID, FromParent: mv.ToParent, FromPos: mv.ToPos, ToParent: mv.FromParent, ToPos: mv.FromPos}
 		}
-		n := index[mv.XID]
+		n := index.Get(mv.XID)
 		if n == nil {
 			return fmt.Errorf("delta: move: no node with XID %d", mv.XID)
 		}
@@ -135,7 +152,7 @@ func (a *applier) apply(d *Delta, backward bool) (err error) {
 			return fmt.Errorf("delta: move %d: parent is %v, op says %d", mv.XID, parentXID(n), mv.FromParent)
 		}
 		n.Detach()
-		pending[mv.ToParent] = append(pending[mv.ToParent], attachment{pos: mv.ToPos, node: n})
+		pending = append(pending, attachment{parent: mv.ToParent, pos: mv.ToPos, node: n})
 	}
 
 	// Phase 3: detach deleted subtrees.
@@ -144,7 +161,7 @@ func (a *applier) apply(d *Delta, backward bool) (err error) {
 		if !ok || attach {
 			continue
 		}
-		n := index[del.XID]
+		n := index.Get(del.XID)
 		if n == nil {
 			return fmt.Errorf("delta: delete: no node with XID %d", del.XID)
 		}
@@ -159,7 +176,7 @@ func (a *applier) apply(d *Delta, backward bool) (err error) {
 		// The detached nodes are gone; drop them from the index so a
 		// corrupt delta cannot re-attach below a deleted node.
 		dom.WalkPre(n, func(x *dom.Node) bool {
-			delete(index, x.XID)
+			index.Delete(x.XID)
 			return true
 		})
 	}
@@ -182,27 +199,40 @@ func (a *applier) apply(d *Delta, backward bool) (err error) {
 				return fmt.Errorf("delta: insert %d: %w", ins.XID, err)
 			}
 		}
-		pending[ins.Parent] = append(pending[ins.Parent], attachment{pos: ins.Pos, node: sub})
+		pending = append(pending, attachment{parent: ins.Parent, pos: ins.Pos, node: sub})
 	}
 
-	// Phase 5: attach, multi-pass until every group's parent exists.
+	// Phase 5: attach, multi-pass until every group's parent exists. A
+	// group is the attachments under one parent, attached in ascending
+	// position (ties in op order); a pass attaches, in ascending parent
+	// XID, each group whose parent existed when the pass began.
+	slices.SortStableFunc(pending, func(x, y attachment) int {
+		return cmp.Or(cmp.Compare(x.parent, y.parent), cmp.Compare(x.pos, y.pos))
+	})
+	a.pending = pending[:0] // the next step reuses the storage
 	for len(pending) > 0 {
-		parents := make([]int64, 0, len(pending))
-		for p := range pending {
-			if _, ok := index[p]; ok {
-				parents = append(parents, p)
+		groups, ready := 0, 0
+		for i, j := 0, 0; i < len(pending); i = j {
+			j = groupEnd(pending, i)
+			pending[i].ready = index.Get(pending[i].parent) != nil
+			groups++
+			if pending[i].ready {
+				ready++
 			}
 		}
-		if len(parents) == 0 {
-			return fmt.Errorf("delta: %d attachment group(s) reference unknown parents", len(pending))
+		if ready == 0 {
+			return fmt.Errorf("delta: %d attachment group(s) reference unknown parents", groups)
 		}
-		slices.Sort(parents)
-		for _, p := range parents {
-			parent := index[p]
-			group := pending[p]
-			delete(pending, p)
-			slices.SortStableFunc(group, func(x, y attachment) int { return cmp.Compare(x.pos, y.pos) })
-			for _, at := range group {
+		rest := pending[:0] // the groups left for the next pass, in order
+		for i, j := 0, 0; i < len(pending); i = j {
+			j = groupEnd(pending, i)
+			if !pending[i].ready {
+				rest = append(rest, pending[i:j]...)
+				continue
+			}
+			p := pending[i].parent
+			parent := index.Get(p)
+			for _, at := range pending[i:j] {
 				if err := parent.InsertAt(at.pos, at.node); err != nil {
 					return fmt.Errorf("delta: attach at %d[%d]: %w", p, at.pos, err)
 				}
@@ -210,12 +240,13 @@ func (a *applier) apply(d *Delta, backward bool) (err error) {
 				// later passes (moves into inserted subtrees).
 				dom.WalkPre(at.node, func(x *dom.Node) bool {
 					if x.XID != 0 {
-						index[x.XID] = x
+						index.Set(x.XID, x)
 					}
 					return true
 				})
 			}
 		}
+		pending = rest
 	}
 	return nil
 }
@@ -235,13 +266,13 @@ func structural(op Op, backward bool) (s Insert, attach, ok bool) {
 
 // applyValueOp applies an update or an attribute op, or its inverse
 // when backward; other ops are left to the later phases.
-func applyValueOp(index map[int64]*dom.Node, op Op, backward bool) error {
+func applyValueOp(index *xid.Table[*dom.Node], op Op, backward bool) error {
 	switch o := op.(type) {
 	case Update:
 		if backward {
 			o.Old, o.New = o.New, o.Old
 		}
-		n := index[o.XID]
+		n := index.Get(o.XID)
 		if n == nil {
 			return fmt.Errorf("delta: update: no node with XID %d", o.XID)
 		}
@@ -263,7 +294,7 @@ func applyValueOp(index map[int64]*dom.Node, op Op, backward bool) error {
 		if backward {
 			o.Old, o.New = o.New, o.Old
 		}
-		n := index[o.XID]
+		n := index.Get(o.XID)
 		if n == nil {
 			return fmt.Errorf("delta: update-attribute: no node with XID %d", o.XID)
 		}
@@ -277,8 +308,8 @@ func applyValueOp(index map[int64]*dom.Node, op Op, backward bool) error {
 	return nil
 }
 
-func insertAttr(index map[int64]*dom.Node, x int64, name, value string) error {
-	n := index[x]
+func insertAttr(index *xid.Table[*dom.Node], x int64, name, value string) error {
+	n := index.Get(x)
 	if n == nil {
 		return fmt.Errorf("delta: insert-attribute: no node with XID %d", x)
 	}
@@ -289,8 +320,8 @@ func insertAttr(index map[int64]*dom.Node, x int64, name, value string) error {
 	return nil
 }
 
-func deleteAttr(index map[int64]*dom.Node, x int64, name, old string) error {
-	n := index[x]
+func deleteAttr(index *xid.Table[*dom.Node], x int64, name, old string) error {
+	n := index.Get(x)
 	if n == nil {
 		return fmt.Errorf("delta: delete-attribute: no node with XID %d", x)
 	}
@@ -303,11 +334,11 @@ func deleteAttr(index map[int64]*dom.Node, x int64, name, old string) error {
 	return nil
 }
 
-func buildIndex(doc *dom.Node) map[int64]*dom.Node {
-	index := make(map[int64]*dom.Node, 256)
+func buildIndex(doc *dom.Node) *xid.Table[*dom.Node] {
+	index := new(xid.Table[*dom.Node])
 	dom.WalkPre(doc, func(n *dom.Node) bool {
 		if n.XID != 0 {
-			index[n.XID] = n
+			index.Set(n.XID, n)
 		}
 		return true
 	})

@@ -301,15 +301,74 @@ func TestApplyErrors(t *testing.T) {
 		{"attr insert dup", &Delta{Ops: []Op{InsertAttr{XID: 15, Name: "x"}, InsertAttr{XID: 15, Name: "x"}}}},
 		{"attr delete missing", &Delta{Ops: []Op{DeleteAttr{XID: 15, Name: "nope"}}}},
 		{"attr update missing", &Delta{Ops: []Op{UpdateAttr{XID: 15, Name: "nope"}}}},
+		// XIDs outside the table's pages: zero, negative, far beyond
+		// the document.
+		{"update XID 0", &Delta{Ops: []Op{Update{XID: 0, Old: "a", New: "b"}}}},
+		{"move XID 0", &Delta{Ops: []Op{Move{XID: 0, FromParent: 16, ToParent: 16}}}},
+		{"insert under XID 0", &Delta{Ops: []Op{Insert{XID: 9, XIDMap: m1, Parent: 0, Pos: 0, Subtree: sub.Root()}}}},
+		{"update negative XID", &Delta{Ops: []Op{Update{XID: -1, Old: "a", New: "b"}}}},
+		{"delete negative XID", &Delta{Ops: []Op{Delete{XID: -7, Parent: 8, Subtree: sub.Root()}}}},
+		{"insert under negative XID", &Delta{Ops: []Op{Insert{XID: 9, XIDMap: m1, Parent: -8, Pos: 0, Subtree: sub.Root()}}}},
+		{"attr insert XID 1<<62", &Delta{Ops: []Op{InsertAttr{XID: 1 << 62, Name: "x"}}}},
+		{"move under XID 1<<62", &Delta{Ops: []Op{Move{XID: 2, FromParent: 3, ToParent: 1 << 62}}}},
+		{"insert under XID 1<<62", &Delta{Ops: []Op{Insert{XID: 9, XIDMap: m1, Parent: 1 << 62, Pos: 0, Subtree: sub.Root()}}}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			doc := buildCatalog(t)
-			if err := Apply(doc, c.d); err == nil {
-				t.Errorf("Apply succeeded, want error")
+			err := Apply(doc, c.d)
+			if err == nil {
+				t.Fatalf("Apply succeeded, want error")
+			}
+			// The map-indexed engine gives the same verdict, word for word.
+			if want := ApplyReference(buildCatalog(t), c.d); want == nil || err.Error() != want.Error() {
+				t.Errorf("Apply: %v\nthe map-indexed engine: %v", err, want)
 			}
 		})
 	}
+}
+
+// TestApplyFarXIDs attaches below nodes whose XIDs lie outside the
+// table's pages — one inserted with XID 1<<62, one with a negative XID
+// a caller built by hand — and detaches them again, forward and
+// backward, with the result the map-indexed engine gives.
+func TestApplyFarXIDs(t *testing.T) {
+	for _, far := range []int64{1 << 62, -5} {
+		outer, _ := dom.ParseString(`<far/>`)
+		inner, _ := dom.ParseString(`<x/>`)
+		d := func() *Delta {
+			var m1 xid.Map
+			m1.Append(far)
+			return &Delta{Ops: []Op{
+				Insert{XID: 30, XIDMap: xid.Of(inner.Root()), Parent: far, Pos: 0, Subtree: inner.Root().Clone()},
+				Insert{XID: far, XIDMap: m1, Parent: 15, Pos: 0, Subtree: outer.Root().Clone()},
+				Move{XID: 2, FromParent: 15, FromPos: 0, ToParent: far, ToPos: 1},
+				Update{XID: 11, Old: "$799", New: "$1"},
+			}}
+		}
+		inner.Root().XID = 30
+		got, want := buildCatalog(t), buildCatalog(t)
+		err, refErr := Apply(got, d()), ApplyReference(want, d())
+		if err != nil || refErr != nil || !sameWithXIDs(got, want) {
+			t.Fatalf("XID %d forward: %v, %s\nthe map-indexed engine: %v, %s", far, err, got, refErr, want)
+		}
+		err, refErr = NewReplay(got).Backward(d()), ReplayReference(want, []*Delta{d()}, true)
+		if err != nil || refErr != nil || !sameWithXIDs(got, want) || !sameWithXIDs(got, buildCatalog(t)) {
+			t.Fatalf("XID %d backward: %v, %s\nthe map-indexed engine: %v, %s", far, err, got, refErr, want)
+		}
+	}
+}
+
+// sameWithXIDs reports whether two trees are equal and every node pair
+// carries the same XID.
+func sameWithXIDs(a, b *dom.Node) bool {
+	if !dom.Equal(a, b) {
+		return false
+	}
+	var xa, xb []int64
+	dom.WalkPre(a, func(n *dom.Node) bool { xa = append(xa, n.XID); return true })
+	dom.WalkPre(b, func(n *dom.Node) bool { xb = append(xb, n.XID); return true })
+	return slices.Equal(xa, xb)
 }
 
 func TestUpdateTextNodeValue(t *testing.T) {

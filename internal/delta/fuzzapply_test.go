@@ -4,6 +4,7 @@ package delta_test
 // to generate realistic delta seeds without an import cycle.
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -17,7 +18,10 @@ import (
 // a document must either succeed or return an error — never panic and
 // never corrupt the tree into something that cannot serialize. This is
 // the hardened path the server walks when replaying journals or serving
-// patch requests over untrusted data.
+// patch requests over untrusted data. Forward through Apply and
+// backward through a Replay, the engine must also give the verdict the
+// map-indexed engine it replaced gives: the same error text, or the
+// same tree with the same XIDs.
 func FuzzApply(f *testing.F) {
 	const baseXML = `<Catalog><Product><Name>tx123</Name><Price>$300</Price></Product>` +
 		`<Product><Name>zy456</Name></Product></Catalog>`
@@ -57,6 +61,15 @@ func FuzzApply(f *testing.F) {
 		`<delta><update xid="7"><old>nope</old><new>yep</new></update></delta>`,
 		`<delta><insert parent="3" pos="-1" xid="50" xidmap="(50)"><e/></insert></delta>`,
 		`<delta><insert-attribute name="a" value="v" xid="3"/><delete-attribute name="a" value="v" xid="3"/></delta>`,
+		// XIDs outside the XID table's pages: zero, negative, and 1<<62
+		// (inserted, then attached below and moved into).
+		`<delta><update xid="0"><old>tx123</old><new>x</new></update></delta>`,
+		`<delta><insert parent="0" pos="1" xid="50" xidmap="(50)"><e/></insert></delta>`,
+		`<delta><move from-parent="-3" from-pos="1" to-parent="9" to-pos="1" xid="-2"/></delta>`,
+		`<delta><delete parent="9" pos="1" xid="0" xidmap="(0)"><e/></delete></delta>`,
+		`<delta><insert parent="9" pos="1" xid="4611686018427387904" xidmap="(4611686018427387904)"><far/></insert>` +
+			`<insert parent="4611686018427387904" pos="1" xid="60" xidmap="(60)"><e/></insert>` +
+			`<move from-parent="5" from-pos="1" to-parent="4611686018427387904" to-pos="2" xid="2"/></delta>`,
 	} {
 		f.Add(s)
 	}
@@ -66,18 +79,60 @@ func FuzzApply(f *testing.F) {
 		if err != nil {
 			return // not a delta document; nothing to apply
 		}
-		doc, err := dom.ParseString(baseXML)
-		if err != nil {
-			t.Fatal(err)
+		base := func() *dom.Node {
+			doc, err := dom.ParseString(baseXML)
+			if err != nil {
+				t.Fatal(err)
+			}
+			xid.Assign(doc)
+			return doc
 		}
-		xid.Assign(doc)
+		doc := base()
 		patched, err := delta.ApplyClone(doc, d)
-		if err != nil {
-			return // rejecting a hostile delta is correct
+		ref := base()
+		sameVerdict(t, "Apply", err, patched, delta.ApplyReference(ref, d), ref)
+		if err == nil {
+			// A delta the engine accepted must leave a serializable tree.
+			if s := patched.String(); s == "" && len(patched.Children) > 0 {
+				t.Fatalf("accepted delta produced unserializable tree")
+			}
 		}
-		// A delta the engine accepted must leave a serializable tree.
-		if s := patched.String(); s == "" && len(patched.Children) > 0 {
-			t.Fatalf("accepted delta produced unserializable tree")
+		// A Replay consumes its deltas: each engine gets its own parse.
+		fresh := func() *delta.Delta {
+			d, err := delta.Parse(strings.NewReader(deltaXML))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d
 		}
+		got, want := base(), base()
+		err = delta.NewReplay(got).Backward(fresh())
+		sameVerdict(t, "Replay.Backward", err, got, delta.ReplayReference(want, []*delta.Delta{fresh()}, true), want)
 	})
+}
+
+// sameVerdict fails t unless the engine and the map-indexed one agree:
+// both fail with the same text, or both succeed with the same tree and
+// the same XIDs.
+func sameVerdict(t *testing.T, what string, err error, got *dom.Node, refErr error, want *dom.Node) {
+	t.Helper()
+	if (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() {
+		t.Fatalf("%s: %v\nthe map-indexed engine: %v", what, err, refErr)
+	}
+	if err == nil && withXIDs(got) != withXIDs(want) {
+		t.Fatalf("%s: %s\nthe map-indexed engine: %s", what, withXIDs(got), withXIDs(want))
+	}
+}
+
+// withXIDs renders a tree with every node's XID.
+func withXIDs(doc *dom.Node) string {
+	var b strings.Builder
+	dom.WalkPre(doc, func(n *dom.Node) bool {
+		fmt.Fprintf(&b, "%d:%d %q %q %v|", n.XID, n.Type, n.Name, n.Value, n.SortedAttrs())
+		if n.Parent != nil {
+			fmt.Fprintf(&b, "^%d;", n.Parent.XID)
+		}
+		return true
+	})
+	return b.String()
 }

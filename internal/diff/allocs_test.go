@@ -14,7 +14,8 @@ import (
 // composition: two annotations without signatures, one XID table and
 // the delta, whose pruned insert and delete content is nearly all of
 // it (1 541 allocations on this chain with the signature index and the
-// fan-out; 842 with four maps pairing the versions; 824 now).
+// fan-out; 842 with four maps pairing the versions; 823 with the XID
+// table a map, and as many with the xid.Table).
 // ComposeVersions rewrites XIDs in final, so every run gets its own
 // pre-made clone.
 func TestComposeVersionsAllocations(t *testing.T) {

@@ -55,15 +55,15 @@ func ComposeVersions(base, final *dom.Node) (*delta.Delta, error) {
 	m := newMatcher(base, final, Options{LISWindow: -1, DisableIDAttributes: true, keepNewXIDs: true}, false)
 	defer m.release()
 	m.setMatch(m.old.root(), m.new.root())
-	at := make(map[int64]int32, m.new.len()) // XID -> index in final
+	var at xid.Table[int32] // XID -> index in final, plus one
 	for i, n := range m.new.nodes {
 		if n.XID != 0 {
-			at[n.XID] = int32(i)
+			at.Set(n.XID, int32(i)+1)
 		}
 	}
 	for oi, o := range m.old.nodes {
-		if ni, ok := at[o.XID]; ok && m.compatible(oi, int(ni)) {
-			m.setMatch(oi, int(ni))
+		if ni := int(at.Get(o.XID)) - 1; ni >= 0 && m.compatible(oi, ni) {
+			m.setMatch(oi, ni)
 		}
 	}
 	return m.buildDelta(), nil

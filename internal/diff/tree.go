@@ -42,34 +42,72 @@ func newTree(doc *dom.Node, sigs bool, done <-chan struct{}) *tree {
 	t := treePool.Get().(*tree)
 	t.doc = doc
 	t.maxXID, t.missingXID = 0, false
-	n := doc.Size()
-	t.grow(n, sigs)
+	t.open(sigs)
 	b := builder{t: t, sigs: sigs, done: done}
-	b.build(doc, 0, 0, 0)
+	_, n, kids := b.build(doc, 0, 0, 0)
+	t.cut(int(n), int(kids), sigs)
 	t.parent[n-1] = -1
 	t.totalWeight = t.weight[t.root()]
 	return t
 }
 
-// grow sizes the arrays for n nodes, reusing pooled capacity; sig is
-// emptied when signatures are not wanted. Every element is written
-// during the build, so no zeroing is needed.
-func (t *tree) grow(n int, sigs bool) {
-	t.nodes = growSlice(t.nodes, n)
-	t.parent = growSlice(t.parent, n)
-	t.childPos = growSlice(t.childPos, n)
-	t.kidStart = growSlice(t.kidStart, n)
-	t.weight = growSlice(t.weight, n)
+// open stretches the pooled arrays to their capacity for a build, which
+// writes every element it uses, so no zeroing is needed; cut then trims
+// them to what the build used. A pooled tree that has held a document
+// this large needs nothing more. Otherwise the build meets the end of
+// an array and calls fit, which counts the document once and sizes the
+// arrays to it. sig is emptied when signatures are not wanted.
+func (t *tree) open(sigs bool) {
+	t.nodes = t.nodes[:cap(t.nodes)]
+	t.parent = t.parent[:cap(t.parent)]
+	t.childPos = t.childPos[:cap(t.childPos)]
+	t.kidStart = t.kidStart[:cap(t.kidStart)]
+	t.weight = t.weight[:cap(t.weight)]
+	t.kids = t.kids[:cap(t.kids)]
 	if sigs {
-		t.sig = growSlice(t.sig, n)
+		t.sig = t.sig[:cap(t.sig)]
 	} else {
 		t.sig = t.sig[:0]
 	}
-	if n > 0 {
-		t.kids = growSlice(t.kids, n-1)
-	} else {
-		t.kids = t.kids[:0]
+}
+
+// cut trims the arrays to n nodes and kids child entries.
+func (t *tree) cut(n, kids int, sigs bool) {
+	t.nodes = t.nodes[:n]
+	t.parent = t.parent[:n]
+	t.childPos = t.childPos[:n]
+	t.kidStart = t.kidStart[:n]
+	t.weight = t.weight[:n]
+	if sigs {
+		t.sig = t.sig[:n]
 	}
+	t.kids = t.kids[:kids]
+}
+
+// fit sizes the arrays, keeping what the build has written, for the
+// whole document: n nodes and n-1 child entries.
+func (t *tree) fit(sigs bool) {
+	n := t.doc.Size()
+	if len(t.nodes) < n {
+		t.nodes = regrow(t.nodes, n)
+		t.parent = regrow(t.parent, n)
+		t.childPos = regrow(t.childPos, n)
+		t.kidStart = regrow(t.kidStart, n)
+		t.weight = regrow(t.weight, n)
+	}
+	if sigs && len(t.sig) < n {
+		t.sig = regrow(t.sig, n)
+	}
+	if len(t.kids) < n-1 {
+		t.kids = regrow(t.kids, n-1)
+	}
+}
+
+// regrow returns a slice of length n that starts with s.
+func regrow[T any](s []T, n int) []T {
+	out := make([]T, n)
+	copy(out, s)
+	return out
 }
 
 func growSlice[T any](s []T, n int) []T {
@@ -132,12 +170,18 @@ func (b *builder) build(x *dom.Node, idx, off, pos int32) (int32, int32, int32) 
 	t := b.t
 	r := off
 	off += int32(len(x.Children))
+	if int(off) > len(t.kids) {
+		t.fit(b.sigs)
+	}
 	for j, c := range x.Children {
 		var ci int32
 		ci, idx, off = b.build(c, idx, off, int32(j))
 		t.kids[r+int32(j)] = ci
 	}
 	self := idx
+	if int(self) >= len(t.nodes) || b.sigs && int(self) >= len(t.sig) {
+		t.fit(b.sigs)
+	}
 	idx++
 	t.nodes[self] = x
 	t.childPos[self] = pos

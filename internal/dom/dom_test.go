@@ -196,6 +196,18 @@ func TestCloneIsDeepAndIndependent(t *testing.T) {
 	}
 }
 
+// TestCloneKeepsDoctype: a copy of a document keeps its DOCTYPE, the
+// DTD the diff reads ID attributes from.
+func TestCloneKeepsDoctype(t *testing.T) {
+	doc := mustParse(t, `<!DOCTYPE r [<!ATTLIST p id ID #REQUIRED>]><r><p id="a"/></r>`)
+	if doc.Doctype == "" {
+		t.Fatal("setup: no DOCTYPE parsed")
+	}
+	if got := doc.Clone().Doctype; got != doc.Doctype {
+		t.Errorf("Clone's DOCTYPE = %q, want %q", got, doc.Doctype)
+	}
+}
+
 func TestInsertRemoveDetach(t *testing.T) {
 	p := NewElement("p")
 	a, b, c := NewElement("a"), NewElement("b"), NewElement("c")

@@ -212,12 +212,12 @@ func (n *Node) RemoveAttribute(name string) bool {
 }
 
 // Clone returns a deep copy of the subtree rooted at n. The clone's
-// Parent is nil; XIDs are copied.
+// Parent is nil; XIDs and a Document's DOCTYPE are copied.
 func (n *Node) Clone() *Node {
 	if n == nil {
 		return nil
 	}
-	c := &Node{Type: n.Type, Name: n.Name, Value: n.Value, XID: n.XID}
+	c := &Node{Type: n.Type, Name: n.Name, Value: n.Value, XID: n.XID, Doctype: n.Doctype}
 	if len(n.Attrs) > 0 {
 		c.Attrs = make([]Attr, len(n.Attrs))
 		copy(c.Attrs, n.Attrs)

@@ -24,6 +24,14 @@ func (n *Node) String() string {
 	return b.String()
 }
 
+// AppendXML appends what WriteTo writes for the subtree rooted at n to
+// b and returns the extended slice, growing it as append does.
+func (n *Node) AppendXML(b []byte) []byte {
+	cw := countWriter{buf: b, grow: true}
+	writeNode(&cw, n)
+	return cw.buf
+}
+
 // EncodedLen returns how many bytes WriteTo writes for the subtree
 // rooted at n, counted by the same walk with nothing copied.
 func (n *Node) EncodedLen() int64 {
@@ -71,16 +79,21 @@ const flushSize = 4096
 
 // countWriter gathers output in buf, whose capacity is flushSize, and
 // hands it to w one full buffer at a time, counting what w accepted.
-// Without a w it only counts.
+// Without a w it only counts, or, with grow set, appends everything to
+// buf.
 type countWriter struct {
-	w   io.Writer
-	buf []byte
-	n   int64
-	err error
+	w    io.Writer
+	buf  []byte
+	n    int64
+	err  error
+	grow bool
 }
 
 func (cw *countWriter) writeString(s string) {
 	if cw.w == nil {
+		if cw.grow {
+			cw.buf = append(cw.buf, s...)
+		}
 		cw.n += int64(len(s))
 		return
 	}

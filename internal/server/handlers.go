@@ -316,21 +316,21 @@ func parseMatcherParam(r *http.Request) (diff.Matcher, error) {
 	return m, nil
 }
 
-func writeDoc(w http.ResponseWriter, doc *dom.Node, version int) {
+func writeDoc(w http.ResponseWriter, body []byte, version int) {
 	w.Header().Set("Content-Type", "application/xml")
 	w.Header().Set("X-Xydiff-Version", strconv.Itoa(version))
-	_, _ = doc.WriteTo(w) // headers are out; a write error means the client hung up
+	_, _ = w.Write(body) // headers are out; a write error means the client hung up
 }
 
 func (s *Server) handleGetLatest(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	doc, version, err := s.store.Latest(id)
+	body, version, err := s.store.LatestXML(id)
 	if err != nil {
 		storeError(w, err)
 		return
 	}
 	s.warnDegraded(w, id)
-	writeDoc(w, doc, version)
+	writeDoc(w, body, version)
 }
 
 func (s *Server) handleGetVersion(w http.ResponseWriter, r *http.Request) {
@@ -340,13 +340,13 @@ func (s *Server) handleGetVersion(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("id")
-	doc, err := s.store.Version(id, n)
+	body, err := s.store.VersionXML(id, n)
 	if err != nil {
 		storeError(w, err)
 		return
 	}
 	s.warnDegraded(w, id)
-	writeDoc(w, doc, n)
+	writeDoc(w, body, n)
 }
 
 // handleGetDelta serves /docs/{id}/deltas/{spec} where spec is either a

@@ -24,10 +24,17 @@ import (
 // ends: one seeded history, PUT over HTTP to the daemon and Loaded into
 // the library warehouse, must raise the same alerts for every document
 // and leave the same change statistics, under either matcher.
+//
+// The last document declares an ID attribute in its DTD, and its two
+// products swap IDs from version to version. Phase 1 (paper §5.2)
+// matches them by ID in both front ends. When dom.Node.Clone dropped
+// the DOCTYPE, warehouse.Load diffed a copy without it, and the front
+// ends parted ("doc-3: the daemon raised 30 alerts, the warehouse 5",
+// and the statistics counted 10 attribute changes the daemon never saw).
 func TestPipelineParity(t *testing.T) {
 	const docs, versions = 3, 6
 	rng := rand.New(rand.NewSource(36))
-	history := make([][]string, docs) // history[d][v-1] is version v's XML
+	history := make([][]string, docs, docs+1) // history[d][v-1] is version v's XML
 	for d := range history {
 		doc := changesim.Catalog(rng, 2, 5)
 		history[d] = append(history[d], doc.String())
@@ -40,6 +47,17 @@ func TestPipelineParity(t *testing.T) {
 			history[d] = append(history[d], doc.String())
 		}
 	}
+	const dtd = `<!DOCTYPE Catalog [<!ATTLIST Product pid ID #REQUIRED>]>`
+	var swaps []string
+	for v := 0; v < versions; v++ {
+		a, b := "p1", "p2"
+		if v%2 == 1 {
+			a, b = b, a
+		}
+		swaps = append(swaps, dtd+`<Catalog><Product pid="`+a+`"><Name>xml kit</Name><Price>1200</Price></Product>`+
+			`<Product pid="`+b+`"><Name>camera</Name><Price>300</Price></Product></Catalog>`)
+	}
+	history = append(history, swaps)
 	subs := []alert.Subscription{
 		{ID: "path", Path: "Category/Product"},
 		{ID: "query", Query: xpathlite.MustCompile(`//Product[Price>1000]`)},

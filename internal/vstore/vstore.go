@@ -486,6 +486,64 @@ func (s *Store) Version(id string, n int) (*dom.Node, error) {
 	return doc, err
 }
 
+// VersionXML is Version serialized: version n's canonical XML, the
+// bytes Version(id, n) would write, or Version's error. No tree is
+// handed out, so none is copied for the caller: the latest version is
+// serialized from the cached tree under the document's read lock, and a
+// past version from the read walk's own tree once the lock is released.
+func (s *Store) VersionXML(id string, n int) ([]byte, error) {
+	body, _, err := s.readXML(id, n, false)
+	return body, err
+}
+
+// LatestXML is Latest serialized: the latest version's canonical XML
+// and its version number, serialized from the cached tree with no copy.
+func (s *Store) LatestXML(id string) ([]byte, int, error) {
+	return s.readXML(id, 0, true)
+}
+
+// readXML is VersionXML, or LatestXML when latest is set (n is then
+// ignored), returning the version it serialized.
+func (s *Store) readXML(id string, n int, latest bool) ([]byte, int, error) {
+	st, err := s.reading(id)
+	if err != nil {
+		return nil, 0, err
+	}
+	if latest {
+		n = st.versions
+	} else if err := st.checkVersion(id, n); err != nil {
+		st.mu.RUnlock()
+		return nil, 0, err
+	}
+	// Version 1's length sizes the buffer: later versions of a
+	// document are of a piece with it.
+	buf := make([]byte, 0, len(st.base)+len(st.base)/8)
+	var own *dom.Node // the walk's tree, serialized once the lock is released
+	if latest {
+		var doc *dom.Node
+		if doc, err = s.materializeLocked(id, st); err == nil {
+			buf = doc.AppendXML(buf)
+		}
+	} else {
+		_, err = s.read(id, st, []int{n}, func(_ int, d *dom.Node, mine bool) error {
+			if mine {
+				own = d
+			} else {
+				buf = d.AppendXML(buf) // the cache's tree, or one the walk goes on with
+			}
+			return nil
+		})
+	}
+	st.mu.RUnlock()
+	if err != nil {
+		return nil, 0, err
+	}
+	if own != nil {
+		buf = own.AppendXML(buf)
+	}
+	return buf, n, nil
+}
+
 // checkVersion is Version's answer for a version that cannot be
 // served: past the end of a degraded document the history was there
 // and is quarantined, anywhere else outside 1..versions it never

@@ -13,6 +13,7 @@ import (
 	"xydiff/internal/diff"
 	"xydiff/internal/dom"
 	"xydiff/internal/store"
+	"xydiff/internal/xid"
 	"xydiff/internal/xpathlite"
 )
 
@@ -567,5 +568,47 @@ func checkSurvivesEvictionAndReopen(t *testing.T, v1, v2 string) {
 	}
 	if got.String() != v2 {
 		t.Fatalf("Version(2) after reopen = %s", got)
+	}
+}
+
+// TestPutDeltaIsTheDiff: Put copies the document it is given, DOCTYPE
+// included, so the delta it stores is the one diff.Diff computes on the
+// same parsed pair. Here the DTD declares pid an ID and the products
+// swap pids: Phase 1 (paper §5.2) matches them by ID, where a copy
+// without the DTD stored two update-attribute ops.
+func TestPutDeltaIsTheDiff(t *testing.T) {
+	const dtd = `<!DOCTYPE Catalog [<!ATTLIST Product pid ID #REQUIRED>]>`
+	v1 := dtd + `<Catalog><Product pid="p1"><Name>xml kit</Name><Price>1200</Price></Product>` +
+		`<Product pid="p2"><Name>camera</Name><Price>300</Price></Product></Catalog>`
+	v2 := dtd + `<Catalog><Product pid="p2"><Name>xml kit</Name><Price>1200</Price></Product>` +
+		`<Product pid="p1"><Name>camera</Name><Price>300</Price></Product></Catalog>`
+	s, err := Open("", diff.Options{}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range []string{v1, v2} {
+		if _, _, err := s.Put("doc", parse(t, body)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := s.Delta("doc", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := parse(t, v1)
+	xid.Assign(old)
+	want, err := diff.Diff(old, parse(t, v2), diff.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotText, _ := got.MarshalText()
+	wantText, _ := want.MarshalText()
+	if string(gotText) != string(wantText) {
+		t.Fatalf("Put stored\n %s\ndiff.Diff gives\n %s", gotText, wantText)
+	}
+	for _, op := range want.Ops {
+		if op.Kind() == delta.KindUpdateAttr {
+			t.Fatalf("diff.Diff updated an ID attribute; Phase 1 did not run:\n %s", wantText)
+		}
 	}
 }

@@ -17,9 +17,11 @@ import (
 // where that decodes the fewest stored bytes.
 
 // A visitor receives each target version the walk reaches. doc is the
-// walk's working tree at version v: visit may read it, and keep it only
-// when own is true — the walk is done with it. Otherwise the walk goes
-// on changing it (or caches it), so visit must copy what it keeps.
+// walk's working tree at version v, or the cached latest version when
+// the target is the latest: visit may read it, and keep it only when
+// own is true — the walk is done with it. Otherwise the walk goes on
+// changing it, or the cache holds it, so visit must change nothing and
+// copy what it keeps.
 type visitor func(v int, doc *dom.Node, own bool) error
 
 // private is doc when the visitor owns it, and a copy otherwise.
@@ -111,8 +113,10 @@ func (st *docState) plan(targets []int) int {
 // version, which the walk copies and never changes. With latest nil —
 // a cache miss with no keyframe to restore — every target is reached
 // forward whatever fwd says, and the walk goes on to the latest version
-// and returns it. decoded is how many stored deltas the walk decoded.
-// The caller holds the state lock.
+// and returns it. A backward walk copies latest only once it has a
+// step to take: a target at the latest version is visited on latest
+// itself. decoded is how many stored deltas the walk decoded. The
+// caller holds the state lock.
 func (st *docState) walk(latest *dom.Node, targets []int, fwd int, visit visitor) (_ *dom.Node, decoded int, _ error) {
 	step := func(r *delta.Replay, n int, backward bool) error {
 		decoded++
@@ -149,16 +153,19 @@ func (st *docState) walk(latest *dom.Node, targets []int, fwd int, visit visitor
 		}
 	}
 	if fwd < len(targets) {
-		doc := latest.Clone()
-		r := delta.NewReplay(doc)
+		doc, r := latest, (*delta.Replay)(nil)
 		v := st.versions
 		for k := len(targets) - 1; k >= fwd; k-- {
 			for ; v > targets[k]; v-- {
+				if r == nil {
+					doc = latest.Clone()
+					r = delta.NewReplay(doc)
+				}
 				if err := step(r, v-1, true); err != nil {
 					return nil, decoded, err
 				}
 			}
-			if err := visit(targets[k], doc, k == fwd); err != nil {
+			if err := visit(targets[k], doc, k == fwd && r != nil); err != nil {
 				return nil, decoded, err
 			}
 		}

@@ -300,13 +300,14 @@ func TestConcurrentReadWalks(t *testing.T) {
 // gate go test. With the latest version cached, reading version 2 of
 // twelve costs about what reading version 11 does; when every read
 // walked back from the latest, version 2 decoded ten deltas where
-// version 11 decodes one (5 276 allocations against 999; now 1 255).
+// version 11 decodes one (5 276 allocations against 999; 1 255 once
+// planned; 1 233 against 961 with the XID table for the walk's index).
 // On a miss the latest version comes back from its keyframe and the
 // read walks as a hit does: a restore (about 690 allocations, with the
 // keyframe the restore's eviction leaves) plus the hit's walk. With no
 // keyframe, on a store just reopened, a miss costs the replay that
-// caches the latest version (about 6 600) and one copy, not a further
-// walk back from it.
+// caches the latest version (6 013 with a map for the index, 5 550 with
+// the table) and one copy, not a further walk back from it.
 func TestReadWalkAllocations(t *testing.T) {
 	chain := flipChain(t, 7000, 12)
 	s := chainStore(t, Config{Shards: 1}, chain, "doc")
@@ -322,6 +323,9 @@ func TestReadWalkAllocations(t *testing.T) {
 	t.Logf("Version(11): %.0f allocations, Version(2): %.0f", near, far)
 	if far > 2*near {
 		t.Errorf("Version(2) allocates %.0f times, more than twice Version(11)'s %.0f", far, near)
+	}
+	if near > 990 || far > 1250 {
+		t.Errorf("Version(11) allocates %.0f times and Version(2) %.0f, want at most 990 and 1250", near, far)
 	}
 	materialize := func(s *Store) func(id string) error {
 		return func(id string) error {
@@ -387,6 +391,9 @@ func TestReadWalkAllocations(t *testing.T) {
 	t.Logf("materialize on a miss: %.0f allocations from a keyframe, %.0f replaying the chain", restore, replay)
 	if 4*restore > replay {
 		t.Errorf("a keyframe restore allocates %.0f times, more than a quarter of a chain replay's %.0f", restore, replay)
+	}
+	if replay > 5800 {
+		t.Errorf("replaying the chain allocates %.0f times, want at most 5800", replay)
 	}
 	for _, n := range []int{1, 6, 12} {
 		doc, err := reopened.Version("d0", n)
