@@ -134,12 +134,13 @@ type Crawler struct {
 	metrics *Metrics
 	log     *slog.Logger
 
-	mu       sync.Mutex
-	queue    schedHeap            // sources waiting for their due time
-	queued   map[string]bool      // ids currently in the heap
-	hostNext map[string]time.Time // per-host next allowed request start
-	rng      *rand.Rand           // schedule + backoff jitter
-	wake     chan struct{}        // poked when the head of the queue may have changed
+	mu        sync.Mutex
+	queue     schedHeap            // sources waiting for their due time
+	queued    map[string]bool      // ids currently in the heap
+	hostNext  map[string]time.Time // per-host next planned request start
+	hostStart map[string]time.Time // per-host start of the latest request
+	rng       *rand.Rand           // schedule + backoff jitter
+	wake      chan struct{}        // poked when the head of the queue may have changed
 }
 
 // New wires a crawler over the registry. rates is the change-rate
@@ -149,16 +150,17 @@ type Crawler struct {
 func New(reg *Registry, ingest Ingester, rates *stats.Collector, cfg Config) *Crawler {
 	cfg = cfg.withDefaults()
 	c := &Crawler{
-		cfg:      cfg,
-		reg:      reg,
-		ingest:   ingest,
-		rates:    rates,
-		metrics:  newMetrics(),
-		log:      cfg.Logger,
-		queued:   make(map[string]bool),
-		hostNext: make(map[string]time.Time),
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		wake:     make(chan struct{}, 1),
+		cfg:       cfg,
+		reg:       reg,
+		ingest:    ingest,
+		rates:     rates,
+		metrics:   newMetrics(),
+		log:       cfg.Logger,
+		queued:    make(map[string]bool),
+		hostNext:  make(map[string]time.Time),
+		hostStart: make(map[string]time.Time),
+		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		wake:      make(chan struct{}, 1),
 	}
 	c.metrics.queueDepth = c.depth
 	c.metrics.sources = reg.Len
@@ -353,21 +355,40 @@ func (c *Crawler) backoffDelay(failures int) time.Duration {
 	return c.cfg.Retry.Delay(failures-1, c.rng)
 }
 
-// reserveHost returns how long the caller must wait before starting a
-// request to host, reserving its slot (politeness spacing).
-func (c *Crawler) reserveHost(host string) time.Duration {
+// reserveHost plans a request to host at now: it returns how long the
+// caller waits before claiming the host, and moves the host's next slot
+// one PerHostInterval on, so concurrent waiters wake spread out.
+func (c *Crawler) reserveHost(host string, now time.Time) time.Duration {
 	if c.cfg.PerHostInterval <= 0 {
 		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := time.Now()
 	slot := c.hostNext[host]
 	if slot.Before(now) {
 		slot = now
 	}
 	c.hostNext[host] = slot.Add(c.cfg.PerHostInterval)
 	return slot.Sub(now)
+}
+
+// claimHost starts a request to host at now and returns 0 when
+// PerHostInterval has passed since the previous request's start;
+// otherwise it claims nothing and returns what is left of the interval.
+// The spacing is counted from actual starts, not from planned slots: a
+// waiter that wakes late pushes the next request back instead of
+// leaving it closer than the interval (politeness spacing).
+func (c *Crawler) claimHost(host string, now time.Time) time.Duration {
+	if c.cfg.PerHostInterval <= 0 {
+		return 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if wait := c.hostStart[host].Add(c.cfg.PerHostInterval).Sub(now); wait > 0 {
+		return wait
+	}
+	c.hostStart[host] = now
+	return 0
 }
 
 // schedHeap is a min-heap of sources by due time.

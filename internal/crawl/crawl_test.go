@@ -495,3 +495,36 @@ func TestPerHostSpacingIsHonored(t *testing.T) {
 		}
 	}
 }
+
+// TestPerHostSpacingCountsFromActualStarts: request A holds the first
+// slot on a host and B the next, one interval later, but A starts 15 ms
+// late. B must then start a full interval after A's actual start;
+// counting from planned slots would start B at its slot, 25 ms after A.
+func TestPerHostSpacingCountsFromActualStarts(t *testing.T) {
+	const interval = 40 * time.Millisecond
+	c := New(NewRegistry(), newMemIngester().ingest, stats.NewCollector(), Config{
+		PerHostInterval: interval,
+		Logger:          quietLogger(),
+	})
+	t0 := time.Unix(1_000_000, 0)
+	if wait := c.reserveHost("h", t0); wait != 0 {
+		t.Fatalf("A waits %v for the first slot", wait)
+	}
+	waitB := c.reserveHost("h", t0)
+	if waitB != interval {
+		t.Fatalf("B waits %v for its slot, want %v", waitB, interval)
+	}
+	startA := t0.Add(15 * time.Millisecond)
+	if wait := c.claimHost("h", startA); wait != 0 {
+		t.Fatalf("A, late, is held back %v", wait)
+	}
+	startB := t0.Add(waitB)
+	wait := c.claimHost("h", startB)
+	startB = startB.Add(wait)
+	if again := c.claimHost("h", startB); again != 0 {
+		t.Fatalf("B is held back again %v after waiting %v", again, wait)
+	}
+	if gap := startB.Sub(startA); gap != interval {
+		t.Errorf("B starts %v after A, want %v", gap, interval)
+	}
+}

@@ -119,18 +119,35 @@ func (c *Crawler) fetchCycle(ctx context.Context, id string) {
 	c.succeedCycle(id, out)
 }
 
+// awaitHost returns when the caller may start a request to host: after
+// its planned slot, and then after whatever claimHost says is left of
+// the interval since the previous request's start.
+func (c *Crawler) awaitHost(ctx context.Context, host string) error {
+	wait := c.reserveHost(host, time.Now())
+	for {
+		if wait > 0 {
+			pause := time.NewTimer(wait)
+			select {
+			case <-ctx.Done():
+				pause.Stop()
+				return ctx.Err()
+			case <-pause.C:
+			}
+		}
+		if wait = c.claimHost(host, time.Now()); wait <= 0 {
+			return nil
+		}
+	}
+}
+
 // fetchOnce is one conditional GET attempt against the source.
 func (c *Crawler) fetchOnce(ctx context.Context, src Source) (fetchOutcome, error) {
 	u, err := url.Parse(src.URL)
 	if err != nil {
 		return fetchOutcome{}, fmt.Errorf("parse url: %w", err)
 	}
-	if wait := c.reserveHost(u.Host); wait > 0 {
-		select {
-		case <-ctx.Done():
-			return fetchOutcome{}, ctx.Err()
-		case <-time.After(wait):
-		}
+	if err := c.awaitHost(ctx, u.Host); err != nil {
+		return fetchOutcome{}, err
 	}
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.FetchTimeout)
 	defer cancel()

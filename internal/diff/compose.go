@@ -41,18 +41,20 @@ func Compose(base *dom.Node, deltas ...*delta.Delta) (*delta.Delta, error) {
 // versions of one document, every node carrying the XID the chain
 // between them gave it. The XIDs the versions share define the
 // matching — a node survives the chain iff its XID appears in final —
-// and the standard delta constructor (with exact move minimization)
-// emits the aggregate. XIDs in final are rewritten with the values
-// they already have, so final must not be a tree another goroutine is
-// reading.
+// and the standard delta constructor emits the aggregate, minimizing
+// intra-parent moves with the rule every Diff uses (DefaultLISWindow).
+// XIDs in final are rewritten with the values they already have, so
+// final must not be a tree another goroutine is reading.
 func ComposeVersions(base, final *dom.Node) (*delta.Delta, error) {
 	if err := checkDocuments(base, final); err != nil {
 		return nil, err
 	}
-	// Exact intra-parent move minimization: the aggregate should be at
-	// least as small as the chain it replaces. keepNewXIDs makes the
-	// aggregate assign the same identifiers the chain did.
-	m := newMatcher(base, final, Options{LISWindow: -1, DisableIDAttributes: true, keepNewXIDs: true}, false)
+	// The move rule is the one a stored delta was built with, so the
+	// two ends of one stored delta compose back to that delta byte for
+	// byte (same matching, trees, weights and constructor), and a store
+	// may serve a one-step aggregate as the delta itself. keepNewXIDs
+	// makes the aggregate assign the same identifiers the chain did.
+	m := newMatcher(base, final, Options{DisableIDAttributes: true, keepNewXIDs: true}, false)
 	defer m.release()
 	m.setMatch(m.old.root(), m.new.root())
 	var at xid.Table[int32] // XID -> index in final, plus one

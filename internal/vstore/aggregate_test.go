@@ -3,7 +3,9 @@ package vstore
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"xydiff/internal/changesim"
@@ -243,4 +245,214 @@ func TestAggregateOfOneVersionAnswersLikeVersion(t *testing.T) {
 	st.mu.Unlock()
 	check("doc", 4, ErrDegraded)
 	check("doc", 3, nil)
+}
+
+// TestOneStepAggregateIsTheStoredDelta pins, differentially, the
+// identity a one-step Aggregate relies on: over BULD and SFTM chains,
+// Aggregate(n, n+1) is Delta(n), Aggregate(n+1, n) is Delta(n)
+// inverted, and both are what diff.ComposeVersions makes of the two
+// reconstructed versions, compared as bytes. Two more chains have a
+// step on which the Put's windowed move rule and the exact one
+// disagree, so an aggregate composed with the exact rule would lose
+// moves there.
+func TestOneStepAggregateIsTheStoredDelta(t *testing.T) {
+	s, err := Open("", diff.Options{}, Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const versions = 6
+	windowed := map[string][]*dom.Node{
+		"long-list":     beyondTheWindow(t),
+		"catalog-601-7": benchmarkCatalogStep(t),
+	}
+	for id, chain := range windowed {
+		for _, doc := range chain {
+			if _, _, err := s.Put(id, doc); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, id := range append(putChains(t, s, versions), "long-list", "catalog-601-7") {
+		last := versions
+		if windowed[id] != nil {
+			last = len(windowed[id])
+		}
+		for n := 1; n < last; n++ {
+			stored, err := s.Delta(id, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			older, err := s.Version(id, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			newer, err := s.Version(id, n+1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			composed, err := diff.ComposeVersions(older.Clone(), newer.Clone())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := renderDelta(t, stored)
+			if got := renderDelta(t, composed); got != want {
+				t.Errorf("%s %d..%d: ComposeVersions has %v, the stored delta %v", id, n, n+1, composed.Count(), stored.Count())
+			}
+			if windowed[id] != nil {
+				exact, err := diff.Diff(older.Clone(), newer.Clone(), diff.Options{LISWindow: -1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if exact.Count().Moves >= stored.Count().Moves {
+					t.Errorf("%s %d..%d: the exact move rule keeps %d moves, the stored delta %d; the case no longer separates the rules", id, n, n+1, exact.Count().Moves, stored.Count().Moves)
+				}
+			}
+			got, err := s.Aggregate(id, n, n+1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g := renderDelta(t, got); g != want {
+				t.Errorf("%s: Aggregate(%d, %d) has %v, the stored delta %v", id, n, n+1, got.Count(), stored.Count())
+			}
+			inverted, err := stored.Invert()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if composed, err = composed.Invert(); err != nil {
+				t.Fatal(err)
+			}
+			want = renderDelta(t, inverted)
+			if g := renderDelta(t, composed); g != want {
+				t.Errorf("%s %d..%d: inverted ComposeVersions differs from the inverted stored delta", id, n+1, n)
+			}
+			if got, err = s.Aggregate(id, n+1, n); err != nil {
+				t.Fatal(err)
+			}
+			if g := renderDelta(t, got); g != want {
+				t.Errorf("%s: Aggregate(%d, %d) differs from the inverted stored delta", id, n+1, n)
+			}
+		}
+	}
+}
+
+// beyondTheWindow is two versions of one 60-child list, longer than
+// diff.DefaultLISWindow. The old order is new positions 34..59 and
+// then 0..33. The first block of 50 (34..59, 0..23) keeps 34..59 as
+// its heaviest increasing run, which the second block (24..33) cannot
+// extend: the windowed rule moves 34 children where the exact rule
+// moves 26.
+func beyondTheWindow(t *testing.T) []*dom.Node {
+	t.Helper()
+	list := func(order []int) *dom.Node {
+		var b strings.Builder
+		b.WriteString("<list>")
+		for _, i := range order {
+			fmt.Fprintf(&b, "<item>%02d</item>", i)
+		}
+		b.WriteString("</list>")
+		doc, err := dom.ParseString(b.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return doc
+	}
+	var old, sorted []int
+	for i := range 60 {
+		old = append(old, (i+34)%60)
+		sorted = append(sorted, i)
+	}
+	return []*dom.Node{list(old), list(sorted)}
+}
+
+// benchmarkCatalogStep is the first step of the benchmark's
+// ingest_large document 7 at seed 601 (benchmark/corpus.go): a
+// catalog of about 130 KB and its 10%-churn successor, each through
+// its canonical bytes. A 66-child Catalog in it has an intra-parent
+// move (positions 59 → 50) that the windowed rule keeps and the exact
+// rule drops.
+func benchmarkCatalogStep(t *testing.T) []*dom.Node {
+	t.Helper()
+	rng := rand.New(rand.NewSource(601))
+	for range 7 { // documents 0..6: a catalog and ten step seeds each
+		changesim.CatalogOfSize(rng, 130000)
+		for range 10 {
+			rng.Int63()
+		}
+	}
+	first := changesim.CatalogOfSize(rng, 130000)
+	res, err := changesim.Simulate(first, changesim.Uniform(0.10, rng.Int63()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The corpus keeps one text child per element.
+	dom.WalkPre(res.New, func(n *dom.Node) bool {
+		seen := false
+		for i := 0; i < len(n.Children); i++ {
+			if n.Children[i].Type != dom.Text {
+				continue
+			}
+			if seen {
+				n.RemoveAt(i)
+				i--
+			}
+			seen = true
+		}
+		return true
+	})
+	var out []*dom.Node
+	for _, doc := range []*dom.Node{first, res.New} {
+		parsed, err := dom.ParseString(doc.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, parsed)
+	}
+	return out
+}
+
+// TestOneStepAggregateDecodesOneDelta pins the work of a one-step
+// Aggregate, forward and inverted, with the latest version cached and
+// evicted: one stored delta decoded, no cache lookup, no keyframe met,
+// and no allocation that grows with the document beyond those of
+// decoding that delta (a read walk and a copy of a ~130 KB catalog are
+// thousands).
+func TestOneStepAggregateDecodesOneDelta(t *testing.T) {
+	for _, size := range []int{7000, 130000} {
+		chain := catalogChain(t, size, 3)
+		for _, cache := range []int{0, 1} {
+			s := chainStore(t, Config{Shards: 1, CacheSize: cache}, chain, "doc", "other")
+			for _, r := range [][2]int{{1, 2}, {2, 1}, {2, 3}, {3, 2}} {
+				before := s.StorageStats()
+				if _, err := s.Aggregate("doc", r[0], r[1]); err != nil {
+					t.Fatal(err)
+				}
+				after := s.StorageStats()
+				if got := after.DeltasDecoded - before.DeltasDecoded; got != 1 {
+					t.Errorf("%d B, cache %d: Aggregate(%d, %d) decoded %d deltas, want 1", size, cache, r[0], r[1], got)
+				}
+				if after.CacheHits != before.CacheHits || after.CacheMisses != before.CacheMisses ||
+					after.KeyframeRestores != before.KeyframeRestores || after.KeyframeFallbacks != before.KeyframeFallbacks {
+					t.Errorf("%d B, cache %d: Aggregate(%d, %d) looked the cache up: %+v, then %+v", size, cache, r[0], r[1], before, after)
+				}
+			}
+			raw := s.shardFor("doc").lookup("doc").deltas[1]
+			decode := testing.AllocsPerRun(10, func() {
+				if _, err := delta.ParseBytes(raw); err != nil {
+					t.Fatal(err)
+				}
+			})
+			aggregate := testing.AllocsPerRun(10, func() {
+				if _, err := s.Aggregate("doc", 2, 3); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%d B, cache %d: Aggregate(2, 3) %.0f allocations, decoding its delta %.0f", size, cache, aggregate, decode)
+			if aggregate > decode+4 {
+				t.Errorf("%d B, cache %d: Aggregate(2, 3) allocates %.0f times, more than decoding its delta (%.0f) and 4", size, cache, aggregate, decode)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 }

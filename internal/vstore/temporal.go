@@ -172,8 +172,12 @@ func matchesWithTextParent(pattern *xpathlite.Expr, n *dom.Node) bool {
 // Aggregate returns one delta with the combined effect of the chain
 // from version from to version to. from > to yields the inverted
 // aggregate, from == to an empty delta — for a version Version would
-// serve; the others get Version's error. One read walk reconstructs
-// both ends, and those two trees are all diff.ComposeVersions needs.
+// serve; the others get Version's error. A range of one step is the
+// stored delta itself, decoded once: diff.ComposeVersions minimizes
+// moves by the rule a Put uses under the default LISWindow, so
+// composing its two ends would give the same bytes. Longer ranges take
+// one read walk to reconstruct both ends, and those two trees are all
+// ComposeVersions needs.
 func (s *Store) Aggregate(id string, from, to int) (*delta.Delta, error) {
 	st, err := s.reading(id)
 	if err != nil {
@@ -193,6 +197,17 @@ func (s *Store) Aggregate(id string, from, to int) (*delta.Delta, error) {
 	err = st.checkVersion(id, lo)
 	if err == nil {
 		err = st.checkRange(id, lo, hi)
+	}
+	if err == nil && hi-lo == 1 {
+		d, err := s.decodeDelta(st, lo-1)
+		st.mu.RUnlock()
+		if err != nil || from < to {
+			return d, err
+		}
+		if d, err = d.Invert(); err != nil {
+			return nil, fmt.Errorf("vstore: aggregate %s %d..%d: %w", id, from, to, err)
+		}
+		return d, nil
 	}
 	var older, newer *dom.Node
 	if err == nil {

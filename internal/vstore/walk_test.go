@@ -491,34 +491,44 @@ func FuzzReadWalks(f *testing.F) {
 
 // checkRestores reads every version of "doc", and the aggregate of each
 // ordered pair of its versions, each right after a read of "other" has
-// evicted it from a one-slot cache. Each read therefore finds a current
-// keyframe, and must either restore from it or fall back to the chain;
-// either way it answers what step-by-step Apply gives.
+// evicted it from a one-slot cache. Each read but a one-step aggregate
+// therefore finds a current keyframe, and must either restore from it
+// or fall back to the chain; either way it answers what step-by-step
+// Apply gives. A one-step aggregate decodes its stored delta and meets
+// no keyframe.
 func checkRestores(t *testing.T, s *Store) {
 	t.Helper()
 	st := s.shardFor("doc").lookup("doc")
 	want := stepwiseVersions(t, st)
 	n := st.versions
 	// evicted runs read right after evicting "doc", and fails unless
-	// the read met exactly one current keyframe.
-	evicted := func(what string, read func() error) {
+	// the read met exactly one current keyframe — or, for a one-step
+	// aggregate, none, having decoded exactly one delta.
+	evicted := func(what string, oneStep bool, read func() error) {
 		t.Helper()
 		if _, err := s.Version("other", 1); err != nil {
 			t.Fatal(err)
 		}
 		ss := s.StorageStats()
-		met := ss.KeyframeRestores + ss.KeyframeFallbacks
+		met, decoded := ss.KeyframeRestores+ss.KeyframeFallbacks, ss.DeltasDecoded
 		if err := read(); err != nil {
 			t.Fatalf("%s after eviction: %v", what, err)
 		}
 		ss = s.StorageStats()
-		if got := ss.KeyframeRestores + ss.KeyframeFallbacks - met; got != 1 {
-			t.Fatalf("%s after eviction met %d keyframes, want 1", what, got)
+		wantMet := 1
+		if oneStep {
+			wantMet = 0
+			if got := ss.DeltasDecoded - decoded; got != 1 {
+				t.Fatalf("%s after eviction decoded %d deltas, want 1", what, got)
+			}
+		}
+		if got := ss.KeyframeRestores + ss.KeyframeFallbacks - met; got != int64(wantMet) {
+			t.Fatalf("%s after eviction met %d keyframes, want %d", what, got, wantMet)
 		}
 	}
 	for v := 1; v <= n; v++ {
 		w := renderWithXIDs(want[v])
-		evicted(fmt.Sprintf("Version(%d)", v), func() error {
+		evicted(fmt.Sprintf("Version(%d)", v), false, func() error {
 			got, err := s.Version("doc", v)
 			if err == nil && renderWithXIDs(got) != w {
 				err = errors.New("differs from the stepwise replay")
@@ -537,7 +547,7 @@ func checkRestores(t *testing.T, s *Store) {
 				t.Fatal(err)
 			}
 			w := renderDelta(t, ref)
-			evicted(fmt.Sprintf("Aggregate(%d, %d)", from, to), func() error {
+			evicted(fmt.Sprintf("Aggregate(%d, %d)", from, to), hi-lo == 1, func() error {
 				d, err := s.Aggregate("doc", from, to)
 				if err == nil && renderDelta(t, d) != w {
 					err = fmt.Errorf("\n got %s\nwant %s", renderDelta(t, d), w)

@@ -107,7 +107,11 @@ func first(opts []Options) Options {
 func ParseHTML(html string) *Node { return htmlize.Parse(html) }
 
 // Compose aggregates a chain of deltas into a single equivalent delta
-// against the base document (the paper's delta aggregation).
+// against the base document (the paper's delta aggregation). Moves
+// within one parent are minimized by the rule Diff uses with default
+// options: exactly for child lists of up to 50 nodes, by the paper's
+// block heuristic beyond. So a chain of one delta Diff produced
+// composes to that delta.
 func Compose(base *Node, deltas ...*Delta) (*Delta, error) {
 	return diff.Compose(base, deltas...)
 }
