@@ -96,7 +96,7 @@ func run(ctx context.Context, cfg config) error {
 		return err
 	}
 
-	ing := &daemonIngester{target: strings.TrimSuffix(cfg.target, "/")}
+	ing := &daemonIngester{target: strings.TrimSuffix(cfg.target, "/"), reg: reg}
 	c := crawl.New(reg, ing.ingest, stats.NewCollector(), crawl.Config{
 		MinInterval:  cfg.min,
 		MaxInterval:  cfg.max,
@@ -152,16 +152,22 @@ func logStatus(ctx context.Context, c *crawl.Crawler, log *slog.Logger, every ti
 	}
 }
 
-// daemonIngester hands fetched bodies to xydiffd. The daemon's PUT
-// response says whether the version changed anything; errors are
-// returned verbatim and retried by the crawler (ingest failures count
-// as transient).
+// daemonIngester hands fetched bodies to xydiffd, each with its
+// source's registered matcher. The daemon's PUT response says whether
+// the version changed anything; errors are returned verbatim and
+// retried by the crawler (ingest failures count as transient).
 type daemonIngester struct {
 	target string
+	reg    *crawl.Registry
 }
 
 func (d *daemonIngester) ingest(ctx context.Context, id string, body []byte) (bool, error) {
 	u := d.target + "/docs/" + url.PathEscape(id)
+	// Without ?matcher= the daemon diffs with its own default, so a page
+	// registered as "sftm" would be diffed with BULD.
+	if src, ok := d.reg.Get(id); ok && src.Matcher != "" {
+		u += "?matcher=" + url.QueryEscape(src.Matcher)
+	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPut, u, strings.NewReader(string(body)))
 	if err != nil {
 		return false, fmt.Errorf("build PUT %s: %w", u, err)

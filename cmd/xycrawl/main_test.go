@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -143,7 +144,7 @@ func TestIngestSurfacesRetryAfter(t *testing.T) {
 		http.Error(w, "busy", status)
 	}))
 	defer daemon.Close()
-	ing := &daemonIngester{target: daemon.URL}
+	ing := &daemonIngester{target: daemon.URL, reg: crawl.NewRegistry()}
 	ctx := context.Background()
 
 	status, retryAfter = http.StatusServiceUnavailable, "7"
@@ -162,5 +163,44 @@ func TestIngestSurfacesRetryAfter(t *testing.T) {
 	status, retryAfter = http.StatusBadRequest, "7"
 	if _, err := ing.ingest(ctx, "d", []byte("<r/>")); err == nil || errors.As(err, &ra) {
 		t.Fatalf("400: err = %v, want plain error", err)
+	}
+}
+
+// TestIngestPassesTheSourcesMatcher: a source registered with a matcher
+// is PUT with ?matcher=, so the daemon diffs it as the embedded crawler
+// would; a source without one leaves the daemon its default.
+func TestIngestPassesTheSourcesMatcher(t *testing.T) {
+	var mu sync.Mutex
+	queries := map[string]string{}
+	daemon := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		queries[r.URL.Path] = r.URL.RawQuery
+		mu.Unlock()
+		w.WriteHeader(http.StatusCreated)
+		_, _ = io.WriteString(w, `{"version":1,"deltaOps":0}`)
+	}))
+	defer daemon.Close()
+	reg := crawl.NewRegistry()
+	for _, src := range []crawl.Source{
+		{ID: "page", URL: "http://origin.invalid/page", Matcher: "sftm"},
+		{ID: "feed", URL: "http://origin.invalid/feed"},
+	} {
+		if _, err := reg.Add(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ing := &daemonIngester{target: daemon.URL, reg: reg}
+	for _, id := range []string{"page", "feed"} {
+		if _, err := ing.ingest(context.Background(), id, []byte("<r/>")); err != nil {
+			t.Fatalf("ingest %s: %v", id, err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if q := queries["/docs/page"]; q != "matcher=sftm" {
+		t.Errorf("source with matcher sftm: query %q, want matcher=sftm", q)
+	}
+	if q, ok := queries["/docs/feed"]; !ok || q != "" {
+		t.Errorf("source without a matcher: query %q (PUT seen: %v), want none", q, ok)
 	}
 }

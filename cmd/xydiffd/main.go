@@ -46,10 +46,10 @@
 // snapshots (truncating torn tails, refusing corruption with an error
 // that names the file and offset). A data directory from a pre-shard
 // build is refused with a pointer at `xystore migrate`. On
-// SIGINT/SIGTERM the daemon stops accepting requests, lets in-flight
-// diffs finish, checkpoints the store to -dir with crash-safe renames
-// and retires the replayed segments, so a restarted daemon serves
-// every stored version.
+// SIGINT/SIGTERM the daemon stops accepting requests, ends open alert
+// streams, lets in-flight diffs finish, checkpoints the store to -dir
+// with crash-safe renames and retires the replayed segments, so a
+// restarted daemon serves every stored version.
 package main
 
 import (
@@ -208,6 +208,9 @@ func run(ctx context.Context, cfg config, ready func(addr string)) error {
 		ReadHeaderTimeout: 10 * time.Second,
 		BaseContext:       func(net.Listener) context.Context { return context.Background() },
 	}
+	// Shutdown waits for every handler; alert streams would hold it for
+	// their whole follow duration.
+	hs.RegisterOnShutdown(srv.EndStreams)
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	cfg.logger.Info("xydiffd listening",

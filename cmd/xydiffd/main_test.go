@@ -133,6 +133,92 @@ func TestShutdownWithoutTraffic(t *testing.T) {
 	waitExit(t, done)
 }
 
+// logBuffer is an io.Writer the daemon's logger and a test may share.
+type logBuffer struct {
+	mu  sync.Mutex
+	buf strings.Builder
+}
+
+func (b *logBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *logBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestShutdownEndsAlertStreams: an open alert stream does not hold up
+// shutdown until its follow duration runs out. The daemon ends it, the
+// client reads a complete body, and the store is checkpointed with no
+// shutdown error.
+func TestShutdownEndsAlertStreams(t *testing.T) {
+	logs := &logBuffer{}
+	logger := slog.New(slog.NewTextHandler(logs, nil))
+	cfg := config{
+		addr:   "127.0.0.1:0",
+		dir:    filepath.Join(t.TempDir(), "data"),
+		logger: logger,
+		server: server.Config{Logger: logger},
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	addrc := make(chan string, 1)
+	done := make(chan error, 1)
+	go func() { done <- run(ctx, cfg, func(a string) { addrc <- a }) }()
+	var url string
+	select {
+	case a := <-addrc:
+		url = "http://" + a
+	case err := <-done:
+		t.Fatalf("daemon exited before ready: %v", err)
+	}
+	put(t, url, "catalog", `<Catalog><Product><Name>a</Name></Product></Catalog>`)
+	resp, err := http.Get(url + "/docs/catalog/alerts?follow=60s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("follow status = %d", resp.StatusCode)
+	}
+	body := make(chan error, 1)
+	go func() {
+		_, err := io.ReadAll(resp.Body)
+		body <- err
+	}()
+
+	start := time.Now()
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("daemon exit: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("daemon still shutting down 2s after cancel: the open stream holds it up")
+	}
+	t.Logf("shut down in %v", time.Since(start))
+	select {
+	case err := <-body:
+		if err != nil {
+			t.Errorf("stream body cut short: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Error("stream body still open after shutdown")
+	}
+	out := logs.String()
+	if strings.Contains(out, "msg=shutdown") {
+		t.Errorf("shutdown logged an error:\n%s", out)
+	}
+	if !strings.Contains(out, "store checkpointed") {
+		t.Errorf("no checkpoint logged:\n%s", out)
+	}
+}
+
 // startCrawlDaemon is startDaemon with the acquisition layer enabled on
 // a fast schedule.
 func startCrawlDaemon(t *testing.T, dir string) (url string, shutdown context.CancelFunc, done chan error) {

@@ -68,7 +68,7 @@ func (a Alert) String() string {
 // Alerter evaluates subscriptions against deltas. It is safe for
 // concurrent use.
 type Alerter struct {
-	mu    sync.Mutex               // serializes Subscribe/Unsubscribe/Attach/Detach
+	mu    sync.Mutex               // serializes Subscribe/Unsubscribe
 	state atomic.Pointer[snapshot] // what Notify reads; replaced, never modified
 }
 
@@ -84,7 +84,6 @@ type snapshot struct {
 	byKind  [][]*plan
 	anyKind []*plan
 	queries int // how many plans carry a Query
-	sinks   []Notifier
 }
 
 // plan is one subscription compiled for evaluation.
@@ -105,8 +104,8 @@ type plan struct {
 // numKinds is how many operation kinds package delta defines.
 const numKinds = int(delta.KindUpdateAttr) + 1
 
-func compile(subs []Subscription, sinks []Notifier) *snapshot {
-	c := &snapshot{subs: subs, plans: make([]plan, len(subs)), sinks: sinks}
+func compile(subs []Subscription) *snapshot {
+	c := &snapshot{subs: subs, plans: make([]plan, len(subs))}
 	kinds := numKinds
 	for _, s := range subs {
 		for _, k := range s.Kinds {
@@ -140,7 +139,7 @@ func compile(subs []Subscription, sinks []Notifier) *snapshot {
 // New returns an Alerter with the given initial subscriptions.
 func New(subs ...Subscription) *Alerter {
 	a := &Alerter{}
-	a.state.Store(compile(append([]Subscription(nil), subs...), nil))
+	a.state.Store(compile(append([]Subscription(nil), subs...)))
 	return a
 }
 
@@ -150,7 +149,7 @@ func (a *Alerter) Subscribe(s Subscription) {
 	defer a.mu.Unlock()
 	cur := a.state.Load()
 	subs := append(append(make([]Subscription, 0, len(cur.subs)+1), cur.subs...), s)
-	a.state.Store(compile(subs, cur.sinks))
+	a.state.Store(compile(subs))
 }
 
 // Unsubscribe removes all subscriptions with the given ID, reporting
@@ -169,7 +168,7 @@ func (a *Alerter) Unsubscribe(id string) bool {
 	if len(kept) == len(cur.subs) {
 		return false
 	}
-	a.state.Store(compile(kept, cur.sinks))
+	a.state.Store(compile(kept))
 	return true
 }
 
@@ -183,7 +182,7 @@ func (a *Alerter) Subscriptions() []Subscription {
 // versions before and after; they are used to resolve the paths of
 // affected nodes (XIDs must be consistent with the delta, which is the
 // case for documents coming out of diff.Diff or vstore.Store). Matches
-// are returned and also fanned out to any attached Notifier sinks.
+// are returned; delivering them is the caller's business.
 // Stored versions reach the alerter through warehouse.Pipeline instead;
 // Notify serves callers that hold two versions outside any store.
 func (a *Alerter) Notify(docID string, newVersion int, oldDoc, newDoc *dom.Node, d *delta.Delta) []Alert {
@@ -261,11 +260,6 @@ func (a *Alerter) NotifyResolved(docID string, newVersion int, t *delta.Targets)
 				alerts = make([]Alert, 0, len(t.Delta.Ops)-i)
 			}
 			alerts = append(alerts, Alert{SubID: p.id, DocID: docID, Version: newVersion, Kind: kind, XID: op.TargetXID(), OpIndex: int32(i), Path: path})
-		}
-	}
-	if len(alerts) > 0 {
-		for _, s := range c.sinks {
-			s.Alerts(alerts)
 		}
 	}
 	return alerts

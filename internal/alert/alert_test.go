@@ -360,7 +360,7 @@ func TestPlanPathMatchesAgreesWithStrings(t *testing.T) {
 		t.Fatalf("parsed only %d nodes", len(nodes))
 	}
 	for _, pat := range patterns {
-		p := compile([]Subscription{{ID: "s", Path: pat}}, nil).plans[0]
+		p := compile([]Subscription{{ID: "s", Path: pat}}).plans[0]
 		for _, n := range nodes {
 			if got, want := p.pathMatches(n), pathMatches(pat, n.Path()); got != want {
 				t.Errorf("pattern %q on %s: plan says %v, strings say %v", pat, n.Path(), got, want)
@@ -542,8 +542,8 @@ func TestNotifyReferenceCases(t *testing.T) {
 }
 
 // TestNotifyConcurrentWithSubscriptionChanges runs Notify against a
-// stream of Subscribe/Unsubscribe/Attach/Detach (the race detector
-// watches the shared lists) and checks the contract Unsubscribe gives:
+// stream of Subscribe/Unsubscribe (the race detector watches the
+// shared lists) and checks the contract Unsubscribe gives:
 // a Notify that starts after it returned raises nothing for that ID.
 func TestNotifyConcurrentWithSubscriptionChanges(t *testing.T) {
 	oldDoc, newDoc, d := diffPair(t,
@@ -584,18 +584,15 @@ func TestNotifyConcurrentWithSubscriptionChanges(t *testing.T) {
 		writers.Add(1)
 		go func(g int) {
 			defer writers.Done()
-			sink := NewChanNotifier("doc", 1)
 			for i := 0; i < 300; i++ {
 				id := fmt.Sprintf("tmp-%d-%d", g, i)
 				a.Subscribe(Subscription{ID: id})
-				a.Attach(sink)
 				if n := countSub(a.Notify("doc", 2, oldDoc, newDoc, d), id); n != len(d.Ops) {
 					t.Errorf("%s fired %d times while subscribed, want %d", id, n, len(d.Ops))
 				}
 				if !a.Unsubscribe(id) {
 					t.Errorf("Unsubscribe(%s) found nothing", id)
 				}
-				a.Detach(sink)
 				if n := countSub(a.Notify("doc", 2, oldDoc, newDoc, d), id); n != 0 {
 					t.Errorf("%s fired %d times after Unsubscribe returned", id, n)
 				}

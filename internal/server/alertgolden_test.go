@@ -51,15 +51,15 @@ var goldenSubscriptions = []string{
 }
 
 func TestAlertBytesPinned(t *testing.T) {
-	_, ts := newTestServer(t, Config{StreamBuffer: 1024})
+	_, ts := newTestServer(t, Config{})
 	for _, sub := range goldenSubscriptions {
 		if code, _, body := doReq(t, "POST", ts.URL+"/subscriptions", sub); code != http.StatusCreated {
 			t.Fatalf("POST subscription %s: %d %s", sub, code, body)
 		}
 	}
 
-	// The stream's headers are flushed once its sink is attached, so
-	// every alert of the PUTs below reaches it.
+	// The stream's headers are flushed once it holds its cursor into the
+	// alert log, so every alert of the PUTs below reaches it.
 	resp, err := http.Get(ts.URL + "/docs/g/alerts?follow=30s")
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func TestAlertBytesPinned(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("follow status = %d", resp.StatusCode)
 	}
-	lines := make(chan string, 1024) // as many as the stream may buffer: the reader never waits on the test
+	lines := make(chan string, 1024) // as many as the log keeps: the reader never waits on the test
 	go func() {
 		defer close(lines)
 		sc := bufio.NewScanner(resp.Body)

@@ -485,9 +485,13 @@ func toAlertJSON(a alert.Alert) alertJSON {
 // maxFollow bounds how long an alert stream stays open.
 const maxFollow = 5 * time.Minute
 
+// streamChunk is how many alerts a stream copies out of the log at a
+// time.
+const streamChunk = 64
+
 // handleGetAlerts serves the recorded alerts for one document; with
-// ?follow=DURATION it instead streams future matches live as
-// newline-delimited JSON through a channel-backed notifier.
+// ?follow=DURATION it instead streams the document's later alerts as
+// newline-delimited JSON, read from the alert log by cursor.
 func (s *Server) handleGetAlerts(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	follow := r.URL.Query().Get("follow")
@@ -513,19 +517,18 @@ func (s *Server) handleGetAlerts(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The per-stream buffer is bounded (Config.StreamBuffer) and holds
-	// only this document's alerts: a consumer that reads slower than they
-	// arrive loses the excess, and the loss is accounted in
-	// xydiffd_alert_stream_dropped_total rather than stalling the diff
-	// path or growing memory.
-	n := alert.NewChanNotifier(id, s.cfg.StreamBuffer)
-	s.pipeline.Alerter.Attach(n)
+	// The cursor is taken before the 200, so every alert raised after
+	// the client saw it is past the cursor. A consumer that reads slower
+	// than they arrive loses what the log trims before it reads it, and
+	// the loss is accounted in xydiffd_alert_stream_dropped_total rather
+	// than stalling the diff path or growing memory.
+	docLog, cursor := s.alertLog.follow(id)
+	var dropped int
 	defer func() {
-		s.pipeline.Alerter.Detach(n)
-		n.Close()
-		if d := n.Dropped(); d > 0 {
-			s.metrics.addStreamDropped(d)
-			s.log.Warn("alert stream dropped", "doc", id, "dropped", d)
+		s.alertLog.unfollow(id, docLog)
+		if dropped > 0 {
+			s.metrics.addStreamDropped(dropped)
+			s.log.Warn("alert stream dropped", "doc", id, "dropped", dropped)
 		}
 	}()
 
@@ -535,16 +538,28 @@ func (s *Server) handleGetAlerts(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	deadline := time.NewTimer(dur)
 	defer deadline.Stop()
+	buf := make([]alert.Alert, streamChunk)
 	for {
-		select {
-		case a := <-n.C():
+		n, lost, more := s.alertLog.since(docLog, cursor, buf)
+		cursor += lost + n
+		dropped += lost
+		for _, a := range buf[:n] {
 			if err := enc.Encode(toAlertJSON(a)); err != nil {
 				return
 			}
+		}
+		if n > 0 {
 			flusher.Flush()
+		}
+		// more is ready at once while the stream is behind, so a stream
+		// that never catches up still sees its deadline and its end.
+		select {
+		case <-more:
 		case <-deadline.C:
 			return
 		case <-r.Context().Done():
+			return
+		case <-s.streamsEnd:
 			return
 		}
 	}

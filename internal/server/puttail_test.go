@@ -85,7 +85,7 @@ func TestDeltaBytesIsTheStoredBody(t *testing.T) {
 }
 
 // TestAlertLogBatchEqualsOneByOne: trimming once per batch leaves what
-// trimming after every alert left.
+// trimming after every alert left, and every alert added is numbered.
 func TestAlertLogBatchEqualsOneByOne(t *testing.T) {
 	mk := func(doc string, n int) alert.Alert { return alert.Alert{DocID: doc, Version: n} }
 	var batches [][]alert.Alert
@@ -105,9 +105,11 @@ func TestAlertLogBatchEqualsOneByOne(t *testing.T) {
 	const capPerDoc = 10
 	got := newAlertLog(capPerDoc)
 	want := map[string][]alert.Alert{}
+	added := map[string]int{}
 	for _, b := range batches {
 		got.add(b)
 		for _, a := range b {
+			added[a.DocID]++
 			log := append(want[a.DocID], a)
 			if over := len(log) - capPerDoc; over > 0 {
 				log = append(log[:0], log[over:]...)
@@ -118,8 +120,15 @@ func TestAlertLogBatchEqualsOneByOne(t *testing.T) {
 			if g := got.forDoc(doc); len(g)+len(want[doc]) > 0 && !reflect.DeepEqual(g, want[doc]) {
 				t.Fatalf("log for %s after a batch of %d:\n got %v\nwant %v", doc, len(b), g, want[doc])
 			}
-			if c := cap(got.byDoc[doc]); c > capPerDoc {
+			d := got.byDoc[doc]
+			if d == nil {
+				continue
+			}
+			if c := cap(d.alerts); c > capPerDoc {
 				t.Errorf("log for %s holds an array of %d entries for a cap of %d", doc, c, capPerDoc)
+			}
+			if d.next != added[doc] {
+				t.Errorf("log for %s numbers %d alerts, %d were added", doc, d.next, added[doc])
 			}
 		}
 	}

@@ -15,6 +15,7 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
+	"sync"
 	"time"
 
 	"xydiff/internal/alert"
@@ -44,14 +45,6 @@ type Config struct {
 	// MaxParseTokens caps XML token count of uploaded documents
 	// (default 1,000,000; negative disables the limit).
 	MaxParseTokens int64
-	// AlertLogSize is how many recent alerts are kept per document for
-	// the polling endpoint (default 1024).
-	AlertLogSize int
-	// StreamBuffer bounds the per-stream alert buffer of the NDJSON
-	// endpoint; a consumer slower than the alert rate loses the excess
-	// (counted in xydiffd_alert_stream_dropped_total) instead of
-	// backpressuring the diff path (default 256).
-	StreamBuffer int
 	// Logger receives structured request and lifecycle logs (default
 	// slog.Default).
 	Logger *slog.Logger
@@ -76,12 +69,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxParseTokens == 0 {
 		c.MaxParseTokens = 1_000_000
 	}
-	if c.AlertLogSize <= 0 {
-		c.AlertLogSize = 1024
-	}
-	if c.StreamBuffer <= 0 {
-		c.StreamBuffer = 256
-	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
 	}
@@ -99,6 +86,11 @@ type Server struct {
 	log      *slog.Logger
 	handler  http.Handler
 	started  time.Time
+
+	// streamsEnd is closed, once, by EndStreams; every alert stream
+	// returns when it is.
+	streamsEnd chan struct{}
+	endStreams sync.Once
 
 	// shedBackoff grows the Retry-After hint while the diff queue keeps
 	// rejecting submissions and resets once one gets through, so a
@@ -119,14 +111,15 @@ type Server struct {
 func New(st *vstore.Store, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:      cfg,
-		store:    st,
-		pipeline: warehouse.Pipeline{Alerter: alert.New(), Stats: stats.NewCollector()},
-		metrics:  newMetrics(),
-		pool:     newPool(cfg.Workers, cfg.QueueDepth),
-		alertLog: newAlertLog(cfg.AlertLogSize),
-		log:      cfg.Logger,
-		started:  time.Now(),
+		cfg:        cfg,
+		store:      st,
+		pipeline:   warehouse.Pipeline{Alerter: alert.New(), Stats: stats.NewCollector()},
+		metrics:    newMetrics(),
+		pool:       newPool(cfg.Workers, cfg.QueueDepth),
+		alertLog:   newAlertLog(alertLogSize),
+		streamsEnd: make(chan struct{}),
+		log:        cfg.Logger,
+		started:    time.Now(),
 		shedBackoff: retry.New(retry.Policy{
 			Base: time.Second, Max: 30 * time.Second, Multiplier: 2,
 		}, time.Now().UnixNano()),
@@ -139,8 +132,8 @@ func New(st *vstore.Store, cfg Config) *Server {
 // Handler returns the fully middleware-wrapped HTTP handler.
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// Alerter exposes the subscription system (for callers wiring their
-// own sinks alongside the HTTP endpoints).
+// Alerter exposes the subscription system, for in-process callers that
+// subscribe alongside the HTTP endpoints.
 func (s *Server) Alerter() *alert.Alerter { return s.pipeline.Alerter }
 
 // Metrics exposes the server's own counters to in-process callers such
@@ -151,6 +144,12 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 // new submissions fail with ErrClosed. Call after the HTTP listener has
 // stopped accepting requests.
 func (s *Server) Close() { s.pool.close() }
+
+// EndStreams ends every alert stream, open or opened later: each writes
+// what it has read and completes its body. Register it with
+// http.Server.RegisterOnShutdown, or Shutdown waits for every stream's
+// follow duration to run out.
+func (s *Server) EndStreams() { s.endStreams.Do(func() { close(s.streamsEnd) }) }
 
 // observe is the store's observer hook: it runs on the PUT's worker
 // goroutine under the document's write lock, in version order, once

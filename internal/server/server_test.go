@@ -344,6 +344,9 @@ func TestAlertStreaming(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	doReq(t, "POST", ts.URL+"/subscriptions", `{"id":"live","kinds":["insert"]}`)
 	doReq(t, "PUT", ts.URL+"/docs/feed", `<r><item>a</item></r>`)
+	// Version 2's alert is in the log before the stream opens; the
+	// stream must not replay it.
+	doReq(t, "PUT", ts.URL+"/docs/feed", `<r><item>a</item><old>x</old></r>`)
 
 	resp, err := http.Get(ts.URL + "/docs/feed/alerts?follow=30s")
 	if err != nil {
@@ -353,8 +356,8 @@ func TestAlertStreaming(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("follow status = %d", resp.StatusCode)
 	}
-	// Headers are flushed after the notifier is attached, so the next
-	// Put's alerts are guaranteed to reach the stream.
+	// Headers are flushed after the stream takes its cursor, so the
+	// next Put's alerts are guaranteed to reach the stream.
 	lines := make(chan string, 1)
 	go func() {
 		sc := bufio.NewScanner(resp.Body)
@@ -363,14 +366,14 @@ func TestAlertStreaming(t *testing.T) {
 		}
 		close(lines)
 	}()
-	doReq(t, "PUT", ts.URL+"/docs/feed", `<r><item>a</item><item>b</item></r>`)
+	doReq(t, "PUT", ts.URL+"/docs/feed", `<r><item>a</item><old>x</old><item>b</item></r>`)
 	select {
 	case line := <-lines:
 		var a alertJSON
 		if err := json.Unmarshal([]byte(line), &a); err != nil {
 			t.Fatalf("bad stream line %q: %v", line, err)
 		}
-		if a.Sub != "live" || a.Doc != "feed" || a.Kind != "insert" {
+		if a.Sub != "live" || a.Doc != "feed" || a.Kind != "insert" || a.Version != 3 {
 			t.Errorf("streamed alert = %+v", a)
 		}
 	case <-time.After(10 * time.Second):

@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
+	"log/slog"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,6 +15,11 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"xydiff/internal/alert"
+	"xydiff/internal/changesim"
+	"xydiff/internal/diff"
+	"xydiff/internal/store"
 )
 
 // gatedWriter is a ResponseWriter standing in for a consumer that stops
@@ -84,9 +93,21 @@ func product(n int) string {
 	return b.String()
 }
 
+// productsAfter is product(1) followed by n more products: a PUT of it
+// after product(1) raises n insert alerts in one batch.
+func productsAfter(n int) string {
+	var b strings.Builder
+	b.WriteString(strings.TrimSuffix(product(1), "</Category></Catalog>"))
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "<Product><Name>q%d</Name></Product>", i)
+	}
+	b.WriteString("</Category></Catalog>")
+	return b.String()
+}
+
 // openStalledStream starts an NDJSON stream of doc's alerts whose
-// consumer never reads, and returns once the handler has attached its
-// sink; cancel ends the stream and done closes once it returned.
+// consumer never reads, and returns once the handler has taken its
+// cursor; cancel ends the stream and done closes once it returned.
 func openStalledStream(t *testing.T, s *Server, doc string) (w *gatedWriter, cancel context.CancelFunc, done <-chan struct{}) {
 	t.Helper()
 	w = newGatedWriter()
@@ -97,8 +118,8 @@ func openStalledStream(t *testing.T, s *Server, doc string) (w *gatedWriter, can
 		defer close(streamDone)
 		s.Handler().ServeHTTP(w, req)
 	}()
-	// The handler attaches its sink on its own goroutine, then answers
-	// 200; an alert raised before that reaches nobody.
+	// The handler takes its cursor on its own goroutine, then answers
+	// 200; an alert raised before that is not the stream's.
 	for start := time.Now(); w.status() == 0; time.Sleep(time.Millisecond) {
 		if time.Since(start) > 5*time.Second {
 			cancel()
@@ -109,8 +130,7 @@ func openStalledStream(t *testing.T, s *Server, doc string) (w *gatedWriter, can
 }
 
 // waitWriting waits until the stream is wedged writing its first alert
-// to the stalled consumer, so the buffer accounting after it is
-// deterministic.
+// to the stalled consumer, so the accounting after it is deterministic.
 func waitWriting(t *testing.T, w *gatedWriter) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); w.attempts.Load() == 0; time.Sleep(5 * time.Millisecond) {
@@ -120,14 +140,14 @@ func waitWriting(t *testing.T, w *gatedWriter) {
 	}
 }
 
-// TestAlertStreamSlowConsumer pins down the bounded-buffer contract of
-// the NDJSON alert stream: a consumer that stops reading holds at most
-// StreamBuffer alerts plus the one in flight; everything beyond that is
-// dropped, the loss is visible in the drop counter, and the diff path
-// is never stalled.
+// TestAlertStreamSlowConsumer pins down the bounded contract of the
+// NDJSON alert stream: a consumer that stops reading gets the alert in
+// flight plus the alertLogSize alerts the document's log still keeps;
+// everything the log trimmed before the stream read it is dropped, the
+// loss is visible in the drop counter, and the diff path is never
+// stalled.
 func TestAlertStreamSlowConsumer(t *testing.T) {
-	const streamBuffer = 4
-	s, ts := newTestServer(t, Config{StreamBuffer: streamBuffer})
+	s, ts := newTestServer(t, Config{})
 
 	sub := `{"id":"all","doc":"d","kinds":["insert"]}`
 	if code, _, body := doReq(t, "POST", ts.URL+"/subscriptions", sub); code != http.StatusCreated {
@@ -148,22 +168,23 @@ func TestAlertStreamSlowConsumer(t *testing.T) {
 	}
 	waitWriting(t, w)
 
-	// Flood: 14 more alerts against a full pipe. One is in flight,
-	// StreamBuffer fit in the channel, the rest must be dropped — and
-	// every PUT still completes immediately (bounded buffering means the
+	// Flood: one PUT raises more alerts than the log keeps. One alert is
+	// in flight, the log keeps its last alertLogSize, the rest must be
+	// dropped — and the PUT completes while the consumer is stalled (the
 	// write path never waits on a consumer).
-	const flood = 14
-	for i := 0; i < flood; i++ {
-		if code, _, body := doReq(t, "PUT", ts.URL+"/docs/d", product(i+2)); code != http.StatusOK {
-			t.Fatalf("PUT flood %d: %d %s", i, code, body)
-		}
+	const flood = alertLogSize + 76
+	if code, _, body := doReq(t, "PUT", ts.URL+"/docs/d", productsAfter(flood)); code != http.StatusOK {
+		t.Fatalf("PUT flood: %d %s", code, body)
 	}
-	raised := 1 + flood
+	raised := int(s.Metrics().snapshot().alerts)
+	if raised < 1+flood {
+		t.Fatalf("raised %d alerts, want at least %d", raised, 1+flood)
+	}
 
-	// Let the consumer drain: the in-flight alert plus the buffered ones
+	// Let the consumer drain: the in-flight alert plus the kept ones
 	// arrive, no more.
 	w.release()
-	wantDelivered := 1 + streamBuffer
+	wantDelivered := 1 + alertLogSize
 	waitDeadline := time.Now().Add(5 * time.Second)
 	for len(w.lines()) < wantDelivered {
 		if time.Now().After(waitDeadline) {
@@ -177,8 +198,8 @@ func TestAlertStreamSlowConsumer(t *testing.T) {
 
 	lines := w.lines()
 	if len(lines) != wantDelivered {
-		t.Errorf("delivered %d alerts, want exactly %d (1 in flight + %d buffered)",
-			len(lines), wantDelivered, streamBuffer)
+		t.Errorf("delivered %d alerts, want exactly %d (1 in flight + %d kept)",
+			len(lines), wantDelivered, alertLogSize)
 	}
 	for _, l := range lines {
 		var a struct {
@@ -207,12 +228,11 @@ func TestAlertStreamSlowConsumer(t *testing.T) {
 }
 
 // TestAlertStreamIgnoresOtherDocuments: a stalled stream of a quiet
-// document keeps its own alerts while a busy document raises many more
-// than its buffer holds. The busy document's alerts never enter the
-// quiet stream's buffer, so none of them is counted as its loss either.
+// document keeps its own alerts while a busy document raises many more.
+// The busy document's alerts are in its own log, which the quiet stream
+// never reads, so none of them is delivered or counted as its loss.
 func TestAlertStreamIgnoresOtherDocuments(t *testing.T) {
-	const streamBuffer = 4
-	s, ts := newTestServer(t, Config{StreamBuffer: streamBuffer})
+	s, ts := newTestServer(t, Config{})
 	if code, _, body := doReq(t, "POST", ts.URL+"/subscriptions", `{"id":"all","kinds":["insert"]}`); code != http.StatusCreated {
 		t.Fatalf("POST subscription: %d %s", code, body)
 	}
@@ -259,5 +279,137 @@ func TestAlertStreamIgnoresOtherDocuments(t *testing.T) {
 	}
 	if d := s.Metrics().StreamDropped(); d != 0 {
 		t.Errorf("dropped = %d, want 0: b's alerts are not the q stream's loss", d)
+	}
+}
+
+// openIdleStreams opens one stream per document id, each with a
+// consumer that never reads, and returns once every stream waits for
+// its document's log to grow. end cancels them all and returns once
+// every handler has returned.
+func openIdleStreams(t testing.TB, s *Server, ids []string) (end func()) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	var handlers sync.WaitGroup
+	for _, id := range ids {
+		req := httptest.NewRequest("GET", "/docs/"+id+"/alerts?follow=30s", nil).WithContext(ctx)
+		handlers.Add(1)
+		go func() {
+			defer handlers.Done()
+			s.Handler().ServeHTTP(newGatedWriter(), req)
+		}()
+	}
+	end = func() {
+		cancel()
+		handlers.Wait()
+	}
+	waiting := func() int {
+		s.alertLog.mu.Lock()
+		defer s.alertLog.mu.Unlock()
+		n := 0
+		for _, id := range ids {
+			if d := s.alertLog.byDoc[id]; d != nil && d.grown != nil {
+				n++
+			}
+		}
+		return n
+	}
+	for deadline := time.Now().Add(10 * time.Second); waiting() < len(ids); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			end()
+			t.Fatalf("%d of %d streams wait on their log", waiting(), len(ids))
+		}
+	}
+	return end
+}
+
+func docIDs(prefix string, n int) []string {
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprint(prefix, i)
+	}
+	return ids
+}
+
+// TestAlertStreamsLeaveNoState: a stream of a document that has no
+// alerts holds log state only while it is open.
+func TestAlertStreamsLeaveNoState(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	ids := docIDs("ghost-", 1000)
+	end := openIdleStreams(t, s, ids)
+	end()
+	s.alertLog.mu.Lock()
+	defer s.alertLog.mu.Unlock()
+	if n := len(s.alertLog.byDoc); n != 0 {
+		t.Errorf("the log holds state for %d documents after every stream ended, want 0", n)
+	}
+}
+
+// TestAlertDeliveryIgnoresOtherStreams: delivering a document's alerts
+// costs the same with 200 streams open on other documents as with none,
+// and wakes none of them.
+func TestAlertDeliveryIgnoresOtherStreams(t *testing.T) {
+	s, o := observeFixture(t, 4)
+	// Fill the document's log to its bound first, so that no measured
+	// run grows its array.
+	for i := 0; i < alertLogSize; i++ {
+		s.observe(o)
+	}
+	alone := testing.AllocsPerRun(20, func() { s.observe(o) })
+
+	ids := docIDs("other-", 200)
+	end := openIdleStreams(t, s, ids)
+	defer end()
+	waits := make([]chan struct{}, len(ids))
+	s.alertLog.mu.Lock()
+	for i, id := range ids {
+		waits[i] = s.alertLog.byDoc[id].grown
+	}
+	s.alertLog.mu.Unlock()
+	crowded := testing.AllocsPerRun(20, func() { s.observe(o) })
+	if crowded > alone {
+		t.Errorf("observe allocates %.0f times with %d streams open on other documents, %.0f with none", crowded, len(ids), alone)
+	}
+	woken := 0
+	for _, c := range waits {
+		select {
+		case <-c:
+			woken++
+		default:
+		}
+	}
+	if woken > 0 {
+		t.Errorf("delivering one document's alerts woke %d streams of other documents", woken)
+	}
+}
+
+// BenchmarkObserveWithOpenStreams times the PUT tail of one 150 KB
+// catalog version whose delta raises about 1 200 alerts, with 0, 100
+// and 1 000 idle streams open on other documents. Delivery reaches only
+// the changed document's streams, so the three should cost the same.
+func BenchmarkObserveWithOpenStreams(b *testing.B) {
+	oldDoc := changesim.CatalogOfSize(rand.New(rand.NewSource(601)), 150_000)
+	sim, err := changesim.Simulate(oldDoc, changesim.Uniform(0.1, 7))
+	if err != nil {
+		b.Fatal(err)
+	}
+	r, err := diff.DiffDetailed(oldDoc, sim.New, diff.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	o := store.Observation{ID: "catalog", Version: 2, Old: oldDoc, New: sim.New, Result: r, DeltaBytes: r.Delta.Size()}
+	for _, streams := range []int{0, 100, 1000} {
+		b.Run(fmt.Sprint("streams=", streams), func(b *testing.B) {
+			s := New(memoryStore(b), Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+			defer s.Close()
+			s.Alerter().Subscribe(alert.Subscription{ID: "all"})
+			end := openIdleStreams(b, s, docIDs("other-", streams))
+			defer end()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.observe(o)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(s.Metrics().snapshot().alerts)/float64(b.N), "alerts/op")
+		})
 	}
 }

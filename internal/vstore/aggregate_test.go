@@ -13,6 +13,7 @@ import (
 	"xydiff/internal/diff"
 	"xydiff/internal/dom"
 	"xydiff/internal/store"
+	"xydiff/internal/xpathlite"
 )
 
 // aggregateReference is Aggregate as it was before it walked the chain
@@ -245,6 +246,44 @@ func TestAggregateOfOneVersionAnswersLikeVersion(t *testing.T) {
 	st.mu.Unlock()
 	check("doc", 4, ErrDegraded)
 	check("doc", 3, nil)
+}
+
+// TestChangesMatchingAnswersLikeDeltasBetween: a forward range
+// ChangesMatching cannot scan gets DeltasBetween's answer, word for
+// word — no such version on a healthy document, and, once the document
+// is marked degraded, quarantined history rather than "no such
+// version".
+func TestChangesMatchingAnswersLikeDeltasBetween(t *testing.T) {
+	s, err := Open("", diff.Options{}, Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	putStrings(t, s, "doc", []string{`<r><a>1</a></r>`, `<r><a>2</a></r>`, `<r><a>3</a></r>`})
+	expr := xpathlite.MustCompile(`//a`)
+	check := func(from, to int, kind error) {
+		t.Helper()
+		_, wantErr := s.DeltasBetween("doc", from, to)
+		_, err := s.ChangesMatching("doc", from, to, expr)
+		if err == nil || wantErr == nil || err.Error() != wantErr.Error() || !errors.Is(err, kind) {
+			t.Errorf("ChangesMatching(doc, %d, %d) = %v; DeltasBetween says %v, want %v", from, to, err, wantErr, kind)
+		}
+	}
+	check(0, 2, store.ErrNoSuchVersion)
+	check(1, 5, store.ErrNoSuchVersion)
+	st := s.shardFor("doc").lookup("doc")
+	st.mu.Lock()
+	st.degraded, st.degradedReason = true, "marked by the test"
+	st.mu.Unlock()
+	check(1, 5, ErrDegraded)
+	check(4, 5, ErrDegraded)
+	check(0, 2, store.ErrNoSuchVersion)
+	if hits, err := s.ChangesMatching("doc", 1, 3, expr); err != nil || len(hits) == 0 {
+		t.Errorf("the intact versions 1..3: %d hits, %v", len(hits), err)
+	}
+	if _, err := s.ChangesMatching("doc", 2, 2, expr); !errors.Is(err, store.ErrNoSuchVersion) {
+		t.Errorf("ChangesMatching(doc, 2, 2) = %v, want %v", err, store.ErrNoSuchVersion)
+	}
 }
 
 // TestOneStepAggregateIsTheStoredDelta pins, differentially, the

@@ -104,8 +104,11 @@ func (s *Store) ChangesMatching(id string, from, to int, pattern *xpathlite.Expr
 		return nil, err
 	}
 	defer st.mu.RUnlock()
-	if from < 1 || to > st.versions || from >= to {
+	if from >= to {
 		return nil, fmt.Errorf("vstore: bad version range %d..%d (have 1..%d): %w", from, to, st.versions, store.ErrNoSuchVersion)
+	}
+	if err := st.checkRange(id, from, to); err != nil {
+		return nil, err
 	}
 	kindOK := func(k delta.Kind) bool {
 		if len(kinds) == 0 {
