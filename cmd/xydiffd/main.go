@@ -15,7 +15,8 @@
 //	-workers diff worker pool size (default GOMAXPROCS)
 //	-queue   queued diffs before requests are shed with 503 (default 64)
 //	-timeout per-request deadline, diff included (default 30s)
-//	-max-body largest accepted document version in bytes (default 16 MiB)
+//	-max-body largest accepted document version in bytes, PUT or
+//	         crawled (default 16 MiB)
 //	-journal-sync journal fsync policy: always, interval or off
 //	         (default always)
 //	-journal-sync-interval flush period under -journal-sync=interval
@@ -106,7 +107,7 @@ func main() {
 	flag.StringVar(&cfg.diffMatcher, "matcher", "", "default diff `matcher`: buld (the paper's, default) or sftm (similarity-based, for real-web HTML); overridable per PUT with ?matcher= and per crawl source")
 	flag.IntVar(&cfg.server.QueueDepth, "queue", 0, "max queued diffs before shedding (0 = default 64)")
 	flag.DurationVar(&cfg.server.RequestTimeout, "timeout", 0, "per-request `deadline` (0 = default 30s)")
-	flag.Int64Var(&cfg.server.MaxBodyBytes, "max-body", 0, "max document `bytes` per PUT (0 = default 16MiB)")
+	flag.Int64Var(&cfg.server.MaxBodyBytes, "max-body", 0, "max document `bytes` per PUT or crawled fetch (0 = default 16MiB)")
 	flag.StringVar(&cfg.journalSync, "journal-sync", "always", "journal fsync `policy`: always, interval or off")
 	flag.DurationVar(&cfg.syncInterval, "journal-sync-interval", 100*time.Millisecond, "flush `period` under -journal-sync=interval")
 	flag.IntVar(&cfg.storeShards, "store-shards", 0, "storage shard count for a fresh directory (0 = default 16; existing directories keep their manifest's count)")

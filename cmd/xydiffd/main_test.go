@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"xydiff/internal/changesim"
+	"xydiff/internal/crawl"
 	"xydiff/internal/diff"
 	"xydiff/internal/server"
 	"xydiff/internal/store"
@@ -303,6 +304,89 @@ func TestCrawlFlagEndToEnd(t *testing.T) {
 	}
 	if code, _ := get(t, url+"/docs/feed/versions/1"); code != 200 {
 		t.Errorf("crawled document lost across restart: %d", code)
+	}
+}
+
+// TestCrawlMutationBecomesDelta: two sources registered on a -crawl
+// daemon arrive as version 1, a mutation at the origin becomes a diffed
+// version 2 with its delta, and after shutdown the registry file holds
+// both sources with the validators and fetch counts they learned.
+func TestCrawlMutationBecomesDelta(t *testing.T) {
+	origin, err := changesim.ServeCorpus(3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	originSrv := httptest.NewServer(origin)
+	defer originSrv.Close()
+	paths := origin.Paths()
+
+	dir := filepath.Join(t.TempDir(), "data")
+	url, shutdown, done := startCrawlDaemon(t, dir)
+	stopped := false
+	defer func() {
+		if !stopped {
+			shutdown()
+			waitExit(t, done)
+		}
+	}()
+
+	for i, id := range []string{"d0", "d1"} {
+		src := `{"id":"` + id + `","url":"` + originSrv.URL + paths[i] + `"}`
+		resp, err := http.Post(url+"/sources", "application/json", strings.NewReader(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := resp.Body.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("POST /sources %s: %d", id, resp.StatusCode)
+		}
+	}
+	waitCode := func(path string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			if code, _ := get(t, url+path); code == http.StatusOK {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s to answer 200", path)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+
+	// Both documents arrive as version 1.
+	waitCode("/docs/d0/versions/1")
+	waitCode("/docs/d1/versions/1")
+	// A mutation at the origin becomes a diffed version 2 at the daemon.
+	if err := origin.Mutate(paths[0]); err != nil {
+		t.Fatal(err)
+	}
+	waitCode("/docs/d0/versions/2")
+	waitCode("/docs/d0/deltas/1")
+
+	shutdown()
+	waitExit(t, done)
+	stopped = true
+
+	// The saved registry resumes with the learned validators.
+	reg, err := crawl.OpenRegistry(filepath.Join(dir, "crawl-sources.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reg.Len() != 2 {
+		t.Fatalf("saved registry has %d sources, want 2", reg.Len())
+	}
+	for _, id := range []string{"d0", "d1"} {
+		src, ok := reg.Get(id)
+		if !ok {
+			t.Fatalf("source %s missing from saved registry", id)
+		}
+		if src.ETag == "" || src.Fetches == 0 {
+			t.Errorf("source %s saved without learned state: %+v", id, src)
+		}
 	}
 }
 

@@ -1,8 +1,9 @@
 // Crawl demonstrates the acquisition layer — the first box of the
 // paper's Figure 1 — end to end in one process: a deterministic
-// changesim origin plays the changing web, a crawler polls it on the
-// adaptive change-rate schedule, and every changed document flows
-// through the versioned store's diff, raising alerts on the way.
+// changesim origin plays the changing web, the daemon's crawler polls
+// it on the adaptive change-rate schedule, and every changed document
+// flows through the daemon's parse limits, diff pool and versioned
+// store, raising alerts for a catch-all subscription on the way.
 //
 // Three sources make the adaptive policy visible: one document mutates
 // every epoch (the crawler converges to the minimum interval), one
@@ -15,7 +16,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -23,13 +23,14 @@ import (
 	"log"
 	"log/slog"
 	"net/http/httptest"
+	"strings"
 	"time"
 
+	"xydiff/internal/alert"
 	"xydiff/internal/changesim"
 	"xydiff/internal/crawl"
 	"xydiff/internal/diff"
-	"xydiff/internal/dom"
-	"xydiff/internal/stats"
+	"xydiff/internal/server"
 	"xydiff/internal/vstore"
 )
 
@@ -47,29 +48,22 @@ func main() {
 	defer ts.Close()
 	paths := origin.Paths()
 
-	// The repository: a versioned store kept in memory (no directory);
-	// every new version is diffed against its predecessor.
+	// The repository: xydiffd's server over a versioned store kept in
+	// memory (no directory); every new version is diffed against its
+	// predecessor, and one subscription alerts on every change.
 	st, err := vstore.Open("", diff.Options{}, vstore.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	ingest := func(ctx context.Context, id string, body []byte) (bool, error) {
-		doc, err := dom.Parse(bytes.NewReader(body))
-		if err != nil {
-			return false, err
-		}
-		v, d, err := st.PutContext(ctx, id, doc)
-		if err != nil {
-			return false, err
-		}
-		return v == 1 || (d != nil && !d.Empty()), nil
-	}
-
-	c := crawl.New(crawl.NewRegistry(), ingest, stats.NewCollector(), crawl.Config{
+	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
+	srv := server.New(st, server.Config{Logger: quiet})
+	defer srv.Close()
+	srv.Alerter().Subscribe(alert.Subscription{ID: "all"})
+	c := srv.EnableCrawl(crawl.NewRegistry(), crawl.Config{
 		MinInterval:     150 * time.Millisecond,
 		MaxInterval:     1200 * time.Millisecond,
 		PerHostInterval: -1, // one local origin; politeness would only slow the demo
-		Logger:          slog.New(slog.NewTextHandler(io.Discard, nil)),
+		Logger:          quiet,
 	})
 	for i, name := range []string{"fast", "medium", "static"} {
 		if _, err := c.Add(crawl.Source{ID: name, URL: ts.URL + paths[i]}); err != nil {
@@ -114,8 +108,21 @@ func main() {
 		snap.Fetches, snap.NotModified,
 		100*float64(snap.NotModified)/float64(max64(snap.Fetches, 1)),
 		snap.Ingests, snap.FetchedBytes/1024)
+	fmt.Println(alertsLine(srv))
 	fmt.Println("\nthe fast source converged toward the minimum interval, the static one")
 	fmt.Println("toward the maximum — change rate drives the revisit schedule.")
+}
+
+// alertsLine is the alert counter from the daemon's own /metrics.
+func alertsLine(srv *server.Server) string {
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if strings.HasPrefix(line, "xydiffd_alerts_total ") {
+			return "alerts raised: " + strings.TrimPrefix(line, "xydiffd_alerts_total ")
+		}
+	}
+	return "alerts raised: unknown"
 }
 
 func max64(a, b int64) int64 {

@@ -35,8 +35,8 @@ import (
 // changed reports whether the body produced a new version: true for a
 // first version or a non-empty delta, false when the content was
 // byte-equivalent to the stored latest. Errors are treated as
-// transient: the fetch cycle counts a failure and the source retries on
-// the backoff schedule.
+// transient: the source retries on the backoff schedule, or after a
+// *RetryAfterError's After, and the fetch cycle counts a failure.
 type Ingester func(ctx context.Context, docID string, body []byte) (changed bool, err error)
 
 // Config tunes the crawler. The zero value picks production defaults.
@@ -111,7 +111,7 @@ func (c Config) withDefaults() Config {
 		c.CircuitCooldown = time.Minute
 	}
 	if c.UserAgent == "" {
-		c.UserAgent = "xycrawl/1 (+https://github.com/xydiff)"
+		c.UserAgent = "xydiffd/1 (+https://github.com/xydiff)"
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{}
@@ -191,12 +191,9 @@ func (c *Crawler) Add(src Source) (Source, error) {
 }
 
 // Remove unregisters the source; an in-flight fetch of it finishes but
-// its result is discarded and it is never rescheduled.
-func (c *Crawler) Remove(id string) bool {
-	ok := c.reg.Remove(id)
-	// The heap entry, if any, dies lazily: pop skips unknown ids.
-	return ok
-}
+// its result is discarded and it is never rescheduled. The heap entry,
+// if any, dies lazily: pop skips unknown ids.
+func (c *Crawler) Remove(id string) (bool, error) { return c.reg.Remove(id) }
 
 // Status is one source plus its live change-rate estimate.
 type Status struct {

@@ -366,8 +366,8 @@ func TestRemoveStopsFetching(t *testing.T) {
 	stop := startCrawler(t, c)
 	defer stop()
 	waitFor(t, 5*time.Second, "first fetches", func() bool { return hits.Load() >= 2 })
-	if !c.Remove("doomed") {
-		t.Fatal("remove reported missing source")
+	if ok, err := c.Remove("doomed"); !ok || err != nil {
+		t.Fatalf("remove = %v, %v; want true, nil", ok, err)
 	}
 	// Let any in-flight fetch land, then the counter must freeze.
 	time.Sleep(50 * time.Millisecond)

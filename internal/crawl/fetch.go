@@ -32,11 +32,11 @@ func (e *transientError) Unwrap() error { return e.err }
 func transient(err error) error { return &transientError{err: err} }
 
 // RetryAfterError is a transient failure where the server named its
-// own pacing: a 503 (the daemon's ErrBusy shedding) or 429 carrying a
-// Retry-After header. The retry loop honors After — clamped by the
-// retry policy's Max — instead of its computed backoff, so a loaded
-// daemon's "come back in N seconds" is respected rather than hammered
-// through on a fixed schedule.
+// own pacing: an origin's 503 or 429 carrying a Retry-After header, or
+// a version the ingesting daemon shed under load. The retry loop
+// honors After — clamped by the retry policy's Max — instead of its
+// computed backoff, so a loaded server's "come back in N seconds" is
+// respected rather than hammered through on a fixed schedule.
 type RetryAfterError struct {
 	After time.Duration // server-suggested wait; pre-clamp
 	Err   error

@@ -4,7 +4,7 @@ import "sync"
 
 // Metrics is the crawler's counters and gauges. Snapshot copies them:
 // xydiffd renders the copy on its /metrics as the xydiffd_crawl_*
-// families and in /healthz, and xycrawl logs it.
+// families and in /healthz.
 type Metrics struct {
 	mu           sync.Mutex
 	fetches      int64 // completed fetch cycles (200 or 304)

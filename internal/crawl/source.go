@@ -62,6 +62,9 @@ func (s Source) CircuitOpen(now time.Time) bool {
 // of the store's document table, saved alongside it. All methods are
 // safe for concurrent use. Mutations happen through the registry so the
 // crawler, the HTTP endpoints, and persistence always see one state.
+// Add and Remove are durable when they return; learned schedule state
+// (intervals, validators, counters) is written by Save, or by the next
+// Add or Remove.
 type Registry struct {
 	mu   sync.Mutex
 	path string // "" = memory-only
@@ -92,7 +95,7 @@ func OpenRegistry(path string) (*Registry, error) {
 	}
 	for i := range list {
 		s := list[i]
-		if err := validateSource(s); err != nil {
+		if err := s.Validate(); err != nil {
 			return nil, fmt.Errorf("crawl: registry %s: %w", path, err)
 		}
 		r.srcs[s.ID] = &s
@@ -100,7 +103,9 @@ func OpenRegistry(path string) (*Registry, error) {
 	return r, nil
 }
 
-func validateSource(s Source) error {
+// Validate reports whether s can be registered: an id, an http(s) URL
+// with a host, and a known matcher name.
+func (s Source) Validate() error {
 	if s.ID == "" {
 		return fmt.Errorf("source needs an id")
 	}
@@ -120,27 +125,44 @@ func validateSource(s Source) error {
 	return nil
 }
 
-// Add registers src (replacing any source with the same id) and returns
-// the stored copy. A zero Interval or NextFetch means "let the
+// Add registers src (replacing any source with the same id), saves the
+// registry, and returns the stored copy. A failed save leaves the
+// registry as it was. A zero Interval or NextFetch means "let the
 // scheduler decide" — the crawler fills them on first fetch.
 func (r *Registry) Add(src Source) (Source, error) {
-	if err := validateSource(src); err != nil {
+	if err := src.Validate(); err != nil {
 		return Source{}, fmt.Errorf("crawl: %w", err)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := src
-	r.srcs[s.ID] = &s
-	return s, nil
+	old, had := r.srcs[src.ID]
+	r.srcs[src.ID] = &src
+	if err := r.save(); err != nil {
+		if had {
+			r.srcs[src.ID] = old
+		} else {
+			delete(r.srcs, src.ID)
+		}
+		return Source{}, err
+	}
+	return src, nil
 }
 
-// Remove deletes the source, reporting whether it existed.
-func (r *Registry) Remove(id string) bool {
+// Remove deletes the source and saves the registry, reporting whether
+// the source existed. A failed save leaves the source registered.
+func (r *Registry) Remove(id string) (bool, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	_, ok := r.srcs[id]
+	old, ok := r.srcs[id]
+	if !ok {
+		return false, nil
+	}
 	delete(r.srcs, id)
-	return ok
+	if err := r.save(); err != nil {
+		r.srcs[id] = old
+		return false, err
+	}
+	return true, nil
 }
 
 // Get returns a copy of the source.
@@ -204,14 +226,20 @@ func (r *Registry) update(id string, f func(*Source)) bool {
 // the store's crash-safe idiom: temp file, fsync, rename.
 func (r *Registry) Save() error {
 	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.save()
+}
+
+// save is Save with r.mu held, so saves are written in the order their
+// states were made.
+func (r *Registry) save() error {
+	path := r.path
+	if path == "" {
+		return nil
+	}
 	list := make([]Source, 0, len(r.srcs))
 	for _, s := range r.srcs {
 		list = append(list, *s)
-	}
-	path := r.path
-	r.mu.Unlock()
-	if path == "" {
-		return nil
 	}
 	sort.Slice(list, func(i, j int) bool { return list[i].ID < list[j].ID })
 	data, err := json.MarshalIndent(list, "", "  ")

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"xydiff/internal/alert"
+	"xydiff/internal/crawl"
 	"xydiff/internal/delta"
 	"xydiff/internal/diff"
 	"xydiff/internal/dom"
@@ -34,27 +35,18 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, map[string]string{"error": msg})
 }
 
-// shedLoad answers a shed request: 503 with a Retry-After hint that
-// grows with consecutive rejections (retry.Policy) and resets once a
-// submission gets through, so sustained overload pushes retries
-// further out instead of re-inviting the herd.
-func (s *Server) shedLoad(w http.ResponseWriter, msg string) {
-	s.metrics.addRejected()
-	after := int(s.shedBackoff.Next().Round(time.Second) / time.Second)
-	if after < 1 {
-		after = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(after))
-	writeError(w, http.StatusServiceUnavailable, msg)
-}
-
-// storeError maps store failures onto HTTP statuses: unknown documents
-// and out-of-range versions are 404s, deadline hits are load-shedding
-// 503s, degraded history (quarantined by the scrubber) is 410 Gone
-// with a Warning header — never a 500 — and the rest are genuine 500s.
+// storeError maps store failures onto HTTP statuses: a shed ingest is
+// 503 with its Retry-After hint, unknown documents and out-of-range
+// versions are 404s, deadline hits are load-shedding 503s, degraded
+// history (quarantined by the scrubber) is 410 Gone with a Warning
+// header — never a 500 — and the rest are genuine 500s.
 func storeError(w http.ResponseWriter, err error) {
+	var shed *crawl.RetryAfterError
 	var de *vstore.DegradedError
 	switch {
+	case errors.As(err, &shed):
+		w.Header().Set("Retry-After", strconv.Itoa(int(shed.After/time.Second)))
+		writeError(w, http.StatusServiceUnavailable, shed.Err.Error())
 	case errors.As(err, &de):
 		w.Header().Set("Warning", fmt.Sprintf("110 xydiffd %q", "degraded: "+de.Reason))
 		writeJSON(w, http.StatusGone, map[string]any{
@@ -172,14 +164,10 @@ func (s *Server) handleListDocs(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-type putResult struct {
-	store.PutResult
-	err error
-}
-
-// parseOptions are the hardened parse options applied to uploaded
-// documents: the standard content model plus the configured depth and
-// token bounds (body bytes are already capped by MaxBytesReader).
+// parseOptions are the hardened parse options applied to uploaded and
+// crawled documents: the standard content model plus the configured
+// depth and token bounds (body bytes are already capped at
+// MaxBodyBytes, by MaxBytesReader or by the crawler's fetch).
 func (s *Server) parseOptions() dom.ParseOptions {
 	opts := dom.DefaultParseOptions()
 	if s.cfg.MaxParseDepth > 0 {
@@ -254,51 +242,66 @@ func (s *Server) handlePutDoc(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The diff runs on the bounded worker pool: per-document ordering
-	// comes from the store's history lock, global concurrency from the
-	// pool, and a full queue is backpressure the client sees as 503.
-	done := make(chan putResult, 1)
-	ctx := r.Context()
-	submitErr := s.pool.submit(func() {
-		res, err := s.store.PutDetailed(ctx, id, doc, matcher)
-		done <- putResult{PutResult: res, err: err}
-	})
-	if submitErr != nil {
-		s.shedLoad(w, submitErr.Error())
+	res, err := s.ingest(r.Context(), id, doc, matcher)
+	if err != nil {
+		storeError(w, err)
 		return
+	}
+	// deltaBytes is the length of the record body the store wrote, the
+	// same bytes GET /docs/{id}/deltas/{n} serves.
+	resp := map[string]any{"id": id, "version": res.Version, "deltaOps": 0, "deltaBytes": res.DeltaBytes}
+	if res.Delta != nil {
+		resp["deltaOps"] = len(res.Delta.Ops)
+	}
+	code := http.StatusOK
+	if res.Version == 1 {
+		code = http.StatusCreated
+	}
+	writeJSON(w, code, resp)
+}
+
+// ingest is the one way a version reaches the store, from a PUT or from
+// the crawler. The diff runs on the bounded worker pool: per-document
+// ordering comes from the store's history lock, global concurrency from
+// the pool. A full diff queue or a saturated group-commit queue
+// (vstore.ErrBusy) sheds the version, never blocking: see shed. If ctx
+// ends first, the job keeps its slot until the canceled diff unwinds;
+// the caller just stops waiting.
+func (s *Server) ingest(ctx context.Context, id string, doc *dom.Node, matcher diff.Matcher) (store.PutResult, error) {
+	type putResult struct {
+		store.PutResult
+		err error
+	}
+	done := make(chan putResult, 1)
+	if err := s.pool.submit(func() {
+		res, err := s.store.PutDetailed(ctx, id, doc, matcher)
+		done <- putResult{res, err}
+	}); err != nil {
+		return store.PutResult{}, s.shed(err)
 	}
 	select {
 	case res := <-done:
 		if errors.Is(res.err, vstore.ErrBusy) {
-			// A saturated group-commit queue is the storage layer's
-			// backpressure: same load-shedding contract as a full diff
-			// queue — 503 with a growing Retry-After, never blocking.
-			s.shedLoad(w, res.err.Error())
-			return
+			return store.PutResult{}, s.shed(res.err)
 		}
-		if res.err != nil {
-			storeError(w, res.err)
-			return
+		if res.err == nil {
+			s.shedBackoff.Reset() // the hint resets once a version gets through
 		}
-		// The hint resets once a Put makes it through end to end.
-		s.shedBackoff.Reset()
-		// deltaBytes is the length of the record body the store wrote,
-		// the same bytes GET /docs/{id}/deltas/{n} serves.
-		resp := map[string]any{"id": id, "version": res.Version, "deltaOps": 0, "deltaBytes": res.DeltaBytes}
-		if res.Delta != nil {
-			resp["deltaOps"] = len(res.Delta.Ops)
-		}
-		code := http.StatusOK
-		if res.Version == 1 {
-			code = http.StatusCreated
-		}
-		writeJSON(w, code, resp)
+		return res.PutResult, res.err
 	case <-ctx.Done():
-		// The job keeps its slot until the canceled diff unwinds; the
-		// client just stops waiting.
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "request deadline exceeded waiting for diff")
+		return store.PutResult{}, ctx.Err()
 	}
+}
+
+// shed counts a version turned away by backpressure and returns err as
+// a *crawl.RetryAfterError: the hint, in whole seconds, grows with
+// consecutive sheds (retry.Policy), so sustained overload pushes
+// retries further out instead of re-inviting the herd. A PUT answers it
+// as 503 + Retry-After (storeError); the crawler waits it out.
+func (s *Server) shed(err error) error {
+	s.metrics.addRejected()
+	after := max(s.shedBackoff.Next().Round(time.Second), time.Second)
+	return &crawl.RetryAfterError{After: after, Err: err}
 }
 
 // parseMatcherParam reads the optional ?matcher= override. The empty

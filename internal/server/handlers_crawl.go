@@ -13,11 +13,11 @@ import (
 )
 
 // crawlIngest is the crawler's way into the pipeline: the fetched body
-// goes through the same hardened parse limits as an HTTP PUT and its
-// diff rides the same bounded worker pool, so crawled traffic and
-// client traffic compete for — and are shed by — one backpressure
-// budget. A full queue surfaces as a transient error the crawler
-// retries on its backoff schedule.
+// (bounded by MaxBodyBytes, see EnableCrawl) goes through the same
+// hardened parse limits as an HTTP PUT and the same ingest call, so
+// crawled and client traffic compete for — and are shed by — one
+// backpressure budget. A shed reaches the crawler as a RetryAfterError
+// carrying the hint a shed PUT gets.
 func (s *Server) crawlIngest(ctx context.Context, id string, body []byte) (bool, error) {
 	doc, err := dom.ParseBytes(body, s.parseOptions())
 	if err != nil {
@@ -26,27 +26,12 @@ func (s *Server) crawlIngest(ctx context.Context, id string, body []byte) (bool,
 	// The source's registered matcher (validated at registration time)
 	// rides along: a page-monitoring source diffs with sftm while XML
 	// feeds on the same server keep the default.
-	var matcher diff.Matcher
-	if src, ok := s.crawlReg.Get(id); ok {
-		matcher = diff.Matcher(src.Matcher)
-	}
-	done := make(chan putResult, 1)
-	if err := s.pool.submit(func() {
-		res, err := s.store.PutDetailed(ctx, id, doc, matcher)
-		done <- putResult{PutResult: res, err: err}
-	}); err != nil {
+	src, _ := s.crawler.Registry().Get(id)
+	res, err := s.ingest(ctx, id, doc, diff.Matcher(src.Matcher))
+	if err != nil {
 		return false, err
 	}
-	select {
-	case res := <-done:
-		if res.err != nil {
-			return false, res.err
-		}
-		changed := res.Version == 1 || !res.Delta.Empty()
-		return changed, nil
-	case <-ctx.Done():
-		return false, ctx.Err()
-	}
+	return res.Version == 1 || !res.Delta.Empty(), nil
 }
 
 // sourceJSON is the wire form of a crawl source: durations and times as
@@ -115,9 +100,16 @@ func (s *Server) handleCreateSource(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "parse source: "+err.Error())
 		return
 	}
-	src, err := s.crawler.Add(crawl.Source{ID: req.ID, URL: req.URL, Matcher: req.Matcher})
-	if err != nil {
+	src := crawl.Source{ID: req.ID, URL: req.URL, Matcher: req.Matcher}
+	if err := src.Validate(); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	// Add saves the registry, so the 201 promises a source that
+	// survives a crash.
+	src, err := s.crawler.Add(src)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	s.log.Info("crawl source added", "id", src.ID, "url", src.URL)
@@ -152,7 +144,12 @@ func (s *Server) handleDeleteSource(w http.ResponseWriter, r *http.Request) {
 	if !s.crawlEnabled(w) {
 		return
 	}
-	if !s.crawler.Remove(r.PathValue("id")) {
+	ok, err := s.crawler.Remove(r.PathValue("id"))
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	if !ok {
 		writeError(w, http.StatusNotFound, "no such source")
 		return
 	}

@@ -100,9 +100,11 @@ type Server struct {
 
 	// crawler is the optional embedded acquisition layer (EnableCrawl);
 	// nil when the server only ingests over HTTP PUT.
-	crawler  *crawl.Crawler
-	crawlReg *crawl.Registry
+	crawler *crawl.Crawler
 }
+
+// shedPolicy paces the Retry-After hints of shed versions.
+var shedPolicy = retry.Policy{Base: time.Second, Max: 30 * time.Second, Multiplier: 2}
 
 // New wires a server around st, which may be a store without a
 // directory. It installs the store's observer hook, so st must not have
@@ -111,18 +113,16 @@ type Server struct {
 func New(st *vstore.Store, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:        cfg,
-		store:      st,
-		pipeline:   warehouse.Pipeline{Alerter: alert.New(), Stats: stats.NewCollector()},
-		metrics:    newMetrics(),
-		pool:       newPool(cfg.Workers, cfg.QueueDepth),
-		alertLog:   newAlertLog(alertLogSize),
-		streamsEnd: make(chan struct{}),
-		log:        cfg.Logger,
-		started:    time.Now(),
-		shedBackoff: retry.New(retry.Policy{
-			Base: time.Second, Max: 30 * time.Second, Multiplier: 2,
-		}, time.Now().UnixNano()),
+		cfg:         cfg,
+		store:       st,
+		pipeline:    warehouse.Pipeline{Alerter: alert.New(), Stats: stats.NewCollector()},
+		metrics:     newMetrics(),
+		pool:        newPool(cfg.Workers, cfg.QueueDepth),
+		alertLog:    newAlertLog(alertLogSize),
+		streamsEnd:  make(chan struct{}),
+		log:         cfg.Logger,
+		started:     time.Now(),
+		shedBackoff: retry.New(shedPolicy, time.Now().UnixNano()),
 	}
 	st.SetObserver(s.observe)
 	s.handler = s.routes()
@@ -193,17 +193,18 @@ func (s *Server) routes() http.Handler {
 }
 
 // EnableCrawl attaches the acquisition layer: sources registered in reg
-// are polled on the adaptive schedule and ingested through the same
-// parse limits and bounded diff pool as HTTP PUTs, and the /sources
-// endpoints come alive. The crawler's change-rate signal is the
-// server's own stats collector, so documents that also receive direct
-// PUTs share one rate history. Call before the handler starts serving;
-// the returned crawler still needs Run (the daemon owns its lifetime).
+// are polled on the adaptive schedule and ingested under the same body
+// bound (Config.MaxBodyBytes replaces cfg.MaxBodyBytes), parse limits
+// and bounded diff pool as HTTP PUTs, and the /sources endpoints come
+// alive. The crawler's change-rate signal is the server's own stats
+// collector, so documents that also receive direct PUTs share one rate
+// history. Call before the handler starts serving; the returned crawler
+// still needs Run (the daemon owns its lifetime).
 func (s *Server) EnableCrawl(reg *crawl.Registry, cfg crawl.Config) *crawl.Crawler {
 	if cfg.Logger == nil {
 		cfg.Logger = s.log
 	}
-	s.crawlReg = reg
+	cfg.MaxBodyBytes = s.cfg.MaxBodyBytes
 	s.crawler = crawl.New(reg, s.crawlIngest, s.pipeline.Stats, cfg)
 	return s.crawler
 }
