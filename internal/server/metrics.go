@@ -354,7 +354,7 @@ func (s *Server) metricFamilies() []family {
 		gauge("xydiffd_store_cache_resident", "Materialized document trees resident in the version cache.", ss.CacheLen),
 		counter("xydiffd_store_keyframe_restores_total", "Cache misses served by restoring the latest version from its in-memory keyframe.", ss.KeyframeRestores),
 		counter("xydiffd_store_keyframe_fallbacks_total", "Keyframes that did not restore, so the miss replayed the delta chain.", ss.KeyframeFallbacks),
-		gauge("xydiffd_store_keyframe_bytes", "Serialized bytes held by resident keyframes.", ss.KeyframeBytes),
+		gauge("xydiffd_store_keyframe_bytes", "Bytes held by resident keyframes: tree shape, names and values.", ss.KeyframeBytes),
 		counter("xydiffd_store_deltas_decoded_total", "Stored deltas decoded by reads and by Puts.", ss.DeltasDecoded),
 		gauge("xydiffd_store_degraded_docs", "Documents serving degraded (part of their history quarantined).", ss.DegradedDocs),
 		family{name: "xydiffd_store_snapshot_bytes", typ: "gauge",

@@ -2,10 +2,14 @@ package vstore
 
 import (
 	"encoding/binary"
+	"math/rand"
 	"runtime"
 	"testing"
 
+	"xydiff/internal/changesim"
 	"xydiff/internal/diff"
+	"xydiff/internal/dom"
+	"xydiff/internal/xid"
 )
 
 // evictedDoc stores the same chain of versions under "doc" and "other"
@@ -34,22 +38,17 @@ func readMatches(t *testing.T, s *Store, v int) {
 	}
 }
 
-// TestKeyframeFallback: a keyframe that does not restore — its bytes
-// swapped for a tree with a different node count, or for bytes that do
-// not parse — is never served. The read falls back to the chain and
-// answers what step-by-step Apply gives, and the fallback is counted.
+// TestKeyframeFallback: a keyframe that does not thaw — truncated, with
+// a name index out of range, with counts that do not add up, or with
+// trailing bytes — is never served. The read falls back to the chain
+// and answers what step-by-step Apply gives, the fallback is counted,
+// and the frame is dropped.
 func TestKeyframeFallback(t *testing.T) {
-	for _, c := range []struct{ name, body string }{
-		{"different node count", "<Catalog><Product/></Catalog>"},
-		{"not XML", "<Catalog"},
-	} {
-		t.Run(c.name, func(t *testing.T) {
+	bad := badFrames()
+	for _, name := range []string{"truncated", "name index out of range", "counts that do not add up", "trailing bytes"} {
+		t.Run(name, func(t *testing.T) {
 			s := evictedDoc(t, 5)
-			s.cache.mu.Lock()
-			f := s.cache.frames["doc"]
-			f.body = []byte(c.body)
-			s.cache.frames["doc"] = f
-			s.cache.mu.Unlock()
+			setFrame(s, "doc", bad[name])
 			restores := s.StorageStats().KeyframeRestores
 			readMatches(t, s, 3)
 			ss := s.StorageStats()
@@ -60,6 +59,104 @@ func TestKeyframeFallback(t *testing.T) {
 				t.Error("the keyframe that did not restore is still resident")
 			}
 		})
+	}
+}
+
+// setFrame swaps the body of id's keyframe for frame.
+func setFrame(s *Store, id string, frame []byte) {
+	s.cache.mu.Lock()
+	defer s.cache.mu.Unlock()
+	f := s.cache.frames[id]
+	s.cache.frameBytes += int64(len(frame) - len(f.body))
+	f.body = frame
+	s.cache.frames[id] = f
+}
+
+// TestBadKeyframeTriedOnce: a keyframe that does not thaw is dropped by
+// the miss that tried it, even when the replay that follows fails too,
+// so later misses do not try it again.
+func TestBadKeyframeTriedOnce(t *testing.T) {
+	s := evictedDoc(t, 5)
+	setFrame(s, "doc", badFrames()["truncated"])
+	st := s.shardFor("doc").lookup("doc")
+	st.mu.Lock()
+	st.deltas[0] = []byte("<not a delta")
+	st.mu.Unlock()
+	for i := 0; i < 3; i++ {
+		if _, err := s.Version("doc", 5); err == nil {
+			t.Fatal("a read across an unreadable delta succeeded")
+		}
+	}
+	ss := s.StorageStats()
+	if ss.KeyframeFallbacks != 1 || ss.KeyframeBytes != 0 {
+		t.Errorf("%d fallbacks and %d keyframe bytes after three reads, want 1 and 0", ss.KeyframeFallbacks, ss.KeyframeBytes)
+	}
+	if _, ok := s.cache.frames["doc"]; ok {
+		t.Error("the keyframe that did not restore is still resident")
+	}
+}
+
+// TestKeyframeKeepsAdjacentTexts: a tree with two adjacent texts, which
+// no XML round trip keeps apart, comes back from its keyframe as it was
+// put, with no fallback.
+func TestKeyframeKeepsAdjacentTexts(t *testing.T) {
+	s, err := Open("", diff.Options{}, Config{Shards: 1, CacheSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	doc := func(texts ...string) *dom.Node {
+		a := dom.NewElement("a")
+		for _, v := range texts {
+			a.Append(dom.NewText(v))
+		}
+		return dom.NewDocument().Append(a)
+	}
+	for _, p := range []struct {
+		id  string
+		doc *dom.Node
+	}{{"doc", doc("x")}, {"doc", doc("x", "y")}, {"other", doc("z")}} {
+		if _, _, err := s.Put(p.id, p.doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if f, ok := s.cache.frames["doc"]; !ok || f.versions != 2 {
+		t.Fatal("doc's version 2 is not a keyframe")
+	}
+	got, err := s.Version("doc", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kids := got.Root().Children; len(kids) != 2 || kids[0].Value != "x" || kids[1].Value != "y" {
+		t.Errorf("Version(2) is %s with %d texts, want the two put", got, len(kids))
+	}
+	if ss := s.StorageStats(); ss.KeyframeRestores != 1 || ss.KeyframeFallbacks != 0 {
+		t.Errorf("%d restores and %d fallbacks, want 1 and 0", ss.KeyframeRestores, ss.KeyframeFallbacks)
+	}
+}
+
+// TestKeyframeRestoreAllocations: a restore allocates a few times, the
+// same at 7 KB as at 130 KB: the text, the name table, and one slice
+// each of nodes, child pointers and attributes.
+func TestKeyframeRestoreAllocations(t *testing.T) {
+	var counts []float64
+	for _, size := range []int{7000, 130000} {
+		c := newVersionCache(1)
+		doc := changesim.CatalogOfSize(rand.New(rand.NewSource(7)), size)
+		xid.Assign(doc)
+		c.put("a", doc, 1)
+		c.put("b", dom.NewDocument(), 1) // evicts a
+		frame := len(c.frames["a"].body)
+		allocs := testing.AllocsPerRun(10, func() {
+			if c.restore("a", 1) == nil {
+				t.Fatal("the keyframe did not restore")
+			}
+		})
+		t.Logf("%d-byte catalog, %d-byte frame: %.0f allocations per restore", size, frame, allocs)
+		counts = append(counts, allocs)
+	}
+	if counts[0] != counts[1] || counts[0] > 8 {
+		t.Errorf("a restore allocates %.0f times at 7 KB and %.0f at 130 KB, want the same and at most 8", counts[0], counts[1])
 	}
 }
 

@@ -161,8 +161,8 @@ type StorageStats struct {
 	CacheCap    int
 	// KeyframeRestores counts misses that restored the latest version
 	// from its keyframe; KeyframeFallbacks keyframes that did not
-	// restore, so the miss replayed the chain; KeyframeBytes is the
-	// serialized size of the keyframes resident now.
+	// restore, so the miss replayed the chain; KeyframeBytes is what
+	// the keyframes resident now hold: tree shape, names and values.
 	KeyframeRestores  int64
 	KeyframeFallbacks int64
 	KeyframeBytes     int64

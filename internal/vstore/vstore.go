@@ -25,10 +25,11 @@
 //     raw, so only recovery and the scrubber ever inflate (snapfile.go).
 //   - Materialized current versions live in a bounded LRU, so
 //     reconstruction cost is paid once per cache residency, not once
-//     per read. A tree the LRU evicts is kept as a keyframe, its
-//     canonical bytes and XIDs, so a miss restores the latest version
-//     with one parse; only a document with no current keyframe replays
-//     its serialized base + delta chain. Keyframes are never written.
+//     per read. A tree the LRU evicts is kept as a keyframe, the tree
+//     frozen into one byte slice (frame.go), so a miss thaws the latest
+//     version with no parse; only a document with no current keyframe
+//     replays its serialized base + delta chain. Keyframes are never
+//     written.
 //
 // The on-disk layout under dir/:
 //

@@ -303,11 +303,12 @@ func TestConcurrentReadWalks(t *testing.T) {
 // version 11 decodes one (5 276 allocations against 999; 1 255 once
 // planned; 1 233 against 961 with the XID table for the walk's index).
 // On a miss the latest version comes back from its keyframe and the
-// read walks as a hit does: a restore (about 690 allocations, with the
-// keyframe the restore's eviction leaves) plus the hit's walk. With no
-// keyframe, on a store just reopened, a miss costs the replay that
-// caches the latest version (6 013 with a map for the index, 5 550 with
-// the table) and one copy, not a further walk back from it.
+// read walks as a hit does: a restore (40 allocations, with the
+// keyframe the restore's eviction leaves; 690 when keyframes were XML)
+// plus the hit's walk. With no keyframe, on a store just reopened, a
+// miss costs the replay that caches the latest version (6 013 with a
+// map for the index, 5 550 with the table) and one copy, not a further
+// walk back from it.
 func TestReadWalkAllocations(t *testing.T) {
 	chain := flipChain(t, 7000, 12)
 	s := chainStore(t, Config{Shards: 1}, chain, "doc")
