@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"strconv"
 
 	"xydiff/internal/dom"
 	"xydiff/internal/xid"
@@ -16,31 +15,41 @@ import (
 // subtree). It errors, before writing anything, on an operation type
 // the package does not know.
 func (d *Delta) WriteTo(w io.Writer) (int64, error) {
+	if err := d.checkOps(); err != nil {
+		return 0, err
+	}
+	return dom.EncodeTo(w, d.encode)
+}
+
+// checkOps refuses an operation type the package does not know.
+func (d *Delta) checkOps() error {
 	for _, op := range d.Ops {
 		switch op.(type) {
 		case Insert, Delete, Update, Move, InsertAttr, DeleteAttr, UpdateAttr:
 		default:
-			return 0, fmt.Errorf("delta: serialize: unknown op type %T", op)
+			return fmt.Errorf("delta: serialize: unknown op type %T", op)
 		}
 	}
-	e := dom.NewEncoder(w)
-	var root []dom.Attr
+	return nil
+}
+
+// encode writes the delta to e. Numbers and XID maps are written with
+// nothing allocated, so a counting Encoder sizes a delta for free.
+func (d *Delta) encode(e *dom.Encoder) {
+	e.StartTag("delta")
 	if d.NextXID != 0 {
-		root = []dom.Attr{{Name: "nextxid", Value: itoa(d.NextXID)}}
+		e.AttrInt("nextxid", d.NextXID)
 	}
-	e.StartElement("delta", root, len(d.Ops) == 0)
+	e.EndTag(len(d.Ops) == 0)
 	for _, op := range d.Ops {
 		encodeOp(e, op)
 	}
 	if len(d.Ops) > 0 {
 		e.EndElement("delta")
 	}
-	return e.Flush()
 }
 
-func itoa(v int64) string { return strconv.FormatInt(v, 10) }
-
-// encodeOp writes one operation element. Attributes are listed sorted
+// encodeOp writes one operation element. Attributes are written sorted
 // by name, the order the canonical serializer gives opToElement's.
 func encodeOp(e *dom.Encoder, op Op) {
 	switch o := op.(type) {
@@ -49,47 +58,50 @@ func encodeOp(e *dom.Encoder, op Op) {
 	case Delete:
 		encodeSubtreeOp(e, "delete", o.XID, o.XIDMap, o.Parent, o.Pos, o.Subtree)
 	case Update:
-		e.StartElement("update", []dom.Attr{{Name: "xid", Value: itoa(o.XID)}}, false)
+		e.StartTag("update")
+		e.AttrInt("xid", o.XID)
+		e.EndTag(false)
 		encodeValue(e, "old", o.Old)
 		encodeValue(e, "new", o.New)
 		e.EndElement("update")
 	case Move:
-		e.StartElement("move", []dom.Attr{
-			{Name: "from-parent", Value: itoa(o.FromParent)},
-			{Name: "from-pos", Value: itoa(int64(o.FromPos) + 1)},
-			{Name: "to-parent", Value: itoa(o.ToParent)},
-			{Name: "to-pos", Value: itoa(int64(o.ToPos) + 1)},
-			{Name: "xid", Value: itoa(o.XID)},
-		}, true)
+		e.StartTag("move")
+		e.AttrInt("from-parent", o.FromParent)
+		e.AttrInt("from-pos", int64(o.FromPos)+1)
+		e.AttrInt("to-parent", o.ToParent)
+		e.AttrInt("to-pos", int64(o.ToPos)+1)
+		e.AttrInt("xid", o.XID)
+		e.EndTag(true)
 	case InsertAttr:
-		e.StartElement("insert-attribute", []dom.Attr{
-			{Name: "name", Value: o.Name},
-			{Name: "value", Value: o.Value},
-			{Name: "xid", Value: itoa(o.XID)},
-		}, true)
+		e.StartTag("insert-attribute")
+		e.Attr("name", o.Name)
+		e.Attr("value", o.Value)
+		e.AttrInt("xid", o.XID)
+		e.EndTag(true)
 	case DeleteAttr:
-		e.StartElement("delete-attribute", []dom.Attr{
-			{Name: "name", Value: o.Name},
-			{Name: "old", Value: o.Old},
-			{Name: "xid", Value: itoa(o.XID)},
-		}, true)
+		e.StartTag("delete-attribute")
+		e.Attr("name", o.Name)
+		e.Attr("old", o.Old)
+		e.AttrInt("xid", o.XID)
+		e.EndTag(true)
 	case UpdateAttr:
-		e.StartElement("update-attribute", []dom.Attr{
-			{Name: "name", Value: o.Name},
-			{Name: "new", Value: o.New},
-			{Name: "old", Value: o.Old},
-			{Name: "xid", Value: itoa(o.XID)},
-		}, true)
+		e.StartTag("update-attribute")
+		e.Attr("name", o.Name)
+		e.Attr("new", o.New)
+		e.Attr("old", o.Old)
+		e.AttrInt("xid", o.XID)
+		e.EndTag(true)
 	}
 }
 
 func encodeSubtreeOp(e *dom.Encoder, name string, x int64, m xid.Map, parent int64, pos int, sub *dom.Node) {
-	e.StartElement(name, []dom.Attr{
-		{Name: "parent", Value: itoa(parent)},
-		{Name: "pos", Value: itoa(int64(pos) + 1)},
-		{Name: "xid", Value: itoa(x)},
-		{Name: "xidmap", Value: m.String()},
-	}, sub == nil)
+	var xidmap [64]byte // most maps fit; a longer one grows onto the heap
+	e.StartTag(name)
+	e.AttrInt("parent", parent)
+	e.AttrInt("pos", int64(pos)+1)
+	e.AttrInt("xid", x)
+	e.AttrRaw("xidmap", m.AppendTo(xidmap[:0]))
+	e.EndTag(sub == nil)
 	if sub != nil {
 		// XIDs need no stripping: the serializer never writes them,
 		// the op's xidmap attribute carries them.
@@ -100,7 +112,8 @@ func encodeSubtreeOp(e *dom.Encoder, name string, x int64, m xid.Map, parent int
 
 // encodeValue writes <name>v</name>, or <name/> for the empty string.
 func encodeValue(e *dom.Encoder, name, v string) {
-	e.StartElement(name, nil, v == "")
+	e.StartTag(name)
+	e.EndTag(v == "")
 	if v != "" {
 		e.Text(v)
 		e.EndElement(name)
@@ -118,8 +131,14 @@ func (d *Delta) MarshalText() ([]byte, error) {
 
 // Size returns the size in bytes of the delta's XML serialization, the
 // quality measure used throughout the paper's Section 6. Nothing is
-// materialized: the encoder writes into a counting sink.
+// written or allocated: a counting Encoder walks the operations. A
+// delta of unknown ops has size 0.
 func (d *Delta) Size() int {
-	n, _ := d.WriteTo(io.Discard) // a delta of unknown ops has size 0
+	if d.checkOps() != nil {
+		return 0
+	}
+	var e dom.Encoder // no writer: count only
+	d.encode(&e)
+	n, _ := e.Flush()
 	return int(n)
 }

@@ -2,6 +2,7 @@ package dom_test
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -9,12 +10,15 @@ import (
 	"xydiff/internal/dom"
 )
 
-// BenchmarkParseCatalog parses a document of the size and shape the
-// ingest_large workload of BENCHMARK.json uploads: a ~150 KB product
-// catalog, attributes and short texts throughout. It goes through the
-// reader entry point, as the benchmark's traced parse does.
+// catalog is a document of the size and shape the ingest_large
+// workload of BENCHMARK.json uploads: a ~150 KB product catalog,
+// attributes and short texts throughout.
+func catalog() *dom.Node { return changesim.CatalogOfSize(rand.New(rand.NewSource(1)), 130000) }
+
+// BenchmarkParseCatalog parses the catalog. It goes through the reader
+// entry point, as the benchmark's traced parse does.
 func BenchmarkParseCatalog(b *testing.B) {
-	src := []byte(changesim.CatalogOfSize(rand.New(rand.NewSource(1)), 130000).String())
+	src := []byte(catalog().String())
 	b.SetBytes(int64(len(src)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -22,5 +26,48 @@ func BenchmarkParseCatalog(b *testing.B) {
 		if _, err := dom.ParseWithOptions(bytes.NewReader(src), dom.DefaultParseOptions()); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkEncodeCatalog serializes the catalog three ways: appended
+// to a reused buffer (how the store answers a version read), counted
+// only, and written to an io.Writer through the encoder's buffer.
+func BenchmarkEncodeCatalog(b *testing.B) {
+	doc := catalog()
+	size := doc.EncodedLen()
+	b.Run("AppendXML", func(b *testing.B) {
+		buf := make([]byte, 0, size)
+		b.SetBytes(size)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf = doc.AppendXML(buf[:0])
+		}
+	})
+	b.Run("EncodedLen", func(b *testing.B) {
+		b.SetBytes(size)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			doc.EncodedLen()
+		}
+	})
+	b.Run("WriteTo", func(b *testing.B) {
+		b.SetBytes(size)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := doc.WriteTo(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkCloneCatalog copies the catalog, as a backward read walk
+// copies the cached latest version.
+func BenchmarkCloneCatalog(b *testing.B) {
+	doc := catalog()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		doc.Clone()
 	}
 }

@@ -2,7 +2,9 @@ package dom
 
 import (
 	"io"
+	"strconv"
 	"strings"
+	"sync"
 )
 
 // WriteTo serializes the subtree rooted at n as XML to w. The output is
@@ -10,17 +12,13 @@ import (
 // no insignificant whitespace is added, so two Equal trees serialize to
 // identical bytes.
 func (n *Node) WriteTo(w io.Writer) (int64, error) {
-	e := NewEncoder(w)
-	e.Node(n)
-	return e.Flush()
+	return EncodeTo(w, func(e *Encoder) { e.Node(n) })
 }
 
 // String serializes the subtree rooted at n as XML.
 func (n *Node) String() string {
 	var b strings.Builder
-	e := NewEncoder(&b)
-	e.Node(n)
-	e.cw.flush() // a Builder cannot fail
+	_, _ = n.WriteTo(&b) // a Builder cannot fail
 	return b.String()
 }
 
@@ -43,26 +41,68 @@ func (n *Node) EncodedLen() int64 {
 // Encoder writes canonical XML piece by piece — the primitives WriteTo
 // is built from — for a caller that serializes a document it never
 // holds as a tree (package delta encodes its operations this way).
-// Output is buffered; write errors are sticky and reported by Flush.
+// EncodeTo hands out one that writes; the zero Encoder writes nowhere
+// and only counts the bytes it would write. Write errors are sticky
+// and reported by Flush.
 type Encoder struct{ cw countWriter }
 
-// NewEncoder returns an encoder writing to w.
-func NewEncoder(w io.Writer) *Encoder {
-	return &Encoder{cw: countWriter{w: w, buf: make([]byte, 0, flushSize)}}
+// EncodeTo calls enc with an Encoder that writes to w through a pooled
+// buffer of flushSize bytes, flushes it, and returns the bytes written
+// and the first error met. The buffer goes back to the pool when
+// EncodeTo returns: w must not keep the slices it is handed, as the
+// io.Writer contract already says.
+func EncodeTo(w io.Writer, enc func(*Encoder)) (int64, error) {
+	bp := flushPool.Get().(*[]byte)
+	defer flushPool.Put(bp)
+	e := Encoder{cw: countWriter{w: w, buf: (*bp)[:0]}}
+	enc(&e)
+	return e.Flush()
 }
 
-// StartElement writes a start tag, or a whole empty element when empty
-// is set. The attributes are written in the order given: the caller
-// passes them sorted by name, as WriteTo does.
-func (e *Encoder) StartElement(name string, attrs []Attr, empty bool) {
-	writeStart(&e.cw, name, attrs, empty)
+// StartTag writes the opening "<name" of a start tag. Attr, AttrInt
+// and AttrRaw add its attributes in the order they are called — the
+// caller calls them sorted by name, the order WriteTo gives — and
+// EndTag closes it.
+func (e *Encoder) StartTag(name string) {
+	e.cw.writeString("<")
+	e.cw.writeString(name)
+}
+
+// Attr writes one attribute of the open start tag, its value escaped.
+func (e *Encoder) Attr(name, value string) { e.cw.attr(name, value) }
+
+// AttrInt writes one attribute of the open start tag whose value is v
+// in decimal, with nothing allocated.
+func (e *Encoder) AttrInt(name string, v int64) {
+	var digits [20]byte
+	e.AttrRaw(name, strconv.AppendInt(digits[:0], v, 10))
+}
+
+// AttrRaw writes one attribute of the open start tag whose value is
+// written as it is, unescaped: the caller passes a value with no
+// character an attribute value reserves, such as a number or an XID
+// map. The value is not kept.
+func (e *Encoder) AttrRaw(name string, value []byte) {
+	e.cw.attrName(name)
+	e.cw.writeBytes(value)
+	e.cw.writeString(`"`)
+}
+
+// EndTag closes the open start tag, as an empty element's when empty
+// is set.
+func (e *Encoder) EndTag(empty bool) {
+	if empty {
+		e.cw.writeString("/>")
+		return
+	}
+	e.cw.writeString(">")
 }
 
 // EndElement writes an end tag.
 func (e *Encoder) EndElement(name string) { writeEnd(&e.cw, name) }
 
 // Text writes escaped character data.
-func (e *Encoder) Text(s string) { e.cw.writeEscaped(s, false) }
+func (e *Encoder) Text(s string) { e.cw.writeEscaped(s, &textRef) }
 
 // Node writes the subtree rooted at n.
 func (e *Encoder) Node(n *Node) { writeNode(&e.cw, n) }
@@ -74,13 +114,21 @@ func (e *Encoder) Flush() (int64, error) {
 	return e.cw.n, e.cw.err
 }
 
-// flushSize is how much output a countWriter gathers per Write.
-const flushSize = 4096
+// flushSize is how much output an Encoder gathers per Write: a ~230 KB
+// delta reaches an http.ResponseWriter in eight writes, not 58. The
+// buffers are pooled, not allocated per write: a range reply of 4 to
+// 32 KB would otherwise allocate all 32 KiB for itself.
+const flushSize = 32 << 10
 
-// countWriter gathers output in buf, whose capacity is flushSize, and
-// hands it to w one full buffer at a time, counting what w accepted.
-// Without a w it only counts, or, with grow set, appends everything to
-// buf.
+// flushPool holds EncodeTo's buffers, *[]byte of capacity flushSize.
+var flushPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, flushSize)
+	return &b
+}}
+
+// countWriter gathers output in buf and hands it to w one full buffer
+// at a time, counting what w accepted. Without a w it only counts, or,
+// with grow set, appends everything to buf.
 type countWriter struct {
 	w    io.Writer
 	buf  []byte
@@ -106,6 +154,24 @@ func (cw *countWriter) writeString(s string) {
 	cw.buf = append(cw.buf, s...)
 }
 
+// writeBytes is writeString for bytes, which it does not keep.
+func (cw *countWriter) writeBytes(b []byte) {
+	if cw.w == nil {
+		if cw.grow {
+			cw.buf = append(cw.buf, b...)
+		}
+		cw.n += int64(len(b))
+		return
+	}
+	for len(b) > cap(cw.buf)-len(cw.buf) {
+		n := copy(cw.buf[len(cw.buf):cap(cw.buf)], b)
+		cw.buf = cw.buf[:len(cw.buf)+n]
+		cw.flush()
+		b = b[n:]
+	}
+	cw.buf = append(cw.buf, b...)
+}
+
 func (cw *countWriter) flush() {
 	if cw.err == nil && len(cw.buf) > 0 {
 		n, err := cw.w.Write(cw.buf)
@@ -115,44 +181,53 @@ func (cw *countWriter) flush() {
 	cw.buf = cw.buf[:0]
 }
 
-// writeEscaped writes character data (attr false) or a double-quoted
-// attribute value (attr true) with the characters XML reserves there
-// replaced by references, and with them the characters a parser would
-// not give back as written: it reads a literal carriage return as a
-// line feed everywhere, and tabs and line feeds inside a value are
-// kept out of reach of attribute-value normalisation. Unescaped runs
-// are written as they are, so nothing is allocated.
-func (cw *countWriter) writeEscaped(s string, attr bool) {
+// attr writes one attribute, ` name="value"`, its value escaped.
+func (cw *countWriter) attr(name, value string) {
+	cw.attrName(name)
+	cw.writeEscaped(value, &attrRef)
+	cw.writeString(`"`)
+}
+
+// attrName writes ` name="`, the start of one attribute.
+func (cw *countWriter) attrName(name string) {
+	cw.writeString(" ")
+	cw.writeString(name)
+	cw.writeString(`="`)
+}
+
+// The escape tables: ref[c] is nonzero for a byte written as a
+// reference, and indexes refs. In character data (textRef) those are
+// the characters XML reserves there, and with them the one a parser
+// would not give back as written: it reads a literal carriage return
+// as a line feed everywhere. In a double-quoted attribute value
+// (attrRef) the quote is reserved too, and tabs and line feeds are
+// kept out of reach of attribute-value normalisation.
+var (
+	textRef, attrRef [256]uint8
+	refs             = [...]string{"", "&amp;", "&lt;", "&gt;", "&#13;", "&quot;", "&#10;", "&#9;"}
+)
+
+func init() {
+	for i, c := range []byte{'&', '<', '>', '\r', '"', '\n', '\t'} {
+		if c != '"' && c != '\n' && c != '\t' {
+			textRef[c] = uint8(i + 1)
+		}
+		attrRef[c] = uint8(i + 1)
+	}
+}
+
+// writeEscaped writes s with every byte ref marks replaced by its
+// reference. Unescaped runs are written as they are, so nothing is
+// allocated.
+func (cw *countWriter) writeEscaped(s string, ref *[256]uint8) {
 	last := 0
 	for i := 0; i < len(s); i++ {
-		var esc string
-		switch s[i] {
-		case '&':
-			esc = "&amp;"
-		case '<':
-			esc = "&lt;"
-		case '>':
-			esc = "&gt;"
-		case '"':
-			if attr {
-				esc = "&quot;"
-			}
-		case '\n':
-			if attr {
-				esc = "&#10;"
-			}
-		case '\t':
-			if attr {
-				esc = "&#9;"
-			}
-		case '\r':
-			esc = "&#13;"
-		}
-		if esc == "" {
+		r := ref[s[i]]
+		if r == 0 {
 			continue
 		}
 		cw.writeString(s[last:i])
-		cw.writeString(esc)
+		cw.writeString(refs[r])
 		last = i + 1
 	}
 	cw.writeString(s[last:])
@@ -162,11 +237,7 @@ func writeStart(cw *countWriter, name string, attrs []Attr, empty bool) {
 	cw.writeString("<")
 	cw.writeString(name)
 	for _, a := range attrs {
-		cw.writeString(" ")
-		cw.writeString(a.Name)
-		cw.writeString(`="`)
-		cw.writeEscaped(a.Value, true)
-		cw.writeString(`"`)
+		cw.attr(a.Name, a.Value)
 	}
 	if empty {
 		cw.writeString("/>")
@@ -197,7 +268,7 @@ func writeNode(cw *countWriter, n *Node) {
 		}
 		writeEnd(cw, n.Name)
 	case Text:
-		cw.writeEscaped(n.Value, false)
+		cw.writeEscaped(n.Value, &textRef)
 	case Comment:
 		cw.writeString("<!--")
 		cw.writeString(n.Value)

@@ -3,6 +3,7 @@ package vstore
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -301,5 +302,40 @@ func BenchmarkReadWalk(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkDecodeAheadCrossover walks back from the cached latest
+// version over one and over three 10%-churn deltas of catalogs from 3
+// to 60 KB, once decoding in line and once with helpers decoding
+// ahead, and reports the stored delta bytes each walk decodes. Where
+// the two cross is aheadMinBytes. Run it at -cpu 2 or more: on one
+// processor no walk decodes ahead.
+func BenchmarkDecodeAheadCrossover(b *testing.B) {
+	defer func(old int) { aheadMinBytes = old }(aheadMinBytes)
+	for _, size := range []int{3000, 7000, 20000, 60000} {
+		s := chainStore(b, Config{Shards: 1}, catalogChain(b, size, 4), "doc")
+		st := s.shardFor("doc").lookup("doc")
+		latest, err := s.materializeLocked("doc", st)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, steps := range []int{1, 3} {
+			for _, ahead := range []bool{false, true} {
+				b.Run(fmt.Sprintf("size=%d/steps=%d/ahead=%v", size, steps, ahead), func(b *testing.B) {
+					aheadMinBytes = math.MaxInt
+					if ahead {
+						aheadMinBytes = -1
+					}
+					b.ReportMetric(float64(st.storedBytes(4-steps, 3)), "stored-B")
+					for i := 0; i < b.N; i++ {
+						if _, _, err := st.walk(latest, []int{4 - steps}, 0, func(int, *dom.Node, bool) error { return nil }); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
+		s.Close()
 	}
 }

@@ -167,7 +167,9 @@ type StorageStats struct {
 	KeyframeFallbacks int64
 	KeyframeBytes     int64
 	// DeltasDecoded counts stored deltas decoded, by read walks (Puts'
-	// included) and by reads that return stored deltas.
+	// included) and by reads that return stored deltas. A walk counts
+	// the deltas it stepped through: one its helpers decoded ahead of
+	// it, past the step where an error stopped it, is not counted.
 	DeltasDecoded int64
 	// Compactions counts completed compaction passes (checkpoints
 	// included); CompactionSeconds is their cumulative duration.

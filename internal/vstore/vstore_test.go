@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -98,8 +99,10 @@ func TestPutLeavesCallerTreeUnstamped(t *testing.T) {
 
 // TestPutDetailedAllocations: PutDetailed keeps the tree it is handed
 // instead of copying it, so on a 7 KB catalog it allocates what its
-// diff and delta encoding allocate plus a fixed few. One copy of the
-// version would cost hundreds more.
+// diff and delta encoding allocate plus a fixed few, in allocations and
+// in bytes. A copy of the version is three allocations (Clone's slabs),
+// too few for the count to see, but its bytes are many times the fixed
+// overhead, so the byte bound catches it.
 func TestPutDetailedAllocations(t *testing.T) {
 	const runs = 10
 	pair := catalogChain(t, 7000, 2)
@@ -118,14 +121,15 @@ func TestPutDetailedAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	docs, next := copies(), 0
-	put := testing.AllocsPerRun(runs, func() {
+	put, putBytes := costPerRun(runs, func() {
 		for k := 0; k < 2; k++ {
 			if _, err := s.PutDetailed(context.Background(), "d", docs[next], ""); err != nil {
 				t.Fatal(err)
 			}
 			next++
 		}
-	}) / 2
+	})
+	put, putBytes = put/2, putBytes/2
 
 	// The same two steps outside the store: versions 1 and 2 as the
 	// store labelled them, diffed against fresh copies and encoded.
@@ -136,7 +140,7 @@ func TestPutDetailedAllocations(t *testing.T) {
 		}
 	}
 	docs, next = copies(), 0
-	work := testing.AllocsPerRun(runs, func() {
+	work, workBytes := costPerRun(runs, func() {
 		for k := 0; k < 2; k++ {
 			r, err := diff.DiffDetailedContext(context.Background(), olds[k], docs[next], diff.Options{})
 			if err != nil {
@@ -147,16 +151,37 @@ func TestPutDetailedAllocations(t *testing.T) {
 			}
 			next++
 		}
-	}) / 2
-	clone := testing.AllocsPerRun(runs, func() { pair[0].Clone() })
-	t.Logf("PutDetailed: %.0f allocations; its diff and encoding: %.0f; one copy of the version: %.0f", put, work, clone)
-	const overhead = 64
-	if clone <= overhead {
-		t.Fatalf("a copy of the version costs %.0f allocations, too few for this guard", clone)
+	})
+	work, workBytes = work/2, workBytes/2
+	_, cloneBytes := costPerRun(runs, func() { pair[0].Clone() })
+	t.Logf("PutDetailed: %.0f allocations, %.0f KB; its diff and encoding: %.0f, %.0f KB; one copy of the version: %.0f KB",
+		put, putBytes/1024, work, workBytes/1024, cloneBytes/1024)
+	const overhead, overheadBytes = 64, 16 << 10
+	if cloneBytes <= 2*overheadBytes {
+		t.Fatalf("a copy of the version costs %.0f KB, too little for this guard", cloneBytes/1024)
 	}
 	if put > work+overhead {
 		t.Errorf("PutDetailed allocates %.0f times, more than its diff and encoding (%.0f) plus %d", put, work, overhead)
 	}
+	if putBytes > workBytes+overheadBytes {
+		t.Errorf("PutDetailed allocates %.0f KB, more than its diff and encoding (%.0f KB) plus %d KB", putBytes/1024, workBytes/1024, overheadBytes>>10)
+	}
+}
+
+// costPerRun is testing.AllocsPerRun returning allocated bytes too: the
+// allocations and bytes of one call of f, averaged over runs calls
+// after a warm-up call, with GOMAXPROCS at 1 as AllocsPerRun sets it.
+// Goroutines f starts are counted with it.
+func costPerRun(runs int, f func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 func TestVersionsReconstructAcrossReopen(t *testing.T) {

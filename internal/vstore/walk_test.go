@@ -5,11 +5,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"xydiff/internal/changesim"
 	"xydiff/internal/delta"
@@ -253,6 +256,76 @@ func TestReadErrorsNameTheirVersions(t *testing.T) {
 	wantErr(err, "materialize doc:")
 }
 
+// TestDecodeAheadErrors: a walk whose helpers decode its deltas ahead
+// of it (forced, on at least two processors) fails as the walk that
+// decodes them in line does — the same error at the same step, for an
+// undecodable delta k, a delta k that does not apply and a visitor
+// that fails — and every helper has exited when it returns.
+func TestDecodeAheadErrors(t *testing.T) {
+	const versions = 8
+	s := chainStore(t, Config{Shards: 1}, flipChain(t, 3000, versions), "doc")
+	defer s.Close()
+	st := s.shardFor("doc").lookup("doc")
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	latest, err := s.materializeLocked("doc", st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func(old int) { aheadMinBytes = old }(aheadMinBytes)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	walk := func(ahead bool, targets []int, fwd int, visit visitor) string {
+		t.Helper()
+		aheadMinBytes = math.MaxInt
+		if ahead {
+			aheadMinBytes = -1
+		}
+		before := runtime.NumGoroutine()
+		_, decoded, err := st.walk(latest, targets, fwd, visit)
+		// A helper has signalled its end when walk returns, but its
+		// goroutine may take a moment to go; and other goroutines of
+		// the test binary may end meanwhile, so the count may drop.
+		// The helpers themselves are looked for by name.
+		after, running := runtime.NumGoroutine(), helpersRunning()
+		for deadline := time.Now().Add(5 * time.Second); (after > before || running) && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+			after, running = runtime.NumGoroutine(), helpersRunning()
+		}
+		if after > before || running {
+			t.Errorf("walk to %v, %d forward, ahead %v: %d goroutines before, %d after, helpers running %v",
+				targets, fwd, ahead, before, after, running)
+		}
+		return fmt.Sprintf("%d decoded: %v", decoded, err)
+	}
+	same := func(what string, targets []int, visit visitor) {
+		t.Helper()
+		for fwd := 0; fwd <= len(targets); fwd++ {
+			want := walk(false, targets, fwd, visit)
+			if got := walk(true, targets, fwd, visit); got != want {
+				t.Errorf("%s, walk to %v, %d forward: decoding ahead gives %q, in line %q", what, targets, fwd, got, want)
+			}
+		}
+	}
+	keep := func(int, *dom.Node, bool) error { return nil }
+	for k := 1; k < versions; k++ {
+		stored := st.deltas[k-1]
+		st.deltas[k-1] = []byte("<unreadable")
+		same(fmt.Sprintf("delta %d undecodable", k), []int{2, 7}, keep)
+		st.deltas[k-1] = []byte(`<delta><update xid="999999"><old>a</old><new>b</new></update></delta>`)
+		same(fmt.Sprintf("delta %d not applying", k), []int{2, 7}, keep)
+		st.deltas[k-1] = stored
+	}
+	same("a failing visitor", []int{3, 5}, func(v int, _ *dom.Node, _ bool) error {
+		return fmt.Errorf("visit %d", v)
+	})
+}
+
+// helpersRunning reports whether any goroutine is in aheadDecoder.help.
+func helpersRunning() bool {
+	buf := make([]byte, 1<<20)
+	return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("(*aheadDecoder).help"))
+}
+
 // TestConcurrentReadWalks: readers of two documents behind a
 // one-document cache, so their walks start from a shared cached tree
 // or restore one from its keyframe while another read evicts it, all
@@ -296,19 +369,33 @@ func TestConcurrentReadWalks(t *testing.T) {
 	}
 }
 
-// TestReadWalkAllocations pins what the walk saves, in counts so it can
-// gate go test. With the latest version cached, reading version 2 of
-// twelve costs about what reading version 11 does; when every read
-// walked back from the latest, version 2 decoded ten deltas where
-// version 11 decodes one (5 276 allocations against 999; 1 255 once
-// planned; 1 233 against 961 with the XID table for the walk's index).
+// TestReadWalksDecodeAhead runs TestReadWalksAgree and
+// TestConcurrentReadWalks with the crossover forced to zero and at
+// least two processors, so every walk that steps has helpers decoding
+// ahead of it, whatever the size of its deltas. Run under -race.
+func TestReadWalksDecodeAhead(t *testing.T) {
+	defer func(old int) { aheadMinBytes = old }(aheadMinBytes)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	aheadMinBytes = -1
+	t.Run("agree", TestReadWalksAgree)
+	t.Run("concurrent", TestConcurrentReadWalks)
+}
+
+// TestReadWalkAllocations pins what the walk saves, in counts and
+// bytes so it can gate go test. With the latest version cached, reading
+// version 2 of twelve costs about what reading version 11 does; when
+// every read walked back from the latest, version 2 decoded ten deltas
+// where version 11 decodes one (5 276 allocations against 999; 1 255
+// once planned; 1 233 against 961 with the XID table for the walk's
+// index; 398 KB against 89 KB once a copy of the latest version was
+// three allocations, which is why that comparison is in bytes now).
 // On a miss the latest version comes back from its keyframe and the
 // read walks as a hit does: a restore (40 allocations, with the
 // keyframe the restore's eviction leaves; 690 when keyframes were XML)
 // plus the hit's walk. With no keyframe, on a store just reopened, a
 // miss costs the replay that caches the latest version (6 013 with a
 // map for the index, 5 550 with the table) and one copy, not a further
-// walk back from it.
+// walk back from it and no second copy, in bytes.
 func TestReadWalkAllocations(t *testing.T) {
 	chain := flipChain(t, 7000, 12)
 	s := chainStore(t, Config{Shards: 1}, chain, "doc")
@@ -320,10 +407,19 @@ func TestReadWalkAllocations(t *testing.T) {
 			}
 		})
 	}
+	hitBytes := func(n int) float64 {
+		_, b := costPerRun(10, func() {
+			if _, err := s.Version("doc", n); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return b
+	}
 	near, far := hit(11), hit(2)
-	t.Logf("Version(11): %.0f allocations, Version(2): %.0f", near, far)
-	if far > 2*near {
-		t.Errorf("Version(2) allocates %.0f times, more than twice Version(11)'s %.0f", far, near)
+	nearBytes, farBytes := hitBytes(11), hitBytes(2)
+	t.Logf("Version(11): %.0f allocations, %.0f KB; Version(2): %.0f, %.0f KB", near, nearBytes/1024, far, farBytes/1024)
+	if farBytes > 2*nearBytes {
+		t.Errorf("Version(2) allocates %.0f KB, more than twice Version(11)'s %.0f KB", farBytes/1024, nearBytes/1024)
 	}
 	if near > 990 || far > 1250 {
 		t.Errorf("Version(11) allocates %.0f times and Version(2) %.0f, want at most 990 and 1250", near, far)
@@ -379,8 +475,8 @@ func TestReadWalkAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reopened.Close()
-	firstMiss := func(read func(id string) error) float64 {
-		return testing.AllocsPerRun(4, func() { // five reads, five documents
+	firstMiss := func(read func(id string) error) (allocs, bytes float64) {
+		return costPerRun(4, func() { // five reads, five documents
 			id := ids[0]
 			ids = ids[1:]
 			if err := read(id); err != nil {
@@ -388,7 +484,7 @@ func TestReadWalkAllocations(t *testing.T) {
 			}
 		})
 	}
-	replay := firstMiss(materialize(reopened))
+	replay, replayBytes := firstMiss(materialize(reopened))
 	t.Logf("materialize on a miss: %.0f allocations from a keyframe, %.0f replaying the chain", restore, replay)
 	if 4*restore > replay {
 		t.Errorf("a keyframe restore allocates %.0f times, more than a quarter of a chain replay's %.0f", restore, replay)
@@ -401,14 +497,19 @@ func TestReadWalkAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		clone := testing.AllocsPerRun(10, func() { doc.Clone() })
-		got := firstMiss(func(id string) error {
+		_, cloneBytes := costPerRun(10, func() { doc.Clone() })
+		got, gotBytes := firstMiss(func(id string) error {
 			_, err := reopened.Version(id, n)
 			return err
 		})
-		t.Logf("Version(%d) replaying on a miss: %.0f allocations; replay %.0f, clone %.0f", n, got, replay, clone)
-		if got > replay+clone+8 {
-			t.Errorf("Version(%d) replaying on a miss allocates %.0f times, more than a replay (%.0f) and a copy (%.0f)", n, got, replay, clone)
+		t.Logf("Version(%d) replaying on a miss: %.0f allocations, %.0f KB; replay %.0f, %.0f KB; clone %.0f KB",
+			n, got, gotBytes/1024, replay, replayBytes/1024, cloneBytes/1024)
+		if got > replay+8 {
+			t.Errorf("Version(%d) replaying on a miss allocates %.0f times, more than a replay (%.0f) plus 8", n, got, replay)
+		}
+		if gotBytes > replayBytes+cloneBytes+4<<10 {
+			t.Errorf("Version(%d) replaying on a miss allocates %.0f KB, more than a replay (%.0f KB), a copy (%.0f KB) and 4 KB",
+				n, gotBytes/1024, replayBytes/1024, cloneBytes/1024)
 		}
 	}
 }

@@ -128,23 +128,23 @@ func (m Map) Contains(x int64) bool {
 
 // String renders the map in the paper's syntax: "(3-7)", "(3-5;9)".
 // An empty map renders as "()".
-func (m Map) String() string {
-	var b strings.Builder
-	b.WriteByte('(')
+func (m Map) String() string { return string(m.AppendTo(nil)) }
+
+// AppendTo appends what String returns to b and returns the extended
+// slice.
+func (m Map) AppendTo(b []byte) []byte {
+	b = append(b, '(')
 	for i, r := range m.ranges {
 		if i > 0 {
-			b.WriteByte(';')
+			b = append(b, ';')
 		}
-		if r.lo == r.hi {
-			b.WriteString(strconv.FormatInt(r.lo, 10))
-		} else {
-			b.WriteString(strconv.FormatInt(r.lo, 10))
-			b.WriteByte('-')
-			b.WriteString(strconv.FormatInt(r.hi, 10))
+		b = strconv.AppendInt(b, r.lo, 10)
+		if r.lo != r.hi {
+			b = append(b, '-')
+			b = strconv.AppendInt(b, r.hi, 10)
 		}
 	}
-	b.WriteByte(')')
-	return b.String()
+	return append(b, ')')
 }
 
 // ParseMap parses the "(3-5;9;12-14)" syntax produced by String.

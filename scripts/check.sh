@@ -9,7 +9,9 @@
 #                  errwrap, segorder, goroleak, poolbalance, timerleak,
 #                  depbound, staleallow); any diagnostic fails the gate
 #   3. build       every package compiles
-#   4. race        the whole test suite under the race detector. Among
+#   4. race        the whole test suite under the race detector, then the
+#                  vstore read-walk tests ten times more, since the walk
+#                  starts goroutines. Among
 #                  it: TestMetricsExposition, the format gate that parses
 #                  /metrics as the Prometheus text format; the
 #                  concurrent Put/Diff/Subscribe stress test, the
@@ -48,10 +50,16 @@ $GO build ./...
 
 echo "==> race"
 $GO test -race ./...
+# The read walk starts helper goroutines that decode deltas ahead of it:
+# its tests run again, repeatedly, under the race detector. Not its
+# allocation counts: under -race sync.Pool drops values at random, so
+# those vary from run to run.
+$GO test -race -count=10 ./internal/vstore -run 'ReadWalks|DecodeAhead'
 
 echo "==> fuzz-smoke (${FUZZTIME} per fuzzer)"
 $GO test ./internal/dom -run '^$' -fuzz '^FuzzParse$' -fuzztime "$FUZZTIME"
 $GO test ./internal/dom -run '^$' -fuzz '^FuzzParseDifferential$' -fuzztime "$FUZZTIME"
+$GO test ./internal/dom -run '^$' -fuzz '^FuzzEscapeDifferential$' -fuzztime "$FUZZTIME"
 $GO test ./internal/htmlize -run '^$' -fuzz '^FuzzParse$' -fuzztime "$FUZZTIME"
 $GO test ./internal/xpathlite -run '^$' -fuzz '^FuzzCompile$' -fuzztime "$FUZZTIME"
 $GO test ./internal/delta -run '^$' -fuzz '^FuzzParse$' -fuzztime "$FUZZTIME"
