@@ -12,48 +12,47 @@
 //	-addr    listen address (default :8427)
 //	-dir     data directory; loaded on start, flushed on shutdown
 //	         (default xydiffd-data)
-//	-workers diff worker pool size (default GOMAXPROCS)
-//	-queue   queued diffs before requests are shed with 503 (default 64)
+//	-journal-sync journal fsync policy: always, interval (every
+//	         100ms) or off (default always)
 //	-timeout per-request deadline, diff included (default 30s)
 //	-max-body largest accepted document version in bytes, PUT or
 //	         crawled (default 16 MiB)
-//	-journal-sync journal fsync policy: always, interval or off
-//	         (default always)
-//	-journal-sync-interval flush period under -journal-sync=interval
-//	         (default 100ms)
-//	-store-shards number of storage shards for a fresh data directory
-//	         (existing directories keep their manifest's count;
-//	         default 16)
-//	-fsync-batch max Puts folded into one group-committed fsync
-//	         (default 128)
-//	-fsync-delay how long a commit may linger for more writers to
-//	         join its batch (default 2ms)
 //	-version-cache materialized document versions kept in memory
 //	         (default 4096)
+//	-matcher default diff matcher: buld (the paper's, default) or
+//	         sftm; overridable per PUT with ?matcher= and per source
 //	-crawl   enable the acquisition layer: sources registered via the
 //	         /sources API are polled on the adaptive schedule and fed
 //	         through the same parse/diff pipeline as PUTs
-//	-crawl-min / -crawl-max bounds of the adaptive revisit interval
-//	         (defaults 15s / 1h)
-//	-crawl-concurrency fetcher pool size (default min(GOMAXPROCS, 8))
+//	-crawl-min minimum revisit interval (default 15s)
+//	-crawl-max maximum revisit interval, above -crawl-min (default 1h)
+//	-scrub-interval background integrity scrub period (default 0,
+//	         no background scrub)
+//	-degraded-open tolerate corrupt files at startup: quarantine them
+//	         and serve the affected documents degraded
+//
+// A negative value, or a -crawl-max not above the -crawl-min in
+// effect, stops the daemon before it opens -dir.
 //
 // Storage is the sharded, group-committed engine (internal/vstore):
-// documents hash onto -store-shards segment logs, concurrent PUTs to
-// one shard share a single fsync, and a background compactor folds
-// cold segments into per-document snapshots. Every PUT is appended to
-// its shard's segment before it is acknowledged; under
-// -journal-sync=always an acknowledged version survives even kill -9
-// or power loss. Startup replays the segments on top of the last
-// snapshots (truncating torn tails, refusing corruption with an error
-// that names the file and offset). A data directory from a pre-shard
-// build is refused with a pointer at `xystore migrate`. On
-// SIGINT/SIGTERM the daemon stops accepting requests, ends open alert
-// streams, lets in-flight diffs finish, checkpoints the store to -dir
-// with crash-safe renames and retires the replayed segments, so a
-// restarted daemon serves every stored version.
+// documents hash onto the segment logs of 16 shards (a directory keeps
+// the count it was created with), concurrent PUTs to one shard share a
+// single fsync, and a background compactor folds cold segments into
+// per-document snapshots. Every PUT is appended to its shard's segment
+// before it is acknowledged; under -journal-sync=always an
+// acknowledged version survives even kill -9 or power loss. Startup
+// replays the segments on top of the last snapshots (truncating torn
+// tails, refusing corruption with an error that names the file and
+// offset). A data directory from a pre-shard build is refused with a
+// pointer at `xystore migrate`. On SIGINT/SIGTERM the daemon stops
+// accepting requests, ends open alert streams, lets in-flight diffs
+// finish, checkpoints the store to -dir with crash-safe renames and
+// retires the replayed segments, so a restarted daemon serves every
+// stored version.
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -78,51 +77,42 @@ type config struct {
 	addr         string
 	dir          string
 	journalSync  string
-	syncInterval time.Duration
 	server       server.Config
 	logger       *slog.Logger
-
 	diffMatcher  string
-	storeShards  int
-	fsyncBatch   int
-	fsyncDelay   time.Duration
 	versionCache int
+	degradedOpen bool
 
-	crawl            bool
-	crawlMin         time.Duration
-	crawlMax         time.Duration
-	crawlConcurrency int
+	crawl    bool
+	crawlMin time.Duration
+	crawlMax time.Duration
 
 	scrubInterval time.Duration
-	scrubThrottle int64
-	scrubNoRepair bool
-	degradedOpen  bool
+}
+
+// newFlagSet registers every xydiffd flag on a fresh set that parses
+// into cfg. Each flag names an operator decision; DESIGN.md ("A daemon
+// with fewer knobs") says which.
+func newFlagSet(cfg *config) *flag.FlagSet {
+	fs := flag.NewFlagSet("xydiffd", flag.ExitOnError)
+	fs.StringVar(&cfg.addr, "addr", ":8427", "listen `address`")
+	fs.StringVar(&cfg.dir, "dir", "xydiffd-data", "data `directory` (loaded on start, flushed on shutdown)")
+	fs.StringVar(&cfg.journalSync, "journal-sync", "always", "journal fsync `policy`: always, interval (every 100ms) or off")
+	fs.DurationVar(&cfg.server.RequestTimeout, "timeout", 0, "per-request `deadline` (0 = default 30s)")
+	fs.Int64Var(&cfg.server.MaxBodyBytes, "max-body", 0, "max document `bytes` per PUT or crawled fetch (0 = default 16MiB)")
+	fs.IntVar(&cfg.versionCache, "version-cache", 0, "materialized document versions kept in memory (0 = default 4096)")
+	fs.StringVar(&cfg.diffMatcher, "matcher", "", "default diff `matcher`: buld (the paper's, default) or sftm (similarity-based, for real-web HTML); overridable per PUT with ?matcher= and per crawl source")
+	fs.BoolVar(&cfg.crawl, "crawl", false, "enable the crawler (sources registered via /sources)")
+	fs.DurationVar(&cfg.crawlMin, "crawl-min", 0, "minimum revisit `interval` (0 = default 15s)")
+	fs.DurationVar(&cfg.crawlMax, "crawl-max", 0, "maximum revisit `interval`, above -crawl-min (0 = default 1h)")
+	fs.DurationVar(&cfg.scrubInterval, "scrub-interval", 0, "background integrity scrub `period` (0 disables the scrubber)")
+	fs.BoolVar(&cfg.degradedOpen, "degraded-open", false, "tolerate corrupt files at startup: quarantine them and serve the affected documents degraded instead of refusing to start")
+	return fs
 }
 
 func main() {
 	var cfg config
-	flag.StringVar(&cfg.addr, "addr", ":8427", "listen `address`")
-	flag.StringVar(&cfg.dir, "dir", "xydiffd-data", "data `directory` (loaded on start, flushed on shutdown)")
-	flag.IntVar(&cfg.server.Workers, "workers", 0, "diff worker pool size (0 = GOMAXPROCS)")
-	flag.StringVar(&cfg.diffMatcher, "matcher", "", "default diff `matcher`: buld (the paper's, default) or sftm (similarity-based, for real-web HTML); overridable per PUT with ?matcher= and per crawl source")
-	flag.IntVar(&cfg.server.QueueDepth, "queue", 0, "max queued diffs before shedding (0 = default 64)")
-	flag.DurationVar(&cfg.server.RequestTimeout, "timeout", 0, "per-request `deadline` (0 = default 30s)")
-	flag.Int64Var(&cfg.server.MaxBodyBytes, "max-body", 0, "max document `bytes` per PUT or crawled fetch (0 = default 16MiB)")
-	flag.StringVar(&cfg.journalSync, "journal-sync", "always", "journal fsync `policy`: always, interval or off")
-	flag.DurationVar(&cfg.syncInterval, "journal-sync-interval", 100*time.Millisecond, "flush `period` under -journal-sync=interval")
-	flag.IntVar(&cfg.storeShards, "store-shards", 0, "storage shard count for a fresh directory (0 = default 16; existing directories keep their manifest's count)")
-	flag.IntVar(&cfg.fsyncBatch, "fsync-batch", 0, "max Puts per group-committed fsync (0 = default 128)")
-	flag.DurationVar(&cfg.fsyncDelay, "fsync-delay", 0, "group-commit linger `window` for more writers to join a batch (0 = default 2ms)")
-	flag.IntVar(&cfg.versionCache, "version-cache", 0, "materialized document versions kept in memory (0 = default 4096)")
-	flag.BoolVar(&cfg.crawl, "crawl", false, "enable the crawler (sources registered via /sources)")
-	flag.DurationVar(&cfg.crawlMin, "crawl-min", 0, "minimum revisit `interval` (0 = default 15s)")
-	flag.DurationVar(&cfg.crawlMax, "crawl-max", 0, "maximum revisit `interval` (0 = default 1h)")
-	flag.IntVar(&cfg.crawlConcurrency, "crawl-concurrency", 0, "fetcher pool size (0 = min(GOMAXPROCS, 8))")
-	flag.DurationVar(&cfg.scrubInterval, "scrub-interval", 0, "background integrity scrub `period` (0 disables the scrubber)")
-	flag.Int64Var(&cfg.scrubThrottle, "scrub-throttle", 0, "scrub read ceiling in `bytes` per second (0 = default 8MiB/s, negative = unthrottled)")
-	flag.BoolVar(&cfg.scrubNoRepair, "scrub-no-repair", false, "quarantine every corruption instead of repairing from resident data")
-	flag.BoolVar(&cfg.degradedOpen, "degraded-open", false, "tolerate corrupt files at startup: quarantine them and serve the affected documents degraded instead of refusing to start")
-	flag.Parse()
+	_ = newFlagSet(&cfg).Parse(os.Args[1:]) // ExitOnError: a bad flag exits
 	cfg.logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	cfg.server.Logger = cfg.logger
 
@@ -134,12 +124,42 @@ func main() {
 	}
 }
 
+// check refuses the flag values that would otherwise be rewritten
+// without a word: a negative duration, size or count, where zero means
+// the default, and a -crawl-max at or below the -crawl-min in effect,
+// which the crawler would widen to an hour.
+func (cfg config) check() error {
+	for _, f := range []struct {
+		name     string
+		negative bool
+	}{
+		{"-timeout", cfg.server.RequestTimeout < 0},
+		{"-max-body", cfg.server.MaxBodyBytes < 0},
+		{"-version-cache", cfg.versionCache < 0},
+		{"-crawl-min", cfg.crawlMin < 0},
+		{"-crawl-max", cfg.crawlMax < 0},
+		{"-scrub-interval", cfg.scrubInterval < 0},
+	} {
+		if f.negative {
+			return fmt.Errorf("%s: must not be negative", f.name)
+		}
+	}
+	lo := cmp.Or(cfg.crawlMin, crawl.DefaultMinInterval)
+	if hi := cmp.Or(cfg.crawlMax, crawl.DefaultMaxInterval); hi <= lo {
+		return fmt.Errorf("-crawl-max %v: must be above -crawl-min %v", hi, lo)
+	}
+	return nil
+}
+
 // run brings the daemon up, serves until ctx is canceled, then shuts
 // down gracefully: listener closed, in-flight requests drained, worker
 // pool flushed, store saved to cfg.dir. ready, if non-nil, is called
 // with the bound address once the listener accepts connections (tests
 // pass -addr 127.0.0.1:0 and dial what they get back).
 func run(ctx context.Context, cfg config, ready func(addr string)) error {
+	if err := cfg.check(); err != nil {
+		return err
+	}
 	if cfg.journalSync == "" {
 		cfg.journalSync = "always"
 	}
@@ -152,18 +172,10 @@ func run(ctx context.Context, cfg config, ready func(addr string)) error {
 		return err
 	}
 	st, err := vstore.Open(cfg.dir, diff.Options{Matcher: matcher}, vstore.Config{
-		Shards:       cfg.storeShards,
 		Sync:         policy,
-		SyncInterval: cfg.syncInterval,
-		MaxBatch:     cfg.fsyncBatch,
-		MaxDelay:     cfg.fsyncDelay,
 		CacheSize:    cfg.versionCache,
 		OpenDegraded: cfg.degradedOpen,
-		Scrub: vstore.ScrubConfig{
-			Interval: cfg.scrubInterval,
-			Throttle: cfg.scrubThrottle,
-			NoRepair: cfg.scrubNoRepair,
-		},
+		Scrub:        vstore.ScrubConfig{Interval: cfg.scrubInterval},
 	})
 	if errors.Is(err, vstore.ErrNeedsMigration) {
 		return fmt.Errorf("%s holds a pre-shard data layout: run `xystore -dir %s migrate` once, then restart (%w)", cfg.dir, cfg.dir, err)
@@ -187,7 +199,6 @@ func run(ctx context.Context, cfg config, ready func(addr string)) error {
 		crawler := srv.EnableCrawl(reg, crawl.Config{
 			MinInterval: cfg.crawlMin,
 			MaxInterval: cfg.crawlMax,
-			Concurrency: cfg.crawlConcurrency,
 			Logger:      cfg.logger,
 		})
 		crawlDone = make(chan struct{})

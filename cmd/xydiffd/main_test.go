@@ -3,14 +3,19 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
+	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -408,8 +413,7 @@ func TestKillNineLosesNoAcknowledgedPut(t *testing.T) {
 		t.Fatalf("build daemon: %v\n%s", err, out)
 	}
 
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-dir", dir,
-		"-journal-sync", "always", "-store-shards", "4", "-fsync-delay", "3ms")
+	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-dir", dir, "-journal-sync", "always")
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -550,4 +554,96 @@ func TestKillNineLosesNoAcknowledgedPut(t *testing.T) {
 	if rec.SnapshotVersions != 0 {
 		t.Errorf("recovery found %d snapshot versions, want 0 (no checkpoint ran)", rec.SnapshotVersions)
 	}
+}
+
+// TestRunRefusesBadFlags: a negative value of a kept flag, or a
+// -crawl-max that is not above the -crawl-min in effect, stops run with
+// an error naming the flag, before it listens and before it creates
+// the data directory.
+func TestRunRefusesBadFlags(t *testing.T) {
+	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // a run that gets past its checks shuts down at once
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-timeout", "-1s"}, "-timeout"},
+		{[]string{"-max-body", "-1"}, "-max-body"},
+		{[]string{"-version-cache", "-5"}, "-version-cache"},
+		{[]string{"-crawl-min", "-1s"}, "-crawl-min"},
+		{[]string{"-crawl-max", "-1s"}, "-crawl-max"},
+		{[]string{"-scrub-interval", "-1m"}, "-scrub-interval"},
+		{[]string{"-crawl-min", "30m", "-crawl-max", "10m"}, "-crawl-max"},
+		{[]string{"-crawl-min", "1m", "-crawl-max", "1m"}, "-crawl-max"},
+		{[]string{"-crawl-max", "5s"}, "-crawl-max"},
+		{[]string{"-crawl-min", "2h"}, "-crawl-max"},
+	} {
+		name := strings.Join(tc.args, " ")
+		dir := filepath.Join(t.TempDir(), "data")
+		var cfg config
+		if err := newFlagSet(&cfg).Parse(append([]string{"-addr", "127.0.0.1:0", "-dir", dir}, tc.args...)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		cfg.logger, cfg.server.Logger = quiet, quiet
+		err := run(ctx, cfg, func(string) { t.Errorf("%s: daemon listened", name) })
+		if err == nil || !strings.HasPrefix(err.Error(), tc.flag) {
+			t.Errorf("%s: run = %v, want an error naming %s", name, err, tc.flag)
+		}
+		if _, err := os.Stat(dir); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%s: data directory touched (stat: %v)", name, err)
+		}
+	}
+	for _, ok := range []config{{}, {crawlMin: 30 * time.Minute, crawlMax: 2 * time.Hour}, {crawlMax: 16 * time.Second}} {
+		if err := ok.check(); err != nil {
+			t.Errorf("check(min %v, max %v) = %v, want nil", ok.crawlMin, ok.crawlMax, err)
+		}
+	}
+}
+
+var (
+	// usageFlag matches a flag at the head of a line of the package
+	// comment's usage block; readmeFlag, a row of README's flag table.
+	usageFlag  = regexp.MustCompile(`(?m)^//\t(-[a-z-]+)`)
+	readmeFlag = regexp.MustCompile("(?m)^\\| `(-[a-z-]+)`")
+)
+
+// TestFlagsDocumented: the flags newFlagSet registers are exactly the
+// ones the package comment's usage block and README's daemon flag
+// table name, so a flag cannot come or go without its documentation.
+func TestFlagsDocumented(t *testing.T) {
+	var want []string
+	newFlagSet(&config{}).VisitAll(func(f *flag.Flag) { want = append(want, "-"+f.Name) })
+
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, _, _ := strings.Cut(string(src), "\npackage main")
+	if got := matches(usageFlag, doc); !slices.Equal(got, want) {
+		t.Errorf("usage block names %v; newFlagSet registers %v", got, want)
+	}
+
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(readme), "\n### `xydiffd` flags\n")
+	if !ok {
+		t.Fatal("README.md has no \"### `xydiffd` flags\" section")
+	}
+	table, _, _ = strings.Cut(table, "\n#")
+	if got := matches(readmeFlag, table); !slices.Equal(got, want) {
+		t.Errorf("README's flag table names %v; newFlagSet registers %v", got, want)
+	}
+}
+
+// matches returns re's first submatches in s, sorted.
+func matches(re *regexp.Regexp, s string) []string {
+	var out []string
+	for _, m := range re.FindAllStringSubmatch(s, -1) {
+		out = append(out, m[1])
+	}
+	slices.Sort(out)
+	return out
 }

@@ -23,7 +23,7 @@ import (
 //
 // Together the three rules are the write → fsync → rename → retire
 // discipline; the check compares source order within one function —
-// exactly what a refactor of PutContext or compactShard could silently
+// exactly what a refactor of PutDetailed or compactShard could silently
 // reorder.
 var SegOrder = &Analyzer{
 	Name: "segorder",

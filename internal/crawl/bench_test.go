@@ -111,7 +111,7 @@ func BenchmarkCrawlIngest(b *testing.B) {
 		if err != nil {
 			return false, err
 		}
-		v, d, err := st.PutContext(ctx, id, doc)
+		v, d, err := st.PutMatcherContext(ctx, id, doc, "")
 		if err != nil {
 			return false, err
 		}

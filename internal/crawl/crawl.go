@@ -39,6 +39,12 @@ import (
 // *RetryAfterError's After, and the fetch cycle counts a failure.
 type Ingester func(ctx context.Context, docID string, body []byte) (changed bool, err error)
 
+// The revisit interval's bounds when Config leaves them zero.
+const (
+	DefaultMinInterval = 15 * time.Second
+	DefaultMaxInterval = time.Hour
+)
+
 // Config tunes the crawler. The zero value picks production defaults.
 type Config struct {
 	// MinInterval floors the adaptive revisit interval — the rate the
@@ -82,10 +88,10 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.MinInterval <= 0 {
-		c.MinInterval = 15 * time.Second
+		c.MinInterval = DefaultMinInterval
 	}
 	if c.MaxInterval <= c.MinInterval {
-		c.MaxInterval = max(time.Hour, c.MinInterval)
+		c.MaxInterval = max(DefaultMaxInterval, c.MinInterval)
 	}
 	if c.Concurrency <= 0 {
 		c.Concurrency = min(runtime.GOMAXPROCS(0), 8)

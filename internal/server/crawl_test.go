@@ -238,7 +238,7 @@ func waitSource(t *testing.T, c *crawl.Crawler, id string, done func(crawl.Sourc
 // whose After is the hint the next shed PUT would have carried in
 // Retry-After.
 func TestCrawlShedIsRetryAfter(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	s, ts := newTestServer(t, Config{workers: 1, queueDepth: 1})
 	s.EnableCrawl(crawl.NewRegistry(), crawl.Config{})
 	s.shedBackoff = retry.New(shedPolicy, 7)
 	want := retry.New(shedPolicy, 7)

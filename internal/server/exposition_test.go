@@ -36,7 +36,7 @@ func metricsFixture(t *testing.T) (*Server, *httptest.Server) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	s := New(st, Config{Workers: 1, QueueDepth: 1, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	s := New(st, Config{workers: 1, queueDepth: 1, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 	s.EnableCrawl(crawl.NewRegistry(), crawl.Config{})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -165,17 +166,12 @@ func (s *Server) handleListDocs(w http.ResponseWriter, r *http.Request) {
 }
 
 // parseOptions are the hardened parse options applied to uploaded and
-// crawled documents: the standard content model plus the configured
-// depth and token bounds (body bytes are already capped at
-// MaxBodyBytes, by MaxBytesReader or by the crawler's fetch).
+// crawled documents: the standard content model plus the depth and
+// token bounds (body bytes are already capped at MaxBodyBytes, by
+// MaxBytesReader or by the crawler's fetch).
 func (s *Server) parseOptions() dom.ParseOptions {
 	opts := dom.DefaultParseOptions()
-	if s.cfg.MaxParseDepth > 0 {
-		opts.Limits.MaxDepth = s.cfg.MaxParseDepth
-	}
-	if s.cfg.MaxParseTokens > 0 {
-		opts.Limits.MaxTokens = s.cfg.MaxParseTokens
-	}
+	opts.Limits = cmp.Or(s.cfg.parseLimits, dom.ParseLimits{MaxDepth: maxParseDepth, MaxTokens: maxParseTokens})
 	return opts
 }
 

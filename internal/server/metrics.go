@@ -296,8 +296,8 @@ func (s *Server) metricFamilies() []family {
 		diffs,
 		phases,
 		gauge("xydiffd_queue_depth", "Diff jobs waiting in the queue.", s.pool.depth()),
-		gauge("xydiffd_queue_capacity", "Diff jobs the queue holds before requests are shed.", s.cfg.QueueDepth),
-		gauge("xydiffd_workers", "Diff worker pool size.", s.cfg.Workers),
+		gauge("xydiffd_queue_capacity", "Diff jobs the queue holds before requests are shed.", cap(s.pool.jobs)),
+		gauge("xydiffd_workers", "Diff worker pool size.", s.pool.workers),
 		counter("xydiffd_queue_rejected_total", "Requests shed because the queue was full.", c.rejected),
 		counter("xydiffd_alerts_total", "Alerts raised by the subscription system.", c.alerts),
 		counter("xydiffd_alert_stream_dropped_total", "Alerts lost by slow NDJSON stream consumers.", c.streamDropped),

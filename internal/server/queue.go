@@ -17,15 +17,16 @@ var ErrClosed = errors.New("server: worker pool closed")
 // a fixed-capacity job channel. Submission never blocks — a full queue
 // is backpressure, reported to the caller.
 type pool struct {
-	jobs chan func()
-	wg   sync.WaitGroup
+	jobs    chan func()
+	workers int
+	wg      sync.WaitGroup
 
 	mu     sync.RWMutex
 	closed bool
 }
 
 func newPool(workers, depth int) *pool {
-	p := &pool{jobs: make(chan func(), depth)}
+	p := &pool{jobs: make(chan func(), depth), workers: workers}
 	for i := 0; i < workers; i++ {
 		p.wg.Add(1)
 		go func() {

@@ -12,6 +12,7 @@
 package server
 
 import (
+	"cmp"
 	"log/slog"
 	"net/http"
 	"runtime"
@@ -20,6 +21,7 @@ import (
 
 	"xydiff/internal/alert"
 	"xydiff/internal/crawl"
+	"xydiff/internal/dom"
 	"xydiff/internal/retry"
 	"xydiff/internal/stats"
 	"xydiff/internal/store"
@@ -29,45 +31,39 @@ import (
 
 // Config tunes the server. The zero value picks production defaults.
 type Config struct {
-	// Workers is the diff worker pool size (default GOMAXPROCS).
-	Workers int
-	// QueueDepth bounds jobs waiting for a worker; submissions beyond
-	// it are shed with 503 (default 64).
-	QueueDepth int
 	// RequestTimeout bounds one request end to end, diff included
 	// (default 30s). Alert streaming is exempt.
 	RequestTimeout time.Duration
 	// MaxBodyBytes caps an uploaded document version (default 16 MiB).
 	MaxBodyBytes int64
-	// MaxParseDepth caps element nesting depth of uploaded documents
-	// (default 1000; negative disables the limit).
-	MaxParseDepth int
-	// MaxParseTokens caps XML token count of uploaded documents
-	// (default 1,000,000; negative disables the limit).
-	MaxParseTokens int64
 	// Logger receives structured request and lifecycle logs (default
 	// slog.Default).
 	Logger *slog.Logger
+
+	// workers, queueDepth and parseLimits, when set, replace the diff
+	// pool's GOMAXPROCS workers, its diffQueueDepth and the parse
+	// bounds. Only this package's tests set them, to reach a pool of
+	// one that sheds or a document over a small bound.
+	workers, queueDepth int
+	parseLimits         dom.ParseLimits
 }
 
+const (
+	// diffQueueDepth bounds diff jobs waiting for a worker; a
+	// submission beyond it is shed with 503.
+	diffQueueDepth = 64
+	// maxParseDepth and maxParseTokens bound every uploaded or crawled
+	// document's element nesting and XML token count.
+	maxParseDepth  = 1000
+	maxParseTokens = 1_000_000
+)
+
 func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
-	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 16 << 20
-	}
-	if c.MaxParseDepth == 0 {
-		c.MaxParseDepth = 1000
-	}
-	if c.MaxParseTokens == 0 {
-		c.MaxParseTokens = 1_000_000
 	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
@@ -117,7 +113,7 @@ func New(st *vstore.Store, cfg Config) *Server {
 		store:       st,
 		pipeline:    warehouse.Pipeline{Alerter: alert.New(), Stats: stats.NewCollector()},
 		metrics:     newMetrics(),
-		pool:        newPool(cfg.Workers, cfg.QueueDepth),
+		pool:        newPool(cmp.Or(cfg.workers, runtime.GOMAXPROCS(0)), cmp.Or(cfg.queueDepth, diffQueueDepth)),
 		alertLog:    newAlertLog(alertLogSize),
 		streamsEnd:  make(chan struct{}),
 		log:         cfg.Logger,

@@ -271,7 +271,7 @@ func TestSubscriptionLifecycle(t *testing.T) {
 // TestBackpressure deterministically fills the one-worker, depth-one
 // pool and verifies the next request is shed with 503 + Retry-After.
 func TestBackpressure(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	s, ts := newTestServer(t, Config{workers: 1, queueDepth: 1})
 	release := make(chan struct{})
 	var releaseOnce sync.Once
 	unblock := func() { releaseOnce.Do(func() { close(release) }) }
@@ -538,7 +538,7 @@ func TestPutBodyPreallocation(t *testing.T) {
 }
 
 func TestPutParseLimits(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxParseDepth: 5, MaxParseTokens: 50, MaxBodyBytes: 4096})
+	_, ts := newTestServer(t, Config{parseLimits: dom.ParseLimits{MaxDepth: 5, MaxTokens: 50}, MaxBodyBytes: 4096})
 
 	deep := strings.Repeat("<a>", 10) + "x" + strings.Repeat("</a>", 10)
 	code, _, body := doReq(t, "PUT", ts.URL+"/docs/deep", deep)

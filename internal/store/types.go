@@ -22,9 +22,9 @@ const (
 	// SyncAlways fsyncs the journal before a Put is acknowledged: an
 	// acknowledged version survives power loss.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs on a timer (vstore.Config.SyncInterval,
-	// default 100ms): a crash loses at most the last interval's
-	// acknowledged versions.
+	// SyncInterval fsyncs on a timer (every 100ms, the constant
+	// syncInterval in internal/vstore): a crash loses at most the last
+	// interval's acknowledged versions.
 	SyncInterval
 	// SyncOff never fsyncs explicitly; the OS flushes when it pleases.
 	// A kernel crash or power loss can lose recent acknowledged

@@ -21,7 +21,7 @@ import (
 // a stale one is never served. Keyframes live in memory only.
 //
 // The cached tree is shared between the store and readers that Clone
-// it; PutContext hands the cached old version to the diff, which never
+// it; PutDetailed hands the cached old version to the diff, which never
 // mutates its left input. mu guards the list and the maps alone:
 // freezing an evicted tree and thawing a keyframe run outside it.
 type versionCache struct {

@@ -18,7 +18,7 @@ import (
 // Batching is adaptive: a lone writer's record is committed
 // immediately (no latency tax), while concurrent writers pile up
 // behind the in-progress fsync and commit together. The committer
-// lingers up to MaxDelay only while the in-flight counter says more
+// lingers up to maxDelay only while the in-flight counter says more
 // writers are coming than it has gathered.
 
 // ErrBusy reports that a shard's group-commit queue is saturated: the
@@ -38,7 +38,7 @@ type commitReq struct {
 
 // appendDurable submits one encoded record to the shard's group-commit
 // writer and blocks until the record's batch is durable (SyncAlways)
-// or at least written (other policies). Called from PutContext under
+// or at least written (other policies). Called from PutDetailed under
 // the document's write lock, before the in-memory commit. When the
 // shard's queue is full it fails fast with ErrBusy instead of
 // blocking, so the HTTP layer can shed load.
@@ -93,7 +93,7 @@ func (s *Store) committer(sh *shard) {
 
 // gather collects the batch starting at first: everything already
 // queued, then — while the in-flight counter shows more writers are
-// racing toward the queue than the batch holds — up to MaxDelay of
+// racing toward the queue than the batch holds — up to maxDelay of
 // lingering for them. Returns closed=true when the commit channel
 // closed during gathering (the batch still commits).
 func (s *Store) gather(sh *shard, first *commitReq) (batch []*commitReq, closed bool) {
@@ -104,7 +104,7 @@ func (s *Store) gather(sh *shard, first *commitReq) (batch []*commitReq, closed 
 			timer.Stop()
 		}
 	}()
-	for len(batch) < s.cfg.MaxBatch {
+	for len(batch) < maxBatch {
 		select {
 		case req, ok := <-sh.commitCh:
 			if !ok {
@@ -121,7 +121,7 @@ func (s *Store) gather(sh *shard, first *commitReq) (batch []*commitReq, closed 
 			return batch, false
 		}
 		if timer == nil {
-			timer = time.NewTimer(s.cfg.MaxDelay)
+			timer = time.NewTimer(maxDelay)
 		}
 		select {
 		case req, ok := <-sh.commitCh:
@@ -179,7 +179,7 @@ func (s *Store) commitBatch(sh *shard, batch []*commitReq) {
 // segment once per interval until Close.
 func (s *Store) syncLoop() {
 	defer close(s.syncDone)
-	t := time.NewTicker(s.cfg.SyncInterval)
+	t := time.NewTicker(syncInterval)
 	defer t.Stop()
 	for {
 		select {

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"xydiff/internal/diff"
 	"xydiff/internal/dom"
@@ -249,7 +248,6 @@ func TestCrashTornBatchMidGroupCommit(t *testing.T) {
 			})
 			cfg := crashCfg(fsys)
 			cfg.Shards = 1 // all writers group-commit into one segment
-			cfg.MaxDelay = 3 * time.Millisecond
 			s, err := Open(dir, diff.Options{}, cfg)
 			if err != nil {
 				t.Fatalf("%s: open: %v", scenario, err)

@@ -96,7 +96,7 @@ func Open(dir string, opts diff.Options, cfg Config) (*Store, error) {
 			idx:        i,
 			dir:        filepath.Join(dir, shardDirName(i)),
 			docs:       make(map[string]*docState),
-			commitCh:   make(chan *commitReq, cfg.QueueDepth),
+			commitCh:   make(chan *commitReq, commitQueueDepth),
 			writerDone: make(chan struct{}),
 		}
 		if err := fsys.MkdirAll(sh.dir, 0o755); err != nil {

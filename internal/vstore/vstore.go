@@ -57,7 +57,6 @@
 // (journal-<id>.log files plus one snapshot directory per document) is
 // refused with ErrNeedsMigration; `xystore migrate` converts it in
 // place with a backup, and Migrate is the only code that reads it.
-// Package store keeps the types shared with the server and the CLIs.
 package vstore
 
 import (
@@ -80,8 +79,8 @@ import (
 )
 
 // Config tunes the engine. The zero value picks production defaults
-// (16 shards, SyncAlways, batches of up to 128 records gathered for at
-// most 2ms, a 4096-document version cache, 64 MiB segments).
+// (16 shards, SyncAlways, a 4096-document version cache, 64 MiB
+// segments).
 type Config struct {
 	// Shards is the number of hash-of-id shards. The value is fixed at
 	// directory creation and recorded in the manifest; reopening uses
@@ -90,20 +89,6 @@ type Config struct {
 	// Sync is the segment fsync policy: SyncAlways means no Put is
 	// acknowledged before its batch is durable.
 	Sync store.SyncPolicy
-	// SyncInterval is the flush period under store.SyncInterval
-	// (default 100ms).
-	SyncInterval time.Duration
-	// MaxBatch caps how many records one fsync may acknowledge
-	// (default 128).
-	MaxBatch int
-	// MaxDelay bounds how long the group-commit writer waits to fill a
-	// batch once at least one record is pending and more writers are in
-	// flight (default 2ms). A lone writer is never delayed.
-	MaxDelay time.Duration
-	// QueueDepth bounds records waiting for the group-commit writer,
-	// per shard; submissions beyond it fail fast with ErrBusy so the
-	// caller can shed load instead of blocking (default 1024).
-	QueueDepth int
 	// CacheSize bounds the LRU of materialized current versions
 	// (default 4096 documents). An evicted document keeps its latest
 	// version as an in-memory keyframe, which a miss restores instead of
@@ -144,21 +129,29 @@ type ScrubConfig struct {
 	NoRepair bool
 }
 
+// Sharding, group-commit and flush tuning. Every workload measured so
+// far runs these values; none has shown another one winning.
+const (
+	// defaultShards is the shard count of a fresh directory.
+	defaultShards = 16
+	// syncInterval is the flush period under store.SyncInterval: a
+	// crash loses at most the last interval's acknowledged versions.
+	syncInterval = 100 * time.Millisecond
+	// maxBatch caps how many records one fsync may acknowledge.
+	maxBatch = 128
+	// maxDelay bounds how long the group-commit writer waits to fill a
+	// batch once at least one record is pending and more writers are in
+	// flight. A lone writer is never delayed.
+	maxDelay = 2 * time.Millisecond
+	// commitQueueDepth bounds records waiting for a shard's
+	// group-commit writer; a submission beyond it fails fast with
+	// ErrBusy so the caller can shed load instead of blocking.
+	commitQueueDepth = 1024
+)
+
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
-		c.Shards = 16
-	}
-	if c.SyncInterval <= 0 {
-		c.SyncInterval = 100 * time.Millisecond
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 128
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 2 * time.Millisecond
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 1024
+		c.Shards = defaultShards
 	}
 	if c.CacheSize <= 0 {
 		c.CacheSize = 4096
@@ -300,26 +293,22 @@ func (sh *shard) lookup(id string) *docState {
 // returns its version number (1-based) and the delta from the previous
 // version (nil for the first). The store keeps its own copy of doc.
 func (s *Store) Put(id string, doc *dom.Node) (int, *delta.Delta, error) {
-	return s.PutContext(context.Background(), id, doc)
+	return s.PutMatcherContext(context.Background(), id, doc, "")
 }
 
-// PutContext is Put honouring context cancellation: the diff against
-// the previous version aborts with ctx.Err() once ctx is done, leaving
-// the stored history untouched.
+// PutMatcherContext is Put honouring context cancellation, with a
+// per-call matcher override. The diff against the previous version
+// aborts with ctx.Err() once ctx is done, leaving the stored history
+// untouched. A non-empty matcher replaces the store's configured
+// Options.Matcher for this version's diff only; the stored delta
+// format is identical for every matcher, so histories may freely mix
+// them.
 //
 // The version's record reaches the shard's segment journal — and,
-// under SyncAlways, stable storage — before PutContext returns: a nil
-// error means the version survives a crash. When the shard's
+// under SyncAlways, stable storage — before PutMatcherContext returns:
+// a nil error means the version survives a crash. When the shard's
 // group-commit queue is saturated the Put fails fast with ErrBusy
 // instead of blocking, so callers can shed load.
-func (s *Store) PutContext(ctx context.Context, id string, doc *dom.Node) (int, *delta.Delta, error) {
-	return s.PutMatcherContext(ctx, id, doc, "")
-}
-
-// PutMatcherContext is PutContext with a per-call matcher override: a
-// non-empty matcher replaces the store's configured Options.Matcher
-// for this version's diff only. The stored delta format is identical
-// for every matcher, so histories may freely mix them.
 func (s *Store) PutMatcherContext(ctx context.Context, id string, doc *dom.Node, matcher diff.Matcher) (int, *delta.Delta, error) {
 	r, err := s.PutDetailed(ctx, id, doc.Clone(), matcher)
 	return r.Version, r.Delta, err

@@ -263,7 +263,7 @@ func TestManifestPinsShardCount(t *testing.T) {
 }
 
 func TestGroupCommitBatchesFsyncs(t *testing.T) {
-	s, _ := openTest(t, Config{Shards: 2, Sync: store.SyncAlways, MaxDelay: 5 * time.Millisecond})
+	s, _ := openTest(t, Config{Shards: 2, Sync: store.SyncAlways})
 	const writers = 64
 	const putsEach = 4
 	var wg sync.WaitGroup
@@ -316,7 +316,7 @@ func TestGroupCommitBatchesFsyncs(t *testing.T) {
 func TestQueueSaturationFailsFast(t *testing.T) {
 	// White box: a shard with a full queue and no committer draining it
 	// must shed the next submission with ErrBusy, not block.
-	s := &Store{dir: t.TempDir(), cfg: Config{QueueDepth: 1}.withDefaults()}
+	s := &Store{dir: t.TempDir()}
 	sh := &shard{idx: 0, commitCh: make(chan *commitReq, 1)}
 	sh.commitCh <- &commitReq{} // fill the queue
 	done := make(chan error, 1)
