@@ -39,13 +39,13 @@ func main() {
 	flag.Parse()
 
 	// The changing web: three documents behind correct HTTP
-	// revalidation (ETag / Last-Modified, 304s for unchanged content).
+	// revalidation (ETag / Last-Modified, 304s for unchanged content),
+	// each served from its own host:port, since the crawler spaces the
+	// requests to one host.
 	origin, err := changesim.ServeCorpus(2002, 3)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ts := httptest.NewServer(origin)
-	defer ts.Close()
 	paths := origin.Paths()
 
 	// The repository: xydiffd's server over a versioned store kept in
@@ -60,12 +60,13 @@ func main() {
 	defer srv.Close()
 	srv.Alerter().Subscribe(alert.Subscription{ID: "all"})
 	c := srv.EnableCrawl(crawl.NewRegistry(), crawl.Config{
-		MinInterval:     150 * time.Millisecond,
-		MaxInterval:     1200 * time.Millisecond,
-		PerHostInterval: -1, // one local origin; politeness would only slow the demo
-		Logger:          quiet,
+		MinInterval: 150 * time.Millisecond,
+		MaxInterval: 1200 * time.Millisecond,
+		Logger:      quiet,
 	})
 	for i, name := range []string{"fast", "medium", "static"} {
+		ts := httptest.NewServer(origin)
+		defer ts.Close()
 		if _, err := c.Add(crawl.Source{ID: name, URL: ts.URL + paths[i]}); err != nil {
 			log.Fatal(err)
 		}
@@ -98,10 +99,10 @@ func main() {
 
 	fmt.Printf("\n%-8s %9s %8s %8s %8s %10s %7s\n",
 		"source", "interval", "fetches", "304s", "changes", "changeRate", "stored")
-	for _, s := range c.Status() {
+	for _, s := range c.Registry().List() {
 		fmt.Printf("%-8s %9s %8d %8d %8d %10.2f %7d\n",
 			s.ID, s.Interval.Round(10*time.Millisecond), s.Fetches, s.NotModified,
-			s.Changes, s.Rate, st.Versions(s.ID))
+			s.Changes, s.ChangeRate, st.Versions(s.ID))
 	}
 	snap := c.Metrics().Snapshot()
 	fmt.Printf("\ntotals: %d fetches, %d answered 304 (%.0f%% skipped parse+diff), %d ingests, %d KB downloaded\n",

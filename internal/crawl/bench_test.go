@@ -119,12 +119,12 @@ func BenchmarkCrawlIngest(b *testing.B) {
 	}
 
 	cfg := Config{
-		MinInterval:     time.Millisecond,
-		MaxInterval:     2 * time.Millisecond,
-		PerHostInterval: -1,
-		Logger:          quietLogger(),
+		MinInterval: time.Millisecond,
+		MaxInterval: 2 * time.Millisecond,
+		perHost:     -1,
+		Logger:      quietLogger(),
 	}
-	c := New(NewRegistry(), ingest, stats.NewCollector(), cfg)
+	c := New(NewRegistry(), ingest, cfg)
 	if _, err := c.Add(Source{ID: "bench", URL: ts.URL + "/doc"}); err != nil {
 		b.Fatal(err)
 	}
@@ -158,13 +158,13 @@ func TestConditionalGetSkipRatio(t *testing.T) {
 
 	ing := newMemIngester()
 	cfg := Config{
-		MinInterval:     20 * time.Millisecond,
-		MaxInterval:     60 * time.Millisecond,
-		Concurrency:     4,
-		PerHostInterval: -1,
-		Logger:          quietLogger(),
+		MinInterval: 20 * time.Millisecond,
+		MaxInterval: 60 * time.Millisecond,
+		concurrency: 4,
+		perHost:     -1,
+		Logger:      quietLogger(),
 	}
-	c := New(NewRegistry(), ing.ingest, stats.NewCollector(), cfg)
+	c := New(NewRegistry(), ing.ingest, cfg)
 	for i, p := range origin.Paths() {
 		if _, err := c.Add(Source{ID: origin.Paths()[i][1:], URL: ts.URL + p}); err != nil {
 			t.Fatal(err)

@@ -2,11 +2,11 @@
 // crawler box that feeds everything downstream. It polls a registry of
 // HTTP sources and ingests new versions into the repository/diff
 // pipeline, revisiting each document at a frequency proportional to its
-// observed change rate (Xyleme's refresh policy): the scheduler asks
-// the stats collector for the document's change rate and interpolates
-// the revisit interval between a configured floor and ceiling, so
-// fast-changing documents are polled often and static ones converge to
-// the maximum interval.
+// observed change rate (Xyleme's refresh policy): each source keeps an
+// EWMA of how often its visits found it changed, and the scheduler
+// interpolates the revisit interval from it between a configured floor
+// and ceiling, so fast-changing documents are polled often and static
+// ones converge to the maximum interval.
 //
 // The fetch path is production-shaped: a bounded worker pool, per-host
 // request spacing, conditional GET (ETag / If-Modified-Since) so
@@ -17,17 +17,16 @@
 package crawl
 
 import (
+	"cmp"
 	"container/heap"
 	"context"
 	"log/slog"
 	"math/rand"
-	"net/http"
 	"runtime"
 	"sync"
 	"time"
 
 	"xydiff/internal/retry"
-	"xydiff/internal/stats"
 )
 
 // Ingester installs one fetched document version into the pipeline
@@ -45,7 +44,8 @@ const (
 	DefaultMaxInterval = time.Hour
 )
 
-// Config tunes the crawler. The zero value picks production defaults.
+// Config holds the crawler's operator decisions. The zero value picks
+// production defaults; the fetch tuning is the constants below.
 type Config struct {
 	// MinInterval floors the adaptive revisit interval — the rate the
 	// hottest document is polled at (default 15s).
@@ -53,38 +53,46 @@ type Config struct {
 	// MaxInterval caps the revisit interval — how stale a static
 	// document may grow (default 1h).
 	MaxInterval time.Duration
-	// Concurrency bounds in-flight fetches (default GOMAXPROCS, max 8).
-	Concurrency int
-	// PerHostInterval spaces successive requests to one host (default
-	// 250ms), politeness against origins serving many sources.
-	PerHostInterval time.Duration
-	// FetchTimeout bounds one HTTP attempt (default 10s).
-	FetchTimeout time.Duration
 	// MaxBodyBytes caps a fetched body (default 16 MiB); larger
 	// responses fail the fetch.
 	MaxBodyBytes int64
-	// Retry paces re-attempts within a fetch cycle and the spacing of
-	// failing cycles (zero value = retry package defaults).
-	Retry retry.Policy
-	// MaxAttempts bounds HTTP attempts within one fetch cycle before
-	// the cycle counts as failed (default 3).
-	MaxAttempts int
-	// CircuitThreshold is how many consecutive failed cycles open the
-	// source's circuit (default 5).
-	CircuitThreshold int
-	// CircuitCooldown is how long an open circuit parks the source
-	// before a single probe is allowed through (default 1m).
-	CircuitCooldown time.Duration
-	// UserAgent identifies the crawler to origins.
-	UserAgent string
-	// Client is the HTTP client to fetch with (default a fresh
-	// http.Client; timeouts come from FetchTimeout contexts).
-	Client *http.Client
 	// Logger receives fetch lifecycle logs (default slog.Default).
 	Logger *slog.Logger
-	// Seed fixes the schedule/backoff jitter for tests (default 1).
-	Seed int64
+
+	// concurrency, perHost, timeout, backoff, attempts, circuitAfter
+	// and cooldown, when set, replace the constants below. Only this
+	// package's tests set them, to reach millisecond timings; a
+	// negative perHost turns politeness off.
+	concurrency, attempts, circuitAfter int
+	perHost, timeout, cooldown          time.Duration
+	backoff                             retry.Policy
 }
+
+// Fetch tuning. No flag sets these, and no measurement has shown
+// another value winning.
+const (
+	// maxFetchers caps the fetch workers, GOMAXPROCS of them otherwise.
+	maxFetchers = 8
+	// perHostInterval spaces successive request starts to one
+	// host:port, politeness against origins serving many sources.
+	perHostInterval = 250 * time.Millisecond
+	// fetchTimeout bounds one HTTP attempt.
+	fetchTimeout = 10 * time.Second
+	// maxAttempts bounds HTTP attempts within one fetch cycle before
+	// the cycle counts as failed.
+	maxAttempts = 3
+	// circuitThreshold is how many consecutive failed cycles open a
+	// source's circuit, and circuitCooldown how long an open circuit
+	// parks it before a single probe is let through.
+	circuitThreshold = 5
+	circuitCooldown  = time.Minute
+	// userAgent identifies the crawler to origins.
+	userAgent = "xydiffd/1 (+https://github.com/xydiff)"
+)
+
+// fetchRetry paces re-attempts within a fetch cycle and the spacing of
+// failing cycles.
+var fetchRetry = retry.Policy{Base: 500 * time.Millisecond, Max: time.Minute}
 
 func (c Config) withDefaults() Config {
 	if c.MinInterval <= 0 {
@@ -93,41 +101,19 @@ func (c Config) withDefaults() Config {
 	if c.MaxInterval <= c.MinInterval {
 		c.MaxInterval = max(DefaultMaxInterval, c.MinInterval)
 	}
-	if c.Concurrency <= 0 {
-		c.Concurrency = min(runtime.GOMAXPROCS(0), 8)
-	}
-	if c.PerHostInterval < 0 {
-		c.PerHostInterval = 0
-	} else if c.PerHostInterval == 0 {
-		c.PerHostInterval = 250 * time.Millisecond
-	}
-	if c.FetchTimeout <= 0 {
-		c.FetchTimeout = 10 * time.Second
-	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 16 << 20
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
-	if c.CircuitThreshold <= 0 {
-		c.CircuitThreshold = 5
-	}
-	if c.CircuitCooldown <= 0 {
-		c.CircuitCooldown = time.Minute
-	}
-	if c.UserAgent == "" {
-		c.UserAgent = "xydiffd/1 (+https://github.com/xydiff)"
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{}
 	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
 	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
+	c.concurrency = cmp.Or(c.concurrency, min(runtime.GOMAXPROCS(0), maxFetchers))
+	c.perHost = cmp.Or(c.perHost, perHostInterval)
+	c.timeout = cmp.Or(c.timeout, fetchTimeout)
+	c.backoff = cmp.Or(c.backoff, fetchRetry)
+	c.attempts = cmp.Or(c.attempts, maxAttempts)
+	c.circuitAfter = cmp.Or(c.circuitAfter, circuitThreshold)
+	c.cooldown = cmp.Or(c.cooldown, circuitCooldown)
 	return c
 }
 
@@ -136,7 +122,6 @@ type Crawler struct {
 	cfg     Config
 	reg     *Registry
 	ingest  Ingester
-	rates   *stats.Collector
 	metrics *Metrics
 	log     *slog.Logger
 
@@ -145,27 +130,25 @@ type Crawler struct {
 	queued    map[string]bool      // ids currently in the heap
 	hostNext  map[string]time.Time // per-host next planned request start
 	hostStart map[string]time.Time // per-host start of the latest request
-	rng       *rand.Rand           // schedule + backoff jitter
+	rng       *rand.Rand           // schedule + backoff jitter, fixed seed
 	wake      chan struct{}        // poked when the head of the queue may have changed
 }
 
-// New wires a crawler over the registry. rates is the change-rate
-// signal the scheduler reads and the crawler feeds (one visit
-// observation per completed fetch); sharing the server's collector
-// means direct PUTs and crawled fetches train the same rates.
-func New(reg *Registry, ingest Ingester, rates *stats.Collector, cfg Config) *Crawler {
+// New wires a crawler over the registry. The crawler learns each
+// source's change rate from its own completed fetches and keeps it on
+// the source, where the registry saves it.
+func New(reg *Registry, ingest Ingester, cfg Config) *Crawler {
 	cfg = cfg.withDefaults()
 	c := &Crawler{
 		cfg:       cfg,
 		reg:       reg,
 		ingest:    ingest,
-		rates:     rates,
 		metrics:   newMetrics(),
 		log:       cfg.Logger,
 		queued:    make(map[string]bool),
 		hostNext:  make(map[string]time.Time),
 		hostStart: make(map[string]time.Time),
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		rng:       rand.New(rand.NewSource(1)),
 		wake:      make(chan struct{}, 1),
 	}
 	c.metrics.queueDepth = c.depth
@@ -182,7 +165,10 @@ func New(reg *Registry, ingest Ingester, rates *stats.Collector, cfg Config) *Cr
 // Metrics exposes the crawler's counters and gauges.
 func (c *Crawler) Metrics() *Metrics { return c.metrics }
 
-// Registry exposes the source registry (for status endpoints).
+// Registry exposes the source registry: status endpoints read it, and
+// Remove on it unregisters a source. An in-flight fetch of a removed
+// source finishes, but its result is discarded and the source is never
+// rescheduled; its heap entry dies lazily, as pop skips unknown ids.
 func (c *Crawler) Registry() *Registry { return c.reg }
 
 // Add registers the source and schedules its first fetch immediately.
@@ -196,39 +182,13 @@ func (c *Crawler) Add(src Source) (Source, error) {
 	return s, nil
 }
 
-// Remove unregisters the source; an in-flight fetch of it finishes but
-// its result is discarded and it is never rescheduled. The heap entry,
-// if any, dies lazily: pop skips unknown ids.
-func (c *Crawler) Remove(id string) (bool, error) { return c.reg.Remove(id) }
-
-// Status is one source plus its live change-rate estimate.
-type Status struct {
-	Source
-	// Rate is the EWMA change rate driving the schedule (0 static .. 1
-	// changing every visit; 0.5 = not yet observed).
-	Rate float64
-	// RateObservations is how many visits trained the rate.
-	RateObservations int
-}
-
-// Status reports all sources with their schedule state, sorted by id.
-func (c *Crawler) Status() []Status {
-	srcs := c.reg.List()
-	out := make([]Status, 0, len(srcs))
-	for _, s := range srcs {
-		rate, n := c.rates.ChangeRate(s.ID)
-		out = append(out, Status{Source: s, Rate: rate, RateObservations: n})
-	}
-	return out
-}
-
 // Run fetches until ctx is canceled: a dispatcher releases sources as
-// they come due to a pool of Concurrency workers. It returns nil on a
+// they come due to a pool of fetch workers. It returns nil on a
 // clean (context) shutdown after all in-flight fetches finished.
 func (c *Crawler) Run(ctx context.Context) error {
 	work := make(chan string)
 	var wg sync.WaitGroup
-	for i := 0; i < c.cfg.Concurrency; i++ {
+	for i := 0; i < c.cfg.concurrency; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -330,12 +290,11 @@ func (c *Crawler) depth() int {
 	return len(c.queue)
 }
 
-// revisit computes the adaptive revisit interval for id: linear
-// interpolation between MinInterval (rate 1: changes every visit) and
-// MaxInterval (rate 0: never changes), ±10% jitter so sources trained
-// to the same rate do not synchronize.
-func (c *Crawler) revisit(id string) time.Duration {
-	rate, _ := c.rates.ChangeRate(id)
+// revisit computes the adaptive revisit interval for a change rate:
+// linear interpolation between MinInterval (rate 1: changes every
+// visit) and MaxInterval (rate 0: never changes), ±10% jitter so
+// sources trained to the same rate do not synchronize.
+func (c *Crawler) revisit(rate float64) time.Duration {
 	span := float64(c.cfg.MaxInterval - c.cfg.MinInterval)
 	d := float64(c.cfg.MinInterval) + (1-rate)*span
 	c.mu.Lock()
@@ -355,14 +314,14 @@ func (c *Crawler) revisit(id string) time.Duration {
 func (c *Crawler) backoffDelay(failures int) time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.cfg.Retry.Delay(failures-1, c.rng)
+	return c.cfg.backoff.Delay(failures-1, c.rng)
 }
 
 // reserveHost plans a request to host at now: it returns how long the
 // caller waits before claiming the host, and moves the host's next slot
-// one PerHostInterval on, so concurrent waiters wake spread out.
+// one perHostInterval on, so concurrent waiters wake spread out.
 func (c *Crawler) reserveHost(host string, now time.Time) time.Duration {
-	if c.cfg.PerHostInterval <= 0 {
+	if c.cfg.perHost <= 0 {
 		return 0
 	}
 	c.mu.Lock()
@@ -371,23 +330,23 @@ func (c *Crawler) reserveHost(host string, now time.Time) time.Duration {
 	if slot.Before(now) {
 		slot = now
 	}
-	c.hostNext[host] = slot.Add(c.cfg.PerHostInterval)
+	c.hostNext[host] = slot.Add(c.cfg.perHost)
 	return slot.Sub(now)
 }
 
 // claimHost starts a request to host at now and returns 0 when
-// PerHostInterval has passed since the previous request's start;
+// perHostInterval has passed since the previous request's start;
 // otherwise it claims nothing and returns what is left of the interval.
 // The spacing is counted from actual starts, not from planned slots: a
 // waiter that wakes late pushes the next request back instead of
 // leaving it closer than the interval (politeness spacing).
 func (c *Crawler) claimHost(host string, now time.Time) time.Duration {
-	if c.cfg.PerHostInterval <= 0 {
+	if c.cfg.perHost <= 0 {
 		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if wait := c.hostStart[host].Add(c.cfg.PerHostInterval).Sub(now); wait > 0 {
+	if wait := c.hostStart[host].Add(c.cfg.perHost).Sub(now); wait > 0 {
 		return wait
 	}
 	c.hostStart[host] = now

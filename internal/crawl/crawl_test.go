@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"xydiff/internal/retry"
-	"xydiff/internal/stats"
 )
 
 func quietLogger() *slog.Logger {
@@ -114,14 +113,13 @@ func TestAdaptiveScheduleFastVsStatic(t *testing.T) {
 	const factor = 3
 	ing := newMemIngester()
 	cfg := Config{
-		MinInterval:     20 * time.Millisecond,
-		MaxInterval:     320 * time.Millisecond,
-		Concurrency:     2,
-		PerHostInterval: -1,
-		FetchTimeout:    2 * time.Second,
-		Logger:          quietLogger(),
+		MinInterval: 20 * time.Millisecond,
+		MaxInterval: 320 * time.Millisecond,
+		concurrency: 2,
+		perHost:     -1,
+		Logger:      quietLogger(),
 	}
-	c := New(NewRegistry(), ing.ingest, stats.NewCollector(), cfg)
+	c := New(NewRegistry(), ing.ingest, cfg)
 	if _, err := c.Add(Source{ID: "fast", URL: fast.URL + "/doc"}); err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +143,11 @@ func TestAdaptiveScheduleFastVsStatic(t *testing.T) {
 	if staticSrc.Interval < time.Duration(0.7*float64(cfg.MaxInterval)) {
 		t.Errorf("static interval = %v, want near MaxInterval %v", staticSrc.Interval, cfg.MaxInterval)
 	}
-	if rate, _ := c.rates.ChangeRate("static"); rate > 0.2 {
-		t.Errorf("static change rate = %v, want near 0", rate)
+	if staticSrc.ChangeRate > 0.2 {
+		t.Errorf("static change rate = %v, want near 0", staticSrc.ChangeRate)
 	}
-	if rate, _ := c.rates.ChangeRate("fast"); rate < 0.8 {
-		t.Errorf("fast change rate = %v, want near 1", rate)
+	if fastSrc.ChangeRate < 0.8 {
+		t.Errorf("fast change rate = %v, want near 1", fastSrc.ChangeRate)
 	}
 	// Conditional GET did its job on the static source: exactly one
 	// ingest (the first 200), everything after a 304.
@@ -181,18 +179,18 @@ func TestRobustnessBackoffCircuitAndRecovery(t *testing.T) {
 
 	ing := newMemIngester()
 	cfg := Config{
-		MinInterval:      10 * time.Millisecond,
-		MaxInterval:      50 * time.Millisecond,
-		Concurrency:      1,
-		PerHostInterval:  -1,
-		FetchTimeout:     time.Second,
-		MaxAttempts:      2,
-		CircuitThreshold: 2,
-		CircuitCooldown:  120 * time.Millisecond,
-		Retry:            retryPolicy(2*time.Millisecond, 10*time.Millisecond),
-		Logger:           quietLogger(),
+		MinInterval:  10 * time.Millisecond,
+		MaxInterval:  50 * time.Millisecond,
+		concurrency:  1,
+		perHost:      -1,
+		timeout:      time.Second,
+		attempts:     2,
+		circuitAfter: 2,
+		cooldown:     120 * time.Millisecond,
+		backoff:      retry.Policy{Base: 2 * time.Millisecond, Max: 10 * time.Millisecond},
+		Logger:       quietLogger(),
 	}
-	c := New(NewRegistry(), ing.ingest, stats.NewCollector(), cfg)
+	c := New(NewRegistry(), ing.ingest, cfg)
 	if _, err := c.Add(Source{ID: "flaky", URL: origin.URL + "/doc"}); err != nil {
 		t.Fatal(err)
 	}
@@ -208,8 +206,8 @@ func TestRobustnessBackoffCircuitAndRecovery(t *testing.T) {
 	if snap.Retries == 0 {
 		t.Errorf("no in-cycle retries recorded before the circuit opened")
 	}
-	if snap.Failures < int64(cfg.CircuitThreshold) {
-		t.Errorf("failures = %d, want >= %d", snap.Failures, cfg.CircuitThreshold)
+	if snap.Failures < int64(cfg.circuitAfter) {
+		t.Errorf("failures = %d, want >= %d", snap.Failures, cfg.circuitAfter)
 	}
 	src, _ := c.reg.Get("flaky")
 	if !src.CircuitOpen(time.Now()) {
@@ -235,13 +233,7 @@ func TestRobustnessBackoffCircuitAndRecovery(t *testing.T) {
 	}
 }
 
-// retryPolicy builds a fast deterministic policy for tests: no jitter,
-// tight caps, so backoff waits stay in the low milliseconds.
-func retryPolicy(base, ceiling time.Duration) retry.Policy {
-	return retry.Policy{Base: base, Max: ceiling, Multiplier: 2, Jitter: -1}
-}
-
-// TestHangingOriginTimesOut: a handler that sleeps past FetchTimeout
+// TestHangingOriginTimesOut: a handler that sleeps past the fetch timeout
 // must surface as a transient failure, not a stuck worker.
 func TestHangingOriginTimesOut(t *testing.T) {
 	release := make(chan struct{})
@@ -256,17 +248,17 @@ func TestHangingOriginTimesOut(t *testing.T) {
 
 	ing := newMemIngester()
 	cfg := Config{
-		MinInterval:      10 * time.Millisecond,
-		MaxInterval:      50 * time.Millisecond,
-		Concurrency:      1,
-		PerHostInterval:  -1,
-		FetchTimeout:     30 * time.Millisecond,
-		MaxAttempts:      1,
-		CircuitThreshold: 100, // keep the circuit out of this test
-		Retry:            retryPolicy(2*time.Millisecond, 10*time.Millisecond),
-		Logger:           quietLogger(),
+		MinInterval:  10 * time.Millisecond,
+		MaxInterval:  50 * time.Millisecond,
+		concurrency:  1,
+		perHost:      -1,
+		timeout:      30 * time.Millisecond,
+		attempts:     1,
+		circuitAfter: 100, // keep the circuit out of this test
+		backoff:      retry.Policy{Base: 2 * time.Millisecond, Max: 10 * time.Millisecond},
+		Logger:       quietLogger(),
 	}
-	c := New(NewRegistry(), ing.ingest, stats.NewCollector(), cfg)
+	c := New(NewRegistry(), ing.ingest, cfg)
 	if _, err := c.Add(Source{ID: "hang", URL: origin.URL + "/doc"}); err != nil {
 		t.Fatal(err)
 	}
@@ -310,17 +302,17 @@ func TestTruncatedBodyIsTransient(t *testing.T) {
 
 	ing := newMemIngester()
 	cfg := Config{
-		MinInterval:      10 * time.Millisecond,
-		MaxInterval:      50 * time.Millisecond,
-		Concurrency:      1,
-		PerHostInterval:  -1,
-		FetchTimeout:     time.Second,
-		MaxAttempts:      2,
-		CircuitThreshold: 100,
-		Retry:            retryPolicy(2*time.Millisecond, 10*time.Millisecond),
-		Logger:           quietLogger(),
+		MinInterval:  10 * time.Millisecond,
+		MaxInterval:  50 * time.Millisecond,
+		concurrency:  1,
+		perHost:      -1,
+		timeout:      time.Second,
+		attempts:     2,
+		circuitAfter: 100,
+		backoff:      retry.Policy{Base: 2 * time.Millisecond, Max: 10 * time.Millisecond},
+		Logger:       quietLogger(),
 	}
-	c := New(NewRegistry(), ing.ingest, stats.NewCollector(), cfg)
+	c := New(NewRegistry(), ing.ingest, cfg)
 	if _, err := c.Add(Source{ID: "cut", URL: origin.URL + "/doc"}); err != nil {
 		t.Fatal(err)
 	}
@@ -353,20 +345,20 @@ func TestRemoveStopsFetching(t *testing.T) {
 
 	ing := newMemIngester()
 	cfg := Config{
-		MinInterval:     10 * time.Millisecond,
-		MaxInterval:     20 * time.Millisecond,
-		Concurrency:     1,
-		PerHostInterval: -1,
-		Logger:          quietLogger(),
+		MinInterval: 10 * time.Millisecond,
+		MaxInterval: 20 * time.Millisecond,
+		concurrency: 1,
+		perHost:     -1,
+		Logger:      quietLogger(),
 	}
-	c := New(NewRegistry(), ing.ingest, stats.NewCollector(), cfg)
+	c := New(NewRegistry(), ing.ingest, cfg)
 	if _, err := c.Add(Source{ID: "doomed", URL: origin.URL + "/doc"}); err != nil {
 		t.Fatal(err)
 	}
 	stop := startCrawler(t, c)
 	defer stop()
 	waitFor(t, 5*time.Second, "first fetches", func() bool { return hits.Load() >= 2 })
-	if ok, err := c.Remove("doomed"); !ok || err != nil {
+	if ok, err := c.reg.Remove("doomed"); !ok || err != nil {
 		t.Fatalf("remove = %v, %v; want true, nil", ok, err)
 	}
 	// Let any in-flight fetch land, then the counter must freeze.
@@ -465,13 +457,13 @@ func TestPerHostSpacingIsHonored(t *testing.T) {
 	const spacing = 40 * time.Millisecond
 	ing := newMemIngester()
 	cfg := Config{
-		MinInterval:     5 * time.Millisecond,
-		MaxInterval:     25 * time.Millisecond,
-		Concurrency:     4,
-		PerHostInterval: spacing,
-		Logger:          quietLogger(),
+		MinInterval: 5 * time.Millisecond,
+		MaxInterval: 25 * time.Millisecond,
+		concurrency: 4,
+		perHost:     spacing,
+		Logger:      quietLogger(),
 	}
-	c := New(NewRegistry(), ing.ingest, stats.NewCollector(), cfg)
+	c := New(NewRegistry(), ing.ingest, cfg)
 	for _, id := range []string{"p1", "p2", "p3"} {
 		if _, err := c.Add(Source{ID: id, URL: origin.URL + "/" + id}); err != nil {
 			t.Fatal(err)
@@ -502,9 +494,9 @@ func TestPerHostSpacingIsHonored(t *testing.T) {
 // counting from planned slots would start B at its slot, 25 ms after A.
 func TestPerHostSpacingCountsFromActualStarts(t *testing.T) {
 	const interval = 40 * time.Millisecond
-	c := New(NewRegistry(), newMemIngester().ingest, stats.NewCollector(), Config{
-		PerHostInterval: interval,
-		Logger:          quietLogger(),
+	c := New(NewRegistry(), newMemIngester().ingest, Config{
+		perHost: interval,
+		Logger:  quietLogger(),
 	})
 	t0 := time.Unix(1_000_000, 0)
 	if wait := c.reserveHost("h", t0); wait != 0 {

@@ -73,7 +73,7 @@ func isTransient(err error) bool {
 	return errors.As(err, &t)
 }
 
-// fetchCycle runs one complete visit of the source: up to MaxAttempts
+// fetchCycle runs one complete visit of the source: up to maxAttempts
 // HTTP attempts with backoff between them, then the success or failure
 // bookkeeping, and finally rescheduling. A source removed mid-flight is
 // dropped silently.
@@ -89,16 +89,16 @@ func (c *Crawler) fetchCycle(ctx context.Context, id string) {
 		if err == nil || ctx.Err() != nil {
 			break
 		}
-		if !isTransient(err) || attempt+1 >= c.cfg.MaxAttempts {
+		if !isTransient(err) || attempt+1 >= c.cfg.attempts {
 			break
 		}
 		c.metrics.addRetry()
-		delay := c.cfg.Retry.Delay(attempt, nil) // in-cycle pacing; jitter comes from the cross-cycle path
+		delay := c.cfg.backoff.Delay(attempt, nil) // in-cycle pacing; jitter comes from the cross-cycle path
 		var ra *RetryAfterError
 		if errors.As(err, &ra) {
 			// The server told us when to come back; its word wins over
 			// the computed backoff, bounded by the policy's Max.
-			delay = c.cfg.Retry.Clamp(ra.After)
+			delay = c.cfg.backoff.Clamp(ra.After)
 		}
 		c.log.Debug("crawl retry", "source", id, "attempt", attempt+1, "delay", delay, "err", err)
 		pause := time.NewTimer(delay)
@@ -149,20 +149,20 @@ func (c *Crawler) fetchOnce(ctx context.Context, src Source) (fetchOutcome, erro
 	if err := c.awaitHost(ctx, u.Host); err != nil {
 		return fetchOutcome{}, err
 	}
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.FetchTimeout)
+	ctx, cancel := context.WithTimeout(ctx, c.cfg.timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, src.URL, nil)
 	if err != nil {
 		return fetchOutcome{}, fmt.Errorf("build request: %w", err)
 	}
-	req.Header.Set("User-Agent", c.cfg.UserAgent)
+	req.Header.Set("User-Agent", userAgent)
 	if src.ETag != "" {
 		req.Header.Set("If-None-Match", src.ETag)
 	}
 	if src.LastModified != "" {
 		req.Header.Set("If-Modified-Since", src.LastModified)
 	}
-	resp, err := c.cfg.Client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		// Timeouts, refused connections, mid-body hangs: all transient.
 		return fetchOutcome{}, transient(fmt.Errorf("fetch %s: %w", src.URL, err))
@@ -209,17 +209,17 @@ func (c *Crawler) fetchOnce(ctx context.Context, src Source) (fetchOutcome, erro
 }
 
 // succeedCycle records a completed visit: counters, validators, the
-// change-rate observation, circuit reset, and the adaptive reschedule.
+// change rate, circuit reset, and the adaptive reschedule, all in one
+// registry update.
 func (c *Crawler) succeedCycle(id string, out fetchOutcome) {
 	changed := out.changed && !out.notModified
-	c.rates.ObserveVisit(id, changed)
 	c.metrics.addFetch(out)
-	interval := c.revisit(id)
-	next := time.Now().Add(interval)
+	now := time.Now()
+	var next time.Time
 	wasOpen := false
 	ok := c.reg.update(id, func(s *Source) {
-		wasOpen = s.CircuitOpen(time.Now())
-		s.Fetches++
+		wasOpen = s.CircuitOpen(now)
+		s.observeVisit(changed)
 		if out.notModified {
 			s.NotModified++
 		} else {
@@ -232,8 +232,9 @@ func (c *Crawler) succeedCycle(id string, out fetchOutcome) {
 		}
 		s.Failures = 0
 		s.CircuitOpenUntil = time.Time{}
-		s.Interval = interval
-		s.NextFetch = next
+		s.Interval = c.revisit(s.ChangeRate)
+		s.NextFetch = now.Add(s.Interval)
+		next = s.NextFetch
 	})
 	if !ok {
 		return // removed mid-flight
@@ -256,11 +257,11 @@ func (c *Crawler) failCycle(id string, err error) {
 		s.Errors++
 		s.Failures++
 		failures = s.Failures
-		if s.Failures >= c.cfg.CircuitThreshold {
+		if s.Failures >= c.cfg.circuitAfter {
 			// Open (or re-arm) the circuit: park the source for the
 			// cooldown, then let exactly one probe through.
 			opened = !s.CircuitOpen(now)
-			s.CircuitOpenUntil = now.Add(c.cfg.CircuitCooldown)
+			s.CircuitOpenUntil = now.Add(c.cfg.cooldown)
 			next = s.CircuitOpenUntil
 		} else {
 			next = now.Add(c.backoffDelay(s.Failures))
@@ -273,7 +274,7 @@ func (c *Crawler) failCycle(id string, err error) {
 	if opened {
 		c.metrics.addCircuitOpen()
 		c.log.Warn("crawl circuit opened", "source", id, "failures", failures,
-			"cooldown", c.cfg.CircuitCooldown, "err", err)
+			"cooldown", c.cfg.cooldown, "err", err)
 	} else {
 		c.log.Warn("crawl fetch failed", "source", id, "failures", failures,
 			"next", next.Format(time.RFC3339), "err", err)

@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"xydiff/internal/stats"
+	"xydiff/internal/retry"
 )
 
 func TestParseRetryAfter(t *testing.T) {
@@ -82,17 +82,17 @@ func TestRetryAfterPacesInCycleRetries(t *testing.T) {
 
 	ing := newMemIngester()
 	cfg := Config{
-		MinInterval:      10 * time.Millisecond,
-		MaxInterval:      50 * time.Millisecond,
-		Concurrency:      1,
-		PerHostInterval:  -1,
-		FetchTimeout:     time.Second,
-		MaxAttempts:      2,
-		CircuitThreshold: 100, // keep the circuit out of this test's way
-		Retry:            retryPolicy(2*time.Millisecond, 120*time.Millisecond),
-		Logger:           quietLogger(),
+		MinInterval:  10 * time.Millisecond,
+		MaxInterval:  50 * time.Millisecond,
+		concurrency:  1,
+		perHost:      -1,
+		timeout:      time.Second,
+		attempts:     2,
+		circuitAfter: 100, // keep the circuit out of this test's way
+		backoff:      retry.Policy{Base: 2 * time.Millisecond, Max: 120 * time.Millisecond},
+		Logger:       quietLogger(),
 	}
-	c := New(NewRegistry(), ing.ingest, stats.NewCollector(), cfg)
+	c := New(NewRegistry(), ing.ingest, cfg)
 	if _, err := c.Add(Source{ID: "shed", URL: origin.URL + "/doc"}); err != nil {
 		t.Fatal(err)
 	}
@@ -116,6 +116,6 @@ func TestRetryAfterPacesInCycleRetries(t *testing.T) {
 		t.Errorf("retry after 503 came back in %v: Retry-After hint ignored", gap)
 	}
 	if gap > 2*time.Second {
-		t.Errorf("retry waited %v: hint not clamped by Retry.Max", gap)
+		t.Errorf("retry waited %v: hint not clamped by the retry policy's Max", gap)
 	}
 }

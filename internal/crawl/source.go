@@ -16,8 +16,8 @@ import (
 // Source is one registered acquisition target: a URL polled on the
 // adaptive schedule, feeding one document id in the store. All fields
 // are persisted with the registry so a restarted crawler resumes with
-// its learned intervals and validators instead of re-fetching the
-// world.
+// its learned rates, intervals and validators instead of re-fetching
+// the world.
 type Source struct {
 	// ID is the document id the fetched versions are installed under.
 	ID string `json:"id"`
@@ -30,6 +30,10 @@ type Source struct {
 	// rewritten in place.
 	Matcher string `json:"matcher,omitempty"`
 
+	// ChangeRate is the EWMA of the visits that found the document
+	// changed: 0 static .. 1 changing every visit, and the unknown 0.5
+	// until the first visit. It sets Interval.
+	ChangeRate float64 `json:"changeRate"`
 	// Interval is the current adaptive revisit interval.
 	Interval time.Duration `json:"interval"`
 	// NextFetch is when the source is next due.
@@ -53,6 +57,45 @@ type Source struct {
 	Errors      int64 `json:"errors"`
 }
 
+// unknownRate is the change rate of a source never visited: halfway
+// between static and volatile, so a new source starts in the middle of
+// the interval range.
+const unknownRate = 0.5
+
+// rateWeight is the EWMA weight of the newest visit: heavy enough that
+// a few visits move the rate decisively (a crawler should adapt within
+// a handful of revisits), light enough that one odd visit does not
+// erase the history.
+const rateWeight = 0.5
+
+// observeVisit counts one completed visit and folds it into the change
+// rate: changed reports whether it produced a new version (the first
+// fetch included), so a 304 and a byte-identical refetch both count as
+// unchanged. The first visit sets the rate outright.
+func (s *Source) observeVisit(changed bool) {
+	obs := 0.0
+	if changed {
+		obs = 1
+	}
+	if s.Fetches == 0 {
+		s.ChangeRate = obs
+	} else {
+		s.ChangeRate = rateWeight*obs + (1-rateWeight)*s.ChangeRate
+	}
+	s.Fetches++
+}
+
+// UnmarshalJSON reads a registry entry. An entry without a changeRate,
+// written before the rate was saved, reads the unknown rate whatever
+// its Fetches.
+func (s *Source) UnmarshalJSON(data []byte) error {
+	type plain Source // without this method, so the decode does not recurse
+	p := plain{ChangeRate: unknownRate}
+	err := json.Unmarshal(data, &p)
+	*s = Source(p)
+	return err
+}
+
 // CircuitOpen reports whether the source's circuit is open at now.
 func (s Source) CircuitOpen(now time.Time) bool {
 	return s.CircuitOpenUntil.After(now)
@@ -63,8 +106,8 @@ func (s Source) CircuitOpen(now time.Time) bool {
 // safe for concurrent use. Mutations happen through the registry so the
 // crawler, the HTTP endpoints, and persistence always see one state.
 // Add and Remove are durable when they return; learned schedule state
-// (intervals, validators, counters) is written by Save, or by the next
-// Add or Remove.
+// (change rates, intervals, validators, counters) is written by Save,
+// or by the next Add or Remove.
 type Registry struct {
 	mu   sync.Mutex
 	path string // "" = memory-only
@@ -128,10 +171,15 @@ func (s Source) Validate() error {
 // Add registers src (replacing any source with the same id), saves the
 // registry, and returns the stored copy. A failed save leaves the
 // registry as it was. A zero Interval or NextFetch means "let the
-// scheduler decide" — the crawler fills them on first fetch.
+// scheduler decide" — the crawler fills them on first fetch — and a
+// source with no Fetches starts at the unknown change rate, whatever
+// an earlier source of its id learned.
 func (r *Registry) Add(src Source) (Source, error) {
 	if err := src.Validate(); err != nil {
 		return Source{}, fmt.Errorf("crawl: %w", err)
+	}
+	if src.Fetches == 0 {
+		src.ChangeRate = unknownRate
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -4,7 +4,7 @@
 // the HTTP server uses it to grow the Retry-After hint while its diff
 // queue keeps shedding load. Centralizing the arithmetic keeps every
 // retry loop honest about the three properties that matter — growth is
-// bounded (Max), synchronized callers are de-correlated (Jitter), and
+// bounded (Max), synchronized callers are de-correlated (jitter), and
 // recovery starts over (Reset).
 package retry
 
@@ -14,22 +14,24 @@ import (
 	"time"
 )
 
-// Policy describes a capped exponential backoff. The zero value picks
-// the defaults noted on each field.
+// Policy describes a capped exponential backoff: the delay doubles per
+// attempt up to Max, and a jittered delay spreads uniformly over ±20%
+// of its value. The zero value picks the defaults noted on each field.
 type Policy struct {
 	// Base is the delay before the first retry (default 500ms).
 	Base time.Duration
 	// Max caps the grown (pre-jitter) delay (default 1m). Jitter never
 	// pushes a returned delay beyond Max.
 	Max time.Duration
-	// Multiplier grows the delay per attempt (default 2; values below 1
-	// fall back to the default).
-	Multiplier float64
-	// Jitter spreads each delay uniformly over ±Jitter of its value, so
-	// callers that fail together do not retry together. 0 picks the
-	// default 0.2; negative disables jitter; values above 1 clamp to 1.
-	Jitter float64
 }
+
+const (
+	// multiplier grows the delay per attempt.
+	multiplier = 2
+	// jitter is the spread of a jittered delay, as a fraction of it, so
+	// callers that fail together do not retry together.
+	jitter = 0.2
+)
 
 func (p Policy) withDefaults() Policy {
 	if p.Base <= 0 {
@@ -40,17 +42,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.Max < p.Base {
 		p.Max = p.Base
-	}
-	if p.Multiplier < 1 {
-		p.Multiplier = 2
-	}
-	switch {
-	case p.Jitter == 0:
-		p.Jitter = 0.2
-	case p.Jitter < 0:
-		p.Jitter = 0
-	case p.Jitter > 1:
-		p.Jitter = 1
 	}
 	return p
 }
@@ -63,7 +54,7 @@ func (p Policy) Delay(attempt int, rng *rand.Rand) time.Duration {
 	p = p.withDefaults()
 	d := float64(p.Base)
 	for i := 0; i < attempt; i++ {
-		d *= p.Multiplier
+		d *= multiplier
 		if d >= float64(p.Max) {
 			break // already at the cap; avoid float overflow
 		}
@@ -71,8 +62,8 @@ func (p Policy) Delay(attempt int, rng *rand.Rand) time.Duration {
 	if d > float64(p.Max) {
 		d = float64(p.Max)
 	}
-	if rng != nil && p.Jitter > 0 {
-		d *= 1 + p.Jitter*(2*rng.Float64()-1)
+	if rng != nil {
+		d *= 1 + jitter*(2*rng.Float64()-1)
 	}
 	if d > float64(p.Max) {
 		d = float64(p.Max)
@@ -111,8 +102,7 @@ type Backoff struct {
 }
 
 // New returns a Backoff over p, with jitter seeded from seed (so tests
-// can pin the sequence). p is kept as given — Delay normalizes it on
-// every call, so a disabled jitter (negative) stays disabled.
+// can pin the sequence).
 func New(p Policy, seed int64) *Backoff {
 	return &Backoff{policy: p, rng: rand.New(rand.NewSource(seed))}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestDelayGrowsExponentiallyAndCaps(t *testing.T) {
-	p := Policy{Base: 100 * time.Millisecond, Max: 2 * time.Second, Multiplier: 2, Jitter: -1}
+	p := Policy{Base: 100 * time.Millisecond, Max: 2 * time.Second}
 	want := []time.Duration{
 		100 * time.Millisecond,
 		200 * time.Millisecond,
@@ -29,7 +29,7 @@ func TestDelayGrowsExponentiallyAndCaps(t *testing.T) {
 }
 
 func TestDelayJitterBoundsAndSpread(t *testing.T) {
-	p := Policy{Base: time.Second, Max: time.Minute, Multiplier: 2, Jitter: 0.2}
+	p := Policy{Base: time.Second, Max: time.Minute}
 	rng := rand.New(rand.NewSource(42))
 	seen := map[time.Duration]bool{}
 	for i := 0; i < 200; i++ {
@@ -46,7 +46,7 @@ func TestDelayJitterBoundsAndSpread(t *testing.T) {
 }
 
 func TestDelayJitterNeverExceedsMax(t *testing.T) {
-	p := Policy{Base: time.Second, Max: 4 * time.Second, Multiplier: 2, Jitter: 0.5}
+	p := Policy{Base: time.Second, Max: 4 * time.Second}
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 500; i++ {
 		if d := p.Delay(9, rng); d > p.Max {
@@ -57,7 +57,7 @@ func TestDelayJitterNeverExceedsMax(t *testing.T) {
 
 func TestZeroValueDefaults(t *testing.T) {
 	p := Policy{}.withDefaults()
-	if p.Base != 500*time.Millisecond || p.Max != time.Minute || p.Multiplier != 2 || p.Jitter != 0.2 {
+	if p.Base != 500*time.Millisecond || p.Max != time.Minute {
 		t.Errorf("zero-value defaults = %+v", p)
 	}
 	// The zero-value policy must produce sane delays out of the box.
@@ -67,7 +67,7 @@ func TestZeroValueDefaults(t *testing.T) {
 }
 
 func TestMaxBelowBaseClampsToBase(t *testing.T) {
-	p := Policy{Base: time.Second, Max: 100 * time.Millisecond, Jitter: -1}
+	p := Policy{Base: time.Second, Max: 100 * time.Millisecond}
 	if d := p.Delay(0, nil); d != time.Second {
 		t.Errorf("Delay(0) = %v, want Base %v when Max < Base", d, time.Second)
 	}
@@ -94,12 +94,17 @@ func TestClampBoundsSuggestedDelay(t *testing.T) {
 	}
 }
 
+// within reports whether d is nominal jittered by at most ±20%.
+func within(d, nominal time.Duration) bool {
+	return d >= nominal*8/10 && d <= nominal*12/10
+}
+
 func TestBackoffAdvanceAndReset(t *testing.T) {
-	b := New(Policy{Base: 10 * time.Millisecond, Max: time.Second, Multiplier: 2, Jitter: -1}, 1)
-	if d := b.Next(); d != 10*time.Millisecond {
+	b := New(Policy{Base: 10 * time.Millisecond, Max: time.Second}, 1)
+	if d := b.Next(); !within(d, 10*time.Millisecond) {
 		t.Fatalf("first Next = %v", d)
 	}
-	if d := b.Next(); d != 20*time.Millisecond {
+	if d := b.Next(); !within(d, 20*time.Millisecond) {
 		t.Fatalf("second Next = %v", d)
 	}
 	if got := b.Attempt(); got != 2 {
@@ -109,8 +114,8 @@ func TestBackoffAdvanceAndReset(t *testing.T) {
 	if got := b.Attempt(); got != 0 {
 		t.Fatalf("Attempt after Reset = %d, want 0", got)
 	}
-	if d := b.Next(); d != 10*time.Millisecond {
-		t.Fatalf("Next after Reset = %v, want %v", d, 10*time.Millisecond)
+	if d := b.Next(); !within(d, 10*time.Millisecond) {
+		t.Fatalf("Next after Reset = %v, want %v ±20%%", d, 10*time.Millisecond)
 	}
 }
 

@@ -58,10 +58,8 @@ func TestCrawlConditionalGetBypassesDiff(t *testing.T) {
 
 	s, ts := newTestServer(t, Config{})
 	c := startTestCrawler(t, s, crawl.Config{
-		MinInterval:     15 * time.Millisecond,
-		MaxInterval:     60 * time.Millisecond,
-		Concurrency:     2,
-		PerHostInterval: -1,
+		MinInterval: 15 * time.Millisecond,
+		MaxInterval: 60 * time.Millisecond,
 	})
 
 	// Seed one versioning diff through the normal PUT path so the diff
@@ -153,9 +151,8 @@ func TestSourcesAPI(t *testing.T) {
 
 	s, ts := newTestServer(t, Config{})
 	startTestCrawler(t, s, crawl.Config{
-		MinInterval:     time.Minute, // nothing needs to be fetched here
-		MaxInterval:     time.Hour,
-		PerHostInterval: -1,
+		MinInterval: time.Minute, // nothing needs to be fetched here
+		MaxInterval: time.Hour,
 	})
 
 	// Invalid bodies and URLs are rejected.
@@ -337,9 +334,8 @@ func TestCrawlSourceMatcher(t *testing.T) {
 
 	s, ts := newTestServer(t, Config{})
 	c := startTestCrawler(t, s, crawl.Config{
-		MinInterval:     15 * time.Millisecond,
-		MaxInterval:     60 * time.Millisecond,
-		PerHostInterval: -1,
+		MinInterval: 15 * time.Millisecond,
+		MaxInterval: 60 * time.Millisecond,
 	})
 	// One BULD diff first, so BULD's series are live before the crawl.
 	doReq(t, "PUT", ts.URL+"/docs/seed", catalogV1)
@@ -391,10 +387,8 @@ func TestCrawlBodyBound(t *testing.T) {
 
 	s, ts := newTestServer(t, Config{MaxBodyBytes: 4096})
 	c := startTestCrawler(t, s, crawl.Config{
-		MinInterval:     15 * time.Millisecond,
-		MaxInterval:     60 * time.Millisecond,
-		PerHostInterval: -1,
-		Retry:           retry.Policy{Base: time.Millisecond, Max: 5 * time.Millisecond},
+		MinInterval: 15 * time.Millisecond,
+		MaxInterval: 60 * time.Millisecond,
 	})
 	if code, _, body := doReq(t, "PUT", ts.URL+"/docs/put", big); code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("PUT of %d bytes = %d (%s), want 413", len(big), code, body)

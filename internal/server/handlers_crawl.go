@@ -52,25 +52,25 @@ type sourceJSON struct {
 	ChangeRate  float64 `json:"changeRate"`
 }
 
-func toSourceJSON(st crawl.Status) sourceJSON {
+func toSourceJSON(src crawl.Source) sourceJSON {
 	j := sourceJSON{
-		ID:          st.ID,
-		URL:         st.URL,
-		Matcher:     st.Matcher,
-		ETag:        st.ETag,
-		Fetches:     st.Fetches,
-		NotModified: st.NotModified,
-		Changes:     st.Changes,
-		Errors:      st.Errors,
-		Failures:    int64(st.Failures),
-		CircuitOpen: st.CircuitOpen(time.Now()),
-		ChangeRate:  st.Rate,
+		ID:          src.ID,
+		URL:         src.URL,
+		Matcher:     src.Matcher,
+		ETag:        src.ETag,
+		Fetches:     src.Fetches,
+		NotModified: src.NotModified,
+		Changes:     src.Changes,
+		Errors:      src.Errors,
+		Failures:    int64(src.Failures),
+		CircuitOpen: src.CircuitOpen(time.Now()),
+		ChangeRate:  src.ChangeRate,
 	}
-	if st.Interval > 0 {
-		j.Interval = st.Interval.String()
+	if src.Interval > 0 {
+		j.Interval = src.Interval.String()
 	}
-	if !st.NextFetch.IsZero() {
-		j.NextFetch = st.NextFetch.UTC().Format(time.RFC3339)
+	if !src.NextFetch.IsZero() {
+		j.NextFetch = src.NextFetch.UTC().Format(time.RFC3339)
 	}
 	return j
 }
@@ -113,7 +113,7 @@ func (s *Server) handleCreateSource(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.log.Info("crawl source added", "id", src.ID, "url", src.URL)
-	writeJSON(w, http.StatusCreated, toSourceJSON(crawl.Status{Source: src, Rate: 0.5}))
+	writeJSON(w, http.StatusCreated, toSourceJSON(src))
 }
 
 func (s *Server) handleListSources(w http.ResponseWriter, r *http.Request) {
@@ -121,8 +121,8 @@ func (s *Server) handleListSources(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	out := []sourceJSON{}
-	for _, st := range s.crawler.Status() {
-		out = append(out, toSourceJSON(st))
+	for _, src := range s.crawler.Registry().List() {
+		out = append(out, toSourceJSON(src))
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -131,20 +131,19 @@ func (s *Server) handleGetSource(w http.ResponseWriter, r *http.Request) {
 	if !s.crawlEnabled(w) {
 		return
 	}
-	for _, st := range s.crawler.Status() {
-		if st.ID == r.PathValue("id") {
-			writeJSON(w, http.StatusOK, toSourceJSON(st))
-			return
-		}
+	src, ok := s.crawler.Registry().Get(r.PathValue("id"))
+	if !ok {
+		writeError(w, http.StatusNotFound, "no such source")
+		return
 	}
-	writeError(w, http.StatusNotFound, "no such source")
+	writeJSON(w, http.StatusOK, toSourceJSON(src))
 }
 
 func (s *Server) handleDeleteSource(w http.ResponseWriter, r *http.Request) {
 	if !s.crawlEnabled(w) {
 		return
 	}
-	ok, err := s.crawler.Remove(r.PathValue("id"))
+	ok, err := s.crawler.Registry().Remove(r.PathValue("id"))
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return

@@ -100,7 +100,7 @@ type Server struct {
 }
 
 // shedPolicy paces the Retry-After hints of shed versions.
-var shedPolicy = retry.Policy{Base: time.Second, Max: 30 * time.Second, Multiplier: 2}
+var shedPolicy = retry.Policy{Base: time.Second, Max: 30 * time.Second}
 
 // New wires a server around st, which may be a store without a
 // directory. It installs the store's observer hook, so st must not have
@@ -192,15 +192,15 @@ func (s *Server) routes() http.Handler {
 // are polled on the adaptive schedule and ingested under the same body
 // bound (Config.MaxBodyBytes replaces cfg.MaxBodyBytes), parse limits
 // and bounded diff pool as HTTP PUTs, and the /sources endpoints come
-// alive. The crawler's change-rate signal is the server's own stats
-// collector, so documents that also receive direct PUTs share one rate
-// history. Call before the handler starts serving; the returned crawler
-// still needs Run (the daemon owns its lifetime).
+// alive. A source's change rate is learned from its fetches alone: a
+// direct PUT to the same document does not train it. Call before the
+// handler starts serving; the returned crawler still needs Run (the
+// daemon owns its lifetime).
 func (s *Server) EnableCrawl(reg *crawl.Registry, cfg crawl.Config) *crawl.Crawler {
 	if cfg.Logger == nil {
 		cfg.Logger = s.log
 	}
 	cfg.MaxBodyBytes = s.cfg.MaxBodyBytes
-	s.crawler = crawl.New(reg, s.crawlIngest, s.pipeline.Stats, cfg)
+	s.crawler = crawl.New(reg, s.crawlIngest, cfg)
 	return s.crawler
 }

@@ -49,7 +49,6 @@ func (l LabelStats) Rate() float64 {
 type Collector struct {
 	mu        sync.Mutex
 	labels    map[string]*LabelStats
-	visits    map[string]*docVisits
 	versions  int
 	ops       delta.Counts
 	deltaSize int64
@@ -58,64 +57,7 @@ type Collector struct {
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
-	return &Collector{
-		labels: make(map[string]*LabelStats),
-		visits: make(map[string]*docVisits),
-	}
-}
-
-// docVisits tracks the acquisition-side change process of one document:
-// how often revisits find it changed. This is the signal Xyleme's
-// crawler schedules on — pages are refreshed at a frequency
-// proportional to their observed change rate.
-type docVisits struct {
-	visits  int
-	changed int
-	rate    float64 // EWMA of the changed/unchanged observations
-}
-
-// visitAlpha is the EWMA weight of the newest visit: heavy enough that
-// a few observations move the rate decisively (a crawler should adapt
-// within a handful of revisits), light enough that one odd visit does
-// not erase the history.
-const visitAlpha = 0.5
-
-// ObserveVisit records one acquisition visit of docID: changed reports
-// whether the visit produced a new version (first fetch included) —
-// false covers both conditional-GET 304s and byte-identical refetches.
-func (c *Collector) ObserveVisit(docID string, changed bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v := c.visits[docID]
-	if v == nil {
-		v = &docVisits{}
-		c.visits[docID] = v
-	}
-	obs := 0.0
-	if changed {
-		obs = 1
-		v.changed++
-	}
-	if v.visits == 0 {
-		v.rate = obs
-	} else {
-		v.rate = visitAlpha*obs + (1-visitAlpha)*v.rate
-	}
-	v.visits++
-}
-
-// ChangeRate returns the EWMA fraction of visits that found docID
-// changed, and how many visits were observed. A document never visited
-// reports 0.5 — "unknown", halfway between static and volatile — so a
-// scheduler starts new sources in the middle of its interval range.
-func (c *Collector) ChangeRate(docID string) (rate float64, visits int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v := c.visits[docID]
-	if v == nil || v.visits == 0 {
-		return 0.5, 0
-	}
-	return v.rate, v.visits
+	return &Collector{labels: make(map[string]*LabelStats)}
 }
 
 // Observe records one version transition. oldDoc is the version the

@@ -135,56 +135,6 @@ func TestRateZeroOccurrences(t *testing.T) {
 	}
 }
 
-func TestObserveVisitRates(t *testing.T) {
-	c := NewCollector()
-
-	// Never visited: unknown, reported as the midpoint.
-	if rate, visits := c.ChangeRate("ghost"); rate != 0.5 || visits != 0 {
-		t.Fatalf("unvisited ChangeRate = %v, %d; want 0.5, 0", rate, visits)
-	}
-
-	// A document that changes on every visit converges to 1.
-	for i := 0; i < 6; i++ {
-		c.ObserveVisit("hot", true)
-	}
-	if rate, visits := c.ChangeRate("hot"); rate != 1 || visits != 6 {
-		t.Fatalf("hot ChangeRate = %v, %d; want 1, 6", rate, visits)
-	}
-
-	// A static document converges to 0 (first visit installs version 1,
-	// every revisit finds it unchanged).
-	c.ObserveVisit("cold", true)
-	for i := 0; i < 8; i++ {
-		c.ObserveVisit("cold", false)
-	}
-	if rate, _ := c.ChangeRate("cold"); rate >= 0.01 {
-		t.Fatalf("cold ChangeRate = %v; want < 0.01", rate)
-	}
-
-	// A mixed history sits strictly between the extremes.
-	for i := 0; i < 20; i++ {
-		c.ObserveVisit("warm", i%2 == 0)
-	}
-	if rate, _ := c.ChangeRate("warm"); rate < 0.2 || rate > 0.8 {
-		t.Fatalf("warm ChangeRate = %v; want within (0.2, 0.8)", rate)
-	}
-}
-
-func TestObserveVisitEWMARecovers(t *testing.T) {
-	// One spurious "unchanged" visit must not peg a hot document cold:
-	// the EWMA pulls back toward 1 within a couple of visits.
-	c := NewCollector()
-	for i := 0; i < 5; i++ {
-		c.ObserveVisit("d", true)
-	}
-	c.ObserveVisit("d", false)
-	c.ObserveVisit("d", true)
-	c.ObserveVisit("d", true)
-	if rate, _ := c.ChangeRate("d"); rate < 0.8 {
-		t.Fatalf("rate after recovery = %v; want >= 0.8", rate)
-	}
-}
-
 // observeReference is Observe as it was before the tally was taken
 // outside the lock from a shared resolution: whole-tree XID indexes,
 // the delta serialized through its document form, the new version

@@ -11,7 +11,9 @@
 #   3. build       every package compiles
 #   4. race        the whole test suite under the race detector, then the
 #                  vstore read-walk tests ten times more, since the walk
-#                  starts goroutines. Among
+#                  starts goroutines, and the server's crawl and source
+#                  tests five times more, since they run at production
+#                  politeness and wait on real fetches. Among
 #                  it: TestMetricsExposition, the format gate that parses
 #                  /metrics as the Prometheus text format; the
 #                  concurrent Put/Diff/Subscribe stress test, the
@@ -55,6 +57,9 @@ $GO test -race ./...
 # allocation counts: under -race sync.Pool drops values at random, so
 # those vary from run to run.
 $GO test -race -count=10 ./internal/vstore -run 'ReadWalks|DecodeAhead'
+# The server's crawl tests wait on real fetches at the crawler's
+# production timings; repeating them is how a timing flake shows.
+$GO test -race -count=5 ./internal/server -run 'Crawl|Source'
 
 echo "==> fuzz-smoke (${FUZZTIME} per fuzzer)"
 $GO test ./internal/dom -run '^$' -fuzz '^FuzzParse$' -fuzztime "$FUZZTIME"
