@@ -19,6 +19,7 @@
 //	xystore -dir DIR delta ID N         print the delta version N -> N+1
 //	xystore -dir DIR aggregate ID A B   print the combined delta A -> B
 //	xystore -dir DIR value ID EXPR      xpathlite value, every version
+//	xystore -dir DIR history ID XID     node XID's path and value, every version
 //	xystore -dir DIR grep ID A B EXPR   ops between A and B matching EXPR
 //	xystore -dir DIR inspect            shard / segment / snapshot / cache summary
 //	xystore -dir DIR compact            fold segment logs into compressed snapshots
@@ -49,7 +50,7 @@ import (
 func main() {
 	dir := flag.String("dir", "xystore-data", "warehouse `directory`")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: xystore -dir DIR put|ids|log|cat|delta|aggregate|value|grep|inspect|compact|migrate|scrub ...\n")
+		fmt.Fprintf(os.Stderr, "usage: xystore -dir DIR put|ids|log|cat|delta|aggregate|value|history|grep|inspect|compact|migrate|scrub ...\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -218,6 +219,8 @@ func exec(s *vstore.Store, cmd string, rest []string) error {
 			}
 		}
 		return nil
+	case "history":
+		return runHistory(os.Stdout, s, rest)
 	case "grep":
 		if len(rest) != 4 {
 			return fmt.Errorf("grep needs ID A B EXPR")
@@ -253,6 +256,32 @@ func exec(s *vstore.Store, cmd string, rest []string) error {
 	default:
 		return fmt.Errorf("unknown command %q", cmd)
 	}
+}
+
+// runHistory prints where the node with a persistent identifier lives,
+// and what it holds, at every version of a document: the paper's
+// "querying the past" by XID. A version without the node reads
+// "(absent)".
+func runHistory(w io.Writer, s *vstore.Store, rest []string) error {
+	if len(rest) != 2 {
+		return fmt.Errorf("history needs ID XID")
+	}
+	x, err := strconv.ParseInt(rest[1], 10, 64)
+	if err != nil {
+		return fmt.Errorf("bad XID %q", rest[1])
+	}
+	hist, err := s.NodeHistory(rest[0], x)
+	if err != nil {
+		return err
+	}
+	for _, ns := range hist {
+		if ns.Present {
+			fmt.Fprintf(w, "v%d\t%s\t%s\n", ns.Version, ns.Path, ns.Value)
+		} else {
+			fmt.Fprintf(w, "v%d\t(absent)\n", ns.Version)
+		}
+	}
+	return nil
 }
 
 // runInspect prints the storage summary: the shard / segment /

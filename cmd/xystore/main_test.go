@@ -7,11 +7,13 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"xydiff/internal/diff"
 	"xydiff/internal/faultfs"
+	"xydiff/internal/faultfs/faultfstest"
 	"xydiff/internal/scrub"
 	"xydiff/internal/vstore"
 )
@@ -41,6 +43,7 @@ func TestStoreWorkflow(t *testing.T) {
 		{"delta", "docs/cat", "1"},
 		{"aggregate", "docs/cat", "1", "2"},
 		{"value", "docs/cat", "//p[1]/price"},
+		{"history", "docs/cat", "1"},
 		{"grep", "docs/cat", "1", "2", "//p"},
 	} {
 		if err := run(wh, args); err != nil {
@@ -71,6 +74,9 @@ func TestStoreErrors(t *testing.T) {
 		{"aggregate", "d", "x", "y"}, // bad numbers
 		{"value", "d"},               // missing expr
 		{"value", "d", "[broken"},    // bad expr
+		{"history", "d"},             // missing XID
+		{"history", "d", "x"},        // bad XID
+		{"history", "ghost", "1"},    // unknown id
 		{"grep", "d", "1", "2"},      // missing expr
 		{"grep", "d", "x", "y", "//a"},
 	}
@@ -78,6 +84,40 @@ func TestStoreErrors(t *testing.T) {
 		if err := run(wh, args); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)
 		}
+	}
+}
+
+// TestHistory follows one node by its XID through three versions: in
+// place, moved under another parent, then deleted.
+func TestHistory(t *testing.T) {
+	dir := t.TempDir()
+	wh := filepath.Join(dir, "warehouse")
+	for i, body := range []string{
+		`<cat><a><p>tracked text</p></a><b/></cat>`,
+		`<cat><a/><b><p>tracked text</p></b></cat>`,
+		`<cat><a/><b/></cat>`,
+	} {
+		if err := run(wh, []string{"put", "d", writeDoc(t, dir, fmt.Sprintf("v%d.xml", i+1), body)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := vstore.Open(wh, diff.Options{}, vstore.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	v1, err := s.Version("d", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := v1.Root().Children[0].Children[0]
+	var out bytes.Buffer
+	if err := runHistory(&out, s, []string{"d", strconv.FormatInt(p.XID, 10)}); err != nil {
+		t.Fatal(err)
+	}
+	want := "v1\t/cat/a/p\ttracked text\nv2\t/cat/b/p\ttracked text\nv3\t(absent)\n"
+	if out.String() != want {
+		t.Errorf("history of <p> (XID %d):\n%s\nwant:\n%s", p.XID, out.String(), want)
 	}
 }
 
@@ -246,7 +286,7 @@ func TestScrubCommandShardedLayout(t *testing.T) {
 	if len(matches) != 1 {
 		t.Fatalf("snapshots = %v", matches)
 	}
-	if err := faultfs.FlipBit(faultfs.OS{}, matches[0], 2, 4); err != nil {
+	if err := faultfstest.FlipBit(faultfs.OS{}, matches[0], 2, 4); err != nil {
 		t.Fatal(err)
 	}
 	if err := run(wh, []string{"scrub", "-once", "-repair"}); err != nil {

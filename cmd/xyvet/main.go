@@ -2,9 +2,10 @@
 // (internal/analysis) over the module: the repo-specific invariants —
 // no panics escaping library code, balanced lock and pool usage,
 // context propagation, wrapped errors, durable-write ordering,
-// goroutine and timer lifecycles, and the architecture boundaries
+// goroutine and timer lifecycles, the architecture boundaries
 // (the diff core never imports os/syscall/net or encoding/xml, storage
-// never imports the server, commands never import each other) —
+// never imports the server, commands never import each other), and
+// testonly (no library function that only tests reach) —
 // checked mechanically instead of by review. Packages are analyzed in parallel on up to
 // GOMAXPROCS goroutines; output order is deterministic regardless.
 //
@@ -13,7 +14,8 @@
 //	xyvet [-json] [-list] [packages]
 //
 // Package patterns are module-relative ("./...", "./internal/store").
-// With no pattern, ./... is checked.
+// With no pattern, ./... is checked. testonly needs every caller
+// loaded, so it reports only when the patterns cover the whole module.
 //
 // Exit status:
 //

@@ -3,9 +3,10 @@
 // the code, the invariants the change-control stack depends on: no
 // panics escaping library packages, balanced per-document lock usage in
 // the store, context propagation through the diff and the server,
-// errors wrapped as they cross package boundaries, and the durable-write
+// errors wrapped as they cross package boundaries, the durable-write
 // ordering of the segment journals (append + fsync happens-before the
-// in-memory commit and the snapshot rename).
+// in-memory commit and the snapshot rename), and production packages
+// that hold only code production reaches (testonly).
 //
 // The suite is built only on the standard toolchain packages (go/ast,
 // go/parser, go/token, go/types) — no external analysis framework — and
@@ -111,6 +112,8 @@ func (p *Pass) CalleeDecl(call *ast.CallExpr) *ast.FuncDecl {
 // goroleak's spawned-callee resolution.
 type moduleIndex struct {
 	funcs map[types.Object]*ast.FuncDecl
+	// testonly is nil unless TestOnly runs over the whole module.
+	testonly *testOnlyFacts
 }
 
 func buildModuleIndex(pkgs []*Package) *moduleIndex {
@@ -176,12 +179,12 @@ func (d Diagnostic) String() string {
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	idx := buildModuleIndex(pkgs)
 	running := make(map[string]bool, len(analyzers))
-	stale := false
 	for _, a := range analyzers {
 		running[a.Name] = true
-		if a.Name == StaleAllow.Name {
-			stale = true
-		}
+	}
+	stale := running[StaleAllow.Name]
+	if running[TestOnly.Name] {
+		idx.testonly = buildTestOnlyFacts(pkgs, idx.funcs)
 	}
 	results := make([][]Diagnostic, len(pkgs))
 	runPkg := func(i int) {
@@ -348,6 +351,7 @@ func All() []*Analyzer {
 		PoolBalance,
 		TimerLeak,
 		DepBound,
+		TestOnly,
 		StaleAllow,
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"go/ast"
 )
 
-// CtxFlow enforces the context discipline diff.DiffContext and the
+// CtxFlow enforces the context discipline diff.DiffDetailedContext and the
 // server introduced: cancellation flows from the request into the diff
 // phases as an explicit parameter, never through stored state. A
 // context.Context must be a function's first parameter, must be

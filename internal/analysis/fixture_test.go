@@ -39,29 +39,28 @@ func runFixture(t *testing.T, a *Analyzer) {
 	runFixtureSuite(t, a.Name, []*Analyzer{a})
 }
 
-func runFixtureSuite(t *testing.T, name string, analyzers []*Analyzer) {
-	t.Helper()
-	t.Parallel()
-	archive := filepath.Join("testdata", name+".txtar")
-	data, err := os.ReadFile(archive)
+// TestTestOnlyFixture also loads one package of the fixture alone: its
+// callers are not loaded then, so nothing may be reported.
+func TestTestOnlyFixture(t *testing.T) {
+	runFixture(t, TestOnly)
+	dir, _ := extractFixture(t, TestOnly.Name)
+	loader, err := LoaderForDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	files := parseTxtar(data)
-	if len(files) == 0 {
-		t.Fatalf("%s: no files in archive", archive)
+	pkgs, err := loader.Load("./lib")
+	if err != nil {
+		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	for _, f := range files {
-		path := filepath.Join(dir, filepath.FromSlash(f.name))
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, f.data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	for _, d := range Run(pkgs, []*Analyzer{TestOnly}) {
+		t.Errorf("partial load reported %s", d)
 	}
+}
 
+func runFixtureSuite(t *testing.T, name string, analyzers []*Analyzer) {
+	t.Helper()
+	t.Parallel()
+	dir, files := extractFixture(t, name)
 	loader, err := LoaderForDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -99,6 +98,32 @@ func runFixtureSuite(t *testing.T, name string, analyzers []*Analyzer) {
 			t.Errorf("%s:%d: missing diagnostic matching %q", w.file, w.line, w.re)
 		}
 	}
+}
+
+// extractFixture writes testdata/<name>.txtar into a temporary
+// directory and returns it with the archive's files.
+func extractFixture(t *testing.T, name string) (string, []fixtureFile) {
+	t.Helper()
+	archive := filepath.Join("testdata", name+".txtar")
+	data, err := os.ReadFile(archive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := parseTxtar(data)
+	if len(files) == 0 {
+		t.Fatalf("%s: no files in archive", archive)
+	}
+	dir := t.TempDir()
+	for _, f := range files {
+		path := filepath.Join(dir, filepath.FromSlash(f.name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, f.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir, files
 }
 
 // wantMarker is one expected diagnostic: the line it must land on and

@@ -20,9 +20,11 @@ type Package struct {
 	// Mod is the module path the package belongs to ("xydiff");
 	// analyzers use it to express module-relative layer rules.
 	Mod string
-	// Dir is the directory the sources were read from.
-	Dir  string
-	Fset *token.FileSet
+	// Dir is the directory the sources were read from, and ModDir the
+	// module's root directory.
+	Dir    string
+	ModDir string
+	Fset   *token.FileSet
 	// Files are the parsed non-test sources, sorted by file name.
 	Files []*ast.File
 	// Types is the checked package object (possibly marked incomplete
@@ -117,23 +119,8 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 			dirs[root] = true
 			continue
 		}
-		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if !d.IsDir() {
-				return nil
-			}
-			name := d.Name()
-			if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
-				name == "testdata" || name == "vendor") {
-				return filepath.SkipDir
-			}
-			dirs[path] = true
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("analysis: walk %s: %w", root, err)
+		if err := packageDirs(root, func(dir string) { dirs[dir] = true }); err != nil {
+			return nil, err
 		}
 	}
 	var pkgs []*Package
@@ -153,6 +140,31 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
 	return pkgs, nil
+}
+
+// packageDirs visits root and every directory below it that "./..."
+// covers: hidden, underscore, testdata and vendor directories are
+// skipped, as the go command does.
+func packageDirs(root string, visit func(dir string)) error {
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if !d.IsDir() {
+			return nil
+		}
+		name := d.Name()
+		if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
+			name == "testdata" || name == "vendor") {
+			return filepath.SkipDir
+		}
+		visit(path)
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("analysis: walk %s: %w", root, err)
+	}
+	return nil
 }
 
 func containsGoFiles(dir string) (bool, error) {
@@ -215,7 +227,7 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("analysis: no buildable Go files in %s", dir)
 	}
-	pkg := &Package{Path: path, Mod: l.ModPath, Dir: dir, Fset: l.fset, Files: files}
+	pkg := &Package{Path: path, Mod: l.ModPath, Dir: dir, ModDir: l.ModDir, Fset: l.fset, Files: files}
 	// Register before checking so import cycles terminate (they
 	// surface as type errors rather than infinite recursion).
 	l.cache[path] = pkg

@@ -37,37 +37,6 @@ func (r *DiffMKResult) Changed() int {
 	return n
 }
 
-// Size approximates the output size in bytes: every inserted or
-// deleted token is carried once, plus a marker byte.
-func (r *DiffMKResult) Size() int {
-	size := 0
-	for _, e := range r.Edits {
-		switch e.Kind {
-		case lcs.Delete:
-			size += len(r.OldTokens[e.AIdx]) + 2
-		case lcs.Insert:
-			size += len(r.NewTokens[e.BIdx]) + 2
-		}
-	}
-	return size
-}
-
-// Reconstruct replays the script, returning the token list of the new
-// document; tests use it to show the script is lossless even though the
-// representation is structure-blind.
-func (r *DiffMKResult) Reconstruct() []string {
-	var out []string
-	for _, e := range r.Edits {
-		switch e.Kind {
-		case lcs.Keep:
-			out = append(out, r.OldTokens[e.AIdx])
-		case lcs.Insert:
-			out = append(out, r.NewTokens[e.BIdx])
-		}
-	}
-	return out
-}
-
 // Flatten linearizes a document into the token list DiffMK operates on.
 func Flatten(doc *dom.Node) []string {
 	var out []string

@@ -27,6 +27,15 @@ import (
 // alignment). Time and space are O(|old|·|new|) in the worst case —
 // this is the quadratic baseline of the paper's state of the art.
 func LuSelkow(oldDoc, newDoc *dom.Node) (*delta.Delta, error) {
+	m := newLuMatcher(oldDoc, newDoc)
+	pairs := make(map[*dom.Node]*dom.Node)
+	m.align(oldDoc, newDoc, pairs)
+	return diff.FromMatching(oldDoc, newDoc, pairs, diff.Options{})
+}
+
+// newLuMatcher indexes both documents for the edit-distance recursion;
+// m.dist(oldDoc, newDoc) is then the raw Selkow distance.
+func newLuMatcher(oldDoc, newDoc *dom.Node) *luMatcher {
 	m := &luMatcher{memo: make(map[luKey]int)}
 	m.oldN = dom.Postorder(oldDoc)
 	m.newN = dom.Postorder(newDoc)
@@ -40,9 +49,7 @@ func LuSelkow(oldDoc, newDoc *dom.Node) (*delta.Delta, error) {
 	for i, n := range m.newN {
 		m.sizeNew[i] = n.Size()
 	}
-	pairs := make(map[*dom.Node]*dom.Node)
-	m.align(oldDoc, newDoc, pairs)
-	return diff.FromMatching(oldDoc, newDoc, pairs, diff.Options{})
+	return m
 }
 
 type luKey struct{ o, n int32 }
@@ -145,25 +152,6 @@ func (m *luMatcher) align(o, n *dom.Node, pairs map[*dom.Node]*dom.Node) {
 	}
 	pairs[o] = n
 	m.childEdit(o, n, pairs)
-}
-
-// Distance exposes the raw Selkow edit distance (for tests comparing
-// against brute force and for cost-model experiments).
-func Distance(oldDoc, newDoc *dom.Node) int {
-	m := &luMatcher{memo: make(map[luKey]int)}
-	m.oldN = dom.Postorder(oldDoc)
-	m.newN = dom.Postorder(newDoc)
-	m.oldIdx = indexOf(m.oldN)
-	m.newIdx = indexOf(m.newN)
-	m.size = make([]int, len(m.oldN))
-	for i, n := range m.oldN {
-		m.size[i] = n.Size()
-	}
-	m.sizeNew = make([]int, len(m.newN))
-	for i, n := range m.newN {
-		m.sizeNew[i] = n.Size()
-	}
-	return m.dist(oldDoc, newDoc)
 }
 
 func indexOf(nodes []*dom.Node) map[*dom.Node]int {

@@ -102,17 +102,6 @@ func (s *CorpusServer) Paths() []string {
 	return out
 }
 
-// Version returns the current version number of the document at path
-// (0 when the path is not served).
-func (s *CorpusServer) Version(path string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if d := s.docs[path]; d != nil {
-		return d.version
-	}
-	return 0
-}
-
 // Mutate evolves the document at path by one version (the WebCorpus
 // weekly-change process) and advances the synthetic clock, so the new
 // version carries a fresh ETag and a later Last-Modified.
@@ -146,6 +135,8 @@ func (s *CorpusServer) mutateLocked(path string, d *originDoc) error {
 // document evolves with probability prob (drawn from the seeded rng, so
 // the sequence of Ticks is deterministic). It returns how many
 // documents changed.
+//
+//xyvet:allow testonly -- drives the synthetic origin for the crawler benchmarks; it advances the unexported clock and seeded rng under the lock
 func (s *CorpusServer) Tick(prob float64) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

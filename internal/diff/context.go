@@ -4,29 +4,19 @@ import (
 	"context"
 	"errors"
 
-	"xydiff/internal/delta"
 	"xydiff/internal/dom"
 )
 
 // errCanceled is the sentinel the phases return when Options.done
-// fires; DiffContext translates it into the context's own error.
+// fires; DiffDetailedContext translates it into the context's own error.
 var errCanceled = errors.New("diff: canceled")
 
-// DiffContext is Diff honouring context cancellation: a long diff
-// aborts between phases — and inside the Phase 3 matching loop, where
-// large documents spend most of their time — as soon as ctx is done.
-// The returned error is ctx.Err() in that case. Both documents may
-// have received partial XID annotations by then and should be
+// DiffDetailedContext is DiffDetailed honouring context cancellation:
+// a long diff aborts between phases — and inside the Phase 3 matching
+// loop, where large documents spend most of their time — as soon as ctx
+// is done. The returned error is ctx.Err() in that case. Both documents
+// may have received partial XID annotations by then and should be
 // discarded by the caller.
-func DiffContext(ctx context.Context, oldDoc, newDoc *dom.Node, opts Options) (*delta.Delta, error) {
-	r, err := DiffDetailedContext(ctx, oldDoc, newDoc, opts)
-	if err != nil {
-		return nil, err
-	}
-	return r.Delta, nil
-}
-
-// DiffDetailedContext is DiffDetailed honouring context cancellation.
 func DiffDetailedContext(ctx context.Context, oldDoc, newDoc *dom.Node, opts Options) (*Result, error) {
 	opts.done = ctx.Done()
 	r, err := DiffDetailed(oldDoc, newDoc, opts)

@@ -16,11 +16,11 @@ func TestDiffContextCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := diff.DiffContext(context.Background(), oldDoc, sim.New, diff.Options{})
+	r, err := diff.DiffDetailedContext(context.Background(), oldDoc, sim.New, diff.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Empty() {
+	if r.Delta.Empty() {
 		t.Error("expected a non-empty delta")
 	}
 }
@@ -35,7 +35,7 @@ func TestDiffContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already canceled: the first phase boundary must abort
 	for _, matcher := range diff.Matchers() {
-		if _, err := diff.DiffContext(ctx, oldDoc.Clone(), sim.New.Clone(), diff.Options{Matcher: matcher}); err != context.Canceled {
+		if _, err := diff.DiffDetailedContext(ctx, oldDoc.Clone(), sim.New.Clone(), diff.Options{Matcher: matcher}); err != context.Canceled {
 			t.Fatalf("%s: err = %v, want context.Canceled", matcher, err)
 		}
 	}
@@ -71,7 +71,7 @@ func TestDiffContextCanceledLargeDocument(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, matcher := range diff.Matchers() {
-		if _, err := diff.DiffContext(ctx, oldDoc, sim.New, diff.Options{Matcher: matcher}); err != context.Canceled {
+		if _, err := diff.DiffDetailedContext(ctx, oldDoc, sim.New, diff.Options{Matcher: matcher}); err != context.Canceled {
 			t.Fatalf("%s: err = %v, want context.Canceled", matcher, err)
 		}
 	}

@@ -114,7 +114,7 @@ type Options struct {
 
 	// done, when non-nil, aborts the diff once the channel closes
 	// (between phases and periodically inside the Phase 3 loop). Set
-	// through DiffContext.
+	// through DiffDetailedContext.
 	done <-chan struct{}
 }
 

@@ -84,7 +84,7 @@ func TestSFTMPreOrderSeam(t *testing.T) {
 }
 
 // A match that sftm abandons because done closed must surface as the
-// package's own sentinel, which DiffContext turns into ctx.Err().
+// package's own sentinel, which DiffDetailedContext turns into ctx.Err().
 func TestSFTMCancellationBecomesErrCanceled(t *testing.T) {
 	doc, err := dom.ParseString(`<r><a>one</a><b>two</b></r>`)
 	if err != nil {

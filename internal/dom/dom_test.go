@@ -385,8 +385,12 @@ func TestSizeAndDepth(t *testing.T) {
 	if len(name) != 1 {
 		t.Fatalf("Select found %d Name nodes, want 1", len(name))
 	}
-	if d := Depth(name[0]); d != 4 {
-		t.Errorf("Depth = %d, want 4", d)
+	depth := 0
+	for p := name[0].Parent; p != nil; p = p.Parent {
+		depth++
+	}
+	if depth != 4 {
+		t.Errorf("Name has %d ancestors, want 4", depth)
 	}
 }
 

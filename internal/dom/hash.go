@@ -44,18 +44,13 @@ func (h *Hash64) MixUint64(v uint64) {
 // Sum returns the current hash value.
 func (h Hash64) Sum() uint64 { return uint64(h) }
 
-// HashNode mixes the shallow content of n — type, label, value and
-// sorted attributes, but not children — into h. It is the per-node
+// HashNodeScratch mixes the shallow content of n — type, label, value
+// and sorted attributes, but not children — into h. It is the per-node
 // step of a subtree signature; callers mix child signatures themselves
-// (see the diff's annotation phase) or use HashSubtree.
-func (h *Hash64) HashNode(n *Node) {
-	h.HashNodeScratch(n, nil)
-}
-
-// HashNodeScratch is HashNode with a reusable attribute-sort buffer,
-// for hot loops that hash millions of nodes: the (possibly grown)
-// buffer is returned so the caller can pass it to the next call and
-// amortize the sort copy to zero allocations.
+// (see the diff's annotation phase). buf is a reusable attribute-sort
+// buffer, for hot loops that hash millions of nodes: the (possibly
+// grown) buffer is returned so the caller can pass it to the next call
+// and amortize the sort copy to zero allocations.
 func (h *Hash64) HashNodeScratch(n *Node, buf []Attr) []Attr {
 	h.MixByte(byte(n.Type))
 	h.MixString(n.Name)
@@ -81,16 +76,4 @@ func (h *Hash64) HashNodeScratch(n *Node, buf []Attr) []Attr {
 		h.MixString(n.Value)
 	}
 	return buf
-}
-
-// HashSubtree returns a signature of the whole subtree rooted at n:
-// two subtrees with equal canonical content hash equal. XIDs and
-// Parent links do not participate.
-func HashSubtree(n *Node) uint64 {
-	h := NewHash64()
-	h.HashNode(n)
-	for _, c := range n.Children {
-		h.MixUint64(HashSubtree(c))
-	}
-	return h.Sum()
 }

@@ -46,15 +46,6 @@ func Preorder(n *Node) []*Node {
 	return nodes
 }
 
-// Depth returns the number of ancestors of n (0 for a root).
-func Depth(n *Node) int {
-	d := 0
-	for p := n.Parent; p != nil; p = p.Parent {
-		d++
-	}
-	return d
-}
-
 // FindByXID returns the node with the given XID in the subtree rooted
 // at n, or nil. It is a linear scan; the delta apply engine builds a
 // map instead.

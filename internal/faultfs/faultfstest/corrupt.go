@@ -1,8 +1,10 @@
-package faultfs
+package faultfstest
 
 import (
 	"fmt"
 	"os"
+
+	"xydiff/internal/faultfs"
 )
 
 // Deterministic at-rest corruption injectors for the bit-rot chaos
@@ -16,7 +18,7 @@ import (
 // FlipBit inverts one bit of the file at path: bit 0–7 of the byte at
 // off. Offsets may be negative to count from the end (-1 is the last
 // byte).
-func FlipBit(fsys FS, path string, off int64, bit uint) error {
+func FlipBit(fsys faultfs.FS, path string, off int64, bit uint) error {
 	if bit > 7 {
 		return fmt.Errorf("faultfs: flip bit %d: bit index out of range", bit)
 	}
@@ -33,7 +35,7 @@ func FlipBit(fsys FS, path string, off int64, bit uint) error {
 // ZeroRange overwrites n bytes starting at off with zeros — a hole a
 // failed flush or a remapped sector leaves. off may be negative to
 // count from the end.
-func ZeroRange(fsys FS, path string, off, n int64) error {
+func ZeroRange(fsys faultfs.FS, path string, off, n int64) error {
 	return mutate(fsys, path, func(b []byte) error {
 		i, err := resolve(off, len(b))
 		if err != nil {
@@ -51,7 +53,7 @@ func ZeroRange(fsys FS, path string, off, n int64) error {
 
 // TruncateTail cuts the last n bytes off the file — the torn-write
 // shape, but injected after the fact into an already-sealed file.
-func TruncateTail(fsys FS, path string, n int64) error {
+func TruncateTail(fsys faultfs.FS, path string, n int64) error {
 	fi, err := fsys.Stat(path)
 	if err != nil {
 		return fmt.Errorf("faultfs: truncate tail: %w", err)
@@ -76,7 +78,7 @@ func resolve(off int64, size int) (int64, error) {
 // mutate rewrites path in place with fn applied to its bytes. The
 // write is deliberately NOT atomic (no temp+rename): corruption does
 // not announce itself with a fresh inode.
-func mutate(fsys FS, path string, fn func([]byte) error) error {
+func mutate(fsys faultfs.FS, path string, fn func([]byte) error) error {
 	b, err := fsys.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("faultfs: corrupt %s: %w", path, err)

@@ -64,13 +64,6 @@ func (ix *Index) AddDocument(docID string, doc *dom.Node) {
 	})
 }
 
-// RemoveDocument drops all postings of a document.
-func (ix *Index) RemoveDocument(docID string) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.removeDocLocked(docID)
-}
-
 // ApplyDelta updates the index incrementally from a delta: deleted
 // subtrees lose their postings, inserted subtrees gain theirs, updates
 // swap the words of one text node, and moves cost nothing because

@@ -58,10 +58,15 @@ func TestSearchDocs(t *testing.T) {
 	}
 }
 
+// TestRemoveDocument: removing a document's postings, which
+// AddDocument does before it indexes a new version, leaves no word,
+// posting or document entry behind.
 func TestRemoveDocument(t *testing.T) {
 	ix := New()
 	ix.AddDocument("a", doc(t, `<r><p>unique words here</p></r>`))
-	ix.RemoveDocument("a")
+	ix.mu.Lock()
+	ix.removeDocLocked("a")
+	ix.mu.Unlock()
 	if st := ix.Stats(); st.Words != 0 || st.Postings != 0 || st.Docs != 0 {
 		t.Errorf("stats after removal = %+v", st)
 	}

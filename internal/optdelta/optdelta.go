@@ -92,6 +92,8 @@ type Result struct {
 
 // Optimal returns the minimum edit-script cost transforming oldDoc
 // into newDoc. Both must be Document nodes within Options.MaxNodes.
+//
+//xyvet:allow testonly -- the exact minimum-cost oracle TestQualityPinned and FuzzOptDeltaSound hold the matchers' deltas to
 func Optimal(oldDoc, newDoc *dom.Node, opts Options) (Result, error) {
 	if oldDoc == nil || newDoc == nil ||
 		oldDoc.Type != dom.Document || newDoc.Type != dom.Document {

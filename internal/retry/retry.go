@@ -117,13 +117,6 @@ func (b *Backoff) Next() time.Duration {
 	return d
 }
 
-// Attempt reports how many Next calls happened since the last Reset.
-func (b *Backoff) Attempt() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.attempt
-}
-
 // Reset restarts the progression; the next Next returns ~Base again.
 func (b *Backoff) Reset() {
 	b.mu.Lock()

@@ -107,13 +107,7 @@ func TestBackoffAdvanceAndReset(t *testing.T) {
 	if d := b.Next(); !within(d, 20*time.Millisecond) {
 		t.Fatalf("second Next = %v", d)
 	}
-	if got := b.Attempt(); got != 2 {
-		t.Fatalf("Attempt = %d, want 2", got)
-	}
 	b.Reset()
-	if got := b.Attempt(); got != 0 {
-		t.Fatalf("Attempt after Reset = %d, want 0", got)
-	}
 	if d := b.Next(); !within(d, 10*time.Millisecond) {
 		t.Fatalf("Next after Reset = %v, want %v ±20%%", d, 10*time.Millisecond)
 	}

@@ -116,12 +116,6 @@ type Runner struct {
 	stopOnce sync.Once
 	stop     chan struct{}
 	done     chan struct{}
-
-	mu      sync.Mutex
-	cycles  int64
-	lastErr error
-	last    Report
-	lastAt  time.Time
 }
 
 // NewRunner prepares (but does not start) a background scrubber that
@@ -151,11 +145,7 @@ func (r *Runner) Run(ctx context.Context) {
 			return
 		case <-t.C:
 		}
-		rep, err := r.pass(ctx)
-		r.mu.Lock()
-		r.cycles++
-		r.last, r.lastErr, r.lastAt = rep, err, time.Now()
-		r.mu.Unlock()
+		_, _ = r.pass(ctx) // the pass keeps its own statistics
 		t.Reset(r.interval)
 	}
 }
@@ -165,12 +155,4 @@ func (r *Runner) Run(ctx context.Context) {
 func (r *Runner) Stop() {
 	r.stopOnce.Do(func() { close(r.stop) })
 	<-r.done
-}
-
-// Last returns the most recent cycle's report, its completion time and
-// error, plus how many cycles completed (0 means none yet).
-func (r *Runner) Last() (rep Report, at time.Time, err error, cycles int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.last, r.lastAt, r.lastErr, r.cycles
 }

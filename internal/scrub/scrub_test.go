@@ -269,10 +269,6 @@ func TestRunnerLifecycle(t *testing.T) {
 	if passes.Load() != after {
 		t.Fatal("runner kept cycling after Stop")
 	}
-	rep, at, err, cycles := r.Last()
-	if err != nil || rep.BytesScanned != 42 || cycles < 3 || at.IsZero() {
-		t.Fatalf("Last() = %+v at %v err %v cycles %d", rep, at, err, cycles)
-	}
 }
 
 func TestReportNote(t *testing.T) {

@@ -70,7 +70,7 @@ func TestCrawlConditionalGetBypassesDiff(t *testing.T) {
 	if code, _, body := doReq(t, "PUT", ts.URL+"/docs/seed", catalogV2); code != http.StatusOK {
 		t.Fatalf("PUT seed v2: %d %s", code, body)
 	}
-	diffsBefore := s.Metrics().DiffCount()
+	diffsBefore := counterSum(t, ts, "xydiffd_diffs_total")
 	if diffsBefore == 0 {
 		t.Fatal("diff counter not live after two PUTs")
 	}
@@ -98,7 +98,7 @@ func TestCrawlConditionalGetBypassesDiff(t *testing.T) {
 
 	// The initial 200 installed version 1 — which is not a diff — and
 	// every revalidation after it skipped the pipeline entirely.
-	if got := s.Metrics().DiffCount(); got != diffsBefore {
+	if got := counterSum(t, ts, "xydiffd_diffs_total"); got != diffsBefore {
 		t.Errorf("diff counter moved from %d to %d during 304-only crawling", diffsBefore, got)
 	}
 	if code, _, body := doReq(t, "GET", ts.URL+"/docs/static/versions/1", ""); code != http.StatusOK || body != catalogV1 {
@@ -367,7 +367,7 @@ func TestCrawlSourceMatcher(t *testing.T) {
 	if sftm == 0 {
 		t.Errorf("no phase time under matcher=sftm after a crawled sftm diff: %v", after)
 	}
-	if n := s.Metrics().DiffCountByMatcher("sftm"); n != 1 {
+	if n := counterSum(t, ts, "xydiffd_diffs_total", "matcher", "sftm"); n != 1 {
 		t.Errorf("sftm diff count = %d, want 1", n)
 	}
 }

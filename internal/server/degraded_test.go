@@ -16,6 +16,7 @@ import (
 	"xydiff/internal/diff"
 	"xydiff/internal/dom"
 	"xydiff/internal/faultfs"
+	"xydiff/internal/faultfs/faultfstest"
 	"xydiff/internal/vstore"
 )
 
@@ -60,7 +61,7 @@ func degradeServerDoc(t *testing.T, st *vstore.Store, dir string) {
 		t.Fatalf("want sealed segments, have %v", matches)
 	}
 	victim := matches[0]
-	if err := faultfs.FlipBit(faultfs.OS{}, victim, 12, 2); err != nil {
+	if err := faultfstest.FlipBit(faultfs.OS{}, victim, 12, 2); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := st.ScrubPass(context.Background())

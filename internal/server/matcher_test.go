@@ -4,8 +4,6 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-
-	"xydiff/internal/diff"
 )
 
 // TestPutMatcherOverride drives the per-PUT ?matcher= override end to
@@ -13,7 +11,7 @@ import (
 // still applies (version 1 reconstructs), and a bad name is a 400
 // before any parse work happens.
 func TestPutMatcherOverride(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t, Config{})
 
 	pageV1 := `<html><body><h1>Shop</h1><ul><li>apple pie recipe</li><li>orange juice guide</li></ul></body></html>`
 	pageV2 := `<html><body><h1>Shop</h1><ul><li>orange juice guide</li><li>apple pie recipe</li></ul></body></html>`
@@ -24,10 +22,10 @@ func TestPutMatcherOverride(t *testing.T) {
 	if code, _, body := doReq(t, "PUT", ts.URL+"/docs/page?matcher=sftm", pageV2); code != http.StatusOK {
 		t.Fatalf("PUT v2: %d %s", code, body)
 	}
-	if n := s.Metrics().DiffCountByMatcher(diff.MatcherSFTM); n != 1 {
+	if n := counterSum(t, ts, "xydiffd_diffs_total", "matcher", "sftm"); n != 1 {
 		t.Fatalf("sftm diff count = %d, want 1", n)
 	}
-	if n := s.Metrics().DiffCountByMatcher(diff.MatcherBULD); n != 0 {
+	if n := counterSum(t, ts, "xydiffd_diffs_total", "matcher", "buld"); n != 0 {
 		t.Fatalf("buld diff count = %d, want 0", n)
 	}
 	// Its phase time is SFTM's too: every BULD phase sample stays 0.
@@ -72,7 +70,7 @@ func TestPutMatcherOverride(t *testing.T) {
 	if code, _, body := doReq(t, "PUT", ts.URL+"/docs/page", pageV1); code != http.StatusOK {
 		t.Fatalf("PUT v3: %d %s", code, body)
 	}
-	if n := s.Metrics().DiffCountByMatcher(diff.MatcherBULD); n != 1 {
+	if n := counterSum(t, ts, "xydiffd_diffs_total", "matcher", "buld"); n != 1 {
 		t.Fatalf("buld diff count after default PUT = %d, want 1", n)
 	}
 }

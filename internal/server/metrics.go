@@ -115,32 +115,6 @@ func (m *Metrics) addStreamDropped(n int) {
 	m.streamDropped += int64(n)
 }
 
-// StreamDropped returns how many alerts slow NDJSON consumers lost.
-func (m *Metrics) StreamDropped() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.streamDropped
-}
-
-// DiffCount returns how many versioning diffs have been recorded,
-// summed over matchers.
-func (m *Metrics) DiffCount() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var total int64
-	for _, d := range m.diffs {
-		total += d.n
-	}
-	return total
-}
-
-// DiffCountByMatcher returns how many diffs the given matcher computed.
-func (m *Metrics) DiffCountByMatcher(matcher diff.Matcher) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.diffs[matcher].n
-}
-
 // latencyBounds are the request-latency buckets' upper bounds in
 // seconds: 100µs .. 100s, roughly 3 buckets per decade.
 var latencyBounds = [...]float64{

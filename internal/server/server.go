@@ -132,10 +132,6 @@ func (s *Server) Handler() http.Handler { return s.handler }
 // subscribe alongside the HTTP endpoints.
 func (s *Server) Alerter() *alert.Alerter { return s.pipeline.Alerter }
 
-// Metrics exposes the server's own counters to in-process callers such
-// as tests and benchmarks; /metrics renders them.
-func (s *Server) Metrics() *Metrics { return s.metrics }
-
 // Close drains the diff worker pool: queued jobs run to completion and
 // new submissions fail with ErrClosed. Call after the HTTP listener has
 // stopped accepting requests.

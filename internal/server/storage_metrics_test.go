@@ -128,6 +128,36 @@ func familyLines(metrics, name string) []string {
 	return strings.Split(help+strings.TrimSuffix(block, "\n"), "\n")
 }
 
+// counterSum reads a counter off /metrics, as operators see it: the sum
+// of family name's samples whose labels carry every key/value pair
+// given, or of all of them when none is. A missing family fails the
+// test.
+func counterSum(t *testing.T, ts *httptest.Server, name string, labels ...string) int64 {
+	t.Helper()
+	fams, errs := parseExposition(metricsText(t, ts))
+	if len(errs) > 0 {
+		t.Fatalf("/metrics: %v", errs)
+	}
+	for _, f := range fams {
+		if f.name != name {
+			continue
+		}
+		var sum float64
+	samples:
+		for _, smp := range f.samples {
+			for i := 0; i+1 < len(labels); i += 2 {
+				if smp.labels[labels[i]] != labels[i+1] {
+					continue samples
+				}
+			}
+			sum += smp.value
+		}
+		return int64(sum)
+	}
+	t.Fatalf("/metrics has no %s family", name)
+	return 0
+}
+
 // jsonAt follows a dotted path ("storage.perShard.1.quarantined") into
 // decoded JSON; nil when the path leads nowhere.
 func jsonAt(v any, path string) any {

@@ -117,18 +117,3 @@ func rangeStr(lo, hi int) string {
 func Size(a, b string) int {
 	return len(Diff(a, b))
 }
-
-// Patch applies a hunk list to the old lines and returns the new lines.
-// It exists to verify, in tests, that the output is information-
-// preserving in the same sense as diff | patch.
-func Patch(a []string, hunks []Hunk, b []string) []string {
-	var out []string
-	ai := 0
-	for _, h := range hunks {
-		out = append(out, a[ai:h.ALo]...)
-		out = append(out, b[h.BLo:h.BHi]...)
-		ai = h.AHi
-	}
-	out = append(out, a[ai:]...)
-	return out
-}

@@ -42,6 +42,21 @@ func TestDiffMarkers(t *testing.T) {
 	}
 }
 
+// patch applies a hunk list to the old lines and returns the new lines,
+// so a test can show the hunks are information-preserving in the same
+// sense as diff | patch.
+func patch(a []string, hunks []Hunk, b []string) []string {
+	var out []string
+	ai := 0
+	for _, h := range hunks {
+		out = append(out, a[ai:h.ALo]...)
+		out = append(out, b[h.BLo:h.BHi]...)
+		ai = h.AHi
+	}
+	out = append(out, a[ai:]...)
+	return out
+}
+
 func TestHunksPatchRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	words := []string{"alpha", "beta", "gamma", "delta", "eps"}
@@ -54,7 +69,7 @@ func TestHunksPatchRoundTrip(t *testing.T) {
 	}
 	for trial := 0; trial < 300; trial++ {
 		a, b := randLines(25), randLines(25)
-		got := Patch(a, Hunks(a, b), b)
+		got := patch(a, Hunks(a, b), b)
 		if strings.Join(got, "\n") != strings.Join(b, "\n") {
 			t.Fatalf("patch(a, hunks) != b\na=%v\nb=%v\ngot=%v", a, b, got)
 		}

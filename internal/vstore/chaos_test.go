@@ -13,6 +13,7 @@ import (
 
 	"xydiff/internal/diff"
 	"xydiff/internal/faultfs"
+	"xydiff/internal/faultfs/faultfstest"
 )
 
 // The bit-rot chaos harness: every fault class the scrubber claims to
@@ -74,55 +75,55 @@ func TestScrubChaosMatrix(t *testing.T) {
 	type scenario struct {
 		name      string
 		snapshots bool // checkpoint first so the damage target is a snapshot
-		inject    func(t *testing.T, dir string, armed *faultfs.Fault)
+		inject    func(t *testing.T, dir string, armed *faultfstest.Fault)
 	}
 	scenarios := []scenario{
-		{"bit-flip/sealed-segment", false, func(t *testing.T, dir string, _ *faultfs.Fault) {
-			if err := faultfs.FlipBit(faultfs.OS{}, sealedSegs(t, dir)[0], 12, 5); err != nil {
+		{"bit-flip/sealed-segment", false, func(t *testing.T, dir string, _ *faultfstest.Fault) {
+			if err := faultfstest.FlipBit(faultfs.OS{}, sealedSegs(t, dir)[0], 12, 5); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"torn-record/sealed-segment", false, func(t *testing.T, dir string, _ *faultfs.Fault) {
+		{"torn-record/sealed-segment", false, func(t *testing.T, dir string, _ *faultfstest.Fault) {
 			// A sealed segment has no writer: losing its tail mid-record
 			// is at-rest damage, not a crash artifact.
-			if err := faultfs.TruncateTail(faultfs.OS{}, sealedSegs(t, dir)[1], 3); err != nil {
+			if err := faultfstest.TruncateTail(faultfs.OS{}, sealedSegs(t, dir)[1], 3); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"read-error/sealed-segment", false, func(t *testing.T, dir string, armed *faultfs.Fault) {
+		{"read-error/sealed-segment", false, func(t *testing.T, dir string, armed *faultfstest.Fault) {
 			// First ReadFile of the pass is the lowest sealed segment.
 			armed.Countdown = 1
 		}},
-		{"bit-flip/snapshot", true, func(t *testing.T, dir string, _ *faultfs.Fault) {
-			if err := faultfs.FlipBit(faultfs.OS{}, snapshotFile(t, dir, "v1.xml"), 4, 2); err != nil {
+		{"bit-flip/snapshot", true, func(t *testing.T, dir string, _ *faultfstest.Fault) {
+			if err := faultfstest.FlipBit(faultfs.OS{}, snapshotFile(t, dir, "v1.xml"), 4, 2); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"bit-flip/snapshot-delta", true, func(t *testing.T, dir string, _ *faultfs.Fault) {
-			if err := faultfs.FlipBit(faultfs.OS{}, snapshotFile(t, dir, "delta-*.xml"), 6, 1); err != nil {
+		{"bit-flip/snapshot-delta", true, func(t *testing.T, dir string, _ *faultfstest.Fault) {
+			if err := faultfstest.FlipBit(faultfs.OS{}, snapshotFile(t, dir, "delta-*.xml"), 6, 1); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"truncated/snapshot", true, func(t *testing.T, dir string, _ *faultfs.Fault) {
-			if err := faultfs.TruncateTail(faultfs.OS{}, snapshotFile(t, dir, "v1.xml"), 5); err != nil {
+		{"truncated/snapshot", true, func(t *testing.T, dir string, _ *faultfstest.Fault) {
+			if err := faultfstest.TruncateTail(faultfs.OS{}, snapshotFile(t, dir, "v1.xml"), 5); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"zeroed/snapshot-delta", true, func(t *testing.T, dir string, _ *faultfs.Fault) {
-			if err := faultfs.ZeroRange(faultfs.OS{}, snapshotFile(t, dir, "delta-*.xml"), 12, 6); err != nil {
+		{"zeroed/snapshot-delta", true, func(t *testing.T, dir string, _ *faultfstest.Fault) {
+			if err := faultfstest.ZeroRange(faultfs.OS{}, snapshotFile(t, dir, "delta-*.xml"), 12, 6); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"read-error/snapshot", true, func(t *testing.T, dir string, armed *faultfs.Fault) {
+		{"read-error/snapshot", true, func(t *testing.T, dir string, armed *faultfstest.Fault) {
 			// Third ReadFile of the pass: the first two are the version
 			// counter and the checksum manifest, the third is v1.xml.
 			armed.Countdown = 3
 		}},
-		{"bit-flip/snapshot-earlier-delta", true, func(t *testing.T, dir string, _ *faultfs.Fault) {
+		{"bit-flip/snapshot-earlier-delta", true, func(t *testing.T, dir string, _ *faultfstest.Fault) {
 			// alpha's first delta: its second is written against a chain
 			// that holds it, so it must be refused with it, never decoded.
 			path := filepath.Join(dir, shardDirName(0), docsDirName, "alpha", deltaFile(1))
-			if err := faultfs.FlipBit(faultfs.OS{}, path, 8, 3); err != nil {
+			if err := faultfstest.FlipBit(faultfs.OS{}, path, 8, 3); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -138,11 +139,11 @@ func TestScrubChaosMatrix(t *testing.T) {
 				// The armed fault starts inert (Countdown 0); read-error
 				// scenarios arm it after seeding so recovery and the
 				// workload never trip it.
-				armed := &faultfs.Fault{Op: faultfs.OpRead, Err: errChaosRead}
+				armed := &faultfstest.Fault{Op: faultfstest.OpRead, Err: errChaosRead}
 				dir := t.TempDir()
 				cfg := scrubCfg()
 				cfg.Scrub.NoRepair = noRepair
-				cfg.FS = faultfs.Wrap(faultfs.OS{}, armed)
+				cfg.FS = faultfstest.Wrap(faultfs.OS{}, armed)
 				s, err := Open(dir, diff.Options{}, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -252,16 +253,16 @@ func TestCrashDuringScrubRepairRewrite(t *testing.T) {
 			t.Fatal(err)
 		}
 		ground := seedChaosCorpus(t, s)
-		if err := faultfs.FlipBit(faultfs.OS{}, sealedSegs(t, dir)[0], 12, 5); err != nil {
+		if err := faultfstest.FlipBit(faultfs.OS{}, sealedSegs(t, dir)[0], 12, 5); err != nil {
 			t.Fatal(err)
 		}
 		return s, dir, ground
 	}
 
-	clean := faultfs.Wrap(faultfs.OS{})
+	clean := faultfstest.Wrap(faultfs.OS{})
 	s, _, _ := seed(t, clean)
-	before := map[faultfs.Op]int{}
-	ops := []faultfs.Op{faultfs.OpWrite, faultfs.OpSync, faultfs.OpRename, faultfs.OpRemove, faultfs.OpOpen}
+	before := map[faultfstest.Op]int{}
+	ops := []faultfstest.Op{faultfstest.OpWrite, faultfstest.OpSync, faultfstest.OpRename, faultfstest.OpRemove, faultfstest.OpOpen}
 	for _, op := range ops {
 		before[op] = clean.Count(op)
 	}
@@ -277,8 +278,8 @@ func TestCrashDuringScrubRepairRewrite(t *testing.T) {
 		}
 		for k := 1; k <= total; k++ {
 			scenario := fmt.Sprintf("crash at repair %s #%d/%d", op, k, total)
-			fault := &faultfs.Fault{Op: op, Crash: true} // armed below
-			s, dir, ground := seed(t, faultfs.Wrap(faultfs.OS{}, fault))
+			fault := &faultfstest.Fault{Op: op, Crash: true} // armed below
+			s, dir, ground := seed(t, faultfstest.Wrap(faultfs.OS{}, fault))
 			fault.Countdown = k
 			_, _ = s.ScrubPass(context.Background()) // the process "dies" somewhere in here
 			_ = s.Close()                            // crashed fs: errors are the point

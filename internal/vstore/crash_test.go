@@ -10,6 +10,7 @@ import (
 	"xydiff/internal/diff"
 	"xydiff/internal/dom"
 	"xydiff/internal/faultfs"
+	"xydiff/internal/faultfs/faultfstest"
 	"xydiff/internal/store"
 )
 
@@ -118,12 +119,12 @@ func verifyAcked(t *testing.T, dir string, acked []ackedVersion, scenario string
 // retirement" scenarios.
 func TestCrashMatrix(t *testing.T) {
 	// Counting pass: how many of each op does the clean workload issue?
-	clean := faultfs.Wrap(faultfs.OS{})
+	clean := faultfstest.Wrap(faultfs.OS{})
 	cleanAcked := crashWorkload(t, t.TempDir(), clean)
 	if len(cleanAcked) != 6 {
 		t.Fatalf("clean workload acknowledged %d versions, want 6", len(cleanAcked))
 	}
-	for _, op := range []faultfs.Op{faultfs.OpWrite, faultfs.OpSync, faultfs.OpRename, faultfs.OpRemove, faultfs.OpOpen} {
+	for _, op := range []faultfstest.Op{faultfstest.OpWrite, faultfstest.OpSync, faultfstest.OpRename, faultfstest.OpRemove, faultfstest.OpOpen} {
 		total := clean.Count(op)
 		if total == 0 {
 			t.Fatalf("clean workload performs no %s ops; matrix would be vacuous", op)
@@ -131,7 +132,7 @@ func TestCrashMatrix(t *testing.T) {
 		for k := 1; k <= total; k++ {
 			scenario := fmt.Sprintf("crash at %s #%d/%d", op, k, total)
 			dir := t.TempDir()
-			fsys := faultfs.Wrap(faultfs.OS{}, &faultfs.Fault{Op: op, Countdown: k, Crash: true})
+			fsys := faultfstest.Wrap(faultfs.OS{}, &faultfstest.Fault{Op: op, Countdown: k, Crash: true})
 			acked := crashWorkload(t, dir, fsys)
 			verifyAcked(t, dir, acked, scenario)
 		}
@@ -172,7 +173,7 @@ func crashCompressing(t *testing.T, fixture string) {
 		return nil
 	}
 	checkpoint := func(s *Store) error { return s.Checkpoint() }
-	ops := []faultfs.Op{faultfs.OpWrite, faultfs.OpSync, faultfs.OpRename, faultfs.OpRemove, faultfs.OpOpen}
+	ops := []faultfstest.Op{faultfstest.OpWrite, faultfstest.OpSync, faultfstest.OpRename, faultfstest.OpRemove, faultfstest.OpOpen}
 	for _, steps := range [][]func(*Store) error{{checkpoint, rewrite}, {rewrite, checkpoint}} {
 		workload := func(dir string, fsys faultfs.FS, arm func()) {
 			s, err := Open(dir, diff.Options{}, Config{CompactSegments: -1, FS: fsys})
@@ -187,8 +188,8 @@ func crashCompressing(t *testing.T, fixture string) {
 				}
 			}
 		}
-		clean := faultfs.Wrap(faultfs.OS{})
-		before := map[faultfs.Op]int{}
+		clean := faultfstest.Wrap(faultfs.OS{})
+		before := map[faultfstest.Op]int{}
 		workload(copyDir(t, filepath.Join("testdata", fixture, "store")), clean, func() {
 			for _, op := range ops {
 				before[op] = clean.Count(op)
@@ -198,8 +199,8 @@ func crashCompressing(t *testing.T, fixture string) {
 			total := clean.Count(op) - before[op]
 			for k := 1; k <= total; k++ {
 				dir := copyDir(t, filepath.Join("testdata", fixture, "store"))
-				fault := &faultfs.Fault{Op: op, Crash: true} // armed once open
-				workload(dir, faultfs.Wrap(faultfs.OS{}, fault), func() { fault.Countdown = k })
+				fault := &faultfstest.Fault{Op: op, Crash: true} // armed once open
+				workload(dir, faultfstest.Wrap(faultfs.OS{}, fault), func() { fault.Countdown = k })
 				s, err := Open(dir, diff.Options{}, Config{CompactSegments: -1})
 				if err != nil {
 					t.Fatalf("%s: crash at %s #%d/%d: reopen: %v", fixture, op, k, total, err)
@@ -215,15 +216,15 @@ func crashCompressing(t *testing.T, fixture string) {
 // only a prefix of a segment append, which recovery must truncate away
 // as a torn tail.
 func TestCrashTornWrite(t *testing.T) {
-	clean := faultfs.Wrap(faultfs.OS{})
+	clean := faultfstest.Wrap(faultfs.OS{})
 	crashWorkload(t, t.TempDir(), clean)
-	total := clean.Count(faultfs.OpWrite)
+	total := clean.Count(faultfstest.OpWrite)
 	for k := 1; k <= total; k++ {
 		for _, short := range []int{1, 7, 40} {
 			scenario := fmt.Sprintf("torn write #%d/%d after %d bytes", k, total, short)
 			dir := t.TempDir()
-			fsys := faultfs.Wrap(faultfs.OS{}, &faultfs.Fault{
-				Op: faultfs.OpWrite, Countdown: k, ShortBytes: short, Crash: true,
+			fsys := faultfstest.Wrap(faultfs.OS{}, &faultfstest.Fault{
+				Op: faultfstest.OpWrite, Countdown: k, ShortBytes: short, Crash: true,
 			})
 			acked := crashWorkload(t, dir, fsys)
 			verifyAcked(t, dir, acked, scenario)
@@ -243,8 +244,8 @@ func TestCrashTornBatchMidGroupCommit(t *testing.T) {
 		for k := 2; k <= 6; k++ {
 			scenario := fmt.Sprintf("torn batch at write #%d, %d bytes persisted", k, short)
 			dir := t.TempDir()
-			fsys := faultfs.Wrap(faultfs.OS{}, &faultfs.Fault{
-				Op: faultfs.OpWrite, Countdown: k, ShortBytes: short, Crash: true,
+			fsys := faultfstest.Wrap(faultfs.OS{}, &faultfstest.Fault{
+				Op: faultfstest.OpWrite, Countdown: k, ShortBytes: short, Crash: true,
 			})
 			cfg := crashCfg(fsys)
 			cfg.Shards = 1 // all writers group-commit into one segment

@@ -96,21 +96,21 @@ func TestQueryPastVersions(t *testing.T) {
 	forEachStore(t, func(t *testing.T, s *Store) {
 		seedHistory(t, s)
 		expr := xpathlite.MustCompile(`//Product[Name='tx']/Price`)
-		nodes, err := s.Query("cat", 1, expr)
+		v1, err := s.Version("cat", 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(nodes) != 1 || nodes[0].TextContent() != "$499" {
-			t.Fatalf("Query v1 = %v", nodes)
+		if nodes := expr.Select(v1); len(nodes) != 1 || nodes[0].TextContent() != "$499" {
+			t.Fatalf("v1 selects %v", nodes)
 		}
-		v, err := s.ValueAt("cat", 3, expr)
+		v3, err := s.Version("cat", 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v != "$450" {
-			t.Errorf("ValueAt v3 = %q", v)
+		if v := expr.Value(v3); v != "$450" {
+			t.Errorf("v3 value = %q", v)
 		}
-		if _, err := s.Query("ghost", 1, expr); err == nil {
+		if _, err := s.Version("ghost", 1); err == nil {
 			t.Error("unknown doc accepted")
 		}
 	})

@@ -12,6 +12,7 @@ import (
 
 	"xydiff/internal/diff"
 	"xydiff/internal/faultfs"
+	"xydiff/internal/faultfs/faultfstest"
 	"xydiff/internal/scrub"
 )
 
@@ -120,7 +121,7 @@ func TestScrubRepairsCorruptSealedSegment(t *testing.T) {
 	want := seedDoc(t, s, "doc", 5)
 
 	victim := sealedSegs(t, dir)[0]
-	if err := faultfs.FlipBit(faultfs.OS{}, victim, 12, 3); err != nil {
+	if err := faultfstest.FlipBit(faultfs.OS{}, victim, 12, 3); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := s.ScrubPass(context.Background())
@@ -160,7 +161,7 @@ func TestScrubQuarantinesSegmentWithoutRepair(t *testing.T) {
 	want := seedDoc(t, s, "doc", 4)
 
 	victim := sealedSegs(t, dir)[0]
-	if err := faultfs.ZeroRange(faultfs.OS{}, victim, 4, 4); err != nil {
+	if err := faultfstest.ZeroRange(faultfs.OS{}, victim, 4, 4); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := s.ScrubPass(context.Background())
@@ -200,7 +201,7 @@ func TestScrubRepairsCorruptSnapshot(t *testing.T) {
 	}
 	sub := filepath.Join(dir, shardDirName(0), docsDirName, escapeID("doc"))
 	for _, victim := range []string{"v1.xml", deltaFile(2), sumsName} {
-		if err := faultfs.FlipBit(faultfs.OS{}, filepath.Join(sub, victim), 3, 0); err != nil {
+		if err := faultfstest.FlipBit(faultfs.OS{}, filepath.Join(sub, victim), 3, 0); err != nil {
 			t.Fatal(err)
 		}
 		rep, err := s.ScrubPass(context.Background())
@@ -237,7 +238,7 @@ func TestScrubQuarantinesSnapshotWithoutRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 	sub := filepath.Join(dir, shardDirName(0), docsDirName, escapeID("doc"))
-	if err := faultfs.TruncateTail(faultfs.OS{}, filepath.Join(sub, "v1.xml"), 5); err != nil {
+	if err := faultfstest.TruncateTail(faultfs.OS{}, filepath.Join(sub, "v1.xml"), 5); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := s.ScrubPass(context.Background())
@@ -285,7 +286,7 @@ func TestBackgroundScrubberRunsAndStops(t *testing.T) {
 	s, dir := openTest(t, cfg)
 	seedDoc(t, s, "doc", 3)
 	victim := sealedSegs(t, dir)[0]
-	if err := faultfs.FlipBit(faultfs.OS{}, victim, 10, 1); err != nil {
+	if err := faultfstest.FlipBit(faultfs.OS{}, victim, 10, 1); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)

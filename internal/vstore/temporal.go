@@ -17,25 +17,6 @@ import (
 // bytes. The result types (store.VersionValue, store.NodeState,
 // store.ChangeHit) live in package store.
 
-// Query evaluates a path expression against version n of the document.
-func (s *Store) Query(id string, version int, expr *xpathlite.Expr) ([]*dom.Node, error) {
-	doc, err := s.Version(id, version)
-	if err != nil {
-		return nil, err
-	}
-	return expr.Select(doc), nil
-}
-
-// ValueAt returns the text content of the first node matching expr in
-// version n ("" when nothing matches).
-func (s *Store) ValueAt(id string, version int, expr *xpathlite.Expr) (string, error) {
-	doc, err := s.Version(id, version)
-	if err != nil {
-		return "", err
-	}
-	return expr.Value(doc), nil
-}
-
 // Timeline evaluates the expression at every version, oldest first.
 // One read walk visits every version, one delta step apiece, not one
 // reconstruction per version.

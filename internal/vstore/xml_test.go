@@ -15,6 +15,7 @@ import (
 	"xydiff/internal/diff"
 	"xydiff/internal/dom"
 	"xydiff/internal/faultfs"
+	"xydiff/internal/faultfs/faultfstest"
 )
 
 // checkXMLReads is a differential test of the two ways to read a
@@ -94,7 +95,7 @@ func TestXMLReadsMatchTreeReads(t *testing.T) {
 	}
 	segs, _ := filepath.Glob(filepath.Join(degDir, "shard-*", "seg-*.log"))
 	sort.Strings(segs)
-	if err := faultfs.FlipBit(faultfs.OS{}, segs[1], 12, 2); err != nil {
+	if err := faultfstest.FlipBit(faultfs.OS{}, segs[1], 12, 2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := deg.ScrubPass(context.Background()); err != nil {

@@ -116,16 +116,6 @@ func (m Map) XIDs() []int64 {
 	return out
 }
 
-// Contains reports whether x appears in the map.
-func (m Map) Contains(x int64) bool {
-	for _, r := range m.ranges {
-		if x >= r.lo && x <= r.hi {
-			return true
-		}
-	}
-	return false
-}
-
 // String renders the map in the paper's syntax: "(3-7)", "(3-5;9)".
 // An empty map renders as "()".
 func (m Map) String() string { return string(m.AppendTo(nil)) }
