@@ -268,21 +268,21 @@ func BenchmarkChangeSimulator(b *testing.B) {
 func BenchmarkHarnessRunners(b *testing.B) {
 	b.Run("fig4", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := bench.Fig4([]int{5_000}, 1); err != nil {
+			if err := bench.Fig4(io.Discard, []int{5_000}, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("fig5", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := bench.Fig5(5_000, []float64{0.1}, 1); err != nil {
+			if err := bench.Fig5(io.Discard, 5_000, []float64{0.1}, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("fig6", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := bench.Fig6(3, 1); err != nil {
+			if err := bench.Fig6(io.Discard, 3, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -422,8 +422,12 @@ func BenchmarkServerPut(b *testing.B) {
 		b.ReportMetric(float64(ds.AppendedBytes)/float64(b.N), "journalB/op")
 	}
 	b.Run("memory", func(b *testing.B) { run(b, "", store.SyncAlways) })
-	for _, policy := range []store.SyncPolicy{store.SyncAlways, store.SyncInterval, store.SyncOff} {
-		b.Run(policy.String(), func(b *testing.B) { run(b, b.TempDir(), policy) })
+	for _, name := range []string{"always", "interval", "off"} {
+		policy, err := store.ParseSyncPolicy(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) { run(b, b.TempDir(), policy) })
 	}
 }
 

@@ -71,73 +71,59 @@ func run(w io.Writer, experiment string, cfg benchConfig) error {
 			if full {
 				sizes = append(sizes, 2_000_000, 5_000_000)
 			}
-			points, err := bench.Fig4(sizes, seed)
-			if err != nil {
+			if err := bench.Fig4(w, sizes, seed); err != nil {
 				return err
 			}
-			bench.PrintFig4(w, points)
 		case "fig5":
 			size := 50_000
 			if full {
 				size = 500_000
 			}
 			rates := []float64{0.01, 0.02, 0.05, 0.10, 0.20, 0.30, 0.40, 0.50}
-			points, err := bench.Fig5(size, rates, seed)
-			if err != nil {
+			if err := bench.Fig5(w, size, rates, seed); err != nil {
 				return err
 			}
-			bench.PrintFig5(w, points)
 		case "fig6":
 			count := 40
 			if full {
 				count = 200 // the paper's "about two hundred XML documents"
 			}
-			points, sum, err := bench.Fig6(count, seed)
-			if err != nil {
+			if err := bench.Fig6(w, count, seed); err != nil {
 				return err
 			}
-			bench.PrintFig6(w, points, sum)
 		case "site":
 			pages := 2_000
 			if full {
 				pages = 14_000 // the paper's www.inria.fr scale
 			}
-			r, err := bench.Site(pages, seed)
-			if err != nil {
+			if err := bench.Site(w, pages, seed); err != nil {
 				return err
 			}
-			bench.PrintSite(w, r)
 		case "baselines":
 			counts := []int{100, 300, 1_000, 3_000}
 			if full {
 				counts = append(counts, 10_000, 30_000)
 			}
-			points, err := bench.Baselines(counts, seed)
-			if err != nil {
+			if err := bench.Baselines(w, counts, seed); err != nil {
 				return err
 			}
-			bench.PrintBaselines(w, points)
 		case "moves":
 			size := 30_000
 			if full {
 				size = 200_000
 			}
 			probs := []float64{0.0, 0.1, 0.25, 0.5, 0.75, 1.0}
-			points, err := bench.Moves(size, probs, seed)
-			if err != nil {
+			if err := bench.Moves(w, size, probs, seed); err != nil {
 				return err
 			}
-			bench.PrintMoves(w, points)
 		case "ablation":
 			size := 50_000
 			if full {
 				size = 500_000
 			}
-			points, err := bench.Ablations(size, seed)
-			if err != nil {
+			if err := bench.Ablations(w, size, seed); err != nil {
 				return err
 			}
-			bench.PrintAblations(w, points)
 		case "stats":
 			size := 50_000
 			weeks := 8

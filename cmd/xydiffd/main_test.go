@@ -26,7 +26,6 @@ import (
 	"xydiff/internal/crawl"
 	"xydiff/internal/diff"
 	"xydiff/internal/server"
-	"xydiff/internal/store"
 	"xydiff/internal/vstore"
 )
 
@@ -517,7 +516,7 @@ func TestKillNineLosesNoAcknowledgedPut(t *testing.T) {
 
 	// Everything acknowledged must come back from the segment logs alone
 	// (no checkpoint ever ran).
-	st, err := vstore.Open(dir, diff.Options{}, vstore.Config{Sync: store.SyncOff, CompactSegments: -1})
+	st, err := vstore.Open(dir, diff.Options{}, vstore.Config{})
 	if err != nil {
 		t.Fatalf("reopen after SIGKILL: %v", err)
 	}

@@ -4,8 +4,9 @@
 // context propagation, wrapped errors, durable-write ordering,
 // goroutine and timer lifecycles, the architecture boundaries
 // (the diff core never imports os/syscall/net or encoding/xml, storage
-// never imports the server, commands never import each other), and
-// testonly (no library function that only tests reach) —
+// never imports the server, commands never import each other),
+// testonly (no library function that only tests reach) and
+// localexport (no exported name that no other package uses) —
 // checked mechanically instead of by review. Packages are analyzed in parallel on up to
 // GOMAXPROCS goroutines; output order is deterministic regardless.
 //
@@ -14,8 +15,9 @@
 //	xyvet [-json] [-list] [packages]
 //
 // Package patterns are module-relative ("./...", "./internal/store").
-// With no pattern, ./... is checked. testonly needs every caller
-// loaded, so it reports only when the patterns cover the whole module.
+// With no pattern, ./... is checked. testonly and localexport need
+// every caller loaded, so they report only when the patterns cover the
+// whole module.
 //
 // Exit status:
 //

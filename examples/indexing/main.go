@@ -30,7 +30,8 @@ func main() {
 	cur := doc.Clone()
 	xid.Assign(cur) // postings are keyed by persistent identifiers
 	ix.AddDocument("catalog", cur)
-	fmt.Printf("indexed: %+v\n", ix.Stats())
+	st := ix.Stats()
+	fmt.Printf("indexed: {Words:%d Postings:%d Docs:%d}\n", st.Words, st.Postings, st.Docs)
 
 	for week := 1; week <= 4; week++ {
 		sim, err := changesim.Simulate(cur, changesim.Uniform(0.05, int64(week)))

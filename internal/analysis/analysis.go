@@ -5,8 +5,9 @@
 // the store, context propagation through the diff and the server,
 // errors wrapped as they cross package boundaries, the durable-write
 // ordering of the segment journals (append + fsync happens-before the
-// in-memory commit and the snapshot rename), and production packages
-// that hold only code production reaches (testonly).
+// in-memory commit and the snapshot rename), production packages that
+// hold only code production reaches (testonly), and exported names that
+// another package uses (localexport).
 //
 // The suite is built only on the standard toolchain packages (go/ast,
 // go/parser, go/token, go/types) — no external analysis framework — and
@@ -44,46 +45,53 @@ type Analyzer struct {
 	// Doc is a one-line description of the invariant the analyzer
 	// encodes.
 	Doc string
-	// Run inspects one package and reports findings through the pass.
-	Run func(*Pass)
+	// run inspects one package and reports findings through the pass.
+	run func(*analyzerPass)
 }
 
-// Pass carries one analyzed package to an analyzer run.
-type Pass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Files    []*ast.File
-	Pkg      *types.Package
-	// Path is the import path of the package under analysis.
-	Path string
-	// Mod is the module path, so analyzers can reason about
+// analyzerPass carries one analyzed package to an analyzer run.
+type analyzerPass struct {
+	analyzer *Analyzer
+	fset     *token.FileSet
+	files    []*ast.File
+	pkg      *types.Package
+	// path is the import path of the package under analysis.
+	path string
+	// mod is the module path, so analyzers can reason about
 	// module-relative package layers.
-	Mod string
-	// Info holds the type-checker results for the package. Fields are
+	mod string
+	// info holds the type-checker results for the package. Fields are
 	// always non-nil maps, but entries may be missing when the package
 	// had type errors; analyzers must degrade gracefully.
-	Info *types.Info
+	info *types.Info
 
-	index  *moduleIndex
-	report func(Diagnostic)
+	index   *moduleIndex
+	allowed directives
+	report  func(Diagnostic)
 }
 
-// Reportf records a finding at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+// reportf records a finding at pos.
+func (p *analyzerPass) reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Position: p.Fset.Position(pos),
+		Analyzer: p.analyzer.Name,
+		Position: p.fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
 
-// CalleeDecl resolves the function or method a call invokes to its
+// allowedAt reports whether a directive covers a finding of the
+// running analyzer at pos, and marks that directive used.
+func (p *analyzerPass) allowedAt(pos token.Pos) bool {
+	return p.allowed.allows(p.fset.Position(pos), p.analyzer.Name)
+}
+
+// calleeDecl resolves the function or method a call invokes to its
 // declaration, when the callee is declared in one of the packages of
 // the current Run. Calls through function values, unresolvable
 // identifiers, and callees outside the analyzed package set return
 // nil; interprocedural analyzers must treat nil as "cannot prove" and
 // stay silent.
-func (p *Pass) CalleeDecl(call *ast.CallExpr) *ast.FuncDecl {
+func (p *analyzerPass) calleeDecl(call *ast.CallExpr) *ast.FuncDecl {
 	if p.index == nil {
 		return nil
 	}
@@ -96,9 +104,9 @@ func (p *Pass) CalleeDecl(call *ast.CallExpr) *ast.FuncDecl {
 	default:
 		return nil
 	}
-	obj := p.Info.Uses[id]
+	obj := p.info.Uses[id]
 	if obj == nil {
-		obj = p.Info.Defs[id]
+		obj = p.info.Defs[id]
 	}
 	if obj == nil {
 		return nil
@@ -112,20 +120,21 @@ func (p *Pass) CalleeDecl(call *ast.CallExpr) *ast.FuncDecl {
 // goroleak's spawned-callee resolution.
 type moduleIndex struct {
 	funcs map[types.Object]*ast.FuncDecl
-	// testonly is nil unless TestOnly runs over the whole module.
-	testonly *testOnlyFacts
+	// facts is nil unless testonly or localexport runs over the whole
+	// module.
+	facts *moduleFacts
 }
 
 func buildModuleIndex(pkgs []*Package) *moduleIndex {
 	idx := &moduleIndex{funcs: make(map[types.Object]*ast.FuncDecl)}
 	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
+		for _, f := range pkg.files {
 			for _, decl := range f.Decls {
 				fn, ok := decl.(*ast.FuncDecl)
 				if !ok || fn.Name == nil {
 					continue
 				}
-				if obj := pkg.Info.Defs[fn.Name]; obj != nil {
+				if obj := pkg.info.Defs[fn.Name]; obj != nil {
 					idx.funcs[obj] = fn
 				}
 			}
@@ -134,17 +143,17 @@ func buildModuleIndex(pkgs []*Package) *moduleIndex {
 	return idx
 }
 
-// TypeOf returns the type of e, or nil when the checker has no entry
+// typeOf returns the type of e, or nil when the checker has no entry
 // for it (syntax the type checker rejected).
-func (p *Pass) TypeOf(e ast.Expr) types.Type {
-	if tv, ok := p.Info.Types[e]; ok {
+func (p *analyzerPass) typeOf(e ast.Expr) types.Type {
+	if tv, ok := p.info.Types[e]; ok {
 		return tv.Type
 	}
 	if id, ok := e.(*ast.Ident); ok {
-		if obj := p.Info.Uses[id]; obj != nil {
+		if obj := p.info.Uses[id]; obj != nil {
 			return obj.Type()
 		}
-		if obj := p.Info.Defs[id]; obj != nil {
+		if obj := p.info.Defs[id]; obj != nil {
 			return obj.Type()
 		}
 	}
@@ -173,7 +182,7 @@ func (d Diagnostic) String() string {
 // by position. Packages are analyzed in parallel on up to GOMAXPROCS
 // goroutines — analyzers only read the shared AST and type facts — and
 // the sorted merge keeps the output identical for every worker count.
-// When the StaleAllow analyzer is part of the set, directives that
+// When the staleallow analyzer is part of the set, directives that
 // suppressed no finding of the analyzers that ran are themselves
 // reported.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
@@ -182,9 +191,9 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	for _, a := range analyzers {
 		running[a.Name] = true
 	}
-	stale := running[StaleAllow.Name]
-	if running[TestOnly.Name] {
-		idx.testonly = buildTestOnlyFacts(pkgs, idx.funcs)
+	stale := running[staleAllow.Name]
+	if running[testOnly.Name] || running[localExport.Name] {
+		idx.facts = buildModuleFacts(pkgs, idx.funcs)
 	}
 	results := make([][]Diagnostic, len(pkgs))
 	runPkg := func(i int) {
@@ -243,18 +252,19 @@ func runPackage(pkg *Package, analyzers []*Analyzer, idx *moduleIndex, running m
 	var diags []Diagnostic
 	allowed := collectDirectives(pkg)
 	for _, a := range analyzers {
-		if a.Run == nil {
+		if a.run == nil {
 			continue
 		}
-		pass := &Pass{
-			Analyzer: a,
-			Fset:     pkg.Fset,
-			Files:    pkg.Files,
-			Pkg:      pkg.Types,
-			Path:     pkg.Path,
-			Mod:      pkg.Mod,
-			Info:     pkg.Info,
+		pass := &analyzerPass{
+			analyzer: a,
+			fset:     pkg.fset,
+			files:    pkg.files,
+			pkg:      pkg.tpkg,
+			path:     pkg.Path,
+			mod:      pkg.mod,
+			info:     pkg.info,
 			index:    idx,
+			allowed:  allowed,
 			report: func(d Diagnostic) {
 				if allowed.allows(d.Position, d.Analyzer) {
 					return
@@ -265,7 +275,7 @@ func runPackage(pkg *Package, analyzers []*Analyzer, idx *moduleIndex, running m
 				diags = append(diags, d)
 			},
 		}
-		a.Run(pass)
+		a.run(pass)
 	}
 	if stale {
 		diags = append(diags, staleFindings(allowed, running)...)
@@ -312,7 +322,7 @@ const directivePrefix = "//xyvet:allow"
 // //xyvet:allow directives.
 func collectDirectives(pkg *Package) directives {
 	ds := make(directives)
-	for _, f := range pkg.Files {
+	for _, f := range pkg.files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text, ok := strings.CutPrefix(c.Text, directivePrefix)
@@ -321,7 +331,7 @@ func collectDirectives(pkg *Package) directives {
 				}
 				// Everything after "--" is a human-readable reason.
 				names, _, _ := strings.Cut(text, "--")
-				pos := pkg.Fset.Position(c.Pos())
+				pos := pkg.fset.Position(c.Pos())
 				key := directiveKey{pos.Filename, pos.Line}
 				d := ds[key]
 				if d == nil {
@@ -342,16 +352,17 @@ func collectDirectives(pkg *Package) directives {
 // All returns the full xyvet analyzer suite in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		NoPanic,
-		LockBalance,
-		CtxFlow,
-		ErrWrap,
-		SegOrder,
-		GoroLeak,
-		PoolBalance,
-		TimerLeak,
-		DepBound,
-		TestOnly,
-		StaleAllow,
+		noPanic,
+		lockBalance,
+		ctxFlow,
+		errWrap,
+		segOrder,
+		goroLeak,
+		poolBalance,
+		timerLeak,
+		depBound,
+		testOnly,
+		localExport,
+		staleAllow,
 	}
 }

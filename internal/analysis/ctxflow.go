@@ -4,7 +4,7 @@ import (
 	"go/ast"
 )
 
-// CtxFlow enforces the context discipline diff.DiffDetailedContext and the
+// ctxFlow enforces the context discipline diff.DiffDetailedContext and the
 // server introduced: cancellation flows from the request into the diff
 // phases as an explicit parameter, never through stored state. A
 // context.Context must be a function's first parameter, must be
@@ -12,14 +12,14 @@ import (
 // context.Background/TODO inside a function that already received one,
 // and must never be stored in a struct — a stored context outlives its
 // request and silently detaches deadlines from the work they bound.
-var CtxFlow = &Analyzer{
+var ctxFlow = &Analyzer{
 	Name: "ctxflow",
 	Doc:  "context.Context is first parameter, forwarded, never stored in a struct or replaced by Background/TODO",
-	Run:  runCtxFlow,
+	run:  runCtxFlow,
 }
 
-func runCtxFlow(pass *Pass) {
-	for _, f := range pass.Files {
+func runCtxFlow(pass *analyzerPass) {
+	for _, f := range pass.files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch node := n.(type) {
 			case *ast.StructType:
@@ -37,8 +37,8 @@ func runCtxFlow(pass *Pass) {
 }
 
 // isContextType reports whether e denotes context.Context.
-func isContextType(pass *Pass, e ast.Expr) bool {
-	if t := pass.TypeOf(e); t != nil {
+func isContextType(pass *analyzerPass, e ast.Expr) bool {
+	if t := pass.typeOf(e); t != nil {
 		return t.String() == "context.Context"
 	}
 	// Fall back to the spelled selector when type info is missing.
@@ -51,17 +51,17 @@ func isContextType(pass *Pass, e ast.Expr) bool {
 }
 
 // checkCtxFields flags struct fields of type context.Context.
-func checkCtxFields(pass *Pass, st *ast.StructType) {
+func checkCtxFields(pass *analyzerPass, st *ast.StructType) {
 	for _, field := range st.Fields.List {
 		if isContextType(pass, field.Type) {
-			pass.Reportf(field.Pos(), "context.Context stored in a struct; pass it as the first parameter of each method that needs it")
+			pass.reportf(field.Pos(), "context.Context stored in a struct; pass it as the first parameter of each method that needs it")
 		}
 	}
 }
 
 // checkCtxFunc flags a ctx parameter that is not first, and a ctx
 // parameter the body never forwards.
-func checkCtxFunc(pass *Pass, ft *ast.FuncType, body *ast.BlockStmt) {
+func checkCtxFunc(pass *analyzerPass, ft *ast.FuncType, body *ast.BlockStmt) {
 	if ft.Params == nil {
 		return
 	}
@@ -75,10 +75,10 @@ func checkCtxFunc(pass *Pass, ft *ast.FuncType, body *ast.BlockStmt) {
 		for _, name := range names {
 			if isCtx {
 				if paramIndex != 0 {
-					pass.Reportf(field.Pos(), "context.Context must be the first parameter")
+					pass.reportf(field.Pos(), "context.Context must be the first parameter")
 				}
 				if name != nil && name.Name != "_" && body != nil && !identUsed(pass, body, name) {
-					pass.Reportf(field.Pos(), "context parameter %s is never forwarded; cancellation stops here", name.Name)
+					pass.reportf(field.Pos(), "context parameter %s is never forwarded; cancellation stops here", name.Name)
 				}
 				if body != nil {
 					checkCtxRecreated(pass, body)
@@ -91,8 +91,8 @@ func checkCtxFunc(pass *Pass, ft *ast.FuncType, body *ast.BlockStmt) {
 
 // identUsed reports whether the object defined by def is referenced
 // anywhere in body.
-func identUsed(pass *Pass, body *ast.BlockStmt, def *ast.Ident) bool {
-	obj := pass.Info.Defs[def]
+func identUsed(pass *analyzerPass, body *ast.BlockStmt, def *ast.Ident) bool {
+	obj := pass.info.Defs[def]
 	used := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		if used {
@@ -103,7 +103,7 @@ func identUsed(pass *Pass, body *ast.BlockStmt, def *ast.Ident) bool {
 			return true
 		}
 		if obj != nil {
-			if pass.Info.Uses[id] == obj {
+			if pass.info.Uses[id] == obj {
 				used = true
 			}
 		} else if id.Name == def.Name {
@@ -117,7 +117,7 @@ func identUsed(pass *Pass, body *ast.BlockStmt, def *ast.Ident) bool {
 // checkCtxRecreated flags context.Background()/context.TODO() inside a
 // function that already has a context parameter: the caller's deadline
 // and cancellation are silently dropped.
-func checkCtxRecreated(pass *Pass, body *ast.BlockStmt) {
+func checkCtxRecreated(pass *analyzerPass, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false // a nested function has its own parameters
@@ -128,7 +128,7 @@ func checkCtxRecreated(pass *Pass, body *ast.BlockStmt) {
 		}
 		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 			if pkg, fn := packageFunc(pass, sel); pkg == "context" && (fn == "Background" || fn == "TODO") {
-				pass.Reportf(call.Pos(), "context.%s() inside a function that already receives a ctx; forward the caller's context", fn)
+				pass.reportf(call.Pos(), "context.%s() inside a function that already receives a ctx; forward the caller's context", fn)
 			}
 		}
 		return true
@@ -137,7 +137,7 @@ func checkCtxRecreated(pass *Pass, body *ast.BlockStmt) {
 
 // checkCtxStore flags assignments that store a context into a struct
 // field (x.f = ctx), the dynamic form of the stored-context mistake.
-func checkCtxStore(pass *Pass, as *ast.AssignStmt) {
+func checkCtxStore(pass *analyzerPass, as *ast.AssignStmt) {
 	for i, lhs := range as.Lhs {
 		if i >= len(as.Rhs) {
 			break
@@ -145,8 +145,8 @@ func checkCtxStore(pass *Pass, as *ast.AssignStmt) {
 		if _, ok := lhs.(*ast.SelectorExpr); !ok {
 			continue
 		}
-		if t := pass.TypeOf(as.Rhs[i]); t != nil && t.String() == "context.Context" {
-			pass.Reportf(as.Pos(), "context.Context assigned to a struct field; contexts are call-scoped, pass them as parameters")
+		if t := pass.typeOf(as.Rhs[i]); t != nil && t.String() == "context.Context" {
+			pass.reportf(as.Pos(), "context.Context assigned to a struct field; contexts are call-scoped, pass them as parameters")
 		}
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"strings"
 )
 
-// DepBound enforces the architecture boundaries as import rules rather
+// depBound enforces the architecture boundaries as import rules rather
 // than convention. The payoff for the diff core is portability: a core
 // that never imports os, syscall, or net is trivially wasm-clean and
 // embeddable — diffing happens on io.Reader/io.Writer and in-memory
@@ -24,62 +24,62 @@ import (
 // sanctioned place for its I/O). Deny patterns match by path segment
 // prefix ("os" matches os and os/exec but not osquery) and "cmd/*"
 // matches every command package.
-var DepBound = &Analyzer{
+var depBound = &Analyzer{
 	Name: "depbound",
 	Doc:  "architecture boundaries: diff core imports no os/syscall/net and no encoding/xml, storage no server, commands not each other",
-	Run:  runDepBound,
+	run:  runDepBound,
 }
 
-// BoundaryRule is one layer's import restriction. Scope and Deny paths
+// boundaryRule is one layer's import restriction. Scope and Deny paths
 // are module-relative ("internal/dom") or absolute ("os"); "cmd/*"
 // means every package directly under cmd.
-type BoundaryRule struct {
-	Layer  string
-	Scope  []string
-	Deny   []string
-	Reason string
+type boundaryRule struct {
+	layer  string
+	scope  []string
+	deny   []string
+	reason string
 }
 
-// BoundaryRules is the architecture of record. cmd/xyvet prints it and
+// boundaryRules is the architecture of record. cmd/xyvet prints it and
 // the README documents it; changing a boundary means changing this
 // table in a reviewed commit, not quietly adding an import.
-var BoundaryRules = []BoundaryRule{
+var boundaryRules = []boundaryRule{
 	{
-		Layer: "diff core",
-		Scope: []string{
+		layer: "diff core",
+		scope: []string{
 			"internal/dom", "internal/diff", "internal/delta",
 			"internal/dtd", "internal/lcs", "internal/xid",
 			"internal/textdiff", "internal/xpathlite", "internal/sftm",
 			"internal/optdelta",
 		},
-		Deny:   []string{"os", "syscall", "net", "encoding/xml"},
-		Reason: "the core diffs io.Reader/io.Writer and in-memory DOMs; keeping it free of platform I/O makes it wasm-clean and embeddable, and internal/dom's tokenizer is its one XML reader (encoding/xml is that tokenizer's oracle, in tests only)",
+		deny:   []string{"os", "syscall", "net", "encoding/xml"},
+		reason: "the core diffs io.Reader/io.Writer and in-memory DOMs; keeping it free of platform I/O makes it wasm-clean and embeddable, and internal/dom's tokenizer is its one XML reader (encoding/xml is that tokenizer's oracle, in tests only)",
 	},
 	{
-		Layer: "storage",
-		Scope: []string{
+		layer: "storage",
+		scope: []string{
 			"internal/store", "internal/vstore",
 			"internal/scrub", "internal/faultfs",
 		},
-		Deny:   []string{"internal/server"},
-		Reason: "the server drives storage, never the reverse; an upward import would make shutdown ordering and error ownership circular",
+		deny:   []string{"internal/server"},
+		reason: "the server drives storage, never the reverse; an upward import would make shutdown ordering and error ownership circular",
 	},
 	{
-		Layer:  "commands",
-		Scope:  []string{"cmd/*"},
-		Deny:   []string{"cmd/*"},
-		Reason: "commands are leaves; shared behavior belongs in internal packages, not in one command importing another",
+		layer:  "commands",
+		scope:  []string{"cmd/*"},
+		deny:   []string{"cmd/*"},
+		reason: "commands are leaves; shared behavior belongs in internal packages, not in one command importing another",
 	},
 }
 
-func runDepBound(pass *Pass) {
-	rel := relPath(pass.Mod, pass.Path)
+func runDepBound(pass *analyzerPass) {
+	rel := relPath(pass.mod, pass.path)
 	if rel == "" {
 		return
 	}
-	for i := range BoundaryRules {
-		rule := &BoundaryRules[i]
-		if !inScope(rule.Scope, rel) {
+	for i := range boundaryRules {
+		rule := &boundaryRules[i]
+		if !inScope(rule.scope, rel) {
 			continue
 		}
 		checkImports(pass, rule, rel)
@@ -137,8 +137,8 @@ func denies(pattern, mod, imported string) bool {
 	return target == pattern || strings.HasPrefix(target, pattern+"/")
 }
 
-func checkImports(pass *Pass, rule *BoundaryRule, rel string) {
-	for _, f := range pass.Files {
+func checkImports(pass *analyzerPass, rule *boundaryRule, rel string) {
+	for _, f := range pass.files {
 		for _, imp := range f.Imports {
 			path, err := strconv.Unquote(imp.Path.Value)
 			if err != nil {
@@ -149,12 +149,12 @@ func checkImports(pass *Pass, rule *BoundaryRule, rel string) {
 			// and deny): importing yourself is impossible in Go, so no
 			// special case is needed — but a subpackage of the same
 			// command is fine.
-			if samePkgTree(rule, pass.Mod, rel, path) {
+			if samePkgTree(rule, pass.mod, rel, path) {
 				continue
 			}
-			for _, pattern := range rule.Deny {
-				if denies(pattern, pass.Mod, path) {
-					pass.Reportf(imp.Pos(), "%s package %s must not import %s: %s", rule.Layer, rel, path, rule.Reason)
+			for _, pattern := range rule.deny {
+				if denies(pattern, pass.mod, path) {
+					pass.reportf(imp.Pos(), "%s package %s must not import %s: %s", rule.layer, rel, path, rule.reason)
 					break
 				}
 			}
@@ -165,7 +165,7 @@ func checkImports(pass *Pass, rule *BoundaryRule, rel string) {
 // samePkgTree exempts imports inside one command's own subtree when
 // both scope and deny are the cmd/* wildcard (cmd/xydiffd importing
 // cmd/xydiffd/internal/ui would otherwise trip the sideways rule).
-func samePkgTree(rule *BoundaryRule, mod, rel, imported string) bool {
+func samePkgTree(rule *boundaryRule, mod, rel, imported string) bool {
 	impRel := relPath(mod, imported)
 	if impRel == "" {
 		return false

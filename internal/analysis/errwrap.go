@@ -7,7 +7,7 @@ import (
 	"strings"
 )
 
-// ErrWrap enforces the error discipline the repository's typed errors
+// errWrap enforces the error discipline the repository's typed errors
 // (declared in internal/store/errors.go, returned by internal/vstore)
 // depend on: errors crossing a package boundary keep their chain, and
 // no error is dropped on the floor.
@@ -23,14 +23,14 @@ import (
 //
 // Print-family fmt calls and the never-failing writers (bytes.Buffer,
 // strings.Builder) are exempt from the discard rule.
-var ErrWrap = &Analyzer{
+var errWrap = &Analyzer{
 	Name: "errwrap",
 	Doc:  "no silently discarded error results; wrapped errors use %w",
-	Run:  runErrWrap,
+	run:  runErrWrap,
 }
 
-func runErrWrap(pass *Pass) {
-	for _, f := range pass.Files {
+func runErrWrap(pass *analyzerPass) {
+	for _, f := range pass.files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch node := n.(type) {
 			case *ast.ExprStmt:
@@ -62,8 +62,8 @@ func isErrorType(t types.Type) bool {
 
 // checkDiscardedError flags a statement-position call whose last result
 // is an error.
-func checkDiscardedError(pass *Pass, call *ast.CallExpr) {
-	t := pass.TypeOf(call)
+func checkDiscardedError(pass *analyzerPass, call *ast.CallExpr) {
+	t := pass.typeOf(call)
 	if t == nil {
 		return
 	}
@@ -83,13 +83,13 @@ func checkDiscardedError(pass *Pass, call *ast.CallExpr) {
 	if discardExempt(pass, call) {
 		return
 	}
-	pass.Reportf(call.Pos(), "error result of %s discarded; handle it, return it, or assign to _ explicitly", callName(call))
+	pass.reportf(call.Pos(), "error result of %s discarded; handle it, return it, or assign to _ explicitly", callName(call))
 }
 
 // discardExempt lists the calls whose error results are conventionally
 // ignored: fmt print functions and in-memory writers that document they
 // never fail.
-func discardExempt(pass *Pass, call *ast.CallExpr) bool {
+func discardExempt(pass *analyzerPass, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return false
@@ -98,7 +98,7 @@ func discardExempt(pass *Pass, call *ast.CallExpr) bool {
 		(strings.HasPrefix(fn, "Print") || strings.HasPrefix(fn, "Fprint")) {
 		return true
 	}
-	recv := pass.TypeOf(sel.X)
+	recv := pass.typeOf(sel.X)
 	if recv == nil {
 		return false
 	}
@@ -120,7 +120,7 @@ func callName(call *ast.CallExpr) string {
 
 // checkErrorfWrap verifies that every error-typed argument of a
 // fmt.Errorf call is formatted with %w.
-func checkErrorfWrap(pass *Pass, call *ast.CallExpr) {
+func checkErrorfWrap(pass *analyzerPass, call *ast.CallExpr) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return
@@ -141,18 +141,18 @@ func checkErrorfWrap(pass *Pass, call *ast.CallExpr) {
 	}
 	for i, verb := range verbs {
 		arg := call.Args[i+1]
-		if !isErrorType(pass.TypeOf(arg)) {
+		if !isErrorType(pass.typeOf(arg)) {
 			continue
 		}
 		switch verb {
 		case 'v', 's', 'q':
-			pass.Reportf(arg.Pos(), "error formatted with %%%c loses the chain for errors.Is/As; use %%w", verb)
+			pass.reportf(arg.Pos(), "error formatted with %%%c loses the chain for errors.Is/As; use %%w", verb)
 		}
 	}
 }
 
 // checkErrorsNewSprintf flags errors.New(fmt.Sprintf(...)).
-func checkErrorsNewSprintf(pass *Pass, call *ast.CallExpr) {
+func checkErrorsNewSprintf(pass *analyzerPass, call *ast.CallExpr) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return
@@ -169,14 +169,14 @@ func checkErrorsNewSprintf(pass *Pass, call *ast.CallExpr) {
 	}
 	if innerSel, ok := inner.Fun.(*ast.SelectorExpr); ok {
 		if pkg, fn := packageFunc(pass, innerSel); pkg == "fmt" && fn == "Sprintf" {
-			pass.Reportf(call.Pos(), "errors.New(fmt.Sprintf(...)); use fmt.Errorf directly")
+			pass.reportf(call.Pos(), "errors.New(fmt.Sprintf(...)); use fmt.Errorf directly")
 		}
 	}
 }
 
 // stringConstant resolves e to a constant string (literal or typed
 // constant known to the checker).
-func stringConstant(pass *Pass, e ast.Expr) (string, bool) {
+func stringConstant(pass *analyzerPass, e ast.Expr) (string, bool) {
 	if lit, ok := e.(*ast.BasicLit); ok && lit.Kind.String() == "STRING" {
 		s, err := strconv.Unquote(lit.Value)
 		if err != nil {
@@ -184,7 +184,7 @@ func stringConstant(pass *Pass, e ast.Expr) (string, bool) {
 		}
 		return s, true
 	}
-	if tv, ok := pass.Info.Types[e]; ok && tv.Value != nil && tv.Value.Kind().String() == "String" {
+	if tv, ok := pass.info.Types[e]; ok && tv.Value != nil && tv.Value.Kind().String() == "String" {
 		return constantStringValue(tv.Value.ExactString())
 	}
 	return "", false

@@ -20,30 +20,34 @@ import (
 	"testing"
 )
 
-func TestNoPanicFixture(t *testing.T)     { runFixture(t, NoPanic) }
-func TestLockBalanceFixture(t *testing.T) { runFixture(t, LockBalance) }
-func TestCtxFlowFixture(t *testing.T)     { runFixture(t, CtxFlow) }
-func TestErrWrapFixture(t *testing.T)     { runFixture(t, ErrWrap) }
-func TestSegOrderFixture(t *testing.T)    { runFixture(t, SegOrder) }
-func TestGoroLeakFixture(t *testing.T)    { runFixture(t, GoroLeak) }
-func TestPoolBalanceFixture(t *testing.T) { runFixture(t, PoolBalance) }
-func TestTimerLeakFixture(t *testing.T)   { runFixture(t, TimerLeak) }
-func TestDepBoundFixture(t *testing.T)    { runFixture(t, DepBound) }
+func TestNoPanicFixture(t *testing.T)     { runFixture(t, noPanic) }
+func TestLockBalanceFixture(t *testing.T) { runFixture(t, lockBalance) }
+func TestCtxFlowFixture(t *testing.T)     { runFixture(t, ctxFlow) }
+func TestErrWrapFixture(t *testing.T)     { runFixture(t, errWrap) }
+func TestSegOrderFixture(t *testing.T)    { runFixture(t, segOrder) }
+func TestGoroLeakFixture(t *testing.T)    { runFixture(t, goroLeak) }
+func TestPoolBalanceFixture(t *testing.T) { runFixture(t, poolBalance) }
+func TestTimerLeakFixture(t *testing.T)   { runFixture(t, timerLeak) }
+func TestDepBoundFixture(t *testing.T)    { runFixture(t, depBound) }
 
 // The staleallow fixture runs the whole suite: a directive is only
 // provably stale when every analyzer it could have suppressed ran.
-func TestStaleAllowFixture(t *testing.T) { runFixtureSuite(t, StaleAllow.Name, All()) }
+func TestStaleAllowFixture(t *testing.T) { runFixtureSuite(t, staleAllow.Name, All()) }
 
 func runFixture(t *testing.T, a *Analyzer) {
 	t.Helper()
 	runFixtureSuite(t, a.Name, []*Analyzer{a})
 }
 
-// TestTestOnlyFixture also loads one package of the fixture alone: its
-// callers are not loaded then, so nothing may be reported.
-func TestTestOnlyFixture(t *testing.T) {
-	runFixture(t, TestOnly)
-	dir, _ := extractFixture(t, TestOnly.Name)
+// The two whole-module analyzers also load one package of their
+// fixture alone: its users are not loaded then, so nothing may be
+// reported.
+func TestTestOnlyFixture(t *testing.T)    { runWholeModuleFixture(t, testOnly) }
+func TestLocalExportFixture(t *testing.T) { runWholeModuleFixture(t, localExport) }
+
+func runWholeModuleFixture(t *testing.T, a *Analyzer) {
+	runFixture(t, a)
+	dir, _ := extractFixture(t, a.Name)
 	loader, err := LoaderForDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +56,7 @@ func TestTestOnlyFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range Run(pkgs, []*Analyzer{TestOnly}) {
+	for _, d := range Run(pkgs, []*Analyzer{a}) {
 		t.Errorf("partial load reported %s", d)
 	}
 }

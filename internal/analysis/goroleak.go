@@ -7,7 +7,7 @@ import (
 	"strings"
 )
 
-// GoroLeak enforces the daemon's goroutine lifecycle invariant: every
+// goroLeak enforces the daemon's goroutine lifecycle invariant: every
 // goroutine the stack spawns — group-commit writers, sync/compaction/
 // scrub loops, crawl workers — must provably terminate,
 // or the daemon accumulates runners that outlive their owner and hold
@@ -35,14 +35,14 @@ import (
 //
 // Deliberate fire-and-forget goroutines carry an
 // //xyvet:allow goroleak directive with the reason.
-var GoroLeak = &Analyzer{
+var goroLeak = &Analyzer{
 	Name: "goroleak",
 	Doc:  "every spawned goroutine provably exits: shutdown receive, WaitGroup.Done/close handoff, or bounded body",
-	Run:  runGoroLeak,
+	run:  runGoroLeak,
 }
 
-func runGoroLeak(pass *Pass) {
-	for _, f := range pass.Files {
+func runGoroLeak(pass *analyzerPass) {
+	for _, f := range pass.files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			g, ok := n.(*ast.GoStmt)
 			if !ok {
@@ -59,26 +59,26 @@ func runGoroLeak(pass *Pass) {
 }
 
 // spawnedBody resolves the block a go statement will run.
-func spawnedBody(pass *Pass, call *ast.CallExpr) *ast.BlockStmt {
+func spawnedBody(pass *analyzerPass, call *ast.CallExpr) *ast.BlockStmt {
 	if lit, ok := call.Fun.(*ast.FuncLit); ok {
 		return lit.Body
 	}
-	if fd := pass.CalleeDecl(call); fd != nil {
+	if fd := pass.calleeDecl(call); fd != nil {
 		return fd.Body
 	}
 	return nil
 }
 
-func checkGoroutine(pass *Pass, g *ast.GoStmt, body *ast.BlockStmt) {
+func checkGoroutine(pass *analyzerPass, g *ast.GoStmt, body *ast.BlockStmt) {
 	handoff := hasLifetimeHandoff(pass, body)
 	for _, loop := range unboundedLoops(body) {
 		scan := scanLoop(pass, loop)
-		line := pass.Fset.Position(loop.Pos()).Line
+		line := pass.fset.Position(loop.Pos()).Line
 		switch {
 		case !scan.exits:
-			pass.Reportf(g.Pos(), "goroutine never terminates: the for loop at line %d has no return or break", line)
+			pass.reportf(g.Pos(), "goroutine never terminates: the for loop at line %d has no return or break", line)
 		case !scan.recv && !handoff:
-			pass.Reportf(g.Pos(), "goroutine has no provable exit path: the loop at line %d never receives from a shutdown channel or context, and the goroutine neither calls a WaitGroup.Done nor defers close of a done channel", line)
+			pass.reportf(g.Pos(), "goroutine has no provable exit path: the loop at line %d never receives from a shutdown channel or context, and the goroutine neither calls a WaitGroup.Done nor defers close of a done channel", line)
 		}
 	}
 }
@@ -86,7 +86,7 @@ func checkGoroutine(pass *Pass, g *ast.GoStmt, body *ast.BlockStmt) {
 // hasLifetimeHandoff reports whether the body visibly hands its
 // lifetime to an owner: a sync.WaitGroup.Done call (an owner Waits) or
 // a deferred close of a channel (an owner receives the close).
-func hasLifetimeHandoff(pass *Pass, body *ast.BlockStmt) bool {
+func hasLifetimeHandoff(pass *analyzerPass, body *ast.BlockStmt) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		if found {
@@ -112,12 +112,12 @@ func hasLifetimeHandoff(pass *Pass, body *ast.BlockStmt) bool {
 // isWaitGroupDone matches wg.Done() on a sync.WaitGroup (by type when
 // the checker resolved it, by the conventional receiver name when it
 // did not).
-func isWaitGroupDone(pass *Pass, call *ast.CallExpr) bool {
+func isWaitGroupDone(pass *analyzerPass, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "Done" || len(call.Args) != 0 {
 		return false
 	}
-	t := pass.TypeOf(sel.X)
+	t := pass.typeOf(sel.X)
 	if t == nil {
 		name := strings.ToLower(types.ExprString(sel.X))
 		return strings.Contains(name, "wg") || strings.Contains(name, "waitgroup")
@@ -167,7 +167,7 @@ type loopScan struct {
 	recv bool
 }
 
-func scanLoop(pass *Pass, loop *ast.ForStmt) loopScan {
+func scanLoop(pass *analyzerPass, loop *ast.ForStmt) loopScan {
 	var s loopScan
 	scanLoopBody(pass, loop.Body, 0, &s)
 	return s
@@ -179,7 +179,7 @@ func scanLoop(pass *Pass, loop *ast.ForStmt) loopScan {
 // the scanned loop. Labeled breaks are credited unconditionally: the
 // conservative reading (an exit exists) avoids resolving label
 // targets.
-func scanLoopBody(pass *Pass, n ast.Node, breakDepth int, s *loopScan) {
+func scanLoopBody(pass *analyzerPass, n ast.Node, breakDepth int, s *loopScan) {
 	if n == nil {
 		return
 	}
@@ -219,8 +219,8 @@ func scanLoopBody(pass *Pass, n ast.Node, breakDepth int, s *loopScan) {
 // isChanExpr reports whether e has a channel type. Without type
 // information it answers false — the loop then needs other exit
 // evidence, which is the conservative direction.
-func isChanExpr(pass *Pass, e ast.Expr) bool {
-	t := pass.TypeOf(e)
+func isChanExpr(pass *analyzerPass, e ast.Expr) bool {
+	t := pass.typeOf(e)
 	if t == nil {
 		return false
 	}

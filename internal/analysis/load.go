@@ -17,21 +17,21 @@ import (
 type Package struct {
 	// Path is the import path ("xydiff/internal/vstore").
 	Path string
-	// Mod is the module path the package belongs to ("xydiff");
+	// mod is the module path the package belongs to ("xydiff");
 	// analyzers use it to express module-relative layer rules.
-	Mod string
-	// Dir is the directory the sources were read from, and ModDir the
+	mod string
+	// dir is the directory the sources were read from, and modDir the
 	// module's root directory.
-	Dir    string
-	ModDir string
-	Fset   *token.FileSet
-	// Files are the parsed non-test sources, sorted by file name.
-	Files []*ast.File
-	// Types is the checked package object (possibly marked incomplete
+	dir    string
+	modDir string
+	fset   *token.FileSet
+	// files are the parsed non-test sources, sorted by file name.
+	files []*ast.File
+	// tpkg is the checked package object (possibly marked incomplete
 	// when sources had type errors).
-	Types *types.Package
-	// Info holds the checker's fact tables for Files.
-	Info *types.Info
+	tpkg *types.Package
+	// info holds the checker's fact tables for files.
+	info *types.Info
 	// TypeErrors collects type-checking problems. The analyzers still
 	// run — they degrade to syntactic checks where type facts are
 	// missing — but the driver surfaces these so a broken build cannot
@@ -44,21 +44,21 @@ type Package struct {
 // outside it (the standard library) are resolved through the
 // toolchain's source importer. No compiled artifacts are needed.
 type Loader struct {
-	// ModPath and ModDir anchor the module ("xydiff" at the repo root).
-	ModPath string
-	ModDir  string
+	// modPath and modDir anchor the module ("xydiff" at the repo root).
+	modPath string
+	modDir  string
 
 	fset  *token.FileSet
 	std   types.ImporterFrom
 	cache map[string]*Package
 }
 
-// NewLoader returns a loader for the module rooted at modDir.
-func NewLoader(modPath, modDir string) *Loader {
+// newLoader returns a loader for the module rooted at modDir.
+func newLoader(modPath, modDir string) *Loader {
 	fset := token.NewFileSet()
 	return &Loader{
-		ModPath: modPath,
-		ModDir:  modDir,
+		modPath: modPath,
+		modDir:  modDir,
 		fset:    fset,
 		std:     importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
 		cache:   make(map[string]*Package),
@@ -79,7 +79,7 @@ func LoaderForDir(dir string) (*Loader, error) {
 			if path == "" {
 				return nil, fmt.Errorf("analysis: no module line in %s", filepath.Join(cur, "go.mod"))
 			}
-			return NewLoader(path, cur), nil
+			return newLoader(path, cur), nil
 		}
 		parent := filepath.Dir(cur)
 		if parent == cur {
@@ -114,7 +114,7 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 				pat = "."
 			}
 		}
-		root := filepath.Join(l.ModDir, filepath.FromSlash(strings.TrimPrefix(pat, "./")))
+		root := filepath.Join(l.modDir, filepath.FromSlash(strings.TrimPrefix(pat, "./")))
 		if !recursive {
 			dirs[root] = true
 			continue
@@ -183,17 +183,17 @@ func containsGoFiles(dir string) (bool, error) {
 // importPathFor maps a directory under the module root to its import
 // path.
 func (l *Loader) importPathFor(dir string) (string, error) {
-	rel, err := filepath.Rel(l.ModDir, dir)
+	rel, err := filepath.Rel(l.modDir, dir)
 	if err != nil {
 		return "", err
 	}
 	if rel == "." {
-		return l.ModPath, nil
+		return l.modPath, nil
 	}
 	if strings.HasPrefix(rel, "..") {
-		return "", fmt.Errorf("analysis: %s is outside module %s", dir, l.ModDir)
+		return "", fmt.Errorf("analysis: %s is outside module %s", dir, l.modDir)
 	}
-	return l.ModPath + "/" + filepath.ToSlash(rel), nil
+	return l.modPath + "/" + filepath.ToSlash(rel), nil
 }
 
 // loadDir parses and type-checks the package in dir (cached).
@@ -203,7 +203,7 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 		return nil, err
 	}
 	if pkg, ok := l.cache[path]; ok {
-		if pkg.Types == nil {
+		if pkg.tpkg == nil {
 			return nil, fmt.Errorf("analysis: import cycle through %s", path)
 		}
 		return pkg, nil
@@ -227,7 +227,7 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("analysis: no buildable Go files in %s", dir)
 	}
-	pkg := &Package{Path: path, Mod: l.ModPath, Dir: dir, ModDir: l.ModDir, Fset: l.fset, Files: files}
+	pkg := &Package{Path: path, mod: l.modPath, dir: dir, modDir: l.modDir, fset: l.fset, files: files}
 	// Register before checking so import cycles terminate (they
 	// surface as type errors rather than infinite recursion).
 	l.cache[path] = pkg
@@ -246,8 +246,8 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 	if err != nil && len(pkg.TypeErrors) == 0 {
 		pkg.TypeErrors = append(pkg.TypeErrors, err)
 	}
-	pkg.Types = tpkg
-	pkg.Info = info
+	pkg.tpkg = tpkg
+	pkg.info = info
 	return pkg, nil
 }
 
@@ -258,13 +258,13 @@ type loaderImporter Loader
 
 func (im *loaderImporter) Import(path string) (*types.Package, error) {
 	l := (*Loader)(im)
-	if path == l.ModPath || strings.HasPrefix(path, l.ModPath+"/") {
-		rel := strings.TrimPrefix(strings.TrimPrefix(path, l.ModPath), "/")
-		pkg, err := l.loadDir(filepath.Join(l.ModDir, filepath.FromSlash(rel)))
+	if path == l.modPath || strings.HasPrefix(path, l.modPath+"/") {
+		rel := strings.TrimPrefix(strings.TrimPrefix(path, l.modPath), "/")
+		pkg, err := l.loadDir(filepath.Join(l.modDir, filepath.FromSlash(rel)))
 		if err != nil {
 			return nil, err
 		}
-		return pkg.Types, nil
+		return pkg.tpkg, nil
 	}
-	return l.std.ImportFrom(path, l.ModDir, 0)
+	return l.std.ImportFrom(path, l.modDir, 0)
 }

@@ -7,7 +7,7 @@ import (
 	"strings"
 )
 
-// LockBalance enforces the store's lock discipline: every Lock/RLock of
+// lockBalance enforces the store's lock discipline: every Lock/RLock of
 // a sync.Mutex / sync.RWMutex must be released in the same function —
 // either by an immediate `defer mu.Unlock()` or by an explicit unlock
 // on every return path — and the same mutex must not be locked twice on
@@ -21,10 +21,10 @@ import (
 // that intentionally hand a locked structure to their caller (the
 // store's reading() helper) carry an //xyvet:allow lockbalance
 // directive with the reason.
-var LockBalance = &Analyzer{
+var lockBalance = &Analyzer{
 	Name: "lockbalance",
 	Doc:  "Lock/RLock paired with defer Unlock or an unlock on every return path; no double-lock",
-	Run:  runLockBalance,
+	run:  runLockBalance,
 }
 
 // lockState tracks one mutex inside one function walk.
@@ -42,8 +42,8 @@ const (
 	opRUnlock
 )
 
-func runLockBalance(pass *Pass) {
-	for _, f := range pass.Files {
+func runLockBalance(pass *analyzerPass) {
+	for _, f := range pass.files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			var body *ast.BlockStmt
 			switch fn := n.(type) {
@@ -64,7 +64,7 @@ func runLockBalance(pass *Pass) {
 }
 
 type lockWalker struct {
-	pass *Pass
+	pass *analyzerPass
 }
 
 // walk scans one statement list. held is mutated in place for
@@ -153,7 +153,7 @@ func (w *lockWalker) apply(pos token.Pos, key string, kind lockKind, held map[st
 			if st.reader {
 				how = "RLock"
 			}
-			w.pass.Reportf(pos, "%s locked again while already held via %s (self-deadlock on a sync.Mutex, writer starvation on a sync.RWMutex)", key, how)
+			w.pass.reportf(pos, "%s locked again while already held via %s (self-deadlock on a sync.Mutex, writer starvation on a sync.RWMutex)", key, how)
 		}
 		held[key] = &lockState{reader: kind == opRLock}
 	case opUnlock, opRUnlock:
@@ -163,7 +163,7 @@ func (w *lockWalker) apply(pos token.Pos, key string, kind lockKind, held map[st
 				if st.reader {
 					want, got = got, want
 				}
-				w.pass.Reportf(pos, "%s released with %s but was acquired for %s", key, got, want)
+				w.pass.reportf(pos, "%s released with %s but was acquired for %s", key, got, want)
 			}
 			delete(held, key)
 		}
@@ -183,7 +183,7 @@ func (w *lockWalker) checkLeaks(pos token.Pos, held map[string]*lockState, where
 		if st.reader {
 			verb = "RUnlock"
 		}
-		w.pass.Reportf(pos, "%s at %s still held: no defer %s.%s and no unlock on this path (lock handoffs need %s lockbalance)",
+		w.pass.reportf(pos, "%s at %s still held: no defer %s.%s and no unlock on this path (lock handoffs need %s lockbalance)",
 			key, where, key, verb, directivePrefix)
 	}
 }
@@ -225,7 +225,7 @@ func (w *lockWalker) mutexOpCall(call *ast.CallExpr) (key string, kind lockKind,
 // information it falls back to a naming heuristic so the analyzer still
 // works on packages with type errors.
 func (w *lockWalker) isMutex(e ast.Expr) bool {
-	t := w.pass.TypeOf(e)
+	t := w.pass.typeOf(e)
 	if t == nil {
 		name := types.ExprString(e)
 		if i := strings.LastIndexByte(name, '.'); i >= 0 {

@@ -6,24 +6,24 @@ import (
 	"strings"
 )
 
-// NoPanic enforces the invariant, established when delta.Apply learned
+// noPanic enforces the invariant, established when delta.Apply learned
 // to survive corrupt deltas, that no panic escapes library code: the
 // change-control service must degrade to an error response, never to a
 // crashed process. Library packages (everything that is not a main
 // package) must not call panic, log.Fatal*, log.Panic* or os.Exit.
 // Deliberate exceptions — the Must* compile-or-panic idiom — carry an
 // //xyvet:allow nopanic directive.
-var NoPanic = &Analyzer{
+var noPanic = &Analyzer{
 	Name: "nopanic",
 	Doc:  "no panic/log.Fatal/os.Exit in library (non-main) packages",
-	Run:  runNoPanic,
+	run:  runNoPanic,
 }
 
-func runNoPanic(pass *Pass) {
-	if pass.Pkg != nil && pass.Pkg.Name() == "main" {
+func runNoPanic(pass *analyzerPass) {
+	if pass.pkg != nil && pass.pkg.Name() == "main" {
 		return // commands and examples may exit or fail fatally
 	}
-	for _, f := range pass.Files {
+	for _, f := range pass.files {
 		if f.Name.Name == "main" {
 			return
 		}
@@ -35,15 +35,15 @@ func runNoPanic(pass *Pass) {
 			switch fun := call.Fun.(type) {
 			case *ast.Ident:
 				if fun.Name == "panic" && isBuiltin(pass, fun) {
-					pass.Reportf(call.Pos(), "panic in library code; return an error instead (or annotate a Must* idiom with %s nopanic)", directivePrefix)
+					pass.reportf(call.Pos(), "panic in library code; return an error instead (or annotate a Must* idiom with %s nopanic)", directivePrefix)
 				}
 			case *ast.SelectorExpr:
 				pkg, fn := packageFunc(pass, fun)
 				switch {
 				case pkg == "log" && (strings.HasPrefix(fn, "Fatal") || strings.HasPrefix(fn, "Panic")):
-					pass.Reportf(call.Pos(), "log.%s terminates the process from library code; return an error instead", fn)
+					pass.reportf(call.Pos(), "log.%s terminates the process from library code; return an error instead", fn)
 				case pkg == "os" && fn == "Exit":
-					pass.Reportf(call.Pos(), "os.Exit in library code; return an error and let the command decide")
+					pass.reportf(call.Pos(), "os.Exit in library code; return an error and let the command decide")
 				}
 			}
 			return true
@@ -54,8 +54,8 @@ func runNoPanic(pass *Pass) {
 // isBuiltin reports whether id resolves to the universe-scope builtin
 // of the same name (i.e. is not shadowed by a local declaration). When
 // type information is missing it assumes the builtin.
-func isBuiltin(pass *Pass, id *ast.Ident) bool {
-	obj := pass.Info.Uses[id]
+func isBuiltin(pass *analyzerPass, id *ast.Ident) bool {
+	obj := pass.info.Uses[id]
 	if obj == nil {
 		return true
 	}
@@ -66,12 +66,12 @@ func isBuiltin(pass *Pass, id *ast.Ident) bool {
 // packageFunc resolves a selector call like log.Fatalf to its package
 // name ("log") and function name ("Fatalf"). It returns "" when the
 // selector base is not a package identifier (a method call).
-func packageFunc(pass *Pass, sel *ast.SelectorExpr) (pkg, fn string) {
+func packageFunc(pass *analyzerPass, sel *ast.SelectorExpr) (pkg, fn string) {
 	id, ok := sel.X.(*ast.Ident)
 	if !ok {
 		return "", sel.Sel.Name
 	}
-	if obj := pass.Info.Uses[id]; obj != nil {
+	if obj := pass.info.Uses[id]; obj != nil {
 		if pn, ok := obj.(*types.PkgName); ok {
 			return pn.Imported().Path(), sel.Sel.Name
 		}

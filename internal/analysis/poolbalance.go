@@ -6,7 +6,7 @@ import (
 	"go/types"
 )
 
-// PoolBalance guards the diff core's scratch reuse (internal/diff's
+// poolBalance guards the diff core's scratch reuse (internal/diff's
 // tree/matcher pools, internal/lcs's Fenwick scratch): a sync.Pool only
 // pays off if every Get is matched by a Put on every path, and a value
 // must never be touched after it went back — the next Get may already
@@ -26,20 +26,20 @@ import (
 // released via `defer` (panic-safe), or released on the spot — in
 // which case any later return between acquire and release, and any use
 // of the value after the release, is a finding.
-var PoolBalance = &Analyzer{
+var poolBalance = &Analyzer{
 	Name: "poolbalance",
 	Doc:  "sync.Pool.Get paired with Put on every path (defer for panic safety); no use after Put",
-	Run:  runPoolBalance,
+	run:  runPoolBalance,
 }
 
-func runPoolBalance(pass *Pass) {
-	pb := &poolBalance{
+func runPoolBalance(pass *analyzerPass) {
+	pb := &poolChecker{
 		pass:    pass,
 		sources: make(map[types.Object]bool),
 		sinks:   make(map[types.Object]bool),
 	}
 	pb.classify()
-	for _, f := range pass.Files {
+	for _, f := range pass.files {
 		for _, decl := range f.Decls {
 			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
 				pb.checkFunc(fn)
@@ -48,15 +48,15 @@ func runPoolBalance(pass *Pass) {
 	}
 }
 
-type poolBalance struct {
-	pass    *Pass
+type poolChecker struct {
+	pass    *analyzerPass
 	sources map[types.Object]bool // returns a pooled value
 	sinks   map[types.Object]bool // Puts a param/receiver back
 }
 
 // isPoolExpr reports whether e is a sync.Pool (or *sync.Pool) value.
-func (pb *poolBalance) isPoolExpr(e ast.Expr) bool {
-	t := pb.pass.TypeOf(e)
+func (pb *poolChecker) isPoolExpr(e ast.Expr) bool {
+	t := pb.pass.typeOf(e)
 	if t == nil {
 		return false
 	}
@@ -72,7 +72,7 @@ func (pb *poolBalance) isPoolExpr(e ast.Expr) bool {
 }
 
 // poolCall matches `<pool>.Get()` / `<pool>.Put(x)` calls.
-func (pb *poolBalance) poolCall(call *ast.CallExpr) (method string, ok bool) {
+func (pb *poolChecker) poolCall(call *ast.CallExpr) (method string, ok bool) {
 	sel, isSel := call.Fun.(*ast.SelectorExpr)
 	if !isSel {
 		return "", false
@@ -97,7 +97,7 @@ func (pb *poolBalance) poolCall(call *ast.CallExpr) (method string, ok bool) {
 
 // acquireExpr reports whether e yields a pooled value: a direct Get
 // (possibly behind a type assertion) or a call of a known source.
-func (pb *poolBalance) acquireExpr(e ast.Expr) bool {
+func (pb *poolChecker) acquireExpr(e ast.Expr) bool {
 	e = ast.Unparen(e)
 	if ta, ok := e.(*ast.TypeAssertExpr); ok {
 		e = ast.Unparen(ta.X)
@@ -113,7 +113,7 @@ func (pb *poolBalance) acquireExpr(e ast.Expr) bool {
 }
 
 // sinksOrSources reports whether the call's callee object is in set.
-func (pb *poolBalance) sinksOrSources(call *ast.CallExpr, set map[types.Object]bool) bool {
+func (pb *poolChecker) sinksOrSources(call *ast.CallExpr, set map[types.Object]bool) bool {
 	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -123,7 +123,7 @@ func (pb *poolBalance) sinksOrSources(call *ast.CallExpr, set map[types.Object]b
 	default:
 		return false
 	}
-	obj := pb.pass.Info.Uses[id]
+	obj := pb.pass.info.Uses[id]
 	if obj == nil {
 		return false
 	}
@@ -133,10 +133,10 @@ func (pb *poolBalance) sinksOrSources(call *ast.CallExpr, set map[types.Object]b
 // classify finds the package's sources and sinks, iterating sources to
 // a fixpoint so wrappers of wrappers (a helper returning newTree's
 // result) are recognized.
-func (pb *poolBalance) classify() {
+func (pb *poolChecker) classify() {
 	// Sinks need one pass: a Put whose argument resolves to a parameter
 	// or the receiver.
-	for _, f := range pb.pass.Files {
+	for _, f := range pb.pass.files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {
@@ -150,8 +150,8 @@ func (pb *poolBalance) classify() {
 				}
 				if m, ok := pb.poolCall(call); ok && m == "Put" {
 					if id, ok := ast.Unparen(call.Args[0]).(*ast.Ident); ok {
-						if obj := pb.pass.Info.Uses[id]; obj != nil && owned[obj] {
-							if fnObj := pb.pass.Info.Defs[fn.Name]; fnObj != nil {
+						if obj := pb.pass.info.Uses[id]; obj != nil && owned[obj] {
+							if fnObj := pb.pass.info.Defs[fn.Name]; fnObj != nil {
 								pb.sinks[fnObj] = true
 							}
 						}
@@ -164,13 +164,13 @@ func (pb *poolBalance) classify() {
 	// Sources to a fixpoint.
 	for changed := true; changed; {
 		changed = false
-		for _, f := range pb.pass.Files {
+		for _, f := range pb.pass.files {
 			for _, decl := range f.Decls {
 				fn, ok := decl.(*ast.FuncDecl)
 				if !ok || fn.Body == nil {
 					continue
 				}
-				fnObj := pb.pass.Info.Defs[fn.Name]
+				fnObj := pb.pass.info.Defs[fn.Name]
 				if fnObj == nil || pb.sources[fnObj] {
 					continue
 				}
@@ -184,7 +184,7 @@ func (pb *poolBalance) classify() {
 }
 
 // paramObjects collects the objects of fn's parameters and receiver.
-func (pb *poolBalance) paramObjects(fn *ast.FuncDecl) map[types.Object]bool {
+func (pb *poolChecker) paramObjects(fn *ast.FuncDecl) map[types.Object]bool {
 	owned := make(map[types.Object]bool)
 	addFields := func(fl *ast.FieldList) {
 		if fl == nil {
@@ -192,7 +192,7 @@ func (pb *poolBalance) paramObjects(fn *ast.FuncDecl) map[types.Object]bool {
 		}
 		for _, field := range fl.List {
 			for _, name := range field.Names {
-				if obj := pb.pass.Info.Defs[name]; obj != nil {
+				if obj := pb.pass.info.Defs[name]; obj != nil {
 					owned[obj] = true
 				}
 			}
@@ -208,7 +208,7 @@ func (pb *poolBalance) paramObjects(fn *ast.FuncDecl) map[types.Object]bool {
 // returnsPooled reports whether fn returns a pooled value on some
 // path: a return of an acquire expression, or of a variable bound to
 // one.
-func (pb *poolBalance) returnsPooled(fn *ast.FuncDecl) bool {
+func (pb *poolChecker) returnsPooled(fn *ast.FuncDecl) bool {
 	acquired := make(map[types.Object]bool)
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		assign, ok := n.(*ast.AssignStmt)
@@ -238,7 +238,7 @@ func (pb *poolBalance) returnsPooled(fn *ast.FuncDecl) bool {
 				found = true
 			}
 			if id, ok := ast.Unparen(res).(*ast.Ident); ok {
-				if obj := pb.pass.Info.Uses[id]; obj != nil && acquired[obj] {
+				if obj := pb.pass.info.Uses[id]; obj != nil && acquired[obj] {
 					found = true
 				}
 			}
@@ -250,11 +250,11 @@ func (pb *poolBalance) returnsPooled(fn *ast.FuncDecl) bool {
 
 // lhsObject resolves the object an assignment left-hand ident binds
 // (Defs for :=, Uses for =).
-func (pb *poolBalance) lhsObject(id *ast.Ident) types.Object {
-	if obj := pb.pass.Info.Defs[id]; obj != nil {
+func (pb *poolChecker) lhsObject(id *ast.Ident) types.Object {
+	if obj := pb.pass.info.Defs[id]; obj != nil {
 		return obj
 	}
-	return pb.pass.Info.Uses[id]
+	return pb.pass.info.Uses[id]
 }
 
 // acquire is one tracked pooled value inside a function.
@@ -264,8 +264,8 @@ type acquire struct {
 }
 
 // checkFunc enforces the pairing discipline inside one declaration.
-func (pb *poolBalance) checkFunc(fn *ast.FuncDecl) {
-	fnObj := pb.pass.Info.Defs[fn.Name]
+func (pb *poolChecker) checkFunc(fn *ast.FuncDecl) {
+	fnObj := pb.pass.info.Defs[fn.Name]
 	if fnObj != nil && (pb.sources[fnObj] || pb.sinks[fnObj]) {
 		// Sources hand the value to their caller, sinks receive it to
 		// release: the pairing obligation lives at their call sites.
@@ -299,10 +299,10 @@ func (pb *poolBalance) checkFunc(fn *ast.FuncDecl) {
 // releaseOf reports whether the statement's call releases obj: a
 // direct `<pool>.Put(obj)`, a sink call with obj as argument, or a
 // sink method call on obj.
-func (pb *poolBalance) releaseOf(call *ast.CallExpr, obj types.Object) bool {
+func (pb *poolChecker) releaseOf(call *ast.CallExpr, obj types.Object) bool {
 	usesObj := func(e ast.Expr) bool {
 		id, ok := ast.Unparen(e).(*ast.Ident)
-		return ok && pb.pass.Info.Uses[id] == obj
+		return ok && pb.pass.info.Uses[id] == obj
 	}
 	if m, ok := pb.poolCall(call); ok && m == "Put" {
 		return usesObj(call.Args[0])
@@ -320,7 +320,7 @@ func (pb *poolBalance) releaseOf(call *ast.CallExpr, obj types.Object) bool {
 	return false
 }
 
-func (pb *poolBalance) checkAcquire(fn *ast.FuncDecl, acq acquire) {
+func (pb *poolChecker) checkAcquire(fn *ast.FuncDecl, acq acquire) {
 	var (
 		deferredRelease bool
 		releases        []*ast.CallExpr // non-deferred releases, in source order
@@ -348,7 +348,7 @@ func (pb *poolBalance) checkAcquire(fn *ast.FuncDecl, acq acquire) {
 			}
 		case *ast.ReturnStmt:
 			for _, res := range x.Results {
-				if id, ok := ast.Unparen(res).(*ast.Ident); ok && pb.pass.Info.Uses[id] == acq.obj {
+				if id, ok := ast.Unparen(res).(*ast.Ident); ok && pb.pass.info.Uses[id] == acq.obj {
 					returned = true
 				}
 			}
@@ -359,7 +359,7 @@ func (pb *poolBalance) checkAcquire(fn *ast.FuncDecl, acq acquire) {
 		return
 	}
 	if len(releases) == 0 {
-		pb.pass.Reportf(acq.pos, "%s is drawn from a pool but never returned to it: add a defer-ed Put/release (or return it to transfer ownership)", acq.obj.Name())
+		pb.pass.reportf(acq.pos, "%s is drawn from a pool but never returned to it: add a defer-ed Put/release (or return it to transfer ownership)", acq.obj.Name())
 		return
 	}
 	// Released inline: every return between the acquire and the
@@ -379,11 +379,11 @@ func (pb *poolBalance) checkAcquire(fn *ast.FuncDecl, acq acquire) {
 		switch x := n.(type) {
 		case *ast.ReturnStmt:
 			if x.Pos() > acq.pos && x.End() <= releasePos {
-				pb.pass.Reportf(x.Pos(), "return between %s's pool Get and its Put leaks the value on this path; release it before returning or use defer", acq.obj.Name())
+				pb.pass.reportf(x.Pos(), "return between %s's pool Get and its Put leaks the value on this path; release it before returning or use defer", acq.obj.Name())
 			}
 		case *ast.Ident:
-			if x.Pos() > releasePos && !inRelease(x.Pos()) && pb.pass.Info.Uses[x] == acq.obj {
-				pb.pass.Reportf(x.Pos(), "%s is used after it was returned to its pool: the next Get may already own it (data race)", acq.obj.Name())
+			if x.Pos() > releasePos && !inRelease(x.Pos()) && pb.pass.info.Uses[x] == acq.obj {
+				pb.pass.reportf(x.Pos(), "%s is used after it was returned to its pool: the next Get may already own it (data race)", acq.obj.Name())
 			}
 		}
 		return true

@@ -5,7 +5,7 @@ import (
 	"go/token"
 )
 
-// SegOrder encodes the sharded engine's durable-write ordering
+// segOrder encodes the sharded engine's durable-write ordering
 // (internal/vstore): within any function of a package named "vstore",
 //
 //  1. the group-committed segment append (appendDurable) must happen
@@ -25,17 +25,17 @@ import (
 // discipline; the check compares source order within one function —
 // exactly what a refactor of PutDetailed or compactShard could silently
 // reorder.
-var SegOrder = &Analyzer{
+var segOrder = &Analyzer{
 	Name: "segorder",
 	Doc:  "vstore ordering: segment append before commit, snapshot before segment retire, fsync before rename",
-	Run:  runSegOrder,
+	run:  runSegOrder,
 }
 
-func runSegOrder(pass *Pass) {
-	if pass.Pkg != nil && pass.Pkg.Name() != "vstore" {
+func runSegOrder(pass *analyzerPass) {
+	if pass.pkg != nil && pass.pkg.Name() != "vstore" {
 		return
 	}
-	for _, f := range pass.Files {
+	for _, f := range pass.files {
 		if f.Name.Name != "vstore" {
 			return
 		}
@@ -61,7 +61,7 @@ type segSites struct {
 	hasTmpFile bool        // x.CreateTemp(...) seen
 }
 
-func checkSegOrder(pass *Pass, fn *ast.FuncDecl) {
+func checkSegOrder(pass *analyzerPass, fn *ast.FuncDecl) {
 	var sites segSites
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch node := n.(type) {
@@ -108,7 +108,7 @@ func checkSegOrder(pass *Pass, fn *ast.FuncDecl) {
 		}
 		for _, p := range later {
 			if p < first {
-				pass.Reportf(p, "%s (segment-log ordering, see internal/vstore/segment.go)", what)
+				pass.reportf(p, "%s (segment-log ordering, see internal/vstore/segment.go)", what)
 			}
 		}
 	}

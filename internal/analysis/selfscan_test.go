@@ -34,7 +34,7 @@ func TestRepoSelfScanIsClean(t *testing.T) {
 		}
 	}
 	for _, d := range Run(pkgs, All()) {
-		rel, err := filepath.Rel(loader.ModDir, d.File)
+		rel, err := filepath.Rel(loader.modDir, d.File)
 		if err != nil {
 			rel = d.File
 		}

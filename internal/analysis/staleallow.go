@@ -5,7 +5,7 @@ import (
 	"sort"
 )
 
-// StaleAllow keeps the suppression surface honest: an //xyvet:allow
+// staleAllow keeps the suppression surface honest: an //xyvet:allow
 // directive that suppresses no finding is dead weight — usually the
 // code it excused was refactored away, and the directive now hides
 // nothing except the reader's confidence that every remaining allow is
@@ -19,12 +19,12 @@ import (
 // it names actually ran (and, for "all", when the whole suite ran), so
 // partial runs — a single analyzer over one package in a fixture test —
 // never produce false staleness.
-var StaleAllow = &Analyzer{
+var staleAllow = &Analyzer{
 	Name: "staleallow",
 	Doc:  "//xyvet:allow directives must suppress at least one finding and name real analyzers",
 	// Run is nil: the check is a post-pass over the directive table,
 	// driven by Run itself after the other analyzers reported.
-	Run: nil,
+	run: nil,
 }
 
 // staleFindings reports the package's unused and mistyped directives.
@@ -49,7 +49,7 @@ func staleFindings(allowed directives, running map[string]bool) []Diagnostic {
 	var diags []Diagnostic
 	emit := func(d *directive, format string, args ...any) {
 		diags = append(diags, Diagnostic{
-			Analyzer: StaleAllow.Name,
+			Analyzer: staleAllow.Name,
 			Position: d.pos,
 			Message:  fmt.Sprintf(format, args...),
 			File:     d.pos.Filename,

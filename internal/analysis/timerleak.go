@@ -5,7 +5,7 @@ import (
 	"go/types"
 )
 
-// TimerLeak guards the stack's timer loops — the scrub scheduler, the
+// timerLeak guards the stack's timer loops — the scrub scheduler, the
 // group-commit linger, the compaction nudge, the crawl dispatcher all
 // run timers inside long-lived loops, where a leaked timer per
 // iteration becomes a steady allocation drip the GC cannot reclaim
@@ -24,14 +24,14 @@ import (
 //     deferred closure). Results that are returned, stored in a
 //     struct, or passed on are ownership transfers and are skipped —
 //     the receiver is responsible.
-var TimerLeak = &Analyzer{
+var timerLeak = &Analyzer{
 	Name: "timerleak",
 	Doc:  "no time.After in loops, no time.Tick, every NewTimer/NewTicker paired with Stop",
-	Run:  runTimerLeak,
+	run:  runTimerLeak,
 }
 
-func runTimerLeak(pass *Pass) {
-	for _, f := range pass.Files {
+func runTimerLeak(pass *analyzerPass) {
+	for _, f := range pass.files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {
@@ -42,7 +42,7 @@ func runTimerLeak(pass *Pass) {
 	}
 }
 
-func checkTimers(pass *Pass, body *ast.BlockStmt) {
+func checkTimers(pass *analyzerPass, body *ast.BlockStmt) {
 	// One pass over the function collects every loop's lexical range,
 	// the variables timer constructors are assigned to, the
 	// constructor calls that escape (returned / stored / passed on),
@@ -117,21 +117,21 @@ func checkTimers(pass *Pass, body *ast.BlockStmt) {
 		switch timeFunc(pass, call) {
 		case "After":
 			if inLoop(call) {
-				pass.Reportf(call.Pos(), "time.After in a loop parks a new timer every iteration until it fires; reuse a time.NewTimer with Stop")
+				pass.reportf(call.Pos(), "time.After in a loop parks a new timer every iteration until it fires; reuse a time.NewTimer with Stop")
 			}
 		case "Tick":
-			pass.Reportf(call.Pos(), "time.Tick's ticker can never be stopped; use time.NewTicker with defer Stop")
+			pass.reportf(call.Pos(), "time.Tick's ticker can never be stopped; use time.NewTicker with defer Stop")
 		case "NewTimer", "NewTicker":
 			if escaped[call] {
 				return true
 			}
 			name, ok := assigned[call]
 			if !ok {
-				pass.Reportf(call.Pos(), "timer is never bound to a variable, so it can never be stopped")
+				pass.reportf(call.Pos(), "timer is never bound to a variable, so it can never be stopped")
 				return true
 			}
 			if !stops[name] {
-				pass.Reportf(call.Pos(), "%s is never stopped in this function: add defer %s.Stop() (or an explicit Stop on every path)", name, name)
+				pass.reportf(call.Pos(), "%s is never stopped in this function: add defer %s.Stop() (or an explicit Stop on every path)", name, name)
 			}
 		}
 		return true
@@ -143,7 +143,7 @@ func checkTimers(pass *Pass, body *ast.BlockStmt) {
 // particular "" for the time.Time.After *method*, whose package is
 // also "time": the selector base must be the time package name itself.
 // Without type information it falls back to the `time.` spelling.
-func timeFunc(pass *Pass, call *ast.CallExpr) string {
+func timeFunc(pass *analyzerPass, call *ast.CallExpr) string {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return ""
@@ -157,7 +157,7 @@ func timeFunc(pass *Pass, call *ast.CallExpr) string {
 	if !ok {
 		return ""
 	}
-	if obj := pass.Info.Uses[id]; obj != nil {
+	if obj := pass.info.Uses[id]; obj != nil {
 		if pn, ok := obj.(*types.PkgName); ok && pn.Imported().Path() == "time" {
 			return sel.Sel.Name
 		}

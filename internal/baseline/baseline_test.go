@@ -158,12 +158,18 @@ func distance(oldDoc, newDoc *dom.Node) int {
 // representation is structure-blind.
 func reconstruct(r *DiffMKResult) []string {
 	var out []string
-	for _, e := range r.Edits {
+	old, next := 0, 0
+	for _, e := range r.edits {
 		switch e.Kind {
 		case lcs.Keep:
-			out = append(out, r.OldTokens[e.AIdx])
+			out = append(out, r.oldTokens[old])
+			old++
+			next++
+		case lcs.Delete:
+			old++
 		case lcs.Insert:
-			out = append(out, r.NewTokens[e.BIdx])
+			out = append(out, r.newTokens[next])
+			next++
 		}
 	}
 	return out
@@ -176,7 +182,7 @@ func TestDiffMKLossless(t *testing.T) {
 		newDoc := randomDoc(rng)
 		r := DiffMK(oldDoc, newDoc)
 		got := strings.Join(reconstruct(r), "\x00")
-		want := strings.Join(r.NewTokens, "\x00")
+		want := strings.Join(r.newTokens, "\x00")
 		if got != want {
 			t.Fatalf("DiffMK reconstruction mismatch")
 		}
@@ -202,7 +208,7 @@ func TestDiffMKCountsChanges(t *testing.T) {
 
 func TestFlattenShape(t *testing.T) {
 	doc := parse(t, `<a x="1"><b>t</b></a>`)
-	toks := Flatten(doc)
+	toks := flatten(doc)
 	want := []string{`<a x="1">`, `<b>`, `t`, `</b>`, `</a>`}
 	if len(toks) != len(want) {
 		t.Fatalf("Flatten = %v, want %v", toks, want)

@@ -13,23 +13,23 @@ import (
 // approach ("losing the benefit of tree structure of XML"); it is here
 // for the comparison experiments.
 type DiffMKResult struct {
-	Edits     []lcs.Edit
-	OldTokens []string
-	NewTokens []string
+	edits     []lcs.Edit
+	oldTokens []string
+	newTokens []string
 }
 
 // DiffMK flattens both documents into token lists (start tags with
 // attributes, text, end tags) and diffs the lists, mimicking Sun's
 // DiffMK built on the Unix diff algorithm.
 func DiffMK(oldDoc, newDoc *dom.Node) *DiffMKResult {
-	a, b := Flatten(oldDoc), Flatten(newDoc)
-	return &DiffMKResult{Edits: lcs.Myers(a, b), OldTokens: a, NewTokens: b}
+	a, b := flatten(oldDoc), flatten(newDoc)
+	return &DiffMKResult{edits: lcs.Myers(a, b), oldTokens: a, newTokens: b}
 }
 
 // Changed counts non-Keep edits.
 func (r *DiffMKResult) Changed() int {
 	n := 0
-	for _, e := range r.Edits {
+	for _, e := range r.edits {
 		if e.Kind != lcs.Keep {
 			n++
 		}
@@ -37,8 +37,8 @@ func (r *DiffMKResult) Changed() int {
 	return n
 }
 
-// Flatten linearizes a document into the token list DiffMK operates on.
-func Flatten(doc *dom.Node) []string {
+// flatten linearizes a document into the token list DiffMK operates on.
+func flatten(doc *dom.Node) []string {
 	var out []string
 	var walk func(n *dom.Node)
 	walk = func(n *dom.Node) {

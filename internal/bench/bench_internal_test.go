@@ -6,7 +6,7 @@ import (
 )
 
 func TestFig4SmallSweep(t *testing.T) {
-	points, err := Fig4([]int{2_000, 8_000}, 1)
+	points, err := fig4([]int{2_000, 8_000}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -14,22 +14,22 @@ func TestFig4SmallSweep(t *testing.T) {
 		t.Fatalf("points = %d", len(points))
 	}
 	for _, p := range points {
-		if p.Bytes <= 0 || p.Nodes <= 0 || p.Total <= 0 {
+		if p.bytes <= 0 || p.nodes <= 0 || p.total <= 0 {
 			t.Errorf("degenerate point %+v", p)
 		}
 	}
-	if points[1].Nodes <= points[0].Nodes {
+	if points[1].nodes <= points[0].nodes {
 		t.Error("sweep not increasing in size")
 	}
 	var b strings.Builder
-	PrintFig4(&b, points)
+	printFig4(&b, points)
 	if !strings.Contains(b.String(), "Figure 4") {
 		t.Error("PrintFig4 header missing")
 	}
 }
 
 func TestFig5Sweep(t *testing.T) {
-	points, err := Fig5(10_000, []float64{0.02, 0.20}, 2)
+	points, err := fig5(10_000, []float64{0.02, 0.20}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,58 +37,58 @@ func TestFig5Sweep(t *testing.T) {
 		t.Fatalf("points = %d", len(points))
 	}
 	for _, p := range points {
-		if p.PerfectBytes <= 0 || p.ComputedBytes <= 0 {
+		if p.perfectBytes <= 0 || p.computedBytes <= 0 {
 			t.Errorf("degenerate point %+v", p)
 		}
-		if p.Ratio <= 0 || p.Ratio > 10 {
+		if p.ratio <= 0 || p.ratio > 10 {
 			t.Errorf("implausible quality ratio %+v", p)
 		}
 	}
 	var b strings.Builder
-	PrintFig5(&b, points)
+	printFig5(&b, points)
 	if !strings.Contains(b.String(), "Figure 5") {
 		t.Error("PrintFig5 header missing")
 	}
 }
 
 func TestFig6Corpus(t *testing.T) {
-	points, sum, err := Fig6(6, 3)
+	points, sum, err := fig6(6, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Docs == 0 || len(points) == 0 {
+	if sum.docs == 0 || len(points) == 0 {
 		t.Fatalf("no measurements: %+v", sum)
 	}
-	if sum.MeanRatio <= 0 {
-		t.Errorf("mean ratio = %f", sum.MeanRatio)
+	if sum.meanRatio <= 0 {
+		t.Errorf("mean ratio = %f", sum.meanRatio)
 	}
 	var b strings.Builder
-	PrintFig6(&b, points, sum)
+	printFig6(&b, points, sum)
 	if !strings.Contains(b.String(), "mean ratio") {
 		t.Error("PrintFig6 summary missing")
 	}
 }
 
 func TestSiteExperiment(t *testing.T) {
-	r, err := Site(150, 4)
+	r, err := site(150, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.DocBytes <= 0 || r.DeltaSize <= 0 || r.TotalTime <= 0 {
+	if r.docBytes <= 0 || r.deltaSize <= 0 || r.totalTime <= 0 {
 		t.Errorf("degenerate site result %+v", r)
 	}
-	if r.CoreTime > r.TotalTime {
+	if r.coreTime > r.totalTime {
 		t.Errorf("core time exceeds total: %+v", r)
 	}
 	var b strings.Builder
-	PrintSite(&b, r)
+	printSite(&b, r)
 	if !strings.Contains(b.String(), "pages=150") {
 		t.Error("PrintSite output missing fields")
 	}
 }
 
 func TestBaselinesComparison(t *testing.T) {
-	points, err := Baselines([]int{60, 150}, 5)
+	points, err := baselines([]int{60, 150}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,43 +96,43 @@ func TestBaselinesComparison(t *testing.T) {
 		t.Fatalf("points = %d", len(points))
 	}
 	for _, p := range points {
-		if p.BULD <= 0 || p.LuSelkow <= 0 || p.LaDiff <= 0 || p.DiffMK <= 0 {
+		if p.buld <= 0 || p.luSelkow <= 0 || p.laDiff <= 0 || p.diffMK <= 0 {
 			t.Errorf("missing timing in %+v", p)
 		}
-		if p.BULDSize <= 0 || p.LuSize <= 0 || p.LaSize <= 0 {
+		if p.buldSize <= 0 || p.luSize <= 0 || p.laSize <= 0 {
 			t.Errorf("missing delta size in %+v", p)
 		}
 	}
 	var b strings.Builder
-	PrintBaselines(&b, points)
+	printBaselines(&b, points)
 	if !strings.Contains(b.String(), "buld(us)") {
 		t.Error("PrintBaselines header missing")
 	}
 }
 
 func TestMovesSweep(t *testing.T) {
-	points, err := Moves(8_000, []float64{0.0, 0.5}, 6)
+	points, err := moves(8_000, []float64{0.0, 0.5}, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(points) != 2 {
 		t.Fatalf("points = %d", len(points))
 	}
-	if points[0].PerfectMoves != 0 {
-		t.Errorf("moveProb=0 produced %d perfect moves", points[0].PerfectMoves)
+	if points[0].perfectMoves != 0 {
+		t.Errorf("moveProb=0 produced %d perfect moves", points[0].perfectMoves)
 	}
-	if points[1].PerfectMoves == 0 {
+	if points[1].perfectMoves == 0 {
 		t.Error("moveProb=0.5 produced no moves")
 	}
 	var b strings.Builder
-	PrintMoves(&b, points)
+	printMoves(&b, points)
 	if !strings.Contains(b.String(), "moveProb") {
 		t.Error("PrintMoves header missing")
 	}
 }
 
 func TestAblationsRun(t *testing.T) {
-	points, err := Ablations(6_000, 7)
+	points, err := ablations(6_000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,16 +141,16 @@ func TestAblationsRun(t *testing.T) {
 	}
 	names := map[string]bool{}
 	for _, p := range points {
-		if p.Time <= 0 || p.DeltaSize <= 0 {
+		if p.time <= 0 || p.deltaSize <= 0 {
 			t.Errorf("degenerate ablation %+v", p)
 		}
-		names[p.Name] = true
+		names[p.name] = true
 	}
 	if !names["paper-default"] || !names["eager-down"] {
 		t.Errorf("missing expected configs: %v", names)
 	}
 	var b strings.Builder
-	PrintAblations(&b, points)
+	printAblations(&b, points)
 	if !strings.Contains(b.String(), "paper-default") {
 		t.Error("PrintAblations output missing configs")
 	}

@@ -343,12 +343,12 @@ func compareQuality(want, got quality) []string {
 
 func measureQuality(seed int64) (quality, error) {
 	q := quality{Seed: seed}
-	points, err := Fig5(50_000, []float64{0.05, 0.20}, seed)
+	points, err := fig5(50_000, []float64{0.05, 0.20}, seed)
 	if err != nil {
 		return q, err
 	}
 	for _, p := range points {
-		q.Fig5 = append(q.Fig5, fig5Ratio{fmt.Sprintf("fig5/rate-%.2f", p.ChangeRate), p.Ratio})
+		q.Fig5 = append(q.Fig5, fig5Ratio{fmt.Sprintf("fig5/rate-%.2f", p.changeRate), p.ratio})
 	}
 	if q.Matchers, err = sweepMatchers(seed); err != nil {
 		return q, err

@@ -78,10 +78,10 @@ func TestSimulateProducesRequestedMix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Deletes == 0 || res.Stats.Updates == 0 || res.Stats.Inserts == 0 {
+	if res.Stats.deletes == 0 || res.Stats.updates == 0 || res.Stats.inserts == 0 {
 		t.Fatalf("expected a mix of edits, got %v", res.Stats)
 	}
-	if res.Stats.Moves == 0 {
+	if res.Stats.moves == 0 {
 		t.Fatalf("expected some moves at MoveProb=0.1 with a large pool, got %v", res.Stats)
 	}
 	c := res.Perfect.Count()

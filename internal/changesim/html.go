@@ -126,32 +126,32 @@ func HTMLPage(rng *rand.Rand, sections int) *dom.Node {
 // HTMLParams tune the HTML mutation mix. Probabilities are per
 // eligible node.
 type HTMLParams struct {
-	// AttrProb churns an element's attributes: a class token appears
+	// attrProb churns an element's attributes: a class token appears
 	// or disappears, an href gains a tracking parameter — the node
 	// itself survives (ground truth keeps the pair).
-	AttrProb float64
-	// UpdateProb rewrites a text node's content completely (pair kept:
+	attrProb float64
+	// updateProb rewrites a text node's content completely (pair kept:
 	// the perfect delta says update, not delete+insert).
-	UpdateProb float64
-	// WrapProb wraps an element in a fresh div — the layout-refactor
+	updateProb float64
+	// wrapProb wraps an element in a fresh div — the layout-refactor
 	// change that breaks ancestry-based matching. The wrapper is an
 	// insert; the wrapped subtree keeps its pairs.
-	WrapProb float64
-	// ReorderProb moves a child to another position among its
+	wrapProb float64
+	// reorderProb moves a child to another position among its
 	// siblings (id-less reorder; pairs kept, the delta says move).
-	ReorderProb float64
-	// DeleteProb deletes an element subtree (its pairs drop).
-	DeleteProb float64
-	// InsertProb inserts a fresh list item or paragraph (no pair).
-	InsertProb float64
-	Seed       int64
+	reorderProb float64
+	// deleteProb deletes an element subtree (its pairs drop).
+	deleteProb float64
+	// insertProb inserts a fresh list item or paragraph (no pair).
+	insertProb float64
+	seed       int64
 }
 
 // UniformHTML returns HTMLParams with every probability set to p.
 func UniformHTML(p float64, seed int64) HTMLParams {
 	return HTMLParams{
-		AttrProb: p, UpdateProb: p, WrapProb: p,
-		ReorderProb: p, DeleteProb: p, InsertProb: p, Seed: seed,
+		attrProb: p, updateProb: p, wrapProb: p,
+		reorderProb: p, deleteProb: p, insertProb: p, seed: seed,
 	}
 }
 
@@ -162,19 +162,21 @@ type HTMLResult struct {
 	New *dom.Node
 	// Pairs is the surviving ground-truth matching. Keys are nodes of
 	// the input document, values nodes of New.
+	//
+	//xyvet:allow localexport -- the ground truth TestQualityPinned scores diff.Matching against
 	Pairs   map[*dom.Node]*dom.Node
 	Perfect *delta.Delta
-	Stats   HTMLStats
+	stats   htmlStats
 }
 
-// HTMLStats counts the mutations performed.
-type HTMLStats struct {
-	AttrChurns, Updates, Wraps, Reorders, Deletes, Inserts int
+// htmlStats counts the mutations performed.
+type htmlStats struct {
+	attrChurns, updates, wraps, reorders, deletes, inserts int
 }
 
-func (s HTMLStats) String() string {
+func (s htmlStats) String() string {
 	return fmt.Sprintf("%d attr, %d upd, %d wrap, %d reord, %d del, %d ins",
-		s.AttrChurns, s.Updates, s.Wraps, s.Reorders, s.Deletes, s.Inserts)
+		s.attrChurns, s.updates, s.wraps, s.reorders, s.deletes, s.inserts)
 }
 
 // SimulateHTML applies web-flavored mutations to a copy of doc and
@@ -185,17 +187,17 @@ func SimulateHTML(doc *dom.Node, p HTMLParams) (*HTMLResult, error) {
 	if doc == nil || doc.Type != dom.Document {
 		return nil, fmt.Errorf("changesim: need a Document node")
 	}
-	rng := rand.New(rand.NewSource(p.Seed))
+	rng := rand.New(rand.NewSource(p.seed))
 	work := doc.Clone()
 	pairs := make(map[*dom.Node]*dom.Node, doc.Size())
 	mapClones(doc, work, pairs)
 
-	var stats HTMLStats
+	var stats htmlStats
 	counter := 0
 
 	// Phase 1: attribute churn on every surviving element.
 	for _, n := range dom.Preorder(work) {
-		if n.Type != dom.Element || rng.Float64() >= p.AttrProb {
+		if n.Type != dom.Element || rng.Float64() >= p.attrProb {
 			continue
 		}
 		if class, ok := n.Attribute("class"); ok {
@@ -209,17 +211,17 @@ func SimulateHTML(doc *dom.Node, p HTMLParams) (*HTMLResult, error) {
 		} else {
 			n.SetAttribute("class", "fresh")
 		}
-		stats.AttrChurns++
+		stats.attrChurns++
 	}
 
 	// Phase 2: full text rewrites.
 	for _, n := range dom.Preorder(work) {
-		if n.Type != dom.Text || rng.Float64() >= p.UpdateProb {
+		if n.Type != dom.Text || rng.Float64() >= p.updateProb {
 			continue
 		}
 		counter++
 		n.Value = fmt.Sprintf("rewritten copy %d %s", counter, htmlSentence(rng, 5))
-		stats.Updates++
+		stats.updates++
 	}
 
 	// Phase 3: wrapper divs. Snapshot first: wrapping mutates the
@@ -236,7 +238,7 @@ func SimulateHTML(doc *dom.Node, p HTMLParams) (*HTMLResult, error) {
 		}
 	}
 	for _, n := range wrappable {
-		if rng.Float64() >= p.WrapProb {
+		if rng.Float64() >= p.wrapProb {
 			continue
 		}
 		parent := n.Parent
@@ -251,12 +253,12 @@ func SimulateHTML(doc *dom.Node, p HTMLParams) (*HTMLResult, error) {
 		if err := parent.InsertAt(pos, wrap); err != nil {
 			return nil, fmt.Errorf("changesim: wrap: %w", err)
 		}
-		stats.Wraps++
+		stats.wraps++
 	}
 
 	// Phase 4: id-less reorders within a parent.
 	for _, n := range dom.Preorder(work) {
-		if n.Type != dom.Element || len(n.Children) < 2 || rng.Float64() >= p.ReorderProb {
+		if n.Type != dom.Element || len(n.Children) < 2 || rng.Float64() >= p.reorderProb {
 			continue
 		}
 		from := rng.Intn(len(n.Children))
@@ -269,12 +271,12 @@ func SimulateHTML(doc *dom.Node, p HTMLParams) (*HTMLResult, error) {
 		if err := n.InsertAt(to, child); err != nil {
 			return nil, fmt.Errorf("changesim: reorder: %w", err)
 		}
-		stats.Reorders++
+		stats.reorders++
 	}
 
 	// Phase 5: deletions of repeated-content elements.
 	for _, n := range dom.Preorder(work) {
-		if n.Type != dom.Element || rng.Float64() >= p.DeleteProb {
+		if n.Type != dom.Element || rng.Float64() >= p.deleteProb {
 			continue
 		}
 		if n.Name != "li" && n.Name != "p" && n.Name != "a" {
@@ -284,12 +286,12 @@ func SimulateHTML(doc *dom.Node, p HTMLParams) (*HTMLResult, error) {
 			continue
 		}
 		n.Detach()
-		stats.Deletes++
+		stats.deletes++
 	}
 
 	// Phase 6: fresh insertions.
 	for _, n := range dom.Preorder(work) {
-		if n.Type != dom.Element || rng.Float64() >= p.InsertProb {
+		if n.Type != dom.Element || rng.Float64() >= p.insertProb {
 			continue
 		}
 		var el *dom.Node
@@ -307,7 +309,7 @@ func SimulateHTML(doc *dom.Node, p HTMLParams) (*HTMLResult, error) {
 		if err := n.InsertAt(rng.Intn(len(n.Children)+1), el); err != nil {
 			return nil, fmt.Errorf("changesim: insert: %w", err)
 		}
-		stats.Inserts++
+		stats.inserts++
 	}
 
 	// Drop pairs whose clone no longer lives under the mutated tree.
@@ -337,5 +339,5 @@ func SimulateHTML(doc *dom.Node, p HTMLParams) (*HTMLResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("changesim: perfect delta: %w", err)
 	}
-	return &HTMLResult{New: work, Pairs: truth, Perfect: perfect, Stats: stats}, nil
+	return &HTMLResult{New: work, Pairs: truth, Perfect: perfect, stats: stats}, nil
 }

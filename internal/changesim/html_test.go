@@ -38,7 +38,7 @@ func TestSimulateHTMLPerfectDeltaApplies(t *testing.T) {
 		}
 		if !dom.Equal(got, res.New) {
 			t.Fatalf("seed %d (%s): perfect delta does not reproduce the mutation: %s",
-				seed, res.Stats, dom.Diagnose(got, res.New))
+				seed, res.stats, dom.Diagnose(got, res.New))
 		}
 	}
 }
@@ -49,8 +49,8 @@ func TestSimulateHTMLGroundTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Wraps == 0 || res.Stats.AttrChurns == 0 || res.Stats.Reorders == 0 {
-		t.Fatalf("mutation mix too thin for a corpus: %s", res.Stats)
+	if res.stats.wraps == 0 || res.stats.attrChurns == 0 || res.stats.reorders == 0 {
+		t.Fatalf("mutation mix too thin for a corpus: %s", res.stats)
 	}
 	alive := make(map[*dom.Node]bool)
 	dom.WalkPre(res.New, func(n *dom.Node) bool { alive[n] = true; return true })

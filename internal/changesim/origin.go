@@ -136,7 +136,7 @@ func (s *CorpusServer) mutateLocked(path string, d *originDoc) error {
 // the sequence of Ticks is deterministic). It returns how many
 // documents changed.
 //
-//xyvet:allow testonly -- drives the synthetic origin for the crawler benchmarks; it advances the unexported clock and seeded rng under the lock
+//xyvet:allow testonly,localexport -- drives the synthetic origin for the crawler benchmarks; it advances the unexported clock and seeded rng under the lock
 func (s *CorpusServer) Tick(prob float64) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -41,11 +41,11 @@ type Result struct {
 
 // Stats counts the simulated operations.
 type Stats struct {
-	Deletes, Updates, Inserts, Moves int
+	deletes, updates, inserts, moves int
 }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("%d del, %d upd, %d ins, %d mov", s.Deletes, s.Updates, s.Inserts, s.Moves)
+	return fmt.Sprintf("%d del, %d upd, %d ins, %d mov", s.deletes, s.updates, s.inserts, s.moves)
 }
 
 // Simulate applies random changes to a copy of doc and returns the new
@@ -98,7 +98,7 @@ func Simulate(doc *dom.Node, p Params) (*Result, error) {
 		}
 		n.Detach()
 		pool = append(pool, n)
-		stats.Deletes++
+		stats.deletes++
 	}
 
 	// Phase 2: updates on the remaining text nodes, compensated for
@@ -112,7 +112,7 @@ func Simulate(doc *dom.Node, p Params) (*Result, error) {
 		if rng.Float64() < updateProb {
 			counter++
 			n.Value = fmt.Sprintf("updated text %d", counter)
-			stats.Updates++
+			stats.updates++
 		}
 	}
 
@@ -136,7 +136,7 @@ func Simulate(doc *dom.Node, p Params) (*Result, error) {
 			if err := n.InsertAt(pos, sub); err != nil {
 				return nil, fmt.Errorf("changesim: move: %w", err)
 			}
-			stats.Moves++
+			stats.moves++
 			continue
 		}
 		// Original data, matching the XML style of the document: a
@@ -147,7 +147,7 @@ func Simulate(doc *dom.Node, p Params) (*Result, error) {
 			if err := n.InsertAt(pos, dom.NewText(fmt.Sprintf("original text %d", counter))); err != nil {
 				return nil, fmt.Errorf("changesim: insert: %w", err)
 			}
-			stats.Inserts++
+			stats.inserts++
 			continue
 		}
 		label := copyLabel(rng, n)
@@ -159,7 +159,7 @@ func Simulate(doc *dom.Node, p Params) (*Result, error) {
 		if err := n.InsertAt(pos, el); err != nil {
 			return nil, fmt.Errorf("changesim: insert: %w", err)
 		}
-		stats.Inserts++
+		stats.inserts++
 	}
 
 	// Never-reused deleted subtrees stay deleted: drop their pairs.

@@ -153,7 +153,7 @@ func New(reg *Registry, ingest Ingester, cfg Config) *Crawler {
 	}
 	c.metrics.queueDepth = c.depth
 	c.metrics.sources = reg.Len
-	c.metrics.openCircuits = func() int { return reg.OpenCircuits(time.Now()) }
+	c.metrics.openCircuits = func() int { return reg.openCircuits(time.Now()) }
 	// Seed the schedule with everything already registered; persisted
 	// NextFetch times in the past simply come due immediately.
 	for _, s := range reg.List() {
@@ -173,7 +173,7 @@ func (c *Crawler) Registry() *Registry { return c.reg }
 
 // Add registers the source and schedules its first fetch immediately.
 func (c *Crawler) Add(src Source) (Source, error) {
-	s, err := c.reg.Add(src)
+	s, err := c.reg.add(src)
 	if err != nil {
 		return Source{}, err
 	}

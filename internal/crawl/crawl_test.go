@@ -385,7 +385,7 @@ func TestRegistryPersistenceRoundTrip(t *testing.T) {
 		t.Fatalf("fresh registry has %d sources", reg.Len())
 	}
 	next := time.Now().Add(42 * time.Second).UTC().Truncate(time.Millisecond)
-	if _, err := reg.Add(Source{
+	if _, err := reg.add(Source{
 		ID: "a", URL: "http://origin.example/a",
 		Interval: 17 * time.Second, NextFetch: next,
 		ETag: `"v3"`, LastModified: "Tue, 26 Feb 2002 00:00:00 GMT",
@@ -393,7 +393,7 @@ func TestRegistryPersistenceRoundTrip(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Add(Source{ID: "b", URL: "https://origin.example/b"}); err != nil {
+	if _, err := reg.add(Source{ID: "b", URL: "https://origin.example/b"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := reg.Save(); err != nil {
@@ -432,7 +432,7 @@ func TestRegistryRejectsBadSources(t *testing.T) {
 		{ID: "x", URL: "http://"},
 		{ID: "x", URL: "::not a url"},
 	} {
-		if _, err := reg.Add(src); err == nil {
+		if _, err := reg.add(src); err == nil {
 			t.Errorf("Add(%+v) accepted an invalid source", src)
 		}
 	}

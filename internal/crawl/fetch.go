@@ -47,9 +47,9 @@ func (e *RetryAfterError) Error() string {
 }
 func (e *RetryAfterError) Unwrap() error { return e.Err }
 
-// ParseRetryAfter reads a Retry-After header value: delta-seconds or
+// parseRetryAfter reads a Retry-After header value: delta-seconds or
 // an HTTP-date. Zero means absent/unparseable/in the past.
-func ParseRetryAfter(v string) time.Duration {
+func parseRetryAfter(v string) time.Duration {
 	v = strings.TrimSpace(v)
 	if v == "" {
 		return 0
@@ -174,7 +174,7 @@ func (c *Crawler) fetchOnce(ctx context.Context, src Source) (fetchOutcome, erro
 	case resp.StatusCode == http.StatusOK:
 	case resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests:
 		err := fmt.Errorf("fetch %s: status %d", src.URL, resp.StatusCode)
-		if after := ParseRetryAfter(resp.Header.Get("Retry-After")); after > 0 {
+		if after := parseRetryAfter(resp.Header.Get("Retry-After")); after > 0 {
 			return fetchOutcome{}, transient(&RetryAfterError{After: after, Err: err})
 		}
 		return fetchOutcome{}, transient(err)

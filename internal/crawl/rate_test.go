@@ -13,7 +13,7 @@ import (
 
 func TestChangeRateEWMA(t *testing.T) {
 	// Never visited: unknown, reported as the midpoint.
-	ghost, err := NewRegistry().Add(Source{ID: "ghost", URL: "http://origin.example/ghost"})
+	ghost, err := NewRegistry().add(Source{ID: "ghost", URL: "http://origin.example/ghost"})
 	if err != nil {
 		t.Fatal(err)
 	}

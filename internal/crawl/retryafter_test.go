@@ -26,18 +26,18 @@ func TestParseRetryAfter(t *testing.T) {
 		{"3.5", 0}, // delta-seconds is an integer per RFC 9110
 	}
 	for _, c := range cases {
-		if got := ParseRetryAfter(c.in); got != c.want {
+		if got := parseRetryAfter(c.in); got != c.want {
 			t.Errorf("ParseRetryAfter(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
 	// HTTP-date form: a moment in the future parses to a positive wait,
 	// one in the past to zero.
 	future := time.Now().Add(10 * time.Second).UTC().Format(http.TimeFormat)
-	if got := ParseRetryAfter(future); got <= 0 || got > 11*time.Second {
+	if got := parseRetryAfter(future); got <= 0 || got > 11*time.Second {
 		t.Errorf("ParseRetryAfter(future date) = %v", got)
 	}
 	past := time.Now().Add(-10 * time.Second).UTC().Format(http.TimeFormat)
-	if got := ParseRetryAfter(past); got != 0 {
+	if got := parseRetryAfter(past); got != 0 {
 		t.Errorf("ParseRetryAfter(past date) = %v, want 0", got)
 	}
 }

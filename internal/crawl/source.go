@@ -168,13 +168,13 @@ func (s Source) Validate() error {
 	return nil
 }
 
-// Add registers src (replacing any source with the same id), saves the
+// add registers src (replacing any source with the same id), saves the
 // registry, and returns the stored copy. A failed save leaves the
 // registry as it was. A zero Interval or NextFetch means "let the
 // scheduler decide" — the crawler fills them on first fetch — and a
 // source with no Fetches starts at the unknown change rate, whatever
 // an earlier source of its id learned.
-func (r *Registry) Add(src Source) (Source, error) {
+func (r *Registry) add(src Source) (Source, error) {
 	if err := src.Validate(); err != nil {
 		return Source{}, fmt.Errorf("crawl: %w", err)
 	}
@@ -243,8 +243,8 @@ func (r *Registry) Len() int {
 	return len(r.srcs)
 }
 
-// OpenCircuits counts sources whose circuit is open at now.
-func (r *Registry) OpenCircuits(now time.Time) int {
+// openCircuits counts sources whose circuit is open at now.
+func (r *Registry) openCircuits(now time.Time) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n := 0

@@ -352,10 +352,10 @@ func parentXID(n *dom.Node) int64 {
 	return n.Parent.XID
 }
 
-// Validate performs static sanity checks on a delta without a document:
+// validate performs static sanity checks on a delta without a document:
 // XID maps must agree with subtree sizes and roots, and positions must
 // be non-negative. It catches corrupt serialized deltas early.
-func Validate(d *Delta) error {
+func validate(d *Delta) error {
 	for _, op := range d.Ops {
 		switch o := op.(type) {
 		case Insert:

@@ -91,7 +91,7 @@ func ParseBytes(src []byte) (*Delta, error) {
 			return nil, err
 		}
 	}
-	if err := Validate(d); err != nil {
+	if err := validate(d); err != nil {
 		return nil, err
 	}
 	return d, nil

@@ -337,8 +337,9 @@ func TestApplyFarXIDs(t *testing.T) {
 		outer, _ := dom.ParseString(`<far/>`)
 		inner, _ := dom.ParseString(`<x/>`)
 		d := func() *Delta {
-			var m1 xid.Map
-			m1.Append(far)
+			leaf := dom.NewElement("far")
+			leaf.XID = far
+			m1 := xid.Of(leaf)
 			return &Delta{Ops: []Op{
 				Insert{XID: 30, XIDMap: xid.Of(inner.Root()), Parent: far, Pos: 0, Subtree: inner.Root().Clone()},
 				Insert{XID: far, XIDMap: m1, Parent: 15, Pos: 0, Subtree: outer.Root().Clone()},
@@ -386,21 +387,21 @@ func TestUpdateTextNodeValue(t *testing.T) {
 func TestValidate(t *testing.T) {
 	sub, _ := dom.ParseString(`<x><y/></x>`)
 	good, _ := xid.ParseMap("(4;7)")
-	if err := Validate(&Delta{Ops: []Op{Insert{XID: 7, XIDMap: good, Parent: 1, Pos: 0, Subtree: sub.Root()}}}); err != nil {
+	if err := validate(&Delta{Ops: []Op{Insert{XID: 7, XIDMap: good, Parent: 1, Pos: 0, Subtree: sub.Root()}}}); err != nil {
 		t.Errorf("valid delta rejected: %v", err)
 	}
 	short, _ := xid.ParseMap("(7)")
-	if err := Validate(&Delta{Ops: []Op{Insert{XID: 7, XIDMap: short, Parent: 1, Pos: 0, Subtree: sub.Root()}}}); err == nil {
+	if err := validate(&Delta{Ops: []Op{Insert{XID: 7, XIDMap: short, Parent: 1, Pos: 0, Subtree: sub.Root()}}}); err == nil {
 		t.Error("short xidmap accepted")
 	}
 	wrongRoot, _ := xid.ParseMap("(7;9)")
-	if err := Validate(&Delta{Ops: []Op{Insert{XID: 7, XIDMap: wrongRoot, Parent: 1, Pos: 0, Subtree: sub.Root()}}}); err == nil {
+	if err := validate(&Delta{Ops: []Op{Insert{XID: 7, XIDMap: wrongRoot, Parent: 1, Pos: 0, Subtree: sub.Root()}}}); err == nil {
 		t.Error("wrong-root xidmap accepted")
 	}
-	if err := Validate(&Delta{Ops: []Op{Move{XID: 1, FromPos: -1}}}); err == nil {
+	if err := validate(&Delta{Ops: []Op{Move{XID: 1, FromPos: -1}}}); err == nil {
 		t.Error("negative position accepted")
 	}
-	if err := Validate(&Delta{Ops: []Op{Delete{XID: 1, XIDMap: short, Pos: 0}}}); err == nil {
+	if err := validate(&Delta{Ops: []Op{Delete{XID: 1, XIDMap: short, Pos: 0}}}); err == nil {
 		t.Error("nil subtree accepted")
 	}
 }

@@ -106,12 +106,17 @@ func TestEncoderIdenticalOnAwkwardOps(t *testing.T) {
 	}
 }
 
+// xidMap is the map of a tree whose post-order carries xs: children
+// with the leading XIDs under a root with the last.
 func xidMap(xs ...int64) xid.Map {
-	var m xid.Map
-	for _, x := range xs {
-		m.Append(x)
+	root := dom.NewElement("m")
+	for _, x := range xs[:len(xs)-1] {
+		child := dom.NewElement("c")
+		child.XID = x
+		root.Append(child)
 	}
-	return m
+	root.XID = xs[len(xs)-1]
+	return xid.Of(root)
 }
 
 type foreignOp struct{}

@@ -37,19 +37,17 @@ func (RandomOps) Generate(r *rand.Rand, size int) reflect.Value {
 				}
 				sub.Append(dom.NewText(w))
 			}
-			var m xid.Map
 			dom.WalkPost(sub, func(node *dom.Node) bool {
 				node.XID = x
-				m.Append(x)
 				x++
 				return true
 			})
+			m := xid.Of(sub)
 			d.Ops = append(d.Ops, Insert{XID: m.Root(), XIDMap: m, Parent: int64(r.Intn(100) + 1), Pos: r.Intn(5), Subtree: sub})
 		case 1:
 			sub := dom.NewElement("gone")
 			sub.XID = x
-			var m xid.Map
-			m.Append(x)
+			m := xid.Of(sub)
 			d.Ops = append(d.Ops, Delete{XID: x, XIDMap: m, Parent: int64(r.Intn(100) + 1), Pos: r.Intn(5), Subtree: sub})
 		case 2:
 			d.Ops = append(d.Ops, Update{XID: x, Old: randWord(r), New: randWord(r)})

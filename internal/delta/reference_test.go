@@ -40,7 +40,7 @@ func fromDocReference(doc *dom.Node) (*Delta, error) {
 		}
 		d.Ops = append(d.Ops, op)
 	}
-	if err := Validate(d); err != nil {
+	if err := validate(d); err != nil {
 		return nil, err
 	}
 	return d, nil

@@ -25,9 +25,9 @@ import (
 	"xydiff/internal/dtd"
 )
 
-// DefaultLISWindow is the paper's block length for the intra-parent
+// defaultLISWindow is the paper's block length for the intra-parent
 // move heuristic ("a maximum length (e.g. 50)").
-const DefaultLISWindow = 50
+const defaultLISWindow = 50
 
 // Matcher selects the node-matching algorithm. Every matcher feeds the
 // same Phase 5 delta construction, so the choice changes which nodes
@@ -123,7 +123,7 @@ func (o Options) lisWindow() int {
 	case o.LISWindow < 0:
 		return 1 << 30 // effectively unbounded: exact everywhere
 	case o.LISWindow == 0:
-		return DefaultLISWindow
+		return defaultLISWindow
 	default:
 		return o.LISWindow
 	}

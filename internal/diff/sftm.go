@@ -103,7 +103,7 @@ func postOfPre(t *tree) []int32 {
 // recall against changesim's ground-truth correspondences without going
 // through delta construction.
 //
-//xyvet:allow testonly -- the matching stage alone, scored by TestQualityPinned's precision and recall and FuzzBULDMatchingDifferential; it needs the matchers' unexported phases
+//xyvet:allow testonly,localexport -- the matching stage alone, scored by TestQualityPinned's precision and recall and FuzzBULDMatchingDifferential; it needs the matchers' unexported phases
 func Matching(oldDoc, newDoc *dom.Node, opts Options) (map[*dom.Node]*dom.Node, error) {
 	if err := checkDocuments(oldDoc, newDoc); err != nil {
 		return nil, err

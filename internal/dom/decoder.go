@@ -11,9 +11,9 @@ const (
 	TokenStart    TokenKind = iota + 1 // a start tag: Name, Attrs
 	TokenEnd                           // an end tag: Name
 	TokenText                          // character data, decoded: Data
-	TokenComment                       // a comment's body: Data
-	TokenProcInst                      // a processing instruction: Name (the target), Data
-	TokenDoctype                       // a <!DOCTYPE ...> directive's text: Data
+	tokenComment                       // a comment's body: Data
+	tokenProcInst                      // a processing instruction: Name (the target), Data
+	tokenDoctype                       // a <!DOCTYPE ...> directive's text: Data
 )
 
 // Token is one item of a document as Decoder.Next reports it. The Token
@@ -84,7 +84,7 @@ func (d *Decoder) Next() (*Token, error) {
 			d.tok = Token{Kind: kind, Name: p.tag, Attrs: p.attrs}
 		case kind == TokenEnd:
 			d.tok = Token{Kind: kind, Name: p.tag}
-		case kind == TokenProcInst:
+		case kind == tokenProcInst:
 			d.tok = Token{Kind: kind, Name: p.tag, Data: p.data}
 		default:
 			d.tok = Token{Kind: kind, Data: p.data}

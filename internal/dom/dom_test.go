@@ -241,10 +241,10 @@ func TestInsertRemoveDetach(t *testing.T) {
 
 func TestInsertAtBounds(t *testing.T) {
 	p := NewElement("p")
-	if err := p.InsertAt(1, NewElement("x")); !errors.Is(err, ErrOutOfRange) {
+	if err := p.InsertAt(1, NewElement("x")); !errors.Is(err, errOutOfRange) {
 		t.Errorf("InsertAt(1) on empty parent = %v, want ErrOutOfRange", err)
 	}
-	if err := p.InsertAt(-1, NewElement("x")); !errors.Is(err, ErrOutOfRange) {
+	if err := p.InsertAt(-1, NewElement("x")); !errors.Is(err, errOutOfRange) {
 		t.Errorf("InsertAt(-1) = %v, want ErrOutOfRange", err)
 	}
 	if len(p.Children) != 0 {

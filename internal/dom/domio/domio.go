@@ -18,11 +18,11 @@ import (
 // ParseFile parses the XML document stored at path with
 // dom.DefaultParseOptions.
 func ParseFile(path string) (*dom.Node, error) {
-	return ParseFileWithOptions(path, dom.DefaultParseOptions())
+	return parseFileWithOptions(path, dom.DefaultParseOptions())
 }
 
-// ParseFileWithOptions parses the XML document stored at path.
-func ParseFileWithOptions(path string, opts dom.ParseOptions) (*dom.Node, error) {
+// parseFileWithOptions parses the XML document stored at path.
+func parseFileWithOptions(path string, opts dom.ParseOptions) (*dom.Node, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err

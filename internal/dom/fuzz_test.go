@@ -132,7 +132,7 @@ var differentialOptions = []struct {
 	{"keep-everything", ParseOptions{KeepWhitespace: true, KeepComments: true, KeepProcInsts: true}},
 	{"drop-everything", ParseOptions{}},
 	{"tight-limits", ParseOptions{KeepComments: true, KeepProcInsts: true,
-		Limits: ParseLimits{MaxDepth: 4, MaxBytes: 128, MaxTokens: 24}}},
+		Limits: ParseLimits{MaxDepth: 4, maxBytes: 128, MaxTokens: 24}}},
 }
 
 // referenceMisnames reports whether doc, a tree with lexical names,
@@ -235,7 +235,7 @@ func checkDifferential(t *testing.T, src string) {
 			if !errors.As(gotErr, &gotLimit) || !errors.As(wantErr, &wantLimit) {
 				t.Fatalf("%s: well-formed input refused without a LimitError: new %v, reference %v\nsource: %q", o.name, gotErr, wantErr, src)
 			}
-			overBytes := o.opts.Limits.MaxBytes > 0 && int64(len(src)) > o.opts.Limits.MaxBytes
+			overBytes := o.opts.Limits.maxBytes > 0 && int64(len(src)) > o.opts.Limits.maxBytes
 			if overBytes && gotLimit.What != "bytes" {
 				t.Fatalf("%s: input over MaxBytes refused for %s\nsource: %q", o.name, gotLimit.What, src)
 			}

@@ -15,14 +15,14 @@ const (
 // NewHash64 returns the FNV-1a offset basis.
 func NewHash64() Hash64 { return fnvOffset }
 
-// MixByte folds one byte into the hash.
-func (h *Hash64) MixByte(b byte) {
+// mixByte folds one byte into the hash.
+func (h *Hash64) mixByte(b byte) {
 	*h = (*h ^ Hash64(b)) * fnvPrime
 }
 
-// MixString folds a string into the hash, followed by a terminator so
+// mixString folds a string into the hash, followed by a terminator so
 // that ("ab","c") and ("a","bc") mix differently.
-func (h *Hash64) MixString(s string) {
+func (h *Hash64) mixString(s string) {
 	x := uint64(*h)
 	for i := 0; i < len(s); i++ {
 		x = (x ^ uint64(s[i])) * fnvPrime
@@ -52,8 +52,8 @@ func (h Hash64) Sum() uint64 { return uint64(h) }
 // grown) buffer is returned so the caller can pass it to the next call
 // and amortize the sort copy to zero allocations.
 func (h *Hash64) HashNodeScratch(n *Node, buf []Attr) []Attr {
-	h.MixByte(byte(n.Type))
-	h.MixString(n.Name)
+	h.mixByte(byte(n.Type))
+	h.mixString(n.Name)
 	switch n.Type {
 	case Element, Document:
 		attrs := n.Attrs
@@ -67,13 +67,13 @@ func (h *Hash64) HashNodeScratch(n *Node, buf []Attr) []Attr {
 			attrs = buf
 		}
 		for _, a := range attrs {
-			h.MixString(a.Name)
-			h.MixByte(0x1)
-			h.MixString(a.Value)
-			h.MixByte(0x2)
+			h.mixString(a.Name)
+			h.mixByte(0x1)
+			h.mixString(a.Value)
+			h.mixByte(0x2)
 		}
 	default:
-		h.MixString(n.Value)
+		h.mixString(n.Value)
 	}
 	return buf
 }

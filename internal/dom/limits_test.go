@@ -20,22 +20,22 @@ func TestLimitDepth(t *testing.T) {
 		t.Fatalf("depth 50 under limit 100: %v", err)
 	}
 	err := parseLimited(t, deep, ParseLimits{MaxDepth: 10})
-	if !errors.Is(err, ErrLimit) {
+	if !errors.Is(err, errLimit) {
 		t.Fatalf("depth 50 over limit 10: got %v, want ErrLimit", err)
 	}
 	var le *LimitError
-	if !errors.As(err, &le) || le.What != "depth" || le.Limit != 10 {
+	if !errors.As(err, &le) || le.What != "depth" || le.limit != 10 {
 		t.Fatalf("wrong LimitError: %+v", le)
 	}
 }
 
 func TestLimitBytes(t *testing.T) {
 	doc := "<r>" + strings.Repeat("<p>hello</p>", 100) + "</r>"
-	if err := parseLimited(t, doc, ParseLimits{MaxBytes: int64(len(doc))}); err != nil {
+	if err := parseLimited(t, doc, ParseLimits{maxBytes: int64(len(doc))}); err != nil {
 		t.Fatalf("exact byte limit: %v", err)
 	}
-	err := parseLimited(t, doc, ParseLimits{MaxBytes: 64})
-	if !errors.Is(err, ErrLimit) {
+	err := parseLimited(t, doc, ParseLimits{maxBytes: 64})
+	if !errors.Is(err, errLimit) {
 		t.Fatalf("byte limit 64: got %v, want ErrLimit", err)
 	}
 	var le *LimitError
@@ -50,11 +50,11 @@ func TestLimitTokens(t *testing.T) {
 		t.Fatalf("generous token limit: %v", err)
 	}
 	err := parseLimited(t, doc, ParseLimits{MaxTokens: 20})
-	if !errors.Is(err, ErrLimit) {
+	if !errors.Is(err, errLimit) {
 		t.Fatalf("token limit 20: got %v, want ErrLimit", err)
 	}
 	var le *LimitError
-	if !errors.As(err, &le) || le.What != "tokens" || le.Limit != 20 {
+	if !errors.As(err, &le) || le.What != "tokens" || le.limit != 20 {
 		t.Fatalf("wrong LimitError: %+v", le)
 	}
 }

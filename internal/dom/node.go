@@ -16,10 +16,10 @@ import (
 	"strings"
 )
 
-// ErrOutOfRange reports a child-position argument outside a node's
+// errOutOfRange reports a child-position argument outside a node's
 // children. It wraps the offending position and bounds; match it with
-// errors.Is(err, dom.ErrOutOfRange).
-var ErrOutOfRange = errors.New("dom: position out of range")
+// errors.Is(err, errOutOfRange).
+var errOutOfRange = errors.New("dom: position out of range")
 
 // NodeType discriminates the kinds of nodes in the tree model.
 type NodeType uint8
@@ -125,12 +125,12 @@ func (n *Node) Append(children ...*Node) *Node {
 }
 
 // InsertAt inserts child c at position i (0-based) among n's children.
-// A position outside [0, len(children)] returns ErrOutOfRange and
+// A position outside [0, len(children)] returns errOutOfRange and
 // leaves the tree untouched: deltas arrive from untrusted storage and
 // the network, so a bad position must surface as an error, not a panic.
 func (n *Node) InsertAt(i int, c *Node) error {
 	if i < 0 || i > len(n.Children) {
-		return fmt.Errorf("%w: InsertAt position %d, children [0,%d]", ErrOutOfRange, i, len(n.Children))
+		return fmt.Errorf("%w: InsertAt position %d, children [0,%d]", errOutOfRange, i, len(n.Children))
 	}
 	n.Children = append(n.Children, nil)
 	copy(n.Children[i+1:], n.Children[i:])

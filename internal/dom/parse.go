@@ -43,10 +43,10 @@ func ParseString(s string) (*Node, error) {
 // ParseWithOptions reads an XML document from r into a Document tree.
 // The returned node always has Type Document; its children are the
 // top-level items of the document. The input is read to its end (or
-// to one byte past Limits.MaxBytes) before parsing starts; a caller
+// to one byte past Limits.maxBytes) before parsing starts; a caller
 // that already holds the bytes calls ParseBytes and skips that copy.
 func ParseWithOptions(r io.Reader, opts ParseOptions) (*Node, error) {
-	src, err := readInput(r, opts.Limits.MaxBytes)
+	src, err := readInput(r, opts.Limits.maxBytes)
 	if err != nil {
 		return nil, fmt.Errorf("dom: %w", err)
 	}
@@ -83,10 +83,10 @@ func ParseBytes(src []byte, opts ParseOptions) (*Node, error) {
 }
 
 // checkSize refuses, as the parse's first error, an input longer than
-// Limits.MaxBytes.
+// Limits.maxBytes.
 func (p *parser) checkSize() {
-	if max := p.opts.Limits.MaxBytes; max > 0 && int64(len(p.src)) > max {
-		p.err = &LimitError{What: "bytes", Limit: max}
+	if max := p.opts.Limits.maxBytes; max > 0 && int64(len(p.src)) > max {
+		p.err = &LimitError{What: "bytes", limit: max}
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 // ParseBytes against; nothing outside the tests calls it.
 func parseReference(r io.Reader, opts ParseOptions) (*Node, error) {
 	var lr *limitReader
-	if opts.Limits.MaxBytes > 0 {
-		lr = &limitReader{r: r, remain: opts.Limits.MaxBytes, limit: opts.Limits.MaxBytes}
+	if opts.Limits.maxBytes > 0 {
+		lr = &limitReader{r: r, remain: opts.Limits.maxBytes, limit: opts.Limits.maxBytes}
 		r = lr
 	}
 	dec := xml.NewDecoder(r)
@@ -41,7 +41,7 @@ func parseReference(r io.Reader, opts ParseOptions) (*Node, error) {
 		}
 		if err != nil {
 			if lr != nil && lr.exceeded {
-				return nil, &LimitError{What: "bytes", Limit: opts.Limits.MaxBytes}
+				return nil, &LimitError{What: "bytes", limit: opts.Limits.maxBytes}
 			}
 			var le *LimitError
 			if errors.As(err, &le) {
@@ -51,13 +51,13 @@ func parseReference(r io.Reader, opts ParseOptions) (*Node, error) {
 		}
 		tokens++
 		if max := opts.Limits.MaxTokens; max > 0 && tokens > max {
-			return nil, &LimitError{What: "tokens", Limit: max}
+			return nil, &LimitError{What: "tokens", limit: max}
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
 			depth++
 			if max := opts.Limits.MaxDepth; max > 0 && depth > max {
-				return nil, &LimitError{What: "depth", Limit: int64(max)}
+				return nil, &LimitError{What: "depth", limit: int64(max)}
 			}
 			ns.push(t.Attr)
 			el := NewElement(ns.elemName(t.Name))
@@ -232,7 +232,7 @@ func (l *limitReader) Read(p []byte) (int, error) {
 			return 0, err
 		}
 		l.exceeded = true
-		return 0, &LimitError{What: "bytes", Limit: l.limit}
+		return 0, &LimitError{What: "bytes", limit: l.limit}
 	}
 	if int64(len(p)) > l.remain {
 		p = p[:l.remain]

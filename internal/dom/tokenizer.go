@@ -122,7 +122,7 @@ func (p *parser) errEOF() error { return p.errorf(len(p.src), "unexpected EOF") 
 func (p *parser) token() error {
 	p.tokens++
 	if max := p.opts.Limits.MaxTokens; max > 0 && p.tokens > max {
-		return &LimitError{What: "tokens", Limit: max}
+		return &LimitError{What: "tokens", limit: max}
 	}
 	return nil
 }
@@ -221,17 +221,17 @@ func (p *parser) content(parent *Node, done func(*Node)) ([]*Node, error) {
 			}
 			p.text = &Node{Type: Text, Value: string(p.data), Parent: cur}
 			p.kids = append(p.kids, p.text)
-		case TokenComment, TokenProcInst:
+		case tokenComment, tokenProcInst:
 			p.endText(done)
 			n := &Node{Type: Comment, Value: string(p.data), Parent: cur}
-			if kind == TokenProcInst {
+			if kind == tokenProcInst {
 				n.Type, n.Name = ProcInst, string(p.tag)
 			}
 			p.kids = append(p.kids, n)
 			if done != nil {
 				done(n)
 			}
-		case TokenDoctype:
+		case tokenDoctype:
 			// The DOCTYPE text goes to package dtd for ID-attribute
 			// discovery; other directives are not part of the model.
 			if parent != nil && parent.Type == Document {
@@ -411,7 +411,7 @@ func (p *parser) startTag(i int) (TokenKind, int, error) {
 	}
 	// The new element's depth counts itself: the document's is 0.
 	if max := p.opts.Limits.MaxDepth; max > 0 && len(p.open)+1 > max {
-		return tokNone, 0, &LimitError{What: "depth", Limit: int64(max)}
+		return tokNone, 0, &LimitError{What: "depth", limit: int64(max)}
 	}
 	if p.empty {
 		return TokenStart, i, p.token()
@@ -665,7 +665,7 @@ func (p *parser) procInst(i int) (TokenKind, int, error) {
 		return tokNone, start + n + 2, nil
 	}
 	p.tag, p.data = target, body
-	return TokenProcInst, start + n + 2, nil
+	return tokenProcInst, start + n + 2, nil
 }
 
 // declParam returns the value of name="..." (or '...') in the body of
@@ -722,7 +722,7 @@ func (p *parser) bang(i int) (TokenKind, int, error) {
 			return tokNone, i + 4 + n + 3, nil
 		}
 		p.data = body[:n]
-		return TokenComment, i + 4 + n + 3, nil
+		return tokenComment, i + 4 + n + 3, nil
 	case '[':
 		const open = "<![CDATA["
 		for k := 3; k < len(open); k++ {
@@ -746,7 +746,7 @@ func (p *parser) bang(i int) (TokenKind, int, error) {
 		return tokNone, end, nil
 	}
 	p.data = text
-	return TokenDoctype, end, nil
+	return tokenDoctype, end, nil
 }
 
 // directive reads the text of a <!...> directive whose first byte is

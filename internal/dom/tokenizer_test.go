@@ -54,16 +54,16 @@ func TestParseReadsOnceUpToTheLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, limit := range []int64{0, int64(len(src)), int64(len(src)) + 1} {
-		opts.Limits.MaxBytes = limit
+		opts.Limits.maxBytes = limit
 		got, err := ParseWithOptions(iotest.OneByteReader(strings.NewReader(src)), opts)
 		if err != nil || !Equal(got, want) {
 			t.Errorf("MaxBytes %d, one byte at a time: %v", limit, err)
 		}
 	}
-	opts.Limits.MaxBytes = int64(len(src)) - 1
+	opts.Limits.maxBytes = int64(len(src)) - 1
 	for _, r := range []io.Reader{strings.NewReader(src), iotest.OneByteReader(strings.NewReader(src))} {
 		var le *LimitError
-		if _, err := ParseWithOptions(r, opts); !errors.As(err, &le) || le.What != "bytes" || le.Limit != opts.Limits.MaxBytes {
+		if _, err := ParseWithOptions(r, opts); !errors.As(err, &le) || le.What != "bytes" || le.limit != opts.Limits.maxBytes {
 			t.Errorf("one byte over MaxBytes: %v", err)
 		}
 	}

@@ -20,7 +20,7 @@ func BenchmarkMaxWeightIncreasing(b *testing.B) {
 		items := randItems(n, n*2, int64(n))
 		b.Run(sizeName(n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				MaxWeightIncreasing(items)
+				maxWeightIncreasing(items)
 			}
 		})
 	}
@@ -35,7 +35,7 @@ func BenchmarkWindowedIncreasing(b *testing.B) {
 	})
 	b.Run("exact", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			MaxWeightIncreasing(items)
+			maxWeightIncreasing(items)
 		}
 	})
 }

@@ -27,7 +27,7 @@ type Pair struct {
 // Longest returns a longest common subsequence of the index ranges
 // [0,na) and [0,nb), where eq reports element equality. It runs the
 // classic O(na·nb) dynamic program; callers with large inputs should
-// prefer Myers (for sequences) or MaxWeightIncreasing (for matchings).
+// prefer Myers (for sequences) or maxWeightIncreasing (for matchings).
 func Longest(na, nb int, eq func(i, j int) bool) []Pair {
 	if na == 0 || nb == 0 {
 		return nil
@@ -73,13 +73,13 @@ type Item struct {
 	Weight float64
 }
 
-// MaxWeightIncreasing returns the indices (into items) of a maximum-
+// maxWeightIncreasing returns the indices (into items) of a maximum-
 // weight subsequence whose Keys are strictly increasing. Given child
 // pairs sorted by old position with Key = new position, the selected
 // items are the children that may stay in place; all others must move.
 // Weights must be positive. Runs in O(k log k) time using a Fenwick
 // tree over key ranks.
-func MaxWeightIncreasing(items []Item) []int {
+func maxWeightIncreasing(items []Item) []int {
 	k := len(items)
 	if k == 0 {
 		return nil
@@ -143,7 +143,7 @@ func MaxWeightIncreasing(items []Item) []int {
 	return out
 }
 
-// mwisScratch is the reusable working set of one MaxWeightIncreasing
+// mwisScratch is the reusable working set of one maxWeightIncreasing
 // call; pooling it makes repeated Phase 5 invocations allocation-free
 // apart from the returned index slice.
 type mwisScratch struct {
@@ -187,7 +187,7 @@ func update(tree []chain, r int, c chain) {
 
 // WindowedIncreasing is the paper's performance heuristic for long
 // child lists: items are cut into blocks of at most window elements and
-// MaxWeightIncreasing runs on each block; the per-block selections are
+// maxWeightIncreasing runs on each block; the per-block selections are
 // then merged by a second maximum-weight pass over the (much smaller)
 // selected set, which keeps the global increasing-key invariant without
 // letting one out-of-place element suppress whole later blocks. The
@@ -196,7 +196,7 @@ func update(tree []chain, r int, c chain) {
 // recovered by the merge.
 func WindowedIncreasing(items []Item, window int) []int {
 	if window <= 0 || len(items) <= window {
-		return MaxWeightIncreasing(items)
+		return maxWeightIncreasing(items)
 	}
 	var selected []int
 	for start := 0; start < len(items); start += window {
@@ -204,7 +204,7 @@ func WindowedIncreasing(items []Item, window int) []int {
 		if end > len(items) {
 			end = len(items)
 		}
-		for _, idx := range MaxWeightIncreasing(items[start:end]) {
+		for _, idx := range maxWeightIncreasing(items[start:end]) {
 			selected = append(selected, start+idx)
 		}
 	}
@@ -213,7 +213,7 @@ func WindowedIncreasing(items []Item, window int) []int {
 		sub[i] = items[idx]
 	}
 	out := make([]int, 0, len(selected))
-	for _, i := range MaxWeightIncreasing(sub) {
+	for _, i := range maxWeightIncreasing(sub) {
 		out = append(out, selected[i])
 	}
 	return out

@@ -97,7 +97,7 @@ func randString(rng *rand.Rand, maxLen int, alphabet string) string {
 func TestMaxWeightIncreasingBasic(t *testing.T) {
 	// Keys 5 3 4 8 6 7 with unit weights: LIS 3 4 6 7.
 	items := unitItems([]int{5, 3, 4, 8, 6, 7})
-	sel := MaxWeightIncreasing(items)
+	sel := maxWeightIncreasing(items)
 	keys := selectedKeys(items, sel)
 	want := []int{3, 4, 6, 7}
 	if !equalInts(keys, want) {
@@ -108,17 +108,17 @@ func TestMaxWeightIncreasingBasic(t *testing.T) {
 func TestMaxWeightIncreasingWeightBeatsLength(t *testing.T) {
 	// A single heavy item out of order should beat two light ones.
 	items := []Item{{Key: 10, Weight: 100}, {Key: 1, Weight: 1}, {Key: 2, Weight: 1}}
-	sel := MaxWeightIncreasing(items)
+	sel := maxWeightIncreasing(items)
 	if len(sel) != 1 || items[sel[0]].Key != 10 {
 		t.Errorf("selection = %v, want the heavy item", selectedKeys(items, sel))
 	}
 }
 
 func TestMaxWeightIncreasingEmptyAndSingle(t *testing.T) {
-	if got := MaxWeightIncreasing(nil); got != nil {
+	if got := maxWeightIncreasing(nil); got != nil {
 		t.Errorf("empty selection = %v", got)
 	}
-	sel := MaxWeightIncreasing([]Item{{Key: 4, Weight: 2}})
+	sel := maxWeightIncreasing([]Item{{Key: 4, Weight: 2}})
 	if len(sel) != 1 || sel[0] != 0 {
 		t.Errorf("single selection = %v", sel)
 	}
@@ -150,7 +150,7 @@ func TestMaxWeightIncreasingOptimalSmall(t *testing.T) {
 		for i := range items {
 			items[i] = Item{Key: rng.Intn(12), Weight: float64(1 + rng.Intn(5))}
 		}
-		sel := MaxWeightIncreasing(items)
+		sel := maxWeightIncreasing(items)
 		got := 0.0
 		lastKey := -1 << 62
 		for _, idx := range sel {
@@ -169,7 +169,7 @@ func TestMaxWeightIncreasingOptimalSmall(t *testing.T) {
 func TestMaxWeightIncreasingSelectionSorted(t *testing.T) {
 	f := func(keys []int) bool {
 		items := unitItems(keys)
-		sel := MaxWeightIncreasing(items)
+		sel := maxWeightIncreasing(items)
 		for i := 1; i < len(sel); i++ {
 			if sel[i] <= sel[i-1] {
 				return false
@@ -187,7 +187,7 @@ func TestMaxWeightIncreasingSelectionSorted(t *testing.T) {
 
 func TestWindowedIncreasingMatchesExactWhenSmall(t *testing.T) {
 	items := unitItems([]int{5, 3, 4, 8, 6, 7})
-	exact := MaxWeightIncreasing(items)
+	exact := maxWeightIncreasing(items)
 	win := WindowedIncreasing(items, 50)
 	if !equalInts(exact, win) {
 		t.Errorf("windowed(50) = %v, exact = %v", win, exact)
@@ -204,7 +204,7 @@ func TestWindowedIncreasingPaperExample(t *testing.T) {
 	// heuristic must return a valid increasing subsequence that can be
 	// shorter than the optimum.
 	items := unitItems([]int{9, 1, 2, 6, 3, 4})
-	exact := MaxWeightIncreasing(items) // 1 2 3 4: length 4
+	exact := maxWeightIncreasing(items) // 1 2 3 4: length 4
 	win := WindowedIncreasing(items, 3) // blocks {9,1,2} and {6,3,4}
 	if len(exact) != 4 {
 		t.Fatalf("exact length = %d, want 4", len(exact))

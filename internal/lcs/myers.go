@@ -16,8 +16,8 @@ const (
 // Insert, BIdx indexes the second.
 type Edit struct {
 	Kind EditKind
-	AIdx int
-	BIdx int
+	aIdx int
+	bIdx int
 }
 
 // Myers computes a minimal edit script between a and b using the
@@ -75,20 +75,20 @@ search:
 		for x > prevX && y > prevY {
 			x--
 			y--
-			rev = append(rev, Edit{Kind: Keep, AIdx: x, BIdx: y})
+			rev = append(rev, Edit{Kind: Keep, aIdx: x, bIdx: y})
 		}
 		if x == prevX {
 			y--
-			rev = append(rev, Edit{Kind: Insert, AIdx: x, BIdx: y})
+			rev = append(rev, Edit{Kind: Insert, aIdx: x, bIdx: y})
 		} else {
 			x--
-			rev = append(rev, Edit{Kind: Delete, AIdx: x, BIdx: y})
+			rev = append(rev, Edit{Kind: Delete, aIdx: x, bIdx: y})
 		}
 	}
 	for x > 0 && y > 0 {
 		x--
 		y--
-		rev = append(rev, Edit{Kind: Keep, AIdx: x, BIdx: y})
+		rev = append(rev, Edit{Kind: Keep, aIdx: x, bIdx: y})
 	}
 	out := make([]Edit, len(rev))
 	for i := range rev {

@@ -13,9 +13,9 @@ func applyEdits(a, b []string, edits []Edit) []string {
 	for _, e := range edits {
 		switch e.Kind {
 		case Keep:
-			out = append(out, a[e.AIdx])
+			out = append(out, a[e.aIdx])
 		case Insert:
-			out = append(out, b[e.BIdx])
+			out = append(out, b[e.bIdx])
 		case Delete:
 			// skip a[e.AIdx]
 		}
@@ -101,19 +101,19 @@ func TestMyersEditIndicesMonotone(t *testing.T) {
 	for _, e := range edits {
 		switch e.Kind {
 		case Keep:
-			if e.AIdx != ai || e.BIdx != bi {
-				t.Fatalf("keep at a=%d b=%d, cursor a=%d b=%d", e.AIdx, e.BIdx, ai, bi)
+			if e.aIdx != ai || e.bIdx != bi {
+				t.Fatalf("keep at a=%d b=%d, cursor a=%d b=%d", e.aIdx, e.bIdx, ai, bi)
 			}
 			ai++
 			bi++
 		case Delete:
-			if e.AIdx != ai {
-				t.Fatalf("delete at a=%d, cursor %d", e.AIdx, ai)
+			if e.aIdx != ai {
+				t.Fatalf("delete at a=%d, cursor %d", e.aIdx, ai)
 			}
 			ai++
 		case Insert:
-			if e.BIdx != bi {
-				t.Fatalf("insert at b=%d, cursor %d", e.BIdx, bi)
+			if e.bIdx != bi {
+				t.Fatalf("insert at b=%d, cursor %d", e.bIdx, bi)
 			}
 			bi++
 		}

@@ -29,40 +29,40 @@ type ConflictKind uint8
 
 // Conflict kinds.
 const (
-	// UpdateUpdate: both sides updated the same value differently.
-	UpdateUpdate ConflictKind = iota
-	// UpdateDelete: theirs updates a node ours deleted.
-	UpdateDelete
-	// DeleteModify: theirs deletes a subtree ours modified inside.
-	DeleteModify
-	// MoveMove: both sides moved the same node to different places.
-	MoveMove
-	// MoveDelete: theirs moves a node ours deleted.
-	MoveDelete
-	// Orphaned: theirs inserts into (or moves into) a parent that does
+	// updateUpdate: both sides updated the same value differently.
+	updateUpdate ConflictKind = iota
+	// updateDelete: theirs updates a node ours deleted.
+	updateDelete
+	// deleteModify: theirs deletes a subtree ours modified inside.
+	deleteModify
+	// moveMove: both sides moved the same node to different places.
+	moveMove
+	// moveDelete: theirs moves a node ours deleted.
+	moveDelete
+	// orphaned: theirs inserts into (or moves into) a parent that does
 	// not exist after ours' changes.
-	Orphaned
-	// AttrConflict: both sides changed the same attribute differently,
+	orphaned
+	// attrConflict: both sides changed the same attribute differently,
 	// or theirs changes an attribute of a deleted node.
-	AttrConflict
+	attrConflict
 )
 
 // String returns a short name for the conflict kind.
 func (k ConflictKind) String() string {
 	switch k {
-	case UpdateUpdate:
+	case updateUpdate:
 		return "update/update"
-	case UpdateDelete:
+	case updateDelete:
 		return "update/delete"
-	case DeleteModify:
+	case deleteModify:
 		return "delete/modify"
-	case MoveMove:
+	case moveMove:
 		return "move/move"
-	case MoveDelete:
+	case moveDelete:
 		return "move/delete"
-	case Orphaned:
+	case orphaned:
 		return "orphaned"
-	case AttrConflict:
+	case attrConflict:
 		return "attribute"
 	default:
 		return fmt.Sprintf("conflict(%d)", uint8(k))
@@ -253,19 +253,19 @@ func (m *merger) applyValueOp(op delta.Op) {
 	case delta.Update:
 		n := m.index[o.XID]
 		if n == nil {
-			m.conflict(UpdateDelete, o.XID, op, "ours deleted the node theirs updates to %q", o.New)
+			m.conflict(updateDelete, o.XID, op, "ours deleted the node theirs updates to %q", o.New)
 			return
 		}
 		if oursNew, ok := m.ours.updates[o.XID]; ok {
 			if oursNew == o.New {
 				m.res.Converged++
 			} else {
-				m.conflict(UpdateUpdate, o.XID, op, "ours set %q, theirs set %q", oursNew, o.New)
+				m.conflict(updateUpdate, o.XID, op, "ours set %q, theirs set %q", oursNew, o.New)
 			}
 			return
 		}
 		if n.Value != o.Old {
-			m.conflict(UpdateUpdate, o.XID, op, "value is %q, theirs expected %q", n.Value, o.Old)
+			m.conflict(updateUpdate, o.XID, op, "value is %q, theirs expected %q", n.Value, o.Old)
 			return
 		}
 		n.Value = o.New
@@ -282,7 +282,7 @@ func (m *merger) applyValueOp(op delta.Op) {
 func (m *merger) applyAttr(op delta.Op, x int64, name, old, new string, remove bool) {
 	n := m.index[x]
 	if n == nil {
-		m.conflict(AttrConflict, x, op, "ours deleted the node whose attribute %s theirs changes", name)
+		m.conflict(attrConflict, x, op, "ours deleted the node whose attribute %s theirs changes", name)
 		return
 	}
 	key := attrKey{x, name}
@@ -290,7 +290,7 @@ func (m *merger) applyAttr(op delta.Op, x int64, name, old, new string, remove b
 		if !remove && oursVal == new {
 			m.res.Converged++
 		} else {
-			m.conflict(AttrConflict, x, op, "both sides changed attribute %s", name)
+			m.conflict(attrConflict, x, op, "both sides changed attribute %s", name)
 		}
 		return
 	}
@@ -298,13 +298,13 @@ func (m *merger) applyAttr(op delta.Op, x int64, name, old, new string, remove b
 		if remove {
 			m.res.Converged++
 		} else {
-			m.conflict(AttrConflict, x, op, "ours deleted attribute %s theirs changes", name)
+			m.conflict(attrConflict, x, op, "ours deleted attribute %s theirs changes", name)
 		}
 		return
 	}
 	if remove {
 		if v, ok := n.Attribute(name); !ok || v != old {
-			m.conflict(AttrConflict, x, op, "attribute %s is %q, theirs expected %q", name, v, old)
+			m.conflict(attrConflict, x, op, "attribute %s is %q, theirs expected %q", name, v, old)
 			return
 		}
 		n.RemoveAttribute(name)
@@ -313,11 +313,11 @@ func (m *merger) applyAttr(op delta.Op, x int64, name, old, new string, remove b
 	}
 	if old != "" { // update
 		if v, ok := n.Attribute(name); !ok || v != old {
-			m.conflict(AttrConflict, x, op, "attribute %s is %q, theirs expected %q", name, v, old)
+			m.conflict(attrConflict, x, op, "attribute %s is %q, theirs expected %q", name, v, old)
 			return
 		}
 	} else if _, exists := n.Attribute(name); exists {
-		m.conflict(AttrConflict, x, op, "attribute %s already present", name)
+		m.conflict(attrConflict, x, op, "attribute %s already present", name)
 		return
 	}
 	n.SetAttribute(name, new)
@@ -327,14 +327,14 @@ func (m *merger) applyAttr(op delta.Op, x int64, name, old, new string, remove b
 func (m *merger) detachMove(mv delta.Move) {
 	n := m.index[mv.XID]
 	if n == nil {
-		m.conflict(MoveDelete, mv.XID, mv, "ours deleted the node theirs moves")
+		m.conflict(moveDelete, mv.XID, mv, "ours deleted the node theirs moves")
 		return
 	}
 	if oursMv, ok := m.ours.moves[mv.XID]; ok {
 		if oursMv.ToParent == m.translate(mv.ToParent) && oursMv.ToPos == mv.ToPos {
 			m.res.Converged++
 		} else {
-			m.conflict(MoveMove, mv.XID, mv, "ours moved to %d[%d], theirs to %d[%d]",
+			m.conflict(moveMove, mv.XID, mv, "ours moved to %d[%d], theirs to %d[%d]",
 				oursMv.ToParent, oursMv.ToPos, mv.ToParent, mv.ToPos)
 		}
 		return
@@ -362,7 +362,7 @@ func (m *merger) applyDelete(del delta.Delete) {
 	}
 	for _, x := range del.XIDMap.XIDs() {
 		if m.ours.touched[x] {
-			m.conflict(DeleteModify, del.XID, del,
+			m.conflict(deleteModify, del.XID, del,
 				"ours modified XID %d inside the subtree theirs deletes", x)
 			return
 		}
@@ -377,7 +377,7 @@ func (m *merger) applyDelete(del delta.Delete) {
 
 func (m *merger) prepareInsert(ins delta.Insert) {
 	if ins.Subtree == nil {
-		m.conflict(Orphaned, ins.XID, ins, "insert without content")
+		m.conflict(orphaned, ins.XID, ins, "insert without content")
 		return
 	}
 	clone := ins.Subtree.Clone()
@@ -398,7 +398,7 @@ func (m *merger) prepareInsert(ins delta.Insert) {
 
 // attachPending places inserts and moves, multi-pass so attachments
 // into other pending subtrees resolve. Unattachable items become
-// Orphaned conflicts; orphaned moves are rolled back to their original
+// orphaned conflicts; orphaned moves are rolled back to their original
 // location so no data is lost.
 func (m *merger) attachPending() {
 	pending := m.pending
@@ -429,7 +429,7 @@ func (m *merger) attachPending() {
 		}
 		if !progress {
 			for _, item := range pending {
-				m.conflict(Orphaned, item.node.XID, orphanOp(item),
+				m.conflict(orphaned, item.node.XID, orphanOp(item),
 					"target parent %d does not exist after ours' changes", item.parentTheirs)
 				if item.move != nil {
 					m.rollbackMove(item)

@@ -114,7 +114,7 @@ func TestMergeUpdateUpdateConflict(t *testing.T) {
 		`<doc><p>ours</p></doc>`,
 		`<doc><p>theirs</p></doc>`)
 	res := mergeOK(t, base, ours, theirs)
-	if len(res.Conflicts) != 1 || res.Conflicts[0].Kind != UpdateUpdate {
+	if len(res.Conflicts) != 1 || res.Conflicts[0].Kind != updateUpdate {
 		t.Fatalf("conflicts = %v", res.Conflicts)
 	}
 	// Ours wins.
@@ -143,7 +143,7 @@ func TestMergeUpdateDeleteConflict(t *testing.T) {
 		`<doc><stay/></doc>`,               // ours deletes
 		`<doc><gone>y</gone><stay/></doc>`) // theirs updates inside
 	res := mergeOK(t, base, ours, theirs)
-	if len(res.Conflicts) != 1 || res.Conflicts[0].Kind != UpdateDelete {
+	if len(res.Conflicts) != 1 || res.Conflicts[0].Kind != updateDelete {
 		t.Fatalf("conflicts = %v", res.Conflicts)
 	}
 	want, _ := dom.ParseString(`<doc><stay/></doc>`)
@@ -158,7 +158,7 @@ func TestMergeDeleteModifyConflict(t *testing.T) {
 		`<doc><sec><p>edited</p></sec><other/></doc>`, // ours edits inside
 		`<doc><other/></doc>`)                         // theirs deletes the section
 	res := mergeOK(t, base, ours, theirs)
-	if len(res.Conflicts) != 1 || res.Conflicts[0].Kind != DeleteModify {
+	if len(res.Conflicts) != 1 || res.Conflicts[0].Kind != deleteModify {
 		t.Fatalf("conflicts = %v", res.Conflicts)
 	}
 	// Ours wins: the edited section survives.
@@ -200,7 +200,7 @@ func TestMergeMoveMoveConflict(t *testing.T) {
 		`<doc><a><box/></a><b/></doc>`,
 		`<doc><a/><b><box/></b></doc>`)
 	res := mergeOK(t, base, ours, theirs)
-	if len(res.Conflicts) != 1 || res.Conflicts[0].Kind != MoveMove {
+	if len(res.Conflicts) != 1 || res.Conflicts[0].Kind != moveMove {
 		t.Fatalf("conflicts = %v", res.Conflicts)
 	}
 	// Ours wins: box under a.
@@ -215,7 +215,7 @@ func TestMergeInsertIntoDeletedParent(t *testing.T) {
 		`<doc><other/></doc>`,                        // ours deletes <sec>
 		`<doc><sec><new>x</new></sec><other/></doc>`) // theirs inserts under it
 	res := mergeOK(t, base, ours, theirs)
-	if len(res.Conflicts) != 1 || res.Conflicts[0].Kind != Orphaned {
+	if len(res.Conflicts) != 1 || res.Conflicts[0].Kind != orphaned {
 		t.Fatalf("conflicts = %v", res.Conflicts)
 	}
 	want, _ := dom.ParseString(`<doc><other/></doc>`)
@@ -230,7 +230,7 @@ func TestMergeMoveIntoDeletedParentRollsBack(t *testing.T) {
 		`<doc><box>payload</box></doc>`,            // ours deletes <dst>
 		`<doc><dst><box>payload</box></dst></doc>`) // theirs moves box into it
 	res := mergeOK(t, base, ours, theirs)
-	if len(res.Conflicts) != 1 || res.Conflicts[0].Kind != Orphaned {
+	if len(res.Conflicts) != 1 || res.Conflicts[0].Kind != orphaned {
 		t.Fatalf("conflicts = %v", res.Conflicts)
 	}
 	// The box must not be lost: rolled back to its original spot.
@@ -251,7 +251,7 @@ func TestMergeAttributeConflicts(t *testing.T) {
 	for _, c := range res.Conflicts {
 		kinds = append(kinds, c.Kind)
 	}
-	if len(res.Conflicts) != 1 || res.Conflicts[0].Kind != AttrConflict {
+	if len(res.Conflicts) != 1 || res.Conflicts[0].Kind != attrConflict {
 		t.Fatalf("conflicts = %v (%v)", res.Conflicts, kinds)
 	}
 	e := xpathlite.MustCompile(`//e`).SelectFirst(res.Doc)
@@ -332,7 +332,7 @@ func TestMergeEmptyDeltas(t *testing.T) {
 }
 
 func TestConflictKindStrings(t *testing.T) {
-	kinds := []ConflictKind{UpdateUpdate, UpdateDelete, DeleteModify, MoveMove, MoveDelete, Orphaned, AttrConflict}
+	kinds := []ConflictKind{updateUpdate, updateDelete, deleteModify, moveMove, moveDelete, orphaned, attrConflict}
 	seen := map[string]bool{}
 	for _, k := range kinds {
 		s := k.String()

@@ -10,7 +10,7 @@ import "xydiff/internal/delta"
 // holds for every correct delta d over the same pair of documents —
 // the soundness invariant TestQualityPinned and FuzzOptDeltaSound hold.
 //
-//xyvet:allow testonly -- the oracle's cost model applied to a computed delta, the other side of Optimal's comparison
+//xyvet:allow testonly,localexport -- the oracle's cost model applied to a computed delta, the other side of Optimal's comparison
 func ScriptCost(d *delta.Delta) int {
 	if d == nil {
 		return 0

@@ -51,18 +51,24 @@ import (
 	"xydiff/internal/dom"
 )
 
-// ErrTooLarge reports a tree over the node cap. Exact optimal diffing
+// errTooLarge reports a tree over the node cap. Exact optimal diffing
 // is exponential in the worst case; the oracle stays honest by
 // refusing rather than silently approximating.
-var ErrTooLarge = errors.New("optdelta: tree exceeds MaxNodes")
+var errTooLarge = errors.New("optdelta: tree exceeds MaxNodes")
 
 // DefaultMaxNodes is the per-tree node cap (document root excluded).
+//
+//xyvet:allow localexport -- the oracle API internal/bench's TestQualityPinned calls
 const DefaultMaxNodes = 25
 
 // DefaultMaxStates bounds the branch-and-bound search.
+//
+//xyvet:allow localexport -- the oracle API internal/bench's TestQualityPinned calls
 const DefaultMaxStates = 2_000_000
 
 // Options tunes the oracle.
+//
+//xyvet:allow localexport -- with its fields, the oracle API internal/bench's TestQualityPinned calls
 type Options struct {
 	// MaxNodes caps each tree's node count, document root excluded.
 	// Zero means DefaultMaxNodes; values above 63 are clamped (the
@@ -79,6 +85,8 @@ type Options struct {
 }
 
 // Result is the oracle's answer.
+//
+//xyvet:allow localexport -- with its fields, the oracle API internal/bench's TestQualityPinned calls
 type Result struct {
 	// Cost of the cheapest edit script found; the true optimum when
 	// Exact.
@@ -93,7 +101,7 @@ type Result struct {
 // Optimal returns the minimum edit-script cost transforming oldDoc
 // into newDoc. Both must be Document nodes within Options.MaxNodes.
 //
-//xyvet:allow testonly -- the exact minimum-cost oracle TestQualityPinned and FuzzOptDeltaSound hold the matchers' deltas to
+//xyvet:allow testonly,localexport -- the exact minimum-cost oracle TestQualityPinned and FuzzOptDeltaSound hold the matchers' deltas to
 func Optimal(oldDoc, newDoc *dom.Node, opts Options) (Result, error) {
 	if oldDoc == nil || newDoc == nil ||
 		oldDoc.Type != dom.Document || newDoc.Type != dom.Document {
@@ -107,10 +115,10 @@ func Optimal(oldDoc, newDoc *dom.Node, opts Options) (Result, error) {
 		maxNodes = 63
 	}
 	if n := oldDoc.Size() - 1; n > maxNodes {
-		return Result{}, fmt.Errorf("%w: old tree has %d nodes, cap %d", ErrTooLarge, n, maxNodes)
+		return Result{}, fmt.Errorf("%w: old tree has %d nodes, cap %d", errTooLarge, n, maxNodes)
 	}
 	if n := newDoc.Size() - 1; n > maxNodes {
-		return Result{}, fmt.Errorf("%w: new tree has %d nodes, cap %d", ErrTooLarge, n, maxNodes)
+		return Result{}, fmt.Errorf("%w: new tree has %d nodes, cap %d", errTooLarge, n, maxNodes)
 	}
 	s := newSearcher(oldDoc, newDoc, opts)
 	s.dfs(0, 0)

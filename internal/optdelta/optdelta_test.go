@@ -128,10 +128,10 @@ func TestTooLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	big := changesim.Generic(rng, 60, 4, 4)
 	small := mustParse(t, `<a/>`)
-	if _, err := Optimal(big, small, Options{}); !errors.Is(err, ErrTooLarge) {
+	if _, err := Optimal(big, small, Options{}); !errors.Is(err, errTooLarge) {
 		t.Fatalf("old over cap: err = %v, want ErrTooLarge", err)
 	}
-	if _, err := Optimal(small, big, Options{}); !errors.Is(err, ErrTooLarge) {
+	if _, err := Optimal(small, big, Options{}); !errors.Is(err, errTooLarge) {
 		t.Fatalf("new over cap: err = %v, want ErrTooLarge", err)
 	}
 	if _, err := Optimal(small.Children[0], small, Options{}); err == nil {

@@ -267,7 +267,7 @@ func TestCrawlShedIsRetryAfter(t *testing.T) {
 		if !errors.As(err, &ra) {
 			t.Fatalf("crawl ingest under full queue: err = %v, want *crawl.RetryAfterError", err)
 		}
-		if want := hint(); ra.After != want || !errors.Is(err, ErrQueueFull) {
+		if want := hint(); ra.After != want || !errors.Is(err, errQueueFull) {
 			t.Errorf("shed crawl ingest %d: %v, want After %v wrapping ErrQueueFull", i, err, want)
 		}
 	}

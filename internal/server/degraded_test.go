@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
@@ -39,8 +38,9 @@ func newVstoreServer(t *testing.T, vcfg vstore.Config) (*vstore.Store, string, *
 	return st, dir, ts
 }
 
-// degradeServerDoc puts versions, corrupts the doc's only sealed
-// segment and scrubs with repair off, leaving "doc" degraded.
+// degradeServerDoc puts versions, checkpoints them into a snapshot,
+// corrupts the snapshot's base version and scrubs with repair off,
+// leaving "doc" degraded.
 func degradeServerDoc(t *testing.T, st *vstore.Store, dir string) {
 	t.Helper()
 	for v := 1; v <= 3; v++ {
@@ -53,15 +53,14 @@ func degradeServerDoc(t *testing.T, st *vstore.Store, dir string) {
 			t.Fatal(err)
 		}
 	}
-	// Flip a bit in the lowest-sequence segment: with one record per
-	// segment it is sealed (only the highest sequence is active).
-	matches, _ := filepath.Glob(filepath.Join(dir, "shard-*", "seg-*.log"))
-	sort.Strings(matches)
-	if len(matches) < 2 {
-		t.Fatalf("want sealed segments, have %v", matches)
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
 	}
-	victim := matches[0]
-	if err := faultfstest.FlipBit(faultfs.OS{}, victim, 12, 2); err != nil {
+	matches, _ := filepath.Glob(filepath.Join(dir, "shard-*", "docs", "doc", "v1.xml"))
+	if len(matches) != 1 {
+		t.Fatalf("want one snapshot of doc, have %v", matches)
+	}
+	if err := faultfstest.FlipBit(faultfs.OS{}, matches[0], 12, 2); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := st.ScrubPass(context.Background())
@@ -78,10 +77,8 @@ func degradeServerDoc(t *testing.T, st *vstore.Store, dir string) {
 
 func TestDegradedReadsWarnNot500(t *testing.T) {
 	st, dir, ts := newVstoreServer(t, vstore.Config{
-		Shards:          1,
-		SegmentBytes:    1,
-		CompactSegments: -1,
-		Scrub:           vstore.ScrubConfig{Throttle: -1, NoRepair: true},
+		Shards: 1,
+		Scrub:  vstore.ScrubConfig{Throttle: -1, NoRepair: true},
 	})
 	degradeServerDoc(t, st, dir)
 
@@ -157,10 +154,8 @@ func TestDegradedReadsWarnNot500(t *testing.T) {
 
 func TestDegradedMissingVersionIs410(t *testing.T) {
 	st, dir, ts := newVstoreServer(t, vstore.Config{
-		Shards:          1,
-		SegmentBytes:    1,
-		CompactSegments: -1,
-		Scrub:           vstore.ScrubConfig{Throttle: -1, NoRepair: true},
+		Shards: 1,
+		Scrub:  vstore.ScrubConfig{Throttle: -1, NoRepair: true},
 	})
 	degradeServerDoc(t, st, dir)
 

@@ -15,18 +15,18 @@ import (
 	"xydiff/internal/diff"
 )
 
-// Metrics is xydiffd's own registry: HTTP request counts and latency,
+// metrics is xydiffd's own registry: HTTP request counts and latency,
 // diff counts and phase timings per matcher, shed requests, and alert
 // throughput. Change statistics proper (per-label rates, delta size
 // ratios) come from the stats.Collector the server also feeds. /metrics
 // renders it, with the store's and the crawler's figures, through
 // writeExposition.
-type Metrics struct {
+type metrics struct {
 	mu sync.Mutex
 	counters
 }
 
-// counters are the values Metrics guards; snapshot copies them so the
+// counters are the values metrics guards; snapshot copies them so the
 // exposition is formatted outside the lock.
 type counters struct {
 	requests      map[reqKey]int64
@@ -50,15 +50,15 @@ type diffSums struct {
 	phases [5]time.Duration
 }
 
-func newMetrics() *Metrics {
-	return &Metrics{counters: counters{
+func newMetrics() *metrics {
+	return &metrics{counters: counters{
 		requests: make(map[reqKey]int64),
 		diffs:    make(map[diff.Matcher]diffSums),
 	}}
 }
 
 // snapshot copies the counters.
-func (m *Metrics) snapshot() counters {
+func (m *metrics) snapshot() counters {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	c := m.counters
@@ -68,7 +68,7 @@ func (m *Metrics) snapshot() counters {
 }
 
 // observeRequest records one served request.
-func (m *Metrics) observeRequest(route, method string, code int, dur time.Duration) {
+func (m *metrics) observeRequest(route, method string, code int, dur time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.requests[reqKey{route, method, code}]++
@@ -77,7 +77,7 @@ func (m *Metrics) observeRequest(route, method string, code int, dur time.Durati
 
 // observeDiff records one completed versioning diff's phase timings
 // under the matcher that computed it.
-func (m *Metrics) observeDiff(matcher diff.Matcher, phases [5]time.Duration) {
+func (m *metrics) observeDiff(matcher diff.Matcher, phases [5]time.Duration) {
 	if matcher == "" {
 		matcher = diff.MatcherBULD
 	}
@@ -91,25 +91,25 @@ func (m *Metrics) observeDiff(matcher diff.Matcher, phases [5]time.Duration) {
 	m.diffs[matcher] = d
 }
 
-func (m *Metrics) addRejected() {
+func (m *metrics) addRejected() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.rejected++
 }
 
-func (m *Metrics) addPanic() {
+func (m *metrics) addPanic() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.panics++
 }
 
-func (m *Metrics) addAlerts(n int) {
+func (m *metrics) addAlerts(n int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.alerts += int64(n)
 }
 
-func (m *Metrics) addStreamDropped(n int) {
+func (m *metrics) addStreamDropped(n int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.streamDropped += int64(n)

@@ -29,7 +29,7 @@ import (
 // directory.
 func TestDeltaBytesIsTheStoredBody(t *testing.T) {
 	_, memory := newTestServer(t, Config{})
-	st, _, sharded := newVstoreServer(t, vstore.Config{Sync: store.SyncOff})
+	st, _, sharded := newVstoreServer(t, vstore.Config{})
 	versions := []string{
 		catalogV1,
 		catalogV2,

@@ -5,13 +5,13 @@ import (
 	"sync"
 )
 
-// ErrQueueFull is returned by submit when the diff queue is at
+// errQueueFull is returned by submit when the diff queue is at
 // capacity; handlers translate it into 503 + Retry-After so load is
 // shed at the edge instead of piling up.
-var ErrQueueFull = errors.New("server: diff queue full")
+var errQueueFull = errors.New("server: diff queue full")
 
-// ErrClosed is returned by submit after close.
-var ErrClosed = errors.New("server: worker pool closed")
+// errClosed is returned by submit after close.
+var errClosed = errors.New("server: worker pool closed")
 
 // pool is a bounded worker pool: a fixed number of goroutines draining
 // a fixed-capacity job channel. Submission never blocks — a full queue
@@ -39,19 +39,19 @@ func newPool(workers, depth int) *pool {
 	return p
 }
 
-// submit enqueues job, failing fast with ErrQueueFull when the queue is
+// submit enqueues job, failing fast with errQueueFull when the queue is
 // at capacity.
 func (p *pool) submit(job func()) error {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if p.closed {
-		return ErrClosed
+		return errClosed
 	}
 	select {
 	case p.jobs <- job:
 		return nil
 	default:
-		return ErrQueueFull
+		return errQueueFull
 	}
 }
 

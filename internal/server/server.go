@@ -76,7 +76,7 @@ type Server struct {
 	cfg      Config
 	store    *vstore.Store
 	pipeline warehouse.Pipeline // statistics and alerter; the index is the library's
-	metrics  *Metrics
+	metrics  *metrics
 	pool     *pool
 	alertLog *alertLog
 	log      *slog.Logger
@@ -133,7 +133,7 @@ func (s *Server) Handler() http.Handler { return s.handler }
 func (s *Server) Alerter() *alert.Alerter { return s.pipeline.Alerter }
 
 // Close drains the diff worker pool: queued jobs run to completion and
-// new submissions fail with ErrClosed. Call after the HTTP listener has
+// new submissions fail with errClosed. Call after the HTTP listener has
 // stopped accepting requests.
 func (s *Server) Close() { s.pool.close() }
 

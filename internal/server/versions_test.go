@@ -45,10 +45,8 @@ func treeGet(st *vstore.Store, w http.ResponseWriter, id string, n int, latest b
 func chainServer(t *testing.T, versions int) (*vstore.Store, *httptest.Server) {
 	t.Helper()
 	st, dir, ts := newVstoreServer(t, vstore.Config{
-		Shards:          1,
-		SegmentBytes:    1,
-		CompactSegments: -1,
-		Scrub:           vstore.ScrubConfig{Throttle: -1, NoRepair: true},
+		Shards: 1,
+		Scrub:  vstore.ScrubConfig{Throttle: -1, NoRepair: true},
 	})
 	degradeServerDoc(t, st, dir)
 	rng := rand.New(rand.NewSource(37))

@@ -26,3 +26,8 @@ func CandidateScores(oldDoc, newDoc *dom.Node) [][]ScoredCandidate {
 	}
 	return out
 }
+
+// Counts returns how many candidate pairs a matching scored and how
+// many tokens the frequency cutoff pruned, for the tests that hold them
+// to the reference.
+func Counts(r *Result) (candidates, stopTokens int) { return r.candidates, r.stopTokens }

@@ -45,9 +45,9 @@ func requireEqualsReference(t testing.TB, name string, oldDoc, newDoc *dom.Node)
 	if matched != wantStats.Matched {
 		t.Fatalf("%s: %d pairs, reference %d", name, matched, wantStats.Matched)
 	}
-	if got.Candidates != wantStats.Candidates || got.StopTokens != wantStats.StopTokens {
+	if candidates, stopTokens := sftm.Counts(got); candidates != wantStats.Candidates || stopTokens != wantStats.StopTokens {
 		t.Fatalf("%s: candidates %d stop tokens %d, reference %d and %d",
-			name, got.Candidates, got.StopTokens, wantStats.Candidates, wantStats.StopTokens)
+			name, candidates, stopTokens, wantStats.Candidates, wantStats.StopTokens)
 	}
 }
 

@@ -97,11 +97,11 @@ type Result struct {
 	// -1. The documents always correspond: OldToNew[0] is 0.
 	OldToNew []int32
 
-	// Candidates is the total candidate pairs scored.
-	Candidates int
-	// StopTokens is how many distinct tokens the frequency cutoff
+	// candidates is the total candidate pairs scored.
+	candidates int
+	// stopTokens is how many distinct tokens the frequency cutoff
 	// pruned from the index.
-	StopTokens int
+	stopTokens int
 }
 
 // Match computes an old→new node matching between two documents. Both
@@ -142,8 +142,8 @@ func Match(oldDoc, newDoc *dom.Node, done <-chan struct{}) (*Result, error) {
 		Old:        m.old.nodes,
 		New:        m.new.nodes,
 		OldToNew:   m.oldToNew,
-		Candidates: m.candidateCount,
-		StopTokens: m.stopTokens,
+		candidates: m.candidateCount,
+		stopTokens: m.stopTokens,
 	}, nil
 }
 

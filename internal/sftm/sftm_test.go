@@ -219,11 +219,12 @@ func TestStopTokenPruning(t *testing.T) {
 	// blow up candidate scoring.
 	src := repeatedCards()
 	res, _ := match(t, parse(t, src), parse(t, src))
-	if res.StopTokens == 0 {
+	candidates, stopTokens := sftm.Counts(res)
+	if stopTokens == 0 {
 		t.Fatal("expected stop tokens to be pruned")
 	}
-	if res.Candidates > (len(res.New)-1)*16 {
-		t.Fatalf("candidate explosion: %d", res.Candidates)
+	if candidates > (len(res.New)-1)*16 {
+		t.Fatalf("candidate explosion: %d", candidates)
 	}
 }
 

@@ -14,15 +14,12 @@ var (
 	// ErrNoSuchVersion reports a version or delta index outside the
 	// stored range.
 	ErrNoSuchVersion = errors.New("no such version")
-	// ErrCorrupt reports that on-disk store data (a snapshot file or a
-	// journal segment) failed validation. Match with errors.Is; the
-	// concrete *CorruptError names the file and offset.
-	ErrCorrupt = errors.New("corrupt store data")
 )
 
-// CorruptError describes exactly where persisted data failed
-// validation, so an operator can inspect or excise the damage instead
-// of guessing. It matches ErrCorrupt under errors.Is.
+// CorruptError reports that on-disk store data (a snapshot file or a
+// journal segment) failed validation, and exactly where, so an operator
+// can inspect or excise the damage instead of guessing. Match it with
+// errors.As.
 type CorruptError struct {
 	// File is the path of the damaged snapshot or journal file.
 	File string
@@ -50,9 +47,6 @@ func (e *CorruptError) Error() string {
 	}
 	return msg
 }
-
-// Is makes errors.Is(err, ErrCorrupt) true for any CorruptError.
-func (e *CorruptError) Is(target error) bool { return target == ErrCorrupt }
 
 // Unwrap exposes the underlying error to errors.Is/As chains.
 func (e *CorruptError) Unwrap() error { return e.Err }

@@ -26,10 +26,10 @@ const (
 	// syncInterval in internal/vstore): a crash loses at most the last
 	// interval's acknowledged versions.
 	SyncInterval
-	// SyncOff never fsyncs explicitly; the OS flushes when it pleases.
+	// syncOff never fsyncs explicitly; the OS flushes when it pleases.
 	// A kernel crash or power loss can lose recent acknowledged
 	// versions, a plain process crash cannot.
-	SyncOff
+	syncOff
 )
 
 // String renders the flag spelling of the policy.
@@ -39,7 +39,7 @@ func (p SyncPolicy) String() string {
 		return "always"
 	case SyncInterval:
 		return "interval"
-	case SyncOff:
+	case syncOff:
 		return "off"
 	default:
 		return fmt.Sprintf("syncpolicy(%d)", int(p))
@@ -54,7 +54,7 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	case "interval":
 		return SyncInterval, nil
 	case "off":
-		return SyncOff, nil
+		return syncOff, nil
 	default:
 		return 0, fmt.Errorf("store: unknown sync policy %q (want always, interval or off)", s)
 	}

@@ -6,7 +6,7 @@ func TestParseSyncPolicy(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
 		want SyncPolicy
-	}{{"always", SyncAlways}, {"interval", SyncInterval}, {"off", SyncOff}} {
+	}{{"always", SyncAlways}, {"interval", SyncInterval}, {"off", syncOff}} {
 		got, err := ParseSyncPolicy(tc.in)
 		if err != nil || got != tc.want {
 			t.Errorf("ParseSyncPolicy(%q) = %v, %v", tc.in, got, err)

@@ -12,9 +12,9 @@ import (
 	"xydiff/internal/lcs"
 )
 
-// Lines splits s into lines, stripping a sole trailing newline the way
+// lines splits s into lines, stripping a sole trailing newline the way
 // diff(1) treats text files.
-func Lines(s string) []string {
+func lines(s string) []string {
 	if s == "" {
 		return nil
 	}
@@ -22,20 +22,20 @@ func Lines(s string) []string {
 	return strings.Split(s, "\n")
 }
 
-// Hunk is one contiguous block of changes.
-type Hunk struct {
-	// ALo/AHi and BLo/BHi are 0-based half-open line ranges in the old
+// hunk is one contiguous block of changes.
+type hunk struct {
+	// ALo/aHi and BLo/BHi are 0-based half-open line ranges in the old
 	// and new texts. An empty A range is an append, an empty B range a
 	// deletion, otherwise a change.
-	ALo, AHi int
-	BLo, BHi int
+	aLo, aHi int
+	bLo, bHi int
 }
 
-// Hunks groups a Myers edit script over lines into contiguous hunks.
-func Hunks(a, b []string) []Hunk {
+// hunks groups a Myers edit script over lines into contiguous hunks.
+func hunks(a, b []string) []hunk {
 	edits := lcs.Myers(a, b)
-	var hunks []Hunk
-	var cur *Hunk
+	var hunks []hunk
+	var cur *hunk
 	ai, bi := 0, 0
 	flush := func() {
 		if cur != nil {
@@ -51,50 +51,50 @@ func Hunks(a, b []string) []Hunk {
 			bi++
 		case lcs.Delete:
 			if cur == nil {
-				cur = &Hunk{ALo: ai, AHi: ai, BLo: bi, BHi: bi}
+				cur = &hunk{aLo: ai, aHi: ai, bLo: bi, bHi: bi}
 			}
 			ai++
-			cur.AHi = ai
+			cur.aHi = ai
 		case lcs.Insert:
 			if cur == nil {
-				cur = &Hunk{ALo: ai, AHi: ai, BLo: bi, BHi: bi}
+				cur = &hunk{aLo: ai, aHi: ai, bLo: bi, bHi: bi}
 			}
 			bi++
-			cur.BHi = bi
+			cur.bHi = bi
 		}
 	}
 	flush()
 	return hunks
 }
 
-// Diff returns the classic ed-style diff(1) output transforming a into
+// diff returns the classic ed-style diff(1) output transforming a into
 // b, with "<" lines from a and ">" lines from b. An empty string means
 // the inputs are line-identical.
-func Diff(a, b string) string {
-	la, lb := Lines(a), Lines(b)
-	hunks := Hunks(la, lb)
+func diff(a, b string) string {
+	la, lb := lines(a), lines(b)
+	hunks := hunks(la, lb)
 	if len(hunks) == 0 {
 		return ""
 	}
 	var out strings.Builder
 	for _, h := range hunks {
 		switch {
-		case h.ALo == h.AHi: // append
-			fmt.Fprintf(&out, "%da%s\n", h.ALo, rangeStr(h.BLo, h.BHi))
-		case h.BLo == h.BHi: // delete
-			fmt.Fprintf(&out, "%sd%d\n", rangeStr(h.ALo, h.AHi), h.BLo)
+		case h.aLo == h.aHi: // append
+			fmt.Fprintf(&out, "%da%s\n", h.aLo, rangeStr(h.bLo, h.bHi))
+		case h.bLo == h.bHi: // delete
+			fmt.Fprintf(&out, "%sd%d\n", rangeStr(h.aLo, h.aHi), h.bLo)
 		default: // change
-			fmt.Fprintf(&out, "%sc%s\n", rangeStr(h.ALo, h.AHi), rangeStr(h.BLo, h.BHi))
+			fmt.Fprintf(&out, "%sc%s\n", rangeStr(h.aLo, h.aHi), rangeStr(h.bLo, h.bHi))
 		}
-		for i := h.ALo; i < h.AHi; i++ {
+		for i := h.aLo; i < h.aHi; i++ {
 			out.WriteString("< ")
 			out.WriteString(la[i])
 			out.WriteByte('\n')
 		}
-		if h.ALo != h.AHi && h.BLo != h.BHi {
+		if h.aLo != h.aHi && h.bLo != h.bHi {
 			out.WriteString("---\n")
 		}
-		for i := h.BLo; i < h.BHi; i++ {
+		for i := h.bLo; i < h.bHi; i++ {
 			out.WriteString("> ")
 			out.WriteString(lb[i])
 			out.WriteByte('\n')
@@ -115,5 +115,5 @@ func rangeStr(lo, hi int) string {
 // Size returns len(Diff(a, b)): the byte size of the Unix diff output,
 // the denominator of the paper's Figure 6 ratio.
 func Size(a, b string) int {
-	return len(Diff(a, b))
+	return len(diff(a, b))
 }

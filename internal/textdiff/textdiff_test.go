@@ -8,7 +8,7 @@ import (
 
 func TestDiffIdentical(t *testing.T) {
 	s := "a\nb\nc\n"
-	if got := Diff(s, s); got != "" {
+	if got := diff(s, s); got != "" {
 		t.Errorf("diff of identical = %q", got)
 	}
 }
@@ -25,7 +25,7 @@ func TestDiffKnownShapes(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got := Diff(c.a, c.b)
+			got := diff(c.a, c.b)
 			if !strings.HasPrefix(got, c.wantCmd+"\n") {
 				t.Errorf("Diff output starts %q, want command %q\nfull:\n%s",
 					strings.SplitN(got, "\n", 2)[0], c.wantCmd, got)
@@ -35,7 +35,7 @@ func TestDiffKnownShapes(t *testing.T) {
 }
 
 func TestDiffMarkers(t *testing.T) {
-	got := Diff("a\nold\nb\n", "a\nnew\nb\n")
+	got := diff("a\nold\nb\n", "a\nnew\nb\n")
 	want := "2c2\n< old\n---\n> new\n"
 	if got != want {
 		t.Errorf("Diff = %q, want %q", got, want)
@@ -45,13 +45,13 @@ func TestDiffMarkers(t *testing.T) {
 // patch applies a hunk list to the old lines and returns the new lines,
 // so a test can show the hunks are information-preserving in the same
 // sense as diff | patch.
-func patch(a []string, hunks []Hunk, b []string) []string {
+func patch(a []string, hunks []hunk, b []string) []string {
 	var out []string
 	ai := 0
 	for _, h := range hunks {
-		out = append(out, a[ai:h.ALo]...)
-		out = append(out, b[h.BLo:h.BHi]...)
-		ai = h.AHi
+		out = append(out, a[ai:h.aLo]...)
+		out = append(out, b[h.bLo:h.bHi]...)
+		ai = h.aHi
 	}
 	out = append(out, a[ai:]...)
 	return out
@@ -69,7 +69,7 @@ func TestHunksPatchRoundTrip(t *testing.T) {
 	}
 	for trial := 0; trial < 300; trial++ {
 		a, b := randLines(25), randLines(25)
-		got := patch(a, Hunks(a, b), b)
+		got := patch(a, hunks(a, b), b)
 		if strings.Join(got, "\n") != strings.Join(b, "\n") {
 			t.Fatalf("patch(a, hunks) != b\na=%v\nb=%v\ngot=%v", a, b, got)
 		}
@@ -77,18 +77,18 @@ func TestHunksPatchRoundTrip(t *testing.T) {
 }
 
 func TestLines(t *testing.T) {
-	if got := Lines(""); got != nil {
+	if got := lines(""); got != nil {
 		t.Errorf("Lines(\"\") = %v", got)
 	}
-	if got := Lines("a\nb\n"); len(got) != 2 {
+	if got := lines("a\nb\n"); len(got) != 2 {
 		t.Errorf("Lines trailing newline = %v", got)
 	}
-	if got := Lines("a\nb"); len(got) != 2 {
+	if got := lines("a\nb"); len(got) != 2 {
 		t.Errorf("Lines no trailing newline = %v", got)
 	}
 	// A single long line (the paper notes XML documents may contain
 	// very long lines, hurting line diffs).
-	if got := Lines("one single very long line"); len(got) != 1 {
+	if got := lines("one single very long line"); len(got) != 1 {
 		t.Errorf("single line = %v", got)
 	}
 }

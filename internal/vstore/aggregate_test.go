@@ -128,7 +128,7 @@ func TestAggregateAllPairsMatchComposition(t *testing.T) {
 	// DeltasBetween give, word for word: no such version first, then —
 	// with the document marked degraded — quarantined history.
 	outside := [][2]int{{0, 3}, {3, 0}, {2, versions + 1}, {versions + 1, 2}, {versions + 1, versions + 2}, {-1, 0}}
-	for _, kind := range []error{store.ErrNoSuchVersion, ErrDegraded} {
+	for _, kind := range []error{store.ErrNoSuchVersion, errDegraded} {
 		matched := 0
 		for _, r := range outside {
 			_, wantErr := aggregateReference(reopened, "buld", r[0], r[1])
@@ -244,7 +244,7 @@ func TestAggregateOfOneVersionAnswersLikeVersion(t *testing.T) {
 	st.mu.Lock()
 	st.degraded, st.degradedReason = true, "marked by the test"
 	st.mu.Unlock()
-	check("doc", 4, ErrDegraded)
+	check("doc", 4, errDegraded)
 	check("doc", 3, nil)
 }
 
@@ -275,8 +275,8 @@ func TestChangesMatchingAnswersLikeDeltasBetween(t *testing.T) {
 	st.mu.Lock()
 	st.degraded, st.degradedReason = true, "marked by the test"
 	st.mu.Unlock()
-	check(1, 5, ErrDegraded)
-	check(4, 5, ErrDegraded)
+	check(1, 5, errDegraded)
+	check(4, 5, errDegraded)
 	check(0, 2, store.ErrNoSuchVersion)
 	if hits, err := s.ChangesMatching("doc", 1, 3, expr); err != nil || len(hits) == 0 {
 		t.Errorf("the intact versions 1..3: %d hits, %v", len(hits), err)

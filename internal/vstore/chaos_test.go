@@ -178,19 +178,19 @@ func TestScrubChaosMatrix(t *testing.T) {
 					if rep.Quarantined == 0 || rep.Repaired != 0 {
 						t.Fatalf("quarantine mode outcome = %+v", rep)
 					}
-					if s.DegradedDocs() == 0 {
+					if s.degradedDocs() == 0 {
 						t.Fatal("no document degraded after quarantine")
 					}
 					// A snapshot is one document's: quarantining it
 					// degrades that document alone.
-					if sc.snapshots && s.DegradedDocs() != 1 {
-						t.Fatalf("%d documents degraded by one quarantined snapshot", s.DegradedDocs())
+					if sc.snapshots && s.degradedDocs() != 1 {
+						t.Fatalf("%d documents degraded by one quarantined snapshot", s.degradedDocs())
 					}
 				} else {
 					if rep.Repaired == 0 || rep.Quarantined != 0 {
 						t.Fatalf("repair mode outcome = %+v", rep)
 					}
-					if s.DegradedDocs() != 0 {
+					if s.degradedDocs() != 0 {
 						t.Fatal("repair left documents degraded")
 					}
 					// Repair rewrites snapshots as compaction writes them.
@@ -289,13 +289,13 @@ func TestCrashDuringScrubRepairRewrite(t *testing.T) {
 			// be the degraded-tolerant open — but whatever it finds, it
 			// serves either the acknowledged bytes or a refusal.
 			s2, err := Open(dir, diff.Options{}, Config{
-				Shards: 1, CompactSegments: -1, OpenDegraded: true,
+				Shards: 1, compactSegments: -1, OpenDegraded: true,
 			})
 			if err != nil {
 				t.Fatalf("%s: reopen: %v", scenario, err)
 			}
 			lost := verifyNoCorruptBytes(t, s2, ground, scenario)
-			if lost > 0 && s2.DegradedDocs() == 0 {
+			if lost > 0 && s2.degradedDocs() == 0 {
 				// Losing versions is only legitimate as declared
 				// degradation from quarantining the corrupt original.
 				t.Errorf("%s: %d versions lost without a degraded marker", scenario, lost)

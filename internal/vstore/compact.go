@@ -66,13 +66,13 @@ func (s *Store) signalCompact() {
 }
 
 // compactLoop is the background compactor: whenever a segment seals it
-// scans the shards and compacts any that accumulated CompactSegments
+// scans the shards and compacts any that accumulated compactSegments
 // or more sealed segments.
 func (s *Store) compactLoop() {
 	defer close(s.compactDone)
 	for range s.compactCh {
 		for _, sh := range s.shards {
-			if len(s.sealedSegments(sh)) < s.cfg.CompactSegments {
+			if len(s.sealedSegments(sh)) < s.cfg.compactSegments {
 				continue
 			}
 			start := time.Now()

@@ -21,7 +21,7 @@ import (
 func BenchmarkCompactAndReopen(b *testing.B) {
 	const docs, versions = 12, 11
 	journal := b.TempDir()
-	cfg := Config{Shards: 4, CompactSegments: -1}
+	cfg := Config{Shards: 4, compactSegments: -1}
 	s, err := Open(journal, diff.Options{}, cfg)
 	if err != nil {
 		b.Fatal(err)

@@ -35,8 +35,8 @@ func crashCfg(fsys faultfs.FS) Config {
 	return Config{
 		Shards:          2,
 		Sync:            store.SyncAlways,
-		SegmentBytes:    192,
-		CompactSegments: -1, // deterministic: no background compactor
+		segmentBytes:    192,
+		compactSegments: -1, // deterministic: no background compactor
 		FS:              fsys,
 	}
 }
@@ -90,9 +90,10 @@ func crashWorkload(t *testing.T, dir string, fsys faultfs.FS) []ackedVersion {
 // every version the crashed run acknowledged reconstructs identically.
 func verifyAcked(t *testing.T, dir string, acked []ackedVersion, scenario string) {
 	t.Helper()
-	s, err := Open(dir, diff.Options{}, Config{Shards: 2, Sync: store.SyncOff, CompactSegments: -1})
+	s, err := Open(dir, diff.Options{}, Config{Shards: 2, compactSegments: -1})
 	if err != nil {
-		if errors.Is(err, store.ErrCorrupt) {
+		var ce *store.CorruptError
+		if errors.As(err, &ce) {
 			t.Fatalf("%s: crash produced data recovery calls corrupt: %v", scenario, err)
 		}
 		t.Fatalf("%s: reopen after crash: %v", scenario, err)
@@ -176,7 +177,7 @@ func crashCompressing(t *testing.T, fixture string) {
 	ops := []faultfstest.Op{faultfstest.OpWrite, faultfstest.OpSync, faultfstest.OpRename, faultfstest.OpRemove, faultfstest.OpOpen}
 	for _, steps := range [][]func(*Store) error{{checkpoint, rewrite}, {rewrite, checkpoint}} {
 		workload := func(dir string, fsys faultfs.FS, arm func()) {
-			s, err := Open(dir, diff.Options{}, Config{CompactSegments: -1, FS: fsys})
+			s, err := Open(dir, diff.Options{}, Config{compactSegments: -1, FS: fsys})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,7 +202,7 @@ func crashCompressing(t *testing.T, fixture string) {
 				dir := copyDir(t, filepath.Join("testdata", fixture, "store"))
 				fault := &faultfstest.Fault{Op: op, Crash: true} // armed once open
 				workload(dir, faultfstest.Wrap(faultfs.OS{}, fault), func() { fault.Countdown = k })
-				s, err := Open(dir, diff.Options{}, Config{CompactSegments: -1})
+				s, err := Open(dir, diff.Options{}, Config{compactSegments: -1})
 				if err != nil {
 					t.Fatalf("%s: crash at %s #%d/%d: reopen: %v", fixture, op, k, total, err)
 				}

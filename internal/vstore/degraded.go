@@ -9,19 +9,19 @@ import (
 // of history: the store keeps serving every version it can still prove
 // intact and answers for the rest with a typed error instead of a 404
 // (the version did exist) or a 500 (nothing is broken in the request).
-// The HTTP layer maps ErrDegraded to 410 Gone plus a Warning header,
+// The HTTP layer maps a *DegradedError to 410 Gone plus a Warning header,
 // and flags successful reads of a degraded document with the same
 // Warning so operators learn about the damage from normal traffic, not
 // only from /healthz.
 
-// ErrDegraded matches (errors.Is) every DegradedError.
-var ErrDegraded = errors.New("vstore: document degraded")
+// errDegraded matches (errors.Is) every DegradedError.
+var errDegraded = errors.New("vstore: document degraded")
 
 // DegradedError reports a request that ran into a document's
 // quarantined history.
 type DegradedError struct {
-	// ID is the degraded document.
-	ID string
+	// id is the degraded document.
+	id string
 	// Reason says what was quarantined and why.
 	Reason string
 	// Intact is how many leading versions still serve (0 when the whole
@@ -31,12 +31,12 @@ type DegradedError struct {
 
 func (e *DegradedError) Error() string {
 	if e.Intact > 0 {
-		return fmt.Sprintf("vstore: document %q degraded (versions 1..%d intact): %s", e.ID, e.Intact, e.Reason)
+		return fmt.Sprintf("vstore: document %q degraded (versions 1..%d intact): %s", e.id, e.Intact, e.Reason)
 	}
-	return fmt.Sprintf("vstore: document %q degraded (no intact versions): %s", e.ID, e.Reason)
+	return fmt.Sprintf("vstore: document %q degraded (no intact versions): %s", e.id, e.Reason)
 }
 
-func (e *DegradedError) Is(target error) bool { return target == ErrDegraded }
+func (e *DegradedError) Is(target error) bool { return target == errDegraded }
 
 // markDegradedLocked flips the document into degraded mode; the caller
 // holds st.mu (write). Returns true on the first flip (so counters
@@ -64,8 +64,8 @@ func (s *Store) Degraded(id string) (bool, string) {
 	return st.degraded, st.degradedReason
 }
 
-// DegradedDocs is how many documents currently serve degraded.
-func (s *Store) DegradedDocs() int64 {
+// degradedDocs is how many documents currently serve degraded.
+func (s *Store) degradedDocs() int64 {
 	var n int64
 	for _, sh := range s.shards {
 		n += sh.stats.degraded.Load()

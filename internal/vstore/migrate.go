@@ -56,7 +56,7 @@ const (
 // satisfied, or rename it back over dir to abort). Everything is read
 // and written through cfg.FS. A record or snapshot file that does not
 // parse or apply refuses the migration with an error matching
-// store.ErrCorrupt that names the file and offset. Returns the document
+// *store.CorruptError that names the file and offset. Returns the document
 // count carried over.
 func Migrate(dir string, opts diff.Options, cfg Config) (int, error) {
 	fsys := cfg.withDefaults().FS

@@ -53,7 +53,7 @@ func shardDirName(idx int) string { return fmt.Sprintf(shardDirFmt, idx) }
 // their checksum manifests, segment journals are replayed on
 // top in sequence order, torn segment tails are truncated, and the
 // per-shard group-commit writers start accepting Puts. Mid-log damage
-// refuses to open with an error matching store.ErrCorrupt naming the
+// refuses to open with an error matching *store.CorruptError naming the
 // file and offset. A directory in the old per-document layout is
 // refused with ErrNeedsMigration.
 //
@@ -77,7 +77,7 @@ func Open(dir string, opts diff.Options, cfg Config) (*Store, error) {
 			s.shards = append(s.shards, &shard{
 				idx:  i,
 				docs: make(map[string]*docState),
-				seg:  newSegmentWriter(fsys, "", 1, cfg.SegmentBytes), // never opened
+				seg:  newSegmentWriter(fsys, "", 1, cfg.segmentBytes), // never opened
 			})
 		}
 		return s, nil
@@ -120,12 +120,12 @@ func Open(dir string, opts diff.Options, cfg Config) (*Store, error) {
 		s.syncDone = make(chan struct{})
 		go s.syncLoop()
 	}
-	if cfg.CompactSegments > 0 {
+	if cfg.compactSegments > 0 {
 		s.compactCh = make(chan struct{}, 1)
 		s.compactDone = make(chan struct{})
 		go s.compactLoop()
 	}
-	s.recovery.DegradedDocs = int(s.DegradedDocs())
+	s.recovery.DegradedDocs = int(s.degradedDocs())
 	if cfg.Scrub.Interval > 0 {
 		s.scrubber = scrub.NewRunner(cfg.Scrub.Interval, s.ScrubPass)
 		go s.scrubber.Run(context.Background())
@@ -224,7 +224,7 @@ func (s *Store) recoverShard(sh *shard) error {
 				}
 				// Set the damaged snapshot aside and leave a degraded
 				// placeholder: the segments may still rebuild the
-				// document; if they cannot, reads get ErrDegraded
+				// document; if they cannot, reads get a DegradedError
 				// rather than a silent 404.
 				if _, qerr := scrub.Quarantine(s.fs, sub); qerr != nil {
 					return fmt.Errorf("vstore: %w (and quarantine failed: %w)", err, qerr)
@@ -286,7 +286,7 @@ func (s *Store) recoverShard(sh *shard) error {
 	if n := len(seqs); n > 0 {
 		next = seqs[n-1] + 1
 	}
-	sh.seg = newSegmentWriter(s.fs, sh.dir, next, s.cfg.SegmentBytes)
+	sh.seg = newSegmentWriter(s.fs, sh.dir, next, s.cfg.segmentBytes)
 	return nil
 }
 
@@ -355,7 +355,7 @@ func loadSnapshot(fsys faultfs.FS, sub string) (*docState, error) {
 // scrubber and Migrate walk it. A partial record at the tail is
 // truncated away
 // (TornTails); damage anywhere else refuses recovery with an error
-// matching store.ErrCorrupt naming the file and offset.
+// matching *store.CorruptError naming the file and offset.
 func (s *Store) replaySegment(sh *shard, path string) error {
 	data, err := s.fs.ReadFile(path)
 	if err != nil {
@@ -422,7 +422,7 @@ func (s *Store) applyRecord(sh *shard, path string, off int64, kind byte, id str
 				// The base this delta builds on was lost with a
 				// quarantined file. The delta alone reconstructs
 				// nothing; keep (or create) a degraded placeholder so
-				// the document answers ErrDegraded, not 404.
+				// the document answers a DegradedError, not 404.
 				if st == nil {
 					st = &docState{}
 					sh.docs[id] = st
@@ -463,8 +463,8 @@ func (s *Store) applyRecord(sh *shard, path string, off int64, kind byte, id str
 }
 
 // corruptf builds a store.CorruptError for file at offset (use -1 for
-// whole-file failures), so callers test with errors.Is(err,
-// store.ErrCorrupt) regardless of engine.
+// whole-file failures), so callers match it with errors.As regardless
+// of engine.
 func corruptf(file string, offset int64, err error, format string, args ...any) *store.CorruptError {
 	return &store.CorruptError{File: file, Offset: offset, Reason: fmt.Sprintf(format, args...), Err: err}
 }

@@ -18,8 +18,8 @@ func BenchmarkScrubPass(b *testing.B) {
 	dir := b.TempDir()
 	s, err := Open(dir, diff.Options{}, Config{
 		Shards:          4,
-		SegmentBytes:    32 << 10, // rotate often enough to leave sealed segments
-		CompactSegments: -1,
+		segmentBytes:    32 << 10, // rotate often enough to leave sealed segments
+		compactSegments: -1,
 		Scrub:           ScrubConfig{Throttle: -1},
 	})
 	if err != nil {

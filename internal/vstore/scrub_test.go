@@ -22,8 +22,8 @@ import (
 func scrubCfg() Config {
 	return Config{
 		Shards:          1,
-		SegmentBytes:    1,
-		CompactSegments: -1,
+		segmentBytes:    1,
+		compactSegments: -1,
 		Scrub:           ScrubConfig{Throttle: -1},
 	}
 }
@@ -183,8 +183,8 @@ func TestScrubQuarantinesSegmentWithoutRepair(t *testing.T) {
 	if deg, reason := s.Degraded("doc"); !deg || !strings.Contains(reason, "quarantined") {
 		t.Fatalf("Degraded = %v, %q", deg, reason)
 	}
-	if s.DegradedDocs() != 1 {
-		t.Fatalf("DegradedDocs = %d", s.DegradedDocs())
+	if s.degradedDocs() != 1 {
+		t.Fatalf("DegradedDocs = %d", s.degradedDocs())
 	}
 	checkVersions(t, s, "doc", want)
 	st := s.StorageStats()
@@ -267,8 +267,8 @@ func TestScrubQuarantinesSnapshotWithoutRepair(t *testing.T) {
 }
 
 func TestDegradedErrorShape(t *testing.T) {
-	err := error(&DegradedError{ID: "doc", Reason: "segment quarantined", Intact: 3})
-	if !errors.Is(err, ErrDegraded) {
+	err := error(&DegradedError{id: "doc", Reason: "segment quarantined", Intact: 3})
+	if !errors.Is(err, errDegraded) {
 		t.Fatal("DegradedError does not match ErrDegraded")
 	}
 	var de *DegradedError

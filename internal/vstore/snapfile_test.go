@@ -362,14 +362,14 @@ func TestDictionaryPartNeedsItsChain(t *testing.T) {
 	_, err = Open(dir, diff.Options{}, Config{})
 	var ce *store.CorruptError
 	if !errors.As(err, &ce) || ce.File != filepath.Join(to, deltaFile(1)) || !strings.Contains(err.Error(), "another chain") {
-		t.Fatalf("Open = %v, want ErrCorrupt naming a's %s as written against another chain", err, deltaFile(1))
+		t.Fatalf("Open = %v, want a CorruptError naming a's %s as written against another chain", err, deltaFile(1))
 	}
 	s2, err := Open(dir, diff.Options{}, Config{OpenDegraded: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if _, err := s2.Version("a", 1); !errors.Is(err, ErrDegraded) {
+	if _, err := s2.Version("a", 1); !errors.Is(err, errDegraded) {
 		t.Fatalf("Version after quarantine = %v, want ErrDegraded", err)
 	}
 	if n := s2.Versions("b"); n != 2 {
@@ -396,14 +396,14 @@ func TestCompressedSnapshotNeedsSums(t *testing.T) {
 	_, err := Open(dir, diff.Options{}, Config{})
 	var ce *store.CorruptError
 	if !errors.As(err, &ce) || ce.File != filepath.Join(sub, "v1.xml") {
-		t.Fatalf("Open without sums = %v, want ErrCorrupt naming v1.xml", err)
+		t.Fatalf("Open without sums = %v, want a CorruptError naming v1.xml", err)
 	}
 	s2, err := Open(dir, diff.Options{}, Config{OpenDegraded: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if _, err := s2.Version("doc", 1); !errors.Is(err, ErrDegraded) {
+	if _, err := s2.Version("doc", 1); !errors.Is(err, errDegraded) {
 		t.Fatalf("Version after quarantine = %v, want ErrDegraded", err)
 	}
 	if _, err := os.Stat(sub + scrub.QuarantineSuffix); err != nil {
@@ -415,7 +415,7 @@ func TestCompressedSnapshotNeedsSums(t *testing.T) {
 // read lock while Puts keep landing; every acknowledged version
 // survives the checkpoints and a reopen byte-identically.
 func TestCheckpointDuringPuts(t *testing.T) {
-	s, dir := openTest(t, Config{Shards: 2, SegmentBytes: 4096, CompactSegments: -1})
+	s, dir := openTest(t, Config{Shards: 2, segmentBytes: 4096, compactSegments: -1})
 	chain := catalogChain(t, 3000, 8)
 	ids := []string{"w0", "w1", "w2", "w3"}
 	var wg sync.WaitGroup
@@ -561,7 +561,7 @@ func checkScrubClean(t *testing.T, s *Store) {
 func TestOpenVstoreV1Directory(t *testing.T) {
 	want, _ := fixtureDigests(t, "v1")
 	dir := copyDir(t, filepath.Join("testdata", "v1", "store"))
-	cfg := Config{CompactSegments: -1}
+	cfg := Config{compactSegments: -1}
 	s, err := Open(dir, diff.Options{}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -629,7 +629,7 @@ func TestOpenVstoreV1Directory(t *testing.T) {
 func TestOpenVstoreV2Directory(t *testing.T) {
 	want, deltas := fixtureDigests(t, "v2")
 	dir := copyDir(t, filepath.Join("testdata", "v2", "store"))
-	cfg := Config{CompactSegments: -1}
+	cfg := Config{compactSegments: -1}
 	s, err := Open(dir, diff.Options{}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -712,7 +712,7 @@ func stdDecode(data, dict []byte) []byte {
 // or without a manifest recording fuzzed lengths (and the CRC of what
 // each file holds, the delta read with the last 32 KiB of what v1.xml
 // holds as its dictionary). Open must succeed or refuse with an
-// ErrCorrupt naming one of the two files, never panic; it names the
+// a CorruptError naming one of the two files, never panic; it names the
 // delta only when v1.xml alone decodes. A compressed file that loads
 // must decode to exactly its recorded length and to what it holds.
 func FuzzSnapshotLoad(f *testing.F) {
@@ -777,12 +777,12 @@ func FuzzSnapshotLoad(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		s, err := Open(dir, diff.Options{}, Config{Shards: 1, CompactSegments: -1})
+		s, err := Open(dir, diff.Options{}, Config{Shards: 1, compactSegments: -1})
 		if err != nil {
 			var ce *store.CorruptError
 			switch {
 			case !errors.As(err, &ce):
-				t.Fatalf("Open = %v, want ErrCorrupt", err)
+				t.Fatalf("Open = %v, want a CorruptError", err)
 			case ce.File == filepath.Join(sub, "v1.xml"):
 			case ce.File == filepath.Join(sub, deltaFile(1)) && len(part) > 0:
 				// The delta is refused only after v1.xml decoded.
@@ -794,7 +794,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 					t.Fatalf("Open refused %s, but v1.xml before it does not decode: %v", deltaFile(1), berr)
 				}
 			default:
-				t.Fatalf("Open = %v, want ErrCorrupt naming v1.xml or %s", err, deltaFile(1))
+				t.Fatalf("Open = %v, want a CorruptError naming v1.xml or %s", err, deltaFile(1))
 			}
 			return
 		}

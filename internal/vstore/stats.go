@@ -87,17 +87,17 @@ type ShardStats struct {
 	Docs int
 	// Segments is how many segment files are on disk (sealed + active).
 	Segments int
-	// Appends, AppendedBytes and Syncs mirror DurabilityStats for this
+	// Appends, appendedBytes and Syncs mirror DurabilityStats for this
 	// shard alone.
 	Appends       int64
-	AppendedBytes int64
+	appendedBytes int64
 	Syncs         int64
-	// Batches is how many group commits the shard performed;
-	// BatchRecords how many records they carried in total; MaxBatch the
+	// batches is how many group commits the shard performed;
+	// BatchRecords how many records they carried in total; maxBatch the
 	// largest single batch.
-	Batches      int64
+	batches      int64
 	BatchRecords int64
-	MaxBatch     int64
+	maxBatch     int64
 	// Rejected is how many Puts were shed with ErrBusy.
 	Rejected int64
 	// SealedSegments is how many on-disk segments await compaction; a
@@ -144,10 +144,10 @@ type StorageStats struct {
 	Segments int
 	// FsyncTotal is how many segment fsyncs group commit performed.
 	FsyncTotal int64
-	// Batches and BatchRecords describe group-commit effectiveness:
-	// BatchRecords/Batches is the mean records per fsync.
-	Batches      int64
-	BatchRecords int64
+	// batches and BatchRecords describe group-commit effectiveness:
+	// BatchRecords/batches is the mean records per fsync.
+	batches      int64
+	batchRecords int64
 	// MaxBatch is the largest batch any shard committed.
 	MaxBatch int64
 	// Rejected is how many Puts were shed with ErrBusy.
@@ -211,10 +211,10 @@ type SnapshotEncoding struct {
 // MeanBatch returns the mean records per group commit (0 when none
 // committed yet).
 func (st StorageStats) MeanBatch() float64 {
-	if st.Batches == 0 {
+	if st.batches == 0 {
 		return 0
 	}
-	return float64(st.BatchRecords) / float64(st.Batches)
+	return float64(st.batchRecords) / float64(st.batches)
 }
 
 // CacheHitRatio returns the version-cache hit ratio in [0,1] (0 when
@@ -269,11 +269,11 @@ func (s *Store) StorageStats() StorageStats {
 			Docs:            docs,
 			Segments:        len(sh.segmentsOnDisk(s.fs)),
 			Appends:         sh.stats.appends.Load(),
-			AppendedBytes:   sh.stats.appendedBytes.Load(),
+			appendedBytes:   sh.stats.appendedBytes.Load(),
 			Syncs:           sh.stats.syncs.Load(),
-			Batches:         sh.stats.batches.Load(),
+			batches:         sh.stats.batches.Load(),
 			BatchRecords:    sh.stats.batchRecords.Load(),
-			MaxBatch:        sh.stats.maxBatch.Load(),
+			maxBatch:        sh.stats.maxBatch.Load(),
 			Rejected:        sh.stats.rejected.Load(),
 			SealedSegments:  len(s.sealedSegments(sh)),
 			LastCompactUnix: sh.lastCompact.Load(),
@@ -283,8 +283,8 @@ func (s *Store) StorageStats() StorageStats {
 		out.Documents += ss.Docs
 		out.Segments += ss.Segments
 		out.FsyncTotal += ss.Syncs
-		out.Batches += ss.Batches
-		out.BatchRecords += ss.BatchRecords
+		out.batches += ss.batches
+		out.batchRecords += ss.BatchRecords
 		out.Rejected += ss.Rejected
 		out.SealedSegments += ss.SealedSegments
 		out.DegradedDocs += ss.DegradedDocs
@@ -296,8 +296,8 @@ func (s *Store) StorageStats() StorageStats {
 			out.SnapshotStoredBytes += stored
 		}
 		out.SnapshotRawBytes += sh.stats.snapRaw.Load()
-		if ss.MaxBatch > out.MaxBatch {
-			out.MaxBatch = ss.MaxBatch
+		if ss.maxBatch > out.MaxBatch {
+			out.MaxBatch = ss.maxBatch
 		}
 		out.PerShard = append(out.PerShard, ss)
 	}

@@ -94,25 +94,27 @@ type Config struct {
 	// version as an in-memory keyframe, which a miss restores instead of
 	// replaying the chain; keyframes are not counted here.
 	CacheSize int
-	// SegmentBytes rotates the active segment once it grows past this
-	// size (default 64 MiB).
-	SegmentBytes int64
-	// CompactSegments triggers background compaction of a shard once it
-	// has this many sealed segments; 0 picks the default 8, negative
-	// disables background compaction (Checkpoint still works).
-	CompactSegments int
 	// Scrub configures the background integrity scrubber; the zero
 	// value disables the timer (ScrubPass still runs on demand).
 	Scrub ScrubConfig
 	// OpenDegraded tolerates corrupt files at open instead of refusing:
 	// damage is quarantined (renamed aside, never deleted) and the
 	// affected documents serve their latest intact version flagged with
-	// ErrDegraded. The default false keeps the strict contract — a
+	// a DegradedError. The default false keeps the strict contract — a
 	// library caller must opt in to partial data.
 	OpenDegraded bool
 	// FS overrides the filesystem (fault-injection tests); nil means
 	// the real one.
 	FS faultfs.FS
+
+	// segmentBytes rotates the active segment once it grows past this
+	// size (default 64 MiB); this package's tests shrink it to leave
+	// sealed segments behind.
+	segmentBytes int64
+	// compactSegments triggers background compaction of a shard once it
+	// has this many sealed segments; 0 picks the default 8, negative
+	// disables background compaction (Checkpoint still works).
+	compactSegments int
 }
 
 // ScrubConfig tunes the background scrubber (see internal/scrub).
@@ -156,11 +158,11 @@ func (c Config) withDefaults() Config {
 	if c.CacheSize <= 0 {
 		c.CacheSize = 4096
 	}
-	if c.SegmentBytes <= 0 {
-		c.SegmentBytes = 64 << 20
+	if c.segmentBytes <= 0 {
+		c.segmentBytes = 64 << 20
 	}
-	if c.CompactSegments == 0 {
-		c.CompactSegments = 8
+	if c.compactSegments == 0 {
+		c.compactSegments = 8
 	}
 	if c.FS == nil {
 		c.FS = faultfs.OS{}
@@ -218,7 +220,7 @@ type docState struct {
 	snap snapBytes
 	// degraded marks a document with a quarantined slice of history:
 	// versions 1..versions are intact and keep serving, anything beyond
-	// answers with ErrDegraded instead of a 404 or a 500. Puts keep
+	// answers with a DegradedError instead of a 404 or a 500. Puts keep
 	// working, extending the intact chain.
 	degraded       bool
 	degradedReason string
@@ -396,7 +398,7 @@ func (s *Store) reading(id string) (*docState, error) {
 	st.mu.RLock()
 	if st.versions == 0 {
 		if st.degraded {
-			err := &DegradedError{ID: id, Reason: st.degradedReason}
+			err := &DegradedError{id: id, Reason: st.degradedReason}
 			st.mu.RUnlock()
 			return nil, err
 		}
@@ -540,7 +542,7 @@ func (s *Store) readXML(id string, n int, latest bool) ([]byte, int, error) {
 // existed. The caller holds the state lock.
 func (st *docState) checkVersion(id string, n int) error {
 	if n > st.versions && st.degraded {
-		return &DegradedError{ID: id, Reason: st.degradedReason, Intact: st.versions}
+		return &DegradedError{id: id, Reason: st.degradedReason, Intact: st.versions}
 	}
 	if n < 1 || n > st.versions {
 		return fmt.Errorf("vstore: %s has versions 1..%d, not %d: %w", id, st.versions, n, store.ErrNoSuchVersion)
@@ -551,7 +553,7 @@ func (st *docState) checkVersion(id string, n int) error {
 // checkRange is checkVersion for both ends of a delta range.
 func (st *docState) checkRange(id string, from, to int) error {
 	if (from > st.versions || to > st.versions) && st.degraded {
-		return &DegradedError{ID: id, Reason: st.degradedReason, Intact: st.versions}
+		return &DegradedError{id: id, Reason: st.degradedReason, Intact: st.versions}
 	}
 	if from < 1 || from > st.versions || to < 1 || to > st.versions {
 		return fmt.Errorf("vstore: version range %d..%d outside 1..%d: %w", from, to, st.versions, store.ErrNoSuchVersion)
@@ -567,7 +569,7 @@ func (s *Store) Delta(id string, n int) (*delta.Delta, error) {
 	}
 	defer st.mu.RUnlock()
 	if n >= st.versions && st.degraded {
-		return nil, &DegradedError{ID: id, Reason: st.degradedReason, Intact: st.versions}
+		return nil, &DegradedError{id: id, Reason: st.degradedReason, Intact: st.versions}
 	}
 	if n < 1 || n >= st.versions {
 		return nil, fmt.Errorf("vstore: %s has deltas 1..%d, not %d: %w", id, st.versions-1, n, store.ErrNoSuchVersion)

@@ -378,9 +378,9 @@ func TestCheckpointFoldsSegmentsIntoSnapshots(t *testing.T) {
 }
 
 func TestBackgroundCompaction(t *testing.T) {
-	// Tiny segments force rotations; CompactSegments=2 makes the
+	// Tiny segments force rotations; compactSegments=2 makes the
 	// background compactor fold them soon after.
-	s, _ := openTest(t, Config{Shards: 1, SegmentBytes: 256, CompactSegments: 2})
+	s, _ := openTest(t, Config{Shards: 1, segmentBytes: 256, compactSegments: 2})
 	big := `<r><pad>` + strings.Repeat("x", 100) + `</pad><v>%d</v></r>`
 	for v := 1; v <= 12; v++ {
 		if _, _, err := s.Put("doc", parse(t, fmt.Sprintf(big, v))); err != nil {

@@ -87,7 +87,7 @@ func TestXMLReadsMatchTreeReads(t *testing.T) {
 
 	// A degraded document: its intact versions serve, and asking past
 	// them answers DegradedError.
-	deg, degDir := openTest(t, Config{Shards: 1, SegmentBytes: 1, CompactSegments: -1, Scrub: ScrubConfig{Throttle: -1, NoRepair: true}})
+	deg, degDir := openTest(t, Config{Shards: 1, segmentBytes: 1, compactSegments: -1, Scrub: ScrubConfig{Throttle: -1, NoRepair: true}})
 	for v := 1; v <= 3; v++ {
 		if _, _, err := deg.Put("doc", parse(t, fmt.Sprintf(`<doc><rev>%d</rev></doc>`, v))); err != nil {
 			t.Fatal(err)
@@ -105,7 +105,7 @@ func TestXMLReadsMatchTreeReads(t *testing.T) {
 		t.Fatal("setup: doc not degraded")
 	}
 	checkXMLReads(t, deg, "doc")
-	if _, err := deg.VersionXML("doc", deg.Versions("doc")+1); !errors.Is(err, ErrDegraded) {
+	if _, err := deg.VersionXML("doc", deg.Versions("doc")+1); !errors.Is(err, errDegraded) {
 		t.Fatalf("reading past the intact versions: %v, want ErrDegraded", err)
 	}
 }

@@ -31,7 +31,7 @@ import (
 type Pipeline struct {
 	Alerter *alert.Alerter
 	Stats   *stats.Collector
-	Index   *index.Index
+	index   *index.Index
 }
 
 // Observe resolves the observation's delta against its two versions
@@ -43,8 +43,8 @@ func (p Pipeline) Observe(o store.Observation) []alert.Alert {
 	t := delta.Resolve(o.Result.Delta, o.Old, o.New)
 	p.Stats.ObserveResolved(t, o.DeltaBytes)
 	alerts := p.Alerter.NotifyResolved(o.ID, o.Version, t)
-	if p.Index != nil {
-		p.Index.ApplyDelta(o.ID, o.Result.Delta)
+	if p.index != nil {
+		p.index.ApplyDelta(o.ID, o.Result.Delta)
 	}
 	return alerts
 }
@@ -75,7 +75,7 @@ func New(opts diff.Options) *Warehouse {
 	repo, _ := vstore.Open("", opts, vstore.Config{}) // touches no file, cannot fail
 	w := &Warehouse{
 		store:    repo,
-		pipeline: Pipeline{Alerter: alert.New(), Stats: stats.NewCollector(), Index: index.New()},
+		pipeline: Pipeline{Alerter: alert.New(), Stats: stats.NewCollector(), index: index.New()},
 		raised:   make(map[slot][]alert.Alert),
 	}
 	repo.SetObserver(w.observe)
@@ -113,7 +113,7 @@ func (w *Warehouse) Load(docID string, doc *dom.Node) (*LoadResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		w.pipeline.Index.AddDocument(docID, cur)
+		w.pipeline.index.AddDocument(docID, cur)
 		return res, nil
 	}
 	k := slot{docID, r.Version}
@@ -132,10 +132,10 @@ func (w *Warehouse) Unsubscribe(id string) bool { return w.pipeline.Alerter.Unsu
 
 // Search returns the documents containing all the given words, via the
 // incrementally maintained index.
-func (w *Warehouse) Search(words ...string) []string { return w.pipeline.Index.SearchDocs(words...) }
+func (w *Warehouse) Search(words ...string) []string { return w.pipeline.index.SearchDocs(words...) }
 
 // SearchPostings returns structural postings for one word.
-func (w *Warehouse) SearchPostings(word string) []index.Posting { return w.pipeline.Index.Search(word) }
+func (w *Warehouse) SearchPostings(word string) []index.Posting { return w.pipeline.index.Search(word) }
 
 // Latest returns the current version of a document.
 func (w *Warehouse) Latest(docID string) (*dom.Node, int, error) { return w.store.Latest(docID) }

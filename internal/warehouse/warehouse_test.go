@@ -98,7 +98,7 @@ func TestIndexStaysConsistentOverHistory(t *testing.T) {
 			}
 			rebuilt.AddDocument(id, latest)
 		}
-		if !index.Equal(w.pipeline.Index, rebuilt) {
+		if !index.Equal(w.pipeline.index, rebuilt) {
 			t.Fatalf("%s: incremental index differs from a rebuild", step)
 		}
 	}

@@ -71,15 +71,15 @@ type span struct{ lo, hi int64 }
 func Of(n *dom.Node) Map {
 	var m Map
 	dom.WalkPost(n, func(x *dom.Node) bool {
-		m.Append(x.XID)
+		m.add(x.XID)
 		return true
 	})
 	return m
 }
 
-// Append adds one XID at the end of the map, merging it into the last
+// add adds one XID at the end of the map, merging it into the last
 // range when contiguous.
-func (m *Map) Append(x int64) {
+func (m *Map) add(x int64) {
 	if k := len(m.ranges); k > 0 && m.ranges[k-1].hi+1 == x {
 		m.ranges[k-1].hi = x
 		return

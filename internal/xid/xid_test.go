@@ -66,7 +66,7 @@ func TestOfContiguous(t *testing.T) {
 func TestMapFragmented(t *testing.T) {
 	var m Map
 	for _, x := range []int64{3, 4, 5, 9, 12, 13} {
-		m.Append(x)
+		m.add(x)
 	}
 	if got := m.String(); got != "(3-5;9;12-13)" {
 		t.Errorf("map = %s", got)
@@ -144,7 +144,7 @@ func TestMapAppendPropertyQuick(t *testing.T) {
 		for _, d := range deltas {
 			cur += int64(d%7) + 1
 			xs = append(xs, cur)
-			m.Append(cur)
+			m.add(cur)
 		}
 		parsed, err := ParseMap(m.String())
 		if err != nil {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"xydiff/internal/analysis"
 	"xydiff/internal/crawl"
 	"xydiff/internal/retry"
 	"xydiff/internal/server"
@@ -51,6 +52,38 @@ func TestReadmeToolTableNamesEveryCommand(t *testing.T) {
 	slices.Sort(got)
 	if !slices.Equal(got, want) {
 		t.Errorf("README tool table names %v; cmd/ holds %v", got, want)
+	}
+}
+
+// TestReadmeAnalyzersDocumented: README's analyzer table names exactly
+// the analyzers of xyvet's suite, so an analyzer cannot be added or
+// removed without its row.
+func TestReadmeAnalyzersDocumented(t *testing.T) {
+	var want []string
+	for _, a := range analysis.All() {
+		want = append(want, a.Name)
+	}
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(readme), "\n| analyzer | invariant | why it matters here |\n")
+	if !ok {
+		t.Fatal("README.md has no `| analyzer | invariant | why it matters here |` table")
+	}
+	var got []string
+	for _, line := range strings.Split(table, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		if m := toolRow.FindStringSubmatch(line); m != nil {
+			got = append(got, m[1])
+		}
+	}
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("README analyzer table names %v; analysis.All() holds %v", got, want)
 	}
 }
 

@@ -7,8 +7,8 @@
 #   2. vet         go vet, then xyvet, the repo's own analyzer suite
 #                  (internal/analysis: nopanic, lockbalance, ctxflow,
 #                  errwrap, segorder, goroleak, poolbalance, timerleak,
-#                  depbound, testonly, staleallow); any diagnostic fails
-#                  the gate
+#                  depbound, testonly, localexport, staleallow); any
+#                  diagnostic fails the gate
 #   3. build       every package compiles
 #   4. race        the whole test suite under the race detector, then the
 #                  vstore read-walk tests ten times more, since the walk
