@@ -1,17 +1,10 @@
 package dom
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
-// errLimit reports that parsing stopped because the input exceeded a
-// configured ParseLimits bound. Match with errors.Is; the concrete
-// *LimitError says which bound tripped.
-var errLimit = errors.New("parse limit exceeded")
-
-// LimitError is the concrete error returned when a ParseLimits bound is
-// exceeded. It matches errLimit under errors.Is.
+// LimitError reports that parsing stopped because the input exceeded a
+// configured ParseLimits bound, and which bound it was. Match it with
+// errors.As.
 type LimitError struct {
 	// What names the exceeded bound: "depth", "bytes" or "tokens".
 	What string
@@ -24,12 +17,9 @@ func (e *LimitError) Error() string {
 	return fmt.Sprintf("dom: input exceeds %s limit (%d)", e.What, e.limit)
 }
 
-// Is makes errors.Is(err, errLimit) true for any LimitError.
-func (e *LimitError) Is(target error) bool { return target == errLimit }
-
 // ParseLimits bounds resource use while parsing untrusted input. Each
 // zero field means unlimited; the zero value imposes no limits at all.
-// Exceeding a bound aborts the parse with an error matching errLimit.
+// Exceeding a bound aborts the parse with a *LimitError.
 type ParseLimits struct {
 	// MaxDepth caps element nesting depth (a 10000-deep document is an
 	// attack on recursive consumers, not data).

@@ -101,6 +101,19 @@ func TestMetricsExposition(t *testing.T) {
 	if len(fams) == 0 {
 		t.Fatal("/metrics has no families")
 	}
+	// The resident history gauge has one sample per form: an operator
+	// reads how much of it is still XML after a restart.
+	var forms []string
+	for _, f := range fams {
+		if f.name == "xydiffd_store_history_bytes" {
+			for _, s := range f.samples {
+				forms = append(forms, s.labels["form"])
+			}
+		}
+	}
+	if slices.Sort(forms); !slices.Equal(forms, []string{"frame", "xml"}) {
+		t.Errorf("xydiffd_store_history_bytes has forms %q, want frame and xml", forms)
+	}
 }
 
 // TestMetricFamiliesPinned: the families /metrics serves on the fixture

@@ -130,6 +130,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"keyframeRestores":  ss.KeyframeRestores,
 		"keyframeFallbacks": ss.KeyframeFallbacks,
 		"keyframeBytes":     ss.KeyframeBytes,
+		"historyXMLBytes":   ss.HistoryXMLBytes,
+		"historyFrameBytes": ss.HistoryFrameBytes,
 		"deltasDecoded":     ss.DeltasDecoded,
 		"compactions":       ss.Compactions,
 		"compactionSeconds": ss.CompactionSeconds,

@@ -331,6 +331,9 @@ func (s *Server) metricFamilies() []family {
 		gauge("xydiffd_store_keyframe_bytes", "Bytes held by resident keyframes: tree shape, names and values.", ss.KeyframeBytes),
 		counter("xydiffd_store_deltas_decoded_total", "Stored deltas decoded by reads and by Puts: each one a read walk stepped through, or a read returned. A delta decoded ahead of a walk that an error stopped first is not counted.", ss.DeltasDecoded),
 		gauge("xydiffd_store_degraded_docs", "Documents serving degraded (part of their history quarantined).", ss.DegradedDocs),
+		family{name: "xydiffd_store_history_bytes", typ: "gauge",
+			help: "Resident history (each document's version 1 and stored deltas): bytes held as XML, not yet decoded since the store opened, and as frames.",
+			keys: []string{"form"}, samples: []sample{{[]string{"xml"}, num(ss.HistoryXMLBytes)}, {[]string{"frame"}, num(ss.HistoryFrameBytes)}}},
 		family{name: "xydiffd_store_snapshot_bytes", typ: "gauge",
 			help: "Snapshot content files: bytes stored on disk, and the raw bytes they decode to.",
 			keys: []string{"form"}, samples: []sample{{[]string{"stored"}, num(ss.SnapshotStoredBytes)}, {[]string{"raw"}, num(ss.SnapshotRawBytes)}}},

@@ -26,8 +26,8 @@ import (
 func TestStorageCacheMetrics(t *testing.T) {
 	s, ts := metricsFixture(t)
 	ss, cs := s.store.StorageStats(), s.crawler.Metrics().Snapshot()
-	if ss.KeyframeRestores < 2 || ss.KeyframeBytes == 0 || ss.DeltasDecoded == 0 || ss.Scrub.Cycles == 0 {
-		t.Fatalf("storage stats %+v: want keyframe restores, keyframe bytes, decoded deltas and a scrub pass", ss)
+	if ss.KeyframeRestores < 2 || ss.KeyframeBytes == 0 || ss.DeltasDecoded == 0 || ss.Scrub.Cycles == 0 || ss.HistoryFrameBytes == 0 {
+		t.Fatalf("storage stats %+v: want keyframe restores, keyframe bytes, decoded deltas, a scrub pass and history frames", ss)
 	}
 	if len(ss.PerShard) != 2 {
 		t.Fatalf("%d shards, want the fixture's 2", len(ss.PerShard))
@@ -61,6 +61,8 @@ func TestStorageCacheMetrics(t *testing.T) {
 		{"xydiffd_store_keyframe_bytes", "gauge", "storage.keyframeBytes", ss.KeyframeBytes},
 		{"xydiffd_store_deltas_decoded_total", "counter", "storage.deltasDecoded", ss.DeltasDecoded},
 		{"xydiffd_store_degraded_docs", "gauge", "storage.degradedDocs", ss.DegradedDocs},
+		{`xydiffd_store_history_bytes{form="xml"}`, "gauge", "storage.historyXMLBytes", ss.HistoryXMLBytes},
+		{`xydiffd_store_history_bytes{form="frame"}`, "gauge", "storage.historyFrameBytes", ss.HistoryFrameBytes},
 		{`xydiffd_store_snapshot_bytes{form="stored"}`, "gauge", "storage.snapshotBytes", ss.SnapshotStoredBytes},
 		{`xydiffd_store_snapshot_bytes{form="raw"}`, "gauge", "storage.snapshotRawBytes", ss.SnapshotRawBytes},
 		{"xydiffd_scrub_cycles_total", "counter", "storage.scrub.cycles", ss.Scrub.Cycles},

@@ -1,7 +1,6 @@
 package vstore
 
 import (
-	"encoding/binary"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -80,7 +79,7 @@ func TestBadKeyframeTriedOnce(t *testing.T) {
 	setFrame(s, "doc", badFrames()["truncated"])
 	st := s.shardFor("doc").lookup("doc")
 	st.mu.Lock()
-	st.deltas[0] = []byte("<not a delta")
+	st.deltas[0] = xmlPart([]byte("<not a delta"))
 	st.mu.Unlock()
 	for i := 0; i < 3; i++ {
 		if _, err := s.Version("doc", 5); err == nil {
@@ -225,13 +224,16 @@ func TestKeyframeNeverStale(t *testing.T) {
 	}
 }
 
-// TestResidentBytesAreExact: the bytes a Put keeps resident — the base,
-// each delta and each keyframe — hold allocations of their own length,
-// up to the allocator's size class (a Put's base and deltas live in their
-// segment record, whose header, id and version add a few bytes), as
-// recovery's copies do; an encoder's growth buffer would hold up to twice
-// that. The same store reopened, from its journal and then from a
-// compacted snapshot, holds the same bytes within the same bound.
+// TestResidentBytesAreExact: the bytes a Put keeps resident — the XML
+// of version 1 until a walk decodes it, the frame of each delta, and
+// each keyframe — hold allocations of their own length, up to the
+// allocator's size class, besides each part's small header; an
+// encoder's growth buffer would hold up to twice that. Measured once
+// every part is decoded, so that version 1 is a frame too: the same
+// store reopened, from its journal and then from a compacted snapshot,
+// holds each part's XML, exactly as long as the XML the live frames
+// render, and once every part is decoded it holds the live store's
+// frames again.
 func TestResidentBytesAreExact(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Shards: 1, CacheSize: 1}
@@ -258,44 +260,73 @@ func TestResidentBytesAreExact(t *testing.T) {
 			}
 		}
 	}
+	xmlLen := 0
+	for _, id := range ids {
+		st := s.shardFor(id).lookup(id)
+		if st.base.form.Load().frame {
+			t.Fatalf("%s: a Put froze version 1", id)
+		}
+		for _, p := range st.deltas {
+			if !p.form.Load().frame {
+				t.Fatalf("%s holds a delta a Put made as XML", id)
+			}
+		}
+		settleAll(t, st)
+		for _, p := range append([]*part{st.base}, st.deltas...) {
+			_, size := p.sum()
+			xmlLen += size
+		}
+	}
 	// residentBytes lets go of what it measures, so each store is closed
 	// first and reopened for the next step.
 	closeStore(s)
 	live := residentBytes(t, s, ids, true)
-	s = open()
-	closeStore(s)
-	if got := residentBytes(t, s, ids, false); got != live {
-		t.Errorf("reopened from its journal, the store holds %d bytes of base and deltas; live it held %d", got, live)
+	reopened := func(what string, decode bool) {
+		t.Helper()
+		s := open()
+		if decode {
+			for _, id := range ids {
+				settleAll(t, s.shardFor(id).lookup(id))
+			}
+		}
+		closeStore(s)
+		got, want, form := residentBytes(t, s, ids, false), xmlLen, "XML"
+		if decode {
+			want, form = live, "frames"
+		}
+		if got != want {
+			t.Errorf("reopened from its %s, the store holds %d bytes of base and deltas; want %d, the live store's %s", what, got, want, form)
+		}
 	}
+	reopened("journal", false)
+	reopened("journal", true)
 	s = open()
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	closeStore(s)
-	s = open()
-	closeStore(s)
-	if got := residentBytes(t, s, ids, false); got != live {
-		t.Errorf("reopened from its snapshot, the store holds %d bytes of base and deltas; live it held %d", got, live)
-	}
+	reopened("snapshot", false)
+	reopened("snapshot", true)
 }
 
-// residentBytes returns Σlen of ids' bases and deltas in the closed store
-// s, after measuring what they and the resident keyframes (at least one
-// when keyframes is set) keep alive: the live heap must fall by at least
-// their Σlen when s lets go of them, and by no more than the size classes
-// of the allocations encodeRecord makes for them. It leaves s without
-// them.
+// residentBytes returns Σlen of the bytes ids' bases and deltas hold in
+// the closed store s, after measuring what they and the resident
+// keyframes (at least one when keyframes is set) keep alive: the live
+// heap must fall by at least their Σlen when s lets go of them, and by
+// no more than their size classes and a part's header each. It leaves s
+// without them.
 func residentBytes(t *testing.T, s *Store, ids []string, keyframes bool) int {
 	t.Helper()
 	const noise = 4 << 10 // the chains' slice arrays, and what the heap may move by between two reads
+	// A part's header: the part and its form.
+	const header = 8 + 64
 	roundUp := func(n int) int { return cap(append([]byte(nil), make([]byte, n)...)) }
 	chain, bound := 0, 0
 	for _, id := range ids {
 		st := s.shardFor(id).lookup(id)
-		record := segHeaderLen + 1 + 2*binary.MaxVarintLen64 + len(id) // encodeRecord's bytes besides the body
-		for _, p := range append([][]byte{st.base}, st.deltas...) {
-			chain += len(p)
-			bound += roundUp(record + len(p))
+		for _, p := range append([]*part{st.base}, st.deltas...) {
+			chain += p.len()
+			bound += roundUp(p.len()) + header
 		}
 	}
 	sumLen := chain

@@ -163,9 +163,10 @@ func (s *Store) compactShard(sh *shard) error {
 // when the counter says it is current: that is the scrubber's repair
 // path for a snapshot whose on-disk bytes rotted.
 //
-// The cut is taken under the document's read lock: stored parts never
-// change once appended, so compressing them (each delta's dictionary is
-// the cut's own chain) and summing the chain run with no lock held, and
+// The cut is taken under the document's read lock: a stored part's XML
+// never changes once appended, so rendering the parts it needs from
+// their frames, compressing them (each delta's dictionary is the cut's
+// own chain) and summing the chain run with no lock held, and
 // Puts and reads never wait on either. The write lock is taken only to
 // write the files, so the counter and snapVersions move together. The
 // cut is at or after the seal point (covering makes sealed records
@@ -195,11 +196,20 @@ func (s *Store) snapshotDoc(sh *shard, id string, st *docState, full bool) error
 	from := prev
 	if whole {
 		from = 1
-		files = append(files, file{"v1.xml", compressPart(base, tail.b), len(base)})
+		xml, err := base.xml(baseXML)
+		if err != nil {
+			return fmt.Errorf("vstore: render %s version 1: %w", id, err)
+		}
+		files = append(files, file{"v1.xml", compressPart(xml, tail.b), len(xml)})
+		tail.push(xml)
+	} else if err := tail.pushChain(base, deltas[:from-1]); err != nil {
+		return fmt.Errorf("vstore: render %s: %w", id, err)
 	}
-	tail.pushChain(base, deltas[:from-1])
 	for v := from; v < versions; v++ {
-		d := deltas[v-1]
+		d, err := deltas[v-1].xml(deltaXML)
+		if err != nil {
+			return fmt.Errorf("vstore: render %s delta %d: %w", id, v, err)
+		}
 		files = append(files, file{deltaFile(v), compressPart(d, tail.b), len(d)})
 		tail.push(d)
 	}

@@ -17,7 +17,10 @@ import (
 // snapshots, and the Open that reads those snapshots back. An
 // operation is one of each, reported apart as checkpoint-ms and
 // reopen-ms, with the snapshot content files' bytes per byte of the
-// XML they hold. EXPERIMENTS.md records the numbers.
+// XML they hold. Before the checkpoint, every part of the chains is
+// decoded, untimed, so that the parts are frames, as a running store's
+// are, and the checkpoint renders the XML it writes from them.
+// EXPERIMENTS.md records the numbers.
 func BenchmarkCompactAndReopen(b *testing.B) {
 	const docs, versions = 12, 11
 	journal := b.TempDir()
@@ -54,6 +57,15 @@ func BenchmarkCompactAndReopen(b *testing.B) {
 		s, err := Open(dir, diff.Options{}, cfg)
 		if err != nil {
 			b.Fatal(err)
+		}
+		for d := 0; d < docs; d++ {
+			st := s.shardFor(fmt.Sprint("catalog-", d)).lookup(fmt.Sprint("catalog-", d))
+			// A part whose XML does not read back (ROADMAP item 1) stays
+			// XML, and the checkpoint writes it as it is.
+			_, _ = st.baseTree()
+			for i := range st.deltas {
+				_, _ = st.delta(i, false)
+			}
 		}
 		b.StartTimer()
 		start := time.Now()

@@ -1,9 +1,6 @@
 package vstore
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // Degraded mode is the contract for documents with a quarantined slice
 // of history: the store keeps serving every version it can still prove
@@ -13,9 +10,6 @@ import (
 // and flags successful reads of a degraded document with the same
 // Warning so operators learn about the damage from normal traffic, not
 // only from /healthz.
-
-// errDegraded matches (errors.Is) every DegradedError.
-var errDegraded = errors.New("vstore: document degraded")
 
 // DegradedError reports a request that ran into a document's
 // quarantined history.
@@ -35,8 +29,6 @@ func (e *DegradedError) Error() string {
 	}
 	return fmt.Sprintf("vstore: document %q degraded (no intact versions): %s", e.id, e.Reason)
 }
-
-func (e *DegradedError) Is(target error) bool { return target == errDegraded }
 
 // markDegradedLocked flips the document into degraded mode; the caller
 // holds st.mu (write). Returns true on the first flip (so counters

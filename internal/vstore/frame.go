@@ -2,24 +2,28 @@ package vstore
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math/bits"
 	"sync"
 
+	"xydiff/internal/delta"
 	"xydiff/internal/dom"
+	"xydiff/internal/xid"
 )
 
-// A keyframe holds an evicted tree frozen into one byte slice, so a
-// cache miss gets the tree back with one decoding pass over it and a few
-// allocations, not an XML parse. The frame is
+// A frame is a tree frozen into one byte slice, which gives the tree
+// back with one decoding pass over it and a few allocations, not an XML
+// parse. It is the one binary tree codec of the store: a keyframe (an
+// evicted latest version), a document's version 1 and each stored delta
+// with its insert and delete subtrees are held as frames. The frame is
 //
-//	frame  = header text shape
+//	frame  = header text stream
 //	header = uvarint(len(text)) uvarint(nodes) uvarint(attrs)
 //	         uvarint(names) uvarint(len(name))…
 //	text   = the name table's strings, then every value, each once,
-//	         in the order shape consumes them
-//	shape  = one entry per node, in pre-order:
+//	         in the order stream consumes them
+//	stream = a tree's nodes, or a delta (below)
+//	tree   = one entry per node, in pre-order:
 //	         tag [name] [len(Value)] [len(Doctype)]
 //	         [attrs (name len(value))…] [children] varint(XID)
 //
@@ -28,6 +32,25 @@ import (
 // every other field a uvarint. A field the tag announces is never empty
 // or zero. The tree comes back exactly as it went in: every field,
 // attribute order, adjacent and whitespace-only texts, and XIDs.
+//
+// A stored delta's stream is an op table whose insert and delete
+// subtrees are trees of the same frame, sharing its name table, text and
+// counts:
+//
+//	delta  = uvarint(ops) varint(NextXID) op…
+//	op     = kind varint(XID) fields
+//	fields = insert, delete:   varint(Parent) uvarint(Pos) tree
+//	         update:           len(Old) len(New)
+//	         move:             varint(FromParent) uvarint(FromPos)
+//	                           varint(ToParent) uvarint(ToPos)
+//	         insert-attribute: len(Name) len(Value)
+//	         delete-attribute: len(Name) len(Old)
+//	         update-attribute: len(Name) len(Old) len(New)
+//
+// where kind is the op's delta.Kind and every len a uvarint whose bytes
+// are the text's. A subtree carries its XIDs, so an op's XID map is not
+// stored: it is the subtree's XIDs in post-order, which is what a delta
+// built by the diff or read from its XML holds.
 const (
 	tagType     = 0x07
 	tagName     = 0x08
@@ -37,8 +60,16 @@ const (
 	tagChildren = 0x80
 )
 
-// errFrame is what every frame thaw cannot take back reports.
-var errFrame = errors.New("vstore: bad keyframe")
+// A frameError is what every frame thaw cannot take back reports: what
+// did not hold, and where.
+type frameError struct {
+	what    string
+	at, len int
+}
+
+func (e *frameError) Error() string {
+	return fmt.Sprintf("vstore: bad frame: %s at byte %d of %d", e.what, e.at, e.len)
+}
 
 // freeze returns doc as a frame, or false for a node type the tag cannot
 // carry. Only the frame is allocated: the freezer's buffers are reused.
@@ -48,34 +79,68 @@ func freeze(doc *dom.Node) ([]byte, bool) {
 	if !f.node(doc) {
 		return nil, false
 	}
-	namesLen, lens := 0, 0
-	for _, name := range f.table {
-		namesLen += len(name)
-		lens += uvarintLen(len(name))
-	}
-	textLen := namesLen + len(f.values)
-	header := uvarintLen(textLen) + uvarintLen(f.nodes) + uvarintLen(f.attrs) + uvarintLen(len(f.table)) + lens
-	frame := make([]byte, 0, header+textLen+len(f.shape))
-	for _, v := range []int{textLen, f.nodes, f.attrs, len(f.table)} {
-		frame = binary.AppendUvarint(frame, uint64(v))
-	}
-	for _, name := range f.table {
-		frame = binary.AppendUvarint(frame, uint64(len(name)))
-	}
-	for _, name := range f.table {
-		frame = append(frame, name...)
-	}
-	frame = append(frame, f.values...)
-	return append(frame, f.shape...), true
+	return f.frame(), true
 }
 
-// freezer is freeze's one pre-order pass: the shape and the values
-// written so far, and the name table with each name's index.
+// freezeDelta returns d as a frame, or false when it cannot be one: an
+// op type the frame has no kind for, a subtree that is missing or of a
+// node type the tag cannot carry, a negative position, or an XID map
+// that is not its subtree's XIDs. Only the frame is allocated.
+func freezeDelta(d *delta.Delta) ([]byte, bool) {
+	f := freezers.Get().(*freezer)
+	defer f.release()
+	f.uvarint(len(d.Ops))
+	f.varint(d.NextXID)
+	for _, op := range d.Ops {
+		f.stream = append(f.stream, byte(op.Kind()))
+		f.varint(op.TargetXID())
+		ok := true
+		switch o := op.(type) {
+		case delta.Insert:
+			ok = f.subtreeOp(delta.Delete(o))
+		case delta.Delete:
+			ok = f.subtreeOp(o)
+		case delta.Update:
+			f.values(o.Old, o.New)
+		case delta.Move:
+			ok = o.FromPos >= 0 && o.ToPos >= 0
+			f.varint(o.FromParent)
+			f.uvarint(o.FromPos)
+			f.varint(o.ToParent)
+			f.uvarint(o.ToPos)
+		case delta.InsertAttr:
+			f.values(o.Name, o.Value)
+		case delta.DeleteAttr:
+			f.values(o.Name, o.Old)
+		case delta.UpdateAttr:
+			f.values(o.Name, o.Old, o.New)
+		default:
+			ok = false
+		}
+		if !ok {
+			return nil, false
+		}
+	}
+	return f.frame(), true
+}
+
+// subtreeOp writes the fields of an insert or a delete.
+func (f *freezer) subtreeOp(o delta.Delete) bool {
+	if o.Pos < 0 || o.Subtree == nil || !o.XIDMap.Describes(o.Subtree) {
+		return false
+	}
+	f.varint(o.Parent)
+	f.uvarint(o.Pos)
+	return f.node(o.Subtree)
+}
+
+// freezer is one frame's pass: the stream and the values written so
+// far, and the name table with each name's index.
 type freezer struct {
-	shape, values []byte
-	table         []string
-	names         map[string]int
-	nodes, attrs  int
+	stream, text []byte
+	table        []string
+	names        map[string]int
+	nodes, attrs int
 }
 
 var freezers = sync.Pool{New: func() any { return &freezer{names: make(map[string]int)} }}
@@ -84,18 +149,48 @@ var freezers = sync.Pool{New: func() any { return &freezer{names: make(map[strin
 func (f *freezer) release() {
 	clear(f.table) // the names belong to the frozen tree
 	clear(f.names)
-	f.shape, f.values, f.table = f.shape[:0], f.values[:0], f.table[:0]
+	f.stream, f.text, f.table = f.stream[:0], f.text[:0], f.table[:0]
 	f.nodes, f.attrs = 0, 0
 	freezers.Put(f)
 }
 
+// frame returns the frame of what f has written, in one allocation of
+// its length.
+func (f *freezer) frame() []byte {
+	namesLen, lens := 0, 0
+	for _, name := range f.table {
+		namesLen += len(name)
+		lens += uvarintLen(len(name))
+	}
+	textLen := namesLen + len(f.text)
+	counts := [...]int{textLen, f.nodes, f.attrs, len(f.table)}
+	size := lens + textLen + len(f.stream)
+	for _, v := range counts {
+		size += uvarintLen(v)
+	}
+	b := make([]byte, 0, size)
+	for _, v := range counts {
+		b = binary.AppendUvarint(b, uint64(v))
+	}
+	for _, name := range f.table {
+		b = binary.AppendUvarint(b, uint64(len(name)))
+	}
+	for _, name := range f.table {
+		b = append(b, name...)
+	}
+	b = append(b, f.text...)
+	return append(b, f.stream...)
+}
+
+// node writes the tree rooted at n, or returns false for a node type
+// the tag cannot carry.
 func (f *freezer) node(n *dom.Node) bool {
 	if n.Type > dom.ProcInst {
 		return false
 	}
-	at := len(f.shape)
+	at := len(f.stream)
 	tag := byte(n.Type)
-	f.shape = append(f.shape, 0)
+	f.stream = append(f.stream, 0)
 	if n.Name != "" {
 		tag |= tagName
 		f.name(n.Name)
@@ -121,8 +216,8 @@ func (f *freezer) node(n *dom.Node) bool {
 		tag |= tagChildren
 		f.uvarint(len(n.Children))
 	}
-	f.shape = binary.AppendVarint(f.shape, n.XID)
-	f.shape[at] = tag
+	f.varint(n.XID)
+	f.stream[at] = tag
 	f.nodes++
 	for _, c := range n.Children {
 		if !f.node(c) {
@@ -132,11 +227,19 @@ func (f *freezer) node(n *dom.Node) bool {
 	return true
 }
 
-func (f *freezer) uvarint(v int) { f.shape = binary.AppendUvarint(f.shape, uint64(v)) }
+func (f *freezer) uvarint(v int) { f.stream = binary.AppendUvarint(f.stream, uint64(v)) }
+
+func (f *freezer) varint(v int64) { f.stream = binary.AppendVarint(f.stream, v) }
 
 func (f *freezer) value(s string) {
 	f.uvarint(len(s))
-	f.values = append(f.values, s...)
+	f.text = append(f.text, s...)
+}
+
+func (f *freezer) values(s ...string) {
+	for _, v := range s {
+		f.value(v)
+	}
 }
 
 func (f *freezer) name(s string) {
@@ -158,66 +261,94 @@ func uvarintLen(v int) int { return (bits.Len64(uint64(v)|1) + 6) / 7 }
 
 // thaw rebuilds the tree a frame holds. It checks the whole frame first
 // to last — every varint, index, length and count, with nothing left
-// over — and returns an error wrapping errFrame, never a partial tree,
-// when any of it does not hold. The tree's nodes, child slices and
-// attributes are one allocation each, and its strings share one copy of
-// the frame's text.
+// over — and returns a *frameError, never a partial tree, when any of it
+// does not hold. The tree's nodes, child slices and attributes are one
+// allocation each, and its strings share one copy of the frame's text.
 func thaw(frame []byte) (*dom.Node, error) {
-	r := frameReader{b: frame}
-	textLen := r.uvarint(len(frame))
-	nodeCount := r.uvarint(len(frame))
-	attrCount := r.uvarint(len(frame))
-	nameCount := r.uvarint(len(frame))
-	if r.err != nil {
-		return nil, r.err
+	t := openFrame(frame)
+	if t.err == nil && len(t.nodes) == 0 {
+		t.fail("no node")
 	}
-	// Each name length takes a byte at least; so does each node's tag
-	// and XID, and each attribute's name and value length.
-	if nameCount > len(frame)-r.off {
-		r.fail("name count")
-		return nil, r.err
-	}
-	lens := r
-	namesLen := 0
-	for range nameCount {
-		namesLen += r.uvarint(textLen - namesLen)
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if textLen > len(frame)-r.off {
-		r.fail("text length")
-		return nil, r.err
-	}
-	text := string(frame[r.off : r.off+textLen])
-	r.off += textLen
-	shape := len(frame) - r.off
-	if nodeCount == 0 || nodeCount > shape/2 || attrCount > shape/2 {
-		r.fail("node or attribute count")
-		return nil, r.err
-	}
-	names := make([]string, nameCount)
-	for i := range names {
-		n := lens.uvarint(len(text)) // read and checked above
-		names[i], text = text[:n], text[n:]
-	}
-	t := thawer{frameReader: r, names: names, text: text}
-	doc := t.tree(nodeCount, attrCount)
-	if t.err == nil && t.off != len(frame) {
-		t.fail("trailing bytes")
-	}
-	if t.err != nil {
-		return nil, t.err
+	doc := t.tree()
+	if err := t.close(1); err != nil {
+		return nil, err
 	}
 	return doc, nil
 }
 
-// thawer is thaw's one pass over the shape, taking names from the table
-// and values off the front of the text.
+// thawDelta rebuilds the delta a frame holds, checking all of it as thaw
+// does: a *frameError, never a partial delta, when any of it does not
+// hold. Each insert and delete gets its subtree with its XIDs on it and,
+// when maps is set, its XID map; a read walk steps through the subtrees
+// as they are and asks for none. The subtrees' nodes, child slices and
+// attributes are one allocation each, shared by all of them, and every
+// string shares one copy of the frame's text. adjacentTexts reports a
+// subtree with two adjacent texts, which the delta's XML writes as one
+// (ROADMAP item 1), so that XML does not decode to the delta.
+func thawDelta(frame []byte, maps bool) (d *delta.Delta, adjacentTexts bool, err error) {
+	t := openFrame(frame)
+	// An op takes two bytes at least: its kind and its XID.
+	count := t.uvarint((len(frame) - t.off) / 2)
+	d = &delta.Delta{NextXID: t.varint(), Ops: make([]delta.Op, 0, count)}
+	trees := 0
+	for range count {
+		kind := delta.Kind(t.tag())
+		x := t.varint()
+		var op delta.Op
+		switch kind {
+		case delta.KindInsert, delta.KindDelete:
+			o := delta.Insert{XID: x, Parent: t.varint(), Pos: t.uvarint(maxInt), Subtree: t.tree()}
+			trees++
+			if o.Subtree != nil && o.Subtree.XID != x {
+				t.fail("a subtree without its op's XID")
+			}
+			if maps && t.err == nil {
+				o.XIDMap = xid.Of(o.Subtree)
+			}
+			op = o
+			if kind == delta.KindDelete {
+				op = delta.Delete(o)
+			}
+		case delta.KindUpdate:
+			op = delta.Update{XID: x, Old: t.value(0), New: t.value(0)}
+		case delta.KindMove:
+			op = delta.Move{XID: x, FromParent: t.varint(), FromPos: t.uvarint(maxInt), ToParent: t.varint(), ToPos: t.uvarint(maxInt)}
+		case delta.KindInsertAttr:
+			op = delta.InsertAttr{XID: x, Name: t.value(0), Value: t.value(0)}
+		case delta.KindDeleteAttr:
+			op = delta.DeleteAttr{XID: x, Name: t.value(0), Old: t.value(0)}
+		case delta.KindUpdateAttr:
+			op = delta.UpdateAttr{XID: x, Name: t.value(0), Old: t.value(0), New: t.value(0)}
+		default:
+			t.fail("op kind")
+		}
+		if t.err != nil {
+			break
+		}
+		d.Ops = append(d.Ops, op)
+	}
+	if err := t.close(trees); err != nil {
+		return nil, false, err
+	}
+	return d, t.adjacentTexts, nil
+}
+
+// maxInt bounds a position read off a frame.
+const maxInt = int(^uint(0) >> 1)
+
+// thawer is one pass over a frame's stream: the name table, the text
+// not yet taken, and the slabs the trees' nodes, child slices and
+// attributes are cut from.
 type thawer struct {
 	frameReader
 	names []string
 	text  string
+	nodes []dom.Node
+	kids  []*dom.Node
+	attrs []dom.Attr
+	stack []thawSlot
+	// adjacentTexts is set once a text is read right after another.
+	adjacentTexts bool
 }
 
 // thawSlot is a node whose children are still being read, and how many
@@ -227,20 +358,84 @@ type thawSlot struct {
 	next int
 }
 
-// tree reads the shape's nodes. It returns nil when the frame is bad.
-func (t *thawer) tree(nodeCount, attrCount int) *dom.Node {
-	nodes := make([]dom.Node, nodeCount)
-	kids := make([]*dom.Node, nodeCount-1)
-	attrs := make([]dom.Attr, attrCount)
-	stack := make([]thawSlot, 0, 16)
-	for i := range nodes {
-		n := &nodes[i]
-		if i > 0 {
-			if len(stack) == 0 {
-				t.fail("a node after the root's subtree")
-				return nil
-			}
+// openFrame reads a frame's header and text and sizes the slabs by its
+// counts, leaving the thawer at the start of the stream.
+func openFrame(frame []byte) *thawer {
+	t := &thawer{frameReader: frameReader{b: frame}}
+	textLen := t.uvarint(len(frame))
+	nodeCount := t.uvarint(len(frame))
+	attrCount := t.uvarint(len(frame))
+	nameCount := t.uvarint(len(frame))
+	// Each name length takes a byte at least; so does each node's tag
+	// and XID, and each attribute's name and value length.
+	if t.err == nil && nameCount > len(frame)-t.off {
+		t.fail("name count")
+	}
+	lens := t.frameReader
+	namesLen := 0
+	for range nameCount {
+		namesLen += t.uvarint(textLen - namesLen)
+	}
+	if t.err == nil && textLen > len(frame)-t.off {
+		t.fail("text length")
+	}
+	if t.err != nil {
+		return t
+	}
+	text := string(frame[t.off : t.off+textLen])
+	t.off += textLen
+	if rest := len(frame) - t.off; nodeCount > rest/2 || attrCount > rest/2 {
+		t.fail("node or attribute count")
+		return t
+	}
+	t.names = make([]string, nameCount)
+	for i := range t.names {
+		n := lens.uvarint(len(text)) // read and checked above
+		t.names[i], text = text[:n], text[n:]
+	}
+	t.text = text
+	if nodeCount > 0 {
+		t.nodes = make([]dom.Node, nodeCount)
+		t.kids = make([]*dom.Node, nodeCount)
+		t.stack = make([]thawSlot, 0, 16)
+	}
+	if attrCount > 0 {
+		t.attrs = make([]dom.Attr, attrCount)
+	}
+	return t
+}
+
+// close checks that the stream is read to its end and that the trees,
+// roots of them, took every node, child slot, attribute and byte of text
+// the counts announced.
+func (t *thawer) close(roots int) error {
+	if t.err == nil && t.off != len(t.b) {
+		t.fail("trailing bytes")
+	}
+	if t.err == nil && (len(t.nodes) != 0 || len(t.kids) != roots || len(t.attrs) != 0 || t.text != "") {
+		t.fail("counts that do not add up")
+	}
+	return t.err
+}
+
+// tree reads one tree, taking its nodes from the slabs. It returns nil
+// when the frame is bad.
+func (t *thawer) tree() *dom.Node {
+	var root *dom.Node
+	stack := t.stack[:0]
+	for t.err == nil {
+		if len(t.nodes) == 0 {
+			t.fail("more nodes than counted")
+			break
+		}
+		n := &t.nodes[0]
+		t.nodes = t.nodes[1:]
+		afterText := false
+		if root == nil {
+			root = n
+		} else {
 			top := &stack[len(stack)-1]
+			afterText = top.next > 0 && top.n.Children[top.next-1].Type == dom.Text
 			top.n.Children[top.next] = n
 			n.Parent = top.n
 			if top.next++; top.next == len(top.n.Children) {
@@ -250,6 +445,9 @@ func (t *thawer) tree(nodeCount, attrCount int) *dom.Node {
 		tag := t.tag()
 		if n.Type = dom.NodeType(tag & tagType); n.Type > dom.ProcInst {
 			t.fail("node type")
+		}
+		if afterText && n.Type == dom.Text {
+			t.adjacentTexts = true
 		}
 		if tag&tagName != 0 {
 			n.Name = t.name()
@@ -261,29 +459,29 @@ func (t *thawer) tree(nodeCount, attrCount int) *dom.Node {
 			n.Doctype = t.value(1)
 		}
 		if tag&tagAttrs != 0 {
-			k := t.count(len(attrs))
-			n.Attrs, attrs = attrs[:k:k], attrs[k:]
+			k := t.count(len(t.attrs))
+			n.Attrs, t.attrs = t.attrs[:k:k], t.attrs[k:]
 			for j := range n.Attrs {
 				n.Attrs[j] = dom.Attr{Name: t.name(), Value: t.value(0)}
 			}
 		}
 		if tag&tagChildren != 0 {
-			k := t.count(len(kids))
-			n.Children, kids = kids[:k:k], kids[k:]
+			k := t.count(len(t.kids))
+			n.Children, t.kids = t.kids[:k:k], t.kids[k:]
 			if k > 0 {
 				stack = append(stack, thawSlot{n: n})
 			}
 		}
 		n.XID = t.varint()
-		if t.err != nil {
-			return nil
+		if len(stack) == 0 {
+			break
 		}
 	}
-	if len(stack) != 0 || len(kids) != 0 || len(attrs) != 0 || t.text != "" {
-		t.fail("counts that do not add up")
+	t.stack = stack
+	if t.err != nil {
 		return nil
 	}
-	return &nodes[0]
+	return root
 }
 
 // name reads an index into the name table.
@@ -329,7 +527,7 @@ type frameReader struct {
 // fail records what went wrong, unless an earlier failure is recorded.
 func (r *frameReader) fail(what string) {
 	if r.err == nil {
-		r.err = fmt.Errorf("%w: %s at byte %d of %d", errFrame, what, r.off, len(r.b))
+		r.err = &frameError{what: what, at: r.off, len: len(r.b)}
 	}
 }
 
@@ -362,7 +560,7 @@ func (r *frameReader) varint() int64 {
 	}
 	v, n := binary.Varint(r.b[r.off:])
 	if n <= 0 {
-		r.fail("truncated XID")
+		r.fail("truncated varint")
 		return 0
 	}
 	r.off += n

@@ -1,12 +1,17 @@
 package vstore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"xydiff/internal/changesim"
+	"xydiff/internal/delta"
+	"xydiff/internal/diff"
 	"xydiff/internal/dom"
 	"xydiff/internal/xid"
 	"xydiff/internal/xptest"
@@ -171,7 +176,7 @@ func badFrames() map[string][]byte {
 }
 
 // TestFrameFormat pins the frame layout: freeze writes tinyFrame for
-// its tree, and each of badFrames is refused with errFrame.
+// its tree, and each of badFrames is refused with a *frameError.
 func TestFrameFormat(t *testing.T) {
 	doc := withChildren(&dom.Node{Type: dom.Document, XID: 3},
 		withChildren(&dom.Node{Type: dom.Element, Name: "a", Attrs: []dom.Attr{{Name: "k", Value: "v"}}, XID: 2},
@@ -180,7 +185,8 @@ func TestFrameFormat(t *testing.T) {
 		t.Fatalf("freeze wrote % x, want % x", got, tinyFrame())
 	}
 	for name, frame := range badFrames() {
-		if doc, err := thaw(frame); !errors.Is(err, errFrame) || doc != nil {
+		var fe *frameError
+		if doc, err := thaw(frame); !errors.As(err, &fe) || doc != nil {
 			t.Errorf("%s: thaw returned %v, %v; want nil and a bad-keyframe error", name, doc, err)
 		}
 	}
@@ -201,13 +207,273 @@ func FuzzThaw(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		doc, err := thaw(b)
 		if err != nil {
-			if !errors.Is(err, errFrame) || doc != nil {
+			var fe *frameError
+			if !errors.As(err, &fe) || doc != nil {
 				t.Fatalf("thaw returned %v, %v", doc, err)
 			}
 			return
 		}
 		roundTrip(t, doc)
 	})
+}
+
+// FuzzResidentDelta: a stored delta held as a frame is the delta it was
+// frozen from, checked differentially in the style of Li and Rigger
+// (PAPERS.md).
+//   - A deltaXML that delta.ParseBytes accepts freezes, and its frame
+//     thaws to a delta with the same MarshalText bytes. With oldXML,
+//     a Replay stepped forward from that document and back again gives
+//     the same trees and XIDs, or the same errors, with the thawed delta
+//     as with the parsed one.
+//   - oldXML and newXML, diffed as a Put diffs them (BULD, or SFTM when
+//     sftm is set), give a delta whose frame thaws to the same
+//     MarshalText bytes and steps each version to the other as the
+//     delta itself does, XIDs and adjacent texts included: also when
+//     that XML does not read back (ROADMAP item 1).
+//   - Each frame cut short at cut fails with a *frameError; with the
+//     bit flip picks changed, it fails with one or thaws to some delta.
+//     Nothing panics.
+func FuzzResidentDelta(f *testing.F) {
+	for _, s := range residentDeltaSeeds(f) {
+		f.Add(s.delta, s.old, s.new, s.sftm, uint16(len(s.delta)/3), uint16(8*len(s.delta)/2+5))
+	}
+	f.Fuzz(func(t *testing.T, deltaXML, oldXML, newXML string, sftm bool, cut, flip uint16) {
+		var frames [][]byte
+		old, oldErr := dom.ParseBytes([]byte(oldXML), snapshotLoadOptions())
+		if oldErr != nil {
+			old = nil
+		}
+		if _, err := delta.ParseString(deltaXML); err == nil {
+			frames = append(frames, checkParsedDelta(t, deltaXML, old))
+		}
+		if nw, err := dom.ParseBytes([]byte(newXML), snapshotLoadOptions()); err == nil && old != nil {
+			if frame := checkBuiltDelta(t, old, nw, sftm); frame != nil {
+				frames = append(frames, frame)
+			}
+		}
+		for _, frame := range frames {
+			checkDamagedFrame(t, frame, int(cut), int(flip))
+		}
+	})
+}
+
+// residentDelta is one seed of FuzzResidentDelta.
+type residentDelta struct {
+	delta, old, new string
+	sftm            bool
+}
+
+// residentDeltaSeeds are the golden deltas of package delta, small
+// document pairs with their deltas — ROADMAP item 1's reproducer among
+// them — and probe (a)'s chains (ROADMAP "Measured at this
+// re-anchor"): 20 KB catalogs stepped by Uniform(0.10, seed·100+step),
+// seed 73 diffed by BULD and seed 94 by SFTM, each step whose XML does
+// not read back.
+func residentDeltaSeeds(tb testing.TB) []residentDelta {
+	files, err := filepath.Glob(filepath.Join("..", "delta", "testdata", "golden", "*.delta.xml"))
+	if err != nil || len(files) == 0 {
+		tb.Fatalf("no golden deltas: %v", err)
+	}
+	var seeds []residentDelta
+	for _, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		seeds = append(seeds, residentDelta{delta: string(raw)})
+	}
+	pair := func(old, nw *dom.Node, sftm bool) residentDelta {
+		s := residentDelta{old: old.String(), new: nw.String(), sftm: sftm}
+		base, err := dom.ParseBytes([]byte(s.old), snapshotLoadOptions())
+		if err != nil {
+			tb.Fatal(err)
+		}
+		xid.Assign(base)
+		m := diff.MatcherBULD
+		if sftm {
+			m = diff.MatcherSFTM
+		}
+		d, err := diff.Diff(base, nw.Clone(), diff.Options{Matcher: m})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		text, err := d.MarshalText()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		s.delta = string(text)
+		return s
+	}
+	for _, p := range [][2]string{
+		{`<r><p>a<x>a heavy payload</x>b</p><q/></r>`, `<r><q><x>a heavy payload</x></q></r>`},
+		{`<doc><!--c--><t a="1">x</t><?pi d?></doc>`, `<doc><t a="2" b="3">x y</t><?pi e?><u/></doc>`},
+	} {
+		old, err := dom.ParseString(p[0])
+		if err != nil {
+			tb.Fatal(err)
+		}
+		nw, err := dom.ParseString(p[1])
+		if err != nil {
+			tb.Fatal(err)
+		}
+		seeds = append(seeds, pair(old, nw, false))
+	}
+	rng := rand.New(rand.NewSource(48))
+	doc := changesim.Catalog(rng, 2, 3)
+	res, err := changesim.Simulate(doc, changesim.Uniform(0.3, 48))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	seeds = append(seeds, pair(doc, res.New, false), pair(doc, res.New, true))
+	for _, c := range []struct {
+		seed int64
+		sftm bool
+	}{{73, false}, {94, true}} {
+		found := len(seeds)
+		cur := changesim.CatalogOfSize(rand.New(rand.NewSource(c.seed)), 20000)
+		for step := int64(1); step <= 4; step++ {
+			res, err := changesim.Simulate(cur, changesim.Uniform(0.10, c.seed*100+step))
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if s := pair(cur, res.New, c.sftm); func() bool { _, err := delta.ParseString(s.delta); return err != nil }() {
+				seeds = append(seeds, s)
+			}
+			cur = res.New
+		}
+		if len(seeds) == found {
+			tb.Fatalf("probe (a)'s chain of seed %d has no delta whose XML does not read back", c.seed)
+		}
+	}
+	return seeds
+}
+
+// checkParsedDelta checks src, a delta ParseBytes accepts, against its
+// frame, and returns the frame.
+func checkParsedDelta(t *testing.T, src string, doc *dom.Node) []byte {
+	t.Helper()
+	parsed := func() *delta.Delta {
+		d, err := delta.ParseString(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	frame, ok := freezeDelta(parsed())
+	if !ok {
+		t.Fatalf("a delta ParseBytes accepts does not freeze: %s", src)
+	}
+	thawed := func() *delta.Delta {
+		d, adjacentTexts, err := thawDelta(frame, false)
+		if err != nil || adjacentTexts {
+			t.Fatalf("its own frame does not thaw (%v) or has adjacent texts (%v)", err, adjacentTexts)
+		}
+		return d
+	}
+	sameXML(t, parsed(), frame)
+	if doc == nil {
+		return frame
+	}
+	xid.Assign(doc)
+	a, b := doc.Clone(), doc.Clone()
+	ra, rb := delta.NewReplay(a), delta.NewReplay(b)
+	if sameStep(t, "forward", ra.Forward(parsed()), rb.Forward(thawed()), a, b) {
+		sameStep(t, "backward", ra.Backward(parsed()), rb.Backward(thawed()), a, b)
+	}
+	return frame
+}
+
+// checkBuiltDelta diffs old and nw as a Put does and checks the delta
+// against its frame; it returns the frame, or nil when the diff fails.
+func checkBuiltDelta(t *testing.T, old, nw *dom.Node, sftm bool) []byte {
+	t.Helper()
+	xid.Assign(old)
+	m := diff.MatcherBULD
+	if sftm {
+		m = diff.MatcherSFTM
+	}
+	d, err := diff.Diff(old, nw, diff.Options{Matcher: m})
+	if err != nil {
+		return nil
+	}
+	frame, ok := freezeDelta(d)
+	if !ok {
+		t.Fatalf("a delta the diff built does not freeze")
+	}
+	sameXML(t, d, frame)
+	thawed, _, err := thawDelta(frame, false)
+	if err != nil {
+		t.Fatalf("its own frame does not thaw: %v", err)
+	}
+	a, b := old.Clone(), old.Clone()
+	sameStep(t, "forward", delta.Apply(a, d), delta.NewReplay(b).Forward(thawed), a, b)
+	inv, err := d.Invert()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if thawed, _, err = thawDelta(frame, false); err != nil {
+		t.Fatal(err)
+	}
+	a, b = nw.Clone(), nw.Clone()
+	sameStep(t, "backward", delta.Apply(a, inv), delta.NewReplay(b).Backward(thawed), a, b)
+	return frame
+}
+
+// sameXML fails unless frame, thawed with its XID maps, writes d's XML.
+func sameXML(t *testing.T, d *delta.Delta, frame []byte) {
+	t.Helper()
+	want, err := d.MarshalText()
+	if err != nil {
+		t.Fatal(err)
+	}
+	thawed, _, err := thawDelta(frame, true)
+	if err != nil {
+		t.Fatalf("its own frame does not thaw: %v", err)
+	}
+	got, err := thawed.MarshalText()
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("the frame writes %s (%v), the delta %s", got, err, want)
+	}
+}
+
+// sameStep fails unless two steps failed alike or took a and b to the
+// same tree, XIDs included; it reports whether they succeeded.
+func sameStep(t *testing.T, what string, errA, errB error, a, b *dom.Node) bool {
+	t.Helper()
+	if (errA == nil) != (errB == nil) {
+		t.Fatalf("%s: the delta steps with %v, its frame with %v", what, errA, errB)
+	}
+	if errA != nil {
+		return false
+	}
+	if err := exactTree(a, b); err != nil {
+		t.Fatalf("%s: the frame's step differs from the delta's: %v", what, err)
+	}
+	return true
+}
+
+// checkDamagedFrame thaws frame cut short at cut and with one bit flipped
+// at flip: the cut frame fails with a *frameError, the flipped one fails
+// with one or thaws to a delta that writes, and neither panics.
+func checkDamagedFrame(t *testing.T, frame []byte, cut, flip int) {
+	t.Helper()
+	var fe *frameError
+	short := frame[:cut%len(frame)]
+	if d, _, err := thawDelta(short, true); d != nil || !errors.As(err, &fe) {
+		t.Fatalf("cut at %d of %d bytes: thawed %v, %v", len(short), len(frame), d, err)
+	}
+	flipped := bytes.Clone(frame)
+	flipped[(flip>>3)%len(flipped)] ^= 1 << (flip & 7)
+	for _, maps := range []bool{false, true} {
+		d, _, err := thawDelta(flipped, maps)
+		if err != nil {
+			if d != nil || !errors.As(err, &fe) {
+				t.Fatalf("bit %d flipped: thawed %v, %v", flip, d, err)
+			}
+			continue
+		}
+		_, _ = d.MarshalText() // a delta that is not one the store built may not write
+	}
 }
 
 // BenchmarkKeyframe times the two halves of a cache miss on a 7 KB

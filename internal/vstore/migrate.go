@@ -184,10 +184,11 @@ func readLegacy(fsys faultfs.FS, dir string, entries []os.DirEntry) (map[string]
 		if st == nil {
 			continue // no counter: a checkpoint that never finished
 		}
+		// A loaded part is the XML it was read as.
 		c := &legacyChain{}
-		c.add(st.base, filepath.Join(sub, "v1.xml"), -1)
+		c.add(st.base.form.Load().b, filepath.Join(sub, "v1.xml"), -1)
 		for v, d := range st.deltas {
-			c.add(d, filepath.Join(sub, deltaFile(v+1)), -1)
+			c.add(d.form.Load().b, filepath.Join(sub, deltaFile(v+1)), -1)
 		}
 		chains[unescapeID(e.Name())] = c
 	}
@@ -289,13 +290,15 @@ func (c *legacyChain) verify() error {
 // segment records, no re-diffing), so a migrated chain carries over
 // byte-identically — the snapshot files are compressed as compaction
 // writes them, and decode to the parts read. The store keeps the
-// slices.
+// slices, as XML parts.
 func (s *Store) importChain(id string, base []byte, deltas [][]byte) error {
 	sh := s.shardFor(id)
 	st := sh.state(id)
 	st.mu.Lock()
-	st.base = base
-	st.deltas = deltas
+	st.base = st.keep(xmlPart(base))
+	for _, d := range deltas {
+		st.deltas = append(st.deltas, st.keep(xmlPart(d)))
+	}
 	st.versions = 1 + len(deltas)
 	st.mu.Unlock()
 	sh.compactMu.Lock()

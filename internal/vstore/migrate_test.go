@@ -152,10 +152,11 @@ func decodedView(t *testing.T, dir, rel string, b []byte) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
+		base, deltas := chainXML(t, st)
 		if name == "v1.xml" {
-			return st.base
+			return base
 		}
-		for v, d := range st.deltas {
+		for v, d := range deltas {
 			if deltaFile(v+1) == name {
 				return d
 			}

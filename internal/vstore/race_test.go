@@ -1,0 +1,8 @@
+//go:build race
+
+package vstore
+
+// raceEnabled reports the race detector. Under it sync.Pool drops a
+// share of what is put back, at random, so a test that counts the
+// allocations of code using pooled buffers measures that chance.
+const raceEnabled = true

@@ -77,6 +77,7 @@ func Open(dir string, opts diff.Options, cfg Config) (*Store, error) {
 			s.shards = append(s.shards, &shard{
 				idx:  i,
 				docs: make(map[string]*docState),
+				hist: &s.stats.history,
 				seg:  newSegmentWriter(fsys, "", 1, cfg.segmentBytes), // never opened
 			})
 		}
@@ -96,6 +97,7 @@ func Open(dir string, opts diff.Options, cfg Config) (*Store, error) {
 			idx:        i,
 			dir:        filepath.Join(dir, shardDirName(i)),
 			docs:       make(map[string]*docState),
+			hist:       &s.stats.history,
 			commitCh:   make(chan *commitReq, commitQueueDepth),
 			writerDone: make(chan struct{}),
 		}
@@ -231,12 +233,13 @@ func (s *Store) recoverShard(sh *shard) error {
 				}
 				s.recovery.Quarantined++
 				sh.stats.quarantined.Add(1)
-				st = &docState{}
+				st = &docState{hist: sh.hist}
 				s.markDegradedLocked(sh, st, fmt.Sprintf("snapshot quarantined at open: %v", err))
 				sh.docs[id] = st
 				continue
 			}
 			if st != nil {
+				st.countHistory(sh.hist)
 				sh.docs[id] = st
 				sh.stats.addSnapshot(st.snap, snapBytes{})
 				s.recovery.SnapshotVersions += st.versions
@@ -332,18 +335,17 @@ func loadSnapshot(fsys faultfs.FS, sub string) (*docState, error) {
 		st.snap.add(encodingOf(data), len(data), len(part))
 		return part, nil
 	}
-	if st.base, err = load("v1.xml", "base version"); err != nil {
+	prev, err := load("v1.xml", "base version")
+	if err != nil {
 		return nil, err
 	}
-	prev := st.base
+	st.base = xmlPart(prev)
 	for v := 1; v < versions; v++ {
 		tail.push(prev)
-		d, err := load(deltaFile(v), fmt.Sprintf("delta %d", v))
-		if err != nil {
+		if prev, err = load(deltaFile(v), fmt.Sprintf("delta %d", v)); err != nil {
 			return nil, err
 		}
-		st.deltas = append(st.deltas, d)
-		prev = d
+		st.deltas = append(st.deltas, xmlPart(prev))
 	}
 	return st, nil
 }
@@ -409,10 +411,10 @@ func (s *Store) applyRecord(sh *shard, path string, off int64, kind byte, id str
 			return nil
 		}
 		if st == nil {
-			st = &docState{}
+			st = &docState{hist: sh.hist}
 			sh.docs[id] = st
 		}
-		st.base = append([]byte(nil), body...)
+		st.base = st.keep(xmlPart(append([]byte(nil), body...)))
 		st.versions = 1
 		s.recovery.JournalRecords++
 		return nil
@@ -424,7 +426,7 @@ func (s *Store) applyRecord(sh *shard, path string, off int64, kind byte, id str
 				// nothing; keep (or create) a degraded placeholder so
 				// the document answers a DegradedError, not 404.
 				if st == nil {
-					st = &docState{}
+					st = &docState{hist: sh.hist}
 					sh.docs[id] = st
 				}
 				st.mu.Lock()
@@ -453,7 +455,7 @@ func (s *Store) applyRecord(sh *shard, path string, off int64, kind byte, id str
 			}
 			return corruptf(path, off, nil, "record for %q jumps to version %d after %d", id, version, st.versions)
 		}
-		st.deltas = append(st.deltas, append([]byte(nil), body...))
+		st.deltas = append(st.deltas, st.keep(xmlPart(append([]byte(nil), body...))))
 		st.versions++
 		s.recovery.JournalRecords++
 		return nil

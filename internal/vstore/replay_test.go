@@ -40,7 +40,7 @@ func stepwise(t *testing.T, st *docState, doc *dom.Node, from, to int) {
 		if to < from {
 			next, i = v-1, v-2
 		}
-		d, err := delta.ParseBytes(st.deltas[i])
+		d, err := delta.ParseBytes(storedXML(t, st, i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +122,8 @@ func TestReplayMatchesStepwise(t *testing.T) {
 		t.Helper()
 		for _, id := range ids {
 			st := s.shardFor(id).lookup(id)
-			base, err := dom.ParseBytes(st.base, snapshotLoadOptions())
+			xml, _ := chainXML(t, st)
+			base, err := dom.ParseBytes(xml, snapshotLoadOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,7 +150,7 @@ func TestReplayMatchesStepwise(t *testing.T) {
 						var err error
 						if to > from {
 							var d *delta.Delta
-							if d, err = delta.ParseBytes(st.deltas[v-1]); err == nil {
+							if d, err = delta.ParseBytes(storedXML(t, st, v-1)); err == nil {
 								err = r.Forward(d)
 							}
 							v++
@@ -337,5 +338,62 @@ func BenchmarkDecodeAheadCrossover(b *testing.B) {
 			}
 		}
 		s.Close()
+	}
+}
+
+// BenchmarkWalkCosts prices what the read walk's planner weighs, on a
+// ~150 KB catalog and one 10%-churn delta: version 1 thawed from its
+// frame ("base"), and version 1 thawed and stepped forward through the
+// delta thawed from its frame ("step", the base included: the step's
+// cost is the difference). The xml cases do the same from the parts'
+// XML, as a walk's first decode after a reopen does. SetBytes is the
+// base's bytes, or the delta's in step cases, in the form the case
+// reads. DESIGN.md has the rates.
+func BenchmarkWalkCosts(b *testing.B) {
+	s := chainStore(b, Config{Shards: 1}, catalogChain(b, 130000, 2), "doc")
+	defer s.Close()
+	st := s.shardFor("doc").lookup("doc")
+	baseXML, deltasXML := chainXML(b, st)
+	baseFrame, deltaFrame := st.base.form.Load().b, st.deltas[0].form.Load().b
+	thawBase := func() *dom.Node {
+		doc, err := thaw(baseFrame)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return doc
+	}
+	parseBase := func() *dom.Node {
+		doc, err := dom.ParseBytes(baseXML, snapshotLoadOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		xid.Assign(doc)
+		return doc
+	}
+	step := func(doc *dom.Node, d *delta.Delta, err error) {
+		if err == nil {
+			err = delta.NewReplay(doc).Forward(d)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		bytes int
+		op    func()
+	}{
+		{"base=frame", len(baseFrame), func() { thawBase() }},
+		{"step=frame", len(deltaFrame), func() { d, _, err := thawDelta(deltaFrame, false); step(thawBase(), d, err) }},
+		{"base=xml", len(baseXML), func() { parseBase() }},
+		{"step=xml", len(deltasXML[0]), func() { d, err := delta.ParseBytes(deltasXML[0]); step(parseBase(), d, err) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(c.bytes))
+			b.ReportAllocs()
+			for range b.N {
+				c.op()
+			}
+		})
 	}
 }

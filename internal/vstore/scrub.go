@@ -223,7 +223,8 @@ func (s *Store) scrubSnapshots(ctx context.Context, sh *shard, th *scrub.Throttl
 // counter must match the resident snapshot point, every content file
 // must decode as recovery decodes it — through the checksum manifest,
 // when present, so recovery can keep trusting it — and byte-match the
-// resident chain, the chain that reconstructs every version. Returns
+// resident chain's XML, rendered from frames, the chain that
+// reconstructs every version. Returns
 // ok=true when intact; otherwise a damage reason ("" for a canceled
 // pass).
 func (s *Store) verifySnapshot(ctx context.Context, st *docState, sub string, th *scrub.Throttle, rep *scrub.Report) (string, bool) {
@@ -283,13 +284,18 @@ func (s *Store) verifySnapshot(ctx context.Context, st *docState, sub string, th
 		}
 		return "", true
 	}
-	if bad, ok := check("v1.xml", st.base); !ok {
+	prev, err := st.base.xml(baseXML)
+	if err != nil {
+		return fmt.Sprintf("resident version 1 does not render: %v", err), false
+	}
+	if bad, ok := check("v1.xml", prev); !ok {
 		return bad, false
 	}
-	prev := st.base
 	for v := 1; v < c; v++ {
 		tail.push(prev)
-		prev = st.deltas[v-1]
+		if prev, err = st.deltas[v-1].xml(deltaXML); err != nil {
+			return fmt.Sprintf("resident delta %d does not render: %v", v, err), false
+		}
 		if bad, ok := check(deltaFile(v), prev); !ok {
 			return bad, false
 		}

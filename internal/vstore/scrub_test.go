@@ -268,9 +268,6 @@ func TestScrubQuarantinesSnapshotWithoutRepair(t *testing.T) {
 
 func TestDegradedErrorShape(t *testing.T) {
 	err := error(&DegradedError{id: "doc", Reason: "segment quarantined", Intact: 3})
-	if !errors.Is(err, errDegraded) {
-		t.Fatal("DegradedError does not match ErrDegraded")
-	}
 	var de *DegradedError
 	if !errors.As(err, &de) || de.Intact != 3 {
 		t.Fatalf("errors.As = %+v", de)

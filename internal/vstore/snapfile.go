@@ -260,28 +260,39 @@ func (t *chainTail) push(part []byte) {
 	t.b = append(t.b, part...)
 }
 
-// pushChain pushes base and deltas, skipping the parts that end before
-// the tail's window.
-func (t *chainTail) pushChain(base []byte, deltas [][]byte) {
+// pushChain pushes the XML of base and deltas, rendering only the parts
+// that end inside the tail's window.
+func (t *chainTail) pushChain(base *part, deltas []*part) error {
 	first, n := len(deltas), 0
 	for ; first > 0 && n < dictSize; first-- {
-		n += len(deltas[first-1])
+		n += deltas[first-1].xmlLen()
 	}
 	if first == 0 && n < dictSize {
-		t.push(base)
+		xml, err := base.xml(baseXML)
+		if err != nil {
+			return fmt.Errorf("version 1: %w", err)
+		}
+		t.push(xml)
 	}
-	for _, d := range deltas[first:] {
-		t.push(d)
+	for i, d := range deltas[first:] {
+		xml, err := d.xml(deltaXML)
+		if err != nil {
+			return fmt.Errorf("delta %d: %w", first+i+1, err)
+		}
+		t.push(xml)
 	}
+	return nil
 }
 
 // snapshotSums renders the manifest for base and deltas, the first
-// len(deltas)+1 versions of a chain.
-func snapshotSums(base []byte, deltas [][]byte) []byte {
+// len(deltas)+1 versions of a chain, from their parts' XML sums.
+func snapshotSums(base *part, deltas []*part) []byte {
 	var b bytes.Buffer
-	fmt.Fprintf(&b, "v1.xml %08x %d\n", scrub.Checksum(base), len(base))
+	sum, size := base.sum()
+	fmt.Fprintf(&b, "v1.xml %08x %d\n", sum, size)
 	for i, d := range deltas {
-		fmt.Fprintf(&b, "%s %08x %d\n", deltaFile(i+1), scrub.Checksum(d), len(d))
+		sum, size := d.sum()
+		fmt.Fprintf(&b, "%s %08x %d\n", deltaFile(i+1), sum, size)
 	}
 	return b.Bytes()
 }

@@ -108,9 +108,9 @@ func TestCheckpointCompressesSnapshots(t *testing.T) {
 	var raw int64
 	for _, id := range ids {
 		st := s.shardFor(id).lookup(id)
-		raw += int64(len(st.base))
-		for _, d := range st.deltas {
-			raw += int64(len(d))
+		for _, p := range append([]*part{st.base}, st.deltas...) {
+			_, size := p.sum()
+			raw += int64(size)
 		}
 	}
 	if err := s.Checkpoint(); err != nil {
@@ -292,11 +292,13 @@ func TestChainTail(t *testing.T) {
 		base := make([]byte, rng.Intn(3*dictSize))
 		rng.Read(base)
 		var deltas [][]byte
+		var parts []*part
 		all := bytes.Clone(base)
 		for i := rng.Intn(6); i > 0; i-- {
 			d := make([]byte, rng.Intn([]int{10, 3000, 2 * dictSize}[rng.Intn(3)]))
 			rng.Read(d)
 			deltas = append(deltas, d)
+			parts = append(parts, xmlPart(d))
 			all = append(all, d...)
 		}
 		want := all[max(len(all)-dictSize, 0):]
@@ -305,7 +307,9 @@ func TestChainTail(t *testing.T) {
 		for _, d := range deltas {
 			one.push(d)
 		}
-		whole.pushChain(base, deltas)
+		if err := whole.pushChain(xmlPart(base), parts); err != nil {
+			t.Fatal(err)
+		}
 		if !bytes.Equal(one.b, want) || !bytes.Equal(whole.b, want) {
 			t.Fatalf("trial %d: tails of %d and %d bytes, want the last %d of %d", trial, len(one.b), len(whole.b), len(want), len(all))
 		}
@@ -369,8 +373,8 @@ func TestDictionaryPartNeedsItsChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if _, err := s2.Version("a", 1); !errors.Is(err, errDegraded) {
-		t.Fatalf("Version after quarantine = %v, want ErrDegraded", err)
+	if _, err := s2.Version("a", 1); !matches(err, &DegradedError{}) {
+		t.Fatalf("Version after quarantine = %v, want a DegradedError", err)
 	}
 	if n := s2.Versions("b"); n != 2 {
 		t.Fatalf("b has %d versions after a's snapshot was quarantined, want 2", n)
@@ -403,8 +407,8 @@ func TestCompressedSnapshotNeedsSums(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if _, err := s2.Version("doc", 1); !errors.Is(err, errDegraded) {
-		t.Fatalf("Version after quarantine = %v, want ErrDegraded", err)
+	if _, err := s2.Version("doc", 1); !matches(err, &DegradedError{}) {
+		t.Fatalf("Version after quarantine = %v, want a DegradedError", err)
 	}
 	if _, err := os.Stat(sub + scrub.QuarantineSuffix); err != nil {
 		t.Fatalf("snapshot not quarantined: %v", err)
@@ -812,9 +816,10 @@ func FuzzSnapshotLoad(f *testing.F) {
 				t.Fatalf("%s loaded %d bytes, recorded length %d", name, len(got), size)
 			}
 		}
-		check("v1.xml", st.base, data, holds, size)
+		base, deltas := chainXML(t, st)
+		check("v1.xml", base, data, holds, size)
 		if len(part) > 0 {
-			check(deltaFile(1), st.deltas[0], part, partHolds, partSize)
+			check(deltaFile(1), deltas[0], part, partHolds, partSize)
 		}
 	})
 }

@@ -10,6 +10,7 @@ import (
 type engineCounters struct {
 	cacheHits, cacheMisses atomic.Int64
 	deltasDecoded          atomic.Int64
+	history                historyBytes
 	checkpoints            atomic.Int64
 	compactions            atomic.Int64
 	compactNanos           atomic.Int64
@@ -166,6 +167,12 @@ type StorageStats struct {
 	KeyframeRestores  int64
 	KeyframeFallbacks int64
 	KeyframeBytes     int64
+	// HistoryXMLBytes and HistoryFrameBytes are what the documents'
+	// resident history holds: version 1 and the stored deltas, as XML
+	// until a read walk first decodes them, then as frames. A store just
+	// reopened holds all of it as XML.
+	HistoryXMLBytes   int64
+	HistoryFrameBytes int64
 	// DeltasDecoded counts stored deltas decoded, by read walks (Puts'
 	// included) and by reads that return stored deltas. A walk counts
 	// the deltas it stepped through: one its helpers decoded ahead of
@@ -243,6 +250,8 @@ func (s *Store) StorageStats() StorageStats {
 		KeyframeRestores:  s.cache.restores.Load(),
 		KeyframeFallbacks: s.cache.fallbacks.Load(),
 		KeyframeBytes:     s.cache.keyframeBytes(),
+		HistoryXMLBytes:   s.stats.history.xml.Load(),
+		HistoryFrameBytes: s.stats.history.frame.Load(),
 		DeltasDecoded:     s.stats.deltasDecoded.Load(),
 		Compactions:       s.stats.compactions.Load(),
 		CompactionSeconds: float64(s.stats.compactNanos.Load()) / 1e9,

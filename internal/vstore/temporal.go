@@ -13,8 +13,8 @@ import (
 // "Querying the past" (PAPER.md §2): because any version is
 // reconstructible and deltas are ordinary XML, temporal questions
 // reduce to path queries over reconstructed versions and over the
-// stored delta chain, with deltas parsed on demand from their stored
-// bytes. The result types (store.VersionValue, store.NodeState,
+// stored delta chain, with deltas thawed on demand from their resident
+// frames. The result types (store.VersionValue, store.NodeState,
 // store.ChangeHit) live in package store.
 
 // Timeline evaluates the expression at every version, oldest first.

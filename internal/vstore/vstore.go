@@ -21,15 +21,20 @@
 //     retire order (the xyvet segorder analyzer enforces the ordering
 //     in this package's source). Compaction compresses each snapshot
 //     content file it writes against the chain before it;
-//     the segment journal, the Put path and the resident chains stay
-//     raw, so only recovery and the scrubber ever inflate (snapfile.go).
+//     the segment journal and the Put path stay raw, so only recovery
+//     and the scrubber ever inflate (snapfile.go).
+//   - In memory each document's chain — version 1 and its deltas — is
+//     held as frames (frame.go, resident.go), which a read walk thaws
+//     instead of parsing XML. Every byte on disk and on the wire stays
+//     XML: compaction and the scrubber render it from the frames, and
+//     a chain loaded at open, like the version 1 a first Put keeps,
+//     stays XML until a walk first decodes it.
 //   - Materialized current versions live in a bounded LRU, so
 //     reconstruction cost is paid once per cache residency, not once
 //     per read. A tree the LRU evicts is kept as a keyframe, the tree
 //     frozen into one byte slice (frame.go), so a miss thaws the latest
 //     version with no parse; only a document with no current keyframe
-//     replays its serialized base + delta chain. Keyframes are never
-//     written.
+//     replays its base + delta chain. Keyframes are never written.
 //
 // The on-disk layout under dir/:
 //
@@ -202,16 +207,18 @@ type Store struct {
 }
 
 // docState is one document's resident state: the version count plus
-// the serialized base version and delta chain, each a slice of its own
-// length (a Put keeps its record's copy, recovery and snapshot loads
-// copy or decode to size). Trees are NOT held here — the materialized
-// latest lives in the store's version cache, and is rebuilt from these
-// bytes on a miss the cache cannot restore.
+// its history, version 1 and the delta chain, as parts held as frames
+// or, until a walk first decodes them, as XML (resident.go). Trees are
+// NOT held here — the materialized latest lives in the store's version
+// cache, and is rebuilt from these parts on a miss the cache cannot
+// restore.
 type docState struct {
 	mu       sync.RWMutex
 	versions int
-	base     []byte   // serialized version 1
-	deltas   [][]byte // deltas[i] transforms version i+1 into i+2
+	base     *part   // version 1
+	deltas   []*part // deltas[i] transforms version i+1 into i+2
+	// hist counts the parts' bytes by form in the store's statistics.
+	hist *historyBytes
 	// snapVersions is how many versions the on-disk snapshot covers
 	// (0 when the document has never been compacted).
 	snapVersions int
@@ -234,6 +241,9 @@ type shard struct {
 
 	mu   sync.RWMutex // guards docs map only, never document contents
 	docs map[string]*docState
+	// hist is the store's count of resident history bytes, which the
+	// shard's documents keep.
+	hist *historyBytes
 
 	seg *segmentWriter
 
@@ -278,7 +288,7 @@ func (sh *shard) state(id string) *docState {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if st = sh.docs[id]; st == nil {
-		st = &docState{}
+		st = &docState{hist: sh.hist}
 		sh.docs[id] = st
 	}
 	return st
@@ -319,7 +329,11 @@ func (s *Store) PutMatcherContext(ctx context.Context, id string, doc *dom.Node,
 // PutDetailed is PutMatcherContext reporting, besides the version and
 // the delta, the size of the delta's encoding. The store encodes a
 // delta exactly once, into the body of its segment record; that
-// body's length is what the observer and the caller are given.
+// body's length is what the observer and the caller are given. Once
+// the record is durable, the delta is frozen into the frame the
+// document keeps; version 1 is kept as its record's XML, which the
+// first walk that needs it turns into a frame, as it does a version 1
+// loaded from disk.
 //
 // Unlike Put, PutDetailed takes ownership of doc: the store stamps it
 // with XIDs and keeps it as the cached latest version, so the caller
@@ -347,7 +361,7 @@ func (s *Store) PutDetailed(ctx context.Context, id string, doc *dom.Node, match
 		if err := s.appendDurable(sh, rec); err != nil {
 			return store.PutResult{}, err
 		}
-		st.base = kept
+		st.base = st.keep(xmlPart(kept))
 		st.versions = 1
 		s.cache.put(id, doc, 1)
 		return store.PutResult{Version: 1}, nil
@@ -368,7 +382,8 @@ func (s *Store) PutDetailed(ctx context.Context, id string, doc *dom.Node, match
 	if err := s.appendDurable(sh, rec); err != nil {
 		return store.PutResult{}, err
 	}
-	st.deltas = append(st.deltas, kept)
+	frame, ok := freezeDelta(r.Delta)
+	st.deltas = append(st.deltas, st.keep(putPart(frame, ok, body, kept)))
 	st.versions++
 	s.cache.put(id, doc, st.versions)
 	if s.obs != nil {
@@ -509,7 +524,8 @@ func (s *Store) readXML(id string, n int, latest bool) ([]byte, int, error) {
 	}
 	// Version 1's length sizes the buffer: later versions of a
 	// document are of a piece with it.
-	buf := make([]byte, 0, len(st.base)+len(st.base)/8)
+	size := st.base.xmlLen()
+	buf := make([]byte, 0, size+size/8)
 	var own *dom.Node // the walk's tree, serialized once the lock is released
 	if latest {
 		var doc *dom.Node
@@ -615,21 +631,12 @@ func (s *Store) DeltasBetween(id string, from, to int) ([]*delta.Delta, error) {
 	return out, nil
 }
 
-// decodeDelta is st.parseDelta(i) counted in the store's statistics, for
-// reads that hand out stored deltas rather than walk through them.
+// decodeDelta is st.delta(i), with its XID maps, counted in the
+// store's statistics, for reads that hand out stored deltas rather than
+// walk through them.
 func (s *Store) decodeDelta(st *docState, i int) (*delta.Delta, error) {
 	s.stats.deltasDecoded.Add(1)
-	return st.parseDelta(i)
-}
-
-// parseDelta decodes the i-th stored delta (0-based); the caller holds
-// the state lock.
-func (st *docState) parseDelta(i int) (*delta.Delta, error) {
-	d, err := delta.ParseBytes(st.deltas[i])
-	if err != nil {
-		return nil, fmt.Errorf("vstore: parse stored delta %d: %w", i+1, err)
-	}
-	return d, nil
+	return st.delta(i, true)
 }
 
 // Close stops the background loops and the per-shard group-commit

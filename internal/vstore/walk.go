@@ -8,7 +8,6 @@ import (
 
 	"xydiff/internal/delta"
 	"xydiff/internal/dom"
-	"xydiff/internal/xid"
 )
 
 // The read walk: how every read reconstructs the versions it asks for
@@ -17,7 +16,8 @@ import (
 // base as well as backward from the cached latest version. A read
 // names its target versions; the walk reaches the older ones forward
 // from the base and the newer ones backward from the latest, split
-// where that decodes the fewest stored bytes.
+// where that decodes the fewest resident bytes: frames, which the walk
+// thaws (resident.go), or XML not yet decoded since the store opened.
 
 // A visitor receives each target version the walk reaches. doc is the
 // walk's working tree at version v, or the cached latest version when
@@ -41,8 +41,9 @@ func private(doc *dom.Node, own bool) *dom.Node {
 // restores the tree from the document's keyframe when one is current.
 // With the latest version in hand the walk is planned; without it the
 // walk replays the whole chain forward, visiting the targets on the
-// way. A miss caches the latest version. The caller holds the state
-// lock.
+// way. A miss caches the latest version, unless a stored delta after the
+// last target fails: the read is served, and returns nil for the
+// latest version. The caller holds the state lock.
 func (s *Store) read(id string, st *docState, targets []int, visit visitor) (*dom.Node, error) {
 	latest := s.cache.get(id, st.versions)
 	cached := latest != nil
@@ -67,7 +68,7 @@ func (s *Store) read(id string, st *docState, targets []int, visit visitor) (*do
 		}
 		return nil, fmt.Errorf("vstore: reconstruct %s versions %d..%d: %w", id, targets[0], targets[len(targets)-1], err)
 	}
-	if !cached {
+	if !cached && doc != nil {
 		s.cache.put(id, doc, st.versions)
 	}
 	return doc, nil
@@ -75,31 +76,34 @@ func (s *Store) read(id string, st *docState, targets []int, visit visitor) (*do
 
 // plan returns how many of targets (ascending) the walk should reach
 // forward from the base; it reaches the rest backward from the latest
-// version. The cost of a split is the stored bytes it decodes: the
-// base when any target goes forward, plus every delta crossed, base
-// and delta bytes weighing the same. The copy of the latest version a
-// backward walk starts from is not counted. DESIGN.md has the measured
-// rates behind these choices. Ties go backward.
+// version. The cost of a split is the XML bytes of the parts it
+// decodes: the base when any target goes forward, plus every delta
+// crossed. A part weighs its XML's length whether it is held as a frame
+// or as XML, so a plan does not depend on which parts a walk has
+// decoded so far, and per XML byte a base and a delta step cost about
+// the same either way. The copy of the latest version a backward walk
+// starts from is not counted. DESIGN.md has the measured rates behind
+// these choices. Ties go backward.
 func (st *docState) plan(targets []int) int {
 	if len(targets) == 0 {
 		return 0
 	}
 	total := 0
 	for _, d := range st.deltas {
-		total += len(d)
+		total += d.xmlLen()
 	}
 	// upTo(v) is the bytes of the deltas from version 1 to v. targets
 	// ascend, so one cursor serves every call.
 	i, sum := 0, 0
 	upTo := func(v int) int {
 		for ; i < v-1; i++ {
-			sum += len(st.deltas[i])
+			sum += st.deltas[i].xmlLen()
 		}
 		return sum
 	}
 	fwd, best := 0, total-upTo(targets[0])
 	for k := 1; k <= len(targets); k++ {
-		cost := len(st.base) + upTo(targets[k-1])
+		cost := st.base.xmlLen() + upTo(targets[k-1])
 		if k < len(targets) {
 			cost += total - upTo(targets[k])
 		}
@@ -116,7 +120,9 @@ func (st *docState) plan(targets []int) int {
 // version, which the walk copies and never changes. With latest nil —
 // a cache miss with no keyframe to restore — every target is reached
 // forward whatever fwd says, and the walk goes on to the latest version
-// and returns it. A backward walk copies latest only once it has a
+// and returns it — or nil when a step after the last target fails, so a
+// delta that does not decode or apply fails only the reads that need
+// it. A backward walk copies latest only once it has a
 // step to take: a target at the latest version is visited on latest
 // itself. When the deltas it steps through are large enough and there
 // is more than one processor to run on, helpers decode them ahead of
@@ -149,11 +155,10 @@ func (st *docState) walk(latest *dom.Node, targets []int, fwd int, visit visitor
 		return stepper(r, n, backward)
 	}
 	if fwd > 0 || latest == nil {
-		doc, err := dom.ParseBytes(st.base, snapshotLoadOptions())
+		doc, err := st.baseTree()
 		if err != nil {
-			return nil, decoded, fmt.Errorf("base: %w", err)
+			return nil, decoded, err
 		}
-		xid.Assign(doc)
 		r := delta.NewReplay(doc)
 		v := 1
 		for k, t := range targets[:fwd] {
@@ -169,6 +174,11 @@ func (st *docState) walk(latest *dom.Node, targets []int, fwd int, visit visitor
 		if latest == nil {
 			for ; v < st.versions; v++ {
 				if err := step(r, v, false); err != nil {
+					if len(targets) > 0 {
+						// Every target is visited: the read stands,
+						// and only the latest version is not cached.
+						return nil, decoded, nil
+					}
 					return nil, decoded, err
 				}
 			}
@@ -196,23 +206,24 @@ func (st *docState) walk(latest *dom.Node, targets []int, fwd int, visit visitor
 	return latest, decoded, nil
 }
 
-// storedBytes is the stored size of deltas from..to (1-based,
-// inclusive; none when to < from).
+// storedBytes is the bytes deltas from..to hold (1-based, inclusive;
+// none when to < from).
 func (st *docState) storedBytes(from, to int) int {
 	n := 0
 	for i := from; i <= to; i++ {
-		n += len(st.deltas[i-1])
+		n += st.deltas[i-1].len()
 	}
 	return n
 }
 
 // aheadMinBytes is the crossover of walk's helpers: a walk decodes its
-// deltas ahead of itself only when they add up to more stored bytes
-// than this. Below it, handing each delta over costs more than the
-// decodes the helpers overlap; DESIGN.md has the measurement. With one
-// processor nothing overlaps, so no walk decodes ahead. Tests lower it
-// to drive the helpers over small chains.
-var aheadMinBytes = 32 << 10
+// deltas ahead of itself only when the bytes they hold — frames, or XML
+// not yet decoded — add up to more than this. Below it, handing each
+// delta over costs more than the decodes the helpers overlap;
+// DESIGN.md has the measurement. With one processor nothing overlaps,
+// so no walk decodes ahead. Tests lower it to drive the helpers over
+// small chains.
+var aheadMinBytes = 16 << 10
 
 // aheadDecoder decodes the deltas of one walk ahead of it, in the
 // order the walk steps through them: deltas 1..ahead, then
@@ -290,7 +301,7 @@ func (a *aheadDecoder) help() {
 		if i >= len(a.order) {
 			return
 		}
-		d, err := a.st.parseDelta(a.order[i] - 1)
+		d, err := a.st.delta(a.order[i]-1, false)
 		a.got[i] = decodedDelta{d, err}
 		close(a.done[i])
 	}
@@ -324,7 +335,7 @@ func (a *aheadDecoder) stop() {
 // steps r's document through it: forward, or backward through its
 // inverse. The caller holds the state lock.
 func (st *docState) step(r *delta.Replay, n int, backward bool) error {
-	d, err := st.parseDelta(n - 1)
+	d, err := st.delta(n-1, false)
 	if err != nil {
 		return err
 	}

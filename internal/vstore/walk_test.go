@@ -62,7 +62,8 @@ func stepwiseVersions(t *testing.T, st *docState) []*dom.Node {
 	t.Helper()
 	want := make([]*dom.Node, st.versions+1)
 	var err error
-	if want[1], err = dom.ParseBytes(st.base, snapshotLoadOptions()); err != nil {
+	base, _ := chainXML(t, st)
+	if want[1], err = dom.ParseBytes(base, snapshotLoadOptions()); err != nil {
 		t.Fatal(err)
 	}
 	xid.Assign(want[1])
@@ -132,8 +133,38 @@ func checkWalks(t *testing.T, s *Store, id string) {
 	}
 }
 
+// checkFrameWalks holds every plan of the read walk over id, and the
+// store's own Version, to put, the documents put, for a chain whose
+// stored XML does not all decode, so that step-by-step Apply has nothing
+// to start from: each version byte for byte, and XID for XID the same
+// under every plan.
+func checkFrameWalks(t *testing.T, s *Store, id string, put []*dom.Node) {
+	t.Helper()
+	st := s.shardFor(id).lookup(id)
+	latest, err := s.materializeLocked(id, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := 1; v <= st.versions; v++ {
+		got, err := s.Version(id, v)
+		if err != nil {
+			t.Fatalf("%s Version(%d): %v", id, v, err)
+		}
+		if got.String() != put[v-1].String() {
+			t.Fatalf("%s Version(%d) is not the version put", id, v)
+		}
+		w := renderWithXIDs(got)
+		for p, ends := range walkPlans(t, st, latest, []int{v}) {
+			if renderWithXIDs(ends[0]) != w {
+				t.Fatalf("%s version %d, plan %d: differs from Version(%d)", id, v, p, v)
+			}
+		}
+	}
+}
+
 // TestPlanDecodesTheFewestBytes: the planner's split is the one whose
-// base and deltas add up to the fewest stored bytes, ties backward.
+// base and deltas add up to the fewest bytes of XML, ties backward,
+// whether the deltas are held as XML or as frames.
 func TestPlanDecodesTheFewestBytes(t *testing.T) {
 	for _, c := range []struct {
 		base    int
@@ -156,12 +187,21 @@ func TestPlanDecodesTheFewestBytes(t *testing.T) {
 		{5, []int{1, 1, 1, 1, 1, 1}, []int{1, 4, 7}, 0},    // 6 back; any split pays 5 for the base
 		{1, []int{1, 1, 1, 9, 1, 1}, []int{1, 2, 4, 6}, 3}, // 4 forward + 1 back
 	} {
-		st := &docState{versions: len(c.deltas) + 1, base: make([]byte, c.base)}
+		st := &docState{versions: len(c.deltas) + 1, base: xmlPart(make([]byte, c.base))}
 		for _, n := range c.deltas {
-			st.deltas = append(st.deltas, make([]byte, n))
+			st.deltas = append(st.deltas, xmlPart(make([]byte, n)))
 		}
 		if got := st.plan(c.targets); got != c.want {
 			t.Errorf("base %d, deltas %v, targets %v: %d forward, want %d", c.base, c.deltas, c.targets, got, c.want)
+		}
+		// Held as frames a third of their XML's size, version 1 and the
+		// deltas weigh what their XML does.
+		st.base = putPart(make([]byte, c.base/3), true, make([]byte, c.base), nil)
+		for i, n := range c.deltas {
+			st.deltas[i] = putPart(make([]byte, n/3), true, make([]byte, n), nil)
+		}
+		if got := st.plan(c.targets); got != c.want {
+			t.Errorf("base %d, deltas %v, as frames, targets %v: %d forward, want %d", c.base, c.deltas, c.targets, got, c.want)
 		}
 	}
 }
@@ -218,7 +258,7 @@ func TestReadErrorsNameTheirVersions(t *testing.T) {
 		st := s.shardFor("doc").lookup("doc")
 		st.mu.Lock()
 		for i := range st.deltas {
-			st.deltas[i] = []byte("<unreadable")
+			st.deltas[i] = xmlPart([]byte("<unreadable"))
 		}
 		st.mu.Unlock()
 	}
@@ -309,9 +349,9 @@ func TestDecodeAheadErrors(t *testing.T) {
 	keep := func(int, *dom.Node, bool) error { return nil }
 	for k := 1; k < versions; k++ {
 		stored := st.deltas[k-1]
-		st.deltas[k-1] = []byte("<unreadable")
+		st.deltas[k-1] = xmlPart([]byte("<unreadable"))
 		same(fmt.Sprintf("delta %d undecodable", k), []int{2, 7}, keep)
-		st.deltas[k-1] = []byte(`<delta><update xid="999999"><old>a</old><new>b</new></update></delta>`)
+		st.deltas[k-1] = xmlPart([]byte(`<delta><update xid="999999"><old>a</old><new>b</new></update></delta>`))
 		same(fmt.Sprintf("delta %d not applying", k), []int{2, 7}, keep)
 		st.deltas[k-1] = stored
 	}
@@ -329,11 +369,14 @@ func helpersRunning() bool {
 // TestConcurrentReadWalks: readers of two documents behind a
 // one-document cache, so their walks start from a shared cached tree
 // or restore one from its keyframe while another read evicts it, all
-// get what step-by-step Apply gives. Run under -race.
+// get what step-by-step Apply gives. Then the same store reopened, where
+// every part is XML until a walk decodes it: the readers' first walks
+// replay both chains from version 1 at once, so several of them decode
+// the same parts and swap in their frames together, and every part ends
+// up a frame. Run under -race.
 func TestConcurrentReadWalks(t *testing.T) {
 	const versions = 6
 	s := chainStore(t, Config{Shards: 1, CacheSize: 1}, flipChain(t, 3000, versions), "a", "b")
-	defer s.Close()
 	ids := []string{"a", "b"}
 	want := map[string][]string{}
 	for _, id := range ids {
@@ -342,6 +385,37 @@ func TestConcurrentReadWalks(t *testing.T) {
 			want[id][v+1] = renderWithXIDs(doc)
 		}
 	}
+	concurrentReads(t, s, ids, want)
+	if ss := s.StorageStats(); ss.KeyframeRestores == 0 {
+		t.Errorf("no read restored a keyframe (%d misses, %d fallbacks)", ss.CacheMisses, ss.KeyframeFallbacks)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := Open(s.dir, diff.Options{}, Config{Shards: 1, CacheSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	concurrentReads(t, reopened, ids, want)
+	for _, id := range ids {
+		st := reopened.shardFor(id).lookup(id)
+		for i, p := range append([]*part{st.base}, st.deltas...) {
+			if !p.form.Load().frame {
+				t.Errorf("%s: part %d is still XML after every version was read", id, i)
+			}
+		}
+	}
+	if h := reopened.StorageStats().HistoryXMLBytes; h != 0 {
+		t.Errorf("%d bytes of history counted as XML after every part was decoded", h)
+	}
+}
+
+// concurrentReads runs four readers of ids' versions and aggregates at
+// once, each checking what it reads against want.
+func concurrentReads(t *testing.T, s *Store, ids []string, want map[string][]string) {
+	t.Helper()
+	versions := len(want[ids[0]]) - 1
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
@@ -364,9 +438,6 @@ func TestConcurrentReadWalks(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
-	if ss := s.StorageStats(); ss.KeyframeRestores == 0 {
-		t.Errorf("no read restored a keyframe (%d misses, %d fallbacks)", ss.CacheMisses, ss.KeyframeFallbacks)
-	}
 }
 
 // TestReadWalksDecodeAhead runs TestReadWalksAgree and
@@ -397,6 +468,9 @@ func TestReadWalksDecodeAhead(t *testing.T) {
 // map for the index, 5 550 with the table) and one copy, not a further
 // walk back from it and no second copy, in bytes.
 func TestReadWalkAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("counts allocations through pooled buffers, which the race detector drops at random; the gate runs it without -race")
+	}
 	chain := flipChain(t, 7000, 12)
 	s := chainStore(t, Config{Shards: 1}, chain, "doc")
 	defer s.Close()
@@ -561,11 +635,14 @@ func FuzzReadWalks(f *testing.F) {
 			chain, matchers = append(chain, cur), append(matchers, matcher)
 		}
 		st := s.shardFor("doc").lookup("doc")
-		for i, raw := range st.deltas {
-			if _, err := delta.ParseBytes(raw); err != nil {
+		for i := range st.deltas {
+			if _, err := delta.ParseBytes(storedXML(t, st, i)); err != nil {
 				// A pruned subtree with adjacent text nodes does not
 				// survive its own XML: a known defect of the delta
-				// model, not of the walk, and every walk fails on it.
+				// model (ROADMAP item 1), not of the walk. The store
+				// that built the chain walks it from its frames; the
+				// checks that need every delta's XML are skipped.
+				checkFrameWalks(t, s, "doc", chain)
 				t.Skipf("stored delta %d does not decode: %v", i+1, err)
 			}
 		}
@@ -582,9 +659,11 @@ func FuzzReadWalks(f *testing.F) {
 				}
 			}
 		}
-		for i, raw := range evicting.shardFor("doc").lookup("doc").deltas {
-			if !bytes.Equal(raw, st.deltas[i]) {
-				t.Fatalf("delta %d behind a one-slot cache:\n got %s\nwant %s", i+1, raw, st.deltas[i])
+		_, got := chainXML(t, evicting.shardFor("doc").lookup("doc"))
+		_, want := chainXML(t, st)
+		for i := range got {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("delta %d behind a one-slot cache:\n got %s\nwant %s", i+1, got[i], want[i])
 			}
 		}
 		checkRestores(t, evicting)

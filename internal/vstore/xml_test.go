@@ -105,8 +105,9 @@ func TestXMLReadsMatchTreeReads(t *testing.T) {
 		t.Fatal("setup: doc not degraded")
 	}
 	checkXMLReads(t, deg, "doc")
-	if _, err := deg.VersionXML("doc", deg.Versions("doc")+1); !errors.Is(err, errDegraded) {
-		t.Fatalf("reading past the intact versions: %v, want ErrDegraded", err)
+	var de *DegradedError
+	if _, err := deg.VersionXML("doc", deg.Versions("doc")+1); !errors.As(err, &de) {
+		t.Fatalf("reading past the intact versions: %v, want a DegradedError", err)
 	}
 }
 
@@ -233,7 +234,7 @@ func TestOldDocumentReads(t *testing.T) {
 		if _, _, err := s.Put("old", doc); err != nil {
 			t.Fatal(err)
 		}
-		chain = append(chain[max(len(chain)-2, 0):], doc)
+		chain = append(chain[max(len(chain)-4, 0):], doc)
 		// 5% churn. Deletes take whole subtrees and inserts add one
 		// node, so below its first size the document only grows.
 		p := changesim.Uniform(0.05, int64(v))
@@ -278,7 +279,9 @@ func TestOldDocumentReads(t *testing.T) {
 		return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs
 	}
 	oldAllocs, oldBytes := cost("old", versions-2)
-	youngAllocs, youngBytes := cost("young", 1)
+	// Two versions back of five, so the young read, too, steps back
+	// from the latest version rather than starting from version 1.
+	youngAllocs, youngBytes := cost("young", 3)
 	t.Logf("%d nodes, largest XID %d: reading two versions back costs %.0f allocations and %.0f KB on the old document, %.0f and %.0f KB on the young one",
 		nodes, maxXID, oldAllocs, oldBytes/1024, youngAllocs, youngBytes/1024)
 	if oldAllocs > 2*youngAllocs || oldBytes > 2*youngBytes {

@@ -284,6 +284,11 @@ func (s *Stamper) Stamp(n *dom.Node) {
 		return
 	}
 	n.XID = s.next
+	s.advance()
+}
+
+// advance moves s past the XID it would give next.
+func (s *Stamper) advance() {
 	if s.next < s.ranges[0].hi {
 		s.next++
 		return
@@ -291,6 +296,22 @@ func (s *Stamper) Stamp(n *dom.Node) {
 	if s.ranges = s.ranges[1:]; len(s.ranges) > 0 {
 		s.next = s.ranges[0].lo
 	}
+}
+
+// Describes reports whether the subtree rooted at n carries exactly the
+// map's XIDs, in post-order: whether ApplyTo would change nothing.
+func (m Map) Describes(n *dom.Node) bool {
+	s := m.Stamper()
+	ok := true
+	dom.WalkPost(n, func(x *dom.Node) bool {
+		if !ok || len(s.ranges) == 0 || x.XID != s.next {
+			ok = false
+			return false
+		}
+		s.advance()
+		return true
+	})
+	return ok && len(s.ranges) == 0
 }
 
 // Done reports whether exactly the map's XIDs were handed out; root is

@@ -134,6 +134,39 @@ func TestApplyTo(t *testing.T) {
 	}
 }
 
+// TestMapDescribes: a map describes a subtree exactly when ApplyTo
+// would change nothing on it: the subtree's XIDs, in post-order, no
+// more and no fewer.
+func TestMapDescribes(t *testing.T) {
+	d := doc(t, `<a><b><c/></b><d/></a>`)
+	stamped, _ := ParseMap("(10;20;30;40)")
+	if err := stamped.ApplyTo(d.Root()); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		m    string
+		want bool
+	}{
+		{"(10;20;30;40)", true},
+		{"(20;10;30;40)", false},
+		{"(10;20;30)", false},
+		{"(10;20;30;40;50)", false},
+		{"(10-13)", false},
+		{"()", false},
+	} {
+		m, err := ParseMap(c.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Describes(d.Root()); got != c.want {
+			t.Errorf("%s describes the subtree: %v, want %v", c.m, got, c.want)
+		}
+	}
+	if m := Of(d.Root()); !m.Describes(d.Root()) {
+		t.Errorf("Of's map %s does not describe its own subtree", m)
+	}
+}
+
 func TestMapAppendPropertyQuick(t *testing.T) {
 	// Appending any ascending sequence must round-trip through the
 	// string form and preserve membership exactly.

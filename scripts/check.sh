@@ -12,9 +12,11 @@
 #   3. build       every package compiles
 #   4. race        the whole test suite under the race detector, then the
 #                  vstore read-walk tests ten times more, since the walk
-#                  starts goroutines, and the server's crawl and source
-#                  tests five times more, since they run at production
-#                  politeness and wait on real fetches. Among
+#                  starts goroutines, the vstore allocation guards
+#                  without it, since it randomizes pools, and the
+#                  server's crawl and source tests five times more,
+#                  since they run at production politeness and wait on
+#                  real fetches. Among
 #                  it: TestMetricsExposition, the format gate that parses
 #                  /metrics as the Prometheus text format; the
 #                  concurrent Put/Diff/Subscribe stress test, the
@@ -53,11 +55,16 @@ $GO build ./...
 
 echo "==> race"
 $GO test -race ./...
-# The read walk starts helper goroutines that decode deltas ahead of it:
-# its tests run again, repeatedly, under the race detector. Not its
+# The read walk starts helper goroutines that decode deltas ahead of it,
+# and walks that first decode the same stored part swap its frame in
+# together: its tests run again, repeatedly, under the race detector. Not its
 # allocation counts: under -race sync.Pool drops values at random, so
 # those vary from run to run.
 $GO test -race -count=10 ./internal/vstore -run 'ReadWalks|DecodeAhead'
+# The allocation guards of the Put path and the read walk count
+# allocations through pooled buffers, which sync.Pool drops at random
+# under the race detector; they skip there and run here without it.
+$GO test -count=1 ./internal/vstore -run 'TestPutDetailedAllocations|TestReadWalkAllocations'
 # The server's crawl tests wait on real fetches at the crawler's
 # production timings; repeating them is how a timing flake shows.
 $GO test -race -count=5 ./internal/server -run 'Crawl|Source'
@@ -75,6 +82,7 @@ $GO test ./internal/delta -run '^$' -fuzz '^FuzzDeltaDecodeDifferential$' -fuzzt
 $GO test ./internal/vstore -run '^$' -fuzz '^FuzzReadWalks$' -fuzztime "$FUZZTIME"
 $GO test ./internal/vstore -run '^$' -fuzz '^FuzzSnapshotLoad$' -fuzztime "$FUZZTIME"
 $GO test ./internal/vstore -run '^$' -fuzz '^FuzzThaw$' -fuzztime "$FUZZTIME"
+$GO test ./internal/vstore -run '^$' -fuzz '^FuzzResidentDelta$' -fuzztime "$FUZZTIME"
 $GO test ./internal/diff -run '^$' -fuzz '^FuzzDiffApply$' -fuzztime "$FUZZTIME"
 $GO test ./internal/diff -run '^$' -fuzz '^FuzzSFTMApply$' -fuzztime "$FUZZTIME"
 $GO test ./internal/diff -run '^$' -fuzz '^FuzzBULDMatchingDifferential$' -fuzztime "$FUZZTIME"
