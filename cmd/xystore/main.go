@@ -239,7 +239,7 @@ func exec(s *vstore.Store, cmd string, rest []string) error {
 			return err
 		}
 		for _, h := range hits {
-			fmt.Printf("v%d\t%s\t%s\n", h.Version, h.Op.Kind(), h.Path)
+			fmt.Printf("v%d\t%s\t%s\n", h.Version, h.Op.Kind, h.Path)
 		}
 		return nil
 	case "inspect":

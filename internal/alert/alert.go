@@ -54,7 +54,7 @@ type Alert struct {
 	// OpIndex is the operation's position in the delta's Ops. An int32
 	// fits beside Kind, so naming the op exactly costs an alert no bytes.
 	OpIndex int32
-	// XID is the operation's target, delta.Op.TargetXID.
+	// XID is the operation's target, delta.Op.XID.
 	XID int64
 	// Path locates the affected node (in the new version when it still
 	// exists, in the old version for deletions).
@@ -203,9 +203,13 @@ func (a *Alerter) NotifyResolved(docID string, newVersion int, t *delta.Targets)
 	// sets[q] holds plan q's query evaluated against the old and the
 	// new version, each built when the first operation needs it.
 	var sets [][2]*xpathlite.MatchSet
+	// paths renders the paths in both versions, ranking each wide
+	// parent's children once for every op of the delta.
+	var paths dom.Pather
 	var alerts []Alert
-	for i, op := range t.Delta.Ops {
-		kind := op.Kind()
+	for i := range t.Delta.Ops {
+		op := &t.Delta.Ops[i]
+		kind := op.Kind
 		plans := c.anyKind
 		if int(kind) < len(c.byKind) {
 			plans = c.byKind[kind]
@@ -254,12 +258,12 @@ func (a *Alerter) NotifyResolved(docID string, newVersion int, t *delta.Targets)
 				continue
 			}
 			if !havePath {
-				path, havePath = at.Path(), true
+				path, havePath = paths.Path(at), true
 			}
 			if alerts == nil {
 				alerts = make([]Alert, 0, len(t.Delta.Ops)-i)
 			}
-			alerts = append(alerts, Alert{SubID: p.id, DocID: docID, Version: newVersion, Kind: kind, XID: op.TargetXID(), OpIndex: int32(i), Path: path})
+			alerts = append(alerts, Alert{SubID: p.id, DocID: docID, Version: newVersion, Kind: kind, XID: op.XID, OpIndex: int32(i), Path: path})
 		}
 	}
 	return alerts
@@ -329,23 +333,13 @@ func segments(p string) []string {
 }
 
 // contentContains checks the operation's payload for a substring.
-func contentContains(op delta.Op, node *dom.Node, substr string) bool {
-	switch o := op.(type) {
-	case delta.Insert:
-		return o.Subtree != nil && strings.Contains(o.Subtree.TextContent(), substr)
-	case delta.Delete:
-		return o.Subtree != nil && strings.Contains(o.Subtree.TextContent(), substr)
-	case delta.Update:
-		return strings.Contains(o.New, substr) || strings.Contains(o.Old, substr)
-	case delta.InsertAttr:
-		return strings.Contains(o.Value, substr)
-	case delta.DeleteAttr:
-		return strings.Contains(o.Old, substr)
-	case delta.UpdateAttr:
-		return strings.Contains(o.New, substr) || strings.Contains(o.Old, substr)
-	case delta.Move:
+func contentContains(op *delta.Op, node *dom.Node, substr string) bool {
+	switch op.Kind {
+	case delta.KindInsert, delta.KindDelete:
+		return op.Subtree != nil && strings.Contains(op.Subtree.TextContent(), substr)
+	case delta.KindMove:
 		return node != nil && strings.Contains(node.TextContent(), substr)
-	default:
-		return false
+	default: // an update's or an attribute op's values
+		return strings.Contains(op.New, substr) || strings.Contains(op.Old, substr)
 	}
 }

@@ -245,7 +245,7 @@ func notifyReference(subs []Subscription, docID string, newVersion int, oldDoc, 
 			if s.DocID != "" && s.DocID != docID {
 				continue
 			}
-			if !kindMatches(s.Kinds, op.Kind()) {
+			if !kindMatches(s.Kinds, op.Kind) {
 				continue
 			}
 			if s.Query != nil {
@@ -255,10 +255,10 @@ func notifyReference(subs []Subscription, docID string, newVersion int, oldDoc, 
 			} else if s.Path != "" && !pathMatches(s.Path, path) {
 				continue
 			}
-			if s.Contains != "" && !contentContains(op, node, s.Contains) {
+			if s.Contains != "" && !contentContains(&op, node, s.Contains) {
 				continue
 			}
-			alerts = append(alerts, Alert{SubID: s.ID, DocID: docID, Version: newVersion, Kind: op.Kind(), XID: op.TargetXID(), OpIndex: int32(i), Path: path})
+			alerts = append(alerts, Alert{SubID: s.ID, DocID: docID, Version: newVersion, Kind: op.Kind, XID: op.XID, OpIndex: int32(i), Path: path})
 		}
 	}
 	return alerts
@@ -282,12 +282,12 @@ func indexXIDs(doc *dom.Node) map[int64]*dom.Node {
 // version (deletes resolve in the old version).
 func locate(op delta.Op, oldIdx, newIdx map[int64]*dom.Node) (*dom.Node, string) {
 	var n *dom.Node
-	if op.Kind() == delta.KindDelete {
-		n = oldIdx[op.TargetXID()]
+	if op.Kind == delta.KindDelete {
+		n = oldIdx[op.XID]
 	} else {
-		n = newIdx[op.TargetXID()]
+		n = newIdx[op.XID]
 		if n == nil {
-			n = oldIdx[op.TargetXID()]
+			n = oldIdx[op.XID]
 		}
 	}
 	if n == nil {
@@ -671,8 +671,8 @@ func TestAlertNamesItsOpInTheStoredDelta(t *testing.T) {
 			t.Errorf("alert %d names op %d", i, a.OpIndex)
 		}
 		op := stored.Ops[a.OpIndex]
-		if op.Kind() != a.Kind || op.TargetXID() != a.XID {
-			t.Errorf("alert %v names op %d, which is %s on xid %d", a, a.OpIndex, op.Kind(), op.TargetXID())
+		if op.Kind != a.Kind || op.XID != a.XID {
+			t.Errorf("alert %v names op %d, which is %s on xid %d", a, a.OpIndex, op.Kind, op.XID)
 		}
 		if a.Kind == delta.KindUpdateAttr {
 			attrUpdates[a.XID]++

@@ -20,10 +20,12 @@ import (
 //  2. moved subtrees are detached (they keep their identity);
 //  3. deleted subtrees are detached and verified against the op's
 //     recorded content;
-//  4. inserted subtrees and moved subtrees are attached, grouped by
-//     target parent and in ascending target position. Groups whose
-//     parent does not exist yet (a move into a freshly inserted
-//     subtree) wait for a later pass.
+//  4. inserted subtrees are indexed: every node of one must carry an
+//     XID of its own (a hand-built insert too), one that neither the
+//     document nor other inserted content has, or nothing is attached;
+//  5. inserted subtrees and moved subtrees are attached, grouped by
+//     target parent and in ascending target position; a group may go
+//     under a node of inserted content (a move into a fresh subtree).
 //
 // On error the document may be partially modified; callers that need
 // atomicity should apply to a clone (see ApplyClone).
@@ -92,13 +94,11 @@ type applier struct {
 }
 
 // attachment is a subtree waiting to be attached at pos under the node
-// with XID parent; ready, on the first of a group, marks the group for
-// the current pass.
+// with XID parent.
 type attachment struct {
 	parent int64
 	pos    int
 	node   *dom.Node
-	ready  bool
 }
 
 // groupEnd returns the end of the group of attachments (one parent)
@@ -128,37 +128,47 @@ func (a *applier) apply(d *Delta, backward bool) (err error) {
 	index := a.index
 
 	// Phase 1: updates and attribute ops.
-	for _, op := range d.Ops {
-		if err := applyValueOp(index, op, backward); err != nil {
+	for i := range d.Ops {
+		if err := applyValueOp(index, &d.Ops[i], backward); err != nil {
 			return err
 		}
 	}
 
-	// Phase 2: detach moved subtrees.
+	// Phase 2: detach moved subtrees. A move undone goes from its
+	// target place back to its source.
 	pending := a.pending[:0]
-	for _, op := range d.Ops {
-		mv, ok := op.(Move)
-		if !ok {
+	for i := range d.Ops {
+		mv := &d.Ops[i]
+		if mv.Kind != KindMove {
 			continue
 		}
+		from, to, toPos := mv.Parent, mv.ToParent, mv.ToPos
 		if backward {
-			mv = Move{XID: mv.XID, FromParent: mv.ToParent, FromPos: mv.ToPos, ToParent: mv.FromParent, ToPos: mv.FromPos}
+			from, to, toPos = mv.ToParent, mv.Parent, mv.Pos
 		}
 		n := index.Get(mv.XID)
 		if n == nil {
 			return fmt.Errorf("delta: move: no node with XID %d", mv.XID)
 		}
-		if n.Parent == nil || n.Parent.XID != mv.FromParent {
-			return fmt.Errorf("delta: move %d: parent is %v, op says %d", mv.XID, parentXID(n), mv.FromParent)
+		if n.Parent == nil || n.Parent.XID != from {
+			return fmt.Errorf("delta: move %d: parent is %v, op says %d", mv.XID, parentXID(n), from)
 		}
 		n.Detach()
-		pending = append(pending, attachment{parent: mv.ToParent, pos: mv.ToPos, node: n})
+		pending = append(pending, attachment{parent: to, pos: int(toPos), node: n})
+	}
+
+	// An insert and a delete share their fields, so undoing one is
+	// doing the other: which detaches and which attaches depends only on
+	// the direction.
+	detach, attach := KindDelete, KindInsert
+	if backward {
+		detach, attach = attach, detach
 	}
 
 	// Phase 3: detach deleted subtrees.
-	for _, op := range d.Ops {
-		del, attach, ok := structural(op, backward)
-		if !ok || attach {
+	for i := range d.Ops {
+		del := &d.Ops[i]
+		if del.Kind != detach {
 			continue
 		}
 		n := index.Get(del.XID)
@@ -181,10 +191,12 @@ func (a *applier) apply(d *Delta, backward bool) (err error) {
 		})
 	}
 
-	// Phase 4: prepare insertions.
-	for _, op := range d.Ops {
-		ins, attach, ok := structural(op, backward)
-		if !ok || !attach {
+	// Phase 4: prepare insertions. Their nodes join the index now, so
+	// that an XID the document or earlier content already has is
+	// refused before anything is attached.
+	for i := range d.Ops {
+		ins := &d.Ops[i]
+		if ins.Kind != attach {
 			continue
 		}
 		if ins.Subtree == nil {
@@ -194,116 +206,112 @@ func (a *applier) apply(d *Delta, backward bool) (err error) {
 		if a.clone {
 			sub = sub.Clone()
 		}
-		if ins.XIDMap.Len() > 0 {
-			if err := ins.XIDMap.ApplyTo(sub); err != nil {
-				return fmt.Errorf("delta: insert %d: %w", ins.XID, err)
-			}
+		if err := indexContent(index, sub); err != nil {
+			return fmt.Errorf("delta: insert %d: %w", ins.XID, err)
 		}
-		pending = append(pending, attachment{parent: ins.Parent, pos: ins.Pos, node: sub})
+		pending = append(pending, attachment{parent: ins.Parent, pos: int(ins.Pos), node: sub})
 	}
 
-	// Phase 5: attach, multi-pass until every group's parent exists. A
-	// group is the attachments under one parent, attached in ascending
-	// position (ties in op order); a pass attaches, in ascending parent
-	// XID, each group whose parent existed when the pass began.
+	// Phase 5: attach. A group is the attachments under one parent,
+	// attached in ascending position (ties in op order), groups in
+	// ascending parent XID. Every node an attachment can name is in the
+	// index by now — moved nodes stay in it, inserted ones joined it in
+	// phase 4 — so a group whose parent is missing can never attach,
+	// and nothing is attached unless every group can be.
 	slices.SortStableFunc(pending, func(x, y attachment) int {
 		return cmp.Or(cmp.Compare(x.parent, y.parent), cmp.Compare(x.pos, y.pos))
 	})
 	a.pending = pending[:0] // the next step reuses the storage
-	for len(pending) > 0 {
-		groups, ready := 0, 0
-		for i, j := 0, 0; i < len(pending); i = j {
-			j = groupEnd(pending, i)
-			pending[i].ready = index.Get(pending[i].parent) != nil
-			groups++
-			if pending[i].ready {
-				ready++
+	missing := 0
+	for i, j := 0, 0; i < len(pending); i = j {
+		j = groupEnd(pending, i)
+		if index.Get(pending[i].parent) == nil {
+			missing++
+		}
+	}
+	if missing > 0 {
+		return fmt.Errorf("delta: %d attachment group(s) reference unknown parents", missing)
+	}
+	for i, j := 0, 0; i < len(pending); i = j {
+		j = groupEnd(pending, i)
+		p := pending[i].parent
+		parent := index.Get(p)
+		// One growth for the group, to exactly what it needs, rather
+		// than a doubling at the first attachment into a full slice: a
+		// thawed or cloned parent has no room to spare, and a version a
+		// walk rebuilds may be kept, in the cache, with its slack.
+		if need := len(parent.Children) + j - i; cap(parent.Children) < need {
+			kids := make([]*dom.Node, len(parent.Children), need)
+			copy(kids, parent.Children)
+			parent.Children = kids
+		}
+		for _, at := range pending[i:j] {
+			if err := parent.InsertAt(at.pos, at.node); err != nil {
+				return fmt.Errorf("delta: attach at %d[%d]: %w", p, at.pos, err)
 			}
 		}
-		if ready == 0 {
-			return fmt.Errorf("delta: %d attachment group(s) reference unknown parents", groups)
-		}
-		rest := pending[:0] // the groups left for the next pass, in order
-		for i, j := 0, 0; i < len(pending); i = j {
-			j = groupEnd(pending, i)
-			if !pending[i].ready {
-				rest = append(rest, pending[i:j]...)
-				continue
-			}
-			p := pending[i].parent
-			parent := index.Get(p)
-			for _, at := range pending[i:j] {
-				if err := parent.InsertAt(at.pos, at.node); err != nil {
-					return fmt.Errorf("delta: attach at %d[%d]: %w", p, at.pos, err)
-				}
-				// Newly reachable nodes become attachment targets for
-				// later passes (moves into inserted subtrees).
-				dom.WalkPre(at.node, func(x *dom.Node) bool {
-					if x.XID != 0 {
-						index.Set(x.XID, x)
-					}
-					return true
-				})
-			}
-		}
-		pending = rest
 	}
 	return nil
 }
 
-// structural returns an insert or a delete as an Insert's fields and
-// whether, in the direction applied, it attaches its subtree (an
-// insert, or a delete undone) rather than detaching it.
-func structural(op Op, backward bool) (s Insert, attach, ok bool) {
-	switch o := op.(type) {
-	case Insert:
-		return o, !backward, true
-	case Delete:
-		return Insert(o), backward, true
-	}
-	return Insert{}, false, false
+// indexContent adds the nodes of an inserted subtree to the index. Each
+// must carry an XID that neither the document nor any node indexed
+// before it has.
+func indexContent(index *xid.Table[*dom.Node], sub *dom.Node) error {
+	var err error
+	dom.WalkPre(sub, func(x *dom.Node) bool {
+		switch {
+		case x.XID == 0:
+			err = fmt.Errorf("a %s node without an XID", x.Type)
+		case index.Get(x.XID) != nil:
+			err = fmt.Errorf("XID %d repeated", x.XID)
+		default:
+			index.Set(x.XID, x)
+			return true
+		}
+		return false
+	})
+	return err
 }
 
 // applyValueOp applies an update or an attribute op, or its inverse
 // when backward; other ops are left to the later phases.
-func applyValueOp(index *xid.Table[*dom.Node], op Op, backward bool) error {
-	switch o := op.(type) {
-	case Update:
-		if backward {
-			o.Old, o.New = o.New, o.Old
-		}
+func applyValueOp(index *xid.Table[*dom.Node], o *Op, backward bool) error {
+	old, new := o.Old, o.New
+	if backward {
+		old, new = new, old
+	}
+	switch o.Kind {
+	case KindUpdate:
 		n := index.Get(o.XID)
 		if n == nil {
 			return fmt.Errorf("delta: update: no node with XID %d", o.XID)
 		}
-		if n.Value != o.Old {
-			return fmt.Errorf("delta: update %d: value %q, op says %q", o.XID, n.Value, o.Old)
+		if n.Value != old {
+			return fmt.Errorf("delta: update %d: value %q, op says %q", o.XID, n.Value, old)
 		}
-		n.Value = o.New
-	case InsertAttr:
+		n.Value = new
+	case KindInsertAttr:
 		if backward {
-			return deleteAttr(index, o.XID, o.Name, o.Value)
+			return deleteAttr(index, o.XID, o.Name, o.New)
 		}
-		return insertAttr(index, o.XID, o.Name, o.Value)
-	case DeleteAttr:
+		return insertAttr(index, o.XID, o.Name, o.New)
+	case KindDeleteAttr:
 		if backward {
 			return insertAttr(index, o.XID, o.Name, o.Old)
 		}
 		return deleteAttr(index, o.XID, o.Name, o.Old)
-	case UpdateAttr:
-		if backward {
-			o.Old, o.New = o.New, o.Old
-		}
+	case KindUpdateAttr:
 		n := index.Get(o.XID)
 		if n == nil {
 			return fmt.Errorf("delta: update-attribute: no node with XID %d", o.XID)
 		}
 		if v, exists := n.Attribute(o.Name); !exists {
 			return fmt.Errorf("delta: update-attribute %d: %s absent", o.XID, o.Name)
-		} else if v != o.Old {
-			return fmt.Errorf("delta: update-attribute %d: %s=%q, op says %q", o.XID, o.Name, v, o.Old)
+		} else if v != old {
+			return fmt.Errorf("delta: update-attribute %d: %s=%q, op says %q", o.XID, o.Name, v, old)
 		}
-		n.SetAttribute(o.Name, o.New)
+		n.SetAttribute(o.Name, new)
 	}
 	return nil
 }
@@ -334,8 +342,14 @@ func deleteAttr(index *xid.Table[*dom.Node], x int64, name, old string) error {
 	return nil
 }
 
+// buildIndex indexes doc's nodes by XID, the table told how many are
+// coming: a document's XIDs are not written in ascending order (its
+// root, last in post-order, comes first), and a table that had to
+// guess its range from the writes so far would put the first ones in
+// its overflow.
 func buildIndex(doc *dom.Node) *xid.Table[*dom.Node] {
 	index := new(xid.Table[*dom.Node])
+	index.Expect(doc.Size())
 	dom.WalkPre(doc, func(n *dom.Node) bool {
 		if n.XID != 0 {
 			index.Set(n.XID, n)
@@ -350,43 +364,4 @@ func parentXID(n *dom.Node) int64 {
 		return 0
 	}
 	return n.Parent.XID
-}
-
-// validate performs static sanity checks on a delta without a document:
-// XID maps must agree with subtree sizes and roots, and positions must
-// be non-negative. It catches corrupt serialized deltas early.
-func validate(d *Delta) error {
-	for _, op := range d.Ops {
-		switch o := op.(type) {
-		case Insert:
-			if err := validateSubtreeOp(o.XID, o.XIDMap, o.Pos, o.Subtree); err != nil {
-				return fmt.Errorf("delta: insert: %w", err)
-			}
-		case Delete:
-			if err := validateSubtreeOp(o.XID, o.XIDMap, o.Pos, o.Subtree); err != nil {
-				return fmt.Errorf("delta: delete: %w", err)
-			}
-		case Move:
-			if o.FromPos < 0 || o.ToPos < 0 {
-				return fmt.Errorf("delta: move %d: negative position", o.XID)
-			}
-		}
-	}
-	return nil
-}
-
-func validateSubtreeOp(x int64, m xid.Map, pos int, sub *dom.Node) error {
-	if pos < 0 {
-		return fmt.Errorf("xid %d: negative position", x)
-	}
-	if sub == nil {
-		return fmt.Errorf("xid %d: missing subtree", x)
-	}
-	if m.Len() != sub.Size() {
-		return fmt.Errorf("xid %d: xid-map has %d entries for %d nodes", x, m.Len(), sub.Size())
-	}
-	if m.Root() != x {
-		return fmt.Errorf("xid %d: xid-map root is %d", x, m.Root())
-	}
-	return nil
 }

@@ -8,9 +8,11 @@ import (
 	"xydiff/internal/dom"
 )
 
-// The applier Apply and Replay ran on before the XID table: verbatim
-// but for its names, with its index a map and its attachments grouped
-// in a map per step. FuzzApply and TestApplyErrors hold the two
+// The applier Apply and Replay ran on before the XID table, with its
+// index a map and its attachments grouped in a map per step: verbatim
+// but for its names, the one op struct, and the rule that an inserted
+// subtree's nodes each carry an XID of their own, indexed before
+// anything is attached. FuzzApply and TestApplyErrors hold the two
 // engines to the same verdicts, the same error texts and the same
 // trees.
 
@@ -60,7 +62,7 @@ func (a *refApplier) apply(d *Delta, backward bool) (err error) {
 
 	// Phase 1: updates and attribute ops.
 	for _, op := range d.Ops {
-		if err := refApplyValueOp(index, op, backward); err != nil {
+		if err := refApplyValueOp(index, refAs(op, backward)); err != nil {
 			return err
 		}
 	}
@@ -72,28 +74,25 @@ func (a *refApplier) apply(d *Delta, backward bool) (err error) {
 	}
 	pending := make(map[int64][]attachment) // target parent XID -> items
 	for _, op := range d.Ops {
-		mv, ok := op.(Move)
-		if !ok {
+		mv := refAs(op, backward)
+		if mv.Kind != KindMove {
 			continue
-		}
-		if backward {
-			mv = Move{XID: mv.XID, FromParent: mv.ToParent, FromPos: mv.ToPos, ToParent: mv.FromParent, ToPos: mv.FromPos}
 		}
 		n := index[mv.XID]
 		if n == nil {
 			return fmt.Errorf("delta: move: no node with XID %d", mv.XID)
 		}
-		if n.Parent == nil || n.Parent.XID != mv.FromParent {
-			return fmt.Errorf("delta: move %d: parent is %v, op says %d", mv.XID, parentXID(n), mv.FromParent)
+		if n.Parent == nil || n.Parent.XID != mv.Parent {
+			return fmt.Errorf("delta: move %d: parent is %v, op says %d", mv.XID, parentXID(n), mv.Parent)
 		}
 		n.Detach()
-		pending[mv.ToParent] = append(pending[mv.ToParent], attachment{pos: mv.ToPos, node: n})
+		pending[mv.ToParent] = append(pending[mv.ToParent], attachment{pos: int(mv.ToPos), node: n})
 	}
 
 	// Phase 3: detach deleted subtrees.
 	for _, op := range d.Ops {
-		del, attach, ok := refStructural(op, backward)
-		if !ok || attach {
+		del := refAs(op, backward)
+		if del.Kind != KindDelete {
 			continue
 		}
 		n := index[del.XID]
@@ -118,8 +117,8 @@ func (a *refApplier) apply(d *Delta, backward bool) (err error) {
 
 	// Phase 4: prepare insertions.
 	for _, op := range d.Ops {
-		ins, attach, ok := refStructural(op, backward)
-		if !ok || !attach {
+		ins := refAs(op, backward)
+		if ins.Kind != KindInsert {
 			continue
 		}
 		if ins.Subtree == nil {
@@ -129,12 +128,23 @@ func (a *refApplier) apply(d *Delta, backward bool) (err error) {
 		if a.clone {
 			sub = sub.Clone()
 		}
-		if ins.XIDMap.Len() > 0 {
-			if err := ins.XIDMap.ApplyTo(sub); err != nil {
-				return fmt.Errorf("delta: insert %d: %w", ins.XID, err)
+		var err error
+		dom.WalkPre(sub, func(x *dom.Node) bool {
+			switch {
+			case x.XID == 0:
+				err = fmt.Errorf("delta: insert %d: a %s node without an XID", ins.XID, x.Type)
+			case index[x.XID] != nil:
+				err = fmt.Errorf("delta: insert %d: XID %d repeated", ins.XID, x.XID)
+			default:
+				index[x.XID] = x
+				return true
 			}
+			return false
+		})
+		if err != nil {
+			return err
 		}
-		pending[ins.Parent] = append(pending[ins.Parent], attachment{pos: ins.Pos, node: sub})
+		pending[ins.Parent] = append(pending[ins.Parent], attachment{pos: int(ins.Pos), node: sub})
 	}
 
 	// Phase 5: attach, multi-pass until every group's parent exists.
@@ -172,27 +182,23 @@ func (a *refApplier) apply(d *Delta, backward bool) (err error) {
 	return nil
 }
 
-// refStructural returns an insert or a delete as an Insert's fields and
-// whether, in the direction applied, it attaches its subtree (an
-// insert, or a delete undone) rather than detaching it.
-func refStructural(op Op, backward bool) (s Insert, attach, ok bool) {
-	switch o := op.(type) {
-	case Insert:
-		return o, !backward, true
-	case Delete:
-		return Insert(o), backward, true
+// refAs returns the op as applied: op itself, or its inverse when
+// backward.
+func refAs(op Op, backward bool) Op {
+	if !backward {
+		return op
 	}
-	return Insert{}, false, false
+	if inv, err := op.inverse(); err == nil {
+		return inv
+	}
+	return op
 }
 
-// refApplyValueOp applies an update or an attribute op, or its inverse
-// when backward; other ops are left to the later phases.
-func refApplyValueOp(index map[int64]*dom.Node, op Op, backward bool) error {
-	switch o := op.(type) {
-	case Update:
-		if backward {
-			o.Old, o.New = o.New, o.Old
-		}
+// refApplyValueOp applies an update or an attribute op; other ops are
+// left to the later phases.
+func refApplyValueOp(index map[int64]*dom.Node, o Op) error {
+	switch o.Kind {
+	case KindUpdate:
 		n := index[o.XID]
 		if n == nil {
 			return fmt.Errorf("delta: update: no node with XID %d", o.XID)
@@ -201,20 +207,11 @@ func refApplyValueOp(index map[int64]*dom.Node, op Op, backward bool) error {
 			return fmt.Errorf("delta: update %d: value %q, op says %q", o.XID, n.Value, o.Old)
 		}
 		n.Value = o.New
-	case InsertAttr:
-		if backward {
-			return refDeleteAttr(index, o.XID, o.Name, o.Value)
-		}
-		return refInsertAttr(index, o.XID, o.Name, o.Value)
-	case DeleteAttr:
-		if backward {
-			return refInsertAttr(index, o.XID, o.Name, o.Old)
-		}
+	case KindInsertAttr:
+		return refInsertAttr(index, o.XID, o.Name, o.New)
+	case KindDeleteAttr:
 		return refDeleteAttr(index, o.XID, o.Name, o.Old)
-	case UpdateAttr:
-		if backward {
-			o.Old, o.New = o.New, o.Old
-		}
+	case KindUpdateAttr:
 		n := index[o.XID]
 		if n == nil {
 			return fmt.Errorf("delta: update-attribute: no node with XID %d", o.XID)

@@ -46,8 +46,10 @@ func BenchmarkDeltaParse(b *testing.B) {
 // TestDeltaDecodeAllocations keeps the delta document from being built
 // again: decoding storedDelta allocates for the content of its inserts
 // and deletes and for its ops, not for the op elements around them.
-// (Building the document and walking it cost 15 941.) A count, not a
-// timing, so it can gate go test.
+// (Building the document and walking it cost 15 941; the token decoder
+// 5 421 with a boxed op and an XID map per insert and delete; 4 322
+// with the ops one slab and the maps stamped and dropped.) A count, not
+// a timing, so it can gate go test.
 func TestDeltaDecodeAllocations(t *testing.T) {
 	raw := storedDelta(t)
 	allocs := testing.AllocsPerRun(10, func() {
@@ -55,7 +57,8 @@ func TestDeltaDecodeAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 8000 {
-		t.Errorf("decoding a %d-byte delta allocates %.0f times, want at most 8000", len(raw), allocs)
+	t.Logf("decoding a %d-byte delta: %.0f allocations", len(raw), allocs)
+	if allocs > 4750 {
+		t.Errorf("decoding a %d-byte delta allocates %.0f times, want at most 4750", len(raw), allocs)
 	}
 }

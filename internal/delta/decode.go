@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"strconv"
+	"sync"
 
 	"xydiff/internal/dom"
 	"xydiff/internal/xid"
@@ -59,6 +62,15 @@ func ParseBytes(src []byte) (*Delta, error) {
 		return nil, fmt.Errorf("delta: document root is not <delta>")
 	}
 	d := &Delta{}
+	// The ops are gathered in a pooled scratch and copied out once
+	// their number is known, so the delta's slab is exactly their size.
+	scratch := opScratch.Get().(*[]Op)
+	defer func() {
+		clear(*scratch)
+		*scratch = (*scratch)[:0]
+		opScratch.Put(scratch)
+	}()
+	ops := (*scratch)[:0]
 	if s, ok := attrValue(root, "nextxid"); ok {
 		v, err := parseInt(s)
 		if err != nil {
@@ -81,7 +93,8 @@ func ParseBytes(src []byte) (*Delta, error) {
 		if err != nil {
 			return nil, err
 		}
-		d.Ops = append(d.Ops, op)
+		ops = append(ops, op)
+		*scratch = ops
 	}
 	// What follows the root must be well-formed too.
 	for {
@@ -91,11 +104,14 @@ func ParseBytes(src []byte) (*Delta, error) {
 			return nil, err
 		}
 	}
-	if err := validate(d); err != nil {
-		return nil, err
+	if len(ops) > 0 {
+		d.Ops = slices.Clone(ops)
 	}
 	return d, nil
 }
+
+// opScratch holds the slices ParseBytes gathers ops in.
+var opScratch = sync.Pool{New: func() any { return new([]Op) }}
 
 // decoder is the state of one ParseBytes.
 type decoder struct {
@@ -111,57 +127,54 @@ type decoder struct {
 // op decodes the operation whose start tag is start, reading up to and
 // including its end tag.
 func (x *decoder) op(start *dom.Token) (Op, error) {
-	var op Op
+	var o Op
 	var err error
 	switch string(start.Name) {
 	case "insert":
-		return x.subtreeOp("insert", start)
+		return x.subtreeOp(KindInsert, start)
 	case "delete":
-		o, err := x.subtreeOp("delete", start)
-		return Delete(o), err
+		return x.subtreeOp(KindDelete, start)
 	case "update":
 		return x.update(start)
 	case "move":
-		op, err = move(start)
+		o, err = move(start)
 	case "insert-attribute":
-		var o InsertAttr
-		o.XID, o.Name, err = attrOp(start)
-		o.Value = stringValue(start, "value")
-		op = o
+		o, err = attrOp(KindInsertAttr, start)
+		o.New = stringValue(start, "value")
 	case "delete-attribute":
-		var o DeleteAttr
-		o.XID, o.Name, err = attrOp(start)
+		o, err = attrOp(KindDeleteAttr, start)
 		o.Old = stringValue(start, "old")
-		op = o
 	case "update-attribute":
-		var o UpdateAttr
-		o.XID, o.Name, err = attrOp(start)
+		o, err = attrOp(KindUpdateAttr, start)
 		o.Old, o.New = stringValue(start, "old"), stringValue(start, "new")
-		op = o
 	default:
-		return nil, fmt.Errorf("delta: unknown operation element <%s>", start.Name)
+		return o, fmt.Errorf("delta: unknown operation element <%s>", start.Name)
 	}
 	if err != nil {
-		return nil, err
+		return o, err
 	}
-	return op, x.skip() // these are read from attributes; what they hold is ignored
+	return o, x.skip() // these are read from attributes; what they hold is ignored
 }
 
-// subtreeOp decodes an insert or a delete (name) as an Insert: its
-// attributes, then its content, which must be exactly one node and is
-// built with the xidmap's XIDs on it.
-func (x *decoder) subtreeOp(name string, start *dom.Token) (Insert, error) {
-	var o Insert
+// subtreeOp decodes an insert or a delete: its attributes, then its
+// content, which must be exactly one node and is built with the
+// xidmap's XIDs on it. The map is not kept: the nodes carry it.
+func (x *decoder) subtreeOp(kind Kind, start *dom.Token) (Op, error) {
+	o := Op{Kind: kind}
 	var err error
 	if o.XID, err = intValue(start, "xid"); err != nil {
 		return o, err
 	}
 	ms, ok := attrValue(start, "xidmap")
 	if !ok {
-		return o, fmt.Errorf("delta: <%s> %d: missing xidmap", name, o.XID)
+		return o, fmt.Errorf("delta: <%s> %d: missing xidmap", kind, o.XID)
 	}
-	if o.XIDMap, err = x.spans.ParseMap(ms); err != nil {
+	m, err := x.spans.ParseMap(ms)
+	if err != nil {
 		return o, err
+	}
+	if root := m.Root(); root != o.XID {
+		return o, fmt.Errorf("delta: %s: xid %d: xid-map root is %d", kind, o.XID, root)
 	}
 	if o.Parent, err = intValue(start, "parent"); err != nil {
 		return o, err
@@ -169,17 +182,17 @@ func (x *decoder) subtreeOp(name string, start *dom.Token) (Insert, error) {
 	if o.Pos, err = posValue(start, "pos"); err != nil {
 		return o, err
 	}
-	x.stamper = o.XIDMap.Stamper()
+	x.stamper = m.Stamper()
 	kids, err := x.dec.Content(nil, x.stamper.Stamp)
 	if err != nil {
 		return o, err
 	}
 	if len(kids) != 1 {
-		return o, fmt.Errorf("delta: <%s> %d: expected exactly one content node, got %d", name, o.XID, len(kids))
+		return o, fmt.Errorf("delta: <%s> %d: expected exactly one content node, got %d", kind, o.XID, len(kids))
 	}
 	o.Subtree = kids[0]
 	if err := x.stamper.Done(o.Subtree); err != nil {
-		return o, fmt.Errorf("delta: <%s> %d: %w", name, o.XID, err)
+		return o, fmt.Errorf("delta: <%s> %d: %w", kind, o.XID, err)
 	}
 	return o, nil
 }
@@ -187,16 +200,16 @@ func (x *decoder) subtreeOp(name string, start *dom.Token) (Insert, error) {
 // update decodes an update: the text of its last <old> and its last
 // <new> child, all of it, at any depth.
 func (x *decoder) update(start *dom.Token) (Op, error) {
+	o := Op{Kind: KindUpdate}
 	id, err := intValue(start, "xid")
 	if err != nil {
-		return nil, err
+		return o, err
 	}
-	var o Update
 	var haveOld, haveNew bool
 	for {
 		tok, err := x.dec.Next()
 		if err != nil {
-			return nil, err
+			return o, err
 		}
 		if tok.Kind == dom.TokenEnd {
 			break // </update>
@@ -215,11 +228,11 @@ func (x *decoder) update(start *dom.Token) (Op, error) {
 			err = x.skip()
 		}
 		if err != nil {
-			return nil, err
+			return o, err
 		}
 	}
 	if !haveOld || !haveNew {
-		return nil, fmt.Errorf("delta: update %d: missing <old> or <new>", id)
+		return o, fmt.Errorf("delta: update %d: missing <old> or <new>", id)
 	}
 	o.XID = id
 	return o, nil
@@ -265,38 +278,38 @@ func (x *decoder) skip() error {
 }
 
 func move(start *dom.Token) (Op, error) {
-	var o Move
+	o := Op{Kind: KindMove}
 	var err error
 	if o.XID, err = intValue(start, "xid"); err != nil {
-		return nil, err
+		return o, err
 	}
-	if o.FromParent, err = intValue(start, "from-parent"); err != nil {
-		return nil, err
+	if o.Parent, err = intValue(start, "from-parent"); err != nil {
+		return o, err
 	}
-	if o.FromPos, err = posValue(start, "from-pos"); err != nil {
-		return nil, err
+	if o.Pos, err = posValue(start, "from-pos"); err != nil {
+		return o, err
 	}
 	if o.ToParent, err = intValue(start, "to-parent"); err != nil {
-		return nil, err
+		return o, err
 	}
 	if o.ToPos, err = posValue(start, "to-pos"); err != nil {
-		return nil, err
+		return o, err
 	}
 	return o, nil
 }
 
 // attrOp reads what the three attribute operations share: the owner's
 // XID and a non-empty attribute name.
-func attrOp(start *dom.Token) (int64, string, error) {
-	id, err := intValue(start, "xid")
-	if err != nil {
-		return 0, "", err
+func attrOp(kind Kind, start *dom.Token) (Op, error) {
+	o := Op{Kind: kind}
+	var err error
+	if o.XID, err = intValue(start, "xid"); err != nil {
+		return o, err
 	}
-	name := stringValue(start, "name")
-	if name == "" {
-		return 0, "", fmt.Errorf("delta: %s %d: missing name", start.Name, id)
+	if o.Name = stringValue(start, "name"); o.Name == "" {
+		return o, fmt.Errorf("delta: %s %d: missing name", start.Name, o.XID)
 	}
-	return id, name, nil
+	return o, nil
 }
 
 // attrValue returns the value of the first attribute called name.
@@ -345,13 +358,13 @@ func parseInt(b []byte) (int64, error) {
 
 // posValue reads a 1-based serialized position into the 0-based
 // in-memory form.
-func posValue(t *dom.Token, name string) (int, error) {
+func posValue(t *dom.Token, name string) (int32, error) {
 	v, err := intValue(t, name)
 	if err != nil {
 		return 0, err
 	}
-	if v < 1 {
-		return 0, fmt.Errorf("delta: <%s>: position %s=%d must be >= 1", t.Name, name, v)
+	if v < 1 || v > math.MaxInt32 {
+		return 0, fmt.Errorf("delta: <%s>: position %s=%d must be in [1, %d]", t.Name, name, v, math.MaxInt32)
 	}
-	return int(v - 1), nil
+	return int32(v - 1), nil
 }

@@ -79,24 +79,20 @@ func deltaDifference(got, want *Delta) string {
 	}
 	for i := range got.Ops {
 		g, w := got.Ops[i], want.Ops[i]
-		gs, gOK := subtreeFields(g)
-		ws, _ := subtreeFields(w)
+		gs, ws := g.Subtree, w.Subtree
+		g.Subtree, w.Subtree = nil, nil
 		switch {
-		case g.Kind() != w.Kind():
-			return fmt.Sprintf("op %d: %v vs %v", i, g.Kind(), w.Kind())
-		case !gOK:
-			if g != w {
-				return fmt.Sprintf("op %d: %#v vs %#v", i, g, w)
-			}
-		case gs.XID != ws.XID || gs.Parent != ws.Parent || gs.Pos != ws.Pos || gs.XIDMap.String() != ws.XIDMap.String():
-			return fmt.Sprintf("op %d: %v %d %s under %d at %d vs %d %s under %d at %d", i, g.Kind(),
-				gs.XID, gs.XIDMap, gs.Parent, gs.Pos, ws.XID, ws.XIDMap, ws.Parent, ws.Pos)
-		case gs.Subtree.Parent != nil || ws.Subtree.Parent != nil:
+		case g != w:
+			return fmt.Sprintf("op %d: %#v vs %#v", i, g, w)
+		case (gs == nil) != (ws == nil):
+			return fmt.Sprintf("op %d: one subtree is missing", i)
+		case gs == nil:
+		case gs.Parent != nil || ws.Parent != nil:
 			return fmt.Sprintf("op %d: a subtree has a parent", i)
-		case !dom.Equal(gs.Subtree, ws.Subtree):
-			return fmt.Sprintf("op %d: subtrees differ: %s", i, dom.Diagnose(gs.Subtree, ws.Subtree))
+		case !dom.Equal(gs, ws):
+			return fmt.Sprintf("op %d: subtrees differ: %s", i, dom.Diagnose(gs, ws))
 		default:
-			gx, wx := dom.Preorder(gs.Subtree), dom.Preorder(ws.Subtree)
+			gx, wx := dom.Preorder(gs), dom.Preorder(ws)
 			for k := range gx {
 				if gx[k].XID != wx[k].XID {
 					return fmt.Sprintf("op %d: node %d has XID %d vs %d", i, k, gx[k].XID, wx[k].XID)
@@ -105,17 +101,6 @@ func deltaDifference(got, want *Delta) string {
 		}
 	}
 	return ""
-}
-
-// subtreeFields returns an insert's or a delete's fields.
-func subtreeFields(op Op) (Insert, bool) {
-	switch o := op.(type) {
-	case Insert:
-		return o, true
-	case Delete:
-		return Insert(o), true
-	}
-	return Insert{}, false
 }
 
 // decodeSeeds are deltas hand-written for what no encoder writes: text,

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+
+	"xydiff/internal/xid"
 )
 
 // Delta is a set of elementary operations describing the changes
@@ -43,7 +45,7 @@ func (c Counts) String() string {
 func (d *Delta) Count() Counts {
 	var c Counts
 	for _, op := range d.Ops {
-		switch op.Kind() {
+		switch op.Kind {
 		case KindInsert:
 			c.Inserts++
 		case KindDelete:
@@ -62,15 +64,33 @@ func (d *Delta) Count() Counts {
 // Invert returns the delta that transforms the new version back into
 // the old one: completed deltas carry enough information (deleted
 // content, old values) for this to be purely syntactic. It errors on
-// an operation type the package does not know instead of panicking.
+// an operation kind the package does not know instead of panicking.
+// The inverses are written inserts first, which become deletes, then
+// deletes, then the rest, so a canonical delta inverts to one in
+// canonical order with nothing left to sort.
 func (d *Delta) Invert() (*Delta, error) {
-	inv := &Delta{Ops: make([]Op, len(d.Ops)), NextXID: d.NextXID}
-	for i, op := range d.Ops {
-		io, err := invert(op)
-		if err != nil {
-			return nil, err
+	inv := &Delta{Ops: make([]Op, 0, len(d.Ops)), NextXID: d.NextXID}
+	pass := func(k Kind) int {
+		switch k {
+		case KindInsert:
+			return 0
+		case KindDelete:
+			return 1
 		}
-		inv.Ops[i] = io
+		return 2
+	}
+	for p := range 3 {
+		for i := range d.Ops {
+			op := &d.Ops[i]
+			if pass(op.Kind) != p {
+				continue
+			}
+			io, err := op.inverse()
+			if err != nil {
+				return nil, err
+			}
+			inv.Ops = append(inv.Ops, io)
+		}
 	}
 	inv.sort()
 	return inv, nil
@@ -78,19 +98,50 @@ func (d *Delta) Invert() (*Delta, error) {
 
 // sort puts operations in the canonical order used for serialization:
 // by kind (deletes, inserts, moves, updates, attributes) and then by
-// target XID. Apply's semantics do not depend on this order; it only
-// makes deltas stable and diffable.
+// target XID, ties in their present order. Apply's semantics do not
+// depend on this order; it only makes deltas stable and diffable. Ops
+// already in order cost one look each; otherwise the sort orders their
+// indexes, not the ops, and then moves each op once, along the
+// permutation's cycles.
 func (d *Delta) sort() {
-	slices.SortStableFunc(d.Ops, func(a, b Op) int {
-		if c := cmp.Compare(sortRank(a.Kind()), sortRank(b.Kind())); c != 0 {
-			return c
+	ops := d.Ops
+	order := func(i, j int) int {
+		return cmp.Or(cmp.Compare(sortRank(ops[i].Kind), sortRank(ops[j].Kind)), cmp.Compare(ops[i].XID, ops[j].XID))
+	}
+	sorted := true
+	for i := 1; i < len(ops) && sorted; i++ {
+		sorted = order(i-1, i) <= 0
+	}
+	if sorted {
+		return
+	}
+	perm := make([]int32, len(ops))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortStableFunc(perm, func(a, b int32) int { return order(int(a), int(b)) })
+	// perm[k] is the op that goes to k. Follow each cycle once,
+	// marking its entries done.
+	for k := range perm {
+		if perm[k] < 0 {
+			continue
 		}
-		return cmp.Compare(a.TargetXID(), b.TargetXID())
-	})
+		first := ops[k]
+		for j := k; ; {
+			from := int(perm[j])
+			perm[j] = -1
+			if from == k {
+				ops[j] = first
+				break
+			}
+			ops[j] = ops[from]
+			j = from
+		}
+	}
 }
 
 // sortRank places a kind in the canonical order.
-func sortRank(k Kind) int {
+func sortRank(k Kind) int8 {
 	switch k {
 	case KindDelete:
 		return 0
@@ -114,21 +165,21 @@ func (d *Delta) Normalize() *Delta {
 // String renders a short human-readable description, one op per line.
 func (d *Delta) String() string {
 	var b strings.Builder
-	for _, op := range d.Ops {
-		switch o := op.(type) {
-		case Insert:
-			fmt.Fprintf(&b, "insert %s under %d at %d: %s\n", o.XIDMap, o.Parent, o.Pos, clip(o.Subtree.String()))
-		case Delete:
-			fmt.Fprintf(&b, "delete %s under %d at %d\n", o.XIDMap, o.Parent, o.Pos)
-		case Update:
+	for _, o := range d.Ops {
+		switch o.Kind {
+		case KindInsert:
+			fmt.Fprintf(&b, "insert %s under %d at %d: %s\n", xid.AppendOf(nil, o.Subtree), o.Parent, o.Pos, clip(o.Subtree.String()))
+		case KindDelete:
+			fmt.Fprintf(&b, "delete %s under %d at %d\n", xid.AppendOf(nil, o.Subtree), o.Parent, o.Pos)
+		case KindUpdate:
 			fmt.Fprintf(&b, "update %d: %q -> %q\n", o.XID, clip(o.Old), clip(o.New))
-		case Move:
-			fmt.Fprintf(&b, "move %d: %d[%d] -> %d[%d]\n", o.XID, o.FromParent, o.FromPos, o.ToParent, o.ToPos)
-		case InsertAttr:
-			fmt.Fprintf(&b, "insert-attr %d %s=%q\n", o.XID, o.Name, o.Value)
-		case DeleteAttr:
+		case KindMove:
+			fmt.Fprintf(&b, "move %d: %d[%d] -> %d[%d]\n", o.XID, o.Parent, o.Pos, o.ToParent, o.ToPos)
+		case KindInsertAttr:
+			fmt.Fprintf(&b, "insert-attr %d %s=%q\n", o.XID, o.Name, o.New)
+		case KindDeleteAttr:
 			fmt.Fprintf(&b, "delete-attr %d %s (was %q)\n", o.XID, o.Name, o.Old)
-		case UpdateAttr:
+		case KindUpdateAttr:
 			fmt.Fprintf(&b, "update-attr %d %s: %q -> %q\n", o.XID, o.Name, o.Old, o.New)
 		}
 	}

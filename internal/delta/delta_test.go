@@ -56,10 +56,10 @@ func paperDelta(t *testing.T) *Delta {
 	}
 	insMap, _ := xid.ParseMap("(17-21)")
 	d := &Delta{Ops: []Op{
-		Delete{XID: 7, XIDMap: delMap, Parent: 8, Pos: 0, Subtree: delSub.Root()},
-		Insert{XID: 21, XIDMap: insMap, Parent: 14, Pos: 0, Subtree: insSub.Root()},
-		Move{XID: 13, FromParent: 14, FromPos: 0, ToParent: 8, ToPos: 0},
-		Update{XID: 11, Old: "$799", New: "$699"},
+		{Kind: KindDelete, XID: 7, Parent: 8, Pos: 0, Subtree: withMap(delSub.Root(), delMap)},
+		{Kind: KindInsert, XID: 21, Parent: 14, Pos: 0, Subtree: withMap(insSub.Root(), insMap)},
+		{Kind: KindMove, XID: 13, Parent: 14, Pos: 0, ToParent: 8, ToPos: 0},
+		{Kind: KindUpdate, XID: 11, Old: "$799", New: "$699"},
 	}, NextXID: 22}
 	return d.Normalize()
 }
@@ -178,7 +178,7 @@ func TestDeltaSizeAndCounts(t *testing.T) {
 	if !empty.Empty() || !(&Delta{}).Empty() {
 		t.Error("Empty misbehaves")
 	}
-	if (&Delta{Ops: []Op{Update{}}}).Empty() {
+	if (&Delta{Ops: []Op{{Kind: KindUpdate}}}).Empty() {
 		t.Error("non-empty delta reported empty")
 	}
 }
@@ -187,9 +187,9 @@ func TestAttributeOps(t *testing.T) {
 	doc, _ := dom.ParseString(`<a x="1"><b y="2"/></a>`)
 	xid.Assign(doc) // b=1 a=2 doc=3
 	d := &Delta{Ops: []Op{
-		InsertAttr{XID: 1, Name: "z", Value: "3"},
-		UpdateAttr{XID: 1, Name: "y", Old: "2", New: "22"},
-		DeleteAttr{XID: 2, Name: "x", Old: "1"},
+		{Kind: KindInsertAttr, XID: 1, Name: "z", New: "3"},
+		{Kind: KindUpdateAttr, XID: 1, Name: "y", Old: "2", New: "22"},
+		{Kind: KindDeleteAttr, XID: 2, Name: "x", Old: "1"},
 	}}
 	original := doc.Clone()
 	if err := Apply(doc, d); err != nil {
@@ -219,8 +219,8 @@ func TestMoveIntoInsertedSubtree(t *testing.T) {
 	wrap, _ := dom.ParseString(`<wrap/>`)
 	m, _ := xid.ParseMap("(5)")
 	d := &Delta{Ops: []Op{
-		Insert{XID: 5, XIDMap: m, Parent: 3, Pos: 1, Subtree: wrap.Root()},
-		Move{XID: 2, FromParent: 3, FromPos: 1, ToParent: 5, ToPos: 0},
+		{Kind: KindInsert, XID: 5, Parent: 3, Pos: 1, Subtree: withMap(wrap.Root(), m)},
+		{Kind: KindMove, XID: 2, Parent: 3, Pos: 1, ToParent: 5, ToPos: 0},
 	}}
 	if err := Apply(doc, d); err != nil {
 		t.Fatal(err)
@@ -246,8 +246,8 @@ func TestMoveOutOfDeletedSubtree(t *testing.T) {
 	prunedDel, _ := dom.ParseString(`<del/>`)
 	m, _ := xid.ParseMap("(2)")
 	d := &Delta{Ops: []Op{
-		Move{XID: 1, FromParent: 2, FromPos: 0, ToParent: 4, ToPos: 0},
-		Delete{XID: 2, XIDMap: m, Parent: 4, Pos: 0, Subtree: prunedDel.Root()},
+		{Kind: KindMove, XID: 1, Parent: 2, Pos: 0, ToParent: 4, ToPos: 0},
+		{Kind: KindDelete, XID: 2, Parent: 4, Pos: 0, Subtree: withMap(prunedDel.Root(), m)},
 	}}
 	if err := Apply(doc, d); err != nil {
 		t.Fatal(err)
@@ -270,7 +270,7 @@ func TestWithinParentPermutationMoves(t *testing.T) {
 	xid.Assign(doc) // a=1 b=2 c=3 d=4 r=5
 	// New order: b c d a — one move suffices (a to the end).
 	d := &Delta{Ops: []Op{
-		Move{XID: 1, FromParent: 5, FromPos: 0, ToParent: 5, ToPos: 3},
+		{Kind: KindMove, XID: 1, Parent: 5, Pos: 0, ToParent: 5, ToPos: 3},
 	}}
 	if err := Apply(doc, d); err != nil {
 		t.Fatal(err)
@@ -288,30 +288,30 @@ func TestApplyErrors(t *testing.T) {
 		name string
 		d    *Delta
 	}{
-		{"update missing node", &Delta{Ops: []Op{Update{XID: 99, Old: "a", New: "b"}}}},
-		{"update wrong old", &Delta{Ops: []Op{Update{XID: 1, Old: "WRONG", New: "b"}}}},
-		{"move missing node", &Delta{Ops: []Op{Move{XID: 99}}}},
-		{"move wrong parent", &Delta{Ops: []Op{Move{XID: 2, FromParent: 99, ToParent: 16, ToPos: 0}}}},
-		{"delete missing node", &Delta{Ops: []Op{Delete{XID: 99, Parent: 8, Subtree: sub.Root()}}}},
-		{"delete wrong parent", &Delta{Ops: []Op{Delete{XID: 7, Parent: 99, Subtree: sub.Root()}}}},
-		{"delete wrong content", &Delta{Ops: []Op{Delete{XID: 7, Parent: 8, Pos: 0, Subtree: sub.Root()}}}},
-		{"insert unknown parent", &Delta{Ops: []Op{Insert{XID: 9, XIDMap: m1, Parent: 999, Pos: 0, Subtree: sub.Root()}}}},
-		{"insert bad position", &Delta{Ops: []Op{Insert{XID: 9, XIDMap: m1, Parent: 8, Pos: 5, Subtree: sub.Root()}}}},
-		{"insert nil subtree", &Delta{Ops: []Op{Insert{XID: 9, XIDMap: m1, Parent: 8, Pos: 0}}}},
-		{"attr insert dup", &Delta{Ops: []Op{InsertAttr{XID: 15, Name: "x"}, InsertAttr{XID: 15, Name: "x"}}}},
-		{"attr delete missing", &Delta{Ops: []Op{DeleteAttr{XID: 15, Name: "nope"}}}},
-		{"attr update missing", &Delta{Ops: []Op{UpdateAttr{XID: 15, Name: "nope"}}}},
+		{"update missing node", &Delta{Ops: []Op{{Kind: KindUpdate, XID: 99, Old: "a", New: "b"}}}},
+		{"update wrong old", &Delta{Ops: []Op{{Kind: KindUpdate, XID: 1, Old: "WRONG", New: "b"}}}},
+		{"move missing node", &Delta{Ops: []Op{{Kind: KindMove, XID: 99}}}},
+		{"move wrong parent", &Delta{Ops: []Op{{Kind: KindMove, XID: 2, Parent: 99, ToParent: 16, ToPos: 0}}}},
+		{"delete missing node", &Delta{Ops: []Op{{Kind: KindDelete, XID: 99, Parent: 8, Subtree: sub.Root()}}}},
+		{"delete wrong parent", &Delta{Ops: []Op{{Kind: KindDelete, XID: 7, Parent: 99, Subtree: sub.Root()}}}},
+		{"delete wrong content", &Delta{Ops: []Op{{Kind: KindDelete, XID: 7, Parent: 8, Pos: 0, Subtree: sub.Root()}}}},
+		{"insert unknown parent", &Delta{Ops: []Op{{Kind: KindInsert, XID: 9, Parent: 999, Pos: 0, Subtree: withMap(sub.Root(), m1)}}}},
+		{"insert bad position", &Delta{Ops: []Op{{Kind: KindInsert, XID: 9, Parent: 8, Pos: 5, Subtree: withMap(sub.Root(), m1)}}}},
+		{"insert nil subtree", &Delta{Ops: []Op{{Kind: KindInsert, XID: 9, Parent: 8, Pos: 0}}}},
+		{"attr insert dup", &Delta{Ops: []Op{{Kind: KindInsertAttr, XID: 15, Name: "x"}, {Kind: KindInsertAttr, XID: 15, Name: "x"}}}},
+		{"attr delete missing", &Delta{Ops: []Op{{Kind: KindDeleteAttr, XID: 15, Name: "nope"}}}},
+		{"attr update missing", &Delta{Ops: []Op{{Kind: KindUpdateAttr, XID: 15, Name: "nope"}}}},
 		// XIDs outside the table's pages: zero, negative, far beyond
 		// the document.
-		{"update XID 0", &Delta{Ops: []Op{Update{XID: 0, Old: "a", New: "b"}}}},
-		{"move XID 0", &Delta{Ops: []Op{Move{XID: 0, FromParent: 16, ToParent: 16}}}},
-		{"insert under XID 0", &Delta{Ops: []Op{Insert{XID: 9, XIDMap: m1, Parent: 0, Pos: 0, Subtree: sub.Root()}}}},
-		{"update negative XID", &Delta{Ops: []Op{Update{XID: -1, Old: "a", New: "b"}}}},
-		{"delete negative XID", &Delta{Ops: []Op{Delete{XID: -7, Parent: 8, Subtree: sub.Root()}}}},
-		{"insert under negative XID", &Delta{Ops: []Op{Insert{XID: 9, XIDMap: m1, Parent: -8, Pos: 0, Subtree: sub.Root()}}}},
-		{"attr insert XID 1<<62", &Delta{Ops: []Op{InsertAttr{XID: 1 << 62, Name: "x"}}}},
-		{"move under XID 1<<62", &Delta{Ops: []Op{Move{XID: 2, FromParent: 3, ToParent: 1 << 62}}}},
-		{"insert under XID 1<<62", &Delta{Ops: []Op{Insert{XID: 9, XIDMap: m1, Parent: 1 << 62, Pos: 0, Subtree: sub.Root()}}}},
+		{"update XID 0", &Delta{Ops: []Op{{Kind: KindUpdate, XID: 0, Old: "a", New: "b"}}}},
+		{"move XID 0", &Delta{Ops: []Op{{Kind: KindMove, XID: 0, Parent: 16, ToParent: 16}}}},
+		{"insert under XID 0", &Delta{Ops: []Op{{Kind: KindInsert, XID: 9, Parent: 0, Pos: 0, Subtree: withMap(sub.Root(), m1)}}}},
+		{"update negative XID", &Delta{Ops: []Op{{Kind: KindUpdate, XID: -1, Old: "a", New: "b"}}}},
+		{"delete negative XID", &Delta{Ops: []Op{{Kind: KindDelete, XID: -7, Parent: 8, Subtree: sub.Root()}}}},
+		{"insert under negative XID", &Delta{Ops: []Op{{Kind: KindInsert, XID: 9, Parent: -8, Pos: 0, Subtree: withMap(sub.Root(), m1)}}}},
+		{"attr insert XID 1<<62", &Delta{Ops: []Op{{Kind: KindInsertAttr, XID: 1 << 62, Name: "x"}}}},
+		{"move under XID 1<<62", &Delta{Ops: []Op{{Kind: KindMove, XID: 2, Parent: 3, ToParent: 1 << 62}}}},
+		{"insert under XID 1<<62", &Delta{Ops: []Op{{Kind: KindInsert, XID: 9, Parent: 1 << 62, Pos: 0, Subtree: withMap(sub.Root(), m1)}}}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -341,10 +341,10 @@ func TestApplyFarXIDs(t *testing.T) {
 			leaf.XID = far
 			m1 := xid.Of(leaf)
 			return &Delta{Ops: []Op{
-				Insert{XID: 30, XIDMap: xid.Of(inner.Root()), Parent: far, Pos: 0, Subtree: inner.Root().Clone()},
-				Insert{XID: far, XIDMap: m1, Parent: 15, Pos: 0, Subtree: outer.Root().Clone()},
-				Move{XID: 2, FromParent: 15, FromPos: 0, ToParent: far, ToPos: 1},
-				Update{XID: 11, Old: "$799", New: "$1"},
+				{Kind: KindInsert, XID: 30, Parent: far, Pos: 0, Subtree: withMap(inner.Root().Clone(), xid.Of(inner.Root()))},
+				{Kind: KindInsert, XID: far, Parent: 15, Pos: 0, Subtree: withMap(outer.Root().Clone(), m1)},
+				{Kind: KindMove, XID: 2, Parent: 15, Pos: 0, ToParent: far, ToPos: 1},
+				{Kind: KindUpdate, XID: 11, Old: "$799", New: "$1"},
 			}}
 		}
 		inner.Root().XID = 30
@@ -375,7 +375,7 @@ func sameWithXIDs(a, b *dom.Node) bool {
 func TestUpdateTextNodeValue(t *testing.T) {
 	// XID 1 is the Title text node "Digital Cameras".
 	doc := buildCatalog(t)
-	d := &Delta{Ops: []Op{Update{XID: 1, Old: "Digital Cameras", New: "Analog Cameras"}}}
+	d := &Delta{Ops: []Op{{Kind: KindUpdate, XID: 1, Old: "Digital Cameras", New: "Analog Cameras"}}}
 	if err := Apply(doc, d); err != nil {
 		t.Fatal(err)
 	}
@@ -384,25 +384,86 @@ func TestUpdateTextNodeValue(t *testing.T) {
 	}
 }
 
+// TestValidate: the checks an xidmap gets where it lives now, at
+// decode. A map as long as its subtree and ending at the op's XID is
+// stamped onto it; one too short, or with another root, is refused.
 func TestValidate(t *testing.T) {
-	sub, _ := dom.ParseString(`<x><y/></x>`)
-	good, _ := xid.ParseMap("(4;7)")
-	if err := validate(&Delta{Ops: []Op{Insert{XID: 7, XIDMap: good, Parent: 1, Pos: 0, Subtree: sub.Root()}}}); err != nil {
-		t.Errorf("valid delta rejected: %v", err)
+	op := func(xidmap string) string {
+		return `<delta><insert parent="1" pos="1" xid="7" xidmap="` + xidmap + `"><x><y/></x></insert></delta>`
 	}
-	short, _ := xid.ParseMap("(7)")
-	if err := validate(&Delta{Ops: []Op{Insert{XID: 7, XIDMap: short, Parent: 1, Pos: 0, Subtree: sub.Root()}}}); err == nil {
+	d, err := ParseString(op("(4;7)"))
+	if err != nil {
+		t.Fatalf("valid delta rejected: %v", err)
+	}
+	if sub := d.Ops[0].Subtree; sub.XID != 7 || sub.Children[0].XID != 4 {
+		t.Errorf("decoded subtree carries XIDs %d and %d, want 7 and 4", sub.XID, sub.Children[0].XID)
+	}
+	if _, err := ParseString(op("(7)")); err == nil {
 		t.Error("short xidmap accepted")
 	}
-	wrongRoot, _ := xid.ParseMap("(7;9)")
-	if err := validate(&Delta{Ops: []Op{Insert{XID: 7, XIDMap: wrongRoot, Parent: 1, Pos: 0, Subtree: sub.Root()}}}); err == nil {
+	if _, err := ParseString(op("(7;9)")); err == nil {
 		t.Error("wrong-root xidmap accepted")
 	}
-	if err := validate(&Delta{Ops: []Op{Move{XID: 1, FromPos: -1}}}); err == nil {
-		t.Error("negative position accepted")
+	if _, err := ParseString(`<delta><move from-parent="1" from-pos="0" to-parent="1" to-pos="1" xid="2"/></delta>`); err == nil {
+		t.Error("position 0 accepted")
 	}
-	if err := validate(&Delta{Ops: []Op{Delete{XID: 1, XIDMap: short, Pos: 0}}}); err == nil {
-		t.Error("nil subtree accepted")
+	if _, err := ParseString(`<delta><delete parent="1" pos="1" xid="1" xidmap="(1)"/></delta>`); err == nil {
+		t.Error("delete without its subtree accepted")
+	}
+}
+
+// TestInsertNeedsItsXIDs: a hand-built insert carries its XIDs on its
+// subtree's nodes. One whose subtree holds a node without an XID, or an
+// XID twice, or one the document already has, fails Apply and Replay,
+// forward and backward, with an error naming the op, and attaches
+// nothing — the map-indexed engine agrees word for word.
+func TestInsertNeedsItsXIDs(t *testing.T) {
+	sub := func(xids ...int64) *dom.Node {
+		x := dom.NewElement("x")
+		y := dom.NewElement("y")
+		x.Append(y)
+		y.XID, x.XID = xids[0], xids[1]
+		return x
+	}
+	for _, c := range []struct {
+		name string
+		sub  *dom.Node
+		want string
+	}{
+		{"node without an XID", sub(0, 30), "delta: insert 30: a element node without an XID"},
+		{"XID repeated", sub(30, 30), "delta: insert 30: XID 30 repeated"},
+		{"XID the document has", sub(7, 30), "delta: insert 30: XID 7 repeated"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ins := Op{Kind: KindInsert, XID: 30, Parent: 14, Pos: 0, Subtree: c.sub}
+			ok := Op{Kind: KindInsert, XID: 41, Parent: 8, Pos: 0, Subtree: sub(40, 41)}
+			d := &Delta{Ops: []Op{ok, ins}}
+			inv := mustInvert(t, d)
+			for _, step := range []struct {
+				how string
+				run func(doc *dom.Node) error
+				ref func(doc *dom.Node) error
+			}{
+				{"Apply", func(doc *dom.Node) error { return Apply(doc, d) }, func(doc *dom.Node) error { return ApplyReference(doc, d) }},
+				{"Replay.Forward", func(doc *dom.Node) error { return NewReplay(doc).Forward(d) },
+					func(doc *dom.Node) error { return ReplayReference(doc, []*Delta{d}, false) }},
+				{"Replay.Backward", func(doc *dom.Node) error { return NewReplay(doc).Backward(inv) },
+					func(doc *dom.Node) error { return ReplayReference(doc, []*Delta{inv}, true) }},
+			} {
+				doc := buildCatalog(t)
+				before := doc.String()
+				err := step.run(doc)
+				if err == nil || err.Error() != c.want {
+					t.Fatalf("%s: %v, want %q", step.how, err, c.want)
+				}
+				if doc.String() != before {
+					t.Errorf("%s attached something before failing:\n%s", step.how, doc)
+				}
+				if refErr := step.ref(buildCatalog(t)); refErr == nil || refErr.Error() != err.Error() {
+					t.Errorf("%s: %v\nthe map-indexed engine: %v", step.how, err, refErr)
+				}
+			}
+		})
 	}
 }
 
@@ -442,7 +503,7 @@ func TestParseEmptyDelta(t *testing.T) {
 func TestUpdateWithEmptyAndWhitespaceValues(t *testing.T) {
 	doc, _ := dom.ParseString(`<a>x</a>`)
 	xid.Assign(doc) // text=1 a=2 doc=3
-	d := &Delta{Ops: []Op{Update{XID: 1, Old: "x", New: " "}}}
+	d := &Delta{Ops: []Op{{Kind: KindUpdate, XID: 1, Old: "x", New: " "}}}
 	text, _ := d.MarshalText()
 	d2, err := ParseString(string(text))
 	if err != nil {
@@ -455,7 +516,7 @@ func TestUpdateWithEmptyAndWhitespaceValues(t *testing.T) {
 		t.Errorf("whitespace value lost through XML: %q", got)
 	}
 	// And empty string new value.
-	d3 := &Delta{Ops: []Op{Update{XID: 1, Old: " ", New: ""}}}
+	d3 := &Delta{Ops: []Op{{Kind: KindUpdate, XID: 1, Old: " ", New: ""}}}
 	text3, _ := d3.MarshalText()
 	d4, err := ParseString(string(text3))
 	if err != nil {
@@ -486,8 +547,8 @@ func TestKindString(t *testing.T) {
 
 func TestOpTargetXIDs(t *testing.T) {
 	for _, d := range paperDelta(t).Ops {
-		if d.TargetXID() == 0 {
-			t.Errorf("op %v has zero target XID", d.Kind())
+		if d.XID == 0 {
+			t.Errorf("op %v has zero target XID", d.Kind)
 		}
 	}
 }
@@ -510,22 +571,15 @@ func TestParseDetachesSubtrees(t *testing.T) {
 	}
 	subtrees := 0
 	for i, op := range d.Ops {
-		var sub *dom.Node
-		var m xid.Map
-		switch op := op.(type) {
-		case Insert:
-			sub, m = op.Subtree, op.XIDMap
-		case Delete:
-			sub, m = op.Subtree, op.XIDMap
-		default:
+		if op.Kind != KindInsert && op.Kind != KindDelete {
 			continue
 		}
 		subtrees++
-		if sub.Parent != nil {
-			t.Errorf("op %d (%v): subtree has a parent", i, op.Kind())
+		if op.Subtree.Parent != nil {
+			t.Errorf("op %d (%v): subtree has a parent", i, op.Kind)
 		}
-		if got := xid.Of(sub).String(); got != m.String() {
-			t.Errorf("op %d (%v): subtree XIDs %s, map %s", i, op.Kind(), got, m)
+		if got := string(xid.AppendOf(nil, op.Subtree)); !strings.Contains(string(raw), `xid="`+strconv.FormatInt(op.XID, 10)+`" xidmap="`+got+`"`) {
+			t.Errorf("op %d (%v): subtree XIDs %s are not its xidmap", i, op.Kind, got)
 		}
 	}
 	if len(d.Ops) != 4 || subtrees != 4 {
@@ -551,8 +605,8 @@ func TestParseDetachesSubtrees(t *testing.T) {
 	delMap, _ := xid.ParseMap("(1-201)")
 	insMap, _ := xid.ParseMap("(301-501)")
 	big := &Delta{Ops: []Op{
-		Delete{XID: 201, XIDMap: delMap, Parent: 202, Pos: 0, Subtree: subtree()},
-		Insert{XID: 501, XIDMap: insMap, Parent: 202, Pos: 0, Subtree: subtree()},
+		{Kind: KindDelete, XID: 201, Parent: 202, Pos: 0, Subtree: withMap(subtree(), delMap)},
+		{Kind: KindInsert, XID: 501, Parent: 202, Pos: 0, Subtree: withMap(subtree(), insMap)},
 	}, NextXID: 502}
 	text, err := big.MarshalText()
 	if err != nil {
@@ -590,11 +644,11 @@ func sortReference(d *Delta) {
 		}
 	}
 	sort.SliceStable(d.Ops, func(i, j int) bool {
-		ri, rj := rank(d.Ops[i].Kind()), rank(d.Ops[j].Kind())
+		ri, rj := rank(d.Ops[i].Kind), rank(d.Ops[j].Kind)
 		if ri != rj {
 			return ri < rj
 		}
-		return d.Ops[i].TargetXID() < d.Ops[j].TargetXID()
+		return d.Ops[i].XID < d.Ops[j].XID
 	})
 }
 
@@ -609,9 +663,9 @@ func TestSortMatchesReference(t *testing.T) {
 		for i, n := 0, r.Intn(40); i < n; i++ {
 			x, serial := int64(r.Intn(4)), strconv.Itoa(i)
 			ops = append(ops, []Op{
-				Insert{XID: x, Pos: i}, Delete{XID: x, Pos: i}, Update{XID: x, Old: serial},
-				Move{XID: x, FromPos: i}, InsertAttr{XID: x, Name: serial},
-				DeleteAttr{XID: x, Name: serial}, UpdateAttr{XID: x, Name: serial},
+				{Kind: KindInsert, XID: x, Pos: int32(i)}, {Kind: KindDelete, XID: x, Pos: int32(i)}, {Kind: KindUpdate, XID: x, Old: serial},
+				{Kind: KindMove, XID: x, Pos: int32(i)}, {Kind: KindInsertAttr, XID: x, Name: serial},
+				{Kind: KindDeleteAttr, XID: x, Name: serial}, {Kind: KindUpdateAttr, XID: x, Name: serial},
 			}[r.Intn(7)])
 		}
 		got, want := &Delta{Ops: slices.Clone(ops)}, &Delta{Ops: slices.Clone(ops)}
@@ -646,17 +700,17 @@ func TestReplayMatchesApply(t *testing.T) {
 		{func() *dom.Node { return buildCatalog(t) }, func() *Delta { return paperDelta(t) }},
 		{parse(`<a x="1"><b y="2"/></a>`), func() *Delta {
 			return &Delta{Ops: []Op{
-				InsertAttr{XID: 1, Name: "z", Value: "3"},
-				UpdateAttr{XID: 1, Name: "y", Old: "2", New: "22"},
-				DeleteAttr{XID: 2, Name: "x", Old: "1"},
+				{Kind: KindInsertAttr, XID: 1, Name: "z", New: "3"},
+				{Kind: KindUpdateAttr, XID: 1, Name: "y", Old: "2", New: "22"},
+				{Kind: KindDeleteAttr, XID: 2, Name: "x", Old: "1"},
 			}}
 		}},
 		{parse(`<r><keep/><mv/></r>`), func() *Delta {
 			wrap, _ := dom.ParseString(`<wrap/>`)
 			m, _ := xid.ParseMap("(5)")
 			return &Delta{Ops: []Op{
-				Insert{XID: 5, XIDMap: m, Parent: 3, Pos: 1, Subtree: wrap.Root()},
-				Move{XID: 2, FromParent: 3, FromPos: 1, ToParent: 5, ToPos: 0},
+				{Kind: KindInsert, XID: 5, Parent: 3, Pos: 1, Subtree: withMap(wrap.Root(), m)},
+				{Kind: KindMove, XID: 2, Parent: 3, Pos: 1, ToParent: 5, ToPos: 0},
 			}}
 		}},
 	}
@@ -685,9 +739,9 @@ func TestReplayMatchesApply(t *testing.T) {
 	}
 	sub, _ := dom.ParseString(`<x/>`)
 	for _, d := range []*Delta{
-		{Ops: []Op{Update{XID: 1, Old: "WRONG", New: "b"}}},
-		{Ops: []Op{Delete{XID: 7, Parent: 8, Pos: 0, Subtree: sub.Root()}}},
-		{Ops: []Op{Move{XID: 2, FromParent: 99, ToParent: 16, ToPos: 0}}},
+		{Ops: []Op{{Kind: KindUpdate, XID: 1, Old: "WRONG", New: "b"}}},
+		{Ops: []Op{{Kind: KindDelete, XID: 7, Parent: 8, Pos: 0, Subtree: sub.Root()}}},
+		{Ops: []Op{{Kind: KindMove, XID: 2, Parent: 99, ToParent: 16, ToPos: 0}}},
 	} {
 		if err := NewReplay(buildCatalog(t)).Forward(d); err == nil {
 			t.Errorf("Forward(%v) succeeded where Apply fails", d.Ops)
@@ -708,4 +762,13 @@ func TestParseRefusesAnXIDMapLongerThanItsSubtree(t *testing.T) {
 			t.Errorf("xidmap %s accepted for one node", m)
 		}
 	}
+}
+
+// withMap stamps the XID map m onto sub in post-order, as decoding an
+// insert or a delete does, and returns sub.
+func withMap(sub *dom.Node, m xid.Map) *dom.Node {
+	if err := m.ApplyTo(sub); err != nil {
+		panic(err)
+	}
+	return sub
 }

@@ -3,9 +3,9 @@ package deltatest
 
 import (
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"xydiff/internal/delta"
 	"xydiff/internal/dom"
@@ -15,41 +15,35 @@ import (
 // that a test can tell whether anything still keeps them reachable
 // after the delta itself is dropped.
 type Subtrees struct {
-	watched int64
-	freed   atomic.Int64
+	roots []weak.Pointer[dom.Node]
 }
 
 // WatchSubtrees starts watching d's insert and delete subtrees. d must
-// have at least one of each, and each subtree root must have an
-// attribute, or t fails. The watch is a finalizer on the root's
-// attribute array, not on the root: a subtree's nodes form cycles
-// through their parent links, and the runtime runs no finalizer on an
-// object in a cycle. The array is the root's alone (the delta builder
-// copies it) and points at nothing, so it is collected exactly when the
-// root is.
+// have at least one of each, or t fails. The watch is a weak pointer to
+// each subtree root: it also sees a root that sits inside a slab the
+// delta's subtrees share, and a subtree whose nodes form cycles through
+// their parent links, where a finalizer would not run.
 func WatchSubtrees(t testing.TB, d *delta.Delta) *Subtrees {
 	t.Helper()
 	w := &Subtrees{}
-	var ins, del int64
-	for _, op := range d.Ops {
-		var sub *dom.Node
-		switch o := op.(type) {
-		case delta.Insert:
-			sub, ins = o.Subtree, ins+1
-		case delta.Delete:
-			sub, del = o.Subtree, del+1
+	var ins, del int
+	for i, op := range d.Ops {
+		switch op.Kind {
+		case delta.KindInsert:
+			ins++
+		case delta.KindDelete:
+			del++
 		default:
 			continue
 		}
-		if sub == nil || len(sub.Attrs) == 0 {
-			t.Fatalf("op %v: give every inserted and deleted subtree root an attribute to watch", op)
+		if op.Subtree == nil {
+			t.Fatalf("op %d: an insert or delete without its subtree", i)
 		}
-		runtime.SetFinalizer(&sub.Attrs[0], func(*dom.Attr) { w.freed.Add(1) })
+		w.roots = append(w.roots, weak.Make(op.Subtree))
 	}
 	if ins == 0 || del == 0 {
 		t.Fatalf("the delta has %d inserts and %d deletes, want both", ins, del)
 	}
-	w.watched = ins + del
 	return w
 }
 
@@ -57,9 +51,23 @@ func WatchSubtrees(t testing.TB, d *delta.Delta) *Subtrees {
 // collected, or for at most about 100 ms, and returns how many were
 // collected and how many are watched.
 func (w *Subtrees) Collected() (freed, watched int64) {
-	for i := 0; i < 20 && w.freed.Load() < w.watched; i++ {
+	for i := 0; i < 20; i++ {
 		runtime.GC()
+		if freed = w.freed(); freed == int64(len(w.roots)) {
+			break
+		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	return w.freed.Load(), w.watched
+	return freed, int64(len(w.roots))
+}
+
+// freed counts the watched roots the collector has reclaimed.
+func (w *Subtrees) freed() int64 {
+	n := int64(0)
+	for _, r := range w.roots {
+		if r.Value() == nil {
+			n++
+		}
+	}
+	return n
 }

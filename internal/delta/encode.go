@@ -12,7 +12,7 @@ import (
 // WriteTo serializes the delta as XML, operation by operation, straight
 // from the ops: the bytes are those of ToDoc().WriteTo without the
 // intermediate document (which clones every inserted and deleted
-// subtree). It errors, before writing anything, on an operation type
+// subtree). It errors, before writing anything, on an operation kind
 // the package does not know.
 func (d *Delta) WriteTo(w io.Writer) (int64, error) {
 	if err := d.checkOps(); err != nil {
@@ -21,13 +21,11 @@ func (d *Delta) WriteTo(w io.Writer) (int64, error) {
 	return dom.EncodeTo(w, d.encode)
 }
 
-// checkOps refuses an operation type the package does not know.
+// checkOps refuses an operation kind the package does not know.
 func (d *Delta) checkOps() error {
-	for _, op := range d.Ops {
-		switch op.(type) {
-		case Insert, Delete, Update, Move, InsertAttr, DeleteAttr, UpdateAttr:
-		default:
-			return fmt.Errorf("delta: serialize: unknown op type %T", op)
+	for i := range d.Ops {
+		if k := d.Ops[i].Kind; !knownKind(k) {
+			return fmt.Errorf("delta: serialize: unknown op kind %d", uint8(k))
 		}
 	}
 	return nil
@@ -41,8 +39,8 @@ func (d *Delta) encode(e *dom.Encoder) {
 		e.AttrInt("nextxid", d.NextXID)
 	}
 	e.EndTag(len(d.Ops) == 0)
-	for _, op := range d.Ops {
-		encodeOp(e, op)
+	for i := range d.Ops {
+		encodeOp(e, &d.Ops[i])
 	}
 	if len(d.Ops) > 0 {
 		e.EndElement("delta")
@@ -51,40 +49,38 @@ func (d *Delta) encode(e *dom.Encoder) {
 
 // encodeOp writes one operation element. Attributes are written sorted
 // by name, the order the canonical serializer gives opToElement's.
-func encodeOp(e *dom.Encoder, op Op) {
-	switch o := op.(type) {
-	case Insert:
-		encodeSubtreeOp(e, "insert", o.XID, o.XIDMap, o.Parent, o.Pos, o.Subtree)
-	case Delete:
-		encodeSubtreeOp(e, "delete", o.XID, o.XIDMap, o.Parent, o.Pos, o.Subtree)
-	case Update:
+func encodeOp(e *dom.Encoder, o *Op) {
+	switch o.Kind {
+	case KindInsert, KindDelete:
+		encodeSubtreeOp(e, o)
+	case KindUpdate:
 		e.StartTag("update")
 		e.AttrInt("xid", o.XID)
 		e.EndTag(false)
 		encodeValue(e, "old", o.Old)
 		encodeValue(e, "new", o.New)
 		e.EndElement("update")
-	case Move:
+	case KindMove:
 		e.StartTag("move")
-		e.AttrInt("from-parent", o.FromParent)
-		e.AttrInt("from-pos", int64(o.FromPos)+1)
+		e.AttrInt("from-parent", o.Parent)
+		e.AttrInt("from-pos", int64(o.Pos)+1)
 		e.AttrInt("to-parent", o.ToParent)
 		e.AttrInt("to-pos", int64(o.ToPos)+1)
 		e.AttrInt("xid", o.XID)
 		e.EndTag(true)
-	case InsertAttr:
+	case KindInsertAttr:
 		e.StartTag("insert-attribute")
 		e.Attr("name", o.Name)
-		e.Attr("value", o.Value)
+		e.Attr("value", o.New)
 		e.AttrInt("xid", o.XID)
 		e.EndTag(true)
-	case DeleteAttr:
+	case KindDeleteAttr:
 		e.StartTag("delete-attribute")
 		e.Attr("name", o.Name)
 		e.Attr("old", o.Old)
 		e.AttrInt("xid", o.XID)
 		e.EndTag(true)
-	case UpdateAttr:
+	case KindUpdateAttr:
 		e.StartTag("update-attribute")
 		e.Attr("name", o.Name)
 		e.Attr("new", o.New)
@@ -94,18 +90,20 @@ func encodeOp(e *dom.Encoder, op Op) {
 	}
 }
 
-func encodeSubtreeOp(e *dom.Encoder, name string, x int64, m xid.Map, parent int64, pos int, sub *dom.Node) {
+// encodeSubtreeOp writes an insert or a delete. Its xidmap is its
+// subtree's XIDs, read off the nodes as it is written; the nodes' XIDs
+// need no stripping, since the serializer never writes them.
+func encodeSubtreeOp(e *dom.Encoder, o *Op) {
+	name := o.Kind.String()
 	var xidmap [64]byte // most maps fit; a longer one grows onto the heap
 	e.StartTag(name)
-	e.AttrInt("parent", parent)
-	e.AttrInt("pos", int64(pos)+1)
-	e.AttrInt("xid", x)
-	e.AttrRaw("xidmap", m.AppendTo(xidmap[:0]))
-	e.EndTag(sub == nil)
-	if sub != nil {
-		// XIDs need no stripping: the serializer never writes them,
-		// the op's xidmap attribute carries them.
-		e.Node(sub)
+	e.AttrInt("parent", o.Parent)
+	e.AttrInt("pos", int64(o.Pos)+1)
+	e.AttrInt("xid", o.XID)
+	e.AttrRaw("xidmap", xid.AppendOf(xidmap[:0], o.Subtree))
+	e.EndTag(o.Subtree == nil)
+	if o.Subtree != nil {
+		e.Node(o.Subtree)
 		e.EndElement(name)
 	}
 }

@@ -86,19 +86,19 @@ func TestEncoderIdenticalOnAwkwardOps(t *testing.T) {
 	deltas := []*Delta{
 		{},
 		{NextXID: 42},
-		{NextXID: -3, Ops: []Op{Move{XID: 1, FromParent: 2, FromPos: 0, ToParent: 3, ToPos: 9}}},
+		{NextXID: -3, Ops: []Op{{Kind: KindMove, XID: 1, Parent: 2, Pos: 0, ToParent: 3, ToPos: 9}}},
 		{Ops: []Op{
-			Insert{XID: sub.XID, XIDMap: xid.Of(sub), Parent: 1, Pos: 0, Subtree: sub},
-			Delete{XID: 7, Parent: 1, Pos: 3},
-			Insert{XID: 8, XIDMap: xidMap(8), Parent: 1, Pos: 1, Subtree: dom.NewText("")},
-			Delete{XID: 9, XIDMap: xidMap(9), Parent: 1, Pos: 2, Subtree: dom.NewText(hard)},
-			Insert{XID: 10, Parent: 0, Pos: -1, Subtree: dom.NewDocument()},
-			Update{XID: 2, Old: "", New: hard},
-			Update{XID: 3, Old: hard, New: ""},
-			Update{XID: 4},
-			InsertAttr{XID: 5, Name: "k", Value: hard},
-			DeleteAttr{XID: 5, Name: "ns:k", Old: hard},
-			UpdateAttr{XID: 6, Name: "k", Old: hard, New: ""},
+			{Kind: KindInsert, XID: sub.XID, Parent: 1, Pos: 0, Subtree: sub},
+			{Kind: KindDelete, XID: 7, Parent: 1, Pos: 3},
+			{Kind: KindInsert, XID: 8, Parent: 1, Pos: 1, Subtree: withMap(dom.NewText(""), xidMap(8))},
+			{Kind: KindDelete, XID: 9, Parent: 1, Pos: 2, Subtree: withMap(dom.NewText(hard), xidMap(9))},
+			{Kind: KindInsert, XID: 10, Parent: 0, Pos: -1, Subtree: dom.NewDocument()},
+			{Kind: KindUpdate, XID: 2, Old: "", New: hard},
+			{Kind: KindUpdate, XID: 3, Old: hard, New: ""},
+			{Kind: KindUpdate, XID: 4},
+			{Kind: KindInsertAttr, XID: 5, Name: "k", New: hard},
+			{Kind: KindDeleteAttr, XID: 5, Name: "ns:k", Old: hard},
+			{Kind: KindUpdateAttr, XID: 6, Name: "k", Old: hard, New: ""},
 		}},
 	}
 	for _, d := range deltas {
@@ -119,15 +119,10 @@ func xidMap(xs ...int64) xid.Map {
 	return xid.Of(root)
 }
 
-type foreignOp struct{}
-
-func (foreignOp) Kind() Kind       { return Kind(200) }
-func (foreignOp) TargetXID() int64 { return 1 }
-
-// An op type the package does not know is an error before the first
+// An op kind the package does not know is an error before the first
 // byte, as it was when the document was built first.
 func TestEncoderRejectsUnknownOpBeforeWriting(t *testing.T) {
-	d := &Delta{Ops: []Op{Update{XID: 1, Old: "a", New: "b"}, foreignOp{}}}
+	d := &Delta{Ops: []Op{{Kind: KindUpdate, XID: 1, Old: "a", New: "b"}, {Kind: Kind(200), XID: 1}}}
 	var b bytes.Buffer
 	n, err := d.WriteTo(&b)
 	if err == nil || n != 0 || b.Len() != 0 {
@@ -155,7 +150,7 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 func TestEncoderReportsWriteErrors(t *testing.T) {
 	big := dom.NewElement("e")
 	big.Append(dom.NewText(strings.Repeat("x", 20000)))
-	d := &Delta{Ops: []Op{Insert{XID: 2, XIDMap: xidMap(1, 2), Parent: 1, Subtree: big}}}
+	d := &Delta{Ops: []Op{{Kind: KindInsert, XID: 2, Parent: 1, Subtree: withMap(big, xidMap(1, 2))}}}
 	if _, err := d.WriteTo(&failingWriter{after: 5000}); !errors.Is(err, errSink) {
 		t.Fatalf("WriteTo into a failing writer: err = %v", err)
 	}

@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"xydiff/internal/dom"
-	"xydiff/internal/xid"
 )
 
 // Kind identifies the elementary operation an Op performs.
@@ -54,154 +53,75 @@ func (k Kind) String() string {
 	}
 }
 
-// Op is one elementary operation of a delta.
-type Op interface {
-	Kind() Kind
-	// TargetXID returns the persistent identifier of the node the
-	// operation is about (the subtree root for structural operations).
-	TargetXID() int64
-}
-
-// Insert adds a subtree as the Pos-th child (0-based) of the node
-// identified by Parent. Positions refer to the target document: after
-// the whole delta is applied, the subtree root sits at index Pos.
+// Op is one elementary operation of a delta: its Kind and the fields
+// that kind uses, every other field zero. Kinds share fields where they
+// mean the same thing:
 //
-// Subtree is the inserted content pruned of any node that arrives by a
-// Move operation; XIDMap lists the (fresh) XIDs of the content in
-// post-order, so XID == XIDMap.Root().
-type Insert struct {
-	XID     int64
-	XIDMap  xid.Map
-	Parent  int64
-	Pos     int
-	Subtree *dom.Node
-}
-
-// Kind implements Op.
-func (Insert) Kind() Kind { return KindInsert }
-
-// TargetXID implements Op.
-func (o Insert) TargetXID() int64 { return o.XID }
-
-// Delete removes the subtree rooted at XID, which sits at index Pos
-// (0-based, in the source document) under Parent. Subtree holds the
-// removed content pruned of any node that leaves by a Move operation,
-// making the delta completed and invertible.
-type Delete struct {
-	XID     int64
-	XIDMap  xid.Map
-	Parent  int64
-	Pos     int
-	Subtree *dom.Node
-}
-
-// Kind implements Op.
-func (Delete) Kind() Kind { return KindDelete }
-
-// TargetXID implements Op.
-func (o Delete) TargetXID() int64 { return o.XID }
-
-// Update replaces the value of the node identified by XID (character
-// data for text nodes, body for comments and processing instructions).
-type Update struct {
-	XID int64
-	Old string
-	New string
-}
-
-// Kind implements Op.
-func (Update) Kind() Kind { return KindUpdate }
-
-// TargetXID implements Op.
-func (o Update) TargetXID() int64 { return o.XID }
-
-// Move relocates the subtree rooted at XID from being the FromPos-th
-// child of FromParent (source-document coordinates) to being the
-// ToPos-th child of ToParent (target-document coordinates). Following
-// the paper, a move is much cheaper than delete+insert: the subtree
-// content never appears in the delta.
-type Move struct {
-	XID        int64
-	FromParent int64
-	FromPos    int
-	ToParent   int64
-	ToPos      int
-}
-
-// Kind implements Op.
-func (Move) Kind() Kind { return KindMove }
-
-// TargetXID implements Op.
-func (o Move) TargetXID() int64 { return o.XID }
-
-// InsertAttr adds an attribute to the element identified by XID.
+//	kind              XID         Parent, Pos    ToParent, ToPos  Subtree  Name  Old, New
+//	insert            root        target place   -                content  -     -
+//	delete            root        source place   -                content  -     -
+//	move              root        source place   target place     -        -     -
+//	update            node        -              -                -        -     both values
+//	insert-attribute  element     -              -                -        name  New
+//	delete-attribute  element     -              -                -        name  Old
+//	update-attribute  element     -              -                -        name  both values
+//
+// A place is the Pos-th child (0-based) of the node whose XID is
+// Parent: in the source document for a delete and a move's source, in
+// the target document for an insert and a move's target (after the
+// whole delta is applied, the subtree root sits at index Pos).
+//
+// An insert's or a delete's Subtree is its content pruned of any node
+// that arrives or leaves by a move, every node carrying its XID, the
+// root XID. A delete's content makes the delta completed and
+// invertible; so do the old values of updates and attribute ops. On the
+// wire the content's XIDs travel as the op's xidmap, the subtree's XIDs
+// in post-order (package xid); in memory they are on the nodes.
+//
 // Attributes are not nodes in this model (they have no XIDs and no
-// order); they are addressed by owner XID plus name.
-type InsertAttr struct {
-	XID   int64
-	Name  string
-	Value string
+// order): an attribute op names its owner element's XID and the
+// attribute's name. A move relocates a subtree whose content never
+// appears in the delta, which makes it much cheaper than a delete and
+// an insert, as the paper has it.
+//
+// Positions are int32, as in the diff's flattened trees: it keeps an
+// op at 96 bytes, where int positions would pad it to 104.
+type Op struct {
+	Kind       Kind
+	Pos, ToPos int32
+	XID        int64
+	Parent     int64
+	ToParent   int64
+	Subtree    *dom.Node
+	Name       string
+	Old, New   string
 }
 
-// Kind implements Op.
-func (InsertAttr) Kind() Kind { return KindInsertAttr }
+// knownKind reports whether k is one of the seven operation kinds.
+func knownKind(k Kind) bool { return k <= KindUpdateAttr }
 
-// TargetXID implements Op.
-func (o InsertAttr) TargetXID() int64 { return o.XID }
-
-// DeleteAttr removes an attribute; Old records the removed value so the
-// operation is invertible.
-type DeleteAttr struct {
-	XID  int64
-	Name string
-	Old  string
-}
-
-// Kind implements Op.
-func (DeleteAttr) Kind() Kind { return KindDeleteAttr }
-
-// TargetXID implements Op.
-func (o DeleteAttr) TargetXID() int64 { return o.XID }
-
-// UpdateAttr changes an attribute's value.
-type UpdateAttr struct {
-	XID  int64
-	Name string
-	Old  string
-	New  string
-}
-
-// Kind implements Op.
-func (UpdateAttr) Kind() Kind { return KindUpdateAttr }
-
-// TargetXID implements Op.
-func (o UpdateAttr) TargetXID() int64 { return o.XID }
-
-// invert returns the op that undoes o. An op type this package does
-// not know (a foreign Op implementation, or a corrupt in-memory delta)
-// is an error, not a panic: deltas flow in from untrusted storage and
-// the network, and the daemon must never die on one.
-func invert(o Op) (Op, error) {
-	switch op := o.(type) {
-	case Insert:
-		return Delete(op), nil
-	case Delete:
-		return Insert(op), nil
-	case Update:
-		return Update{XID: op.XID, Old: op.New, New: op.Old}, nil
-	case Move:
-		return Move{
-			XID:        op.XID,
-			FromParent: op.ToParent, FromPos: op.ToPos,
-			ToParent: op.FromParent, ToPos: op.FromPos,
-		}, nil
-	case InsertAttr:
-		return DeleteAttr{XID: op.XID, Name: op.Name, Old: op.Value}, nil
-	case DeleteAttr:
-		return InsertAttr{XID: op.XID, Name: op.Name, Value: op.Old}, nil
-	case UpdateAttr:
-		return UpdateAttr{XID: op.XID, Name: op.Name, Old: op.New, New: op.Old}, nil
+// inverse returns the op that undoes o: an insert and a delete swap
+// kinds, as do an attribute's insert and delete, a move swaps its
+// places, and every kind swaps its old and new values. A kind this
+// package does not know (a corrupt in-memory delta) is an error, not a
+// panic: deltas flow in from untrusted storage and the network, and
+// the daemon must never die on one.
+func (o Op) inverse() (Op, error) {
+	switch o.Kind {
+	case KindInsert:
+		o.Kind = KindDelete
+	case KindDelete:
+		o.Kind = KindInsert
+	case KindMove:
+		o.Parent, o.Pos, o.ToParent, o.ToPos = o.ToParent, o.ToPos, o.Parent, o.Pos
+	case KindInsertAttr:
+		o.Kind = KindDeleteAttr
+	case KindDeleteAttr:
+		o.Kind = KindInsertAttr
+	case KindUpdate, KindUpdateAttr:
 	default:
-		return nil, fmt.Errorf("delta: invert: unknown op type %T", o)
+		return Op{}, fmt.Errorf("delta: invert: unknown op kind %d", uint8(o.Kind))
 	}
+	o.Old, o.New = o.New, o.Old
+	return o, nil
 }

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"xydiff/internal/dom"
-	"xydiff/internal/xid"
 )
 
 // RandomOps generates structurally valid (though not necessarily
@@ -42,23 +41,21 @@ func (RandomOps) Generate(r *rand.Rand, size int) reflect.Value {
 				x++
 				return true
 			})
-			m := xid.Of(sub)
-			d.Ops = append(d.Ops, Insert{XID: m.Root(), XIDMap: m, Parent: int64(r.Intn(100) + 1), Pos: r.Intn(5), Subtree: sub})
+			d.Ops = append(d.Ops, Op{Kind: KindInsert, XID: sub.XID, Parent: int64(r.Intn(100) + 1), Pos: int32(r.Intn(5)), Subtree: sub})
 		case 1:
 			sub := dom.NewElement("gone")
 			sub.XID = x
-			m := xid.Of(sub)
-			d.Ops = append(d.Ops, Delete{XID: x, XIDMap: m, Parent: int64(r.Intn(100) + 1), Pos: r.Intn(5), Subtree: sub})
+			d.Ops = append(d.Ops, Op{Kind: KindDelete, XID: x, Parent: int64(r.Intn(100) + 1), Pos: int32(r.Intn(5)), Subtree: sub})
 		case 2:
-			d.Ops = append(d.Ops, Update{XID: x, Old: randWord(r), New: randWord(r)})
+			d.Ops = append(d.Ops, Op{Kind: KindUpdate, XID: x, Old: randWord(r), New: randWord(r)})
 		case 3:
-			d.Ops = append(d.Ops, Move{XID: x, FromParent: int64(r.Intn(100) + 1), FromPos: r.Intn(5), ToParent: int64(r.Intn(100) + 1), ToPos: r.Intn(5)})
+			d.Ops = append(d.Ops, Op{Kind: KindMove, XID: x, Parent: int64(r.Intn(100) + 1), Pos: int32(r.Intn(5)), ToParent: int64(r.Intn(100) + 1), ToPos: int32(r.Intn(5))})
 		case 4:
-			d.Ops = append(d.Ops, InsertAttr{XID: x, Name: randName(r), Value: randWord(r)})
+			d.Ops = append(d.Ops, Op{Kind: KindInsertAttr, XID: x, Name: randName(r), New: randWord(r)})
 		case 5:
-			d.Ops = append(d.Ops, DeleteAttr{XID: x, Name: randName(r), Old: randWord(r)})
+			d.Ops = append(d.Ops, Op{Kind: KindDeleteAttr, XID: x, Name: randName(r), Old: randWord(r)})
 		default:
-			d.Ops = append(d.Ops, UpdateAttr{XID: x, Name: randName(r), Old: randWord(r), New: randWord(r)})
+			d.Ops = append(d.Ops, Op{Kind: KindUpdateAttr, XID: x, Name: randName(r), Old: randWord(r), New: randWord(r)})
 		}
 	}
 	d.NextXID = int64(r.Intn(1000) + 600)

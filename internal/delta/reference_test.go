@@ -2,6 +2,7 @@ package delta
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"xydiff/internal/dom"
@@ -9,8 +10,9 @@ import (
 )
 
 // fromDocReference is the decoder ParseBytes replaced, verbatim but for
-// its name: dom.ParseBytes builds the whole delta document and this
-// walks it. FuzzDeltaDecodeDifferential holds the two to the same
+// its name and the one op struct, whose subtrees carry the xidmap's
+// XIDs in place of the map: dom.ParseBytes builds the whole delta
+// document and this walks it. FuzzDeltaDecodeDifferential holds the two to the same
 // verdicts and the same deltas.
 //
 // fromDocReference decodes a delta document produced by ToDoc. It consumes doc:
@@ -40,30 +42,19 @@ func fromDocReference(doc *dom.Node) (*Delta, error) {
 		}
 		d.Ops = append(d.Ops, op)
 	}
-	if err := validate(d); err != nil {
-		return nil, err
-	}
 	return d, nil
 }
 
 func elementToOp(e *dom.Node) (Op, error) {
 	switch e.Name {
 	case "insert":
-		x, m, parent, pos, sub, err := subtreeOpFields(e)
-		if err != nil {
-			return nil, err
-		}
-		return Insert{XID: x, XIDMap: m, Parent: parent, Pos: pos, Subtree: sub}, nil
+		return subtreeOp(KindInsert, e)
 	case "delete":
-		x, m, parent, pos, sub, err := subtreeOpFields(e)
-		if err != nil {
-			return nil, err
-		}
-		return Delete{XID: x, XIDMap: m, Parent: parent, Pos: pos, Subtree: sub}, nil
+		return subtreeOp(KindDelete, e)
 	case "update":
 		x, err := intAttr(e, "xid")
 		if err != nil {
-			return nil, err
+			return Op{}, err
 		}
 		var oldV, newV string
 		var haveOld, haveNew bool
@@ -76,94 +67,99 @@ func elementToOp(e *dom.Node) (Op, error) {
 			}
 		}
 		if !haveOld || !haveNew {
-			return nil, fmt.Errorf("delta: update %d: missing <old> or <new>", x)
+			return Op{}, fmt.Errorf("delta: update %d: missing <old> or <new>", x)
 		}
-		return Update{XID: x, Old: oldV, New: newV}, nil
+		return Op{Kind: KindUpdate, XID: x, Old: oldV, New: newV}, nil
 	case "move":
 		x, err := intAttr(e, "xid")
 		if err != nil {
-			return nil, err
+			return Op{}, err
 		}
 		fp, err := intAttr(e, "from-parent")
 		if err != nil {
-			return nil, err
+			return Op{}, err
 		}
 		fpos, err := posAttr(e, "from-pos")
 		if err != nil {
-			return nil, err
+			return Op{}, err
 		}
 		tp, err := intAttr(e, "to-parent")
 		if err != nil {
-			return nil, err
+			return Op{}, err
 		}
 		tpos, err := posAttr(e, "to-pos")
 		if err != nil {
-			return nil, err
+			return Op{}, err
 		}
-		return Move{XID: x, FromParent: fp, FromPos: fpos, ToParent: tp, ToPos: tpos}, nil
+		return Op{Kind: KindMove, XID: x, Parent: fp, Pos: fpos, ToParent: tp, ToPos: tpos}, nil
 	case "insert-attribute":
 		x, err := intAttr(e, "xid")
 		if err != nil {
-			return nil, err
+			return Op{}, err
 		}
 		name, value := attrOrEmpty(e, "name"), attrOrEmpty(e, "value")
 		if name == "" {
-			return nil, fmt.Errorf("delta: insert-attribute %d: missing name", x)
+			return Op{}, fmt.Errorf("delta: insert-attribute %d: missing name", x)
 		}
-		return InsertAttr{XID: x, Name: name, Value: value}, nil
+		return Op{Kind: KindInsertAttr, XID: x, Name: name, New: value}, nil
 	case "delete-attribute":
 		x, err := intAttr(e, "xid")
 		if err != nil {
-			return nil, err
+			return Op{}, err
 		}
 		name := attrOrEmpty(e, "name")
 		if name == "" {
-			return nil, fmt.Errorf("delta: delete-attribute %d: missing name", x)
+			return Op{}, fmt.Errorf("delta: delete-attribute %d: missing name", x)
 		}
-		return DeleteAttr{XID: x, Name: name, Old: attrOrEmpty(e, "old")}, nil
+		return Op{Kind: KindDeleteAttr, XID: x, Name: name, Old: attrOrEmpty(e, "old")}, nil
 	case "update-attribute":
 		x, err := intAttr(e, "xid")
 		if err != nil {
-			return nil, err
+			return Op{}, err
 		}
 		name := attrOrEmpty(e, "name")
 		if name == "" {
-			return nil, fmt.Errorf("delta: update-attribute %d: missing name", x)
+			return Op{}, fmt.Errorf("delta: update-attribute %d: missing name", x)
 		}
-		return UpdateAttr{XID: x, Name: name, Old: attrOrEmpty(e, "old"), New: attrOrEmpty(e, "new")}, nil
+		return Op{Kind: KindUpdateAttr, XID: x, Name: name, Old: attrOrEmpty(e, "old"), New: attrOrEmpty(e, "new")}, nil
 	default:
-		return nil, fmt.Errorf("delta: unknown operation element <%s>", e.Name)
+		return Op{}, fmt.Errorf("delta: unknown operation element <%s>", e.Name)
 	}
 }
 
-func subtreeOpFields(e *dom.Node) (x int64, m xid.Map, parent int64, pos int, sub *dom.Node, err error) {
-	if x, err = intAttr(e, "xid"); err != nil {
-		return
+// subtreeOp reads an insert or a delete, its subtree stamped with its
+// xidmap, which must end at the op's XID.
+func subtreeOp(kind Kind, e *dom.Node) (Op, error) {
+	o := Op{Kind: kind}
+	var err error
+	if o.XID, err = intAttr(e, "xid"); err != nil {
+		return o, err
 	}
 	ms, ok := e.Attribute("xidmap")
 	if !ok {
-		err = fmt.Errorf("delta: <%s> %d: missing xidmap", e.Name, x)
-		return
+		return o, fmt.Errorf("delta: <%s> %d: missing xidmap", e.Name, o.XID)
 	}
-	if m, err = xid.ParseMap(ms); err != nil {
-		return
+	m, err := xid.ParseMap(ms)
+	if err != nil {
+		return o, err
 	}
-	if parent, err = intAttr(e, "parent"); err != nil {
-		return
+	if o.Parent, err = intAttr(e, "parent"); err != nil {
+		return o, err
 	}
-	if pos, err = posAttr(e, "pos"); err != nil {
-		return
+	if o.Pos, err = posAttr(e, "pos"); err != nil {
+		return o, err
 	}
 	if len(e.Children) != 1 {
-		err = fmt.Errorf("delta: <%s> %d: expected exactly one content node, got %d", e.Name, x, len(e.Children))
-		return
+		return o, fmt.Errorf("delta: <%s> %d: expected exactly one content node, got %d", e.Name, o.XID, len(e.Children))
 	}
-	sub = e.RemoveAt(0)
-	if applyErr := m.ApplyTo(sub); applyErr != nil {
-		err = fmt.Errorf("delta: <%s> %d: %w", e.Name, x, applyErr)
-		return
+	o.Subtree = e.RemoveAt(0)
+	if err := m.ApplyTo(o.Subtree); err != nil {
+		return o, fmt.Errorf("delta: <%s> %d: %w", e.Name, o.XID, err)
 	}
-	return
+	if m.Root() != o.XID {
+		return o, fmt.Errorf("delta: %s: xid %d: xid-map root is %d", kind, o.XID, m.Root())
+	}
+	return o, nil
 }
 
 func intAttr(e *dom.Node, name string) (int64, error) {
@@ -180,15 +176,15 @@ func intAttr(e *dom.Node, name string) (int64, error) {
 
 // posAttr reads a 1-based serialized position into the 0-based
 // in-memory form.
-func posAttr(e *dom.Node, name string) (int, error) {
+func posAttr(e *dom.Node, name string) (int32, error) {
 	v, err := intAttr(e, name)
 	if err != nil {
 		return 0, err
 	}
-	if v < 1 {
-		return 0, fmt.Errorf("delta: <%s>: position %s=%d must be >= 1", e.Name, name, v)
+	if v < 1 || v > math.MaxInt32 {
+		return 0, fmt.Errorf("delta: <%s>: position %s=%d must be in [1, %d]", e.Name, name, v, math.MaxInt32)
 	}
-	return int(v - 1), nil
+	return int32(v - 1), nil
 }
 
 func attrOrEmpty(e *dom.Node, name string) string {

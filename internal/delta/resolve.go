@@ -12,7 +12,7 @@ import "xydiff/internal/dom"
 type Targets struct {
 	Delta          *Delta
 	OldDoc, NewDoc *dom.Node
-	// Old[i] and New[i] are the nodes carrying Delta.Ops[i].TargetXID()
+	// Old[i] and New[i] are the nodes carrying Delta.Ops[i].XID
 	// in OldDoc and NewDoc, nil where that version has no such node (an
 	// inserted node is absent from the old version, a deleted one from
 	// the new).
@@ -41,7 +41,7 @@ func Resolve(d *Delta, oldDoc, newDoc *dom.Node) *Targets {
 	}
 	f := &targetFinder{slot: make(map[int64]int, n), filter: make([]uint64, bits/64), mask: uint64(bits - 1)}
 	for i, op := range d.Ops {
-		if x := op.TargetXID(); x != 0 {
+		if x := op.XID; x != 0 {
 			if _, dup := f.slot[x]; !dup {
 				f.slot[x] = i
 				f.filter[uint64(x)&f.mask>>6] |= 1 << (uint64(x) & 63)
@@ -51,7 +51,7 @@ func Resolve(d *Delta, oldDoc, newDoc *dom.Node) *Targets {
 	f.find(oldDoc, t.Old)
 	f.find(newDoc, t.New)
 	for i, op := range d.Ops {
-		if j, ok := f.slot[op.TargetXID()]; ok && j != i {
+		if j, ok := f.slot[op.XID]; ok && j != i {
 			t.Old[i], t.New[i] = t.Old[j], t.New[j]
 		}
 	}

@@ -20,13 +20,13 @@ func TestResolveFindsTargetsOnBothSides(t *testing.T) {
 	added.XID = 7
 	root.Append(added)
 	d := &Delta{Ops: []Op{
-		Delete{XID: 3, Parent: 5, Pos: 1},
-		Insert{XID: 7, Parent: 5, Pos: 2},
-		Update{XID: 1, Old: "1", New: "2"},
-		UpdateAttr{XID: 2, Name: "k"},
-		InsertAttr{XID: 2, Name: "j"}, // a second op on the same node
-		Move{XID: 99},                 // names no node at all
-		Update{XID: 0},                // the zero XID means "not assigned"
+		{Kind: KindDelete, XID: 3, Parent: 5, Pos: 1},
+		{Kind: KindInsert, XID: 7, Parent: 5, Pos: 2},
+		{Kind: KindUpdate, XID: 1, Old: "1", New: "2"},
+		{Kind: KindUpdateAttr, XID: 2, Name: "k"},
+		{Kind: KindInsertAttr, XID: 2, Name: "j"}, // a second op on the same node
+		{Kind: KindMove, XID: 99},                 // names no node at all
+		{Kind: KindUpdate, XID: 0},                // the zero XID means "not assigned"
 	}}
 	got := Resolve(d, oldDoc, newDoc)
 	if got.Delta != d || got.OldDoc != oldDoc || got.NewDoc != newDoc {
@@ -59,7 +59,7 @@ func TestResolveToleratesMissingInputs(t *testing.T) {
 			t.Errorf("Resolve of an empty delta = %+v", got)
 		}
 	}
-	d := &Delta{Ops: []Op{Update{XID: 1}}}
+	d := &Delta{Ops: []Op{{Kind: KindUpdate, XID: 1}}}
 	if got := Resolve(d, nil, nil); got.Old[0] != nil || got.New[0] != nil {
 		t.Errorf("Resolve against no documents found %v / %v", got.Old[0], got.New[0])
 	}
@@ -83,12 +83,12 @@ func TestResolveAgreesWithFullIndex(t *testing.T) {
 	})
 	d := &Delta{}
 	for x := int64(1); x < 9000; x += 37 {
-		d.Ops = append(d.Ops, UpdateAttr{XID: x, Name: "k"})
+		d.Ops = append(d.Ops, Op{Kind: KindUpdateAttr, XID: x, Name: "k"})
 	}
 	got := Resolve(d, doc, nil)
 	for i, op := range d.Ops {
-		if got.Old[i] != index[op.TargetXID()] || got.New[i] != nil {
-			t.Fatalf("xid %d: resolved to %v, the index has %v", op.TargetXID(), got.Old[i], index[op.TargetXID()])
+		if got.Old[i] != index[op.XID] || got.New[i] != nil {
+			t.Fatalf("xid %d: resolved to %v, the index has %v", op.XID, got.Old[i], index[op.XID])
 		}
 	}
 }

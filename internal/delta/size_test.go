@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"unsafe"
 
 	"xydiff/internal/changesim"
 	"xydiff/internal/delta"
@@ -79,5 +80,15 @@ func TestWriteToWritesWholeBuffers(t *testing.T) {
 	}
 	if w.writes > limit {
 		t.Errorf("%d bytes in %d writes, want at most %d", n, w.writes, limit)
+	}
+}
+
+// TestOpSize pins an op's size. A delta holds its ops in one slab, so a
+// field that fattens Op fattens every delta in memory: 96 bytes are a
+// Kind, two int32 positions, three int64 XIDs, the subtree pointer and
+// three strings, the fields the seven kinds share.
+func TestOpSize(t *testing.T) {
+	if got := unsafe.Sizeof(delta.Op{}); got != 96 {
+		t.Errorf("an Op is %d bytes, want 96", got)
 	}
 }

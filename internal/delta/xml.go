@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"xydiff/internal/dom"
+	"xydiff/internal/xid"
 )
 
 // The delta itself is an XML document (the paper stores deltas in the
@@ -14,7 +15,7 @@ import (
 
 // ToDoc renders the delta as an XML document tree, for a caller that
 // wants to query or edit the delta as a document; WriteTo encodes the
-// same bytes without building it. It errors on an operation type the
+// same bytes without building it. It errors on an operation kind the
 // package does not know instead of panicking.
 func (d *Delta) ToDoc() (*dom.Node, error) {
 	doc := dom.NewDocument()
@@ -23,8 +24,8 @@ func (d *Delta) ToDoc() (*dom.Node, error) {
 		root.SetAttribute("nextxid", strconv.FormatInt(d.NextXID, 10))
 	}
 	doc.Append(root)
-	for _, op := range d.Ops {
-		e, err := opToElement(op)
+	for i := range d.Ops {
+		e, err := opToElement(&d.Ops[i])
 		if err != nil {
 			return nil, err
 		}
@@ -33,31 +34,21 @@ func (d *Delta) ToDoc() (*dom.Node, error) {
 	return doc, nil
 }
 
-func opToElement(op Op) (*dom.Node, error) {
-	switch o := op.(type) {
-	case Insert:
-		e := dom.NewElement("insert")
-		e.SetAttribute("xid", strconv.FormatInt(o.XID, 10))
-		e.SetAttribute("xidmap", o.XIDMap.String())
+func opToElement(o *Op) (*dom.Node, error) {
+	if !knownKind(o.Kind) {
+		return nil, fmt.Errorf("delta: serialize: unknown op kind %d", uint8(o.Kind))
+	}
+	e := dom.NewElement(o.Kind.String())
+	e.SetAttribute("xid", strconv.FormatInt(o.XID, 10))
+	switch o.Kind {
+	case KindInsert, KindDelete:
+		e.SetAttribute("xidmap", string(xid.AppendOf(nil, o.Subtree)))
 		e.SetAttribute("parent", strconv.FormatInt(o.Parent, 10))
-		e.SetAttribute("pos", strconv.Itoa(o.Pos+1))
+		e.SetAttribute("pos", strconv.Itoa(int(o.Pos)+1))
 		if o.Subtree != nil {
 			e.Append(stripXIDs(o.Subtree.Clone()))
 		}
-		return e, nil
-	case Delete:
-		e := dom.NewElement("delete")
-		e.SetAttribute("xid", strconv.FormatInt(o.XID, 10))
-		e.SetAttribute("xidmap", o.XIDMap.String())
-		e.SetAttribute("parent", strconv.FormatInt(o.Parent, 10))
-		e.SetAttribute("pos", strconv.Itoa(o.Pos+1))
-		if o.Subtree != nil {
-			e.Append(stripXIDs(o.Subtree.Clone()))
-		}
-		return e, nil
-	case Update:
-		e := dom.NewElement("update")
-		e.SetAttribute("xid", strconv.FormatInt(o.XID, 10))
+	case KindUpdate:
 		oldEl := dom.NewElement("old")
 		if o.Old != "" {
 			oldEl.Append(dom.NewText(o.Old))
@@ -67,37 +58,23 @@ func opToElement(op Op) (*dom.Node, error) {
 			newEl.Append(dom.NewText(o.New))
 		}
 		e.Append(oldEl, newEl)
-		return e, nil
-	case Move:
-		e := dom.NewElement("move")
-		e.SetAttribute("xid", strconv.FormatInt(o.XID, 10))
-		e.SetAttribute("from-parent", strconv.FormatInt(o.FromParent, 10))
-		e.SetAttribute("from-pos", strconv.Itoa(o.FromPos+1))
+	case KindMove:
+		e.SetAttribute("from-parent", strconv.FormatInt(o.Parent, 10))
+		e.SetAttribute("from-pos", strconv.Itoa(int(o.Pos)+1))
 		e.SetAttribute("to-parent", strconv.FormatInt(o.ToParent, 10))
-		e.SetAttribute("to-pos", strconv.Itoa(o.ToPos+1))
-		return e, nil
-	case InsertAttr:
-		e := dom.NewElement("insert-attribute")
-		e.SetAttribute("xid", strconv.FormatInt(o.XID, 10))
+		e.SetAttribute("to-pos", strconv.Itoa(int(o.ToPos)+1))
+	case KindInsertAttr:
 		e.SetAttribute("name", o.Name)
-		e.SetAttribute("value", o.Value)
-		return e, nil
-	case DeleteAttr:
-		e := dom.NewElement("delete-attribute")
-		e.SetAttribute("xid", strconv.FormatInt(o.XID, 10))
+		e.SetAttribute("value", o.New)
+	case KindDeleteAttr:
 		e.SetAttribute("name", o.Name)
 		e.SetAttribute("old", o.Old)
-		return e, nil
-	case UpdateAttr:
-		e := dom.NewElement("update-attribute")
-		e.SetAttribute("xid", strconv.FormatInt(o.XID, 10))
+	case KindUpdateAttr:
 		e.SetAttribute("name", o.Name)
 		e.SetAttribute("old", o.Old)
 		e.SetAttribute("new", o.New)
-		return e, nil
-	default:
-		return nil, fmt.Errorf("delta: serialize: unknown op type %T", op)
 	}
+	return e, nil
 }
 
 // stripXIDs clears XIDs on a cloned subtree before serialization; they

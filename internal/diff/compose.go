@@ -58,6 +58,7 @@ func ComposeVersions(base, final *dom.Node) (*delta.Delta, error) {
 	defer m.release()
 	m.setMatch(m.old.root(), m.new.root())
 	var at xid.Table[int32] // XID -> index in final, plus one
+	at.Expect(len(m.new.nodes))
 	for i, n := range m.new.nodes {
 		if n.XID != 0 {
 			at.Set(n.XID, int32(i)+1)

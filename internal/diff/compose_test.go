@@ -149,7 +149,7 @@ func TestComposeEmptyChainAndErrors(t *testing.T) {
 	if _, err := Compose(v1.Root()); err == nil {
 		t.Error("element base accepted")
 	}
-	bogus := &delta.Delta{Ops: []delta.Op{delta.Update{XID: 999, Old: "x", New: "y"}}}
+	bogus := &delta.Delta{Ops: []delta.Op{{Kind: delta.KindUpdate, XID: 999, Old: "x", New: "y"}}}
 	if _, err := Compose(v1, bogus); err == nil {
 		t.Error("inapplicable delta accepted")
 	}

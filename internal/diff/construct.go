@@ -37,87 +37,110 @@ func (m *matcher) buildDelta() *delta.Delta {
 		}
 	}
 
-	d := &delta.Delta{}
+	// The ops are one slab of exactly their number: the moves within a
+	// parent, which take a subsequence search, are found first and the
+	// other ops counted. Each kind's ops are then written in the order
+	// of the canonical one (delta.Delta.Normalize) — deletes, inserts,
+	// moves, updates, attribute ops — each kind's mostly by XID already,
+	// so that the sort has little to move.
+	m.findReorders()
+	ops := make([]delta.Op, 0, m.countOps()+len(m.liMoves))
+	slabs := m.pruneSlabs()
 
-	// Updates and attribute changes on matched pairs.
+	// Deletes and inserts: the maximal unmatched subtrees, each rooted
+	// at an unmatched node under a matched parent. Matched descendants
+	// are pruned: they leave or arrive by moves.
+	for oi, ni := range m.oldToNew {
+		if po := int(m.old.parent[oi]); ni < 0 && po >= 0 && m.oldToNew[po] >= 0 {
+			ops = append(ops, delta.Op{
+				Kind:    delta.KindDelete,
+				XID:     m.old.nodes[oi].XID,
+				Parent:  m.old.nodes[po].XID,
+				Pos:     m.old.childPos[oi],
+				Subtree: prune(&slabs, m.old, m.oldToNew, oi),
+			})
+		}
+	}
+	for ni, oi := range m.newToOld {
+		if pn := int(m.new.parent[ni]); oi < 0 && pn >= 0 && m.newToOld[pn] >= 0 {
+			ops = append(ops, delta.Op{
+				Kind:    delta.KindInsert,
+				XID:     m.new.nodes[ni].XID,
+				Parent:  m.new.nodes[pn].XID,
+				Pos:     m.new.childPos[ni],
+				Subtree: prune(&slabs, m.new, m.newToOld, ni),
+			})
+		}
+	}
+
+	// Moves: children whose parent's match is not their match's parent,
+	// and the children findReorders found out of order under a matched
+	// pair of parents.
+	for oi := range m.oldToNew {
+		if m.movesParent(oi) {
+			ops = append(ops, m.move(oi))
+		}
+	}
+	for _, ci := range m.liMoves {
+		ops = append(ops, m.move(ci))
+	}
+
+	// Updates, then attribute changes, on matched pairs.
 	for oi, ni := range m.oldToNew {
 		if ni < 0 {
 			continue
 		}
-		o, n := m.old.nodes[oi], m.new.nodes[ni]
-		switch o.Type {
-		case dom.Text, dom.Comment, dom.ProcInst:
-			if o.Value != n.Value {
-				d.Ops = append(d.Ops, delta.Update{XID: o.XID, Old: o.Value, New: n.Value})
-			}
-		case dom.Element:
-			m.diffAttributes(d, o, n)
+		if o, n := m.old.nodes[oi], m.new.nodes[ni]; hasValue(o.Type) && o.Value != n.Value {
+			ops = append(ops, delta.Op{Kind: delta.KindUpdate, XID: o.XID, Old: o.Value, New: n.Value})
 		}
 	}
-
-	// Deletes: maximal unmatched old subtrees.
-	m.old.walkPre(m.old.root(), func(oi int) bool {
-		if m.oldToNew[oi] >= 0 {
-			return true // matched: descend
-		}
-		if po := int(m.old.parent[oi]); po >= 0 && m.oldToNew[po] >= 0 {
-			o := m.old.nodes[oi]
-			content := m.pruneOld(oi)
-			d.Ops = append(d.Ops, delta.Delete{
-				XID:     o.XID,
-				XIDMap:  xid.Of(content),
-				Parent:  m.old.nodes[po].XID,
-				Pos:     int(m.old.childPos[oi]),
-				Subtree: content,
-			})
-		}
-		return true // descend: matched descendants still need move ops
-	})
-
-	// Inserts: maximal unmatched new subtrees.
-	m.new.walkPre(m.new.root(), func(ni int) bool {
-		if m.newToOld[ni] >= 0 {
-			return true
-		}
-		if pn := int(m.new.parent[ni]); pn >= 0 && m.newToOld[pn] >= 0 {
-			n := m.new.nodes[ni]
-			content := m.pruneNew(ni)
-			d.Ops = append(d.Ops, delta.Insert{
-				XID:     n.XID,
-				XIDMap:  xid.Of(content),
-				Parent:  m.new.nodes[pn].XID,
-				Pos:     int(m.new.childPos[ni]),
-				Subtree: content,
-			})
-		}
-		return true
-	})
-
-	// Inter-parent moves.
 	for oi, ni := range m.oldToNew {
-		if ni < 0 || oi == m.old.root() {
-			continue
-		}
-		po, pn := int(m.old.parent[oi]), int(m.new.parent[ni])
-		if po < 0 || pn < 0 {
-			continue
-		}
-		if m.newToOld[pn] != po {
-			d.Ops = append(d.Ops, delta.Move{
-				XID:        m.old.nodes[oi].XID,
-				FromParent: m.old.nodes[po].XID,
-				FromPos:    int(m.old.childPos[oi]),
-				ToParent:   m.new.nodes[pn].XID,
-				ToPos:      int(m.new.childPos[ni]),
-			})
+		if o := m.old.nodes[oi]; ni >= 0 && o.Type == dom.Element {
+			ops = diffAttributes(ops, o, m.new.nodes[ni])
 		}
 	}
+	d := &delta.Delta{Ops: ops, NextXID: max(alloc.Peek(), maxXID+1)}
+	return d.Normalize()
+}
 
-	// Intra-parent moves: for every matched pair of parents, children
-	// that stayed may be out of order. A maximum-weight increasing
-	// subsequence gives the cheapest set of nodes to move (moving a
-	// node costs its weight); beyond the window the paper's block
-	// heuristic applies.
+// hasValue reports whether a node of type t has a value an update
+// changes.
+func hasValue(t dom.NodeType) bool {
+	return t == dom.Text || t == dom.Comment || t == dom.ProcInst
+}
+
+// movesParent reports whether old node oi is matched to a node whose
+// parent is not the match of its own parent.
+func (m *matcher) movesParent(oi int) bool {
+	ni, po := m.oldToNew[oi], int(m.old.parent[oi])
+	if ni < 0 || po < 0 {
+		return false
+	}
+	pn := int(m.new.parent[ni])
+	return pn >= 0 && m.newToOld[pn] != po
+}
+
+// move is the move of old node oi, matched, from its place in the old
+// document to its match's place in the new one.
+func (m *matcher) move(oi int) delta.Op {
+	ni := m.oldToNew[oi]
+	return delta.Op{
+		Kind:     delta.KindMove,
+		XID:      m.old.nodes[oi].XID,
+		Parent:   m.old.nodes[m.old.parent[oi]].XID,
+		Pos:      m.old.childPos[oi],
+		ToParent: m.new.nodes[m.new.parent[ni]].XID,
+		ToPos:    m.new.childPos[ni],
+	}
+}
+
+// findReorders fills liMoves with the old children that move within
+// their parent: for every matched pair of parents, children that stayed
+// may be out of order. A maximum-weight increasing subsequence gives
+// the cheapest set of nodes to move (moving a node costs its weight);
+// beyond the window the paper's block heuristic applies.
+func (m *matcher) findReorders() {
+	m.liMoves = m.liMoves[:0]
 	window := m.opts.lisWindow()
 	for oi, ni := range m.oldToNew {
 		if ni < 0 {
@@ -142,94 +165,143 @@ func (m *matcher) buildDelta() *delta.Delta {
 		if len(items) < 2 {
 			continue
 		}
-		stay := lcs.WindowedIncreasing(items, window)
+		m.liSel = lcs.WindowedIncreasing(m.liSel[:0], items, window)
 		inStay := growSlice(m.liStay, len(kept))
 		clear(inStay)
-		for _, s := range stay {
+		for _, s := range m.liSel {
 			inStay[s] = true
 		}
 		m.liStay = inStay
 		for k, ci := range kept {
-			if inStay[k] {
-				continue
+			if !inStay[k] {
+				m.liMoves = append(m.liMoves, ci)
 			}
-			cn := m.oldToNew[ci]
-			d.Ops = append(d.Ops, delta.Move{
-				XID:        m.old.nodes[ci].XID,
-				FromParent: o.XID,
-				FromPos:    int(m.old.childPos[ci]),
-				ToParent:   n.XID,
-				ToPos:      int(m.new.childPos[cn]),
-			})
 		}
 	}
-
-	d.NextXID = alloc.Peek()
-	if maxXID+1 > d.NextXID {
-		d.NextXID = maxXID + 1
-	}
-	return d.Normalize()
 }
 
-// diffAttributes emits attribute operations for a matched element pair,
-// in attribute-name order: the order of a node's attribute slice
-// depends on how the tree was built (an upload keeps its order, a
+// countOps counts the ops buildDelta writes but the moves within a
+// parent: deletes, inserts, moves to another parent, updates and
+// attribute ops.
+func (m *matcher) countOps() int {
+	n := 0
+	for oi, ni := range m.oldToNew {
+		if ni < 0 {
+			if po := int(m.old.parent[oi]); po >= 0 && m.oldToNew[po] >= 0 {
+				n++
+			}
+			continue
+		}
+		if m.movesParent(oi) {
+			n++
+		}
+		switch o, nn := m.old.nodes[oi], m.new.nodes[ni]; {
+		case hasValue(o.Type):
+			if o.Value != nn.Value {
+				n++
+			}
+		case o.Type == dom.Element:
+			n += attrOpCount(o, nn)
+		}
+	}
+	for ni, oi := range m.newToOld {
+		if pn := int(m.new.parent[ni]); oi < 0 && pn >= 0 && m.newToOld[pn] >= 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// attrOpCount is how many ops diffAttributes writes for a matched
+// element pair.
+func attrOpCount(o, n *dom.Node) int {
+	count := 0
+	for _, a := range o.Attrs {
+		if v, ok := n.Attribute(a.Name); !ok || v != a.Value {
+			count++
+		}
+	}
+	for _, a := range n.Attrs {
+		if _, ok := o.Attribute(a.Name); !ok {
+			count++
+		}
+	}
+	return count
+}
+
+// diffAttributes appends the attribute operations of a matched element
+// pair to ops, in attribute-name order: the order of a node's attribute
+// slice depends on how the tree was built (an upload keeps its order, a
 // replayed insert-attribute appends), and the delta must not.
-func (m *matcher) diffAttributes(d *delta.Delta, o, n *dom.Node) {
+func diffAttributes(ops []delta.Op, o, n *dom.Node) []delta.Op {
 	if len(o.Attrs) == 0 && len(n.Attrs) == 0 {
-		return
+		return ops
 	}
 	for _, a := range o.SortedAttrs() {
 		nv, ok := n.Attribute(a.Name)
 		switch {
 		case !ok:
-			d.Ops = append(d.Ops, delta.DeleteAttr{XID: o.XID, Name: a.Name, Old: a.Value})
+			ops = append(ops, delta.Op{Kind: delta.KindDeleteAttr, XID: o.XID, Name: a.Name, Old: a.Value})
 		case nv != a.Value:
-			d.Ops = append(d.Ops, delta.UpdateAttr{XID: o.XID, Name: a.Name, Old: a.Value, New: nv})
+			ops = append(ops, delta.Op{Kind: delta.KindUpdateAttr, XID: o.XID, Name: a.Name, Old: a.Value, New: nv})
 		}
 	}
 	for _, a := range n.SortedAttrs() {
 		if _, ok := o.Attribute(a.Name); !ok {
-			d.Ops = append(d.Ops, delta.InsertAttr{XID: o.XID, Name: a.Name, Value: a.Value})
+			ops = append(ops, delta.Op{Kind: delta.KindInsertAttr, XID: o.XID, Name: a.Name, New: a.Value})
 		}
 	}
+	return ops
 }
 
-// pruneOld clones an unmatched old subtree, dropping matched
-// descendants (they leave via move operations), so the delete op's
-// recorded content is exactly what remains at detach time.
-func (m *matcher) pruneOld(oi int) *dom.Node {
-	o := m.old.nodes[oi]
-	c := &dom.Node{Type: o.Type, Name: o.Name, Value: o.Value, XID: o.XID}
-	if len(o.Attrs) > 0 {
-		c.Attrs = make([]dom.Attr, len(o.Attrs))
-		copy(c.Attrs, o.Attrs)
-	}
-	for pos := range o.Children {
-		ci := m.old.child(oi, pos)
-		if m.oldToNew[ci] >= 0 {
-			continue
+// pruneSlabs returns slabs for every insert's and delete's content.
+// Every unmatched node but none other is in exactly one of them — the
+// document node is always matched — so one pass over the two matchings
+// counts the nodes, their attributes, and the child pointers: one per
+// unmatched node under an unmatched parent.
+func (m *matcher) pruneSlabs() dom.Slabs {
+	var nodes, kids, attrs int
+	for _, side := range [2]struct {
+		t     *tree
+		match []int
+	}{{m.old, m.oldToNew}, {m.new, m.newToOld}} {
+		for i, j := range side.match {
+			if j >= 0 {
+				continue
+			}
+			nodes++
+			attrs += len(side.t.nodes[i].Attrs)
+			if p := side.t.parent[i]; p >= 0 && side.match[p] < 0 {
+				kids++
+			}
 		}
-		c.Append(m.pruneOld(ci))
 	}
-	return c
+	return dom.NewSlabs(nodes, kids, attrs)
 }
 
-// pruneNew clones an unmatched new subtree, dropping matched
-// descendants (they arrive via move operations).
-func (m *matcher) pruneNew(ni int) *dom.Node {
-	n := m.new.nodes[ni]
-	c := &dom.Node{Type: n.Type, Name: n.Name, Value: n.Value, XID: n.XID}
-	if len(n.Attrs) > 0 {
-		c.Attrs = make([]dom.Attr, len(n.Attrs))
-		copy(c.Attrs, n.Attrs)
+// prune copies the unmatched subtree of t rooted at i, dropping matched
+// descendants (they leave or arrive by move operations), so an op's
+// recorded content is exactly what is detached or attached. match is
+// t's side of the matching.
+func prune(s *dom.Slabs, t *tree, match []int, i int) *dom.Node {
+	n := t.nodes[i]
+	base := int(t.kidStart[i])
+	kept := 0
+	for _, ci := range t.kids[base : base+len(n.Children)] {
+		if match[ci] < 0 {
+			kept++
+		}
 	}
-	for pos := range n.Children {
-		ci := m.new.child(ni, pos)
-		if m.newToOld[ci] >= 0 {
+	c := s.Copy(n, kept)
+	kept = 0
+	for _, ci := range t.kids[base : base+len(n.Children)] {
+		if match[ci] >= 0 {
 			continue
 		}
-		c.Append(m.pruneNew(ci))
+		cc := prune(s, t, match, int(ci))
+		cc.Parent = c
+		c.Children[kept] = cc
+		kept++
 	}
 	return c
 }

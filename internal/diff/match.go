@@ -66,12 +66,15 @@ type matcher struct {
 	// wbp is propagateToParents scratch.
 	wbp map[int]float64
 
-	// liItems/liKept/liStay are buildDelta's intra-parent move scratch,
-	// reused across all matched parent pairs of one diff; liStay is
-	// indexed by position in liKept.
+	// liItems/liKept/liSel/liStay are findReorders' scratch, reused
+	// across all matched parent pairs of one diff: liSel holds the kept
+	// children that stay, liStay marks them by position in liKept, and
+	// liMoves collects the old children that move within their parent.
 	liItems []lcs.Item
 	liKept  []int
+	liSel   []int
 	liStay  []bool
+	liMoves []int
 
 	logN float64
 }

@@ -3,6 +3,8 @@ package dom
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -515,5 +517,60 @@ func TestNamespaceLabels(t *testing.T) {
 	}
 	if !Equal(doc2, re) {
 		t.Fatalf("default-ns tree changed: %s", Diagnose(doc2, re))
+	}
+}
+
+// TestPatherMatchesPath: a Pather renders every node's path exactly as
+// Node.Path does, byte for byte, on random trees whose siblings — few,
+// or more than a Pather counts rather than ranks — mix elements of a
+// few labels with texts, comments and processing instructions, asked in
+// document order, in reverse and shuffled.
+func TestPatherMatchesPath(t *testing.T) {
+	r := rand.New(rand.NewSource(51))
+	labels := []string{"a", "b", "item", "pi"}
+	var grow func(n *Node, depth int)
+	grow = func(n *Node, depth int) {
+		k := r.Intn(7)
+		if depth < 2 && r.Intn(2) == 0 {
+			k = 10 + r.Intn(40) // past rankMin: the Pather ranks these
+		}
+		for i := 0; i < k; i++ {
+			var c *Node
+			switch r.Intn(6) {
+			case 0:
+				c = NewText("t")
+			case 1:
+				c = &Node{Type: Comment, Value: "c"}
+			case 2:
+				c = &Node{Type: ProcInst, Name: labels[r.Intn(len(labels))], Value: "v"}
+			default:
+				c = NewElement(labels[r.Intn(len(labels))])
+				if depth < 5 {
+					grow(c, depth+1)
+				}
+			}
+			n.Append(c)
+		}
+	}
+	for round := 0; round < 200; round++ {
+		doc := NewDocument()
+		root := NewElement("root")
+		doc.Append(root)
+		grow(root, 0)
+		nodes := Preorder(doc)
+		for _, order := range []string{"document", "reverse", "shuffled"} {
+			switch order {
+			case "reverse":
+				slices.Reverse(nodes)
+			case "shuffled":
+				r.Shuffle(len(nodes), func(i, j int) { nodes[i], nodes[j] = nodes[j], nodes[i] })
+			}
+			var p Pather
+			for _, n := range nodes {
+				if got, want := p.Path(n), n.Path(); got != want {
+					t.Fatalf("round %d, %s order: Pather says %q, Path %q", round, order, got, want)
+				}
+			}
+		}
 	}
 }

@@ -214,24 +214,15 @@ func (n *Node) RemoveAttribute(name string) bool {
 // Clone returns a deep copy of the subtree rooted at n. The clone's
 // Parent is nil; XIDs and a Document's DOCTYPE are copied. One counting
 // pass sizes three allocations, whatever the size of the subtree: its
-// nodes, its child pointers and its attributes, each in one slab. So a
-// node of the copy, kept alone, keeps the whole copy reachable. Each
-// node's Children and Attrs have no spare capacity: growing one moves
-// it out of the slab, never onto a neighbour's part.
+// nodes, its child pointers and its attributes, each in one slab (see
+// Slabs). So a node of the copy, kept alone, keeps the whole copy
+// reachable.
 func (n *Node) Clone() *Node {
 	if n == nil {
 		return nil
 	}
-	var c cloner
-	nodes, kids, attrs := n.cloneCounts()
-	c.nodes = make([]Node, nodes)
-	if kids > 0 {
-		c.kids = make([]*Node, kids)
-	}
-	if attrs > 0 {
-		c.attrs = make([]Attr, attrs)
-	}
-	return c.clone(n)
+	s := NewSlabs(n.cloneCounts())
+	return s.clone(n)
 }
 
 // cloneCounts returns the nodes, child pointers and attributes of the
@@ -245,30 +236,56 @@ func (n *Node) cloneCounts() (nodes, kids, attrs int) {
 	return nodes, kids, attrs
 }
 
-// cloner hands out the unused rest of Clone's three slabs.
-type cloner struct {
+func (s *Slabs) clone(n *Node) *Node {
+	cp := s.Copy(n, len(n.Children))
+	for i, ch := range n.Children {
+		cc := s.clone(ch)
+		cc.Parent = cp
+		cp.Children[i] = cc
+	}
+	return cp
+}
+
+// Slabs is the storage of trees built many nodes at once — a clone, a
+// delta's pruned subtrees: their nodes, child pointers and attributes,
+// each one allocation sized by a count made first, which Copy cuts
+// nodes from. Each node's Children and Attrs have no spare capacity:
+// growing one moves it out of the slab, never onto a neighbour's part.
+type Slabs struct {
 	nodes []Node
 	kids  []*Node
 	attrs []Attr
 }
 
-func (c *cloner) clone(n *Node) *Node {
-	cp := &c.nodes[0]
-	c.nodes = c.nodes[1:]
+// NewSlabs returns slabs for nodes nodes, kids child pointers and attrs
+// attributes.
+func NewSlabs(nodes, kids, attrs int) Slabs {
+	s := Slabs{nodes: make([]Node, nodes)}
+	if kids > 0 {
+		s.kids = make([]*Node, kids)
+	}
+	if attrs > 0 {
+		s.attrs = make([]Attr, attrs)
+	}
+	return s
+}
+
+// Copy cuts a node from the slabs with n's type, name, value, XID,
+// DOCTYPE and a copy of its attributes, and room for kids children,
+// every one nil until the caller sets it (and its Parent). It panics
+// when the slabs are short of what the count promised.
+func (s *Slabs) Copy(n *Node, kids int) *Node {
+	cp := &s.nodes[0]
+	s.nodes = s.nodes[1:]
 	*cp = Node{Type: n.Type, Name: n.Name, Value: n.Value, XID: n.XID, Doctype: n.Doctype}
 	if k := len(n.Attrs); k > 0 {
-		cp.Attrs = c.attrs[:k:k]
-		c.attrs = c.attrs[k:]
+		cp.Attrs = s.attrs[:k:k]
+		s.attrs = s.attrs[k:]
 		copy(cp.Attrs, n.Attrs)
 	}
-	if k := len(n.Children); k > 0 {
-		cp.Children = c.kids[:k:k]
-		c.kids = c.kids[k:]
-		for i, ch := range n.Children {
-			cc := c.clone(ch)
-			cc.Parent = cp
-			cp.Children[i] = cc
-		}
+	if kids > 0 {
+		cp.Children = s.kids[:kids:kids]
+		s.kids = s.kids[kids:]
 	}
 	return cp
 }
@@ -334,16 +351,7 @@ func (n *Node) step() string { return string(n.appendStep(nil)) }
 // appendStep appends n's location step: its label, plus a 1-based
 // [index] among same-label siblings when there is more than one.
 func (n *Node) appendStep(buf []byte) []byte {
-	label := n.Name
-	switch n.Type {
-	case Text:
-		label = "text()"
-	case Comment:
-		label = "comment()"
-	case ProcInst:
-		label = "processing-instruction()"
-	}
-	buf = append(buf, label...)
+	buf = append(buf, n.label()...)
 	if n.Parent == nil {
 		return buf
 	}
@@ -356,12 +364,170 @@ func (n *Node) appendStep(buf []byte) []byte {
 			}
 		}
 	}
+	return appendIndex(buf, same, pos)
+}
+
+// label is n's name in a location step.
+func (n *Node) label() string {
+	switch n.Type {
+	case Text:
+		return "text()"
+	case Comment:
+		return "comment()"
+	case ProcInst:
+		return "processing-instruction()"
+	}
+	return n.Name
+}
+
+// appendIndex appends "[pos]" when a step's label is shared by same > 1
+// siblings.
+func appendIndex(buf []byte, same, pos int) []byte {
 	if same > 1 {
 		buf = append(buf, '[')
 		buf = strconv.AppendInt(buf, int64(pos), 10)
 		buf = append(buf, ']')
 	}
 	return buf
+}
+
+// A Pather renders the Paths of many nodes. Node.Path counts a node's
+// same-label siblings at every step, which the paths of a delta's ops
+// repeat for every op under one wide parent. A Pather ranks the
+// children of a parent with more than rankMin of them the first time a
+// path steps through one of a label, and reads the ranks from then on,
+// so the siblings of each wide parent are counted once per label, not
+// once per op. It finds a child among its siblings from where it found
+// the last one, which is where paths asked in document order look next.
+// Fewer siblings are counted as Node.Path counts them, which costs less
+// than ranking them. The trees must not change while a Pather is in
+// use. The zero Pather is ready to use.
+type Pather struct {
+	// parents are the wide parents ranked so far, and index their
+	// positions in it once there are more than a few.
+	parents []rankedParent
+	index   map[*Node]int
+	// ranks holds each ranked parent's children's steps, a block per
+	// parent, by child index; a zero step is one not ranked yet.
+	ranks []stepRank
+}
+
+// rankedParent is a wide parent, where its block of ranks starts and
+// how long it is, and where the last lookup found its child.
+type rankedParent struct {
+	node      *Node
+	off, n    int
+	lastFound int
+}
+
+// stepRank is how many siblings share a node's label and its 1-based
+// position among them.
+type stepRank struct{ same, pos int32 }
+
+// Path returns n.Path().
+func (p *Pather) Path(n *Node) string {
+	if n == nil {
+		return ""
+	}
+	if n.Type == Document {
+		return "/"
+	}
+	var stack [16]*Node
+	chain := stack[:0]
+	for cur := n; cur != nil && cur.Type != Document; cur = cur.Parent {
+		chain = append(chain, cur)
+	}
+	var arr [96]byte
+	buf := arr[:0]
+	for i := len(chain) - 1; i >= 0; i-- {
+		c := chain[i]
+		buf = append(buf, '/')
+		if c.Parent == nil || len(c.Parent.Children) <= rankMin {
+			buf = c.appendStep(buf)
+			continue
+		}
+		buf = append(buf, c.label()...)
+		r := p.rankOf(c)
+		buf = appendIndex(buf, int(r.same), int(r.pos))
+	}
+	return string(buf)
+}
+
+// rankMin is the most children a Pather counts at every step rather
+// than ranks: below it, the count is a few comparisons.
+const rankMin = 16
+
+// rankOf returns n's step among its siblings.
+func (p *Pather) rankOf(n *Node) stepRank {
+	kids := n.Parent.Children
+	rp := p.parent(n.Parent)
+	block := p.ranks[rp.off : rp.off+rp.n]
+	for i, j := 0, rp.lastFound; i < len(kids); i, j = i+1, j+1 {
+		if j == len(kids) {
+			j = 0
+		}
+		if kids[j] != n {
+			continue
+		}
+		rp.lastFound = j
+		if block[j].same == 0 {
+			rankLabel(kids, block, n)
+		}
+		return block[j]
+	}
+	return stepRank{}
+}
+
+// parent returns the ranks of a wide parent, a zeroed block of them the
+// first time it is asked for, or when its children have changed in
+// number.
+func (p *Pather) parent(parent *Node) *rankedParent {
+	k := len(parent.Children)
+	i, ok := 0, false
+	if p.index != nil {
+		i, ok = p.index[parent]
+	} else {
+		for i = range p.parents {
+			if ok = p.parents[i].node == parent; ok {
+				break
+			}
+		}
+	}
+	if ok && p.parents[i].n == k {
+		return &p.parents[i]
+	}
+	if !ok {
+		i = len(p.parents)
+		p.parents = append(p.parents, rankedParent{node: parent})
+	}
+	p.parents[i].off, p.parents[i].n, p.parents[i].lastFound = len(p.ranks), k, 0
+	p.ranks = append(p.ranks, make([]stepRank, k)...)
+	switch {
+	case p.index != nil:
+		p.index[parent] = i
+	case len(p.parents) > 8:
+		p.index = make(map[*Node]int, 2*len(p.parents))
+		for j, rp := range p.parents {
+			p.index[rp.node] = j
+		}
+	}
+	return &p.parents[i]
+}
+
+// rankLabel ranks the siblings in kids that share n's label.
+func rankLabel(kids []*Node, block []stepRank, n *Node) {
+	same := int32(0)
+	for i, c := range kids {
+		if c.Type == n.Type && c.Name == n.Name {
+			same++
+			block[i].pos = same
+		}
+	}
+	for i, c := range kids {
+		if c.Type == n.Type && c.Name == n.Name {
+			block[i].same = same
+		}
+	}
 }
 
 // SortedAttrs returns the attributes sorted by name. Used by equality,

@@ -75,12 +75,12 @@ func (ix *Index) ApplyDelta(docID string, d *delta.Delta) {
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	for _, op := range d.Ops {
-		switch o := op.(type) {
-		case delta.Update:
+	for i := range d.Ops {
+		switch o := &d.Ops[i]; o.Kind {
+		case delta.KindUpdate:
 			ix.removeTextLocked(docID, o.XID)
 			ix.addTextLocked(docID, o.XID, o.New)
-		case delta.Delete:
+		case delta.KindDelete:
 			if o.Subtree != nil {
 				dom.WalkPre(o.Subtree, func(n *dom.Node) bool {
 					if n.Type == dom.Text && n.XID != 0 {
@@ -89,7 +89,7 @@ func (ix *Index) ApplyDelta(docID string, d *delta.Delta) {
 					return true
 				})
 			}
-		case delta.Insert:
+		case delta.KindInsert:
 			if o.Subtree != nil {
 				dom.WalkPre(o.Subtree, func(n *dom.Node) bool {
 					if n.Type == dom.Text && n.XID != 0 {

@@ -20,7 +20,7 @@ func BenchmarkMaxWeightIncreasing(b *testing.B) {
 		items := randItems(n, n*2, int64(n))
 		b.Run(sizeName(n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				maxWeightIncreasing(items)
+				maxWeightIncreasing(nil, items)
 			}
 		})
 	}
@@ -30,12 +30,12 @@ func BenchmarkWindowedIncreasing(b *testing.B) {
 	items := randItems(10000, 20000, 7)
 	b.Run("window=50", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			WindowedIncreasing(items, 50)
+			WindowedIncreasing(nil, items, 50)
 		}
 	})
 	b.Run("exact", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			maxWeightIncreasing(items)
+			maxWeightIncreasing(nil, items)
 		}
 	})
 }

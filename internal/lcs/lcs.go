@@ -73,16 +73,16 @@ type Item struct {
 	Weight float64
 }
 
-// maxWeightIncreasing returns the indices (into items) of a maximum-
-// weight subsequence whose Keys are strictly increasing. Given child
-// pairs sorted by old position with Key = new position, the selected
-// items are the children that may stay in place; all others must move.
-// Weights must be positive. Runs in O(k log k) time using a Fenwick
-// tree over key ranks.
-func maxWeightIncreasing(items []Item) []int {
+// maxWeightIncreasing appends to dst, and returns, the indices (into
+// items) of a maximum-weight subsequence whose Keys are strictly
+// increasing. Given child pairs sorted by old position with Key = new
+// position, the selected items are the children that may stay in place;
+// all others must move. Weights must be positive. Runs in O(k log k)
+// time using a Fenwick tree over key ranks.
+func maxWeightIncreasing(dst []int, items []Item) []int {
 	k := len(items)
 	if k == 0 {
-		return nil
+		return dst
 	}
 	s := mwisPool.Get().(*mwisScratch)
 	defer mwisPool.Put(s)
@@ -136,16 +136,15 @@ func maxWeightIncreasing(items []Item) []int {
 		rev = append(rev, i)
 	}
 	s.rev = rev
-	out := make([]int, len(rev))
-	for i := range rev {
-		out[i] = rev[len(rev)-1-i]
+	for i := len(rev) - 1; i >= 0; i-- {
+		dst = append(dst, rev[i])
 	}
-	return out
+	return dst
 }
 
 // mwisScratch is the reusable working set of one maxWeightIncreasing
-// call; pooling it makes repeated Phase 5 invocations allocation-free
-// apart from the returned index slice.
+// call; pooling it, and the caller's dst, make repeated Phase 5
+// invocations allocation-free.
 type mwisScratch struct {
 	keys []int
 	tree []chain
@@ -193,28 +192,26 @@ func update(tree []chain, r int, c chain) {
 // letting one out-of-place element suppress whole later blocks. The
 // result is a valid but possibly sub-optimal increasing subsequence:
 // elements dropped inside a block (the paper's v4 example) cannot be
-// recovered by the merge.
-func WindowedIncreasing(items []Item, window int) []int {
+// recovered by the merge. The indices are appended to dst.
+func WindowedIncreasing(dst []int, items []Item, window int) []int {
 	if window <= 0 || len(items) <= window {
-		return maxWeightIncreasing(items)
+		return maxWeightIncreasing(dst, items)
 	}
 	var selected []int
 	for start := 0; start < len(items); start += window {
-		end := start + window
-		if end > len(items) {
-			end = len(items)
-		}
-		for _, idx := range maxWeightIncreasing(items[start:end]) {
-			selected = append(selected, start+idx)
+		end := min(start+window, len(items))
+		n := len(selected)
+		selected = maxWeightIncreasing(selected, items[start:end])
+		for j := n; j < len(selected); j++ {
+			selected[j] += start
 		}
 	}
 	sub := make([]Item, len(selected))
 	for i, idx := range selected {
 		sub[i] = items[idx]
 	}
-	out := make([]int, 0, len(selected))
-	for _, i := range maxWeightIncreasing(sub) {
-		out = append(out, selected[i])
+	for _, i := range maxWeightIncreasing(nil, sub) {
+		dst = append(dst, selected[i])
 	}
-	return out
+	return dst
 }

@@ -97,7 +97,7 @@ func randString(rng *rand.Rand, maxLen int, alphabet string) string {
 func TestMaxWeightIncreasingBasic(t *testing.T) {
 	// Keys 5 3 4 8 6 7 with unit weights: LIS 3 4 6 7.
 	items := unitItems([]int{5, 3, 4, 8, 6, 7})
-	sel := maxWeightIncreasing(items)
+	sel := maxWeightIncreasing(nil, items)
 	keys := selectedKeys(items, sel)
 	want := []int{3, 4, 6, 7}
 	if !equalInts(keys, want) {
@@ -108,17 +108,17 @@ func TestMaxWeightIncreasingBasic(t *testing.T) {
 func TestMaxWeightIncreasingWeightBeatsLength(t *testing.T) {
 	// A single heavy item out of order should beat two light ones.
 	items := []Item{{Key: 10, Weight: 100}, {Key: 1, Weight: 1}, {Key: 2, Weight: 1}}
-	sel := maxWeightIncreasing(items)
+	sel := maxWeightIncreasing(nil, items)
 	if len(sel) != 1 || items[sel[0]].Key != 10 {
 		t.Errorf("selection = %v, want the heavy item", selectedKeys(items, sel))
 	}
 }
 
 func TestMaxWeightIncreasingEmptyAndSingle(t *testing.T) {
-	if got := maxWeightIncreasing(nil); got != nil {
+	if got := maxWeightIncreasing(nil, nil); got != nil {
 		t.Errorf("empty selection = %v", got)
 	}
-	sel := maxWeightIncreasing([]Item{{Key: 4, Weight: 2}})
+	sel := maxWeightIncreasing(nil, []Item{{Key: 4, Weight: 2}})
 	if len(sel) != 1 || sel[0] != 0 {
 		t.Errorf("single selection = %v", sel)
 	}
@@ -150,7 +150,7 @@ func TestMaxWeightIncreasingOptimalSmall(t *testing.T) {
 		for i := range items {
 			items[i] = Item{Key: rng.Intn(12), Weight: float64(1 + rng.Intn(5))}
 		}
-		sel := maxWeightIncreasing(items)
+		sel := maxWeightIncreasing(nil, items)
 		got := 0.0
 		lastKey := -1 << 62
 		for _, idx := range sel {
@@ -169,7 +169,7 @@ func TestMaxWeightIncreasingOptimalSmall(t *testing.T) {
 func TestMaxWeightIncreasingSelectionSorted(t *testing.T) {
 	f := func(keys []int) bool {
 		items := unitItems(keys)
-		sel := maxWeightIncreasing(items)
+		sel := maxWeightIncreasing(nil, items)
 		for i := 1; i < len(sel); i++ {
 			if sel[i] <= sel[i-1] {
 				return false
@@ -187,12 +187,12 @@ func TestMaxWeightIncreasingSelectionSorted(t *testing.T) {
 
 func TestWindowedIncreasingMatchesExactWhenSmall(t *testing.T) {
 	items := unitItems([]int{5, 3, 4, 8, 6, 7})
-	exact := maxWeightIncreasing(items)
-	win := WindowedIncreasing(items, 50)
+	exact := maxWeightIncreasing(nil, items)
+	win := WindowedIncreasing(nil, items, 50)
 	if !equalInts(exact, win) {
 		t.Errorf("windowed(50) = %v, exact = %v", win, exact)
 	}
-	if got := WindowedIncreasing(items, 0); !equalInts(exact, got) {
+	if got := WindowedIncreasing(nil, items, 0); !equalInts(exact, got) {
 		t.Errorf("window 0 should mean exact")
 	}
 }
@@ -204,8 +204,8 @@ func TestWindowedIncreasingPaperExample(t *testing.T) {
 	// heuristic must return a valid increasing subsequence that can be
 	// shorter than the optimum.
 	items := unitItems([]int{9, 1, 2, 6, 3, 4})
-	exact := maxWeightIncreasing(items) // 1 2 3 4: length 4
-	win := WindowedIncreasing(items, 3) // blocks {9,1,2} and {6,3,4}
+	exact := maxWeightIncreasing(nil, items) // 1 2 3 4: length 4
+	win := WindowedIncreasing(nil, items, 3) // blocks {9,1,2} and {6,3,4}
 	if len(exact) != 4 {
 		t.Fatalf("exact length = %d, want 4", len(exact))
 	}
@@ -225,7 +225,7 @@ func TestWindowedIncreasingAlwaysValidQuick(t *testing.T) {
 	f := func(keys []int, windowRaw uint8) bool {
 		window := int(windowRaw%10) + 1
 		items := unitItems(keys)
-		sel := WindowedIncreasing(items, window)
+		sel := WindowedIncreasing(nil, items, window)
 		lastIdx := -1
 		lastKey, have := 0, false
 		for _, idx := range sel {

@@ -139,18 +139,18 @@ func ThreeWay(base *dom.Node, ours, theirs *delta.Delta) (*Result, error) {
 		m.applyValueOp(op)
 	}
 	for _, op := range theirs.Ops {
-		if mv, ok := op.(delta.Move); ok {
-			m.detachMove(mv)
+		if op.Kind == delta.KindMove {
+			m.detachMove(op)
 		}
 	}
 	for _, op := range theirs.Ops {
-		if del, ok := op.(delta.Delete); ok {
-			m.applyDelete(del)
+		if op.Kind == delta.KindDelete {
+			m.applyDelete(op)
 		}
 	}
 	for _, op := range theirs.Ops {
-		if ins, ok := op.(delta.Insert); ok {
-			m.prepareInsert(ins)
+		if op.Kind == delta.KindInsert {
+			m.prepareInsert(op)
 		}
 	}
 	m.attachPending()
@@ -159,12 +159,12 @@ func ThreeWay(base *dom.Node, ours, theirs *delta.Delta) (*Result, error) {
 
 // oursSummary captures what ours did, for conflict detection.
 type oursSummary struct {
-	deleted   map[int64]bool       // every XID removed by ours
-	updates   map[int64]string     // XID -> new value
-	moves     map[int64]delta.Move // XID -> move op
-	attrs     map[attrKey]string   // (XID, name) -> new value
-	attrsGone map[attrKey]bool     // (XID, name) deleted
-	touched   map[int64]bool       // XIDs ours modified in any way
+	deleted   map[int64]bool     // every XID removed by ours
+	updates   map[int64]string   // XID -> new value
+	moves     map[int64]delta.Op // XID -> move op
+	attrs     map[attrKey]string // (XID, name) -> new value
+	attrsGone map[attrKey]bool   // (XID, name) deleted
+	touched   map[int64]bool     // XIDs ours modified in any way
 }
 
 type attrKey struct {
@@ -176,36 +176,34 @@ func summarizeOurs(ours *delta.Delta) *oursSummary {
 	s := &oursSummary{
 		deleted:   make(map[int64]bool),
 		updates:   make(map[int64]string),
-		moves:     make(map[int64]delta.Move),
+		moves:     make(map[int64]delta.Op),
 		attrs:     make(map[attrKey]string),
 		attrsGone: make(map[attrKey]bool),
 		touched:   make(map[int64]bool),
 	}
-	for _, op := range ours.Ops {
-		switch o := op.(type) {
-		case delta.Delete:
-			for _, x := range o.XIDMap.XIDs() {
-				s.deleted[x] = true
-			}
+	for _, o := range ours.Ops {
+		switch o.Kind {
+		case delta.KindDelete:
+			dom.WalkPre(o.Subtree, func(n *dom.Node) bool {
+				s.deleted[n.XID] = true
+				return true
+			})
 			s.touched[o.Parent] = true
-		case delta.Insert:
+		case delta.KindInsert:
 			s.touched[o.Parent] = true
-		case delta.Update:
+		case delta.KindUpdate:
 			s.updates[o.XID] = o.New
 			s.touched[o.XID] = true
-		case delta.Move:
+		case delta.KindMove:
 			s.moves[o.XID] = o
 			s.touched[o.XID] = true
-			s.touched[o.FromParent] = true
+			s.touched[o.Parent] = true
 			s.touched[o.ToParent] = true
-		case delta.InsertAttr:
-			s.attrs[attrKey{o.XID, o.Name}] = o.Value
-			s.touched[o.XID] = true
-		case delta.DeleteAttr:
-			s.attrsGone[attrKey{o.XID, o.Name}] = true
-			s.touched[o.XID] = true
-		case delta.UpdateAttr:
+		case delta.KindInsertAttr, delta.KindUpdateAttr:
 			s.attrs[attrKey{o.XID, o.Name}] = o.New
+			s.touched[o.XID] = true
+		case delta.KindDeleteAttr:
+			s.attrsGone[attrKey{o.XID, o.Name}] = true
 			s.touched[o.XID] = true
 		}
 	}
@@ -219,7 +217,7 @@ type pendingAttach struct {
 	node         *dom.Node // the subtree to attach (merged numbering)
 	theirsNode   *dom.Node // the same node in theirs' document (anchoring)
 	fallbackPos  int
-	move         *delta.Move // non-nil for moves (rollback info below)
+	move         *delta.Op // non-nil for moves (rollback info below)
 	origParent   *dom.Node
 	origIdx      int
 }
@@ -249,8 +247,8 @@ func (m *merger) conflict(kind ConflictKind, x int64, op delta.Op, format string
 }
 
 func (m *merger) applyValueOp(op delta.Op) {
-	switch o := op.(type) {
-	case delta.Update:
+	switch o := op; o.Kind {
+	case delta.KindUpdate:
 		n := m.index[o.XID]
 		if n == nil {
 			m.conflict(updateDelete, o.XID, op, "ours deleted the node theirs updates to %q", o.New)
@@ -270,11 +268,11 @@ func (m *merger) applyValueOp(op delta.Op) {
 		}
 		n.Value = o.New
 		m.res.Applied++
-	case delta.InsertAttr:
-		m.applyAttr(op, o.XID, o.Name, "", o.Value, false)
-	case delta.DeleteAttr:
+	case delta.KindInsertAttr:
+		m.applyAttr(op, o.XID, o.Name, "", o.New, false)
+	case delta.KindDeleteAttr:
 		m.applyAttr(op, o.XID, o.Name, o.Old, "", true)
-	case delta.UpdateAttr:
+	case delta.KindUpdateAttr:
 		m.applyAttr(op, o.XID, o.Name, o.Old, o.New, false)
 	}
 }
@@ -324,7 +322,7 @@ func (m *merger) applyAttr(op delta.Op, x int64, name, old, new string, remove b
 	m.res.Applied++
 }
 
-func (m *merger) detachMove(mv delta.Move) {
+func (m *merger) detachMove(mv delta.Op) {
 	n := m.index[mv.XID]
 	if n == nil {
 		m.conflict(moveDelete, mv.XID, mv, "ours deleted the node theirs moves")
@@ -347,23 +345,23 @@ func (m *merger) detachMove(mv delta.Move) {
 		parentTheirs: mv.ToParent,
 		node:         n,
 		theirsNode:   m.theirsIdx[mv.XID],
-		fallbackPos:  mv.ToPos,
+		fallbackPos:  int(mv.ToPos),
 		move:         &mvCopy,
 		origParent:   origParent,
 		origIdx:      origIdx,
 	})
 }
 
-func (m *merger) applyDelete(del delta.Delete) {
+func (m *merger) applyDelete(del delta.Op) {
 	n := m.index[del.XID]
 	if n == nil {
 		m.res.Converged++ // ours already deleted it (or an ancestor)
 		return
 	}
-	for _, x := range del.XIDMap.XIDs() {
-		if m.ours.touched[x] {
+	for _, x := range dom.Postorder(del.Subtree) {
+		if m.ours.touched[x.XID] {
 			m.conflict(deleteModify, del.XID, del,
-				"ours modified XID %d inside the subtree theirs deletes", x)
+				"ours modified XID %d inside the subtree theirs deletes", x.XID)
 			return
 		}
 	}
@@ -375,7 +373,7 @@ func (m *merger) applyDelete(del delta.Delete) {
 	m.res.Applied++
 }
 
-func (m *merger) prepareInsert(ins delta.Insert) {
+func (m *merger) prepareInsert(ins delta.Op) {
 	if ins.Subtree == nil {
 		m.conflict(orphaned, ins.XID, ins, "insert without content")
 		return
@@ -392,7 +390,7 @@ func (m *merger) prepareInsert(ins delta.Insert) {
 		parentTheirs: ins.Parent,
 		node:         clone,
 		theirsNode:   m.theirsIdx[ins.XID],
-		fallbackPos:  ins.Pos,
+		fallbackPos:  int(ins.Pos),
 	})
 }
 
@@ -492,7 +490,7 @@ func orphanOp(item pendingAttach) delta.Op {
 	if item.move != nil {
 		return *item.move
 	}
-	return delta.Insert{XID: item.node.XID, Parent: item.parentTheirs, Pos: item.fallbackPos, Subtree: item.node}
+	return delta.Op{Kind: delta.KindInsert, XID: item.node.XID, Parent: item.parentTheirs, Pos: int32(item.fallbackPos), Subtree: item.node}
 }
 
 func indexByXID(doc *dom.Node) map[int64]*dom.Node {

@@ -311,7 +311,7 @@ func TestMergeErrors(t *testing.T) {
 	if _, err := ThreeWay(base.Root(), &delta.Delta{}, &delta.Delta{}); err == nil {
 		t.Error("element base accepted")
 	}
-	bogus := &delta.Delta{Ops: []delta.Op{delta.Update{XID: 999, Old: "a", New: "b"}}}
+	bogus := &delta.Delta{Ops: []delta.Op{{Kind: delta.KindUpdate, XID: 999, Old: "a", New: "b"}}}
 	if _, err := ThreeWay(base, bogus, &delta.Delta{}); err == nil {
 		t.Error("inapplicable ours accepted")
 	}

@@ -16,11 +16,9 @@ func ScriptCost(d *delta.Delta) int {
 		return 0
 	}
 	cost := 0
-	for _, op := range d.Ops {
-		switch o := op.(type) {
-		case delta.Insert:
-			cost += o.Subtree.Size()
-		case delta.Delete:
+	for i := range d.Ops {
+		switch o := &d.Ops[i]; o.Kind {
+		case delta.KindInsert, delta.KindDelete:
 			cost += o.Subtree.Size()
 		default:
 			cost++

@@ -104,7 +104,7 @@ func (c *Collector) ObserveResolved(t *delta.Targets, deltaBytes int) {
 		docBytes = t.NewDoc.EncodedLen()
 		for i, op := range d.Ops {
 			if n := changedElement(t, i); n != nil {
-				label(n.Name).count(op.Kind())
+				label(n.Name).count(op.Kind)
 			}
 		}
 	}
@@ -143,7 +143,7 @@ func (c *Collector) ObserveResolved(t *delta.Targets, deltaBytes int) {
 // counts against its element. nil means there is no such element.
 func changedElement(t *delta.Targets, i int) *dom.Node {
 	n, other := t.New[i], t.Old[i]
-	if t.Delta.Ops[i].Kind() == delta.KindDelete {
+	if t.Delta.Ops[i].Kind == delta.KindDelete {
 		n, other = other, n
 	}
 	if n == nil {

@@ -186,12 +186,12 @@ func observeReference(c *Collector, oldDoc, newDoc *dom.Node, d *delta.Delta) {
 	oldIdx, newIdx := index(oldDoc), index(newDoc)
 	for _, op := range d.Ops {
 		first, second := newIdx, oldIdx
-		if op.Kind() == delta.KindDelete {
+		if op.Kind == delta.KindDelete {
 			first, second = oldIdx, newIdx
 		}
-		n := first[op.TargetXID()]
+		n := first[op.XID]
 		if n == nil {
-			n = second[op.TargetXID()]
+			n = second[op.XID]
 		}
 		if n == nil {
 			continue
@@ -202,7 +202,7 @@ func observeReference(c *Collector, oldDoc, newDoc *dom.Node, d *delta.Delta) {
 		if n.Type != dom.Element || n.Name == "" {
 			continue
 		}
-		label(n.Name).count(op.Kind())
+		label(n.Name).count(op.Kind)
 	}
 }
 

@@ -3,12 +3,12 @@ package vstore
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 
 	"xydiff/internal/delta"
 	"xydiff/internal/dom"
-	"xydiff/internal/xid"
 )
 
 // A frame is a tree frozen into one byte slice, which gives the tree
@@ -33,24 +33,19 @@ import (
 // or zero. The tree comes back exactly as it went in: every field,
 // attribute order, adjacent and whitespace-only texts, and XIDs.
 //
-// A stored delta's stream is an op table whose insert and delete
-// subtrees are trees of the same frame, sharing its name table, text and
-// counts:
+// A stored delta's stream is an op table, the delta.Op struct encoded
+// field for field, whose insert and delete subtrees are trees of the
+// same frame, sharing its name table, text and counts:
 //
 //	delta  = uvarint(ops) varint(NextXID) op…
-//	op     = kind varint(XID) fields
-//	fields = insert, delete:   varint(Parent) uvarint(Pos) tree
-//	         update:           len(Old) len(New)
-//	         move:             varint(FromParent) uvarint(FromPos)
-//	                           varint(ToParent) uvarint(ToPos)
-//	         insert-attribute: len(Name) len(Value)
-//	         delete-attribute: len(Name) len(Old)
-//	         update-attribute: len(Name) len(Old) len(New)
+//	op     = kind varint(XID) [varint(Parent)] [uvarint(Pos)]
+//	         [varint(ToParent)] [uvarint(ToPos)]
+//	         [len(Name)] [len(Old)] [len(New)] [tree]
 //
-// where kind is the op's delta.Kind and every len a uvarint whose bytes
-// are the text's. A subtree carries its XIDs, so an op's XID map is not
-// stored: it is the subtree's XIDs in post-order, which is what a delta
-// built by the diff or read from its XML holds.
+// where kind is the op's delta.Kind, every len a uvarint whose bytes are
+// the text's, and tree the Subtree. An op holds the fields its kind uses
+// (opFields), so the kind says which are there. The subtree carries its
+// XIDs, which on the wire are the op's XID map.
 const (
 	tagType     = 0x07
 	tagName     = 0x08
@@ -82,56 +77,73 @@ func freeze(doc *dom.Node) ([]byte, bool) {
 	return f.frame(), true
 }
 
+// The fields of an Op each kind uses, bits of opFields.
+const (
+	fieldParent = 1 << iota
+	fieldPos
+	fieldToParent
+	fieldToPos
+	fieldName
+	fieldOld
+	fieldNew
+	fieldSubtree
+)
+
+// opFields is which of an Op's fields each kind uses: those a frame
+// holds, in the order of the bits.
+var opFields = [...]uint8{
+	delta.KindInsert:     fieldParent | fieldPos | fieldSubtree,
+	delta.KindDelete:     fieldParent | fieldPos | fieldSubtree,
+	delta.KindUpdate:     fieldOld | fieldNew,
+	delta.KindMove:       fieldParent | fieldPos | fieldToParent | fieldToPos,
+	delta.KindInsertAttr: fieldName | fieldNew,
+	delta.KindDeleteAttr: fieldName | fieldOld,
+	delta.KindUpdateAttr: fieldName | fieldOld | fieldNew,
+}
+
 // freezeDelta returns d as a frame, or false when it cannot be one: an
-// op type the frame has no kind for, a subtree that is missing or of a
-// node type the tag cannot carry, a negative position, or an XID map
-// that is not its subtree's XIDs. Only the frame is allocated.
+// op kind the frame does not know, a negative position, or a subtree
+// that is missing, of a node type the tag cannot carry, or rooted at a
+// node without its op's XID. Only the frame is allocated.
 func freezeDelta(d *delta.Delta) ([]byte, bool) {
 	f := freezers.Get().(*freezer)
 	defer f.release()
 	f.uvarint(len(d.Ops))
 	f.varint(d.NextXID)
-	for _, op := range d.Ops {
-		f.stream = append(f.stream, byte(op.Kind()))
-		f.varint(op.TargetXID())
-		ok := true
-		switch o := op.(type) {
-		case delta.Insert:
-			ok = f.subtreeOp(delta.Delete(o))
-		case delta.Delete:
-			ok = f.subtreeOp(o)
-		case delta.Update:
-			f.values(o.Old, o.New)
-		case delta.Move:
-			ok = o.FromPos >= 0 && o.ToPos >= 0
-			f.varint(o.FromParent)
-			f.uvarint(o.FromPos)
-			f.varint(o.ToParent)
-			f.uvarint(o.ToPos)
-		case delta.InsertAttr:
-			f.values(o.Name, o.Value)
-		case delta.DeleteAttr:
-			f.values(o.Name, o.Old)
-		case delta.UpdateAttr:
-			f.values(o.Name, o.Old, o.New)
-		default:
-			ok = false
+	for i := range d.Ops {
+		o := &d.Ops[i]
+		if int(o.Kind) >= len(opFields) || o.Pos < 0 || o.ToPos < 0 {
+			return nil, false
 		}
-		if !ok {
+		fields := opFields[o.Kind]
+		f.stream = append(f.stream, byte(o.Kind))
+		f.varint(o.XID)
+		if fields&fieldParent != 0 {
+			f.varint(o.Parent)
+		}
+		if fields&fieldPos != 0 {
+			f.uvarint(int(o.Pos))
+		}
+		if fields&fieldToParent != 0 {
+			f.varint(o.ToParent)
+		}
+		if fields&fieldToPos != 0 {
+			f.uvarint(int(o.ToPos))
+		}
+		if fields&fieldName != 0 {
+			f.value(o.Name)
+		}
+		if fields&fieldOld != 0 {
+			f.value(o.Old)
+		}
+		if fields&fieldNew != 0 {
+			f.value(o.New)
+		}
+		if fields&fieldSubtree != 0 && (o.Subtree == nil || o.Subtree.XID != o.XID || !f.node(o.Subtree)) {
 			return nil, false
 		}
 	}
 	return f.frame(), true
-}
-
-// subtreeOp writes the fields of an insert or a delete.
-func (f *freezer) subtreeOp(o delta.Delete) bool {
-	if o.Pos < 0 || o.Subtree == nil || !o.XIDMap.Describes(o.Subtree) {
-		return false
-	}
-	f.varint(o.Parent)
-	f.uvarint(o.Pos)
-	return f.node(o.Subtree)
 }
 
 // freezer is one frame's pass: the stream and the values written so
@@ -236,12 +248,6 @@ func (f *freezer) value(s string) {
 	f.text = append(f.text, s...)
 }
 
-func (f *freezer) values(s ...string) {
-	for _, v := range s {
-		f.value(v)
-	}
-}
-
 func (f *freezer) name(s string) {
 	f.uvarint(f.index(s))
 }
@@ -278,63 +284,62 @@ func thaw(frame []byte) (*dom.Node, error) {
 
 // thawDelta rebuilds the delta a frame holds, checking all of it as thaw
 // does: a *frameError, never a partial delta, when any of it does not
-// hold. Each insert and delete gets its subtree with its XIDs on it and,
-// when maps is set, its XID map; a read walk steps through the subtrees
-// as they are and asks for none. The subtrees' nodes, child slices and
-// attributes are one allocation each, shared by all of them, and every
-// string shares one copy of the frame's text. adjacentTexts reports a
-// subtree with two adjacent texts, which the delta's XML writes as one
-// (ROADMAP item 1), so that XML does not decode to the delta.
-func thawDelta(frame []byte, maps bool) (d *delta.Delta, adjacentTexts bool, err error) {
+// hold. Its ops are one slab, filled in place; each insert and delete
+// gets its subtree with its XIDs on it. The subtrees' nodes, child
+// slices and attributes are one allocation each, shared by all of them,
+// and every string shares one copy of the frame's text. adjacentTexts
+// reports a subtree with two adjacent texts, which the delta's XML
+// writes as one, so that XML does not decode to the delta.
+func thawDelta(frame []byte) (d *delta.Delta, adjacentTexts bool, err error) {
 	t := openFrame(frame)
 	// An op takes two bytes at least: its kind and its XID.
 	count := t.uvarint((len(frame) - t.off) / 2)
-	d = &delta.Delta{NextXID: t.varint(), Ops: make([]delta.Op, 0, count)}
+	d = &delta.Delta{NextXID: t.varint(), Ops: make([]delta.Op, count)}
 	trees := 0
-	for range count {
-		kind := delta.Kind(t.tag())
-		x := t.varint()
-		var op delta.Op
-		switch kind {
-		case delta.KindInsert, delta.KindDelete:
-			o := delta.Insert{XID: x, Parent: t.varint(), Pos: t.uvarint(maxInt), Subtree: t.tree()}
-			trees++
-			if o.Subtree != nil && o.Subtree.XID != x {
-				t.fail("a subtree without its op's XID")
-			}
-			if maps && t.err == nil {
-				o.XIDMap = xid.Of(o.Subtree)
-			}
-			op = o
-			if kind == delta.KindDelete {
-				op = delta.Delete(o)
-			}
-		case delta.KindUpdate:
-			op = delta.Update{XID: x, Old: t.value(0), New: t.value(0)}
-		case delta.KindMove:
-			op = delta.Move{XID: x, FromParent: t.varint(), FromPos: t.uvarint(maxInt), ToParent: t.varint(), ToPos: t.uvarint(maxInt)}
-		case delta.KindInsertAttr:
-			op = delta.InsertAttr{XID: x, Name: t.value(0), Value: t.value(0)}
-		case delta.KindDeleteAttr:
-			op = delta.DeleteAttr{XID: x, Name: t.value(0), Old: t.value(0)}
-		case delta.KindUpdateAttr:
-			op = delta.UpdateAttr{XID: x, Name: t.value(0), Old: t.value(0), New: t.value(0)}
-		default:
+	for i := range d.Ops {
+		o := &d.Ops[i]
+		if o.Kind = delta.Kind(t.tag()); int(o.Kind) >= len(opFields) {
 			t.fail("op kind")
 		}
 		if t.err != nil {
 			break
 		}
-		d.Ops = append(d.Ops, op)
+		fields := opFields[o.Kind]
+		o.XID = t.varint()
+		if fields&fieldParent != 0 {
+			o.Parent = t.varint()
+		}
+		if fields&fieldPos != 0 {
+			o.Pos = int32(t.uvarint(math.MaxInt32))
+		}
+		if fields&fieldToParent != 0 {
+			o.ToParent = t.varint()
+		}
+		if fields&fieldToPos != 0 {
+			o.ToPos = int32(t.uvarint(math.MaxInt32))
+		}
+		if fields&fieldName != 0 {
+			o.Name = t.value(0)
+		}
+		if fields&fieldOld != 0 {
+			o.Old = t.value(0)
+		}
+		if fields&fieldNew != 0 {
+			o.New = t.value(0)
+		}
+		if fields&fieldSubtree != 0 {
+			o.Subtree = t.tree()
+			trees++
+			if o.Subtree != nil && o.Subtree.XID != o.XID {
+				t.fail("a subtree without its op's XID")
+			}
+		}
 	}
 	if err := t.close(trees); err != nil {
 		return nil, false, err
 	}
 	return d, t.adjacentTexts, nil
 }
-
-// maxInt bounds a position read off a frame.
-const maxInt = int(^uint(0) >> 1)
 
 // thawer is one pass over a frame's stream: the name table, the text
 // not yet taken, and the slabs the trees' nodes, child slices and

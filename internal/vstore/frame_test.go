@@ -364,7 +364,7 @@ func checkParsedDelta(t *testing.T, src string, doc *dom.Node) []byte {
 		t.Fatalf("a delta ParseBytes accepts does not freeze: %s", src)
 	}
 	thawed := func() *delta.Delta {
-		d, adjacentTexts, err := thawDelta(frame, false)
+		d, adjacentTexts, err := thawDelta(frame)
 		if err != nil || adjacentTexts {
 			t.Fatalf("its own frame does not thaw (%v) or has adjacent texts (%v)", err, adjacentTexts)
 		}
@@ -401,7 +401,7 @@ func checkBuiltDelta(t *testing.T, old, nw *dom.Node, sftm bool) []byte {
 		t.Fatalf("a delta the diff built does not freeze")
 	}
 	sameXML(t, d, frame)
-	thawed, _, err := thawDelta(frame, false)
+	thawed, _, err := thawDelta(frame)
 	if err != nil {
 		t.Fatalf("its own frame does not thaw: %v", err)
 	}
@@ -411,7 +411,7 @@ func checkBuiltDelta(t *testing.T, old, nw *dom.Node, sftm bool) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if thawed, _, err = thawDelta(frame, false); err != nil {
+	if thawed, _, err = thawDelta(frame); err != nil {
 		t.Fatal(err)
 	}
 	a, b = nw.Clone(), nw.Clone()
@@ -419,14 +419,14 @@ func checkBuiltDelta(t *testing.T, old, nw *dom.Node, sftm bool) []byte {
 	return frame
 }
 
-// sameXML fails unless frame, thawed with its XID maps, writes d's XML.
+// sameXML fails unless frame, thawed, writes d's XML.
 func sameXML(t *testing.T, d *delta.Delta, frame []byte) {
 	t.Helper()
 	want, err := d.MarshalText()
 	if err != nil {
 		t.Fatal(err)
 	}
-	thawed, _, err := thawDelta(frame, true)
+	thawed, _, err := thawDelta(frame)
 	if err != nil {
 		t.Fatalf("its own frame does not thaw: %v", err)
 	}
@@ -459,21 +459,19 @@ func checkDamagedFrame(t *testing.T, frame []byte, cut, flip int) {
 	t.Helper()
 	var fe *frameError
 	short := frame[:cut%len(frame)]
-	if d, _, err := thawDelta(short, true); d != nil || !errors.As(err, &fe) {
+	if d, _, err := thawDelta(short); d != nil || !errors.As(err, &fe) {
 		t.Fatalf("cut at %d of %d bytes: thawed %v, %v", len(short), len(frame), d, err)
 	}
 	flipped := bytes.Clone(frame)
 	flipped[(flip>>3)%len(flipped)] ^= 1 << (flip & 7)
-	for _, maps := range []bool{false, true} {
-		d, _, err := thawDelta(flipped, maps)
-		if err != nil {
-			if d != nil || !errors.As(err, &fe) {
-				t.Fatalf("bit %d flipped: thawed %v, %v", flip, d, err)
-			}
-			continue
+	d, _, err := thawDelta(flipped)
+	if err != nil {
+		if d != nil || !errors.As(err, &fe) {
+			t.Fatalf("bit %d flipped: thawed %v, %v", flip, d, err)
 		}
-		_, _ = d.MarshalText() // a delta that is not one the store built may not write
+		return
 	}
+	_, _ = d.MarshalText() // a delta that is not one the store built may not write
 }
 
 // BenchmarkKeyframe times the two halves of a cache miss on a 7 KB

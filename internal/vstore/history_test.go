@@ -206,7 +206,7 @@ func TestChangesMatching(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(hits) != 1 || hits[0].Version != 2 || hits[0].Op.Kind() != delta.KindInsert {
+		if len(hits) != 1 || hits[0].Version != 2 || hits[0].Op.Kind != delta.KindInsert {
 			t.Fatalf("insert hits = %+v", hits)
 		}
 		// All price updates, matched through the text-parent rule.

@@ -105,7 +105,7 @@ func baseXML(frame []byte) ([]byte, error) {
 
 // deltaXML is the XML of a stored delta frame.
 func deltaXML(frame []byte) ([]byte, error) {
-	d, _, err := thawDelta(frame, true)
+	d, _, err := thawDelta(frame)
 	if err != nil {
 		return nil, err
 	}
@@ -169,22 +169,22 @@ func (st *docState) baseTree() (*dom.Node, error) {
 }
 
 // delta returns stored delta i (0-based), the one from version i+1 to
-// i+2, as a delta of its own: its frame thawed, with XID maps when maps
-// is set, or its XML parsed by the first walk that needs it. A read that
-// hands the delta out (maps set) gets what the delta's XML decodes to,
-// as it does once the store reopens: a frame with adjacent texts, whose
-// XML writes them as one, is rendered and parsed, and fails as that XML
-// does. The caller holds the state lock.
-func (st *docState) delta(i int, maps bool) (*delta.Delta, error) {
+// i+2, as a delta of its own: its frame thawed, or its XML parsed by the
+// first walk that needs it. A read that hands the delta out (handOut
+// set) gets what the delta's XML decodes to, as it does once the store
+// reopens: a frame with adjacent texts, whose XML writes them as one,
+// is rendered and parsed, and fails as that XML does. The caller holds
+// the state lock.
+func (st *docState) delta(i int, handOut bool) (*delta.Delta, error) {
 	p := st.deltas[i]
 	f := p.form.Load()
 	xml := f.b
 	if f.frame {
-		d, adjacentTexts, err := thawDelta(f.b, maps)
+		d, adjacentTexts, err := thawDelta(f.b)
 		if err != nil {
 			return nil, fmt.Errorf("vstore: thaw stored delta %d: %w", i+1, err)
 		}
-		if !maps || !adjacentTexts {
+		if !handOut || !adjacentTexts {
 			return d, nil
 		}
 		if xml, err = d.MarshalText(); err != nil {
@@ -206,8 +206,8 @@ func (st *docState) delta(i int, maps bool) (*delta.Delta, error) {
 // frame, the decoded tree or delta frozen (ok false when it would not
 // freeze), when the frame renders back to f's bytes, and marks f's XML
 // as staying XML otherwise. The frame is an exact image of what was
-// decoded — every field, and XID maps that are their subtrees' XIDs
-// (TestFreezeThawExact and FuzzResidentDelta check it) — so it renders
+// decoded — every field, the subtrees' XIDs included (TestFreezeThawExact
+// and FuzzResidentDelta check it) — so it renders
 // back to f's bytes exactly when what was decoded writes them: write,
 // its WriteTo, is compared with them as it goes, with nothing allocated.
 // Walks that decode the same part at once each settle it; the first

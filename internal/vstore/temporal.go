@@ -122,22 +122,24 @@ func (s *Store) ChangesMatching(id string, from, to int, pattern *xpathlite.Expr
 			return nil, fmt.Errorf("vstore: replay %s delta %d: %w", id, v, err)
 		}
 		t := delta.Resolve(d, doc, next)
+		// One Pather per step ranks each wide parent's children, in
+		// either version, once for all the ops.
+		var paths dom.Pather
 		for i, op := range d.Ops {
-			if !kindOK(op.Kind()) {
+			if !kindOK(op.Kind) {
 				continue
 			}
 			node := t.New[i]
-			if node == nil || op.Kind() == delta.KindDelete {
+			if node == nil || op.Kind == delta.KindDelete {
 				node = t.Old[i]
 			}
 			if node == nil || !matchesWithTextParent(pattern, node) {
 				continue
 			}
-			path := node.Path()
 			if node.Type == dom.Text && node.Parent != nil {
-				path = node.Parent.Path()
+				node = node.Parent
 			}
-			hits = append(hits, store.ChangeHit{Version: v + 1, Op: op, Path: path})
+			hits = append(hits, store.ChangeHit{Version: v + 1, Op: op, Path: paths.Path(node)})
 		}
 		doc = next
 	}

@@ -7,17 +7,22 @@ package xid
 // write, so memory follows the XIDs in use rather than the largest one.
 //
 // The pages cover XIDs 1..limit, where limit grows with the writes the
-// table has taken (spread XIDs per write, at least minSpan). Every other
-// XID — zero, a negative one, one far beyond what the document's size
-// explains — goes to an overflow map. A corrupt delta naming such an
-// XID gets the answer a map would give, and cannot make the table
-// allocate more than a constant per write.
+// table has taken or been told to expect (spread XIDs per write, at
+// least minSpan). Every other XID — zero, a negative one, one far
+// beyond what the document's size explains — goes to an overflow map.
+// A corrupt delta naming such an XID gets the answer a map would give,
+// and cannot make the table allocate more than a constant per write.
+// A caller that knows how many entries are coming (a tree's node
+// count) says so with Expect, so that the largest XIDs, written first
+// by a walk of a post-order-numbered tree, are in range too.
 //
 // The zero value of V means "absent": a Table never stores it, and Get
 // returns it for an XID with no entry. The zero Table is empty and
 // ready to use.
 type Table[V comparable] struct {
-	dir      []*[pageSize]V
+	dir []*[pageSize]V
+	// writes counts the writes taken, or those Expect announced when
+	// more.
 	writes   int64
 	overflow map[int64]V
 	spare    [][pageSize]V // pages allocated in bulk, not yet handed out
@@ -48,6 +53,12 @@ func (t *Table[V]) Get(x int64) V {
 		return t.overflow[x]
 	}
 	return *new(V)
+}
+
+// Expect tells the table that about n writes are coming, so the range
+// the pages cover is the one n writes earn from the first write on.
+func (t *Table[V]) Expect(n int) {
+	t.writes = max(t.writes, int64(n))
 }
 
 // Set stores v for x, replacing any earlier value.

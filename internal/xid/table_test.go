@@ -3,6 +3,8 @@ package xid
 import (
 	"math/rand"
 	"testing"
+
+	"xydiff/internal/dom"
 )
 
 // TestTableMatchesMap drives a Table and a map through the same random
@@ -79,5 +81,58 @@ func TestTableMemoryFollowsWrites(t *testing.T) {
 	}
 	if got := tab.Get(1<<62 + 1); got != nil {
 		t.Errorf("Get(1<<62+1) = %v, want nothing", got)
+	}
+}
+
+// TestExpectKeepsTreeXIDsInRange: the two walks that index a whole
+// tree — the applier's pre-order walk, which meets a post-order-numbered
+// document's root and document node first, with its two largest XIDs,
+// and compose's post-order walk of a later version, whose inserted nodes
+// carry fresh XIDs past every original one — leave the overflow empty
+// once the table is told the node count, as their callers tell it. A
+// table left to guess sends the first walk's first writes there.
+func TestExpectKeepsTreeXIDsInRange(t *testing.T) {
+	doc := dom.NewDocument()
+	root := dom.NewElement("Catalog")
+	doc.Append(root)
+	for i := 0; i < 1200; i++ {
+		p := dom.NewElement("Product")
+		p.Append(dom.NewElement("Name").Append(dom.NewText("n")), dom.NewElement("Price").Append(dom.NewText("1")))
+		root.Append(p)
+	}
+	Assign(doc)
+	nodes := doc.Size()
+	if nodes < 6000 {
+		t.Fatalf("the tree has %d nodes, want 6 000 at least", nodes)
+	}
+	// A later version: every tenth product's name is inserted anew.
+	next := int64(nodes) + 1
+	later := doc.Clone()
+	for i, p := range later.Root().Children {
+		if i%10 == 0 {
+			for _, n := range dom.Preorder(p.Children[0]) {
+				n.XID, next = next, next+1
+			}
+		}
+	}
+	index := func(n *dom.Node, expect bool, walk func(*dom.Node, dom.Visit)) int {
+		var tab Table[*dom.Node]
+		if expect {
+			tab.Expect(n.Size())
+		}
+		walk(n, func(x *dom.Node) bool {
+			tab.Set(x.XID, x)
+			return true
+		})
+		return len(tab.overflow)
+	}
+	if got := index(doc, true, dom.WalkPre); got != 0 {
+		t.Errorf("a pre-order index of %d nodes overflows %d XIDs", nodes, got)
+	}
+	if got := index(later, true, dom.WalkPost); got != 0 {
+		t.Errorf("a post-order index of the later version overflows %d XIDs", got)
+	}
+	if got := index(doc, false, dom.WalkPre); got == 0 {
+		t.Errorf("a table left to guess kept the root's XID %d in range: the test shows nothing", doc.XID)
 	}
 }

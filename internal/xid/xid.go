@@ -77,6 +77,49 @@ func Of(n *dom.Node) Map {
 	return m
 }
 
+// AppendOf appends the map of the subtree rooted at n — Of(n).String()
+// — to b, the XIDs read off the nodes as it goes, so nothing is
+// allocated beyond b's growth. A nil n has the empty map "()".
+func AppendOf(b []byte, n *dom.Node) []byte {
+	b = append(b, '(')
+	if n != nil {
+		var r span
+		b, r = appendRanges(b, n, span{1, 0})
+		b = appendSpan(b, r)
+	}
+	return append(b, ')')
+}
+
+// appendRanges extends r, the range being built, by the XIDs of n's
+// subtree in post-order, writing each range it closes to b. The walk
+// passes everything by value so that b can stay on its caller's stack.
+// An empty r (hi < lo) is the start: it takes the first XID as it is.
+func appendRanges(b []byte, n *dom.Node, r span) ([]byte, span) {
+	for _, c := range n.Children {
+		b, r = appendRanges(b, c, r)
+	}
+	switch x := n.XID; {
+	case r.hi < r.lo:
+		r = span{x, x}
+	case x == r.hi+1:
+		r.hi = x
+	default:
+		b = append(appendSpan(b, r), ';')
+		r = span{x, x}
+	}
+	return b, r
+}
+
+// appendSpan writes one range of a map.
+func appendSpan(b []byte, r span) []byte {
+	b = strconv.AppendInt(b, r.lo, 10)
+	if r.lo != r.hi {
+		b = append(b, '-')
+		b = strconv.AppendInt(b, r.hi, 10)
+	}
+	return b
+}
+
 // add adds one XID at the end of the map, merging it into the last
 // range when contiguous.
 func (m *Map) add(x int64) {
@@ -105,36 +148,17 @@ func (m Map) Root() int64 {
 	return m.ranges[len(m.ranges)-1].hi
 }
 
-// XIDs expands the map to the full post-order identifier list.
-func (m Map) XIDs() []int64 {
-	out := make([]int64, 0, m.Len())
-	for _, r := range m.ranges {
-		for x := r.lo; x <= r.hi; x++ {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
 // String renders the map in the paper's syntax: "(3-7)", "(3-5;9)".
 // An empty map renders as "()".
-func (m Map) String() string { return string(m.AppendTo(nil)) }
-
-// AppendTo appends what String returns to b and returns the extended
-// slice.
-func (m Map) AppendTo(b []byte) []byte {
-	b = append(b, '(')
+func (m Map) String() string {
+	b := []byte{'('}
 	for i, r := range m.ranges {
 		if i > 0 {
 			b = append(b, ';')
 		}
-		b = strconv.AppendInt(b, r.lo, 10)
-		if r.lo != r.hi {
-			b = append(b, '-')
-			b = strconv.AppendInt(b, r.hi, 10)
-		}
+		b = appendSpan(b, r)
 	}
-	return append(b, ')')
+	return string(append(b, ')'))
 }
 
 // ParseMap parses the "(3-5;9;12-14)" syntax produced by String.
@@ -296,22 +320,6 @@ func (s *Stamper) advance() {
 	if s.ranges = s.ranges[1:]; len(s.ranges) > 0 {
 		s.next = s.ranges[0].lo
 	}
-}
-
-// Describes reports whether the subtree rooted at n carries exactly the
-// map's XIDs, in post-order: whether ApplyTo would change nothing.
-func (m Map) Describes(n *dom.Node) bool {
-	s := m.Stamper()
-	ok := true
-	dom.WalkPost(n, func(x *dom.Node) bool {
-		if !ok || len(s.ranges) == 0 || x.XID != s.next {
-			ok = false
-			return false
-		}
-		s.advance()
-		return true
-	})
-	return ok && len(s.ranges) == 0
 }
 
 // Done reports whether exactly the map's XIDs were handed out; root is

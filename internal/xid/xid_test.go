@@ -74,7 +74,7 @@ func TestMapFragmented(t *testing.T) {
 	if m.Root() != 13 {
 		t.Errorf("Root = %d", m.Root())
 	}
-	if got := fmt.Sprint(m.XIDs()); got != "[3 4 5 9 12 13]" {
+	if got := fmt.Sprint(m.xids()); got != "[3 4 5 9 12 13]" {
 		t.Errorf("XIDs = %s", got)
 	}
 }
@@ -134,37 +134,37 @@ func TestApplyTo(t *testing.T) {
 	}
 }
 
-// TestMapDescribes: a map describes a subtree exactly when ApplyTo
-// would change nothing on it: the subtree's XIDs, in post-order, no
-// more and no fewer.
-func TestMapDescribes(t *testing.T) {
-	d := doc(t, `<a><b><c/></b><d/></a>`)
-	stamped, _ := ParseMap("(10;20;30;40)")
-	if err := stamped.ApplyTo(d.Root()); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		m    string
-		want bool
-	}{
-		{"(10;20;30;40)", true},
-		{"(20;10;30;40)", false},
-		{"(10;20;30)", false},
-		{"(10;20;30;40;50)", false},
-		{"(10-13)", false},
-		{"()", false},
-	} {
-		m, err := ParseMap(c.m)
+// TestAppendOf: the map AppendOf writes from a subtree's XIDs is the
+// one Of collects, fragmented, contiguous or empty.
+func TestAppendOf(t *testing.T) {
+	d := doc(t, `<a><b><c/></b><d/><e/></a>`)
+	for _, m := range []string{"(10;20;30;40;50)", "(1-5)", "(4;2-3;9;1)", "(7-8;10-12)"} {
+		stamp, err := ParseMap(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := m.Describes(d.Root()); got != c.want {
-			t.Errorf("%s describes the subtree: %v, want %v", c.m, got, c.want)
+		if err := stamp.ApplyTo(d.Root()); err != nil {
+			t.Fatal(err)
+		}
+		want := Of(d.Root()).String()
+		if got := string(AppendOf([]byte("x"), d.Root())); got != "x"+want {
+			t.Errorf("AppendOf after stamping %s = %s, want x%s", m, got, want)
 		}
 	}
-	if m := Of(d.Root()); !m.Describes(d.Root()) {
-		t.Errorf("Of's map %s does not describe its own subtree", m)
+	if got := string(AppendOf(nil, nil)); got != "()" {
+		t.Errorf("AppendOf of no subtree = %s, want ()", got)
 	}
+}
+
+// xids expands the map to the full post-order identifier list.
+func (m Map) xids() []int64 {
+	out := make([]int64, 0, m.Len())
+	for _, r := range m.ranges {
+		for x := r.lo; x <= r.hi; x++ {
+			out = append(out, x)
+		}
+	}
+	return out
 }
 
 func TestMapAppendPropertyQuick(t *testing.T) {
@@ -183,7 +183,7 @@ func TestMapAppendPropertyQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got := parsed.XIDs()
+		got := parsed.xids()
 		if len(got) != len(xs) {
 			return false
 		}

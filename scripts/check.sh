@@ -12,8 +12,8 @@
 #   3. build       every package compiles
 #   4. race        the whole test suite under the race detector, then the
 #                  vstore read-walk tests ten times more, since the walk
-#                  starts goroutines, the vstore allocation guards
-#                  without it, since it randomizes pools, and the
+#                  starts goroutines, the vstore and diff allocation
+#                  guards without it, since it randomizes pools, and the
 #                  server's crawl and source tests five times more,
 #                  since they run at production politeness and wait on
 #                  real fetches. Among
@@ -61,10 +61,12 @@ $GO test -race ./...
 # allocation counts: under -race sync.Pool drops values at random, so
 # those vary from run to run.
 $GO test -race -count=10 ./internal/vstore -run 'ReadWalks|DecodeAhead'
-# The allocation guards of the Put path and the read walk count
-# allocations through pooled buffers, which sync.Pool drops at random
-# under the race detector; they skip there and run here without it.
+# The allocation guards of the Put path, the read walk and the diff's
+# delta construction count allocations through pooled buffers, trees
+# and matchers, which sync.Pool drops at random under the race
+# detector; they skip there and run here without it.
 $GO test -count=1 ./internal/vstore -run 'TestPutDetailedAllocations|TestReadWalkAllocations'
+$GO test -count=1 ./internal/diff -run 'TestComposeVersionsAllocations|TestBULDDiffAllocations|TestSFTMDiffAllocations'
 # The server's crawl tests wait on real fetches at the crawler's
 # production timings; repeating them is how a timing flake shows.
 $GO test -race -count=5 ./internal/server -run 'Crawl|Source'

@@ -45,7 +45,10 @@ type Node = dom.Node
 // Delta is a set of change operations between two document versions.
 type Delta = delta.Delta
 
-// Op is one elementary change operation.
+// Op is one elementary change operation: a Kind and the fields that
+// kind uses (see delta.Op). An insert built by hand must carry an XID on
+// every node of its Subtree, none repeated and none already in the
+// document, or Apply refuses it; the diff's inserts always do.
 type Op = delta.Op
 
 // Options tune the diff; the zero value reproduces the paper's
