@@ -137,7 +137,7 @@ func exec(s *vstore.Store, cmd string, rest []string) error {
 			}
 			line := fmt.Sprintf("v%d\t%d bytes", v, len(doc.String()))
 			if v > 1 {
-				d, err := s.Delta(id, v-1)
+				d, err := s.Aggregate(id, v-1, v)
 				if err != nil {
 					return err
 				}
@@ -176,7 +176,7 @@ func exec(s *vstore.Store, cmd string, rest []string) error {
 		if err != nil {
 			return fmt.Errorf("bad version %q", rest[1])
 		}
-		d, err := s.Delta(rest[0], n)
+		d, err := s.Aggregate(rest[0], n, n+1)
 		if err != nil {
 			return err
 		}

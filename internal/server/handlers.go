@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -351,23 +352,18 @@ func (s *Server) handleGetVersion(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleGetDelta serves /docs/{id}/deltas/{spec} where spec is either a
-// single delta number n (version n -> n+1) or a range a..b, served as
-// the aggregated delta transforming version a into version b (b < a
-// yields the inverted aggregate).
+// single delta number n (version n -> n+1), served as the range
+// n..n+1, or a range a..b, served as the aggregated delta transforming
+// version a into version b (b < a yields the inverted aggregate).
 func (s *Server) handleGetDelta(w http.ResponseWriter, r *http.Request) {
 	id, spec := r.PathValue("id"), r.PathValue("spec")
-	var d *delta.Delta
+	var a, b int
 	if from, to, ok := strings.Cut(spec, ".."); ok {
-		a, errA := strconv.Atoi(from)
-		b, errB := strconv.Atoi(to)
+		var errA, errB error
+		a, errA = strconv.Atoi(from)
+		b, errB = strconv.Atoi(to)
 		if errA != nil || errB != nil {
 			writeError(w, http.StatusBadRequest, "delta range must be A..B with integer versions")
-			return
-		}
-		var err error
-		d, err = s.store.Aggregate(id, a, b)
-		if err != nil {
-			storeError(w, err)
 			return
 		}
 	} else {
@@ -376,11 +372,15 @@ func (s *Server) handleGetDelta(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "delta spec must be N or A..B")
 			return
 		}
-		d, err = s.store.Delta(id, n)
-		if err != nil {
-			storeError(w, err)
-			return
+		if n == math.MaxInt {
+			n-- // so that n+1 does not wrap: both are past every version
 		}
+		a, b = n, n+1
+	}
+	d, err := s.store.Aggregate(id, a, b)
+	if err != nil {
+		storeError(w, err)
+		return
 	}
 	s.warnDegraded(w, id)
 	w.Header().Set("Content-Type", "application/xml")

@@ -329,7 +329,7 @@ func (s *Server) metricFamilies() []family {
 		counter("xydiffd_store_keyframe_restores_total", "Cache misses served by restoring the latest version from its in-memory keyframe.", ss.KeyframeRestores),
 		counter("xydiffd_store_keyframe_fallbacks_total", "Keyframes that did not restore, so the miss replayed the delta chain.", ss.KeyframeFallbacks),
 		gauge("xydiffd_store_keyframe_bytes", "Bytes held by resident keyframes: tree shape, names and values.", ss.KeyframeBytes),
-		counter("xydiffd_store_deltas_decoded_total", "Stored deltas decoded by reads and by Puts: each one a read walk stepped through, or a read returned. A delta decoded ahead of a walk that an error stopped first is not counted.", ss.DeltasDecoded),
+		counter("xydiffd_store_deltas_decoded_total", "Stored deltas decoded by reads and by Puts: each one a read walk stepped through, or a read returned.", ss.DeltasDecoded),
 		gauge("xydiffd_store_degraded_docs", "Documents serving degraded (part of their history quarantined).", ss.DegradedDocs),
 		family{name: "xydiffd_store_history_bytes", typ: "gauge",
 			help: "Resident history (each document's version 1 and stored deltas): bytes held as XML, not yet decoded since the store opened, and as frames.",

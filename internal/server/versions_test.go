@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -206,6 +207,35 @@ func TestOneStepDeltaRangeIsTheStoredDelta(t *testing.T) {
 		code, _, body := get("broken", spec)
 		if code != http.StatusInternalServerError || !strings.Contains(body, "vstore: parse stored delta 1: ") {
 			t.Errorf("broken deltas/%s: %d %s, want 500 with the decode error", spec, code, body)
+		}
+	}
+}
+
+// TestOneDeltaStatuses: /deltas/n answers 200 for every stored delta,
+// 410 for any n from a degraded document's intact versions on, and 404
+// for any other n, the largest int included, and for an unknown
+// document; a degraded document's answers but the 404s carry its
+// Warning.
+func TestOneDeltaStatuses(t *testing.T) {
+	st, ts := chainServer(t, 5)
+	for _, id := range []string{"catalog", "doc", "ghost"} {
+		versions := st.Versions(id)
+		degraded, _ := st.Degraded(id)
+		for _, n := range []int{-1, 0, 1, versions - 1, versions, versions + 1, math.MaxInt} {
+			want := http.StatusNotFound
+			switch {
+			case n >= 1 && n < versions:
+				want = http.StatusOK
+			case n >= versions && degraded:
+				want = http.StatusGone
+			}
+			code, hdr, body := doReq(t, "GET", fmt.Sprintf("%s/docs/%s/deltas/%d", ts.URL, id, n), "")
+			if code != want {
+				t.Errorf("%s (%d versions) deltas/%d: %d %s, want %d", id, versions, n, code, body, want)
+			}
+			if w := hdr.Get("Warning"); strings.Contains(w, "degraded") != (degraded && want != http.StatusNotFound) {
+				t.Errorf("%s deltas/%d: Warning %q", id, n, w)
+			}
 		}
 	}
 }

@@ -94,8 +94,8 @@ type PutResult struct {
 	// first version.
 	Delta *delta.Delta
 	// DeltaBytes is the length of Delta's XML encoding — of the bytes
-	// the journal record carries and Delta(id, Version-1) serializes to
-	// — or 0 for the first version.
+	// the journal record carries and Aggregate(id, Version-1, Version)
+	// serializes to — or 0 for the first version.
 	DeltaBytes int
 }
 

@@ -288,12 +288,12 @@ func TestChangesMatchingAnswersLikeDeltasBetween(t *testing.T) {
 
 // TestOneStepAggregateIsTheStoredDelta pins, differentially, the
 // identity a one-step Aggregate relies on: over BULD and SFTM chains,
-// Aggregate(n, n+1) is Delta(n), Aggregate(n+1, n) is Delta(n)
-// inverted, and both are what diff.ComposeVersions makes of the two
-// reconstructed versions, compared as bytes. Two more chains have a
-// step on which the Put's windowed move rule and the exact one
-// disagree, so an aggregate composed with the exact rule would lose
-// moves there.
+// Aggregate(n, n+1) is stored delta n — the XML the store holds for
+// it — Aggregate(n+1, n) is that delta inverted, and both are what
+// diff.ComposeVersions makes of the two reconstructed versions,
+// compared as bytes. Two more chains have a step on which the Put's
+// windowed move rule and the exact one disagree, so an aggregate
+// composed with the exact rule would lose moves there.
 func TestOneStepAggregateIsTheStoredDelta(t *testing.T) {
 	s, err := Open("", diff.Options{}, Config{Shards: 2})
 	if err != nil {
@@ -317,7 +317,8 @@ func TestOneStepAggregateIsTheStoredDelta(t *testing.T) {
 			last = len(windowed[id])
 		}
 		for n := 1; n < last; n++ {
-			stored, err := s.Delta(id, n)
+			xml := storedXML(t, s.shardFor(id).lookup(id), n-1)
+			stored, err := delta.ParseBytes(xml)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -333,7 +334,7 @@ func TestOneStepAggregateIsTheStoredDelta(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := renderDelta(t, stored)
+			want := string(xml)
 			if got := renderDelta(t, composed); got != want {
 				t.Errorf("%s %d..%d: ComposeVersions has %v, the stored delta %v", id, n, n+1, composed.Count(), stored.Count())
 			}

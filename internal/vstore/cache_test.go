@@ -325,8 +325,9 @@ func residentBytes(t *testing.T, s *Store, ids []string, keyframes bool) int {
 	for _, id := range ids {
 		st := s.shardFor(id).lookup(id)
 		for _, p := range append([]*part{st.base}, st.deltas...) {
-			chain += p.len()
-			bound += roundUp(p.len()) + header
+			n := len(p.form.Load().b)
+			chain += n
+			bound += roundUp(n) + header
 		}
 	}
 	sumLen := chain

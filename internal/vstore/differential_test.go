@@ -142,7 +142,7 @@ func TestDifferentialAgainstModel(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					gotD, err := eng.Delta(run.id, v)
+					gotD, err := eng.Aggregate(run.id, v, v+1)
 					if err != nil {
 						t.Fatalf("%s: %s delta %d: %v", label, run.id, v, err)
 					}

@@ -248,7 +248,7 @@ func TestQueryDeltaDocumentsViaStore(t *testing.T) {
 	forEachStore(t, func(t *testing.T, s *Store) {
 		// Deltas are XML documents: query one with xpathlite.
 		seedHistory(t, s)
-		d, err := s.Delta("cat", 2)
+		d, err := s.Aggregate("cat", 2, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,11 +274,11 @@ func TestDeltaAccessors(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if d, err := s.Delta("d", 1); err != nil || d.Count().Updates != 1 {
-			t.Fatalf("Delta(1) = %v, %v", d, err)
+		if d, err := s.Aggregate("d", 1, 2); err != nil || d.Count().Updates != 1 {
+			t.Fatalf("Aggregate(1, 2) = %v, %v", d, err)
 		}
-		if _, err := s.Delta("d", 3); err == nil {
-			t.Error("Delta(3) should not exist with 3 versions")
+		if _, err := s.Aggregate("d", 3, 4); err == nil {
+			t.Error("Aggregate(3, 4) should not exist with 3 versions")
 		}
 		if same, err := s.DeltasBetween("d", 2, 2); err != nil || len(same) != 0 {
 			t.Fatalf("DeltasBetween(2,2) = %d, %v", len(same), err)
@@ -382,7 +382,7 @@ func TestConcurrentSameDoc(t *testing.T) {
 						}
 					}
 					for v := 1; v < n; v++ {
-						if _, err := s.Delta(id, v); err != nil {
+						if _, err := s.Aggregate(id, v, v+1); err != nil {
 							t.Errorf("delta %d of %d: %v", v, n, err)
 							return
 						}

@@ -191,7 +191,7 @@ func migratedDigests(t *testing.T, dir string) map[string]string {
 			if v == n {
 				continue
 			}
-			d, err := s.Delta(id, v)
+			d, err := s.Aggregate(id, v, v+1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,7 +3,6 @@ package vstore
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -257,9 +256,10 @@ func flipChain(tb testing.TB, size, n int) []*dom.Node {
 // 1 770 backward and 2 185 forward; with the XID table and one sorted
 // attachment list, 1 591 and 2 055; with frames thawed in place of XML,
 // 516 and 483; with one op struct, whose ops are one slab, and each
-// attaching parent grown to exactly what it needs, 140 and 107.) It runs the walk executor on each
-// plan, whatever the planner would pick for the read. A count, not a
-// timing, so it can gate go test.
+// attaching parent grown to exactly what it needs, 140 and 107; with
+// every step in line, no decode-ahead indirection, 140 and 106.) It
+// runs the walk executor on each plan, whatever the planner would pick
+// for the read. A count, not a timing, so it can gate go test.
 func TestRewindAllocations(t *testing.T) {
 	s := chainStore(t, Config{Shards: 1}, catalogChain(t, 7000, 5), "doc")
 	defer s.Close()
@@ -305,41 +305,6 @@ func BenchmarkReadWalk(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkDecodeAheadCrossover walks back from the cached latest
-// version over one and over three 10%-churn deltas of catalogs from 3
-// to 60 KB, once decoding in line and once with helpers decoding
-// ahead, and reports the stored delta bytes each walk decodes. Where
-// the two cross is aheadMinBytes. Run it at -cpu 2 or more: on one
-// processor no walk decodes ahead.
-func BenchmarkDecodeAheadCrossover(b *testing.B) {
-	defer func(old int) { aheadMinBytes = old }(aheadMinBytes)
-	for _, size := range []int{3000, 7000, 20000, 60000} {
-		s := chainStore(b, Config{Shards: 1}, catalogChain(b, size, 4), "doc")
-		st := s.shardFor("doc").lookup("doc")
-		latest, err := s.materializeLocked("doc", st)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, steps := range []int{1, 3} {
-			for _, ahead := range []bool{false, true} {
-				b.Run(fmt.Sprintf("size=%d/steps=%d/ahead=%v", size, steps, ahead), func(b *testing.B) {
-					aheadMinBytes = math.MaxInt
-					if ahead {
-						aheadMinBytes = -1
-					}
-					b.ReportMetric(float64(st.storedBytes(4-steps, 3)), "stored-B")
-					for i := 0; i < b.N; i++ {
-						if _, _, err := st.walk(latest, []int{4 - steps}, 0, func(int, *dom.Node, bool) error { return nil }); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
-		}
-		s.Close()
 	}
 }
 

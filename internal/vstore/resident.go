@@ -62,9 +62,6 @@ func putPart(frame []byte, ok bool, xml, kept []byte) *part {
 	return p
 }
 
-// len is the bytes the part holds: its frame, or its XML.
-func (p *part) len() int { return len(p.form.Load().b) }
-
 // xmlLen is the length of the part's XML.
 func (p *part) xmlLen() int {
 	f := p.form.Load()

@@ -99,12 +99,6 @@ func TestUndecodableStoredDeltaStaysLocal(t *testing.T) {
 			return err
 		}})
 	}
-	for n := 1; n < len(bodies); n++ {
-		reads = append(reads, read{fmt.Sprintf("Delta(%d)", n), n == broken, n == broken, func(s *Store) error {
-			_, err := s.Delta("doc", n)
-			return err
-		}})
-	}
 	for _, r := range [][2]int{{1, 2}, {2, 1}, {3, 4}, {4, 3}, {2, 3}, {3, 2}, {1, 4}, {4, 1}} {
 		one := r[1]-r[0] == 1 || r[0]-r[1] == 1
 		crosses := min(r[0], r[1]) <= broken && max(r[0], r[1]) > broken || !one && max(r[0], r[1]) > broken

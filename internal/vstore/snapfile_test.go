@@ -531,7 +531,7 @@ func checkServes(t *testing.T, s *Store, want, deltas map[string][]string) {
 	}
 	for id, digests := range deltas {
 		for v, d := range digests {
-			dl, err := s.Delta(id, v+1)
+			dl, err := s.Aggregate(id, v+1, v+2)
 			if err != nil {
 				t.Fatalf("%s delta %d: %v", id, v+1, err)
 			}

@@ -175,8 +175,7 @@ type StorageStats struct {
 	HistoryFrameBytes int64
 	// DeltasDecoded counts stored deltas decoded, by read walks (Puts'
 	// included) and by reads that return stored deltas. A walk counts
-	// the deltas it stepped through: one its helpers decoded ahead of
-	// it, past the step where an error stopped it, is not counted.
+	// the deltas it stepped through.
 	DeltasDecoded int64
 	// Compactions counts completed compaction passes (checkpoints
 	// included); CompactionSeconds is their cumulative duration.

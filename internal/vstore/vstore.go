@@ -577,22 +577,6 @@ func (st *docState) checkRange(id string, from, to int) error {
 	return nil
 }
 
-// Delta returns the stored delta that transforms version n into n+1.
-func (s *Store) Delta(id string, n int) (*delta.Delta, error) {
-	st, err := s.reading(id)
-	if err != nil {
-		return nil, err
-	}
-	defer st.mu.RUnlock()
-	if n >= st.versions && st.degraded {
-		return nil, &DegradedError{id: id, Reason: st.degradedReason, Intact: st.versions}
-	}
-	if n < 1 || n >= st.versions {
-		return nil, fmt.Errorf("vstore: %s has deltas 1..%d, not %d: %w", id, st.versions-1, n, store.ErrNoSuchVersion)
-	}
-	return s.decodeDelta(st, n-1)
-}
-
 // DeltasBetween returns the delta sequence transforming version from
 // into version to. When from > to, the deltas are inverted and
 // returned in reverse order, so applying them in order still works.

@@ -625,7 +625,7 @@ func TestPutDeltaIsTheDiff(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := s.Delta("doc", 1)
+	got, err := s.Aggregate("doc", 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

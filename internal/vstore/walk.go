@@ -2,9 +2,6 @@ package vstore
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"xydiff/internal/delta"
 	"xydiff/internal/dom"
@@ -122,37 +119,18 @@ func (st *docState) plan(targets []int) int {
 // forward whatever fwd says, and the walk goes on to the latest version
 // and returns it — or nil when a step after the last target fails, so a
 // delta that does not decode or apply fails only the reads that need
-// it. A backward walk copies latest only once it has a
-// step to take: a target at the latest version is visited on latest
-// itself. When the deltas it steps through are large enough and there
-// is more than one processor to run on, helpers decode them ahead of
-// it (aheadDecoder). decoded is how many stored deltas the walk
-// stepped through. The caller holds the state lock.
+// it. A backward walk copies latest only once it has a step to take: a
+// target at the latest version is visited on latest itself. The walk
+// steps through each delta in line, one after the other: each step
+// needs the tree the last one left. decoded is how many stored deltas
+// the walk stepped through. The caller holds the state lock.
 func (st *docState) walk(latest *dom.Node, targets []int, fwd int, visit visitor) (_ *dom.Node, decoded int, _ error) {
 	if latest == nil {
 		fwd = len(targets)
 	}
-	// The walk steps through deltas 1..ahead forward, then
-	// st.versions-1 down to back backward.
-	ahead, back := 0, st.versions
-	switch {
-	case latest == nil:
-		ahead = st.versions - 1
-	case fwd > 0:
-		ahead = targets[fwd-1] - 1
-	}
-	if fwd < len(targets) {
-		back = targets[fwd]
-	}
-	stepper := st.step
-	if runtime.GOMAXPROCS(0) > 1 && st.storedBytes(1, ahead)+st.storedBytes(back, st.versions-1) > aheadMinBytes {
-		a := st.decodeAhead(ahead, back)
-		defer a.stop()
-		stepper = a.step
-	}
 	step := func(r *delta.Replay, n int, backward bool) error {
 		decoded++
-		return stepper(r, n, backward)
+		return st.step(r, n, backward)
 	}
 	if fwd > 0 || latest == nil {
 		doc, err := st.baseTree()
@@ -206,131 +184,6 @@ func (st *docState) walk(latest *dom.Node, targets []int, fwd int, visit visitor
 	return latest, decoded, nil
 }
 
-// storedBytes is the bytes deltas from..to hold (1-based, inclusive;
-// none when to < from).
-func (st *docState) storedBytes(from, to int) int {
-	n := 0
-	for i := from; i <= to; i++ {
-		n += st.deltas[i-1].len()
-	}
-	return n
-}
-
-// aheadMinBytes is the crossover of walk's helpers: a walk decodes its
-// deltas ahead of itself only when the bytes they hold — frames, or XML
-// not yet decoded — add up to more than this. Below it, handing each
-// delta over costs more than the decodes the helpers overlap;
-// DESIGN.md has the measurement. With one processor nothing overlaps,
-// so no walk decodes ahead. Tests lower it to drive the helpers over
-// small chains.
-var aheadMinBytes = 16 << 10
-
-// aheadDecoder decodes the deltas of one walk ahead of it, in the
-// order the walk steps through them: deltas 1..ahead, then
-// versions-1 down to back. Helper goroutines, at most GOMAXPROCS, each
-// take the next delta of that order and decode it; a token bounds the
-// decoded deltas not yet taken, with those being decoded, to the
-// number of helpers. The walk takes them in order with step. The
-// helpers read only entries of st.deltas, which never change once
-// appended, under the state lock the walk holds; stop ends them before
-// the walk returns and the lock is released.
-type aheadDecoder struct {
-	st      *docState
-	order   []int // delta numbers in walk order
-	done    []chan struct{}
-	got     []decodedDelta
-	claimed atomic.Int64 // how many of order helpers have taken
-	tokens  chan struct{}
-	quit    chan struct{}
-	helpers sync.WaitGroup
-	taken   int // how many of order the walk has taken
-}
-
-type decodedDelta struct {
-	d   *delta.Delta
-	err error
-}
-
-// decodeAhead starts the helpers of a walk that steps through deltas
-// 1..ahead forward and then versions-1 down to back backward.
-func (st *docState) decodeAhead(ahead, back int) *aheadDecoder {
-	order := make([]int, 0, ahead+st.versions-back)
-	for n := 1; n <= ahead; n++ {
-		order = append(order, n)
-	}
-	for n := st.versions - 1; n >= back; n-- {
-		order = append(order, n)
-	}
-	workers := min(runtime.GOMAXPROCS(0), len(order))
-	a := &aheadDecoder{
-		st:     st,
-		order:  order,
-		done:   make([]chan struct{}, len(order)),
-		got:    make([]decodedDelta, len(order)),
-		tokens: make(chan struct{}, workers),
-		quit:   make(chan struct{}),
-	}
-	for i := range a.done {
-		a.done[i] = make(chan struct{})
-	}
-	a.helpers.Add(workers)
-	for range workers {
-		go a.help()
-	}
-	return a
-}
-
-// help decodes deltas of the order until none is left or the walk
-// stops. A helper takes a token before it claims a delta, so deltas
-// are claimed in order and the one the walk waits for is always being
-// decoded or free to claim.
-func (a *aheadDecoder) help() {
-	defer a.helpers.Done()
-	for {
-		select {
-		case <-a.quit:
-			return
-		default:
-		}
-		select {
-		case a.tokens <- struct{}{}:
-		case <-a.quit:
-			return
-		}
-		i := int(a.claimed.Add(1)) - 1
-		if i >= len(a.order) {
-			return
-		}
-		d, err := a.st.delta(a.order[i]-1, false)
-		a.got[i] = decodedDelta{d, err}
-		close(a.done[i])
-	}
-}
-
-// step is st.step with delta n decoded ahead: it waits for the next
-// delta of the order, hands its token back and steps r through it.
-func (a *aheadDecoder) step(r *delta.Replay, n int, backward bool) error {
-	i := a.taken
-	if i >= len(a.order) || a.order[i] != n {
-		return fmt.Errorf("vstore: read walk stepped to delta %d out of its planned order", n)
-	}
-	<-a.done[i]
-	a.taken++
-	<-a.tokens
-	g := a.got[i]
-	a.got[i] = decodedDelta{}
-	if g.err != nil {
-		return g.err
-	}
-	return replayStep(r, g.d, n, backward)
-}
-
-// stop ends the helpers and waits until they have exited.
-func (a *aheadDecoder) stop() {
-	close(a.quit)
-	a.helpers.Wait()
-}
-
 // step decodes stored delta n, the one from version n to n+1, and
 // steps r's document through it: forward, or backward through its
 // inverse. The caller holds the state lock.
@@ -339,12 +192,6 @@ func (st *docState) step(r *delta.Replay, n int, backward bool) error {
 	if err != nil {
 		return err
 	}
-	return replayStep(r, d, n, backward)
-}
-
-// replayStep steps r's document through d, stored delta n.
-func replayStep(r *delta.Replay, d *delta.Delta, n int, backward bool) error {
-	var err error
 	if backward {
 		err = r.Backward(d)
 	} else {

@@ -5,14 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"xydiff/internal/changesim"
 	"xydiff/internal/delta"
@@ -296,76 +294,6 @@ func TestReadErrorsNameTheirVersions(t *testing.T) {
 	wantErr(err, "materialize doc:")
 }
 
-// TestDecodeAheadErrors: a walk whose helpers decode its deltas ahead
-// of it (forced, on at least two processors) fails as the walk that
-// decodes them in line does — the same error at the same step, for an
-// undecodable delta k, a delta k that does not apply and a visitor
-// that fails — and every helper has exited when it returns.
-func TestDecodeAheadErrors(t *testing.T) {
-	const versions = 8
-	s := chainStore(t, Config{Shards: 1}, flipChain(t, 3000, versions), "doc")
-	defer s.Close()
-	st := s.shardFor("doc").lookup("doc")
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	latest, err := s.materializeLocked("doc", st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func(old int) { aheadMinBytes = old }(aheadMinBytes)
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
-	walk := func(ahead bool, targets []int, fwd int, visit visitor) string {
-		t.Helper()
-		aheadMinBytes = math.MaxInt
-		if ahead {
-			aheadMinBytes = -1
-		}
-		before := runtime.NumGoroutine()
-		_, decoded, err := st.walk(latest, targets, fwd, visit)
-		// A helper has signalled its end when walk returns, but its
-		// goroutine may take a moment to go; and other goroutines of
-		// the test binary may end meanwhile, so the count may drop.
-		// The helpers themselves are looked for by name.
-		after, running := runtime.NumGoroutine(), helpersRunning()
-		for deadline := time.Now().Add(5 * time.Second); (after > before || running) && time.Now().Before(deadline); {
-			time.Sleep(time.Millisecond)
-			after, running = runtime.NumGoroutine(), helpersRunning()
-		}
-		if after > before || running {
-			t.Errorf("walk to %v, %d forward, ahead %v: %d goroutines before, %d after, helpers running %v",
-				targets, fwd, ahead, before, after, running)
-		}
-		return fmt.Sprintf("%d decoded: %v", decoded, err)
-	}
-	same := func(what string, targets []int, visit visitor) {
-		t.Helper()
-		for fwd := 0; fwd <= len(targets); fwd++ {
-			want := walk(false, targets, fwd, visit)
-			if got := walk(true, targets, fwd, visit); got != want {
-				t.Errorf("%s, walk to %v, %d forward: decoding ahead gives %q, in line %q", what, targets, fwd, got, want)
-			}
-		}
-	}
-	keep := func(int, *dom.Node, bool) error { return nil }
-	for k := 1; k < versions; k++ {
-		stored := st.deltas[k-1]
-		st.deltas[k-1] = xmlPart([]byte("<unreadable"))
-		same(fmt.Sprintf("delta %d undecodable", k), []int{2, 7}, keep)
-		st.deltas[k-1] = xmlPart([]byte(`<delta><update xid="999999"><old>a</old><new>b</new></update></delta>`))
-		same(fmt.Sprintf("delta %d not applying", k), []int{2, 7}, keep)
-		st.deltas[k-1] = stored
-	}
-	same("a failing visitor", []int{3, 5}, func(v int, _ *dom.Node, _ bool) error {
-		return fmt.Errorf("visit %d", v)
-	})
-}
-
-// helpersRunning reports whether any goroutine is in aheadDecoder.help.
-func helpersRunning() bool {
-	buf := make([]byte, 1<<20)
-	return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("(*aheadDecoder).help"))
-}
-
 // TestConcurrentReadWalks: readers of two documents behind a
 // one-document cache, so their walks start from a shared cached tree
 // or restore one from its keyframe while another read evicts it, all
@@ -441,13 +369,12 @@ func concurrentReads(t *testing.T, s *Store, ids []string, want map[string][]str
 }
 
 // TestReadWalksDecodeAhead runs TestReadWalksAgree and
-// TestConcurrentReadWalks with the crossover forced to zero and at
-// least two processors, so every walk that steps has helpers decoding
-// ahead of it, whatever the size of its deltas. Run under -race.
+// TestConcurrentReadWalks on at least two processors, where walks once
+// had helpers decoding their deltas ahead of them: every walk steps in
+// line, so a read gives the same versions on two cores as on one. Run
+// under -race.
 func TestReadWalksDecodeAhead(t *testing.T) {
-	defer func(old int) { aheadMinBytes = old }(aheadMinBytes)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
-	aheadMinBytes = -1
 	t.Run("agree", TestReadWalksAgree)
 	t.Run("concurrent", TestConcurrentReadWalks)
 }
@@ -461,13 +388,15 @@ func TestReadWalksDecodeAhead(t *testing.T) {
 // index; 398 KB against 89 KB once a copy of the latest version was
 // three allocations, which is why that comparison is in bytes now; 58
 // against 42 with frames thawed and one op struct, whose ops are one
-// slab).
+// slab; 58 against 41 with every step taken in line, no decode-ahead
+// indirection left in the walk).
 // On a miss the latest version comes back from its keyframe and the
 // read walks as a hit does: a restore (40 allocations, with the
 // keyframe the restore's eviction leaves; 690 when keyframes were XML)
 // plus the hit's walk. With no keyframe, on a store just reopened, a
 // miss costs the replay that caches the latest version (6 013 with a
-// map for the index, 5 550 with the table, 4 530 with one op struct)
+// map for the index, 5 550 with the table, 4 530 with one op struct,
+// 4 528 with every step in line)
 // and one copy, not a further
 // walk back from it and no second copy, in bytes.
 func TestReadWalkAllocations(t *testing.T) {

@@ -55,12 +55,12 @@ $GO build ./...
 
 echo "==> race"
 $GO test -race ./...
-# The read walk starts helper goroutines that decode deltas ahead of it,
-# and walks that first decode the same stored part swap its frame in
-# together: its tests run again, repeatedly, under the race detector. Not its
-# allocation counts: under -race sync.Pool drops values at random, so
-# those vary from run to run.
-$GO test -race -count=10 ./internal/vstore -run 'ReadWalks|DecodeAhead'
+# Concurrent reads walk a document's chain under its read lock, and
+# walks that first decode the same stored part swap its frame in
+# together: their tests run again, repeatedly, under the race
+# detector. Not their allocation counts: under -race sync.Pool drops
+# values at random, so those vary from run to run.
+$GO test -race -count=10 ./internal/vstore -run 'ReadWalks'
 # The allocation guards of the Put path, the read walk and the diff's
 # delta construction count allocations through pooled buffers, trees
 # and matchers, which sync.Pool drops at random under the race
