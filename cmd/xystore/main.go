@@ -42,7 +42,6 @@ import (
 
 	"xydiff/internal/diff"
 	"xydiff/internal/dom/domio"
-	"xydiff/internal/scrub"
 	"xydiff/internal/vstore"
 	"xydiff/internal/xpathlite"
 )
@@ -368,7 +367,7 @@ func runScrub(dir string, rest []string) error {
 }
 
 // printScrubReport renders one pass for the terminal.
-func printScrubReport(rep scrub.Report) {
+func printScrubReport(rep vstore.ScrubReport) {
 	rate := 0.0
 	if s := rep.Duration.Seconds(); s > 0 {
 		rate = float64(rep.BytesScanned) / s / (1 << 20)

@@ -14,7 +14,6 @@ import (
 	"xydiff/internal/diff"
 	"xydiff/internal/faultfs"
 	"xydiff/internal/faultfs/faultfstest"
-	"xydiff/internal/scrub"
 	"xydiff/internal/vstore"
 )
 
@@ -292,7 +291,7 @@ func TestScrubCommandShardedLayout(t *testing.T) {
 	if err := run(wh, []string{"scrub", "-once", "-repair"}); err != nil {
 		t.Fatalf("scrub on damaged dir: %v", err)
 	}
-	q, _ := filepath.Glob(filepath.Join(wh, "shard-*", "docs", "*"+scrub.QuarantineSuffix))
+	q, _ := filepath.Glob(filepath.Join(wh, "shard-*", "docs", "*.quarantine"))
 	if len(q) != 1 {
 		t.Fatalf("quarantined snapshot dirs = %v", q)
 	}

@@ -58,8 +58,7 @@ var boundaryRules = []boundaryRule{
 	{
 		layer: "storage",
 		scope: []string{
-			"internal/store", "internal/vstore",
-			"internal/scrub", "internal/faultfs",
+			"internal/vstore", "internal/faultfs", "internal/store",
 		},
 		deny:   []string{"internal/server"},
 		reason: "the server drives storage, never the reverse; an upward import would make shutdown ordering and error ownership circular",

@@ -8,7 +8,7 @@ import (
 )
 
 // errWrap enforces the error discipline the repository's typed errors
-// (declared in internal/store/errors.go, returned by internal/vstore)
+// (the storage engine's, declared and returned by internal/vstore)
 // depend on: errors crossing a package boundary keep their chain, and
 // no error is dropped on the floor.
 // Concretely:

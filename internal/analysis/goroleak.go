@@ -16,7 +16,7 @@ import (
 // For each `go` statement the analyzer resolves the spawned body: a
 // function literal directly, or — interprocedurally, through the
 // module-wide declaration index — a function or method declared in any
-// analyzed package (`go s.committer(sh)`, `go s.scrubber.Run(ctx)`).
+// analyzed package (`go s.committer(sh)`, `go s.scrubLoop(ctx)`).
 // An unresolvable callee (function value, callee outside the analyzed
 // set) is skipped: nothing is provable about it.
 //

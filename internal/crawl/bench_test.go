@@ -15,7 +15,6 @@ import (
 	"xydiff/internal/diff"
 	"xydiff/internal/dom"
 	"xydiff/internal/stats"
-	"xydiff/internal/store"
 	"xydiff/internal/vstore"
 	"xydiff/internal/warehouse"
 )
@@ -105,7 +104,7 @@ func BenchmarkCrawlIngest(b *testing.B) {
 		Alerter: alert.New(alert.Subscription{ID: "bench", Path: "Product"}),
 		Stats:   stats.NewCollector(),
 	}
-	st.SetObserver(func(o store.Observation) { pipeline.Observe(o) })
+	st.SetObserver(func(o vstore.Observation) { pipeline.Observe(o) })
 	ingest := func(ctx context.Context, id string, body []byte) (bool, error) {
 		doc, err := dom.Parse(bytes.NewReader(body))
 		if err != nil {

@@ -18,7 +18,6 @@ import (
 	"xydiff/internal/delta"
 	"xydiff/internal/diff"
 	"xydiff/internal/dom"
-	"xydiff/internal/store"
 	"xydiff/internal/vstore"
 	"xydiff/internal/xpathlite"
 )
@@ -56,7 +55,7 @@ func storeError(w http.ResponseWriter, err error) {
 			"degraded":       true,
 			"intactVersions": de.Intact,
 		})
-	case errors.Is(err, store.ErrUnknownDocument), errors.Is(err, store.ErrNoSuchVersion):
+	case errors.Is(err, vstore.ErrUnknownDocument), errors.Is(err, vstore.ErrNoSuchVersion):
 		writeError(w, http.StatusNotFound, err.Error())
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		w.Header().Set("Retry-After", "1")
@@ -266,9 +265,9 @@ func (s *Server) handlePutDoc(w http.ResponseWriter, r *http.Request) {
 // (vstore.ErrBusy) sheds the version, never blocking: see shed. If ctx
 // ends first, the job keeps its slot until the canceled diff unwinds;
 // the caller just stops waiting.
-func (s *Server) ingest(ctx context.Context, id string, doc *dom.Node, matcher diff.Matcher) (store.PutResult, error) {
+func (s *Server) ingest(ctx context.Context, id string, doc *dom.Node, matcher diff.Matcher) (vstore.PutResult, error) {
 	type putResult struct {
-		store.PutResult
+		vstore.PutResult
 		err error
 	}
 	done := make(chan putResult, 1)
@@ -276,19 +275,19 @@ func (s *Server) ingest(ctx context.Context, id string, doc *dom.Node, matcher d
 		res, err := s.store.PutDetailed(ctx, id, doc, matcher)
 		done <- putResult{res, err}
 	}); err != nil {
-		return store.PutResult{}, s.shed(err)
+		return vstore.PutResult{}, s.shed(err)
 	}
 	select {
 	case res := <-done:
 		if errors.Is(res.err, vstore.ErrBusy) {
-			return store.PutResult{}, s.shed(res.err)
+			return vstore.PutResult{}, s.shed(res.err)
 		}
 		if res.err == nil {
 			s.shedBackoff.Reset() // the hint resets once a version gets through
 		}
 		return res.PutResult, res.err
 	case <-ctx.Done():
-		return store.PutResult{}, ctx.Err()
+		return vstore.PutResult{}, ctx.Err()
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"xydiff/internal/delta/deltatest"
 	"xydiff/internal/diff"
 	"xydiff/internal/dom"
-	"xydiff/internal/store"
 	"xydiff/internal/vstore"
 	"xydiff/internal/xpathlite"
 )
@@ -139,7 +138,7 @@ func TestAlertLogBatchEqualsOneByOne(t *testing.T) {
 // catalog of the given number of categories plus a fixed head: the
 // delta only touches the head, so it is the same delta whatever the
 // size of the rest.
-func observeFixture(t testing.TB, categories int) (*Server, store.Observation) {
+func observeFixture(t testing.TB, categories int) (*Server, vstore.Observation) {
 	t.Helper()
 	s := New(memoryStore(t), Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 	t.Cleanup(s.Close)
@@ -185,7 +184,7 @@ func observeFixture(t testing.TB, categories int) (*Server, store.Observation) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, store.Observation{ID: "doc", Version: 2, Old: oldDoc, New: newDoc, Result: r, DeltaBytes: r.Delta.Size()}
+	return s, vstore.Observation{ID: "doc", Version: 2, Old: oldDoc, New: newDoc, Result: r, DeltaBytes: r.Delta.Size()}
 }
 
 // TestObserveAllocationsFollowTheDeltaNotTheDocument is the regression

@@ -24,7 +24,6 @@ import (
 	"xydiff/internal/dom"
 	"xydiff/internal/retry"
 	"xydiff/internal/stats"
-	"xydiff/internal/store"
 	"xydiff/internal/vstore"
 	"xydiff/internal/warehouse"
 )
@@ -150,7 +149,7 @@ func (s *Server) EndStreams() { s.endStreams.Do(func() { close(s.streamsEnd) }) 
 // (statistics, then alerts) and logs the alerts raised. Alerts name
 // their op by version, kind and XID, so the log pins nothing of the
 // trees or the delta.
-func (s *Server) observe(o store.Observation) {
+func (s *Server) observe(o vstore.Observation) {
 	r := o.Result
 	s.metrics.observeDiff(r.Matcher, [5]time.Duration{
 		r.Timings.Phase1, r.Timings.Phase2, r.Timings.Phase3, r.Timings.Phase4, r.Timings.Phase5,

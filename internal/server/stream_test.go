@@ -19,7 +19,7 @@ import (
 	"xydiff/internal/alert"
 	"xydiff/internal/changesim"
 	"xydiff/internal/diff"
-	"xydiff/internal/store"
+	"xydiff/internal/vstore"
 )
 
 // gatedWriter is a ResponseWriter standing in for a consumer that stops
@@ -390,7 +390,7 @@ func BenchmarkObserveWithOpenStreams(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	o := store.Observation{ID: "catalog", Version: 2, Old: oldDoc, New: sim.New, Result: r, DeltaBytes: r.Delta.Size()}
+	o := vstore.Observation{ID: "catalog", Version: 2, Old: oldDoc, New: sim.New, Result: r, DeltaBytes: r.Delta.Size()}
 	for _, streams := range []int{0, 100, 1000} {
 		b.Run(fmt.Sprint("streams=", streams), func(b *testing.B) {
 			s := New(memoryStore(b), Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})

@@ -12,7 +12,6 @@ import (
 	"xydiff/internal/delta"
 	"xydiff/internal/diff"
 	"xydiff/internal/dom"
-	"xydiff/internal/store"
 	"xydiff/internal/xpathlite"
 )
 
@@ -128,7 +127,7 @@ func TestAggregateAllPairsMatchComposition(t *testing.T) {
 	// DeltasBetween give, word for word: no such version first, then —
 	// with the document marked degraded — quarantined history.
 	outside := [][2]int{{0, 3}, {3, 0}, {2, versions + 1}, {versions + 1, 2}, {versions + 1, versions + 2}, {-1, 0}}
-	for _, kind := range []error{store.ErrNoSuchVersion, &DegradedError{}} {
+	for _, kind := range []error{ErrNoSuchVersion, &DegradedError{}} {
 		matched := 0
 		for _, r := range outside {
 			_, wantErr := aggregateReference(reopened, "buld", r[0], r[1])
@@ -237,9 +236,9 @@ func TestAggregateOfOneVersionAnswersLikeVersion(t *testing.T) {
 		}
 	}
 	check("doc", 2, nil)
-	check("ghost", 3, store.ErrUnknownDocument)
-	check("doc", 0, store.ErrNoSuchVersion)
-	check("doc", 4, store.ErrNoSuchVersion)
+	check("ghost", 3, ErrUnknownDocument)
+	check("doc", 0, ErrNoSuchVersion)
+	check("doc", 4, ErrNoSuchVersion)
 	st := s.shardFor("doc").lookup("doc")
 	st.mu.Lock()
 	st.degraded, st.degradedReason = true, "marked by the test"
@@ -269,20 +268,20 @@ func TestChangesMatchingAnswersLikeDeltasBetween(t *testing.T) {
 			t.Errorf("ChangesMatching(doc, %d, %d) = %v; DeltasBetween says %v, want %v", from, to, err, wantErr, kind)
 		}
 	}
-	check(0, 2, store.ErrNoSuchVersion)
-	check(1, 5, store.ErrNoSuchVersion)
+	check(0, 2, ErrNoSuchVersion)
+	check(1, 5, ErrNoSuchVersion)
 	st := s.shardFor("doc").lookup("doc")
 	st.mu.Lock()
 	st.degraded, st.degradedReason = true, "marked by the test"
 	st.mu.Unlock()
 	check(1, 5, &DegradedError{})
 	check(4, 5, &DegradedError{})
-	check(0, 2, store.ErrNoSuchVersion)
+	check(0, 2, ErrNoSuchVersion)
 	if hits, err := s.ChangesMatching("doc", 1, 3, expr); err != nil || len(hits) == 0 {
 		t.Errorf("the intact versions 1..3: %d hits, %v", len(hits), err)
 	}
-	if _, err := s.ChangesMatching("doc", 2, 2, expr); !errors.Is(err, store.ErrNoSuchVersion) {
-		t.Errorf("ChangesMatching(doc, 2, 2) = %v, want %v", err, store.ErrNoSuchVersion)
+	if _, err := s.ChangesMatching("doc", 2, 2, expr); !errors.Is(err, ErrNoSuchVersion) {
+		t.Errorf("ChangesMatching(doc, 2, 2) = %v, want %v", err, ErrNoSuchVersion)
 	}
 }
 

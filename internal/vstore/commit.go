@@ -1,6 +1,7 @@
 package vstore
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -176,14 +177,14 @@ func (s *Store) commitBatch(sh *shard, batch []*commitReq) {
 }
 
 // syncLoop is the SyncInterval flusher: it fsyncs every shard's active
-// segment once per interval until Close.
-func (s *Store) syncLoop() {
-	defer close(s.syncDone)
+// segment once per interval until Close cancels ctx.
+func (s *Store) syncLoop(ctx context.Context) {
+	defer s.loops.Done()
 	t := time.NewTicker(syncInterval)
 	defer t.Stop()
 	for {
 		select {
-		case <-s.stopSync:
+		case <-ctx.Done():
 			return
 		case <-t.C:
 			for _, sh := range s.shards {

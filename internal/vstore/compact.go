@@ -1,6 +1,7 @@
 package vstore
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -54,23 +55,23 @@ func (s *Store) signalCompact() {
 	if s.compactCh == nil {
 		return
 	}
-	s.mu.Lock()
-	closed := s.closed
-	if !closed {
-		select {
-		case s.compactCh <- struct{}{}:
-		default:
-		}
+	select {
+	case s.compactCh <- struct{}{}:
+	default:
 	}
-	s.mu.Unlock()
 }
 
 // compactLoop is the background compactor: whenever a segment seals it
 // scans the shards and compacts any that accumulated compactSegments
-// or more sealed segments.
-func (s *Store) compactLoop() {
-	defer close(s.compactDone)
-	for range s.compactCh {
+// or more sealed segments, until Close cancels ctx.
+func (s *Store) compactLoop(ctx context.Context) {
+	defer s.loops.Done()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-s.compactCh:
+		}
 		for _, sh := range s.shards {
 			if len(s.sealedSegments(sh)) < s.cfg.compactSegments {
 				continue

@@ -92,7 +92,7 @@ func verifyAcked(t *testing.T, dir string, acked []ackedVersion, scenario string
 	t.Helper()
 	s, err := Open(dir, diff.Options{}, Config{Shards: 2, compactSegments: -1})
 	if err != nil {
-		var ce *store.CorruptError
+		var ce *corruptError
 		if errors.As(err, &ce) {
 			t.Fatalf("%s: crash produced data recovery calls corrupt: %v", scenario, err)
 		}

@@ -11,7 +11,6 @@ import (
 	"xydiff/internal/diff"
 	"xydiff/internal/dom"
 	"xydiff/internal/faultfs"
-	"xydiff/internal/store"
 	"xydiff/internal/xpathlite"
 )
 
@@ -79,7 +78,7 @@ func TestNoDirectoryModeTouchesNothing(t *testing.T) {
 	if rep, err := s.ScrubPass(context.Background()); err != nil || rep.Found != 0 {
 		t.Fatalf("ScrubPass = %+v, %v", rep, err)
 	}
-	if ds := s.DurabilityStats(); ds != (store.DurabilityStats{}) {
+	if ds := s.DurabilityStats(); ds != (DurabilityStats{}) {
 		t.Fatalf("durability stats = %+v, want zero", ds)
 	}
 	for v := 1; v <= 4; v++ {
@@ -123,7 +122,7 @@ func TestTimeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := []store.VersionValue{
+		want := []VersionValue{
 			{Version: 1, Found: true, Value: "$499"},
 			{Version: 2, Found: true, Value: "$479"},
 			{Version: 3, Found: true, Value: "$450"},

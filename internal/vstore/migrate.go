@@ -12,7 +12,6 @@ import (
 	"xydiff/internal/diff"
 	"xydiff/internal/dom"
 	"xydiff/internal/faultfs"
-	"xydiff/internal/scrub"
 	"xydiff/internal/xid"
 )
 
@@ -56,7 +55,7 @@ const (
 // satisfied, or rename it back over dir to abort). Everything is read
 // and written through cfg.FS. A record or snapshot file that does not
 // parse or apply refuses the migration with an error matching
-// *store.CorruptError that names the file and offset. Returns the document
+// *corruptError that names the file and offset. Returns the document
 // count carried over.
 func Migrate(dir string, opts diff.Options, cfg Config) (int, error) {
 	fsys := cfg.withDefaults().FS
@@ -173,7 +172,7 @@ func readLegacy(fsys faultfs.FS, dir string, entries []os.DirEntry) (map[string]
 	chains := make(map[string]*legacyChain)
 	for _, e := range entries {
 		// Quarantined snapshot directories are evidence, not documents.
-		if !e.IsDir() || strings.Contains(e.Name(), scrub.QuarantineSuffix) {
+		if !e.IsDir() || strings.Contains(e.Name(), quarantineSuffix) {
 			continue
 		}
 		sub := filepath.Join(dir, e.Name())
@@ -212,15 +211,15 @@ func readLegacyJournal(fsys faultfs.FS, path, id string, chains map[string]*lega
 		return corruptf(path, -1, err, "unreadable journal")
 	}
 	var refused error
-	damage := scrub.WalkLog(data, func(off int64, payload []byte) error {
+	damage := walkLog(data, func(off int64, payload []byte) error {
 		refused = foldLegacyRecord(chains, id, path, off, payload)
 		return refused
 	})
 	switch {
 	case refused != nil:
 		return refused
-	case damage != nil && !damage.Torn:
-		return corruptf(path, damage.Offset, nil, "%s", damage.Reason)
+	case damage != nil && !damage.torn:
+		return corruptf(path, damage.off, nil, "%s", damage.reason)
 	}
 	return nil
 }

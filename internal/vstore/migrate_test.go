@@ -17,7 +17,6 @@ import (
 	"xydiff/internal/changesim"
 	"xydiff/internal/diff"
 	"xydiff/internal/faultfs"
-	"xydiff/internal/store"
 )
 
 // The fixtures under testdata/legacy are directories in the old
@@ -340,7 +339,7 @@ func TestMigrateIgnoresStrayFiles(t *testing.T) {
 }
 
 // corruptCase damages one file of a copied fixture; Migrate must then
-// fail with a *store.CorruptError naming file at offset off (-1 for a whole
+// fail with a *corruptError naming file at offset off (-1 for a whole
 // snapshot file).
 type corruptCase struct {
 	name, fixture string
@@ -382,12 +381,12 @@ func refuseCorrupt(t *testing.T, cases []corruptCase) {
 			tc.damage(t, dir)
 			before := treeFiles(t, dir)
 			_, err := Migrate(dir, diff.Options{}, Config{})
-			var ce *store.CorruptError
+			var ce *corruptError
 			if !errors.As(err, &ce) {
-				t.Fatalf("Migrate = %v, want a CorruptError", err)
+				t.Fatalf("Migrate = %v, want a corruptError", err)
 			}
-			if ce.File != filepath.Join(dir, tc.file) || ce.Offset != tc.off {
-				t.Fatalf("error names %s at %d, want %s at %d", ce.File, ce.Offset, tc.file, tc.off)
+			if ce.file != filepath.Join(dir, tc.file) || ce.offset != tc.off {
+				t.Fatalf("error names %s at %d, want %s at %d", ce.file, ce.offset, tc.file, tc.off)
 			}
 			if !reflect.DeepEqual(treeFiles(t, dir), before) {
 				t.Fatal("a refused migration changed the directory")

@@ -9,12 +9,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 
 	"xydiff/internal/diff"
 	"xydiff/internal/faultfs"
-	"xydiff/internal/scrub"
 	"xydiff/internal/store"
 )
 
@@ -53,7 +51,7 @@ func shardDirName(idx int) string { return fmt.Sprintf(shardDirFmt, idx) }
 // their checksum manifests, segment journals are replayed on
 // top in sequence order, torn segment tails are truncated, and the
 // per-shard group-commit writers start accepting Puts. Mid-log damage
-// refuses to open with an error matching *store.CorruptError naming the
+// refuses to open with an error matching *corruptError naming the
 // file and offset. A directory in the old per-document layout is
 // refused with ErrNeedsMigration.
 //
@@ -117,20 +115,23 @@ func Open(dir string, opts diff.Options, cfg Config) (*Store, error) {
 		sh.seg.onSeal = s.signalCompact
 		go s.committer(sh)
 	}
+	s.recovery.DegradedDocs = int(s.degradedDocs())
+	// The background loops run until Close cancels their context, which
+	// also ends a scrub cycle in flight.
+	ctx, cancel := context.WithCancel(context.Background())
+	s.stopLoops = cancel
 	if cfg.Sync == store.SyncInterval {
-		s.stopSync = make(chan struct{})
-		s.syncDone = make(chan struct{})
-		go s.syncLoop()
+		s.loops.Add(1)
+		go s.syncLoop(ctx)
 	}
 	if cfg.compactSegments > 0 {
 		s.compactCh = make(chan struct{}, 1)
-		s.compactDone = make(chan struct{})
-		go s.compactLoop()
+		s.loops.Add(1)
+		go s.compactLoop(ctx)
 	}
-	s.recovery.DegradedDocs = int(s.degradedDocs())
 	if cfg.Scrub.Interval > 0 {
-		s.scrubber = scrub.NewRunner(cfg.Scrub.Interval, s.ScrubPass)
-		go s.scrubber.Run(context.Background())
+		s.loops.Add(1)
+		go s.scrubLoop(ctx)
 	}
 	return s, nil
 }
@@ -214,7 +215,7 @@ func (s *Store) recoverShard(sh *shard) error {
 	docsDir := filepath.Join(sh.dir, docsDirName)
 	if entries, err := s.fs.ReadDir(docsDir); err == nil {
 		for _, e := range entries {
-			if !e.IsDir() || strings.Contains(e.Name(), scrub.QuarantineSuffix) {
+			if !e.IsDir() || strings.Contains(e.Name(), quarantineSuffix) {
 				continue
 			}
 			id := unescapeID(e.Name())
@@ -228,7 +229,7 @@ func (s *Store) recoverShard(sh *shard) error {
 				// placeholder: the segments may still rebuild the
 				// document; if they cannot, reads get a DegradedError
 				// rather than a silent 404.
-				if _, qerr := scrub.Quarantine(s.fs, sub); qerr != nil {
+				if _, qerr := quarantine(s.fs, sub); qerr != nil {
 					return fmt.Errorf("vstore: %w (and quarantine failed: %w)", err, qerr)
 				}
 				s.recovery.Quarantined++
@@ -262,7 +263,7 @@ func (s *Store) recoverShard(sh *shard) error {
 	for _, seq := range seqs {
 		path := filepath.Join(sh.dir, segName(seq))
 		if err := s.replaySegment(sh, path); err != nil {
-			var ce *store.CorruptError
+			var ce *corruptError
 			if !s.cfg.OpenDegraded || !errors.As(err, &ce) {
 				return err
 			}
@@ -272,12 +273,12 @@ func (s *Store) recoverShard(sh *shard) error {
 			// document known so far is conservatively degraded (later
 			// segments re-anchor new documents with base records, and
 			// version jumps mark survivors precisely).
-			if _, qerr := scrub.Quarantine(s.fs, path); qerr != nil {
+			if _, qerr := quarantine(s.fs, path); qerr != nil {
 				return fmt.Errorf("vstore: %w (and quarantine failed: %w)", err, qerr)
 			}
 			s.recovery.Quarantined++
 			sh.stats.quarantined.Add(1)
-			reason := fmt.Sprintf("segment %s quarantined at open: %v", segName(seq), ce.Reason)
+			reason := fmt.Sprintf("segment %s quarantined at open: %v", segName(seq), ce.reason)
 			for _, st := range sh.docs {
 				st.mu.Lock()
 				s.markDegradedLocked(sh, st, reason)
@@ -294,58 +295,31 @@ func (s *Store) recoverShard(sh *shard) error {
 }
 
 // loadSnapshot reads one document's snapshot directory into a chain of
-// raw parts: compressed content files are inflated in chain order, each
-// delta against the tail of the parts decoded before it, and every part
-// is checked against the checksum manifest when there is one, so bit
-// rot in a snapshot is caught at open, before a reader can be handed a
-// version built from it. The first bad part refuses the snapshot, so a
-// part after it is never decoded. Nothing is parsed. A directory
-// without a versions counter is not corrupt — it is a snapshot whose
-// final rename never happened (crash mid-compaction); the segments
-// still carry the document, so the half-snapshot is ignored.
+// raw parts through walkSnapshot: compressed content files are inflated
+// in chain order and every part is checked against the checksum
+// manifest when there is one, so bit rot in a snapshot is caught at
+// open, before a reader can be handed a version built from it. Nothing
+// is parsed. A directory without a versions counter is not corrupt
+// (snapshotVersions); the segments still carry the document, so the
+// half-snapshot is ignored.
 func loadSnapshot(fsys faultfs.FS, sub string) (*docState, error) {
-	counterPath := filepath.Join(sub, "versions")
-	raw, err := fsys.ReadFile(counterPath)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, corruptf(counterPath, -1, err, "unreadable version counter")
-	}
-	versions, err := strconv.Atoi(strings.TrimSpace(string(raw)))
-	if err != nil || versions < 1 {
-		return nil, corruptf(counterPath, -1, nil, "bad version counter %q", raw)
-	}
-	sums, err := readSums(fsys, sub)
-	if err != nil {
+	read := func(name string) ([]byte, error) { return fsys.ReadFile(filepath.Join(sub, name)) }
+	versions, err := snapshotVersions(sub, read)
+	if versions == 0 {
 		return nil, err
 	}
 	st := &docState{versions: versions, snapVersions: versions}
-	var tail chainTail
-	load := func(name, what string) ([]byte, error) {
-		path := filepath.Join(sub, name)
-		data, err := fsys.ReadFile(path)
-		if err != nil {
-			return nil, corruptf(path, -1, err, "unreadable %s", what)
-		}
-		part, err := decodeContent(sub, name, data, sums, tail.b)
-		if err != nil {
-			return nil, err
-		}
+	err = walkSnapshot(sub, versions, read, func(i int, data, part []byte) error {
 		st.snap.add(encodingOf(data), len(data), len(part))
-		return part, nil
-	}
-	prev, err := load("v1.xml", "base version")
+		if i == 0 {
+			st.base = xmlPart(part)
+		} else {
+			st.deltas = append(st.deltas, xmlPart(part))
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	st.base = xmlPart(prev)
-	for v := 1; v < versions; v++ {
-		tail.push(prev)
-		if prev, err = load(deltaFile(v), fmt.Sprintf("delta %d", v)); err != nil {
-			return nil, err
-		}
-		st.deltas = append(st.deltas, xmlPart(prev))
 	}
 	return st, nil
 }
@@ -353,11 +327,10 @@ func loadSnapshot(fsys faultfs.FS, sub string) (*docState, error) {
 // replaySegment folds one segment's records into the shard's document
 // states. Bodies stay serialized; only framing, checksums and version
 // sequencing are validated here, so reopening a million-document store
-// parses nothing. The framing is walked by scrub.WalkLog, as the
-// scrubber and Migrate walk it. A partial record at the tail is
-// truncated away
+// parses nothing. The framing is walked by walkLog, as the scrubber
+// and Migrate walk it. A partial record at the tail is truncated away
 // (TornTails); damage anywhere else refuses recovery with an error
-// matching *store.CorruptError naming the file and offset.
+// matching *corruptError naming the file and offset.
 func (s *Store) replaySegment(sh *shard, path string) error {
 	data, err := s.fs.ReadFile(path)
 	if err != nil {
@@ -365,7 +338,7 @@ func (s *Store) replaySegment(sh *shard, path string) error {
 	}
 	s.recovery.JournalBytes += int64(len(data))
 	var refused error
-	damage := scrub.WalkLog(data, func(off int64, payload []byte) error {
+	damage := walkLog(data, func(off int64, payload []byte) error {
 		kind, id, version, body, err := decodePayload(payload)
 		if err != nil {
 			refused = corruptf(path, off, err, "undecodable record")
@@ -379,10 +352,10 @@ func (s *Store) replaySegment(sh *shard, path string) error {
 		return refused
 	case damage == nil:
 		return nil
-	case damage.Torn:
-		return s.truncateTorn(path, damage.Offset)
+	case damage.torn:
+		return s.truncateTorn(path, damage.off)
 	}
-	return corruptf(path, damage.Offset, nil, "%s", damage.Reason)
+	return corruptf(path, damage.off, nil, "%s", damage.reason)
 }
 
 // truncateTorn cuts a segment back to the end of its last complete
@@ -464,11 +437,44 @@ func (s *Store) applyRecord(sh *shard, path string, off int64, kind byte, id str
 	}
 }
 
-// corruptf builds a store.CorruptError for file at offset (use -1 for
-// whole-file failures), so callers match it with errors.As regardless
-// of engine.
-func corruptf(file string, offset int64, err error, format string, args ...any) *store.CorruptError {
-	return &store.CorruptError{File: file, Offset: offset, Reason: fmt.Sprintf(format, args...), Err: err}
+// corruptError reports that on-disk store data (a snapshot file or a
+// journal segment) failed validation, and exactly where, so an operator
+// can inspect or excise the damage instead of guessing.
+type corruptError struct {
+	// file is the path of the damaged snapshot or journal file.
+	file string
+	// offset is the byte offset of the damage within file, or -1 when
+	// the failure concerns the file as a whole (unparseable snapshot,
+	// bad version counter).
+	offset int64
+	// reason says what check failed.
+	reason string
+	// err is the underlying error, if any.
+	err error
+}
+
+// Error implements error.
+func (e *corruptError) Error() string {
+	msg := fmt.Sprintf("store: corrupt data in %s", e.file)
+	if e.offset >= 0 {
+		msg += fmt.Sprintf(" at offset %d", e.offset)
+	}
+	if e.reason != "" {
+		msg += ": " + e.reason
+	}
+	if e.err != nil {
+		msg += ": " + e.err.Error()
+	}
+	return msg
+}
+
+// Unwrap exposes the underlying error to errors.Is/As chains.
+func (e *corruptError) Unwrap() error { return e.err }
+
+// corruptf builds a corruptError for file at offset (use -1 for
+// whole-file failures).
+func corruptf(file string, offset int64, err error, format string, args ...any) *corruptError {
+	return &corruptError{file: file, offset: offset, reason: fmt.Sprintf(format, args...), err: err}
 }
 
 // writeAtomic writes via a temporary file in path's directory, syncs,

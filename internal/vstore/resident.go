@@ -9,7 +9,6 @@ import (
 
 	"xydiff/internal/delta"
 	"xydiff/internal/dom"
-	"xydiff/internal/scrub"
 	"xydiff/internal/xid"
 )
 
@@ -58,7 +57,7 @@ func putPart(frame []byte, ok bool, xml, kept []byte) *part {
 		return xmlPart(kept)
 	}
 	p := &part{}
-	p.form.Store(&partForm{b: frame, frame: true, sum: scrub.Checksum(xml), size: len(xml)})
+	p.form.Store(&partForm{b: frame, frame: true, sum: checksum(xml), size: len(xml)})
 	return p
 }
 
@@ -78,7 +77,7 @@ func (p *part) sum() (uint32, int) {
 	if f.frame {
 		return f.sum, f.size
 	}
-	return scrub.Checksum(f.b), len(f.b)
+	return checksum(f.b), len(f.b)
 }
 
 // xml returns the part's XML: the bytes it holds, or its frame rendered
@@ -217,7 +216,7 @@ func (st *docState) settle(p *part, f *partForm, frame []byte, ok bool, write fu
 	}
 	next := &partForm{b: f.b, xmlOnly: true}
 	if ok {
-		next = &partForm{b: frame, frame: true, sum: scrub.Checksum(f.b), size: len(f.b)}
+		next = &partForm{b: frame, frame: true, sum: checksum(f.b), size: len(f.b)}
 	}
 	if p.form.CompareAndSwap(f, next) && ok && st.hist != nil {
 		st.hist.xml.Add(-int64(len(f.b)))

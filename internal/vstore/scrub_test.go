@@ -7,13 +7,14 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"xydiff/internal/diff"
 	"xydiff/internal/faultfs"
 	"xydiff/internal/faultfs/faultfstest"
-	"xydiff/internal/scrub"
 )
 
 // scrubCfg is a one-shard store that rotates the segment after every
@@ -171,7 +172,7 @@ func TestScrubQuarantinesSegmentWithoutRepair(t *testing.T) {
 	if rep.Quarantined == 0 || rep.Repaired != 0 {
 		t.Fatalf("want quarantine, got %+v", rep)
 	}
-	if _, err := os.Stat(victim + scrub.QuarantineSuffix); err != nil {
+	if _, err := os.Stat(victim + quarantineSuffix); err != nil {
 		t.Fatalf("quarantine file missing: %v", err)
 	}
 	if _, err := os.Stat(victim); !os.IsNotExist(err) {
@@ -248,7 +249,7 @@ func TestScrubQuarantinesSnapshotWithoutRepair(t *testing.T) {
 	if rep.Quarantined != 1 {
 		t.Fatalf("want 1 quarantine, got %+v", rep)
 	}
-	if _, err := os.Stat(sub + scrub.QuarantineSuffix); err != nil {
+	if _, err := os.Stat(sub + quarantineSuffix); err != nil {
 		t.Fatalf("quarantined snapshot dir missing: %v", err)
 	}
 	if deg, _ := s.Degraded("doc"); !deg {
@@ -301,5 +302,174 @@ func TestBackgroundScrubberRunsAndStops(t *testing.T) {
 	}
 	if err := s.Close(); err != nil { // must stop the runner cleanly
 		t.Fatal(err)
+	}
+}
+
+func TestScrubLoopLifecycle(t *testing.T) {
+	cfg := scrubCfg()
+	cfg.Scrub.Interval = time.Millisecond
+	s, _ := openTest(t, cfg)
+	seedDoc(t, s, "doc", 2)
+	cycles := func() int64 { return s.StorageStats().Scrub.Cycles }
+	deadline := time.Now().Add(5 * time.Second)
+	for cycles() < 3 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if cycles() < 3 {
+		t.Fatal("scrub loop never cycled")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	after := cycles()
+	time.Sleep(20 * time.Millisecond)
+	if cycles() != after {
+		t.Fatal("scrub loop kept cycling after Close")
+	}
+}
+
+// snapshotReads is the real filesystem, closing started at the first
+// read of a snapshot file once armed.
+type snapshotReads struct {
+	faultfs.OS
+	armed   atomic.Bool
+	once    sync.Once
+	started chan struct{}
+}
+
+func (f *snapshotReads) ReadFile(path string) ([]byte, error) {
+	if f.armed.Load() && strings.Contains(path, docsDirName) {
+		f.once.Do(func() { close(f.started) })
+	}
+	return f.OS.ReadFile(path)
+}
+
+// TestCloseCancelsScrubCycle closes a store while a scrub cycle paced
+// at 20 B/s is reading its snapshot, seconds of throttle sleep away
+// from its end: Close must end the cycle, not wait it out.
+func TestCloseCancelsScrubCycle(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, diff.Options{}, Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedDoc(t, s, "doc", 1)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fsys := &snapshotReads{started: make(chan struct{})}
+	s, err = Open(dir, diff.Options{}, Config{Shards: 1, FS: fsys, Scrub: ScrubConfig{Interval: 10 * time.Millisecond, Throttle: 20}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsys.armed.Store(true)
+	select {
+	case <-fsys.started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no scrub cycle started")
+	}
+	start := time.Now()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Close took %v waiting out the scrub cycle", took)
+	}
+}
+
+func TestQuarantine(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "seg-00000001.log")
+	if err := os.WriteFile(path, []byte("damaged"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := quarantine(faultfs.OS{}, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != path+quarantineSuffix {
+		t.Fatalf("quarantined to %q, want %q", got, path+quarantineSuffix)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("original still present: %v", err)
+	}
+	b, err := os.ReadFile(got)
+	if err != nil || string(b) != "damaged" {
+		t.Fatalf("quarantined bytes = %q, %v — quarantine must preserve, never delete", b, err)
+	}
+
+	// Quarantining a new file under the same name must not clobber the
+	// first quarantine.
+	if err := os.WriteFile(path, []byte("damaged again"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got2, err := quarantine(faultfs.OS{}, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got2 == got {
+		t.Fatalf("second quarantine reused %q", got)
+	}
+	if b, _ := os.ReadFile(got); string(b) != "damaged" {
+		t.Fatal("second quarantine clobbered the first")
+	}
+	if b, _ := os.ReadFile(got2); string(b) != "damaged again" {
+		t.Fatalf("second quarantine content = %q", b)
+	}
+}
+
+func TestThrottlePaces(t *testing.T) {
+	th := newThrottle(1000) // 1000 B/s, burst 1000
+	var slept time.Duration
+	th.sleep = func(ctx context.Context, d time.Duration) error {
+		slept += d
+		return nil
+	}
+	ctx := context.Background()
+	// First 1000 bytes ride the initial burst; the next 500 must wait
+	// about half a second.
+	if err := th.take(ctx, 1000); err != nil {
+		t.Fatal(err)
+	}
+	if slept != 0 {
+		t.Fatalf("burst take slept %v", slept)
+	}
+	if err := th.take(ctx, 500); err != nil {
+		t.Fatal(err)
+	}
+	if slept < 400*time.Millisecond || slept > 600*time.Millisecond {
+		t.Fatalf("500-byte overdraft slept %v, want ~500ms", slept)
+	}
+}
+
+func TestThrottleNilAndCancel(t *testing.T) {
+	var nilTh *throttle
+	if err := nilTh.take(context.Background(), 1<<40); err != nil {
+		t.Fatalf("nil throttle must be unlimited: %v", err)
+	}
+	th := newThrottle(1) // 1 B/s: the take must block on sleep
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := th.take(ctx, 10); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled take returned %v", err)
+	}
+}
+
+func TestReportNote(t *testing.T) {
+	var r ScrubReport
+	r.note(ScrubFinding{Path: "a", Action: scrubRepaired})
+	r.note(ScrubFinding{Path: "b", Action: scrubQuarantined})
+	r.note(ScrubFinding{Path: "c", Action: scrubDetected})
+	if r.Found != 3 || r.Repaired != 1 || r.Quarantined != 1 {
+		t.Fatalf("counters %+v", r)
+	}
+	if len(r.Findings) != 3 {
+		t.Fatalf("findings %d", len(r.Findings))
 	}
 }

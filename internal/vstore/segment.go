@@ -3,6 +3,7 @@ package vstore
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -10,7 +11,6 @@ import (
 	"sync"
 
 	"xydiff/internal/faultfs"
-	"xydiff/internal/scrub"
 )
 
 // Each shard's write-ahead log is a sequence of segment files shared
@@ -18,8 +18,9 @@ import (
 // Records carry the document id so replay can demultiplex them. Every
 // record is length-prefixed and CRC32-C checksummed, so crash recovery
 // tells a torn tail (truncated) from mid-log damage (refused). The
-// framing is the one the old per-document journals used (migrate.go),
-// and scrub.WalkLog is its one reader.
+// framing is the one the old per-document journals used (migrate.go):
+// encodeRecord is its one writer and walkLog its one reader, so
+// recovery, the scrubber and Migrate all verify it the same way.
 //
 // On-disk record layout, all integers big-endian:
 //
@@ -46,10 +47,22 @@ const (
 )
 
 const (
+	// segHeaderLen is the fixed frame header: length + checksum.
 	segHeaderLen = 8
+	// maxRecordLen bounds one record; a length field beyond it is
+	// corruption, not a legitimately huge record (a random length from
+	// zeroed or flipped bytes would otherwise make a walk read
+	// gigabytes).
+	maxRecordLen = 1 << 30
 	segPrefix    = "seg-"
 	segSuffix    = ".log"
 )
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// checksum is the CRC32-C of b: the record frame's, and the one the
+// snapshot checksum manifest records per content file.
+func checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 
 // segName renders a segment file name for a sequence number.
 func segName(seq int) string { return fmt.Sprintf("%s%08d%s", segPrefix, seq, segSuffix) }
@@ -82,8 +95,54 @@ func encodeRecord(kind byte, id string, version int, body []byte) (rec, kept []b
 	rec = append(rec, body...)
 	payload := rec[segHeaderLen:]
 	binary.BigEndian.PutUint32(rec[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(rec[4:8], scrub.Checksum(payload))
+	binary.BigEndian.PutUint32(rec[4:8], checksum(payload))
 	return rec, rec[len(rec)-len(body) : len(rec) : len(rec)]
+}
+
+// logDamage describes the first verification failure in a log file.
+type logDamage struct {
+	// off is where the bad record's header starts.
+	off int64
+	// reason says which check failed.
+	reason string
+	// torn is true when the failure is consistent with a crash mid-
+	// append: the final record simply stops early. Torn tails are
+	// legitimate in an active log (recovery truncates them) but are
+	// corruption in a sealed one, so the caller decides.
+	torn bool
+}
+
+// walkLog verifies every framed record in data, calling visit (if
+// non-nil) with each verified payload and its header offset. It stops
+// at the first failure and returns it; nil means the whole log
+// verified. A visit error is reported as damage at that record — the
+// caller's payload decoder is part of verification.
+func walkLog(data []byte, visit func(off int64, payload []byte) error) *logDamage {
+	off := int64(0)
+	for int(off) < len(data) {
+		rest := data[off:]
+		if len(rest) < segHeaderLen {
+			return &logDamage{off: off, reason: fmt.Sprintf("torn header: %d trailing bytes", len(rest)), torn: true}
+		}
+		n := binary.BigEndian.Uint32(rest[0:4])
+		if n == 0 || n > maxRecordLen {
+			return &logDamage{off: off, reason: fmt.Sprintf("implausible record length %d", n)}
+		}
+		if uint64(len(rest)) < segHeaderLen+uint64(n) {
+			return &logDamage{off: off, reason: fmt.Sprintf("torn record: %d byte payload, %d on disk", n, len(rest)-segHeaderLen), torn: true}
+		}
+		payload := rest[segHeaderLen : segHeaderLen+int(n)]
+		if checksum(payload) != binary.BigEndian.Uint32(rest[4:8]) {
+			return &logDamage{off: off, reason: "checksum mismatch"}
+		}
+		if visit != nil {
+			if err := visit(off, payload); err != nil {
+				return &logDamage{off: off, reason: err.Error()}
+			}
+		}
+		off += segHeaderLen + int64(n)
+	}
+	return nil
 }
 
 // decodePayload splits a verified payload into kind, document id,

@@ -12,9 +12,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-
-	"xydiff/internal/faultfs"
-	"xydiff/internal/scrub"
 )
 
 // A snapshot content file (v1.xml, delta-NNNN.xml) holds one stored
@@ -236,7 +233,7 @@ func decodeContent(sub, name string, data []byte, sums map[string]sumEntry, dict
 		return nil, corruptf(path, -1, nil, "length %d, manifest records %d", len(data), e.size)
 	}
 	if listed {
-		if got := scrub.Checksum(content); got != e.crc {
+		if got := checksum(content); got != e.crc {
 			return nil, corruptf(path, -1, nil, "checksum mismatch (manifest %08x, computed %08x)", e.crc, got)
 		}
 	}
@@ -323,13 +320,13 @@ func parseSums(raw []byte) (map[string]sumEntry, error) {
 	return out, nil
 }
 
-// readSums loads sub's checksum manifest; a snapshot without one yields
-// nil and no error.
-func readSums(fsys faultfs.FS, sub string) (map[string]sumEntry, error) {
+// readSums loads sub's checksum manifest through read; a snapshot
+// without one yields nil and no error.
+func readSums(sub string, read func(name string) ([]byte, error)) (map[string]sumEntry, error) {
 	path := filepath.Join(sub, sumsName)
-	raw, err := fsys.ReadFile(path)
+	raw, err := read(sumsName)
 	if err != nil {
-		if os.IsNotExist(err) {
+		if errors.Is(err, os.ErrNotExist) {
 			return nil, nil
 		}
 		return nil, corruptf(path, -1, err, "unreadable checksum manifest")
@@ -339,4 +336,70 @@ func readSums(fsys faultfs.FS, sub string) (map[string]sumEntry, error) {
 		return nil, corruptf(path, -1, err, "bad checksum manifest")
 	}
 	return sums, nil
+}
+
+// snapshotVersions reads the version counter of the snapshot in sub
+// through read. A directory without one yields 0 and no error: it is a
+// snapshot whose final rename never happened (crash mid-compaction).
+func snapshotVersions(sub string, read func(name string) ([]byte, error)) (int, error) {
+	path := filepath.Join(sub, "versions")
+	raw, err := read("versions")
+	if err != nil {
+		if errors.Is(err, os.ErrNotExist) {
+			return 0, nil
+		}
+		return 0, corruptf(path, -1, err, "unreadable version counter")
+	}
+	versions, err := strconv.Atoi(strings.TrimSpace(string(raw)))
+	if err != nil || versions < 1 {
+		return 0, corruptf(path, -1, nil, "bad version counter %q", raw)
+	}
+	return versions, nil
+}
+
+// partFile names the content file of part i of a chain: v1.xml for
+// version 1, delta-NNNN.xml for delta i.
+func partFile(i int) string {
+	if i == 0 {
+		return "v1.xml"
+	}
+	return deltaFile(i)
+}
+
+// walkSnapshot is the one reader of a snapshot's content: it reads the
+// checksum manifest and the content files of a snapshot of versions
+// versions through read, and hands visit each file's bytes and the part
+// they decode to (decodeContent), in chain order, each delta decoded
+// against the parts before it. Recovery reads plain files and keeps the
+// parts; the scrubber reads through its throttle and compares them with
+// the resident chain. The first failure ends the walk, so a part after
+// a bad one is never decoded.
+func walkSnapshot(sub string, versions int, read func(name string) ([]byte, error), visit func(i int, data, part []byte) error) error {
+	sums, err := readSums(sub, read)
+	if err != nil {
+		return err
+	}
+	var tail chainTail
+	var prev []byte
+	for i := range versions {
+		name := partFile(i)
+		if i > 0 {
+			tail.push(prev)
+		}
+		data, err := read(name)
+		if err != nil {
+			what := "base version"
+			if i > 0 {
+				what = fmt.Sprintf("delta %d", i)
+			}
+			return corruptf(filepath.Join(sub, name), -1, err, "unreadable %s", what)
+		}
+		if prev, err = decodeContent(sub, name, data, sums, tail.b); err != nil {
+			return err
+		}
+		if err := visit(i, data, prev); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -22,8 +22,6 @@ import (
 
 	"xydiff/internal/diff"
 	"xydiff/internal/faultfs"
-	"xydiff/internal/scrub"
-	"xydiff/internal/store"
 )
 
 // contentFiles lists every snapshot content file under a store
@@ -37,7 +35,7 @@ func contentFiles(t *testing.T, dir string) []string {
 			t.Fatal(err)
 		}
 		for _, path := range m {
-			if !strings.Contains(path, scrub.QuarantineSuffix) {
+			if !strings.Contains(path, quarantineSuffix) {
 				out = append(out, path)
 			}
 		}
@@ -344,7 +342,7 @@ func TestDictionaryPartNeedsItsChain(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(to, deltaFile(1)), moved, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fromSums, err := readSums(faultfs.OS{}, from)
+	fromSums, err := readSums(from, func(name string) ([]byte, error) { return os.ReadFile(filepath.Join(from, name)) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,9 +362,9 @@ func TestDictionaryPartNeedsItsChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = Open(dir, diff.Options{}, Config{})
-	var ce *store.CorruptError
-	if !errors.As(err, &ce) || ce.File != filepath.Join(to, deltaFile(1)) || !strings.Contains(err.Error(), "another chain") {
-		t.Fatalf("Open = %v, want a CorruptError naming a's %s as written against another chain", err, deltaFile(1))
+	var ce *corruptError
+	if !errors.As(err, &ce) || ce.file != filepath.Join(to, deltaFile(1)) || !strings.Contains(err.Error(), "another chain") {
+		t.Fatalf("Open = %v, want a corruptError naming a's %s as written against another chain", err, deltaFile(1))
 	}
 	s2, err := Open(dir, diff.Options{}, Config{OpenDegraded: true})
 	if err != nil {
@@ -398,9 +396,9 @@ func TestCompressedSnapshotNeedsSums(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err := Open(dir, diff.Options{}, Config{})
-	var ce *store.CorruptError
-	if !errors.As(err, &ce) || ce.File != filepath.Join(sub, "v1.xml") {
-		t.Fatalf("Open without sums = %v, want a CorruptError naming v1.xml", err)
+	var ce *corruptError
+	if !errors.As(err, &ce) || ce.file != filepath.Join(sub, "v1.xml") {
+		t.Fatalf("Open without sums = %v, want a corruptError naming v1.xml", err)
 	}
 	s2, err := Open(dir, diff.Options{}, Config{OpenDegraded: true})
 	if err != nil {
@@ -410,7 +408,7 @@ func TestCompressedSnapshotNeedsSums(t *testing.T) {
 	if _, err := s2.Version("doc", 1); !matches(err, &DegradedError{}) {
 		t.Fatalf("Version after quarantine = %v, want a DegradedError", err)
 	}
-	if _, err := os.Stat(sub + scrub.QuarantineSuffix); err != nil {
+	if _, err := os.Stat(sub + quarantineSuffix); err != nil {
 		t.Fatalf("snapshot not quarantined: %v", err)
 	}
 }
@@ -716,7 +714,7 @@ func stdDecode(data, dict []byte) []byte {
 // or without a manifest recording fuzzed lengths (and the CRC of what
 // each file holds, the delta read with the last 32 KiB of what v1.xml
 // holds as its dictionary). Open must succeed or refuse with an
-// a CorruptError naming one of the two files, never panic; it names the
+// a corruptError naming one of the two files, never panic; it names the
 // delta only when v1.xml alone decodes. A compressed file that loads
 // must decode to exactly its recorded length and to what it holds.
 func FuzzSnapshotLoad(f *testing.F) {
@@ -765,13 +763,13 @@ func FuzzSnapshotLoad(f *testing.F) {
 		}
 		holds := stdDecode(data, nil)
 		files := map[string]string{"versions": "1", "v1.xml": string(data)}
-		sums := fmt.Sprintf("v1.xml %08x %d\n", scrub.Checksum(holds), size)
+		sums := fmt.Sprintf("v1.xml %08x %d\n", checksum(holds), size)
 		var partHolds []byte
 		if len(part) > 0 {
 			partHolds = stdDecode(part, holds[max(len(holds)-dictSize, 0):])
 			files["versions"] = "2"
 			files[deltaFile(1)] = string(part)
-			sums += fmt.Sprintf("%s %08x %d\n", deltaFile(1), scrub.Checksum(partHolds), partSize)
+			sums += fmt.Sprintf("%s %08x %d\n", deltaFile(1), checksum(partHolds), partSize)
 		}
 		if withSums {
 			files[sumsName] = sums
@@ -783,12 +781,12 @@ func FuzzSnapshotLoad(f *testing.F) {
 		}
 		s, err := Open(dir, diff.Options{}, Config{Shards: 1, compactSegments: -1})
 		if err != nil {
-			var ce *store.CorruptError
+			var ce *corruptError
 			switch {
 			case !errors.As(err, &ce):
-				t.Fatalf("Open = %v, want a CorruptError", err)
-			case ce.File == filepath.Join(sub, "v1.xml"):
-			case ce.File == filepath.Join(sub, deltaFile(1)) && len(part) > 0:
+				t.Fatalf("Open = %v, want a corruptError", err)
+			case ce.file == filepath.Join(sub, "v1.xml"):
+			case ce.file == filepath.Join(sub, deltaFile(1)) && len(part) > 0:
 				// The delta is refused only after v1.xml decoded.
 				parsed, _ := parseSums([]byte(sums))
 				if !withSums {
@@ -798,7 +796,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 					t.Fatalf("Open refused %s, but v1.xml before it does not decode: %v", deltaFile(1), berr)
 				}
 			default:
-				t.Fatalf("Open = %v, want a CorruptError naming v1.xml or %s", err, deltaFile(1))
+				t.Fatalf("Open = %v, want a corruptError naming v1.xml or %s", err, deltaFile(1))
 			}
 			return
 		}

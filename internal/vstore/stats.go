@@ -1,10 +1,6 @@
 package vstore
 
-import (
-	"sync/atomic"
-
-	"xydiff/internal/store"
-)
+import "sync/atomic"
 
 // engineCounters are the store-wide lock-free counters.
 type engineCounters struct {
@@ -63,10 +59,51 @@ func (sh *shard) setSnapshotBytes(st *docState, b snapBytes) {
 	st.snap = b
 }
 
+// DurabilityStats counts journal activity since the store opened.
+type DurabilityStats struct {
+	// Appends is how many journal records were written.
+	Appends int64
+	// AppendedBytes is the total size of those records, headers included.
+	AppendedBytes int64
+	// Syncs is how many journal fsyncs completed.
+	Syncs int64
+	// Checkpoints is how many snapshot+compaction cycles completed.
+	Checkpoints int64
+}
+
+// RecoveryStats reports what opening a store reconstructed from disk.
+type RecoveryStats struct {
+	// Documents is how many documents were recovered.
+	Documents int
+	// SnapshotVersions is how many versions came from snapshots.
+	SnapshotVersions int
+	// JournalRecords is how many journal records were replayed into
+	// versions the snapshot did not cover.
+	JournalRecords int
+	// JournalSkipped is how many journal records were already covered
+	// by a snapshot (a crash between snapshot rename and journal
+	// retirement leaves such records behind; they are harmless).
+	JournalSkipped int
+	// TornTails is how many journals ended in a partial record (a
+	// crash mid-append) that recovery truncated away. A torn record's
+	// version was never acknowledged, so nothing is lost.
+	TornTails int
+	// JournalBytes is the total size of the replayed journal files.
+	JournalBytes int64
+	// Quarantined counts corrupt files recovery set aside (renamed,
+	// never deleted) instead of refusing to open; only a store opened
+	// degraded-tolerant populates it.
+	Quarantined int
+	// DegradedDocs counts documents left serving degraded — their
+	// latest intact version — because part of their history was
+	// quarantined.
+	DegradedDocs int
+}
+
 // DurabilityStats aggregates every shard's counters: the journal
 // activity the daemon exports as xydiffd_journal_* metrics.
-func (s *Store) DurabilityStats() store.DurabilityStats {
-	var out store.DurabilityStats
+func (s *Store) DurabilityStats() DurabilityStats {
+	var out DurabilityStats
 	for _, sh := range s.shards {
 		out.Appends += sh.stats.appends.Load()
 		out.AppendedBytes += sh.stats.appendedBytes.Load()
@@ -78,7 +115,7 @@ func (s *Store) DurabilityStats() store.DurabilityStats {
 
 // RecoveryStats returns what the store reconstructed when it opened
 // (all zero for a freshly created directory).
-func (s *Store) RecoveryStats() store.RecoveryStats { return s.recovery }
+func (s *Store) RecoveryStats() RecoveryStats { return s.recovery }
 
 // ShardStats is one shard's slice of StorageStats.
 type ShardStats struct {

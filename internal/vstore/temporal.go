@@ -6,7 +6,6 @@ import (
 	"xydiff/internal/delta"
 	"xydiff/internal/diff"
 	"xydiff/internal/dom"
-	"xydiff/internal/store"
 	"xydiff/internal/xpathlite"
 )
 
@@ -14,22 +13,49 @@ import (
 // reconstructible and deltas are ordinary XML, temporal questions
 // reduce to path queries over reconstructed versions and over the
 // stored delta chain, with deltas thawed on demand from their resident
-// frames. The result types (store.VersionValue, store.NodeState,
-// store.ChangeHit) live in package store.
+// frames.
+
+// VersionValue is one point of a Timeline: the value of an expression
+// at one version.
+type VersionValue struct {
+	Version int
+	Found   bool
+	Value   string
+}
+
+// NodeState describes one persistent node (addressed by XID) at one
+// version.
+type NodeState struct {
+	Version int
+	Present bool
+	Path    string
+	Value   string // text content of the subtree
+}
+
+// ChangeHit is one delta operation selected by ChangesMatching.
+type ChangeHit struct {
+	// Version is the version the operation produced (the op belongs to
+	// the delta from Version-1 to Version).
+	Version int
+	Op      delta.Op
+	// Path locates the affected node (in the new version when it still
+	// exists there, otherwise in the old one).
+	Path string
+}
 
 // Timeline evaluates the expression at every version, oldest first.
 // One read walk visits every version, one delta step apiece, not one
 // reconstruction per version.
-func (s *Store) Timeline(id string, expr *xpathlite.Expr) ([]store.VersionValue, error) {
+func (s *Store) Timeline(id string, expr *xpathlite.Expr) ([]VersionValue, error) {
 	st, err := s.reading(id)
 	if err != nil {
 		return nil, err
 	}
 	defer st.mu.RUnlock()
-	out := make([]store.VersionValue, st.versions)
+	out := make([]VersionValue, st.versions)
 	_, err = s.read(id, st, allVersions(st), func(v int, doc *dom.Node, _ bool) error {
 		first := expr.SelectFirst(doc)
-		out[v-1] = store.VersionValue{Version: v, Found: first != nil}
+		out[v-1] = VersionValue{Version: v, Found: first != nil}
 		if first != nil {
 			out[v-1].Value = first.TextContent()
 		}
@@ -43,15 +69,15 @@ func (s *Store) Timeline(id string, expr *xpathlite.Expr) ([]store.VersionValue,
 
 // NodeHistory tracks a node across every version by its persistent
 // identifier: present or not, where it lives, and what it contains.
-func (s *Store) NodeHistory(id string, xid int64) ([]store.NodeState, error) {
+func (s *Store) NodeHistory(id string, xid int64) ([]NodeState, error) {
 	st, err := s.reading(id)
 	if err != nil {
 		return nil, err
 	}
 	defer st.mu.RUnlock()
-	out := make([]store.NodeState, st.versions)
+	out := make([]NodeState, st.versions)
 	_, err = s.read(id, st, allVersions(st), func(v int, doc *dom.Node, _ bool) error {
-		ns := store.NodeState{Version: v}
+		ns := NodeState{Version: v}
 		if n := dom.FindByXID(doc, xid); n != nil {
 			ns.Present = true
 			ns.Path = n.Path()
@@ -79,14 +105,14 @@ func allVersions(st *docState) []int {
 // (forward, from < to) and returns the operations whose affected node
 // matches the pattern. An empty kinds list selects every operation
 // kind.
-func (s *Store) ChangesMatching(id string, from, to int, pattern *xpathlite.Expr, kinds ...delta.Kind) ([]store.ChangeHit, error) {
+func (s *Store) ChangesMatching(id string, from, to int, pattern *xpathlite.Expr, kinds ...delta.Kind) ([]ChangeHit, error) {
 	st, err := s.reading(id)
 	if err != nil {
 		return nil, err
 	}
 	defer st.mu.RUnlock()
 	if from >= to {
-		return nil, fmt.Errorf("vstore: bad version range %d..%d (have 1..%d): %w", from, to, st.versions, store.ErrNoSuchVersion)
+		return nil, fmt.Errorf("vstore: bad version range %d..%d (have 1..%d): %w", from, to, st.versions, ErrNoSuchVersion)
 	}
 	if err := st.checkRange(id, from, to); err != nil {
 		return nil, err
@@ -111,7 +137,7 @@ func (s *Store) ChangesMatching(id string, from, to int, pattern *xpathlite.Expr
 	}); err != nil {
 		return nil, err
 	}
-	var hits []store.ChangeHit
+	var hits []ChangeHit
 	for v := from; v < to; v++ {
 		d, err := s.decodeDelta(st, v-1)
 		if err != nil {
@@ -139,7 +165,7 @@ func (s *Store) ChangesMatching(id string, from, to int, pattern *xpathlite.Expr
 			if node.Type == dom.Text && node.Parent != nil {
 				node = node.Parent
 			}
-			hits = append(hits, store.ChangeHit{Version: v + 1, Op: op, Path: paths.Path(node)})
+			hits = append(hits, ChangeHit{Version: v + 1, Op: op, Path: paths.Path(node)})
 		}
 		doc = next
 	}

@@ -67,6 +67,7 @@ package vstore
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -78,9 +79,19 @@ import (
 	"xydiff/internal/diff"
 	"xydiff/internal/dom"
 	"xydiff/internal/faultfs"
-	"xydiff/internal/scrub"
 	"xydiff/internal/store"
 	"xydiff/internal/xid"
+)
+
+// Sentinel errors callers (notably the HTTP server) can test with
+// errors.Is to distinguish "not found" from internal failures.
+var (
+	// ErrUnknownDocument reports that no document with the given
+	// identifier is stored.
+	ErrUnknownDocument = errors.New("unknown document")
+	// ErrNoSuchVersion reports a version or delta index outside the
+	// stored range.
+	ErrNoSuchVersion = errors.New("no such version")
 )
 
 // Config tunes the engine. The zero value picks production defaults
@@ -122,13 +133,13 @@ type Config struct {
 	compactSegments int
 }
 
-// ScrubConfig tunes the background scrubber (see internal/scrub).
+// ScrubConfig tunes the background scrubber (scrub.go).
 type ScrubConfig struct {
 	// Interval is the pause between integrity cycles; 0 or negative
 	// disables the background timer.
 	Interval time.Duration
-	// Throttle caps scrub reads in bytes per second; 0 picks
-	// scrub.DefaultThrottle (8 MiB/s), negative disables pacing.
+	// Throttle caps scrub reads in bytes per second; 0 picks 8 MiB/s
+	// (defaultScrubThrottle), negative disables pacing.
 	Throttle int64
 	// NoRepair stops the scrubber from rewriting damage it could cover
 	// from resident data: every finding is quarantined instead. The
@@ -181,29 +192,27 @@ func (c Config) withDefaults() Config {
 type Store struct {
 	opts diff.Options
 	cfg  Config
-	obs  store.Observer
+	obs  Observer
 	dir  string
 	fs   faultfs.FS
 
 	shards []*shard
 	cache  *versionCache
 
-	mu     sync.Mutex // guards closed and the lifecycle channels
+	mu     sync.Mutex // guards closed
 	closed bool
 
 	formatMu sync.Mutex // guards format and the manifest rewrite
 	format   string     // the manifest's format marker
 
-	stopSync chan struct{}
-	syncDone chan struct{}
-
-	compactCh   chan struct{}
-	compactDone chan struct{}
-
-	scrubber *scrub.Runner
+	// stopLoops cancels the context the background loops (syncLoop,
+	// compactLoop, scrubLoop) run under; loops counts those running.
+	stopLoops context.CancelFunc
+	loops     sync.WaitGroup
+	compactCh chan struct{} // nudges compactLoop when a segment seals
 
 	stats    engineCounters
-	recovery store.RecoveryStats
+	recovery RecoveryStats
 }
 
 // docState is one document's resident state: the version count plus
@@ -273,9 +282,36 @@ func (s *Store) shardFor(id string) *shard {
 	return s.shards[h.Sum32()%uint32(len(s.shards))]
 }
 
+// Observation is what an Observer is told about one successful
+// non-initial Put.
+type Observation struct {
+	ID      string
+	Version int // the version the delta produced
+	// Old and New are the store's previous and new latest documents,
+	// with the XIDs the delta refers to.
+	Old, New *dom.Node
+	// Result is the diff result: the delta plus phase timings.
+	Result *diff.Result
+	// DeltaBytes is the length of the delta's XML encoding. The store
+	// encodes each delta once, for its journal record; an observer that
+	// wants the size reads it here instead of encoding the delta again.
+	DeltaBytes int
+}
+
+// Observer receives every successful non-initial Put: a first version
+// is not a transition and is not observed. It is invoked synchronously
+// under the document's lock, so per-document call order matches
+// version order; it must not call back into the store for the same
+// document, must not mutate the document trees, and must not retain
+// them — or anything pointing into them, such as a delta.Targets — past
+// its return. (The delta's ops are immutable and may be kept.) The
+// consumers of Figure 1 hang off this hook as one warehouse.Pipeline:
+// the server's observer and the library warehouse's both call it.
+type Observer func(Observation)
+
 // SetObserver installs the hook called after every versioning diff. It
 // must be set before the store starts serving concurrent Puts.
-func (s *Store) SetObserver(obs store.Observer) { s.obs = obs }
+func (s *Store) SetObserver(obs Observer) { s.obs = obs }
 
 // state returns (creating if needed) the document's state.
 func (sh *shard) state(id string) *docState {
@@ -339,9 +375,9 @@ func (s *Store) PutMatcherContext(ctx context.Context, id string, doc *dom.Node,
 // with XIDs and keeps it as the cached latest version, so the caller
 // must not read or change it afterwards, whether or not the Put
 // succeeded.
-func (s *Store) PutDetailed(ctx context.Context, id string, doc *dom.Node, matcher diff.Matcher) (store.PutResult, error) {
+func (s *Store) PutDetailed(ctx context.Context, id string, doc *dom.Node, matcher diff.Matcher) (PutResult, error) {
 	if doc == nil || doc.Type != dom.Document {
-		return store.PutResult{}, fmt.Errorf("vstore: need a Document node")
+		return PutResult{}, fmt.Errorf("vstore: need a Document node")
 	}
 	opts := s.opts
 	if matcher != "" {
@@ -355,41 +391,53 @@ func (s *Store) PutDetailed(ctx context.Context, id string, doc *dom.Node, match
 		xid.Assign(doc)
 		body, err := serializeTree(doc)
 		if err != nil {
-			return store.PutResult{}, fmt.Errorf("vstore: serialize %s version 1: %w", id, err)
+			return PutResult{}, fmt.Errorf("vstore: serialize %s version 1: %w", id, err)
 		}
 		rec, kept := encodeRecord(recordBase, id, 1, body)
 		if err := s.appendDurable(sh, rec); err != nil {
-			return store.PutResult{}, err
+			return PutResult{}, err
 		}
 		st.base = st.keep(xmlPart(kept))
 		st.versions = 1
 		s.cache.put(id, doc, 1)
-		return store.PutResult{Version: 1}, nil
+		return PutResult{Version: 1}, nil
 	}
 	old, err := s.materializeLocked(id, st)
 	if err != nil {
-		return store.PutResult{}, err
+		return PutResult{}, err
 	}
 	r, err := diff.DiffDetailedContext(ctx, old, doc, opts)
 	if err != nil {
-		return store.PutResult{}, fmt.Errorf("vstore: diff %s: %w", id, err)
+		return PutResult{}, fmt.Errorf("vstore: diff %s: %w", id, err)
 	}
 	body, err := r.Delta.MarshalText()
 	if err != nil {
-		return store.PutResult{}, fmt.Errorf("vstore: serialize %s delta %d: %w", id, st.versions, err)
+		return PutResult{}, fmt.Errorf("vstore: serialize %s delta %d: %w", id, st.versions, err)
 	}
 	rec, kept := encodeRecord(recordDelta, id, st.versions+1, body)
 	if err := s.appendDurable(sh, rec); err != nil {
-		return store.PutResult{}, err
+		return PutResult{}, err
 	}
 	frame, ok := freezeDelta(r.Delta)
 	st.deltas = append(st.deltas, st.keep(putPart(frame, ok, body, kept)))
 	st.versions++
 	s.cache.put(id, doc, st.versions)
 	if s.obs != nil {
-		s.obs(store.Observation{ID: id, Version: st.versions, Old: old, New: doc, Result: r, DeltaBytes: len(body)})
+		s.obs(Observation{ID: id, Version: st.versions, Old: old, New: doc, Result: r, DeltaBytes: len(body)})
 	}
-	return store.PutResult{Version: st.versions, Delta: r.Delta, DeltaBytes: len(body)}, nil
+	return PutResult{Version: st.versions, Delta: r.Delta, DeltaBytes: len(body)}, nil
+}
+
+// PutResult is what PutDetailed reports about an installed version.
+type PutResult struct {
+	Version int
+	// Delta leads from the previous version to this one; nil for the
+	// first version.
+	Delta *delta.Delta
+	// DeltaBytes is the length of Delta's XML encoding — of the bytes
+	// the journal record carries and Aggregate(id, Version-1, Version)
+	// serializes to — or 0 for the first version.
+	DeltaBytes int
 }
 
 // materializeLocked returns the document's latest version as a tree
@@ -408,7 +456,7 @@ func (s *Store) materializeLocked(id string, st *docState) (*dom.Node, error) {
 func (s *Store) reading(id string) (*docState, error) {
 	st := s.shardFor(id).lookup(id)
 	if st == nil {
-		return nil, fmt.Errorf("vstore: %w %q", store.ErrUnknownDocument, id)
+		return nil, fmt.Errorf("vstore: %w %q", ErrUnknownDocument, id)
 	}
 	st.mu.RLock()
 	if st.versions == 0 {
@@ -418,7 +466,7 @@ func (s *Store) reading(id string) (*docState, error) {
 			return nil, err
 		}
 		st.mu.RUnlock()
-		return nil, fmt.Errorf("vstore: %w %q", store.ErrUnknownDocument, id)
+		return nil, fmt.Errorf("vstore: %w %q", ErrUnknownDocument, id)
 	}
 	//xyvet:allow lockbalance -- deliberate handoff: the caller receives st read-locked and must RUnlock it
 	return st, nil
@@ -561,7 +609,7 @@ func (st *docState) checkVersion(id string, n int) error {
 		return &DegradedError{id: id, Reason: st.degradedReason, Intact: st.versions}
 	}
 	if n < 1 || n > st.versions {
-		return fmt.Errorf("vstore: %s has versions 1..%d, not %d: %w", id, st.versions, n, store.ErrNoSuchVersion)
+		return fmt.Errorf("vstore: %s has versions 1..%d, not %d: %w", id, st.versions, n, ErrNoSuchVersion)
 	}
 	return nil
 }
@@ -572,7 +620,7 @@ func (st *docState) checkRange(id string, from, to int) error {
 		return &DegradedError{id: id, Reason: st.degradedReason, Intact: st.versions}
 	}
 	if from < 1 || from > st.versions || to < 1 || to > st.versions {
-		return fmt.Errorf("vstore: version range %d..%d outside 1..%d: %w", from, to, st.versions, store.ErrNoSuchVersion)
+		return fmt.Errorf("vstore: version range %d..%d outside 1..%d: %w", from, to, st.versions, ErrNoSuchVersion)
 	}
 	return nil
 }
@@ -624,8 +672,8 @@ func (s *Store) decodeDelta(st *docState, i int) (*delta.Delta, error) {
 }
 
 // Close stops the background loops and the per-shard group-commit
-// writers: queued records are flushed and fsynced, segment files
-// closed. The store stays readable; writes after Close fail, except in
+// writers: a scrub cycle in flight is canceled, not waited out, queued
+// records are flushed and fsynced, segment files closed. The store stays readable; writes after Close fail, except in
 // a store without a directory, which has nothing to stop.
 func (s *Store) Close() error {
 	if s.dir == "" {
@@ -638,17 +686,8 @@ func (s *Store) Close() error {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	if s.scrubber != nil {
-		s.scrubber.Stop()
-	}
-	if s.stopSync != nil {
-		close(s.stopSync)
-		<-s.syncDone
-	}
-	if s.compactCh != nil {
-		close(s.compactCh)
-		<-s.compactDone
-	}
+	s.stopLoops()
+	s.loops.Wait()
 	var firstErr error
 	for _, sh := range s.shards {
 		sh.sendMu.Lock()

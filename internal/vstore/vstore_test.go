@@ -69,10 +69,10 @@ func testPutAndLatest(t *testing.T, s *Store) {
 	if ids := s.IDs(); len(ids) != 1 || ids[0] != "doc" {
 		t.Fatalf("IDs = %v", ids)
 	}
-	if _, _, err := s.Latest("nope"); !errors.Is(err, store.ErrUnknownDocument) {
+	if _, _, err := s.Latest("nope"); !errors.Is(err, ErrUnknownDocument) {
 		t.Fatalf("Latest(nope) = %v, want ErrUnknownDocument", err)
 	}
-	if _, err := s.Version("doc", 9); !errors.Is(err, store.ErrNoSuchVersion) {
+	if _, err := s.Version("doc", 9); !errors.Is(err, ErrNoSuchVersion) {
 		t.Fatalf("Version(doc,9) = %v, want ErrNoSuchVersion", err)
 	}
 }
@@ -517,7 +517,7 @@ func TestObserverSeesEveryVersion(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var calls []obsCall
-	s.SetObserver(func(o store.Observation) {
+	s.SetObserver(func(o Observation) {
 		mu.Lock()
 		calls = append(calls, obsCall{o.ID, o.Version})
 		mu.Unlock()

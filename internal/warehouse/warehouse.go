@@ -21,7 +21,6 @@ import (
 	"xydiff/internal/dom"
 	"xydiff/internal/index"
 	"xydiff/internal/stats"
-	"xydiff/internal/store"
 	"xydiff/internal/vstore"
 	"xydiff/internal/xpathlite"
 )
@@ -39,7 +38,7 @@ type Pipeline struct {
 // order, and returns the alerts raised. Like any observer it keeps no
 // pointer into the trees: the collector keeps counts, the index keeps
 // words, and alerts name their op by version, kind and XID.
-func (p Pipeline) Observe(o store.Observation) []alert.Alert {
+func (p Pipeline) Observe(o vstore.Observation) []alert.Alert {
 	t := delta.Resolve(o.Result.Delta, o.Old, o.New)
 	p.Stats.ObserveResolved(t, o.DeltaBytes)
 	alerts := p.Alerter.NotifyResolved(o.ID, o.Version, t)
@@ -83,7 +82,7 @@ func New(opts diff.Options) *Warehouse {
 }
 
 // observe runs under the document's write lock inside Load's Put.
-func (w *Warehouse) observe(o store.Observation) {
+func (w *Warehouse) observe(o vstore.Observation) {
 	alerts := w.pipeline.Observe(o)
 	w.mu.Lock()
 	w.raised[slot{o.ID, o.Version}] = alerts
@@ -149,12 +148,12 @@ func (w *Warehouse) Version(docID string, n int) (*dom.Node, error) {
 func (w *Warehouse) Versions(docID string) int { return w.store.Versions(docID) }
 
 // Timeline evaluates an expression across all versions.
-func (w *Warehouse) Timeline(docID string, expr *xpathlite.Expr) ([]store.VersionValue, error) {
+func (w *Warehouse) Timeline(docID string, expr *xpathlite.Expr) ([]vstore.VersionValue, error) {
 	return w.store.Timeline(docID, expr)
 }
 
 // ChangesMatching greps the delta chain for matching operations.
-func (w *Warehouse) ChangesMatching(docID string, from, to int, pattern *xpathlite.Expr, kinds ...delta.Kind) ([]store.ChangeHit, error) {
+func (w *Warehouse) ChangesMatching(docID string, from, to int, pattern *xpathlite.Expr, kinds ...delta.Kind) ([]vstore.ChangeHit, error) {
 	return w.store.ChangesMatching(docID, from, to, pattern, kinds...)
 }
 

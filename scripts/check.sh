@@ -11,8 +11,9 @@
 #                  diagnostic fails the gate
 #   3. build       every package compiles
 #   4. race        the whole test suite under the race detector, then the
-#                  vstore read-walk tests ten times more, since the walk
-#                  starts goroutines, the vstore and diff allocation
+#                  vstore read-walk tests ten times more, since walks run
+#                  concurrently under a document's read lock and swap
+#                  decoded frames in by CAS, the vstore and diff allocation
 #                  guards without it, since it randomizes pools, and the
 #                  server's crawl and source tests five times more,
 #                  since they run at production politeness and wait on
@@ -84,6 +85,7 @@ $GO test ./internal/delta -run '^$' -fuzz '^FuzzDeltaDecodeDifferential$' -fuzzt
 $GO test ./internal/vstore -run '^$' -fuzz '^FuzzReadWalks$' -fuzztime "$FUZZTIME"
 $GO test ./internal/vstore -run '^$' -fuzz '^FuzzSnapshotLoad$' -fuzztime "$FUZZTIME"
 $GO test ./internal/vstore -run '^$' -fuzz '^FuzzThaw$' -fuzztime "$FUZZTIME"
+$GO test ./internal/vstore -run '^$' -fuzz '^FuzzWalkLog$' -fuzztime "$FUZZTIME"
 $GO test ./internal/vstore -run '^$' -fuzz '^FuzzResidentDelta$' -fuzztime "$FUZZTIME"
 $GO test ./internal/diff -run '^$' -fuzz '^FuzzDiffApply$' -fuzztime "$FUZZTIME"
 $GO test ./internal/diff -run '^$' -fuzz '^FuzzSFTMApply$' -fuzztime "$FUZZTIME"
