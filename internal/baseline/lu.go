@@ -73,8 +73,8 @@ func (m *luMatcher) relabelCost(o, n *dom.Node) int {
 	if o.Type != n.Type || o.Name != n.Name {
 		return luInf
 	}
-	if o.Value == n.Value {
-		return 0
+	if o.Value == n.Value || o.Type == dom.Document {
+		return 0 // a Document's value is its DOCTYPE, not content
 	}
 	return 1
 }

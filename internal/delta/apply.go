@@ -36,7 +36,7 @@ import (
 // checks) is converted into an error.
 func Apply(doc *dom.Node, d *Delta) error {
 	a := applier{doc: doc, clone: true}
-	return a.apply(d, false)
+	return a.apply(d, false, nil)
 }
 
 // ApplyClone applies the delta to a deep copy of doc and returns it;
@@ -62,7 +62,11 @@ func ApplyClone(doc *dom.Node, d *Delta) (*dom.Node, error) {
 //     again once stepped through (decode it afresh);
 //   - a backward step reads each op inverted where it stands, with no
 //     inverted delta built and none sorted — Apply does not depend on
-//     the order of the ops.
+//     the order of the ops;
+//   - a step may check the subtrees it detaches through a function of
+//     its caller's instead of against the ops' content, so a store that
+//     holds a delta in a form of its own need not build the content a
+//     step only compares and drops.
 //
 // After an error the document may be partly changed and the Replay
 // must be dropped.
@@ -76,12 +80,19 @@ func NewReplay(doc *dom.Node) *Replay {
 	return &Replay{a: applier{doc: doc}}
 }
 
-// Forward applies d, taking doc to the version after it. d is consumed.
-func (r *Replay) Forward(d *Delta) error { return r.a.apply(d, false) }
-
-// Backward applies the inverse of d, taking doc to the version before
-// it. d is consumed.
-func (r *Replay) Backward(d *Delta) error { return r.a.apply(d, true) }
+// Step applies d, taking doc to the version after it, or when backward
+// the inverse of d, taking doc to the version before it. d is consumed.
+//
+// With differs nil, each subtree the step detaches — a delete's going
+// forward, an insert's going backward — is checked as Apply checks it:
+// it must be Equal to the op's Subtree, when the op has one. Otherwise
+// differs checks it and the Subtrees of the ops whose subtrees the step
+// detaches are not read, and may be nil: differs(i, n) returns "" when
+// n, the subtree op i detaches, is Equal to the content op i records,
+// and describes the first difference when it is not.
+func (r *Replay) Step(d *Delta, backward bool, differs func(i int, n *dom.Node) string) error {
+	return r.a.apply(d, backward, differs)
+}
 
 // applier is the engine behind Apply and Replay: a document, its XID
 // index (built on first use), whether attached subtrees are cloned from
@@ -112,8 +123,9 @@ func groupEnd(pending []attachment, i int) int {
 }
 
 // apply applies d to a.doc, or its inverse when backward, in the five
-// phases Apply documents.
-func (a *applier) apply(d *Delta, backward bool) (err error) {
+// phases Apply documents, checking detached subtrees with differs when
+// it is not nil (see Replay.Step).
+func (a *applier) apply(d *Delta, backward bool, differs func(int, *dom.Node) string) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("delta: apply: internal panic on corrupt delta: %v", r)
@@ -178,7 +190,11 @@ func (a *applier) apply(d *Delta, backward bool) (err error) {
 		if n.Parent == nil || n.Parent.XID != del.Parent {
 			return fmt.Errorf("delta: delete %d: parent is %v, op says %d", del.XID, parentXID(n), del.Parent)
 		}
-		if del.Subtree != nil && !dom.Equal(n, del.Subtree) {
+		if differs != nil {
+			if diag := differs(i, n); diag != "" {
+				return fmt.Errorf("delta: delete %d: document content differs from recorded subtree: %s", del.XID, diag)
+			}
+		} else if del.Subtree != nil && !dom.Equal(n, del.Subtree) {
 			return fmt.Errorf("delta: delete %d: document content differs from recorded subtree: %s",
 				del.XID, dom.Diagnose(n, del.Subtree))
 		}
@@ -286,6 +302,10 @@ func applyValueOp(index *xid.Table[*dom.Node], o *Op, backward bool) error {
 		n := index.Get(o.XID)
 		if n == nil {
 			return fmt.Errorf("delta: update: no node with XID %d", o.XID)
+		}
+		if n.Type == dom.Document {
+			// A Document's value is its DOCTYPE, which no op changes.
+			return fmt.Errorf("delta: update %d: a document has no value to update", o.XID)
 		}
 		if n.Value != old {
 			return fmt.Errorf("delta: update %d: value %q, op says %q", o.XID, n.Value, old)

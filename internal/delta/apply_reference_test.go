@@ -188,8 +188,8 @@ func refAs(op Op, backward bool) Op {
 	if !backward {
 		return op
 	}
-	if inv, err := op.inverse(); err == nil {
-		return inv
+	if knownKind(op.Kind) {
+		op.invert()
 	}
 	return op
 }

@@ -61,39 +61,41 @@ func (d *Delta) Count() Counts {
 	return c
 }
 
-// Invert returns the delta that transforms the new version back into
-// the old one: completed deltas carry enough information (deleted
-// content, old values) for this to be purely syntactic. It errors on
-// an operation kind the package does not know instead of panicking.
-// The inverses are written inserts first, which become deletes, then
-// deletes, then the rest, so a canonical delta inverts to one in
-// canonical order with nothing left to sort.
+// Invert turns d into the delta that transforms the new version back
+// into the old one, and returns it: completed deltas carry enough
+// information (deleted content, old values) for this to be purely
+// syntactic, so it is done in place, and the caller must own d. A kind
+// the package does not know (a corrupt in-memory delta) is an error,
+// not a panic — deltas flow in from untrusted storage and the network,
+// and the daemon must never die on one — and d is left as it was. A canonical delta starts with
+// its deletes, then its inserts; inverted, they are inserts and then
+// deletes, and swapping the two runs back leaves the delta in canonical
+// order with nothing to sort and nothing allocated.
 func (d *Delta) Invert() (*Delta, error) {
-	inv := &Delta{Ops: make([]Op, 0, len(d.Ops)), NextXID: d.NextXID}
-	pass := func(k Kind) int {
-		switch k {
-		case KindInsert:
-			return 0
-		case KindDelete:
-			return 1
-		}
-		return 2
-	}
-	for p := range 3 {
-		for i := range d.Ops {
-			op := &d.Ops[i]
-			if pass(op.Kind) != p {
-				continue
-			}
-			io, err := op.inverse()
-			if err != nil {
-				return nil, err
-			}
-			inv.Ops = append(inv.Ops, io)
+	for i := range d.Ops {
+		if k := d.Ops[i].Kind; !knownKind(k) {
+			return nil, fmt.Errorf("delta: invert: unknown op kind %d", uint8(k))
 		}
 	}
-	inv.sort()
-	return inv, nil
+	for i := range d.Ops {
+		d.Ops[i].invert()
+	}
+	ins := 0
+	for ins < len(d.Ops) && d.Ops[ins].Kind == KindInsert {
+		ins++
+	}
+	del := ins
+	for del < len(d.Ops) && d.Ops[del].Kind == KindDelete {
+		del++
+	}
+	if ins > 0 && del > ins {
+		// Rotate: each run keeps its order, as the sort would.
+		slices.Reverse(d.Ops[:ins])
+		slices.Reverse(d.Ops[ins:del])
+		slices.Reverse(d.Ops[:del])
+	}
+	d.sort()
+	return d, nil
 }
 
 // sort puts operations in the canonical order used for serialization:

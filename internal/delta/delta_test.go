@@ -353,7 +353,7 @@ func TestApplyFarXIDs(t *testing.T) {
 		if err != nil || refErr != nil || !sameWithXIDs(got, want) {
 			t.Fatalf("XID %d forward: %v, %s\nthe map-indexed engine: %v, %s", far, err, got, refErr, want)
 		}
-		err, refErr = NewReplay(got).Backward(d()), ReplayReference(want, []*Delta{d()}, true)
+		err, refErr = NewReplay(got).Step(d(), true, nil), ReplayReference(want, []*Delta{d()}, true)
 		if err != nil || refErr != nil || !sameWithXIDs(got, want) || !sameWithXIDs(got, buildCatalog(t)) {
 			t.Fatalf("XID %d backward: %v, %s\nthe map-indexed engine: %v, %s", far, err, got, refErr, want)
 		}
@@ -438,16 +438,16 @@ func TestInsertNeedsItsXIDs(t *testing.T) {
 			ins := Op{Kind: KindInsert, XID: 30, Parent: 14, Pos: 0, Subtree: c.sub}
 			ok := Op{Kind: KindInsert, XID: 41, Parent: 8, Pos: 0, Subtree: sub(40, 41)}
 			d := &Delta{Ops: []Op{ok, ins}}
-			inv := mustInvert(t, d)
+			inv := mustInvert(t, &Delta{Ops: []Op{ok, ins}})
 			for _, step := range []struct {
 				how string
 				run func(doc *dom.Node) error
 				ref func(doc *dom.Node) error
 			}{
 				{"Apply", func(doc *dom.Node) error { return Apply(doc, d) }, func(doc *dom.Node) error { return ApplyReference(doc, d) }},
-				{"Replay.Forward", func(doc *dom.Node) error { return NewReplay(doc).Forward(d) },
+				{"Replay.Forward", func(doc *dom.Node) error { return NewReplay(doc).Step(d, false, nil) },
 					func(doc *dom.Node) error { return ReplayReference(doc, []*Delta{d}, false) }},
-				{"Replay.Backward", func(doc *dom.Node) error { return NewReplay(doc).Backward(inv) },
+				{"Replay.Backward", func(doc *dom.Node) error { return NewReplay(doc).Step(inv, true, nil) },
 					func(doc *dom.Node) error { return ReplayReference(doc, []*Delta{inv}, true) }},
 			} {
 				doc := buildCatalog(t)
@@ -721,7 +721,7 @@ func TestReplayMatchesApply(t *testing.T) {
 		}
 		doc := c.doc()
 		r := NewReplay(doc)
-		if err := r.Forward(c.d()); err != nil {
+		if err := r.Step(c.d(), false, nil); err != nil {
 			t.Fatalf("case %d forward: %v", i, err)
 		}
 		if doc.String() != want.String() || xid.Of(doc).String() != xid.Of(want).String() {
@@ -730,7 +730,7 @@ func TestReplayMatchesApply(t *testing.T) {
 		if err := Apply(want, mustInvert(t, c.d())); err != nil {
 			t.Fatal(err)
 		}
-		if err := r.Backward(c.d()); err != nil {
+		if err := r.Step(c.d(), true, nil); err != nil {
 			t.Fatalf("case %d backward: %v", i, err)
 		}
 		if orig := c.doc(); doc.String() != orig.String() || xid.Of(doc).String() != xid.Of(want).String() {
@@ -743,10 +743,10 @@ func TestReplayMatchesApply(t *testing.T) {
 		{Ops: []Op{{Kind: KindDelete, XID: 7, Parent: 8, Pos: 0, Subtree: sub.Root()}}},
 		{Ops: []Op{{Kind: KindMove, XID: 2, Parent: 99, ToParent: 16, ToPos: 0}}},
 	} {
-		if err := NewReplay(buildCatalog(t)).Forward(d); err == nil {
+		if err := NewReplay(buildCatalog(t)).Step(d, false, nil); err == nil {
 			t.Errorf("Forward(%v) succeeded where Apply fails", d.Ops)
 		}
-		if err := NewReplay(buildCatalog(t)).Backward(mustInvert(t, d)); err == nil {
+		if err := NewReplay(buildCatalog(t)).Step(mustInvert(t, d), true, nil); err == nil {
 			t.Errorf("Backward of the inverse of %v succeeded where Apply fails", d.Ops)
 		}
 	}

@@ -106,7 +106,7 @@ func FuzzApply(f *testing.F) {
 			return d
 		}
 		got, want := base(), base()
-		err = delta.NewReplay(got).Backward(fresh())
+		err = delta.NewReplay(got).Step(fresh(), true, nil)
 		sameVerdict(t, "Replay.Backward", err, got, delta.ReplayReference(want, []*delta.Delta{fresh()}, true), want)
 	})
 }

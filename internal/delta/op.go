@@ -100,13 +100,11 @@ type Op struct {
 // knownKind reports whether k is one of the seven operation kinds.
 func knownKind(k Kind) bool { return k <= KindUpdateAttr }
 
-// inverse returns the op that undoes o: an insert and a delete swap
-// kinds, as do an attribute's insert and delete, a move swaps its
-// places, and every kind swaps its old and new values. A kind this
-// package does not know (a corrupt in-memory delta) is an error, not a
-// panic: deltas flow in from untrusted storage and the network, and
-// the daemon must never die on one.
-func (o Op) inverse() (Op, error) {
+// invert turns o, of a known kind, into the op that undoes it: an
+// insert and a delete swap kinds, as do an attribute's insert and
+// delete, a move swaps its places, and every kind swaps its old and new
+// values.
+func (o *Op) invert() {
 	switch o.Kind {
 	case KindInsert:
 		o.Kind = KindDelete
@@ -118,10 +116,6 @@ func (o Op) inverse() (Op, error) {
 		o.Kind = KindDeleteAttr
 	case KindDeleteAttr:
 		o.Kind = KindInsertAttr
-	case KindUpdate, KindUpdateAttr:
-	default:
-		return Op{}, fmt.Errorf("delta: invert: unknown op kind %d", uint8(o.Kind))
 	}
 	o.Old, o.New = o.New, o.Old
-	return o, nil
 }

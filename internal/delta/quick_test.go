@@ -3,6 +3,7 @@ package delta
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -74,6 +75,7 @@ func randWord(r *rand.Rand) string {
 
 func TestQuickInvertIsInvolution(t *testing.T) {
 	f := func(ro RandomOps) bool {
+		a, err1 := ro.D.MarshalText()
 		once, err := ro.D.Invert()
 		if err != nil {
 			return false
@@ -82,7 +84,6 @@ func TestQuickInvertIsInvolution(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		a, err1 := ro.D.MarshalText()
 		b, err2 := twice.MarshalText()
 		return err1 == nil && err2 == nil && string(a) == string(b)
 	}
@@ -146,4 +147,57 @@ func TestXMLRoundTripGenerated(t *testing.T) {
 			t.Fatalf("trial %d unstable:\nA: %s\nB: %s", trial, text, text2)
 		}
 	}
+}
+
+// TestQuickInvertInPlace: Invert turns the delta it is given into its
+// inverse, op for op in the order the copying Invert it replaced gave
+// (the inverses of the inserts, then of the deletes, then of the rest,
+// sorted), from canonical order and from shuffled order. A canonical
+// delta inverts with nothing allocated, and one with an op of an
+// unknown kind is refused and left as it was.
+func TestQuickInvertInPlace(t *testing.T) {
+	f := func(ro RandomOps, shuffle bool, seed int64) bool {
+		d := ro.D
+		if shuffle {
+			rand.New(rand.NewSource(seed)).Shuffle(len(d.Ops), func(i, j int) { d.Ops[i], d.Ops[j] = d.Ops[j], d.Ops[i] })
+		}
+		want := invertCopy(d)
+		got, err := d.Invert()
+		return err == nil && got == d && reflect.DeepEqual(got.Ops, want.Ops) && got.NextXID == want.NextXID
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+
+	d := RandomOps{}.Generate(rand.New(rand.NewSource(1)), 20).Interface().(RandomOps).D
+	if allocs := testing.AllocsPerRun(10, func() { mustInvert(t, d) }); allocs != 0 {
+		t.Errorf("inverting a canonical delta of %d ops allocates %.0f times, want none", len(d.Ops), allocs)
+	}
+
+	bad := &Delta{Ops: []Op{{Kind: KindDelete, XID: 1, Parent: 2, Subtree: dom.NewElement("a")}, {Kind: KindUpdateAttr + 1, XID: 3}}}
+	before := slices.Clone(bad.Ops)
+	if _, err := bad.Invert(); err == nil || !reflect.DeepEqual(bad.Ops, before) {
+		t.Errorf("Invert of an unknown kind: %v, ops %v, want an error and %v", err, bad.Ops, before)
+	}
+}
+
+// invertCopy is Invert before it worked in place: a new delta of the
+// inverses, those of the inserts first, then of the deletes, then of
+// the rest, sorted.
+func invertCopy(d *Delta) *Delta {
+	inv := &Delta{NextXID: d.NextXID}
+	for _, pass := range []func(Kind) bool{
+		func(k Kind) bool { return k == KindInsert },
+		func(k Kind) bool { return k == KindDelete },
+		func(k Kind) bool { return k != KindInsert && k != KindDelete },
+	} {
+		for _, op := range d.Ops {
+			if pass(op.Kind) {
+				op.invert()
+				inv.Ops = append(inv.Ops, op)
+			}
+		}
+	}
+	sortReference(inv)
+	return inv
 }

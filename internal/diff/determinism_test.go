@@ -111,7 +111,7 @@ func paragraph(bold, text string) *dom.Node {
 func idCatalogPair(tb testing.TB, seed int64, bytes int, rate float64, excludeEvery int) (*dom.Node, *dom.Node) {
 	tb.Helper()
 	oldDoc := changesim.CatalogOfSize(rand.New(rand.NewSource(seed)), bytes)
-	oldDoc.Doctype = "DOCTYPE Catalog [<!ATTLIST Product pid ID #REQUIRED>]"
+	oldDoc.Value = "DOCTYPE Catalog [<!ATTLIST Product pid ID #REQUIRED>]"
 	pid := 0
 	for _, n := range dom.Preorder(oldDoc) {
 		if n.Type == dom.Element && n.Name == "Product" {

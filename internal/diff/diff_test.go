@@ -39,7 +39,8 @@ func roundTrip(t *testing.T, oldXML, newXML string, opts Options) *delta.Delta {
 	if !dom.Equal(got, newDoc) {
 		t.Fatalf("apply(old, delta) != new: %s\ndelta:\n%s\ngot: %s", dom.Diagnose(got, newDoc), d, got)
 	}
-	inv, err := d.Invert()
+	// Invert works in place, and the caller inspects d: invert a copy.
+	inv, err := (&delta.Delta{Ops: slices.Clone(d.Ops), NextXID: d.NextXID}).Invert()
 	if err != nil {
 		t.Fatalf("Invert: %v\ndelta:\n%s", err, d)
 	}

@@ -261,11 +261,11 @@ func (m *matcher) phase1IDs() {
 func (m *matcher) collectIDAttrs() dtd.IDAttrs {
 	ids := dtd.IDAttrs{}
 	for _, doc := range []*dom.Node{m.old.doc, m.new.doc} {
-		if doc.Doctype == "" {
+		if doc.Type != dom.Document || doc.Value == "" {
 			continue
 		}
 		// A malformed DTD only costs us Phase 1 information.
-		if parsed, err := dtd.ParseDoctype(doc.Doctype); err == nil {
+		if parsed, err := dtd.ParseDoctype(doc.Value); err == nil {
 			for el, attr := range parsed {
 				ids[el] = attr
 			}

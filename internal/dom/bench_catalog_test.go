@@ -29,6 +29,25 @@ func BenchmarkParseCatalog(b *testing.B) {
 	}
 }
 
+// TestParseAllocations keeps the catalog's parse at what its strings
+// and the builder's chunks cost. (With a heap object for every node and
+// every child slice it made 12 699 allocations; with nodes, child
+// slices and attributes cut from chunks of at most 32 KiB, 2 961.) It
+// goes through the reader entry point, as BenchmarkParseCatalog does.
+// A count, not a timing, so it can gate go test.
+func TestParseAllocations(t *testing.T) {
+	src := []byte(catalog().String())
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := dom.ParseWithOptions(bytes.NewReader(src), dom.DefaultParseOptions()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("parsing a %d-byte catalog: %.0f allocations", len(src), allocs)
+	if allocs > 3000 {
+		t.Errorf("parsing a %d-byte catalog allocates %.0f times, want at most 3000", len(src), allocs)
+	}
+}
+
 // BenchmarkEncodeCatalog serializes the catalog three ways: appended
 // to a reused buffer (how the store answers a version read), counted
 // only, and written to an io.Writer through the encoder's buffer.

@@ -202,11 +202,11 @@ func TestCloneIsDeepAndIndependent(t *testing.T) {
 // DTD the diff reads ID attributes from.
 func TestCloneKeepsDoctype(t *testing.T) {
 	doc := mustParse(t, `<!DOCTYPE r [<!ATTLIST p id ID #REQUIRED>]><r><p id="a"/></r>`)
-	if doc.Doctype == "" {
+	if doc.Value == "" {
 		t.Fatal("setup: no DOCTYPE parsed")
 	}
-	if got := doc.Clone().Doctype; got != doc.Doctype {
-		t.Errorf("Clone's DOCTYPE = %q, want %q", got, doc.Doctype)
+	if got := doc.Clone().Value; got != doc.Value {
+		t.Errorf("Clone's DOCTYPE = %q, want %q", got, doc.Value)
 	}
 }
 

@@ -8,12 +8,12 @@ import (
 // Equal reports whether two subtrees are isomorphic: same node types,
 // labels, values, attribute sets (order-insensitive) and recursively
 // equal child lists (order-sensitive — this is the ordered-tree model).
-// XIDs and Parent pointers are ignored.
+// XIDs, Parent pointers and a Document's DOCTYPE are ignored.
 func Equal(a, b *Node) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
-	if a.Type != b.Type || a.Name != b.Name || a.Value != b.Value {
+	if a.Type != b.Type || a.Name != b.Name || !valuesEqual(a, b) {
 		return false
 	}
 	if !attrsEqual(a, b) {
@@ -28,6 +28,12 @@ func Equal(a, b *Node) bool {
 		}
 	}
 	return true
+}
+
+// valuesEqual compares the values of two nodes of one type. A
+// Document's value is its DOCTYPE, which is not content.
+func valuesEqual(a, b *Node) bool {
+	return a.Value == b.Value || a.Type == Document
 }
 
 func attrsEqual(a, b *Node) bool {
@@ -63,7 +69,7 @@ func diagnose(a, b *Node, at string) string {
 	if a.Name != b.Name {
 		return fmt.Sprintf("%s: name %q vs %q", at, a.Name, b.Name)
 	}
-	if a.Value != b.Value {
+	if !valuesEqual(a, b) {
 		return fmt.Sprintf("%s: value %q vs %q", at, clip(a.Value), clip(b.Value))
 	}
 	if !attrsEqual(a, b) {

@@ -189,7 +189,7 @@ func referenceMisnames(doc *Node) bool {
 // pin between them: attribute order, and text-node boundaries.
 func shape(b *strings.Builder, n *Node) {
 	b.WriteString(n.Type.String())
-	b.WriteString("(" + n.Name + "|" + n.Value + "|" + n.Doctype)
+	b.WriteString("(" + n.Name + "|" + n.Value)
 	for _, a := range n.Attrs {
 		b.WriteString(" " + a.Name + "=" + a.Value)
 	}
@@ -258,8 +258,8 @@ func checkDifferential(t *testing.T, src string) {
 		if !Equal(got, want) {
 			t.Fatalf("%s: trees differ: %s\nsource: %q", o.name, Diagnose(got, want), src)
 		}
-		if got.Doctype != want.Doctype {
-			t.Fatalf("%s: Doctype differs: new %q, reference %q\nsource: %q", o.name, got.Doctype, want.Doctype, src)
+		if got.Value != want.Value {
+			t.Fatalf("%s: DOCTYPE differs: new %q, reference %q\nsource: %q", o.name, got.Value, want.Value, src)
 		}
 		var gb, wb strings.Builder
 		shape(&gb, got)

@@ -65,7 +65,11 @@ type Attr struct {
 //
 // Meaning of the fields by type:
 //
-//	Document: Name and Value empty; Children are the document items.
+//	Document: Name empty; Value the raw text of the <!DOCTYPE ...>
+//	          directive (without the leading "<!" and trailing ">"),
+//	          empty without one; Children are the document items.
+//	          The diff feeds the DOCTYPE to package dtd to discover ID
+//	          attributes; Equal, Hash64 and the serializer ignore it.
 //	Element:  Name is the tag; Attrs the attributes; Value empty.
 //	Text:     Value is the character data.
 //	Comment:  Value is the comment body.
@@ -81,11 +85,6 @@ type Node struct {
 	Children []*Node
 	Parent   *Node
 	XID      int64
-
-	// Doctype holds the raw text of the <!DOCTYPE ...> directive for
-	// Document nodes (without the leading "<!" and trailing ">"). The
-	// diff feeds it to package dtd to discover ID attributes.
-	Doctype string
 }
 
 // NewDocument returns an empty Document node.
@@ -249,8 +248,10 @@ func (s *Slabs) clone(n *Node) *Node {
 // Slabs is the storage of trees built many nodes at once — a clone, a
 // delta's pruned subtrees: their nodes, child pointers and attributes,
 // each one allocation sized by a count made first, which Copy cuts
-// nodes from. Each node's Children and Attrs have no spare capacity:
-// growing one moves it out of the slab, never onto a neighbour's part.
+// nodes from. (The parser, which cannot count first, keeps what is left
+// of its chunks in one.) Each node's Children and Attrs have no spare
+// capacity: growing one moves it out of the slab, never onto a
+// neighbour's part.
 type Slabs struct {
 	nodes []Node
 	kids  []*Node
@@ -270,14 +271,14 @@ func NewSlabs(nodes, kids, attrs int) Slabs {
 	return s
 }
 
-// Copy cuts a node from the slabs with n's type, name, value, XID,
-// DOCTYPE and a copy of its attributes, and room for kids children,
+// Copy cuts a node from the slabs with n's type, name, value (a
+// Document's DOCTYPE), XID and a copy of its attributes, and room for kids children,
 // every one nil until the caller sets it (and its Parent). It panics
 // when the slabs are short of what the count promised.
 func (s *Slabs) Copy(n *Node, kids int) *Node {
 	cp := &s.nodes[0]
 	s.nodes = s.nodes[1:]
-	*cp = Node{Type: n.Type, Name: n.Name, Value: n.Value, XID: n.XID, Doctype: n.Doctype}
+	*cp = Node{Type: n.Type, Name: n.Name, Value: n.Value, XID: n.XID}
 	if k := len(n.Attrs); k > 0 {
 		cp.Attrs = s.attrs[:k:k]
 		s.attrs = s.attrs[k:]

@@ -77,7 +77,8 @@ func ParseBytes(src []byte, opts ParseOptions) (*Node, error) {
 		return nil, err
 	}
 	if len(kids) > 0 {
-		doc.Children = append([]*Node(nil), kids...)
+		doc.Children = p.children(len(kids))
+		copy(doc.Children, kids)
 	}
 	return doc, nil
 }

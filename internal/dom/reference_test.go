@@ -99,11 +99,11 @@ func parseReference(r io.Reader, opts ParseOptions) (*Node, error) {
 				cur.Append(&Node{Type: ProcInst, Name: t.Target, Value: string(t.Inst)})
 			}
 		case xml.Directive:
-			// Retain the DOCTYPE text on the document node so that the
+			// Retain the DOCTYPE text as the document node's value so that the
 			// diff can hand it to package dtd for ID-attribute
 			// discovery. Other directives are not part of the model.
 			if d := string(t); strings.HasPrefix(d, "DOCTYPE") {
-				doc.Doctype = d
+				doc.Value = d
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // parser is the state of one parse: a cursor-free tokenizer (every
@@ -48,14 +49,100 @@ type parser struct {
 	// document has few distinct ones, so each is allocated once per
 	// parse. kids holds the children built so far of every open element,
 	// the innermost element's last; marks holds where the children of
-	// each open element begin. An element's Children slice is cut from
-	// kids when its end tag is read — one exact allocation however many
-	// children it has. text is the text node that later character data
-	// still extends: the tree never holds two neighbouring text nodes.
+	// each open element begin. An element's Children slice is copied
+	// out of kids when its end tag is read, with no spare capacity.
+	// text is the text node that later character data still extends:
+	// the tree never holds two neighbouring text nodes.
 	names map[string]string
 	kids  []*Node
 	marks []int
 	text  *Node
+
+	// slab is what is left of the chunks the builder cuts nodes, child
+	// slices and attributes from (see newNode); built counts the nodes
+	// built so far, and attrChunk is the size of the last attribute
+	// chunk.
+	slab      Slabs
+	built     int
+	attrChunk int
+}
+
+// chunkBytes bounds each chunk the builder cuts nodes, child slices and
+// attributes from: past 32 KiB an object is rounded up to whole pages
+// and takes the large-object path, which costs more than a few more
+// chunks do.
+const chunkBytes = 32 << 10
+
+// The most nodes, child pointers and attributes a chunk holds.
+const (
+	chunkNodes = chunkBytes / int(unsafe.Sizeof(Node{}))
+	chunkKids  = chunkBytes / int(unsafe.Sizeof((*Node)(nil)))
+	chunkAttrs = chunkBytes / int(unsafe.Sizeof(Attr{}))
+)
+
+// bytesPerNode is the input a node takes, as the builder guesses before
+// it has built one: about what a catalog's nodes take.
+const bytesPerNode = 24
+
+// nodesAhead estimates the nodes the input still unread holds: at the
+// density of the input read so far, or at bytesPerNode before a node is
+// built.
+func (p *parser) nodesAhead() int {
+	rest := len(p.src) - p.pos
+	if p.built == 0 || p.pos == 0 {
+		return rest/bytesPerNode + 1
+	}
+	return int(int64(rest)*int64(p.built)/int64(p.pos)) + 1
+}
+
+// newNode cuts a zero node from the node chunk. A used-up chunk is
+// followed by one sized for the nodes the unread input is estimated to
+// hold, at most chunkNodes: a parse allocates a chunk per few hundred
+// nodes rather than one object per node, and leaves few slots unused.
+// As with Clone, a node kept alone keeps its chunk reachable.
+func (p *parser) newNode() *Node {
+	if len(p.slab.nodes) == 0 {
+		p.slab.nodes = make([]Node, min(p.nodesAhead(), chunkNodes))
+	}
+	n := &p.slab.nodes[0]
+	p.slab.nodes = p.slab.nodes[1:]
+	p.built++
+	return n
+}
+
+// children returns room for k > 0 child pointers with no spare
+// capacity, cut from the child chunk: growing one moves it out, never
+// onto a neighbour's. A new chunk is sized for the children still on
+// the kids stack and those the unread input is estimated to hold; a
+// list longer than a chunk is an allocation of its own.
+func (p *parser) children(k int) []*Node {
+	if k > len(p.slab.kids) {
+		if k > chunkKids {
+			return make([]*Node, k)
+		}
+		p.slab.kids = make([]*Node, max(k, min(len(p.kids)+p.nodesAhead(), chunkKids)))
+	}
+	s := p.slab.kids[:k:k]
+	p.slab.kids = p.slab.kids[k:]
+	return s
+}
+
+// attributes returns room for k > 0 attributes with no spare capacity,
+// cut from the attribute chunk. Attributes are spread too unevenly for
+// the input to predict them: each new chunk doubles the last, from 8 to
+// at most chunkAttrs, and holds no more than the unread input can (an
+// attribute takes five bytes at least).
+func (p *parser) attributes(k int) []Attr {
+	if k > len(p.slab.attrs) {
+		if k > chunkAttrs {
+			return make([]Attr, k)
+		}
+		p.attrChunk = min(max(8, 2*p.attrChunk), chunkAttrs)
+		p.slab.attrs = make([]Attr, max(k, min(p.attrChunk, k+(len(p.src)-p.pos)/5)))
+	}
+	s := p.slab.attrs[:k:k]
+	p.slab.attrs = p.slab.attrs[k:]
+	return s
 }
 
 // Internal token kinds, beside the exported ones: tokNone is input
@@ -176,7 +263,7 @@ func (p *parser) next() (TokenKind, error) {
 // builder's scratch. done, when not nil, is called for every node built
 // as it completes — an element at its end tag, a text node when
 // something other than character data follows it — which is post-order.
-// A DOCTYPE is recorded on parent when parent is a Document.
+// A DOCTYPE is recorded as parent's Value when parent is a Document.
 func (p *parser) content(parent *Node, done func(*Node)) ([]*Node, error) {
 	base, depth := len(p.kids), len(p.open)
 	cur := parent
@@ -207,7 +294,8 @@ func (p *parser) content(parent *Node, done func(*Node)) ([]*Node, error) {
 			start := p.marks[len(p.marks)-1]
 			p.marks = p.marks[:len(p.marks)-1]
 			if start < len(p.kids) {
-				cur.Children = append([]*Node(nil), p.kids[start:]...)
+				cur.Children = p.children(len(p.kids) - start)
+				copy(cur.Children, p.kids[start:])
 				p.kids = p.kids[:start]
 			}
 			if done != nil {
@@ -219,11 +307,13 @@ func (p *parser) content(parent *Node, done func(*Node)) ([]*Node, error) {
 				p.text.Value += string(p.data)
 				continue
 			}
-			p.text = &Node{Type: Text, Value: string(p.data), Parent: cur}
+			p.text = p.newNode()
+			p.text.Type, p.text.Value, p.text.Parent = Text, string(p.data), cur
 			p.kids = append(p.kids, p.text)
 		case tokenComment, tokenProcInst:
 			p.endText(done)
-			n := &Node{Type: Comment, Value: string(p.data), Parent: cur}
+			n := p.newNode()
+			n.Type, n.Value, n.Parent = Comment, string(p.data), cur
 			if kind == tokenProcInst {
 				n.Type, n.Name = ProcInst, string(p.tag)
 			}
@@ -235,7 +325,7 @@ func (p *parser) content(parent *Node, done func(*Node)) ([]*Node, error) {
 			// The DOCTYPE text goes to package dtd for ID-attribute
 			// discovery; other directives are not part of the model.
 			if parent != nil && parent.Type == Document {
-				parent.Doctype = string(p.data)
+				parent.Value = string(p.data)
 			}
 		case tokEOF:
 			p.endText(done)
@@ -261,9 +351,10 @@ func (p *parser) cut(base int) []*Node {
 
 // element builds the element of the start tag just read.
 func (p *parser) element(parent *Node) *Node {
-	el := &Node{Type: Element, Name: p.intern(p.tag), Parent: parent}
+	el := p.newNode()
+	el.Type, el.Name, el.Parent = Element, p.intern(p.tag), parent
 	if len(p.attrs) > 0 {
-		el.Attrs = make([]Attr, len(p.attrs))
+		el.Attrs = p.attributes(len(p.attrs))
 		for k, a := range p.attrs {
 			el.Attrs[k] = Attr{Name: p.intern(a.Name), Value: string(a.Value)}
 		}

@@ -102,7 +102,7 @@ func TestDoctypeFlowsThroughDOM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, err := ParseDoctype(doc.Doctype)
+	ids, err := ParseDoctype(doc.Value)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,9 +28,9 @@ func exactTree(a, b *dom.Node) error {
 }
 
 func exactSubtree(a, b *dom.Node) error {
-	if a.Type != b.Type || a.Name != b.Name || a.Value != b.Value || a.Doctype != b.Doctype || a.XID != b.XID {
-		return fmt.Errorf("%s: %v %q %q %q %d, want %v %q %q %q %d", a.Path(),
-			b.Type, b.Name, b.Value, b.Doctype, b.XID, a.Type, a.Name, a.Value, a.Doctype, a.XID)
+	if a.Type != b.Type || a.Name != b.Name || a.Value != b.Value || a.XID != b.XID {
+		return fmt.Errorf("%s: %v %q %q %d, want %v %q %q %d", a.Path(),
+			b.Type, b.Name, b.Value, b.XID, a.Type, a.Name, a.Value, a.XID)
 	}
 	if len(a.Attrs) != len(b.Attrs) {
 		return fmt.Errorf("%s: %d attributes, want %d", a.Path(), len(b.Attrs), len(a.Attrs))
@@ -102,7 +102,7 @@ func edgeTree() *dom.Node {
 		item(dom.ProcInst, "pi", "", 13),
 		item(dom.Text, "", "tail", 1),
 	)
-	return withChildren(&dom.Node{Type: dom.Document, Doctype: `DOCTYPE café [<!ATTLIST café id ID #IMPLIED>]`, XID: -5},
+	return withChildren(&dom.Node{Type: dom.Document, Value: `DOCTYPE café [<!ATTLIST café id ID #IMPLIED>]`, XID: -5},
 		item(dom.Comment, "", " before ", 2),
 		item(dom.ProcInst, "xml-stylesheet", `href="s.css"`, 0),
 		root,
@@ -375,12 +375,28 @@ func checkParsedDelta(t *testing.T, src string, doc *dom.Node) []byte {
 		return frame
 	}
 	xid.Assign(doc)
-	a, b := doc.Clone(), doc.Clone()
-	ra, rb := delta.NewReplay(a), delta.NewReplay(b)
-	if sameStep(t, "forward", ra.Forward(parsed()), rb.Forward(thawed()), a, b) {
-		sameStep(t, "backward", ra.Backward(parsed()), rb.Backward(thawed()), a, b)
+	a, b, c := doc.Clone(), doc.Clone(), doc.Clone()
+	ra, rb, rc := delta.NewReplay(a), delta.NewReplay(b), delta.NewReplay(c)
+	errA := ra.Step(parsed(), false, nil)
+	if sameStep(t, "forward", errA, rb.Step(thawed(), false, nil), a, b) && sameStep(t, "forward in place", errA, stepInPlace(rc, frame, false), a, c) {
+		errA = ra.Step(parsed(), true, nil)
+		if sameStep(t, "backward", errA, rb.Step(thawed(), true, nil), a, b) {
+			sameStep(t, "backward in place", errA, stepInPlace(rc, frame, true), a, c)
+		}
 	}
 	return frame
+}
+
+// stepInPlace steps r through the delta frame holds as a read walk's
+// step does: the subtrees the step attaches thawed, those it detaches
+// compared in the frame.
+func stepInPlace(r *delta.Replay, frame []byte, backward bool) error {
+	var th thawer
+	d, err := th.thawStep(frame, backward)
+	if err != nil {
+		return err
+	}
+	return r.Step(d, backward, th.differs)
 }
 
 // checkBuiltDelta diffs old and nw as a Put does and checks the delta
@@ -405,8 +421,10 @@ func checkBuiltDelta(t *testing.T, old, nw *dom.Node, sftm bool) []byte {
 	if err != nil {
 		t.Fatalf("its own frame does not thaw: %v", err)
 	}
-	a, b := old.Clone(), old.Clone()
-	sameStep(t, "forward", delta.Apply(a, d), delta.NewReplay(b).Forward(thawed), a, b)
+	a, b, c := old.Clone(), old.Clone(), old.Clone()
+	errA := delta.Apply(a, d)
+	sameStep(t, "forward", errA, delta.NewReplay(b).Step(thawed, false, nil), a, b)
+	sameStep(t, "forward in place", errA, stepInPlace(delta.NewReplay(c), frame, false), a, c)
 	inv, err := d.Invert()
 	if err != nil {
 		t.Fatal(err)
@@ -414,8 +432,10 @@ func checkBuiltDelta(t *testing.T, old, nw *dom.Node, sftm bool) []byte {
 	if thawed, _, err = thawDelta(frame); err != nil {
 		t.Fatal(err)
 	}
-	a, b = nw.Clone(), nw.Clone()
-	sameStep(t, "backward", delta.Apply(a, inv), delta.NewReplay(b).Backward(thawed), a, b)
+	a, b, c = nw.Clone(), nw.Clone(), nw.Clone()
+	errA = delta.Apply(a, inv)
+	sameStep(t, "backward", errA, delta.NewReplay(b).Step(thawed, true, nil), a, b)
+	sameStep(t, "backward in place", errA, stepInPlace(delta.NewReplay(c), frame, true), a, c)
 	return frame
 }
 
@@ -454,7 +474,8 @@ func sameStep(t *testing.T, what string, errA, errB error, a, b *dom.Node) bool 
 
 // checkDamagedFrame thaws frame cut short at cut and with one bit flipped
 // at flip: the cut frame fails with a *frameError, the flipped one fails
-// with one or thaws to a delta that writes, and neither panics.
+// with one or thaws to a delta that writes, and neither panics. A step's
+// thaw, either way, gives the same verdicts as the whole thaw.
 func checkDamagedFrame(t *testing.T, frame []byte, cut, flip int) {
 	t.Helper()
 	var fe *frameError
@@ -465,6 +486,16 @@ func checkDamagedFrame(t *testing.T, frame []byte, cut, flip int) {
 	flipped := bytes.Clone(frame)
 	flipped[(flip>>3)%len(flipped)] ^= 1 << (flip & 7)
 	d, _, err := thawDelta(flipped)
+	for _, backward := range []bool{false, true} {
+		var th thawer
+		if d, stepErr := th.thawStep(short, backward); d != nil || !errors.As(stepErr, &fe) {
+			t.Fatalf("cut at %d of %d bytes: a step (backward %v) thawed %v, %v", len(short), len(frame), backward, d, stepErr)
+		}
+		th = thawer{}
+		if _, stepErr := th.thawStep(flipped, backward); (stepErr == nil) != (err == nil) || stepErr != nil && !errors.As(stepErr, &fe) {
+			t.Fatalf("bit %d flipped: a step (backward %v) thaws with %v, the whole delta with %v", flip, backward, stepErr, err)
+		}
+	}
 	if err != nil {
 		if d != nil || !errors.As(err, &fe) {
 			t.Fatalf("bit %d flipped: thawed %v, %v", flip, d, err)

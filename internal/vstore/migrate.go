@@ -277,7 +277,7 @@ func (c *legacyChain) verify() error {
 		if err != nil {
 			return corruptf(at.file, at.off, err, "unparseable delta %d", v)
 		}
-		if err := r.Forward(d); err != nil {
+		if err := r.Step(d, false, nil); err != nil {
 			return corruptf(at.file, at.off, err, "delta %d does not apply to version %d", v, v)
 		}
 	}

@@ -165,13 +165,14 @@ func (st *docState) baseTree() (*dom.Node, error) {
 }
 
 // delta returns stored delta i (0-based), the one from version i+1 to
-// i+2, as a delta of its own: its frame thawed, or its XML parsed by the
-// first walk that needs it. A read that hands the delta out (handOut
-// set) gets what the delta's XML decodes to, as it does once the store
+// i+2, as a delta of its own, as a read that hands it out gets it: its
+// frame thawed, or its XML parsed, the part settled into a frame then.
+// It is what the delta's XML decodes to, as it is once the store
 // reopens: a frame with adjacent texts, whose XML writes them as one,
-// is rendered and parsed, and fails as that XML does. The caller holds
-// the state lock.
-func (st *docState) delta(i int, handOut bool) (*delta.Delta, error) {
+// is rendered and parsed, and fails as that XML does. (A walk steps
+// through a frame without it: thawer.thawStep.) The caller holds the
+// state lock.
+func (st *docState) delta(i int) (*delta.Delta, error) {
 	p := st.deltas[i]
 	f := p.form.Load()
 	xml := f.b
@@ -180,7 +181,7 @@ func (st *docState) delta(i int, handOut bool) (*delta.Delta, error) {
 		if err != nil {
 			return nil, fmt.Errorf("vstore: thaw stored delta %d: %w", i+1, err)
 		}
-		if !handOut || !adjacentTexts {
+		if !adjacentTexts {
 			return d, nil
 		}
 		if xml, err = d.MarshalText(); err != nil {

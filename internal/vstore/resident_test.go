@@ -39,8 +39,11 @@ func settleAll(t testing.TB, st *docState) {
 	if _, err := st.baseTree(); err != nil {
 		t.Fatal(err)
 	}
-	for i := range st.deltas {
-		if _, err := st.delta(i, false); err != nil {
+	for i, p := range st.deltas {
+		if p.form.Load().frame {
+			continue
+		}
+		if _, err := st.delta(i); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -403,21 +403,45 @@ func (s *Store) scrubSnapshots(ctx context.Context, sh *shard, th *throttle, rep
 	}
 }
 
-// verifySnapshot checks one document's on-disk snapshot under the
-// document's read lock (which excludes a concurrent rewrite): the
-// counter must match the resident snapshot point, and every content
-// file must decode as recovery decodes it (walkSnapshot) and
-// byte-match the resident chain's XML, rendered from frames, the chain
-// that reconstructs every version. A nil error means intact.
+// verifySnapshot checks one document's on-disk snapshot: the counter
+// must match the resident snapshot point, and every content file must
+// decode as recovery decodes it (walkSnapshot) and byte-match the
+// resident chain's XML, rendered from frames, the chain that
+// reconstructs every version. The files are read, at the pass's pace,
+// with no lock held, so the document's Puts and reads never wait on
+// the throttle: the read lock is taken only to read the snapshot point
+// and the chain, whose parts never change once stored, and at the end
+// to check that the point has not moved. A compaction that moved it may
+// have rewritten the files under the read, so the verdict is dropped
+// and the next cycle checks the new snapshot. A nil error means intact,
+// or moved on.
 func (s *Store) verifySnapshot(ctx context.Context, st *docState, sub string, th *throttle, rep *ScrubReport) error {
 	st.mu.RLock()
-	defer st.mu.RUnlock()
-	if st.snapVersions == 0 {
+	point, base, deltas := st.snapVersions, st.base, st.deltas[:max(st.snapVersions-1, 0)]
+	st.mu.RUnlock()
+	if point == 0 {
 		// No authoritative snapshot expected: nothing to verify. (A
 		// half-written directory without a counter is replaced wholesale
 		// by the next compaction.)
 		return nil
 	}
+	err := s.verifyFiles(ctx, sub, point, base, deltas, th, rep)
+	st.mu.RLock()
+	moved := st.snapVersions != point
+	st.mu.RUnlock()
+	switch {
+	case moved:
+		return nil
+	case err == nil:
+		rep.SnapshotsScanned++
+	}
+	return err
+}
+
+// verifyFiles reads the snapshot in sub through the pass's throttle and
+// compares it with the chain base and deltas, which the snapshot point
+// says it holds.
+func (s *Store) verifyFiles(ctx context.Context, sub string, point int, base *part, deltas []*part, th *throttle, rep *ScrubReport) error {
 	read := func(name string) ([]byte, error) {
 		return s.scrubRead(ctx, filepath.Join(sub, name), th, rep)
 	}
@@ -425,13 +449,13 @@ func (s *Store) verifySnapshot(ctx context.Context, st *docState, sub string, th
 	if err != nil {
 		return err
 	}
-	if c != st.snapVersions {
-		return fmt.Errorf("version counter reads %d, resident snapshot point is %d", c, st.snapVersions)
+	if c != point {
+		return fmt.Errorf("version counter reads %d, resident snapshot point is %d", c, point)
 	}
-	err = walkSnapshot(sub, c, read, func(i int, _, part []byte) error {
-		p, kind := st.base, baseXML
+	return walkSnapshot(sub, c, read, func(i int, _, part []byte) error {
+		p, kind := base, baseXML
 		if i > 0 {
-			p, kind = st.deltas[i-1], deltaXML
+			p, kind = deltas[i-1], deltaXML
 		}
 		want, err := p.xml(kind)
 		if err != nil {
@@ -442,10 +466,6 @@ func (s *Store) verifySnapshot(ctx context.Context, st *docState, sub string, th
 		}
 		return nil
 	})
-	if err == nil {
-		rep.SnapshotsScanned++
-	}
-	return err
 }
 
 // snapshotDamage handles one damaged snapshot: a full rewrite from the

@@ -473,3 +473,54 @@ func TestReportNote(t *testing.T) {
 		t.Fatalf("findings %d", len(r.Findings))
 	}
 }
+
+// TestScrubDoesNotStallPuts puts a version of a document while a scrub
+// cycle paced at 20 B/s is reading its snapshot, seconds of throttle
+// sleep away from its end: the Put must not wait for the cycle. (With
+// the snapshot read under the document's read lock, it waited until
+// Close canceled the cycle.)
+func TestScrubDoesNotStallPuts(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, diff.Options{}, Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedDoc(t, s, "doc", 1)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fsys := &snapshotReads{started: make(chan struct{})}
+	s, err = Open(dir, diff.Options{}, Config{Shards: 1, FS: fsys, Scrub: ScrubConfig{Interval: 10 * time.Millisecond, Throttle: 20}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	fsys.armed.Store(true)
+	select {
+	case <-fsys.started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no scrub cycle started")
+	}
+	time.Sleep(20 * time.Millisecond) // into the throttle's sleep
+	doc := parse(t, `<doc><rev>2</rev><body>payload 2</body></doc>`)
+	done := make(chan error, 1)
+	start := time.Now()
+	go func() {
+		_, _, err := s.Put("doc", doc)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+		if took := time.Since(start); took > 100*time.Millisecond {
+			t.Fatalf("a Put during a scrub cycle took %v", took)
+		}
+	case <-time.After(100 * time.Millisecond):
+		t.Fatal("a Put during a scrub cycle waits on the cycle's throttle")
+	}
+}

@@ -663,12 +663,11 @@ func (s *Store) DeltasBetween(id string, from, to int) ([]*delta.Delta, error) {
 	return out, nil
 }
 
-// decodeDelta is st.delta(i) as a read that hands it out gets it,
-// counted in the store's statistics, for reads that hand out stored
-// deltas rather than walk through them.
+// decodeDelta is st.delta(i) counted in the store's statistics, for
+// reads that hand out stored deltas rather than walk through them.
 func (s *Store) decodeDelta(st *docState, i int) (*delta.Delta, error) {
 	s.stats.deltasDecoded.Add(1)
-	return st.delta(i, true)
+	return st.delta(i)
 }
 
 // Close stops the background loops and the per-shard group-commit

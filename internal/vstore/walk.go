@@ -184,20 +184,26 @@ func (st *docState) walk(latest *dom.Node, targets []int, fwd int, visit visitor
 	return latest, decoded, nil
 }
 
-// step decodes stored delta n, the one from version n to n+1, and
-// steps r's document through it: forward, or backward through its
-// inverse. The caller holds the state lock.
+// step steps r's document through stored delta n, the one from version
+// n to n+1: forward, or backward through its inverse. A delta held as a
+// frame is thawed for the step (thawer.thawStep): the subtrees the step
+// attaches are built, and those it detaches are compared with the
+// document in the frame. One held as XML is decoded whole (delta). The
+// caller holds the state lock.
 func (st *docState) step(r *delta.Replay, n int, backward bool) error {
-	d, err := st.delta(n-1, false)
-	if err != nil {
+	var d *delta.Delta
+	var differs func(int, *dom.Node) string
+	var err error
+	var t thawer
+	if f := st.deltas[n-1].form.Load(); f.frame {
+		if d, err = t.thawStep(f.b, backward); err != nil {
+			return fmt.Errorf("vstore: thaw stored delta %d: %w", n, err)
+		}
+		differs = t.differs
+	} else if d, err = st.delta(n - 1); err != nil {
 		return err
 	}
-	if backward {
-		err = r.Backward(d)
-	} else {
-		err = r.Forward(d)
-	}
-	if err != nil {
+	if err := r.Step(d, backward, differs); err != nil {
 		return fmt.Errorf("delta %d does not apply: %w", n, err)
 	}
 	return nil

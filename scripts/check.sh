@@ -26,7 +26,10 @@
 #                  TestQualityPinned, which holds Figure 5's ratios, the
 #                  matcher sweep and the optimality record to
 #                  internal/bench/testdata/quality.json exactly
-#   5. fuzz-smoke  every fuzzer briefly (FUZZTIME each, default 10s), no
+#   5. bench-smoke every benchmark once (-benchtime 1x), so a benchmark
+#                  that stops running fails the gate, not the next
+#                  measurement; seconds in all
+#   6. fuzz-smoke  every fuzzer briefly (FUZZTIME each, default 10s), no
 #                  corpus growth kept; Go runs one fuzz target per
 #                  invocation, so this is the repository's one list of
 #                  them (TestFuzzSmokeListsEveryFuzzer keeps it complete)
@@ -65,12 +68,18 @@ $GO test -race -count=10 ./internal/vstore -run 'ReadWalks'
 # The allocation guards of the Put path, the read walk and the diff's
 # delta construction count allocations through pooled buffers, trees
 # and matchers, which sync.Pool drops at random under the race
-# detector; they skip there and run here without it.
+# detector; they skip there and run here without it. The parser's
+# guard runs here too, with the race detector's allocations out of
+# its count.
 $GO test -count=1 ./internal/vstore -run 'TestPutDetailedAllocations|TestReadWalkAllocations'
 $GO test -count=1 ./internal/diff -run 'TestComposeVersionsAllocations|TestBULDDiffAllocations|TestSFTMDiffAllocations'
+$GO test -count=1 ./internal/dom -run 'TestParseAllocations$'
 # The server's crawl tests wait on real fetches at the crawler's
 # production timings; repeating them is how a timing flake shows.
 $GO test -race -count=5 ./internal/server -run 'Crawl|Source'
+
+echo "==> bench-smoke"
+$GO test -run '^$' -bench . -benchtime 1x ./...
 
 echo "==> fuzz-smoke (${FUZZTIME} per fuzzer)"
 $GO test ./internal/dom -run '^$' -fuzz '^FuzzParse$' -fuzztime "$FUZZTIME"
@@ -87,6 +96,7 @@ $GO test ./internal/vstore -run '^$' -fuzz '^FuzzSnapshotLoad$' -fuzztime "$FUZZ
 $GO test ./internal/vstore -run '^$' -fuzz '^FuzzThaw$' -fuzztime "$FUZZTIME"
 $GO test ./internal/vstore -run '^$' -fuzz '^FuzzWalkLog$' -fuzztime "$FUZZTIME"
 $GO test ./internal/vstore -run '^$' -fuzz '^FuzzResidentDelta$' -fuzztime "$FUZZTIME"
+$GO test ./internal/vstore -run '^$' -fuzz '^FuzzDetachedEqual$' -fuzztime "$FUZZTIME"
 $GO test ./internal/diff -run '^$' -fuzz '^FuzzDiffApply$' -fuzztime "$FUZZTIME"
 $GO test ./internal/diff -run '^$' -fuzz '^FuzzSFTMApply$' -fuzztime "$FUZZTIME"
 $GO test ./internal/diff -run '^$' -fuzz '^FuzzBULDMatchingDifferential$' -fuzztime "$FUZZTIME"

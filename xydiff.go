@@ -13,7 +13,7 @@
 //	fmt.Print(d)                        // human-readable ops
 //	xml, _ := d.MarshalText()           // the delta as an XML document
 //	v2, _ := xydiff.ApplyClone(oldDoc, d)          // == newDoc
-//	inv, _ := d.Invert()
+//	inv, _ := d.Invert()                           // d itself, inverted in place
 //	v1, _ := xydiff.ApplyClone(v2, inv)            // == oldDoc
 //
 // The facade re-exports the building blocks; richer APIs live in the
