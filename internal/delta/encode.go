@@ -1,7 +1,6 @@
 package delta
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
@@ -120,11 +119,18 @@ func encodeValue(e *dom.Encoder, name, v string) {
 
 // MarshalText renders the delta as XML bytes.
 func (d *Delta) MarshalText() ([]byte, error) {
-	var b bytes.Buffer
-	if _, err := d.WriteTo(&b); err != nil {
-		return nil, err
+	return d.AppendXML(nil)
+}
+
+// AppendXML appends the delta's XML, the bytes WriteTo writes, to b and
+// returns the extended slice, growing it as append does: a caller that
+// sizes b for the delta encodes it with no other buffer. It errors, with
+// b unchanged, on an operation kind the package does not know.
+func (d *Delta) AppendXML(b []byte) ([]byte, error) {
+	if err := d.checkOps(); err != nil {
+		return b, err
 	}
-	return b.Bytes(), nil
+	return dom.AppendEncode(b, d.encode), nil
 }
 
 // Size returns the size in bytes of the delta's XML serialization, the

@@ -20,18 +20,18 @@ func skipUnderRace(t *testing.T) {
 }
 
 // composeAllocations is what one ComposeVersions of the chain's two
-// ends allocates. ComposeVersions rewrites XIDs in final, so every run
-// gets its own pre-made clone.
+// ends allocates. ComposeVersions consumes both trees, so every run gets
+// its own pre-made clones, made outside the counted function.
 func composeAllocations(t *testing.T, bytes int) (allocs float64, baseNodes, finalNodes int) {
 	base, final, _ := catalogChain(t, 7, bytes, 3, 0.10)
 	const runs = 10
-	finals := make([]*dom.Node, runs+1) // AllocsPerRun warms up with one extra call
-	for i := range finals {
-		finals[i] = final.Clone()
+	var ends [runs + 1][2]*dom.Node // AllocsPerRun warms up with one extra call
+	for i := range ends {
+		ends[i] = [2]*dom.Node{base.Clone(), final.Clone()}
 	}
 	next := 0
 	allocs = testing.AllocsPerRun(runs, func() {
-		if _, err := diff.ComposeVersions(base, finals[next]); err != nil {
+		if _, err := diff.ComposeVersions(ends[next][0], ends[next][1]); err != nil {
 			t.Fatal(err)
 		}
 		next++
@@ -41,18 +41,20 @@ func composeAllocations(t *testing.T, bytes int) (allocs float64, baseNodes, fin
 
 // TestComposeVersionsAllocations pins what a range read pays for its
 // composition: two annotations without signatures, one XID table and
-// the delta, whose ops are one slab and whose pruned insert and delete
-// content is three (1 541 allocations on this chain with the signature
-// index and the fan-out; 842 with four maps pairing the versions; 823
-// with the XID table a map, and as many with the xid.Table; 20 with one
-// op struct and the content cut from slabs; 9 with the move rule's
-// subsequence in the matcher's scratch and the ops counted first).
+// the delta's op slab; the inserted and deleted content is the two
+// trees' own (1 541 allocations on this chain with the signature index
+// and the fan-out; 842 with four maps pairing the versions; 823 with
+// the XID table a map, and as many with the xid.Table; 20 with one op
+// struct and the content cut from slabs; 9 with the move rule's
+// subsequence in the matcher's scratch and the ops counted first; 6
+// with the content taken from the trees instead of cut from three
+// slabs).
 func TestComposeVersionsAllocations(t *testing.T) {
 	skipUnderRace(t)
 	allocs, oldNodes, newNodes := composeAllocations(t, 7000)
 	t.Logf("%.0f allocations per ComposeVersions of %d and %d nodes", allocs, oldNodes, newNodes)
-	if allocs > 10 {
-		t.Errorf("%.0f allocations per ComposeVersions, want at most 10", allocs)
+	if allocs > 7 {
+		t.Errorf("%.0f allocations per ComposeVersions, want at most 7", allocs)
 	}
 }
 
@@ -61,13 +63,14 @@ func TestComposeVersionsAllocations(t *testing.T) {
 // delta of over a thousand ops: what it allocates must not follow the
 // ops or the nodes: 13 709 allocations with a boxed op, an XID map per
 // insert and delete and a heap object per pruned node, and a result
-// slice per intra-parent move search; 30 or 31 without.
+// slice per intra-parent move search; 30 or 31 without; 27 with the
+// content taken from the trees instead of cut from three slabs.
 func TestComposeVersionsAllocationsLarge(t *testing.T) {
 	skipUnderRace(t)
 	allocs, oldNodes, newNodes := composeAllocations(t, 150_000)
 	t.Logf("%.0f allocations per ComposeVersions of %d and %d nodes", allocs, oldNodes, newNodes)
-	if allocs > 34 {
-		t.Errorf("%.0f allocations per ComposeVersions, want at most 34", allocs)
+	if allocs > 30 {
+		t.Errorf("%.0f allocations per ComposeVersions, want at most 30", allocs)
 	}
 }
 
@@ -142,8 +145,12 @@ func BenchmarkComposeVersions(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				// final keeps the XIDs it has, so it can be reused.
-				if _, err := diff.ComposeVersions(base, final); err != nil {
+				// ComposeVersions consumes both ends: each run
+				// composes copies, made off the clock.
+				b.StopTimer()
+				older, newer := base.Clone(), final.Clone()
+				b.StartTimer()
+				if _, err := diff.ComposeVersions(older, newer); err != nil {
 					b.Fatal(err)
 				}
 			}

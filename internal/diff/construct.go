@@ -45,11 +45,17 @@ func (m *matcher) buildDelta() *delta.Delta {
 	// so that the sort has little to move.
 	m.findReorders()
 	ops := make([]delta.Op, 0, m.countOps()+len(m.liMoves))
-	slabs := m.pruneSlabs()
+	var slabs dom.Slabs
+	if !m.opts.takeSubtrees {
+		slabs = m.pruneSlabs()
+	}
 
 	// Deletes and inserts: the maximal unmatched subtrees, each rooted
 	// at an unmatched node under a matched parent. Matched descendants
-	// are pruned: they leave or arrive by moves.
+	// are pruned: they leave or arrive by moves. From here on only the
+	// arrays, the matched nodes and XIDs are read, so taking the
+	// unmatched subtrees apart (takeSubtrees) changes nothing the ops
+	// below are built from.
 	for oi, ni := range m.oldToNew {
 		if po := int(m.old.parent[oi]); ni < 0 && po >= 0 && m.oldToNew[po] >= 0 {
 			ops = append(ops, delta.Op{
@@ -57,7 +63,7 @@ func (m *matcher) buildDelta() *delta.Delta {
 				XID:     m.old.nodes[oi].XID,
 				Parent:  m.old.nodes[po].XID,
 				Pos:     m.old.childPos[oi],
-				Subtree: prune(&slabs, m.old, m.oldToNew, oi),
+				Subtree: m.content(&slabs, m.old, m.oldToNew, oi),
 			})
 		}
 	}
@@ -68,7 +74,7 @@ func (m *matcher) buildDelta() *delta.Delta {
 				XID:     m.new.nodes[ni].XID,
 				Parent:  m.new.nodes[pn].XID,
 				Pos:     m.new.childPos[ni],
-				Subtree: prune(&slabs, m.new, m.newToOld, ni),
+				Subtree: m.content(&slabs, m.new, m.newToOld, ni),
 			})
 		}
 	}
@@ -277,6 +283,41 @@ func (m *matcher) pruneSlabs() dom.Slabs {
 		}
 	}
 	return dom.NewSlabs(nodes, kids, attrs)
+}
+
+// content is an insert's or delete's recorded content, the unmatched
+// subtree of t rooted at i: a copy cut from slabs, or, under
+// takeSubtrees, the subtree itself, taken out of its document.
+func (m *matcher) content(s *dom.Slabs, t *tree, match []int, i int) *dom.Node {
+	if !m.opts.takeSubtrees {
+		return prune(s, t, match, i)
+	}
+	n := take(t, match, i)
+	n.Parent = nil // nothing of the document it came from stays reachable
+	return n
+}
+
+// take is prune in place: it unlinks the matched children of every node
+// of the unmatched subtree of t rooted at i and returns its root. Each
+// children slice keeps its array, cut to exact capacity, with nothing
+// left reachable past its end; a node left with no children has none.
+func take(t *tree, match []int, i int) *dom.Node {
+	n := t.nodes[i]
+	base := int(t.kidStart[i])
+	kept := 0
+	for _, ci := range t.kids[base : base+len(n.Children)] {
+		if match[ci] < 0 {
+			n.Children[kept] = take(t, match, int(ci))
+			kept++
+		}
+	}
+	clear(n.Children[kept:])
+	if kept == 0 {
+		n.Children = nil
+	} else {
+		n.Children = n.Children[:kept:kept]
+	}
+	return n
 }
 
 // prune copies the unmatched subtree of t rooted at i, dropping matched

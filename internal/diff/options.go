@@ -112,6 +112,12 @@ type Options struct {
 	// identifiers the original chain did.
 	keepNewXIDs bool
 
+	// takeSubtrees makes delta construction record each insert's and
+	// delete's content as the unmatched subtree itself, its matched
+	// descendants unlinked, instead of a copy: the caller gives both
+	// documents up to the delta. ComposeVersions uses it.
+	takeSubtrees bool
+
 	// done, when non-nil, aborts the diff once the channel closes
 	// (between phases and periodically inside the Phase 3 loop). Set
 	// through DiffDetailedContext.

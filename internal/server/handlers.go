@@ -317,21 +317,24 @@ func parseMatcherParam(r *http.Request) (diff.Matcher, error) {
 	return m, nil
 }
 
-func writeDoc(w http.ResponseWriter, body []byte, version int) {
+// writeDoc answers with version of a document, doc, streamed through
+// the encoder's flush buffer: no buffer the size of the body is made.
+// doc is the store's (vstore.Store.View), read here and not changed.
+func writeDoc(w http.ResponseWriter, doc *dom.Node, version int) {
 	w.Header().Set("Content-Type", "application/xml")
 	w.Header().Set("X-Xydiff-Version", strconv.Itoa(version))
-	_, _ = w.Write(body) // headers are out; a write error means the client hung up
+	_, _ = doc.WriteTo(w) // headers are out; a write error means the client hung up
 }
 
 func (s *Server) handleGetLatest(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	body, version, err := s.store.LatestXML(id)
+	doc, version, err := s.store.View(id, 0, true)
 	if err != nil {
 		storeError(w, err)
 		return
 	}
 	s.warnDegraded(w, id)
-	writeDoc(w, body, version)
+	writeDoc(w, doc, version)
 }
 
 func (s *Server) handleGetVersion(w http.ResponseWriter, r *http.Request) {
@@ -341,13 +344,13 @@ func (s *Server) handleGetVersion(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("id")
-	body, err := s.store.VersionXML(id, n)
+	doc, version, err := s.store.View(id, n, false)
 	if err != nil {
 		storeError(w, err)
 		return
 	}
 	s.warnDegraded(w, id)
-	writeDoc(w, body, n)
+	writeDoc(w, doc, version)
 }
 
 // handleGetDelta serves /docs/{id}/deltas/{spec} where spec is either a

@@ -50,11 +50,11 @@ func xmlPart(b []byte) *part {
 }
 
 // putPart is the part a Put keeps for what it built: frame, which
-// renders xml, or kept, the record's copy of xml, when what it built
+// renders xml, or xml itself, the record's body, when what it built
 // would not freeze (ok false).
-func putPart(frame []byte, ok bool, xml, kept []byte) *part {
+func putPart(frame []byte, ok bool, xml []byte) *part {
 	if !ok {
-		return xmlPart(kept)
+		return xmlPart(xml)
 	}
 	p := &part{}
 	p.form.Store(&partForm{b: frame, frame: true, sum: checksum(xml), size: len(xml)})

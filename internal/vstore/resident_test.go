@@ -95,7 +95,7 @@ func TestUndecodableStoredDeltaStaysLocal(t *testing.T) {
 	var reads []read
 	for v := 1; v <= len(bodies); v++ {
 		reads = append(reads, read{fmt.Sprintf("Version(%d)", v), v > broken, false, func(s *Store) error {
-			got, err := s.VersionXML("doc", v)
+			got, _, err := viewXML(s, "doc", v, false)
 			if err == nil && string(got) != parse(t, bodies[v-1]).String() {
 				t.Errorf("Version(%d) = %s, want %s", v, got, bodies[v-1])
 			}

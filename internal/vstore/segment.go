@@ -19,7 +19,7 @@ import (
 // record is length-prefixed and CRC32-C checksummed, so crash recovery
 // tells a torn tail (truncated) from mid-log damage (refused). The
 // framing is the one the old per-document journals used (migrate.go):
-// encodeRecord is its one writer and walkLog its one reader, so
+// startRecord and sealRecord are its one writer and walkLog its one reader, so
 // recovery, the scrubber and Migrate all verify it the same way.
 //
 // On-disk record layout, all integers big-endian:
@@ -81,22 +81,32 @@ func parseSegName(name string) (seq int, ok bool) {
 	return n, true
 }
 
-// encodeRecord renders one segment record, header plus payload, into
-// one allocation, and returns with it the record's copy of body, capped
-// at its length. That copy is the one a Put keeps resident: the encoder
-// buffer body came in is left for the collector, and no second copy is
-// made.
-func encodeRecord(kind byte, id string, version int, body []byte) (rec, kept []byte) {
-	rec = make([]byte, segHeaderLen, segHeaderLen+1+2*binary.MaxVarintLen64+len(id)+len(body))
+// A segment record is written in three steps, into one buffer that is
+// also the body's one copy: startRecord writes the header's room and the
+// payload's prefix, the caller appends the body (a document's or a
+// delta's XML, encoded straight into the record), and sealRecord fills
+// in the header.
+
+// startRecord begins the record of kind for version of document id, in
+// a buffer with room for a body of size bytes after the prefix. A body
+// that turns out longer grows the buffer as append does.
+func startRecord(kind byte, id string, version, size int) []byte {
+	rec := make([]byte, segHeaderLen, segHeaderLen+1+2*binary.MaxVarintLen64+len(id)+size)
 	rec = append(rec, kind)
 	rec = binary.AppendUvarint(rec, uint64(len(id)))
 	rec = append(rec, id...)
-	rec = binary.AppendUvarint(rec, uint64(version))
-	rec = append(rec, body...)
+	return binary.AppendUvarint(rec, uint64(version))
+}
+
+// sealRecord writes rec's header — the payload's length and checksum —
+// once its body has been appended from offset start, and returns the
+// body, capped at its length. That is the copy a Put keeps resident when
+// it keeps the XML: no other is made.
+func sealRecord(rec []byte, start int) (body []byte) {
 	payload := rec[segHeaderLen:]
 	binary.BigEndian.PutUint32(rec[0:4], uint32(len(payload)))
 	binary.BigEndian.PutUint32(rec[4:8], checksum(payload))
-	return rec, rec[len(rec)-len(body) : len(rec) : len(rec)]
+	return rec[start:len(rec):len(rec)]
 }
 
 // logDamage describes the first verification failure in a log file.

@@ -8,7 +8,7 @@ import (
 )
 
 // logFrame renders one valid framed record around an arbitrary
-// payload, the frame encodeRecord writes.
+// payload, the frame sealRecord completes.
 func logFrame(payload []byte) []byte {
 	rec := make([]byte, segHeaderLen, segHeaderLen+len(payload))
 	binary.BigEndian.PutUint32(rec[0:4], uint32(len(payload)))

@@ -99,13 +99,18 @@ func TestPutLeavesCallerTreeUnstamped(t *testing.T) {
 
 // TestPutDetailedAllocations: PutDetailed keeps the tree it is handed
 // instead of copying it, so on a 7 KB catalog it allocates what its
-// diff and delta encoding allocate plus a fixed few, in allocations and
-// in bytes. A copy of the version is three allocations (Clone's slabs),
-// too few for the count to see, but its bytes are many times the fixed
-// overhead, so the byte bound catches it. The count itself is held
-// too: 411 allocations with a boxed op, an XID map per insert and
-// delete and a heap object per pruned node; 14 once the delta is an op
-// slab and three content slabs.
+// diff allocates plus one record, the frame it keeps and a fixed few,
+// in allocations and in bytes. The delta is encoded once, straight into
+// its record, which is sized from the last delta plus a quarter: the
+// record costs at most 1.25 times the delta's XML. A copy of the version is three
+// allocations (Clone's slabs), too few for the count to see, but its
+// bytes are many times the fixed overhead, so the byte bound catches
+// it. The count itself is held too: 411 allocations with a boxed op, an
+// XID map per insert and delete and a heap object per pruned node; 14
+// once the delta is an op slab and three content slabs. (While the
+// delta was encoded into a growing buffer and then copied into its
+// record, the bound was the diff plus that encoding, about three times
+// the delta's XML, plus the overhead.)
 func TestPutDetailedAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("counts allocations through pooled buffers, which the race detector drops at random; the gate runs it without -race")
@@ -127,18 +132,24 @@ func TestPutDetailedAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	docs, next := copies(), 0
+	var deltaBytes, frameBytes int
 	put, putBytes := costPerRun(runs, func() {
 		for k := 0; k < 2; k++ {
-			if _, err := s.PutDetailed(context.Background(), "d", docs[next], ""); err != nil {
+			r, err := s.PutDetailed(context.Background(), "d", docs[next], "")
+			if err != nil {
 				t.Fatal(err)
 			}
+			deltaBytes = max(deltaBytes, r.DeltaBytes)
 			next++
 		}
 	})
+	for _, d := range s.shardFor("d").lookup("d").deltas {
+		frameBytes = max(frameBytes, len(d.form.Load().b))
+	}
 	put, putBytes = put/2, putBytes/2
 
-	// The same two steps outside the store: versions 1 and 2 as the
-	// store labelled them, diffed against fresh copies and encoded.
+	// The same two diffs outside the store: versions 1 and 2 as the
+	// store labelled them, diffed against fresh copies.
 	var olds [2]*dom.Node
 	for i := range olds {
 		if olds[i], err = s.Version("d", i+1); err != nil {
@@ -148,11 +159,7 @@ func TestPutDetailedAllocations(t *testing.T) {
 	docs, next = copies(), 0
 	work, workBytes := costPerRun(runs, func() {
 		for k := 0; k < 2; k++ {
-			r, err := diff.DiffDetailedContext(context.Background(), olds[k], docs[next], diff.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := r.Delta.MarshalText(); err != nil {
+			if _, err := diff.DiffDetailedContext(context.Background(), olds[k], docs[next], diff.Options{}); err != nil {
 				t.Fatal(err)
 			}
 			next++
@@ -160,9 +167,11 @@ func TestPutDetailedAllocations(t *testing.T) {
 	})
 	work, workBytes = work/2, workBytes/2
 	_, cloneBytes := costPerRun(runs, func() { pair[0].Clone() })
-	t.Logf("PutDetailed: %.0f allocations, %.0f KB; its diff and encoding: %.0f, %.0f KB; one copy of the version: %.0f KB",
-		put, putBytes/1024, work, workBytes/1024, cloneBytes/1024)
-	const overhead, overheadBytes = 64, 16 << 10
+	// What the Put keeps of the delta is its frame.
+	recordBytes := 1.25*float64(deltaBytes) + float64(frameBytes)
+	t.Logf("PutDetailed: %.0f allocations, %.0f KB; its diff: %.0f, %.0f KB; one record and the frame kept: at most %.1f KB; one copy of the version: %.0f KB",
+		put, putBytes/1024, work, workBytes/1024, recordBytes/1024, cloneBytes/1024)
+	const overhead, overheadBytes = 64, 2 << 10
 	if cloneBytes <= 2*overheadBytes {
 		t.Fatalf("a copy of the version costs %.0f KB, too little for this guard", cloneBytes/1024)
 	}
@@ -170,10 +179,11 @@ func TestPutDetailedAllocations(t *testing.T) {
 		t.Errorf("PutDetailed allocates %.0f times, want at most 15", put)
 	}
 	if put > work+overhead {
-		t.Errorf("PutDetailed allocates %.0f times, more than its diff and encoding (%.0f) plus %d", put, work, overhead)
+		t.Errorf("PutDetailed allocates %.0f times, more than its diff (%.0f) plus %d", put, work, overhead)
 	}
-	if putBytes > workBytes+overheadBytes {
-		t.Errorf("PutDetailed allocates %.0f KB, more than its diff and encoding (%.0f KB) plus %d KB", putBytes/1024, workBytes/1024, overheadBytes>>10)
+	if putBytes > workBytes+recordBytes+overheadBytes {
+		t.Errorf("PutDetailed allocates %.0f KB, more than its diff (%.0f KB), one record and the frame kept (%.1f KB) and %d KB",
+			putBytes/1024, workBytes/1024, recordBytes/1024, overheadBytes>>10)
 	}
 }
 

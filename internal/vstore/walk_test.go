@@ -194,9 +194,9 @@ func TestPlanDecodesTheFewestBytes(t *testing.T) {
 		}
 		// Held as frames a third of their XML's size, version 1 and the
 		// deltas weigh what their XML does.
-		st.base = putPart(make([]byte, c.base/3), true, make([]byte, c.base), nil)
+		st.base = putPart(make([]byte, c.base/3), true, make([]byte, c.base))
 		for i, n := range c.deltas {
-			st.deltas[i] = putPart(make([]byte, n/3), true, make([]byte, n), nil)
+			st.deltas[i] = putPart(make([]byte, n/3), true, make([]byte, n))
 		}
 		if got := st.plan(c.targets); got != c.want {
 			t.Errorf("base %d, deltas %v, as frames, targets %v: %d forward, want %d", c.base, c.deltas, c.targets, got, c.want)

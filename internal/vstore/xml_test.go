@@ -1,9 +1,11 @@
 package vstore
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"path/filepath"
 	"runtime"
@@ -18,22 +20,32 @@ import (
 	"xydiff/internal/faultfs/faultfstest"
 )
 
+// viewXML is what a version GET writes: View's tree serialized, with
+// the version View says it is.
+func viewXML(s *Store, id string, n int, latest bool) ([]byte, int, error) {
+	doc, v, err := s.View(id, n, latest)
+	if err != nil {
+		return nil, 0, err
+	}
+	return doc.AppendXML(nil), v, nil
+}
+
 // checkXMLReads is a differential test of the two ways to read a
 // version: for every version of every document — and for the versions
-// just outside 1..versions, and an unknown document — VersionXML must
-// give the bytes Version's tree serializes to, or Version's error, and
-// LatestXML must give Latest's bytes and version number. The byte read
-// goes first, so on a store just opened it is the one that meets each
-// cache miss.
+// just outside 1..versions, and an unknown document — View must give a
+// tree that serializes to the bytes Version's tree does, or Version's
+// error, and View of the latest version must give Latest's bytes and
+// version number. The view goes first, so on a store just opened it is
+// the one that meets each cache miss.
 func checkXMLReads(t *testing.T, s *Store, ids ...string) {
 	t.Helper()
 	same := func(what string, body []byte, err error, doc *dom.Node, treeErr error) {
 		t.Helper()
 		if (err == nil) != (treeErr == nil) || err != nil && err.Error() != treeErr.Error() {
-			t.Fatalf("%s: byte read error %v, tree read error %v", what, err, treeErr)
+			t.Fatalf("%s: view error %v, tree read error %v", what, err, treeErr)
 		}
 		if err == nil && string(body) != doc.String() {
-			t.Fatalf("%s: byte read\n %s\ntree read\n %s", what, body, doc)
+			t.Fatalf("%s: view\n %s\ntree read\n %s", what, body, doc)
 		}
 	}
 	ids = append(ids, "no-such-document")
@@ -47,17 +59,20 @@ func checkXMLReads(t *testing.T, s *Store, ids ...string) {
 			if v > s.Versions(id)+1 {
 				continue
 			}
-			body, err := s.VersionXML(id, v)
+			body, version, err := viewXML(s, id, v, false)
 			doc, treeErr := s.Version(id, v)
 			same(fmt.Sprintf("%s version %d", id, v), body, err, doc, treeErr)
+			if err == nil && version != v {
+				t.Fatalf("%s: View of version %d says version %d", id, v, version)
+			}
 		}
 	}
 	for _, id := range ids {
-		body, version, err := s.LatestXML(id)
+		body, version, err := viewXML(s, id, 0, true)
 		doc, treeVersion, treeErr := s.Latest(id)
 		same(id+" latest", body, err, doc, treeErr)
 		if version != treeVersion {
-			t.Fatalf("%s: LatestXML says version %d, Latest %d", id, version, treeVersion)
+			t.Fatalf("%s: View says version %d, Latest %d", id, version, treeVersion)
 		}
 	}
 }
@@ -106,18 +121,22 @@ func TestXMLReadsMatchTreeReads(t *testing.T) {
 	}
 	checkXMLReads(t, deg, "doc")
 	var de *DegradedError
-	if _, err := deg.VersionXML("doc", deg.Versions("doc")+1); !errors.As(err, &de) {
+	if _, _, err := deg.View("doc", deg.Versions("doc")+1, false); !errors.As(err, &de) {
 		t.Fatalf("reading past the intact versions: %v, want a DegradedError", err)
 	}
 }
 
-// TestXMLReadsRace reads one document's latest and past versions as
-// bytes, aggregates its deltas and puts new versions, all at once. Each
-// body read must be the version it names, byte for byte, as the store
-// reconstructs it once the writers are done. Run it under -race.
+// TestXMLReadsRace streams one document's latest and past versions,
+// aggregates its deltas and puts new versions, all at once. Each body
+// must be the version its read names, byte for byte, as the store
+// reconstructs it once the writers are done. A latest read takes the
+// cached tree and writes it out only after Puts have replaced it and,
+// through a second document behind a one-document cache, evicted it
+// into a keyframe: the tree a view hands out is never changed in place.
+// Run it under -race.
 func TestXMLReadsRace(t *testing.T) {
 	chain := flipChain(t, 3000, 12)
-	s := chainStore(t, Config{Shards: 1}, chain[:4], "doc")
+	s := chainStore(t, Config{Shards: 1, CacheSize: 1}, chain[:4], "doc")
 	defer s.Close()
 	type read struct {
 		version int
@@ -128,38 +147,66 @@ func TestXMLReadsRace(t *testing.T) {
 		reads []read
 		wg    sync.WaitGroup
 		errs  = make(chan error, 64)
+		// replaced is closed once the writer has put every version: the
+		// held view's tree is then two Puts and an eviction stale.
+		held     = make(chan struct{})
+		replaced = make(chan struct{})
 	)
 	keep := func(v int, body []byte) {
 		mu.Lock()
 		reads = append(reads, read{v, body})
 		mu.Unlock()
 	}
-	wg.Add(4)
-	go func() { // the writer
+	wg.Add(5)
+	go func() { // the writer, evicting doc with other's versions
 		defer wg.Done()
+		defer close(replaced)
+		<-held
 		for _, doc := range chain[4:] {
-			if _, _, err := s.Put("doc", doc); err != nil {
-				errs <- err
-				return
+			for _, id := range []string{"doc", "other"} {
+				if _, _, err := s.Put(id, doc); err != nil {
+					errs <- err
+					return
+				}
 			}
 		}
 	}()
-	go func() { // latest reads
+	go func() { // a latest read held across the writer's Puts
+		defer wg.Done()
+		doc, v, err := s.View("doc", 0, true)
+		close(held)
+		if err != nil {
+			errs <- err
+			return
+		}
+		<-replaced
+		var b bytes.Buffer
+		if _, err := doc.WriteTo(&b); err != nil {
+			errs <- err
+			return
+		}
+		keep(v, b.Bytes())
+	}()
+	go func() { // latest reads, streamed
 		defer wg.Done()
 		for i := 0; i < 40; i++ {
-			body, v, err := s.LatestXML("doc")
+			doc, v, err := s.View("doc", 0, true)
 			if err != nil {
 				errs <- err
 				return
 			}
-			keep(v, body)
+			var b bytes.Buffer
+			if _, err := doc.WriteTo(&b); err != nil {
+				errs <- err
+				return
+			}
+			keep(v, b.Bytes())
 		}
 	}()
 	go func() { // past reads
 		defer wg.Done()
 		for i := 0; i < 40; i++ {
-			v := 1 + i%4
-			body, err := s.VersionXML("doc", v)
+			body, v, err := viewXML(s, "doc", 1+i%4, false)
 			if err != nil {
 				errs <- err
 				return
@@ -190,26 +237,77 @@ func TestXMLReadsRace(t *testing.T) {
 			t.Fatalf("a concurrent read of version %d served other bytes", r.version)
 		}
 	}
+	if s.StorageStats().KeyframeRestores == 0 {
+		t.Error("no read restored a keyframe: the cached tree was never evicted")
+	}
 }
 
-// TestLatestXMLCopiesNoTree pins that reading the latest version as
-// bytes serializes the cached tree and copies none: its allocations are
-// the buffer, whatever the document's size. (A copy of a ~130 KB
-// catalog is thousands of allocations.)
+// TestLatestXMLCopiesNoTree pins that streaming the latest version
+// copies no tree and buffers no body: View hands out the cached tree
+// and WriteTo writes it through the encoder's pooled flush buffer, so
+// the read allocates next to nothing, whatever the document's size. (A
+// copy of a ~130 KB catalog is thousands of allocations; a body buffer
+// was one allocation of the body's size.)
 func TestLatestXMLCopiesNoTree(t *testing.T) {
 	allocs := func(size int) float64 {
 		s := chainStore(t, Config{Shards: 1}, catalogChain(t, size, 3), "doc")
 		defer s.Close()
 		return testing.AllocsPerRun(20, func() {
-			if _, _, err := s.LatestXML("doc"); err != nil {
+			doc, _, err := s.View("doc", 0, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := doc.WriteTo(io.Discard); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 	small, large := allocs(7000), allocs(130000)
-	t.Logf("LatestXML: %.0f allocations at 7 KB, %.0f at 130 KB", small, large)
-	if large > small || large > 4 {
-		t.Errorf("LatestXML allocates %.0f times at 130 KB and %.0f at 7 KB; want at most 4, not growing with size", large, small)
+	t.Logf("latest view streamed: %.0f allocations at 7 KB, %.0f at 130 KB", small, large)
+	if large > small || large > 2 {
+		t.Errorf("streaming the latest version allocates %.0f times at 130 KB and %.0f at 7 KB; want at most 2, not growing with size", large, small)
+	}
+}
+
+// TestVersionStreamAllocations pins that a version GET streams its
+// body rather than buffering it: reading version 2 of the 150 KB
+// catalog chain by number — the latest, whose tree the cache holds —
+// and writing it to io.Discard allocates fewer bytes than the body has.
+// View hands out the cached tree and WriteTo writes it through the
+// encoder's pooled flush buffer. (When the body was gathered in a
+// buffer sized from version 1, that buffer alone was version 1's length
+// plus an eighth.)
+func TestVersionStreamAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("counts allocations through pooled buffers, which the race detector drops at random; the gate runs it without -race")
+	}
+	s := chainStore(t, Config{Shards: 1}, catalogChain(t, 150_000, 2), "doc")
+	defer s.Close()
+	body, _, err := viewXML(s, "doc", 2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := func() {
+		doc, _, err := s.View("doc", 2, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := doc.WriteTo(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stream()
+	var before, after runtime.MemStats
+	const runs = 10
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		stream()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("streaming version 2 (%d bytes) allocates %.0f bytes", len(body), bytes)
+	if bytes >= float64(len(body)) {
+		t.Errorf("streaming version 2 allocates %.0f bytes, want fewer than its %d-byte body", bytes, len(body))
 	}
 }
 
@@ -264,7 +362,7 @@ func TestOldDocumentReads(t *testing.T) {
 	}
 	cost := func(id string, n int) (allocs, bytes float64) {
 		read := func() {
-			if _, err := s.VersionXML(id, n); err != nil {
+			if _, _, err := s.View(id, n, false); err != nil {
 				t.Fatal(err)
 			}
 		}
