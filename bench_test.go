@@ -12,9 +12,11 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"xydiff/internal/alert"
 	"xydiff/internal/baseline"
@@ -35,7 +37,7 @@ import (
 
 // preparePair builds a (old, new) document pair of roughly the given
 // serialized size with the paper's standard 10% change mix.
-func preparePair(b *testing.B, bytes int, seed int64) (*dom.Node, *dom.Node) {
+func preparePair(b testing.TB, bytes int, seed int64) (*dom.Node, *dom.Node) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	oldDoc := changesim.CatalogOfSize(rng, bytes)
@@ -458,27 +460,83 @@ func BenchmarkDeltaCompose(b *testing.B) {
 	}
 }
 
-// BenchmarkPutTail is everything a PUT does once BULD has finished, on
-// a pair shaped like the end-to-end benchmark's ingest_large workload
-// (~150 KB catalog, 10% churn, its eight subscriptions): encode the
-// delta once, resolve its operations once, then the statistics
-// collector and the alerter.
-func BenchmarkPutTail(b *testing.B) {
-	oldDoc, newDoc := preparePair(b, 130_000, 1)
+// putTailFixture is BenchmarkPutTail's PUT: a pair shaped like the
+// end-to-end benchmark's ingest_large workload (~150 KB catalog, 10%
+// churn), its diff, and that workload's eight subscriptions.
+func putTailFixture(tb testing.TB) (oldDoc, newDoc *dom.Node, r *diff.Result, subs []alert.Subscription) {
+	oldDoc, newDoc = preparePair(tb, 130_000, 1)
 	r, err := diff.DiffDetailed(oldDoc, newDoc, diff.Options{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	a := alert.New(
-		alert.Subscription{ID: "k-insert", Kinds: []delta.Kind{delta.KindInsert}},
-		alert.Subscription{ID: "k-delete", Kinds: []delta.Kind{delta.KindDelete}},
-		alert.Subscription{ID: "k-update", Kinds: []delta.Kind{delta.KindUpdate}},
-		alert.Subscription{ID: "k-move", Kinds: []delta.Kind{delta.KindMove}},
-		alert.Subscription{ID: "p-0", Path: "Category/Product"},
-		alert.Subscription{ID: "p-1", Path: "Product/Price"},
-		alert.Subscription{ID: "q-0", Query: xpathlite.MustCompile(`//Product[Price>500]`), Kinds: []delta.Kind{delta.KindUpdateAttr}},
-		alert.Subscription{ID: "q-1", Query: xpathlite.MustCompile(`//Product[@status='sale']`), Kinds: []delta.Kind{delta.KindInsertAttr}},
-	)
+	return oldDoc, newDoc, r, []alert.Subscription{
+		{ID: "k-insert", Kinds: []delta.Kind{delta.KindInsert}},
+		{ID: "k-delete", Kinds: []delta.Kind{delta.KindDelete}},
+		{ID: "k-update", Kinds: []delta.Kind{delta.KindUpdate}},
+		{ID: "k-move", Kinds: []delta.Kind{delta.KindMove}},
+		{ID: "p-0", Path: "Category/Product"},
+		{ID: "p-1", Path: "Product/Price"},
+		{ID: "q-0", Query: xpathlite.MustCompile(`//Product[Price>500]`), Kinds: []delta.Kind{delta.KindUpdateAttr}},
+		{ID: "q-1", Query: xpathlite.MustCompile(`//Product[@status='sale']`), Kinds: []delta.Kind{delta.KindInsertAttr}},
+	}
+}
+
+// TestPutTailAlertListAllocatedOnce is the bytes guard on the alerter's
+// part of BenchmarkPutTail: NotifyResolved allocates its list of alerts
+// once, at its final length. The list is the one thing it allocates
+// that follows how many subscriptions an operation matches — paths are
+// rendered once per operation, match sets once per query and version —
+// so a second copy of the six kind and path subscriptions must add the
+// bytes of the alerts it adds and no more: one list of the final size,
+// where append's growth (from room for one alert per remaining
+// operation) cost about twice that.
+func TestPutTailAlertListAllocatedOnce(t *testing.T) {
+	oldDoc, newDoc, r, subs := putTailFixture(t)
+	targets := delta.Resolve(r.Delta, oldDoc, newDoc)
+	twice := append([]alert.Subscription(nil), subs...)
+	for _, sub := range subs {
+		if sub.Query == nil {
+			sub.ID += "-again"
+			twice = append(twice, sub)
+		}
+	}
+	cost := func(subs []alert.Subscription) (alerts int, bytes float64) {
+		a := alert.New(subs...)
+		list := a.NotifyResolved("catalog", 2, targets)
+		if cap(list) != len(list) {
+			t.Fatalf("%d alerts in a list of capacity %d", len(list), cap(list))
+		}
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			a.NotifyResolved("catalog", 2, targets)
+		}
+		runtime.ReadMemStats(&after)
+		return len(list), float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	n, bytes := cost(subs)
+	n2, bytes2 := cost(twice)
+	if n < 100 || n2 <= n {
+		t.Fatalf("%d alerts, %d with the subscriptions doubled: the fixture exercises too little", n, n2)
+	}
+	added := float64((n2 - n) * int(unsafe.Sizeof(alert.Alert{})))
+	// A large object is rounded up to whole 8 KiB pages.
+	const rounding = 8 << 10
+	t.Logf("%d alerts: %.1f KB; %d alerts: %.1f KB; the %d added alerts take %.1f KB",
+		n, bytes/1024, n2, bytes2/1024, n2-n, added/1024)
+	if bytes2-bytes > added+rounding {
+		t.Errorf("%d more alerts cost %.1f KB more, want at most their %.1f KB and %d KB of rounding: the list is not allocated once",
+			n2-n, (bytes2-bytes)/1024, added/1024, rounding>>10)
+	}
+}
+
+// BenchmarkPutTail is everything a PUT does once BULD has finished, on
+// putTailFixture's PUT: encode the delta once, resolve its operations
+// once, then the statistics collector and the alerter.
+func BenchmarkPutTail(b *testing.B) {
+	oldDoc, newDoc, r, subs := putTailFixture(b)
+	a := alert.New(subs...)
 	c := stats.NewCollector()
 	alerts, size := 0, 0
 	b.ResetTimer()

@@ -194,34 +194,67 @@ func (a *Alerter) Notify(docID string, newVersion int, oldDoc, newDoc *dom.Node,
 
 // NotifyResolved is Notify for a caller that has already resolved the
 // delta against its two versions (warehouse.Pipeline shares one
-// resolution between the statistics collector and the alerter).
+// resolution between the statistics collector and the alerter). The
+// list is allocated once, at its final length: a first pass counts the
+// matches, a second fills them in, and each query's match sets are
+// built at most once per version across both.
 func (a *Alerter) NotifyResolved(docID string, newVersion int, t *delta.Targets) []Alert {
 	c := a.state.Load()
 	if t.Delta.Empty() || len(c.subs) == 0 {
 		return nil
 	}
+	e := evaluation{c: c, docID: docID, t: t}
+	n := 0
+	e.each(func(int, *plan, *dom.Node) { n++ })
+	if n == 0 {
+		return nil
+	}
+	alerts := make([]Alert, 0, n)
+	// paths renders the paths in both versions, ranking each wide
+	// parent's children once for every op of the delta; an op's path is
+	// rendered once, for its first alert.
+	var paths dom.Pather
+	last, path := -1, ""
+	e.each(func(i int, p *plan, at *dom.Node) {
+		if i != last {
+			last, path = i, paths.Path(at)
+		}
+		op := &t.Delta.Ops[i]
+		alerts = append(alerts, Alert{SubID: p.id, DocID: docID, Version: newVersion, Kind: op.Kind, XID: op.XID, OpIndex: int32(i), Path: path})
+	})
+	return alerts
+}
+
+// evaluation is one NotifyResolved's matching of a delta's operations
+// against the compiled subscriptions.
+type evaluation struct {
+	c     *snapshot
+	docID string
+	t     *delta.Targets
 	// sets[q] holds plan q's query evaluated against the old and the
 	// new version, each built when the first operation needs it.
-	var sets [][2]*xpathlite.MatchSet
-	// paths renders the paths in both versions, ranking each wide
-	// parent's children once for every op of the delta.
-	var paths dom.Pather
-	var alerts []Alert
-	for i := range t.Delta.Ops {
-		op := &t.Delta.Ops[i]
+	sets [][2]*xpathlite.MatchSet
+}
+
+// each calls match for every operation and subscription plan that
+// match, in operation order, with the node the alert's path names: the
+// operation's node, or its element when that is a text node.
+func (e *evaluation) each(match func(i int, p *plan, at *dom.Node)) {
+	for i := range e.t.Delta.Ops {
+		op := &e.t.Delta.Ops[i]
 		kind := op.Kind
-		plans := c.anyKind
-		if int(kind) < len(c.byKind) {
-			plans = c.byKind[kind]
+		plans := e.c.anyKind
+		if int(kind) < len(e.c.byKind) {
+			plans = e.c.byKind[kind]
 		}
 		if len(plans) == 0 {
 			continue
 		}
 		// The operation is about a node of the new version when it
 		// still exists there; deletes are about the old version.
-		node, side, doc := t.New[i], 1, t.NewDoc
+		node, side, doc := e.t.New[i], 1, e.t.NewDoc
 		if node == nil || kind == delta.KindDelete {
-			node, side, doc = t.Old[i], 0, t.OldDoc
+			node, side, doc = e.t.Old[i], 0, e.t.OldDoc
 		}
 		// A text node's value belongs, for subscribers, to its element:
 		// an update of <Price>'s character data should match
@@ -230,22 +263,21 @@ func (a *Alerter) NotifyResolved(docID string, newVersion int, t *delta.Targets)
 		if node != nil && node.Type == dom.Text && node.Parent != nil {
 			at = node.Parent
 		}
-		path, havePath := "", false
 		for _, p := range plans {
-			if p.docID != "" && p.docID != docID {
+			if p.docID != "" && p.docID != e.docID {
 				continue
 			}
 			if p.query != nil {
 				if node == nil {
 					continue
 				}
-				if sets == nil {
-					sets = make([][2]*xpathlite.MatchSet, c.queries)
+				if e.sets == nil {
+					e.sets = make([][2]*xpathlite.MatchSet, e.c.queries)
 				}
-				set := sets[p.queryIdx][side]
+				set := e.sets[p.queryIdx][side]
 				if set == nil {
 					set = p.query.MatchSet(doc)
-					sets[p.queryIdx][side] = set
+					e.sets[p.queryIdx][side] = set
 				}
 				// at is node, or its element when node is text.
 				if !set.Matches(node) && !(at != node && set.Matches(at)) {
@@ -257,16 +289,9 @@ func (a *Alerter) NotifyResolved(docID string, newVersion int, t *delta.Targets)
 			if p.contains != "" && !contentContains(op, node, p.contains) {
 				continue
 			}
-			if !havePath {
-				path, havePath = paths.Path(at), true
-			}
-			if alerts == nil {
-				alerts = make([]Alert, 0, len(t.Delta.Ops)-i)
-			}
-			alerts = append(alerts, Alert{SubID: p.id, DocID: docID, Version: newVersion, Kind: kind, XID: op.XID, OpIndex: int32(i), Path: path})
+			match(i, p, at)
 		}
 	}
-	return alerts
 }
 
 func kindMatches(kinds []delta.Kind, k delta.Kind) bool {
