@@ -84,8 +84,13 @@ func FuzzEscapeDifferential(f *testing.F) {
 
 // TestCloneAllocations: a copy is three allocations — nodes, child
 // pointers, attributes — whatever the size of the tree, at 7 KB and at
-// 150 KB.
+// 150 KB. Under the race detector the count reads a fourth now and then,
+// the race runtime's own, so the guard skips there and the gate runs it
+// without -race.
 func TestCloneAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("counts allocations, and the race detector's runtime makes some of its own at random; the gate runs it without -race")
+	}
 	for _, size := range []int{7000, 150000} {
 		doc, err := ParseString(catalogLike(size))
 		if err != nil {

@@ -65,6 +65,11 @@ type parser struct {
 	slab      Slabs
 	built     int
 	attrChunk int
+	// arena is the chunk the builder copies text, comment, instruction
+	// and attribute values into, and cuts their strings from (value);
+	// copied counts the bytes copied so far.
+	arena  []byte
+	copied int
 }
 
 // chunkBytes bounds each chunk the builder cuts nodes, child slices and
@@ -143,6 +148,36 @@ func (p *parser) attributes(k int) []Attr {
 	s := p.slab.attrs[:k:k]
 	p.slab.attrs = p.slab.attrs[k:]
 	return s
+}
+
+// value returns b as a string cut from the value arena. b is copied to
+// the arena chunk's end, which no string covers: a chunk is only ever
+// appended to, within its capacity, so the bytes under a string never
+// change. A used-up chunk is followed by one sized for the values the
+// unread input is estimated to hold — at the density of the values read
+// so far, or half the input before any — at most chunkBytes: a parse
+// allocates a few chunks rather than a string per value. A value longer
+// than a chunk is a string of its own. As with the node chunks, a value
+// kept alone keeps its chunk reachable.
+func (p *parser) value(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	if len(b) > cap(p.arena)-len(p.arena) {
+		if len(b) > chunkBytes {
+			return string(b)
+		}
+		rest := len(p.src) - p.pos
+		ahead := rest / 2
+		if p.copied > 0 && p.pos > 0 {
+			ahead = int(int64(rest) * int64(p.copied) / int64(p.pos))
+		}
+		p.arena = make([]byte, 0, min(len(b)+ahead, chunkBytes))
+	}
+	start := len(p.arena)
+	p.arena = append(p.arena, b...)
+	p.copied += len(b)
+	return unsafe.String(&p.arena[start], len(b))
 }
 
 // Internal token kinds, beside the exported ones: tokNone is input
@@ -308,14 +343,14 @@ func (p *parser) content(parent *Node, done func(*Node)) ([]*Node, error) {
 				continue
 			}
 			p.text = p.newNode()
-			p.text.Type, p.text.Value, p.text.Parent = Text, string(p.data), cur
+			p.text.Type, p.text.Value, p.text.Parent = Text, p.value(p.data), cur
 			p.kids = append(p.kids, p.text)
 		case tokenComment, tokenProcInst:
 			p.endText(done)
 			n := p.newNode()
-			n.Type, n.Value, n.Parent = Comment, string(p.data), cur
+			n.Type, n.Value, n.Parent = Comment, p.value(p.data), cur
 			if kind == tokenProcInst {
-				n.Type, n.Name = ProcInst, string(p.tag)
+				n.Type, n.Name = ProcInst, p.intern(p.tag)
 			}
 			p.kids = append(p.kids, n)
 			if done != nil {
@@ -325,7 +360,7 @@ func (p *parser) content(parent *Node, done func(*Node)) ([]*Node, error) {
 			// The DOCTYPE text goes to package dtd for ID-attribute
 			// discovery; other directives are not part of the model.
 			if parent != nil && parent.Type == Document {
-				parent.Value = string(p.data)
+				parent.Value = p.value(p.data)
 			}
 		case tokEOF:
 			p.endText(done)
@@ -356,7 +391,7 @@ func (p *parser) element(parent *Node) *Node {
 	if len(p.attrs) > 0 {
 		el.Attrs = p.attributes(len(p.attrs))
 		for k, a := range p.attrs {
-			el.Attrs[k] = Attr{Name: p.intern(a.Name), Value: string(a.Value)}
+			el.Attrs[k] = Attr{Name: p.intern(a.Name), Value: p.value(a.Value)}
 		}
 	}
 	return el

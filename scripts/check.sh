@@ -68,12 +68,14 @@ $GO test -race -count=10 ./internal/vstore -run 'ReadWalks'
 # The allocation guards of the Put path, the read walk and the diff's
 # delta construction count allocations through pooled buffers, trees
 # and matchers, which sync.Pool drops at random under the race
-# detector; they skip there and run here without it. The parser's
-# guard runs here too, with the race detector's allocations out of
-# its count.
-$GO test -count=1 ./internal/vstore -run 'TestPutDetailedAllocations|TestReadWalkAllocations'
+# detector; they skip there and run here without it, as do the
+# version-stream guards. The parser's and the copy's guards run here
+# too, with the race detector's allocations out of their count, and
+# the alert list's bytes guard beside them.
+$GO test -count=1 ./internal/vstore -run 'TestPutDetailedAllocations|TestReadWalkAllocations|TestVersionStreamAllocations'
 $GO test -count=1 ./internal/diff -run 'TestComposeVersionsAllocations|TestBULDDiffAllocations|TestSFTMDiffAllocations'
-$GO test -count=1 ./internal/dom -run 'TestParseAllocations$'
+$GO test -count=1 ./internal/dom -run 'TestParseAllocations$|TestCloneAllocations$'
+$GO test -count=1 . -run 'TestPutTailAlertListAllocatedOnce$'
 # The server's crawl tests wait on real fetches at the crawler's
 # production timings; repeating them is how a timing flake shows.
 $GO test -race -count=5 ./internal/server -run 'Crawl|Source'
