@@ -316,9 +316,13 @@ func BenchmarkReadWalk(b *testing.B) {
 // frame ("base"), and version 1 thawed and stepped forward through the
 // delta's frame as a walk steps, thawing the inserts and comparing the
 // deletes in place ("step", the base included: the step's cost is the
-// difference). The xml cases do the same from the parts' XML, as a
-// walk's first decode after a reopen does. SetBytes is the base's
-// bytes, or the delta's in step cases, in the form the case reads.
+// difference). A backward walk starts from a copy of the cached latest
+// version instead ("clone"), and steps back through the delta's frame,
+// thawing the deletes and comparing the inserts in place
+// ("step=frame-backward", the copy included). The xml cases do the same
+// from the parts' XML, as a walk's first decode after a reopen does.
+// SetBytes is the base's bytes, the latest version's XML length for the
+// copy, or the delta's in step cases, in the form the case reads.
 // DESIGN.md has the rates.
 func BenchmarkWalkCosts(b *testing.B) {
 	s := chainStore(b, Config{Shards: 1}, catalogChain(b, 130000, 2), "doc")
@@ -339,6 +343,10 @@ func BenchmarkWalkCosts(b *testing.B) {
 		b.Fatalf("version 1 (frame %v) or the delta (frame %v) did not settle into a frame", baseForm.frame, deltaForm.frame)
 	}
 	baseFrame, deltaFrame := baseForm.b, deltaForm.b
+	latest, _, err := s.Latest("doc")
+	if err != nil {
+		b.Fatal(err)
+	}
 	thawBase := func() *dom.Node {
 		doc, err := thaw(baseFrame)
 		if err != nil {
@@ -370,6 +378,12 @@ func BenchmarkWalkCosts(b *testing.B) {
 		{"base=frame", len(baseFrame), func() { thawBase() }},
 		{"step=frame", len(deltaFrame), func() {
 			if err := stepInPlace(delta.NewReplay(thawBase()), deltaFrame, false); err != nil {
+				b.Fatal(err)
+			}
+		}},
+		{"clone=latest", int(latest.EncodedLen()), func() { latest.Clone() }},
+		{"step=frame-backward", len(deltaFrame), func() {
+			if err := stepInPlace(delta.NewReplay(latest.Clone()), deltaFrame, true); err != nil {
 				b.Fatal(err)
 			}
 		}},
