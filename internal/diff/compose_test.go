@@ -185,3 +185,76 @@ func TestComposeRandomChains(t *testing.T) {
 		}
 	}
 }
+
+// TestComposeVersionsTakesItsContent: ComposeVersions records each
+// insert's and delete's content as the unmatched subtree of its
+// documents itself, and records what composing with copies records,
+// byte for byte. Each taken subtree is detached from its document (no
+// Parent at the root), holds no node the other version keeps, shares no
+// node with another op's, and every children slice in it has exact
+// capacity.
+func TestComposeVersionsTakesItsContent(t *testing.T) {
+	rng := rand.New(rand.NewSource(56))
+	for trial := 0; trial < 30; trial++ {
+		base := randomDoc(rng, 40)
+		cur := base
+		for step := 0; step < 3; step++ {
+			next := cur.Clone()
+			mutate(rng, next, 1+rng.Intn(5))
+			if _, err := Diff(cur, next, Options{}); err != nil {
+				t.Fatal(err)
+			}
+			cur = next
+		}
+		copied, err := composeVersions(base.Clone(), cur.Clone(), Options{DisableIDAttributes: true, keepNewXIDs: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		taken, err := ComposeVersions(base.Clone(), cur.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := copied.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := taken.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("trial %d: taking content records\n%s\ncopying it records\n%s", trial, got, want)
+		}
+		kept := map[int64]bool{} // XIDs both versions hold
+		inBase := map[int64]bool{}
+		dom.WalkPre(base, func(n *dom.Node) bool { inBase[n.XID] = true; return true })
+		dom.WalkPre(cur, func(n *dom.Node) bool { kept[n.XID] = inBase[n.XID]; return true })
+		seen := map[*dom.Node]bool{}
+		for i, op := range taken.Ops {
+			if op.Subtree == nil {
+				continue
+			}
+			if op.Subtree.Parent != nil {
+				t.Fatalf("trial %d: op %d's content is still attached to its document", trial, i)
+			}
+			dom.WalkPre(op.Subtree, func(n *dom.Node) bool {
+				if seen[n] {
+					t.Fatalf("trial %d: a node is in the content of two ops", trial)
+				}
+				seen[n] = true
+				if kept[n.XID] {
+					t.Fatalf("trial %d: op %d's content holds node %d, which both versions keep", trial, i, n.XID)
+				}
+				if cap(n.Children) != len(n.Children) {
+					t.Fatalf("trial %d: op %d: node %d has %d children in room for %d", trial, i, n.XID, len(n.Children), cap(n.Children))
+				}
+				for _, c := range n.Children {
+					if c.Parent != n {
+						t.Fatalf("trial %d: op %d: a child of node %d names another parent", trial, i, n.XID)
+					}
+				}
+				return true
+			})
+		}
+	}
+}
