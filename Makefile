@@ -1,6 +1,6 @@
 # The pre-PR gate: `make check` is what CI runs and what every change
 # should pass locally before review. It runs scripts/check.sh, which
-# holds the gate's six stages (fmt, vet, build, race, bench-smoke,
+# holds the gate's six stages (fmt, vet, build, race, norace,
 # fuzz-smoke) and the one list of fuzz targets; FUZZTIME sets each
 # fuzzer's budget.
 GO ?= go

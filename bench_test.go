@@ -12,13 +12,13 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
 
 	"xydiff/internal/alert"
+	"xydiff/internal/alloctest"
 	"xydiff/internal/baseline"
 	"xydiff/internal/bench"
 	"xydiff/internal/changesim"
@@ -500,26 +500,21 @@ func TestPutTailAlertListAllocatedOnce(t *testing.T) {
 			twice = append(twice, sub)
 		}
 	}
-	cost := func(subs []alert.Subscription) (alerts int, bytes float64) {
+	notify := func(subs []alert.Subscription) (alerts int, notify func()) {
 		a := alert.New(subs...)
 		list := a.NotifyResolved("catalog", 2, targets)
 		if cap(list) != len(list) {
 			t.Fatalf("%d alerts in a list of capacity %d", len(list), cap(list))
 		}
-		const runs = 10
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			a.NotifyResolved("catalog", 2, targets)
-		}
-		runtime.ReadMemStats(&after)
-		return len(list), float64(after.TotalAlloc-before.TotalAlloc) / runs
+		return len(list), func() { a.NotifyResolved("catalog", 2, targets) }
 	}
-	n, bytes := cost(subs)
-	n2, bytes2 := cost(twice)
+	n, once := notify(subs)
+	n2, again := notify(twice)
 	if n < 100 || n2 <= n {
 		t.Fatalf("%d alerts, %d with the subscriptions doubled: the fixture exercises too little", n, n2)
 	}
+	_, bytes := alloctest.Cost(t, 10, once)
+	_, bytes2 := alloctest.Cost(t, 10, again)
 	added := float64((n2 - n) * int(unsafe.Sizeof(alert.Alert{})))
 	// A large object is rounded up to whole 8 KiB pages.
 	const rounding = 8 << 10

@@ -40,7 +40,9 @@
 // single fsync, and a background compactor folds cold segments into
 // per-document snapshots. Every PUT is appended to its shard's segment
 // before it is acknowledged; under -journal-sync=always an
-// acknowledged version survives even kill -9 or power loss. Startup
+// acknowledged version survives kill -9, which the acceptance suite
+// tests on a live daemon. Power loss is not tested, and no directory
+// is fsynced; ROADMAP.md's item 28 is the work that will test it. Startup
 // replays the segments on top of the last snapshots (truncating torn
 // tails, refusing corruption with an error that names the file and
 // offset). A data directory from a pre-shard build is refused with a

@@ -6,7 +6,8 @@ import (
 )
 
 // segOrder encodes the sharded engine's durable-write ordering
-// (internal/vstore): within any function of a package named "vstore",
+// (internal/vstore): within any function of a package named "vstore"
+// or "faultfs" (whose WriteAtomic writes the engine's files),
 //
 //  1. the group-committed segment append (appendDurable) must happen
 //     before the in-memory commit — assignments to a document state's
@@ -27,16 +28,13 @@ import (
 // reorder.
 var segOrder = &Analyzer{
 	Name: "segorder",
-	Doc:  "vstore ordering: segment append before commit, snapshot before segment retire, fsync before rename",
+	Doc:  "vstore and faultfs ordering: segment append before commit, snapshot before segment retire, fsync before rename",
 	run:  runSegOrder,
 }
 
 func runSegOrder(pass *analyzerPass) {
-	if pass.pkg != nil && pass.pkg.Name() != "vstore" {
-		return
-	}
 	for _, f := range pass.files {
-		if f.Name.Name != "vstore" {
+		if !segOrderPackages[f.Name.Name] {
 			return
 		}
 		for _, decl := range f.Decls {
@@ -48,6 +46,9 @@ func runSegOrder(pass *analyzerPass) {
 		}
 	}
 }
+
+// segOrderPackages names the packages segOrder checks.
+var segOrderPackages = map[string]bool{"vstore": true, "faultfs": true}
 
 // segSites records source positions of the calls and commit writes a
 // function performs, in document order.

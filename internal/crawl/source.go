@@ -5,12 +5,12 @@ import (
 	"fmt"
 	"net/url"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
 
 	"xydiff/internal/diff"
+	"xydiff/internal/faultfs"
 )
 
 // Source is one registered acquisition target: a URL polled on the
@@ -294,24 +294,8 @@ func (r *Registry) save() error {
 	if err != nil {
 		return fmt.Errorf("crawl: encode registry: %w", err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".crawl-sources-*")
-	if err != nil {
+	if err := faultfs.WriteAtomic(faultfs.OS{}, path, data); err != nil {
 		return fmt.Errorf("crawl: save registry: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		_ = tmp.Close() // the write error is the one worth reporting
-		return fmt.Errorf("crawl: save registry: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close() // the sync error is the one worth reporting
-		return fmt.Errorf("crawl: sync registry: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("crawl: close registry temp: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("crawl: publish registry: %w", err)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"xydiff/internal/alloctest"
 	"xydiff/internal/changesim"
 	"xydiff/internal/delta"
 	"xydiff/internal/diff"
@@ -53,7 +54,7 @@ func BenchmarkDeltaParse(b *testing.B) {
 // parser's chunks.) A count, not a timing, so it can gate go test.
 func TestDeltaDecodeAllocations(t *testing.T) {
 	raw := storedDelta(t)
-	allocs := testing.AllocsPerRun(10, func() {
+	allocs, _ := alloctest.Cost(t, 10, func() {
 		if _, err := delta.ParseBytes(raw); err != nil {
 			t.Fatal(err)
 		}

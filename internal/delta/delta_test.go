@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"xydiff/internal/alloctest"
 	"xydiff/internal/dom"
 	"xydiff/internal/xid"
 )
@@ -612,12 +613,12 @@ func TestParseDetachesSubtrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decode := testing.AllocsPerRun(20, func() {
+	decode, _ := alloctest.Cost(t, 20, func() {
 		if _, err := ParseBytes(text); err != nil {
 			t.Fatal(err)
 		}
 	})
-	parse := testing.AllocsPerRun(20, func() {
+	parse, _ := alloctest.Cost(t, 20, func() {
 		if _, err := dom.ParseBytes(text, parseOptions()); err != nil {
 			t.Fatal(err)
 		}

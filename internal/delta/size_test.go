@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"xydiff/internal/alloctest"
 	"xydiff/internal/changesim"
 	"xydiff/internal/delta"
 	"xydiff/internal/diff"
@@ -28,6 +29,7 @@ func TestSizeCountsWithoutAllocating(t *testing.T) {
 		}
 		raws = append(raws, raw)
 	}
+	var ds []*delta.Delta
 	for i, raw := range raws {
 		d, err := delta.ParseBytes(raw)
 		if err != nil {
@@ -40,7 +42,10 @@ func TestSizeCountsWithoutAllocating(t *testing.T) {
 		if d.Size() != len(text) {
 			t.Errorf("delta %d: Size() = %d, MarshalText has %d bytes", i, d.Size(), len(text))
 		}
-		if allocs := testing.AllocsPerRun(10, func() { d.Size() }); allocs != 0 {
+		ds = append(ds, d)
+	}
+	for i, d := range ds {
+		if allocs, _ := alloctest.Cost(t, 10, func() { d.Size() }); allocs != 0 {
 			t.Errorf("delta %d: Size() allocates %.0f times, want 0", i, allocs)
 		}
 	}

@@ -5,19 +5,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"xydiff/internal/alloctest"
 	"xydiff/internal/changesim"
 	"xydiff/internal/diff"
 	"xydiff/internal/dom"
 )
-
-// skipUnderRace skips an allocation guard under the race detector: the
-// counts go through treePool and matcherPool, and under -race sync.Pool
-// drops values at random. The gate runs these guards again without it.
-func skipUnderRace(t *testing.T) {
-	if raceEnabled {
-		t.Skip("counts allocations through pooled trees and matchers, which the race detector drops at random; the gate runs it without -race")
-	}
-}
 
 // composeAllocations is what one ComposeVersions of the chain's two
 // ends allocates. ComposeVersions consumes both trees, so every run gets
@@ -25,12 +17,12 @@ func skipUnderRace(t *testing.T) {
 func composeAllocations(t *testing.T, bytes int) (allocs float64, baseNodes, finalNodes int) {
 	base, final, _ := catalogChain(t, 7, bytes, 3, 0.10)
 	const runs = 10
-	var ends [runs + 1][2]*dom.Node // AllocsPerRun warms up with one extra call
+	var ends [runs + 1][2]*dom.Node // Cost warms up with one extra call
 	for i := range ends {
 		ends[i] = [2]*dom.Node{base.Clone(), final.Clone()}
 	}
 	next := 0
-	allocs = testing.AllocsPerRun(runs, func() {
+	allocs, _ = alloctest.Cost(t, runs, func() {
 		if _, err := diff.ComposeVersions(ends[next][0], ends[next][1]); err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +42,6 @@ func composeAllocations(t *testing.T, bytes int) (allocs float64, baseNodes, fin
 // with the content taken from the trees instead of cut from three
 // slabs).
 func TestComposeVersionsAllocations(t *testing.T) {
-	skipUnderRace(t)
 	allocs, oldNodes, newNodes := composeAllocations(t, 7000)
 	t.Logf("%.0f allocations per ComposeVersions of %d and %d nodes", allocs, oldNodes, newNodes)
 	if allocs > 7 {
@@ -66,7 +57,6 @@ func TestComposeVersionsAllocations(t *testing.T) {
 // slice per intra-parent move search; 30 or 31 without; 27 with the
 // content taken from the trees instead of cut from three slabs.
 func TestComposeVersionsAllocationsLarge(t *testing.T) {
-	skipUnderRace(t)
 	allocs, oldNodes, newNodes := composeAllocations(t, 150_000)
 	t.Logf("%.0f allocations per ComposeVersions of %d and %d nodes", allocs, oldNodes, newNodes)
 	if allocs > 30 {
@@ -81,13 +71,12 @@ func TestComposeVersionsAllocationsLarge(t *testing.T) {
 // to 100 with the move rule's subsequence in the matcher's scratch and
 // the ops counted first.
 func TestSFTMDiffAllocations(t *testing.T) {
-	skipUnderRace(t)
 	oldDoc := changesim.HTMLPage(rand.New(rand.NewSource(7)), 40)
 	sim, err := changesim.SimulateHTML(oldDoc, changesim.UniformHTML(0.12, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(10, func() {
+	allocs, _ := alloctest.Cost(t, 10, func() {
 		if _, err := diff.Diff(oldDoc, sim.New, diff.Options{Matcher: diff.MatcherSFTM}); err != nil {
 			t.Fatal(err)
 		}
@@ -106,9 +95,8 @@ func TestSFTMDiffAllocations(t *testing.T) {
 // with the move rule's subsequence in the matcher's scratch and the ops
 // counted first.
 func TestBULDDiffAllocations(t *testing.T) {
-	skipUnderRace(t)
 	oldDoc, newDoc := catalogPair(t, 7, 7000, 0.10)
-	allocs := testing.AllocsPerRun(10, func() {
+	allocs, _ := alloctest.Cost(t, 10, func() {
 		if _, err := diff.Diff(oldDoc, newDoc, diff.Options{}); err != nil {
 			t.Fatal(err)
 		}

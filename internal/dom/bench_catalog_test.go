@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"xydiff/internal/alloctest"
 	"xydiff/internal/changesim"
 	"xydiff/internal/dom"
 )
@@ -39,7 +40,7 @@ func BenchmarkParseCatalog(b *testing.B) {
 // test.
 func TestParseAllocations(t *testing.T) {
 	src := []byte(catalog().String())
-	allocs := testing.AllocsPerRun(5, func() {
+	allocs, _ := alloctest.Cost(t, 5, func() {
 		if _, err := dom.ParseWithOptions(bytes.NewReader(src), dom.DefaultParseOptions()); err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,8 @@ package dom
 import (
 	"strings"
 	"testing"
+
+	"xydiff/internal/alloctest"
 )
 
 func benchDoc(depth, fanout int) string {
@@ -47,7 +49,7 @@ func TestParseAllocationsPerNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodes := doc.Size() - 1 // the Document is not the input's
-	allocs := testing.AllocsPerRun(10, func() {
+	allocs, _ := alloctest.Cost(t, 10, func() {
 		if _, err := ParseBytes(src, DefaultParseOptions()); err != nil {
 			t.Fatal(err)
 		}

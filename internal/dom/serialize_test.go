@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"xydiff/internal/alloctest"
 )
 
 // escapeReference is the escaper the byte-class tables replaced, one
@@ -84,25 +86,24 @@ func FuzzEscapeDifferential(f *testing.F) {
 
 // TestCloneAllocations: a copy is three allocations — nodes, child
 // pointers, attributes — whatever the size of the tree, at 7 KB and at
-// 150 KB. Under the race detector the count reads a fourth now and then,
-// the race runtime's own, so the guard skips there and the gate runs it
-// without -race.
+// 150 KB.
 func TestCloneAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("counts allocations, and the race detector's runtime makes some of its own at random; the gate runs it without -race")
-	}
+	var docs []*Node
 	for _, size := range []int{7000, 150000} {
 		doc, err := ParseString(catalogLike(size))
 		if err != nil {
 			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(10, func() { doc.Clone() })
-		t.Logf("%d bytes, %d nodes: %.0f allocations", size, doc.Size(), allocs)
-		if allocs > 3 {
-			t.Errorf("cloning %d nodes allocates %.0f times, want at most 3", doc.Size(), allocs)
-		}
 		if c := doc.Clone(); c.String() != doc.String() || !Equal(c, doc) {
 			t.Errorf("the copy of %d bytes differs from the original", size)
+		}
+		docs = append(docs, doc)
+	}
+	for _, doc := range docs {
+		allocs, _ := alloctest.Cost(t, 10, func() { doc.Clone() })
+		t.Logf("%d nodes: %.0f allocations", doc.Size(), allocs)
+		if allocs > 3 {
+			t.Errorf("cloning %d nodes allocates %.0f times, want at most 3", doc.Size(), allocs)
 		}
 	}
 }
@@ -138,13 +139,13 @@ func TestSortedAttrsAllocations(t *testing.T) {
 	for _, n := range []string{"z", "b", "y", "a", "x", "c"} {
 		e.SetAttribute(n, n+n)
 	}
-	buf := make([]byte, 0, 256)
-	allocs := testing.AllocsPerRun(10, func() { buf = e.AppendXML(buf[:0]) })
-	if allocs != 1 {
-		t.Errorf("serializing unsorted attributes allocates %.0f times, want 1 (the sorted copy)", allocs)
-	}
+	buf := e.AppendXML(make([]byte, 0, 256))
 	if got, want := string(buf), `<e a="aa" b="bb" c="cc" x="xx" y="yy" z="zz"/>`; got != want {
 		t.Errorf("got %s, want %s", got, want)
+	}
+	allocs, _ := alloctest.Cost(t, 10, func() { buf = e.AppendXML(buf[:0]) })
+	if allocs != 1 {
+		t.Errorf("serializing unsorted attributes allocates %.0f times, want 1 (the sorted copy)", allocs)
 	}
 }
 

@@ -4,10 +4,11 @@ import (
 	"encoding/xml"
 	"errors"
 	"io"
-	"runtime"
 	"strings"
 	"testing"
 	"testing/iotest"
+
+	"xydiff/internal/alloctest"
 )
 
 // TestNameTablesMatchEncodingXML checks nameStart and nameExtra, which
@@ -88,18 +89,6 @@ func (h hinted) Len() int { return h.n }
 // than the input reads exactly the input.
 func TestReadInputSizesArrivingInput(t *testing.T) {
 	const claim = 64 << 20
-	for _, r := range []io.Reader{strings.NewReader(""), iotest.ErrReader(&readerFailure{})} {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		src, err := readInput(hinted{r, claim}, 0)
-		runtime.ReadMemStats(&after)
-		if len(src) != 0 {
-			t.Fatalf("read %d bytes from an empty reader", len(src))
-		}
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<10 {
-			t.Fatalf("a reader claiming %d bytes and holding none (error %v) allocated %d bytes", claim, err, grew)
-		}
-	}
 	const src = `<r><p>hello</p></r>`
 	for _, n := range []int{1, len(src) - 1, len(src), len(src) + 1, claim} {
 		for _, limit := range []int64{0, int64(len(src))} {
@@ -107,6 +96,18 @@ func TestReadInputSizesArrivingInput(t *testing.T) {
 			if err != nil || string(got) != src {
 				t.Errorf("hint %d, limit %d: read %q, %v", n, limit, got, err)
 			}
+		}
+	}
+	empty := []io.Reader{strings.NewReader(""), iotest.ErrReader(&readerFailure{})}
+	for _, r := range empty {
+		if src, _ := readInput(hinted{r, claim}, 0); len(src) != 0 {
+			t.Fatalf("read %d bytes from an empty reader", len(src))
+		}
+	}
+	for _, r := range empty {
+		_, grew := alloctest.Cost(t, 1, func() { readInput(hinted{r, claim}, 0) })
+		if grew > 1<<10 {
+			t.Fatalf("a reader claiming %d bytes and holding none (%T) allocated %.0f bytes", claim, r, grew)
 		}
 	}
 }

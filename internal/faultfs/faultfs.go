@@ -2,12 +2,14 @@
 // durability layer writes through. The production implementation (OS)
 // is a thin veneer over package os; the fault-injecting wrapper the
 // crash and chaos matrices use lives in faultfs/faultfstest, so it is
-// compiled into tests only.
+// compiled into tests only. WriteAtomic is the module's one
+// temp-file-plus-rename writer.
 package faultfs
 
 import (
 	"io"
 	"os"
+	"path/filepath"
 )
 
 // File is the subset of *os.File the store needs for durable writes.
@@ -71,3 +73,27 @@ func (OS) Remove(path string) error { return os.Remove(path) }
 func (OS) Truncate(path string, size int64) error { return os.Truncate(path, size) }
 
 var _ FS = OS{}
+
+// WriteAtomic writes data via a temporary file in path's directory,
+// syncs, and renames into place, so path is never observed
+// half-written.
+func WriteAtomic(fsys FS, path string, data []byte) error {
+	f, err := fsys.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	tmp := f.Name()
+	defer fsys.Remove(tmp) // no-op once renamed
+	if _, err := f.Write(data); err != nil {
+		_ = f.Close() // the write error is the one to report
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		_ = f.Close() // the sync error is the one to report
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	return fsys.Rename(tmp, path)
+}

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"xydiff/internal/alert"
+	"xydiff/internal/alloctest"
 	"xydiff/internal/changesim"
 	"xydiff/internal/delta"
 	"xydiff/internal/delta/deltatest"
@@ -201,7 +202,8 @@ func TestObserveAllocationsFollowTheDeltaNotTheDocument(t *testing.T) {
 		if got := len(s.alertLog.forDoc("doc")); got < 6 {
 			t.Fatalf("%d categories: only %d alerts logged; the fixture exercises too little", categories, got)
 		}
-		return testing.AllocsPerRun(20, func() { s.observe(o) }), len(o.Result.Delta.Ops), o.New.Size()
+		allocs, _ = alloctest.Cost(t, 20, func() { s.observe(o) })
+		return allocs, len(o.Result.Delta.Ops), o.New.Size()
 	}
 	small, smallOps, smallNodes := measure(4)
 	large, largeOps, largeNodes := measure(49)

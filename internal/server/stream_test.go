@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"xydiff/internal/alert"
+	"xydiff/internal/alloctest"
 	"xydiff/internal/changesim"
 	"xydiff/internal/diff"
 	"xydiff/internal/vstore"
@@ -348,7 +349,6 @@ func TestAlertDeliveryIgnoresOtherStreams(t *testing.T) {
 	for i := 0; i < alertLogSize; i++ {
 		s.observe(o)
 	}
-	alone := testing.AllocsPerRun(20, func() { s.observe(o) })
 
 	ids := docIDs("other-", 200)
 	end := openIdleStreams(t, s, ids)
@@ -359,10 +359,7 @@ func TestAlertDeliveryIgnoresOtherStreams(t *testing.T) {
 		waits[i] = s.alertLog.byDoc[id].grown
 	}
 	s.alertLog.mu.Unlock()
-	crowded := testing.AllocsPerRun(20, func() { s.observe(o) })
-	if crowded > alone {
-		t.Errorf("observe allocates %.0f times with %d streams open on other documents, %.0f with none", crowded, len(ids), alone)
-	}
+	s.observe(o)
 	woken := 0
 	for _, c := range waits {
 		select {
@@ -373,6 +370,12 @@ func TestAlertDeliveryIgnoresOtherStreams(t *testing.T) {
 	}
 	if woken > 0 {
 		t.Errorf("delivering one document's alerts woke %d streams of other documents", woken)
+	}
+	crowded, _ := alloctest.Cost(t, 20, func() { s.observe(o) })
+	end()
+	alone, _ := alloctest.Cost(t, 20, func() { s.observe(o) })
+	if crowded > alone {
+		t.Errorf("observe allocates %.0f times with %d streams open on other documents, %.0f with none", crowded, len(ids), alone)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"xydiff/internal/alloctest"
 	"xydiff/internal/changesim"
 	"xydiff/internal/dom"
 	"xydiff/internal/sftm"
@@ -28,7 +29,7 @@ func pagePair(t testing.TB) (oldDoc, newDoc *dom.Node) {
 // in a later benchmark run.
 func TestMatchAllocations(t *testing.T) {
 	oldDoc, newDoc := pagePair(t)
-	allocs := testing.AllocsPerRun(5, func() {
+	allocs, _ := alloctest.Cost(t, 5, func() {
 		if _, err := sftm.Match(oldDoc, newDoc, nil); err != nil {
 			t.Fatal(err)
 		}

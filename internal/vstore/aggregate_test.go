@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"xydiff/internal/alloctest"
 	"xydiff/internal/changesim"
 	"xydiff/internal/delta"
 	"xydiff/internal/diff"
@@ -456,10 +457,16 @@ func benchmarkCatalogStep(t *testing.T) []*dom.Node {
 // decoding that delta (a read walk and a copy of a ~130 KB catalog are
 // thousands).
 func TestOneStepAggregateDecodesOneDelta(t *testing.T) {
+	var guards []func() // the allocation counts, after every decode count
 	for _, size := range []int{7000, 130000} {
 		chain := catalogChain(t, size, 3)
 		for _, cache := range []int{0, 1} {
 			s := chainStore(t, Config{Shards: 1, CacheSize: cache}, chain, "doc", "other")
+			defer func() {
+				if err := s.Close(); err != nil {
+					t.Error(err)
+				}
+			}()
 			for _, r := range [][2]int{{1, 2}, {2, 1}, {2, 3}, {3, 2}} {
 				before := s.StorageStats()
 				if _, err := s.Aggregate("doc", r[0], r[1]); err != nil {
@@ -475,24 +482,26 @@ func TestOneStepAggregateDecodesOneDelta(t *testing.T) {
 				}
 			}
 			_, raw := chainXML(t, s.shardFor("doc").lookup("doc"))
-			decode := testing.AllocsPerRun(10, func() {
-				if _, err := delta.ParseBytes(raw[1]); err != nil {
-					t.Fatal(err)
+			guards = append(guards, func() {
+				decode, _ := alloctest.Cost(t, 10, func() {
+					if _, err := delta.ParseBytes(raw[1]); err != nil {
+						t.Fatal(err)
+					}
+				})
+				aggregate, _ := alloctest.Cost(t, 10, func() {
+					if _, err := s.Aggregate("doc", 2, 3); err != nil {
+						t.Fatal(err)
+					}
+				})
+				t.Logf("%d B, cache %d: Aggregate(2, 3) %.0f allocations, decoding its delta %.0f", size, cache, aggregate, decode)
+				if aggregate > decode+4 {
+					t.Errorf("%d B, cache %d: Aggregate(2, 3) allocates %.0f times, more than decoding its delta (%.0f) and 4", size, cache, aggregate, decode)
 				}
 			})
-			aggregate := testing.AllocsPerRun(10, func() {
-				if _, err := s.Aggregate("doc", 2, 3); err != nil {
-					t.Fatal(err)
-				}
-			})
-			t.Logf("%d B, cache %d: Aggregate(2, 3) %.0f allocations, decoding its delta %.0f", size, cache, aggregate, decode)
-			if aggregate > decode+4 {
-				t.Errorf("%d B, cache %d: Aggregate(2, 3) allocates %.0f times, more than decoding its delta (%.0f) and 4", size, cache, aggregate, decode)
-			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
 		}
+	}
+	for _, guard := range guards {
+		guard()
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"xydiff/internal/alloctest"
 	"xydiff/internal/changesim"
 	"xydiff/internal/diff"
 	"xydiff/internal/dom"
@@ -146,7 +147,7 @@ func TestKeyframeRestoreAllocations(t *testing.T) {
 		c.put("a", doc, 1)
 		c.put("b", dom.NewDocument(), 1) // evicts a
 		frame := len(c.frames["a"].body)
-		allocs := testing.AllocsPerRun(10, func() {
+		allocs, _ := alloctest.Cost(t, 10, func() {
 			if c.restore("a", 1) == nil {
 				t.Fatal("the keyframe did not restore")
 			}

@@ -3,7 +3,6 @@ package vstore
 import (
 	"context"
 	"fmt"
-	"io"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -230,7 +229,7 @@ func (s *Store) snapshotDoc(sh *shard, id string, st *docState, full bool) error
 	// already there, raw or compressed, and for each new one the moment
 	// it is renamed into place: a crash anywhere in the pass leaves the
 	// files the counter points at verifiable. The counter goes last.
-	if err := writeAtomic(s.fs, filepath.Join(sub, sumsName), writeBytes(sums)); err != nil {
+	if err := faultfs.WriteAtomic(s.fs, filepath.Join(sub, sumsName), sums); err != nil {
 		return err
 	}
 	var counts snapBytes
@@ -238,16 +237,12 @@ func (s *Store) snapshotDoc(sh *shard, id string, st *docState, full bool) error
 		counts = st.snap
 	}
 	for _, f := range files {
-		if err := writeAtomic(s.fs, filepath.Join(sub, f.name), writeBytes(f.stored)); err != nil {
+		if err := faultfs.WriteAtomic(s.fs, filepath.Join(sub, f.name), f.stored); err != nil {
 			return err
 		}
 		counts.add(encDict, len(f.stored), f.raw)
 	}
-	counter := func(w io.Writer) (int64, error) {
-		n, err := io.WriteString(w, strconv.Itoa(versions))
-		return int64(n), err
-	}
-	if err := writeAtomic(s.fs, filepath.Join(sub, "versions"), counter); err != nil {
+	if err := faultfs.WriteAtomic(s.fs, filepath.Join(sub, "versions"), []byte(strconv.Itoa(versions))); err != nil {
 		return err
 	}
 	st.snapVersions = versions
@@ -269,12 +264,4 @@ func (s *Store) retireSegments(sh *shard, seqs []int) error {
 		}
 	}
 	return nil
-}
-
-// writeBytes adapts a byte slice to writeAtomic's writer callback.
-func writeBytes(b []byte) func(io.Writer) (int64, error) {
-	return func(w io.Writer) (int64, error) {
-		n, err := w.Write(b)
-		return int64(n), err
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -184,7 +183,7 @@ func loadOrCreateManifest(fsys faultfs.FS, dir string, shards int) (*manifest, e
 func writeManifest(fsys faultfs.FS, dir string, m *manifest) error {
 	blob, _ := json.MarshalIndent(m, "", "  ") // a manifest always marshals
 	blob = append(blob, '\n')
-	if err := writeAtomic(fsys, filepath.Join(dir, manifestName), writeBytes(blob)); err != nil {
+	if err := faultfs.WriteAtomic(fsys, filepath.Join(dir, manifestName), blob); err != nil {
 		return fmt.Errorf("vstore: write manifest: %w", err)
 	}
 	return nil
@@ -475,29 +474,6 @@ func (e *corruptError) Unwrap() error { return e.err }
 // whole-file failures).
 func corruptf(file string, offset int64, err error, format string, args ...any) *corruptError {
 	return &corruptError{file: file, offset: offset, reason: fmt.Sprintf(format, args...), err: err}
-}
-
-// writeAtomic writes via a temporary file in path's directory, syncs,
-// and renames into place, so path is never observed half-written.
-func writeAtomic(fsys faultfs.FS, path string, write func(io.Writer) (int64, error)) error {
-	f, err := fsys.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	defer fsys.Remove(tmp) // no-op once renamed
-	if _, err := write(f); err != nil {
-		_ = f.Close() // the write error is the one to report
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close() // the sync error is the one to report
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return fsys.Rename(tmp, path)
 }
 
 func deltaFile(n int) string { return fmt.Sprintf("delta-%04d.xml", n) }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"xydiff/internal/alloctest"
 	"xydiff/internal/changesim"
 	"xydiff/internal/delta"
 	"xydiff/internal/diff"
@@ -280,7 +281,7 @@ func TestRewindAllocations(t *testing.T) {
 		{"backward from version 5 to 1", 1, 0},
 		{"forward from version 1 to 5", 5, 1},
 	} {
-		allocs := testing.AllocsPerRun(20, func() {
+		allocs, _ := alloctest.Cost(t, 20, func() {
 			if _, _, err := st.walk(latest, []int{c.target}, c.fwd, func(int, *dom.Node, bool) error { return nil }); err != nil {
 				t.Fatal(err)
 			}

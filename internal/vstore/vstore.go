@@ -532,8 +532,10 @@ func (s *Store) IDs() []string {
 }
 
 // Version reconstructs version n (1-based) of the document by the read
-// walk: forward from the stored base or backward from the latest
-// version, whichever decodes fewer stored bytes.
+// walk: forward from the base or backward from a copy of the latest
+// version, whichever crosses fewer bytes of XML as plan weighs them.
+// With the latest version neither cached nor restorable from its
+// keyframe, the walk goes forward from the base.
 func (s *Store) Version(id string, n int) (*dom.Node, error) {
 	st, err := s.reading(id)
 	if err != nil {
@@ -659,8 +661,9 @@ func (s *Store) decodeDelta(st *docState, i int) (*delta.Delta, error) {
 
 // Close stops the background loops and the per-shard group-commit
 // writers: a scrub cycle in flight is canceled, not waited out, queued
-// records are flushed and fsynced, segment files closed. The store stays readable; writes after Close fail, except in
-// a store without a directory, which has nothing to stop.
+// records are flushed and fsynced, and segment files are closed. The
+// store stays readable; writes after Close fail, except in a store
+// without a directory, which has nothing to stop.
 func (s *Store) Close() error {
 	if s.dir == "" {
 		return nil

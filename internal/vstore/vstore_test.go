@@ -4,12 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"xydiff/internal/alloctest"
 	"xydiff/internal/delta"
 	"xydiff/internal/diff"
 	"xydiff/internal/dom"
@@ -112,9 +112,6 @@ func TestPutLeavesCallerTreeUnstamped(t *testing.T) {
 // record, the bound was the diff plus that encoding, about three times
 // the delta's XML, plus the overhead.)
 func TestPutDetailedAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("counts allocations through pooled buffers, which the race detector drops at random; the gate runs it without -race")
-	}
 	const runs = 10
 	pair := catalogChain(t, 7000, 2)
 	copies := func() []*dom.Node {
@@ -133,7 +130,7 @@ func TestPutDetailedAllocations(t *testing.T) {
 	}
 	docs, next := copies(), 0
 	var deltaBytes, frameBytes int
-	put, putBytes := costPerRun(runs, func() {
+	put, putBytes := alloctest.Cost(t, runs, func() {
 		for k := 0; k < 2; k++ {
 			r, err := s.PutDetailed(context.Background(), "d", docs[next], "")
 			if err != nil {
@@ -157,7 +154,7 @@ func TestPutDetailedAllocations(t *testing.T) {
 		}
 	}
 	docs, next = copies(), 0
-	work, workBytes := costPerRun(runs, func() {
+	work, workBytes := alloctest.Cost(t, runs, func() {
 		for k := 0; k < 2; k++ {
 			if _, err := diff.DiffDetailedContext(context.Background(), olds[k], docs[next], diff.Options{}); err != nil {
 				t.Fatal(err)
@@ -166,7 +163,7 @@ func TestPutDetailedAllocations(t *testing.T) {
 		}
 	})
 	work, workBytes = work/2, workBytes/2
-	_, cloneBytes := costPerRun(runs, func() { pair[0].Clone() })
+	_, cloneBytes := alloctest.Cost(t, runs, func() { pair[0].Clone() })
 	// What the Put keeps of the delta is its frame.
 	recordBytes := 1.25*float64(deltaBytes) + float64(frameBytes)
 	t.Logf("PutDetailed: %.0f allocations, %.0f KB; its diff: %.0f, %.0f KB; one record and the frame kept: at most %.1f KB; one copy of the version: %.0f KB",
@@ -185,22 +182,6 @@ func TestPutDetailedAllocations(t *testing.T) {
 		t.Errorf("PutDetailed allocates %.0f KB, more than its diff (%.0f KB), one record and the frame kept (%.1f KB) and %d KB",
 			putBytes/1024, workBytes/1024, recordBytes/1024, overheadBytes>>10)
 	}
-}
-
-// costPerRun is testing.AllocsPerRun returning allocated bytes too: the
-// allocations and bytes of one call of f, averaged over runs calls
-// after a warm-up call, with GOMAXPROCS at 1 as AllocsPerRun sets it.
-// Goroutines f starts are counted with it.
-func costPerRun(runs int, f func()) (allocs, bytes float64) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	f()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 func TestVersionsReconstructAcrossReopen(t *testing.T) {

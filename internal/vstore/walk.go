@@ -13,8 +13,9 @@ import (
 // base as well as backward from the cached latest version. A read
 // names its target versions; the walk reaches the older ones forward
 // from the base and the newer ones backward from the latest, split
-// where that decodes the fewest resident bytes: frames, which the walk
-// thaws (resident.go), or XML not yet decoded since the store opened.
+// where the parts crossed add up to the fewest bytes of XML (plan),
+// whether a part is held as a frame, which the walk thaws
+// (resident.go), or as XML not yet decoded since the store opened.
 
 // A visitor receives each target version the walk reaches. doc is the
 // walk's working tree at version v, or the cached latest version when
@@ -74,13 +75,15 @@ func (s *Store) read(id string, st *docState, targets []int, visit visitor) (*do
 // plan returns how many of targets (ascending) the walk should reach
 // forward from the base; it reaches the rest backward from the latest
 // version. The cost of a split is the XML bytes of the parts it
-// decodes: the base when any target goes forward, plus every delta
-// crossed. A part weighs its XML's length whether it is held as a frame
-// or as XML, so a plan does not depend on which parts a walk has
-// decoded so far, and per XML byte a base and a delta step cost about
-// the same either way. The copy of the latest version a backward walk
-// starts from is not counted. DESIGN.md has the measured rates behind
-// these choices. Ties go backward.
+// crosses: the base when any target goes forward, plus every delta
+// stepped through, each byte weighed the same. A part weighs its XML's
+// length whether it is held as a frame or as XML, so a plan does not
+// depend on which parts a walk has decoded so far. The copy of the
+// latest version a backward walk starts from is not counted. Ties go
+// backward. The measured rates differ by step (DESIGN.md,
+// BenchmarkWalkCosts, per XML byte): 3.8 ns to thaw the base, 8.3 for a
+// forward step, 7.2 for a backward step and 6.0 to copy the latest
+// version; ROADMAP.md's item 27 prices each step at its rate.
 func (st *docState) plan(targets []int) int {
 	if len(targets) == 0 {
 		return 0

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"xydiff/internal/alloctest"
 	"xydiff/internal/changesim"
 	"xydiff/internal/delta"
 	"xydiff/internal/diff"
@@ -162,7 +163,9 @@ func checkFrameWalks(t *testing.T, s *Store, id string, put []*dom.Node) {
 
 // TestPlanDecodesTheFewestBytes: the planner's split is the one whose
 // base and deltas add up to the fewest bytes of XML, ties backward,
-// whether the deltas are held as XML or as frames.
+// whether the deltas are held as XML or as frames; then, over a seeded
+// sweep of random chains and targets, the cheapest split added up part
+// by part.
 func TestPlanDecodesTheFewestBytes(t *testing.T) {
 	for _, c := range []struct {
 		base    int
@@ -200,6 +203,40 @@ func TestPlanDecodesTheFewestBytes(t *testing.T) {
 		}
 		if got := st.plan(c.targets); got != c.want {
 			t.Errorf("base %d, deltas %v, as frames, targets %v: %d forward, want %d", c.base, c.deltas, c.targets, got, c.want)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(27))
+	for trial := 0; trial < 2000; trial++ {
+		// size[0] is version 1's XML; size[v] is the delta from version
+		// v to v+1.
+		size := make([]int, 2+rng.Intn(8))
+		var parts []*part
+		var targets []int
+		for v := range size {
+			size[v] = 1 + rng.Intn(40)
+			parts = append(parts, xmlPart(make([]byte, size[v])))
+			if rng.Intn(2) == 0 {
+				targets = append(targets, v+1)
+			}
+		}
+		// Split k crosses size[:targets[k-1]] forward from version 1
+		// and size[targets[k]:] backward from the latest version.
+		want, cheapest := 0, 0
+		for k := 0; k <= len(targets); k++ {
+			cost := 0
+			for v, b := range size {
+				if k > 0 && v < targets[k-1] || k < len(targets) && v >= targets[k] {
+					cost += b
+				}
+			}
+			if k == 0 || cost < cheapest {
+				want, cheapest = k, cost
+			}
+		}
+		st := &docState{versions: len(size), base: parts[0], deltas: parts[1:]}
+		if got := st.plan(targets); got != want {
+			t.Fatalf("sizes %v (version 1 first), targets %v: %d forward, want %d", size, targets, got, want)
 		}
 	}
 }
@@ -402,29 +439,18 @@ func TestReadWalksDecodeAhead(t *testing.T) {
 // and one copy, not a further
 // walk back from it and no second copy, in bytes.
 func TestReadWalkAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("counts allocations through pooled buffers, which the race detector drops at random; the gate runs it without -race")
-	}
 	chain := flipChain(t, 7000, 12)
 	s := chainStore(t, Config{Shards: 1}, chain, "doc")
 	defer s.Close()
-	hit := func(n int) float64 {
-		return testing.AllocsPerRun(10, func() {
+	hit := func(n int) (allocs, bytes float64) {
+		return alloctest.Cost(t, 10, func() {
 			if _, err := s.Version("doc", n); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	hitBytes := func(n int) float64 {
-		_, b := costPerRun(10, func() {
-			if _, err := s.Version("doc", n); err != nil {
-				t.Fatal(err)
-			}
-		})
-		return b
-	}
-	near, far := hit(11), hit(2)
-	nearBytes, farBytes := hitBytes(11), hitBytes(2)
+	near, nearBytes := hit(11)
+	far, farBytes := hit(2)
 	t.Logf("Version(11): %.0f allocations, %.0f KB; Version(2): %.0f, %.0f KB", near, nearBytes/1024, far, farBytes/1024)
 	if farBytes > 2*nearBytes {
 		t.Errorf("Version(2) allocates %.0f KB, more than twice Version(11)'s %.0f KB", farBytes/1024, nearBytes/1024)
@@ -447,17 +473,18 @@ func TestReadWalkAllocations(t *testing.T) {
 	cold := chainStore(t, Config{Shards: 1, CacheSize: 1}, chain, "a", "b")
 	defer cold.Close()
 	misses := func(read func(id string) error) float64 {
-		return testing.AllocsPerRun(10, func() {
+		allocs, _ := alloctest.Cost(t, 10, func() {
 			for _, id := range []string{"a", "b"} {
 				if err := read(id); err != nil {
 					t.Fatal(err)
 				}
 			}
-		}) / 2
+		})
+		return allocs / 2
 	}
 	restore := misses(materialize(cold))
 	for _, n := range []int{1, 6, 12} {
-		walk := hit(n)
+		walk, _ := hit(n)
 		got := misses(func(id string) error {
 			_, err := cold.Version(id, n)
 			return err
@@ -484,7 +511,7 @@ func TestReadWalkAllocations(t *testing.T) {
 	}
 	defer reopened.Close()
 	firstMiss := func(read func(id string) error) (allocs, bytes float64) {
-		return costPerRun(4, func() { // five reads, five documents
+		return alloctest.Cost(t, 4, func() { // five reads, five documents
 			id := ids[0]
 			ids = ids[1:]
 			if err := read(id); err != nil {
@@ -505,7 +532,7 @@ func TestReadWalkAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, cloneBytes := costPerRun(10, func() { doc.Clone() })
+		_, cloneBytes := alloctest.Cost(t, 10, func() { doc.Clone() })
 		got, gotBytes := firstMiss(func(id string) error {
 			_, err := reopened.Version(id, n)
 			return err

@@ -8,11 +8,11 @@ import (
 	"io"
 	"math/rand"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"sync"
 	"testing"
 
+	"xydiff/internal/alloctest"
 	"xydiff/internal/changesim"
 	"xydiff/internal/diff"
 	"xydiff/internal/dom"
@@ -28,6 +28,20 @@ func viewXML(s *Store, id string, n int, latest bool) ([]byte, int, error) {
 		return nil, 0, err
 	}
 	return doc.AppendXML(nil), v, nil
+}
+
+// streamView returns a call that streams a view of document "doc" to
+// io.Discard, as a version GET does.
+func streamView(t *testing.T, s *Store, n int, latest bool) func() {
+	return func() {
+		doc, _, err := s.View("doc", n, latest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := doc.WriteTo(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // checkXMLReads is a differential test of the two ways to read a
@@ -252,15 +266,8 @@ func TestLatestXMLCopiesNoTree(t *testing.T) {
 	allocs := func(size int) float64 {
 		s := chainStore(t, Config{Shards: 1}, catalogChain(t, size, 3), "doc")
 		defer s.Close()
-		return testing.AllocsPerRun(20, func() {
-			doc, _, err := s.View("doc", 0, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := doc.WriteTo(io.Discard); err != nil {
-				t.Fatal(err)
-			}
-		})
+		allocs, _ := alloctest.Cost(t, 20, streamView(t, s, 0, true))
+		return allocs
 	}
 	small, large := allocs(7000), allocs(130000)
 	t.Logf("latest view streamed: %.0f allocations at 7 KB, %.0f at 130 KB", small, large)
@@ -278,33 +285,13 @@ func TestLatestXMLCopiesNoTree(t *testing.T) {
 // buffer sized from version 1, that buffer alone was version 1's length
 // plus an eighth.)
 func TestVersionStreamAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("counts allocations through pooled buffers, which the race detector drops at random; the gate runs it without -race")
-	}
 	s := chainStore(t, Config{Shards: 1}, catalogChain(t, 150_000, 2), "doc")
 	defer s.Close()
 	body, _, err := viewXML(s, "doc", 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream := func() {
-		doc, _, err := s.View("doc", 2, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := doc.WriteTo(io.Discard); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stream()
-	var before, after runtime.MemStats
-	const runs = 10
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		stream()
-	}
-	runtime.ReadMemStats(&after)
-	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	_, bytes := alloctest.Cost(t, 10, streamView(t, s, 2, false))
 	t.Logf("streaming version 2 (%d bytes) allocates %.0f bytes", len(body), bytes)
 	if bytes >= float64(len(body)) {
 		t.Errorf("streaming version 2 allocates %.0f bytes, want fewer than its %d-byte body", bytes, len(body))
@@ -361,20 +348,11 @@ func TestOldDocumentReads(t *testing.T) {
 		t.Fatalf("setup: the old document's largest XID is %d for %d nodes, want many times more", maxXID, nodes)
 	}
 	cost := func(id string, n int) (allocs, bytes float64) {
-		read := func() {
+		return alloctest.Cost(t, 20, func() {
 			if _, _, err := s.View(id, n, false); err != nil {
 				t.Fatal(err)
 			}
-		}
-		read()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		const runs = 20
-		for i := 0; i < runs; i++ {
-			read()
-		}
-		runtime.ReadMemStats(&after)
-		return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+		})
 	}
 	oldAllocs, oldBytes := cost("old", versions-2)
 	// Two versions back of five, so the young read, too, steps back

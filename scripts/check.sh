@@ -13,11 +13,9 @@
 #   4. race        the whole test suite under the race detector, then the
 #                  vstore read-walk tests ten times more, since walks run
 #                  concurrently under a document's read lock and swap
-#                  decoded frames in by CAS, the vstore and diff allocation
-#                  guards without it, since it randomizes pools, and the
-#                  server's crawl and source tests five times more,
-#                  since they run at production politeness and wait on
-#                  real fetches. Among
+#                  decoded frames in by CAS, and the server's crawl and
+#                  source tests five times more, since they run at
+#                  production politeness and wait on real fetches. Among
 #                  it: TestMetricsExposition, the format gate that parses
 #                  /metrics as the Prometheus text format; the
 #                  concurrent Put/Diff/Subscribe stress test, the
@@ -25,10 +23,15 @@
 #                  harness, SFTM's match-quality floors, and
 #                  TestQualityPinned, which holds Figure 5's ratios, the
 #                  matcher sweep and the optimality record to
-#                  internal/bench/testdata/quality.json exactly
-#   5. bench-smoke every benchmark once (-benchtime 1x), so a benchmark
-#                  that stops running fails the gate, not the next
-#                  measurement; seconds in all
+#                  internal/bench/testdata/quality.json exactly. The
+#                  allocation guards skip here: they count through
+#                  internal/alloctest, which skips under -race
+#   5. norace      the whole test suite again without the race detector,
+#                  where every allocation guard counts, and every
+#                  benchmark once (-benchtime 1x), so a benchmark that
+#                  stops running fails the gate, not the next
+#                  measurement; a new guard or benchmark needs no edit
+#                  here
 #   6. fuzz-smoke  every fuzzer briefly (FUZZTIME each, default 10s), no
 #                  corpus growth kept; Go runs one fuzz target per
 #                  invocation, so this is the repository's one list of
@@ -61,27 +64,14 @@ echo "==> race"
 $GO test -race ./...
 # Concurrent reads walk a document's chain under its read lock, and
 # walks that first decode the same stored part swap its frame in
-# together: their tests run again, repeatedly, under the race
-# detector. Not their allocation counts: under -race sync.Pool drops
-# values at random, so those vary from run to run.
+# together: their tests run again, repeatedly, under the race detector.
 $GO test -race -count=10 ./internal/vstore -run 'ReadWalks'
-# The allocation guards of the Put path, the read walk and the diff's
-# delta construction count allocations through pooled buffers, trees
-# and matchers, which sync.Pool drops at random under the race
-# detector; they skip there and run here without it, as do the
-# version-stream guards. The parser's and the copy's guards run here
-# too, with the race detector's allocations out of their count, and
-# the alert list's bytes guard beside them.
-$GO test -count=1 ./internal/vstore -run 'TestPutDetailedAllocations|TestReadWalkAllocations|TestVersionStreamAllocations'
-$GO test -count=1 ./internal/diff -run 'TestComposeVersionsAllocations|TestBULDDiffAllocations|TestSFTMDiffAllocations'
-$GO test -count=1 ./internal/dom -run 'TestParseAllocations$|TestCloneAllocations$'
-$GO test -count=1 . -run 'TestPutTailAlertListAllocatedOnce$'
 # The server's crawl tests wait on real fetches at the crawler's
 # production timings; repeating them is how a timing flake shows.
 $GO test -race -count=5 ./internal/server -run 'Crawl|Source'
 
-echo "==> bench-smoke"
-$GO test -run '^$' -bench . -benchtime 1x ./...
+echo "==> norace"
+$GO test -count=1 -bench . -benchtime 1x ./...
 
 echo "==> fuzz-smoke (${FUZZTIME} per fuzzer)"
 $GO test ./internal/dom -run '^$' -fuzz '^FuzzParse$' -fuzztime "$FUZZTIME"
