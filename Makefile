@@ -18,7 +18,7 @@ test:
 	$(GO) test ./...
 
 bench:
-	$(GO) test -bench=. -benchmem .
+	$(GO) test -bench=. -benchmem . ./internal/bench
 
 # Run the change-control daemon locally (data in ./xydiffd-data).
 server:

@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"xydiff/internal/delta"
 	"xydiff/internal/diff"
 	"xydiff/internal/dom"
 )
@@ -79,6 +80,15 @@ func TestGoldenDeltas(t *testing.T) {
 			got, err := d.MarshalText()
 			if err != nil {
 				t.Fatal(err)
+			}
+			// The delta reads back from its XML before its bytes are
+			// compared: no committed file may hold one that does not.
+			back, err := delta.ParseBytes(got)
+			if err != nil {
+				t.Fatalf("the delta does not read back: %v\n%s", err, got)
+			}
+			if again, err := back.MarshalText(); err != nil || string(again) != string(got) {
+				t.Fatalf("the delta read back writes %s, %v; want %s", again, err, got)
 			}
 			got = append(got, '\n')
 			path := filepath.Join("testdata", "golden", tc.name+".delta.xml")

@@ -14,6 +14,7 @@ import (
 // Whether the old document has XIDs, and its largest, were recorded
 // when its tree was built, so neither costs a walk here.
 func (m *matcher) buildDelta() *delta.Delta {
+	m.separateTexts()
 	var alloc *xid.Allocator
 	if m.old.missingXID {
 		alloc = xid.Assign(m.old.doc)
@@ -107,6 +108,62 @@ func (m *matcher) buildDelta() *delta.Delta {
 	}
 	d := &delta.Delta{Ops: ops, NextXID: max(alloc.Peek(), maxXID+1)}
 	return d.Normalize()
+}
+
+// separateTexts unmatches the movers that would leave two texts
+// adjacent in an op's content. An insert's or delete's subtree drops
+// its matched descendants, which arrive or leave by moves; where only
+// matched children separate two unmatched texts, the recorded subtree
+// holds the texts side by side, its XML writes them as one, and the
+// delta no longer reads back. So under each unmatched node the first
+// matched child between two unmatched texts loses its match, with its
+// partner, and travels inside the op's subtree instead, still between
+// them. A child unmatched so may leave texts of its own adjacent in
+// turn, so both sides are scanned again until nothing changes; matches
+// only fall, so that ends.
+func (m *matcher) separateTexts() {
+	for again := true; again; {
+		again = separate(m.old, m.oldToNew, m.newToOld)
+		if separate(m.new, m.newToOld, m.oldToNew) {
+			again = true
+		}
+	}
+}
+
+// separate unmatches, under every unmatched node of t, the first
+// matched child between two unmatched texts, and that child's partner,
+// and reports whether it unmatched any. match is t's side of the
+// matching and other the opposite side.
+func separate(t *tree, match, other []int) bool {
+	changed := false
+	for i, j := range match {
+		if j >= 0 {
+			continue
+		}
+		k := len(t.nodes[i].Children)
+		if k < 3 {
+			continue
+		}
+		afterText, between := false, -1
+		base := int(t.kidStart[i])
+		for _, c := range t.kids[base : base+k] {
+			ci := int(c)
+			if match[ci] >= 0 {
+				if afterText && between < 0 {
+					between = ci
+				}
+				continue
+			}
+			text := t.nodes[ci].Type == dom.Text
+			if text && afterText && between >= 0 {
+				other[match[between]] = -1
+				match[between] = -1
+				changed = true
+			}
+			afterText, between = text, -1
+		}
+	}
+	return changed
 }
 
 // hasValue reports whether a node of type t has a value an update

@@ -13,13 +13,12 @@ import (
 	"xydiff/internal/delta"
 	"xydiff/internal/diff"
 	"xydiff/internal/dom"
+	"xydiff/internal/xid"
 )
 
-// FuzzDiffApply is the differential oracle over the whole pipeline: for
-// an arbitrary well-formed document and an arbitrary mutation script,
-// Diff followed by Apply must reproduce the mutated serialization
-// byte-for-byte, and the delta must survive an XML serialize/parse
-// round-trip unchanged.
+// FuzzDiffApply is the differential oracle over the whole pipeline for
+// BULD: checkDiffApply on an arbitrary well-formed document and an
+// arbitrary mutation script.
 func FuzzDiffApply(f *testing.F) {
 	// Corpus: changesim generator outputs at small sizes, each paired
 	// with scripts that cover every mutation opcode.
@@ -41,63 +40,165 @@ func FuzzDiffApply(f *testing.F) {
 	for i, d := range seedDocs {
 		f.Add(d, seedScripts[i%len(seedScripts)])
 	}
-
+	addMixedContent(f)
 	f.Fuzz(func(t *testing.T, docXML string, script []byte) {
-		if len(docXML) > 8<<10 || len(script) > 256 {
-			return // keep individual executions fast
-		}
-		oldDoc, err := dom.ParseString(docXML)
-		if err != nil {
-			return // not a well-formed document: out of scope
-		}
-		newDoc := oldDoc.Clone()
-		applyScript(newDoc, script)
-		// Scripts can leave adjacent text nodes behind (delete or move
-		// the element separating two texts); those merge on any XML
-		// reparse, so no tree holding them round-trips. Normalize into
-		// the domain of parseable documents before diffing.
-		mergeAdjacentText(newDoc)
-		want := newDoc.String()
+		checkDiffApply(t, diff.MatcherBULD, docXML, script)
+	})
+}
 
-		d, err := diff.Diff(oldDoc, newDoc, diff.Options{})
-		if err != nil {
-			t.Fatalf("Diff: %v", err)
-		}
-		got, err := delta.ApplyClone(oldDoc, d)
-		if err != nil {
-			t.Fatalf("Apply: %v\ndelta: %v", err, d)
-		}
-		if got.String() != want {
-			t.Fatalf("Diff→Apply mismatch\nold:  %s\nwant: %s\ngot:  %s", docXML, want, got.String())
-		}
+// addMixedContent seeds an Apply fuzzer with documents whose elements
+// hold text around child elements. Deleting or inserting such an
+// element while a child between two of its texts moves is what
+// separateTexts guards against; the scripts here delete, insert and
+// move around them.
+func addMixedContent(f *testing.F) {
+	moves := []byte{5, 9, 1, 5, 3, 2, 0, 0, 0, 2, 1, 0}
+	f.Add(`<AddressBook><Person>0<Email></Email>0</Person><Person>0</Person></AddressBook>`, []byte("1Y0AB"))
+	f.Add(`<c><Price>a<x>heavy</x>b</Price><Stock/><Item><Name>n</Name></Item></c>`, moves)
+	f.Add(`<html><body><p>one <b>two</b> three</p><p>four <i>five</i> six</p><ul><li>x</li></ul></body></html>`, moves)
+}
 
-		// The delta must survive its own XML round-trip: serialize,
-		// parse, re-serialize identical, and still apply to the same
-		// result.
+// checkDiffApply is the oracle both Apply fuzzers share: docXML, when it
+// is a well-formed document, changed by script, is diffed by matcher,
+// and Diff followed by Apply must reproduce the changed serialization
+// byte for byte. No op's subtree may hold two adjacent texts, and the
+// delta must survive its own XML: serialize, parse, re-serialize
+// identical, and still apply to the same result.
+func checkDiffApply(t *testing.T, matcher diff.Matcher, docXML string, script []byte) {
+	if len(docXML) > 8<<10 || len(script) > 256 {
+		return // keep individual executions fast
+	}
+	oldDoc, err := dom.ParseString(docXML)
+	if err != nil {
+		return // not a well-formed document: out of scope
+	}
+	newDoc := oldDoc.Clone()
+	applyScript(newDoc, script)
+	// Scripts can leave adjacent text nodes behind (delete or move
+	// the element separating two texts); those merge on any XML
+	// reparse, so no tree holding them round-trips. Normalize into
+	// the domain of parseable documents before diffing.
+	mergeAdjacentText(newDoc)
+	want := newDoc.String()
+
+	d, err := diff.Diff(oldDoc, newDoc, diff.Options{Matcher: matcher})
+	if err != nil {
+		t.Fatalf("Diff(%s): %v", matcher, err)
+	}
+	checkNoAdjacentTexts(t, d)
+	got, err := delta.ApplyClone(oldDoc, d)
+	if err != nil {
+		t.Fatalf("Apply: %v\ndelta: %v", err, d)
+	}
+	if got.String() != want {
+		t.Fatalf("%s Diff→Apply mismatch\nold:  %s\nwant: %s\ngot:  %s", matcher, docXML, want, got.String())
+	}
+
+	text, err := d.MarshalText()
+	if err != nil {
+		t.Fatalf("MarshalText: %v", err)
+	}
+	checkEncoderIdentical(t, d, text)
+	d2, err := delta.Parse(strings.NewReader(string(text)))
+	if err != nil {
+		t.Fatalf("reparsing own delta: %v\n%s", err, text)
+	}
+	text2, err := d2.MarshalText()
+	if err != nil {
+		t.Fatalf("re-marshaling reparsed delta: %v", err)
+	}
+	if string(text) != string(text2) {
+		t.Fatalf("delta XML round-trip not stable\nfirst:  %s\nsecond: %s", text, text2)
+	}
+	got2, err := delta.ApplyClone(oldDoc, d2)
+	if err != nil {
+		t.Fatalf("applying reparsed delta: %v", err)
+	}
+	if got2.String() != want {
+		t.Fatalf("reparsed %s delta produced a different document", matcher)
+	}
+}
+
+// checkNoAdjacentTexts fails t when an op's subtree holds two adjacent
+// texts: its XML would write them as one, and the delta would not read
+// back.
+func checkNoAdjacentTexts(t *testing.T, d *delta.Delta) {
+	t.Helper()
+	for i, op := range d.Ops {
+		if op.Subtree == nil {
+			continue
+		}
+		for _, n := range dom.Preorder(op.Subtree) {
+			for j := 1; j < len(n.Children); j++ {
+				if n.Children[j-1].Type == dom.Text && n.Children[j].Type == dom.Text {
+					t.Fatalf("op %d (%v %d) holds adjacent texts %q and %q", i, op.Kind, op.XID, n.Children[j-1].Value, n.Children[j].Value)
+				}
+			}
+		}
+	}
+}
+
+// TestOpSubtreesHoldNoAdjacentTexts: deleting <Price>a<x>…</x>b</Price>
+// while <x> moves into <Stock> (ROADMAP item 1's pattern) gives a
+// delta whose deleted subtree keeps <x> between the two texts, from
+// every constructor: Diff with either matcher, FromMatching handed the
+// mover's pair, and ComposeVersions of two ends whose XIDs say <x>
+// survived. Each delta reads back from its XML and applies.
+func TestOpSubtreesHoldNoAdjacentTexts(t *testing.T) {
+	parse := func(src string) *dom.Node {
+		doc, err := dom.ParseString(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return doc
+	}
+	const oldXML, newXML = `<c><Price>a<x>heavy</x>b</Price><Stock/></c>`, `<c><Stock><x>heavy</x></Stock></c>`
+	check := func(name string, old *dom.Node, d *delta.Delta, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		checkNoAdjacentTexts(t, d)
 		text, err := d.MarshalText()
 		if err != nil {
-			t.Fatalf("MarshalText: %v", err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		checkEncoderIdentical(t, d, text)
-		d2, err := delta.Parse(strings.NewReader(string(text)))
+		back, err := delta.ParseBytes(text)
 		if err != nil {
-			t.Fatalf("reparsing own delta: %v\n%s", err, text)
+			t.Fatalf("%s: the delta does not read back: %v\n%s", name, err, text)
 		}
-		text2, err := d2.MarshalText()
-		if err != nil {
-			t.Fatalf("re-marshaling reparsed delta: %v", err)
+		got, err := delta.ApplyClone(old, back)
+		if err != nil || got.String() != parse(newXML).String() {
+			t.Fatalf("%s: the delta read back applies to %v, %v", name, got, err)
 		}
-		if string(text) != string(text2) {
-			t.Fatalf("delta XML round-trip not stable\nfirst:  %s\nsecond: %s", text, text2)
-		}
-		got2, err := delta.ApplyClone(oldDoc, d2)
-		if err != nil {
-			t.Fatalf("applying reparsed delta: %v", err)
-		}
-		if got2.String() != want {
-			t.Fatalf("reparsed delta produced a different document")
-		}
-	})
+	}
+	for _, m := range []diff.Matcher{diff.MatcherBULD, diff.MatcherSFTM} {
+		old := parse(oldXML)
+		d, err := diff.Diff(old, parse(newXML), diff.Options{Matcher: m})
+		check(string(m), old, d, err)
+	}
+
+	// pairs matches <c>, <Stock>, <x> and its text; <Price> and its two
+	// texts have no partner.
+	pairs := func(old, nw *dom.Node) map[*dom.Node]*dom.Node {
+		c, nc := old.Children[0], nw.Children[0]
+		x, nx := c.Children[0].Children[1], nc.Children[0].Children[0]
+		return map[*dom.Node]*dom.Node{c: nc, c.Children[1]: nc.Children[0], x: nx, x.Children[0]: nx.Children[0]}
+	}
+	old, nw := parse(oldXML), parse(newXML)
+	d, err := diff.FromMatching(old, nw, pairs(old, nw), diff.Options{})
+	check("FromMatching", old, d, err)
+
+	// ComposeVersions matches by XID: final carries those of the nodes
+	// pairs matches, <x>'s among them.
+	old, final := parse(oldXML), parse(newXML)
+	xid.Assign(old)
+	final.XID = old.XID
+	for o, n := range pairs(old, final) {
+		n.XID = o.XID
+	}
+	d, err = diff.ComposeVersions(old.Clone(), final)
+	check("ComposeVersions", old, d, err)
 }
 
 // checkEncoderIdentical holds the streaming delta encoder, whose output

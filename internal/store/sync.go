@@ -13,7 +13,7 @@ type SyncPolicy int
 // Journal sync policies.
 const (
 	// SyncAlways fsyncs the journal before a Put is acknowledged: an
-	// acknowledged version survives power loss.
+	// acknowledged version survives kill -9; power loss is untested (ROADMAP item 28).
 	SyncAlways SyncPolicy = iota
 	// SyncInterval fsyncs on a timer (every 100ms, the constant
 	// syncInterval in internal/vstore): a crash loses at most the last

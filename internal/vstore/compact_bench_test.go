@@ -60,12 +60,15 @@ func BenchmarkCompactAndReopen(b *testing.B) {
 		}
 		for d := 0; d < docs; d++ {
 			st := s.shardFor(fmt.Sprint("catalog-", d)).lookup(fmt.Sprint("catalog-", d))
-			// A part whose XML does not read back (ROADMAP item 1) stays
-			// XML, and the checkpoint writes it as it is.
-			_, _ = st.baseTree()
+			// Every part is decoded, as the walks that cross it do.
+			if _, err := st.baseTree(); err != nil {
+				b.Fatal(err)
+			}
 			for i, p := range st.deltas {
 				if !p.form.Load().frame {
-					_, _ = st.delta(i)
+					if _, err := st.delta(i); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		}

@@ -312,18 +312,16 @@ func thaw(frame []byte) (*dom.Node, error) {
 // hold. Its ops are one slab, filled in place; each insert and delete
 // gets its subtree with its XIDs on it. The subtrees' nodes, child
 // slices and attributes are one allocation each, shared by all of them,
-// and every string shares one copy of the frame's text. adjacentTexts
-// reports a subtree with two adjacent texts, which the delta's XML
-// writes as one, so that XML does not decode to the delta.
-func thawDelta(frame []byte) (d *delta.Delta, adjacentTexts bool, err error) {
+// and every string shares one copy of the frame's text.
+func thawDelta(frame []byte) (*delta.Delta, error) {
 	var t thawer
 	t.open(frame)
 	t.slabs(t.left.nodes, t.left.attrs)
-	d = t.ops(noDetach)
+	d := t.ops(noDetach)
 	if err := t.close(); err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	return d, t.adjacentTexts, nil
+	return d, nil
 }
 
 // noDetach is a kind no op has: thawDelta detaches no subtree.
@@ -372,8 +370,6 @@ type thawer struct {
 	trees                int // the trees read so far
 	root                 int64
 	stack                []thawSlot
-	// adjacentTexts is set once a text is built right after another.
-	adjacentTexts bool
 
 	// building is whether what is read now is built, or only read and
 	// checked; copied whether take has run.
@@ -601,13 +597,11 @@ func (t *thawer) tree(build bool) *dom.Node {
 			n = &t.nodes[0]
 			t.nodes = t.nodes[1:]
 		}
-		afterText := false
 		if first {
 			root = n
 		} else {
 			top := &stack[len(stack)-1]
 			if n != nil {
-				afterText = top.next > 0 && top.n.Children[top.next-1].Type == dom.Text
 				top.n.Children[top.next] = n
 				n.Parent = top.n
 			}
@@ -619,9 +613,6 @@ func (t *thawer) tree(build bool) *dom.Node {
 		typ := dom.NodeType(tag & tagType)
 		if typ > dom.ProcInst {
 			t.fail("node type")
-		}
-		if afterText && typ == dom.Text {
-			t.adjacentTexts = true
 		}
 		var name, value string
 		if tag&tagName != 0 {
@@ -752,7 +743,7 @@ func (t *thawer) differs(i int, n *dom.Node) string {
 			return ""
 		}
 	}
-	d, _, err := thawDelta(t.b)
+	d, err := thawDelta(t.b)
 	if err != nil {
 		return err.Error()
 	}

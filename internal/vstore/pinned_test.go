@@ -22,9 +22,9 @@ import (
 // documents, Checkpoint, a third version of each, Close — leaves segment
 // and snapshot files whose SHA-256 digests are pinned here. One document
 // carries ROADMAP item 1's pattern (a deleted element whose middle child
-// moves away), so its snapshot holds a delta whose pruned subtree has
-// two adjacent texts. A change of any digest is a change of the on-disk
-// format.
+// moves away); its snapshot holds the delta that deletes the element
+// with that child still between its two texts, and inserts the child
+// anew. A change of any digest is a change of the on-disk format.
 func TestStoredFilesPinned(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, diff.Options{}, Config{Shards: 2})
@@ -104,8 +104,8 @@ func TestStoredFilesPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]string{
-		"shard-000/docs/broken/delta-0001.xml":  "ce09144d18e6aa769cafed37ee603ee12d5494f6fb7ecb4b173169da6b3e2aad",
-		"shard-000/docs/broken/sums":            "1cab6bd7daea6e361b8fd627e9b26b368ce8184fe22bca448364dda3b3998e89",
+		"shard-000/docs/broken/delta-0001.xml":  "f1c7c7300dc539842b9defcd674503262945459e533d7675f82c64079d6a18fc",
+		"shard-000/docs/broken/sums":            "25a321f6ec97ff63d5f1c313f21cc2e4fe21684b3be33ae6ab1cd1363ae0d565",
 		"shard-000/docs/broken/v1.xml":          "34f370d63b66ba24a8ecc49cbeb641c0dd63383abaa651c7e61616105350c117",
 		"shard-000/docs/broken/versions":        "d4735e3a265e16eee03f59718b9b5d03019c07d8b6c51f90da3a666eec13ab35",
 		"shard-000/docs/catalog/delta-0001.xml": "905c451889e0cbca129041e1c2b9b631024977f804233188d322c90b40cce418",
@@ -116,7 +116,7 @@ func TestStoredFilesPinned(t *testing.T) {
 		"shard-000/docs/page/sums":              "e563448f854d14b50a6785667dd6ead7894967bf5c8925e74f1c10dd0b7caa0b",
 		"shard-000/docs/page/v1.xml":            "0db7c3772050ab0ef5dba6d4dc7be193c360ec8f8703995cb13b914b117836d0",
 		"shard-000/docs/page/versions":          "d4735e3a265e16eee03f59718b9b5d03019c07d8b6c51f90da3a666eec13ab35",
-		"shard-000/seg-00000002.log":            "129ba521543601d30ef584ee67a57a5d642f191f896f8044caa00e5567cf5073",
+		"shard-000/seg-00000002.log":            "36486ec8d6a68aa3bca6a74e28937020e73bb1253bd68b687a86b932db71eb00",
 	}
 	if len(got) != len(want) {
 		t.Errorf("%d files, want %d", len(got), len(want))

@@ -101,7 +101,7 @@ func baseXML(frame []byte) ([]byte, error) {
 
 // deltaXML is the XML of a stored delta frame.
 func deltaXML(frame []byte) ([]byte, error) {
-	d, _, err := thawDelta(frame)
+	d, err := thawDelta(frame)
 	if err != nil {
 		return nil, err
 	}
@@ -167,32 +167,25 @@ func (st *docState) baseTree() (*dom.Node, error) {
 // delta returns stored delta i (0-based), the one from version i+1 to
 // i+2, as a delta of its own, as a read that hands it out gets it: its
 // frame thawed, or its XML parsed, the part settled into a frame then.
-// It is what the delta's XML decodes to, as it is once the store
-// reopens: a frame with adjacent texts, whose XML writes them as one,
-// is rendered and parsed, and fails as that XML does. (A walk steps
-// through a frame without it: thawer.thawStep.) The caller holds the
-// state lock.
+// Either is what the delta's XML decodes to: a frame holds the delta a
+// Put built, whose subtrees the diff keeps free of adjacent texts, or
+// one parsed from XML, which merges them. The caller holds the state
+// lock.
 func (st *docState) delta(i int) (*delta.Delta, error) {
 	p := st.deltas[i]
 	f := p.form.Load()
-	xml := f.b
 	if f.frame {
-		d, adjacentTexts, err := thawDelta(f.b)
+		d, err := thawDelta(f.b)
 		if err != nil {
 			return nil, fmt.Errorf("vstore: thaw stored delta %d: %w", i+1, err)
 		}
-		if !adjacentTexts {
-			return d, nil
-		}
-		if xml, err = d.MarshalText(); err != nil {
-			return nil, fmt.Errorf("vstore: serialize stored delta %d: %w", i+1, err)
-		}
+		return d, nil
 	}
-	d, err := delta.ParseBytes(xml)
+	d, err := delta.ParseBytes(f.b)
 	if err != nil {
 		return nil, fmt.Errorf("vstore: parse stored delta %d: %w", i+1, err)
 	}
-	if !f.frame && !f.xmlOnly {
+	if !f.xmlOnly {
 		frame, ok := freezeDelta(d)
 		st.settle(p, f, frame, ok, d.WriteTo)
 	}

@@ -47,7 +47,7 @@ func FuzzDetachedEqual(f *testing.F) {
 			}
 		}
 		for _, frame := range frames {
-			whole, _, err := thawDelta(frame)
+			whole, err := thawDelta(frame)
 			if err != nil {
 				t.Fatalf("a frozen delta does not thaw: %v", err)
 			}
@@ -154,7 +154,7 @@ func TestStepRefusesChangedDetachedContent(t *testing.T) {
 			if _, err := th.thawStep(f.b, c.backward); err != nil {
 				t.Fatal(err)
 			}
-			whole, _, err := thawDelta(f.b)
+			whole, err := thawDelta(f.b)
 			if err != nil {
 				t.Fatal(err)
 			}
